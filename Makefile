@@ -19,10 +19,12 @@ vet:
 
 # Race-check the packages with real concurrency: the parallel
 # federation, the shared execution pool, the TCP-distributed engine,
-# the fault injector, the engine they drive, and the
-# optimistic/checkpoint layers they build on.
+# the fault injector, the engine they drive, the
+# optimistic/checkpoint layers they build on, and the fluid fabric and
+# host resources whose blocking Send/Run hand control between process
+# goroutines.
 race:
-	$(GO) test -race ./internal/parsim/... ./internal/pool/... ./internal/des/... ./internal/distsim/... ./internal/chaos/... ./internal/optsim/... ./internal/checkpoint/...
+	$(GO) test -race ./internal/parsim/... ./internal/pool/... ./internal/des/... ./internal/distsim/... ./internal/chaos/... ./internal/optsim/... ./internal/checkpoint/... ./internal/netsim/... ./internal/resources/...
 
 # tier1 is the acceptance gate: build + full tests, plus vet and the
 # race detector over the concurrent packages.

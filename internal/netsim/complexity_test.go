@@ -1,0 +1,69 @@
+package netsim
+
+import (
+	"testing"
+
+	"repro/internal/des"
+)
+
+// TestEventListCostIsLinearInFlows holds N flows concurrently on one
+// bottleneck and bounds what the event list saw. Each transfer
+// schedules its start and re-arms the network's one completion timer
+// when it starts and when it finishes; per-flow timers rescheduled on
+// every change would make both counts quadratic in N.
+func TestEventListCostIsLinearInFlows(t *testing.T) {
+	const n = 500
+	e := des.NewEngine()
+	topo, nodes := line(3, 1e6, 0)
+	net := NewNetwork(e, topo)
+	for i := 0; i < n; i++ {
+		net.Transfer(nodes[0], nodes[2], float64(1000*(i+1)), nil)
+	}
+	e.Run()
+	if net.Completed() != n {
+		t.Fatalf("%d of %d flows completed", net.Completed(), n)
+	}
+	s := e.Stats()
+	if s.Scheduled > 4*n+8 || s.MaxQueue > n+8 {
+		t.Fatalf("%d flows: %d scheduled (want <= %d), max queue %d (want <= %d)",
+			n, s.Scheduled, 4*n+8, s.MaxQueue, n+8)
+	}
+}
+
+// TestRebalanceDoesNotAllocate runs a steady-state finish/start cycle
+// over N concurrent flows: the earliest flow completes (advance,
+// removeFlow, rebalance, finish), then is admitted again as Transfer's
+// start event would. Nothing else in the cycle can allocate, so zero
+// allocations means rebalance builds no maps and no closures and the
+// engine recycles the one timer's event record.
+func TestRebalanceDoesNotAllocate(t *testing.T) {
+	const n = 64
+	e := des.NewEngine()
+	topo, nodes := line(3, 1e6, 0)
+	net := NewNetwork(e, topo)
+	for i := 0; i < n; i++ {
+		net.Transfer(nodes[0], nodes[2], float64(1000*(i+1)), nil)
+	}
+	cycle := func() {
+		f := net.next
+		if !e.Step() || !f.finished {
+			t.Fatal("the earliest flow did not complete")
+		}
+		f.remaining, f.finished = 1000*n, false
+		net.advance()
+		net.flows = append(net.flows, f)
+		net.rebalance()
+	}
+	for i := 0; i < n; i++ { // the n start events, all due now
+		e.Step()
+	}
+	for i := 0; i < 2*n; i++ { // past the tombstones admission left
+		cycle()
+	}
+	if a := testing.AllocsPerRun(200, cycle); a != 0 {
+		t.Fatalf("%v allocations per finish/start cycle, want 0", a)
+	}
+	if len(net.flows) != n || e.QueueLen() > 3 {
+		t.Fatalf("%d flows active, %d event-list entries; want %d and at most 3", len(net.flows), e.QueueLen(), n)
+	}
+}

@@ -10,9 +10,18 @@ import (
 // Network is the flow-level fabric: every active transfer is a fluid
 // flow, and link capacity is divided among competing flows by
 // progressive (max-min) fair sharing, recomputed whenever a flow
-// starts or finishes. A transfer therefore costs O(changes) events
-// rather than O(packets), which is what lets the framework simulate
-// wide-area Data Grid traffic at scale.
+// starts or finishes. A transfer costs O(changes) events rather than
+// O(packets), which is what lets the framework simulate wide-area Data
+// Grid traffic at scale: it executes two events (start, completion) and
+// schedules at most three, however many flows share its links.
+//
+// The network keeps one event-list entry for all its active flows: the
+// completion of whichever flow finishes first at the current rates.
+// Every start or finish recomputes the rates and re-arms that one timer
+// (rebalance), which costs arithmetic over the active flows' routes,
+// one cancel, one schedule and no allocation. Flows due at the same
+// instant complete in start order; that tie-break lives in rebalance's
+// scan, not in the event list.
 type Network struct {
 	e    *des.Engine
 	topo *Topology
@@ -24,6 +33,11 @@ type Network struct {
 
 	flows      []*Flow // active flows, in start order (determinism)
 	lastUpdate float64
+
+	next     *Flow     // flow the pending completion timer is for
+	timer    des.Timer // the one pending completion, if any
+	complete func()    // n.completeNext, bound once so arming allocates nothing
+	links    []*Link   // rebalance scratch: links under active flows
 
 	// accounting
 	started   uint64
@@ -40,9 +54,9 @@ type Flow struct {
 	startTime float64
 	doneTime  float64
 	done      func()
-	timer     des.Timer
 	net       *Network
 	finished  bool
+	fixed     bool // rebalance scratch: rate settled in this pass
 }
 
 // Rate returns the flow's current allocated rate in bytes/second.
@@ -64,7 +78,9 @@ func (f *Flow) End() float64 { return f.doneTime }
 // NewNetwork creates a flow-level fabric over the topology, driven by
 // engine e.
 func NewNetwork(e *des.Engine, topo *Topology) *Network {
-	return &Network{e: e, topo: topo, Efficiency: 1.0}
+	n := &Network{e: e, topo: topo, Efficiency: 1.0}
+	n.complete = n.completeNext
+	return n
 }
 
 // Topo implements Fabric.
@@ -141,36 +157,40 @@ func (n *Network) advance() {
 	n.lastUpdate = now
 }
 
-// rebalance recomputes max-min fair rates and reschedules completions.
-// Must be called with byte accounting already advanced to Now.
+// rebalance recomputes max-min fair rates and re-arms the completion
+// timer for the flow that now finishes first. Must be called with byte
+// accounting already advanced to Now.
 func (n *Network) rebalance() {
-	// Progressive filling. Residual capacity per link; flows are
-	// "fixed" once their bottleneck link saturates.
-	residual := make(map[*Link]float64)
-	count := make(map[*Link]int)
+	// Progressive filling. Residual capacity and unfixed-flow count
+	// live on the links, valid when the link's epoch is this pass's
+	// (the counter is the topology's, as networks may share one).
+	// Flows are "fixed" once their bottleneck link saturates.
+	n.topo.fillEpoch++
+	epoch := n.topo.fillEpoch
+	n.links = n.links[:0]
 	for _, f := range n.flows {
+		f.fixed = false
+		f.rate = 0
 		for _, l := range f.route {
-			if _, ok := residual[l]; !ok {
-				residual[l] = l.usable() * n.Efficiency
+			if l.fillEpoch != epoch {
+				l.fillEpoch = epoch
+				l.residual = l.usable() * n.Efficiency
+				l.unfixed = 0
+				n.links = append(n.links, l)
 			}
-			count[l]++
+			l.unfixed++
 		}
 	}
-	unfixed := make(map[*Flow]struct{}, len(n.flows))
-	for _, f := range n.flows {
-		unfixed[f] = struct{}{}
-		f.rate = 0
-	}
-	for len(unfixed) > 0 {
+	for unfixed := len(n.flows); unfixed > 0; {
 		// Find the bottleneck link: minimal residual/count over links
-		// with unfixed flows.
+		// with unfixed flows, lowest ID on equal shares.
 		var bottleneck *Link
 		best := math.Inf(1)
-		for l, c := range count {
-			if c == 0 {
+		for _, l := range n.links {
+			if l.unfixed == 0 {
 				continue
 			}
-			share := residual[l] / float64(c)
+			share := l.residual / float64(l.unfixed)
 			if share < best || (share == best && (bottleneck == nil || l.ID < bottleneck.ID)) {
 				best = share
 				bottleneck = l
@@ -180,48 +200,65 @@ func (n *Network) rebalance() {
 			break
 		}
 		// Fix every unfixed flow crossing the bottleneck at the share.
-		for f := range unfixed {
-			crosses := false
-			for _, l := range f.route {
-				if l == bottleneck {
-					crosses = true
-					break
-				}
-			}
-			if !crosses {
+		for _, f := range n.flows {
+			if f.fixed || !f.crosses(bottleneck) {
 				continue
 			}
 			f.rate = best
-			delete(unfixed, f)
+			f.fixed = true
+			unfixed--
 			for _, l := range f.route {
-				residual[l] -= best
-				if residual[l] < 0 {
-					residual[l] = 0
+				l.residual -= best
+				if l.residual < 0 {
+					l.residual = 0
 				}
-				count[l]--
+				l.unfixed--
 			}
 		}
 	}
-	// Reschedule completion events in flow-start order, so equal
-	// completion instants resolve deterministically.
+	// Arm the one timer for the earliest completion instant, computed
+	// as the engine will (now + remaining/rate) so that flows whose
+	// instants round together tie; strict < scanning in start order
+	// lets the earliest-started of them complete first.
+	n.timer.Cancel()
+	n.next = nil
+	now, bestAt := n.e.Now(), 0.0
 	for _, f := range n.flows {
-		f.timer.Cancel()
-		f.timer = des.Timer{}
 		if f.rate <= 0 {
 			continue // stalled: no capacity on some link
 		}
-		f := f
-		eta := f.remaining / f.rate
-		f.timer = n.e.ScheduleNamed("net:flowend", eta, func() {
-			n.advance()
-			f.remaining = 0
-			n.removeFlow(f)
-			n.rebalance()
-			n.finish(f)
-		})
+		if at := now + f.remaining/f.rate; n.next == nil || at < bestAt {
+			n.next, bestAt = f, at
+		}
+	}
+	if f := n.next; f != nil {
+		n.timer = n.e.ScheduleNamed("net:flowend", f.remaining/f.rate, n.complete)
 	}
 }
 
+func (f *Flow) crosses(l *Link) bool {
+	for _, r := range f.route {
+		if r == l {
+			return true
+		}
+	}
+	return false
+}
+
+// completeNext is the completion timer's callback. The timer for the
+// remaining flows is re-armed (inside rebalance) before finish runs the
+// user's done callback, so whatever done schedules at this same instant
+// runs after a completion that is also due now.
+func (n *Network) completeNext() {
+	f := n.next
+	n.advance()
+	f.remaining = 0
+	n.removeFlow(f)
+	n.rebalance()
+	n.finish(f)
+}
+
+// removeFlow deletes f from the active list, keeping start order.
 func (n *Network) removeFlow(f *Flow) {
 	for i, g := range n.flows {
 		if g == f {
@@ -231,6 +268,8 @@ func (n *Network) removeFlow(f *Flow) {
 	}
 }
 
+// finish records completion and runs the user's callback, last, as it
+// may start further transfers.
 func (n *Network) finish(f *Flow) {
 	f.finished = true
 	f.doneTime = n.e.Now()

@@ -47,6 +47,12 @@ type Link struct {
 
 	// accounting
 	bytesCarried float64
+
+	// Network.rebalance scratch, valid while fillEpoch equals the
+	// topology's.
+	fillEpoch uint64
+	residual  float64 // capacity not yet given to a fixed flow
+	unfixed   int     // flows crossing the link whose rate is not settled
 }
 
 // usable returns the capacity available to simulated flows.
@@ -72,6 +78,8 @@ type Topology struct {
 	// path src→dst, nil when unreachable or src == dst.
 	nextLink [][]*Link
 	routed   bool
+
+	fillEpoch uint64 // Network.rebalance passes so far, over all networks
 }
 
 // NewTopology returns an empty topology.

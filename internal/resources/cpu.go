@@ -56,9 +56,14 @@ type CPU struct {
 	slots *des.Resource
 
 	// time-shared state: processor sharing, rebalanced on task
-	// arrival/finish exactly like network flows.
-	tasks      []*cpuTask
+	// arrival/finish exactly like network flows, with one pending
+	// completion timer for the task that finishes first.
+	tasks      []*cpuTask // running tasks, in arrival order
 	lastUpdate float64
+	next       *cpuTask  // task the pending timer is for
+	timer      des.Timer // its completion, if a task is running
+	complete   func()    // c.completeNext, bound once so arming allocates nothing
+	endLabel   string    // name + ":taskend"
 
 	// accounting
 	completed uint64
@@ -68,7 +73,6 @@ type CPU struct {
 type cpuTask struct {
 	remaining float64
 	rate      float64
-	timer     des.Timer
 	done      func()
 }
 
@@ -77,7 +81,8 @@ func NewCPU(e *des.Engine, name string, cores int, opsPerSec float64, mode Shari
 	if cores <= 0 || opsPerSec <= 0 {
 		panic(fmt.Sprintf("resources: NewCPU(%q, cores=%d, speed=%v)", name, cores, opsPerSec))
 	}
-	c := &CPU{e: e, name: name, cores: cores, speed: opsPerSec, mode: mode}
+	c := &CPU{e: e, name: name, cores: cores, speed: opsPerSec, mode: mode, endLabel: name + ":taskend"}
+	c.complete = c.completeNext
 	if mode == SpaceShared {
 		c.slots = e.NewResource(name+":cores", cores)
 	}
@@ -182,8 +187,12 @@ func (c *CPU) advance() {
 }
 
 // rebalance recomputes processor-sharing rates: total capacity
-// cores*speed divided equally, capped at one core per task.
+// cores*speed divided equally, capped at one core per task. It then
+// re-arms the one timer for the earliest completion instant, computed
+// as the engine will (now + remaining/rate); strict < scanning in
+// arrival order lets the earliest arrival of a tie finish first.
 func (c *CPU) rebalance() {
+	c.timer.Cancel()
 	n := len(c.tasks)
 	if n == 0 {
 		return
@@ -192,26 +201,31 @@ func (c *CPU) rebalance() {
 	if rate > c.speed {
 		rate = c.speed
 	}
-	for _, t := range c.tasks {
-		t.timer.Cancel()
-		t.timer = des.Timer{}
+	now, bestAt := c.e.Now(), 0.0
+	for i, t := range c.tasks {
 		t.rate = rate
-		t := t
-		eta := t.remaining / rate
-		t.timer = c.e.ScheduleNamed(c.name+":taskend", eta, func() {
-			c.advance()
-			t.remaining = 0
-			for i, u := range c.tasks {
-				if u == t {
-					c.tasks = append(c.tasks[:i], c.tasks[i+1:]...)
-					break
-				}
-			}
-			c.rebalance()
-			c.completed++
-			if t.done != nil {
-				t.done()
-			}
-		})
+		if at := now + t.remaining/rate; i == 0 || at < bestAt {
+			c.next, bestAt = t, at
+		}
+	}
+	c.timer = c.e.ScheduleNamed(c.endLabel, c.next.remaining/rate, c.complete)
+}
+
+// completeNext is the completion timer's callback. The timer for the
+// remaining tasks is re-armed before the finished task's done runs.
+func (c *CPU) completeNext() {
+	t := c.next
+	c.advance()
+	t.remaining = 0
+	for i, u := range c.tasks {
+		if u == t {
+			c.tasks = append(c.tasks[:i], c.tasks[i+1:]...)
+			break
+		}
+	}
+	c.rebalance()
+	c.completed++
+	if t.done != nil {
+		t.done()
 	}
 }
