@@ -4,7 +4,7 @@ GO ?= go
 TRACE_OUT ?= /tmp/lsds_trace_e5.json
 CKPT_OUT ?= /tmp/lsds_phold.ckpt
 
-.PHONY: all build test tier1 vet race bench benchjson fuzz trace-smoke checkpoint-smoke chaos-smoke dist-smoke obs-smoke balance-smoke crash-smoke threads-smoke clean
+.PHONY: all build test tier1 vet nogob race bench benchjson fuzz trace-smoke checkpoint-smoke chaos-smoke dist-smoke obs-smoke balance-smoke crash-smoke threads-smoke clean
 
 all: tier1
 
@@ -14,8 +14,16 @@ build:
 test:
 	$(GO) test ./...
 
-vet:
+vet: nogob
 	$(GO) vet ./...
+
+# nogob keeps encoding/gob out of every package's dependency closure:
+# all codecs here are explicit (internal/checkpoint), and reflection-
+# based encoding must not creep back onto a hot path.
+nogob:
+	@deps=$$($(GO) list -deps ./...) || exit 1; \
+	if echo "$$deps" | grep -qx encoding/gob; then \
+		echo "nogob: encoding/gob is back in the dependency closure" >&2; exit 1; fi
 
 # Race-check the packages with real concurrency: the parallel
 # federation, the shared execution pool, the TCP-distributed engine,
@@ -39,10 +47,12 @@ bench:
 benchjson:
 	$(GO) run ./cmd/experiments -benchjson BENCH_8.json
 
-# Short fuzz pass over the wire codec: arbitrary bytes must decode to
-# an error or a valid frame — never a panic or an absurd allocation.
+# Short fuzz pass over the wire codec and the parsim message codec:
+# arbitrary bytes must decode to an error or a valid value — never a
+# panic or an absurd allocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime 10s ./internal/distsim/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/parsim/
 
 # trace-smoke runs a quick traced E5 federation and validates the
 # Chrome trace output: ObserveE5 re-reads the written file through a

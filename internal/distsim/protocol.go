@@ -178,8 +178,7 @@ func appendWire(dst []byte, seq, ack uint64, payload []byte) []byte {
 // MarshalWindowWire builds the exact bytes the hardened protocol puts
 // on the wire for a window frame carrying evs — marshalled payload,
 // length/sequence header, CRC trailer. Exported for the frame-overhead
-// benchmarks (internal/experiments), which compare it against the gob
-// encoding the protocol used before hardening.
+// benchmark in internal/experiments.
 func MarshalWindowWire(evs []Event, end float64, seq, ack uint64) []byte {
 	return encodeWire(seq, ack, marshalFrame(&frame{Kind: frameWindow, End: end, Events: evs}))
 }

@@ -2,8 +2,6 @@ package distsim
 
 import (
 	"bytes"
-	"encoding/gob"
-	"io"
 	"testing"
 )
 
@@ -21,19 +19,8 @@ func benchEvents(n int) []Event {
 	return evs
 }
 
-// gobWindow mirrors the pre-hardening wire format: one persistent gob
-// stream per connection, window frames encoded with reflection and no
-// integrity trailer. It is the baseline the <5% send-path overhead
-// target of the CRC+seq framing is measured against.
-type gobWindow struct {
-	Kind   uint8
-	End    float64
-	Events []Event
-}
-
-// BenchmarkFrameOverhead compares the hardened send path (explicit
-// codec + length/seq/ack header + CRC32) against the gob baseline for
-// one 64-event window frame.
+// BenchmarkFrameOverhead prices the hardened send path (explicit
+// codec + length/seq/ack header + CRC32) for one 64-event window frame.
 func BenchmarkFrameOverhead(b *testing.B) {
 	evs := benchEvents(64)
 	b.Run("framed", func(b *testing.B) {
@@ -44,25 +31,6 @@ func BenchmarkFrameOverhead(b *testing.B) {
 			n = len(buf)
 		}
 		b.ReportMetric(float64(n), "wire_bytes")
-	})
-	b.Run("gob", func(b *testing.B) {
-		b.ReportAllocs()
-		cw := &countWriter{w: io.Discard}
-		enc := gob.NewEncoder(cw)
-		// Prime the stream: type descriptors are sent once per
-		// connection, not per frame.
-		if err := enc.Encode(&gobWindow{Kind: 3, End: 10, Events: evs}); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		var before int64
-		for i := 0; i < b.N; i++ {
-			before = cw.n
-			if err := enc.Encode(&gobWindow{Kind: 3, End: 10, Events: evs}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(cw.n-before), "wire_bytes")
 	})
 }
 
@@ -136,15 +104,4 @@ func BenchmarkPooledFrameCodec(b *testing.B) {
 			}
 		}
 	})
-}
-
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

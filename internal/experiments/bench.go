@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"runtime"
@@ -153,12 +151,9 @@ func benchCases() []struct {
 			b.ReportMetric(float64(buf.Len()), "snapshot_bytes")
 		},
 	})
-	// FrameOverhead prices the wire hardening (PR 4): the explicit codec
-	// plus length/seq/ack header and CRC32 trailer, against the gob
-	// stream the distsim protocol used before. The target is <5% send-
-	// path overhead for a 64-event window frame; in practice the
-	// reflection-free codec comes out ahead. wire_bytes is the per-frame
-	// on-the-wire size.
+	// FrameOverhead prices the send path of a 64-event window frame:
+	// the explicit codec plus length/seq/ack header and CRC32 trailer.
+	// wire_bytes is the per-frame on-the-wire size.
 	frameEvents := make([]distsim.Event, 64)
 	for i := range frameEvents {
 		frameEvents[i] = distsim.Event{
@@ -178,36 +173,6 @@ func benchCases() []struct {
 				n = len(distsim.MarshalWindowWire(frameEvents, 10, uint64(i+1), uint64(i)))
 			}
 			b.ReportMetric(float64(n), "wire_bytes")
-		},
-	})
-	cases = append(cases, struct {
-		name string
-		fn   func(b *testing.B)
-	}{
-		name: "FrameOverhead/gob",
-		fn: func(b *testing.B) {
-			b.ReportAllocs()
-			type gobWindow struct {
-				Kind   uint8
-				End    float64
-				Events []distsim.Event
-			}
-			cw := &countWriter{w: io.Discard}
-			enc := gob.NewEncoder(cw)
-			// Type descriptors are a once-per-connection cost, not per
-			// frame: prime the stream before timing.
-			if err := enc.Encode(&gobWindow{Kind: 3, End: 10, Events: frameEvents}); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			var before int64
-			for i := 0; i < b.N; i++ {
-				before = cw.n
-				if err := enc.Encode(&gobWindow{Kind: 3, End: 10, Events: frameEvents}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(cw.n-before), "wire_bytes")
 		},
 	})
 	for _, w := range []int{1, 2, 4} {
@@ -547,19 +512,6 @@ func benchCases() []struct {
 		},
 	})
 	return cases
-}
-
-// countWriter counts bytes on their way to the sink, so the gob
-// baseline can report its per-frame wire size.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // RunBenchJSON executes the hot-path micro-benchmarks via

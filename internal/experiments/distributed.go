@@ -16,7 +16,7 @@ import (
 // distributed simulation (Fujimoto 1993): the identical PHOLD model
 // run (a) in-process with one worker, (b) in-process with a goroutine
 // pool, and (c) distributed over TCP workers on localhost. The TCP
-// variant pays one gob round trip per window; the table shows exactly
+// variant pays one framed round trip per window; the table shows exactly
 // what a real deployment must amortize with model work — and asserts
 // that all three produce identical event counts.
 func E5bDistributedOverhead(lps, jobsPerLP, work int, horizon float64) (*metrics.Table, error) {

@@ -2,22 +2,23 @@ package parsim
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
 	"io"
 
 	"repro/internal/checkpoint"
-	"repro/internal/des"
 )
 
-// This file implements federation-level checkpoint/restore. A snapshot
-// is taken at a window barrier — between Run calls, when every outbox
-// has been delivered and every LP engine sits exactly at the window
-// clock — and contains the federation counters, each LP's embedded
-// engine snapshot, and the model's Checkpointable state. A restored
-// federation resumes at the recorded window boundary and produces a
-// run bit-identical to one that was never interrupted, for any worker
-// count.
+// This file implements federation-level checkpoint/restore. Every
+// federation is checkpointable: cross-LP deliveries are always pending
+// "parsim.msg" ops, so the model only has to schedule its own events as
+// registered ops too. A snapshot is taken at a window barrier — between
+// Run calls, when every outbox has been delivered and every LP engine
+// sits exactly at the window clock — and contains the federation
+// counters, each LP's embedded engine snapshot, and the model's
+// Checkpointable state. A restored federation resumes at the recorded
+// window boundary and produces a run bit-identical to one that was
+// never interrupted, for any worker count.
 
 // snapshot section names (federation level).
 const (
@@ -25,33 +26,6 @@ const (
 	secLP    = "parsim.lp"
 	secModel = "parsim.model"
 )
-
-// EnableCheckpointing switches cross-LP message delivery from closures
-// to a registered op ("parsim.msg") carrying the gob-encoded Message,
-// so pending deliveries can ride in a snapshot. It must be called
-// before Run; it is idempotent. Message payloads (Message.Data) must
-// be gob-encodable — register concrete payload types with
-// gob.Register.
-//
-// The op path costs one encode/decode per remote message; federations
-// that never checkpoint keep the closure fast path by not calling
-// this.
-func (f *Federation) EnableCheckpointing() {
-	if f.msgOps != nil {
-		return
-	}
-	f.msgOps = make([]des.Op, len(f.lps))
-	for i, lp := range f.lps {
-		lp := lp
-		f.msgOps[i] = lp.E.RegisterOp("parsim.msg", func(arg []byte) {
-			m, err := decodeMessage(arg)
-			if err != nil {
-				panic(fmt.Sprintf("parsim: corrupt message op argument: %v", err))
-			}
-			lp.OnMessage(m)
-		})
-	}
-}
 
 // SetModel attaches the model's serializable state to federation
 // snapshots: Checkpoint calls MarshalState, Restore calls
@@ -64,16 +38,11 @@ func (f *Federation) SetModel(m checkpoint.Checkpointable) { f.model = m }
 func (f *Federation) Clock() float64 { return f.clock }
 
 // Checkpoint writes a federation snapshot to w. It must be called
-// between Run calls (at a window barrier) with checkpointing enabled.
+// between Run calls (at a window barrier).
 func (f *Federation) Checkpoint(w io.Writer) error {
-	if f.msgOps == nil {
-		return fmt.Errorf("parsim: Checkpoint without EnableCheckpointing")
-	}
 	for _, lp := range f.lps {
-		for t, msgs := range lp.outbox {
-			if len(msgs) != 0 {
-				return fmt.Errorf("parsim: Checkpoint with undelivered messages from LP %d to LP %d (not at a window barrier)", lp.Index, t)
-			}
+		if len(lp.outbox) != 0 {
+			return fmt.Errorf("parsim: Checkpoint with %d undelivered messages from LP %d (not at a window barrier)", len(lp.outbox), lp.Index)
 		}
 	}
 	cw := checkpoint.NewWriter(w)
@@ -82,7 +51,7 @@ func (f *Federation) Checkpoint(w io.Writer) error {
 	enc.F64(f.lookahead)
 	enc.F64(f.clock)
 	enc.U64(f.windows)
-	enc.U64(f.idleSkips.Load())
+	enc.U64(f.IdleSkips())
 	if err := cw.Section(secFed, enc.Bytes()); err != nil {
 		return err
 	}
@@ -118,9 +87,6 @@ func (f *Federation) Checkpoint(w io.Writer) error {
 // be constructed first, then restored over); the worker count may
 // differ — results are worker-count independent either way.
 func (f *Federation) Restore(r io.Reader) error {
-	if f.msgOps == nil {
-		return fmt.Errorf("parsim: Restore without EnableCheckpointing")
-	}
 	snap, err := checkpoint.Read(r)
 	if err != nil {
 		return err
@@ -174,9 +140,7 @@ func (f *Federation) Restore(r io.Reader) error {
 		}
 		lp.sent = sent
 		lp.recv = recv
-		for t := range lp.outbox {
-			lp.outbox[t] = lp.outbox[t][:0]
-		}
+		lp.outbox = lp.outbox[:0]
 	}
 	if f.model != nil {
 		if err := f.model.UnmarshalState(modelState); err != nil {
@@ -185,23 +149,25 @@ func (f *Federation) Restore(r io.Reader) error {
 	}
 	f.clock = clock
 	f.windows = windows
-	f.idleSkips.Store(idleSkips)
+	clear(f.idle)
+	f.idle[0].n = idleSkips
 	return nil
 }
 
-// encodeMessage serializes a cross-LP message for the op-based
-// delivery path. Payloads must be gob-encodable; a failure here is a
-// model bug (an unregistered concrete type), reported loudly.
+// encodeMessage serializes a cross-LP message as the "parsim.msg" op
+// argument: From, then the length-prefixed payload, in one allocation.
+// The delivery time is not carried; it is the event's own timestamp.
 func encodeMessage(m *Message) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		panic(fmt.Sprintf("parsim: message payload is not gob-encodable (register it with gob.Register): %v", err))
-	}
-	return buf.Bytes()
+	enc := checkpoint.NewEnc(make([]byte, 0, 2*binary.MaxVarintLen64+len(m.Data)))
+	enc.Int(m.From)
+	enc.Raw(m.Data)
+	return enc.Bytes()
 }
 
+// decodeMessage parses an op argument. Data is a zero-copy view into
+// arg, which the engine hands over and never reuses.
 func decodeMessage(arg []byte) (Message, error) {
-	var m Message
-	err := gob.NewDecoder(bytes.NewReader(arg)).Decode(&m)
-	return m, err
+	d := checkpoint.NewDec(arg)
+	m := Message{From: d.Int(), Data: d.RawView()}
+	return m, d.Err()
 }

@@ -131,18 +131,20 @@ func TestFederationRestoreValidation(t *testing.T) {
 		t.Fatal("lookahead mismatch accepted")
 	}
 
+	// A bare federation is checkpointable as built, but no model is
+	// attached while the snapshot carries model state.
 	bare := NewFederation(ckLPs, ckLookahead, 1, ckSeed)
-	if err := bare.Checkpoint(io.Discard); err == nil {
-		t.Fatal("Checkpoint without EnableCheckpointing accepted")
+	if err := bare.Checkpoint(io.Discard); err != nil {
+		t.Fatalf("bare federation: %v", err)
 	}
-	if err := bare.Restore(bytes.NewReader(snap.Bytes())); err == nil {
-		t.Fatal("Restore without EnableCheckpointing accepted")
-	}
-	bare.EnableCheckpointing()
-	// Ops now exist, but no model is attached while the snapshot carries
-	// model state.
 	if err := bare.Restore(bytes.NewReader(snap.Bytes())); err == nil {
 		t.Fatal("model-state mismatch accepted")
+	}
+
+	// Off a window barrier (a send not yet delivered) is refused.
+	bare.LP(0).Send(1, ckLookahead, nil)
+	if err := bare.Checkpoint(io.Discard); err == nil {
+		t.Fatal("Checkpoint with an undelivered message accepted")
 	}
 }
 

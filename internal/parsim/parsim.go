@@ -20,12 +20,19 @@
 // sent inside the window can affect the same window. Results are
 // bit-identical for any worker count, including 1, which is what lets
 // experiment E5 attribute speedups to parallelism alone.
+//
+// Cross-LP messages carry opaque []byte payloads (the same contract as
+// distsim.Event.Data; models own their encoding). A send appends to the
+// sender's outbox; at the barrier every message becomes a registered
+// "parsim.msg" op event in the target engine, so the pending set is
+// always serializable and a federation can be checkpointed at any
+// window barrier. Delivery costs O(messages) per window and a
+// federation O(LPs) memory.
 package parsim
 
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/checkpoint"
 	"repro/internal/des"
@@ -34,14 +41,21 @@ import (
 	"repro/internal/pool"
 )
 
-// Message is a cross-LP event payload.
+// Message is a cross-LP event as the receiving LP's OnMessage sees it.
 type Message struct {
 	// Time is the absolute simulation time of delivery.
 	Time float64
 	// From is the sending LP index.
 	From int
-	// Data is the model payload.
-	Data any
+	// Data is the model payload, encoded by the sender. The handler may
+	// retain it; the sender must not mutate it after Send.
+	Data []byte
+}
+
+// outMsg is one buffered send: a message and the LP it is addressed to.
+type outMsg struct {
+	target int
+	msg    Message
 }
 
 // LP is one logical process: a partition of the model with a private
@@ -55,8 +69,11 @@ type LP struct {
 	// context at Message.Time. It must be set before Run.
 	OnMessage func(m Message)
 
-	// outbox[target] buffers messages produced this window.
-	outbox [][]Message
+	// msgOp is the registered delivery op ("parsim.msg"): inbound
+	// messages are scheduled as ops carrying the encoded Message.
+	msgOp des.Op
+	// outbox buffers the messages produced this window, in send order.
+	outbox []outMsg
 	sent   uint64
 	recv   uint64
 }
@@ -64,18 +81,18 @@ type LP struct {
 // Send schedules a message for the target LP at delay >= the
 // federation lookahead from the LP's current local time. It panics on
 // smaller delays: they would violate the synchronization window.
-func (lp *LP) Send(target int, delay float64, data any) {
+func (lp *LP) Send(target int, delay float64, data []byte) {
 	if delay < lp.fed.lookahead {
 		panic(fmt.Sprintf("parsim: Send with delay %v below lookahead %v", delay, lp.fed.lookahead))
 	}
 	if target < 0 || target >= len(lp.fed.lps) {
 		panic(fmt.Sprintf("parsim: Send to unknown LP %d", target))
 	}
-	lp.outbox[target] = append(lp.outbox[target], Message{
+	lp.outbox = append(lp.outbox, outMsg{target, Message{
 		Time: lp.E.Now() + delay,
 		From: lp.Index,
 		Data: data,
-	})
+	}})
 	lp.sent++
 }
 
@@ -104,19 +121,19 @@ type Federation struct {
 	lookahead float64
 	workers   int
 
-	windows   uint64
-	idleSkips atomic.Uint64
+	windows uint64
+	// idle counts skipped (LP, window) pairs, one slot per pool worker:
+	// runLP is the hottest loop of a sparse federation and a shared
+	// counter would bounce between the workers' caches.
+	idle []idleSlot
 
 	// clock is the end of the last completed window: Run continues from
 	// here, and Checkpoint records it so a restored federation resumes
 	// at the exact window boundary.
 	clock float64
 
-	// msgOps, when non-nil, holds the per-LP registered op used to
-	// deliver cross-LP messages serializably (see EnableCheckpointing);
-	// model is the attached Checkpointable state rider.
-	msgOps []des.Op
-	model  checkpoint.Checkpointable
+	// model is the attached Checkpointable state rider (SetModel).
+	model checkpoint.Checkpointable
 
 	// per-Run worker-pool state: windowEnd is published to the pool
 	// workers by the token barrier inside pl.Run.
@@ -137,6 +154,12 @@ type Federation struct {
 	windowWall  obs.Histogram   // coordinator: wall ns per window incl. delivery
 }
 
+// idleSlot is one pool worker's idle-skip count, padded to a cache line.
+type idleSlot struct {
+	n uint64
+	_ [56]byte
+}
+
 // NewFederation creates n LPs with the given lookahead (the minimum
 // cross-LP delay, > 0) executed by the given number of parallel
 // workers (>= 1). Each LP's engine derives its seed from the base
@@ -154,15 +177,25 @@ func NewFederationWithQueue(n int, lookahead float64, workers int, seed uint64, 
 	if n <= 0 || lookahead <= 0 || workers <= 0 {
 		panic(fmt.Sprintf("parsim: NewFederation(n=%d, lookahead=%v, workers=%d)", n, lookahead, workers))
 	}
-	f := &Federation{lookahead: lookahead, workers: workers}
-	for i := 0; i < n; i++ {
+	f := &Federation{lookahead: lookahead, workers: workers, lps: make([]*LP, n)}
+	f.idle = make([]idleSlot, f.poolWorkers())
+	for i := range f.lps {
 		lp := &LP{
-			Index:  i,
-			E:      des.NewEngine(des.WithSeed(seed+uint64(i)*0x9e3779b9), des.WithQueue(kind)),
-			fed:    f,
-			outbox: make([][]Message, n),
+			Index: i,
+			E:     des.NewEngine(des.WithSeed(seed+uint64(i)*0x9e3779b9), des.WithQueue(kind)),
+			fed:   f,
 		}
-		f.lps = append(f.lps, lp)
+		// Registered before any model op, so "parsim.msg" is op 1 in
+		// every engine whatever the model registers afterwards.
+		lp.msgOp = lp.E.RegisterOp("parsim.msg", func(arg []byte) {
+			m, err := decodeMessage(arg)
+			if err != nil {
+				panic(fmt.Sprintf("parsim: corrupt message op argument: %v", err))
+			}
+			m.Time = lp.E.Now()
+			lp.OnMessage(m)
+		})
+		f.lps[i] = lp
 	}
 	return f
 }
@@ -182,7 +215,13 @@ func (f *Federation) Windows() uint64 { return f.windows }
 // IdleSkips returns the number of (LP, window) pairs that were skipped
 // because the LP had no event inside the window — work the persistent
 // pool avoids dispatching entirely.
-func (f *Federation) IdleSkips() uint64 { return f.idleSkips.Load() }
+func (f *Federation) IdleSkips() uint64 {
+	var sum uint64
+	for i := range f.idle {
+		sum += f.idle[i].n
+	}
+	return sum
+}
 
 // poolWorkers returns the number of workers the pool actually uses
 // (extra workers beyond the LP count would only contend on the cursor).
@@ -243,7 +282,7 @@ type Snapshot struct {
 // merged copies; mutating them does not affect the live run. Must not
 // be called while Run is executing.
 func (f *Federation) Snapshot() Snapshot {
-	s := Snapshot{Windows: f.windows, IdleSkips: f.idleSkips.Load()}
+	s := Snapshot{Windows: f.windows, IdleSkips: f.IdleSkips()}
 	s.LPs = make([]des.Stats, len(f.lps))
 	for i, lp := range f.lps {
 		s.LPs[i] = lp.E.Stats()
@@ -290,8 +329,8 @@ func (f *Federation) TraceTracks() []obs.Track {
 
 // Run advances every LP to the horizon in lookahead-sized windows.
 // Within a window LPs execute concurrently on the worker pool; at the
-// barrier, buffered cross-LP messages are delivered (in deterministic
-// LP-index and send order) into the target engines.
+// barrier, buffered cross-LP messages are delivered into the target
+// engines in (source LP, send order).
 //
 // The worker goroutines are started once here and reused for every
 // window; they exit when Run returns. Run may be called again to
@@ -349,10 +388,10 @@ func (f *Federation) runWindow(windowEnd float64) {
 // An LP with nothing due this window never enters its engine loop.
 // PeekTime may pop tombstones, but this pool worker is the only one
 // touching the LP during the window.
-func (f *Federation) runLP(_, i int) {
+func (f *Federation) runLP(w, i int) {
 	lp := f.lps[i]
 	if lp.E.PeekTime() > f.windowEnd {
-		f.idleSkips.Add(1)
+		f.idle[w].n++
 		return
 	}
 	lp.E.RunUntil(f.windowEnd)
@@ -381,30 +420,20 @@ func (f *Federation) observePhases(w int, waitStart, busyStart, busyEnd int64) {
 	})
 }
 
-// deliver flushes every outbox into the target engines, sequentially
-// and in deterministic order. Outboxes are truncated, not released:
-// the backing arrays are reused by the next window's sends.
+// deliver flushes every outbox into the target engines: sources in LP
+// order, each outbox in send order. That order fixes the FEL sequence
+// numbers of same-instant deliveries, so it is part of the results. The
+// work is O(messages); outboxes are truncated, not released, and the
+// backing arrays are reused by the next window's sends.
 func (f *Federation) deliver() {
 	for _, src := range f.lps {
-		for target := range src.outbox {
-			msgs := src.outbox[target]
-			if len(msgs) == 0 {
-				continue
-			}
-			src.outbox[target] = msgs[:0]
-			dst := f.lps[target]
-			for _, m := range msgs {
-				m := m
-				dst.recv++
-				if f.msgOps != nil {
-					// Checkpointable delivery: the pending event carries
-					// the encoded message instead of a closure, so it can
-					// ride in a snapshot (see checkpoint.go).
-					dst.E.AtOp(m.Time, f.msgOps[target], encodeMessage(&m))
-				} else {
-					dst.E.At(m.Time, func() { dst.OnMessage(m) })
-				}
-			}
+		for i := range src.outbox {
+			m := &src.outbox[i]
+			dst := f.lps[m.target]
+			dst.recv++
+			dst.E.AtOp(m.msg.Time, dst.msgOp, encodeMessage(&m.msg))
 		}
+		clear(src.outbox) // drop the payload references
+		src.outbox = src.outbox[:0]
 	}
 }

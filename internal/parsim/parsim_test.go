@@ -24,21 +24,21 @@ func TestFederationBasics(t *testing.T) {
 func TestCrossLPMessageDelivery(t *testing.T) {
 	f := NewFederation(2, 1.0, 1, 7)
 	var deliveredAt float64 = -1
-	var payload any
+	var got Message
 	f.LP(1).OnMessage = func(m Message) {
 		deliveredAt = f.LP(1).E.Now()
-		payload = m.Data
+		got = m
 	}
 	f.LP(0).OnMessage = func(Message) {}
 	f.LP(0).E.Schedule(0.5, func() {
-		f.LP(0).Send(1, 2.0, "hello")
+		f.LP(0).Send(1, 2.0, []byte("hello"))
 	})
 	f.Run(10)
 	if deliveredAt != 2.5 {
 		t.Fatalf("delivered at %v, want 2.5", deliveredAt)
 	}
-	if payload != "hello" {
-		t.Fatalf("payload = %v", payload)
+	if got.Time != 2.5 || got.From != 0 || string(got.Data) != "hello" {
+		t.Fatalf("message = %+v", got)
 	}
 	if f.LP(0).Sent() != 1 || f.LP(1).Received() != 1 {
 		t.Fatal("counters")

@@ -79,7 +79,6 @@ func NewPHOLDSkew(lps, workers int, lookahead float64, jobsPerLP int, remoteProb
 		sinks:      make([]float64, lps),
 		hopOps:     make([]des.Op, lps),
 	}
-	fed.EnableCheckpointing()
 	fed.SetModel(ph)
 	for i := 0; i < lps; i++ {
 		lp := fed.LP(i)
