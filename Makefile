@@ -30,9 +30,12 @@ nogob:
 # the fault injector, the engine they drive, the
 # optimistic/checkpoint layers they build on, and the fluid fabric and
 # host resources whose blocking Send/Run hand control between process
-# goroutines.
+# goroutines. The pool runs ten times over: a switch from inline to
+# dispatched Runs finds its goroutines parked or still on their way
+# there, and which of the two is a matter of timing.
 race:
-	$(GO) test -race ./internal/parsim/... ./internal/pool/... ./internal/des/... ./internal/distsim/... ./internal/chaos/... ./internal/optsim/... ./internal/checkpoint/... ./internal/netsim/... ./internal/resources/...
+	$(GO) test -race ./internal/parsim/... ./internal/des/... ./internal/distsim/... ./internal/chaos/... ./internal/optsim/... ./internal/checkpoint/... ./internal/netsim/... ./internal/resources/...
+	$(GO) test -race -count=10 ./internal/pool/...
 
 # tier1 is the acceptance gate: build + full tests, plus vet and the
 # race detector over the concurrent packages.

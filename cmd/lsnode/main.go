@@ -222,6 +222,10 @@ func main() {
 			}
 			fatal(err)
 		}
+		if *threads > 1 {
+			// -threads is an upper bound: say what the pool made of it.
+			fmt.Printf("lsnode: pool: %s\n", w.PoolStats())
+		}
 		fmt.Println("lsnode: worker done")
 	default:
 		fmt.Fprintln(os.Stderr, "lsnode: -mode must be coordinator or worker")

@@ -85,7 +85,7 @@ const (
 // restoring a snapshot first, optionally stopping at a window barrier
 // to write one, and optionally verifying the finished run against an
 // uninterrupted in-process replay.
-func runPHOLD(t *metrics.Table, seed uint64, jobs int, horizon float64, workers int, ckptPath string, ckptAt float64, resumePath string, verify bool) error {
+func runPHOLD(t *metrics.Table, seed uint64, jobs int, horizon float64, workers int, ckptPath string, ckptAt float64, resumePath string, verify, histo bool) error {
 	jobsPer := pholdJobs
 	if jobs > 0 {
 		jobsPer = jobs
@@ -134,6 +134,11 @@ func runPHOLD(t *metrics.Table, seed uint64, jobs int, horizon float64, workers 
 	t.AddRowf("events", ph.TotalEvents())
 	t.AddRowf("windows", ph.Fed.Windows())
 	t.AddRowf("per-LP events", fmt.Sprint(ph.PerLPEvents()))
+	if histo {
+		// How many windows the pool ran on this goroutine and how many it
+		// handed to its workers: -workers is an upper bound.
+		t.AddRowf("pool", ph.Fed.Snapshot().Pool.String())
+	}
 	if verify {
 		ref := build(1, seed)
 		ref.Run(horizon)
@@ -311,6 +316,9 @@ func runDistPHOLD(t *metrics.Table, seed uint64, jobs, nWorkers, threads int, ho
 			t.AddRowf("cluster queue dwell", dwell.String())
 			t.AddRowf("cluster barrier wait", bw.String())
 			t.AddRowf("cluster deliver", del.String())
+			for i, w := range workers {
+				t.AddRowf(fmt.Sprintf("worker %d pool", i), w.PoolStats().String())
+			}
 		}
 	}
 	if ms != nil {
@@ -523,7 +531,7 @@ func main() {
 		t.AddRowf("WAN GB", r.WANBytes/1e9)
 		t.AddRowf("DB queries", r.DBQueries)
 	case "phold":
-		if err := runPHOLD(t, *seed, *jobs, *horizon, *workers, *ckptPath, *ckptAt, *resumePath, *verify); err != nil {
+		if err := runPHOLD(t, *seed, *jobs, *horizon, *workers, *ckptPath, *ckptAt, *resumePath, *verify, *histo); err != nil {
 			fmt.Fprintln(os.Stderr, "lssim:", err)
 			os.Exit(1)
 		}

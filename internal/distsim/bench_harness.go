@@ -2,6 +2,8 @@ package distsim
 
 import (
 	"fmt"
+
+	"repro/internal/pool"
 )
 
 // WorkerWindowBench drives one worker's window loop directly — no
@@ -42,8 +44,8 @@ func NewWorkerWindowBench(threads, lps, jobs int, remote float64, work, hot int,
 	return &WorkerWindowBench{w: w}
 }
 
-// Window executes the next lookahead window — inline at Threads <= 1,
-// across the persistent pool otherwise — and drains the per-LP send
+// Window executes the next lookahead window — inline or across the
+// persistent pool, as the pool chooses — and drains the per-LP send
 // buffers in canonical LP order at the barrier.
 func (h *WorkerWindowBench) Window() {
 	h.seq++
@@ -66,6 +68,9 @@ func (h *WorkerWindowBench) Events() uint64 {
 	}
 	return n
 }
+
+// PoolStats reports how the pool executed the windows so far.
+func (h *WorkerWindowBench) PoolStats() pool.Stats { return h.w.PoolStats() }
 
 // Close joins the pool goroutines. The harness must not be used after.
 func (h *WorkerWindowBench) Close() { h.w.closePool() }

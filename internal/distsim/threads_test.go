@@ -20,7 +20,9 @@ import (
 // crash-restart). Per-LP sends are buffered thread-locally during the
 // window and merged in canonical LP order at the barrier, so the wire
 // traffic (and therefore everything downstream of it) is byte-for-byte
-// the traffic a sequential pass produces.
+// the traffic a sequential pass produces. The pool may run any window
+// inline instead (internal/pool); the serial tests of the suite run a
+// second time with that switch forced between any two windows.
 
 // withThreads sets the pool width on every worker and returns the
 // slice, so scenario builders from the other suites can be reused
@@ -36,7 +38,9 @@ func withThreads(n int, ws ...*Worker) []*Worker {
 // federation run with 4-thread workers matches the sequential
 // distributed run and the single-process reference, at every pool
 // width.
-func TestThreadsDenseBitIdentical(t *testing.T) {
+func TestThreadsDenseBitIdentical(t *testing.T) { underPoolSwitches(t, testThreadsDenseBitIdentical) }
+
+func testThreadsDenseBitIdentical(t *testing.T) {
 	ref := parsim.NewPHOLD(rtLPs, 1, rtLA, rtJobs, rtRemote, rtWork, rtSeed)
 	ref.Run(rtHorizon)
 	want := ref.PerLPEvents()
@@ -63,6 +67,10 @@ func TestThreadsDenseBitIdentical(t *testing.T) {
 // pool (an LP whose next event lies past the window end never touches
 // its engine) must not disturb the skip lattice or the counts.
 func TestThreadsSparseSkipBitIdentical(t *testing.T) {
+	underPoolSwitches(t, testThreadsSparseSkipBitIdentical)
+}
+
+func testThreadsSparseSkipBitIdentical(t *testing.T) {
 	ref := parsim.NewPHOLDFactor(skLPs, 1, skLA, skJobs, skRemote, skWork, skSeed, skFactor)
 	ref.Run(skHorizon)
 	want := ref.PerLPEvents()
@@ -153,7 +161,9 @@ func TestThreadsUnderChaos(t *testing.T) {
 // checkpoint, with 4-thread workers on both attempts: snapshots are
 // taken at barriers — where the per-LP buffers are already drained —
 // so pooled execution is invisible to the checkpoint format.
-func TestThreadsCheckpointResume(t *testing.T) {
+func TestThreadsCheckpointResume(t *testing.T) { underPoolSwitches(t, testThreadsCheckpointResume) }
+
+func testThreadsCheckpointResume(t *testing.T) {
 	wantCounts, _ := referenceRun(t)
 	path := filepath.Join(t.TempDir(), "cluster.ckpt")
 
@@ -214,6 +224,10 @@ func TestThreadsCheckpointResume(t *testing.T) {
 // shrinks), at least one migration must actually happen, and the
 // counts still match the single-process reference.
 func TestThreadsRebalanceBitIdentical(t *testing.T) {
+	underPoolSwitches(t, testThreadsRebalanceBitIdentical)
+}
+
+func testThreadsRebalanceBitIdentical(t *testing.T) {
 	c := NewCoordinator(mgLPs, mgLA, mgHorizon, mgSeed)
 	c.Rebalance = &partition.Greedy{UseEvents: true}
 	c.RebalanceEvery = 2
@@ -232,7 +246,9 @@ func TestThreadsRebalanceBitIdentical(t *testing.T) {
 // replays from the journal tip, the pool survives the reconnect (it is
 // bound to the worker's run, not the connection), and the finished run
 // matches the uninterrupted sequential one.
-func TestThreadsCrashRestart(t *testing.T) {
+func TestThreadsCrashRestart(t *testing.T) { underPoolSwitches(t, testThreadsCrashRestart) }
+
+func testThreadsCrashRestart(t *testing.T) {
 	wantCounts, wantWindows := referenceRun(t)
 	journal := filepath.Join(t.TempDir(), "coord.journal")
 

@@ -125,9 +125,10 @@ type Worker struct {
 	sent     uint64
 	received uint64
 
-	// Intra-worker execution pool (Threads > 1): poolEnd/poolSeq/
-	// poolTimed are plain fields published to the pool threads by the
-	// token barrier inside pl.Run, exactly like parsim's windowEnd.
+	// Intra-worker execution pool, of one thread at Threads <= 1:
+	// poolEnd/poolSeq/poolTimed are plain fields published to the pool
+	// threads by the token barrier inside pl.Run, exactly like parsim's
+	// windowEnd.
 	pl        *pool.Pool
 	poolEnd   float64
 	poolSeq   uint64
@@ -191,10 +192,12 @@ type Worker struct {
 	MaxPark int
 
 	// Threads is the intra-worker execution pool size: with Threads > 1
-	// the worker's LPs run across that many persistent goroutines
+	// the worker's LPs may run across that many persistent goroutines
 	// inside each window (hierarchical parallelism — distributed across
 	// nodes, parallel within them). 0 or 1 executes LPs inline on the
-	// serve goroutine. Results are bit-identical for every value: each
+	// serve goroutine, and so does a larger pool in every window it has
+	// measured to be faster that way (internal/pool): the value is an
+	// upper bound. Results are bit-identical for every value: each
 	// LP writes its own outbox during the window and the barrier merges
 	// them in canonical LP order, so only wall time changes. The model
 	// must keep per-LP state independent during a window (mutate shared
@@ -486,14 +489,13 @@ func (w *Worker) applyConfig(cfg *frame) error {
 	}
 	// The intra-worker pool outlives windows, migrations, and
 	// reconnects; it is created once here and closed when the worker's
-	// run ends. With obs on, each pool thread gets its own span ring so
-	// the merged cluster trace shows per-thread busy/wait phases.
-	if w.Threads > 1 {
-		w.pl = pool.New(w.Threads, w.runLP)
-		if wo := w.obs; wo != nil {
-			wo.addPoolRecs(w.Threads)
-			w.pl.SetObserve(w.observePoolPhases)
-		}
+	// run ends. With obs on, each thread of a real pool gets its own
+	// span ring so the merged cluster trace shows per-thread busy/wait
+	// phases; a single thread's phases are the worker ring's already.
+	w.pl = pool.New(max(1, w.Threads), w.runLP)
+	if wo := w.obs; wo != nil && w.Threads > 1 {
+		wo.addPoolRecs(w.Threads)
+		w.pl.SetObserve(w.observePoolPhases)
 	}
 	if w.Setup == nil {
 		return fatalf("distsim: worker has no Setup hook")
@@ -513,11 +515,12 @@ func (w *Worker) applyConfig(cfg *frame) error {
 
 // closePool joins the intra-worker pool threads; idempotent, called
 // when the worker's run ends.
-func (w *Worker) closePool() {
-	if w.pl != nil {
-		w.pl.Close()
-	}
-}
+func (w *Worker) closePool() { w.pl.Close() }
+
+// PoolStats reports how the intra-worker pool executed the windows so
+// far: inline on the serve goroutine or dispatched to its threads. Must
+// not be called while the worker is running.
+func (w *Worker) PoolStats() pool.Stats { return w.pl.Stats() }
 
 // initLP equips an LP with its engine — seeded from the LP id alone,
 // so a given LP draws the same random stream no matter which worker
@@ -928,31 +931,26 @@ func (w *Worker) sleep(d time.Duration) {
 // counters): two clock reads per non-idle LP per window, nothing when
 // neither consumer is on.
 //
-// With Threads > 1 the LPs run across the persistent pool instead:
-// poolEnd/poolSeq/poolTimed are published to the pool threads by the
-// token barrier inside pl.Run, and the barrier's done-tokens publish
-// everything the LPs wrote (engine state, per-LP buffers, busy
-// counters) back to the serve goroutine. Windows are independent
-// within themselves by the conservative lookahead argument, so the
-// only cross-LP structures touched mid-window are the per-LP buffers
-// — which is exactly why they are per-LP.
+// The LPs run on the pool: inline on the serve goroutine at
+// Threads <= 1 and in every window the pool finds faster that way,
+// across its persistent threads otherwise. poolEnd/poolSeq/poolTimed
+// are then published to the pool threads by the token barrier inside
+// pl.Run, and the barrier's done-tokens publish everything the LPs
+// wrote (engine state, per-LP buffers, busy counters) back to the serve
+// goroutine. Windows are independent within themselves by the
+// conservative lookahead argument, so the only cross-LP structures
+// touched mid-window are the per-LP buffers — which is exactly why they
+// are per-LP.
 func (w *Worker) runWindow(end float64, seq uint64) {
 	w.poolEnd = end
 	w.poolSeq = seq
 	w.poolTimed = w.collectLoads || w.obs != nil
-	if w.pl == nil {
-		for i := range w.order {
-			w.runLP(0, i)
-		}
-		return
-	}
 	w.pl.Run(len(w.order))
 }
 
 // runLP executes one LP through the current window; it is the pool
-// body, and the inline path at Threads <= 1. PeekTime may pop
-// tombstones, but this thread is the only one touching the LP during
-// the window.
+// body. PeekTime may pop tombstones, but this thread is the only one
+// touching the LP during the window.
 func (w *Worker) runLP(_, i int) {
 	lp := w.order[i]
 	if lp.E.PeekTime() > w.poolEnd {
@@ -975,6 +973,8 @@ func (w *Worker) runLP(_, i int) {
 // coordinator timeline. The wait span covers the thread blocked
 // through the barrier, the done-frame round trip, and the next
 // window's release — the intra-node slice of the synchronization cost.
+// A window the pool ran inline is one busy span on thread 0 and no
+// wait, and the next dispatched window's waits start where it ended.
 func (w *Worker) observePoolPhases(pw int, waitStart, busyStart, busyEnd int64) {
 	r := w.obs.poolRecs[pw]
 	if waitStart != busyStart {

@@ -26,7 +26,7 @@ func E5bDistributedOverhead(lps, jobsPerLP, work int, horizon float64) (*metrics
 		seed      = 77
 	)
 	t := metrics.NewTable(
-		"E5b. In-process vs TCP-distributed execution (same model, same results)",
+		"E5b. In-process vs TCP-distributed execution (same model, same results; "+hostNote()+")",
 		"execution", "events", "wall ms", "identical")
 
 	run := func(workers int) (uint64, float64) {

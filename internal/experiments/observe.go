@@ -38,6 +38,7 @@ func ObserveE5(tracePath, monPath string, quick bool) (*metrics.Table, error) {
 	t.AddRowf("model events", events)
 	t.AddRowf("windows", snap.Windows)
 	t.AddRowf("idle LP-window skips", snap.IdleSkips)
+	t.AddRowf("pool", snap.Pool.String())
 	t.AddRowf("window wall", snap.WindowWall.String())
 	t.AddRowf("barrier wait", snap.BarrierWait.String())
 	for w, u := range snap.Utilization {

@@ -5,20 +5,30 @@ import (
 	"testing"
 )
 
+// reportInlineFrac adds the share of the federation's windows that the
+// pool ran inline to the benchmark's metrics: beside a speedup it says
+// whether the extra workers were used at all.
+func reportInlineFrac(b *testing.B, f *Federation) {
+	st := f.Snapshot().Pool
+	b.ReportMetric(float64(st.Inline)/float64(st.Inline+st.Dispatched), "inline_frac")
+}
+
 // BenchmarkFederationWindowOverhead isolates the per-window cost of
 // the synchronization machinery: a lookahead 1000x finer than the mean
 // event spacing forces one barrier per 0.01 time units while each LP
 // only has an event every ~10 units, so almost every (LP, window) pair
 // is idle. This is the regime where rebuilding the worker pool and
 // channel per window dominated; the persistent pool plus the
-// PeekTime skip makes a window a near-noop.
+// PeekTime skip makes a window a near-noop, which the pool then runs
+// inline at any worker count.
 func BenchmarkFederationWindowOverhead(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
+			var f *Federation
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				f := NewFederation(8, 0.01, w, 7)
+				f = NewFederation(8, 0.01, w, 7)
 				for j := 0; j < f.LPs(); j++ {
 					lp := f.LP(j)
 					src := lp.E.Stream("sparse")
@@ -30,6 +40,7 @@ func BenchmarkFederationWindowOverhead(b *testing.B) {
 				b.StartTimer()
 				f.Run(10) // 1000 windows, ~1 event per LP per 1000 windows
 			}
+			reportInlineFrac(b, f)
 		})
 	}
 }
@@ -42,12 +53,32 @@ func BenchmarkPHOLDSmall(b *testing.B) {
 	for _, w := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			b.ReportAllocs()
+			var ph *PHOLD
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				ph := NewPHOLD(8, w, 1.0, 16, 0.1, 50, 17)
+				ph = NewPHOLD(8, w, 1.0, 16, 0.1, 50, 17)
 				b.StartTimer()
 				ph.Run(200)
 			}
+			reportInlineFrac(b, ph.Fed)
+		})
+	}
+}
+
+// BenchmarkPHOLDSmallWindows is the lsbench fed-smallwin shape (and
+// TestPHOLDPinned's): 64 LPs and ~16 events per window, so a window
+// holds a few microseconds of work and what the pool adds to it shows.
+func BenchmarkPHOLDSmallWindows(b *testing.B) {
+	for _, w := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			var ph *PHOLD
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ph = NewPHOLD(64, w, 1, 1, 0.2, 0, 1)
+				b.StartTimer()
+				ph.Run(15000)
+			}
+			reportInlineFrac(b, ph.Fed)
 		})
 	}
 }

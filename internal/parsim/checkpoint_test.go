@@ -25,10 +25,21 @@ func ckPHOLD(workers int) *PHOLD {
 // window barrier halfway through the run, restores it into a freshly
 // built federation (different seed, possibly different worker count),
 // and requires the final per-LP event counts, engine statistics, and
-// message counters to equal a run that was never interrupted.
+// message counters to equal a run that was never interrupted. The
+// snapshot itself equals, byte for byte, the one a single worker writes
+// at that barrier.
 func TestFederationResumeBitIdentical(t *testing.T) {
+	underPoolSwitches(t, testFederationResumeBitIdentical)
+}
+
+func testFederationResumeBitIdentical(t *testing.T) {
 	const H = 40.0
 	ref := ckPHOLD(1)
+	ref.Run(H / 2)
+	var refSnap bytes.Buffer
+	if err := ref.Fed.Checkpoint(&refSnap); err != nil {
+		t.Fatal(err)
+	}
 	ref.Run(H)
 	refCounts := ref.PerLPEvents()
 
@@ -42,6 +53,9 @@ func TestFederationResumeBitIdentical(t *testing.T) {
 			var snap bytes.Buffer
 			if err := first.Fed.Checkpoint(&snap); err != nil {
 				t.Fatal(err)
+			}
+			if !bytes.Equal(snap.Bytes(), refSnap.Bytes()) {
+				t.Fatal("snapshot differs from the single-worker one")
 			}
 
 			// The restoring federation is built with a different seed: every

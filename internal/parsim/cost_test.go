@@ -30,12 +30,14 @@ func costFederation(lps, workers, perTick int) (f *Federation, advance func(wind
 }
 
 // windowAllocs returns the allocations of one more window: the cost of
-// an 11-window Run less that of a 1-window Run, so whatever Run itself
-// allocates (the pool, its goroutines) cancels out.
+// a 26-window Run less that of a 16-window Run, so whatever Run itself
+// allocates (the pool, its goroutines) cancels out. Both Runs are long
+// enough to go through the pool's trial windows, inline and dispatched:
+// the goroutines start at the first dispatched window, not at the first.
 func windowAllocs(advance func(windows int)) float64 {
-	one := testing.AllocsPerRun(10, func() { advance(1) })
-	eleven := testing.AllocsPerRun(10, func() { advance(11) })
-	return (eleven - one) / 10
+	short := testing.AllocsPerRun(10, func() { advance(16) })
+	long := testing.AllocsPerRun(10, func() { advance(26) })
+	return (long - short) / 10
 }
 
 // TestMessageCostsOneAllocation pins the per-message cost of the whole

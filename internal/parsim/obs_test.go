@@ -63,6 +63,12 @@ func TestFederationSnapshot(t *testing.T) {
 	if s.WindowWall == nil || s.WindowWall.Count() != s.Windows {
 		t.Fatalf("window-wall samples = %d, windows = %d", s.WindowWall.Count(), s.Windows)
 	}
+	if s.Pool.Inline+s.Pool.Dispatched != s.Windows || s.Pool.Inline == 0 || s.Pool.Dispatched == 0 {
+		t.Fatalf("pool ran %+v over %d windows, want every window counted and trials both ways", s.Pool, s.Windows)
+	}
+	if got, want := s.BarrierWait.Count(), 2*s.Pool.Dispatched; got != want {
+		t.Fatalf("barrier-wait samples = %d, want one per worker per dispatched window (%d)", got, want)
+	}
 	if len(s.Utilization) != 2 {
 		t.Fatalf("utilization workers = %d", len(s.Utilization))
 	}

@@ -116,6 +116,12 @@ func (lp *LP) Received() uint64 { return lp.recv }
 // the execution-context churn the paper's engine guidance warns about;
 // with fine lookaheads the simulation executes thousands of windows
 // per second and the churn dominates.
+//
+// The worker count is an upper bound: the pool times a few windows
+// both ways at the head of every epoch and runs the rest on the
+// coordinator's own goroutine whenever waking the workers costs more
+// than the windows hold (see internal/pool). Results do not depend on
+// it; Snapshot.Pool reports what it chose.
 type Federation struct {
 	lps       []*LP
 	lookahead float64
@@ -139,6 +145,7 @@ type Federation struct {
 	// workers by the token barrier inside pl.Run.
 	windowEnd float64
 	pl        *pool.Pool
+	poolStats pool.Stats // summed over the pools of completed Runs
 
 	// observability (EnableObservability); every structure below is
 	// single-writer: per-LP recorders are written only by whichever
@@ -274,15 +281,20 @@ type Snapshot struct {
 	// including message delivery.
 	WindowWall *obs.Histogram
 	// Utilization is, per worker, busy wall time divided by total
-	// window wall time — the load-balance profile of the run.
+	// window wall time — the load-balance profile of the run. A window
+	// the pool ran inline is busy time of worker 0 alone.
 	Utilization []float64
+	// Pool counts the windows the pool ran inline on the coordinator's
+	// goroutine and those it dispatched to its workers, and how often
+	// its measurements reversed that choice.
+	Pool pool.Stats
 }
 
 // Snapshot captures the current federation metrics. The histograms are
 // merged copies; mutating them does not affect the live run. Must not
 // be called while Run is executing.
 func (f *Federation) Snapshot() Snapshot {
-	s := Snapshot{Windows: f.windows, IdleSkips: f.IdleSkips()}
+	s := Snapshot{Windows: f.windows, IdleSkips: f.IdleSkips(), Pool: f.poolStats}
 	s.LPs = make([]des.Stats, len(f.lps))
 	for i, lp := range f.lps {
 		s.LPs[i] = lp.E.Stats()
@@ -350,6 +362,10 @@ func (f *Federation) Run(horizon float64) {
 	}
 	defer func() {
 		f.pl.Close() // stop signal: workers drain and exit
+		st := f.pl.Stats()
+		f.poolStats.Inline += st.Inline
+		f.poolStats.Dispatched += st.Dispatched
+		f.poolStats.Flips += st.Flips
 		f.pl = nil
 	}()
 	for windowEnd := f.clock + f.lookahead; ; windowEnd += f.lookahead {
@@ -375,8 +391,8 @@ func (f *Federation) Run(horizon float64) {
 
 // runWindow executes every LP up to windowEnd on the persistent
 // worker pool (inline on the calling goroutine when the pool has a
-// single worker). LPs whose next event lies beyond the window are
-// skipped without entering their engine loop.
+// single worker or finds that faster). LPs whose next event lies beyond
+// the window are skipped without entering their engine loop.
 func (f *Federation) runWindow(windowEnd float64) {
 	// windowEnd is a plain field: the pool's token barrier publishes it
 	// to every worker before any runLP call of this window.
@@ -401,9 +417,11 @@ func (f *Federation) runLP(w, i int) {
 // from reporting one window's done-token until the next start-token
 // arrives (the window-close barrier, message delivery, and the release
 // of the next window) — is the measurable synchronization cost the
-// paper's C4 discussion attributes to conservative execution. Inline
-// mode has no barrier (waitStart == busyStart) and records only the
-// busy phase, preserving the single-worker baseline's histograms.
+// paper's C4 discussion attributes to conservative execution. A window
+// the pool runs inline has no barrier (waitStart == busyStart) and
+// records only a busy phase, of worker 0: with one worker that is every
+// window, with more the barrier-wait histogram holds the dispatched
+// windows only, and a wait never spans the inline windows before it.
 func (f *Federation) observePhases(w int, waitStart, busyStart, busyEnd int64) {
 	if waitStart != busyStart {
 		wait := busyStart - waitStart

@@ -134,6 +134,10 @@ func installGuardModel(lps []guardLP, log [][]delivery) []func(Message) {
 // destination sees the deliveries of the old outbox matrix in the same
 // order, and engine statistics and message counters are equal.
 func TestFlatOutboxMatchesMatrixReference(t *testing.T) {
+	underPoolSwitches(t, testFlatOutboxMatchesMatrixReference)
+}
+
+func testFlatOutboxMatchesMatrixReference(t *testing.T) {
 	const (
 		n       = 6
 		horizon = 40
@@ -209,6 +213,10 @@ func requireCollisions(t *testing.T, log []delivery) {
 // event counts and idle skips the gob-and-matrix implementation
 // produced (recorded at commit b7f58ba), for one and two workers.
 func TestPHOLDPinned(t *testing.T) {
+	underPoolSwitches(t, testPHOLDPinned)
+}
+
+func testPHOLDPinned(t *testing.T) {
 	pins := []struct {
 		seed      uint64
 		idleSkips uint64

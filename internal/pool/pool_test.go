@@ -1,29 +1,44 @@
 package pool
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
+
+// underEveryMode runs fn as a subtest with the choice of mode left to
+// the trials and then forced each way, so a contract is checked for
+// inline Runs, dispatched Runs and a switch between any two Runs.
+func underEveryMode(t *testing.T, fn func(t *testing.T)) {
+	defer func() { forced = measured }()
+	for _, m := range []mode{measured, inline, dispatched, alternate} {
+		forced = m
+		t.Run(fmt.Sprintf("mode=%d", m), fn)
+	}
+}
 
 // TestRunCoversEveryItemOnce pins the claim protocol: across many
 // reused-pool Runs, every item index is executed exactly once per Run,
 // for pool sizes spanning inline, fewer-workers-than-items, and
 // more-workers-than-nonzero-items shapes.
 func TestRunCoversEveryItemOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 8} {
-		var hits [17]atomic.Int64
-		p := New(workers, func(_, item int) { hits[item].Add(1) })
-		defer p.Close()
-		const runs = 50
-		for r := 0; r < runs; r++ {
-			p.Run(len(hits))
-		}
-		for i := range hits {
-			if got := hits[i].Load(); got != runs {
-				t.Fatalf("workers=%d item %d executed %d times, want %d", workers, i, got, runs)
+	underEveryMode(t, func(t *testing.T) {
+		for _, workers := range []int{1, 2, 3, 8} {
+			var hits [17]atomic.Int64
+			p := New(workers, func(_, item int) { hits[item].Add(1) })
+			defer p.Close()
+			const runs = 50
+			for r := 0; r < runs; r++ {
+				p.Run(len(hits))
+			}
+			for i := range hits {
+				if got := hits[i].Load(); got != runs {
+					t.Fatalf("workers=%d item %d executed %d times, want %d", workers, i, got, runs)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestItemCountMayChangeBetweenRuns models LP migration: the batch
@@ -62,54 +77,74 @@ func TestWorkerIndexInRange(t *testing.T) {
 	}
 }
 
-// TestObservePhases checks the hook fires once per worker per Run with
-// ordered timestamps, and that inline mode reports no wait phase.
+// TestObservePhases checks what the hook reports under every mode: an
+// inline Run fires it once, for worker 0, with no wait phase; a
+// dispatched Run fires it once per worker with ordered timestamps and a
+// wait phase that starts no earlier than the end of the last inline
+// Run, so no barrier wait swallows a stretch of inline Runs.
 func TestObservePhases(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var calls, disordered atomic.Int64
-		p := New(workers, func(_, _ int) {})
-		p.SetObserve(func(w int, waitStart, busyStart, busyEnd int64) {
-			calls.Add(1)
-			if waitStart > busyStart || busyStart > busyEnd {
-				disordered.Add(1)
+	underEveryMode(t, func(t *testing.T) {
+		for _, workers := range []int{1, 4} {
+			var calls, bad, inlineEnd atomic.Int64
+			p := New(workers, func(_, _ int) {})
+			p.SetObserve(func(w int, waitStart, busyStart, busyEnd int64) {
+				calls.Add(1)
+				if waitStart > busyStart || busyStart > busyEnd {
+					bad.Add(1)
+				}
+				if waitStart == busyStart { // an inline Run
+					if w != 0 {
+						bad.Add(1)
+					}
+					inlineEnd.Store(busyEnd)
+				} else if waitStart < inlineEnd.Load() {
+					bad.Add(1)
+				}
+			})
+			const runs = 4 * trialRuns
+			for r := 0; r < runs; r++ {
+				p.Run(5)
+				// Keep every dispatched wait phase longer than the
+				// clock's resolution: an empty one reads as inline above.
+				time.Sleep(10 * time.Microsecond)
 			}
-			if workers == 1 && waitStart != busyStart {
-				disordered.Add(1)
+			p.Close()
+			st := p.Stats()
+			if st.Inline+st.Dispatched != runs {
+				t.Fatalf("workers=%d stats %+v, want %d Runs", workers, st, runs)
 			}
-		})
-		const runs = 7
-		for r := 0; r < runs; r++ {
-			p.Run(5)
+			if want := int64(st.Inline) + int64(workers)*int64(st.Dispatched); calls.Load() != want {
+				t.Fatalf("workers=%d observe called %d times for %+v, want %d", workers, calls.Load(), st, want)
+			}
+			if bad.Load() != 0 {
+				t.Fatalf("workers=%d observe saw %d bad phase reports", workers, bad.Load())
+			}
 		}
-		p.Close()
-		if got := calls.Load(); got != int64(workers*runs) {
-			t.Fatalf("workers=%d observe called %d times, want %d", workers, got, workers*runs)
-		}
-		if disordered.Load() != 0 {
-			t.Fatalf("workers=%d observe saw %d disordered phase timestamps", workers, disordered.Load())
-		}
-	}
+	})
 }
 
 // TestCallerStatePublishedToWorkers pins the memory-ordering contract:
 // plain (non-atomic) caller state written before Run is visible to
 // every worker, and plain per-item results written by workers are
 // visible to the caller after Run. Run under -race this is the proof
-// the token barrier provides the needed happens-before edges.
+// the token barrier provides the needed happens-before edges, also
+// between an inline Run and a dispatched one.
 func TestCallerStatePublishedToWorkers(t *testing.T) {
-	var windowEnd float64 // plain field, as callers use it
-	results := make([]float64, 32)
-	p := New(4, func(_, item int) { results[item] = windowEnd })
-	defer p.Close()
-	for r := 1; r <= 10; r++ {
-		windowEnd = float64(r) * 0.5
-		p.Run(len(results))
-		for i, got := range results {
-			if got != windowEnd {
-				t.Fatalf("run %d: item %d saw windowEnd %v, want %v", r, i, got, windowEnd)
+	underEveryMode(t, func(t *testing.T) {
+		var windowEnd float64 // plain field, as callers use it
+		results := make([]float64, 32)
+		p := New(4, func(_, item int) { results[item] = windowEnd })
+		defer p.Close()
+		for r := 1; r <= 4*trialRuns; r++ {
+			windowEnd = float64(r) * 0.5
+			p.Run(len(results))
+			for i, got := range results {
+				if got != windowEnd {
+					t.Fatalf("run %d: item %d saw windowEnd %v, want %v", r, i, got, windowEnd)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestCloseIdempotentAndLazy: Close before any Run (no goroutines
@@ -130,41 +165,136 @@ func TestCloseIdempotentAndLazy(t *testing.T) {
 // caller's goroutine (never a process-killing goroutine crash), and a
 // caller that recovers can keep using the pool.
 func TestBodyPanicPropagates(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		boom := false
-		p := New(workers, func(_, item int) {
-			if boom && item == 3 {
-				panic("test: body exploded")
+	underEveryMode(t, func(t *testing.T) {
+		for _, workers := range []int{1, 4} {
+			boom := false
+			p := New(workers, func(_, item int) {
+				if boom && item == 3 {
+					panic("test: body exploded")
+				}
+			})
+			// Every third Run panics: with the trial blocks and the
+			// alternation that is inline Runs and dispatched ones.
+			for r := 0; r < 4*trialRuns; r++ {
+				boom = r%3 == 1
+				got := func() (v any) {
+					defer func() { v = recover() }()
+					p.Run(8)
+					return nil
+				}()
+				if boom && got != "test: body exploded" {
+					t.Fatalf("workers=%d run %d: recovered %v, want the body's panic value", workers, r, got)
+				}
+				if !boom && got != nil {
+					t.Fatalf("workers=%d run %d: unexpected panic %v", workers, r, got)
+				}
 			}
-		})
-		for r := 0; r < 3; r++ {
-			boom = r == 1
-			got := func() (v any) {
-				defer func() { v = recover() }()
-				p.Run(8)
-				return nil
-			}()
-			if boom && got != "test: body exploded" {
-				t.Fatalf("workers=%d run %d: recovered %v, want the body's panic value", workers, r, got)
-			}
-			if !boom && got != nil {
-				t.Fatalf("workers=%d run %d: unexpected panic %v", workers, r, got)
-			}
+			p.Close()
 		}
-		p.Close()
-	}
+	})
 }
 
 // TestZeroAllocSteadyState pins that a warmed-up pool's Run performs
-// no allocations: token sends, the cursor, and the barrier are all
-// allocation-free, so per-window cost is bounded by channel ops alone.
+// no allocations: token sends, the cursor, the barrier and the trial
+// bookkeeping are all allocation-free, so per-window cost is bounded by
+// channel ops alone.
 func TestZeroAllocSteadyState(t *testing.T) {
-	var sink atomic.Int64
-	p := New(4, func(_, item int) { sink.Add(int64(item)) })
+	underEveryMode(t, func(t *testing.T) {
+		var sink atomic.Int64
+		p := New(4, func(_, item int) { sink.Add(int64(item)) })
+		defer p.Close()
+		for r := 0; r < 2*trialRuns; r++ {
+			p.Run(8) // warm up: the first dispatched Run spawns the workers
+		}
+		allocs := testing.AllocsPerRun(2*minEpoch, func() { p.Run(8) })
+		if allocs != 0 {
+			t.Fatalf("steady-state Run allocates %v per op, want 0", allocs)
+		}
+	})
+}
+
+// TestTinyRunsStayInline: a Run of no item or one item has nothing to
+// share out and wakes nobody, whatever the mode.
+func TestTinyRunsStayInline(t *testing.T) {
+	underEveryMode(t, func(t *testing.T) {
+		p := New(4, func(_, _ int) {})
+		defer p.Close()
+		const runs = 4 * trialRuns
+		for r := 0; r < runs; r++ {
+			p.Run(r % 2)
+		}
+		if st := p.Stats(); st.Dispatched != 0 || st.Inline != runs || p.start != nil {
+			t.Fatalf("stats %+v, workers started: %v", st, p.start != nil)
+		}
+	})
+}
+
+// sleepy is a body whose items wait instead of compute, so that they
+// overlap across workers even on a single CPU.
+func sleepy(_, _ int) { time.Sleep(200 * time.Microsecond) }
+
+// TestCheapRunsGoInline: when a Run holds less work than waking the
+// workers costs, the trials keep the pool inline.
+func TestCheapRunsGoInline(t *testing.T) {
+	p := New(4, func(_, _ int) {})
 	defer p.Close()
-	p.Run(8) // warm up: spawn workers
-	allocs := testing.AllocsPerRun(100, func() { p.Run(8) })
-	if allocs != 0 {
-		t.Fatalf("steady-state Run allocates %v per op, want 0", allocs)
+	const runs = 10000
+	for r := 0; r < runs; r++ {
+		p.Run(8)
+	}
+	if st := p.Stats(); st.Inline < runs*9/10 {
+		t.Fatalf("no-op bodies: %+v, want at least 90%% of %d Runs inline", st, runs)
+	}
+}
+
+// TestHeavyRunsGoDispatched: when the items are worth sharing out, the
+// trials keep the pool dispatched.
+func TestHeavyRunsGoDispatched(t *testing.T) {
+	p := New(4, sleepy)
+	defer p.Close()
+	const runs = 100
+	for r := 0; r < runs; r++ {
+		p.Run(8)
+	}
+	if st := p.Stats(); st.Dispatched < runs*9/10 {
+		t.Fatalf("sleeping bodies: %+v, want at least 90%% of %d Runs dispatched", st, runs)
+	}
+}
+
+// TestModeFollowsWorkload changes the body from heavy to cheap in the
+// middle of a pool's life: the next epoch's trials reverse the choice,
+// which counts as one flip and brings the grown epoch back to its
+// minimum.
+func TestModeFollowsWorkload(t *testing.T) {
+	body := sleepy
+	p := New(4, func(w, i int) { body(w, i) })
+	defer p.Close()
+	// runEpoch runs through the trials of a new epoch and the first Run
+	// after them, which acts on their result, and then through the rest.
+	runEpoch := func(check func()) {
+		for r := 0; r <= 2*trialRuns; r++ {
+			p.Run(8)
+		}
+		check()
+		for p.pos != 0 {
+			p.Run(8)
+		}
+	}
+	runEpoch(func() {})
+	runEpoch(func() {
+		if p.winner != dispatched || p.epoch != 2*minEpoch || p.stats.Flips != 0 {
+			t.Fatalf("heavy phase: winner %d, epoch %d, stats %+v", p.winner, p.epoch, p.stats)
+		}
+		body = func(_, _ int) {} // the rest of this epoch keeps the old choice
+	})
+	before := p.Stats()
+	runEpoch(func() {
+		if p.winner != inline || p.epoch != minEpoch || p.stats.Flips != 1 {
+			t.Fatalf("cheap phase: winner %d, epoch %d, stats %+v", p.winner, p.epoch, p.stats)
+		}
+	})
+	after := p.Stats()
+	if after.Dispatched-before.Dispatched != trialRuns || after.Inline-before.Inline != minEpoch-trialRuns {
+		t.Fatalf("the epoch after the change ran %+v on top of %+v, want only its %d trials dispatched", after, before, trialRuns)
 	}
 }
