@@ -4,7 +4,7 @@ GO ?= go
 TRACE_OUT ?= /tmp/lsds_trace_e5.json
 CKPT_OUT ?= /tmp/lsds_phold.ckpt
 
-.PHONY: all build test tier1 vet nogob race bench benchjson fuzz trace-smoke checkpoint-smoke chaos-smoke dist-smoke obs-smoke balance-smoke crash-smoke threads-smoke clean
+.PHONY: all build test tier1 vet nogob race bench fuzz loc trace-smoke checkpoint-smoke chaos-smoke dist-smoke obs-smoke balance-smoke crash-smoke threads-smoke clean
 
 all: tier1
 
@@ -25,8 +25,9 @@ nogob:
 	if echo "$$deps" | grep -qx encoding/gob; then \
 		echo "nogob: encoding/gob is back in the dependency closure" >&2; exit 1; fi
 
-# Race-check the packages with real concurrency: the parallel
-# federation, the shared execution pool, the TCP-distributed engine,
+# Race-check the packages with real concurrency: the windowed-sync
+# kernel and its two transports (the parallel federation and the
+# TCP-distributed engine), the shared execution pool,
 # the fault injector, the engine they drive, the
 # optimistic/checkpoint layers they build on, and the fluid fabric and
 # host resources whose blocking Send/Run hand control between process
@@ -34,7 +35,7 @@ nogob:
 # dispatched Runs finds its goroutines parked or still on their way
 # there, and which of the two is a matter of timing.
 race:
-	$(GO) test -race ./internal/parsim/... ./internal/des/... ./internal/distsim/... ./internal/chaos/... ./internal/optsim/... ./internal/checkpoint/... ./internal/netsim/... ./internal/resources/...
+	$(GO) test -race ./internal/winsync/... ./internal/parsim/... ./internal/des/... ./internal/distsim/... ./internal/chaos/... ./internal/optsim/... ./internal/checkpoint/... ./internal/netsim/... ./internal/resources/...
 	$(GO) test -race -count=10 ./internal/pool/...
 
 # tier1 is the acceptance gate: build + full tests, plus vet and the
@@ -44,18 +45,26 @@ tier1: build test vet race
 bench:
 	$(GO) test -bench 'E3|PHOLD|Federation|ScheduleExecute' -benchmem -run '^$$' ./...
 
-# Machine-readable hot-path allocation report (includes the PR-10
-# intra-worker pool cases: WorkerWindowParallel dense/skewed at pool
-# widths 1/2/4; see BENCH_8.json).
-benchjson:
-	$(GO) run ./cmd/experiments -benchjson BENCH_8.json
-
-# Short fuzz pass over the wire codec and the parsim message codec:
-# arbitrary bytes must decode to an error or a valid value — never a
-# panic or an absurd allocation.
+# Short fuzz pass over the wire codec and the kernel's event codec
+# (op arguments, LP images, frame events): arbitrary bytes must decode
+# to an error or a valid value — never a panic or an absurd allocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime 10s ./internal/distsim/
-	$(GO) test -run '^$$' -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/parsim/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 10s ./internal/winsync/
+
+# Go line counts, non-test and test, per internal/* package and for
+# the whole module: the number a simplifying PR reports going down.
+loc:
+	@count() { n=$$(cat /dev/null "$$@" | wc -l); echo $$n; }; \
+	printf '%-24s %9s %9s\n' package non-test test; \
+	for d in internal/*/; do \
+		printf '%-24s %9s %9s\n' $${d%/} \
+			$$(count $$(find $$d -name '*.go' ! -name '*_test.go')) \
+			$$(count $$(find $$d -name '*_test.go')); \
+	done; \
+	printf '%-24s %9s %9s\n' 'module (bench/ apart)' \
+		$$(count $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*')) \
+		$$(count $$(find . -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*'))
 
 # trace-smoke runs a quick traced E5 federation and validates the
 # Chrome trace output: ObserveE5 re-reads the written file through a

@@ -25,7 +25,6 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced problem sizes")
 	list := flag.Bool("list", false, "list experiments and exit")
 	svgDir := flag.String("svg", "", "also write SVG charts for the sweep experiments into this directory")
-	benchJSON := flag.String("benchjson", "", "run the hot-path micro-benchmarks and write JSON results to this file, then exit")
 	trace := flag.String("trace", "", "run a traced E5 federation and write Chrome trace-event JSON (Perfetto) to this file, then exit")
 	histo := flag.Bool("histo", false, "run a traced E5 federation and print its latency histograms, then exit")
 	monOut := flag.String("monout", "", "with -trace/-histo: also export the run's telemetry in the monitoring wire format to this file")
@@ -53,20 +52,6 @@ func main() {
 		if *trace != "" {
 			fmt.Println("wrote", *trace)
 		}
-		return
-	}
-
-	if *benchJSON != "" {
-		results, err := experiments.RunBenchJSON(*benchJSON)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		for _, r := range results {
-			fmt.Printf("%-40s %12.1f ns/op %8d B/op %6d allocs/op\n",
-				r.Name, r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
-		}
-		fmt.Println("wrote", *benchJSON)
 		return
 	}
 

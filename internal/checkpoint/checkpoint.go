@@ -40,8 +40,10 @@ import (
 const Magic = "LSDSCKPT"
 
 // Version is the current format version. Readers accept exactly the
-// versions they know how to parse.
-const Version = 1
+// versions they know how to parse. Version 2 is the first whose
+// federation and worker snapshots are winsync's per-LP images; what
+// version 1 kept in their place cannot be read as one.
+const Version = 2
 
 // maxSectionLen bounds a single section payload (1 GiB): a length
 // beyond it means a corrupt or hostile stream, not a real snapshot.

@@ -8,25 +8,22 @@ import (
 	"slices"
 
 	"repro/internal/checkpoint"
+	"repro/internal/winsync"
 )
 
-// This file implements the snapshot machinery of the fault-tolerant
-// protocol. Two granularities exist:
+// This file implements the coordinator's half of the fault-tolerant
+// protocol. A *worker snapshot* is one worker's complete state, the
+// winsync image of every LP it owns; workers produce it on a
+// checkpoint frame and consume it on a restore frame
+// (Worker.snapshot/restore).
 //
-//   - A *worker snapshot* is one worker's complete state — every LP
-//     engine (clock, pending events, random stream), per-LP send
-//     sequence numbers, the local delivery buffer, message counters,
-//     and the model's Checkpointable state. Workers produce it on a
-//     checkpoint frame and consume it on a restore frame.
-//
-//   - A *cluster checkpoint* is the coordinator's cut of the whole
-//     run, taken at a window barrier: the window clock, routing
-//     counters, every in-flight routed event, and one worker snapshot
-//     per worker slot. Because the cut is at a barrier — all workers
-//     quiescent at the same window clock, all cross-worker events
-//     either routed (in pending) or local (in a worker's buffer) — it
-//     is globally consistent by construction; no Chandy-Lamport
-//     marker machinery is needed.
+// A *cluster checkpoint* is the coordinator's cut of the whole run,
+// taken at a window barrier: the window clock, routing counters, every
+// in-flight routed event, and one worker snapshot per worker slot.
+// Because the cut is at a barrier — all workers quiescent at the same
+// window clock, all cross-worker events either routed (in pending) or
+// local (in a worker's inbox) — it is globally consistent by
+// construction; no Chandy-Lamport marker machinery is needed.
 //
 // Recovery is rollback-all: when a worker dies, every surviving
 // worker is restored from the last cluster checkpoint alongside the
@@ -34,245 +31,22 @@ import (
 // and the resumed run is bit-identical to an uninterrupted one. A
 // crash costs at most CheckpointEvery windows of re-execution.
 
-// snapshot section names (distsim level).
+// snapshot section names (cluster level; the per-LP sections inside a
+// worker snapshot are winsync's).
 const (
-	secWorker  = "distsim.worker"
-	secLP      = "distsim.lp"
-	secModel   = "distsim.model"
 	secCluster = "distsim.cluster"
 	secSlot    = "distsim.slot"
 )
 
-// encodeEvent serializes one wire event for op arguments and
-// snapshots.
-func encodeEvent(ev *Event) []byte {
-	var enc checkpoint.Enc
-	encEventInto(&enc, ev)
-	return enc.Bytes()
-}
-
-func encEventInto(enc *checkpoint.Enc, ev *Event) {
-	enc.F64(ev.Time)
-	enc.Int(ev.From)
-	enc.Int(ev.To)
-	enc.U64(ev.Seq)
-	enc.Raw(ev.Data)
-}
-
-func decodeEvent(arg []byte) (Event, error) {
-	d := checkpoint.NewDec(arg)
-	ev := decEventFrom(d)
-	return ev, d.Err()
-}
+// encEventInto and decEventFrom are the kernel's event codec under the
+// names the wire, journal and cluster-checkpoint codecs call it by.
+func encEventInto(enc *checkpoint.Enc, ev *Event) { winsync.AppendEvent(enc, ev) }
 
 // decEventFrom decodes one event. Data is a zero-copy view into the
-// decoder's payload (see checkpoint.Dec.RawView): snapshot and op-arg
-// buffers are owned and never reused, and the frame receive path
-// consumes or copies events before its read buffer turns over.
-func decEventFrom(d *checkpoint.Dec) Event {
-	return Event{
-		Time: d.F64(),
-		From: d.Int(),
-		To:   d.Int(),
-		Seq:  d.U64(),
-		Data: d.RawView(),
-	}
-}
-
-// snapshot serializes the worker's complete state. It requires every
-// pending event in every LP engine to be op-scheduled (the delivery
-// path always is; the model must be too).
-func (w *Worker) snapshot() ([]byte, error) {
-	var buf bytes.Buffer
-	cw := checkpoint.NewWriter(&buf)
-	var enc checkpoint.Enc
-	enc.Int(len(w.order))
-	enc.U64(w.sent)
-	enc.U64(w.received)
-	enc.Int(len(w.localBuf))
-	for i := range w.localBuf {
-		encEventInto(&enc, &w.localBuf[i].ev)
-	}
-	if err := cw.Section(secWorker, enc.Bytes()); err != nil {
-		return nil, err
-	}
-	for _, lp := range w.order {
-		var eng bytes.Buffer
-		if err := lp.E.Checkpoint(&eng); err != nil {
-			return nil, fmt.Errorf("distsim: LP %d: %w", lp.ID, err)
-		}
-		var lpEnc checkpoint.Enc
-		lpEnc.Int(lp.ID)
-		lpEnc.U64(lp.sendSeq)
-		lpEnc.Raw(eng.Bytes())
-		if err := cw.Section(secLP, lpEnc.Bytes()); err != nil {
-			return nil, err
-		}
-	}
-	if w.Model != nil {
-		state, err := w.Model.MarshalState()
-		if err != nil {
-			return nil, fmt.Errorf("distsim: model state: %w", err)
-		}
-		if err := cw.Section(secModel, state); err != nil {
-			return nil, err
-		}
-	}
-	if err := cw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// restore overwrites the worker's state from a snapshot (engines must
-// exist: restore happens after config and Setup). The snapshot's LP
-// set may differ from the worker's current one — live migration can
-// move LPs between the checkpointed barrier and a rollback — in which
-// case ownership is reconciled first: LPs the snapshot does not cover
-// are dropped, LPs it covers but the worker lacks are built fresh
-// (which requires the model to implement Migrator, for the per-LP
-// install hook).
-func (w *Worker) restore(data []byte) error {
-	snap, err := checkpoint.Read(bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	wSec, ok := snap.Section(secWorker)
-	if !ok {
-		return fmt.Errorf("snapshot has no %s section", secWorker)
-	}
-	d := checkpoint.NewDec(wSec)
-	n := d.Int()
-	sent := d.U64()
-	received := d.U64()
-	nLocal := d.Int()
-	// Local-buffer events bind to LP structs only after ownership is
-	// reconciled below.
-	raw := make([]Event, 0, nLocal)
-	for i := 0; i < nLocal; i++ {
-		ev := decEventFrom(d)
-		if err := d.Err(); err != nil {
-			return err
-		}
-		raw = append(raw, ev)
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	lpSecs := snap.All(secLP)
-	if len(lpSecs) != n {
-		return fmt.Errorf("snapshot has %d LP sections, want %d", len(lpSecs), n)
-	}
-	modelState, hasModel := snap.Section(secModel)
-	if hasModel && w.Model == nil {
-		return fmt.Errorf("snapshot carries model state but the worker has no Model")
-	}
-	if !hasModel && w.Model != nil {
-		return fmt.Errorf("snapshot has no model state but the worker has a Model")
-	}
-
-	// Snapshot sections were written in the donor's ID-sorted LP order,
-	// so after reconciliation they line up positionally with w.order.
-	type lpSnap struct {
-		id      int
-		sendSeq uint64
-		eng     []byte
-	}
-	snaps := make([]lpSnap, n)
-	want := make(map[int]bool, n)
-	for i, payload := range lpSecs {
-		ld := checkpoint.NewDec(payload)
-		snaps[i] = lpSnap{id: ld.Int(), sendSeq: ld.U64(), eng: ld.Raw()}
-		if err := ld.Err(); err != nil {
-			return err
-		}
-		want[snaps[i].id] = true
-	}
-	differs := n != len(w.order)
-	if !differs {
-		for i, lp := range w.order {
-			if snaps[i].id != lp.ID {
-				differs = true
-				break
-			}
-		}
-	}
-	if differs {
-		mig, err := w.migrator()
-		if err != nil {
-			return fmt.Errorf("snapshot LP set differs from owned set: %w", err)
-		}
-		for i := len(w.order) - 1; i >= 0; i-- {
-			lp := w.order[i]
-			if want[lp.ID] {
-				continue
-			}
-			delete(w.lps, lp.ID)
-			w.order = slices.Delete(w.order, i, i+1)
-			w.ids = slices.Delete(w.ids, i, i+1)
-			if wo := w.obs; wo != nil {
-				wo.removeLP(i)
-			}
-		}
-		for _, s := range snaps {
-			if _, owned := w.lps[s.id]; owned {
-				continue
-			}
-			lp := &LP{ID: s.id, w: w}
-			w.initLP(lp)
-			pos, _ := slices.BinarySearch(w.ids, s.id)
-			if wo := w.obs; wo != nil {
-				wo.insertLP(pos, lp)
-			}
-			mig.InstallLP(lp)
-			if lp.OnMessage == nil {
-				return fmt.Errorf("model InstallLP left LP %d without an OnMessage handler", s.id)
-			}
-			w.lps[s.id] = lp
-			w.order = slices.Insert(w.order, pos, lp)
-			w.ids = slices.Insert(w.ids, pos, s.id)
-		}
-	}
-
-	for i, s := range snaps {
-		lp := w.order[i]
-		if s.id != lp.ID {
-			return fmt.Errorf("snapshot LP section %d is for LP %d, worker has LP %d", i, s.id, lp.ID)
-		}
-		if err := lp.E.Restore(bytes.NewReader(s.eng)); err != nil {
-			return fmt.Errorf("LP %d: %w", s.id, err)
-		}
-		lp.sendSeq = s.sendSeq
-		// Load-signal watermarks restart from the restored counters so
-		// the next delta cannot underflow.
-		lp.prevExec = lp.E.Stats().Executed
-		lp.busyNs = 0
-	}
-	if w.Model != nil {
-		// UnmarshalState replaces the model's whole state, including any
-		// per-LP slices a reconcile touched above.
-		if err := w.Model.UnmarshalState(modelState); err != nil {
-			return fmt.Errorf("model state: %w", err)
-		}
-	}
-	local := make([]localEvent, 0, len(raw))
-	for _, ev := range raw {
-		lp := w.lps[ev.To]
-		if lp == nil {
-			return fmt.Errorf("snapshot buffers an event for foreign LP %d", ev.To)
-		}
-		local = append(local, localEvent{ev: ev, lp: lp})
-	}
-	w.sent = sent
-	w.received = received
-	w.localBuf = local
-	w.outbox = nil
-	// The stashed done frame described the pre-rollback timeline; after
-	// a restore the engines no longer match it, and the window anchor
-	// must not collide with a re-sent post-rollback window.
-	w.clearStash()
-	return nil
-}
+// decoder's payload (see checkpoint.Dec.RawView): snapshot buffers are
+// owned and never reused, and the frame receive path consumes or
+// copies events before its read buffer turns over.
+func decEventFrom(d *checkpoint.Dec) Event { return winsync.DecodeEvent(d) }
 
 // clusterCheckpoint is the coordinator's consistent cut of a run.
 type clusterCheckpoint struct {

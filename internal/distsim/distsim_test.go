@@ -195,28 +195,3 @@ func TestWorkerRequiresSetup(t *testing.T) {
 		t.Fatal("missing Setup not reported")
 	}
 }
-
-func TestSubLookaheadSendPanics(t *testing.T) {
-	c := NewCoordinator(2, 1.0, 5, 1)
-	w0 := NewWorker(0)
-	w1 := NewWorker(1)
-	panicked := make(chan bool, 1)
-	w0.Setup = func(w *Worker) {
-		lp := w.LP(0)
-		lp.OnMessage = func(Event) {}
-		lp.E.Schedule(0.1, func() {
-			defer func() { panicked <- recover() != nil }()
-			lp.Send(1, 0.2, nil)
-		})
-	}
-	w1.Setup = func(w *Worker) { w.LP(1).OnMessage = func(Event) {} }
-	launch(t, c, []*Worker{w0, w1})
-	select {
-	case ok := <-panicked:
-		if !ok {
-			t.Fatal("sub-lookahead send did not panic")
-		}
-	default:
-		t.Fatal("send probe never ran")
-	}
-}

@@ -156,14 +156,15 @@ const (
 // the LP inside a window), optional per-pool-thread rings for
 // window-phase spans, a worker ring, and the previous-ship histogram
 // copies behind the delta encoding. Enabled by the coordinator's
-// config frame (ObsEvery > 0) or locally via
-// Worker.EnableObservability.
+// config frame (ObsEvery > 0).
 type workerObs struct {
 	every   int
 	spanCap int // recorder capacity, kept so migrated-in LPs get equal rings
-	lpMets  []*obs.Metrics
-	lpRecs  []*obs.Recorder
-	rec     *obs.Recorder
+	// ids, lpMets and lpRecs are parallel, in ascending LP ID.
+	ids    []int
+	lpMets []*obs.Metrics
+	lpRecs []*obs.Recorder
+	rec    *obs.Recorder
 	// poolRecs holds one span ring per intra-worker pool thread
 	// (Threads > 1 only); each is single-writer by its thread.
 	poolRecs []*obs.Recorder
@@ -184,37 +185,21 @@ type workerObs struct {
 	prevBarrier obs.Histogram
 	prevDeliver obs.Histogram
 
-	buf         []byte   // reused snapshot encode buffer
-	loads       []lpLoad // reused per-LP counter scratch
-	waitStart   int64    // barrier-wait start (0 = not waiting)
-	windows     uint64   // windows executed since enable
-	droppedBase uint64   // drops carried over from migrated-away LP recorders
+	buf         []byte           // reused snapshot encode buffer
+	loads       []partition.Load // reused scratch: cumulative per-LP counters
+	waitStart   int64            // barrier-wait start (0 = not waiting)
+	windows     uint64           // windows executed since enable
+	droppedBase uint64           // drops carried over from migrated-away LP recorders
 }
 
-// lpLoad is one LP's cumulative execution signal inside an obs
-// snapshot (distinct from partition.Load, which carries per-window
-// deltas on done frames).
-type lpLoad struct {
-	id   int
-	exec uint64
-	busy uint64
-}
-
-func newWorkerObs(every, spanCap, lps int) *workerObs {
+func newWorkerObs(every, spanCap int) *workerObs {
 	if every <= 0 {
 		every = 4
 	}
 	if spanCap <= 0 {
 		spanCap = 1 << 12
 	}
-	wo := &workerObs{every: every, spanCap: spanCap, rec: obs.NewRecorder(spanCap)}
-	wo.lpRecs = make([]*obs.Recorder, lps)
-	wo.lpMets = make([]*obs.Metrics, lps)
-	for i := range wo.lpRecs {
-		wo.lpRecs[i] = obs.NewRecorder(spanCap)
-		wo.lpMets[i] = &obs.Metrics{}
-	}
-	return wo
+	return &workerObs{every: every, spanCap: spanCap, rec: obs.NewRecorder(spanCap)}
 }
 
 // addPoolRecs equips the intra-worker pool threads with their own span
@@ -226,27 +211,38 @@ func (wo *workerObs) addPoolRecs(threads int) {
 	}
 }
 
-// removeLP drops the recorder and metrics at position i (its LP
-// migrated away), folding the overwrite count and the cumulative
-// histograms into the carried bases so neither total ever regresses
-// beneath the delta encoding.
-func (wo *workerObs) removeLP(i int) {
+// removeLP drops the recorder and metrics of an LP that left the
+// worker (migrated away, or dropped by a rollback), folding the
+// overwrite count and the cumulative histograms into the carried bases
+// so neither total ever regresses beneath the delta encoding.
+func (wo *workerObs) removeLP(id int) {
+	i, ok := slices.BinarySearch(wo.ids, id)
+	if !ok {
+		return
+	}
 	wo.droppedBase += wo.lpRecs[i].Dropped()
 	wo.metBase.Exec.Merge(&wo.lpMets[i].Exec)
 	wo.metBase.Dwell.Merge(&wo.lpMets[i].Dwell)
+	wo.ids = slices.Delete(wo.ids, i, i+1)
 	wo.lpRecs = slices.Delete(wo.lpRecs, i, i+1)
 	wo.lpMets = slices.Delete(wo.lpMets, i, i+1)
 }
 
-// insertLP equips a migrated-in LP with a fresh recorder and metrics
-// at position pos (lpRecs/lpMets stay aligned with the worker's
-// ID-sorted LP order). The LP's history stays in the donor's carried
-// base, so cluster totals remain cumulative.
-func (wo *workerObs) insertLP(pos int, lp *LP) {
-	r := obs.NewRecorder(wo.spanCap)
-	m := &obs.Metrics{}
+// addLP makes a fresh recorder and metrics for LP id. A migrated-in
+// LP's history stays in the donor's carried base, so cluster totals
+// remain cumulative.
+func (wo *workerObs) addLP(id int) (*obs.Recorder, *obs.Metrics) {
+	r, m := obs.NewRecorder(wo.spanCap), &obs.Metrics{}
+	pos, _ := slices.BinarySearch(wo.ids, id)
+	wo.ids = slices.Insert(wo.ids, pos, id)
 	wo.lpRecs = slices.Insert(wo.lpRecs, pos, r)
 	wo.lpMets = slices.Insert(wo.lpMets, pos, m)
+	return r, m
+}
+
+// attach equips an LP's engine with its own recorder and metrics.
+func (wo *workerObs) attach(lp *LP) {
+	r, m := wo.addLP(lp.ID)
 	lp.E.SetObserver(des.Observer{Recorder: r, Metrics: m, Track: lp.ID})
 }
 
@@ -266,7 +262,7 @@ func (wo *workerObs) dropped() uint64 {
 // deltas since the previous ship. The final form appends the trace
 // rings. The delta path allocates nothing once the buffer has warmed
 // up (TestObsPiggybackZeroAlloc).
-func (wo *workerObs) encode(wire *WireStats, ids []int, loads []lpLoad, final bool) []byte {
+func (wo *workerObs) encode(wire *WireStats, loads []partition.Load, final bool) []byte {
 	enc := checkpoint.NewEnc(wo.buf)
 	if final {
 		enc.U64(obsFinal)
@@ -295,15 +291,15 @@ func (wo *workerObs) encode(wire *WireStats, ids []int, loads []lpLoad, final bo
 	// load signal the adaptive partitioner surfaces in live metrics.
 	enc.Int(len(loads))
 	for i := range loads {
-		enc.Int(loads[i].id)
-		enc.U64(loads[i].exec)
-		enc.U64(loads[i].busy)
+		enc.Int(loads[i].LP)
+		enc.U64(loads[i].Events)
+		enc.U64(loads[i].BusyNs)
 	}
 	if final {
 		enc.Int(len(wo.lpRecs) + 1 + len(wo.poolRecs))
 		obs.AppendSpanTrack(&enc, obs.SpanTrack{Name: "worker", TID: 0, Spans: wo.rec.Spans()})
 		for i, r := range wo.lpRecs {
-			name := fmt.Sprintf("lp-%d", ids[i])
+			name := fmt.Sprintf("lp-%d", wo.ids[i])
 			obs.AppendSpanTrack(&enc, obs.SpanTrack{Name: name, TID: i + 1, Spans: r.Spans()})
 		}
 		// Pool-thread tracks ride after the LP tracks: the merged
@@ -638,23 +634,24 @@ func (co *ClusterObs) WriteMergedTrace(w io.Writer) error {
 }
 
 // ObsPiggybackBench drives one steady-state snapshot cycle — worker
-// delta encode plus coordinator fold — in isolation. Exported for the
-// benchjson harness (internal/experiments) and the zero-alloc test;
-// not part of the simulation API.
+// delta encode plus coordinator fold — in isolation. Exported for
+// lsbench's obs.piggyback_ns probe; BenchmarkObsPiggyback and the
+// zero-alloc test use it too. Not part of the simulation API.
 type ObsPiggybackBench struct {
 	wo    *workerObs
 	wire  WireStats
 	co    *ClusterObs
-	ids   []int
-	loads []lpLoad
+	loads []partition.Load
 }
 
 func NewObsPiggybackBench() *ObsPiggybackBench {
 	pb := &ObsPiggybackBench{
-		wo:    newWorkerObs(1, 1<<10, 3),
+		wo:    newWorkerObs(1, 1<<10),
 		co:    &ClusterObs{every: 1, spanCap: 1 << 10, rec: obs.NewRecorder(1 << 10)},
-		ids:   []int{0, 1, 2},
-		loads: []lpLoad{{id: 0, exec: 40, busy: 9000}, {id: 1, exec: 35, busy: 7500}, {id: 2, exec: 38, busy: 8100}},
+		loads: []partition.Load{{LP: 0, Events: 40, BusyNs: 9000}, {LP: 1, Events: 35, BusyNs: 7500}, {LP: 2, Events: 38, BusyNs: 8100}},
+	}
+	for id := range pb.loads {
+		pb.wo.addLP(id)
 	}
 	pb.co.bind([]*WireStats{&pb.wire})
 	return pb
@@ -673,6 +670,6 @@ func (pb *ObsPiggybackBench) Cycle() (int, error) {
 	pb.wo.lpMets[2].Dwell.Observe(1 << 20)
 	pb.wo.barrierWait.Observe(45000)
 	pb.wo.deliver.Observe(3200)
-	payload := pb.wo.encode(&pb.wire, pb.ids, pb.loads, false)
+	payload := pb.wo.encode(&pb.wire, pb.loads, false)
 	return len(payload), pb.co.fold(0, payload)
 }

@@ -1,263 +1,50 @@
 package distsim
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"time"
+import "repro/internal/winsync"
 
-	"repro/internal/checkpoint"
-	"repro/internal/des"
-)
+// PHOLDModel is winsync's PHOLD benchmark model. It is the model
+// parsim.NewPHOLD runs in one process, so a distributed PHOLD run can
+// be checked bit for bit against a single-process one — the strongest
+// statement a distributed engine can make about its synchronization.
+type PHOLDModel = winsync.PHOLD
 
-// PHOLDModel installs the PHOLD benchmark (see package parsim) on a
-// worker: a fixed job population hopping between LPs. The model logic,
-// random-stream consumption and parameters replicate parsim.PHOLD
-// exactly, which lets tests assert that a TCP-distributed run is
-// bit-identical to a single-process run — the strongest statement a
-// distributed engine can make about its synchronization.
-//
-// The model is checkpointable: jobs are scheduled as registered ops
-// ("phold.hop") and the per-LP counters ride in worker snapshots, so a
-// crashed worker can be replaced and rolled back mid-run.
-type PHOLDModel struct {
-	TotalLPs   int
-	JobsPerLP  int
-	RemoteProb float64
-	Work       int
-	// DelayFactor is the mean event spacing in lookaheads (the
-	// canonical PHOLD uses 4; large values make traffic sparse).
-	DelayFactor float64
-	// SkewHot makes LPs with ID < SkewHot "hot": their event spacing is
-	// divided by SkewFactor, so they process SkewFactor times the
-	// events. The hot LPs' random draws still mirror the skewed parsim
-	// reference exactly (NewPHOLDSkew), so skewed runs stay
-	// bit-comparable.
-	SkewHot    int
-	SkewFactor float64
-	// HotHoldNs adds a per-event wall-clock hold (a sleep) on hot LPs,
-	// modeling expensive entities without touching simulation state —
-	// the signal load-aware rebalancing exists to exploit.
-	HotHoldNs int
-
-	meanDelay float64
-	// lps holds each LP's model state behind a stable pointer: the hop
-	// closures capture their own entry, so mid-window mutation touches
-	// only per-LP memory — safe under the intra-worker pool — while
-	// the map itself is only written at barriers (Setup, migration,
-	// restore).
-	lps map[int]*pholdLP
-}
-
-// pholdLP is one LP's model state: counters written during windows
-// (exclusively by the thread running the LP) and the registered hop op.
-type pholdLP struct {
-	events uint64
-	sink   float64
-	hopOp  des.Op
-}
-
-// InstallPHOLD wires the model into the worker's Setup/CountEvents
-// hooks and attaches it as the worker's checkpointable Model, with the
-// canonical mean event spacing of 4 lookaheads. Call before
-// Worker.Run.
+// InstallPHOLD wires the model into the worker's Setup, InstallLP and
+// CountEvents hooks, with the canonical mean event spacing of 4
+// lookaheads. Call before Worker.Run.
 func InstallPHOLD(w *Worker, totalLPs, jobsPerLP int, remoteProb float64, work int) *PHOLDModel {
 	return InstallPHOLDFactor(w, totalLPs, jobsPerLP, remoteProb, work, 4)
 }
 
-// InstallPHOLDFactor is InstallPHOLD with an explicit delay factor,
-// mirroring parsim.NewPHOLDFactor draw for draw: large factors produce
-// the sparse traffic that exercises coordinator window skipping while
-// staying bit-comparable to the single-process reference.
+// InstallPHOLDFactor is InstallPHOLD with an explicit delay factor:
+// large factors produce the sparse traffic that exercises coordinator
+// window skipping.
 func InstallPHOLDFactor(w *Worker, totalLPs, jobsPerLP int, remoteProb float64, work int, delayFactor float64) *PHOLDModel {
 	return InstallPHOLDSkew(w, totalLPs, jobsPerLP, remoteProb, work, delayFactor, 0, 1, 0)
 }
 
 // InstallPHOLDSkew is InstallPHOLDFactor with a hot spot: LPs with ID
-// < skewHot draw their event spacing from meanDelay/skewFactor — more
-// events per window — and additionally hold the hosting worker for
-// hotHoldNs wall ns per event. It mirrors parsim.NewPHOLDSkew draw for
-// draw, so a skewed distributed run (with or without live rebalancing)
-// is bit-comparable to the single-process reference; the hold shapes
-// wall time only.
+// < skewHot draw their event spacing from a mean skewFactor times
+// shorter — more events per window — and additionally hold the hosting
+// worker for hotHoldNs wall ns per event; the hold shapes wall time
+// only.
 func InstallPHOLDSkew(w *Worker, totalLPs, jobsPerLP int, remoteProb float64, work int, delayFactor float64, skewHot int, skewFactor float64, hotHoldNs int) *PHOLDModel {
-	if delayFactor <= 0 {
-		panic(fmt.Sprintf("distsim: InstallPHOLDFactor with delay factor %v", delayFactor))
-	}
 	m := &PHOLDModel{
-		TotalLPs:    totalLPs,
-		JobsPerLP:   jobsPerLP,
-		RemoteProb:  remoteProb,
-		Work:        work,
-		DelayFactor: delayFactor,
-		SkewHot:     skewHot,
-		SkewFactor:  skewFactor,
-		HotHoldNs:   hotHoldNs,
-		lps:         make(map[int]*pholdLP),
+		TotalLPs: totalLPs, JobsPerLP: jobsPerLP, RemoteProb: remoteProb, Work: work,
+		DelayFactor: delayFactor, SkewHot: skewHot, SkewFactor: skewFactor, HotHoldNs: hotHoldNs,
 	}
 	w.Setup = func(w *Worker) {
-		m.meanDelay = m.DelayFactor * w.Lookahead()
 		for _, lp := range w.LPs() {
-			m.InstallLP(lp)
-			for j := 0; j < m.JobsPerLP; j++ {
-				lp.E.ScheduleOp(m.drawDelay(lp), m.lps[lp.ID].hopOp, nil)
-			}
+			m.Install(lp)
+			m.Seed(lp)
 		}
 	}
+	w.InstallLP = m.Install
 	w.CountEvents = func() map[int]uint64 {
-		counts := make(map[int]uint64, len(m.lps))
-		for id, st := range m.lps {
-			counts[id] = st.events
+		counts := make(map[int]uint64, len(w.LPs()))
+		for _, lp := range w.LPs() {
+			counts[lp.ID] = m.Events(lp)
 		}
 		return counts
 	}
-	w.Model = m
 	return m
-}
-
-// lpMean is the LP's mean event spacing: hot LPs run SkewFactor times
-// as often.
-func (m *PHOLDModel) lpMean(id int) float64 {
-	if id < m.SkewHot && m.SkewFactor > 1 {
-		return m.meanDelay / m.SkewFactor
-	}
-	return m.meanDelay
-}
-
-func (m *PHOLDModel) drawDelay(lp *LP) float64 {
-	d := lp.E.Rand().Exp(1 / m.lpMean(lp.ID))
-	if d < lp.w.lookahead {
-		d = lp.w.lookahead
-	}
-	return d
-}
-
-func (m *PHOLDModel) hop(lp *LP, st *pholdLP) {
-	st.events++
-	acc := 1.0001
-	for i := 0; i < m.Work; i++ {
-		acc = math.Sqrt(acc*1.7 + float64(i&7))
-	}
-	st.sink += acc
-	if lp.ID < m.SkewHot && m.HotHoldNs > 0 {
-		// Wall-clock cost only: the hold draws nothing and schedules
-		// nothing, so output is independent of where the LP runs.
-		time.Sleep(time.Duration(m.HotHoldNs))
-	}
-	delay := m.drawDelay(lp)
-	if m.TotalLPs > 1 && lp.E.Rand().Bernoulli(m.RemoteProb) {
-		target := lp.E.Rand().Intn(m.TotalLPs - 1)
-		if target >= lp.ID {
-			target++
-		}
-		lp.Send(target, delay, nil)
-		return
-	}
-	lp.E.ScheduleOp(delay, st.hopOp, nil)
-}
-
-// InstallLP implements Migrator: it prepares an LP the way Setup
-// prepares the initial set — message handler plus the registered
-// "phold.hop" op — but schedules no jobs; an adopted LP's pending
-// jobs arrive with its engine snapshot. The hop closures capture the
-// LP's own state entry, so nothing shared is touched mid-window.
-func (m *PHOLDModel) InstallLP(lp *LP) {
-	st := &pholdLP{}
-	m.lps[lp.ID] = st
-	lp.OnMessage = func(Event) { m.hop(lp, st) }
-	st.hopOp = lp.E.RegisterOp("phold.hop", func([]byte) { m.hop(lp, st) })
-}
-
-// MarshalLP implements Migrator: it extracts one departing LP's
-// counters and removes them from this model instance, so the donor's
-// next snapshot no longer claims the LP.
-func (m *PHOLDModel) MarshalLP(id int) ([]byte, error) {
-	st := m.lps[id]
-	if st == nil {
-		return nil, fmt.Errorf("distsim: PHOLD has no state for LP %d", id)
-	}
-	var enc checkpoint.Enc
-	enc.U64(st.events)
-	enc.F64(st.sink)
-	delete(m.lps, id)
-	return enc.Bytes(), nil
-}
-
-// UnmarshalLP implements Migrator: it installs an adopted LP's
-// counters into the state entry InstallLP created — in place, because
-// the hop closures already hold the pointer.
-func (m *PHOLDModel) UnmarshalLP(id int, data []byte) error {
-	d := checkpoint.NewDec(data)
-	ev := d.U64()
-	sink := d.F64()
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("distsim: PHOLD LP %d state: %w", id, err)
-	}
-	st := m.lps[id]
-	if st == nil {
-		return fmt.Errorf("distsim: PHOLD LP %d state arrived before InstallLP", id)
-	}
-	st.events = ev
-	st.sink = sink
-	return nil
-}
-
-// MarshalState serializes the per-LP counters in sorted LP order (maps
-// iterate randomly; snapshots must be deterministic).
-func (m *PHOLDModel) MarshalState() ([]byte, error) {
-	ids := make([]int, 0, len(m.lps))
-	for id := range m.lps {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	var enc checkpoint.Enc
-	enc.Int(len(ids))
-	for _, id := range ids {
-		enc.Int(id)
-		enc.U64(m.lps[id].events)
-		enc.F64(m.lps[id].sink)
-	}
-	return enc.Bytes(), nil
-}
-
-// UnmarshalState restores the per-LP counters from a snapshot —
-// mutating existing entries in place (their hop closures are already
-// bound into live engines) and creating entries the snapshot covers
-// but InstallLP has not seen yet.
-func (m *PHOLDModel) UnmarshalState(data []byte) error {
-	d := checkpoint.NewDec(data)
-	n := d.Int()
-	type lpState struct {
-		id     int
-		events uint64
-		sink   float64
-	}
-	states := make([]lpState, 0, n)
-	for i := 0; i < n; i++ {
-		states = append(states, lpState{id: d.Int(), events: d.U64(), sink: d.F64()})
-	}
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("distsim: PHOLD state: %w", err)
-	}
-	// The snapshot defines the whole state: entries it does not cover
-	// belong to LPs the rollback reconcile dropped from this worker.
-	covered := make(map[int]bool, len(states))
-	for _, s := range states {
-		covered[s.id] = true
-	}
-	for id := range m.lps {
-		if !covered[id] {
-			delete(m.lps, id)
-		}
-	}
-	for _, s := range states {
-		st := m.lps[s.id]
-		if st == nil {
-			st = &pholdLP{}
-			m.lps[s.id] = st
-		}
-		st.events = s.events
-		st.sink = s.sink
-	}
-	return nil
 }

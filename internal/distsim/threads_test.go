@@ -314,7 +314,8 @@ func TestThreadsHeartbeatDuringBusyWindow(t *testing.T) {
 
 	wc, cc := net.Pipe()
 	werr := make(chan error, 1)
-	go func() { werr <- w.RunConn(wc) }()
+	w.Dial = func() (net.Conn, error) { return wc, nil }
+	go func() { werr <- w.Run("") }()
 
 	l := newLink(newPeer(cc))
 	defer l.close()
@@ -369,7 +370,7 @@ func TestThreadsHeartbeatDuringBusyWindow(t *testing.T) {
 		}
 	}
 
-	// Shut the worker down cleanly so RunConn's error reflects the
+	// Shut the worker down cleanly so Run's error reflects the
 	// protocol, not the teardown.
 	if err := l.send(&frame{Kind: frameStop}); err != nil {
 		t.Fatalf("stop: %v", err)

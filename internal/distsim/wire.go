@@ -1,13 +1,13 @@
 package distsim
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/checkpoint"
 	"repro/internal/partition"
+	"repro/internal/winsync"
 )
 
 // This file defines the frame vocabulary of the distsim wire protocol
@@ -20,33 +20,12 @@ import (
 // damaged frame is a typed, recoverable error on exactly the frame it
 // hit, and the transport can resynchronize by reconnecting.
 
-// Event is one cross-LP message on the wire.
-type Event struct {
-	Time float64 // absolute delivery time
-	From int     // sending LP
-	To   int     // receiving LP
-	Seq  uint64  // per-sender sequence, for deterministic ordering
-	Data []byte  // opaque model payload
-}
+// Event is one cross-LP message, on the wire as everywhere else.
+type Event = winsync.Event
 
 // eventOrder is the deterministic global delivery order — (sending
-// LP, per-sender sequence) — shared by the coordinator's window merge
-// and the worker's delivery merge. It replaces the reflection-based
-// sort.Slice on both hot paths; TestDistributedPHOLDMatchesSingleProcess
-// pins that the ordering is unchanged.
-func eventOrder(a, b Event) int {
-	if a.From != b.From {
-		return cmp.Compare(a.From, b.From)
-	}
-	return cmp.Compare(a.Seq, b.Seq)
-}
-
-// lpOrder is the worker's canonical LP iteration order (ascending ID)
-// — the order LPs execute in sequentially, the order their per-LP
-// send buffers flush in after a parallel window, and the order
-// migration keeps Worker.order sorted in. One comparator, so the
-// "parallel ≡ sequential" argument rests on a single definition.
-func lpOrder(a, b *LP) int { return cmp.Compare(a.ID, b.ID) }
+// LP, per-sender sequence) — the coordinator's window merge sorts by.
+func eventOrder(a, b Event) int { return winsync.EventOrder(a, b) }
 
 // frameKind discriminates protocol frames.
 type frameKind uint8

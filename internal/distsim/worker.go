@@ -1,6 +1,7 @@
 package distsim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -9,10 +10,11 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/des"
+	"repro/internal/eventq"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/pool"
+	"repro/internal/winsync"
 )
 
 // DefaultConnectRetries is how many dial/handshake attempts a worker
@@ -37,71 +39,7 @@ const DefaultMaxPark = 64
 var ErrCoordinatorLost = errors.New("distsim: coordinator lost")
 
 // LP is a worker-local logical process.
-type LP struct {
-	ID int
-	E  *des.Engine
-	// OnMessage handles events addressed to this LP; it runs in engine
-	// context at the event's timestamp. Must be set by the model
-	// before Worker.Run.
-	OnMessage func(ev Event)
-
-	w       *Worker
-	sendSeq uint64
-	// msgOp is the registered delivery op ("distsim.msg"): inbound
-	// events are scheduled as ops carrying the encoded Event, so the
-	// pending set is always serializable into a snapshot.
-	msgOp des.Op
-
-	// Per-LP send buffers: during a window every send lands here, so
-	// LPs running on different pool threads never share a slice. The
-	// barrier-time flushSends drains them into the worker-level outbox
-	// and local buffer in LP-ID order — byte-identical to what
-	// sequential execution would have appended directly. pendSent is
-	// the matching window-local piece of Worker.sent.
-	outbox   []Event
-	local    []localEvent
-	pendSent uint64
-
-	// Load-signal bookkeeping for adaptive partitioning: busyNs is the
-	// wall time spent in RunUntil since the last done frame (shipped as
-	// a delta and reset), busyTotal the cumulative time for obs
-	// snapshots, prevExec the executed-event watermark behind the
-	// per-window delta. Written only by whichever pool thread holds the
-	// LP inside a window; read at barriers.
-	busyNs    int64
-	busyTotal int64
-	prevExec  uint64
-}
-
-// Send routes an event to another LP (local or remote) delay seconds
-// from the LP's local now; delay must be at least the lookahead.
-func (lp *LP) Send(to int, delay float64, data []byte) {
-	if delay < lp.w.lookahead {
-		panic(fmt.Sprintf("distsim: Send with delay %v below lookahead %v", delay, lp.w.lookahead))
-	}
-	lp.sendSeq++
-	ev := Event{
-		Time: lp.E.Now() + delay,
-		From: lp.ID, To: to,
-		Seq:  lp.sendSeq,
-		Data: data,
-	}
-	lp.pendSent++
-	// The ownership map is only mutated at window barriers (migration,
-	// restore), so the lookup is safe from any pool thread mid-window.
-	if target, local := lp.w.lps[to]; local {
-		// Local fast path, buffered with the same ordering key so
-		// local and remote delivery are indistinguishable.
-		lp.local = append(lp.local, localEvent{ev: ev, lp: target})
-		return
-	}
-	lp.outbox = append(lp.outbox, ev)
-}
-
-type localEvent struct {
-	ev Event
-	lp *LP
-}
+type LP = winsync.LP
 
 // Worker owns a subset of LPs and executes windows on command from the
 // coordinator. A worker survives connection loss: transport failures
@@ -110,29 +48,23 @@ type localEvent struct {
 // lives in this process, not in the connection — picks up exactly
 // where the wire broke.
 type Worker struct {
-	lps   map[int]*LP
-	order []*LP // deterministic iteration
-	ids   []int // owned LP IDs, sorted
+	// g holds the LPs and runs the windows; it exists once the config
+	// frame has brought the lookahead and seed. ids is the LP set
+	// NewWorker was given, the worker's identity until then.
+	g   *winsync.Group
+	ids []int
 
-	lookahead float64
-	horizon   float64
-	seed      uint64
-	session   uint64
+	session uint64
 
-	outbox   []Event
-	localBuf []localEvent
-	mergeBuf []Event // deliver's reused merge scratch
-	sent     uint64
-	received uint64
+	// outbox holds the flushed events for LPs of other workers, until
+	// the next done frame ships them.
+	outbox []Event
 
-	// Intra-worker execution pool, of one thread at Threads <= 1:
-	// poolEnd/poolSeq/poolTimed are plain fields published to the pool
-	// threads by the token barrier inside pl.Run, exactly like parsim's
-	// windowEnd.
-	pl        *pool.Pool
-	poolEnd   float64
-	poolSeq   uint64
-	poolTimed bool
+	// winEnd/winSeq describe the window being executed; the barrier
+	// inside the group's RunWindow publishes them to the pool threads
+	// (observePoolPhases).
+	winEnd float64
+	winSeq uint64
 
 	// collectLoads mirrors the config's RebalanceEvery > 0: the
 	// coordinator wants per-LP load deltas on every done frame.
@@ -141,7 +73,6 @@ type Worker struct {
 	loadsBuf     []partition.Load
 
 	link         *link
-	ready        bool // engines built, Setup run
 	statsSent    bool
 	writeTimeout time.Duration
 
@@ -163,11 +94,8 @@ type Worker struct {
 	// worker ever dials (shared with each peer; see newWorkerLink).
 	wire WireStats
 	// obs is the worker-side recording state, nil unless enabled by the
-	// coordinator's config (ObsEvery > 0) or EnableObservability.
+	// coordinator's config (ObsEvery > 0).
 	obs *workerObs
-	// obsEvery/obsSpans hold a local EnableObservability request made
-	// before engines exist; applyConfig honors them over the config.
-	obsEvery, obsSpans int
 
 	// Dial opens a connection to the coordinator. Worker.Run sets it
 	// from its address argument when nil; tests and chaos harnesses
@@ -194,15 +122,14 @@ type Worker struct {
 	// Threads is the intra-worker execution pool size: with Threads > 1
 	// the worker's LPs may run across that many persistent goroutines
 	// inside each window (hierarchical parallelism — distributed across
-	// nodes, parallel within them). 0 or 1 executes LPs inline on the
-	// serve goroutine, and so does a larger pool in every window it has
-	// measured to be faster that way (internal/pool): the value is an
-	// upper bound. Results are bit-identical for every value: each
-	// LP writes its own outbox during the window and the barrier merges
-	// them in canonical LP order, so only wall time changes. The model
-	// must keep per-LP state independent during a window (mutate shared
-	// structures only in Setup / Migrator hooks, which run at
-	// barriers). Set before Run.
+	// nodes, parallel within them). The value is an upper bound: 0 or 1
+	// executes LPs inline on the serve goroutine, and so does a larger
+	// pool in every window it has measured to be faster that way
+	// (internal/pool). Results are bit-identical for every value
+	// (winsync.Group.Flush), so only wall time changes. The model must
+	// keep per-LP state independent during a window (mutate shared
+	// structures only in Setup / InstallLP, which run at barriers). Set
+	// before Run.
 	Threads int
 
 	// Setup is called once after the config frame arrives, when
@@ -215,9 +142,13 @@ type Worker struct {
 	// the final stats frame.
 	CountEvents func() map[int]uint64
 
-	// Model, when set, rides in worker snapshots: Checkpoint frames
-	// call MarshalState, restore frames call UnmarshalState.
-	Model checkpoint.Checkpointable
+	// InstallLP prepares an LP this worker adopts mid-run — through live
+	// migration, or a rollback to a checkpoint taken under another
+	// assignment — the way Setup prepared the initial ones: OnMessage,
+	// the model's registered ops on lp.E, lp.State; but no events, the
+	// LP's pending ones arrive with its image. Without it the worker's
+	// LPs can be neither donated to nor adopted.
+	InstallLP func(lp *LP)
 }
 
 // NewWorker creates a worker owning the given LP IDs.
@@ -225,36 +156,12 @@ func NewWorker(lpIDs ...int) *Worker {
 	if len(lpIDs) == 0 {
 		panic("distsim: NewWorker with no LPs")
 	}
-	w := &Worker{lps: make(map[int]*LP)}
-	for _, id := range lpIDs {
-		if _, dup := w.lps[id]; dup {
-			panic(fmt.Sprintf("distsim: duplicate LP %d", id))
-		}
-		lp := &LP{ID: id, w: w}
-		w.lps[id] = lp
-		w.order = append(w.order, lp)
+	ids := slices.Clone(lpIDs)
+	slices.Sort(ids)
+	if len(slices.Compact(slices.Clone(ids))) != len(ids) {
+		panic(fmt.Sprintf("distsim: duplicate LP in %v", lpIDs))
 	}
-	slices.SortFunc(w.order, lpOrder)
-	for _, lp := range w.order {
-		w.ids = append(w.ids, lp.ID)
-	}
-	return w
-}
-
-// EnableObservability requests worker-side recording regardless of
-// what the coordinator's config says: per-LP trace rings and shared
-// latency histograms, piggybacked to the coordinator every `every`
-// windows (non-positive picks the defaults: every 4, 4096 spans).
-// Normally the coordinator drives this through the config frame
-// (Coordinator.EnableObservability); call before Run.
-func (w *Worker) EnableObservability(every, spanCap int) {
-	if every <= 0 {
-		every = 4
-	}
-	if spanCap <= 0 {
-		spanCap = 1 << 12
-	}
-	w.obsEvery, w.obsSpans = every, spanCap
+	return &Worker{ids: ids}
 }
 
 // WireSnapshot returns the worker's cumulative transport counters —
@@ -271,14 +178,23 @@ func (w *Worker) newWorkerLink(conn net.Conn) *link {
 	return newLink(p)
 }
 
-// LP returns the worker-local LP by ID (nil when not owned).
-func (w *Worker) LP(id int) *LP { return w.lps[id] }
+// LP returns the worker-local LP by ID (nil when not owned). LPs exist
+// once the config frame has arrived: from Setup on.
+func (w *Worker) LP(id int) *LP { return w.g.LP(id) }
 
 // LPs returns the owned LPs in ID order.
-func (w *Worker) LPs() []*LP { return w.order }
+func (w *Worker) LPs() []*LP { return w.g.LPs() }
 
-// Lookahead returns the configured lookahead (valid after config).
-func (w *Worker) Lookahead() float64 { return w.lookahead }
+// lpIDs returns the IDs of the LPs the worker owns now, ascending.
+func (w *Worker) lpIDs() []int {
+	if w.g == nil {
+		return w.ids
+	}
+	return w.g.IDs()
+}
+
+// Lookahead returns the configured lookahead (from Setup on).
+func (w *Worker) Lookahead() float64 { return w.g.Lookahead() }
 
 func (w *Worker) retries() int {
 	switch {
@@ -314,7 +230,7 @@ func (w *Worker) maxPark() int {
 // deterministically.
 func (w *Worker) idSeed() uint64 {
 	h := uint64(1469598103934665603)
-	for _, id := range w.ids {
+	for _, id := range w.lpIDs() {
 		h ^= uint64(id)
 		h *= 1099511628211
 	}
@@ -340,28 +256,6 @@ func (w *Worker) Run(addr string) error {
 	if w.Dial == nil {
 		w.Dial = func() (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
-	return w.run(true)
-}
-
-// RunConn is Run over a single existing connection (tests use
-// in-memory pipes; cmd/lsnode uses Run). Without a dialer there is no
-// reconnect: the first transport failure is returned.
-func (w *Worker) RunConn(conn net.Conn) error {
-	l := w.newWorkerLink(conn)
-	defer l.close()
-	cfg, err := w.register(l)
-	if err != nil {
-		return err
-	}
-	if err := w.applyConfig(cfg); err != nil {
-		return err
-	}
-	defer w.closePool()
-	w.link = l
-	return w.serveConn()
-}
-
-func (w *Worker) run(reconnect bool) error {
 	bo := newBackoff(w.ConnectBackoff, w.idSeed(), "worker")
 	attempts := w.retries()
 
@@ -410,9 +304,6 @@ func (w *Worker) run(reconnect bool) error {
 		if errors.As(err, &fe) {
 			return err
 		}
-		if !reconnect {
-			return err
-		}
 		if rerr := w.reconnect(bo); rerr != nil {
 			if w.statsSent {
 				// The stats frame went out at least once and the
@@ -424,7 +315,7 @@ func (w *Worker) run(reconnect bool) error {
 			// carries is irreplaceable mid-run: park and keep redialing
 			// on the chance the coordinator crashed and is restarting
 			// from its journal to re-adopt us.
-			if w.ready && w.maxPark() > 0 {
+			if w.g != nil && w.maxPark() > 0 {
 				if perr := w.park(bo); perr == nil {
 					continue
 				}
@@ -438,7 +329,7 @@ func (w *Worker) run(reconnect bool) error {
 
 // register sends the registration frame and waits for the config.
 func (w *Worker) register(l *link) (*frame, error) {
-	if err := l.send(&frame{Kind: frameRegister, LPs: w.ids}); err != nil {
+	if err := l.send(&frame{Kind: frameRegister, LPs: w.lpIDs()}); err != nil {
 		return nil, err
 	}
 	f, err := l.recv(w.handshakeTimeout())
@@ -458,84 +349,116 @@ func (w *Worker) register(l *link) (*frame, error) {
 // applyConfig adopts the run parameters and — exactly once — builds
 // the LP engines and runs the model Setup hook.
 func (w *Worker) applyConfig(cfg *frame) error {
-	w.lookahead = cfg.Lookahead
-	w.horizon = cfg.Horizon
-	w.seed = cfg.Seed
 	w.session = cfg.Session
 	w.writeTimeout = time.Duration(cfg.TimeoutSec * float64(time.Second))
 	w.collectLoads = cfg.RebalanceEvery > 0
-	if w.ready {
+	if w.g != nil { // built at the first config; a redone handshake changes nothing
 		return nil
-	}
-	// Engines are seeded exactly as package parsim seeds its LPs, so a
-	// distributed run reproduces a single-process run bit for bit.
-	for _, lp := range w.order {
-		w.initLP(lp)
-	}
-	// Observability: the coordinator's config can switch on recording
-	// for the whole cluster; a local EnableObservability call (made
-	// before engines existed) takes precedence. Observers attach before
-	// Setup so even initial scheduling is on the record.
-	every, spans := w.obsEvery, w.obsSpans
-	if every == 0 && cfg.ObsEvery > 0 {
-		every, spans = cfg.ObsEvery, cfg.ObsSpans
-	}
-	if every > 0 {
-		wo := newWorkerObs(every, spans, len(w.order))
-		w.obs = wo
-		for i, lp := range w.order {
-			lp.E.SetObserver(des.Observer{Recorder: wo.lpRecs[i], Metrics: wo.lpMets[i], Track: lp.ID})
-		}
-	}
-	// The intra-worker pool outlives windows, migrations, and
-	// reconnects; it is created once here and closed when the worker's
-	// run ends. With obs on, each thread of a real pool gets its own
-	// span ring so the merged cluster trace shows per-thread busy/wait
-	// phases; a single thread's phases are the worker ring's already.
-	w.pl = pool.New(max(1, w.Threads), w.runLP)
-	if wo := w.obs; wo != nil && w.Threads > 1 {
-		wo.addPoolRecs(w.Threads)
-		w.pl.SetObserve(w.observePoolPhases)
 	}
 	if w.Setup == nil {
 		return fatalf("distsim: worker has no Setup hook")
 	}
-	w.Setup(w)
-	for _, lp := range w.order {
-		if lp.OnMessage == nil {
-			return fatalf("distsim: LP %d has no OnMessage handler", lp.ID)
+	// The group — engines, and the pool that outlives windows,
+	// migrations and reconnects — is built once here and stopped when
+	// the worker's run ends. The config frame does not carry the
+	// cluster's LP count, so an LP ID that is too large is still the
+	// coordinator's to refuse; a negative one never leaves Send.
+	w.g = winsync.NewGroup(w.ids, math.MaxInt, cfg.Lookahead, cfg.Seed, eventq.KindHeap)
+	if w.InstallLP != nil {
+		// An LP arriving mid-run gets its observer before the model's
+		// hook registers anything on it.
+		w.g.Install = func(lp *LP) {
+			if wo := w.obs; wo != nil {
+				wo.attach(lp)
+			}
+			w.InstallLP(lp)
 		}
 	}
-	// Models may Send during Setup; those land in the per-LP buffers
-	// like any window-time send and flush here, before the first window.
-	w.flushSends()
-	w.ready = true
+	// Observability: the coordinator's config switches on recording for
+	// the whole cluster. Observers attach before Setup so even initial
+	// scheduling is on the record. With obs on, each thread of a real
+	// pool gets its own span ring so the merged cluster trace shows
+	// per-thread busy/wait phases; a single thread's phases are the
+	// worker ring's already.
+	if cfg.ObsEvery > 0 {
+		wo := newWorkerObs(cfg.ObsEvery, cfg.ObsSpans)
+		w.obs = wo
+		for _, lp := range w.g.LPs() {
+			wo.attach(lp)
+		}
+		if w.Threads > 1 {
+			wo.addPoolRecs(w.Threads)
+			w.g.Observe = w.observePoolPhases
+		}
+	}
+	// Per-LP wall timing feeds the rebalancer's load signal and the obs
+	// per-LP counters; with neither consumer on, a window reads no clock.
+	w.g.Timed = w.collectLoads || w.obs != nil
+	w.Setup(w)
+	if err := w.g.Start(max(1, w.Threads)); err != nil {
+		return fatalf("distsim: %v", err)
+	}
+	// Models may Send during Setup; those flush here like any window's
+	// sends, before the first window.
+	w.outbox = w.g.Flush(w.outbox)
 	return nil
 }
 
 // closePool joins the intra-worker pool threads; idempotent, called
 // when the worker's run ends.
-func (w *Worker) closePool() { w.pl.Close() }
+func (w *Worker) closePool() {
+	if w.g != nil {
+		w.g.Stop()
+	}
+}
 
 // PoolStats reports how the intra-worker pool executed the windows so
 // far: inline on the serve goroutine or dispatched to its threads. Must
 // not be called while the worker is running.
-func (w *Worker) PoolStats() pool.Stats { return w.pl.Stats() }
+func (w *Worker) PoolStats() pool.Stats { return w.g.PoolStats() }
 
-// initLP equips an LP with its engine — seeded from the LP id alone,
-// so a given LP draws the same random stream no matter which worker
-// hosts it — and the "distsim.msg" delivery op every Restore depends
-// on. Used for the initial LP set at config time and for LPs adopted
-// through live migration.
-func (w *Worker) initLP(lp *LP) {
-	lp.E = des.NewEngine(des.WithSeed(w.seed + uint64(lp.ID)*0x9e3779b9))
-	lp.msgOp = lp.E.RegisterOp("distsim.msg", func(arg []byte) {
-		ev, err := decodeEvent(arg)
-		if err != nil {
-			panic(fmt.Sprintf("distsim: corrupt delivery op argument: %v", err))
+// snapshot serializes the worker's complete state: the image of every
+// LP it owns (winsync), nothing else — counters, model state and the
+// undelivered local events are all in the images.
+func (w *Worker) snapshot() ([]byte, error) {
+	var buf bytes.Buffer
+	cw := checkpoint.NewWriter(&buf)
+	if err := w.g.WriteSnapshot(cw); err != nil {
+		return nil, err
+	}
+	if err := cw.Close(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// restore overwrites the worker's state from a snapshot. The
+// snapshot's LP set may differ from the worker's current one — live
+// migration can move LPs between the checkpointed barrier and a
+// rollback — in which case the group drops the LPs the snapshot does
+// not cover and adopts the ones it lacks (through InstallLP).
+func (w *Worker) restore(data []byte) error {
+	snap, err := checkpoint.Read(bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	before := slices.Clone(w.g.IDs())
+	if err := w.g.Restore(snap); err != nil {
+		return err
+	}
+	if wo := w.obs; wo != nil {
+		for _, id := range before {
+			if w.g.LP(id) == nil {
+				wo.removeLP(id)
+			}
 		}
-		lp.OnMessage(ev)
-	})
+	}
+	w.outbox = nil
+	// The stashed done frame described the pre-rollback timeline; after
+	// a restore the engines no longer match it, and the window anchor
+	// must not collide with a re-sent post-rollback window.
+	w.clearStash()
+	return nil
 }
 
 // serveConn serves frames on the current connection until a clean
@@ -624,40 +547,38 @@ func (w *Worker) serveConn() error {
 					wo.waitStart = 0
 				}
 			}
-			// Merge the coordinator's inbound events with the events
-			// buffered locally at the previous barrier, restoring the
-			// single global (From, Seq) order package parsim uses, so
-			// equal-time ties break identically in both engines.
-			w.deliver(f.Events)
+			// Schedule the coordinator's inbound events together with the
+			// ones flushed locally at the previous barrier, in the one
+			// (From, Seq) order every partition of the LPs agrees on.
+			w.g.Deliver(f.Events)
 			if wo := w.obs; wo != nil {
 				d := obs.Now() - t0
 				wo.deliver.Observe(d)
 				wo.rec.Record(obs.Span{Wall: t0, Dur: d, Time: f.End, Seq: f.WinSeq, Kind: obs.KindDeliver})
 			}
-			// Execute the window — inline at Threads <= 1, across the
-			// persistent pool otherwise — then drain the per-LP send
-			// buffers into the worker-level outbox/local buffer in
-			// canonical LP order, restoring the exact sequence a
-			// sequential pass would have produced.
-			w.runWindow(f.End, f.WinSeq)
-			w.flushSends()
+			// Execute the window — inline or across the persistent pool —
+			// then flush the per-LP send buffers: local events to the
+			// group's inbox, the rest to the outbox this done frame ships.
+			w.winEnd, w.winSeq = f.End, f.WinSeq
+			w.g.RunWindow(f.End)
 			// The done frame piggybacks the earliest pending event time
-			// across this worker's engines and local buffer, so a
-			// skip-enabled coordinator can jump windows nobody has work
-			// in. The outbox backing array is reusable once the frame is
-			// marshalled (the send retains the payload, not the events).
-			out := w.outbox
+			// across this worker's engines and inbox, so a skip-enabled
+			// coordinator can jump windows nobody has work in. The outbox
+			// backing array is reusable once the frame is marshalled (the
+			// send retains the payload, not the events).
+			out := w.g.Flush(w.outbox)
 			w.outbox = out[:0]
-			done := frame{Kind: frameDone, Events: out, Next: w.nextEventTime()}
+			done := frame{Kind: frameDone, Events: out, Next: w.g.Next()}
 			if w.collectLoads {
-				done.Loads = w.loadDeltas()
+				w.loadsBuf = w.g.LoadDeltas(w.loadsBuf[:0])
+				done.Loads = w.loadsBuf
 			}
 			if wo := w.obs; wo != nil {
 				now := obs.Now()
 				wo.rec.Record(obs.Span{Wall: t0, Dur: now - t0, Time: f.End, Seq: f.WinSeq, Kind: obs.KindWindowBusy})
 				wo.windows++
 				if wo.windows%uint64(wo.every) == 0 {
-					done.Obs = wo.encode(&w.wire, w.ids, w.obsLoads(), false)
+					done.Obs = wo.encode(&w.wire, w.obsLoads(), false)
 				}
 			}
 			// Stash the done frame (before the send, so a send that dies
@@ -701,10 +622,13 @@ func (w *Worker) serveConn() error {
 			reply := frame{Kind: frameLPState}
 			if len(f.LPs) != 1 {
 				reply.Err = "migrate-out frame names no LP"
-			} else if data, err := w.migrateOut(f.LPs[0]); err != nil {
+			} else if data, err := w.g.Extract(f.LPs[0]); err != nil {
 				reply.Err = err.Error()
 			} else {
 				reply.Data = data
+				if wo := w.obs; wo != nil {
+					wo.removeLP(f.LPs[0])
+				}
 			}
 			if err := l.send(&reply); err != nil {
 				return err
@@ -717,26 +641,24 @@ func (w *Worker) serveConn() error {
 			if len(f.LPs) != 1 {
 				return fatalf("distsim: migrate-in frame names no LP")
 			}
-			if err := w.adoptLP(f.LPs[0], f.Data); err != nil {
+			if err := w.g.Adopt(f.Data); err != nil {
 				return fatalf("distsim: adopt LP %d: %v", f.LPs[0], err)
+			}
+			if w.g.LP(f.LPs[0]) == nil {
+				return fatalf("distsim: migrate-in frame for LP %d carries another LP's image", f.LPs[0])
 			}
 			if err := l.send(&frame{Kind: frameMigrated}); err != nil {
 				return err
 			}
 		case frameStop:
-			stats := WorkerStats{LPs: w.ids, Sent: w.sent, Received: w.received}
-			for _, lp := range w.order {
-				stats.EventsExecuted += lp.E.Stats().Executed
-			}
-			if w.CountEvents != nil {
-				stats.PerLPCounts = w.CountEvents()
-			}
+			stats := w.Stats()
+			stats.Incomplete = false
 			final := frame{Kind: frameStats, Stats: stats}
 			if wo := w.obs; wo != nil {
 				// The final snapshot ships whatever histogram tail the
 				// piggyback cadence missed, plus the full trace rings for
 				// the merged cluster timeline.
-				final.Obs = wo.encode(&w.wire, w.ids, w.obsLoads(), true)
+				final.Obs = wo.encode(&w.wire, w.obsLoads(), true)
 			}
 			if err := l.send(&final); err != nil {
 				w.statsSent = true // retained; a reconnect replays it
@@ -792,7 +714,7 @@ func (w *Worker) resumeOnce() error {
 	p := newPeer(conn)
 	p.stats = &w.wire
 	p.writeTimeout = w.writeTimeout
-	hello := &frame{Kind: frameHello, Session: w.session, RecvSeq: w.link.recvSeq, LPs: w.ids}
+	hello := &frame{Kind: frameHello, Session: w.session, RecvSeq: w.link.recvSeq, LPs: w.lpIDs()}
 	if err := p.sendRaw(hello, w.link.recvSeq); err != nil {
 		p.close()
 		return err
@@ -834,7 +756,7 @@ func (w *Worker) resumeOnce() error {
 // window from its journaled pending set, and the worker answers a
 // window it already executed from its stashed done frame.
 func (w *Worker) readopt(p *peer) error {
-	reply := &frame{Kind: frameReadopt, LPs: w.ids, WinSeq: w.lastWinSeq, Next: w.nextEventTime()}
+	reply := &frame{Kind: frameReadopt, LPs: w.lpIDs(), WinSeq: w.lastWinSeq, Next: w.g.Next()}
 	if err := p.sendRaw(reply, 0); err != nil {
 		p.close()
 		return err
@@ -904,11 +826,14 @@ func (w *Worker) clearStash() {
 // run never reached its stats exchange, which is how a caller that
 // got ErrCoordinatorLost flushes what the worker did accomplish.
 func (w *Worker) Stats() WorkerStats {
-	stats := WorkerStats{LPs: w.ids, Sent: w.sent, Received: w.received, Incomplete: !w.statsSent}
-	for _, lp := range w.order {
-		if lp.E != nil {
-			stats.EventsExecuted += lp.E.Stats().Executed
-		}
+	stats := WorkerStats{LPs: w.lpIDs(), Incomplete: !w.statsSent}
+	if w.g == nil {
+		return stats
+	}
+	for _, lp := range w.g.LPs() {
+		stats.EventsExecuted += lp.E.Stats().Executed
+		stats.Sent += lp.Sent()
+		stats.Received += lp.Received()
 	}
 	if w.CountEvents != nil {
 		stats.PerLPCounts = w.CountEvents()
@@ -923,50 +848,6 @@ func (w *Worker) sleep(d time.Duration) {
 	time.Sleep(d)
 }
 
-// runWindow executes every owned LP through the window ending at end.
-// LPs whose next event lies beyond the window are skipped without
-// entering their engine loop — and without the two load-timing clock
-// reads — so sparse windows pay nothing per idle LP. Per-LP wall
-// timing feeds the rebalancer's load signal (and the obs per-LP
-// counters): two clock reads per non-idle LP per window, nothing when
-// neither consumer is on.
-//
-// The LPs run on the pool: inline on the serve goroutine at
-// Threads <= 1 and in every window the pool finds faster that way,
-// across its persistent threads otherwise. poolEnd/poolSeq/poolTimed
-// are then published to the pool threads by the token barrier inside
-// pl.Run, and the barrier's done-tokens publish everything the LPs
-// wrote (engine state, per-LP buffers, busy counters) back to the serve
-// goroutine. Windows are independent within themselves by the
-// conservative lookahead argument, so the only cross-LP structures
-// touched mid-window are the per-LP buffers — which is exactly why they
-// are per-LP.
-func (w *Worker) runWindow(end float64, seq uint64) {
-	w.poolEnd = end
-	w.poolSeq = seq
-	w.poolTimed = w.collectLoads || w.obs != nil
-	w.pl.Run(len(w.order))
-}
-
-// runLP executes one LP through the current window; it is the pool
-// body. PeekTime may pop tombstones, but this thread is the only one
-// touching the LP during the window.
-func (w *Worker) runLP(_, i int) {
-	lp := w.order[i]
-	if lp.E.PeekTime() > w.poolEnd {
-		return
-	}
-	if !w.poolTimed {
-		lp.E.RunUntil(w.poolEnd)
-		return
-	}
-	t := obs.Now()
-	lp.E.RunUntil(w.poolEnd)
-	d := obs.Now() - t
-	lp.busyNs += d
-	lp.busyTotal += d
-}
-
 // observePoolPhases records one pool thread's busy/wait phases of a
 // window into that thread's own span ring (single-writer), anchored on
 // the window's barrier sequence so MergeTracks aligns them with the
@@ -979,120 +860,19 @@ func (w *Worker) observePoolPhases(pw int, waitStart, busyStart, busyEnd int64) 
 	r := w.obs.poolRecs[pw]
 	if waitStart != busyStart {
 		r.Record(obs.Span{Kind: obs.KindBarrierWait, Wall: waitStart, Dur: busyStart - waitStart,
-			Time: w.poolEnd, Seq: w.poolSeq})
+			Time: w.winEnd, Seq: w.winSeq})
 	}
 	r.Record(obs.Span{Kind: obs.KindWindowBusy, Wall: busyStart, Dur: busyEnd - busyStart,
-		Time: w.poolEnd, Seq: w.poolSeq})
+		Time: w.winEnd, Seq: w.winSeq})
 }
 
-// flushSends drains every LP's window-local send buffers into the
-// worker-level outbox and local buffer, in canonical LP order. Each
-// per-LP buffer is already internally ordered by eventOrder (From is
-// the LP itself, Seq is its monotonic send sequence), and w.order is
-// lpOrder-sorted, so the concatenation equals the sequence sequential
-// execution would have appended directly — the done frame, the stash a
-// restarted coordinator replays, and the snapshot image are all
-// byte-identical to a Threads-1 run. Buffers are truncated, not
-// released: the backing arrays are reused by the next window's sends.
-func (w *Worker) flushSends() {
-	for _, lp := range w.order {
-		if len(lp.outbox) > 0 {
-			w.outbox = append(w.outbox, lp.outbox...)
-			lp.outbox = lp.outbox[:0]
-		}
-		if len(lp.local) > 0 {
-			w.localBuf = append(w.localBuf, lp.local...)
-			lp.local = lp.local[:0]
-		}
-		w.sent += lp.pendSent
-		lp.pendSent = 0
-	}
-}
-
-// deliver merges the coordinator's inbound events with the local
-// buffer from the previous window and schedules everything in the
-// global (From, Seq) order. The merge scratch is reused across
-// windows; remote events (whose Data aliases the connection's read
-// buffer) are consumed here, before the next frame can overwrite it.
-func (w *Worker) deliver(remote []Event) {
-	all := w.mergeBuf[:0]
-	if n := len(remote) + len(w.localBuf); cap(all) < n {
-		all = make([]Event, 0, n)
-	}
-	all = append(all, remote...)
-	for i := range w.localBuf {
-		all = append(all, w.localBuf[i].ev)
-	}
-	w.localBuf = w.localBuf[:0]
-	slices.SortFunc(all, eventOrder)
-	for i := range all {
-		ev := &all[i]
-		lp := w.lps[ev.To]
-		if lp == nil {
-			panic(fmt.Sprintf("distsim: received event for foreign LP %d", ev.To))
-		}
-		w.received++
-		// Delivery is op-based so pending deliveries serialize into
-		// snapshots; events on the wire are already encoded, so one more
-		// small encode here is noise next to the frame round trip.
-		lp.E.AtOp(ev.Time, lp.msgOp, encodeEvent(ev))
-	}
-	w.mergeBuf = all[:0]
-}
-
-// loadDeltas builds the per-LP load report for one done frame:
-// executed events and busy wall time since the previous report. The
-// report slice is reused; the frame marshals it before the next
-// window, so aliasing is safe.
-func (w *Worker) loadDeltas() []partition.Load {
-	w.loadsBuf = w.loadsBuf[:0]
-	for _, lp := range w.order {
-		exec := lp.E.Stats().Executed
-		if exec < lp.prevExec {
-			// The engine rolled back beneath us (restore reset the
-			// counters but not the watermark); resynchronize.
-			lp.prevExec = exec
-		}
-		w.loadsBuf = append(w.loadsBuf, partition.Load{
-			LP:     lp.ID,
-			Events: exec - lp.prevExec,
-			BusyNs: uint64(lp.busyNs),
-		})
-		lp.prevExec = exec
-		lp.busyNs = 0
-	}
-	return w.loadsBuf
-}
-
-// obsLoads builds the cumulative per-LP counters for an obs snapshot.
-func (w *Worker) obsLoads() []lpLoad {
+// obsLoads builds the cumulative per-LP counters for an obs snapshot
+// (a done frame's Loads are the same counters as deltas).
+func (w *Worker) obsLoads() []partition.Load {
 	wo := w.obs
 	wo.loads = wo.loads[:0]
-	for _, lp := range w.order {
-		wo.loads = append(wo.loads, lpLoad{
-			id:   lp.ID,
-			exec: lp.E.Stats().Executed,
-			busy: uint64(lp.busyTotal),
-		})
+	for _, lp := range w.g.LPs() {
+		wo.loads = append(wo.loads, partition.Load{LP: lp.ID, Events: lp.E.Stats().Executed, BusyNs: lp.BusyNs()})
 	}
 	return wo.loads
-}
-
-// nextEventTime reports the earliest pending event time anywhere on
-// this worker: the minimum engine PeekTime across owned LPs plus any
-// locally buffered sends the coordinator cannot see. +Inf means fully
-// drained.
-func (w *Worker) nextEventTime() float64 {
-	next := math.Inf(1)
-	for _, lp := range w.order {
-		if t := lp.E.PeekTime(); t < next {
-			next = t
-		}
-	}
-	for i := range w.localBuf {
-		if t := w.localBuf[i].ev.Time; t < next {
-			next = t
-		}
-	}
-	return next
 }

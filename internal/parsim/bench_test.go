@@ -32,7 +32,7 @@ func BenchmarkFederationWindowOverhead(b *testing.B) {
 				for j := 0; j < f.LPs(); j++ {
 					lp := f.LP(j)
 					src := lp.E.Stream("sparse")
-					lp.OnMessage = func(Message) {}
+					lp.OnMessage = func(Event) {}
 					var tick func()
 					tick = func() { lp.E.Schedule(src.Exp(0.1), tick) }
 					lp.E.Schedule(src.Exp(0.1), tick)

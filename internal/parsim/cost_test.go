@@ -14,11 +14,11 @@ func costFederation(lps, workers, perTick int) (f *Federation, advance func(wind
 	payload := []byte("8 bytes.")
 	for i := 0; i < lps; i++ {
 		lp := f.LP(i)
-		lp.OnMessage = func(Message) {}
+		lp.OnMessage = func(Event) {}
 		var tick func()
 		tick = func() {
 			for k := 0; k < perTick; k++ {
-				lp.Send((lp.Index+1+k)%lps, 1, payload)
+				lp.Send((lp.ID+1+k)%lps, 1, payload)
 			}
 			lp.E.Schedule(1, tick)
 		}
@@ -79,7 +79,7 @@ func TestLargeFederationHeap(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	f := NewFederation(lps, 1, 1, 9)
-	onMessage := func(Message) {}
+	onMessage := func(Event) {}
 	for i := 0; i < lps; i++ {
 		f.LP(i).OnMessage = onMessage
 	}

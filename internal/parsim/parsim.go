@@ -10,107 +10,41 @@
 // 1993) because of the synchronization cost. Both observations are
 // measurable here.
 //
-// The model partitions a simulation into logical processes (LPs), each
-// owning a private des.Engine. Cross-LP interactions carry a minimum
-// delay — the lookahead — which makes the classic conservative
-// synchronization of Chandy/Misra/Bryant applicable. The Federation
-// executes LPs over a worker pool in lock-step lookahead windows (the
-// synchronous/bounded-lag variant of conservative synchronization):
-// within a window every LP may run independently because no message
-// sent inside the window can affect the same window. Results are
-// bit-identical for any worker count, including 1, which is what lets
-// experiment E5 attribute speedups to parallelism alone.
-//
-// Cross-LP messages carry opaque []byte payloads (the same contract as
-// distsim.Event.Data; models own their encoding). A send appends to the
-// sender's outbox; at the barrier every message becomes a registered
-// "parsim.msg" op event in the target engine, so the pending set is
-// always serializable and a federation can be checkpointed at any
-// window barrier. Delivery costs O(messages) per window and a
-// federation O(LPs) memory.
+// The algorithm — logical processes with private engines, advanced in
+// lock-step lookahead windows, cross-LP messages delivered in (source
+// LP, send order) at the barriers — is package winsync's, shared with
+// distsim. A Federation is its transport with no wire: one
+// winsync.Group owns every LP, so each window is
+// RunWindow → Flush → Deliver(nil) and nothing ever leaves the process.
+// Results are bit-identical for any worker count, including 1, which
+// is what lets experiment E5 attribute speedups to parallelism alone.
+// What this package adds is the window clock, Run, the observability
+// shell and the snapshot header.
 package parsim
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/checkpoint"
 	"repro/internal/des"
 	"repro/internal/eventq"
 	"repro/internal/obs"
 	"repro/internal/pool"
+	"repro/internal/winsync"
 )
 
-// Message is a cross-LP event as the receiving LP's OnMessage sees it.
-type Message struct {
-	// Time is the absolute simulation time of delivery.
-	Time float64
-	// From is the sending LP index.
-	From int
-	// Data is the model payload, encoded by the sender. The handler may
-	// retain it; the sender must not mutate it after Send.
-	Data []byte
-}
-
-// outMsg is one buffered send: a message and the LP it is addressed to.
-type outMsg struct {
-	target int
-	msg    Message
-}
-
-// LP is one logical process: a partition of the model with a private
-// engine and clock.
-type LP struct {
-	Index int
-	E     *des.Engine
-
-	fed *Federation
-	// OnMessage handles remote messages; it runs in the LP's engine
-	// context at Message.Time. It must be set before Run.
-	OnMessage func(m Message)
-
-	// msgOp is the registered delivery op ("parsim.msg"): inbound
-	// messages are scheduled as ops carrying the encoded Message.
-	msgOp des.Op
-	// outbox buffers the messages produced this window, in send order.
-	outbox []outMsg
-	sent   uint64
-	recv   uint64
-}
-
-// Send schedules a message for the target LP at delay >= the
-// federation lookahead from the LP's current local time. It panics on
-// smaller delays: they would violate the synchronization window.
-func (lp *LP) Send(target int, delay float64, data []byte) {
-	if delay < lp.fed.lookahead {
-		panic(fmt.Sprintf("parsim: Send with delay %v below lookahead %v", delay, lp.fed.lookahead))
-	}
-	if target < 0 || target >= len(lp.fed.lps) {
-		panic(fmt.Sprintf("parsim: Send to unknown LP %d", target))
-	}
-	lp.outbox = append(lp.outbox, outMsg{target, Message{
-		Time: lp.E.Now() + delay,
-		From: lp.Index,
-		Data: data,
-	}})
-	lp.sent++
-}
-
-// Sent returns the number of cross-LP messages this LP has produced.
-func (lp *LP) Sent() uint64 { return lp.sent }
-
-// Received returns the number of cross-LP messages delivered to it.
-func (lp *LP) Received() uint64 { return lp.recv }
+// LP is one logical process; Event is a cross-LP message as the
+// receiving LP's OnMessage sees it.
+type (
+	LP    = winsync.LP
+	Event = winsync.Event
+)
 
 // Federation is a set of LPs advancing in conservative lock-step
 // windows over a persistent pool of workers.
 //
-// The pool (internal/pool, extracted from the original parsim
-// implementation so the distributed worker can reuse it) is created
-// once per Run and reused for every window: the coordinator publishes
-// the window end, releases one token per worker, workers claim LPs off
-// an atomic cursor, and a counting barrier closes the window.
-// Rebuilding the goroutines and channels per window — the naive
+// The pool (internal/pool) is created once per Run and reused for every
+// window: rebuilding goroutines and channels per window — the naive
 // translation of "fork workers for each window" — costs a pool
 // construction and teardown every lookahead interval, which is exactly
 // the execution-context churn the paper's engine guidance warns about;
@@ -123,29 +57,17 @@ func (lp *LP) Received() uint64 { return lp.recv }
 // than the windows hold (see internal/pool). Results do not depend on
 // it; Snapshot.Pool reports what it chose.
 type Federation struct {
-	lps       []*LP
-	lookahead float64
-	workers   int
+	g       *winsync.Group
+	workers int // pool size: the requested count, at most one per LP
 
 	windows uint64
-	// idle counts skipped (LP, window) pairs, one slot per pool worker:
-	// runLP is the hottest loop of a sparse federation and a shared
-	// counter would bounce between the workers' caches.
-	idle []idleSlot
-
 	// clock is the end of the last completed window: Run continues from
 	// here, and Checkpoint records it so a restored federation resumes
 	// at the exact window boundary.
 	clock float64
-
-	// model is the attached Checkpointable state rider (SetModel).
-	model checkpoint.Checkpointable
-
-	// per-Run worker-pool state: windowEnd is published to the pool
-	// workers by the token barrier inside pl.Run.
+	// windowEnd is published to the pool workers by the barrier inside
+	// the group's RunWindow.
 	windowEnd float64
-	pl        *pool.Pool
-	poolStats pool.Stats // summed over the pools of completed Runs
 
 	// observability (EnableObservability); every structure below is
 	// single-writer: per-LP recorders are written only by whichever
@@ -154,17 +76,10 @@ type Federation struct {
 	// their worker, and windowWall only by the coordinator.
 	obsOn       bool
 	lpRecs      []*obs.Recorder
-	lpMetrics   []*obs.Metrics
 	workerRecs  []*obs.Recorder
 	barrierWait []obs.Histogram // per worker: wall ns blocked between windows
 	busy        []obs.Histogram // per worker: wall ns executing LPs per window
 	windowWall  obs.Histogram   // coordinator: wall ns per window incl. delivery
-}
-
-// idleSlot is one pool worker's idle-skip count, padded to a cache line.
-type idleSlot struct {
-	n uint64
-	_ [56]byte
 }
 
 // NewFederation creates n LPs with the given lookahead (the minimum
@@ -184,37 +99,23 @@ func NewFederationWithQueue(n int, lookahead float64, workers int, seed uint64, 
 	if n <= 0 || lookahead <= 0 || workers <= 0 {
 		panic(fmt.Sprintf("parsim: NewFederation(n=%d, lookahead=%v, workers=%d)", n, lookahead, workers))
 	}
-	f := &Federation{lookahead: lookahead, workers: workers, lps: make([]*LP, n)}
-	f.idle = make([]idleSlot, f.poolWorkers())
-	for i := range f.lps {
-		lp := &LP{
-			Index: i,
-			E:     des.NewEngine(des.WithSeed(seed+uint64(i)*0x9e3779b9), des.WithQueue(kind)),
-			fed:   f,
-		}
-		// Registered before any model op, so "parsim.msg" is op 1 in
-		// every engine whatever the model registers afterwards.
-		lp.msgOp = lp.E.RegisterOp("parsim.msg", func(arg []byte) {
-			m, err := decodeMessage(arg)
-			if err != nil {
-				panic(fmt.Sprintf("parsim: corrupt message op argument: %v", err))
-			}
-			m.Time = lp.E.Now()
-			lp.OnMessage(m)
-		})
-		f.lps[i] = lp
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
 	}
-	return f
+	// Workers beyond the LP count would only contend on the pool's cursor.
+	workers = min(workers, n)
+	return &Federation{g: winsync.NewGroup(ids, n, lookahead, seed, kind), workers: workers}
 }
 
 // LPs returns the number of logical processes.
-func (f *Federation) LPs() int { return len(f.lps) }
+func (f *Federation) LPs() int { return len(f.g.LPs()) }
 
 // LP returns the i-th logical process.
-func (f *Federation) LP(i int) *LP { return f.lps[i] }
+func (f *Federation) LP(i int) *LP { return f.g.LPs()[i] }
 
 // Lookahead returns the federation lookahead.
-func (f *Federation) Lookahead() float64 { return f.lookahead }
+func (f *Federation) Lookahead() float64 { return f.g.Lookahead() }
 
 // Windows returns the number of synchronization windows executed.
 func (f *Federation) Windows() uint64 { return f.windows }
@@ -222,22 +123,7 @@ func (f *Federation) Windows() uint64 { return f.windows }
 // IdleSkips returns the number of (LP, window) pairs that were skipped
 // because the LP had no event inside the window — work the persistent
 // pool avoids dispatching entirely.
-func (f *Federation) IdleSkips() uint64 {
-	var sum uint64
-	for i := range f.idle {
-		sum += f.idle[i].n
-	}
-	return sum
-}
-
-// poolWorkers returns the number of workers the pool actually uses
-// (extra workers beyond the LP count would only contend on the cursor).
-func (f *Federation) poolWorkers() int {
-	if f.workers > len(f.lps) {
-		return len(f.lps)
-	}
-	return f.workers
-}
+func (f *Federation) IdleSkips() uint64 { return f.g.IdleSkips() }
 
 // EnableObservability attaches a trace recorder (spanCap spans, ring)
 // and latency histograms to every LP engine, plus a recorder and
@@ -246,22 +132,20 @@ func (f *Federation) poolWorkers() int {
 // attachments. Observability never perturbs simulation results — the
 // determinism tests run with it on — it only costs wall time.
 func (f *Federation) EnableObservability(spanCap int) {
-	workers := f.poolWorkers()
 	f.obsOn = true
-	f.lpRecs = make([]*obs.Recorder, len(f.lps))
-	f.lpMetrics = make([]*obs.Metrics, len(f.lps))
-	for i, lp := range f.lps {
+	f.lpRecs = make([]*obs.Recorder, f.LPs())
+	for i, lp := range f.g.LPs() {
 		f.lpRecs[i] = obs.NewRecorder(spanCap)
-		f.lpMetrics[i] = &obs.Metrics{}
-		lp.E.SetObserver(des.Observer{Recorder: f.lpRecs[i], Metrics: f.lpMetrics[i], Track: i})
+		lp.E.SetObserver(des.Observer{Recorder: f.lpRecs[i], Metrics: &obs.Metrics{}, Track: i})
 	}
-	f.workerRecs = make([]*obs.Recorder, workers)
+	f.workerRecs = make([]*obs.Recorder, f.workers)
 	for w := range f.workerRecs {
 		f.workerRecs[w] = obs.NewRecorder(spanCap)
 	}
-	f.barrierWait = make([]obs.Histogram, workers)
-	f.busy = make([]obs.Histogram, workers)
+	f.barrierWait = make([]obs.Histogram, f.workers)
+	f.busy = make([]obs.Histogram, f.workers)
 	f.windowWall.Reset()
+	f.g.Observe = f.observePhases
 }
 
 // Snapshot is a point-in-time view of federation-level runtime
@@ -294,9 +178,9 @@ type Snapshot struct {
 // merged copies; mutating them does not affect the live run. Must not
 // be called while Run is executing.
 func (f *Federation) Snapshot() Snapshot {
-	s := Snapshot{Windows: f.windows, IdleSkips: f.IdleSkips(), Pool: f.poolStats}
-	s.LPs = make([]des.Stats, len(f.lps))
-	for i, lp := range f.lps {
+	s := Snapshot{Windows: f.windows, IdleSkips: f.IdleSkips(), Pool: f.g.PoolStats()}
+	s.LPs = make([]des.Stats, f.LPs())
+	for i, lp := range f.g.LPs() {
 		s.LPs[i] = lp.E.Stats()
 	}
 	if !f.obsOn {
@@ -351,24 +235,11 @@ func (f *Federation) Run(horizon float64) {
 	if horizon <= f.clock || math.IsNaN(horizon) || math.IsInf(horizon, 0) {
 		panic(fmt.Sprintf("parsim: Run(%v) with window clock at %v", horizon, f.clock))
 	}
-	for _, lp := range f.lps {
-		if lp.OnMessage == nil {
-			panic(fmt.Sprintf("parsim: LP %d has no OnMessage handler", lp.Index))
-		}
+	if err := f.g.Start(f.workers); err != nil {
+		panic(fmt.Sprintf("parsim: %v", err))
 	}
-	f.pl = pool.New(f.poolWorkers(), f.runLP)
-	if f.obsOn {
-		f.pl.SetObserve(f.observePhases)
-	}
-	defer func() {
-		f.pl.Close() // stop signal: workers drain and exit
-		st := f.pl.Stats()
-		f.poolStats.Inline += st.Inline
-		f.poolStats.Dispatched += st.Dispatched
-		f.poolStats.Flips += st.Flips
-		f.pl = nil
-	}()
-	for windowEnd := f.clock + f.lookahead; ; windowEnd += f.lookahead {
+	defer f.g.Stop()
+	for windowEnd := f.clock + f.Lookahead(); ; windowEnd += f.Lookahead() {
 		if windowEnd > horizon {
 			windowEnd = horizon
 		}
@@ -377,8 +248,12 @@ func (f *Federation) Run(horizon float64) {
 		if f.obsOn {
 			wallStart = obs.Now()
 		}
-		f.runWindow(windowEnd)
-		f.deliver()
+		f.windowEnd = windowEnd
+		f.g.RunWindow(windowEnd)
+		// One group owns every LP: nothing is flushed out of it, and
+		// nothing comes in.
+		f.g.Flush(nil)
+		f.g.Deliver(nil)
 		if f.obsOn {
 			f.windowWall.Observe(obs.Now() - wallStart)
 		}
@@ -387,30 +262,6 @@ func (f *Federation) Run(horizon float64) {
 			return
 		}
 	}
-}
-
-// runWindow executes every LP up to windowEnd on the persistent
-// worker pool (inline on the calling goroutine when the pool has a
-// single worker or finds that faster). LPs whose next event lies beyond
-// the window are skipped without entering their engine loop.
-func (f *Federation) runWindow(windowEnd float64) {
-	// windowEnd is a plain field: the pool's token barrier publishes it
-	// to every worker before any runLP call of this window.
-	f.windowEnd = windowEnd
-	f.pl.Run(len(f.lps))
-}
-
-// runLP is the pool body: execute one LP through the current window.
-// An LP with nothing due this window never enters its engine loop.
-// PeekTime may pop tombstones, but this pool worker is the only one
-// touching the LP during the window.
-func (f *Federation) runLP(w, i int) {
-	lp := f.lps[i]
-	if lp.E.PeekTime() > f.windowEnd {
-		f.idle[w].n++
-		return
-	}
-	lp.E.RunUntil(f.windowEnd)
 }
 
 // observePhases is the pool's per-worker phase hook. The wait phase —
@@ -436,22 +287,4 @@ func (f *Federation) observePhases(w int, waitStart, busyStart, busyEnd int64) {
 		Kind: obs.KindWindowBusy, Track: int32(w), Wall: busyStart, Dur: busy,
 		Time: f.windowEnd,
 	})
-}
-
-// deliver flushes every outbox into the target engines: sources in LP
-// order, each outbox in send order. That order fixes the FEL sequence
-// numbers of same-instant deliveries, so it is part of the results. The
-// work is O(messages); outboxes are truncated, not released, and the
-// backing arrays are reused by the next window's sends.
-func (f *Federation) deliver() {
-	for _, src := range f.lps {
-		for i := range src.outbox {
-			m := &src.outbox[i]
-			dst := f.lps[m.target]
-			dst.recv++
-			dst.E.AtOp(m.msg.Time, dst.msgOp, encodeMessage(&m.msg))
-		}
-		clear(src.outbox) // drop the payload references
-		src.outbox = src.outbox[:0]
-	}
 }

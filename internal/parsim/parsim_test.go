@@ -15,7 +15,7 @@ func TestFederationBasics(t *testing.T) {
 		t.Fatal("accessors")
 	}
 	for i := 0; i < 3; i++ {
-		if f.LP(i).Index != i {
+		if f.LP(i).ID != i {
 			t.Fatal("LP index")
 		}
 	}
@@ -24,12 +24,12 @@ func TestFederationBasics(t *testing.T) {
 func TestCrossLPMessageDelivery(t *testing.T) {
 	f := NewFederation(2, 1.0, 1, 7)
 	var deliveredAt float64 = -1
-	var got Message
-	f.LP(1).OnMessage = func(m Message) {
+	var got Event
+	f.LP(1).OnMessage = func(m Event) {
 		deliveredAt = f.LP(1).E.Now()
 		got = m
 	}
-	f.LP(0).OnMessage = func(Message) {}
+	f.LP(0).OnMessage = func(Event) {}
 	f.LP(0).E.Schedule(0.5, func() {
 		f.LP(0).Send(1, 2.0, []byte("hello"))
 	})
@@ -45,24 +45,9 @@ func TestCrossLPMessageDelivery(t *testing.T) {
 	}
 }
 
-func TestSendBelowLookaheadPanics(t *testing.T) {
-	f := NewFederation(2, 1.0, 1, 7)
-	f.LP(0).OnMessage = func(Message) {}
-	f.LP(1).OnMessage = func(Message) {}
-	f.LP(0).E.Schedule(0.1, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("no panic for sub-lookahead send")
-			}
-		}()
-		f.LP(0).Send(1, 0.5, nil)
-	})
-	f.Run(1)
-}
-
 func TestRunRequiresHandlers(t *testing.T) {
 	f := NewFederation(2, 1.0, 1, 7)
-	f.LP(0).OnMessage = func(Message) {}
+	f.LP(0).OnMessage = func(Event) {}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic for missing handler")
@@ -73,7 +58,7 @@ func TestRunRequiresHandlers(t *testing.T) {
 
 func TestWindowCount(t *testing.T) {
 	f := NewFederation(1, 2.0, 1, 7)
-	f.LP(0).OnMessage = func(Message) {}
+	f.LP(0).OnMessage = func(Event) {}
 	f.Run(10)
 	if f.Windows() != 5 {
 		t.Fatalf("windows = %d, want 5", f.Windows())
@@ -141,7 +126,7 @@ func TestDeterminismAcrossKindsAndWorkers(t *testing.T) {
 				decoy = lp.E.Schedule(4+src.Float64(), func() {})
 				if src.Bernoulli(0.35) {
 					target := src.Intn(f.LPs() - 1)
-					if target >= lp.Index {
+					if target >= lp.ID {
 						target++
 					}
 					lp.Send(target, 1+src.Float64(), nil)
@@ -149,7 +134,7 @@ func TestDeterminismAcrossKindsAndWorkers(t *testing.T) {
 					lp.E.Schedule(0.5+src.Float64(), step)
 				}
 			}
-			lp.OnMessage = func(Message) { step() }
+			lp.OnMessage = func(Event) { step() }
 			lp.E.Schedule(src.Float64(), step)
 		}
 		f.Run(60)
@@ -212,14 +197,8 @@ func TestValidationPanics(t *testing.T) {
 		"bad workers":   func() { NewFederation(1, 1, 0, 0) },
 		"bad horizon": func() {
 			f := NewFederation(1, 1, 1, 0)
-			f.LP(0).OnMessage = func(Message) {}
+			f.LP(0).OnMessage = func(Event) {}
 			f.Run(0)
-		},
-		"bad target": func() {
-			f := NewFederation(1, 1, 1, 0)
-			f.LP(0).OnMessage = func(Message) {}
-			f.LP(0).E.Schedule(0, func() { f.LP(0).Send(5, 2, nil) })
-			f.Run(1)
 		},
 	} {
 		func() {

@@ -18,8 +18,8 @@ import (
 type refFed struct {
 	lookahead float64
 	engines   []*des.Engine
-	onMessage []func(Message)
-	outbox    [][][]Message // [source][target], in send order
+	onMessage []func(Event)
+	outbox    [][][]Event // [source][target], in send order
 	sent      []uint64
 	recv      []uint64
 }
@@ -27,19 +27,19 @@ type refFed struct {
 func newRefFed(n int, lookahead float64, seed uint64, kind eventq.Kind) *refFed {
 	r := &refFed{
 		lookahead: lookahead,
-		onMessage: make([]func(Message), n),
+		onMessage: make([]func(Event), n),
 		sent:      make([]uint64, n),
 		recv:      make([]uint64, n),
 	}
 	for i := 0; i < n; i++ {
 		r.engines = append(r.engines, des.NewEngine(des.WithSeed(seed+uint64(i)*0x9e3779b9), des.WithQueue(kind)))
-		r.outbox = append(r.outbox, make([][]Message, n))
+		r.outbox = append(r.outbox, make([][]Event, n))
 	}
 	return r
 }
 
 func (r *refFed) send(src, target int, delay float64, data []byte) {
-	r.outbox[src][target] = append(r.outbox[src][target], Message{
+	r.outbox[src][target] = append(r.outbox[src][target], Event{
 		Time: r.engines[src].Now() + delay,
 		From: src,
 		Data: data,
@@ -94,8 +94,8 @@ type guardLP struct {
 // and draws from its own stream to decide whether to send again, which
 // makes every later draw depend on the order same-instant messages
 // arrived in. It returns the per-LP OnMessage handlers.
-func installGuardModel(lps []guardLP, log [][]delivery) []func(Message) {
-	handlers := make([]func(Message), len(lps))
+func installGuardModel(lps []guardLP, log [][]delivery) []func(Event) {
+	handlers := make([]func(Event), len(lps))
 	for i, lp := range lps {
 		src := lp.e.Stream("guard")
 		var sendIdx uint64
@@ -118,7 +118,7 @@ func installGuardModel(lps []guardLP, log [][]delivery) []func(Message) {
 			lp.e.Schedule(1, tick)
 		}
 		lp.e.Schedule(1, tick)
-		handlers[i] = func(m Message) {
+		handlers[i] = func(m Event) {
 			idx, _ := binary.Uvarint(m.Data)
 			log[i] = append(log[i], delivery{m.Time, m.From, idx})
 			if src.Bernoulli(0.25) {

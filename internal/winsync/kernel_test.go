@@ -1,0 +1,196 @@
+package winsync
+
+import (
+	"bytes"
+	"math"
+	"strings"
+	"testing"
+
+	"repro/internal/checkpoint"
+	"repro/internal/eventq"
+)
+
+func quietGroup(t *testing.T, lps int) *Group {
+	ids := make([]int, lps)
+	for i := range ids {
+		ids[i] = i
+	}
+	g := NewGroup(ids, lps, 1, 7, eventq.KindHeap)
+	for _, lp := range g.LPs() {
+		lp.OnMessage = func(Event) {}
+	}
+	if err := g.Start(1); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Stop)
+	return g
+}
+
+// TestSendRefusedAtTheCallSite pins that a delay no window can honour
+// and a target outside the simulation panic in Send — on the sender's
+// goroutine, naming the sender — and leave nothing buffered.
+func TestSendRefusedAtTheCallSite(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		to    int
+		delay float64
+	}{
+		{"below lookahead", 1, 0.5},
+		{"zero", 1, 0},
+		{"negative", 1, -2},
+		{"NaN", 1, math.NaN()},
+		{"+Inf", 1, math.Inf(1)},
+		{"-Inf", 1, math.Inf(-1)},
+		{"negative target", -1, 2},
+		{"target past the last LP", 2, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := quietGroup(t, 2)
+			lp := g.LP(0)
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, "LP 0: Send") {
+						t.Errorf("panic %q, want one naming the sending LP", msg)
+					}
+				}()
+				lp.Send(tc.to, tc.delay, nil)
+			}()
+			if lp.Sent() != 0 || len(g.Flush(nil)) != 0 || g.Next() != math.Inf(1) {
+				t.Error("a refused send left something behind")
+			}
+		})
+	}
+	g := quietGroup(t, 2)
+	g.LP(0).Send(1, 1, nil) // exactly the lookahead is fine
+	g.Flush(nil)
+	if g.Next() != 1 {
+		t.Fatalf("Next() = %v after a send due at 1", g.Next())
+	}
+}
+
+// TestCorruptOpArgumentPanics pins the failure mode of a damaged
+// pending delivery: the op refuses it loudly instead of handing the
+// model a half-decoded event.
+func TestCorruptOpArgumentPanics(t *testing.T) {
+	g := quietGroup(t, 1)
+	lp := g.LP(0)
+	lp.OnMessage = func(Event) { t.Error("handler ran on a corrupt event") }
+	lp.E.AtOp(0.5, lp.msgOp, []byte{0x80, 0x80}) // cut short
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "corrupt delivery op argument") {
+			t.Fatalf("panic %q, want the corrupt-argument message", msg)
+		}
+	}()
+	g.RunWindow(1)
+}
+
+// TestStartRequiresHandlers pins that a group does not run with an LP
+// nobody gave a handler.
+func TestStartRequiresHandlers(t *testing.T) {
+	g := NewGroup([]int{0, 1}, 2, 1, 7, eventq.KindHeap)
+	g.LP(0).OnMessage = func(Event) {}
+	if err := g.Start(1); err == nil || !strings.Contains(err.Error(), "LP 1") {
+		t.Fatalf("Start() = %v, want an error naming LP 1", err)
+	}
+}
+
+// TestImageRefusals walks the ways an image can be refused: cut off a
+// barrier, offered where the model disagrees about state, for an LP
+// outside the simulation, or with no Install hook to build the LP.
+func TestImageRefusals(t *testing.T) {
+	g := quietGroup(t, 3)
+	g.LP(0).Send(1, 1, nil)
+	if _, err := g.Extract(0); err == nil {
+		t.Error("image cut with an unflushed send")
+	}
+	g.Flush(nil)
+	img, err := g.Extract(1) // its inbox holds the send
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.LP(1) != nil || len(g.IDs()) != 2 {
+		t.Fatal("extracted LP still owned")
+	}
+	if err := g.Adopt(img); err == nil {
+		t.Error("adopted without an Install hook")
+	}
+	g.Install = func(lp *LP) { lp.OnMessage = func(Event) {}; lp.State = &pholdLP{} }
+	if err := g.Adopt(img); err == nil {
+		t.Error("stateless image accepted by a model that keeps state")
+	}
+	g.Install = func(lp *LP) { lp.OnMessage = func(Event) {} }
+	if err := g.Adopt(img[:len(img)-1]); err == nil {
+		t.Error("truncated image accepted")
+	}
+	if g.LP(1) != nil {
+		t.Fatal("a refused image left an LP behind")
+	}
+	if err := g.Adopt(img); err != nil {
+		t.Fatal(err)
+	}
+	if g.Next() != 1 {
+		t.Fatalf("Next() = %v: the inbox did not travel with the LP", g.Next())
+	}
+	if err := g.Adopt(img); err != nil || len(g.IDs()) != 3 {
+		t.Errorf("re-adopting an owned LP: %v, %d LPs", err, len(g.IDs()))
+	}
+	if _, err := quietGroup(t, 1).Extract(0); err == nil {
+		t.Error("a group gave its last LP away")
+	}
+	small := quietGroup(t, 1)
+	small.Install = g.Install
+	if err := small.Adopt(img); err == nil {
+		t.Error("image of LP 1 adopted into a one-LP simulation")
+	}
+}
+
+// FuzzDecodeEvent feeds arbitrary bytes to the one event decoder — op
+// arguments, LP images and distsim's frames all go through it: it must
+// return an event or an error, never panic. Whatever decodes must
+// survive encode → decode unchanged, and every strict prefix of an
+// encoding must be refused as truncated.
+func FuzzDecodeEvent(f *testing.F) {
+	encode := func(ev Event) []byte {
+		var enc checkpoint.Enc
+		AppendEvent(&enc, &ev)
+		return enc.Bytes()
+	}
+	decode := func(b []byte) (Event, error) {
+		d := checkpoint.NewDec(b)
+		ev := DecodeEvent(d)
+		return ev, d.Err()
+	}
+	for _, ev := range []Event{
+		{},
+		{Time: 2.5, From: 63, To: 1, Seq: 9, Data: []byte{1, 2, 3}},
+		{Time: math.Inf(1), From: 1 << 40, To: 1 << 20, Seq: math.MaxUint64, Data: bytes.Repeat([]byte{0xAB}, 300)},
+	} {
+		f.Add(encode(ev))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0x80})
+	f.Add(append(make([]byte, 8), 0x01, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ev, err := decode(data)
+		if err != nil || ev.From < 0 || ev.To < 0 {
+			// An LP ID past the int range cannot be re-encoded; no group
+			// produces one.
+			return
+		}
+		enc := encode(ev)
+		back, err := decode(enc)
+		if err != nil {
+			t.Fatalf("re-decode of %x: %v", enc, err)
+		}
+		if math.Float64bits(back.Time) != math.Float64bits(ev.Time) || back.From != ev.From ||
+			back.To != ev.To || back.Seq != ev.Seq || !bytes.Equal(back.Data, ev.Data) {
+			t.Fatalf("round trip changed the event: %+v -> %+v", ev, back)
+		}
+		for cut := 0; cut < len(enc); cut++ {
+			if _, err := decode(enc[:cut]); err == nil {
+				t.Fatalf("truncation of %x to %d bytes accepted", enc, cut)
+			}
+		}
+	})
+}
