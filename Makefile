@@ -45,11 +45,15 @@ tier1: build test vet race
 bench:
 	$(GO) test -bench 'E3|PHOLD|Federation|ScheduleExecute' -benchmem -run '^$$' ./...
 
-# Short fuzz pass over the wire codec and the kernel's event codec
-# (op arguments, LP images, frame events): arbitrary bytes must decode
-# to an error or a valid value — never a panic or an absurd allocation.
+# Short fuzz pass over the wire codec, the coordinator's two durable
+# formats (journal replay, cluster checkpoint) and the kernel's event
+# codec (op arguments, LP images, frame events): arbitrary bytes must
+# decode to an error or a valid value — never a panic or an absurd
+# allocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime 10s ./internal/distsim/
+	$(GO) test -run '^$$' -fuzz FuzzParseJournal -fuzztime 10s ./internal/distsim/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeClusterCheckpoint -fuzztime 10s ./internal/distsim/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 10s ./internal/winsync/
 
 # Go line counts, non-test and test, per internal/* package and for

@@ -2,10 +2,10 @@ package distsim
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/winsync"
@@ -32,14 +32,21 @@ import (
 // crash costs at most CheckpointEvery windows of re-execution.
 
 // snapshot section names (cluster level; the per-LP sections inside a
-// worker snapshot are winsync's).
+// worker snapshot are winsync's). secControl replaced "distsim.cluster"
+// when the cut became the control core's own encoding: a file without
+// it predates that and is refused.
 const (
-	secCluster = "distsim.cluster"
+	secControl = "distsim.control"
 	secSlot    = "distsim.slot"
 )
 
+// errCheckpointMismatch marks a cluster checkpoint file that is intact
+// but is not a cut this run may restore: another format, another
+// cluster shape, or a barrier outside what the journal vouches for.
+var errCheckpointMismatch = errors.New("distsim: cluster checkpoint does not fit this run")
+
 // encEventInto and decEventFrom are the kernel's event codec under the
-// names the wire, journal and cluster-checkpoint codecs call it by.
+// names the wire, journal and control codecs call it by.
 func encEventInto(enc *checkpoint.Enc, ev *Event) { winsync.AppendEvent(enc, ev) }
 
 // decEventFrom decodes one event. Data is a zero-copy view into the
@@ -48,59 +55,26 @@ func encEventInto(enc *checkpoint.Enc, ev *Event) { winsync.AppendEvent(enc, ev)
 // copies events before its read buffer turns over.
 func decEventFrom(d *checkpoint.Dec) Event { return winsync.DecodeEvent(d) }
 
-// clusterCheckpoint is the coordinator's consistent cut of a run.
+// clusterCheckpoint is the coordinator's consistent cut of a run: the
+// control cut (control.cut) and one worker snapshot per seat.
 type clusterCheckpoint struct {
-	Clock        float64
-	Windows      uint64
-	EventsRouted uint64
-	Keys         []string  // per slot: canonical LP-set key (see lpKey)
-	LPSets       [][]int   // per slot: owned LP ids (the live assignment at the cut)
-	Snapshots    [][]byte  // per slot: worker snapshot
-	Pending      [][]Event // per slot: routed, not-yet-delivered events
+	cut   []byte
+	snaps [][]byte
 }
 
-// cloneLPSets deep-copies a per-slot LP assignment, so checkpointed
-// assignments cannot alias the live one a later migration mutates.
-func cloneLPSets(sets [][]int) [][]int {
-	out := make([][]int, len(sets))
-	for i, ids := range sets {
-		out[i] = slices.Clone(ids)
-	}
-	return out
-}
-
-// lpKey is the canonical identity of a worker slot: its sorted LP-id
-// list. A replacement worker must register exactly this set.
-func lpKey(ids []int) string { return fmt.Sprint(ids) }
-
-// encode serializes the cluster checkpoint for file persistence.
-func (ck *clusterCheckpoint) encode() ([]byte, error) {
+// encode serializes the checkpoint for file persistence: the control
+// state around the cut — seat epochs and registration keys are what
+// lets a later resume seat relaunched workers — then the snapshots.
+func (ck *clusterCheckpoint) encode(c *control) ([]byte, error) {
 	var buf bytes.Buffer
 	cw := checkpoint.NewWriter(&buf)
 	var enc checkpoint.Enc
-	enc.Int(len(ck.Keys))
-	enc.F64(ck.Clock)
-	enc.U64(ck.Windows)
-	enc.U64(ck.EventsRouted)
-	if err := cw.Section(secCluster, enc.Bytes()); err != nil {
+	c.encode(&enc, ck.cut)
+	if err := cw.Section(secControl, enc.Bytes()); err != nil {
 		return nil, err
 	}
-	for i := range ck.Keys {
-		var se checkpoint.Enc
-		se.Str(ck.Keys[i])
-		se.Raw(ck.Snapshots[i])
-		se.Int(len(ck.Pending[i]))
-		for j := range ck.Pending[i] {
-			encEventInto(&se, &ck.Pending[i][j])
-		}
-		// The slot's LP assignment at the cut: a resume after live
-		// migration must restart with the migrated layout, not the
-		// registration-time one.
-		se.Int(len(ck.LPSets[i]))
-		for _, id := range ck.LPSets[i] {
-			se.Int(id)
-		}
-		if err := cw.Section(secSlot, se.Bytes()); err != nil {
+	for _, snap := range ck.snaps {
+		if err := cw.Section(secSlot, snap); err != nil {
 			return nil, err
 		}
 	}
@@ -110,119 +84,72 @@ func (ck *clusterCheckpoint) encode() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func decodeClusterCheckpoint(data []byte) (*clusterCheckpoint, error) {
+// decodeClusterCheckpoint returns the control state at the file's cut
+// (run parameters left for the caller to fill in) and the checkpoint.
+func decodeClusterCheckpoint(data []byte) (*control, *clusterCheckpoint, error) {
 	snap, err := checkpoint.Read(bytes.NewReader(data))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	cSec, ok := snap.Section(secCluster)
+	sec, ok := snap.Section(secControl)
 	if !ok {
-		return nil, fmt.Errorf("distsim: checkpoint has no %s section", secCluster)
+		return nil, nil, fmt.Errorf("%w: no %s section (written by an older build)", errCheckpointMismatch, secControl)
 	}
-	d := checkpoint.NewDec(cSec)
-	n := d.Int()
-	ck := &clusterCheckpoint{
-		Clock:        d.F64(),
-		Windows:      d.U64(),
-		EventsRouted: d.U64(),
+	d := checkpoint.NewDec(sec)
+	c, err := decodeControl(d)
+	if err == nil && d.Remaining() != 0 {
+		err = fmt.Errorf("%d trailing bytes", d.Remaining())
 	}
-	if err := d.Err(); err != nil {
-		return nil, err
+	if err != nil {
+		return nil, nil, fmt.Errorf("distsim: checkpoint %s section: %v", secControl, err)
 	}
-	slots := snap.All(secSlot)
-	if len(slots) != n {
-		return nil, fmt.Errorf("distsim: checkpoint has %d slot sections, want %d", len(slots), n)
+	ck := &clusterCheckpoint{cut: c.cut(), snaps: snap.All(secSlot)}
+	if len(ck.snaps) != len(c.slots) {
+		return nil, nil, fmt.Errorf("distsim: checkpoint has %d slot sections, want %d", len(ck.snaps), len(c.slots))
 	}
-	for _, payload := range slots {
-		sd := checkpoint.NewDec(payload)
-		ck.Keys = append(ck.Keys, sd.Str())
-		ck.Snapshots = append(ck.Snapshots, sd.Raw())
-		// Bound every count against the bytes actually present before
-		// allocating: each element costs at least one byte, so a corrupt
-		// (bit-flipped) count larger than the remaining payload can be
-		// rejected without a giant make.
-		np := sd.Int()
-		if np < 0 || np > sd.Remaining() {
-			return nil, fmt.Errorf("distsim: checkpoint slot pending count %d exceeds payload", np)
-		}
-		evs := make([]Event, 0, np)
-		for j := 0; j < np; j++ {
-			evs = append(evs, decEventFrom(sd))
-		}
-		if err := sd.Err(); err != nil {
-			return nil, err
-		}
-		ck.Pending = append(ck.Pending, evs)
-		ni := sd.Int()
-		if ni < 0 || ni > sd.Remaining() {
-			return nil, fmt.Errorf("distsim: checkpoint slot LP count %d exceeds payload", ni)
-		}
-		ids := make([]int, 0, ni)
-		for j := 0; j < ni; j++ {
-			ids = append(ids, sd.Int())
-		}
-		if err := sd.Err(); err != nil {
-			return nil, err
-		}
-		ck.LPSets = append(ck.LPSets, ids)
-	}
-	return ck, nil
+	return c, ck, nil
 }
 
-// save persists the checkpoint atomically: write to a temp file in the
-// same directory, then rename over the target, so a crash mid-write
-// never leaves a truncated checkpoint behind.
-func (ck *clusterCheckpoint) save(path string) error {
-	data, err := ck.encode()
+// save persists the checkpoint at path, whole or not at all.
+func (ck *clusterCheckpoint) save(path string, c *control) error {
+	data, err := ck.encode(c)
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
+	return writeFileAtomic(path, data)
+}
+
+// writeFileAtomic makes data the content of path: written to a temp
+// file in the same directory, then renamed over the target, so a crash
+// mid-write never leaves a truncated file behind. The bytes reach the
+// disk before the rename makes them the file of record: a crash-restart
+// reads these files to decide where it stands and how far it can roll
+// back, so a rename pointing at unsynced pages would let one power cut
+// destroy both the run and its recovery point.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	if _, err = tmp.Write(data); err == nil {
+		err = tmp.Sync()
 	}
-	// Reach the disk before the rename makes the file the checkpoint of
-	// record: a crash-restart reads this file to decide how far it can
-	// roll back, so a rename pointing at unsynced pages would let one
-	// power cut destroy both the run and its recovery point.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	return os.Rename(tmp.Name(), path)
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
-func loadClusterCheckpoint(path string) (*clusterCheckpoint, error) {
+func loadClusterCheckpoint(path string) (*control, *clusterCheckpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	return decodeClusterCheckpoint(data)
-}
-
-// copyPending deep-copies the per-slot pending event lists — payloads
-// included, because live routed events carry Data views into the
-// coordinator's reusable arena — so that the live routing state and
-// the checkpointed state cannot alias.
-func copyPending(pending [][]Event) [][]Event {
-	out := make([][]Event, len(pending))
-	for i, evs := range pending {
-		out[i] = append([]Event(nil), evs...)
-		for j := range out[i] {
-			if len(out[i][j].Data) > 0 {
-				out[i][j].Data = append([]byte(nil), out[i][j].Data...)
-			}
-		}
-	}
-	return out
 }

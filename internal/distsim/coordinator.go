@@ -7,7 +7,6 @@ import (
 	"net"
 	"os"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/obs"
@@ -228,38 +227,24 @@ func (e *slotError) Error() string {
 }
 func (e *slotError) Unwrap() error { return e.err }
 
-// parkedConn is a registration that arrived while the coordinator was
-// waiting for a session resume: a fresh worker process whose in-memory
-// session is gone. It is handed to rollback recovery instead of being
-// turned away.
-type parkedConn struct {
-	p   *peer
-	ids []int
-}
-
-// session is the mutable state of one Serve call.
+// session is the I/O shell of one Serve call around its control state:
+// the listener, one link per seat, and the window loop's scratch. What
+// the run is synchronised on lives in ctl (control.go).
 type session struct {
-	ln       net.Listener
-	links    []*link
-	keys     []string // per slot: canonical LP-set key (tracks live migration)
-	regKeys  []string // per slot: the key the slot's worker registered with
-	lpSets   [][]int  // per slot: owned LPs, sorted
-	sessions []uint64 // per slot: current session id
-	epochs   []int    // per slot: incarnation counter
-	parked   *parkedConn
-	pending  [][]Event
-	loads    []partition.Load // per LP: accumulated load since the last plan (nil = rebalance off)
-	clock    float64
-	ckpt     *clusterCheckpoint
-	every    int
-	journal  *journal // nil unless JournalPath is set
+	ln      net.Listener
+	ctl     *control
+	links   []*link          // per seat; nil until a worker is seated
+	parked  *admission       // a registration that knocked during a resume wait, kept for rollback recovery
+	loads   []partition.Load // per LP: accumulated load since the last plan (nil = rebalance off)
+	ckpt    *clusterCheckpoint
+	journal *journal // nil unless JournalPath is set
 
 	// Per-slot I/O workers (see Coordinator.slotIO): ioReq carries one
-	// op per slot per barrier, ioRes collects the replies. The channels
+	// frame per slot per barrier, ioRes collects the replies. The channels
 	// double as the memory barrier for link state — a slot's link is
 	// only touched by its I/O goroutine between op send and result
 	// receive, and only by the coordinator goroutine otherwise.
-	ioReq []chan ioOp
+	ioReq []chan *frame
 	ioRes chan ioResult
 
 	// Reused window-loop scratch: outbound frame headers, collected
@@ -274,105 +259,82 @@ type session struct {
 	arena    []byte
 }
 
-// ioOp asks a slot's I/O goroutine to send a frame (when non-nil) and
-// then receive the slot's next non-heartbeat frame (when recv is set).
-type ioOp struct {
-	send *frame
-	recv bool
-}
-
-// ioResult is one slot's outcome for an ioOp.
+// ioResult is one slot's outcome of a barrier: the reply to the frame
+// its I/O goroutine was handed.
 type ioResult struct {
 	slot int
 	f    *frame
 	err  error
 }
 
-// slotIO is the persistent per-slot I/O worker: it performs one op per
-// barrier so every slot's send and receive overlap with all the
+// slotIO is the persistent per-slot I/O worker: it sends one frame per
+// barrier and receives the slot's next non-heartbeat frame, so every
+// slot's send and receive overlap with all the
 // others', making barrier wire latency max-over-workers instead of
 // sum-over-workers. Transport errors are reported, not healed — the
 // coordinator goroutine owns session resume, which serializes on the
 // listener.
-func (c *Coordinator) slotIO(s *session, wi int, req <-chan ioOp) {
-	for op := range req {
-		res := ioResult{slot: wi}
-		if op.send != nil {
-			res.err = s.links[wi].send(op.send)
-		}
-		if res.err == nil && op.recv {
+func (c *Coordinator) slotIO(s *session, wi int, req <-chan *frame) {
+	for f := range req {
+		res := ioResult{slot: wi, err: s.links[wi].send(f)}
+		if res.err == nil {
 			res.f, res.err = c.recvFrame(s.links[wi])
 		}
 		s.ioRes <- res
 	}
 }
 
-// startIO spawns one I/O goroutine per registered slot. Must run after
-// the slot order is final (registration and any checkpoint reorder).
+// startIO spawns one I/O goroutine per seat. Must run after every seat
+// has its link.
 func (s *session) startIO(c *Coordinator) {
 	n := len(s.links)
 	s.ioRes = make(chan ioResult, n)
-	s.ioReq = make([]chan ioOp, n)
+	s.ioReq = make([]chan *frame, n)
 	s.wframes = make([]frame, n)
 	s.done = make([]*frame, n)
 	s.errs = make([]error, n)
 	for wi := range s.links {
-		req := make(chan ioOp)
+		req := make(chan *frame)
 		s.ioReq[wi] = req
 		go c.slotIO(s, wi, req)
 	}
 }
 
-// stopIO shuts the I/O goroutines down; no op may be in flight.
-func (s *session) stopIO() {
-	for _, req := range s.ioReq {
-		close(req)
-	}
-	s.ioReq = nil
-}
-
 // exchange runs one barrier: every slot concurrently sends the frame
-// mk builds for it and receives the reply, which lands in out[slot].
+// mk builds for it and receives the reply, which lands in s.done[slot].
 // Slots that fail are healed serially afterwards — session resume
 // replays the retained send, then the receive is retried on the healed
 // link — so the failure semantics match the old serial loop while the
 // happy path pays only the slowest worker's round trip.
 //
-// phase labels the barrier for the coordinator's recorder:
+// phase and seq label the barrier for the coordinator's recorder:
 // KindWindowSend splits into a send span (the fan-out handoff, whose
 // wall time anchors the merged timeline) and an await-barrier span;
 // KindCheckpoint records one covering span; zero records nothing.
-func (c *Coordinator) exchange(s *session, phase obs.Kind, mk func(wi int) *frame, out []*frame) error {
+func (c *Coordinator) exchange(s *session, phase obs.Kind, seq uint64, mk func(wi int) *frame) error {
 	co := c.Obs
 	var t0, t1 int64
 	if co != nil {
 		t0 = obs.Now()
 	}
-	for i := range s.errs {
-		s.errs[i] = nil
-	}
 	for wi := range s.links {
-		s.ioReq[wi] <- ioOp{send: mk(wi), recv: true}
+		s.ioReq[wi] <- mk(wi)
 	}
 	if co != nil {
 		t1 = obs.Now()
 	}
 	for range s.links {
 		r := <-s.ioRes
-		if r.err != nil {
-			s.errs[r.slot] = r.err
-		} else {
-			out[r.slot] = r.f
-		}
+		s.done[r.slot], s.errs[r.slot] = r.f, r.err
 	}
 	if co != nil {
 		t2 := obs.Now()
 		switch phase {
 		case obs.KindWindowSend:
-			co.span(obs.KindWindowSend, t0, t1-t0, c.Windows, s.clock)
-			co.span(obs.KindAwaitBarrier, t1, t2-t1, c.Windows, s.clock)
+			co.span(obs.KindWindowSend, t0, t1-t0, seq, s.ctl.clock)
+			co.span(obs.KindAwaitBarrier, t1, t2-t1, seq, s.ctl.clock)
 		case obs.KindCheckpoint:
-			co.span(obs.KindCheckpoint, t0, t2-t0, c.Windows, s.clock)
+			co.span(obs.KindCheckpoint, t0, t2-t0, seq, s.ctl.clock)
 		}
 	}
 	for wi := range s.links {
@@ -380,7 +342,6 @@ func (c *Coordinator) exchange(s *session, phase obs.Kind, mk func(wi int) *fram
 		if err == nil {
 			continue
 		}
-		s.errs[wi] = nil
 		var h0 int64
 		if co != nil {
 			h0 = obs.Now()
@@ -393,9 +354,9 @@ func (c *Coordinator) exchange(s *session, phase obs.Kind, mk func(wi int) *fram
 			return ferr
 		}
 		if co != nil {
-			co.span(obs.KindHeal, h0, obs.Now()-h0, c.Windows, s.clock)
+			co.span(obs.KindHeal, h0, obs.Now()-h0, seq, s.ctl.clock)
 		}
-		out[wi] = f
+		s.done[wi] = f
 	}
 	return nil
 }
@@ -405,207 +366,147 @@ func (c *Coordinator) exchange(s *session, phase obs.Kind, mk func(wi int) *fram
 // the stop frame; the listener stays open throughout to accept worker
 // reconnects (session resume) and replacement workers (rollback
 // recovery). The caller owns the listener.
+//
+// Every Serve has the same steps: obtain a control state (journal
+// replay, ResumePath file, or blank), seat a worker on every seat
+// through admission (fill), bring the cluster to that state, finish the
+// run. On a journal restart the ladder is re-adopt -> rollback -> fail:
+// with no usable checkpoint it fails rather than guess.
 func (c *Coordinator) Serve(ln net.Listener, nWorkers int) error {
 	if nWorkers <= 0 {
 		return fmt.Errorf("distsim: Serve with %d workers", nWorkers)
 	}
-	// A journal that already holds a genesis record means this Serve is
-	// a crash restart: replay the control state and re-adopt the
-	// cluster instead of registering it afresh.
-	if c.JournalPath != "" {
-		st, jerr := loadJournal(c.JournalPath)
-		switch {
-		case jerr == nil || errors.Is(jerr, ErrJournalTruncated):
-			if st.genesis {
-				return c.serveRestart(ln, nWorkers, st)
-			}
-			// Torn before genesis ever landed: nothing usable, recreate.
-		case errors.Is(jerr, os.ErrNotExist):
-			// first launch of the crash-restart loop
-		default:
-			return jerr
-		}
-	}
-	s := &session{ln: ln, every: c.every(), pending: make([][]Event, nWorkers)}
+	s := &session{ln: ln, links: make([]*link, nWorkers)}
 	defer s.shutdown()
+	tip, ck, err := c.obtain(s)
+	if err != nil {
+		return err
+	}
+	// However Serve ends, the counters it reached are its result.
+	defer func() { c.Windows, c.WindowsSkipped, c.EventsRouted = s.ctl.windows, s.ctl.skipped, s.ctl.routed }()
 
-	var resume *clusterCheckpoint
-	if c.ResumePath != "" {
-		ck, err := loadClusterCheckpoint(c.ResumePath)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			// first launch: nothing to resume yet
-		case err != nil:
-			return err
-		case len(ck.Keys) != nWorkers:
-			return fmt.Errorf("distsim: checkpoint %s has %d workers, run has %d", c.ResumePath, len(ck.Keys), nWorkers)
-		default:
-			resume = ck
-		}
-	}
-
-	// Registration: collect LP ownership, check it partitions the ID
-	// space exactly. A connection that dies or times out before
-	// delivering a register frame is dropped, not fatal — under a
-	// faulty network the same worker simply dials again.
-	for len(s.links) < nWorkers {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		p := newPeer(conn)
-		p.writeTimeout = c.timeout()
-		f, _, err := p.recvRaw(c.timeout())
-		if err != nil {
-			p.close()
-			continue
-		}
-		if f.Kind != frameRegister {
-			return fmt.Errorf("distsim: expected register, got %s", f.Kind)
-		}
-		ids := append([]int(nil), f.LPs...)
-		sort.Ints(ids)
-		key := lpKey(ids)
-		// A re-registration for an already-claimed LP set is either a
-		// worker whose config handshake died (its old connection is
-		// gone — adopt the new one) or a genuinely duplicated worker
-		// (both alive — a configuration error worth failing loudly).
-		if prev := indexOf(s.keys, key); prev >= 0 {
-			if !s.links[prev].p.dead() {
-				p.close()
-				return fmt.Errorf("distsim: LP set %s registered by two live workers", key)
-			}
-			s.links[prev].close()
-			s.links[prev] = newLink(p)
-			continue
-		}
-		s.links = append(s.links, newLink(p))
-		s.lpSets = append(s.lpSets, ids)
-		s.keys = append(s.keys, key)
-		s.regKeys = append(s.regKeys, key)
-	}
-	owner := make([]int, c.NLPs) // LP -> worker slot
-	for i := range owner {
-		owner[i] = -1
-	}
-	for wi, ids := range s.lpSets {
-		for _, lp := range ids {
-			if lp < 0 || lp >= c.NLPs {
-				return fmt.Errorf("distsim: worker %d registers unknown LP %d", wi, lp)
-			}
-			if owner[lp] != -1 {
-				return fmt.Errorf("distsim: LP %d registered twice", lp)
-			}
-			owner[lp] = wi
-		}
-	}
-	for lp, w := range owner {
-		if w == -1 {
-			return fmt.Errorf("distsim: LP %d unowned", lp)
-		}
-	}
-
-	// Resuming: reorder peers into the checkpoint's slot order, so
-	// slot i's snapshot lands on a worker owning slot i's LP set. The
-	// checkpointed assignment (which live migration may have moved away
-	// from the workers' static registration) wins: restore reconciles
-	// each worker's LP set to its snapshot.
-	if resume != nil {
-		if err := s.reorderToSlots(resume.Keys); err != nil {
-			return err
-		}
-		s.lpSets = cloneLPSets(resume.LPSets)
-		for i := range owner {
-			owner[i] = -1
-		}
-		for wi, ids := range s.lpSets {
-			for _, lp := range ids {
-				owner[lp] = wi
-			}
-		}
+	atTip, err := c.fill(s)
+	if err != nil {
+		return err
 	}
 	if c.Rebalance != nil {
+		// After a restart planning starts from fresh deltas. Placement can
+		// diverge from the uninterrupted run — results cannot, delivery
+		// order is placement-independent.
 		s.loads = make([]partition.Load, c.NLPs)
 		for i := range s.loads {
 			s.loads[i].LP = i
 		}
 	}
-
-	// Session identities, then configuration. A config frame lost on
-	// the wire surfaces as the worker re-registering; resumeSlot redoes
-	// the handshake on the same session.
-	s.sessions = make([]uint64, nWorkers)
-	s.epochs = make([]int, nWorkers)
-	for wi := range s.links {
-		s.sessions[wi] = c.sessionID(wi, 0)
-	}
-	for wi := range s.links {
-		if err := s.links[wi].send(c.configFrame(s.sessions[wi])); err != nil {
-			if rerr := c.resumeSlot(s, wi, err); rerr != nil {
-				return &slotError{wi, rerr}
-			}
-		}
-	}
 	s.startIO(c)
 	s.bindObs(c)
 
-	// The durable journal starts here: genesis pins the run parameters
-	// and the initial control state before the first window frame goes
-	// out, so any later crash restarts from a replayable file.
-	if c.JournalPath != "" {
-		j, err := createJournal(c.JournalPath)
+	// A resume file is the state: everyone restores it. A journal tip is
+	// the state when every worker was re-adopted at it; the checkpoint
+	// file is then only the budget for later worker failures.
+	s.ckpt = ck
+	if tip == nil && ck != nil || tip != nil && !atTip {
+		if ck == nil {
+			return errors.New("distsim: journal restart needs a rollback but CheckpointPath holds no checkpoint")
+		}
+		if err := c.rollbackTo(s, ck); err != nil {
+			return err
+		}
+	}
+	// A new journal starts here: genesis pins the run parameters and the
+	// control state before the first window frame goes out, so any later
+	// crash restarts from a replayable file.
+	if c.JournalPath != "" && tip == nil {
+		if s.journal, err = createJournal(c.JournalPath); err == nil {
+			err = s.journal.genesis(s.ctl)
+		}
 		if err != nil {
 			return err
 		}
-		s.journal = j
 	}
-
-	if resume != nil {
-		// Restore every worker from the persisted checkpoint, then pick
-		// up the window loop at its clock.
-		for wi := range s.links {
-			if err := c.sendSlot(s, wi, &frame{Kind: frameRestore, Data: resume.Snapshots[wi]}); err != nil {
-				return err
-			}
-		}
-		for wi := range s.links {
-			if err := c.awaitRestored(s, wi); err != nil {
-				return err
-			}
-		}
-		s.ckpt = resume
-		s.clock = resume.Clock
-		s.pending = copyPending(resume.Pending)
-		c.Windows = resume.Windows
-		c.EventsRouted = resume.EventsRouted
-		if s.journal != nil {
-			if err := s.journal.appendGenesis(len(s.links), c.NLPs, c.Lookahead, c.Horizon, c.Seed, s.cut(c)); err != nil {
-				return err
-			}
-		}
-	} else {
-		if s.journal != nil {
-			if err := s.journal.appendGenesis(len(s.links), c.NLPs, c.Lookahead, c.Horizon, c.Seed, s.cut(c)); err != nil {
-				return err
-			}
-		}
-		if s.every > 0 {
-			// Initial checkpoint: a crash inside the very first window
-			// must be as recoverable as any other.
-			if err := c.checkpoint(s); err != nil {
-				return err
-			}
+	if tip == nil && ck == nil && c.every() > 0 {
+		// Initial checkpoint: a crash inside the very first window must be
+		// as recoverable as any other.
+		if err := c.checkpoint(s); err != nil {
+			return err
 		}
 	}
+	if c.Obs != nil && s.journal != nil {
+		c.Obs.noteJournal(s.journal.records, s.journal.bytes, c.Readopted)
+	}
+	return c.finish(s)
+}
 
-	return c.finish(s, owner)
+// obtain gives the session its control state, one of three ways. A
+// journal holding a genesis record means this Serve is a crash restart:
+// the replayed state is returned as tip, the journal is reopened for
+// appending, and ck is the CheckpointPath file, nil when there is none
+// and refused when the journal does not vouch for it. Else an existing
+// ResumePath file supplies the state and ck, the checkpoint every
+// worker restores before the run goes on; a missing file is the first
+// launch of a crash-restart loop. Else the state is blank and
+// registration fills it in.
+func (c *Coordinator) obtain(s *session) (tip *journalState, ck *clusterCheckpoint, err error) {
+	if c.JournalPath != "" {
+		st, err := loadJournal(c.JournalPath)
+		switch {
+		case err == nil || errors.Is(err, ErrJournalTruncated):
+			if st.ctl != nil {
+				tip = st
+			}
+			// Torn before genesis ever landed: nothing usable, recreate.
+		case !errors.Is(err, os.ErrNotExist):
+			return nil, nil, err
+		}
+	}
+	path := c.ResumePath
+	if tip != nil {
+		path = c.CheckpointPath
+	}
+	var at *control // the state at ck's cut
+	if path != "" {
+		if at, ck, err = loadClusterCheckpoint(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, nil, err
+		}
+		if ck != nil && (len(at.slots) != len(s.links) || at.nLPs != c.NLPs) {
+			return nil, nil, fmt.Errorf("%w: %s holds %d workers over %d LPs, this run %d over %d",
+				errCheckpointMismatch, path, len(at.slots), at.nLPs, len(s.links), c.NLPs)
+		}
+	}
+	switch {
+	case tip != nil:
+		s.ctl = tip.ctl
+		if len(s.ctl.slots) != len(s.links) || s.ctl.nLPs != c.NLPs || s.ctl.lookahead != c.Lookahead ||
+			s.ctl.horizon != c.Horizon || s.ctl.seed != c.Seed {
+			return nil, nil, fmt.Errorf("distsim: journal %s records a %d-worker run over %d LPs (lookahead %v, horizon %v, seed %d); this coordinator is configured differently",
+				c.JournalPath, len(s.ctl.slots), s.ctl.nLPs, s.ctl.lookahead, s.ctl.horizon, s.ctl.seed)
+		}
+		// A cut older than the last checkpoint the journal saw made
+		// durable, or past its tip, is some other run's or moment's file.
+		if ck != nil && (at.windows < tip.ckptWindows || at.windows > s.ctl.windows) {
+			return nil, nil, fmt.Errorf("%w: %s is at barrier %d; the journal saw barrier %d checkpointed and its tip is barrier %d",
+				errCheckpointMismatch, path, at.windows, tip.ckptWindows, s.ctl.windows)
+		}
+		s.journal, err = openJournal(c.JournalPath, tip)
+		return tip, ck, err
+	case ck != nil:
+		s.ctl = at
+		s.ctl.lookahead, s.ctl.horizon, s.ctl.seed = c.Lookahead, c.Horizon, c.Seed
+	default:
+		s.ctl = newControl(c.NLPs, c.Lookahead, c.Horizon, c.Seed, len(s.links))
+	}
+	return nil, ck, nil
 }
 
 // shutdown is the deferred cleanup of one Serve call.
 func (s *session) shutdown() {
-	s.stopIO()
+	for _, req := range s.ioReq {
+		close(req) // no frame is in flight: exchange waits for every reply
+	}
 	for _, l := range s.links {
-		l.close()
+		if l != nil {
+			l.close()
+		}
 	}
 	if s.parked != nil {
 		s.parked.p.close()
@@ -613,29 +514,19 @@ func (s *session) shutdown() {
 	s.journal.close()
 }
 
-// cut captures the session's live control state as a journal cut —
-// the payload of genesis and reset records.
-func (s *session) cut(c *Coordinator) *journalCut {
-	return &journalCut{
-		epochs: s.epochs, regKeys: s.regKeys, lpSets: s.lpSets, pending: s.pending,
-		windows: c.Windows, skipped: c.WindowsSkipped, routed: c.EventsRouted, clock: s.clock,
-	}
-}
-
 // finish drives a configured session to completion: the window loop
 // with rollback recovery around it, then shutdown, stats collection,
-// and the final bye. Both the fresh-registration path of Serve and
-// the journal-restart path end here.
-func (c *Coordinator) finish(s *session, owner []int) error {
+// and the final bye.
+func (c *Coordinator) finish(s *session) error {
 	// Window loop, with rollback-recovery around it.
-	err := c.runWindows(s, owner)
+	err := c.runWindows(s)
 	for err != nil {
 		var se *slotError
 		if !errors.As(err, &se) || s.ckpt == nil || c.Recoveries >= c.MaxRecoveries {
 			return err
 		}
 		c.Recoveries++
-		if rerr := c.recoverSlot(s, owner, se.slot); rerr != nil {
+		if rerr := c.recoverSlot(s, se.slot); rerr != nil {
 			var cascade *slotError
 			if errors.As(rerr, &cascade) {
 				err = rerr // another worker died mid-recovery; recover it too
@@ -643,7 +534,7 @@ func (c *Coordinator) finish(s *session, owner []int) error {
 			}
 			return fmt.Errorf("distsim: recovery after [%v] failed: %w", se, rerr)
 		}
-		err = c.runWindows(s, owner)
+		err = c.runWindows(s)
 	}
 
 	// Shutdown + stats + bye. The bye releases the worker: a worker
@@ -661,7 +552,7 @@ func (c *Coordinator) finish(s *session, owner []int) error {
 	c.WorkerStats = make([]WorkerStats, len(s.links))
 	c.StatsIncomplete = false
 	markIncomplete := func(wi int) {
-		c.WorkerStats[wi] = WorkerStats{LPs: slices.Clone(s.lpSets[wi]), Incomplete: true}
+		c.WorkerStats[wi] = WorkerStats{LPs: slices.Clone(s.ctl.slots[wi].lps), Incomplete: true}
 		c.StatsIncomplete = true
 		if c.Obs != nil {
 			c.Obs.noteIncomplete()
@@ -697,226 +588,242 @@ func (c *Coordinator) finish(s *session, owner []int) error {
 	return nil
 }
 
-// serveRestart is the crash-restart path of Serve: the journal at
-// JournalPath holds a genesis record, so the control state — LP
-// assignment, window sequence, session epochs, routed pending events,
-// checkpoint ref — is replayed from disk and the cluster is
-// re-adopted instead of re-registered.
-//
-// Each accepted connection is one of three things. A hello carrying a
-// session id the replayed epochs derive is a surviving worker parked
-// at its last quiesced barrier: the coordinator answers coordHello,
-// the worker answers readopt (its LP set, last executed window, next
-// event time), and — when that state lines up with the journal tip —
-// the slot resumes on a fresh link with zero rollback. A hello with
-// an unknown session is a survivor from an incarnation the crash kept
-// out of the journal (it died mid-recovery): still adopted, matched
-// by LP set, but its state cannot be trusted, so the run rolls back.
-// A register frame is a fresh worker process holding no state at all:
-// adopted under a bumped epoch, and likewise forces rollback.
-//
-// The fallback ladder is re-adopt -> rollback -> fail: if any slot
-// cannot be re-adopted cleanly, every worker restores the persisted
-// CheckpointPath cut; with no such cut the restart fails with a typed
-// error rather than guessing.
-func (c *Coordinator) serveRestart(ln net.Listener, nWorkers int, st *journalState) error {
-	if st.nWorkers != nWorkers || st.nLPs != c.NLPs || st.lookahead != c.Lookahead ||
-		st.horizon != c.Horizon || st.seed != c.Seed {
-		return fmt.Errorf("distsim: journal %s records a %d-worker run over %d LPs (lookahead %v, horizon %v, seed %d); this coordinator is configured differently",
-			c.JournalPath, st.nWorkers, st.nLPs, st.lookahead, st.horizon, st.seed)
-	}
-	s := &session{ln: ln, every: c.every()}
-	defer s.shutdown()
-	j, err := openJournal(c.JournalPath, st)
-	if err != nil {
-		return err
-	}
-	s.journal = j
-	s.links = make([]*link, nWorkers)
-	s.epochs = st.epochs
-	s.regKeys = st.regKeys
-	s.lpSets = st.lpSets
-	s.pending = st.pending
-	s.keys = make([]string, nWorkers)
-	s.sessions = make([]uint64, nWorkers)
-	for wi := 0; wi < nWorkers; wi++ {
-		s.keys[wi] = lpKey(s.lpSets[wi])
-		s.sessions[wi] = c.sessionID(wi, s.epochs[wi])
-	}
+// admission is one connection that knocked on the listener, classified
+// by its first frame. A register is a worker process holding no
+// session: fresh, or relaunched. A hello holds one and wants its seat
+// back after a broken connection or a coordinator outage: slot is the
+// seat whose current session it presented, or -1 — a zombie of a
+// replaced incarnation, since a seat's epoch is journaled before any
+// config frame carries its session.
+type admission struct {
+	p        *peer
+	register bool
+	slot     int    // hello: the seat, -1 for a stranger
+	ids      []int  // the LP set presented, sorted
+	key      string // lpKey(ids)
+	recvSeq  uint64 // hello: the worker's receive watermark
+}
 
-	// matchSlot finds the unfilled slot whose live or registration-time
-	// LP set matches the presented one.
-	matchSlot := func(lps []int) (int, string) {
-		ids := append([]int(nil), lps...)
-		sort.Ints(ids)
-		key := lpKey(ids)
-		for wi := range s.keys {
-			if s.links[wi] == nil && (s.keys[wi] == key || s.regKeys[wi] == key) {
-				return wi, key
+// admit is the one place connections are accepted. It returns the next
+// connection that opens with a register or hello frame, and closes the
+// ones that die, stall or say anything else first: under a faulty
+// network the same worker simply dials again. A non-zero deadline
+// bounds the wait.
+func (c *Coordinator) admit(s *session, deadline time.Time) (*admission, error) {
+	if dl, ok := s.ln.(interface{ SetDeadline(time.Time) error }); ok && !deadline.IsZero() {
+		_ = dl.SetDeadline(deadline)
+		defer dl.SetDeadline(time.Time{})
+	}
+	for {
+		wait := c.timeout()
+		if !deadline.IsZero() {
+			left := time.Until(deadline)
+			if left <= 0 {
+				return nil, os.ErrDeadlineExceeded
+			}
+			if wait <= 0 || left < wait {
+				wait = left
 			}
 		}
-		return -1, key
-	}
-
-	needRollback := false
-	filled := 0
-	for filled < nWorkers {
-		conn, err := ln.Accept()
+		conn, err := s.ln.Accept()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		p := newPeer(conn)
 		p.writeTimeout = c.timeout()
-		f, _, err := p.recvRaw(c.timeout())
-		if err != nil {
+		f, _, err := p.recvRaw(wait)
+		if err != nil || (f.Kind != frameRegister && f.Kind != frameHello) {
 			p.close()
 			continue
 		}
-		switch f.Kind {
-		case frameHello:
-			slot := -1
-			for wi, sid := range s.sessions {
-				if s.links[wi] == nil && sid == f.Session {
-					slot = wi
-					break
-				}
-			}
-			if slot < 0 {
-				// Unknown session: a survivor whose epoch bump the crash
-				// kept out of the journal. Adopt it by LP set — for the
-				// rollback, since its barrier state cannot be validated.
-				if slot, _ = matchSlot(f.LPs); slot < 0 {
-					p.close() // stale incarnation; its process will give up on its own
-					continue
-				}
-				needRollback = true
-			}
-			var t0 int64
-			if c.Obs != nil {
-				t0 = obs.Now()
-			}
-			if err := p.sendRaw(&frame{Kind: frameCoordHello, Session: s.sessions[slot]}, 0); err != nil {
-				p.close()
-				continue
-			}
-			rf, _, err := p.recvRaw(c.timeout())
-			if err != nil || rf.Kind != frameReadopt {
-				p.close()
-				continue
-			}
-			ids := append([]int(nil), rf.LPs...)
-			sort.Ints(ids)
-			if lpKey(ids) != s.keys[slot] || (rf.WinSeq != st.windows && rf.WinSeq != st.windows+1) {
-				// The worker survived but its state does not line up with
-				// the journal tip (say, a migration that committed on the
-				// workers with its record still un-durable): roll back.
-				needRollback = true
-			}
-			// Both sides restart the sequence space from zero on a fresh
-			// link; anything the old link retained is re-derivable (the
-			// journal re-sends windows, the worker replays its done).
-			s.links[slot] = newLink(p)
-			filled++
-			c.Readopted++
-			if c.Obs != nil {
-				c.Obs.span(obs.KindReadopt, t0, obs.Now()-t0, uint64(slot), st.clock)
-			}
-		case frameRegister:
-			// A fresh worker process holds no barrier state: adopt it
-			// under a new session epoch and roll the run back.
-			slot, key := matchSlot(f.LPs)
-			if slot < 0 {
-				p.close()
-				continue
-			}
-			needRollback = true
-			s.epochs[slot]++
-			s.sessions[slot] = c.sessionID(slot, s.epochs[slot])
-			s.regKeys[slot] = key
-			l := newLink(p)
-			if err := l.send(c.configFrame(s.sessions[slot])); err != nil {
-				l.close()
-				continue
-			}
-			s.links[slot] = l
-			filled++
-		default:
-			p.close()
-		}
-	}
-
-	owner := make([]int, c.NLPs)
-	for i := range owner {
-		owner[i] = -1
-	}
-	for wi, ids := range s.lpSets {
-		for _, lp := range ids {
-			owner[lp] = wi
-		}
-	}
-	for lp, w := range owner {
-		if w == -1 {
-			return corruptf("journal leaves LP %d unowned", lp)
-		}
-	}
-	if c.Rebalance != nil {
-		// Load signals died with the old coordinator; planning restarts
-		// from fresh deltas. Placement can diverge from the uninterrupted
-		// run — results cannot, delivery order is placement-independent.
-		s.loads = make([]partition.Load, c.NLPs)
-		for i := range s.loads {
-			s.loads[i].LP = i
-		}
-	}
-	s.startIO(c)
-	s.bindObs(c)
-
-	if needRollback {
-		if err := c.restartRollback(s, owner); err != nil {
-			return err
-		}
-	} else {
-		// Zero-rollback resume: the journal tip is the cluster state.
-		// Workers that already executed the next window replay their
-		// stored done frames when it is re-sent.
-		s.clock = st.clock
-		c.Windows = st.windows
-		c.WindowsSkipped = st.skipped
-		c.EventsRouted = st.eventsRouted
-		if c.CheckpointPath != "" {
-			// Reload the rollback budget for future worker failures; its
-			// absence only disables in-run recovery, it does not block a
-			// clean re-adoption.
-			if ck, err := loadClusterCheckpoint(c.CheckpointPath); err == nil && len(ck.Keys) == nWorkers {
-				s.ckpt = ck
+		a := &admission{p: p, register: f.Kind == frameRegister, slot: -1, ids: slices.Clone(f.LPs), recvSeq: f.RecvSeq}
+		slices.Sort(a.ids)
+		a.key = lpKey(a.ids)
+		for wi := range s.ctl.slots {
+			if !a.register && s.ctl.slots[wi].lps != nil && c.sessionOf(s, wi) == f.Session {
+				a.slot = wi
 			}
 		}
+		return a, nil
 	}
-	if c.Obs != nil {
-		c.Obs.noteJournal(s.journal.records, s.journal.bytes, c.Readopted)
-	}
-	return c.finish(s, owner)
 }
 
-// restartRollback is the middle rung of the restart ladder: some slot
-// could not be re-adopted at the journal tip, so every worker —
-// survivors included — restores the persisted cluster checkpoint, and
-// the run re-executes from that barrier exactly as an in-run rollback
-// recovery would.
-func (c *Coordinator) restartRollback(s *session, owner []int) error {
-	if c.CheckpointPath == "" {
-		return errors.New("distsim: journal restart needs a rollback but no CheckpointPath is configured")
+// sessionOf is the session id of seat wi's current incarnation.
+func (c *Coordinator) sessionOf(s *session, wi int) uint64 {
+	return c.sessionID(wi, s.ctl.slots[wi].epoch)
+}
+
+// matchSeat finds the seat a worker presenting LP-set key belongs on:
+// one whose live or registration-time set it is (a relaunched worker
+// only knows its static command line, whatever migration did since),
+// an empty seat before a taken one. With claim set, a key no seat knows
+// takes the first blank seat — registration for a fresh run.
+func (s *session) matchSeat(key string, claim bool) int {
+	taken, blank := -1, -1
+	for wi := range s.ctl.slots {
+		sl := &s.ctl.slots[wi]
+		switch {
+		case sl.lps == nil:
+			if blank < 0 {
+				blank = wi
+			}
+		case sl.regKey != key && lpKey(sl.lps) != key:
+		case s.links[wi] == nil:
+			return wi
+		case taken < 0:
+			taken = wi
+		}
 	}
-	ck, err := loadClusterCheckpoint(c.CheckpointPath)
-	if err != nil {
-		return fmt.Errorf("distsim: journal restart needs a rollback: %w", err)
+	if taken < 0 && claim {
+		return blank
 	}
-	if len(ck.Keys) != len(s.links) {
-		return fmt.Errorf("distsim: checkpoint %s has %d workers, run has %d", c.CheckpointPath, len(ck.Keys), len(s.links))
+	return taken
+}
+
+// fill seats a worker on every seat, then configures the newcomers. A
+// register takes the seat matchSeat gives it, under a new epoch; a
+// hello for an empty seat is a worker that outlived the previous
+// coordinator and is re-adopted in place. A seat whose connection has
+// died meanwhile is empty again; a register for one whose connection is
+// alive is two workers claiming one LP set, a configuration error worth
+// failing loudly. Config frames go out only once the cluster is
+// complete and its LP sets partition the run: a worker that waits past
+// its handshake timeout registers again, as does one whose config died
+// on the wire, which resumeSlot redoes on the same session. atTip: every
+// seat was re-adopted holding the control state's barrier.
+func (c *Coordinator) fill(s *session) (atTip bool, err error) {
+	atTip = true
+	newcomer := make([]bool, len(s.links))
+	for filled := 0; filled < len(s.links); {
+		a, err := c.admit(s, time.Time{})
+		if err != nil {
+			return false, err
+		}
+		wi := a.slot
+		if a.register {
+			wi = s.matchSeat(a.key, true)
+		}
+		if wi < 0 {
+			a.p.close() // nobody's seat; its process will give up on its own
+			continue
+		}
+		if l := s.links[wi]; l != nil {
+			if !l.p.dead() {
+				a.p.close()
+				if a.register {
+					return false, fmt.Errorf("distsim: LP set %s registered by two live workers", a.key)
+				}
+				continue
+			}
+			l.close()
+			s.links[wi] = nil
+			filled--
+		}
+		if newcomer[wi] = a.register; a.register {
+			atTip = false
+			if err := c.seat(s, wi, a); err != nil {
+				return false, err
+			}
+		} else {
+			var ok bool
+			if s.links[wi], ok = c.readopt(s, wi, a); s.links[wi] == nil {
+				continue
+			}
+			atTip = atTip && ok
+		}
+		filled++
 	}
-	s.ckpt = ck
+	if err := s.ctl.index(); err != nil {
+		return false, fmt.Errorf("distsim: registered LP sets do not partition the run: %v", err)
+	}
 	for wi := range s.links {
-		if err := c.sendSlot(s, wi, &frame{Kind: frameRestore, Data: ck.Snapshots[wi]}); err != nil {
+		if !newcomer[wi] {
+			continue
+		}
+		if err := c.sendSlot(s, wi, c.configFrame(c.sessionOf(s, wi))); err != nil {
+			return false, err
+		}
+	}
+	return atTip, nil
+}
+
+// seat puts the fresh worker process behind a on seat wi under a new
+// epoch, journaled before any config frame carries the session derived
+// from it, so a restart can always tell this worker from its
+// predecessor.
+func (c *Coordinator) seat(s *session, wi int, a *admission) error {
+	s.ctl.reseat(wi, a.ids)
+	s.links[wi] = newLink(a.p)
+	return s.journal.reseat(wi, a.ids)
+}
+
+// readopt runs the re-adoption handshake with the surviving worker
+// behind a: coord-hello out, readopt (LP set, last executed window)
+// back. Both sides restart the sequence space from zero on a fresh
+// link; anything the old link retained is re-derivable (the journal
+// re-sends windows, the worker replays its done). ok: the worker holds
+// the seat's LP set at the control state's barrier, or the one window
+// past it the journal can trail by. One that does not (say, a migration
+// that committed on the workers with its record still un-durable) is
+// seated all the same, to carry the restore of the rollback it forces.
+func (c *Coordinator) readopt(s *session, wi int, a *admission) (l *link, ok bool) {
+	var t0 int64
+	if c.Obs != nil {
+		t0 = obs.Now()
+	}
+	if err := a.p.sendRaw(&frame{Kind: frameCoordHello, Session: c.sessionOf(s, wi)}, 0); err != nil {
+		a.p.close()
+		return nil, false
+	}
+	rf, _, err := a.p.recvRaw(c.timeout())
+	if err != nil || rf.Kind != frameReadopt {
+		a.p.close()
+		return nil, false
+	}
+	c.Readopted++
+	if c.Obs != nil {
+		c.Obs.span(obs.KindReadopt, t0, obs.Now()-t0, uint64(wi), s.ctl.clock)
+	}
+	return newLink(a.p), slices.Equal(a.ids, s.ctl.slots[wi].lps) &&
+		(rf.WinSeq == s.ctl.windows || rf.WinSeq == s.ctl.windows+1)
+}
+
+// rebind moves seat wi's session onto the connection behind a, after
+// greeting the worker with greet (whose RecvSeq is also the ack): both
+// sides replay the sequenced frames the other never processed and the
+// simulation state never rolls back.
+func (c *Coordinator) rebind(s *session, wi int, a *admission, greet *frame) bool {
+	if err := a.p.sendRaw(greet, greet.RecvSeq); err != nil {
+		a.p.close()
+		return false
+	}
+	if err := s.links[wi].rebind(a.p, a.recvSeq); err != nil {
+		// Replay died on the fresh connection; the worker will notice
+		// and dial again.
+		return false
+	}
+	c.Reconnects++
+	if c.Obs != nil {
+		c.Obs.rec.Record(obs.Span{Wall: obs.Now(), Seq: uint64(wi), Kind: obs.KindResume})
+	}
+	return true
+}
+
+// resumeHello answers a hello for seat a.slot's live session.
+func (c *Coordinator) resumeHello(s *session, a *admission) bool {
+	return c.rebind(s, a.slot, a, &frame{Kind: frameResume, RecvSeq: s.links[a.slot].recvSeq})
+}
+
+// rollbackTo is the one way the cluster returns to a cut: every worker
+// — survivors included; awaitRestored drains what a crashed window left
+// in flight — restores its snapshot, which reconciles its LP set to the
+// checkpointed assignment, and the control state is reset to the cut:
+// clock, all three counters, LP sets, owner, pending. Re-executed
+// windows are then bit-identical to an uninterrupted run's. The reset
+// is journaled, so replay need not understand checkpoints.
+func (c *Coordinator) rollbackTo(s *session, ck *clusterCheckpoint) error {
+	for wi := range s.links {
+		if err := c.sendSlot(s, wi, &frame{Kind: frameRestore, Data: ck.snaps[wi]}); err != nil {
 			return err
 		}
 	}
@@ -925,24 +832,15 @@ func (c *Coordinator) restartRollback(s *session, owner []int) error {
 			return err
 		}
 	}
-	s.clock = ck.Clock
-	s.pending = copyPending(ck.Pending)
-	c.Windows = ck.Windows
-	c.EventsRouted = ck.EventsRouted
-	// Like a file resume, the skip counter restarts at the rollback
-	// barrier: re-executed gaps are re-counted from zero.
-	c.WindowsSkipped = 0
-	s.keys = slices.Clone(ck.Keys)
-	s.lpSets = cloneLPSets(ck.LPSets)
-	for i := range owner {
-		owner[i] = -1
+	if err := s.ctl.reset(ck.cut); err != nil {
+		return fmt.Errorf("distsim: rollback: %v", err)
 	}
-	for wi, ids := range s.lpSets {
-		for _, lp := range ids {
-			owner[lp] = wi
-		}
+	// Load signals from the rolled-back windows are stale; replan fresh.
+	for i := range s.loads {
+		s.loads[i].Events = 0
+		s.loads[i].BusyNs = 0
 	}
-	return s.journal.appendReset(s.cut(c))
+	return s.journal.reset(ck.cut)
 }
 
 // bindObs exposes the current per-slot link counters to the cluster
@@ -1022,24 +920,27 @@ func (c *Coordinator) recvFrame(l *link) (*frame, error) {
 func (c *Coordinator) recvSlot(s *session, wi int) (*frame, error) {
 	for {
 		f, err := c.recvFrame(s.links[wi])
-		if err != nil {
-			if rerr := c.resumeSlot(s, wi, err); rerr != nil {
-				return nil, &slotError{wi, rerr}
-			}
-			continue
+		if err == nil {
+			return f, nil
 		}
-		return f, nil
+		if rerr := c.resumeSlot(s, wi, err); rerr != nil {
+			return nil, &slotError{wi, rerr}
+		}
 	}
 }
 
 // resumeSlot holds slot wi's seat open for a session resume after a
-// transport failure. It accepts connections until the reconnect window
-// closes; a hello with a live session id rebinds that slot's link
-// (slot wi or any other — concurrent failures heal in whatever order
-// workers redial). A register frame means a worker process lost its
-// session: if this slot's conversation is still fully replayable the
-// handshake is simply redone, otherwise the connection is parked for
-// rollback recovery and the original failure is surfaced.
+// transport failure, admitting connections until the reconnect window
+// closes. A hello for a live session rebinds that seat's link (slot wi
+// or any other — concurrent failures heal in whatever order workers
+// redial). A register is a worker that never got (or never acted on)
+// its config: if its seat's conversation is still fully replayable the
+// handshake is redone on the same session — whichever seat that is,
+// because under concurrent failures another slot's config can die while
+// this one resumes, and parking that redoable worker would abort a heal
+// both sides could finish. Otherwise the worker process lost its
+// session: the connection is parked for rollback recovery and the
+// original failure is surfaced.
 func (c *Coordinator) resumeSlot(s *session, wi int, cause error) error {
 	budget := c.MaxReconnects
 	if budget == 0 {
@@ -1051,154 +952,69 @@ func (c *Coordinator) resumeSlot(s *session, wi int, cause error) error {
 	}
 	s.links[wi].close()
 	deadline := time.Now().Add(wait)
-	type deadliner interface{ SetDeadline(time.Time) error }
-	dl, hasDL := s.ln.(deadliner)
-	if hasDL {
-		defer dl.SetDeadline(time.Time{})
-	}
 	for {
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return cause
-		}
-		if hasDL {
-			_ = dl.SetDeadline(deadline)
-		}
-		conn, err := s.ln.Accept()
+		a, err := c.admit(s, deadline)
 		if err != nil {
 			return cause // window closed (or listener gone)
 		}
-		p := newPeer(conn)
-		p.writeTimeout = c.timeout()
-		f, _, err := p.recvRaw(remaining)
-		if err != nil {
-			p.close()
-			continue
-		}
-		switch f.Kind {
-		case frameHello:
-			slot := -1
-			for j, sid := range s.sessions {
-				if sid == f.Session {
-					slot = j
-					break
-				}
+		healed := false
+		switch {
+		case a.register:
+			slot := s.matchSeat(a.key, false)
+			if slot < 0 || !s.links[slot].redoable() {
+				s.parked = a
+				return cause
 			}
-			if slot < 0 {
-				p.close() // stale incarnation or unknown session
-				continue
-			}
-			if err := p.sendRaw(&frame{Kind: frameResume, RecvSeq: s.links[slot].recvSeq}, s.links[slot].recvSeq); err != nil {
-				p.close()
-				continue
-			}
-			if err := s.links[slot].rebind(p, f.RecvSeq); err != nil {
-				// Replay died on the fresh connection; the worker will
-				// notice and dial again.
-				continue
-			}
-			c.Reconnects++
-			if c.Obs != nil {
-				c.Obs.rec.Record(obs.Span{Wall: obs.Now(), Seq: uint64(slot), Kind: obs.KindResume})
-			}
-			if slot == wi {
-				return nil
-			}
-		case frameRegister:
-			ids := append([]int(nil), f.LPs...)
-			sort.Ints(ids)
-			// A register during healing is a worker that never got (or
-			// never acted on) its config: redo the handshake for
-			// whichever slot owns that LP set, then replay the retained
-			// frames on the same session. The registering worker need
-			// not be the slot being healed — under concurrent failures
-			// (the more workers, the likelier) another slot's config can
-			// die while this one resumes, and parking that redoable
-			// worker would abort a heal both sides could finish. The
-			// registered set is matched against the registration-time
-			// keys too: after a -resume into a migrated layout, a virgin
-			// worker still presents its static LP set.
-			slot := indexOf(s.keys, lpKey(ids))
-			if slot < 0 {
-				slot = indexOf(s.regKeys, lpKey(ids))
-			}
-			if slot >= 0 && s.links[slot].redoable() {
-				if err := p.sendRaw(c.configFrame(s.sessions[slot]), 0); err != nil {
-					p.close()
-					continue
-				}
-				if err := s.links[slot].rebind(p, 0); err != nil {
-					continue
-				}
-				c.Reconnects++
-				if c.Obs != nil {
-					c.Obs.rec.Record(obs.Span{Wall: obs.Now(), Seq: uint64(slot), Kind: obs.KindResume})
-				}
-				if slot == wi {
-					return nil
-				}
-				continue
-			}
-			s.parked = &parkedConn{p: p, ids: ids}
-			return cause
+			healed = c.rebind(s, slot, a, c.configFrame(c.sessionOf(s, slot))) && slot == wi
+		case a.slot >= 0:
+			healed = c.resumeHello(s, a) && a.slot == wi
 		default:
-			p.close()
-			continue
+			a.p.close() // stale incarnation
+		}
+		if healed {
+			return nil
 		}
 	}
 }
 
-// runWindows executes lookahead windows from s.clock to the horizon.
-// It returns nil when the horizon is reached, a *slotError when a
-// worker fails (recoverable), or a plain error on protocol violations
-// (terminal).
+// runWindows executes lookahead windows from the control clock to the
+// horizon. It returns nil when the horizon is reached, a *slotError
+// when a worker fails (recoverable), or a plain error on protocol
+// violations (terminal).
 //
 // Each barrier is one exchange: window frames fan out and done frames
-// fan in across all slots concurrently. The merge then validates,
-// orders, and routes the produced events, and — when SkipIdle is on —
-// uses the piggybacked next-event times to jump the clock over windows
-// no LP has work in. The skip replays the exact repeated-addition
-// window lattice of the non-skipping run, so checkpoint barriers land
-// on the same clock values either way.
-func (c *Coordinator) runWindows(s *session, owner []int) error {
-	for s.clock < c.Horizon {
-		windowEnd := s.clock + c.Lookahead
-		if windowEnd > c.Horizon {
-			windowEnd = c.Horizon
-		}
-		c.Windows++
-		err := c.exchange(s, obs.KindWindowSend, func(wi int) *frame {
-			out := s.pending[wi]
-			s.pending[wi] = out[:0]
-			// WinSeq is the barrier sequence: workers stamp their busy
-			// spans with it, which is what aligns their tracks onto the
-			// coordinator's timeline (obs.MergeTracks).
-			s.wframes[wi] = frame{Kind: frameWindow, End: windowEnd, Events: out, WinSeq: c.Windows}
+// fan in across all slots concurrently. The merge then orders the
+// produced events, commits the window — a control transition, made
+// durable by its journal record — and, when SkipIdle is on, uses the
+// piggybacked next-event times to jump the clock over windows no LP
+// has work in.
+func (c *Coordinator) runWindows(s *session) error {
+	ctl := s.ctl
+	for ctl.clock < ctl.horizon {
+		// seq is the barrier sequence: workers stamp their busy spans with
+		// it, which is what aligns their tracks onto the coordinator's
+		// timeline (obs.MergeTracks).
+		end, seq := ctl.windowEnd(), ctl.windows+1
+		err := c.exchange(s, obs.KindWindowSend, seq, func(wi int) *frame {
+			s.wframes[wi] = frame{Kind: frameWindow, End: end, Events: ctl.slots[wi].pending, WinSeq: seq}
 			return &s.wframes[wi]
-		}, s.done)
+		})
 		if err != nil {
 			return err
 		}
-		if c.crashBeforeBarrier > 0 && c.Windows >= c.crashBeforeBarrier {
+		if c.crashBeforeBarrier > 0 && seq >= c.crashBeforeBarrier {
 			// Every worker has executed this window, but the journal has
 			// not recorded it: a restart must re-send it and the workers
 			// must replay their stored done frames.
 			return errCrashHook
 		}
-		// Merge. Validation runs before any routing effect, so a frame
-		// carrying an unknown LP fails the run without counting its
-		// events. next starts at the workers' piggybacked minima and is
-		// tightened by the routed events below.
+		// Merge. next starts at the workers' piggybacked minima and is
+		// tightened by the produced events below.
 		next := math.Inf(1)
 		produced := s.produced[:0]
 		for wi, f := range s.done {
 			if f.Kind != frameDone {
 				return fmt.Errorf("distsim: expected done, got %s (%s)", f.Kind, f.Err)
-			}
-			for i := range f.Events {
-				if to := f.Events[i].To; to < 0 || to >= c.NLPs {
-					return fmt.Errorf("distsim: worker %d produced event for unknown LP %d (run configured with %d LPs)", wi, to, c.NLPs)
-				}
 			}
 			// Piggybacked obs snapshots fold here, before the next read
 			// on the link can overwrite the payload they alias.
@@ -1223,10 +1039,10 @@ func (c *Coordinator) runWindows(s *session, owner []int) error {
 		}
 		// Deterministic global order: (sending LP, per-sender seq).
 		slices.SortFunc(produced, eventOrder)
-		// Route. Event payloads are views into per-link read buffers
-		// that the next frame on the link overwrites; copy them into
-		// the arena, which lives until these events are marshalled into
-		// the next window's frames.
+		// Event payloads are views into per-link read buffers that the
+		// next frame on the link overwrites; copy them into the arena,
+		// which lives until these events are marshalled into the next
+		// window's frames.
 		need := 0
 		for i := range produced {
 			need += len(produced[i].Data)
@@ -1245,69 +1061,51 @@ func (c *Coordinator) runWindows(s *session, owner []int) error {
 			if ev.Time < next {
 				next = ev.Time
 			}
-			s.pending[owner[ev.To]] = append(s.pending[owner[ev.To]], *ev)
 		}
-		c.EventsRouted += uint64(len(produced))
 		s.produced = produced
-		s.clock = windowEnd
+		// A frame carrying an unknown LP fails the run here, before any
+		// routing effect.
+		if err := ctl.commit(produced); err != nil {
+			return fmt.Errorf("distsim: window %d: %v", seq, err)
+		}
 		// The barrier commits when its journal record is durable: the
 		// next window's frames only go out on the next iteration, so a
 		// restarted coordinator replaying to this record finds every
 		// worker at most one window ahead of it.
-		if s.journal != nil {
-			if err := s.journal.appendBarrier(c.Windows, c.WindowsSkipped, c.EventsRouted, s.clock, s.pending); err != nil {
-				return err
-			}
-			if c.crashAfterBarrier > 0 && c.Windows >= c.crashAfterBarrier {
-				return errCrashHook
-			}
+		if err := s.journal.barrier(seq, produced); err != nil {
+			return err
+		}
+		if s.journal != nil && c.crashAfterBarrier > 0 && seq >= c.crashAfterBarrier {
+			return errCrashHook
 		}
 		// Rebalance before any checkpoint this window, so the checkpoint
 		// captures the post-migration assignment and snapshots.
-		if c.Rebalance != nil && c.Windows%uint64(c.rebalanceEvery()) == 0 && s.clock < c.Horizon {
-			if err := c.rebalance(s, owner); err != nil {
+		if c.Rebalance != nil && seq%uint64(c.rebalanceEvery()) == 0 && ctl.clock < ctl.horizon {
+			if err := c.rebalance(s); err != nil {
 				return err
 			}
 		}
-		if s.every > 0 && c.Windows%uint64(s.every) == 0 && s.clock < c.Horizon {
+		if every := c.every(); every > 0 && seq%uint64(every) == 0 && ctl.clock < ctl.horizon {
 			if err := c.checkpoint(s); err != nil {
 				return err
 			}
 		}
 		if c.SkipIdle {
-			// Jump empty windows: nothing anywhere in the federation is
-			// due before next (worker engines and local buffers via the
-			// piggybacked minima, routed events via the merge above), so
-			// any window ending strictly before it would execute nothing.
-			// Windows whose end equals next must run: RunUntil is
-			// inclusive at the boundary.
-			skipped := uint64(0)
-			for s.clock < c.Horizon {
-				nextEnd := s.clock + c.Lookahead
-				if nextEnd > c.Horizon {
-					nextEnd = c.Horizon
-				}
-				if next <= nextEnd {
-					break
-				}
-				s.clock = nextEnd
-				c.WindowsSkipped++
-				skipped++
-			}
-			if skipped > 0 {
-				if s.journal != nil {
-					if err := s.journal.appendSkip(s.clock, c.WindowsSkipped); err != nil {
-						return err
-					}
+			// Nothing anywhere in the federation is due before next: worker
+			// engines and local buffers via the piggybacked minima, routed
+			// events via the merge above.
+			if skipped := ctl.skip(next); skipped > 0 {
+				if err := s.journal.skip(next); err != nil {
+					return err
 				}
 				if c.Obs != nil {
 					// A skip mark, Seq = how many windows were jumped.
-					c.Obs.rec.Record(obs.Span{Wall: obs.Now(), Time: s.clock, Seq: skipped, Kind: obs.KindSkip})
+					c.Obs.rec.Record(obs.Span{Wall: obs.Now(), Time: ctl.clock, Seq: skipped, Kind: obs.KindSkip})
 				}
 			}
 		}
 		if c.Obs != nil {
-			c.Obs.note(c.Windows, c.WindowsSkipped, c.EventsRouted, c.Migrations, s.clock, c.Reconnects, c.Recoveries)
+			c.Obs.note(ctl.windows, ctl.skipped, ctl.routed, c.Migrations, ctl.clock, c.Reconnects, c.Recoveries)
 			if s.journal != nil {
 				c.Obs.noteJournal(s.journal.records, s.journal.bytes, c.Readopted)
 			}
@@ -1320,14 +1118,14 @@ func (c *Coordinator) runWindows(s *session, owner []int) error {
 // to the policy, and the moves it plans execute serially as live
 // migrations at the current (quiescent) barrier. Loads reset either
 // way, so each round reacts to fresh signals, not the whole history.
-func (c *Coordinator) rebalance(s *session, owner []int) error {
-	moves := c.Rebalance.Plan(s.loads, owner, len(s.links))
+func (c *Coordinator) rebalance(s *session) error {
+	moves := c.Rebalance.Plan(s.loads, s.ctl.owner, len(s.links))
 	for i := range s.loads {
 		s.loads[i].Events = 0
 		s.loads[i].BusyNs = 0
 	}
 	for _, mv := range moves {
-		if err := c.migrate(s, owner, mv); err != nil {
+		if err := c.migrate(s, mv); err != nil {
 			return err
 		}
 	}
@@ -1336,20 +1134,15 @@ func (c *Coordinator) rebalance(s *session, owner []int) error {
 
 // migrate executes one live LP migration: the donor serializes and
 // drops the LP (engine snapshot, model state, undelivered local
-// events), the receiver installs it, and the coordinator commits the
-// new assignment — ownership map, slot LP sets and keys, and any
-// already-routed pending events for the LP. All four frames are
-// sequenced, so a connection blip mid-migration heals by session
-// resume and replay like any other frame; a worker death rolls the
-// whole federation back to the last checkpoint, whose restore
-// reconciles every worker to the checkpointed assignment.
-func (c *Coordinator) migrate(s *session, owner []int, mv partition.Move) error {
-	if mv.LP < 0 || mv.LP >= len(owner) ||
-		mv.From < 0 || mv.From >= len(s.links) ||
-		mv.To < 0 || mv.To >= len(s.links) ||
-		mv.From == mv.To || owner[mv.LP] != mv.From ||
-		len(s.lpSets[mv.From]) <= 1 {
-		return fmt.Errorf("distsim: policy %s planned invalid move LP %d: %d -> %d", c.Rebalance.Name(), mv.LP, mv.From, mv.To)
+// events), the receiver installs it, and the control state commits the
+// new assignment. All four frames are sequenced, so a connection blip
+// mid-migration heals by session resume and replay like any other
+// frame; a worker death rolls the whole federation back to the last
+// checkpoint, whose restore reconciles every worker to the checkpointed
+// assignment.
+func (c *Coordinator) migrate(s *session, mv partition.Move) error {
+	if err := s.ctl.checkMove(mv.LP, mv.From, mv.To); err != nil {
+		return fmt.Errorf("distsim: policy %s planned an %v", c.Rebalance.Name(), err)
 	}
 	var t0 int64
 	if c.Obs != nil {
@@ -1380,35 +1173,24 @@ func (c *Coordinator) migrate(s *session, owner []int, mv partition.Move) error 
 	if ack.Kind != frameMigrated {
 		return fmt.Errorf("distsim: expected migrated, got %s", ack.Kind)
 	}
-	// Commit the new assignment.
-	owner[mv.LP] = mv.To
-	if i := slices.Index(s.lpSets[mv.From], mv.LP); i >= 0 {
-		s.lpSets[mv.From] = slices.Delete(s.lpSets[mv.From], i, i+1)
+	if err := s.ctl.migrate(mv.LP, mv.From, mv.To); err != nil {
+		return err
 	}
-	pos, _ := slices.BinarySearch(s.lpSets[mv.To], mv.LP)
-	s.lpSets[mv.To] = slices.Insert(s.lpSets[mv.To], pos, mv.LP)
-	s.keys[mv.From] = lpKey(s.lpSets[mv.From])
-	s.keys[mv.To] = lpKey(s.lpSets[mv.To])
-	// Events already routed to the donor for this LP follow it (same
-	// helper journal replay uses, so a restart reproduces this state).
-	rebucketPending(s.pending, mv.LP, mv.From, mv.To)
 	c.Migrations++
-	if s.journal != nil {
-		if err := s.journal.appendMigration(mv.LP, mv.From, mv.To); err != nil {
-			return err
-		}
+	if err := s.journal.migration(mv.LP, mv.From, mv.To); err != nil {
+		return err
 	}
 	if c.Obs != nil {
-		c.Obs.span(obs.KindMigrate, t0, obs.Now()-t0, uint64(mv.LP), s.clock)
+		c.Obs.span(obs.KindMigrate, t0, obs.Now()-t0, uint64(mv.LP), s.ctl.clock)
 	}
 	return nil
 }
 
 // checkpoint takes a cluster checkpoint at the current window barrier:
-// one snapshot per worker plus the coordinator's routing state. The
-// snapshot round trip fans out like a window barrier.
+// one snapshot per worker plus the control cut. The snapshot round
+// trip fans out like a window barrier.
 func (c *Coordinator) checkpoint(s *session) error {
-	if err := c.exchange(s, obs.KindCheckpoint, func(int) *frame { return &frame{Kind: frameCheckpoint} }, s.done); err != nil {
+	if err := c.exchange(s, obs.KindCheckpoint, s.ctl.windows, func(int) *frame { return &frame{Kind: frameCheckpoint} }); err != nil {
 		return err
 	}
 	snaps := make([][]byte, len(s.links))
@@ -1423,142 +1205,72 @@ func (c *Coordinator) checkpoint(s *session) error {
 		}
 		snaps[wi] = f.Data
 	}
-	// Keys and LPSets are cloned because live migration mutates the
-	// session's copies in place; the checkpoint must pin the assignment
-	// as of this barrier so -resume restarts with the migrated layout.
-	s.ckpt = &clusterCheckpoint{
-		Clock:        s.clock,
-		Windows:      c.Windows,
-		EventsRouted: c.EventsRouted,
-		Keys:         slices.Clone(s.keys),
-		LPSets:       cloneLPSets(s.lpSets),
-		Snapshots:    snaps,
-		Pending:      copyPending(s.pending),
-	}
+	s.ckpt = &clusterCheckpoint{cut: s.ctl.cut(), snaps: snaps}
 	if c.CheckpointPath != "" {
-		if err := s.ckpt.save(c.CheckpointPath); err != nil {
+		if err := s.ckpt.save(c.CheckpointPath, s.ctl); err != nil {
 			return fmt.Errorf("distsim: persisting checkpoint: %w", err)
 		}
-		if s.journal != nil {
-			// The ref is journaled only once the file itself is durable:
-			// a restart that needs rollback can trust what it loads.
-			if err := s.journal.appendCheckpoint(c.Windows, s.clock); err != nil {
-				return err
-			}
-		}
+		// The ref is journaled only once the file itself is durable: a
+		// restart holds whatever file it finds against it.
+		return s.journal.checkpointed(s.ctl.windows)
 	}
 	return nil
 }
 
 // recoverSlot replaces a dead worker and rolls the whole federation
-// back to the last cluster checkpoint: the replacement connects,
-// registers the dead worker's exact LP set, and every worker —
-// survivors included — is restored from its checkpointed snapshot, so
-// the re-executed windows are bit-identical to what the uninterrupted
-// run would have produced. The dead slot gets a fresh session id, so a
-// zombie of the old incarnation can never resume into the run.
-//
-// The replacement may register the slot's current (migrated) LP set,
-// the checkpointed one, or the set the dead worker originally
-// registered — a relaunched worker only knows its static command line.
-// Whatever it brings, restore reconciles it to the checkpointed
-// assignment, which rollback reinstates cluster-wide.
-func (c *Coordinator) recoverSlot(s *session, owner []int, dead int) error {
+// back to the last cluster checkpoint. The replacement registers the
+// LP set the seat holds now or the one its worker last registered — a
+// relaunched worker only knows its static command line; whatever it
+// brings, the rollback's restore reconciles it to the checkpointed
+// assignment. Seating it bumps the seat's epoch, so a zombie of the old
+// incarnation can never resume into the run.
+func (c *Coordinator) recoverSlot(s *session, dead int) error {
 	var t0 int64
 	if c.Obs != nil {
 		t0 = obs.Now()
 	}
 	s.links[dead].close()
-	s.epochs[dead]++
-	s.sessions[dead] = c.sessionID(dead, s.epochs[dead])
-
-	var p *peer
-	var ids []int
-	if s.parked != nil {
-		// The replacement already knocked while we were holding the slot
-		// open for a resume.
-		p, ids = s.parked.p, s.parked.ids
-		s.parked = nil
-	} else {
-		wait := c.RecoveryWait
-		if wait == 0 {
-			wait = c.timeout()
-		}
-		if d, ok := s.ln.(interface{ SetDeadline(time.Time) error }); ok && wait > 0 {
-			_ = d.SetDeadline(time.Now().Add(wait))
-			defer d.SetDeadline(time.Time{})
-		}
-		conn, err := s.ln.Accept()
-		if err != nil {
+	// The replacement may already have knocked while the seat was held
+	// open for a resume.
+	a := s.parked
+	s.parked = nil
+	wait := c.RecoveryWait
+	if wait == 0 {
+		wait = c.timeout()
+	}
+	var deadline time.Time
+	if wait > 0 {
+		deadline = time.Now().Add(wait)
+	}
+	for a == nil {
+		next, err := c.admit(s, deadline)
+		switch {
+		case err != nil:
 			return fmt.Errorf("waiting for replacement worker: %w", err)
-		}
-		p = newPeer(conn)
-		p.writeTimeout = c.timeout()
-		ids, err = c.readRegister(p)
-		if err != nil {
-			p.close()
-			return err
+		case next.register:
+			a = next
+		case next.slot >= 0 && next.slot != dead:
+			c.resumeHello(s, next) // a survivor healing its own link meanwhile
+		default:
+			next.p.close()
 		}
 	}
-	if key := lpKey(ids); key != s.keys[dead] && key != s.ckpt.Keys[dead] && key != s.regKeys[dead] {
-		p.close()
-		return fmt.Errorf("replacement worker registers LPs %v, dead worker owned %s", ids, s.keys[dead])
+	if sl := &s.ctl.slots[dead]; a.key != lpKey(sl.lps) && a.key != sl.regKey {
+		a.p.close()
+		return fmt.Errorf("replacement worker registers LPs %v, dead worker owned %v", a.ids, sl.lps)
 	}
-	s.regKeys[dead] = lpKey(ids)
-	l := newLink(p)
-	if err := l.send(c.configFrame(s.sessions[dead])); err != nil {
-		l.close()
+	if err := c.seat(s, dead, a); err != nil {
 		return err
 	}
-	s.links[dead] = l
-
-	// Rollback-all: every slot (replacement and survivors) restores the
-	// checkpointed state. Survivors may still be computing the crashed
-	// window — their stale done/snapshot frames are drained by
-	// awaitRestored.
-	for wi := range s.links {
-		if err := c.sendSlot(s, wi, &frame{Kind: frameRestore, Data: s.ckpt.Snapshots[wi]}); err != nil {
-			return err
-		}
+	if err := s.links[dead].send(c.configFrame(c.sessionOf(s, dead))); err != nil {
+		return err
 	}
-	for wi := range s.links {
-		if err := c.awaitRestored(s, wi); err != nil {
-			return err
-		}
-	}
-	s.clock = s.ckpt.Clock
-	s.pending = copyPending(s.ckpt.Pending)
-	c.Windows = s.ckpt.Windows
-	c.EventsRouted = s.ckpt.EventsRouted
-	// Rollback reinstates the checkpointed LP assignment everywhere:
-	// migrations executed after the checkpoint are undone (restore
-	// reconciled each worker's set), so routing must match again.
-	s.keys = slices.Clone(s.ckpt.Keys)
-	s.lpSets = cloneLPSets(s.ckpt.LPSets)
-	for i := range owner {
-		owner[i] = -1
-	}
-	for wi, ids := range s.lpSets {
-		for _, lp := range ids {
-			owner[lp] = wi
-		}
-	}
-	// Load signals from the rolled-back windows are stale; replan fresh.
-	for i := range s.loads {
-		s.loads[i].Events = 0
-		s.loads[i].BusyNs = 0
+	if err := c.rollbackTo(s, s.ckpt); err != nil {
+		return err
 	}
 	s.bindObs(c)
-	// A reset record makes the rollback replayable: bumped epoch, new
-	// registration key, and the full restored control state — journal
-	// replay models a recovery without understanding checkpoints.
-	if s.journal != nil {
-		if err := s.journal.appendReset(s.cut(c)); err != nil {
-			return err
-		}
-	}
 	if c.Obs != nil {
-		c.Obs.rec.Record(obs.Span{Wall: t0, Dur: obs.Now() - t0, Time: s.clock,
+		c.Obs.rec.Record(obs.Span{Wall: t0, Dur: obs.Now() - t0, Time: s.ctl.clock,
 			Seq: uint64(dead), Kind: obs.KindRecovery})
 	}
 	return nil
@@ -1584,31 +1296,6 @@ func (c *Coordinator) awaitRestored(s *session, wi int) error {
 	}
 }
 
-// indexOf returns the position of key in keys, or -1.
-func indexOf(keys []string, key string) int {
-	for i, k := range keys {
-		if k == key {
-			return i
-		}
-	}
-	return -1
-}
-
-// readRegister reads and validates a registration frame, returning the
-// worker's sorted LP set.
-func (c *Coordinator) readRegister(p *peer) ([]int, error) {
-	f, _, err := p.recvRaw(c.timeout())
-	if err != nil {
-		return nil, err
-	}
-	if f.Kind != frameRegister {
-		return nil, fmt.Errorf("distsim: expected register, got %s", f.Kind)
-	}
-	ids := append([]int(nil), f.LPs...)
-	sort.Ints(ids)
-	return ids, nil
-}
-
 // configFrame builds the run-parameter frame for one slot. When
 // cluster observability is enabled the obs cadence rides along so
 // workers instrument themselves without any per-worker flag plumbing.
@@ -1625,55 +1312,4 @@ func (c *Coordinator) configFrame(session uint64) *frame {
 		f.RebalanceEvery = c.rebalanceEvery()
 	}
 	return f
-}
-
-// reorderToSlots permutes the registered links so that slot i owns the
-// LP set of checkpoint slot i. Exact key matches claim their slots
-// first; workers whose registered set matches no checkpoint slot (the
-// checkpoint holds a migrated layout, the workers were relaunched with
-// their static command lines) fill the leftover slots in order —
-// restore then reconciles each worker's LP set to its snapshot.
-func (s *session) reorderToSlots(keys []string) error {
-	bySlot := make(map[string]int, len(keys))
-	for i, k := range keys {
-		bySlot[k] = i
-	}
-	links := make([]*link, len(keys))
-	lpSets := make([][]int, len(keys))
-	regKeys := make([]string, len(keys))
-	taken := make([]bool, len(s.links))
-	for i, k := range s.keys {
-		slot, ok := bySlot[k]
-		if !ok {
-			continue
-		}
-		if links[slot] != nil {
-			return fmt.Errorf("distsim: two workers registered LP set %s", k)
-		}
-		links[slot] = s.links[i]
-		lpSets[slot] = s.lpSets[i]
-		regKeys[slot] = s.regKeys[i]
-		taken[i] = true
-	}
-	slot := 0
-	for i := range s.links {
-		if taken[i] {
-			continue
-		}
-		for slot < len(links) && links[slot] != nil {
-			slot++
-		}
-		if slot >= len(links) {
-			return fmt.Errorf("distsim: no free checkpoint slot for worker owning LPs %s", s.keys[i])
-		}
-		links[slot] = s.links[i]
-		lpSets[slot] = s.lpSets[i]
-		regKeys[slot] = s.regKeys[i]
-		slot++
-	}
-	s.links = links
-	s.lpSets = lpSets
-	s.regKeys = regKeys
-	s.keys = append([]string(nil), keys...)
-	return nil
 }

@@ -3,6 +3,7 @@ package distsim
 import (
 	"errors"
 	"net"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -370,6 +371,95 @@ func TestCrashRestartFallbackRollback(t *testing.T) {
 	}
 	if c2.Readopted != 1 {
 		t.Fatalf("readopted = %d, want 1 (only the survivor)", c2.Readopted)
+	}
+}
+
+// TestCrashRestartRefusesForeignCheckpoint swaps the checkpoint file
+// under a crashed coordinator: a restart must refuse, with a typed
+// error and before it touches a worker, a cut older than the last one
+// the journal saw made durable, and one past the journal's tip. With
+// the real file back the same parked workers are re-adopted and the run
+// finishes bit-identical.
+func TestCrashRestartRefusesForeignCheckpoint(t *testing.T) {
+	wantCounts, wantWindows := referenceRun(t)
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "coord.journal")
+	ckpt := filepath.Join(dir, "cluster.ckpt")
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	addr := ln.Addr().String()
+	coordinator := func() *Coordinator {
+		c := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
+		c.Timeout = 10 * time.Second
+		c.CheckpointPath = ckpt
+		c.CheckpointEvery = 1
+		c.JournalPath = journal
+		return c
+	}
+
+	workers := []*Worker{crashBudgets(rtWorker(false, false)), crashBudgets(rtWorker(true, false))}
+	errs := make(chan error, len(workers))
+	for _, w := range workers {
+		go func() { errs <- w.Run(addr) }()
+	}
+	// The hook fires once barrier 4 is journaled, before its checkpoint:
+	// the file and the journal's ref are at barrier 3, the tip at 4.
+	c1 := coordinator()
+	c1.crashAfterBarrier = 4
+	if err := c1.Serve(ln, 2); !errors.Is(err, errCrashHook) {
+		t.Fatalf("first Serve = %v, want crash hook", err)
+	}
+	real, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, windows := range []uint64{2, 5} {
+		at, ck, err := decodeClusterCheckpoint(real)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if at.windows != 3 {
+			t.Fatalf("checkpoint on disk is at barrier %d, want 3", at.windows)
+		}
+		at.windows = windows
+		ck.cut = at.cut()
+		if err := ck.save(ckpt, at); err != nil {
+			t.Fatal(err)
+		}
+		c := coordinator()
+		if err := c.Serve(ln, 2); !errors.Is(err, errCheckpointMismatch) {
+			t.Fatalf("restart over a checkpoint at barrier %d = %v, want errCheckpointMismatch", windows, err)
+		}
+		if c.Readopted != 0 {
+			t.Fatalf("refused restart re-adopted %d workers first", c.Readopted)
+		}
+	}
+	if err := os.WriteFile(ckpt, real, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c2 := coordinator()
+	if err := c2.Serve(ln, 2); err != nil {
+		t.Fatalf("restart over the real checkpoint: %v", err)
+	}
+	for range workers {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatalf("worker: %v", err)
+			}
+		case <-time.After(60 * time.Second):
+			t.Fatal("worker wedged after restart")
+		}
+	}
+	if got := countsOf(c2.WorkerStats); !equalCounts(got, wantCounts) {
+		t.Fatalf("restarted run counts %v, want %v", got, wantCounts)
+	}
+	if c2.Windows != wantWindows || c2.Readopted != 2 || c2.Recoveries != 0 {
+		t.Fatalf("windows %d (want %d), readopted %d, recoveries %d", c2.Windows, wantWindows, c2.Readopted, c2.Recoveries)
 	}
 }
 

@@ -1,8 +1,10 @@
 package distsim
 
 import (
+	"io"
 	"net"
 	"testing"
+	"time"
 
 	"repro/internal/parsim"
 )
@@ -151,6 +153,54 @@ func TestCoordinatorRejectsBadRegistration(t *testing.T) {
 	}
 	if !sawErr {
 		t.Fatal("duplicate LP registration not rejected")
+	}
+}
+
+// TestStaleHelloDuringRegistration pins the one admission policy: a
+// hello for a session nobody holds, knocking while a fresh run is still
+// registering, is noise — its connection is closed and the run goes on.
+func TestStaleHelloDuringRegistration(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	addr := ln.Addr().String()
+	c := NewCoordinator(2, 1, 10, 1)
+	serveErr := make(chan error, 1)
+	go func() { serveErr <- c.Serve(ln, 2) }()
+
+	stale, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stale.Close()
+	if err := newPeer(stale).sendRaw(&frame{Kind: frameHello, Session: 12345, LPs: []int{0}}, 0); err != nil {
+		t.Fatal(err)
+	}
+	_ = stale.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := stale.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("stale hello's connection not closed: read %d bytes, %v", n, err)
+	}
+
+	errs := make(chan error, 2)
+	for lp := 0; lp < 2; lp++ {
+		w := NewWorker(lp)
+		InstallPHOLD(w, 2, 2, 0.5, 2)
+		go func() { errs <- w.Run(addr) }()
+	}
+	for _, ch := range []chan error{serveErr, errs, errs} {
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("run wedged after a stale hello")
+		}
+	}
+	if c.Windows != 10 {
+		t.Fatalf("windows = %d, want 10", c.Windows)
 	}
 }
 

@@ -1,9 +1,13 @@
 package distsim
 
 import (
+	"bytes"
+	"errors"
 	"math"
+	"runtime"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/partition"
 )
 
@@ -71,3 +75,122 @@ func FuzzUnmarshalFrame(f *testing.F) {
 // frameErrCase aliases frameLPState: the donor's error-reporting
 // frame, the only one where Err rides a sequenced frame.
 const frameErrCase = frameLPState
+
+// allocBound is what decoding n bytes of untrusted input may allocate:
+// every count a decoder trusts is first bounded by the bytes left, so
+// memory grows with the input (an event or seat is well under 256 bytes
+// per byte that declares it), plus the container reader's first 1 MiB
+// section buffer and slack for the fuzz worker's own goroutines.
+func allocBound(n int) uint64 { return 4<<20 + 256*uint64(n) }
+
+// allocated runs f and returns the bytes it allocated.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzParseJournal throws arbitrary bytes at journal replay, seeded
+// with the journal_test.go fixture, its torn and bit-flipped variants:
+// every input must fail with one of the two typed errors or replay to a
+// control state that is a valid cut — a partition of the LPs that
+// encodes and decodes to itself — without panicking or allocating
+// beyond the input's size bound.
+func FuzzParseJournal(f *testing.F) {
+	_, data, _ := buildJournal(f)
+	f.Add(data)
+	f.Add(data[:len(data)-3])
+	f.Add(data[:journalHeaderLen])
+	for _, pos := range []int{journalHeaderLen + 5, len(data) / 2, len(data) - 6} {
+		flipped := bytes.Clone(data)
+		flipped[pos] ^= 0x10
+		f.Add(flipped)
+	}
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var st *journalState
+		var err error
+		if got := allocated(func() { st, err = parseJournal(data) }); got > allocBound(len(data)) {
+			t.Fatalf("replaying %d bytes allocated %d", len(data), got)
+		}
+		switch {
+		case err == nil:
+		case errors.Is(err, ErrJournalTruncated):
+			if st == nil || !st.torn {
+				t.Fatalf("torn journal without its valid prefix: %v", err)
+			}
+		case errors.Is(err, ErrJournalCorrupt):
+			if st != nil {
+				t.Fatalf("corrupt journal returned a state and %v", err)
+			}
+			return
+		default:
+			t.Fatalf("untyped error %v", err)
+		}
+		if st.validLen > int64(len(data)) {
+			t.Fatalf("valid prefix %d of %d bytes", st.validLen, len(data))
+		}
+		if st.ctl != nil {
+			checkValidControl(t, st.ctl)
+		}
+	})
+}
+
+// FuzzDecodeClusterCheckpoint does the same for the cluster checkpoint
+// file, seeded with the journal_test.go checkpoint fixture.
+func FuzzDecodeClusterCheckpoint(f *testing.F) {
+	c := testControl(f)
+	c.clock, c.windows, c.skipped, c.routed = 2, 3, 1, 7
+	ck := &clusterCheckpoint{cut: c.cut(), snaps: [][]byte{[]byte("snapshot-a"), []byte("snapshot-b")}}
+	data, err := ck.encode(c)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(data[:len(data)/2])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var at *control
+		var ck *clusterCheckpoint
+		var err error
+		if got := allocated(func() { at, ck, err = decodeClusterCheckpoint(data) }); got > allocBound(len(data)) {
+			t.Fatalf("decoding %d bytes allocated %d", len(data), got)
+		}
+		if err != nil {
+			if at != nil || ck != nil {
+				t.Fatalf("decode returned a checkpoint and %v", err)
+			}
+			return
+		}
+		if len(ck.snaps) != len(at.slots) {
+			t.Fatalf("%d snapshots for %d seats", len(ck.snaps), len(at.slots))
+		}
+		checkValidControl(t, at)
+		if err := at.reset(ck.cut); err != nil {
+			t.Fatalf("decoded cut does not reset: %v", err)
+		}
+	})
+}
+
+// checkValidControl asserts what every decoded control state must
+// satisfy: its LP sets partition the run, and it survives its own codec.
+func checkValidControl(t *testing.T, c *control) {
+	t.Helper()
+	if err := c.index(); err != nil {
+		t.Fatalf("decoded state is not a partition: %v", err)
+	}
+	var enc checkpoint.Enc
+	c.encode(&enc, c.cut())
+	back, err := decodeControl(checkpoint.NewDec(enc.Bytes()))
+	if err != nil {
+		t.Fatalf("re-encoded state does not decode: %v", err)
+	}
+	back.lookahead, back.horizon, back.seed = c.lookahead, c.horizon, c.seed
+	if !sameControl(back, c) {
+		t.Fatalf("state changed across its codec:\nwas %+v\nnow %+v", c, back)
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"slices"
 
 	"repro/internal/checkpoint"
 )
@@ -36,10 +35,13 @@ import (
 //	record* { len uint32 BE, payload, crc32 uint32 BE (IEEE, payload) }
 //
 // Record payloads use the checkpoint Enc/Dec codec; the first field
-// is the record kind. The file is created with the same atomic
-// temp-and-rename discipline as cluster checkpoints, and every append
-// is fsynced before the coordinator acknowledges the barrier it
-// records — a journaled barrier is a durable barrier.
+// is the record kind. Genesis carries the run parameters and the whole
+// control state (control.go); every later record is one transition of
+// that state, holding its arguments rather than its result, and replay
+// calls the transition the live run called. The file is created with
+// the same atomic temp-and-rename discipline as cluster checkpoints,
+// and every append is fsynced before the coordinator acknowledges the
+// barrier it records — a journaled barrier is a durable barrier.
 //
 // A torn final record (crash mid-append) is expected and recoverable:
 // loadJournal returns the state of the valid prefix along with
@@ -51,8 +53,10 @@ import (
 // journalMagic identifies a control-plane journal file.
 const journalMagic = "LSDSJRNL"
 
-// journalVersion is the current journal format version.
-const journalVersion = 1
+// journalVersion is the current journal format version. Version 1
+// recorded each barrier's resulting state instead of its transition; it
+// is refused, not converted.
+const journalVersion = 2
 
 // journalHeaderLen is the byte length of the file header.
 const journalHeaderLen = len(journalMagic) + 2
@@ -82,12 +86,13 @@ var (
 type journalRecKind uint64
 
 const (
-	jGenesis    journalRecKind = iota + 1 // run parameters + initial control state
-	jBarrier                              // committed window barrier: counters + pending
-	jMigration                            // one committed LP migration
-	jCheckpoint                           // cluster checkpoint written to CheckpointPath
-	jSkip                                 // idle-window gap jumped
-	jReset                                // full control-state overwrite after a rollback
+	jGenesis    journalRecKind = iota + 1 // run parameters + control state: control.encode
+	jBarrier                              // control.commit: barrier sequence + produced events
+	jMigration                            // control.migrate: lp, from, to
+	jCheckpoint                           // checkpoint of barrier N is durable at CheckpointPath
+	jSkip                                 // control.skip: the next event time
+	jReset                                // control.reset: the cut rolled back to
+	jReseat                               // control.reseat: seat + registered LP set
 )
 
 func corruptf(format string, args ...any) error {
@@ -116,40 +121,24 @@ type journal struct {
 	alloc   int64  // preallocated file size
 }
 
-// createJournal atomically creates a fresh journal file at path
-// (temp + rename, like cluster checkpoints) and keeps the descriptor
-// open for appends.
+// createJournal atomically creates a fresh journal file at path (see
+// writeFileAtomic) and opens it for appends.
 func createJournal(path string) (*journal, error) {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".journal-*")
+	hdr := binary.BigEndian.AppendUint16([]byte(journalMagic), journalVersion)
+	if err := writeFileAtomic(path, hdr); err != nil {
+		return nil, fmt.Errorf("distsim: create journal: %w", err)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("distsim: create journal: %w", err)
 	}
-	var hdr [journalHeaderLen]byte
-	copy(hdr[:], journalMagic)
-	binary.BigEndian.PutUint16(hdr[len(journalMagic):], journalVersion)
-	if _, err := tmp.Write(hdr[:]); err == nil {
-		err = tmp.Sync()
-		if err == nil {
-			err = os.Rename(tmp.Name(), path)
-		}
-	} else {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return nil, fmt.Errorf("distsim: create journal: %w", err)
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return nil, fmt.Errorf("distsim: create journal: %w", err)
-	}
-	// The descriptor stays valid across the rename; appends land in
-	// the renamed file. Preallocate the first chunk so steady-state
-	// barrier syncs never wait on a size update.
-	if err := tmp.Truncate(journalPrealloc); err != nil {
-		tmp.Close()
+	// Preallocate the first chunk so steady-state barrier syncs never
+	// wait on a size update.
+	if err := f.Truncate(journalPrealloc); err != nil {
+		f.Close()
 		return nil, fmt.Errorf("distsim: preallocate journal: %w", err)
 	}
-	return &journal{f: tmp, off: int64(journalHeaderLen), alloc: journalPrealloc}, nil
+	return &journal{f: f, off: int64(journalHeaderLen), alloc: journalPrealloc}, nil
 }
 
 // openJournal reopens an existing journal for appending after a
@@ -199,8 +188,12 @@ func (j *journal) close() error {
 // appendRecord frames, writes, and fsyncs one record. The record is
 // durable when appendRecord returns nil — the window loop relies on
 // this before sending the frames the record makes re-derivable.
-func (j *journal) appendRecord(build func(*checkpoint.Enc)) error {
+func (j *journal) appendRecord(kind journalRecKind, build func(*checkpoint.Enc)) error {
+	if j == nil {
+		return nil
+	}
 	enc := checkpoint.NewEnc(j.payload)
+	enc.U64(uint64(kind))
 	build(&enc)
 	j.payload = enc.Bytes()
 	p := j.payload
@@ -214,10 +207,7 @@ func (j *journal) appendRecord(build func(*checkpoint.Enc)) error {
 	j.rec = rec
 	end := j.off + int64(len(rec))
 	if end > j.alloc {
-		next := j.alloc * 2
-		if next < end+journalPrealloc {
-			next = end + journalPrealloc
-		}
+		next := max(j.alloc*2, end+journalPrealloc)
 		if err := j.f.Truncate(next); err != nil {
 			return fmt.Errorf("distsim: journal preallocate: %w", err)
 		}
@@ -235,133 +225,64 @@ func (j *journal) appendRecord(build func(*checkpoint.Enc)) error {
 	return nil
 }
 
-// journalCut is the full control-plane state carried by genesis and
-// reset records: everything a restarted coordinator needs beyond the
-// run parameters.
-type journalCut struct {
-	epochs  []int
-	regKeys []string
-	lpSets  [][]int
-	pending [][]Event
+// The record writers. A nil journal (JournalPath unset) accepts and
+// drops every record, so the run journals unconditionally.
 
-	windows, skipped, routed uint64
-	clock                    float64
-}
-
-func encodeCut(enc *checkpoint.Enc, cut *journalCut) {
-	enc.U64(cut.windows)
-	enc.U64(cut.skipped)
-	enc.U64(cut.routed)
-	enc.F64(cut.clock)
-	for wi := range cut.epochs {
-		enc.Int(cut.epochs[wi])
-		enc.Str(cut.regKeys[wi])
-		enc.Int(len(cut.lpSets[wi]))
-		for _, id := range cut.lpSets[wi] {
-			enc.Int(id)
-		}
-		enc.Int(len(cut.pending[wi]))
-		for i := range cut.pending[wi] {
-			encEventInto(enc, &cut.pending[wi][i])
-		}
-	}
-}
-
-// appendGenesis records the run parameters and the initial control
-// state. It is always the first record of a journal.
-func (j *journal) appendGenesis(nWorkers, nLPs int, lookahead, horizon float64, seed uint64, cut *journalCut) error {
-	return j.appendRecord(func(enc *checkpoint.Enc) {
-		enc.U64(uint64(jGenesis))
-		enc.Int(nWorkers)
-		enc.Int(nLPs)
-		enc.F64(lookahead)
-		enc.F64(horizon)
-		enc.U64(seed)
-		encodeCut(enc, cut)
+// genesis records the run parameters and the control state the run
+// starts from. It is always the first record of a journal.
+func (j *journal) genesis(c *control) error {
+	return j.appendRecord(jGenesis, func(enc *checkpoint.Enc) {
+		enc.F64(c.lookahead)
+		enc.F64(c.horizon)
+		enc.U64(c.seed)
+		c.encode(enc, c.cut())
 	})
 }
 
-// appendBarrier records one committed window barrier: the counters
-// and the complete routed-but-undelivered event set.
-func (j *journal) appendBarrier(windows, skipped, routed uint64, clock float64, pending [][]Event) error {
-	return j.appendRecord(func(enc *checkpoint.Enc) {
-		enc.U64(uint64(jBarrier))
-		enc.U64(windows)
-		enc.U64(skipped)
-		enc.U64(routed)
-		enc.F64(clock)
-		for wi := range pending {
-			enc.Int(len(pending[wi]))
-			for i := range pending[wi] {
-				encEventInto(enc, &pending[wi][i])
-			}
-		}
+// barrier records window seq's commit: the events it produced, in the
+// order they were routed.
+func (j *journal) barrier(seq uint64, produced []Event) error {
+	return j.appendRecord(jBarrier, func(enc *checkpoint.Enc) {
+		enc.U64(seq)
+		encEvents(enc, produced)
 	})
 }
 
-// appendMigration records one committed LP migration.
-func (j *journal) appendMigration(lp, from, to int) error {
-	return j.appendRecord(func(enc *checkpoint.Enc) {
-		enc.U64(uint64(jMigration))
+func (j *journal) migration(lp, from, to int) error {
+	return j.appendRecord(jMigration, func(enc *checkpoint.Enc) {
 		enc.Int(lp)
 		enc.Int(from)
 		enc.Int(to)
 	})
 }
 
-// appendCheckpoint records that a cluster checkpoint for the given
-// barrier was durably written to CheckpointPath.
-func (j *journal) appendCheckpoint(windows uint64, clock float64) error {
-	return j.appendRecord(func(enc *checkpoint.Enc) {
-		enc.U64(uint64(jCheckpoint))
-		enc.U64(windows)
-		enc.F64(clock)
+// checkpointed records that the cluster checkpoint taken at barrier
+// windows is durable at CheckpointPath: a restart refuses a file older
+// than the last such record.
+func (j *journal) checkpointed(windows uint64) error {
+	return j.appendRecord(jCheckpoint, func(enc *checkpoint.Enc) { enc.U64(windows) })
+}
+
+func (j *journal) skip(next float64) error {
+	return j.appendRecord(jSkip, func(enc *checkpoint.Enc) { enc.F64(next) })
+}
+
+func (j *journal) reset(cut []byte) error {
+	return j.appendRecord(jReset, func(enc *checkpoint.Enc) { enc.Raw(cut) })
+}
+
+func (j *journal) reseat(wi int, ids []int) error {
+	return j.appendRecord(jReseat, func(enc *checkpoint.Enc) {
+		enc.Int(wi)
+		encLPs(enc, ids)
 	})
 }
 
-// appendSkip records an idle-window gap jump.
-func (j *journal) appendSkip(clock float64, skipped uint64) error {
-	return j.appendRecord(func(enc *checkpoint.Enc) {
-		enc.U64(uint64(jSkip))
-		enc.F64(clock)
-		enc.U64(skipped)
-	})
-}
-
-// appendReset records a full control-state overwrite: written after a
-// rollback recovery (in-run or at restart), whose effect — bumped
-// epochs, restored counters and pending set — replay could not
-// otherwise model.
-func (j *journal) appendReset(cut *journalCut) error {
-	return j.appendRecord(func(enc *checkpoint.Enc) {
-		enc.U64(uint64(jReset))
-		encodeCut(enc, cut)
-	})
-}
-
-// journalState is the coordinator control state recovered by
-// replaying a journal.
+// journalState is what replaying a journal recovers: the control state
+// at its tip, the last checkpoint ref, and where the valid prefix ends.
 type journalState struct {
-	genesis   bool
-	nWorkers  int
-	nLPs      int
-	lookahead float64
-	horizon   float64
-	seed      uint64
-
-	regKeys []string
-	lpSets  [][]int
-	epochs  []int
-	pending [][]Event
-
-	windows      uint64
-	skipped      uint64
-	eventsRouted uint64
-	clock        float64
-
-	hasCkpt     bool
-	ckptWindows uint64
-	ckptClock   float64
+	ctl         *control // nil until the genesis record
+	ckptWindows uint64   // barrier of the last checkpoint ref; 0 bounds nothing
 
 	records  uint64
 	torn     bool
@@ -441,62 +362,63 @@ func parseJournal(data []byte) (*journalState, error) {
 	return st, nil
 }
 
-// apply replays one record payload into the state.
+// apply replays one record: decode its arguments, call the transition.
 func (st *journalState) apply(payload []byte) error {
 	d := checkpoint.NewDec(payload)
 	kind := journalRecKind(d.U64())
-	if kind != jGenesis && !st.genesis {
+	if kind != jGenesis && st.ctl == nil {
 		return corruptf("record %d (kind %d) precedes genesis", st.records, kind)
 	}
+	var err error
 	switch kind {
 	case jGenesis:
-		if st.genesis {
+		if st.ctl != nil {
 			return corruptf("record %d is a duplicate genesis", st.records)
 		}
-		st.nWorkers = d.Int()
-		st.nLPs = d.Int()
-		st.lookahead = d.F64()
-		st.horizon = d.F64()
-		st.seed = d.U64()
-		if d.Err() == nil && (st.nWorkers <= 0 || st.nWorkers > d.Remaining() || st.nLPs <= 0) {
-			return corruptf("genesis declares %d workers, %d LPs", st.nWorkers, st.nLPs)
+		lookahead, horizon, seed := d.F64(), d.F64(), d.U64()
+		var c *control
+		if c, err = decodeControl(d); err == nil {
+			c.lookahead, c.horizon, c.seed = lookahead, horizon, seed
+			st.ctl = c
 		}
-		if err := st.decodeCut(d); err != nil {
-			return err
-		}
-		st.genesis = true
 	case jBarrier:
-		st.windows = d.U64()
-		st.skipped = d.U64()
-		st.eventsRouted = d.U64()
-		st.clock = d.F64()
-		pending, err := st.decodePending(d)
-		if err != nil {
-			return err
+		seq := d.U64()
+		var produced []Event
+		if produced, err = decEvents(d); err == nil && seq != st.ctl.windows+1 {
+			err = fmt.Errorf("barrier %d follows barrier %d", seq, st.ctl.windows)
 		}
-		st.pending = pending
+		if err == nil {
+			err = st.ctl.commit(produced)
+		}
 	case jMigration:
 		lp, from, to := d.Int(), d.Int(), d.Int()
-		if err := d.Err(); err == nil {
-			if err := st.applyMigration(lp, from, to); err != nil {
-				return err
-			}
+		if d.Err() == nil {
+			err = st.ctl.migrate(lp, from, to)
 		}
 	case jCheckpoint:
-		st.hasCkpt = true
 		st.ckptWindows = d.U64()
-		st.ckptClock = d.F64()
 	case jSkip:
-		st.clock = d.F64()
-		st.skipped = d.U64()
+		st.ctl.skip(d.F64())
 	case jReset:
-		if err := st.decodeCut(d); err != nil {
-			return err
+		if cut := d.RawView(); d.Err() == nil {
+			err = st.ctl.reset(cut)
+		}
+	case jReseat:
+		wi := d.Int()
+		var ids []int
+		if ids, err = decLPs(d); err == nil && (wi < 0 || wi >= len(st.ctl.slots)) {
+			err = fmt.Errorf("reseat of unknown seat %d", wi)
+		}
+		if err == nil {
+			st.ctl.reseat(wi, ids)
 		}
 	default:
 		return corruptf("record %d has unknown kind %d", st.records, kind)
 	}
-	if err := d.Err(); err != nil {
+	if err == nil {
+		err = d.Err()
+	}
+	if err != nil {
 		return corruptf("record %d: %v", st.records, err)
 	}
 	if d.Remaining() != 0 {
@@ -505,104 +427,14 @@ func (st *journalState) apply(payload []byte) error {
 	return nil
 }
 
-func (st *journalState) decodeCut(d *checkpoint.Dec) error {
-	st.windows = d.U64()
-	st.skipped = d.U64()
-	st.eventsRouted = d.U64()
-	st.clock = d.F64()
-	st.epochs = make([]int, st.nWorkers)
-	st.regKeys = make([]string, st.nWorkers)
-	st.lpSets = make([][]int, st.nWorkers)
-	st.pending = make([][]Event, st.nWorkers)
-	for wi := 0; wi < st.nWorkers; wi++ {
-		st.epochs[wi] = d.Int()
-		st.regKeys[wi] = d.Str()
-		ni := d.Int()
-		// Every id is at least one byte, so a count beyond the
-		// remaining payload is corruption, not a big slot.
-		if d.Err() == nil && (ni < 0 || ni > d.Remaining()) {
-			return corruptf("record %d slot %d declares %d LPs", st.records, wi, ni)
-		}
-		ids := make([]int, 0, ni)
-		for j := 0; j < ni; j++ {
-			id := d.Int()
-			if d.Err() == nil && (id < 0 || id >= st.nLPs) {
-				return corruptf("record %d slot %d owns out-of-range LP %d", st.records, wi, id)
-			}
-			ids = append(ids, id)
-		}
-		st.lpSets[wi] = ids
-		np := d.Int()
-		if d.Err() == nil && (np < 0 || np > d.Remaining()) {
-			return corruptf("record %d slot %d declares %d pending events", st.records, wi, np)
-		}
-		evs := make([]Event, 0, np)
-		for j := 0; j < np; j++ {
-			evs = append(evs, decEventFrom(d))
-		}
-		st.pending[wi] = evs
-	}
-	return nil
-}
-
-func (st *journalState) decodePending(d *checkpoint.Dec) ([][]Event, error) {
-	pending := make([][]Event, st.nWorkers)
-	for wi := 0; wi < st.nWorkers; wi++ {
-		np := d.Int()
-		if d.Err() == nil && (np < 0 || np > d.Remaining()) {
-			return nil, corruptf("record %d slot %d declares %d pending events", st.records, wi, np)
-		}
-		evs := make([]Event, 0, np)
-		for j := 0; j < np; j++ {
-			evs = append(evs, decEventFrom(d))
-		}
-		pending[wi] = evs
-	}
-	return pending, nil
-}
-
-// applyMigration replays one committed migration: move the LP between
-// slot assignments and re-bucket its pending events, exactly as the
-// live migrate() did.
-func (st *journalState) applyMigration(lp, from, to int) error {
-	if from < 0 || from >= st.nWorkers || to < 0 || to >= st.nWorkers || from == to {
-		return corruptf("record %d migrates LP %d from %d to %d", st.records, lp, from, to)
-	}
-	i := slices.Index(st.lpSets[from], lp)
-	if i < 0 {
-		return corruptf("record %d migrates LP %d which slot %d does not own", st.records, lp, from)
-	}
-	st.lpSets[from] = slices.Delete(st.lpSets[from], i, i+1)
-	pos, _ := slices.BinarySearch(st.lpSets[to], lp)
-	st.lpSets[to] = slices.Insert(st.lpSets[to], pos, lp)
-	rebucketPending(st.pending, lp, from, to)
-	return nil
-}
-
-// rebucketPending moves the routed-but-undelivered events addressed
-// to lp from one slot's pending list to another's, preserving each
-// list's arrival order — the same discipline the live migrate()
-// commit uses, so journal replay reproduces its state exactly.
-func rebucketPending(pending [][]Event, lp, from, to int) {
-	kept := pending[from][:0]
-	for _, ev := range pending[from] {
-		if ev.To == lp {
-			pending[to] = append(pending[to], ev)
-		} else {
-			kept = append(kept, ev)
-		}
-	}
-	pending[from] = kept
-}
-
 // JournalBench measures the per-barrier cost of the durable journal:
 // one Cycle appends and fsyncs a representative barrier record, the
 // exact work runWindows adds per window when JournalPath is set. It
 // is exported for the experiments bench harness.
 type JournalBench struct {
-	j       *journal
-	pending [][]Event
-	win     uint64
+	j        *journal
+	produced []Event
+	win      uint64
 }
 
 // NewJournalBench creates a journal in dir and seeds it with a
@@ -613,35 +445,33 @@ func NewJournalBench(dir string) (*JournalBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A representative small-cluster cut: 2 workers, a handful of
+	// A representative small-cluster barrier: 2 workers, a handful of
 	// in-flight events with PHOLD-sized payloads.
-	pending := make([][]Event, 2)
-	for wi := range pending {
-		for i := 0; i < 8; i++ {
-			pending[wi] = append(pending[wi], Event{
-				Time: 1.5 + float64(i)*0.25,
-				From: i % 6, To: (i + 3) % 6, Seq: uint64(i + 1),
-				Data: []byte{byte(i), byte(wi), 0xAB, 0xCD},
-			})
+	c := newControl(6, 1.0, 1e9, 42, 2)
+	c.reseat(0, []int{0, 1, 2})
+	c.reseat(1, []int{3, 4, 5})
+	if err := c.index(); err != nil {
+		panic(err)
+	}
+	produced := make([]Event, 16)
+	for i := range produced {
+		produced[i] = Event{
+			Time: 1.5 + float64(i/2)*0.25,
+			From: i % 6, To: (i + 3) % 6, Seq: uint64(i/2 + 1),
+			Data: []byte{byte(i / 2), byte(i % 2), 0xAB, 0xCD},
 		}
 	}
-	cut := &journalCut{
-		epochs:  []int{0, 0},
-		regKeys: []string{lpKey([]int{0, 1, 2}), lpKey([]int{3, 4, 5})},
-		lpSets:  [][]int{{0, 1, 2}, {3, 4, 5}},
-		pending: pending,
-	}
-	if err := j.appendGenesis(2, 6, 1.0, 1e9, 42, cut); err != nil {
+	if err := j.genesis(c); err != nil {
 		j.close()
 		return nil, err
 	}
-	return &JournalBench{j: j, pending: pending}, nil
+	return &JournalBench{j: j, produced: produced}, nil
 }
 
 // Cycle appends one barrier record, fsync included.
 func (b *JournalBench) Cycle() error {
 	b.win++
-	return b.j.appendBarrier(b.win, 0, b.win*16, float64(b.win), b.pending)
+	return b.j.barrier(b.win, b.produced)
 }
 
 // Bytes reports the journal bytes written so far.

@@ -1,21 +1,96 @@
 package distsim
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
 )
 
+// journaled drives a control and its journal together the way the
+// coordinator does: call the transition, then append its record.
+type journaled struct {
+	t testing.TB
+	c *control
+	j *journal
+}
+
+func (l journaled) must(err error) {
+	l.t.Helper()
+	if err != nil {
+		l.t.Fatal(err)
+	}
+}
+
+func (l journaled) commit(produced []Event) {
+	l.t.Helper()
+	l.must(l.c.commit(produced))
+	l.must(l.j.barrier(l.c.windows, produced))
+}
+
+func (l journaled) skip(next float64) {
+	l.t.Helper()
+	if l.c.skip(next) > 0 {
+		l.must(l.j.skip(next))
+	}
+}
+
+func (l journaled) migrate(lp, from, to int) {
+	l.t.Helper()
+	l.must(l.c.migrate(lp, from, to))
+	l.must(l.j.migration(lp, from, to))
+}
+
+func (l journaled) reseat(wi int, ids []int) {
+	l.t.Helper()
+	l.c.reseat(wi, ids)
+	l.must(l.j.reseat(wi, ids))
+}
+
+func (l journaled) reset(cut []byte) {
+	l.t.Helper()
+	l.must(l.c.reset(cut))
+	l.must(l.j.reset(cut))
+}
+
+// sameControl reports whether two control states are equal: run
+// parameters, owner, and — through the codec, which covers every other
+// field — seats and cut.
+func sameControl(a, b *control) bool {
+	var ea, eb checkpoint.Enc
+	a.encode(&ea, a.cut())
+	b.encode(&eb, b.cut())
+	return a.lookahead == b.lookahead && a.horizon == b.horizon && a.seed == b.seed &&
+		slices.Equal(a.owner, b.owner) && bytes.Equal(ea.Bytes(), eb.Bytes())
+}
+
+// testControl is a registered two-worker run over four LPs with one
+// event already pending; seat 1 is on its second incarnation.
+func testControl(t testing.TB) *control {
+	t.Helper()
+	c := newControl(4, 1.0, 64, 7, 2)
+	c.reseat(0, []int{0, 1})
+	c.reseat(1, []int{2, 3})
+	c.reseat(1, []int{2, 3})
+	if err := c.index(); err != nil {
+		t.Fatal(err)
+	}
+	c.slots[0].pending = []Event{{Time: 1.5, From: 2, To: 0, Seq: 3, Data: []byte{1, 2}}}
+	return c
+}
+
 // buildJournal writes a representative journal through the real
 // append API — genesis, barriers, a migration, a checkpoint mark, a
-// skip — and returns its path and raw bytes.
-func buildJournal(t *testing.T) (string, []byte) {
+// skip — and returns its path, its raw bytes and the live control
+// state the records were written from.
+func buildJournal(t testing.TB) (string, []byte, *control) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.journal")
 	j, err := createJournal(path)
@@ -23,37 +98,17 @@ func buildJournal(t *testing.T) (string, []byte) {
 		t.Fatal(err)
 	}
 	defer j.close()
-	cut := &journalCut{
-		epochs:  []int{0, 1},
-		regKeys: []string{lpKey([]int{0, 1}), lpKey([]int{2, 3})},
-		lpSets:  [][]int{{0, 1}, {2, 3}},
-		pending: [][]Event{
-			{{Time: 1.5, From: 2, To: 0, Seq: 3, Data: []byte{1, 2}}},
-			nil,
-		},
+	l := journaled{t, testControl(t), j}
+	l.must(j.genesis(l.c))
+	produced := []Event{
+		{Time: 2.5, From: 0, To: 2, Seq: 4},
+		{Time: 2.25, From: 3, To: 1, Seq: 9, Data: []byte{0xFE}},
 	}
-	if err := j.appendGenesis(2, 4, 1.0, 64, 7, cut); err != nil {
-		t.Fatal(err)
-	}
-	pending := [][]Event{
-		{{Time: 2.25, From: 3, To: 1, Seq: 9, Data: []byte{0xFE}}},
-		{{Time: 2.5, From: 0, To: 2, Seq: 4}},
-	}
-	if err := j.appendBarrier(1, 0, 2, 2.0, pending); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.appendMigration(1, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.appendCheckpoint(1, 2.0); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.appendSkip(4.0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.appendBarrier(3, 2, 6, 5.0, pending); err != nil {
-		t.Fatal(err)
-	}
+	l.commit(produced)
+	l.migrate(1, 0, 1)
+	l.must(j.checkpointed(1))
+	l.skip(3.5)
+	l.commit(produced)
 	if err := j.close(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,47 +116,51 @@ func buildJournal(t *testing.T) (string, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return path, data
+	return path, data, l.c
 }
 
 func TestJournalReplay(t *testing.T) {
-	_, data := buildJournal(t)
+	_, data, live := buildJournal(t)
 	st, err := parseJournal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !st.genesis || st.torn {
-		t.Fatalf("genesis=%v torn=%v", st.genesis, st.torn)
+	if st.ctl == nil || st.torn {
+		t.Fatalf("genesis=%v torn=%v", st.ctl != nil, st.torn)
 	}
-	if st.nWorkers != 2 || st.nLPs != 4 || st.lookahead != 1.0 || st.horizon != 64 || st.seed != 7 {
-		t.Fatalf("run params = %+v", st)
+	c := st.ctl
+	if len(c.slots) != 2 || c.nLPs != 4 || c.lookahead != 1.0 || c.horizon != 64 || c.seed != 7 {
+		t.Fatalf("run params = %+v", c)
 	}
 	if st.records != 6 || st.validLen != int64(len(data)) {
 		t.Fatalf("records=%d validLen=%d len=%d", st.records, st.validLen, len(data))
 	}
-	if st.windows != 3 || st.skipped != 2 || st.eventsRouted != 6 || st.clock != 5.0 {
+	// Barrier 1 ends at 1, the skip jumps the windows ending at 2 and 3
+	// (3.5 lies past both), barrier 2 ends at 4.
+	if c.windows != 2 || c.skipped != 2 || c.routed != 4 || c.clock != 4.0 {
 		t.Fatalf("counters = windows %d skipped %d routed %d clock %v",
-			st.windows, st.skipped, st.eventsRouted, st.clock)
+			c.windows, c.skipped, c.routed, c.clock)
 	}
-	if !st.hasCkpt || st.ckptWindows != 1 || st.ckptClock != 2.0 {
-		t.Fatalf("checkpoint ref = %v %d %v", st.hasCkpt, st.ckptWindows, st.ckptClock)
+	if st.ckptWindows != 1 {
+		t.Fatalf("checkpoint ref = %d", st.ckptWindows)
 	}
 	// The migration moved LP 1 from slot 0 to slot 1.
-	if len(st.lpSets[0]) != 1 || st.lpSets[0][0] != 0 {
-		t.Fatalf("slot 0 owns %v", st.lpSets[0])
+	if !slices.Equal(c.slots[0].lps, []int{0}) || !slices.Equal(c.slots[1].lps, []int{1, 2, 3}) {
+		t.Fatalf("slots own %v and %v", c.slots[0].lps, c.slots[1].lps)
 	}
-	if len(st.lpSets[1]) != 3 || st.lpSets[1][0] != 1 {
-		t.Fatalf("slot 1 owns %v", st.lpSets[1])
+	if !slices.Equal(c.owner, []int{0, 1, 1, 1}) {
+		t.Fatalf("owner = %v", c.owner)
 	}
-	if st.epochs[0] != 0 || st.epochs[1] != 1 {
-		t.Fatalf("epochs = %v", st.epochs)
+	if c.slots[0].epoch != 1 || c.slots[1].epoch != 2 || c.slots[1].regKey != lpKey([]int{2, 3}) {
+		t.Fatalf("seats = %+v", c.slots)
 	}
-	// The final barrier's pending set wins wholesale.
-	if len(st.pending[0]) != 1 || st.pending[0][0].To != 1 || st.pending[0][0].Data[0] != 0xFE {
-		t.Fatalf("pending[0] = %+v", st.pending[0])
+	// The final barrier's events are what is pending, both on slot 1 now.
+	if len(c.slots[0].pending) != 0 || len(c.slots[1].pending) != 2 ||
+		c.slots[1].pending[0].Seq != 4 || c.slots[1].pending[1].Data[0] != 0xFE {
+		t.Fatalf("pending = %+v / %+v", c.slots[0].pending, c.slots[1].pending)
 	}
-	if len(st.pending[1]) != 1 || st.pending[1][0].Seq != 4 {
-		t.Fatalf("pending[1] = %+v", st.pending[1])
+	if !sameControl(c, live) {
+		t.Fatalf("replayed state differs from the live one:\nreplay %+v\nlive   %+v", c, live)
 	}
 }
 
@@ -123,7 +182,7 @@ func recordBounds(data []byte) map[int]bool {
 // clean (shorter) journal, and a cut inside a record is a torn tail
 // whose reported valid prefix must itself parse cleanly.
 func TestJournalTruncation(t *testing.T) {
-	_, data := buildJournal(t)
+	_, data, _ := buildJournal(t)
 	bounds := recordBounds(data)
 	for cut := 0; cut < len(data); cut++ {
 		st, err := parseJournal(data[:cut])
@@ -157,7 +216,7 @@ func TestJournalTruncation(t *testing.T) {
 // each flip must surface as a typed load error — never a panic, never
 // a silently accepted state.
 func TestJournalBitFlip(t *testing.T) {
-	_, data := buildJournal(t)
+	_, data, _ := buildJournal(t)
 	flipped := make([]byte, len(data))
 	for pos := 0; pos < len(data); pos++ {
 		for bit := 0; bit < 8; bit++ {
@@ -189,7 +248,7 @@ func frameJournalRec(payload []byte) []byte {
 // cannot reach: structurally valid records (good CRC) whose content
 // violates the protocol.
 func TestJournalCrafted(t *testing.T) {
-	_, data := buildJournal(t)
+	_, data, _ := buildJournal(t)
 	bounds := recordBounds(data)
 	genesisEnd := 0
 	for off := range bounds {
@@ -207,18 +266,29 @@ func TestJournalCrafted(t *testing.T) {
 	badGenesis := func(nWorkers, nLPs int) []byte {
 		var enc checkpoint.Enc
 		enc.U64(uint64(jGenesis))
-		enc.Int(nWorkers)
-		enc.Int(nLPs)
 		enc.F64(1)
 		enc.F64(64)
 		enc.U64(7)
+		enc.Int(nWorkers)
+		enc.Int(nLPs)
 		return frameJournalRec(enc.Bytes())
 	}
+	barrierRec := func(seq uint64, produced ...Event) []byte {
+		var enc checkpoint.Enc
+		enc.U64(uint64(jBarrier))
+		enc.U64(seq)
+		encEvents(&enc, produced)
+		return frameJournalRec(enc.Bytes())
+	}
+	var reseatEnc checkpoint.Enc
+	reseatEnc.U64(uint64(jReseat))
+	reseatEnc.Int(2)
+	encLPs(&reseatEnc, []int{0})
+	reseatRec := frameJournalRec(reseatEnc.Bytes())
 	giantLen := binary.BigEndian.AppendUint32(nil, maxJournalRecord+1)
 	var trailEnc checkpoint.Enc
 	trailEnc.U64(uint64(jCheckpoint))
 	trailEnc.U64(1)
-	trailEnc.F64(2)
 	trailEnc.U64(0xAA) // one uvarint past the record's last field
 	trailingRec := frameJournalRec(trailEnc.Bytes())
 
@@ -233,6 +303,10 @@ func TestJournalCrafted(t *testing.T) {
 		{"giant-record-length", append(append(journalHeader(), genesisRec...), giantLen...), "exceeds limit"},
 		{"zero-worker-genesis", append(journalHeader(), badGenesis(0, 4)...), "declares"},
 		{"trailing-garbage-record", append(append(journalHeader(), genesisRec...), trailingRec...), "trailing"},
+		{"barrier-out-of-sequence", append(append(journalHeader(), genesisRec...), barrierRec(3)...), "follows barrier 0"},
+		{"barrier-for-unknown-lp", append(append(journalHeader(), genesisRec...), barrierRec(1, Event{To: 4})...), "unknown LP 4"},
+		{"reseat-unknown-seat", append(append(journalHeader(), genesisRec...), reseatRec...), "unknown seat"},
+		{"version-1", append(binary.BigEndian.AppendUint16([]byte(journalMagic), 1), genesisRec...), "unsupported version 1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -251,7 +325,7 @@ func TestJournalCrafted(t *testing.T) {
 // must load as the valid prefix, openJournal must truncate the tear,
 // and subsequent appends must extend a journal that then loads clean.
 func TestJournalReopenAfterTear(t *testing.T) {
-	path, data := buildJournal(t)
+	path, data, live := buildJournal(t)
 	torn := append(append([]byte(nil), data...), 0, 0, 0, 50, 1, 2, 3) // half a record
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
@@ -267,9 +341,9 @@ func TestJournalReopenAfterTear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.appendBarrier(4, 2, 8, 6.0, st.pending); err != nil {
-		t.Fatal(err)
-	}
+	l := journaled{t, st.ctl, j}
+	l.commit(nil)
+	live.commit(nil)
 	if err := j.close(); err != nil {
 		t.Fatal(err)
 	}
@@ -277,8 +351,8 @@ func TestJournalReopenAfterTear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.records != 7 || st2.windows != 4 || st2.clock != 6.0 {
-		t.Fatalf("after reopen: records=%d windows=%d clock=%v", st2.records, st2.windows, st2.clock)
+	if st2.records != 7 || st2.ctl.windows != 3 || st2.ctl.clock != 5.0 || !sameControl(st2.ctl, live) {
+		t.Fatalf("after reopen: records=%d windows=%d clock=%v", st2.records, st2.ctl.windows, st2.ctl.clock)
 	}
 }
 
@@ -287,27 +361,24 @@ func TestJournalReopenAfterTear(t *testing.T) {
 // must error, and a structurally valid file whose counts lie about
 // the payload must be rejected before any giant allocation.
 func TestClusterCheckpointCorruption(t *testing.T) {
-	ck := &clusterCheckpoint{
-		Clock: 2, Windows: 3, EventsRouted: 7,
-		Keys:      []string{lpKey([]int{0, 1})},
-		LPSets:    [][]int{{0, 1}},
-		Snapshots: [][]byte{[]byte("snapshot-bytes")},
-		Pending:   [][]Event{{{Time: 1, From: 0, To: 1, Seq: 2, Data: []byte{9}}}},
-	}
-	data, err := ck.encode()
+	c := testControl(t)
+	c.clock, c.windows, c.skipped, c.routed = 2, 3, 1, 7
+	ck := &clusterCheckpoint{cut: c.cut(), snaps: [][]byte{[]byte("snapshot-a"), []byte("snapshot-b")}}
+	data, err := ck.encode(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decodeClusterCheckpoint(data)
+	back, backCk, err := decodeClusterCheckpoint(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Windows != 3 || len(back.Pending[0]) != 1 || back.LPSets[0][1] != 1 {
-		t.Fatalf("round trip = %+v", back)
+	back.lookahead, back.horizon, back.seed = c.lookahead, c.horizon, c.seed
+	if !sameControl(back, c) || !bytes.Equal(backCk.cut, ck.cut) || string(backCk.snaps[1]) != "snapshot-b" {
+		t.Fatalf("round trip = %+v, %+v", back, backCk)
 	}
 
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := decodeClusterCheckpoint(data[:cut]); err == nil {
+		if _, _, err := decodeClusterCheckpoint(data[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -316,7 +387,7 @@ func TestClusterCheckpointCorruption(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			copy(flipped, data)
 			flipped[pos] ^= 1 << bit
-			if _, err := decodeClusterCheckpoint(flipped); err == nil {
+			if _, _, err := decodeClusterCheckpoint(flipped); err == nil {
 				t.Fatalf("flip byte %d bit %d accepted", pos, bit)
 			}
 		}
@@ -325,42 +396,55 @@ func TestClusterCheckpointCorruption(t *testing.T) {
 	// Valid container, lying counts: the CRC passes, so only the
 	// decoder's own bounds stand between a flipped count and a giant
 	// allocation.
-	craft := func(build func(se *checkpoint.Enc)) []byte {
-		var buf strings.Builder
+	craft := func(section string, build func(cut *checkpoint.Enc)) []byte {
+		var buf bytes.Buffer
 		cw := checkpoint.NewWriter(&buf)
+		var cut checkpoint.Enc
+		cut.F64(2)
+		cut.U64(3)
+		cut.U64(1)
+		cut.U64(7)
+		build(&cut)
 		var ce checkpoint.Enc
+		ce.Int(1) // one worker
+		ce.Int(2) // two LPs
 		ce.Int(1)
-		ce.F64(2)
-		ce.U64(3)
-		ce.U64(7)
-		if err := cw.Section(secCluster, ce.Bytes()); err != nil {
+		ce.Str("[0 1]")
+		ce.Raw(cut.Bytes())
+		if err := cw.Section(section, ce.Bytes()); err != nil {
 			t.Fatal(err)
 		}
-		var se checkpoint.Enc
-		build(&se)
-		if err := cw.Section(secSlot, se.Bytes()); err != nil {
+		if err := cw.Section(secSlot, []byte("snap")); err != nil {
 			t.Fatal(err)
 		}
 		if err := cw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return []byte(buf.String())
+		return buf.Bytes()
 	}
-	lyingPending := craft(func(se *checkpoint.Enc) {
-		se.Str("[0]")
-		se.Raw([]byte("snap"))
-		se.Int(1 << 40) // pending count far beyond the payload
+	honest := func(cut *checkpoint.Enc) {
+		encLPs(cut, []int{0, 1})
+		cut.Int(0) // no pending
+	}
+	if _, _, err := decodeClusterCheckpoint(craft(secControl, honest)); err != nil {
+		t.Fatalf("crafted honest checkpoint: %v", err)
+	}
+	lyingLPs := craft(secControl, func(cut *checkpoint.Enc) {
+		cut.Int(1 << 40) // LP count far beyond the payload
 	})
-	if _, err := decodeClusterCheckpoint(lyingPending); err == nil || !strings.Contains(err.Error(), "pending count") {
+	if _, _, err := decodeClusterCheckpoint(lyingLPs); err == nil || !strings.Contains(err.Error(), "LP count") {
+		t.Fatalf("lying LP count: %v", err)
+	}
+	lyingPending := craft(secControl, func(cut *checkpoint.Enc) {
+		encLPs(cut, []int{0, 1})
+		cut.Int(1 << 40) // pending count far beyond the payload
+	})
+	if _, _, err := decodeClusterCheckpoint(lyingPending); err == nil || !strings.Contains(err.Error(), "pending count") {
 		t.Fatalf("lying pending count: %v", err)
 	}
-	lyingLPs := craft(func(se *checkpoint.Enc) {
-		se.Str("[0]")
-		se.Raw([]byte("snap"))
-		se.Int(0)       // no pending
-		se.Int(1 << 40) // LP count far beyond the payload
-	})
-	if _, err := decodeClusterCheckpoint(lyingLPs); err == nil || !strings.Contains(err.Error(), "LP count") {
-		t.Fatalf("lying LP count: %v", err)
+	// The cut used to sit in a section named distsim.cluster, laid out
+	// differently: such a file is refused by name, not decoded.
+	if _, _, err := decodeClusterCheckpoint(craft("distsim.cluster", honest)); !errors.Is(err, errCheckpointMismatch) {
+		t.Fatalf("older checkpoint format: %v", err)
 	}
 }

@@ -236,7 +236,7 @@ func TestRebalanceRecoveryAcrossMigration(t *testing.T) {
 // TestRebalanceFileResumeAcrossMigration crashes the whole run after a
 // migration, then resumes a fresh coordinator and fresh statically
 // configured workers from the persisted checkpoint: the checkpoint
-// recorded the migrated assignment, reorderToSlots seats the static
+// recorded the migrated assignment, matchSeat seats the static
 // workers anyway, and restore hands each one the LP set the layout
 // says it should own.
 func TestRebalanceFileResumeAcrossMigration(t *testing.T) {

@@ -195,7 +195,8 @@ func TestSparseSkipUnderChaos(t *testing.T) {
 // skipping still enabled, jumps the gaps again, and finishes with
 // counts identical to the uninterrupted run.
 func TestSkipCheckpointResumeAcrossGap(t *testing.T) {
-	want := skCounts(skRun(t, false).WorkerStats)
+	off := skRun(t, false)
+	want := skCounts(off.WorkerStats)
 	path := filepath.Join(t.TempDir(), "cluster.ckpt")
 
 	// Attempt 1: persist checkpoints, no recovery budget; worker B dies
@@ -254,5 +255,66 @@ func TestSkipCheckpointResumeAcrossGap(t *testing.T) {
 	}
 	if c2.WindowsSkipped == 0 {
 		t.Fatal("resumed run skipped no windows after the gap")
+	}
+	// The cut carries the skip counter, so the resumed run still accounts
+	// for every window of the lattice exactly once.
+	if c2.Windows+c2.WindowsSkipped != off.Windows {
+		t.Fatalf("resumed run executed %d + skipped %d != lattice %d", c2.Windows, c2.WindowsSkipped, off.Windows)
+	}
+}
+
+// TestSkipRecoveryKeepsLattice kills a worker of a skipping run and
+// recovers it in-run: the rollback reinstates the skip counter with the
+// rest of the cut, so windows skipped between the checkpoint and the
+// crash are not counted a second time when the run passes them again.
+func TestSkipRecoveryKeepsLattice(t *testing.T) {
+	off := skRun(t, false)
+	want := skCounts(off.WorkerStats)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	addr := ln.Addr().String()
+
+	c := NewCoordinator(skLPs, skLA, skHorizon, skSeed)
+	c.SkipIdle = true
+	c.Timeout = 10 * time.Second
+	c.CheckpointEvery = 4 // several skipped stretches between a cut and the crash
+	c.MaxRecoveries = 1
+
+	errs := make(chan error, 2)
+	killed := make(chan struct{})
+	go func() { errs <- skWorker(false, false).Run(addr) }()
+	go func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("kill op never panicked")
+			}
+			close(killed)
+		}()
+		_ = skWorker(true, true).Run(addr) // dies at skKillAt
+	}()
+	go func() {
+		<-killed
+		errs <- skWorker(true, false).Run(addr)
+	}()
+	if err := c.Serve(ln, 2); err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+	}
+	if c.Recoveries != 1 {
+		t.Fatalf("recoveries = %d, want 1", c.Recoveries)
+	}
+	if got := skCounts(c.WorkerStats); !equalCounts(got, want) {
+		t.Fatalf("recovered skip run counts %v, want %v", got, want)
+	}
+	if c.Windows+c.WindowsSkipped != off.Windows {
+		t.Fatalf("recovered run executed %d + skipped %d != lattice %d", c.Windows, c.WindowsSkipped, off.Windows)
 	}
 }
