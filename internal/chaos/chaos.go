@@ -223,6 +223,18 @@ func (in *Injector) Conn(c net.Conn) net.Conn {
 	return &conn{Conn: c, in: in}
 }
 
+// Dial returns a dial function for addr whose every connection is
+// fault-injected: the dialing side's counterpart of Listener.
+func (in *Injector) Dial(addr string) func() (net.Conn, error) {
+	return func() (net.Conn, error) {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return in.Conn(c), nil
+	}
+}
+
 // Listener wraps a listener so every accepted connection is
 // fault-injected.
 func (in *Injector) Listener(ln net.Listener) net.Listener {

@@ -77,6 +77,9 @@ func dialRetry(dial func() (net.Conn, error), attempts int, b *Backoff, stats *W
 		if err == nil {
 			return conn, nil
 		}
+		if isFatal(err) {
+			return nil, err
+		}
 		lastErr = err
 	}
 	return nil, fmt.Errorf("distsim: dial failed after %d attempts: %w", attempts, lastErr)

@@ -26,7 +26,7 @@ type WorkerWindowBench struct {
 
 // NewWorkerWindowBench builds a group hosting lps PHOLD LPs with the
 // given pool width. hot/skew/holdNs shape the workload the way
-// InstallPHOLDSkew does: the first hot LPs fire skew times as often
+// the PHOLD model does: the first hot LPs fire skew times as often
 // and hold their pool thread holdNs wall ns per event — the
 // parallelizable stretch an intra-worker pool exists to overlap.
 func NewWorkerWindowBench(threads, lps, jobs int, remote float64, work, hot int, skew float64, holdNs int) *WorkerWindowBench {

@@ -1,8 +1,6 @@
 package distsim
 
 import (
-	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -17,35 +15,6 @@ import (
 // class the injector knows is exercised; the failures are absorbed by
 // the protocol's integrity checking, duplicate suppression, and
 // session-resume reconnects — never by the model.
-const (
-	cePLPs      = 6
-	ceLA        = 1.0
-	ceHorizon   = 20.0
-	ceJobs      = 6
-	ceRemote    = 0.4
-	ceWork      = 5
-	ceSeed      = 20260806
-	ceWorkers   = 2
-	ceTimeout   = 500 * time.Millisecond
-	ceHS        = 2 * time.Second
-	ceRetries   = 100
-	ceBackoff   = 10 * time.Millisecond
-	ceReconn    = 3 * time.Second
-	ceMaxReconn = 10000
-)
-
-var ceRefOnce sync.Once
-var ceRefCounts []uint64
-
-// ceReference computes the fault-free single-process per-LP counts.
-func ceReference() []uint64 {
-	ceRefOnce.Do(func() {
-		ref := parsim.NewPHOLD(cePLPs, 1, ceLA, ceJobs, ceRemote, ceWork, ceSeed)
-		ref.Run(ceHorizon)
-		ceRefCounts = ref.PerLPEvents()
-	})
-	return ceRefCounts
-}
 
 // ceRun executes the distributed PHOLD run with optional injectors on
 // the coordinator side (wrapping the listener, so coordinator->worker
@@ -55,73 +24,9 @@ func ceReference() []uint64 {
 // extra assertions.
 func ceRun(t *testing.T, coordCfg, workerCfg *chaos.Config) *Coordinator {
 	t.Helper()
-	base, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer base.Close()
-	addr := base.Addr().String()
-
-	var ln net.Listener = base
-	if coordCfg != nil {
-		ln = chaos.New(*coordCfg).Listener(base)
-	}
-
-	c := NewCoordinator(cePLPs, ceLA, ceHorizon, ceSeed)
-	c.Timeout = ceTimeout
-	c.ReconnectWait = ceReconn
-	c.MaxReconnects = ceMaxReconn
-
-	workers := []*Worker{NewWorker(0, 1, 2), NewWorker(3, 4, 5)}
-	for i, w := range workers {
-		InstallPHOLD(w, cePLPs, ceJobs, ceRemote, ceWork)
-		w.HandshakeTimeout = ceHS
-		w.ConnectRetries = ceRetries
-		w.ConnectBackoff = ceBackoff
-		if workerCfg != nil {
-			cfg := *workerCfg
-			cfg.Seed += uint64(i) * 1000003 // distinct fault stream per worker
-			inj := chaos.New(cfg)
-			w.Dial = func() (net.Conn, error) {
-				conn, err := net.Dial("tcp", addr)
-				if err != nil {
-					return nil, err
-				}
-				return inj.Conn(conn), nil
-			}
-		}
-	}
-
-	errs := make(chan error, ceWorkers+1)
-	for _, w := range workers {
-		w := w
-		go func() { errs <- w.Run(addr) }()
-	}
-	go func() { errs <- c.Serve(ln, ceWorkers) }()
-	for i := 0; i < ceWorkers+1; i++ {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Fatalf("chaos run failed: %v", err)
-			}
-		case <-time.After(60 * time.Second):
-			t.Fatal("chaos run wedged")
-		}
-	}
-
-	want := ceReference()
-	got := make([]uint64, cePLPs)
-	for _, ws := range c.WorkerStats {
-		for lp, n := range ws.PerLPCounts {
-			got[lp] = n
-		}
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("LP %d: chaos run %d events vs fault-free %d\nwant %v\ngot  %v",
-				i, got[i], want[i], want, got)
-		}
-	}
+	c := ceScn.coordinator(chaosBudgets)
+	chaosLaunch(t, c, ceScn.pair(), coordCfg, workerCfg)
+	wantCounts(t, "chaos run (against fault-free)", c, ceScn.reference())
 	return c
 }
 
@@ -226,71 +131,20 @@ func TestChaosEverythingAtOnce(t *testing.T) {
 // near-certain; the run must still finish bit-identical.
 func TestChaosFourWorkerConcurrentHeal(t *testing.T) {
 	t.Parallel()
-	base, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer base.Close()
-	addr := base.Addr().String()
-	coordCfg := chaos.Config{Seed: 7, Drop: 0.03}
-	ln := chaos.New(coordCfg).Listener(base)
-
 	const lps, horizon = 8, 60.0
-	c := NewCoordinator(lps, 1.0, horizon, ceSeed)
-	c.Timeout = ceTimeout
-	c.ReconnectWait = ceReconn
-	c.MaxReconnects = ceMaxReconn
-
+	model := ceScn.model
+	model.TotalLPs = lps
+	c := NewCoordinator(lps, 1.0, horizon, ceScn.seed)
+	chaosBudgets(c)
 	workers := make([]*Worker, 4)
 	for i := range workers {
-		w := NewWorker(2*i, 2*i+1)
-		InstallPHOLD(w, lps, ceJobs, ceRemote, ceWork)
-		w.HandshakeTimeout = time.Second
-		w.ConnectRetries = ceRetries
-		w.ConnectBackoff = ceBackoff
-		cfg := coordCfg
-		cfg.Seed += uint64(i+1) * 1000003
-		inj := chaos.New(cfg)
-		w.Dial = func() (net.Conn, error) {
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				return nil, err
-			}
-			return inj.Conn(conn), nil
-		}
-		workers[i] = w
+		workers[i] = NewWorker(2*i, 2*i+1)
+		InstallPHOLDModel(workers[i], &model)
+		workers[i].HandshakeTimeout = time.Second
 	}
+	chaosLaunch(t, c, workers, &chaos.Config{Seed: 7, Drop: 0.03}, &chaos.Config{Seed: 7 + 1000003, Drop: 0.03})
 
-	errs := make(chan error, len(workers)+1)
-	for _, w := range workers {
-		w := w
-		go func() { errs <- w.Run(addr) }()
-	}
-	go func() { errs <- c.Serve(ln, len(workers)) }()
-	for i := 0; i < len(workers)+1; i++ {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Fatalf("four-worker chaos run failed: %v", err)
-			}
-		case <-time.After(90 * time.Second):
-			t.Fatal("four-worker chaos run wedged")
-		}
-	}
-
-	ref := parsim.NewPHOLD(lps, 1, 1.0, ceJobs, ceRemote, ceWork, ceSeed)
+	ref := parsim.NewPHOLDModel(model, 1, 1.0, ceScn.seed)
 	ref.Run(horizon)
-	want := ref.PerLPEvents()
-	got := make([]uint64, lps)
-	for _, ws := range c.WorkerStats {
-		for lp, n := range ws.PerLPCounts {
-			got[lp] = n
-		}
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("LP %d: four-worker chaos run %d events vs fault-free %d\nwant %v\ngot  %v",
-				i, got[i], want[i], want, got)
-		}
-	}
+	wantCounts(t, "four-worker chaos run (against fault-free)", c, ref.PerLPEvents())
 }

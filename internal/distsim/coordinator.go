@@ -153,12 +153,38 @@ type Coordinator struct {
 // errCrashHook is the sentinel the crash-test hooks fail Serve with.
 var errCrashHook = errors.New("distsim: coordinator crash hook fired")
 
-// NewCoordinator configures a run over nLPs logical processes.
+// NewCoordinator configures a run over nLPs logical processes. It
+// panics on parameters Validate rejects.
 func NewCoordinator(nLPs int, lookahead, horizon float64, seed uint64) *Coordinator {
-	if nLPs <= 0 || lookahead <= 0 || horizon <= 0 {
-		panic(fmt.Sprintf("distsim: NewCoordinator(%d, %v, %v)", nLPs, lookahead, horizon))
+	c := &Coordinator{NLPs: nLPs, Lookahead: lookahead, Horizon: horizon, Seed: seed}
+	if err := c.Validate(); err != nil {
+		panic(err)
 	}
-	return &Coordinator{NLPs: nLPs, Lookahead: lookahead, Horizon: horizon, Seed: seed}
+	return c
+}
+
+// Validate reports run parameters no Serve could run with. Serve calls
+// it; a front end that fills the struct from outside input calls it
+// before it opens a socket.
+func (c *Coordinator) Validate() error {
+	if c.NLPs <= 0 || !(c.Lookahead > 0) || !(c.Horizon > 0) {
+		return fmt.Errorf("distsim: coordinator needs LPs, lookahead and horizon > 0, got %d, %v, %v", c.NLPs, c.Lookahead, c.Horizon)
+	}
+	return nil
+}
+
+// PerLPCounts flattens the workers' model-level counts (WorkerStats)
+// into one slice indexed by LP: what a run is compared on.
+func (c *Coordinator) PerLPCounts() []uint64 {
+	counts := make([]uint64, c.NLPs)
+	for _, ws := range c.WorkerStats {
+		for lp, n := range ws.PerLPCounts {
+			if lp >= 0 && lp < len(counts) { // a worker's word, off the wire
+				counts[lp] = n
+			}
+		}
+	}
+	return counts
 }
 
 // timeout resolves the effective per-frame deadline.
@@ -373,6 +399,9 @@ func (c *Coordinator) exchange(s *session, phase obs.Kind, seq uint64, mk func(w
 // run. On a journal restart the ladder is re-adopt -> rollback -> fail:
 // with no usable checkpoint it fails rather than guess.
 func (c *Coordinator) Serve(ln net.Listener, nWorkers int) error {
+	if err := c.Validate(); err != nil {
+		return err
+	}
 	if nWorkers <= 0 {
 		return fmt.Errorf("distsim: Serve with %d workers", nWorkers)
 	}

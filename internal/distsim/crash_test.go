@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/parsim"
 )
 
 // The coordinator crash-restart suite: Serve is killed at a scripted
@@ -33,18 +32,34 @@ func crashBudgets(w *Worker) *Worker {
 	return w
 }
 
-// runCrashRestart drives the two-phase harness: workers launch against
-// the listener, c1 serves until its crash hook fires, and — after an
-// optional outage window — c2 restarts on the same listener (the
-// workers keep dialing the same address, exactly as they would a
-// restarted process). Worker errors fail the test, so a scenario only
-// passes when parking carried every worker across the outage.
-func runCrashRestart(t *testing.T, ln net.Listener, c1, c2 *Coordinator, workers []*Worker, outage time.Duration) {
+// crashRestart drives the two-phase harness. Two coordinators share the
+// scenario, tune, a 10 s deadline unless tune set one, and one journal;
+// arm sets the first one's crash hook. The workers launch against the
+// listener (wrap, as in Loopback, may put an injector on it), c1 serves
+// until its hook fires, and — after an optional outage — c2 restarts on
+// the same listener: the workers keep dialing the same address, exactly
+// as they would a restarted process. Worker errors fail the test, so a
+// scenario only passes when parking carried every worker across the
+// outage.
+func (s scenario) crashRestart(t *testing.T, tune, arm func(*Coordinator), workers []*Worker, outage time.Duration, wrap func(net.Listener) net.Listener) (c1, c2 *Coordinator) {
 	t.Helper()
-	addr := ln.Addr().String()
+	journal := filepath.Join(t.TempDir(), "coord.journal")
+	ln, addr := listen(t)
+	if wrap != nil {
+		ln = wrap(ln)
+	}
+	mk := func() *Coordinator {
+		c := s.coordinator(tune)
+		if c.Timeout == 0 {
+			c.Timeout = 10 * time.Second
+		}
+		c.JournalPath = journal
+		return c
+	}
+	c1, c2 = mk(), mk()
+	arm(c1)
 	errs := make(chan error, len(workers))
 	for _, w := range workers {
-		w := w
 		go func() { errs <- w.Run(addr) }()
 	}
 	if err := c1.Serve(ln, len(workers)); !errors.Is(err, errCrashHook) {
@@ -64,6 +79,25 @@ func runCrashRestart(t *testing.T, ln net.Listener, c1, c2 *Coordinator, workers
 			t.Fatal("worker wedged after restart")
 		}
 	}
+	return c1, c2
+}
+
+// afterBarrier and beforeBarrier arm the crash hooks.
+func afterBarrier(n uint64) func(*Coordinator) {
+	return func(c *Coordinator) { c.crashAfterBarrier = n }
+}
+
+func beforeBarrier(n uint64) func(*Coordinator) {
+	return func(c *Coordinator) { c.crashBeforeBarrier = n }
+}
+
+// wantReadopted fails the test unless the restart re-adopted both
+// workers in place, with no rollback.
+func wantReadopted(t *testing.T, c *Coordinator) {
+	t.Helper()
+	if c.Readopted != 2 || c.Recoveries != 0 {
+		t.Fatalf("readopted = %d, recoveries = %d, want 2, 0", c.Readopted, c.Recoveries)
+	}
 }
 
 // TestCrashRestartDense is the core tentpole property, proven in its
@@ -73,40 +107,15 @@ func runCrashRestart(t *testing.T, ln net.Listener, c1, c2 *Coordinator, workers
 // every worker exhausts its normal reconnect budget and parks, so this
 // also pins the park -> re-adopt path end to end.
 func TestCrashRestartDense(t *testing.T) {
-	wantCounts, wantWindows := referenceRun(t)
-	journal := filepath.Join(t.TempDir(), "coord.journal")
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	c1 := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
-	c1.Timeout = 10 * time.Second
-	c1.JournalPath = journal
-	c1.crashAfterBarrier = 3
-	c2 := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
-	c2.Timeout = 10 * time.Second
-	c2.JournalPath = journal
-
-	workers := []*Worker{crashBudgets(rtWorker(false, false)), crashBudgets(rtWorker(true, false))}
-	runCrashRestart(t, ln, c1, c2, workers, 500*time.Millisecond)
-
-	if got := countsOf(c2.WorkerStats); !equalCounts(got, wantCounts) {
-		t.Fatalf("restarted run counts %v, want %v", got, wantCounts)
-	}
+	want, wantWindows := referenceRun(t)
+	_, c2 := rtScn.crashRestart(t, nil, afterBarrier(3), rtScn.pair(crashBudgets), 500*time.Millisecond, nil)
+	wantCounts(t, "restarted run", c2, want)
 	// Zero rolled-back windows: the restart resumes at the crash barrier,
 	// so the total executed-window count matches the uninterrupted run.
 	if c2.Windows != wantWindows {
 		t.Fatalf("windows = %d, want %d", c2.Windows, wantWindows)
 	}
-	if c2.Readopted != 2 {
-		t.Fatalf("readopted = %d, want 2", c2.Readopted)
-	}
-	if c2.Recoveries != 0 {
-		t.Fatalf("recoveries = %d, want 0 (all workers survived)", c2.Recoveries)
-	}
+	wantReadopted(t, c2)
 }
 
 // TestCrashRestartBeforeBarrier kills the coordinator after the
@@ -115,35 +124,13 @@ func TestCrashRestartDense(t *testing.T) {
 // window, so it re-sends that window and the workers must answer from
 // their stashed done frames without touching their engines.
 func TestCrashRestartBeforeBarrier(t *testing.T) {
-	wantCounts, wantWindows := referenceRun(t)
-	journal := filepath.Join(t.TempDir(), "coord.journal")
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	c1 := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
-	c1.Timeout = 10 * time.Second
-	c1.JournalPath = journal
-	c1.crashBeforeBarrier = 4
-	c2 := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
-	c2.Timeout = 10 * time.Second
-	c2.JournalPath = journal
-
-	workers := []*Worker{crashBudgets(rtWorker(false, false)), crashBudgets(rtWorker(true, false))}
-	runCrashRestart(t, ln, c1, c2, workers, 0)
-
-	if got := countsOf(c2.WorkerStats); !equalCounts(got, wantCounts) {
-		t.Fatalf("done-replay run counts %v, want %v", got, wantCounts)
-	}
+	want, wantWindows := referenceRun(t)
+	_, c2 := rtScn.crashRestart(t, nil, beforeBarrier(4), rtScn.pair(crashBudgets), 0, nil)
+	wantCounts(t, "done-replay run", c2, want)
 	if c2.Windows != wantWindows {
 		t.Fatalf("windows = %d, want %d", c2.Windows, wantWindows)
 	}
-	if c2.Readopted != 2 || c2.Recoveries != 0 {
-		t.Fatalf("readopted = %d, recoveries = %d, want 2, 0", c2.Readopted, c2.Recoveries)
-	}
+	wantReadopted(t, c2)
 }
 
 // TestCrashRestartSparseSkip crashes a skip-idle coordinator between
@@ -153,40 +140,10 @@ func TestCrashRestartBeforeBarrier(t *testing.T) {
 // skipping them. Empty windows execute nothing, so the counts stay
 // bit-identical to the single-process reference.
 func TestCrashRestartSparseSkip(t *testing.T) {
-	ref := parsim.NewPHOLDFactor(skLPs, 1, skLA, skJobs, skRemote, skWork, skSeed, skFactor)
-	ref.Run(skHorizon)
-	want := ref.PerLPEvents()
-	journal := filepath.Join(t.TempDir(), "coord.journal")
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	c1 := NewCoordinator(skLPs, skLA, skHorizon, skSeed)
-	c1.SkipIdle = true
-	c1.Timeout = 10 * time.Second
-	c1.JournalPath = journal
-	c1.crashAfterBarrier = 2
-	c2 := NewCoordinator(skLPs, skLA, skHorizon, skSeed)
-	c2.SkipIdle = true
-	c2.Timeout = 10 * time.Second
-	c2.JournalPath = journal
-
-	workers := []*Worker{crashBudgets(skWorker(false, false)), crashBudgets(skWorker(true, false))}
-	runCrashRestart(t, ln, c1, c2, workers, 0)
-
-	got := skCounts(c2.WorkerStats)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("LP %d: crash-restart skip run %d events vs reference %d\nwant %v\ngot  %v",
-				i, got[i], want[i], want, got)
-		}
-	}
-	if c2.Readopted != 2 || c2.Recoveries != 0 {
-		t.Fatalf("readopted = %d, recoveries = %d, want 2, 0", c2.Readopted, c2.Recoveries)
-	}
+	skipping := func(c *Coordinator) { c.SkipIdle = true }
+	_, c2 := skScn.crashRestart(t, skipping, afterBarrier(2), skScn.pair(crashBudgets), 0, nil)
+	wantCounts(t, "crash-restart skip run", c2, skScn.reference())
+	wantReadopted(t, c2)
 }
 
 // TestCrashRestartUnderChaos combines the coordinator crash with a
@@ -196,52 +153,23 @@ func TestCrashRestartSparseSkip(t *testing.T) {
 // checks, resume, journal restart — must still deliver bit-identical
 // counts.
 func TestCrashRestartUnderChaos(t *testing.T) {
-	wantCounts, _ := referenceRun(t)
-	journal := filepath.Join(t.TempDir(), "coord.journal")
-
-	base, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer base.Close()
-	addr := base.Addr().String()
+	want, _ := referenceRun(t)
+	workers := rtScn.pair(crashBudgets)
+	faults := chaos.Config{Seed: 911, Drop: 0.02, Dup: 0.05, Corrupt: 0.02}
 	// One injector wraps the listener across both Serve calls: the
 	// restarted coordinator inherits the same hostile network.
-	ln := chaos.New(chaos.Config{Seed: 911, Drop: 0.02, Dup: 0.05, Corrupt: 0.02}).Listener(base)
-
-	c1 := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
-	c1.Timeout = 500 * time.Millisecond
-	c1.ReconnectWait = 3 * time.Second
-	c1.MaxReconnects = 10000
-	c1.JournalPath = journal
-	c1.crashAfterBarrier = 3
-	c2 := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
-	c2.Timeout = 500 * time.Millisecond
-	c2.ReconnectWait = 3 * time.Second
-	c2.MaxReconnects = 10000
-	c2.JournalPath = journal
-
-	workers := []*Worker{rtWorker(false, false), rtWorker(true, false)}
-	for i, w := range workers {
-		crashBudgets(w)
-		w.ConnectRetries = 3 // chaos eats handshakes; one attempt per cycle is too tight
-		inj := chaos.New(chaos.Config{Seed: 912 + uint64(i)*1000003, Drop: 0.02, Dup: 0.05, Corrupt: 0.02})
-		w.Dial = func() (net.Conn, error) {
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				return nil, err
-			}
-			return inj.Conn(conn), nil
+	wrap := func(ln net.Listener) net.Listener {
+		for i, w := range workers {
+			w.ConnectRetries = 3 // chaos eats handshakes; one attempt per cycle is too tight
+			cfg := faults
+			cfg.Seed = 912 + uint64(i)*1000003
+			w.Dial = chaos.New(cfg).Dial(ln.Addr().String())
 		}
+		return chaos.New(faults).Listener(ln)
 	}
-	runCrashRestart(t, ln, c1, c2, workers, 0)
-
-	if got := countsOf(c2.WorkerStats); !equalCounts(got, wantCounts) {
-		t.Fatalf("chaos crash-restart counts %v, want %v", got, wantCounts)
-	}
-	if c2.Readopted != 2 || c2.Recoveries != 0 {
-		t.Fatalf("readopted = %d, recoveries = %d, want 2, 0", c2.Readopted, c2.Recoveries)
-	}
+	_, c2 := rtScn.crashRestart(t, chaosBudgets, afterBarrier(3), workers, 0, wrap)
+	wantCounts(t, "chaos crash-restart run", c2, want)
+	wantReadopted(t, c2)
 }
 
 // TestCrashRestartAfterMigration crashes the coordinator after the
@@ -251,42 +179,15 @@ func TestCrashRestartUnderChaos(t *testing.T) {
 // the re-adoption handshake, and the restart resumes the migrated
 // layout with zero rollback.
 func TestCrashRestartAfterMigration(t *testing.T) {
-	want := mgReference()
-	journal := filepath.Join(t.TempDir(), "coord.journal")
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	c1 := NewCoordinator(mgLPs, mgLA, mgHorizon, mgSeed)
-	c1.Rebalance = mgPolicy()
-	c1.RebalanceEvery = 2
-	c1.Timeout = 10 * time.Second
-	c1.JournalPath = journal
-	c1.crashAfterBarrier = 6
-	c2 := NewCoordinator(mgLPs, mgLA, mgHorizon, mgSeed)
-	c2.Rebalance = mgPolicy()
-	c2.RebalanceEvery = 2
-	c2.Timeout = 10 * time.Second
-	c2.JournalPath = journal
-
-	workers := []*Worker{crashBudgets(mgWorker(false, false)), crashBudgets(mgWorker(true, false))}
-	runCrashRestart(t, ln, c1, c2, workers, 0)
-
+	c1, c2 := mgScn.crashRestart(t, rebalancing, afterBarrier(6), mgScn.pair(crashBudgets), 0, nil)
 	if c1.Migrations == 0 {
 		t.Fatal("no migration before the crash; the scenario no longer exercises the migrated layout")
 	}
-	if got := mgCounts(c2.WorkerStats); !equalCounts(got, want) {
-		t.Fatalf("post-migration crash-restart counts %v, want %v", got, want)
-	}
-	if c2.Readopted != 2 || c2.Recoveries != 0 {
-		t.Fatalf("readopted = %d, recoveries = %d, want 2, 0", c2.Readopted, c2.Recoveries)
-	}
-	if len(c2.WorkerStats[0].LPs)+len(c2.WorkerStats[1].LPs) != mgLPs {
+	wantCounts(t, "post-migration crash-restart run", c2, mgScn.reference())
+	wantReadopted(t, c2)
+	if len(c2.WorkerStats[0].LPs)+len(c2.WorkerStats[1].LPs) != c2.NLPs {
 		t.Fatalf("final LP sets %v + %v do not partition %d LPs",
-			c2.WorkerStats[0].LPs, c2.WorkerStats[1].LPs, mgLPs)
+			c2.WorkerStats[0].LPs, c2.WorkerStats[1].LPs, c2.NLPs)
 	}
 }
 
@@ -298,19 +199,14 @@ func TestCrashRestartAfterMigration(t *testing.T) {
 // re-adopted (it carries the restore like any rollback), and the
 // finished counts match the uninterrupted run.
 func TestCrashRestartFallbackRollback(t *testing.T) {
-	wantCounts, _ := referenceRun(t)
+	want, _ := referenceRun(t)
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "coord.journal")
 	ckpt := filepath.Join(dir, "cluster.ckpt")
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	addr := ln.Addr().String()
+	ln, addr := listen(t)
 
-	c1 := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
+	c1 := rtScn.coordinator(nil)
 	c1.Timeout = 10 * time.Second
 	c1.CheckpointPath = ckpt
 	c1.CheckpointEvery = 1
@@ -320,8 +216,8 @@ func TestCrashRestartFallbackRollback(t *testing.T) {
 	// Worker A survives the outage parked; worker B gives up after one
 	// short resume attempt (parking disabled), like a process whose own
 	// host rebooted with the coordinator's.
-	wA := crashBudgets(rtWorker(false, false))
-	wB := rtWorker(true, false)
+	wA := crashBudgets(rtScn.worker(false, false))
+	wB := rtScn.worker(true, false)
 	wB.ConnectRetries = -1
 	wB.ConnectBackoff = 5 * time.Millisecond
 	wB.HandshakeTimeout = 200 * time.Millisecond
@@ -345,9 +241,9 @@ func TestCrashRestartFallbackRollback(t *testing.T) {
 
 	// The replacement registers with worker B's static LP set; the
 	// restarted coordinator must fall back to rollback.
-	wB2 := crashBudgets(rtWorker(true, false))
+	wB2 := crashBudgets(rtScn.worker(true, false))
 	go func() { bErr <- wB2.Run(addr) }()
-	c2 := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
+	c2 := rtScn.coordinator(nil)
 	c2.Timeout = 10 * time.Second
 	c2.CheckpointPath = ckpt
 	c2.CheckpointEvery = 1
@@ -366,9 +262,7 @@ func TestCrashRestartFallbackRollback(t *testing.T) {
 		}
 	}
 
-	if got := countsOf(c2.WorkerStats); !equalCounts(got, wantCounts) {
-		t.Fatalf("fallback-rollback run counts %v, want %v", got, wantCounts)
-	}
+	wantCounts(t, "fallback-rollback run", c2, want)
 	if c2.Readopted != 1 {
 		t.Fatalf("readopted = %d, want 1 (only the survivor)", c2.Readopted)
 	}
@@ -381,19 +275,14 @@ func TestCrashRestartFallbackRollback(t *testing.T) {
 // the real file back the same parked workers are re-adopted and the run
 // finishes bit-identical.
 func TestCrashRestartRefusesForeignCheckpoint(t *testing.T) {
-	wantCounts, wantWindows := referenceRun(t)
+	want, wantWindows := referenceRun(t)
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "coord.journal")
 	ckpt := filepath.Join(dir, "cluster.ckpt")
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	addr := ln.Addr().String()
+	ln, addr := listen(t)
 	coordinator := func() *Coordinator {
-		c := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
+		c := rtScn.coordinator(nil)
 		c.Timeout = 10 * time.Second
 		c.CheckpointPath = ckpt
 		c.CheckpointEvery = 1
@@ -401,7 +290,7 @@ func TestCrashRestartRefusesForeignCheckpoint(t *testing.T) {
 		return c
 	}
 
-	workers := []*Worker{crashBudgets(rtWorker(false, false)), crashBudgets(rtWorker(true, false))}
+	workers := []*Worker{crashBudgets(rtScn.worker(false, false)), crashBudgets(rtScn.worker(true, false))}
 	errs := make(chan error, len(workers))
 	for _, w := range workers {
 		go func() { errs <- w.Run(addr) }()
@@ -455,9 +344,7 @@ func TestCrashRestartRefusesForeignCheckpoint(t *testing.T) {
 			t.Fatal("worker wedged after restart")
 		}
 	}
-	if got := countsOf(c2.WorkerStats); !equalCounts(got, wantCounts) {
-		t.Fatalf("restarted run counts %v, want %v", got, wantCounts)
-	}
+	wantCounts(t, "restarted run", c2, want)
 	if c2.Windows != wantWindows || c2.Readopted != 2 || c2.Recoveries != 0 {
 		t.Fatalf("windows %d (want %d), readopted %d, recoveries %d", c2.Windows, wantWindows, c2.Readopted, c2.Recoveries)
 	}
@@ -470,20 +357,15 @@ func TestCrashRestartRefusesForeignCheckpoint(t *testing.T) {
 func TestCrashRestartJournalRequiresRollbackWithoutCheckpoint(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "coord.journal")
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	addr := ln.Addr().String()
+	ln, addr := listen(t)
 
-	c1 := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
+	c1 := rtScn.coordinator(nil)
 	c1.Timeout = 10 * time.Second
 	c1.JournalPath = journal
 	c1.crashAfterBarrier = 2
 
-	wA := crashBudgets(rtWorker(false, false))
-	wB := rtWorker(true, false)
+	wA := crashBudgets(rtScn.worker(false, false))
+	wB := rtScn.worker(true, false)
 	wB.ConnectRetries = -1
 	wB.HandshakeTimeout = 100 * time.Millisecond
 	wB.MaxPark = -1
@@ -502,11 +384,11 @@ func TestCrashRestartJournalRequiresRollbackWithoutCheckpoint(t *testing.T) {
 		t.Fatal("worker B never gave up")
 	}
 
-	go func() { _ = crashBudgets(rtWorker(true, false)).Run(addr) }() // replacement; run fails, ignored
-	c2 := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
+	go func() { _ = crashBudgets(rtScn.worker(true, false)).Run(addr) }() // replacement; run fails, ignored
+	c2 := rtScn.coordinator(nil)
 	c2.Timeout = 10 * time.Second
 	c2.JournalPath = journal
-	err = c2.Serve(ln, 2)
+	err := c2.Serve(ln, 2)
 	if err == nil {
 		t.Fatal("restart succeeded despite needing a rollback with no checkpoint")
 	}
@@ -521,11 +403,7 @@ func TestCrashRestartJournalRequiresRollbackWithoutCheckpoint(t *testing.T) {
 func TestWorkerParkGiveUp(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "coord.journal")
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
+	ln, addr := listen(t)
 
 	c := NewCoordinator(2, 1.0, 50, 7)
 	c.Timeout = 10 * time.Second
@@ -540,7 +418,7 @@ func TestWorkerParkGiveUp(t *testing.T) {
 	w.MaxPark = 3
 
 	wErr := make(chan error, 1)
-	go func() { wErr <- w.Run(ln.Addr().String()) }()
+	go func() { wErr <- w.Run(addr) }()
 	if err := c.Serve(ln, 1); !errors.Is(err, errCrashHook) {
 		t.Fatalf("Serve = %v, want crash hook", err)
 	}
@@ -569,62 +447,22 @@ func TestWorkerParkGiveUp(t *testing.T) {
 // cheap session resume. Rollback is armed, so a false escalation
 // would be visible in Recoveries.
 func TestPartitionShorterThanTimeout(t *testing.T) {
-	wantCounts, _ := referenceRun(t)
-
-	base, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer base.Close()
-	addr := base.Addr().String()
+	want, _ := referenceRun(t)
 	part := chaos.Config{Seed: 7001, Delay: 2 * time.Millisecond,
 		PartitionStart: 60 * time.Millisecond, PartitionDur: 150 * time.Millisecond}
-	ln := chaos.New(part).Listener(base)
-
-	c := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
-	c.Timeout = 2 * time.Second // partition << timeout: the deadline must never fire
-	c.ReconnectWait = 3 * time.Second
-	c.MaxReconnects = 10000
-	c.CheckpointEvery = 1
-	c.MaxRecoveries = 2
-
-	workers := []*Worker{rtWorker(false, false), rtWorker(true, false)}
-	errs := make(chan error, len(workers)+1)
-	for i, w := range workers {
-		w.HandshakeTimeout = 2 * time.Second
-		w.ConnectRetries = 100
-		w.ConnectBackoff = 10 * time.Millisecond
-		cfg := part
-		cfg.Seed += uint64(i+1) * 1000003
-		inj := chaos.New(cfg)
-		w.Dial = func() (net.Conn, error) {
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				return nil, err
-			}
-			return inj.Conn(conn), nil
-		}
-		w := w
-		go func() { errs <- w.Run(addr) }()
-	}
-	go func() { errs <- c.Serve(ln, len(workers)) }()
-	for i := 0; i < len(workers)+1; i++ {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Fatalf("short-partition run failed: %v", err)
-			}
-		case <-time.After(60 * time.Second):
-			t.Fatal("short-partition run wedged")
-		}
-	}
-
+	dialers := part
+	dialers.Seed += 1000003
+	c := rtScn.coordinator(func(c *Coordinator) {
+		chaosBudgets(c)
+		c.Timeout = 2 * time.Second // partition << timeout: the deadline must never fire
+		c.CheckpointEvery = 1
+		c.MaxRecoveries = 2
+	})
+	chaosLaunch(t, c, rtScn.pair(), &part, &dialers)
 	if c.Recoveries != 0 {
 		t.Fatalf("sub-timeout partition escalated to %d rollback recoveries", c.Recoveries)
 	}
-	if got := countsOf(c.WorkerStats); !equalCounts(got, wantCounts) {
-		t.Fatalf("short-partition run counts %v, want %v", got, wantCounts)
-	}
+	wantCounts(t, "short-partition run", c, want)
 }
 
 // TestPartitionLongerThanTimeoutRecovers is the flip side: a partition
@@ -635,23 +473,18 @@ func TestPartitionShorterThanTimeout(t *testing.T) {
 // through rollback recovery — Recoveries must advance, and the counts
 // must still match the uninterrupted run.
 func TestPartitionLongerThanTimeoutRecovers(t *testing.T) {
-	wantCounts, wantWindows := referenceRun(t)
+	want, wantWindows := referenceRun(t)
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	addr := ln.Addr().String()
+	ln, addr := listen(t)
 
-	c := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
+	c := rtScn.coordinator(nil)
 	c.Timeout = 300 * time.Millisecond
 	c.ReconnectWait = 500 * time.Millisecond
 	c.RecoveryWait = 15 * time.Second
 	c.CheckpointEvery = 1
 	c.MaxRecoveries = 2
 
-	wA := rtWorker(false, false)
+	wA := rtScn.worker(false, false)
 	wA.HandshakeTimeout = 2 * time.Second
 	wA.ConnectRetries = 100
 	wA.ConnectBackoff = 10 * time.Millisecond
@@ -663,20 +496,14 @@ func TestPartitionLongerThanTimeoutRecovers(t *testing.T) {
 	// horizon. Its resume attempts are blackholed with everything else,
 	// so it gives up quickly (parking disabled) and the test relaunches
 	// it fresh.
-	wB := rtWorker(true, false)
+	wB := rtScn.worker(true, false)
 	wB.ConnectRetries = 2
 	wB.ConnectBackoff = 10 * time.Millisecond
 	wB.HandshakeTimeout = 200 * time.Millisecond
 	wB.MaxPark = -1
 	inj := chaos.New(chaos.Config{Seed: 7002, Delay: 5 * time.Millisecond,
 		PartitionStart: 40 * time.Millisecond, PartitionDur: time.Hour})
-	wB.Dial = func() (net.Conn, error) {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		return inj.Conn(conn), nil
-	}
+	wB.Dial = inj.Dial(addr)
 
 	errs := make(chan error, 2)
 	bDead := make(chan struct{})
@@ -691,7 +518,7 @@ func TestPartitionLongerThanTimeoutRecovers(t *testing.T) {
 		// The replacement dials clean (no injector), like a worker
 		// relaunched on a healthy host.
 		<-bDead
-		wB2 := rtWorker(true, false)
+		wB2 := rtScn.worker(true, false)
 		wB2.HandshakeTimeout = 2 * time.Second
 		wB2.ConnectRetries = 100
 		wB2.ConnectBackoff = 10 * time.Millisecond
@@ -722,9 +549,7 @@ func TestPartitionLongerThanTimeoutRecovers(t *testing.T) {
 	if c.Recoveries == 0 {
 		t.Fatal("over-timeout partition never triggered rollback recovery")
 	}
-	if got := countsOf(c.WorkerStats); !equalCounts(got, wantCounts) {
-		t.Fatalf("long-partition run counts %v, want %v", got, wantCounts)
-	}
+	wantCounts(t, "long-partition run", c, want)
 	if c.Windows != wantWindows {
 		t.Fatalf("windows = %d, want %d", c.Windows, wantWindows)
 	}

@@ -1,9 +1,6 @@
 package distsim
 
-import (
-	"net"
-	"testing"
-)
+import "testing"
 
 // benchDistWindows drives a two-worker loopback federation for exactly
 // b.N lookahead windows, so ns/op reads as nanoseconds per window slot
@@ -23,28 +20,13 @@ func benchDistWindows(b *testing.B, jobs int, factor float64, skip bool) {
 	horizon := la * float64(b.N)
 	c := NewCoordinator(lps, la, horizon, seed)
 	c.SkipIdle = skip
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer ln.Close()
 	workers := []*Worker{NewWorker(0, 1, 2), NewWorker(3, 4, 5)}
 	for _, w := range workers {
 		InstallPHOLDFactor(w, lps, jobs, remote, work, factor)
 	}
-	errs := make(chan error, len(workers))
 	b.ResetTimer()
-	for _, w := range workers {
-		w := w
-		go func() { errs <- w.Run(ln.Addr().String()) }()
-	}
-	if err := c.Serve(ln, len(workers)); err != nil {
+	if err := Loopback(c, workers, nil); err != nil {
 		b.Fatal(err)
-	}
-	for range workers {
-		if err := <-errs; err != nil {
-			b.Fatal(err)
-		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(c.EventsRouted)/float64(b.N), "routed/op")

@@ -9,30 +9,6 @@ import (
 	"repro/internal/parsim"
 )
 
-// launch starts a coordinator and workers over loopback TCP and waits
-// for completion, failing the test on any error.
-func launch(t *testing.T, c *Coordinator, workers []*Worker) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	addr := ln.Addr().String()
-
-	errs := make(chan error, len(workers)+1)
-	for _, w := range workers {
-		w := w
-		go func() { errs <- w.Run(addr) }()
-	}
-	go func() { errs <- c.Serve(ln, len(workers)) }()
-	for i := 0; i < len(workers)+1; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestTwoWorkerMessageExchange(t *testing.T) {
 	c := NewCoordinator(2, 1.0, 20, 7)
 	w0 := NewWorker(0)
@@ -80,7 +56,6 @@ func TestDistributedPHOLDMatchesSingleProcess(t *testing.T) {
 	// Single-process reference.
 	ref := parsim.NewPHOLD(lps, 1, lookahead, jobs, remote, work, seed)
 	ref.Run(horizon)
-	want := ref.PerLPEvents()
 
 	// Distributed run: LPs 0-2 on worker A, 3-5 on worker B.
 	c := NewCoordinator(lps, lookahead, horizon, seed)
@@ -89,19 +64,7 @@ func TestDistributedPHOLDMatchesSingleProcess(t *testing.T) {
 	InstallPHOLD(wA, lps, jobs, remote, work)
 	InstallPHOLD(wB, lps, jobs, remote, work)
 	launch(t, c, []*Worker{wA, wB})
-
-	got := make([]uint64, lps)
-	for _, ws := range c.WorkerStats {
-		for lp, n := range ws.PerLPCounts {
-			got[lp] = n
-		}
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("LP %d: distributed %d vs single-process %d\nwant %v\ngot  %v",
-				i, got[i], want[i], want, got)
-		}
-	}
+	wantCounts(t, "distributed run (against single-process)", c, ref.PerLPEvents())
 }
 
 func TestThreeWorkersUnevenPartition(t *testing.T) {
@@ -113,10 +76,8 @@ func TestThreeWorkersUnevenPartition(t *testing.T) {
 	}
 	launch(t, c, workers)
 	var total uint64
-	for _, ws := range c.WorkerStats {
-		for _, n := range ws.PerLPCounts {
-			total += n
-		}
+	for _, n := range c.PerLPCounts() {
+		total += n
 	}
 	if total == 0 {
 		t.Fatal("no events processed")
@@ -127,31 +88,14 @@ func TestThreeWorkersUnevenPartition(t *testing.T) {
 }
 
 func TestCoordinatorRejectsBadRegistration(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
 	c := NewCoordinator(2, 1, 10, 1)
-
 	// Two workers both claiming LP 0.
-	errs := make(chan error, 3)
-	mk := func() {
-		w := NewWorker(0)
+	workers := []*Worker{NewWorker(0), NewWorker(0)}
+	for _, w := range workers {
 		w.ConnectRetries = -1 // rejected for cause: retrying can't help
 		w.Setup = func(w *Worker) { w.LP(0).OnMessage = func(Event) {} }
-		errs <- w.Run(ln.Addr().String())
 	}
-	go mk()
-	go mk()
-	go func() { errs <- c.Serve(ln, 2) }()
-	sawErr := false
-	for i := 0; i < 3; i++ {
-		if err := <-errs; err != nil {
-			sawErr = true
-		}
-	}
-	if !sawErr {
+	if err := Loopback(c, workers, nil); err == nil {
 		t.Fatal("duplicate LP registration not rejected")
 	}
 }
@@ -160,12 +104,7 @@ func TestCoordinatorRejectsBadRegistration(t *testing.T) {
 // hello for a session nobody holds, knocking while a fresh run is still
 // registering, is noise — its connection is closed and the run goes on.
 func TestStaleHelloDuringRegistration(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	addr := ln.Addr().String()
+	ln, addr := listen(t)
 	c := NewCoordinator(2, 1, 10, 1)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- c.Serve(ln, 2) }()
@@ -224,24 +163,10 @@ func TestWorkerValidation(t *testing.T) {
 }
 
 func TestWorkerRequiresSetup(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
 	c := NewCoordinator(1, 1, 5, 1)
 	c.ReconnectWait = -1 // the broken worker never comes back
 	w := NewWorker(0)    // no Setup
-	errs := make(chan error, 2)
-	go func() { errs <- w.Run(ln.Addr().String()) }()
-	go func() { errs <- c.Serve(ln, 1) }()
-	sawErr := false
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			sawErr = true
-		}
-	}
-	if !sawErr {
+	if err := Loopback(c, []*Worker{w}, nil); err == nil {
 		t.Fatal("missing Setup not reported")
 	}
 }

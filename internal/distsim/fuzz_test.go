@@ -14,7 +14,7 @@ import (
 // FuzzUnmarshalFrame throws arbitrary bytes at the wire codec: every
 // input must either fail with a typed error or decode into a frame
 // with a valid kind — never panic, never allocate beyond the payload
-// size, never return both a frame and an error. The seed corpus
+// size. The seed corpus
 // covers every frame shape the protocol actually sends.
 func FuzzUnmarshalFrame(f *testing.F) {
 	seeds := []*frame{
@@ -39,35 +39,24 @@ func FuzzUnmarshalFrame(f *testing.F) {
 		{Kind: frameErrCase, Err: "boom"},
 	}
 	for _, fr := range seeds {
-		f.Add(marshalFrame(fr))
+		f.Add(marshalFrameInto(fr, nil))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := unmarshalFrame(data)
-		if err != nil {
-			if fr != nil {
-				t.Fatalf("unmarshalFrame returned both a frame and %v", err)
-			}
-		} else {
-			if fr == nil {
-				t.Fatal("unmarshalFrame returned neither frame nor error")
-			}
-			if fr.Kind == 0 || fr.Kind >= frameKindMax {
-				t.Fatalf("decoded frame has invalid kind %d", fr.Kind)
-			}
-			// A frame that decodes must re-encode and decode again: the
-			// codec is its own round-trip witness.
-			if _, err := unmarshalFrame(marshalFrame(fr)); err != nil {
-				t.Fatalf("re-encoded frame does not decode: %v", err)
-			}
+		var fr, again frame
+		var evs, evs2 []Event
+		if err := unmarshalFrameInto(&fr, &evs, data); err != nil {
+			return
 		}
-		// The pooled decode path must agree with the allocating one.
-		var f2 frame
-		var evs []Event
-		if err2 := unmarshalFrameInto(&f2, &evs, data); (err2 == nil) != (err == nil) {
-			t.Fatalf("pooled decode err=%v, allocating decode err=%v", err2, err)
+		if fr.Kind == 0 || fr.Kind >= frameKindMax {
+			t.Fatalf("decoded frame has invalid kind %d", fr.Kind)
+		}
+		// A frame that decodes must re-encode and decode again: the
+		// codec is its own round-trip witness.
+		if err := unmarshalFrameInto(&again, &evs2, marshalFrameInto(&fr, nil)); err != nil {
+			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
 	})
 }

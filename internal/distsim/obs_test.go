@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/obs"
-	"repro/internal/parsim"
 )
 
 // The cluster-observability suite pins the PR-2 contract extended to
@@ -24,61 +23,18 @@ import (
 // observability enabled at the given cadence.
 func obsCeRun(t *testing.T, every int, coordCfg, workerCfg *chaos.Config) (*Coordinator, *ClusterObs) {
 	t.Helper()
-	base, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer base.Close()
-	addr := base.Addr().String()
-
-	var ln net.Listener = base
-	if coordCfg != nil {
-		ln = chaos.New(*coordCfg).Listener(base)
-	}
-
-	c := NewCoordinator(cePLPs, ceLA, ceHorizon, ceSeed)
-	c.Timeout = ceTimeout
-	c.ReconnectWait = ceReconn
-	c.MaxReconnects = ceMaxReconn
+	c := ceScn.coordinator(chaosBudgets)
 	co := c.EnableObservability(every, 1<<10)
-
-	workers := []*Worker{NewWorker(0, 1, 2), NewWorker(3, 4, 5)}
-	for i, w := range workers {
-		InstallPHOLD(w, cePLPs, ceJobs, ceRemote, ceWork)
-		w.HandshakeTimeout = ceHS
-		w.ConnectRetries = ceRetries
-		w.ConnectBackoff = ceBackoff
-		if workerCfg != nil {
-			cfg := *workerCfg
-			cfg.Seed += uint64(i) * 1000003
-			inj := chaos.New(cfg)
-			w.Dial = func() (net.Conn, error) {
-				conn, err := net.Dial("tcp", addr)
-				if err != nil {
-					return nil, err
-				}
-				return inj.Conn(conn), nil
-			}
-		}
-	}
-
-	errs := make(chan error, len(workers)+1)
-	for _, w := range workers {
-		w := w
-		go func() { errs <- w.Run(addr) }()
-	}
-	go func() { errs <- c.Serve(ln, len(workers)) }()
-	for i := 0; i < len(workers)+1; i++ {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Fatalf("observed run failed: %v", err)
-			}
-		case <-time.After(60 * time.Second):
-			t.Fatal("observed run wedged")
-		}
-	}
+	chaosLaunch(t, c, ceScn.pair(), coordCfg, workerCfg)
 	return c, co
+}
+
+// executed sums the engine-level event counts over the workers.
+func executed(c *Coordinator) (n uint64) {
+	for _, ws := range c.WorkerStats {
+		n += ws.EventsExecuted
+	}
+	return n
 }
 
 // TestClusterObsBitIdentical is the core contract: a dense run with
@@ -90,21 +46,7 @@ func TestClusterObsBitIdentical(t *testing.T) {
 	t.Parallel()
 	c, co := obsCeRun(t, 1, nil, nil)
 
-	want := ceReference()
-	got := make([]uint64, cePLPs)
-	var executed uint64
-	for _, ws := range c.WorkerStats {
-		executed += ws.EventsExecuted
-		for lp, n := range ws.PerLPCounts {
-			got[lp] = n
-		}
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("LP %d: observed run %d events vs reference %d\nwant %v\ngot  %v",
-				i, got[i], want[i], want, got)
-		}
-	}
+	wantCounts(t, "observed run", c, ceScn.reference())
 	if c.StatsIncomplete {
 		t.Fatal("clean run flagged incomplete stats")
 	}
@@ -113,9 +55,8 @@ func TestClusterObsBitIdentical(t *testing.T) {
 	if snap.Windows == 0 || snap.Windows != uint64(c.Windows) {
 		t.Fatalf("snapshot windows %d, coordinator %d", snap.Windows, c.Windows)
 	}
-	if snap.Exec.Count != executed {
-		t.Fatalf("cluster exec histogram has %d samples, workers executed %d events",
-			snap.Exec.Count, executed)
+	if n := executed(c); snap.Exec.Count != n {
+		t.Fatalf("cluster exec histogram has %d samples, workers executed %d events", snap.Exec.Count, n)
 	}
 	if snap.BarrierWait.Count == 0 || snap.Deliver.Count == 0 {
 		t.Fatalf("empty phase histograms: barrier %d deliver %d",
@@ -161,27 +102,12 @@ func TestClusterObsBitIdenticalUnderChaos(t *testing.T) {
 		&chaos.Config{Seed: 71, Drop: 0.03, Dup: 0.05, Corrupt: 0.02},
 		&chaos.Config{Seed: 72, Drop: 0.03, Dup: 0.05, Corrupt: 0.02})
 
-	want := ceReference()
-	got := make([]uint64, cePLPs)
-	var executed uint64
-	for _, ws := range c.WorkerStats {
-		executed += ws.EventsExecuted
-		for lp, n := range ws.PerLPCounts {
-			got[lp] = n
-		}
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("LP %d: chaos+obs run %d events vs reference %d\nwant %v\ngot  %v",
-				i, got[i], want[i], want, got)
-		}
-	}
+	wantCounts(t, "chaos+obs run", c, ceScn.reference())
 	snap := co.Snapshot()
 	// Deltas ride sequenced frames: exactly-once folding even when the
 	// wire duplicated or dropped the carrier.
-	if snap.Exec.Count != executed {
-		t.Fatalf("cluster exec histogram has %d samples, workers executed %d events",
-			snap.Exec.Count, executed)
+	if n := executed(c); snap.Exec.Count != n {
+		t.Fatalf("cluster exec histogram has %d samples, workers executed %d events", snap.Exec.Count, n)
 	}
 	var buf bytes.Buffer
 	if err := co.WriteMergedTrace(&buf); err != nil {
@@ -197,22 +123,10 @@ func TestClusterObsBitIdenticalUnderChaos(t *testing.T) {
 // the single-process reference and the coordinator records skip marks.
 func TestClusterObsSparseSkipBitIdentical(t *testing.T) {
 	t.Parallel()
-	ref := parsim.NewPHOLDFactor(skLPs, 1, skLA, skJobs, skRemote, skWork, skSeed, skFactor)
-	ref.Run(skHorizon)
-	want := ref.PerLPEvents()
-
-	c := NewCoordinator(skLPs, skLA, skHorizon, skSeed)
-	c.SkipIdle = true
+	c := skScn.coordinator(func(c *Coordinator) { c.SkipIdle = true })
 	co := c.EnableObservability(1, 1<<10)
-	launch(t, c, []*Worker{skWorker(false, false), skWorker(true, false)})
-
-	got := skCounts(c.WorkerStats)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("LP %d: skip+obs run %d events vs reference %d\nwant %v\ngot  %v",
-				i, got[i], want[i], want, got)
-		}
-	}
+	launch(t, c, skScn.pair())
+	wantCounts(t, "skip+obs run", c, skScn.reference())
 	if c.WindowsSkipped == 0 {
 		t.Fatal("sparse observed run skipped no windows")
 	}
@@ -278,12 +192,7 @@ func fakeWorker(addr string, lps []int, sendStats bool) error {
 // poisoning the whole result.
 func TestStatsIncomplete(t *testing.T) {
 	t.Parallel()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	addr := ln.Addr().String()
+	ln, addr := listen(t)
 
 	c := NewCoordinator(2, 1.0, 5, 99)
 	co := c.EnableObservability(1, 1<<8)

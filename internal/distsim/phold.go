@@ -8,9 +8,8 @@ import "repro/internal/winsync"
 // statement a distributed engine can make about its synchronization.
 type PHOLDModel = winsync.PHOLD
 
-// InstallPHOLD wires the model into the worker's Setup, InstallLP and
-// CountEvents hooks, with the canonical mean event spacing of 4
-// lookaheads. Call before Worker.Run.
+// InstallPHOLD installs the model with the canonical mean event
+// spacing of 4 lookaheads and no skew.
 func InstallPHOLD(w *Worker, totalLPs, jobsPerLP int, remoteProb float64, work int) *PHOLDModel {
 	return InstallPHOLDFactor(w, totalLPs, jobsPerLP, remoteProb, work, 4)
 }
@@ -19,19 +18,14 @@ func InstallPHOLD(w *Worker, totalLPs, jobsPerLP int, remoteProb float64, work i
 // large factors produce the sparse traffic that exercises coordinator
 // window skipping.
 func InstallPHOLDFactor(w *Worker, totalLPs, jobsPerLP int, remoteProb float64, work int, delayFactor float64) *PHOLDModel {
-	return InstallPHOLDSkew(w, totalLPs, jobsPerLP, remoteProb, work, delayFactor, 0, 1, 0)
+	return InstallPHOLDModel(w, &PHOLDModel{TotalLPs: totalLPs, JobsPerLP: jobsPerLP,
+		RemoteProb: remoteProb, Work: work, DelayFactor: delayFactor, SkewFactor: 1})
 }
 
-// InstallPHOLDSkew is InstallPHOLDFactor with a hot spot: LPs with ID
-// < skewHot draw their event spacing from a mean skewFactor times
-// shorter — more events per window — and additionally hold the hosting
-// worker for hotHoldNs wall ns per event; the hold shapes wall time
-// only.
-func InstallPHOLDSkew(w *Worker, totalLPs, jobsPerLP int, remoteProb float64, work int, delayFactor float64, skewHot int, skewFactor float64, hotHoldNs int) *PHOLDModel {
-	m := &PHOLDModel{
-		TotalLPs: totalLPs, JobsPerLP: jobsPerLP, RemoteProb: remoteProb, Work: work,
-		DelayFactor: delayFactor, SkewHot: skewHot, SkewFactor: skewFactor, HotHoldNs: hotHoldNs,
-	}
+// InstallPHOLDModel wires m — the struct is the whole description of
+// the model, skew and hot-LP hold included — into the worker's Setup,
+// InstallLP and CountEvents hooks. Call before Worker.Run.
+func InstallPHOLDModel(w *Worker, m *PHOLDModel) *PHOLDModel {
 	w.Setup = func(w *Worker) {
 		for _, lp := range w.LPs() {
 			m.Install(lp)

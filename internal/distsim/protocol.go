@@ -53,7 +53,7 @@ import (
 //	seq    uint64 — per-peer monotonic sequence (0 = unsequenced)
 //	ack    uint64 — sender's highest processed inbound sequence
 //	crc    uint32 — CRC32-IEEE over seq | ack | payload
-//	payload []byte — marshalFrame output
+//	payload []byte — marshalFrameInto output
 const (
 	wireHeaderLen = 4 + 8 + 8 + 4
 	// maxFrameLen bounds a payload (64 MiB): anything larger is a
@@ -146,15 +146,9 @@ func (p *peer) writeFrame(seq, ack uint64, payload []byte) error {
 	return nil
 }
 
-// encodeWire builds the on-the-wire image of one frame: header
-// (length, seq, ack, CRC32 over seq|ack|payload) followed by the
-// payload.
-func encodeWire(seq, ack uint64, payload []byte) []byte {
-	return appendWire(nil, seq, ack, payload)
-}
-
-// appendWire appends the wire image to dst, reusing its storage — the
-// pooled variant behind encodeWire and peer.writeFrame.
+// appendWire appends the on-the-wire image of one frame to dst, reusing
+// its storage: header (length, seq, ack, CRC32 over seq|ack|payload)
+// followed by the payload.
 func appendWire(dst []byte, seq, ack uint64, payload []byte) []byte {
 	off := len(dst)
 	need := wireHeaderLen + len(payload)
@@ -180,7 +174,7 @@ func appendWire(dst []byte, seq, ack uint64, payload []byte) []byte {
 // length/sequence header, CRC trailer. Exported for the frame-overhead
 // benchmark in internal/experiments.
 func MarshalWindowWire(evs []Event, end float64, seq, ack uint64) []byte {
-	return encodeWire(seq, ack, marshalFrame(&frame{Kind: frameWindow, End: end, Events: evs}))
+	return appendWire(nil, seq, ack, marshalFrameInto(&frame{Kind: frameWindow, End: end, Events: evs}, nil))
 }
 
 // readFrame receives one framed payload under an optional deadline
@@ -232,9 +226,10 @@ func (p *peer) readFrame(d time.Duration) (seq, ack uint64, payload []byte, err 
 }
 
 // sendRaw marshals and sends an unsequenced (handshake) frame carrying
-// the given ack.
+// the given ack. The payload buffer is the call's own: the heartbeat
+// goroutine sends here concurrently with the serve loop.
 func (p *peer) sendRaw(f *frame, ack uint64) error {
-	return p.writeFrame(0, ack, marshalFrame(f))
+	return p.writeFrame(0, ack, marshalFrameInto(f, nil))
 }
 
 // recvRaw receives and parses one frame without sequence bookkeeping —
@@ -246,8 +241,9 @@ func (p *peer) recvRaw(d time.Duration) (*frame, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	f, err := unmarshalFrame(payload)
-	if err != nil {
+	f := &frame{}
+	var evs []Event
+	if err := unmarshalFrameInto(f, &evs, payload); err != nil {
 		p.stats.CorruptFrames.Add(1)
 		return nil, 0, p.fail(err)
 	}

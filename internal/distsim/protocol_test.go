@@ -23,8 +23,9 @@ func TestFrameRoundTrip(t *testing.T) {
 		Kind: frameWindow, End: 12.5,
 		Events: []Event{{Time: 1.5, From: 2, To: 3, Seq: 9, Data: []byte("payload")}},
 	}
-	got, err := unmarshalFrame(marshalFrame(f))
-	if err != nil {
+	var got frame
+	var evs []Event
+	if err := unmarshalFrameInto(&got, &evs, marshalFrameInto(f, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if got.Kind != f.Kind || got.End != f.End || len(got.Events) != 1 {
@@ -40,8 +41,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		LPs: []int{0, 1}, EventsExecuted: 7, Sent: 3, Received: 2,
 		PerLPCounts: map[int]uint64{1: 10, 0: 20},
 	}}
-	got, err = unmarshalFrame(marshalFrame(sf))
-	if err != nil {
+	if err := unmarshalFrameInto(&got, &evs, marshalFrameInto(sf, nil)); err != nil {
 		t.Fatal(err)
 	}
 	if got.Stats.PerLPCounts[0] != 20 || got.Stats.PerLPCounts[1] != 10 {
@@ -52,13 +52,15 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestMalformedPayloadIsTypedError(t *testing.T) {
 	for name, payload := range map[string][]byte{
 		"empty":       {},
-		"truncated":   marshalFrame(&frame{Kind: frameWindow})[:3],
-		"zero kind":   append([]byte{0}, marshalFrame(&frame{Kind: frameWindow})[1:]...),
-		"trailing":    append(marshalFrame(&frame{Kind: frameStop}), 0xAA),
+		"truncated":   marshalFrameInto(&frame{Kind: frameWindow}, nil)[:3],
+		"zero kind":   append([]byte{0}, marshalFrameInto(&frame{Kind: frameWindow}, nil)[1:]...),
+		"trailing":    append(marshalFrameInto(&frame{Kind: frameStop}, nil), 0xAA),
 		"event bomb":  {byte(frameWindow), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0x7f},
 		"garbage int": {byte(frameWindow), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80},
 	} {
-		if _, err := unmarshalFrame(payload); !errors.Is(err, ErrMalformedFrame) {
+		var f frame
+		var evs []Event
+		if err := unmarshalFrameInto(&f, &evs, payload); !errors.Is(err, ErrMalformedFrame) {
 			t.Errorf("%s: err = %v, want ErrMalformedFrame", name, err)
 		}
 	}
@@ -70,7 +72,7 @@ func TestMalformedPayloadIsTypedError(t *testing.T) {
 // never a panic, never a silently wrong decode.
 func TestCorruptFrameIsTypedErrorNotPanic(t *testing.T) {
 	f := &frame{Kind: frameWindow, End: 3.5, Events: []Event{{Time: 1, From: 0, To: 1, Seq: 1, Data: []byte("x")}}}
-	payload := marshalFrame(f)
+	payload := marshalFrameInto(f, nil)
 	for flip := 0; flip < wireHeaderLen+len(payload); flip++ {
 		a, b := net.Pipe()
 		pa, pb := newPeer(a), newPeer(b)
@@ -135,7 +137,7 @@ func TestPeerStickyErrorAfterCodecFailure(t *testing.T) {
 	pa, pb := peerPair(t)
 
 	// Hand-craft a frame with a bad CRC.
-	payload := marshalFrame(&frame{Kind: frameStop})
+	payload := marshalFrameInto(&frame{Kind: frameStop}, nil)
 	buf := make([]byte, wireHeaderLen+len(payload))
 	binary.BigEndian.PutUint32(buf[0:], uint32(len(payload)))
 	binary.BigEndian.PutUint64(buf[4:], 1)
@@ -149,7 +151,7 @@ func TestPeerStickyErrorAfterCodecFailure(t *testing.T) {
 	}
 
 	// A perfectly valid frame follows; the poisoned peer must refuse it.
-	go func() { _ = pa.writeFrame(2, 0, marshalFrame(&frame{Kind: frameStop})) }()
+	go func() { _ = pa.writeFrame(2, 0, marshalFrameInto(&frame{Kind: frameStop}, nil)) }()
 	if _, _, _, err2 := pb.readFrame(time.Second); !errors.Is(err2, ErrCorruptFrame) {
 		t.Fatalf("sticky read err = %v, want the original ErrCorruptFrame", err2)
 	}
@@ -210,7 +212,7 @@ func TestWriteFrameClearsDeadlineAfterFailure(t *testing.T) {
 	pa.writeTimeout = 30 * time.Millisecond
 
 	// Nobody reads from b: the pipe write must hit the deadline.
-	if err := pa.writeFrame(0, 0, marshalFrame(&frame{Kind: frameStop})); err == nil {
+	if err := pa.writeFrame(0, 0, marshalFrameInto(&frame{Kind: frameStop}, nil)); err == nil {
 		t.Fatal("write against a stuffed pipe did not time out")
 	}
 	// Deadline must be cleared on the raw conn: a reader appears late
@@ -231,7 +233,7 @@ func TestLinkSuppressesDuplicatesAndDetectsGaps(t *testing.T) {
 	lb := newLink(pb)
 
 	send := func(seq uint64, kind frameKind) {
-		go func() { _ = pa.writeFrame(seq, 0, marshalFrame(&frame{Kind: kind})) }()
+		go func() { _ = pa.writeFrame(seq, 0, marshalFrameInto(&frame{Kind: kind}, nil)) }()
 	}
 
 	send(1, frameWindow)
@@ -243,8 +245,8 @@ func TestLinkSuppressesDuplicatesAndDetectsGaps(t *testing.T) {
 	// Duplicate of seq 1 followed by seq 2: the duplicate is silently
 	// skipped, recv returns the stop.
 	go func() {
-		_ = pa.writeFrame(1, 0, marshalFrame(&frame{Kind: frameWindow}))
-		_ = pa.writeFrame(2, 0, marshalFrame(&frame{Kind: frameStop}))
+		_ = pa.writeFrame(1, 0, marshalFrameInto(&frame{Kind: frameWindow}, nil))
+		_ = pa.writeFrame(2, 0, marshalFrameInto(&frame{Kind: frameStop}, nil))
 	}()
 	f, err = lb.recv(time.Second)
 	if err != nil || f.Kind != frameStop {
@@ -267,12 +269,8 @@ func TestLinkSuppressesDuplicatesAndDetectsGaps(t *testing.T) {
 func TestLinkRetainsUntilAcked(t *testing.T) {
 	// TCP pair rather than net.Pipe: pipes block writes without a
 	// reader, and this test sends several frames before reading.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	cc, err := net.Dial("tcp", ln.Addr().String())
+	ln, addr := listen(t)
+	cc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +291,7 @@ func TestLinkRetainsUntilAcked(t *testing.T) {
 		t.Fatalf("retained %d frames, sendSeq %d; want 3, 3", len(la.retained), la.sendSeq)
 	}
 	// Peer acks seq 2 via a heartbeat: retention shrinks to the tail.
-	go func() { _ = newPeer(sc).writeFrame(0, 2, marshalFrame(&frame{Kind: frameHeartbeat})) }()
+	go func() { _ = newPeer(sc).writeFrame(0, 2, marshalFrameInto(&frame{Kind: frameHeartbeat}, nil)) }()
 	if _, err := la.recv(time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -2,71 +2,17 @@ package distsim
 
 import (
 	"net"
-	"path/filepath"
 	"testing"
 	"time"
 )
-
-// pholdParams are shared by the recovery tests: small enough to run
-// under -race, busy enough to have cross-worker traffic every window.
-const (
-	rtLPs     = 6
-	rtLA      = 1.0
-	rtHorizon = 12.0
-	rtJobs    = 6
-	rtRemote  = 0.4
-	rtWork    = 5
-	rtSeed    = 4242
-	rtKillAt  = 4.5 // inside window 5; last checkpoint barrier is t=4
-)
-
-// rtWorker builds one of the two PHOLD workers. Worker B (LPs 3-5)
-// additionally schedules a "test.kill" op at rtKillAt on LP 3; kill
-// decides whether that op panics (simulating a crash mid-window) or is
-// inert. The op is scheduled in every variant — including the unkilled
-// reference — so all runs execute the same event sequence.
-func rtWorker(b bool, kill bool) *Worker {
-	var w *Worker
-	if b {
-		w = NewWorker(3, 4, 5)
-	} else {
-		w = NewWorker(0, 1, 2)
-	}
-	InstallPHOLD(w, rtLPs, rtJobs, rtRemote, rtWork)
-	if b {
-		orig := w.Setup
-		w.Setup = func(w *Worker) {
-			orig(w)
-			lp := w.LP(3)
-			op := lp.E.RegisterOp("test.kill", func([]byte) {
-				if kill {
-					panic("test: worker killed mid-window")
-				}
-			})
-			lp.E.AtOp(rtKillAt, op, nil)
-		}
-	}
-	return w
-}
-
-// countsOf flattens per-worker model counts into a per-LP slice.
-func countsOf(stats []WorkerStats) []uint64 {
-	got := make([]uint64, rtLPs)
-	for _, ws := range stats {
-		for lp, n := range ws.PerLPCounts {
-			got[lp] = n
-		}
-	}
-	return got
-}
 
 // referenceRun executes the unkilled distributed run and returns its
 // per-LP counts and window count.
 func referenceRun(t *testing.T) ([]uint64, uint64) {
 	t.Helper()
-	c := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
-	launch(t, c, []*Worker{rtWorker(false, false), rtWorker(true, false)})
-	return countsOf(c.WorkerStats), c.Windows
+	c := rtScn.coordinator(nil)
+	launch(t, c, rtScn.pair())
+	return c.PerLPCounts(), c.Windows
 }
 
 // TestKillWorkerMidWindowRecovers is the end-to-end fault-tolerance
@@ -75,82 +21,24 @@ func referenceRun(t *testing.T) ([]uint64, uint64) {
 // the finished run's counters are identical to a run that was never
 // killed. The crash costs one window of re-execution, not the run.
 func TestKillWorkerMidWindowRecovers(t *testing.T) {
-	wantCounts, wantWindows := referenceRun(t)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	addr := ln.Addr().String()
-
-	c := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
-	c.Timeout = 10 * time.Second
-	c.CheckpointEvery = 1
-	c.MaxRecoveries = 1
-
-	errs := make(chan error, 3)
-	killed := make(chan struct{})
-	go func() { errs <- rtWorker(false, false).Run(addr) }()
-	go func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("kill op never panicked")
-			}
-			close(killed)
-		}()
-		_ = rtWorker(true, true).Run(addr) // dies at rtKillAt
-	}()
-	go func() {
-		// The replacement dials only after the original died, like a
-		// restarted process would; its kill op is inert.
-		<-killed
-		errs <- rtWorker(true, false).Run(addr)
-	}()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- c.Serve(ln, 2) }()
-
-	if err := <-serveErr; err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("worker: %v", err)
-		}
-	}
-	if c.Recoveries != 1 {
-		t.Fatalf("recoveries = %d, want 1", c.Recoveries)
-	}
-	if got := countsOf(c.WorkerStats); !equalCounts(got, wantCounts) {
-		t.Fatalf("recovered run counts %v, want %v", got, wantCounts)
-	}
+	want, wantWindows := referenceRun(t)
+	c := rtScn.coordinator(func(c *Coordinator) {
+		c.Timeout = 10 * time.Second
+		c.CheckpointEvery = 1
+		c.MaxRecoveries = 1
+	})
+	rtScn.killAndRecover(t, c)
+	wantCounts(t, "recovered run", c, want)
 	if c.Windows != wantWindows {
 		t.Fatalf("windows = %d, want %d", c.Windows, wantWindows)
 	}
-}
-
-func equalCounts(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestHungWorkerSurfacesTimeout pins the robustness fix: a worker that
 // registers and then goes silent used to block Coordinator.Serve
 // forever; now the per-frame deadline surfaces an error.
 func TestHungWorkerSurfacesTimeout(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
+	ln, addr := listen(t)
 	c := NewCoordinator(2, 1.0, 10, 1)
 	c.Timeout = 300 * time.Millisecond
 
@@ -159,9 +47,9 @@ func TestHungWorkerSurfacesTimeout(t *testing.T) {
 	w := NewWorker(0)
 	w.ConnectRetries = -1 // fail fast once the run dies; keeps the test short
 	w.Setup = func(w *Worker) { w.LP(0).OnMessage = func(Event) {} }
-	go func() { _ = w.Run(ln.Addr().String()) }() // will die on EOF; ignored
+	go func() { _ = w.Run(addr) }() // will die on EOF; ignored
 
-	hung, err := net.Dial("tcp", ln.Addr().String())
+	hung, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,59 +96,9 @@ func TestSlowWorkerHeartbeatsSurvive(t *testing.T) {
 // counters identical to an uninterrupted run. The first Serve also
 // covers the missing-file branch (ResumePath set, nothing to resume).
 func TestCoordinatorFileResume(t *testing.T) {
-	wantCounts, wantWindows := referenceRun(t)
-	path := filepath.Join(t.TempDir(), "cluster.ckpt")
-
-	// Attempt 1: persist checkpoints, no recovery budget; the killed
-	// worker fails the run at rtKillAt.
-	ln1, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1 := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
-	c1.Timeout = 10 * time.Second
-	c1.ReconnectWait = 200 * time.Millisecond // the killed worker is gone for good
-	c1.CheckpointPath = path
-	c1.ResumePath = path // does not exist yet: fresh start
-	go func() {
-		wA := rtWorker(false, false)
-		wA.ConnectRetries = 2
-		wA.ConnectBackoff = 20 * time.Millisecond
-		_ = wA.Run(ln1.Addr().String()) // dies with the failed run; ignored
-	}()
-	go func() {
-		defer func() { recover() }()
-		_ = rtWorker(true, true).Run(ln1.Addr().String())
-	}()
-	if err := c1.Serve(ln1, 2); err == nil {
-		t.Fatal("Serve succeeded despite a dead worker and no recovery budget")
-	}
-	ln1.Close()
-
-	// Attempt 2: a fresh coordinator and fresh workers resume from the
-	// persisted checkpoint and run to the horizon.
-	ln2, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln2.Close()
-	c2 := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
-	c2.Timeout = 10 * time.Second
-	c2.ResumePath = path
-	errs := make(chan error, 2)
-	go func() { errs <- rtWorker(false, false).Run(ln2.Addr().String()) }()
-	go func() { errs <- rtWorker(true, false).Run(ln2.Addr().String()) }()
-	if err := c2.Serve(ln2, 2); err != nil {
-		t.Fatalf("resumed Serve: %v", err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("worker: %v", err)
-		}
-	}
-	if got := countsOf(c2.WorkerStats); !equalCounts(got, wantCounts) {
-		t.Fatalf("resumed run counts %v, want %v", got, wantCounts)
-	}
+	want, wantWindows := referenceRun(t)
+	_, c2 := rtScn.failThenResume(t, nil)
+	wantCounts(t, "resumed run", c2, want)
 	if c2.Windows != wantWindows {
 		t.Fatalf("windows = %d, want %d", c2.Windows, wantWindows)
 	}

@@ -1,14 +1,13 @@
 package distsim
 
 import (
+	"fmt"
 	"net"
-	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/parsim"
-	"repro/internal/partition"
 )
 
 // The multicore-worker suite pins the Threads contract end to end:
@@ -24,16 +23,6 @@ import (
 // inline instead (internal/pool); the serial tests of the suite run a
 // second time with that switch forced between any two windows.
 
-// withThreads sets the pool width on every worker and returns the
-// slice, so scenario builders from the other suites can be reused
-// verbatim.
-func withThreads(n int, ws ...*Worker) []*Worker {
-	for _, w := range ws {
-		w.Threads = n
-	}
-	return ws
-}
-
 // TestThreadsDenseBitIdentical is the core property: the dense PHOLD
 // federation run with 4-thread workers matches the sequential
 // distributed run and the single-process reference, at every pool
@@ -41,23 +30,17 @@ func withThreads(n int, ws ...*Worker) []*Worker {
 func TestThreadsDenseBitIdentical(t *testing.T) { underPoolSwitches(t, testThreadsDenseBitIdentical) }
 
 func testThreadsDenseBitIdentical(t *testing.T) {
-	ref := parsim.NewPHOLD(rtLPs, 1, rtLA, rtJobs, rtRemote, rtWork, rtSeed)
-	ref.Run(rtHorizon)
-	want := ref.PerLPEvents()
-
+	want := rtScn.reference()
 	seqCounts, seqWindows := referenceRun(t) // Threads = 1 (inline path)
-	if !equalCounts(seqCounts, want) {
+	if !slices.Equal(seqCounts, want) {
 		t.Fatalf("sequential distributed run diverges from reference:\nwant %v\ngot  %v", want, seqCounts)
 	}
-
-	for _, threads := range []int{2, 4} {
-		c := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
-		launch(t, c, withThreads(threads, rtWorker(false, false), rtWorker(true, false)))
-		if got := countsOf(c.WorkerStats); !equalCounts(got, want) {
-			t.Fatalf("threads=%d run diverges from reference:\nwant %v\ngot  %v", threads, want, got)
-		}
+	for _, n := range []int{2, 4} {
+		c := rtScn.coordinator(nil)
+		launch(t, c, rtScn.pair(threads(n)))
+		wantCounts(t, fmt.Sprintf("threads=%d run", n), c, want)
 		if c.Windows != seqWindows {
-			t.Fatalf("threads=%d windows = %d, want %d", threads, c.Windows, seqWindows)
+			t.Fatalf("threads=%d windows = %d, want %d", n, c.Windows, seqWindows)
 		}
 	}
 }
@@ -71,19 +54,10 @@ func TestThreadsSparseSkipBitIdentical(t *testing.T) {
 }
 
 func testThreadsSparseSkipBitIdentical(t *testing.T) {
-	ref := parsim.NewPHOLDFactor(skLPs, 1, skLA, skJobs, skRemote, skWork, skSeed, skFactor)
-	ref.Run(skHorizon)
-	want := ref.PerLPEvents()
-
 	seq := skRun(t, true) // Threads = 1, skip on
-
-	c := NewCoordinator(skLPs, skLA, skHorizon, skSeed)
-	c.SkipIdle = true
-	launch(t, c, withThreads(4, skWorker(false, false), skWorker(true, false)))
-
-	if got := skCounts(c.WorkerStats); !equalCounts(got, want) {
-		t.Fatalf("threaded sparse run diverges from reference:\nwant %v\ngot  %v", want, got)
-	}
+	c := skScn.coordinator(func(c *Coordinator) { c.SkipIdle = true })
+	launch(t, c, skScn.pair(threads(4)))
+	wantCounts(t, "threaded sparse run", c, skScn.reference())
 	if c.WindowsSkipped == 0 {
 		t.Fatal("threaded sparse run skipped no windows")
 	}
@@ -101,59 +75,12 @@ func testThreadsSparseSkipBitIdentical(t *testing.T) {
 // frames, so the faulty network costs retries, never bit-identity.
 func TestThreadsUnderChaos(t *testing.T) {
 	t.Parallel()
-	ref := parsim.NewPHOLDFactor(skLPs, 1, skLA, skJobs, skRemote, skWork, skSeed, skFactor)
-	ref.Run(skHorizon)
-	want := ref.PerLPEvents()
-
-	base, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer base.Close()
-	addr := base.Addr().String()
-	ln := chaos.New(chaos.Config{Seed: 131, Drop: 0.03, Dup: 0.1, Reset: 0.02}).Listener(base)
-
-	c := NewCoordinator(skLPs, skLA, skHorizon, skSeed)
-	c.SkipIdle = true
-	c.Timeout = 500 * time.Millisecond
-	c.ReconnectWait = 3 * time.Second
-	c.MaxReconnects = 10000
-
-	workers := withThreads(4, skWorker(false, false), skWorker(true, false))
-	for i, w := range workers {
-		w.HandshakeTimeout = 2 * time.Second
-		w.ConnectRetries = 100
-		w.ConnectBackoff = 10 * time.Millisecond
-		inj := chaos.New(chaos.Config{Seed: 231 + uint64(i)*1000003, Drop: 0.03, Dup: 0.1, Reset: 0.02})
-		w.Dial = func() (net.Conn, error) {
-			conn, err := net.Dial("tcp", addr)
-			if err != nil {
-				return nil, err
-			}
-			return inj.Conn(conn), nil
-		}
-	}
-
-	errs := make(chan error, len(workers)+1)
-	for _, w := range workers {
-		w := w
-		go func() { errs <- w.Run(addr) }()
-	}
-	go func() { errs <- c.Serve(ln, len(workers)) }()
-	for i := 0; i < len(workers)+1; i++ {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Fatalf("chaos threads run failed: %v", err)
-			}
-		case <-time.After(60 * time.Second):
-			t.Fatal("chaos threads run wedged")
-		}
-	}
-
-	if got := skCounts(c.WorkerStats); !equalCounts(got, want) {
-		t.Fatalf("chaos threads run diverges from reference:\nwant %v\ngot  %v", want, got)
-	}
+	c := skScn.coordinator(func(c *Coordinator) { c.SkipIdle = true })
+	chaosBudgets(c)
+	chaosLaunch(t, c, skScn.pair(threads(4)),
+		&chaos.Config{Seed: 131, Drop: 0.03, Dup: 0.1, Reset: 0.02},
+		&chaos.Config{Seed: 231, Drop: 0.03, Dup: 0.1, Reset: 0.02})
+	wantCounts(t, "chaos threads run", c, skScn.reference())
 }
 
 // TestThreadsCheckpointResume kills a worker mid-run with recovery
@@ -164,58 +91,9 @@ func TestThreadsUnderChaos(t *testing.T) {
 func TestThreadsCheckpointResume(t *testing.T) { underPoolSwitches(t, testThreadsCheckpointResume) }
 
 func testThreadsCheckpointResume(t *testing.T) {
-	wantCounts, _ := referenceRun(t)
-	path := filepath.Join(t.TempDir(), "cluster.ckpt")
-
-	// Attempt 1: persist checkpoints, no recovery budget; worker B dies
-	// at rtKillAt and the run fails.
-	ln1, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1 := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
-	c1.Timeout = 10 * time.Second
-	c1.ReconnectWait = 200 * time.Millisecond
-	c1.CheckpointPath = path
-	c1.ResumePath = path // does not exist yet: fresh start
-	go func() {
-		wA := withThreads(4, rtWorker(false, false))[0]
-		wA.ConnectRetries = 2
-		wA.ConnectBackoff = 20 * time.Millisecond
-		_ = wA.Run(ln1.Addr().String()) // dies with the failed run; ignored
-	}()
-	go func() {
-		defer func() { recover() }()
-		_ = withThreads(4, rtWorker(true, true))[0].Run(ln1.Addr().String())
-	}()
-	if err := c1.Serve(ln1, 2); err == nil {
-		t.Fatal("Serve succeeded despite a dead worker and no recovery budget")
-	}
-	ln1.Close()
-
-	// Attempt 2: resume from the checkpoint into fresh pooled workers.
-	ln2, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln2.Close()
-	c2 := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
-	c2.Timeout = 10 * time.Second
-	c2.ResumePath = path
-	errs := make(chan error, 2)
-	go func() { errs <- withThreads(4, rtWorker(false, false))[0].Run(ln2.Addr().String()) }()
-	go func() { errs <- withThreads(4, rtWorker(true, false))[0].Run(ln2.Addr().String()) }()
-	if err := c2.Serve(ln2, 2); err != nil {
-		t.Fatalf("resumed Serve: %v", err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("worker: %v", err)
-		}
-	}
-	if got := countsOf(c2.WorkerStats); !equalCounts(got, wantCounts) {
-		t.Fatalf("resumed threads run counts %v, want %v", got, wantCounts)
-	}
+	want, _ := referenceRun(t)
+	_, c2 := rtScn.failThenResume(t, nil, threads(4))
+	wantCounts(t, "resumed threads run", c2, want)
 }
 
 // TestThreadsRebalanceBitIdentical runs the skewed federation with
@@ -228,17 +106,12 @@ func TestThreadsRebalanceBitIdentical(t *testing.T) {
 }
 
 func testThreadsRebalanceBitIdentical(t *testing.T) {
-	c := NewCoordinator(mgLPs, mgLA, mgHorizon, mgSeed)
-	c.Rebalance = &partition.Greedy{UseEvents: true}
-	c.RebalanceEvery = 2
-	launch(t, c, withThreads(4, mgWorker(false, false), mgWorker(true, false)))
-
+	c := mgScn.coordinator(rebalancing)
+	launch(t, c, mgScn.pair(threads(4)))
 	if c.Migrations == 0 {
 		t.Fatal("skewed threads run rebalanced nothing; the scenario no longer exercises migration")
 	}
-	if got := mgCounts(c.WorkerStats); !equalCounts(got, mgReference()) {
-		t.Fatalf("rebalanced threads run diverges from reference:\nwant %v\ngot  %v", mgReference(), got)
-	}
+	wantCounts(t, "rebalanced threads run", c, mgScn.reference())
 }
 
 // TestThreadsCrashRestart kills the coordinator at a scripted journal
@@ -249,29 +122,9 @@ func testThreadsRebalanceBitIdentical(t *testing.T) {
 func TestThreadsCrashRestart(t *testing.T) { underPoolSwitches(t, testThreadsCrashRestart) }
 
 func testThreadsCrashRestart(t *testing.T) {
-	wantCounts, wantWindows := referenceRun(t)
-	journal := filepath.Join(t.TempDir(), "coord.journal")
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	c1 := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
-	c1.Timeout = 10 * time.Second
-	c1.JournalPath = journal
-	c1.crashAfterBarrier = 3
-	c2 := NewCoordinator(rtLPs, rtLA, rtHorizon, rtSeed)
-	c2.Timeout = 10 * time.Second
-	c2.JournalPath = journal
-
-	workers := withThreads(4, crashBudgets(rtWorker(false, false)), crashBudgets(rtWorker(true, false)))
-	runCrashRestart(t, ln, c1, c2, workers, 500*time.Millisecond)
-
-	if got := countsOf(c2.WorkerStats); !equalCounts(got, wantCounts) {
-		t.Fatalf("restarted threads run counts %v, want %v", got, wantCounts)
-	}
+	want, wantWindows := referenceRun(t)
+	_, c2 := rtScn.crashRestart(t, nil, afterBarrier(3), rtScn.pair(crashBudgets, threads(4)), 500*time.Millisecond, nil)
+	wantCounts(t, "restarted threads run", c2, want)
 	if c2.Windows != wantWindows {
 		t.Fatalf("windows = %d, want %d", c2.Windows, wantWindows)
 	}

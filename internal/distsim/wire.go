@@ -134,16 +134,11 @@ type WorkerStats struct {
 	Incomplete bool
 }
 
-// marshalFrame serializes a frame into a self-contained payload. Field
-// order is fixed; every field is always present so the codec has no
-// per-kind branching to get wrong.
-func marshalFrame(f *frame) []byte {
-	return marshalFrameInto(f, nil)
-}
-
-// marshalFrameInto is marshalFrame appending into buf's storage, so
-// the per-link send path reuses one encode buffer per frame slot
-// instead of growing a fresh one every window.
+// marshalFrameInto serializes a frame into a self-contained payload,
+// appending into buf's storage so the per-link send path reuses one
+// encode buffer per frame slot (nil allocates). Field order is fixed;
+// every field is always present so the codec has no per-kind branching
+// to get wrong.
 func marshalFrameInto(f *frame, buf []byte) []byte {
 	enc := checkpoint.NewEnc(buf)
 	enc.Int(int(f.Kind))
@@ -198,26 +193,17 @@ func marshalFrameInto(f *frame, buf []byte) []byte {
 	return enc.Bytes()
 }
 
-// unmarshalFrame parses a payload written by marshalFrame. Any parse
-// failure — truncation, trailing garbage, an unknown kind — returns
-// ErrMalformedFrame; the caller treats the connection as poisoned.
-func unmarshalFrame(payload []byte) (*frame, error) {
-	f := &frame{}
-	var evs []Event
-	if err := unmarshalFrameInto(f, &evs, payload); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// unmarshalFrameInto is unmarshalFrame decoding into a caller-owned
-// frame and Events scratch slice, so the per-link receive path reuses
-// one frame and one event array across windows. On return f.Events is
-// a prefix of *evs (nil when the frame carries no events) and *evs
-// holds the grown scratch for the next call. Decoded Event.Data
-// aliases payload (see Dec.RawView): it is valid until the payload
-// buffer is reused, which the receive paths guarantee by consuming or
-// copying events before the next read on the same connection.
+// unmarshalFrameInto parses a payload written by marshalFrameInto into
+// a caller-owned frame and Events scratch slice, so the per-link
+// receive path reuses one frame and one event array across windows.
+// Any parse failure — truncation, trailing garbage, an unknown kind —
+// returns ErrMalformedFrame; the caller treats the connection as
+// poisoned. On return f.Events is a prefix of *evs (nil when the frame
+// carries no events) and *evs holds the grown scratch for the next
+// call. Decoded Event.Data aliases payload (see Dec.RawView): it is
+// valid until the payload buffer is reused, which the receive paths
+// guarantee by consuming or copying events before the next read on the
+// same connection.
 func unmarshalFrameInto(f *frame, evs *[]Event, payload []byte) error {
 	scratch := *evs
 	*f = frame{}

@@ -38,11 +38,11 @@ func BenchmarkFrameOverhead(b *testing.B) {
 // the pooled wire path: once the per-link scratch (encode buffer, wire
 // buffer, frame, events slice) has warmed up, encoding and decoding a
 // window-sized frame allocates nothing — while producing bytes
-// identical to the allocating marshalFrame/encodeWire path.
+// identical to a cold encode into nil buffers.
 func TestPooledWireZeroAlloc(t *testing.T) {
 	evs := benchEvents(64)
 	src := &frame{Kind: frameWindow, End: 10, Events: evs}
-	want := encodeWire(7, 3, marshalFrame(src))
+	want := appendWire(nil, 7, 3, marshalFrameInto(src, nil))
 
 	var payload, wire []byte
 	var f frame
@@ -58,7 +58,7 @@ func TestPooledWireZeroAlloc(t *testing.T) {
 		t.Fatal(decodeErr)
 	}
 	if !bytes.Equal(wire, want) {
-		t.Fatalf("pooled wire image differs from allocating path: %d vs %d bytes", len(wire), len(want))
+		t.Fatalf("pooled wire image differs from the cold one: %d vs %d bytes", len(wire), len(want))
 	}
 	if len(f.Events) != len(evs) {
 		t.Fatalf("decoded %d events, want %d", len(f.Events), len(evs))
@@ -95,7 +95,7 @@ func BenchmarkPooledFrameCodec(b *testing.B) {
 	})
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
-		payload := marshalFrame(src)
+		payload := marshalFrameInto(src, nil)
 		var f frame
 		var scratch []Event
 		for i := 0; i < b.N; i++ {

@@ -248,6 +248,11 @@ func fatalf(format string, args ...any) error {
 	return &fatalError{err: fmt.Errorf(format, args...)}
 }
 
+func isFatal(err error) bool {
+	var fe *fatalError
+	return errors.As(err, &fe)
+}
+
 // Run connects to the coordinator (with dial retry, so a worker
 // started before its coordinator waits instead of exiting) and serves
 // windows until stopped, reconnecting with session resume across
@@ -283,8 +288,7 @@ func (w *Worker) Run(addr string) error {
 		}
 		l.close()
 		lastErr = err
-		var fe *fatalError
-		if errors.As(err, &fe) {
+		if isFatal(err) {
 			return err
 		}
 		if a+1 >= attempts {
@@ -300,8 +304,7 @@ func (w *Worker) Run(addr string) error {
 		if err == nil {
 			return nil
 		}
-		var fe *fatalError
-		if errors.As(err, &fe) {
+		if isFatal(err) {
 			return err
 		}
 		if rerr := w.reconnect(bo); rerr != nil {
@@ -310,6 +313,9 @@ func (w *Worker) Run(addr string) error {
 				// coordinator is gone: it finished (or died after the
 				// run was decided). Nothing left to retry.
 				return nil
+			}
+			if isFatal(rerr) {
+				return rerr
 			}
 			// The reconnect budget is spent, but the state this worker
 			// carries is irreplaceable mid-run: park and keep redialing
@@ -693,11 +699,9 @@ func (w *Worker) reconnect(bo *Backoff) error {
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		w.sleep(bo.Delay(a))
-		if err := w.resumeOnce(); err != nil {
-			lastErr = err
-			continue
+		if lastErr = w.resumeOnce(); lastErr == nil || isFatal(lastErr) {
+			break
 		}
-		return nil
 	}
 	return lastErr
 }

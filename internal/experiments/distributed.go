@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"net"
 	"time"
 
 	"repro/internal/distsim"
@@ -41,11 +40,6 @@ func E5bDistributedOverhead(lps, jobsPerLP, work int, horizon float64) (*metrics
 	t.AddRowf("in-process, 4 workers", poolEvents, wallP, fmt.Sprint(poolEvents == refEvents))
 
 	// TCP-distributed across two localhost workers.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer ln.Close()
 	c := distsim.NewCoordinator(lps, lookahead, horizon, seed)
 	half := lps / 2
 	mkWorker := func(lo, hi int) *distsim.Worker {
@@ -57,28 +51,18 @@ func E5bDistributedOverhead(lps, jobsPerLP, work int, horizon float64) (*metrics
 		distsim.InstallPHOLD(w, lps, jobsPerLP, remote, work)
 		return w
 	}
-	wA, wB := mkWorker(0, half), mkWorker(half, lps)
-	errs := make(chan error, 3)
 	start := time.Now()
-	go func() { errs <- wA.Run(ln.Addr().String()) }()
-	go func() { errs <- wB.Run(ln.Addr().String()) }()
-	go func() { errs <- c.Serve(ln, 2) }()
-	for i := 0; i < 3; i++ {
-		if err := <-errs; err != nil {
-			return nil, err
-		}
+	if err := distsim.Loopback(c, []*distsim.Worker{mkWorker(0, half), mkWorker(half, lps)}, nil); err != nil {
+		return nil, err
 	}
 	wallTCP := float64(time.Since(start).Microseconds()) / 1000
-	var distEvents uint64
-	for _, ws := range c.WorkerStats {
-		for _, n := range ws.PerLPCounts {
-			distEvents += n
-		}
-	}
 	// Model-level counts vs engine-level counts differ (engine counts
 	// include wakeups); compare model events against the reference's
 	// model events.
-	refModel := uint64(0)
+	var distEvents, refModel uint64
+	for _, n := range c.PerLPCounts() {
+		distEvents += n
+	}
 	refPH := parsim.NewPHOLD(lps, 1, lookahead, jobsPerLP, remote, work, seed)
 	refPH.Run(horizon)
 	for _, n := range refPH.PerLPEvents() {

@@ -1,7 +1,7 @@
 // Package metrics provides the statistics collection and reporting
 // layer of the simulation framework: streaming moments, time-weighted
-// averages, histograms, counters, time series, and textual reporters
-// (fixed-width tables, CSV, ASCII plots).
+// averages, counters, time series, and textual reporters (fixed-width
+// tables, CSV, ASCII plots). The histogram is obs.Histogram.
 //
 // The taxonomy of the reproduced paper classifies simulators by their
 // output analysis support; this package is the framework's "textual
@@ -144,91 +144,6 @@ func (tw *TimeWeighted) Min() float64 { return tw.min }
 
 // Max returns the maximum value the signal has taken.
 func (tw *TimeWeighted) Max() float64 { return tw.max }
-
-// Histogram counts samples into fixed-width bins over [lo, hi), with
-// overflow and underflow bins, and supports percentile estimates.
-type Histogram struct {
-	lo, hi   float64
-	width    float64
-	bins     []uint64
-	under    uint64
-	over     uint64
-	n        uint64
-	exactMin float64
-	exactMax float64
-}
-
-// NewHistogram creates a histogram with nbins equal bins spanning
-// [lo, hi). It panics if nbins <= 0 or hi <= lo.
-func NewHistogram(lo, hi float64, nbins int) *Histogram {
-	if nbins <= 0 || hi <= lo {
-		panic("metrics: NewHistogram requires nbins > 0 and hi > lo")
-	}
-	return &Histogram{lo: lo, hi: hi, width: (hi - lo) / float64(nbins), bins: make([]uint64, nbins)}
-}
-
-// Observe adds one sample.
-func (h *Histogram) Observe(x float64) {
-	if h.n == 0 {
-		h.exactMin, h.exactMax = x, x
-	} else {
-		if x < h.exactMin {
-			h.exactMin = x
-		}
-		if x > h.exactMax {
-			h.exactMax = x
-		}
-	}
-	h.n++
-	switch {
-	case x < h.lo:
-		h.under++
-	case x >= h.hi:
-		h.over++
-	default:
-		h.bins[int((x-h.lo)/h.width)]++
-	}
-}
-
-// N returns the number of samples observed.
-func (h *Histogram) N() uint64 { return h.n }
-
-// Quantile returns an estimate of the q-quantile (0 <= q <= 1) by
-// linear interpolation within the containing bin. Underflow samples
-// resolve to the exact minimum, overflow to the exact maximum.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.exactMin
-	}
-	if q >= 1 {
-		return h.exactMax
-	}
-	target := q * float64(h.n)
-	cum := float64(h.under)
-	if target <= cum {
-		return h.exactMin
-	}
-	for i, c := range h.bins {
-		next := cum + float64(c)
-		if target <= next && c > 0 {
-			frac := (target - cum) / float64(c)
-			return h.lo + (float64(i)+frac)*h.width
-		}
-		cum = next
-	}
-	return h.exactMax
-}
-
-// Counts returns (underflow, per-bin counts, overflow). The bin slice
-// is a copy.
-func (h *Histogram) Counts() (under uint64, bins []uint64, over uint64) {
-	out := make([]uint64, len(h.bins))
-	copy(out, h.bins)
-	return h.under, out, h.over
-}
 
 // Series is an append-only (x, y) sequence — a simulation time series.
 type Series struct {

@@ -107,58 +107,6 @@ func TestTimeWeightedEmpty(t *testing.T) {
 	}
 }
 
-func TestHistogramCountsAndQuantiles(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 100; i++ {
-		h.Observe(float64(i) / 10) // 0.0 .. 9.9 uniformly
-	}
-	if h.N() != 100 {
-		t.Fatalf("N = %d", h.N())
-	}
-	under, bins, over := h.Counts()
-	if under != 0 || over != 0 {
-		t.Fatalf("under/over = %d/%d", under, over)
-	}
-	for i, c := range bins {
-		if c != 10 {
-			t.Fatalf("bin %d count %d, want 10", i, c)
-		}
-	}
-	med := h.Quantile(0.5)
-	if med < 4.5 || med > 5.5 {
-		t.Fatalf("median = %v", med)
-	}
-	if q := h.Quantile(0); q != 0 {
-		t.Fatalf("q0 = %v", q)
-	}
-	if q := h.Quantile(1); q != 9.9 {
-		t.Fatalf("q1 = %v", q)
-	}
-}
-
-func TestHistogramOverUnderflow(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	h.Observe(-5)
-	h.Observe(0.5)
-	h.Observe(99)
-	under, _, over := h.Counts()
-	if under != 1 || over != 1 {
-		t.Fatalf("under/over = %d/%d", under, over)
-	}
-	if q := h.Quantile(0.99); q != 99 {
-		t.Fatalf("overflow quantile = %v", q)
-	}
-}
-
-func TestHistogramBadArgs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on bad histogram args")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
 func TestPercentile(t *testing.T) {
 	samples := []float64{5, 1, 3, 2, 4}
 	if p := Percentile(samples, 0.5); p != 3 {

@@ -22,20 +22,14 @@ func NewPHOLD(lps, workers int, lookahead float64, jobsPerLP int, remoteProb flo
 // traffic sparse — most lookahead windows hold no event at all — which
 // is the regime the distributed engine's window skipping targets.
 func NewPHOLDFactor(lps, workers int, lookahead float64, jobsPerLP int, remoteProb float64, work int, seed uint64, delayFactor float64) *PHOLD {
-	return NewPHOLDSkew(lps, workers, lookahead, jobsPerLP, remoteProb, work, seed, delayFactor, 0, 1)
+	return NewPHOLDModel(winsync.PHOLD{TotalLPs: lps, JobsPerLP: jobsPerLP, RemoteProb: remoteProb,
+		Work: work, DelayFactor: delayFactor, SkewFactor: 1}, workers, lookahead, seed)
 }
 
-// NewPHOLDSkew is NewPHOLDFactor with a hot spot: LPs with index <
-// skewHot run skewFactor times as often (their mean event spacing is
-// divided by skewFactor).
-func NewPHOLDSkew(lps, workers int, lookahead float64, jobsPerLP int, remoteProb float64, work int, seed uint64, delayFactor float64, skewHot int, skewFactor float64) *PHOLD {
-	ph := &PHOLD{
-		PHOLD: &winsync.PHOLD{
-			TotalLPs: lps, JobsPerLP: jobsPerLP, RemoteProb: remoteProb, Work: work,
-			DelayFactor: delayFactor, SkewHot: skewHot, SkewFactor: skewFactor,
-		},
-		Fed: NewFederation(lps, lookahead, workers, seed),
-	}
+// NewPHOLDModel runs m — the same struct a distributed run installs on
+// its workers, skew included — on a fresh federation of m.TotalLPs LPs.
+func NewPHOLDModel(m winsync.PHOLD, workers int, lookahead float64, seed uint64) *PHOLD {
+	ph := &PHOLD{PHOLD: &m, Fed: NewFederation(m.TotalLPs, lookahead, workers, seed)}
 	for _, lp := range ph.Fed.g.LPs() {
 		ph.Install(lp)
 		ph.Seed(lp)

@@ -45,6 +45,22 @@ type PHOLD struct {
 	HotHoldNs int
 }
 
+// Validate reports parameters Install or a run would choke on; front
+// ends that fill the struct from flags call it first.
+func (m *PHOLD) Validate() error {
+	switch {
+	case m.TotalLPs <= 0:
+		return fmt.Errorf("winsync: PHOLD over %d LPs", m.TotalLPs)
+	case m.JobsPerLP < 0:
+		return fmt.Errorf("winsync: PHOLD with %d jobs per LP", m.JobsPerLP)
+	case !(m.RemoteProb >= 0 && m.RemoteProb <= 1):
+		return fmt.Errorf("winsync: PHOLD remote probability %v is not in [0, 1]", m.RemoteProb)
+	case !(m.DelayFactor > 0):
+		return fmt.Errorf("winsync: PHOLD delay factor %v is not positive", m.DelayFactor)
+	}
+	return nil
+}
+
 // pholdLP is one LP's model state: the counters (written only by the
 // thread running the LP), the registered hop op and the LP's constants.
 type pholdLP struct {
@@ -58,8 +74,8 @@ type pholdLP struct {
 // and schedules nothing: it is what Group.Install needs, and the first
 // half of preparing an initial LP.
 func (m *PHOLD) Install(lp *LP) {
-	if !(m.DelayFactor > 0) {
-		panic(fmt.Sprintf("winsync: PHOLD with delay factor %v", m.DelayFactor))
+	if err := m.Validate(); err != nil {
+		panic(err)
 	}
 	mean := m.DelayFactor * lp.Lookahead()
 	if lp.ID < m.SkewHot && m.SkewFactor > 1 {
