@@ -46,14 +46,15 @@ bench:
 	$(GO) test -bench 'E3|PHOLD|Federation|ScheduleExecute' -benchmem -run '^$$' ./...
 
 # Short fuzz pass over the wire codec, the coordinator's two durable
-# formats (journal replay, cluster checkpoint) and the kernel's event
-# codec (op arguments, LP images, frame events): arbitrary bytes must
-# decode to an error or a valid value — never a panic or an absurd
-# allocation.
+# formats (journal replay, cluster checkpoint), its fold of a worker's
+# obs snapshot and the kernel's event codec (op arguments, LP images,
+# frame events): arbitrary bytes must decode to an error or a valid
+# value — never a panic or an absurd allocation.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime 10s ./internal/distsim/
 	$(GO) test -run '^$$' -fuzz FuzzParseJournal -fuzztime 10s ./internal/distsim/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeClusterCheckpoint -fuzztime 10s ./internal/distsim/
+	$(GO) test -run '^$$' -fuzz FuzzClusterObsFold -fuzztime 10s ./internal/distsim/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 10s ./internal/winsync/
 
 # Go line counts, non-test and test, per internal/* package, for the

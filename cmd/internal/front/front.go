@@ -132,7 +132,6 @@ func (r *Run) shared(fs *flag.FlagSet, checkpoint, resume *string) {
 	c, m := &r.Coord, &r.Model
 	fs.Uint64Var(&c.Seed, "seed", c.Seed, "random seed")
 	fs.Float64Var(&c.Horizon, "horizon", c.Horizon, "phold, distributed runs: simulation end time")
-	fs.BoolVar(&c.SkipIdle, "skip-idle", false, "coordinator: jump lookahead windows with no pending event anywhere")
 	fs.StringVar(&c.JournalPath, "journal", "", "coordinator: durable control-plane journal; restart with the same path to re-adopt surviving workers")
 	fs.BoolFunc("rebalance", "coordinator: adaptively migrate LPs between workers when load skews", func(s string) error {
 		on, err := strconv.ParseBool(s)

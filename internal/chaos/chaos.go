@@ -26,6 +26,7 @@ package chaos
 import (
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -252,6 +253,17 @@ func (l *listener) Accept() (net.Conn, error) {
 		return nil, err
 	}
 	return l.in.Conn(c), nil
+}
+
+// SetDeadline bounds Accept when the wrapped listener can (a
+// *net.TCPListener does): embedding the interface hides the method, and
+// a caller that bounds its accepts would wait forever behind the
+// injector.
+func (l *listener) SetDeadline(t time.Time) error {
+	if dl, ok := l.Listener.(interface{ SetDeadline(time.Time) error }); ok {
+		return dl.SetDeadline(t)
+	}
+	return os.ErrNoDeadline
 }
 
 // conn applies the injector's verdicts to writes. held buffers a

@@ -2,8 +2,10 @@ package chaos
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
+	"os"
 	"testing"
 	"time"
 )
@@ -253,5 +255,38 @@ func TestListenerWrapsAcceptedConns(t *testing.T) {
 	}
 	if s := in.Stats(); s.Dropped != 1 {
 		t.Fatalf("accepted conn bypassed the injector: %+v", s)
+	}
+}
+
+// TestListenerForwardsDeadline pins that an accept deadline reaches the
+// listener under the injector: a coordinator holding a seat open for a
+// resume bounds its wait this way, and used to wait forever under any
+// -chaos-* flag.
+func TestListenerForwardsDeadline(t *testing.T) {
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	ln := New(Config{Seed: 1}).Listener(tcp)
+	dl, ok := ln.(interface{ SetDeadline(time.Time) error })
+	if !ok {
+		t.Fatal("the chaos listener hides SetDeadline")
+	}
+	if err := dl.SetDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := ln.Accept()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("Accept returned %v, want os.ErrDeadlineExceeded", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Accept ignored the deadline")
 	}
 }

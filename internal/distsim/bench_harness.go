@@ -60,7 +60,7 @@ func pholdGroup(m *winsync.PHOLD, ids ...int) *winsync.Group {
 // buffers at the barrier.
 func (h *WorkerWindowBench) Window() {
 	h.end += h.g.Lookahead()
-	h.g.RunWindow(h.end)
+	h.g.RunWindow(h.end, 0)
 	h.g.Flush(nil)
 }
 

@@ -1,6 +1,8 @@
 package distsim
 
 import (
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -147,4 +149,78 @@ func TestChaosFourWorkerConcurrentHeal(t *testing.T) {
 	ref := parsim.NewPHOLDModel(model, 1, 1.0, ceScn.seed)
 	ref.Run(horizon)
 	wantCounts(t, "four-worker chaos run (against fault-free)", c, ref.PerLPEvents())
+}
+
+// dropConn discards the frames drop picks, silently, the way a lossy
+// network would: one Write is one frame. What internal/chaos draws,
+// this scripts by frame kind.
+type dropConn struct {
+	net.Conn
+	drop func(frameKind) bool
+}
+
+func (c *dropConn) Write(p []byte) (int, error) {
+	var f frame
+	var evs []Event
+	if unmarshalFrameInto(&f, &evs, p[wireHeaderLen:]) == nil && c.drop(f.Kind) {
+		return len(p), nil
+	}
+	return c.Conn.Write(p)
+}
+
+// dropListener scripts the coordinator's side of every connection.
+type dropListener struct {
+	*net.TCPListener
+	drop func(frameKind) bool
+}
+
+func (l dropListener) Accept() (net.Conn, error) {
+	conn, err := l.TCPListener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &dropConn{conn, l.drop}, nil
+}
+
+// firstN returns a drop rule: the first n frames of the given kind.
+func firstN(kind frameKind, n int32) func(frameKind) bool {
+	var seen atomic.Int32
+	return func(k frameKind) bool { return k == kind && seen.Add(1) <= n }
+}
+
+// TestStatsSurviveLostHandshakes loses worker B's stats frame and then
+// the coordinator's answer to its next two resume attempts. The
+// coordinator is alive and still waiting for those stats, so the worker
+// has to keep trying on its whole budget: it used to give up after two
+// attempts once its stats were out, and leave the coordinator to time
+// out into an Incomplete seat with zero counts.
+func TestStatsSurviveLostHandshakes(t *testing.T) {
+	t.Parallel()
+	c := ceScn.coordinator(chaosBudgets)
+	workers := ceScn.pair()
+	for _, w := range workers {
+		w.HandshakeTimeout = time.Second // past the coordinator's 500 ms: it is accepting when B dials
+		w.ConnectBackoff = 10 * time.Millisecond
+	}
+	err := Loopback(c, workers, func(ln net.Listener) net.Listener {
+		lostStats := firstN(frameStats, 1)
+		workers[1].Dial = func() (net.Conn, error) {
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				return nil, err
+			}
+			return &dropConn{conn, lostStats}, nil
+		}
+		return dropListener{ln.(*net.TCPListener), firstN(frameResume, 2)}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.StatsIncomplete {
+		t.Fatalf("stats incomplete after two lost handshakes: %+v", c.WorkerStats)
+	}
+	wantCounts(t, "run with a lost stats frame", c, ceScn.reference())
+	if c.Reconnects < 3 {
+		t.Fatalf("%d reconnects; the script lost two resume replies before the one that held", c.Reconnects)
+	}
 }

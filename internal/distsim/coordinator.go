@@ -91,17 +91,6 @@ type Coordinator struct {
 	// every worker survived — falling back to rollback recovery from
 	// the CheckpointPath file when it cannot. See journal.go.
 	JournalPath string
-	// SkipIdle enables next-event-time window skipping: every done
-	// frame carries the worker's earliest pending event time, and when
-	// the global minimum (workers plus routed-but-undelivered events)
-	// lies beyond the next window end, the coordinator advances the
-	// clock across the empty windows without a barrier round trip.
-	// Results are bit-identical either way — an empty window executes
-	// nothing and consumes no randomness — but Windows then counts only
-	// executed barriers (see WindowsSkipped). Off by default so runs
-	// that assert exact window counts keep their meaning.
-	SkipIdle bool
-
 	// Rebalance, when set, turns on adaptive partitioning: workers
 	// report per-LP load deltas on every done frame, and every
 	// RebalanceEvery executed windows the coordinator hands the
@@ -122,25 +111,13 @@ type Coordinator struct {
 	// keeps the whole path at a pointer test per window.
 	Obs *ClusterObs
 
-	// Results, populated by Serve.
-	Windows      uint64
-	EventsRouted uint64
-	// WindowsSkipped counts lookahead windows skipped by SkipIdle;
-	// Windows + WindowsSkipped equals the fixed window lattice of the
-	// non-skipping run.
-	WindowsSkipped uint64
-	// Migrations counts live LP migrations executed by the rebalancer.
-	Migrations uint64
-	Recoveries int // rollback recoveries (worker process replaced)
-	Reconnects int // session resumes (same process, new connection)
-	// Readopted counts surviving workers a journal restart re-adopted
-	// in place (each kept its engine state; no rollback).
-	Readopted int
+	// Counters are the results, populated by Serve and current at every
+	// barrier.
+	Counters
 	// WorkerStats is slot-indexed. A worker that died between the final
 	// barrier and its stats frame leaves an entry with Incomplete set
 	// (and StatsIncomplete true) instead of failing the completed run.
-	WorkerStats     []WorkerStats
-	StatsIncomplete bool
+	WorkerStats []WorkerStats
 
 	// Crash-test hooks: when non-zero, Serve returns errCrashHook
 	// right after (respectively right before) appending the journal
@@ -148,6 +125,40 @@ type Coordinator struct {
 	// two interesting instants around a committed barrier. Test-only.
 	crashAfterBarrier  uint64
 	crashBeforeBarrier uint64
+}
+
+// Counters is what a run has done so far, under one set of names: the
+// Coordinator's results, the copy a ClusterObs keeps for a live endpoint
+// and what a ClusterSnapshot reports.
+type Counters struct {
+	Windows uint64 `json:"windows"` // executed barriers
+	// WindowsSkipped counts the lookahead windows jumped because no LP
+	// anywhere had an event in them; Windows + WindowsSkipped is the
+	// fixed window lattice of the run.
+	WindowsSkipped uint64  `json:"windows_skipped"`
+	EventsRouted   uint64  `json:"events_routed"`
+	Migrations     uint64  `json:"migrations"` // live LP migrations executed by the rebalancer
+	Clock          float64 `json:"clock"`
+	Reconnects     int     `json:"reconnects"` // session resumes (same process, new connection)
+	Recoveries     int     `json:"recoveries"` // rollback recoveries (worker process replaced)
+	// Readopted counts surviving workers a journal restart re-adopted
+	// in place (each kept its engine state; no rollback).
+	Readopted       int    `json:"readopted"`
+	JournalRecords  uint64 `json:"journal_records"`
+	JournalBytes    uint64 `json:"journal_bytes"`
+	StatsIncomplete bool   `json:"stats_incomplete"`
+}
+
+// publish brings the counters up to the control state and the journal
+// and, when the cluster is observed, hands the live endpoint its copy.
+func (c *Coordinator) publish(s *session) {
+	c.Clock, c.Windows, c.WindowsSkipped, c.EventsRouted = s.ctl.clock, s.ctl.windows, s.ctl.skipped, s.ctl.routed
+	if s.journal != nil {
+		c.JournalRecords, c.JournalBytes = s.journal.records, s.journal.bytes
+	}
+	if c.Obs != nil {
+		c.Obs.note(c.Counters)
+	}
 }
 
 // errCrashHook is the sentinel the crash-test hooks fail Serve with.
@@ -412,7 +423,7 @@ func (c *Coordinator) Serve(ln net.Listener, nWorkers int) error {
 		return err
 	}
 	// However Serve ends, the counters it reached are its result.
-	defer func() { c.Windows, c.WindowsSkipped, c.EventsRouted = s.ctl.windows, s.ctl.skipped, s.ctl.routed }()
+	defer c.publish(s)
 
 	atTip, err := c.fill(s)
 	if err != nil {
@@ -460,9 +471,7 @@ func (c *Coordinator) Serve(ln net.Listener, nWorkers int) error {
 			return err
 		}
 	}
-	if c.Obs != nil && s.journal != nil {
-		c.Obs.noteJournal(s.journal.records, s.journal.bytes, c.Readopted)
-	}
+	c.publish(s)
 	return c.finish(s)
 }
 
@@ -583,9 +592,6 @@ func (c *Coordinator) finish(s *session) error {
 	markIncomplete := func(wi int) {
 		c.WorkerStats[wi] = WorkerStats{LPs: slices.Clone(s.ctl.slots[wi].lps), Incomplete: true}
 		c.StatsIncomplete = true
-		if c.Obs != nil {
-			c.Obs.noteIncomplete()
-		}
 	}
 	failed := make([]bool, len(s.links))
 	for wi := range s.links {
@@ -1014,9 +1020,8 @@ func (c *Coordinator) resumeSlot(s *session, wi int, cause error) error {
 // Each barrier is one exchange: window frames fan out and done frames
 // fan in across all slots concurrently. The merge then orders the
 // produced events, commits the window — a control transition, made
-// durable by its journal record — and, when SkipIdle is on, uses the
-// piggybacked next-event times to jump the clock over windows no LP
-// has work in.
+// durable by its journal record — and uses the piggybacked next-event
+// times to jump the clock over windows no LP has work in.
 func (c *Coordinator) runWindows(s *session) error {
 	ctl := s.ctl
 	for ctl.clock < ctl.horizon {
@@ -1119,26 +1124,21 @@ func (c *Coordinator) runWindows(s *session) error {
 				return err
 			}
 		}
-		if c.SkipIdle {
-			// Nothing anywhere in the federation is due before next: worker
-			// engines and local buffers via the piggybacked minima, routed
-			// events via the merge above.
-			if skipped := ctl.skip(next); skipped > 0 {
-				if err := s.journal.skip(next); err != nil {
-					return err
-				}
-				if c.Obs != nil {
-					// A skip mark, Seq = how many windows were jumped.
-					c.Obs.rec.Record(obs.Span{Wall: obs.Now(), Time: ctl.clock, Seq: skipped, Kind: obs.KindSkip})
-				}
+		// Nothing anywhere in the federation is due before next: worker
+		// engines and local buffers via the piggybacked minima, routed
+		// events via the merge above. The windows before it would execute
+		// nothing and draw nothing, so the clock jumps them without a
+		// barrier round trip.
+		if skipped := ctl.skip(next); skipped > 0 {
+			if err := s.journal.skip(next); err != nil {
+				return err
+			}
+			if c.Obs != nil {
+				// A skip mark, Seq = how many windows were jumped.
+				c.Obs.rec.Record(obs.Span{Wall: obs.Now(), Time: ctl.clock, Seq: skipped, Kind: obs.KindSkip})
 			}
 		}
-		if c.Obs != nil {
-			c.Obs.note(ctl.windows, ctl.skipped, ctl.routed, c.Migrations, ctl.clock, c.Reconnects, c.Recoveries)
-			if s.journal != nil {
-				c.Obs.noteJournal(s.journal.records, s.journal.bytes, c.Readopted)
-			}
-		}
+		c.publish(s)
 	}
 	return nil
 }

@@ -112,8 +112,8 @@ func TestCrashRestartDense(t *testing.T) {
 	wantCounts(t, "restarted run", c2, want)
 	// Zero rolled-back windows: the restart resumes at the crash barrier,
 	// so the total executed-window count matches the uninterrupted run.
-	if c2.Windows != wantWindows {
-		t.Fatalf("windows = %d, want %d", c2.Windows, wantWindows)
+	if lattice(c2) != wantWindows {
+		t.Fatalf("windows = %d, want %d", lattice(c2), wantWindows)
 	}
 	wantReadopted(t, c2)
 }
@@ -127,22 +127,24 @@ func TestCrashRestartBeforeBarrier(t *testing.T) {
 	want, wantWindows := referenceRun(t)
 	_, c2 := rtScn.crashRestart(t, nil, beforeBarrier(4), rtScn.pair(crashBudgets), 0, nil)
 	wantCounts(t, "done-replay run", c2, want)
-	if c2.Windows != wantWindows {
-		t.Fatalf("windows = %d, want %d", c2.Windows, wantWindows)
+	if lattice(c2) != wantWindows {
+		t.Fatalf("windows = %d, want %d", lattice(c2), wantWindows)
 	}
 	wantReadopted(t, c2)
 }
 
-// TestCrashRestartSparseSkip crashes a skip-idle coordinator between
-// skipped gaps: the journal tip records the pre-gap barrier, and the
+// TestCrashRestartSparseSkip crashes the coordinator of a sparse run
+// between skipped gaps: the journal tip records the pre-gap barrier, and the
 // restart — which cannot know the piggybacked next-event times the
 // crash destroyed — re-executes the gap's empty windows instead of
 // skipping them. Empty windows execute nothing, so the counts stay
 // bit-identical to the single-process reference.
 func TestCrashRestartSparseSkip(t *testing.T) {
-	skipping := func(c *Coordinator) { c.SkipIdle = true }
-	_, c2 := skScn.crashRestart(t, skipping, afterBarrier(2), skScn.pair(crashBudgets), 0, nil)
+	_, c2 := skScn.crashRestart(t, nil, afterBarrier(2), skScn.pair(crashBudgets), 0, nil)
 	wantCounts(t, "crash-restart skip run", c2, skScn.reference())
+	if lattice(c2) != skScn.windows() {
+		t.Fatalf("restarted run executed %d + skipped %d != lattice %d", c2.Windows, c2.WindowsSkipped, skScn.windows())
+	}
 	wantReadopted(t, c2)
 }
 
@@ -345,8 +347,8 @@ func TestCrashRestartRefusesForeignCheckpoint(t *testing.T) {
 		}
 	}
 	wantCounts(t, "restarted run", c2, want)
-	if c2.Windows != wantWindows || c2.Readopted != 2 || c2.Recoveries != 0 {
-		t.Fatalf("windows %d (want %d), readopted %d, recoveries %d", c2.Windows, wantWindows, c2.Readopted, c2.Recoveries)
+	if lattice(c2) != wantWindows || c2.Readopted != 2 || c2.Recoveries != 0 {
+		t.Fatalf("windows %d (want %d), readopted %d, recoveries %d", lattice(c2), wantWindows, c2.Readopted, c2.Recoveries)
 	}
 }
 
@@ -550,7 +552,7 @@ func TestPartitionLongerThanTimeoutRecovers(t *testing.T) {
 		t.Fatal("over-timeout partition never triggered rollback recovery")
 	}
 	wantCounts(t, "long-partition run", c, want)
-	if c.Windows != wantWindows {
-		t.Fatalf("windows = %d, want %d", c.Windows, wantWindows)
+	if lattice(c) != wantWindows {
+		t.Fatalf("windows = %d, want %d", lattice(c), wantWindows)
 	}
 }

@@ -8,7 +8,7 @@ import "testing"
 // allocations per window. jobs and factor select the traffic regime:
 // the dense case is the E5 PHOLD configuration, the sparse case leaves
 // most windows empty so next-event-time skipping can jump them.
-func benchDistWindows(b *testing.B, jobs int, factor float64, skip bool) {
+func benchDistWindows(b *testing.B, jobs int, factor float64) {
 	b.ReportAllocs()
 	const (
 		lps    = 6
@@ -19,7 +19,6 @@ func benchDistWindows(b *testing.B, jobs int, factor float64, skip bool) {
 	)
 	horizon := la * float64(b.N)
 	c := NewCoordinator(lps, la, horizon, seed)
-	c.SkipIdle = skip
 	workers := []*Worker{NewWorker(0, 1, 2), NewWorker(3, 4, 5)}
 	for _, w := range workers {
 		InstallPHOLDFactor(w, lps, jobs, remote, work, factor)
@@ -38,13 +37,9 @@ func benchDistWindows(b *testing.B, jobs int, factor float64, skip bool) {
 //
 //   - dense:         canonical PHOLD (6 jobs/LP, mean spacing 4
 //     lookaheads) — measures barrier latency and the pooled wire path.
-//   - sparse/noskip: sparse PHOLD (1 job/LP, spacing 64 lookaheads)
-//     with skipping off — every empty window pays a full barrier.
-//   - sparse/skip:   same traffic with SkipIdle — empty stretches of
-//     the lattice are jumped in the coordinator; the ns/op ratio
-//     against sparse/noskip is the skipping speedup.
+//   - sparse: sparse PHOLD (1 job/LP, spacing 64 lookaheads) — empty
+//     stretches of the lattice are jumped in the coordinator.
 func BenchmarkDistWindowThroughput(b *testing.B) {
-	b.Run("dense", func(b *testing.B) { benchDistWindows(b, 6, 4, false) })
-	b.Run("sparse/noskip", func(b *testing.B) { benchDistWindows(b, 1, 64, false) })
-	b.Run("sparse/skip", func(b *testing.B) { benchDistWindows(b, 1, 64, true) })
+	b.Run("dense", func(b *testing.B) { benchDistWindows(b, 6, 4) })
+	b.Run("sparse", func(b *testing.B) { benchDistWindows(b, 1, 64) })
 }

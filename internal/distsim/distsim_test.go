@@ -82,8 +82,8 @@ func TestThreeWorkersUnevenPartition(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no events processed")
 	}
-	if c.Windows != 100 {
-		t.Fatalf("windows = %d, want 100", c.Windows)
+	if lattice(c) != 100 {
+		t.Fatalf("windows = %d, want 100", lattice(c))
 	}
 }
 
@@ -138,8 +138,8 @@ func TestStaleHelloDuringRegistration(t *testing.T) {
 			t.Fatal("run wedged after a stale hello")
 		}
 	}
-	if c.Windows != 10 {
-		t.Fatalf("windows = %d, want 10", c.Windows)
+	if lattice(c) != 10 {
+		t.Fatalf("windows = %d, want 10", lattice(c))
 	}
 }
 

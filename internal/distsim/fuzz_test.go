@@ -183,3 +183,40 @@ func checkValidControl(t *testing.T, c *control) {
 		t.Fatalf("state changed across its codec:\nwas %+v\nnow %+v", c, back)
 	}
 }
+
+// FuzzClusterObsFold throws arbitrary bytes at the coordinator's fold of
+// a worker's obs snapshot, seeded with a delta and a final payload, cut
+// short and with the final one's track count blown up: every input must
+// fold or fail with ErrMalformedFrame — a worker's telemetry is off the
+// wire like everything else it says — without panicking or allocating
+// beyond the input's size bound.
+func FuzzClusterObsFold(f *testing.F) {
+	pb := NewObsPiggybackBench()
+	if _, err := pb.Cycle(); err != nil {
+		f.Fatal(err)
+	}
+	delta := bytes.Clone(pb.w.encodeObs(false))
+	final := bytes.Clone(pb.w.encodeObs(true))
+	f.Add(delta)
+	f.Add(final)
+	f.Add(final[:len(final)/2])
+	// The tracks are the tail of a final payload, the worker ring first:
+	// the byte before its name's length is the track count.
+	huge := bytes.Clone(final)
+	at := bytes.LastIndex(huge, []byte("worker")) - 2
+	huge = append(huge[:at:at], 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F)
+	f.Add(append(huge, final[at+1:]...))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		co := &ClusterObs{}
+		co.bind([]*WireStats{{}})
+		var err error
+		if got := allocated(func() { err = co.fold(0, data) }); got > allocBound(len(data)) {
+			t.Fatalf("folding %d bytes allocated %d", len(data), got)
+		}
+		if err != nil && !errors.Is(err, ErrMalformedFrame) {
+			t.Fatalf("fold failed with an untyped error: %v", err)
+		}
+	})
+}

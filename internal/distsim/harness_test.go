@@ -1,6 +1,7 @@
 package distsim
 
 import (
+	"math"
 	"net"
 	"path/filepath"
 	"slices"
@@ -99,6 +100,13 @@ func (s scenario) reference() []uint64 {
 	ref.Run(s.horizon)
 	return ref.PerLPEvents()
 }
+
+// windows is the scenario's window lattice: what every run of it walks,
+// executing the windows that hold an event and skipping the rest.
+func (s scenario) windows() uint64 { return uint64(math.Ceil(s.horizon / s.la)) }
+
+// lattice is the number of lookahead windows a run walked.
+func lattice(c *Coordinator) uint64 { return c.Windows + c.WindowsSkipped }
 
 // wantCounts fails the test unless c's per-LP counts are want.
 func wantCounts(t *testing.T, what string, c *Coordinator, want []uint64) {

@@ -20,9 +20,11 @@ var errClusterDown = errors.New("distsim: the in-process coordinator is gone")
 // on — the place to put a fault injector between the two sides, and
 // (the address being known there) to give workers a Dial of their own.
 //
-// When Serve fails the listener closes and further dials fail fatally,
-// so the workers give up instead of parking. The result joins Serve's
-// error and every worker's.
+// The listener goes when Serve returns, as it would with a coordinator
+// process: a worker still waiting for a lost bye finds nobody to dial
+// and gives up. When Serve failed, further dials fail fatally, so the
+// workers give up instead of parking. The result joins Serve's error
+// and every worker's.
 func Loopback(c *Coordinator, workers []*Worker, wrap func(net.Listener) net.Listener) error {
 	base, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -57,10 +59,9 @@ func Loopback(c *Coordinator, workers []*Worker, wrap func(net.Listener) net.Lis
 			}
 		}()
 	}
-	if errs[0] = c.Serve(ln, len(workers)); errs[0] != nil {
-		down.Store(true)
-		base.Close()
-	}
+	errs[0] = c.Serve(ln, len(workers))
+	down.Store(errs[0] != nil)
+	base.Close()
 	wg.Wait()
 	return errors.Join(errs...)
 }

@@ -8,9 +8,10 @@ import (
 	"sync/atomic"
 
 	"repro/internal/checkpoint"
-	"repro/internal/des"
+	"repro/internal/eventq"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/winsync"
 )
 
 // This file threads internal/obs through the distributed stack:
@@ -150,32 +151,16 @@ const (
 	obsFinal = 2 // stats frame: delta plus the full trace rings
 )
 
-// workerObs is the worker-side observability state: per-LP metrics and
-// trace rings (per-LP so LPs running on different pool threads never
-// share a histogram — each is written only by whichever thread holds
-// the LP inside a window), optional per-pool-thread rings for
-// window-phase spans, a worker ring, and the previous-ship histogram
-// copies behind the delta encoding. Enabled by the coordinator's
-// config frame (ObsEvery > 0).
+// workerObs is the worker-side observability state that is about the
+// wire: the serve-loop ring (deliver, barrier-wait, busy and resume
+// spans), the two histograms the serve loop times, and the
+// previous-ship histogram copies behind the delta encoding. What
+// happens inside a window — per-LP rings and metrics, per-thread phases
+// — the group records itself (winsync.Group.EnableObservability).
+// Enabled by the coordinator's config frame (ObsEvery, ObsSpans > 0).
 type workerObs struct {
-	every   int
-	spanCap int // recorder capacity, kept so migrated-in LPs get equal rings
-	// ids, lpMets and lpRecs are parallel, in ascending LP ID.
-	ids    []int
-	lpMets []*obs.Metrics
-	lpRecs []*obs.Recorder
-	rec    *obs.Recorder
-	// poolRecs holds one span ring per intra-worker pool thread
-	// (Threads > 1 only); each is single-writer by its thread.
-	poolRecs []*obs.Recorder
-
-	// metBase carries the cumulative metrics of migrated-away LPs, so
-	// the merged totals behind the delta encoding never regress.
-	metBase obs.Metrics
-	// merged is the reused encode-time merge of metBase and every live
-	// LP's metrics (histograms are fixed-size values; merging is
-	// allocation-free).
-	merged obs.Metrics
+	every int
+	rec   *obs.Recorder
 
 	barrierWait obs.Histogram
 	deliver     obs.Histogram
@@ -185,130 +170,63 @@ type workerObs struct {
 	prevBarrier obs.Histogram
 	prevDeliver obs.Histogram
 
-	buf         []byte           // reused snapshot encode buffer
-	loads       []partition.Load // reused scratch: cumulative per-LP counters
-	waitStart   int64            // barrier-wait start (0 = not waiting)
-	windows     uint64           // windows executed since enable
-	droppedBase uint64           // drops carried over from migrated-away LP recorders
+	buf       []byte // reused snapshot encode buffer
+	waitStart int64  // barrier-wait start (0 = not waiting)
+	windows   uint64 // windows executed since enable
 }
 
 func newWorkerObs(every, spanCap int) *workerObs {
-	if every <= 0 {
-		every = 4
-	}
-	if spanCap <= 0 {
-		spanCap = 1 << 12
-	}
-	return &workerObs{every: every, spanCap: spanCap, rec: obs.NewRecorder(spanCap)}
+	return &workerObs{every: every, rec: obs.NewRecorder(spanCap)}
 }
 
-// addPoolRecs equips the intra-worker pool threads with their own span
-// rings; called once, before the pool's first window.
-func (wo *workerObs) addPoolRecs(threads int) {
-	wo.poolRecs = make([]*obs.Recorder, threads)
-	for i := range wo.poolRecs {
-		wo.poolRecs[i] = obs.NewRecorder(wo.spanCap)
-	}
-}
-
-// removeLP drops the recorder and metrics of an LP that left the
-// worker (migrated away, or dropped by a rollback), folding the
-// overwrite count and the cumulative histograms into the carried bases
-// so neither total ever regresses beneath the delta encoding.
-func (wo *workerObs) removeLP(id int) {
-	i, ok := slices.BinarySearch(wo.ids, id)
-	if !ok {
-		return
-	}
-	wo.droppedBase += wo.lpRecs[i].Dropped()
-	wo.metBase.Exec.Merge(&wo.lpMets[i].Exec)
-	wo.metBase.Dwell.Merge(&wo.lpMets[i].Dwell)
-	wo.ids = slices.Delete(wo.ids, i, i+1)
-	wo.lpRecs = slices.Delete(wo.lpRecs, i, i+1)
-	wo.lpMets = slices.Delete(wo.lpMets, i, i+1)
-}
-
-// addLP makes a fresh recorder and metrics for LP id. A migrated-in
-// LP's history stays in the donor's carried base, so cluster totals
-// remain cumulative.
-func (wo *workerObs) addLP(id int) (*obs.Recorder, *obs.Metrics) {
-	r, m := obs.NewRecorder(wo.spanCap), &obs.Metrics{}
-	pos, _ := slices.BinarySearch(wo.ids, id)
-	wo.ids = slices.Insert(wo.ids, pos, id)
-	wo.lpRecs = slices.Insert(wo.lpRecs, pos, r)
-	wo.lpMets = slices.Insert(wo.lpMets, pos, m)
-	return r, m
-}
-
-// attach equips an LP's engine with its own recorder and metrics.
-func (wo *workerObs) attach(lp *LP) {
-	r, m := wo.addLP(lp.ID)
-	lp.E.SetObserver(des.Observer{Recorder: r, Metrics: m, Track: lp.ID})
-}
-
-// dropped totals ring overwrites across every recorder this worker
-// owns — the "silent truncation" number the aggregated snapshot
-// surfaces.
-func (wo *workerObs) dropped() uint64 {
-	n := wo.droppedBase + wo.rec.Dropped()
-	for _, r := range wo.lpRecs {
-		n += r.Dropped()
-	}
-	return n
-}
-
-// encode builds one snapshot payload into the reused buffer: transport
-// counters (cumulative), ring-drop total, and the four histogram
-// deltas since the previous ship. The final form appends the trace
-// rings. The delta path allocates nothing once the buffer has warmed
-// up (TestObsPiggybackZeroAlloc).
-func (wo *workerObs) encode(wire *WireStats, loads []partition.Load, final bool) []byte {
+// encodeObs builds one snapshot payload into the reused buffer:
+// transport counters (cumulative), ring-drop total, and the four
+// histogram deltas since the previous ship. The final form appends the
+// trace rings. The delta path allocates nothing once the buffer has
+// warmed up (TestObsPiggybackZeroAlloc).
+func (w *Worker) encodeObs(final bool) []byte {
+	wo := w.obs
 	enc := checkpoint.NewEnc(wo.buf)
 	if final {
 		enc.U64(obsFinal)
 	} else {
 		enc.U64(obsDelta)
 	}
-	wire.Snapshot().appendTo(&enc)
-	enc.U64(wo.dropped())
-	// The shipped exec/dwell histograms are the merge of every live
-	// LP's metrics plus the carried base of migrated-away LPs: the
-	// merge is monotone over time, so the delta encoding stays valid.
-	wo.merged = wo.metBase
-	for _, m := range wo.lpMets {
-		wo.merged.Exec.Merge(&m.Exec)
-		wo.merged.Dwell.Merge(&m.Dwell)
-	}
-	wo.merged.Exec.AppendDelta(&enc, &wo.prevExec)
-	wo.merged.Dwell.AppendDelta(&enc, &wo.prevDwell)
+	w.wire.Snapshot().appendTo(&enc)
+	// The group's totals cover every LP it owns or has owned, so they
+	// are monotone over time whatever migration and rollback do, and the
+	// delta encoding stays valid.
+	merged, dropped := w.g.Totals()
+	enc.U64(wo.rec.Dropped() + dropped)
+	merged.Exec.AppendDelta(&enc, &wo.prevExec)
+	merged.Dwell.AppendDelta(&enc, &wo.prevDwell)
 	wo.barrierWait.AppendDelta(&enc, &wo.prevBarrier)
 	wo.deliver.AppendDelta(&enc, &wo.prevDeliver)
-	wo.prevExec = wo.merged.Exec
-	wo.prevDwell = wo.merged.Dwell
+	wo.prevExec = merged.Exec
+	wo.prevDwell = merged.Dwell
 	wo.prevBarrier = wo.barrierWait
 	wo.prevDeliver = wo.deliver
 	// Per-LP cumulative counters (executed events, busy wall time) — the
-	// load signal the adaptive partitioner surfaces in live metrics.
-	enc.Int(len(loads))
-	for i := range loads {
-		enc.Int(loads[i].LP)
-		enc.U64(loads[i].Events)
-		enc.U64(loads[i].BusyNs)
+	// load signal the adaptive partitioner surfaces in live metrics (a
+	// done frame's Loads are the same counters as deltas).
+	enc.Int(len(w.g.LPs()))
+	for _, lp := range w.g.LPs() {
+		enc.Int(lp.ID)
+		enc.U64(lp.E.Stats().Executed)
+		enc.U64(lp.BusyNs())
 	}
 	if final {
-		enc.Int(len(wo.lpRecs) + 1 + len(wo.poolRecs))
-		obs.AppendSpanTrack(&enc, obs.SpanTrack{Name: "worker", TID: 0, Spans: wo.rec.Spans()})
-		for i, r := range wo.lpRecs {
-			name := fmt.Sprintf("lp-%d", wo.ids[i])
-			obs.AppendSpanTrack(&enc, obs.SpanTrack{Name: name, TID: i + 1, Spans: r.Spans()})
+		// The worker ring is track 0, then the group's LP tracks, then —
+		// for a real pool; a single thread's phases are the worker ring's
+		// already — one track per pool thread.
+		tracks, threads := w.g.Tracks()
+		if w.Threads > 1 {
+			tracks = append(tracks, threads...)
 		}
-		// Pool-thread tracks ride after the LP tracks: the merged
-		// cluster timeline shows each intra-worker thread's busy/wait
-		// phases (the coordinator folds track counts generically, so no
-		// peer change is needed).
-		for i, r := range wo.poolRecs {
-			name := fmt.Sprintf("pw-%d", i)
-			obs.AppendSpanTrack(&enc, obs.SpanTrack{Name: name, TID: len(wo.lpRecs) + 1 + i, Spans: r.Spans()})
+		enc.Int(1 + len(tracks))
+		obs.AppendSpanTrack(&enc, obs.SpanTrack{Name: "worker", TID: 0, Spans: wo.rec.Spans()})
+		for _, tr := range tracks {
+			obs.AppendSpanTrack(&enc, obs.SpanTrack{Name: tr.Name, TID: 1 + tr.TID, Spans: tr.Rec.Spans()})
 		}
 	}
 	wo.buf = enc.Bytes()
@@ -334,19 +252,7 @@ type ClusterObs struct {
 	slots       []slotObs
 	coordLinks  []*WireStats
 	tracks      [][]obs.SpanTrack
-
-	windows         uint64
-	skipped         uint64
-	routed          uint64
-	migrations      uint64
-	clock           float64
-	reconnects      int
-	recoveries      int
-	statsIncomplete bool
-
-	journalRecords uint64
-	journalBytes   uint64
-	readopted      int
+	run         Counters
 }
 
 type slotObs struct {
@@ -392,33 +298,11 @@ func (co *ClusterObs) span(k obs.Kind, wall, dur int64, seq uint64, t float64) {
 	co.rec.Record(obs.Span{Wall: wall, Dur: dur, Time: t, Seq: seq, Kind: k})
 }
 
-// note mirrors the run counters under the mutex so a live endpoint
-// sees window progress without racing the coordinator.
-func (co *ClusterObs) note(windows, skipped, routed, migrations uint64, clock float64, reconnects, recoveries int) {
+// note mirrors the run counters, whole, under the mutex, so a live
+// endpoint sees window progress without racing the coordinator.
+func (co *ClusterObs) note(run Counters) {
 	co.mu.Lock()
-	co.windows = windows
-	co.skipped = skipped
-	co.routed = routed
-	co.migrations = migrations
-	co.clock = clock
-	co.reconnects = reconnects
-	co.recoveries = recoveries
-	co.mu.Unlock()
-}
-
-func (co *ClusterObs) noteIncomplete() {
-	co.mu.Lock()
-	co.statsIncomplete = true
-	co.mu.Unlock()
-}
-
-// noteJournal mirrors the durable-journal counters (and the count of
-// workers re-adopted at restart) for the snapshot endpoint.
-func (co *ClusterObs) noteJournal(records, bytes uint64, readopted int) {
-	co.mu.Lock()
-	co.journalRecords = records
-	co.journalBytes = bytes
-	co.readopted = readopted
+	co.run = run
 	co.mu.Unlock()
 }
 
@@ -460,12 +344,8 @@ func (co *ClusterObs) fold(slot int, payload []byte) error {
 		// Per-LP cumulative counters: overwrite (like the wire
 		// counters), reusing the slot's slice so the steady-state fold
 		// stays allocation-free.
-		n := d.Int()
-		if derr := d.Err(); derr != nil {
-			err = derr
-		} else if n < 0 || n > len(payload) {
-			err = fmt.Errorf("per-LP load count %d exceeds payload", n)
-		} else {
+		var n int
+		if n, err = decCount(d, "per-LP load"); err == nil {
 			per := co.slots[slot].perLP[:0]
 			for i := 0; i < n; i++ {
 				per = append(per, partition.Load{
@@ -483,8 +363,8 @@ func (co *ClusterObs) fold(slot int, payload []byte) error {
 		return fmt.Errorf("%w: obs snapshot: %v", ErrMalformedFrame, err)
 	}
 	if tag == obsFinal {
-		n := d.Int()
-		if err := d.Err(); err != nil {
+		n, err := decCount(d, "track")
+		if err != nil {
 			return fmt.Errorf("%w: obs snapshot: %v", ErrMalformedFrame, err)
 		}
 		trs := make([]obs.SpanTrack, 0, n)
@@ -535,25 +415,15 @@ type WorkerObsView struct {
 // ClusterSnapshot is a point-in-time JSON-friendly view of the
 // aggregated cluster state — what the -metrics-addr endpoint serves.
 type ClusterSnapshot struct {
-	Windows         uint64          `json:"windows"`
-	WindowsSkipped  uint64          `json:"windows_skipped"`
-	EventsRouted    uint64          `json:"events_routed"`
-	Migrations      uint64          `json:"migrations"`
-	Clock           float64         `json:"clock"`
-	Reconnects      int             `json:"reconnects"`
-	Recoveries      int             `json:"recoveries"`
-	Readopted       int             `json:"readopted"`
-	JournalRecords  uint64          `json:"journal_records"`
-	JournalBytes    uint64          `json:"journal_bytes"`
-	StatsIncomplete bool            `json:"stats_incomplete"`
-	Exec            HistSummary     `json:"exec"`
-	Dwell           HistSummary     `json:"dwell"`
-	BarrierWait     HistSummary     `json:"barrier_wait"`
-	Deliver         HistSummary     `json:"deliver"`
-	CoordWire       LinkStats       `json:"coord_wire"`
-	CoordDropped    uint64          `json:"coord_spans_dropped"`
-	SpansDropped    uint64          `json:"spans_dropped"` // workers + coordinator
-	Workers         []WorkerObsView `json:"workers"`
+	Counters
+	Exec         HistSummary     `json:"exec"`
+	Dwell        HistSummary     `json:"dwell"`
+	BarrierWait  HistSummary     `json:"barrier_wait"`
+	Deliver      HistSummary     `json:"deliver"`
+	CoordWire    LinkStats       `json:"coord_wire"`
+	CoordDropped uint64          `json:"coord_spans_dropped"`
+	SpansDropped uint64          `json:"spans_dropped"` // workers + coordinator
+	Workers      []WorkerObsView `json:"workers"`
 }
 
 // Snapshot digests the current aggregates. Safe to call from any
@@ -562,22 +432,12 @@ func (co *ClusterObs) Snapshot() ClusterSnapshot {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	s := ClusterSnapshot{
-		Windows:         co.windows,
-		WindowsSkipped:  co.skipped,
-		EventsRouted:    co.routed,
-		Migrations:      co.migrations,
-		Clock:           co.clock,
-		Reconnects:      co.reconnects,
-		Recoveries:      co.recoveries,
-		Readopted:       co.readopted,
-		JournalRecords:  co.journalRecords,
-		JournalBytes:    co.journalBytes,
-		StatsIncomplete: co.statsIncomplete,
-		Exec:            summarize(&co.exec),
-		Dwell:           summarize(&co.dwell),
-		BarrierWait:     summarize(&co.barrierWait),
-		Deliver:         summarize(&co.deliver),
-		CoordDropped:    co.rec.Dropped(),
+		Counters:     co.run,
+		Exec:         summarize(&co.exec),
+		Dwell:        summarize(&co.dwell),
+		BarrierWait:  summarize(&co.barrierWait),
+		Deliver:      summarize(&co.deliver),
+		CoordDropped: co.rec.Dropped(),
 	}
 	for _, ws := range co.coordLinks {
 		s.CoordWire.add(ws.Snapshot())
@@ -638,22 +498,19 @@ func (co *ClusterObs) WriteMergedTrace(w io.Writer) error {
 // lsbench's obs.piggyback_ns probe; BenchmarkObsPiggyback and the
 // zero-alloc test use it too. Not part of the simulation API.
 type ObsPiggybackBench struct {
-	wo    *workerObs
-	wire  WireStats
-	co    *ClusterObs
-	loads []partition.Load
+	w  *Worker
+	co *ClusterObs
 }
 
 func NewObsPiggybackBench() *ObsPiggybackBench {
 	pb := &ObsPiggybackBench{
-		wo:    newWorkerObs(1, 1<<10),
-		co:    &ClusterObs{every: 1, spanCap: 1 << 10, rec: obs.NewRecorder(1 << 10)},
-		loads: []partition.Load{{LP: 0, Events: 40, BusyNs: 9000}, {LP: 1, Events: 35, BusyNs: 7500}, {LP: 2, Events: 38, BusyNs: 8100}},
+		w:  NewWorker(0, 1, 2),
+		co: &ClusterObs{every: 1, spanCap: 1 << 10, rec: obs.NewRecorder(1 << 10)},
 	}
-	for id := range pb.loads {
-		pb.wo.addLP(id)
-	}
-	pb.co.bind([]*WireStats{&pb.wire})
+	pb.w.obs = newWorkerObs(1, 1<<10)
+	pb.w.g = winsync.NewGroup(pb.w.ids, 3, 1, 1, eventq.KindHeap)
+	pb.w.g.EnableObservability(1 << 10)
+	pb.co.bind([]*WireStats{&pb.w.wire})
 	return pb
 }
 
@@ -661,15 +518,16 @@ func NewObsPiggybackBench() *ObsPiggybackBench {
 // delta, and folds it; it returns the payload size. The first call
 // warms the encode buffer; thereafter the cycle is allocation-free.
 func (pb *ObsPiggybackBench) Cycle() (int, error) {
-	pb.wire.FramesSent.Add(2)
-	pb.wire.BytesSent.Add(512)
-	pb.wire.FramesRecv.Add(2)
-	pb.wire.BytesRecv.Add(512)
-	pb.wo.lpMets[0].Exec.Observe(1500)
-	pb.wo.lpMets[1].Exec.Observe(8200)
-	pb.wo.lpMets[2].Dwell.Observe(1 << 20)
-	pb.wo.barrierWait.Observe(45000)
-	pb.wo.deliver.Observe(3200)
-	payload := pb.wo.encode(&pb.wire, pb.loads, false)
+	wire, wo, lps := &pb.w.wire, pb.w.obs, pb.w.g.LPs()
+	wire.FramesSent.Add(2)
+	wire.BytesSent.Add(512)
+	wire.FramesRecv.Add(2)
+	wire.BytesRecv.Add(512)
+	lps[0].E.Observer().Metrics.Exec.Observe(1500)
+	lps[1].E.Observer().Metrics.Exec.Observe(8200)
+	lps[2].E.Observer().Metrics.Dwell.Observe(1 << 20)
+	wo.barrierWait.Observe(45000)
+	wo.deliver.Observe(3200)
+	payload := pb.w.encodeObs(false)
 	return len(payload), pb.co.fold(0, payload)
 }

@@ -123,7 +123,7 @@ func TestClusterObsBitIdenticalUnderChaos(t *testing.T) {
 // the single-process reference and the coordinator records skip marks.
 func TestClusterObsSparseSkipBitIdentical(t *testing.T) {
 	t.Parallel()
-	c := skScn.coordinator(func(c *Coordinator) { c.SkipIdle = true })
+	c := skScn.coordinator(nil)
 	co := c.EnableObservability(1, 1<<10)
 	launch(t, c, skScn.pair())
 	wantCounts(t, "skip+obs run", c, skScn.reference())
@@ -140,6 +140,38 @@ func TestClusterObsSparseSkipBitIdentical(t *testing.T) {
 	}
 	if _, _, err := obs.ValidateChromeTrace(buf.Bytes()); err != nil {
 		t.Fatalf("merged sparse trace does not re-parse: %v", err)
+	}
+}
+
+// TestClusterObsAcrossMigration observes the skewed run while the
+// rebalancer moves LPs between 2-thread workers: a migrated LP's history
+// stays in its donor's carried totals and its new host starts a fresh
+// ring, so the cluster exec histogram still accounts for every engine
+// event exactly once, and the merged trace has one track per LP and
+// per pool thread.
+func TestClusterObsAcrossMigration(t *testing.T) {
+	t.Parallel()
+	c := mgScn.coordinator(rebalancing)
+	co := c.EnableObservability(1, 1<<10)
+	launch(t, c, mgScn.pair(threads(2)))
+	if c.Migrations == 0 {
+		t.Fatal("observed run rebalanced nothing")
+	}
+	wantCounts(t, "observed rebalanced run", c, mgScn.reference())
+	if snap, n := co.Snapshot(), executed(c); snap.Exec.Count != n || snap.Dwell.Count != n {
+		t.Fatalf("cluster exec/dwell histograms have %d/%d samples, workers executed %d events", snap.Exec.Count, snap.Dwell.Count, n)
+	}
+	var buf bytes.Buffer
+	if err := co.WriteMergedTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, tids, err := obs.ValidateChromeTrace(buf.Bytes())
+	if err != nil {
+		t.Fatalf("merged trace does not re-parse: %v", err)
+	}
+	// Coordinator + per worker: serve loop + 2 pool threads; + 6 LPs.
+	if want := 1 + 2*(1+2) + mgScn.model.TotalLPs; len(tids) != want {
+		t.Fatalf("merged trace has %d tracks, want %d", len(tids), want)
 	}
 }
 

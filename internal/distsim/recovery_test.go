@@ -7,12 +7,12 @@ import (
 )
 
 // referenceRun executes the unkilled distributed run and returns its
-// per-LP counts and window count.
+// per-LP counts and window lattice.
 func referenceRun(t *testing.T) ([]uint64, uint64) {
 	t.Helper()
 	c := rtScn.coordinator(nil)
 	launch(t, c, rtScn.pair())
-	return c.PerLPCounts(), c.Windows
+	return c.PerLPCounts(), lattice(c)
 }
 
 // TestKillWorkerMidWindowRecovers is the end-to-end fault-tolerance
@@ -29,8 +29,8 @@ func TestKillWorkerMidWindowRecovers(t *testing.T) {
 	})
 	rtScn.killAndRecover(t, c)
 	wantCounts(t, "recovered run", c, want)
-	if c.Windows != wantWindows {
-		t.Fatalf("windows = %d, want %d", c.Windows, wantWindows)
+	if lattice(c) != wantWindows {
+		t.Fatalf("windows = %d, want %d", lattice(c), wantWindows)
 	}
 }
 
@@ -84,8 +84,8 @@ func TestSlowWorkerHeartbeatsSurvive(t *testing.T) {
 		lp.E.Schedule(0.5, func() { time.Sleep(600 * time.Millisecond) })
 	}
 	launch(t, c, []*Worker{w})
-	if c.Windows != 2 {
-		t.Fatalf("windows = %d, want 2", c.Windows)
+	if lattice(c) != 2 {
+		t.Fatalf("windows = %d, want 2", lattice(c))
 	}
 }
 
@@ -99,7 +99,7 @@ func TestCoordinatorFileResume(t *testing.T) {
 	want, wantWindows := referenceRun(t)
 	_, c2 := rtScn.failThenResume(t, nil)
 	wantCounts(t, "resumed run", c2, want)
-	if c2.Windows != wantWindows {
-		t.Fatalf("windows = %d, want %d", c2.Windows, wantWindows)
+	if lattice(c2) != wantWindows {
+		t.Fatalf("windows = %d, want %d", lattice(c2), wantWindows)
 	}
 }

@@ -10,86 +10,70 @@ import (
 // The window-skipping suite runs PHOLD in the sparse-traffic regime —
 // mean event spacing of 48 lookaheads (skScn), so the vast majority of
 // lookahead windows contain no event anywhere in the federation — and
-// pins the skipping contract: a skip-enabled run is bit-identical to a
-// skip-disabled run and to the single-process reference, it skips the
-// windows the others execute emptily, and the property survives chaos
-// faults and a checkpoint→resume across a skipped gap.
+// pins the skipping contract: the run is bit-identical to the
+// single-process reference, which executes every window of the lattice,
+// it skips the windows that one executes emptily, and the property
+// survives chaos faults and a checkpoint→resume across a skipped gap.
 
 // skRun launches a sparse distributed run and returns the coordinator.
-func skRun(t *testing.T, skip bool) *Coordinator {
+func skRun(t *testing.T) *Coordinator {
 	t.Helper()
-	c := skScn.coordinator(func(c *Coordinator) { c.SkipIdle = skip })
+	c := skScn.coordinator(nil)
 	launch(t, c, skScn.pair())
 	return c
 }
 
 // TestSparseSkipBitIdentical is the core skipping property: on sparse
-// traffic the skip-enabled distributed run skips most of the window
-// lattice yet produces per-LP counts bit-identical to the skip-disabled
-// run and to the single-process parsim reference, and the executed and
-// skipped windows sum to exactly the fixed lattice.
+// traffic the distributed run skips most of the window lattice yet
+// produces per-LP counts bit-identical to the single-process parsim
+// reference, and the executed and skipped windows sum to exactly the
+// fixed lattice.
 func TestSparseSkipBitIdentical(t *testing.T) {
-	want := skScn.reference()
-	off := skRun(t, false)
-	on := skRun(t, true)
-	wantCounts(t, "skip-off run", off, want)
-	wantCounts(t, "skip-on run", on, want)
-	if on.WindowsSkipped == 0 {
-		t.Fatal("sparse run skipped no windows")
+	c := skRun(t)
+	wantCounts(t, "sparse run", c, skScn.reference())
+	if lattice(c) != skScn.windows() {
+		t.Fatalf("executed %d + skipped %d != lattice %d", c.Windows, c.WindowsSkipped, skScn.windows())
 	}
-	if off.WindowsSkipped != 0 {
-		t.Fatalf("skip-off run reports %d skipped windows", off.WindowsSkipped)
-	}
-	if on.Windows+on.WindowsSkipped != off.Windows {
-		t.Fatalf("executed %d + skipped %d != lattice %d",
-			on.Windows, on.WindowsSkipped, off.Windows)
-	}
-	if on.Windows >= off.Windows/2 {
-		t.Fatalf("sparse run executed %d of %d windows — skipping barely engaged",
-			on.Windows, off.Windows)
-	}
-	if on.EventsRouted != off.EventsRouted {
-		t.Fatalf("events routed: skip-on %d vs skip-off %d", on.EventsRouted, off.EventsRouted)
+	if c.Windows >= skScn.windows()/2 {
+		t.Fatalf("sparse run executed %d of %d windows — skipping barely engaged", c.Windows, skScn.windows())
 	}
 }
 
-// TestSparseSkipUnderChaos runs the skip-enabled sparse federation
+// TestSparseSkipUnderChaos runs the sparse federation
 // against a faulty network (drops, duplicates, resets on both
 // directions of the wire): skipping must compose with integrity
 // checking and session resume without costing bit-identity.
 func TestSparseSkipUnderChaos(t *testing.T) {
 	t.Parallel()
-	c := skScn.coordinator(func(c *Coordinator) { c.SkipIdle = true })
-	chaosBudgets(c)
+	c := skScn.coordinator(chaosBudgets)
 	chaosLaunch(t, c, skScn.pair(),
 		&chaos.Config{Seed: 101, Drop: 0.03, Dup: 0.1, Reset: 0.02},
 		&chaos.Config{Seed: 201, Drop: 0.03, Dup: 0.1, Reset: 0.02})
 	wantCounts(t, "chaos skip run", c, skScn.reference())
-	if c.WindowsSkipped == 0 {
-		t.Fatal("chaos skip run skipped no windows")
+	if c.WindowsSkipped == 0 || lattice(c) != skScn.windows() {
+		t.Fatalf("chaos skip run executed %d + skipped %d, lattice %d", c.Windows, c.WindowsSkipped, skScn.windows())
 	}
 }
 
 // TestSkipCheckpointResumeAcrossGap kills a worker mid-run with
 // recovery disabled, leaving the persisted cluster checkpoint at the
 // last executed barrier — which, in the sparse regime, sits right
-// before skipped gaps. A second coordinator resumes from the file with
-// skipping still enabled, jumps the gaps again, and finishes with
-// counts identical to the uninterrupted run.
+// before skipped gaps. A second coordinator resumes from the file,
+// jumps the gaps again, and finishes with counts identical to the
+// uninterrupted run.
 func TestSkipCheckpointResumeAcrossGap(t *testing.T) {
-	off := skRun(t, false)
-	c1, c2 := skScn.failThenResume(t, func(c *Coordinator) { c.SkipIdle = true })
+	c1, c2 := skScn.failThenResume(t, nil)
 	if c1.WindowsSkipped == 0 {
 		t.Fatal("first attempt skipped no windows before the crash")
 	}
-	wantCounts(t, "resumed skip run", c2, off.PerLPCounts())
+	wantCounts(t, "resumed skip run", c2, skScn.reference())
 	if c2.WindowsSkipped == 0 {
 		t.Fatal("resumed run skipped no windows after the gap")
 	}
 	// The cut carries the skip counter, so the resumed run still accounts
 	// for every window of the lattice exactly once.
-	if c2.Windows+c2.WindowsSkipped != off.Windows {
-		t.Fatalf("resumed run executed %d + skipped %d != lattice %d", c2.Windows, c2.WindowsSkipped, off.Windows)
+	if lattice(c2) != skScn.windows() {
+		t.Fatalf("resumed run executed %d + skipped %d != lattice %d", c2.Windows, c2.WindowsSkipped, skScn.windows())
 	}
 }
 
@@ -98,16 +82,14 @@ func TestSkipCheckpointResumeAcrossGap(t *testing.T) {
 // rest of the cut, so windows skipped between the checkpoint and the
 // crash are not counted a second time when the run passes them again.
 func TestSkipRecoveryKeepsLattice(t *testing.T) {
-	off := skRun(t, false)
 	c := skScn.coordinator(func(c *Coordinator) {
-		c.SkipIdle = true
 		c.Timeout = 10 * time.Second
 		c.CheckpointEvery = 4 // several skipped stretches between a cut and the crash
 		c.MaxRecoveries = 1
 	})
 	skScn.killAndRecover(t, c)
-	wantCounts(t, "recovered skip run", c, off.PerLPCounts())
-	if c.Windows+c.WindowsSkipped != off.Windows {
-		t.Fatalf("recovered run executed %d + skipped %d != lattice %d", c.Windows, c.WindowsSkipped, off.Windows)
+	wantCounts(t, "recovered skip run", c, skScn.reference())
+	if lattice(c) != skScn.windows() {
+		t.Fatalf("recovered run executed %d + skipped %d != lattice %d", c.Windows, c.WindowsSkipped, skScn.windows())
 	}
 }

@@ -39,14 +39,14 @@ func testThreadsDenseBitIdentical(t *testing.T) {
 		c := rtScn.coordinator(nil)
 		launch(t, c, rtScn.pair(threads(n)))
 		wantCounts(t, fmt.Sprintf("threads=%d run", n), c, want)
-		if c.Windows != seqWindows {
-			t.Fatalf("threads=%d windows = %d, want %d", n, c.Windows, seqWindows)
+		if lattice(c) != seqWindows {
+			t.Fatalf("threads=%d windows = %d, want %d", n, lattice(c), seqWindows)
 		}
 	}
 }
 
 // TestThreadsSparseSkipBitIdentical runs the sparse regime with
-// skipping on and 4-thread workers: the per-LP idle check inside the
+// 4-thread workers: the per-LP idle check inside the
 // pool (an LP whose next event lies past the window end never touches
 // its engine) must not disturb the skip lattice or the counts.
 func TestThreadsSparseSkipBitIdentical(t *testing.T) {
@@ -54,8 +54,8 @@ func TestThreadsSparseSkipBitIdentical(t *testing.T) {
 }
 
 func testThreadsSparseSkipBitIdentical(t *testing.T) {
-	seq := skRun(t, true) // Threads = 1, skip on
-	c := skScn.coordinator(func(c *Coordinator) { c.SkipIdle = true })
+	seq := skRun(t) // Threads = 1
+	c := skScn.coordinator(nil)
 	launch(t, c, skScn.pair(threads(4)))
 	wantCounts(t, "threaded sparse run", c, skScn.reference())
 	if c.WindowsSkipped == 0 {
@@ -71,12 +71,11 @@ func testThreadsSparseSkipBitIdentical(t *testing.T) {
 
 // TestThreadsUnderChaos injects drops, duplicates and resets into both
 // directions of the wire while 4-thread workers execute the sparse
-// skip-enabled federation: session resume replays the barrier-merged
+// federation: session resume replays the barrier-merged
 // frames, so the faulty network costs retries, never bit-identity.
 func TestThreadsUnderChaos(t *testing.T) {
 	t.Parallel()
-	c := skScn.coordinator(func(c *Coordinator) { c.SkipIdle = true })
-	chaosBudgets(c)
+	c := skScn.coordinator(chaosBudgets)
 	chaosLaunch(t, c, skScn.pair(threads(4)),
 		&chaos.Config{Seed: 131, Drop: 0.03, Dup: 0.1, Reset: 0.02},
 		&chaos.Config{Seed: 231, Drop: 0.03, Dup: 0.1, Reset: 0.02})
@@ -125,8 +124,8 @@ func testThreadsCrashRestart(t *testing.T) {
 	want, wantWindows := referenceRun(t)
 	_, c2 := rtScn.crashRestart(t, nil, afterBarrier(3), rtScn.pair(crashBudgets, threads(4)), 500*time.Millisecond, nil)
 	wantCounts(t, "restarted threads run", c2, want)
-	if c2.Windows != wantWindows {
-		t.Fatalf("windows = %d, want %d", c2.Windows, wantWindows)
+	if lattice(c2) != wantWindows {
+		t.Fatalf("windows = %d, want %d", lattice(c2), wantWindows)
 	}
 	if c2.Readopted != 2 {
 		t.Fatalf("readopted = %d, want 2", c2.Readopted)

@@ -60,12 +60,6 @@ type Worker struct {
 	// the next done frame ships them.
 	outbox []Event
 
-	// winEnd/winSeq describe the window being executed; the barrier
-	// inside the group's RunWindow publishes them to the pool threads
-	// (observePoolPhases).
-	winEnd float64
-	winSeq uint64
-
 	// collectLoads mirrors the config's RebalanceEvery > 0: the
 	// coordinator wants per-LP load deltas on every done frame.
 	// loadsBuf is the reused report slice.
@@ -370,32 +364,14 @@ func (w *Worker) applyConfig(cfg *frame) error {
 	// cluster's LP count, so an LP ID that is too large is still the
 	// coordinator's to refuse; a negative one never leaves Send.
 	w.g = winsync.NewGroup(w.ids, math.MaxInt, cfg.Lookahead, cfg.Seed, eventq.KindHeap)
-	if w.InstallLP != nil {
-		// An LP arriving mid-run gets its observer before the model's
-		// hook registers anything on it.
-		w.g.Install = func(lp *LP) {
-			if wo := w.obs; wo != nil {
-				wo.attach(lp)
-			}
-			w.InstallLP(lp)
-		}
-	}
+	w.g.Install = w.InstallLP
 	// Observability: the coordinator's config switches on recording for
-	// the whole cluster. Observers attach before Setup so even initial
-	// scheduling is on the record. With obs on, each thread of a real
-	// pool gets its own span ring so the merged cluster trace shows
-	// per-thread busy/wait phases; a single thread's phases are the
-	// worker ring's already.
-	if cfg.ObsEvery > 0 {
-		wo := newWorkerObs(cfg.ObsEvery, cfg.ObsSpans)
-		w.obs = wo
-		for _, lp := range w.g.LPs() {
-			wo.attach(lp)
-		}
-		if w.Threads > 1 {
-			wo.addPoolRecs(w.Threads)
-			w.g.Observe = w.observePoolPhases
-		}
+	// the whole cluster. The group observes its LPs and pool threads —
+	// before Setup, so even initial scheduling is on the record — and
+	// the worker keeps what is about the wire.
+	if cfg.ObsEvery > 0 && cfg.ObsSpans > 0 {
+		w.obs = newWorkerObs(cfg.ObsEvery, cfg.ObsSpans)
+		w.g.EnableObservability(cfg.ObsSpans)
 	}
 	// Per-LP wall timing feeds the rebalancer's load signal and the obs
 	// per-LP counters; with neither consumer on, a window reads no clock.
@@ -448,16 +424,8 @@ func (w *Worker) restore(data []byte) error {
 	if err != nil {
 		return err
 	}
-	before := slices.Clone(w.g.IDs())
 	if err := w.g.Restore(snap); err != nil {
 		return err
-	}
-	if wo := w.obs; wo != nil {
-		for _, id := range before {
-			if w.g.LP(id) == nil {
-				wo.removeLP(id)
-			}
-		}
 	}
 	w.outbox = nil
 	// The stashed done frame described the pre-rollback timeline; after
@@ -565,11 +533,10 @@ func (w *Worker) serveConn() error {
 			// Execute the window — inline or across the persistent pool —
 			// then flush the per-LP send buffers: local events to the
 			// group's inbox, the rest to the outbox this done frame ships.
-			w.winEnd, w.winSeq = f.End, f.WinSeq
-			w.g.RunWindow(f.End)
+			w.g.RunWindow(f.End, f.WinSeq)
 			// The done frame piggybacks the earliest pending event time
-			// across this worker's engines and inbox, so a skip-enabled
-			// coordinator can jump windows nobody has work in. The outbox
+			// across this worker's engines and inbox, so the coordinator
+			// can jump windows nobody has work in. The outbox
 			// backing array is reusable once the frame is marshalled (the
 			// send retains the payload, not the events).
 			out := w.g.Flush(w.outbox)
@@ -584,7 +551,7 @@ func (w *Worker) serveConn() error {
 				wo.rec.Record(obs.Span{Wall: t0, Dur: now - t0, Time: f.End, Seq: f.WinSeq, Kind: obs.KindWindowBusy})
 				wo.windows++
 				if wo.windows%uint64(wo.every) == 0 {
-					done.Obs = wo.encode(&w.wire, w.obsLoads(), false)
+					done.Obs = w.encodeObs(false)
 				}
 			}
 			// Stash the done frame (before the send, so a send that dies
@@ -632,9 +599,6 @@ func (w *Worker) serveConn() error {
 				reply.Err = err.Error()
 			} else {
 				reply.Data = data
-				if wo := w.obs; wo != nil {
-					wo.removeLP(f.LPs[0])
-				}
 			}
 			if err := l.send(&reply); err != nil {
 				return err
@@ -660,11 +624,11 @@ func (w *Worker) serveConn() error {
 			stats := w.Stats()
 			stats.Incomplete = false
 			final := frame{Kind: frameStats, Stats: stats}
-			if wo := w.obs; wo != nil {
+			if w.obs != nil {
 				// The final snapshot ships whatever histogram tail the
 				// piggyback cadence missed, plus the full trace rings for
 				// the merged cluster timeline.
-				final.Obs = wo.encode(&w.wire, w.obsLoads(), true)
+				final.Obs = w.encodeObs(true)
 			}
 			if err := l.send(&final); err != nil {
 				w.statsSent = true // retained; a reconnect replays it
@@ -687,24 +651,26 @@ func (w *Worker) serveConn() error {
 // processed. Simulation state is untouched — a reconnect is invisible
 // to the model.
 func (w *Worker) reconnect(bo *Backoff) error {
-	attempts := w.retries()
-	if w.statsSent && attempts > 2 {
-		// After stats are out only the coordinator's bye is pending, and
-		// a missing bye usually means the coordinator already finished
-		// and exited. Retry the resume briefly — the coordinator may
-		// still need a stats replay — but don't burn the full budget
-		// against a listener nobody will ever accept from again.
-		attempts = 2
-	}
 	var lastErr error
-	for a := 0; a < attempts; a++ {
+	for a, refused := 0, 0; a < w.retries() && refused < 2; a++ {
 		w.sleep(bo.Delay(a))
 		if lastErr = w.resumeOnce(); lastErr == nil || isFatal(lastErr) {
 			break
 		}
+		// After stats are out only the coordinator's bye is pending. A
+		// listener that is gone means the coordinator finished and exited:
+		// two refused dials settle that. A handshake lost on a connection
+		// the listener took is a live coordinator, which may still be
+		// waiting for the stats replay, and keeps the whole budget.
+		if w.statsSent && errors.Is(lastErr, errDial) {
+			refused++
+		}
 	}
 	return lastErr
 }
+
+// errDial marks a resume attempt that found nobody listening.
+var errDial = errors.New("distsim: dial failed")
 
 // resumeOnce makes one dial + hello attempt against the coordinator.
 // A live coordinator answers with resume (rebind the existing link,
@@ -713,7 +679,7 @@ func (w *Worker) reconnect(bo *Backoff) error {
 func (w *Worker) resumeOnce() error {
 	conn, err := w.Dial()
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", errDial, err)
 	}
 	p := newPeer(conn)
 	p.stats = &w.wire
@@ -850,33 +816,4 @@ func (w *Worker) Stats() WorkerStats {
 func (w *Worker) sleep(d time.Duration) {
 	w.wire.BackoffNs.Add(uint64(d))
 	time.Sleep(d)
-}
-
-// observePoolPhases records one pool thread's busy/wait phases of a
-// window into that thread's own span ring (single-writer), anchored on
-// the window's barrier sequence so MergeTracks aligns them with the
-// coordinator timeline. The wait span covers the thread blocked
-// through the barrier, the done-frame round trip, and the next
-// window's release — the intra-node slice of the synchronization cost.
-// A window the pool ran inline is one busy span on thread 0 and no
-// wait, and the next dispatched window's waits start where it ended.
-func (w *Worker) observePoolPhases(pw int, waitStart, busyStart, busyEnd int64) {
-	r := w.obs.poolRecs[pw]
-	if waitStart != busyStart {
-		r.Record(obs.Span{Kind: obs.KindBarrierWait, Wall: waitStart, Dur: busyStart - waitStart,
-			Time: w.winEnd, Seq: w.winSeq})
-	}
-	r.Record(obs.Span{Kind: obs.KindWindowBusy, Wall: busyStart, Dur: busyEnd - busyStart,
-		Time: w.winEnd, Seq: w.winSeq})
-}
-
-// obsLoads builds the cumulative per-LP counters for an obs snapshot
-// (a done frame's Loads are the same counters as deltas).
-func (w *Worker) obsLoads() []partition.Load {
-	wo := w.obs
-	wo.loads = wo.loads[:0]
-	for _, lp := range w.g.LPs() {
-		wo.loads = append(wo.loads, partition.Load{LP: lp.ID, Events: lp.E.Stats().Executed, BusyNs: lp.BusyNs()})
-	}
-	return wo.loads
 }

@@ -18,8 +18,8 @@
 // RunWindow → Flush → Deliver(nil) and nothing ever leaves the process.
 // Results are bit-identical for any worker count, including 1, which
 // is what lets experiment E5 attribute speedups to parallelism alone.
-// What this package adds is the window clock, Run, the observability
-// shell and the snapshot header.
+// What this package adds is the window clock, Run, the wall time of a
+// window and the snapshot header.
 package parsim
 
 import (
@@ -65,21 +65,11 @@ type Federation struct {
 	// here, and Checkpoint records it so a restored federation resumes
 	// at the exact window boundary.
 	clock float64
-	// windowEnd is published to the pool workers by the barrier inside
-	// the group's RunWindow.
-	windowEnd float64
 
-	// observability (EnableObservability); every structure below is
-	// single-writer: per-LP recorders are written only by whichever
-	// worker holds the LP inside a window (the token barrier orders
-	// cross-window handoffs), per-worker recorders/histograms only by
-	// their worker, and windowWall only by the coordinator.
-	obsOn       bool
-	lpRecs      []*obs.Recorder
-	workerRecs  []*obs.Recorder
-	barrierWait []obs.Histogram // per worker: wall ns blocked between windows
-	busy        []obs.Histogram // per worker: wall ns executing LPs per window
-	windowWall  obs.Histogram   // coordinator: wall ns per window incl. delivery
+	// obsOn is EnableObservability: the group records the LPs and the
+	// pool workers, the coordinator's goroutine its own wall time.
+	obsOn      bool
+	windowWall obs.Histogram // wall ns per window incl. delivery
 }
 
 // NewFederation creates n LPs with the given lookahead (the minimum
@@ -125,27 +115,17 @@ func (f *Federation) Windows() uint64 { return f.windows }
 // pool avoids dispatching entirely.
 func (f *Federation) IdleSkips() uint64 { return f.g.IdleSkips() }
 
-// EnableObservability attaches a trace recorder (spanCap spans, ring)
-// and latency histograms to every LP engine, plus a recorder and
-// barrier-wait/busy histograms to every pool worker. It must be called
-// before Run; calling it with tracing already enabled resets the
-// attachments. Observability never perturbs simulation results — the
-// determinism tests run with it on — it only costs wall time.
+// EnableObservability has the group attach a trace recorder (spanCap
+// spans, ring) and latency histograms to every LP engine, plus a
+// recorder and barrier-wait/busy histograms to every pool worker
+// (winsync.Group.EnableObservability), and times every window. It must
+// be called before Run; calling it with tracing already enabled resets
+// the attachments. Observability never perturbs simulation results —
+// the determinism tests run with it on — it only costs wall time.
 func (f *Federation) EnableObservability(spanCap int) {
 	f.obsOn = true
-	f.lpRecs = make([]*obs.Recorder, f.LPs())
-	for i, lp := range f.g.LPs() {
-		f.lpRecs[i] = obs.NewRecorder(spanCap)
-		lp.E.SetObserver(des.Observer{Recorder: f.lpRecs[i], Metrics: &obs.Metrics{}, Track: i})
-	}
-	f.workerRecs = make([]*obs.Recorder, f.workers)
-	for w := range f.workerRecs {
-		f.workerRecs[w] = obs.NewRecorder(spanCap)
-	}
-	f.barrierWait = make([]obs.Histogram, f.workers)
-	f.busy = make([]obs.Histogram, f.workers)
 	f.windowWall.Reset()
-	f.g.Observe = f.observePhases
+	f.g.EnableObservability(spanCap)
 }
 
 // Snapshot is a point-in-time view of federation-level runtime
@@ -186,19 +166,17 @@ func (f *Federation) Snapshot() Snapshot {
 	if !f.obsOn {
 		return s
 	}
-	bw := &obs.Histogram{}
-	for w := range f.barrierWait {
-		bw.Merge(&f.barrierWait[w])
+	wait, busy := f.g.ThreadHistograms()
+	s.BarrierWait = &obs.Histogram{}
+	for w := range wait {
+		s.BarrierWait.Merge(&wait[w])
 	}
-	s.BarrierWait = bw
-	ww := &obs.Histogram{}
-	ww.Merge(&f.windowWall)
-	s.WindowWall = ww
-	total := f.windowWall.Sum()
-	s.Utilization = make([]float64, len(f.busy))
-	for w := range f.busy {
-		if total > 0 {
-			s.Utilization[w] = float64(f.busy[w].Sum()) / float64(total)
+	ww := f.windowWall
+	s.WindowWall = &ww
+	s.Utilization = make([]float64, f.workers)
+	if total := ww.Sum(); total > 0 {
+		for w := range busy {
+			s.Utilization[w] = float64(busy[w].Sum()) / float64(total)
 		}
 	}
 	return s
@@ -209,18 +187,8 @@ func (f *Federation) Snapshot() Snapshot {
 // schedule/cancel marks, worker tracks carry barrier-wait and
 // window-busy spans. Nil when observability is off.
 func (f *Federation) TraceTracks() []obs.Track {
-	if !f.obsOn {
-		return nil
-	}
-	var tracks []obs.Track
-	for i, r := range f.lpRecs {
-		tracks = append(tracks, obs.Track{Name: fmt.Sprintf("lp-%d", i), TID: i, Rec: r})
-	}
-	for w, r := range f.workerRecs {
-		// Worker tids live in a disjoint range above the LP tids.
-		tracks = append(tracks, obs.Track{Name: fmt.Sprintf("worker-%d", w), TID: 1000 + w, Rec: r})
-	}
-	return tracks
+	lps, workers := f.g.Tracks()
+	return append(lps, workers...)
 }
 
 // Run advances every LP to the horizon in lookahead-sized windows.
@@ -248,8 +216,7 @@ func (f *Federation) Run(horizon float64) {
 		if f.obsOn {
 			wallStart = obs.Now()
 		}
-		f.windowEnd = windowEnd
-		f.g.RunWindow(windowEnd)
+		f.g.RunWindow(windowEnd, f.windows)
 		// One group owns every LP: nothing is flushed out of it, and
 		// nothing comes in.
 		f.g.Flush(nil)
@@ -262,29 +229,4 @@ func (f *Federation) Run(horizon float64) {
 			return
 		}
 	}
-}
-
-// observePhases is the pool's per-worker phase hook. The wait phase —
-// from reporting one window's done-token until the next start-token
-// arrives (the window-close barrier, message delivery, and the release
-// of the next window) — is the measurable synchronization cost the
-// paper's C4 discussion attributes to conservative execution. A window
-// the pool runs inline has no barrier (waitStart == busyStart) and
-// records only a busy phase, of worker 0: with one worker that is every
-// window, with more the barrier-wait histogram holds the dispatched
-// windows only, and a wait never spans the inline windows before it.
-func (f *Federation) observePhases(w int, waitStart, busyStart, busyEnd int64) {
-	if waitStart != busyStart {
-		wait := busyStart - waitStart
-		f.barrierWait[w].Observe(wait)
-		f.workerRecs[w].Record(obs.Span{
-			Kind: obs.KindBarrierWait, Track: int32(w), Wall: waitStart, Dur: wait,
-		})
-	}
-	busy := busyEnd - busyStart
-	f.busy[w].Observe(busy)
-	f.workerRecs[w].Record(obs.Span{
-		Kind: obs.KindWindowBusy, Track: int32(w), Wall: busyStart, Dur: busy,
-		Time: f.windowEnd,
-	})
 }

@@ -81,7 +81,7 @@ func TestCorruptOpArgumentPanics(t *testing.T) {
 			t.Fatalf("panic %q, want the corrupt-argument message", msg)
 		}
 	}()
-	g.RunWindow(1)
+	g.RunWindow(1, 1)
 }
 
 // TestStartRequiresHandlers pins that a group does not run with an LP

@@ -17,6 +17,7 @@ type cluster struct {
 	model  *PHOLD
 	groups []*Group
 	end    float64
+	seq    uint64
 }
 
 const (
@@ -26,8 +27,8 @@ const (
 )
 
 // newCluster deals the LPs round-robin to k groups of the given thread
-// count and seeds the model.
-func newCluster(t *testing.T, k, threads int) *cluster {
+// count and seeds the model; spanCap > 0 makes the groups observed.
+func newCluster(t *testing.T, k, threads, spanCap int) *cluster {
 	c := &cluster{t: t, model: &PHOLD{
 		TotalLPs: invLPs, JobsPerLP: 6, RemoteProb: 0.4, Work: 3,
 		DelayFactor: 2, SkewHot: 2, SkewFactor: 3,
@@ -39,6 +40,9 @@ func newCluster(t *testing.T, k, threads int) *cluster {
 		}
 		g := NewGroup(ids, invLPs, invLookahead, invSeed, eventq.KindHeap)
 		g.Install = c.model.Install
+		if spanCap > 0 {
+			g.EnableObservability(spanCap)
+		}
 		for _, lp := range g.LPs() {
 			c.model.Install(lp)
 			c.model.Seed(lp)
@@ -57,11 +61,12 @@ func (c *cluster) run(windows int) {
 	routed := make([][]Event, len(c.groups))
 	for ; windows > 0; windows-- {
 		c.end += invLookahead
+		c.seq++
 		for i := range routed {
 			routed[i] = routed[i][:0]
 		}
 		for _, g := range c.groups {
-			g.RunWindow(c.end)
+			g.RunWindow(c.end, c.seq)
 			for _, ev := range g.Flush(nil) {
 				to := c.owner(ev.To)
 				routed[to] = append(routed[to], ev)
@@ -158,7 +163,7 @@ func (c *cluster) images() (imgs [invLPs][]byte, counts [invLPs]uint64) {
 // another assignment and has an LP migrated under it, twice.
 func TestPartitionInvariance(t *testing.T) {
 	const before, between, after = 7, 5, 9
-	ref := newCluster(t, 1, 1)
+	ref := newCluster(t, 1, 1, 0)
 	ref.run(before + between + after)
 	refImgs, refCounts := ref.images()
 	var sent uint64
@@ -172,7 +177,7 @@ func TestPartitionInvariance(t *testing.T) {
 	for _, k := range []int{1, 2, 3, invLPs} {
 		for _, threads := range []int{1, 2} {
 			t.Run(fmt.Sprintf("groups=%d/threads=%d", k, threads), func(t *testing.T) {
-				c := newCluster(t, k, threads)
+				c := newCluster(t, k, threads, 0)
 				c.run(before)
 				snaps := c.snapshot()
 				layout := fmt.Sprint(c.layout())

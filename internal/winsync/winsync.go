@@ -127,6 +127,11 @@ type LP struct {
 	busyNs    int64
 	busyTotal int64
 	prevExec  uint64
+
+	// rec and met are the engine's observer, nil unless the group is
+	// observed (observe.go).
+	rec *obs.Recorder
+	met *obs.Metrics
 }
 
 // Send schedules an event for LP to, delay after the LP's local now.
@@ -172,9 +177,6 @@ type Group struct {
 	// but no events, those arrive with the LP image. Adoption fails
 	// without it.
 	Install func(lp *LP)
-	// Observe is the pool's per-thread phase hook (pool.SetObserve),
-	// attached by Start.
-	Observe func(thread int, waitStart, busyStart, busyEnd int64)
 	// Timed makes RunWindow time every LP it executes, two clock reads
 	// per busy LP: the load signal behind LoadDeltas and LP.BusyNs.
 	Timed bool
@@ -191,8 +193,10 @@ type Group struct {
 	seed      uint64
 	kind      eventq.Kind
 
-	// end is published to the pool threads by the barrier inside pl.Run.
+	// end and seq, the running window's end and barrier sequence, are
+	// published to the pool threads by the barrier inside pl.Run.
 	end       float64
+	seq       uint64
 	pl        *pool.Pool
 	poolStats pool.Stats // summed over closed pools
 
@@ -203,6 +207,8 @@ type Group struct {
 	unsorted bool
 
 	argBuf []byte // Deliver's op-argument scratch
+
+	obs *observation // nil unless EnableObservability was called
 }
 
 // NewGroup creates the LPs with the given IDs, out of a simulation of
@@ -241,6 +247,9 @@ func (g *Group) newLP(id int) *LP {
 		}
 		lp.OnMessage(ev)
 	})
+	if g.obs != nil {
+		g.obs.attach(lp)
+	}
 	return lp
 }
 
@@ -254,8 +263,14 @@ func (g *Group) insert(lp *LP) {
 	g.ids = slices.Insert(g.ids, pos, lp.ID)
 }
 
-// remove forgets LP id and its share of the inbox.
+// remove forgets LP id and its share of the inbox: the one place an LP
+// leaves the group.
 func (g *Group) remove(id int) {
+	if o, lp := g.obs, g.byID[id]; o != nil {
+		o.dropped += lp.rec.Dropped()
+		o.base.Exec.Merge(&lp.met.Exec)
+		o.base.Dwell.Merge(&lp.met.Dwell)
+	}
 	g.inbox = slices.DeleteFunc(g.inbox, func(ev Event) bool { return ev.To == id })
 	pos, _ := slices.BinarySearch(g.ids, id)
 	g.byID[id] = nil
@@ -300,8 +315,11 @@ func (g *Group) Start(threads int) error {
 		}
 	}
 	g.pl = pool.New(threads, g.runLP)
-	if g.Observe != nil {
-		g.pl.SetObserve(g.Observe)
+	if o := g.obs; o != nil {
+		for len(o.threads) < threads {
+			o.threads = append(o.threads, threadObs{rec: obs.NewRecorder(o.spanCap)})
+		}
+		g.pl.SetObserve(g.observePhases)
 	}
 	return nil
 }
@@ -332,10 +350,11 @@ func (g *Group) PoolStats() pool.Stats {
 
 // RunWindow executes every LP up to end, on the pool (inline on the
 // calling goroutine when the pool has one thread or finds that faster).
-// The pool's barrier publishes end to its threads and everything the
-// LPs wrote back to the caller.
-func (g *Group) RunWindow(end float64) {
-	g.end = end
+// seq is the transport's barrier sequence for the window; it only labels
+// what an observed group records. The pool's barrier publishes both to
+// its threads and everything the LPs wrote back to the caller.
+func (g *Group) RunWindow(end float64, seq uint64) {
+	g.end, g.seq = end, seq
 	g.pl.Run(len(g.order))
 }
 

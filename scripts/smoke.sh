@@ -49,7 +49,7 @@ checkpoint|lssim -sim phold -checkpoint $TMP/phold.ckpt
 checkpoint|lssim -sim phold -resume $TMP/phold.ckpt -verify
 chaos|lssim -sim distphold -horizon 100 -chaos-seed 4 -chaos-drop 0.05 -chaos-reset-at 9,23 -verify
 dist|lssim -sim distphold -horizon 100 -verify
-dist|lssim -sim distphold -horizon 400 -jobs 2 -delay-factor 64 -skip-idle -verify
+dist|lssim -sim distphold -horizon 400 -jobs 2 -delay-factor 64 -verify
 obs|lssim -sim distphold -horizon 100 -workers 4 -chaos-seed 7 -chaos-drop 0.03 -chaos-reset-at 11 -trace $TMP/trace.json -metrics-addr 127.0.0.1:0 -histo -verify
 balance|lssim -sim distphold -horizon 24 -skew-hot 2 -skew 4 -rebalance -rebalance-every 2 -verify
 balance|lssim -sim distphold -horizon 24 -skew-hot 2 -skew 4 -rebalance -rebalance-every 2 -chaos-seed 4 -chaos-reset-at 9,23 -verify
