@@ -43,19 +43,22 @@ race:
 tier1: build test vet race
 
 bench:
-	$(GO) test -bench 'E3|PHOLD|Federation|ScheduleExecute' -benchmem -run '^$$' ./...
+	$(GO) test -bench 'E3|PHOLD|Federation|ScheduleExecute|Hold$$' -benchmem -run '^$$' ./...
 
 # Short fuzz pass over the wire codec, the coordinator's two durable
 # formats (journal replay, cluster checkpoint), its fold of a worker's
 # obs snapshot and the kernel's event codec (op arguments, LP images,
 # frame events): arbitrary bytes must decode to an error or a valid
-# value — never a panic or an absurd allocation.
+# value — never a panic or an absurd allocation. Last, arbitrary
+# push/pop/peek sequences must get from the default FEL exactly what
+# the binary heap it replaced returns.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime 10s ./internal/distsim/
 	$(GO) test -run '^$$' -fuzz FuzzParseJournal -fuzztime 10s ./internal/distsim/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeClusterCheckpoint -fuzztime 10s ./internal/distsim/
 	$(GO) test -run '^$$' -fuzz FuzzClusterObsFold -fuzztime 10s ./internal/distsim/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 10s ./internal/winsync/
+	$(GO) test -run '^$$' -fuzz FuzzHeapAgainstReference -fuzztime 10s ./internal/eventq/
 
 # Go line counts, non-test and test, per internal/* package, for the
 # commands and for the whole module, and the flag registration call

@@ -74,28 +74,47 @@ func BenchmarkE2EventVsTimeDriven(b *testing.B) {
 	}
 }
 
-// BenchmarkE3QueueStructures reproduces claim C2 with the classic hold
-// model: per-operation cost of each future-event-list structure at
-// several pending-event populations. The calendar/ladder O(1)
-// structures overtake the O(log n) heap as n grows; the sorted list
-// degrades fastest.
+// benchHold times the classic hold model (pop the minimum, push it
+// back later) on q at a steady population n: increments drawn
+// beforehand, queue turned over twice before the clock starts, as
+// experiments.holdCost and lsbench's probe do.
+func benchHold(b *testing.B, q eventq.Queue, n int) {
+	src := rng.New(11)
+	var incr [1024]float64
+	for i := range incr {
+		incr[i] = src.Exp(1)
+	}
+	var seq uint64
+	for i := 0; i < n; i++ {
+		seq++
+		q.Push(eventq.Item{Time: src.Exp(1), Seq: seq})
+	}
+	hold := func(ops int) {
+		for i := 0; i < ops; i++ {
+			it, _ := q.Pop()
+			seq++
+			q.Push(eventq.Item{Time: it.Time + incr[i%len(incr)], Seq: seq})
+		}
+	}
+	hold(2 * n)
+	b.ResetTimer()
+	hold(b.N)
+}
+
+// BenchmarkE3QueueStructures reproduces claim C2 with the hold model:
+// per-operation cost of each future-event-list structure at several
+// pending-event populations. The sorted list degrades fastest (and is
+// not run where one insert costs milliseconds); among the rest no
+// structure wins at every n. internal/eventq's BenchmarkHold is the
+// finer-grained sizing tool.
 func BenchmarkE3QueueStructures(b *testing.B) {
 	for _, n := range []int{100, 10000, 100000} {
 		for _, k := range eventq.Kinds() {
+			if k == eventq.KindList && n > 10000 {
+				continue
+			}
 			b.Run(fmt.Sprintf("%s/n=%d", k, n), func(b *testing.B) {
-				q := eventq.New(k)
-				src := rng.New(11)
-				var seq uint64
-				for i := 0; i < n; i++ {
-					seq++
-					q.Push(eventq.Item{Time: src.Exp(1), Seq: seq})
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					it, _ := q.Pop()
-					seq++
-					q.Push(eventq.Item{Time: it.Time + src.Exp(1), Seq: seq})
-				}
+				benchHold(b, eventq.New(k), n)
 			})
 		}
 	}
@@ -107,18 +126,7 @@ func BenchmarkE3aCalendarResize(b *testing.B) {
 		b.Run(fmt.Sprintf("resizable=%v", resizable), func(b *testing.B) {
 			q := eventq.NewCalendar()
 			q.SetResizable(resizable)
-			src := rng.New(11)
-			var seq uint64
-			for i := 0; i < 10000; i++ {
-				seq++
-				q.Push(eventq.Item{Time: src.Exp(1), Seq: seq})
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				it, _ := q.Pop()
-				seq++
-				q.Push(eventq.Item{Time: it.Time + src.Exp(1), Seq: seq})
-			}
+			benchHold(b, q, 10000)
 		})
 	}
 }

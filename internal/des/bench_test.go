@@ -112,3 +112,29 @@ func BenchmarkCancel(b *testing.B) {
 	}
 	e.Run()
 }
+
+// BenchmarkSeqHold is lsbench's `seq-hold` shape on the default
+// engine: 10⁴ events pending, each rescheduling itself U(0,2) ahead,
+// so the FEL's pop and push at depth 10⁴ are most of an iteration.
+// The queue is turned over twice before the clock starts; the last 10⁴
+// iterations drain it, which is nothing once b.N is in the millions.
+func BenchmarkSeqHold(b *testing.B) {
+	const pending = 10_000
+	e := NewEngine(WithSeed(1))
+	src := e.Stream("h")
+	left := 2*pending + b.N
+	var hold func()
+	hold = func() {
+		if left--; left == b.N {
+			b.ResetTimer()
+		}
+		if left >= pending {
+			e.Schedule(src.Float64()*2, hold)
+		}
+	}
+	for i := 0; i < pending; i++ {
+		e.Schedule(src.Float64()*2, hold)
+	}
+	b.ReportAllocs()
+	e.Run()
+}

@@ -111,7 +111,7 @@ func TestResumeBitIdenticalAllKinds(t *testing.T) {
 			}
 
 			var resTrace []traceEntry
-			resE := NewEngine(WithSeed(seed + 1000), WithQueue(kind)) // deliberately different seed: Restore overrides
+			resE := NewEngine(WithSeed(seed+1000), WithQueue(kind)) // deliberately different seed: Restore overrides
 			resE.OnEvent(traceHook(&resTrace))
 			resM := newCkptModel(resE, 1<<40)
 			resM.start(jobs) // initial events must be discarded by Restore

@@ -79,7 +79,7 @@ type Engine struct {
 type Option func(*Engine)
 
 // WithQueue selects the future-event-list implementation.
-// The default is the binary heap.
+// The default is the heap.
 func WithQueue(k eventq.Kind) Option {
 	return func(e *Engine) { e.queueKind = k }
 }

@@ -3,7 +3,7 @@
 //
 // The choice of pending-event structure dominates the runtime of a
 // discrete-event engine once models grow to many simultaneous pending
-// events. This package implements the classic contenders — a binary
+// events. This package implements the classic contenders — a 4-ary
 // heap and a splay tree (O(log n) per operation), a sorted linked list
 // (O(n) insert, O(1) pop), a skip list (expected O(log n)), and two
 // amortized-O(1) multi-list structures, the calendar queue and the
@@ -68,7 +68,7 @@ type Kind string
 
 // The queue kinds implemented by this package.
 const (
-	KindHeap     Kind = "heap"     // binary heap, O(log n)
+	KindHeap     Kind = "heap"     // 4-ary heap, O(log n)
 	KindList     Kind = "list"     // sorted doubly-linked list, O(n) insert
 	KindSkipList Kind = "skiplist" // skip list, expected O(log n)
 	KindSplay    Kind = "splay"    // splay tree, amortized O(log n)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/eventq"
 	"repro/internal/metrics"
 	"repro/internal/parsim"
+	"repro/internal/rng"
 )
 
 // E2EventVsTimeDriven reproduces claim C1: "an event-driven DES is
@@ -65,7 +66,11 @@ func E3QueueShootout(sizes []int, holdOps int) *metrics.Table {
 	for _, n := range sizes {
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, k := range eventq.Kinds() {
-			row = append(row, fmt.Sprintf("%.0f", holdCost(k, n, holdOps)))
+			cell := "-"
+			if ns, ok := e3Cost(k, n, holdOps); ok {
+				cell = fmt.Sprintf("%.0f", ns)
+			}
+			row = append(row, cell)
 		}
 		t.AddRow(row...)
 	}
@@ -80,23 +85,43 @@ func kindNames() []string {
 	return out
 }
 
-// holdCost measures ns/op of the hold model at population n.
-func holdCost(k eventq.Kind, n, ops int) float64 {
-	q := eventq.New(k)
-	e := des.NewEngine(des.WithSeed(11))
-	src := e.Stream("hold")
+// holdCost measures ns per hold (pop the minimum, push it back later)
+// on q at a steady population n. The increments are drawn beforehand
+// and the queue is turned over twice before the clock starts, so the
+// number prices the structure at steady state: not the random source,
+// and not the shape the bulk fill left behind.
+func holdCost(q eventq.Queue, n, ops int) float64 {
+	src := rng.New(11)
+	var incr [1024]float64
+	for i := range incr {
+		incr[i] = src.Exp(1)
+	}
 	var seq uint64
 	for i := 0; i < n; i++ {
 		seq++
 		q.Push(eventq.Item{Time: src.Exp(1), Seq: seq})
 	}
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		it, _ := q.Pop()
-		seq++
-		q.Push(eventq.Item{Time: it.Time + src.Exp(1), Seq: seq})
+	hold := func(ops int) {
+		for i := 0; i < ops; i++ {
+			it, _ := q.Pop()
+			seq++
+			q.Push(eventq.Item{Time: it.Time + incr[i%len(incr)], Seq: seq})
+		}
 	}
+	hold(2 * n)
+	start := time.Now()
+	hold(ops)
 	return float64(time.Since(start).Nanoseconds()) / float64(ops)
+}
+
+// e3Cost is holdCost for a kind, except where the answer is known and
+// costs minutes: the sorted list's O(n) insert is ~2 ms at n = 10⁵, and
+// turning that queue over twice is 2·10⁵ of them.
+func e3Cost(k eventq.Kind, n, ops int) (ns float64, ok bool) {
+	if k == eventq.KindList && n > 10_000 {
+		return 0, false
+	}
+	return holdCost(eventq.New(k), n, ops), true
 }
 
 // E3aCalendarResize is the ablation DESIGN.md calls out: a calendar
@@ -107,30 +132,15 @@ func E3aCalendarResize(sizes []int, holdOps int) *metrics.Table {
 		"E3a. Calendar queue resize ablation (ns per hold operation)",
 		"n", "resizable", "frozen")
 	for _, n := range sizes {
-		resizable := holdCostCalendar(true, n, holdOps)
-		frozen := holdCostCalendar(false, n, holdOps)
-		t.AddRowf(n, resizable, frozen)
+		var cost [2]float64
+		for i, resizable := range []bool{true, false} {
+			q := eventq.NewCalendar()
+			q.SetResizable(resizable)
+			cost[i] = holdCost(q, n, holdOps)
+		}
+		t.AddRowf(n, cost[0], cost[1])
 	}
 	return t
-}
-
-func holdCostCalendar(resizable bool, n, ops int) float64 {
-	q := eventq.NewCalendar()
-	q.SetResizable(resizable)
-	e := des.NewEngine(des.WithSeed(11))
-	src := e.Stream("hold")
-	var seq uint64
-	for i := 0; i < n; i++ {
-		seq++
-		q.Push(eventq.Item{Time: src.Exp(1), Seq: seq})
-	}
-	start := time.Now()
-	for i := 0; i < ops; i++ {
-		it, _ := q.Pop()
-		seq++
-		q.Push(eventq.Item{Time: it.Time + src.Exp(1), Seq: seq})
-	}
-	return float64(time.Since(start).Nanoseconds()) / float64(ops)
 }
 
 // E4ThreadMapping reproduces claim C3: "reusing threads, using

@@ -46,11 +46,9 @@ func WriteSVGReports(dir string, quick bool) ([]string, error) {
 	for _, k := range eventq.Kinds() {
 		s := &metrics.Series{Name: string(k)}
 		for _, n := range sizes {
-			cost := holdCost(k, n, ops)
-			if cost < 1 {
-				cost = 1
+			if cost, ok := e3Cost(k, n, ops); ok {
+				s.Append(float64(n), max(cost, 1))
 			}
-			s.Append(float64(n), cost)
 		}
 		qplot.Add(s)
 	}

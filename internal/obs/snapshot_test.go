@@ -54,10 +54,10 @@ func TestHistogramDeltaRoundTrip(t *testing.T) {
 func TestMergeDeltaRejectsGarbage(t *testing.T) {
 	var h Histogram
 	enc := checkpoint.NewEnc(nil)
-	enc.U64(1) // deltaN
-	enc.U64(0) // deltaSum
-	enc.U64(0) // min
-	enc.U64(0) // max
+	enc.U64(1)  // deltaN
+	enc.U64(0)  // deltaSum
+	enc.U64(0)  // min
+	enc.U64(0)  // max
 	enc.U64(66) // changed buckets: impossible
 	if err := h.MergeDelta(checkpoint.NewDec(enc.Bytes())); err == nil {
 		t.Fatal("oversized changed-bucket count accepted")

@@ -3,7 +3,7 @@
 // Simulation" (Dobre, Pop, Cristea — ICPP 2009).
 //
 // The framework provides a deterministic discrete-event kernel with
-// pluggable future-event-list structures (binary heap, sorted list,
+// pluggable future-event-list structures (4-ary heap, sorted list,
 // skip list, splay tree, calendar queue, ladder queue), a
 // process-oriented layer mapping simulated activities onto goroutines
 // (MONARC-style "active objects"), flow-level and packet-level network
