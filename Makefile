@@ -44,6 +44,7 @@ tier1: build test vet race
 
 bench:
 	$(GO) test -bench 'E3|PHOLD|Federation|ScheduleExecute|Hold$$' -benchmem -run '^$$' ./...
+	$(GO) test -bench 'E7TierStudy/lsbench' -benchmem -run '^$$' .
 
 # Short fuzz pass over the wire codec, the coordinator's two durable
 # formats (journal replay, cluster checkpoint), its fold of a worker's

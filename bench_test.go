@@ -213,7 +213,10 @@ func BenchmarkE6Validation(b *testing.B) {
 }
 
 // BenchmarkE7TierStudy reproduces claim C6: one sweep point of the
-// T0/T1 link-capacity study per sub-benchmark.
+// T0/T1 link-capacity study per sub-benchmark, then the whole sweep at
+// lsbench's tier-study shape (seed 1, six links, 200 runs, 4 000 s),
+// the only one whose saturated links build a backlog. goroutines-left
+// counts goroutines a sweep leaves behind.
 func BenchmarkE7TierStudy(b *testing.B) {
 	for _, gbps := range []float64{2.5, 10, 30} {
 		b.Run(fmt.Sprintf("link=%gGbps", gbps), func(b *testing.B) {
@@ -225,6 +228,17 @@ func BenchmarkE7TierStudy(b *testing.B) {
 			}
 		})
 	}
+	b.Run("lsbench", func(b *testing.B) {
+		links := []float64{0.622, 1.25, 2.5, 10, 30, 40}
+		b.ReportAllocs()
+		before := runtime.NumGoroutine()
+		for i := 0; i < b.N; i++ {
+			if pts := monarc.RunTierStudy(1, links, 200, 4000); len(pts) != len(links) {
+				b.Fatal("missing points")
+			}
+		}
+		b.ReportMetric(float64(runtime.NumGoroutine()-before)/float64(b.N), "goroutines-left/op")
+	})
 }
 
 // BenchmarkE7aGranularity is the network-fidelity ablation: identical

@@ -238,6 +238,15 @@ func (e *Engine) ScheduleNamed(label string, delay float64, fn func()) Timer {
 	return e.at(e.now+delay, label, fn)
 }
 
+// Hop returns a completion callback that runs k in its own zero-delay
+// event. A process blocked on a completion pays that hop (Activate)
+// before it resumes, so a continuation form wraps the completion
+// callback of an event-style API with Hop to run k in exactly the event
+// where the blocked process would have resumed.
+func (e *Engine) Hop(k func()) func() {
+	return func() { e.ScheduleNamed("hop", 0, k) }
+}
+
 // At runs fn at absolute simulation time t, which must not precede the
 // current time.
 func (e *Engine) At(t float64, fn func()) Timer {

@@ -13,6 +13,12 @@ import "fmt"
 // sequential simulations remain fully deterministic while models are
 // written as straight-line code with Hold/Acquire/Recv blocking calls.
 //
+// That costs a goroutine, two channels and a handover per block.
+// Models with many short-lived jobs (the MONARC tier model) use the
+// continuation forms of the same primitives instead — AcquireThen,
+// Schedule for a hold — which run the rest of the job as a callback in
+// exactly the event where a blocked process would resume (see Await).
+//
 // All Process methods must be called from simulation context (from the
 // process's own body, another process body, or an event handler) —
 // never from outside Run.
@@ -186,6 +192,42 @@ func (p *Process) wake(tok uint64) {
 func (p *Process) Activate() {
 	tok := p.blockToken
 	p.e.ScheduleNamed(p.activateLabel, 0, func() { p.wake(tok) })
+}
+
+// Await blocks the process on an event-driven operation: start begins
+// it and must arrange for resume to be called once, when it completes.
+// Every blocking primitive is written this way over its continuation
+// form (Resource.AcquireThen, the resources and netsim Then forms), so
+// each primitive's logic exists once.
+//
+// A resume called before start returns means the operation completed
+// synchronously and Await returns without blocking. A resume from a
+// later event hands control to the process inside that event; it adds
+// no event of its own, so a process and a continuation waiting on the
+// same operation resume in the same event. Repeated resumes are no-ops,
+// as is a resume after Kill.
+//
+// Activate and Interrupt do not end an Await early: the process parks
+// again until resume. In particular an interrupted process no longer
+// cuts a disk, tape or database hold short, as it did when those were
+// written over Hold; nothing outside tests interrupts one.
+func (p *Process) Await(start func(resume func())) {
+	p.blockToken++
+	tok := p.blockToken
+	done := false
+	start(func() {
+		if done {
+			return
+		}
+		done = true
+		if p.state == procBlocked && tok == p.blockToken {
+			p.resumeNow()
+		}
+	})
+	for !done {
+		p.suspend()
+	}
+	p.interrupt = false
 }
 
 // Interrupt breaks the process out of its current Hold or Passivate at

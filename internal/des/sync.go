@@ -4,14 +4,14 @@ import "fmt"
 
 // Resource is a counted, FIFO-fair simulated resource (CPU slots, disk
 // channels, tape drives, network tokens). Processes Acquire units and
-// block when none are free; Release hands freed units to waiters in
-// arrival order.
+// block when none are free, continuations AcquireThen; Release hands
+// freed units to both kinds of waiter in one arrival order.
 type Resource struct {
 	e        *Engine
 	name     string
 	capacity int
 	inUse    int
-	waiters  []*resWaiter
+	waiters  []resWaiter
 
 	// utilization accounting (time-weighted)
 	lastChange float64
@@ -19,9 +19,8 @@ type Resource struct {
 }
 
 type resWaiter struct {
-	p       *Process
-	n       int
-	granted bool
+	n    int
+	then func()
 }
 
 // NewResource creates a resource with the given capacity (> 0).
@@ -41,7 +40,7 @@ func (r *Resource) Capacity() int { return r.capacity }
 // InUse returns the number of units currently held.
 func (r *Resource) InUse() int { return r.inUse }
 
-// QueueLen returns the number of processes waiting to acquire.
+// QueueLen returns the number of requests waiting to acquire.
 func (r *Resource) QueueLen() int { return len(r.waiters) }
 
 func (r *Resource) account() {
@@ -61,23 +60,27 @@ func (r *Resource) Utilization() float64 {
 }
 
 // Acquire blocks the process until n units are available, then takes
-// them. Requests are served strictly FIFO (no overtaking, even when a
-// smaller later request would fit). It panics if n exceeds capacity —
-// such a request could never succeed.
+// them. It is the blocking form of AcquireThen.
 func (r *Resource) Acquire(p *Process, n int) {
+	p.Await(func(resume func()) { r.AcquireThen(n, resume) })
+}
+
+// AcquireThen takes n units and runs then: at once when they are free
+// and nobody waits, otherwise in a zero-delay event scheduled by the
+// Release that grants them. Requests are served strictly FIFO (no
+// overtaking, even when a smaller later request would fit). It panics
+// if n exceeds capacity — such a request could never succeed.
+func (r *Resource) AcquireThen(n int, then func()) {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("des: Acquire(%d) on %q with capacity %d", n, r.name, r.capacity))
 	}
 	if len(r.waiters) == 0 && r.capacity-r.inUse >= n {
 		r.account()
 		r.inUse += n
+		then()
 		return
 	}
-	w := &resWaiter{p: p, n: n}
-	r.waiters = append(r.waiters, w)
-	for !w.granted {
-		p.Passivate()
-	}
+	r.waiters = append(r.waiters, resWaiter{n: n, then: then})
 }
 
 // TryAcquire takes n units if immediately available, without blocking.
@@ -106,11 +109,11 @@ func (r *Resource) Release(n int) {
 		if r.capacity-r.inUse < w.n {
 			break
 		}
+		r.waiters[0] = resWaiter{}
 		r.waiters = r.waiters[1:]
 		r.account()
 		r.inUse += w.n
-		w.granted = true
-		w.p.Activate()
+		r.e.ScheduleNamed(r.name, 0, w.then)
 	}
 }
 

@@ -125,16 +125,14 @@ func (n *Network) Transfer(src, dst *Node, bytes float64, done func()) {
 	})
 }
 
-// Send implements Fabric: the blocking form for simulated processes.
+// Send implements Fabric.
 func (n *Network) Send(p *des.Process, src, dst *Node, bytes float64) {
-	doneCh := false
-	n.Transfer(src, dst, bytes, func() {
-		doneCh = true
-		p.Activate()
-	})
-	for !doneCh {
-		p.Passivate()
-	}
+	send(p, n, src, dst, bytes)
+}
+
+// SendThen implements Fabric.
+func (n *Network) SendThen(src, dst *Node, bytes float64, then func()) {
+	n.Transfer(src, dst, bytes, n.e.Hop(then))
 }
 
 // advance charges every active flow for the bytes moved since the last
@@ -197,6 +195,17 @@ func (n *Network) rebalance() {
 			}
 		}
 		if bottleneck == nil {
+			break
+		}
+		if bottleneck.unfixed == unfixed {
+			// Every flow still unfixed crosses the bottleneck: this pass
+			// fixes them all and its residual updates are never read,
+			// so set the rates and end the fill.
+			for _, f := range n.flows {
+				if !f.fixed {
+					f.rate = best
+				}
+			}
 			break
 		}
 		// Fix every unfixed flow crossing the bottleneck at the share.

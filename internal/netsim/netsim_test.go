@@ -63,6 +63,29 @@ func TestRouteShortestPath(t *testing.T) {
 	}
 }
 
+// A route is built once per pair and shared until the routes are
+// recomputed; a new link shows after recomputing, and appending to a
+// returned route never writes into the shared one.
+func TestRouteCachedUntilRecompute(t *testing.T) {
+	topo, nodes := line(4, 100, 0.01)
+	r := topo.Route(nodes[0], nodes[3])
+	if again := topo.Route(nodes[0], nodes[3]); &again[0] != &r[0] {
+		t.Fatal("second Route built a new path")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { topo.Route(nodes[0], nodes[3]) }); allocs != 0 {
+		t.Fatalf("cached Route allocates %v times", allocs)
+	}
+	_ = append(r, r[0])
+	if again := topo.Route(nodes[0], nodes[3]); len(again) != 3 || cap(again) != 3 {
+		t.Fatalf("cached route changed by a caller's append: len %d cap %d", len(again), cap(again))
+	}
+	topo.Connect(nodes[0], nodes[3], 100, 0.01)
+	topo.ComputeRoutes()
+	if r := topo.Route(nodes[0], nodes[3]); len(r) != 1 {
+		t.Fatalf("route after recompute has %d hops, want 1", len(r))
+	}
+}
+
 func TestConnectValidation(t *testing.T) {
 	topo := NewTopology()
 	a := topo.AddNode("a")

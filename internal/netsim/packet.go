@@ -104,14 +104,12 @@ func (pn *PacketNet) Transfer(src, dst *Node, bytes float64, done func()) {
 
 // Send implements Fabric.
 func (pn *PacketNet) Send(p *des.Process, src, dst *Node, bytes float64) {
-	finished := false
-	pn.Transfer(src, dst, bytes, func() {
-		finished = true
-		p.Activate()
-	})
-	for !finished {
-		p.Passivate()
-	}
+	send(p, pn, src, dst, bytes)
+}
+
+// SendThen implements Fabric.
+func (pn *PacketNet) SendThen(src, dst *Node, bytes float64, then func()) {
+	pn.Transfer(src, dst, bytes, pn.e.Hop(then))
 }
 
 func (pn *PacketNet) queueFor(l *Link) *linkQueue {

@@ -77,7 +77,9 @@ type Topology struct {
 	// nextLink[src][dst] is the first directed link on the shortest
 	// path src→dst, nil when unreachable or src == dst.
 	nextLink [][]*Link
-	routed   bool
+	// paths[src][dst] caches Route's answer, filled on first use.
+	paths  [][][]*Link
+	routed bool
 
 	fillEpoch uint64 // Network.rebalance passes so far, over all networks
 }
@@ -126,6 +128,7 @@ func (t *Topology) Connect(a, b *Node, bps, latency float64) (*Link, *Link) {
 func (t *Topology) ComputeRoutes() {
 	n := len(t.nodes)
 	t.nextLink = make([][]*Link, n)
+	t.paths = make([][][]*Link, n)
 	for src := 0; src < n; src++ {
 		t.nextLink[src] = make([]*Link, n)
 		// BFS over hops from src; record the first link taken.
@@ -159,13 +162,22 @@ func (t *Topology) ComputeRoutes() {
 
 // Route returns the directed links on the shortest path src→dst.
 // It returns nil when dst is unreachable, and an empty path when
-// src == dst.
+// src == dst. The path is built once per pair and shared by every
+// caller until ComputeRoutes runs again, so callers must not modify it.
 func (t *Topology) Route(src, dst *Node) []*Link {
 	if !t.routed {
 		t.ComputeRoutes()
 	}
 	if src == dst {
 		return []*Link{}
+	}
+	row := t.paths[src.ID]
+	if row == nil {
+		row = make([][]*Link, len(t.nodes))
+		t.paths[src.ID] = row
+	}
+	if path := row[dst.ID]; path != nil {
+		return path
 	}
 	var path []*Link
 	cur := src
@@ -182,7 +194,8 @@ func (t *Topology) Route(src, dst *Node) []*Link {
 			panic("netsim: routing loop")
 		}
 	}
-	return path
+	row[dst.ID] = path[:len(path):len(path)] // an append copies, never writes into the cache
+	return row[dst.ID]
 }
 
 // PathLatency returns the summed one-way latency along src→dst, or -1
@@ -206,8 +219,17 @@ type Fabric interface {
 	// Transfer moves bytes from src to dst, invoking done with the
 	// completion time. It panics when dst is unreachable.
 	Transfer(src, dst *Node, bytes float64, done func())
+	// SendThen is the continuation form of Send: then runs in a
+	// zero-delay event after the transfer completes, where a process
+	// blocked in Send would resume.
+	SendThen(src, dst *Node, bytes float64, then func())
 	// Send blocks the calling process until the transfer completes.
 	Send(p *des.Process, src, dst *Node, bytes float64)
 	// Topo exposes the underlying topology.
 	Topo() *Topology
+}
+
+// send is Fabric.Send for both fabrics: the blocking form of SendThen.
+func send(p *des.Process, f Fabric, src, dst *Node, bytes float64) {
+	p.Await(func(resume func()) { f.SendThen(src, dst, bytes, resume) })
 }

@@ -157,17 +157,32 @@ func (sys *System) nearestHolder(name string, site *topology.Site) *topology.Sit
 // the site, blocking the process for all induced disk and network
 // time. It returns ErrNoReplica when the file exists nowhere.
 func (sys *System) Access(p *des.Process, site *topology.Site, name string) error {
+	var err error
+	p.Await(func(resume func()) {
+		if err = sys.AccessThen(site, name, resume); err != nil {
+			resume()
+		}
+	})
+	return err
+}
+
+// AccessThen is the continuation form of Access: then runs in the event
+// where a process blocked in Access would resume. A missing file is
+// known before any simulated time passes, so it is returned at once and
+// then never runs.
+func (sys *System) AccessThen(site *topology.Site, name string, then func()) error {
 	f := sys.catalog.File(name)
 	if f == nil {
 		return fmt.Errorf("%w: %q undefined", ErrNoReplica, name)
 	}
 	st := sys.bySite[site]
-	now := sys.e.Now()
 	if st != nil && st.Has(name) {
-		st.touch(name, now)
-		site.Disk.Read(p, f.Bytes)
-		sys.LocalHits++
-		sys.recordServed(site, f)
+		st.touch(name, sys.e.Now())
+		site.Disk.ReadThen(f.Bytes, func() {
+			sys.LocalHits++
+			sys.recordServed(site, f)
+			then()
+		})
 		return nil
 	}
 	holder := sys.nearestHolder(name, site)
@@ -175,23 +190,42 @@ func (sys *System) Access(p *des.Process, site *topology.Site, name string) erro
 		return fmt.Errorf("%w: %q", ErrNoReplica, name)
 	}
 	// Read at the holder, ship over the WAN.
-	holder.Disk.Read(p, f.Bytes)
-	sys.fabric.Send(p, holder.Net, site.Net, f.Bytes)
-	sys.WANBytes += f.Bytes
-	sys.recordServed(holder, f)
-	mode := sys.mode[site]
-	if mode == ModePull && st != nil {
-		newValue := 1.0
-		if st.admit(f, sys.e.Now(), newValue, false, func(victim string) {
-			sys.catalog.RemoveReplica(victim, site)
-		}) {
-			site.Disk.Write(p, f.Bytes)
-			sys.catalog.AddReplica(name, site)
-			sys.Pulls++
-		}
-	}
-	sys.RemoteReads++
+	holder.Disk.ReadThen(f.Bytes, func() {
+		sys.fabric.SendThen(holder.Net, site.Net, f.Bytes, func() {
+			sys.WANBytes += f.Bytes
+			sys.recordServed(holder, f)
+			done := func(pulled bool) {
+				if pulled {
+					sys.Pulls++
+				}
+				sys.RemoteReads++
+				then()
+			}
+			if sys.mode[site] == ModePull && st != nil {
+				sys.storeThen(st, f, done)
+				return
+			}
+			done(false)
+		})
+	})
 	return nil
+}
+
+// storeThen admits f to st (evicting by its policy) and, when admitted,
+// writes it to the site's disk and adds the replica to the catalog.
+// then runs with the outcome: after the write, or at once on refusal.
+func (sys *System) storeThen(st *Store, f *File, then func(stored bool)) {
+	site := st.Site
+	if !st.admit(f, sys.e.Now(), 1.0, false, func(victim string) {
+		sys.catalog.RemoveReplica(victim, site)
+	}) {
+		then(false)
+		return
+	}
+	site.Disk.WriteThen(f.Bytes, func() {
+		sys.catalog.AddReplica(f.Name, site)
+		then(true)
+	})
 }
 
 // recordServed counts an access served by holder and, in push mode,
@@ -240,20 +274,20 @@ func (sys *System) pushReplicas(holder *topology.Site, f *File) {
 		}
 		cands[i], cands[best] = cands[best], cands[i]
 		target := cands[i].st
-		sys.e.Spawn(fmt.Sprintf("push:%s->%s", f.Name, target.Site.Name), func(p *des.Process) {
-			holder.Disk.Read(p, f.Bytes)
-			sys.fabric.Send(p, holder.Net, target.Site.Net, f.Bytes)
-			sys.WANBytes += f.Bytes
-			if target.Has(f.Name) {
-				return
-			}
-			if target.admit(f, p.Now(), 1.0, false, func(victim string) {
-				sys.catalog.RemoveReplica(victim, target.Site)
-			}) {
-				target.Site.Disk.Write(p, f.Bytes)
-				sys.catalog.AddReplica(f.Name, target.Site)
-				sys.Pushes++
-			}
+		sys.e.ScheduleNamed("push", 0, func() {
+			holder.Disk.ReadThen(f.Bytes, func() {
+				sys.fabric.SendThen(holder.Net, target.Site.Net, f.Bytes, func() {
+					sys.WANBytes += f.Bytes
+					if target.Has(f.Name) {
+						return
+					}
+					sys.storeThen(target, f, func(stored bool) {
+						if stored {
+							sys.Pushes++
+						}
+					})
+				})
+			})
 		})
 	}
 }
@@ -280,32 +314,38 @@ func (sys *System) NewAgent(source *topology.Site, subscribers []*topology.Site)
 }
 
 // Produce registers the file at the source (master copy) and ships a
-// replica to every subscriber asynchronously.
+// replica to every subscriber asynchronously: each shipment starts in
+// its own event, crosses the fabric and is stored if the subscriber's
+// store admits it.
 func (a *Agent) Produce(f *File) {
 	a.sys.Place(f, a.source)
 	produced := a.sys.e.Now()
 	for _, sub := range a.subscribers {
 		sub := sub
 		a.Backlog++
-		a.sys.e.Spawn(fmt.Sprintf("agent:%s->%s", f.Name, sub.Name), func(p *des.Process) {
-			a.sys.fabric.Send(p, a.source.Net, sub.Net, f.Bytes)
-			a.sys.WANBytes += f.Bytes
-			st := a.sys.bySite[sub]
-			if st != nil && st.admit(f, p.Now(), 1.0, false, func(victim string) {
-				a.sys.catalog.RemoveReplica(victim, sub)
-			}) {
-				sub.Disk.Write(p, f.Bytes)
-				a.sys.catalog.AddReplica(f.Name, sub)
-			}
-			a.Backlog--
-			a.Shipped++
-			delay := p.Now() - produced
-			if delay > a.MaxDelay {
-				a.MaxDelay = delay
-			}
-			a.lastDone = p.Now()
+		a.sys.e.ScheduleNamed("agent", 0, func() {
+			a.sys.fabric.SendThen(a.source.Net, sub.Net, f.Bytes, func() {
+				a.sys.WANBytes += f.Bytes
+				if st := a.sys.bySite[sub]; st != nil {
+					a.sys.storeThen(st, f, func(bool) { a.delivered(produced) })
+					return
+				}
+				a.delivered(produced)
+			})
 		})
 	}
+}
+
+// delivered books one finished shipment of a file produced at time
+// produced.
+func (a *Agent) delivered(produced float64) {
+	now := a.sys.e.Now()
+	a.Backlog--
+	a.Shipped++
+	if delay := now - produced; delay > a.MaxDelay {
+		a.MaxDelay = delay
+	}
+	a.lastDone = now
 }
 
 // LastDelivery returns the completion time of the latest delivery.

@@ -132,23 +132,27 @@ func (c *CPU) Utilization() float64 {
 	return area / (float64(c.cores) * now)
 }
 
-// Execute runs a compute demand of ops operations, invoking done on
-// completion. It is the event-style API; Run is the blocking form.
+// Execute runs a compute demand of ops operations, invoking done in
+// the event that completes it. RunThen and Run add the hop a process
+// pays to resume.
 func (c *CPU) Execute(ops float64, done func()) {
 	if ops < 0 {
 		panic(fmt.Sprintf("resources: Execute(%v ops)", ops))
 	}
 	switch c.mode {
 	case SpaceShared:
-		// Run a hidden process to queue FCFS on the core slots.
-		c.e.Spawn(c.name+":task", func(p *des.Process) {
-			c.slots.Acquire(p, 1)
-			p.Hold(ops / c.speed)
-			c.slots.Release(1)
-			c.completed++
-			if done != nil {
-				done()
-			}
+		// The task starts in its own event, then queues FCFS on the
+		// core slots and holds one for ops/speed.
+		c.e.ScheduleNamed(c.name, 0, func() {
+			c.slots.AcquireThen(1, func() {
+				c.e.ScheduleNamed(c.endLabel, ops/c.speed, func() {
+					c.slots.Release(1)
+					c.completed++
+					if done != nil {
+						done()
+					}
+				})
+			})
 		})
 	case TimeShared:
 		c.advance()
@@ -160,14 +164,14 @@ func (c *CPU) Execute(ops float64, done func()) {
 
 // Run blocks the calling process for the task's duration.
 func (c *CPU) Run(p *des.Process, ops float64) {
-	finished := false
-	c.Execute(ops, func() {
-		finished = true
-		p.Activate()
-	})
-	for !finished {
-		p.Passivate()
-	}
+	p.Await(func(resume func()) { c.RunThen(ops, resume) })
+}
+
+// RunThen is the continuation form of Run: then runs in a zero-delay
+// event after the task completes, where a process blocked in Run would
+// resume.
+func (c *CPU) RunThen(ops float64, then func()) {
+	c.Execute(ops, c.e.Hop(then))
 }
 
 // advance charges running time-shared tasks for elapsed progress.

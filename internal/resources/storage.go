@@ -89,62 +89,61 @@ func (d *Disk) Release(bytes float64) {
 
 // Read blocks the process for seek + bytes/bps on one I/O channel.
 func (d *Disk) Read(p *des.Process, bytes float64) {
-	d.io(p, bytes)
-	d.reads++
-	d.bytesRead += bytes
+	p.Await(func(resume func()) { d.ReadThen(bytes, resume) })
 }
 
 // Write blocks the process for seek + bytes/bps on one I/O channel.
 // Write does not allocate space; pair it with Allocate when modeling
 // placement.
 func (d *Disk) Write(p *des.Process, bytes float64) {
-	d.io(p, bytes)
-	d.writes++
-	d.bytesWritten += bytes
+	p.Await(func(resume func()) { d.WriteThen(bytes, resume) })
 }
 
-func (d *Disk) io(p *des.Process, bytes float64) {
+// ReadThen is the continuation form of Read: it takes a channel, holds
+// it for seek + bytes/bps and runs then in the event that ends the
+// hold, after the channel is released and the read counted.
+func (d *Disk) ReadThen(bytes float64, then func()) {
+	d.io(bytes, func() {
+		d.reads++
+		d.bytesRead += bytes
+		then()
+	})
+}
+
+// WriteThen is the continuation form of Write.
+func (d *Disk) WriteThen(bytes float64, then func()) {
+	d.io(bytes, func() {
+		d.writes++
+		d.bytesWritten += bytes
+		then()
+	})
+}
+
+func (d *Disk) io(bytes float64, then func()) {
 	if bytes < 0 {
 		panic("resources: negative I/O size")
 	}
-	d.channels.Acquire(p, 1)
-	p.Hold(d.seek + bytes/d.bps)
-	d.channels.Release(1)
+	d.channels.AcquireThen(1, func() {
+		d.e.ScheduleNamed(d.name, d.seek+bytes/d.bps, func() {
+			d.channels.Release(1)
+			then()
+		})
+	})
 }
 
 // MassStorage models a tape archive: very large capacity, a small
 // number of drives, a long mount latency and sequential bandwidth. It
-// is the tertiary tier of a MONARC regional centre.
+// is the tertiary tier of a MONARC regional centre: a Disk whose drives
+// are its channels and whose per-operation latency is the mount.
 type MassStorage struct {
 	*Disk
-	mount float64 // tape mount/position latency per operation
 }
 
 // NewMassStorage creates a tape store; mount is the per-operation
-// mount+position latency (seconds), added on top of the Disk seek.
+// mount+position latency (seconds). Reads and writes block for
+// mount + bytes/bps on one drive.
 func NewMassStorage(e *des.Engine, name string, capacity, bps, mount float64, drives int) *MassStorage {
-	return &MassStorage{
-		Disk:  NewDisk(e, name, capacity, bps, 0, drives),
-		mount: mount,
-	}
-}
-
-// Read blocks for mount + bytes/bps on one drive.
-func (m *MassStorage) Read(p *des.Process, bytes float64) {
-	m.channels.Acquire(p, 1)
-	p.Hold(m.mount + bytes/m.bps)
-	m.channels.Release(1)
-	m.reads++
-	m.bytesRead += bytes
-}
-
-// Write blocks for mount + bytes/bps on one drive.
-func (m *MassStorage) Write(p *des.Process, bytes float64) {
-	m.channels.Acquire(p, 1)
-	p.Hold(m.mount + bytes/m.bps)
-	m.channels.Release(1)
-	m.writes++
-	m.bytesWritten += bytes
+	return &MassStorage{Disk: NewDisk(e, name, capacity, bps, mount, drives)}
 }
 
 // Database models a database server in the MONARC sense: clients issue
@@ -188,12 +187,23 @@ func (db *Database) Utilization() float64 { return db.workers.Utilization() }
 // Query blocks the process while the database serves a request that
 // touches the given number of bytes.
 func (db *Database) Query(p *des.Process, bytes float64) {
+	p.Await(func(resume func()) { db.QueryThen(bytes, resume) })
+}
+
+// QueryThen is the continuation form of Query: a worker for the fixed
+// overhead, then a read of bytes from the backing disk; then runs in
+// the event that ends the read.
+func (db *Database) QueryThen(bytes float64, then func()) {
 	if bytes < 0 {
 		panic("resources: negative query size")
 	}
-	db.workers.Acquire(p, 1)
-	p.Hold(db.queryOH)
-	db.workers.Release(1)
-	db.disk.Read(p, bytes)
-	db.queries++
+	db.workers.AcquireThen(1, func() {
+		db.e.ScheduleNamed(db.name, db.queryOH, func() {
+			db.workers.Release(1)
+			db.disk.ReadThen(bytes, func() {
+				db.queries++
+				then()
+			})
+		})
+	})
 }

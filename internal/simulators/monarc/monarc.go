@@ -8,11 +8,15 @@
 // map the specific behavior of distributed data processing into the
 // simulation program."
 //
-// The personality therefore leans on the framework's Process layer:
-// regional centres with CPU farms, database servers and mass storage;
-// "Activity" objects generating data-processing jobs; a Job Scheduler
-// dispatching them onto CPU units; and the data replication agent of
-// the Legrand et al. (2005) T0/T1 study, reproduced by RunTierStudy.
+// The personality models regional centres with CPU farms, database
+// servers and mass storage; "Activity" objects generating
+// data-processing jobs; a Job Scheduler dispatching them onto CPU
+// units; and the data replication agent of the Legrand et al. (2005)
+// T0/T1 study, reproduced by RunTierStudy. MONARC 2 multiplexes its
+// many short jobs onto a few threads; here each job is an event chain
+// over the continuation forms of the resources (QueryThen, AccessThen,
+// RunThen, WriteThen), run on the engine's goroutine alone, in the
+// same events a process per job would have used.
 package monarc
 
 import (
@@ -112,8 +116,9 @@ func Run(cfg Config) Result {
 	e, grid, sys, agent, recoCluster := build(cfg)
 	src := e.Stream("monarc")
 
-	var recoTime, anaTime metrics.Summary
-	var recoJobs, anaJobs uint64
+	var recoTime metrics.Summary
+	var recoJobs uint64
+	var ana analysisJobs
 
 	// RAW production activity at T0: each run produces a RAW file,
 	// the agent ships it to every T1, and a reconstruction job is
@@ -126,10 +131,10 @@ func Run(cfg Config) Result {
 		recoCluster.Submit(job, func(j *scheduler.Job) {
 			recoJobs++
 			recoTime.Observe(j.ResponseTime())
-			// Archive the derived ESD to mass storage via an active
-			// object — tape drives serialize.
-			e.Spawn(fmt.Sprintf("archive%04d", j.ID), func(p *des.Process) {
-				t0.Tape.Write(p, cfg.LHC.ESDBytes)
+			// Archive the derived ESD to mass storage as a job of its
+			// own, starting in its own event — tape drives serialize.
+			e.ScheduleNamed("archive", 0, func() {
+				t0.Tape.WriteThen(cfg.LHC.ESDBytes, nop)
 			})
 		})
 	})
@@ -150,20 +155,7 @@ func Run(cfg Config) Result {
 			if produced == 0 {
 				return
 			}
-			file := workload.LHCFile(workload.RAW, src.Intn(produced))
-			start := e.Now()
-			e.Spawn(fmt.Sprintf("ana%04d", i), func(p *des.Process) {
-				t1.DB.Query(p, 1e6) // metadata lookup
-				if err := sys.Access(p, t1, file); err != nil {
-					// Data not yet replicated here: the access fell
-					// back to the T0 master over the WAN, which is
-					// the modeled behavior; a true miss is a bug.
-					panic(err)
-				}
-				t1.CPU.Run(p, cfg.LHC.AnaOps())
-				anaJobs++
-				anaTime.Observe(p.Now() - start)
-			})
+			ana.start(e, sys, t1, workload.LHCFile(workload.RAW, src.Intn(produced)), cfg.LHC.AnaOps())
 		},
 	}
 	analysis.Start(e)
@@ -186,14 +178,45 @@ func Run(cfg Config) Result {
 		AgentBacklog:  agent.Backlog,
 		AgentMaxDelay: agent.MaxDelay,
 		RecoJobs:      recoJobs,
-		AnalysisJobs:  anaJobs,
+		AnalysisJobs:  ana.done,
 		MeanRecoTime:  recoTime.Mean(),
-		MeanAnaTime:   anaTime.Mean(),
+		MeanAnaTime:   ana.time.Mean(),
 		T0Utilization: recoCluster.Utilization(),
 		WANBytes:      sys.WANBytes,
 		End:           e.Now(),
 		DBQueries:     dbq,
 	}
+}
+
+// nop continues a job whose last step has nothing after it.
+func nop() {}
+
+// analysisJobs starts and tallies analysis jobs; Run's stochastic
+// activity and ReplayMonitoring's captured submissions share it.
+type analysisJobs struct {
+	done uint64
+	time metrics.Summary // response time, submission to CPU done
+}
+
+// start submits one analysis job at a T1 centre. In its own event it
+// queries the local DB for metadata, accesses the file and burns ops of
+// CPU. A file not yet replicated at the centre is read from the T0
+// master over the WAN, which is the modeled behavior; a true miss is a
+// bug.
+func (a *analysisJobs) start(e *des.Engine, sys *replication.System, t1 *topology.Site, file string, ops float64) {
+	submitted := e.Now()
+	e.ScheduleNamed("analysis", 0, func() {
+		t1.DB.QueryThen(1e6, func() {
+			if err := sys.AccessThen(t1, file, func() {
+				t1.CPU.RunThen(ops, func() {
+					a.done++
+					a.time.Observe(e.Now() - submitted)
+				})
+			}); err != nil {
+				panic(err)
+			}
+		})
+	})
 }
 
 // build wires the tier grid, network, replication system and T0
@@ -269,7 +292,11 @@ func RunTierStudy(seed uint64, linkGbps []float64, runs int, horizon float64) []
 		cfg.SharedUplink = true
 		cfg.T0T1Bps = gbps * 1e9 / 8
 		cfg.Runs = runs
-		cfg.AnalysisJobs = 0 // isolate the replication traffic
+		// MaxJobs 0 means no cap: every point also runs the analysis
+		// activity to the horizon, and below 10 Gbps its remote reads
+		// share the saturated uplink with the agent. Isolating the
+		// replication traffic would move every recorded digest.
+		cfg.AnalysisJobs = 0
 		cfg.T2PerT1 = 0
 		cfg.Horizon = horizon
 		// Production-era data taking: a 2 GB RAW file every ~10 s is a

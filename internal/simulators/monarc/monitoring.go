@@ -1,10 +1,6 @@
 package monarc
 
 import (
-	"fmt"
-
-	"repro/internal/des"
-	"repro/internal/metrics"
 	"repro/internal/monitoring"
 	"repro/internal/replication"
 	"repro/internal/topology"
@@ -51,8 +47,7 @@ func ReplayMonitoring(cfg Config, records []monitoring.Record) (MonitoringResult
 		t1ByName[s.Name] = s
 	}
 
-	var anaTime metrics.Summary
-	var anaJobs uint64
+	var ana analysisJobs
 	applied := 0
 	src := e.Stream("replay")
 	err := monitoring.Replay(e, records, func(r monitoring.Record) {
@@ -70,17 +65,7 @@ func ReplayMonitoring(cfg Config, records []monitoring.Record) (MonitoringResult
 			if produced == 0 {
 				continue
 			}
-			file := workload.LHCFile(workload.RAW, src.Intn(produced))
-			start := e.Now()
-			e.Spawn(fmt.Sprintf("replay-ana-%d", anaJobs), func(p *des.Process) {
-				t1.DB.Query(p, 1e6)
-				if err := sys.Access(p, t1, file); err != nil {
-					panic(err)
-				}
-				t1.CPU.Run(p, cfg.LHC.AnaOps())
-				anaJobs++
-				anaTime.Observe(p.Now() - start)
-			})
+			ana.start(e, sys, t1, workload.LHCFile(workload.RAW, src.Intn(produced)), cfg.LHC.AnaOps())
 		}
 	})
 	if err != nil {
@@ -99,8 +84,8 @@ func ReplayMonitoring(cfg Config, records []monitoring.Record) (MonitoringResult
 	}
 	return MonitoringResult{
 		RecordsApplied: applied,
-		AnalysisJobs:   anaJobs,
-		MeanAnaTime:    anaTime.Mean(),
+		AnalysisJobs:   ana.done,
+		MeanAnaTime:    ana.time.Mean(),
 		DBQueries:      dbq,
 	}, nil
 }

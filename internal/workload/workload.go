@@ -16,7 +16,9 @@ import (
 
 // Activity is an open arrival process: it emits jobs with stochastic
 // interarrival times until a count or time limit is reached. It is
-// the framework's "Activity object" in the MONARC sense.
+// the framework's "Activity object" in the MONARC sense, run as an
+// event chain: each arrival is one event that emits and schedules the
+// next.
 type Activity struct {
 	Name string
 	// Interarrival draws the next gap (seconds).
@@ -29,6 +31,7 @@ type Activity struct {
 	Emit func(i int)
 
 	emitted int
+	e       *des.Engine
 }
 
 // Start launches the activity on the engine at the current time.
@@ -36,23 +39,31 @@ func (a *Activity) Start(e *des.Engine) {
 	if a.Interarrival == nil || a.Emit == nil {
 		panic(fmt.Sprintf("workload: activity %q missing Interarrival or Emit", a.Name))
 	}
-	e.Spawn("activity:"+a.Name, func(p *des.Process) {
-		for {
-			if a.MaxJobs > 0 && a.emitted >= a.MaxJobs {
-				return
-			}
-			gap := a.Interarrival()
-			if gap < 0 {
-				panic(fmt.Sprintf("workload: activity %q drew negative gap %v", a.Name, gap))
-			}
-			p.Hold(gap)
-			if a.Until > 0 && p.Now() > a.Until {
-				return
-			}
-			a.Emit(a.emitted)
-			a.emitted++
-		}
-	})
+	a.e = e
+	e.ScheduleNamed(a.Name, 0, a.next)
+}
+
+// next draws the gap to the next arrival and schedules it, unless the
+// job cap is reached.
+func (a *Activity) next() {
+	if a.MaxJobs > 0 && a.emitted >= a.MaxJobs {
+		return
+	}
+	gap := a.Interarrival()
+	if gap < 0 {
+		panic(fmt.Sprintf("workload: activity %q drew negative gap %v", a.Name, gap))
+	}
+	a.e.ScheduleNamed(a.Name, gap, a.arrival)
+}
+
+// arrival emits one job, unless past Until, and schedules the next.
+func (a *Activity) arrival() {
+	if a.Until > 0 && a.e.Now() > a.Until {
+		return
+	}
+	a.Emit(a.emitted)
+	a.emitted++
+	a.next()
 }
 
 // Emitted returns the number of jobs generated so far.
