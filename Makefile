@@ -43,7 +43,7 @@ race:
 tier1: build test vet race
 
 bench:
-	$(GO) test -bench 'E3|PHOLD|Federation|ScheduleExecute|Hold$$' -benchmem -run '^$$' ./...
+	$(GO) test -bench 'E3|PHOLD|Federation|ScheduleExecute|Hold$$|NetworkBacklog' -benchmem -run '^$$' ./...
 	$(GO) test -bench 'E7TierStudy/lsbench' -benchmem -run '^$$' .
 
 # Short fuzz pass over the wire codec, the coordinator's two durable
@@ -52,7 +52,8 @@ bench:
 # frame events): arbitrary bytes must decode to an error or a valid
 # value — never a panic or an absurd allocation. Last, arbitrary
 # push/pop/peek sequences must get from the default FEL exactly what
-# the binary heap it replaced returns.
+# the binary heap it replaced returns, and the flow network on a fuzzed
+# scenario exactly what the per-flow-timer reference simulates.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime 10s ./internal/distsim/
 	$(GO) test -run '^$$' -fuzz FuzzParseJournal -fuzztime 10s ./internal/distsim/
@@ -60,6 +61,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzClusterObsFold -fuzztime 10s ./internal/distsim/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 10s ./internal/winsync/
 	$(GO) test -run '^$$' -fuzz FuzzHeapAgainstReference -fuzztime 10s ./internal/eventq/
+	$(GO) test -run '^$$' -fuzz FuzzNetworkAgainstReference -fuzztime 10s ./internal/netsim/
 
 # Go line counts, non-test and test, per internal/* package, for the
 # commands and for the whole module, and the flag registration call

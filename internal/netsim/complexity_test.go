@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/des"
@@ -30,40 +31,64 @@ func TestEventListCostIsLinearInFlows(t *testing.T) {
 	}
 }
 
+// backlog holds n flows active on net, each finish followed by the
+// same flow's admission, as Transfer's start event admits it, with
+// bytes more to carry. It returns the finish/start cycle.
+func backlog(tb testing.TB, e *des.Engine, net *Network, src *Node, dsts []*Node, n int, bytes float64) func() {
+	for i := 0; i < n; i++ {
+		net.Transfer(src, dsts[i%len(dsts)], bytes*float64(i+1)/float64(n), nil)
+	}
+	for i := 0; i < n; i++ { // the n start events, all due now
+		e.Step()
+	}
+	cycle := func() {
+		f := net.next
+		if !e.Step() || !f.finished {
+			tb.Fatal("the earliest flow did not complete")
+		}
+		f.remaining, f.finished = bytes, false
+		net.admit(f)
+	}
+	for i := 0; i < 2*n; i++ { // past the tombstones admission left
+		cycle()
+	}
+	return cycle
+}
+
 // TestRebalanceDoesNotAllocate runs a steady-state finish/start cycle
 // over N concurrent flows: the earliest flow completes (advance,
-// removeFlow, rebalance, finish), then is admitted again as Transfer's
-// start event would. Nothing else in the cycle can allocate, so zero
-// allocations means rebalance builds no maps and no closures and the
-// engine recycles the one timer's event record.
+// removeFlow, rebalance, finish), then is admitted again. Nothing else
+// in the cycle can allocate, so zero allocations means rebalance builds
+// no maps and no closures and the engine recycles the one timer's event
+// record.
 func TestRebalanceDoesNotAllocate(t *testing.T) {
 	const n = 64
 	e := des.NewEngine()
 	topo, nodes := line(3, 1e6, 0)
 	net := NewNetwork(e, topo)
-	for i := 0; i < n; i++ {
-		net.Transfer(nodes[0], nodes[2], float64(1000*(i+1)), nil)
-	}
-	cycle := func() {
-		f := net.next
-		if !e.Step() || !f.finished {
-			t.Fatal("the earliest flow did not complete")
-		}
-		f.remaining, f.finished = 1000*n, false
-		net.advance()
-		net.flows = append(net.flows, f)
-		net.rebalance()
-	}
-	for i := 0; i < n; i++ { // the n start events, all due now
-		e.Step()
-	}
-	for i := 0; i < 2*n; i++ { // past the tombstones admission left
-		cycle()
-	}
+	cycle := backlog(t, e, net, nodes[0], nodes[2:], n, 1000*n)
 	if a := testing.AllocsPerRun(200, cycle); a != 0 {
 		t.Fatalf("%v allocations per finish/start cycle, want 0", a)
 	}
 	if len(net.flows) != n || e.QueueLen() > 3 {
 		t.Fatalf("%d flows active, %d event-list entries; want %d and at most 3", len(net.flows), e.QueueLen(), n)
+	}
+}
+
+// BenchmarkNetworkBacklog is the T0/T1 study's shape, a T0 uplink
+// into a WAN hub fanning out to four T1s, held at N active flows by
+// finish/start cycles: ns and allocations per cycle.
+func BenchmarkNetworkBacklog(b *testing.B) {
+	for _, n := range []int{10, 100, 1000} {
+		b.Run(fmt.Sprintf("flows=%d", n), func(b *testing.B) {
+			e := des.NewEngine()
+			topo, t0, t1s := studyTopology(2.5e9 / 8)
+			cycle := backlog(b, e, NewNetwork(e, topo), t0, t1s, n, 2e9)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -82,18 +83,10 @@ func runScenario(seed uint64, mk func(*des.Engine, *Topology, float64) transfere
 	var res diffResult
 	var transfer func(chain int)
 	transfer = func(chain int) {
-		i := len(res.start)
 		a, b := src.Intn(len(nodes)), src.Intn(len(nodes)) // a == b: self transfer
 		bytes := pick(src, []float64{0, 1000, 4096, 1 << 20}, 1, 1e7)
 		chained := chain > 0 && src.Intn(3) == 0
-		res.start = append(res.start, math.Float64bits(e.Now()))
-		res.end = append(res.end, neverFinished)
-		net.Transfer(nodes[a], nodes[b], bytes, func() {
-			res.end[i] = math.Float64bits(e.Now())
-			res.order = append(res.order, i)
-			// Whatever done schedules for this instant must keep its
-			// place against completions that are also due now.
-			e.Schedule(0, func() { res.order = append(res.order, -1-i) })
+		res.transfer(e, net, nodes[a], nodes[b], bytes, func() {
 			if chained {
 				transfer(chain - 1)
 			}
@@ -103,12 +96,140 @@ func runScenario(seed uint64, mk func(*des.Engine, *Topology, float64) transfere
 		e.At(pick(src, []float64{0, 0, 0.5, 1, 4}, 0, 8), func() { transfer(2) })
 	}
 	e.Run()
+	res.finish(e, topo)
+	return res
+}
 
+// transfer issues one transfer on net and records its start, its end
+// and its place in the completion order; then runs once the end is
+// recorded.
+func (res *diffResult) transfer(e *des.Engine, net transferer, a, b *Node, bytes float64, then func()) {
+	i := len(res.start)
+	res.start = append(res.start, math.Float64bits(e.Now()))
+	res.end = append(res.end, neverFinished)
+	net.Transfer(a, b, bytes, func() {
+		res.end[i] = math.Float64bits(e.Now())
+		res.order = append(res.order, i)
+		// Whatever done schedules for this instant must keep its
+		// place against completions that are also due now.
+		e.Schedule(0, func() { res.order = append(res.order, -1-i) })
+		then()
+	})
+}
+
+// finish records what the run left: every link's bytes carried, the
+// executed-event count and the final clock.
+func (res *diffResult) finish(e *des.Engine, topo *Topology) {
 	for _, l := range topo.Links() {
 		res.carried = append(res.carried, math.Float64bits(l.BytesCarried()))
 	}
 	res.executed = e.Stats().Executed
 	res.now = math.Float64bits(e.Now())
+}
+
+// differs describes the first way got differs from want, "" if none.
+func (got diffResult) differs(want diffResult) string {
+	if len(got.start) != len(want.start) || len(got.order) != len(want.order) || len(got.carried) != len(want.carried) {
+		return fmt.Sprintf("%d transfers, %d completions, %d links; reference %d, %d, %d",
+			len(got.start), len(got.order), len(got.carried), len(want.start), len(want.order), len(want.carried))
+	}
+	for i := range want.start {
+		if got.start[i] != want.start[i] || got.end[i] != want.end[i] {
+			return fmt.Sprintf("transfer %d: start/end %v/%v, reference %v/%v", i,
+				math.Float64frombits(got.start[i]), math.Float64frombits(got.end[i]),
+				math.Float64frombits(want.start[i]), math.Float64frombits(want.end[i]))
+		}
+	}
+	for i := range want.order {
+		if got.order[i] != want.order[i] {
+			return fmt.Sprintf("completion %d is %d, reference %d", i, got.order[i], want.order[i])
+		}
+	}
+	for i := range want.carried {
+		if got.carried[i] != want.carried[i] {
+			return fmt.Sprintf("link %d: carried %v, reference %v", i,
+				math.Float64frombits(got.carried[i]), math.Float64frombits(want.carried[i]))
+		}
+	}
+	if got.executed != want.executed || got.now != want.now {
+		return fmt.Sprintf("executed %d at %v, reference %d at %v", got.executed,
+			math.Float64frombits(got.now), want.executed, math.Float64frombits(want.now))
+	}
+	return ""
+}
+
+// network and reference are the two fabrics a differential run
+// compares.
+func network(e *des.Engine, topo *Topology, eff float64) transferer {
+	n := NewNetwork(e, topo)
+	n.Efficiency = eff
+	return n
+}
+
+func reference(e *des.Engine, topo *Topology, eff float64) transferer {
+	return &refNetwork{e: e, topo: topo, Efficiency: eff}
+}
+
+// studyTopology is the T0/T1 study's shape: a T0 uplink of the given
+// capacity into a WAN hub that fans out to four T1s over far wider
+// links.
+func studyTopology(uplink float64) (topo *Topology, t0 *Node, t1s []*Node) {
+	topo = NewTopology()
+	t0, wan := topo.AddNode("T0"), topo.AddNode("WAN")
+	topo.Connect(t0, wan, uplink, 0.05)
+	for i := 0; i < 4; i++ {
+		t1 := topo.AddNode("T1")
+		topo.Connect(wan, t1, 100e9/8, 0.01)
+		t1s = append(t1s, t1)
+	}
+	return topo, t0, t1s
+}
+
+// studyTransfers loads net the way the study's saturated points do:
+// 200 to 1 000 transfers from T0 to the T1s, nearly all concurrent on
+// the uplink, of a few round sizes started at a few round instants, so
+// that equal rates and equal completion instants (ties) are the rule.
+// About one in eight runs against the grain, T1 to T0 or T1 to T1, and
+// one in four finishing transfers starts another, so that fills with
+// more than one bottleneck are mixed in.
+func studyTransfers(src *rng.Source, e *des.Engine, net transferer, res *diffResult, t0 *Node, t1s []*Node) {
+	var transfer func(chain int)
+	transfer = func(chain int) {
+		a, b := t0, t1s[src.Intn(len(t1s))]
+		if src.Intn(8) == 0 {
+			a = t1s[src.Intn(len(t1s))] // b == a: a self transfer
+			if src.Intn(2) == 0 {
+				b = t0
+			}
+		}
+		bytes := pick(src, []float64{2e9, 2e9, 1e9, 1 << 30}, 1e8, 4e9)
+		chained := chain > 0 && src.Intn(4) == 0
+		res.transfer(e, net, a, b, bytes, func() {
+			if chained {
+				transfer(chain - 1)
+			}
+		})
+	}
+	for k := 200 + src.Intn(801); k > 0; k-- {
+		e.At(pick(src, []float64{0, 0, 10, 20, 60}, 0, 100), func() { transfer(2) })
+	}
+}
+
+// runStudyScenario runs studyTransfers over studyTopology, with an
+// uplink of one of the study's capacities, on the fabric mk returns.
+func runStudyScenario(seed uint64, mk func(*des.Engine, *Topology, float64) transferer) diffResult {
+	src := rng.New(seed)
+	e := des.NewEngine()
+	gbps := []float64{0.622, 1.25, 2.5, 10}[src.Intn(4)]
+	topo, t0, t1s := studyTopology(gbps * 1e9 / 8)
+	eff := 1.0
+	if src.Intn(4) == 0 {
+		eff = 0.7
+	}
+	var res diffResult
+	studyTransfers(src, e, mk(e, topo, eff), &res, t0, t1s)
+	e.Run()
+	res.finish(e, topo)
 	return res
 }
 
@@ -172,6 +293,133 @@ func TestDifferentialAgainstPerFlowTimers(t *testing.T) {
 	t.Logf("%d transfers finished, %d stalled, %d back-to-back same-instant completions", finished, stalled, ties)
 }
 
+// TestStudyShapeAgainstPerFlowTimers is the differential test on the
+// T0/T1 study's shape, where one uplink carries hundreds of flows and
+// most fills settle every flow at one rate.
+func TestStudyShapeAgainstPerFlowTimers(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		got, want := runStudyScenario(seed, network), runStudyScenario(seed, reference)
+		if d := got.differs(want); d != "" {
+			t.Fatalf("seed %d: %s", seed, d)
+		}
+		// The family must reach the study's backlog and its ties.
+		if p, ties := want.peakInFlight(), want.ties(); p < 200 || ties == 0 {
+			t.Fatalf("seed %d: weak scenario: %d transfers in flight at most, %d back-to-back ties", seed, p, ties)
+		}
+	}
+}
+
+// FuzzNetworkAgainstReference is the differential test on fuzzed
+// seeds, over random topologies (runScenario) or the study's shape
+// (runStudyScenario).
+func FuzzNetworkAgainstReference(f *testing.F) {
+	for seed := uint64(401); seed <= 403; seed++ { // past the differential test's
+		f.Add(seed, false)
+	}
+	for seed := uint64(5); seed <= 6; seed++ { // past the study-shape test's
+		f.Add(seed, true)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, study bool) {
+		run := runScenario
+		if study {
+			run = runStudyScenario
+		}
+		if d := run(seed, network).differs(run(seed, reference)); d != "" {
+			t.Fatalf("seed %d (study shape %v): %s", seed, study, d)
+		}
+	})
+}
+
+// ties counts back-to-back completions at one instant.
+func (res diffResult) ties() int {
+	n := 0
+	for i := 1; i < len(res.order); i++ {
+		if a, b := res.order[i-1], res.order[i]; a >= 0 && b >= 0 && res.end[a] == res.end[b] {
+			n++
+		}
+	}
+	return n
+}
+
+// peakInFlight is the most transfers issued and not yet finished at
+// once.
+func (res diffResult) peakInFlight() int {
+	peak := 0
+	for i := range res.start {
+		at, n := math.Float64frombits(res.start[i]), 0
+		for j := range res.start {
+			if math.Float64frombits(res.start[j]) <= at && (res.end[j] == neverFinished || math.Float64frombits(res.end[j]) > at) {
+				n++
+			}
+		}
+		peak = max(peak, n)
+	}
+	return peak
+}
+
+// TestNetworksSharingATopologyRunAsAlone: two Networks over one
+// Topology keep their fills apart, so each network's transfers start,
+// end and complete in the order they do when it runs alone.
+func TestNetworksSharingATopologyRunAsAlone(t *testing.T) {
+	run := func(seeds ...uint64) []diffResult {
+		e := des.NewEngine()
+		topo, t0, t1s := studyTopology(2.5e9 / 8)
+		res := make([]diffResult, len(seeds))
+		for i, seed := range seeds {
+			studyTransfers(rng.New(seed), e, NewNetwork(e, topo), &res[i], t0, t1s)
+		}
+		e.Run()
+		return res
+	}
+	both := run(1, 2)
+	for i, seed := range []uint64{1, 2} {
+		if d := both[i].differs(run(seed)[0]); d != "" {
+			t.Fatalf("network %d beside another: %s", i, d)
+		}
+	}
+}
+
+// TestLinkConnectedWhileFlowsAreActive: a node and a chord are
+// Connected, and the routes recomputed, while flows are active.
+// Transfers issued after it cross links the network has not seen, and
+// the results still match the reference bit for bit.
+func TestLinkConnectedWhileFlowsAreActive(t *testing.T) {
+	run := func(mk func(*des.Engine, *Topology, float64) transferer) diffResult {
+		e := des.NewEngine()
+		topo, nodes := line(3, 1000, 0)
+		net := mk(e, topo, 1)
+		var res diffResult
+		for i := 0; i < 4; i++ {
+			res.transfer(e, net, nodes[0], nodes[2], 3000, func() {})
+		}
+		e.At(1, func() {
+			n3 := topo.AddNode("n3")
+			topo.Connect(nodes[2], n3, 4000, 0) // links 4, 5
+			topo.Connect(nodes[0], nodes[2], 500, 0)
+			topo.ComputeRoutes()
+			res.transfer(e, net, nodes[0], n3, 3000, func() {})
+			res.transfer(e, net, nodes[0], nodes[2], 3000, func() {})
+		})
+		e.Run()
+		res.finish(e, topo)
+		return res
+	}
+	got, want := run(network), run(reference)
+	if d := got.differs(want); d != "" {
+		t.Fatal(d)
+	}
+	for _, id := range []int{4, 6} { // n2→n3 and the chord n0→n2
+		if math.Float64frombits(got.carried[id]) == 0 {
+			t.Fatalf("new link %d carried nothing", id)
+		}
+	}
+	for i, end := range got.end {
+		if end == neverFinished {
+			t.Fatalf("transfer %d never finished", i)
+		}
+	}
+}
+
 // TestEqualFlowsFinishTogetherInStartOrder: k equal flows admitted at
 // one instant on one bottleneck all finish at the identical instant, in
 // start order. The sizes divide exactly, so no flow is left a rounding
@@ -205,37 +453,46 @@ func TestEqualFlowsFinishTogetherInStartOrder(t *testing.T) {
 	}
 }
 
-// TestInstantsThatRoundTogetherTieInStartOrder: two flows on separate
-// links whose remaining/rate differ but whose completion instants, as
-// the engine computes them (now + remaining/rate), round to one value.
+// TestInstantsThatRoundTogetherTieInStartOrder: two flows at 1 B/s
+// whose remaining/rate differ but whose completion instants, as the
+// engine computes them (now + remaining/rate), round to one value.
 // That is a tie, and the earlier-started flow completes first even
-// though its remaining/rate is the larger; the reference agrees.
+// though its remaining is the larger; the reference agrees. The flows
+// run on separate links, or share one bottleneck at 2 B/s, where every
+// flow has one rate and the least remaining is the later-started
+// flow's.
 func TestInstantsThatRoundTogetherTieInStartOrder(t *testing.T) {
 	const t0 = 1 << 30 // ulp(t0) is 2^-22, far above the 1e-9 the flows differ by
-	run := func(mk func(*des.Engine, *Topology) transferer) (order []int, ends []float64) {
-		e := des.NewEngine()
-		topo := NewTopology()
-		a, b, c, d := topo.AddNode("a"), topo.AddNode("b"), topo.AddNode("c"), topo.AddNode("d")
-		topo.Connect(a, b, 1, 0)
-		topo.Connect(c, d, 1, 0)
-		net := mk(e, topo)
-		done := func(i int) func() {
-			return func() { order, ends = append(order, i), append(ends, e.Now()) }
+	for _, shared := range []bool{false, true} {
+		run := func(mk func(*des.Engine, *Topology, float64) transferer) (order []int, ends []float64) {
+			e := des.NewEngine()
+			topo := NewTopology()
+			a, b, c, d := topo.AddNode("a"), topo.AddNode("b"), topo.AddNode("c"), topo.AddNode("d")
+			if shared {
+				topo.Connect(a, b, 2, 0)
+				c, d = a, b
+			} else {
+				topo.Connect(a, b, 1, 0)
+				topo.Connect(c, d, 1, 0)
+			}
+			net := mk(e, topo, 1)
+			done := func(i int) func() {
+				return func() { order, ends = append(order, i), append(ends, e.Now()) }
+			}
+			e.At(t0, func() {
+				net.Transfer(a, b, 1+1e-9, done(0))
+				net.Transfer(c, d, 1, done(1))
+			})
+			e.Run()
+			return order, ends
 		}
-		e.At(t0, func() {
-			net.Transfer(a, b, 1+1e-9, done(0))
-			net.Transfer(c, d, 1, done(1))
-		})
-		e.Run()
-		return order, ends
-	}
-	order, ends := run(func(e *des.Engine, topo *Topology) transferer { return NewNetwork(e, topo) })
-	refOrder, refEnds := run(func(e *des.Engine, topo *Topology) transferer {
-		return &refNetwork{e: e, topo: topo, Efficiency: 1}
-	})
-	for i, want := range []int{0, 1} {
-		if order[i] != want || refOrder[i] != want || ends[i] != t0+1 || refEnds[i] != t0+1 {
-			t.Fatalf("order %v at %v, reference %v at %v; want [0 1], both at %v", order, ends, refOrder, refEnds, float64(t0+1))
+		order, ends := run(network)
+		refOrder, refEnds := run(reference)
+		for i, want := range []int{0, 1} {
+			if order[i] != want || refOrder[i] != want || ends[i] != t0+1 || refEnds[i] != t0+1 {
+				t.Fatalf("shared %v: order %v at %v, reference %v at %v; want [0 1], both at %v",
+					shared, order, ends, refOrder, refEnds, float64(t0+1))
+			}
 		}
 	}
 }

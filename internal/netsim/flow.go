@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/des"
 )
@@ -18,10 +19,10 @@ import (
 // The network keeps one event-list entry for all its active flows: the
 // completion of whichever flow finishes first at the current rates.
 // Every start or finish recomputes the rates and re-arms that one timer
-// (rebalance), which costs arithmetic over the active flows' routes,
-// one cancel, one schedule and no allocation. Flows due at the same
-// instant complete in start order; that tie-break lives in rebalance's
-// scan, not in the event list.
+// (rebalance), which costs arithmetic over the links under active flows
+// and the flows themselves, one cancel, one schedule and no allocation.
+// Flows due at the same instant complete in start order; that
+// tie-break lives in rebalance's scan, not in the event list.
 type Network struct {
 	e    *des.Engine
 	topo *Topology
@@ -34,14 +35,25 @@ type Network struct {
 	flows      []*Flow // active flows, in start order (determinism)
 	lastUpdate float64
 
+	// fill[l.ID] is link l's share of the active flows, kept by admit
+	// and removeFlow; links lists the links with any, in no order.
+	fill  []linkFill
+	links []*Link
+
 	next     *Flow     // flow the pending completion timer is for
 	timer    des.Timer // the one pending completion, if any
 	complete func()    // n.completeNext, bound once so arming allocates nothing
-	links    []*Link   // rebalance scratch: links under active flows
 
 	// accounting
 	started   uint64
 	completed uint64
+}
+
+// linkFill is one link's state in a network's progressive fill.
+type linkFill struct {
+	active   int     // active flows crossing the link
+	unfixed  int     // of those, flows this fill has not settled
+	residual float64 // capacity this fill has not given to a settled flow
 }
 
 // Flow is one active fluid transfer.
@@ -56,7 +68,7 @@ type Flow struct {
 	done      func()
 	net       *Network
 	finished  bool
-	fixed     bool // rebalance scratch: rate settled in this pass
+	fixed     bool // rebalance scratch: rate settled in this fill
 }
 
 // Rate returns the flow's current allocated rate in bytes/second.
@@ -118,11 +130,7 @@ func (n *Network) Transfer(src, dst *Node, bytes float64, done func()) {
 		n.e.ScheduleNamed("net:zero", latency, func() { n.finish(f) })
 		return
 	}
-	n.e.ScheduleNamed("net:flowstart", latency, func() {
-		n.advance()
-		n.flows = append(n.flows, f)
-		n.rebalance()
-	})
+	n.e.ScheduleNamed("net:flowstart", latency, func() { n.admit(f) })
 }
 
 // Send implements Fabric.
@@ -155,49 +163,109 @@ func (n *Network) advance() {
 	n.lastUpdate = now
 }
 
+// admit is Transfer's start event: it charges the active flows up to
+// now, adds f to them, counts it on its links and rebalances.
+func (n *Network) admit(f *Flow) {
+	n.advance()
+	n.flows = append(n.flows, f)
+	for _, l := range f.route {
+		if l.ID >= len(n.fill) { // first admission, or the topology has grown
+			k := len(n.topo.links)
+			n.fill = append(n.fill, make([]linkFill, k-len(n.fill))...)
+			n.links = slices.Grow(n.links, k-len(n.links))
+		}
+		if n.fill[l.ID].active == 0 {
+			n.links = append(n.links, l)
+		}
+		n.fill[l.ID].active++
+	}
+	n.rebalance()
+}
+
 // rebalance recomputes max-min fair rates and re-arms the completion
 // timer for the flow that now finishes first. Must be called with byte
 // accounting already advanced to Now.
 func (n *Network) rebalance() {
-	// Progressive filling. Residual capacity and unfixed-flow count
-	// live on the links, valid when the link's epoch is this pass's
-	// (the counter is the topology's, as networks may share one).
-	// Flows are "fixed" once their bottleneck link saturates.
-	n.topo.fillEpoch++
-	epoch := n.topo.fillEpoch
-	n.links = n.links[:0]
+	// Progressive filling, from the per-link flow counts admit and
+	// removeFlow keep. Flows are "fixed" once their bottleneck link
+	// saturates.
+	for _, l := range n.links {
+		c := &n.fill[l.ID]
+		c.residual = l.usable() * n.Efficiency
+		c.unfixed = c.active
+	}
+	n.timer.Cancel()
+	if b, share := n.bottleneck(); b != nil && n.fill[b.ID].unfixed == len(n.flows) {
+		n.next = n.shareOne(share)
+	} else {
+		n.next = n.fillAll()
+	}
+	if f := n.next; f != nil {
+		n.timer = n.e.ScheduleNamed("net:flowend", f.remaining/f.rate, n.complete)
+	}
+}
+
+// bottleneck returns the link whose fair share, residual over unfixed
+// flows, is least (lowest ID on equal shares) and that share; nil when
+// no link has an unfixed flow.
+func (n *Network) bottleneck() (*Link, float64) {
+	var bottleneck *Link
+	best := math.Inf(1)
+	for _, l := range n.links {
+		c := &n.fill[l.ID]
+		if c.unfixed == 0 {
+			continue
+		}
+		share := c.residual / float64(c.unfixed)
+		if share < best || (share == best && (bottleneck == nil || l.ID < bottleneck.ID)) {
+			best = share
+			bottleneck = l
+		}
+	}
+	return bottleneck, best
+}
+
+// shareOne is the fill when one bottleneck carries every flow: each
+// gets rate r. It returns the flow that finishes first, nil when r is
+// not positive (every flow stalls). Completion instants now+remaining/r
+// never decrease as remaining grows, so the earliest is the least
+// remaining's, found by comparison alone; the first flow in start order
+// whose instant rounds to it is the one fillAll's scan would pick.
+func (n *Network) shareOne(r float64) *Flow {
+	least := math.Inf(1)
+	for _, f := range n.flows {
+		f.rate = r
+		if f.remaining < least {
+			least = f.remaining
+		}
+	}
+	if r <= 0 {
+		return nil
+	}
+	now := n.e.Now()
+	at := now + least/r
+	i := 0
+	for now+n.flows[i].remaining/r != at {
+		i++
+	}
+	return n.flows[i]
+}
+
+// fillAll is the general progressive fill: the flows crossing the link
+// with the least fair share are fixed at that share and taken off their
+// other links, until every flow is fixed. It returns the flow that
+// finishes first.
+func (n *Network) fillAll() *Flow {
 	for _, f := range n.flows {
 		f.fixed = false
 		f.rate = 0
-		for _, l := range f.route {
-			if l.fillEpoch != epoch {
-				l.fillEpoch = epoch
-				l.residual = l.usable() * n.Efficiency
-				l.unfixed = 0
-				n.links = append(n.links, l)
-			}
-			l.unfixed++
-		}
 	}
 	for unfixed := len(n.flows); unfixed > 0; {
-		// Find the bottleneck link: minimal residual/count over links
-		// with unfixed flows, lowest ID on equal shares.
-		var bottleneck *Link
-		best := math.Inf(1)
-		for _, l := range n.links {
-			if l.unfixed == 0 {
-				continue
-			}
-			share := l.residual / float64(l.unfixed)
-			if share < best || (share == best && (bottleneck == nil || l.ID < bottleneck.ID)) {
-				best = share
-				bottleneck = l
-			}
-		}
+		bottleneck, best := n.bottleneck()
 		if bottleneck == nil {
 			break
 		}
-		if bottleneck.unfixed == unfixed {
+		if n.fill[bottleneck.ID].unfixed == unfixed {
 			// Every flow still unfixed crosses the bottleneck: this pass
 			// fixes them all and its residual updates are never read,
 			// so set the rates and end the fill.
@@ -217,32 +285,30 @@ func (n *Network) rebalance() {
 			f.fixed = true
 			unfixed--
 			for _, l := range f.route {
-				l.residual -= best
-				if l.residual < 0 {
-					l.residual = 0
+				c := &n.fill[l.ID]
+				c.residual -= best
+				if c.residual < 0 {
+					c.residual = 0
 				}
-				l.unfixed--
+				c.unfixed--
 			}
 		}
 	}
-	// Arm the one timer for the earliest completion instant, computed
-	// as the engine will (now + remaining/rate) so that flows whose
-	// instants round together tie; strict < scanning in start order
-	// lets the earliest-started of them complete first.
-	n.timer.Cancel()
-	n.next = nil
+	// The earliest completion instant, computed as the engine will (now
+	// + remaining/rate) so that flows whose instants round together tie;
+	// strict < scanning in start order lets the earliest-started of them
+	// complete first.
+	var next *Flow
 	now, bestAt := n.e.Now(), 0.0
 	for _, f := range n.flows {
 		if f.rate <= 0 {
 			continue // stalled: no capacity on some link
 		}
-		if at := now + f.remaining/f.rate; n.next == nil || at < bestAt {
-			n.next, bestAt = f, at
+		if at := now + f.remaining/f.rate; next == nil || at < bestAt {
+			next, bestAt = f, at
 		}
 	}
-	if f := n.next; f != nil {
-		n.timer = n.e.ScheduleNamed("net:flowend", f.remaining/f.rate, n.complete)
-	}
+	return next
 }
 
 func (f *Flow) crosses(l *Link) bool {
@@ -267,12 +333,27 @@ func (n *Network) completeNext() {
 	n.finish(f)
 }
 
-// removeFlow deletes f from the active list, keeping start order.
+// removeFlow deletes f from the active list, keeping start order, and
+// uncounts it on its links.
 func (n *Network) removeFlow(f *Flow) {
 	for i, g := range n.flows {
 		if g == f {
 			n.flows = append(n.flows[:i], n.flows[i+1:]...)
-			return
+			break
+		}
+	}
+	for _, l := range f.route {
+		n.fill[l.ID].active--
+		if n.fill[l.ID].active > 0 {
+			continue
+		}
+		for i, m := range n.links {
+			if m == l {
+				last := len(n.links) - 1
+				n.links[i] = n.links[last]
+				n.links = n.links[:last]
+				break
+			}
 		}
 	}
 }

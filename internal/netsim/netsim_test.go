@@ -261,6 +261,35 @@ func TestFlowBackgroundLoad(t *testing.T) {
 	}
 }
 
+// TestStalledLinkHoldsTransfers: a link with no usable capacity holds
+// what must cross it, at either granularity. The run ends with that
+// transfer unfinished and nothing carried on the link, while a
+// transfer sharing its first hop finishes.
+func TestStalledLinkHoldsTransfers(t *testing.T) {
+	type fabric interface {
+		Fabric
+		Completed() uint64
+	}
+	for _, packets := range []bool{false, true} {
+		e := des.NewEngine()
+		topo, nodes := line(3, 1000, 0)
+		stalled := topo.Links()[2] // n1→n2
+		stalled.BackgroundLoad = 1
+		var net fabric = NewNetwork(e, topo)
+		if packets {
+			net = NewPacketNet(e, topo, 100)
+		}
+		crossed, beside := false, false
+		net.Transfer(nodes[0], nodes[2], 1000, func() { crossed = true })
+		net.Transfer(nodes[0], nodes[1], 1000, func() { beside = true })
+		e.Run()
+		if crossed || !beside || net.Completed() != 1 || stalled.BytesCarried() != 0 {
+			t.Fatalf("packets %v: across the stalled link done=%v, beside it done=%v, %d completed, %v bytes carried",
+				packets, crossed, beside, net.Completed(), stalled.BytesCarried())
+		}
+	}
+}
+
 func TestFlowBlockingSend(t *testing.T) {
 	e := des.NewEngine()
 	topo, nodes := line(2, 1000, 0)

@@ -16,7 +16,10 @@ import (
 //
 // Each directed link transmits one packet at a time (FIFO); a packet
 // occupies the link for size/Bps seconds and then propagates for the
-// link latency before contending for the next hop.
+// link latency before contending for the next hop. A link with no
+// usable capacity (BackgroundLoad 1) transmits nothing: packets queue
+// on it for good and their messages never complete, as a flow across
+// it stalls in Network.
 type PacketNet struct {
 	e    *des.Engine
 	topo *Topology
@@ -136,9 +139,15 @@ func (pn *PacketNet) enqueue(pkt *packet) {
 // the propagation delay either forwards the packet or completes it.
 func (pn *PacketNet) transmit(link *Link, q *linkQueue, pkt *packet) {
 	q.busy = true
+	usable := link.usable()
+	if usable <= 0 {
+		// Nothing gets through: the link stays busy, and this packet
+		// and every later one wait on it for good.
+		q.waiting = append(q.waiting, pkt)
+		return
+	}
 	pn.packetsSent++
-	txTime := pkt.size / link.usable()
-	pn.e.ScheduleNamed("pnet:tx", txTime, func() {
+	pn.e.ScheduleNamed("pnet:tx", pkt.size/usable, func() {
 		link.bytesCarried += pkt.size
 		// Link is free for the next queued packet.
 		if len(q.waiting) > 0 {

@@ -47,12 +47,6 @@ type Link struct {
 
 	// accounting
 	bytesCarried float64
-
-	// Network.rebalance scratch, valid while fillEpoch equals the
-	// topology's.
-	fillEpoch uint64
-	residual  float64 // capacity not yet given to a fixed flow
-	unfixed   int     // flows crossing the link whose rate is not settled
 }
 
 // usable returns the capacity available to simulated flows.
@@ -80,8 +74,6 @@ type Topology struct {
 	// paths[src][dst] caches Route's answer, filled on first use.
 	paths  [][][]*Link
 	routed bool
-
-	fillEpoch uint64 // Network.rebalance passes so far, over all networks
 }
 
 // NewTopology returns an empty topology.
