@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"strconv"
@@ -109,6 +110,11 @@ func Lsnode(fs *flag.FlagSet) *Run {
 	fs.Float64Var(&c.Lookahead, "lookahead", c.Lookahead, "synchronization lookahead")
 	fs.Func("timeout", "coordinator: per-frame receive deadline in `seconds` (0 = 30s default, negative disables)", func(s string) error {
 		v, err := strconv.ParseFloat(s, 64)
+		if err == nil && !(math.Abs(v*float64(time.Second)) < math.MaxInt64) {
+			// NaN, ±Inf or too large: the conversion below would make some
+			// Duration of it, and that is all Validate gets to see.
+			err = fmt.Errorf("%v seconds is not a time.Duration", v)
+		}
 		c.Timeout = time.Duration(v * float64(time.Second))
 		return err
 	})

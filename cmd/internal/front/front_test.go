@@ -131,6 +131,7 @@ func TestValidateRejectsBadValues(t *testing.T) {
 		"lsnode": {"-mode worker", "-mode worker -own 1,1", "-mode worker -own 8", "-mode worker -own -1",
 			"-mode worker -own 2 -lps 2", worker + "-delay-factor 0", worker + "-lps 0", worker + "-jobs -1",
 			worker + "-remote 1.5", "-mode coordinator -lps 0", "-mode coordinator -lookahead 0",
+			"-mode coordinator -lookahead Inf", "-mode coordinator -timeout 2e-9",
 			"-mode coordinator -horizon 0", "-mode coordinator -workers 0", "-mode coordinator -workers 9"},
 	} {
 		for _, args := range cases {
@@ -145,6 +146,13 @@ func TestValidateRejectsBadValues(t *testing.T) {
 			} else if strings.Contains(err.Error(), "\n") {
 				t.Errorf("%s %s: error is not one line: %q", cmd, args, err)
 			}
+		}
+	}
+	// A -timeout that is no Duration at all cannot even be parsed: what
+	// it would convert to is all Validate could see.
+	for _, v := range []string{"NaN", "Inf", "-Inf", "1e300"} {
+		if fs, _ := flags("lsnode"); fs.Parse([]string{"-timeout", v}) == nil {
+			t.Errorf("lsnode -timeout %s: parsed", v)
 		}
 	}
 	// What the bad lines differ from is accepted.

@@ -1,6 +1,7 @@
 package distsim
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"math"
@@ -30,6 +31,29 @@ func TestControlCorePure(t *testing.T) {
 		case "net", "os", "time", "repro/internal/obs":
 			t.Errorf("control.go imports %s", path)
 		}
+	}
+}
+
+// TestCoordinatorOneGoroutine keeps the coordinator on the goroutine
+// that calls Serve: its files start no goroutine and hold no channel,
+// so every barrier, heal and journal write happens in one order an
+// explorer can replay.
+func TestCoordinatorOneGoroutine(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, file := range []string{"coordinator.go", "control.go", "journal.go", "checkpoint.go"} {
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n.(type) {
+			case *ast.GoStmt:
+				t.Errorf("%s: go statement", fset.Position(n.Pos()))
+			case *ast.ChanType:
+				t.Errorf("%s: channel type", fset.Position(n.Pos()))
+			}
+			return true
+		})
 	}
 }
 

@@ -181,6 +181,13 @@ func (c *Coordinator) Validate() error {
 	if c.NLPs <= 0 || !(c.Lookahead > 0) || !(c.Horizon > 0) {
 		return fmt.Errorf("distsim: coordinator needs LPs, lookahead and horizon > 0, got %d, %v, %v", c.NLPs, c.Lookahead, c.Horizon)
 	}
+	// What a worker would refuse in the config frame.
+	if math.IsInf(c.Lookahead, 1) {
+		return fmt.Errorf("distsim: coordinator lookahead %v is not finite", c.Lookahead)
+	}
+	if err := checkTimeoutSec(c.timeout().Seconds()); err != nil {
+		return fmt.Errorf("distsim: coordinator Timeout %v: %w", c.Timeout, err)
+	}
 	return nil
 }
 
@@ -276,14 +283,6 @@ type session struct {
 	ckpt    *clusterCheckpoint
 	journal *journal // nil unless JournalPath is set
 
-	// Per-slot I/O workers (see Coordinator.slotIO): ioReq carries one
-	// frame per slot per barrier, ioRes collects the replies. The channels
-	// double as the memory barrier for link state — a slot's link is
-	// only touched by its I/O goroutine between op send and result
-	// receive, and only by the coordinator goroutine otherwise.
-	ioReq []chan *frame
-	ioRes chan ioResult
-
 	// Reused window-loop scratch: outbound frame headers, collected
 	// replies, per-slot error slots, the merged produced list (sized by
 	// high-water mark), and the payload arena produced events are
@@ -296,57 +295,18 @@ type session struct {
 	arena    []byte
 }
 
-// ioResult is one slot's outcome of a barrier: the reply to the frame
-// its I/O goroutine was handed.
-type ioResult struct {
-	slot int
-	f    *frame
-	err  error
-}
-
-// slotIO is the persistent per-slot I/O worker: it sends one frame per
-// barrier and receives the slot's next non-heartbeat frame, so every
-// slot's send and receive overlap with all the
-// others', making barrier wire latency max-over-workers instead of
-// sum-over-workers. Transport errors are reported, not healed — the
-// coordinator goroutine owns session resume, which serializes on the
-// listener.
-func (c *Coordinator) slotIO(s *session, wi int, req <-chan *frame) {
-	for f := range req {
-		res := ioResult{slot: wi, err: s.links[wi].send(f)}
-		if res.err == nil {
-			res.f, res.err = c.recvFrame(s.links[wi])
-		}
-		s.ioRes <- res
-	}
-}
-
-// startIO spawns one I/O goroutine per seat. Must run after every seat
-// has its link.
-func (s *session) startIO(c *Coordinator) {
-	n := len(s.links)
-	s.ioRes = make(chan ioResult, n)
-	s.ioReq = make([]chan *frame, n)
-	s.wframes = make([]frame, n)
-	s.done = make([]*frame, n)
-	s.errs = make([]error, n)
-	for wi := range s.links {
-		req := make(chan *frame)
-		s.ioReq[wi] = req
-		go c.slotIO(s, wi, req)
-	}
-}
-
-// exchange runs one barrier: every slot concurrently sends the frame
-// mk builds for it and receives the reply, which lands in s.done[slot].
-// Slots that fail are healed serially afterwards — session resume
-// replays the retained send, then the receive is retried on the healed
-// link — so the failure semantics match the old serial loop while the
-// happy path pays only the slowest worker's round trip.
+// exchange runs one barrier on the calling goroutine: it writes every
+// seat the frame mk builds for it, then reads, in seat order, the reply
+// of every seat whose write went through into s.done[seat]. Every frame
+// is out before the first reply is read, so the workers compute at once
+// and the barrier costs the slowest of them plus the frames' serialised
+// transfer. Seats that fail are healed serially afterwards — session
+// resume replays the retained send, then the receive is retried on the
+// healed link.
 //
 // phase and seq label the barrier for the coordinator's recorder:
-// KindWindowSend splits into a send span (the fan-out handoff, whose
-// wall time anchors the merged timeline) and an await-barrier span;
+// KindWindowSend splits into a send span (the fan-out, whose wall time
+// anchors the merged timeline) and an await-barrier span;
 // KindCheckpoint records one covering span; zero records nothing.
 func (c *Coordinator) exchange(s *session, phase obs.Kind, seq uint64, mk func(wi int) *frame) error {
 	co := c.Obs
@@ -354,15 +314,16 @@ func (c *Coordinator) exchange(s *session, phase obs.Kind, seq uint64, mk func(w
 	if co != nil {
 		t0 = obs.Now()
 	}
-	for wi := range s.links {
-		s.ioReq[wi] <- mk(wi)
+	for wi, l := range s.links {
+		s.errs[wi] = l.send(mk(wi))
 	}
 	if co != nil {
 		t1 = obs.Now()
 	}
-	for range s.links {
-		r := <-s.ioRes
-		s.done[r.slot], s.errs[r.slot] = r.f, r.err
+	for wi, l := range s.links {
+		if s.errs[wi] == nil {
+			s.done[wi], s.errs[wi] = c.recvFrame(l)
+		}
 	}
 	if co != nil {
 		t2 := obs.Now()
@@ -416,7 +377,8 @@ func (c *Coordinator) Serve(ln net.Listener, nWorkers int) error {
 	if nWorkers <= 0 {
 		return fmt.Errorf("distsim: Serve with %d workers", nWorkers)
 	}
-	s := &session{ln: ln, links: make([]*link, nWorkers)}
+	s := &session{ln: ln, links: make([]*link, nWorkers),
+		wframes: make([]frame, nWorkers), done: make([]*frame, nWorkers), errs: make([]error, nWorkers)}
 	defer s.shutdown()
 	tip, ck, err := c.obtain(s)
 	if err != nil {
@@ -438,7 +400,6 @@ func (c *Coordinator) Serve(ln net.Listener, nWorkers int) error {
 			s.loads[i].LP = i
 		}
 	}
-	s.startIO(c)
 	s.bindObs(c)
 
 	// A resume file is the state: everyone restores it. A journal tip is
@@ -538,9 +499,6 @@ func (c *Coordinator) obtain(s *session) (tip *journalState, ck *clusterCheckpoi
 
 // shutdown is the deferred cleanup of one Serve call.
 func (s *session) shutdown() {
-	for _, req := range s.ioReq {
-		close(req) // no frame is in flight: exchange waits for every reply
-	}
 	for _, l := range s.links {
 		if l != nil {
 			l.close()
@@ -905,9 +863,8 @@ func (c *Coordinator) sendSlot(s *session, wi int, f *frame) error {
 
 // recvFrame receives the next non-heartbeat frame on a link under the
 // configured deadline (heartbeats re-arm it, so a slow-but-alive
-// worker is never declared dead). It is resume-free — safe to run on
-// an I/O goroutine — and reports transport failures and stalls to the
-// caller, who owns the healing.
+// worker is never declared dead). It is resume-free: it reports
+// transport failures and stalls to the caller, who owns the healing.
 //
 // Heartbeats double as loss detectors: each carries the worker's
 // progress watermarks. A beat proving the worker still hasn't seen a
@@ -1017,8 +974,8 @@ func (c *Coordinator) resumeSlot(s *session, wi int, cause error) error {
 // when a worker fails (recoverable), or a plain error on protocol
 // violations (terminal).
 //
-// Each barrier is one exchange: window frames fan out and done frames
-// fan in across all slots concurrently. The merge then orders the
+// Each barrier is one exchange: every window frame goes out, then every
+// done frame comes back. The merge then orders the
 // produced events, commits the window — a control transition, made
 // durable by its journal record — and uses the piggybacked next-event
 // times to jump the clock over windows no LP has work in.

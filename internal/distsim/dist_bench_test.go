@@ -2,26 +2,25 @@ package distsim
 
 import "testing"
 
-// benchDistWindows drives a two-worker loopback federation for exactly
-// b.N lookahead windows, so ns/op reads as nanoseconds per window slot
-// of the lattice (barrier cost) and allocs/op as coordinator-side
-// allocations per window. jobs and factor select the traffic regime:
-// the dense case is the E5 PHOLD configuration, the sparse case leaves
-// most windows empty so next-event-time skipping can jump them.
-func benchDistWindows(b *testing.B, jobs int, factor float64) {
+// benchDistWindows drives a two-worker loopback federation running m
+// for exactly b.N lookahead windows, so ns/op reads as nanoseconds per
+// window slot of the lattice (barrier cost) and allocs/op as
+// coordinator-side allocations per window. Each worker hosts half the
+// LPs.
+func benchDistWindows(b *testing.B, m PHOLDModel, la float64) {
 	b.ReportAllocs()
-	const (
-		lps    = 6
-		la     = 0.5
-		remote = 0.4
-		work   = 5
-		seed   = 1234
-	)
-	horizon := la * float64(b.N)
-	c := NewCoordinator(lps, la, horizon, seed)
-	workers := []*Worker{NewWorker(0, 1, 2), NewWorker(3, 4, 5)}
-	for _, w := range workers {
-		InstallPHOLDFactor(w, lps, jobs, remote, work, factor)
+	const seed = 1234
+	c := NewCoordinator(m.TotalLPs, la, la*float64(b.N), seed)
+	workers := make([]*Worker, 2)
+	half := m.TotalLPs / 2
+	for wi := range workers {
+		ids := make([]int, 0, half)
+		for lp := wi * half; lp < (wi+1)*half; lp++ {
+			ids = append(ids, lp)
+		}
+		workers[wi] = NewWorker(ids...)
+		own := m
+		InstallPHOLDModel(workers[wi], &own)
 	}
 	b.ResetTimer()
 	if err := Loopback(c, workers, nil); err != nil {
@@ -32,14 +31,24 @@ func benchDistWindows(b *testing.B, jobs int, factor float64) {
 	b.ReportMetric(float64(c.WindowsSkipped)/float64(b.N), "skipped/op")
 }
 
-// BenchmarkDistWindowThroughput is the PR-6 headline benchmark: window
-// throughput of the distributed engine over real loopback TCP.
+// BenchmarkDistWindowThroughput is window throughput of the distributed
+// engine over real loopback TCP.
 //
-//   - dense:         canonical PHOLD (6 jobs/LP, mean spacing 4
-//     lookaheads) — measures barrier latency and the pooled wire path.
+//   - dense:  canonical PHOLD over 6 LPs (6 jobs/LP, mean spacing 4
+//     lookaheads, ~2 routed events per window) — barrier latency and
+//     the pooled wire path.
 //   - sparse: sparse PHOLD (1 job/LP, spacing 64 lookaheads) — empty
 //     stretches of the lattice are jumped in the coordinator.
+//   - heavy:  lsbench cluster-dense's shape (64 LPs, 64 jobs/LP, work
+//     200, ~1000 events per window) — model execution dominates, so the
+//     barrier costs the slower worker's compute plus the frames'
+//     transfer.
 func BenchmarkDistWindowThroughput(b *testing.B) {
-	b.Run("dense", func(b *testing.B) { benchDistWindows(b, 6, 4) })
-	b.Run("sparse", func(b *testing.B) { benchDistWindows(b, 1, 64) })
+	small := PHOLDModel{TotalLPs: 6, JobsPerLP: 6, RemoteProb: 0.4, Work: 5, DelayFactor: 4, SkewFactor: 1}
+	sparse := small
+	sparse.JobsPerLP, sparse.DelayFactor = 1, 64
+	heavy := PHOLDModel{TotalLPs: 64, JobsPerLP: 64, RemoteProb: 0.2, Work: 200, DelayFactor: 4, SkewFactor: 1}
+	b.Run("dense", func(b *testing.B) { benchDistWindows(b, small, 0.5) })
+	b.Run("sparse", func(b *testing.B) { benchDistWindows(b, sparse, 0.5) })
+	b.Run("heavy", func(b *testing.B) { benchDistWindows(b, heavy, 1) })
 }

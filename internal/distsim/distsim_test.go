@@ -2,7 +2,9 @@ package distsim
 
 import (
 	"io"
+	"math"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -168,5 +170,52 @@ func TestWorkerRequiresSetup(t *testing.T) {
 	w := NewWorker(0)    // no Setup
 	if err := Loopback(c, []*Worker{w}, nil); err == nil {
 		t.Fatal("missing Setup not reported")
+	}
+}
+
+// TestWorkerRefusesBadConfig walks config frames that used to panic a
+// worker — NewGroup on a lookahead that is not > 0, NewTicker(0) on the
+// heartbeat goroutine — or silently turn its deadlines off: each must
+// come back from applyConfig as a fatal error naming the field, with
+// nothing built. The coordinator refuses to send the same values.
+func TestWorkerRefusesBadConfig(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		lookahead, timeoutSec float64
+		field                 string // "" = accepted
+	}{
+		{1, 0, ""},
+		{1, 3e-9, ""},
+		{1, 30, ""},
+		{0, 1, "lookahead"},
+		{-1, 1, "lookahead"},
+		{nan, 1, "lookahead"},
+		{inf, 1, "lookahead"},
+		{1, nan, "TimeoutSec"},
+		{1, inf, "TimeoutSec"},
+		{1, -inf, "TimeoutSec"},
+		{1, -1, "TimeoutSec"},
+		{1, 1e-10, "TimeoutSec"}, // a zero write deadline
+		{1, 2e-9, "TimeoutSec"},  // a zero heartbeat interval
+		{1, 1e300, "TimeoutSec"}, // past any Duration
+	} {
+		w := NewWorker(0)
+		InstallPHOLD(w, 1, 1, 0, 1)
+		err := w.applyConfig(&frame{Kind: frameConfig, Lookahead: tc.lookahead, Horizon: 10, Seed: 1, TimeoutSec: tc.timeoutSec})
+		w.closePool()
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("lookahead %v, TimeoutSec %v: %v", tc.lookahead, tc.timeoutSec, err)
+		case tc.field == "":
+		case err == nil || !isFatal(err) || !strings.Contains(err.Error(), tc.field) || w.g != nil:
+			t.Errorf("lookahead %v, TimeoutSec %v: got %v (fatal %v, group built %v), want a fatal error naming %s",
+				tc.lookahead, tc.timeoutSec, err, isFatal(err), w.g != nil, tc.field)
+		}
+		c := &Coordinator{NLPs: 1, Lookahead: tc.lookahead, Horizon: 10, Timeout: time.Duration(tc.timeoutSec * float64(time.Second))}
+		if tc.field == "lookahead" || c.Timeout > 0 && c.Timeout < 3 {
+			if c.Validate() == nil {
+				t.Errorf("lookahead %v, Timeout %v: the coordinator would send it", c.Lookahead, c.Timeout)
+			}
+		}
 	}
 }

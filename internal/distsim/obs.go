@@ -49,37 +49,38 @@ type WireStats struct {
 
 // Snapshot returns a plain-value copy of the counters.
 func (w *WireStats) Snapshot() LinkStats {
-	return LinkStats{
-		FramesSent:    w.FramesSent.Load(),
-		BytesSent:     w.BytesSent.Load(),
-		FramesRecv:    w.FramesRecv.Load(),
-		BytesRecv:     w.BytesRecv.Load(),
-		Heartbeats:    w.Heartbeats.Load(),
-		Retransmits:   w.Retransmits.Load(),
-		Resumes:       w.Resumes.Load(),
-		DupFrames:     w.DupFrames.Load(),
-		GapFrames:     w.GapFrames.Load(),
-		CorruptFrames: w.CorruptFrames.Load(),
-		ConnFailures:  w.ConnFailures.Load(),
-		BackoffNs:     w.BackoffNs.Load(),
+	var s LinkStats
+	f := s.fields()
+	for i, c := range w.counters() {
+		*f[i] = c.Load()
 	}
+	return s
 }
 
 // absorb folds another counter set into w (used when a session link
 // adopts a freshly handshaken connection).
 func (w *WireStats) absorb(o *WireStats) {
-	w.FramesSent.Add(o.FramesSent.Load())
-	w.BytesSent.Add(o.BytesSent.Load())
-	w.FramesRecv.Add(o.FramesRecv.Load())
-	w.BytesRecv.Add(o.BytesRecv.Load())
-	w.Heartbeats.Add(o.Heartbeats.Load())
-	w.Retransmits.Add(o.Retransmits.Load())
-	w.Resumes.Add(o.Resumes.Load())
-	w.DupFrames.Add(o.DupFrames.Load())
-	w.GapFrames.Add(o.GapFrames.Load())
-	w.CorruptFrames.Add(o.CorruptFrames.Load())
-	w.ConnFailures.Add(o.ConnFailures.Load())
-	w.BackoffNs.Add(o.BackoffNs.Load())
+	oc := o.counters()
+	for i, c := range w.counters() {
+		c.Add(oc[i].Load())
+	}
+}
+
+// nWireStats is how many transport counters a session keeps. counters
+// and fields are the one list of them, in wire order: the order both
+// structs declare them in (TestWireStatsOneList).
+const nWireStats = 12
+
+func (w *WireStats) counters() [nWireStats]*atomic.Uint64 {
+	return [...]*atomic.Uint64{&w.FramesSent, &w.BytesSent, &w.FramesRecv, &w.BytesRecv,
+		&w.Heartbeats, &w.Retransmits, &w.Resumes, &w.DupFrames,
+		&w.GapFrames, &w.CorruptFrames, &w.ConnFailures, &w.BackoffNs}
+}
+
+func (s *LinkStats) fields() [nWireStats]*uint64 {
+	return [...]*uint64{&s.FramesSent, &s.BytesSent, &s.FramesRecv, &s.BytesRecv,
+		&s.Heartbeats, &s.Retransmits, &s.Resumes, &s.DupFrames,
+		&s.GapFrames, &s.CorruptFrames, &s.ConnFailures, &s.BackoffNs}
 }
 
 // LinkStats is the plain-value (wire/JSON) form of WireStats.
@@ -99,50 +100,24 @@ type LinkStats struct {
 }
 
 func (s *LinkStats) add(o LinkStats) {
-	s.FramesSent += o.FramesSent
-	s.BytesSent += o.BytesSent
-	s.FramesRecv += o.FramesRecv
-	s.BytesRecv += o.BytesRecv
-	s.Heartbeats += o.Heartbeats
-	s.Retransmits += o.Retransmits
-	s.Resumes += o.Resumes
-	s.DupFrames += o.DupFrames
-	s.GapFrames += o.GapFrames
-	s.CorruptFrames += o.CorruptFrames
-	s.ConnFailures += o.ConnFailures
-	s.BackoffNs += o.BackoffNs
+	of := o.fields()
+	for i, f := range s.fields() {
+		*f += *of[i]
+	}
 }
 
 func (s LinkStats) appendTo(enc *checkpoint.Enc) {
-	enc.U64(s.FramesSent)
-	enc.U64(s.BytesSent)
-	enc.U64(s.FramesRecv)
-	enc.U64(s.BytesRecv)
-	enc.U64(s.Heartbeats)
-	enc.U64(s.Retransmits)
-	enc.U64(s.Resumes)
-	enc.U64(s.DupFrames)
-	enc.U64(s.GapFrames)
-	enc.U64(s.CorruptFrames)
-	enc.U64(s.ConnFailures)
-	enc.U64(s.BackoffNs)
+	for _, f := range s.fields() {
+		enc.U64(*f)
+	}
 }
 
 func decLinkStats(d *checkpoint.Dec) LinkStats {
-	return LinkStats{
-		FramesSent:    d.U64(),
-		BytesSent:     d.U64(),
-		FramesRecv:    d.U64(),
-		BytesRecv:     d.U64(),
-		Heartbeats:    d.U64(),
-		Retransmits:   d.U64(),
-		Resumes:       d.U64(),
-		DupFrames:     d.U64(),
-		GapFrames:     d.U64(),
-		CorruptFrames: d.U64(),
-		ConnFailures:  d.U64(),
-		BackoffNs:     d.U64(),
+	var s LinkStats
+	for _, f := range s.fields() {
+		*f = d.U64()
 	}
+	return s
 }
 
 // Obs snapshot payload tags (first uvarint of frame.Obs).

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"math"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/checkpoint"
 	"repro/internal/obs"
 )
 
@@ -312,4 +314,37 @@ func BenchmarkObsPiggyback(b *testing.B) {
 		bytesOut = n
 	}
 	b.ReportMetric(float64(bytesOut), "payload-bytes")
+}
+
+// TestWireStatsOneList pins the transport counter list: counters and
+// fields name every field of their struct in declaration order, the two
+// structs declare the same names, and a snapshot survives the wire codec
+// and the sum field by field.
+func TestWireStatsOneList(t *testing.T) {
+	var w WireStats
+	var s LinkStats
+	wv, sv := reflect.ValueOf(&w).Elem(), reflect.ValueOf(&s).Elem()
+	if wv.NumField() != nWireStats || sv.NumField() != nWireStats {
+		t.Fatalf("WireStats has %d fields, LinkStats %d, the list %d", wv.NumField(), sv.NumField(), nWireStats)
+	}
+	wc, sf := w.counters(), s.fields()
+	for i := 0; i < nWireStats; i++ {
+		name := wv.Type().Field(i).Name
+		if sv.Type().Field(i).Name != name {
+			t.Errorf("field %d: WireStats.%s, LinkStats.%s", i, name, sv.Type().Field(i).Name)
+		}
+		if wv.Field(i).Addr().Interface() != wc[i] || sv.Field(i).Addr().Interface() != sf[i] {
+			t.Errorf("the list's entry %d is not %s", i, name)
+		}
+		wc[i].Store(uint64(i + 1))
+	}
+	enc := checkpoint.NewEnc(nil)
+	w.Snapshot().appendTo(&enc)
+	got := decLinkStats(checkpoint.NewDec(enc.Bytes()))
+	got.add(w.Snapshot())
+	for i, f := range got.fields() {
+		if *f != 2*uint64(i+1) {
+			t.Errorf("%s: %d after codec and sum, want %d", sv.Type().Field(i).Name, *f, 2*(i+1))
+		}
+	}
 }

@@ -89,6 +89,37 @@ func TestSlowWorkerHeartbeatsSurvive(t *testing.T) {
 	}
 }
 
+// TestBigDoneFrameBehindSlowSeat pins the one case the coordinator's
+// serial fan-in changes: it reads the replies in seat order, so a done
+// frame bigger than the socket buffers waits in its worker's write
+// until the coordinator reaches that seat. Here seat 0 sleeps inside
+// window 3 for five Timeouts (its heartbeats keep it alive) while seat
+// 1 ships 8 MiB of Event.Data in the same window: seat 1's write
+// passes its deadline and the seat heals by session resume, which costs
+// a reconnect and the frame's retransmission but no rollback. The
+// event is due past the horizon, so the model never sees it.
+func TestBigDoneFrameBehindSlowSeat(t *testing.T) {
+	const timeout = 200 * time.Millisecond
+	c := rtScn.coordinator(func(c *Coordinator) { c.Timeout = timeout })
+	ws := rtScn.pair()
+	setupA, setupB := ws[0].Setup, ws[1].Setup
+	ws[0].Setup = func(w *Worker) {
+		setupA(w)
+		w.LP(0).E.Schedule(2.5, func() { time.Sleep(5 * timeout) })
+	}
+	ws[1].Setup = func(w *Worker) {
+		setupB(w)
+		lp := w.LP(3)
+		lp.E.Schedule(2.5, func() { lp.Send(0, 2*rtScn.horizon, make([]byte, 8<<20)) })
+	}
+	launch(t, c, ws)
+	wantCounts(t, "run with a big frame behind a slow seat", c, rtScn.reference())
+	if c.Recoveries != 0 {
+		t.Fatalf("%d rollback recoveries", c.Recoveries)
+	}
+	t.Logf("session resumes: %d", c.Reconnects)
+}
+
 // TestCoordinatorFileResume exercises checkpoint persistence: a run
 // whose coordinator fails (a worker dies with recovery disabled)
 // leaves its last cluster checkpoint on disk; a second Serve with

@@ -347,8 +347,16 @@ func (w *Worker) register(l *link) (*frame, error) {
 }
 
 // applyConfig adopts the run parameters and — exactly once — builds
-// the LP engines and runs the model Setup hook.
+// the LP engines and runs the model Setup hook. The frame is another
+// process's word: a lookahead or timeout no worker can run with is
+// refused, fatally, before anything is built from it.
 func (w *Worker) applyConfig(cfg *frame) error {
+	if !(cfg.Lookahead > 0) || math.IsInf(cfg.Lookahead, 1) {
+		return fatalf("distsim: config frame lookahead %v is not finite and > 0", cfg.Lookahead)
+	}
+	if err := checkTimeoutSec(cfg.TimeoutSec); err != nil {
+		return &fatalError{err}
+	}
 	w.session = cfg.Session
 	w.writeTimeout = time.Duration(cfg.TimeoutSec * float64(time.Second))
 	w.collectLoads = cfg.RebalanceEvery > 0
@@ -383,6 +391,18 @@ func (w *Worker) applyConfig(cfg *frame) error {
 	// Models may Send during Setup; those flush here like any window's
 	// sends, before the first window.
 	w.outbox = w.g.Flush(w.outbox)
+	return nil
+}
+
+// checkTimeoutSec reports a config frame TimeoutSec a worker cannot run
+// with: it must be finite, >= 0, a Duration and, when positive, give a
+// write deadline whose third — the heartbeat interval — is still
+// positive.
+func checkTimeoutSec(sec float64) error {
+	ns := sec * float64(time.Second)
+	if !(ns >= 0 && ns < math.MaxInt64) || ns > 0 && time.Duration(ns)/3 == 0 {
+		return fmt.Errorf("distsim: config frame TimeoutSec %v is not finite and >= 0 with a positive heartbeat interval", sec)
+	}
 	return nil
 }
 
