@@ -52,8 +52,10 @@ bench:
 # frame events): arbitrary bytes must decode to an error or a valid
 # value — never a panic or an absurd allocation. Last, arbitrary
 # push/pop/peek sequences must get from the default FEL exactly what
-# the binary heap it replaced returns, and the flow network on a fuzzed
-# scenario exactly what the per-flow-timer reference simulates.
+# the binary heap it replaced returns, the flow network on a fuzzed
+# scenario exactly what the per-flow-timer reference simulates, and the
+# flow network's closed-form link charge exactly what one add at a time
+# sums to.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime 10s ./internal/distsim/
 	$(GO) test -run '^$$' -fuzz FuzzParseJournal -fuzztime 10s ./internal/distsim/
@@ -62,6 +64,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 10s ./internal/winsync/
 	$(GO) test -run '^$$' -fuzz FuzzHeapAgainstReference -fuzztime 10s ./internal/eventq/
 	$(GO) test -run '^$$' -fuzz FuzzNetworkAgainstReference -fuzztime 10s ./internal/netsim/
+	$(GO) test -run '^$$' -fuzz FuzzAddN -fuzztime 10s ./internal/netsim/
 
 # Go line counts, non-test and test, per internal/* package, for the
 # commands and for the whole module, and the flag registration call

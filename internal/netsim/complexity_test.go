@@ -42,11 +42,11 @@ func backlog(tb testing.TB, e *des.Engine, net *Network, src *Node, dsts []*Node
 		e.Step()
 	}
 	cycle := func() {
-		f := net.next
+		f := net.flows[net.next]
 		if !e.Step() || !f.finished {
 			tb.Fatal("the earliest flow did not complete")
 		}
-		f.remaining, f.finished = bytes, false
+		f.Bytes, f.finished = bytes, false
 		net.admit(f)
 	}
 	for i := 0; i < 2*n; i++ { // past the tombstones admission left

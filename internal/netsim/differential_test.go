@@ -496,3 +496,105 @@ func TestInstantsThatRoundTogetherTieInStartOrder(t *testing.T) {
 		}
 	}
 }
+
+// accessorRun is one fabric under TestRateAndRemainingAgainstPerFlowTimers:
+// issue starts a transfer and returns a probe of the flow's rate and
+// remaining bytes; completed runs after every completion's probes.
+type accessorRun struct {
+	issue     func(src, dst *Node, bytes float64, done func()) (probe func() (rate, remaining float64))
+	completed func()
+}
+
+// runAccessorScenario saturates a T0 uplink (1 000 B/s, 0.5 s latency)
+// with transfers to a wide T1 link, so that every fill is one-rate,
+// until a transfer to T2, whose own 100 B/s link is its bottleneck,
+// joins the uplink at 1.5 s; the fills then settle two rates until it
+// drains. It returns every flow's rate and remaining bytes, as bits, at
+// every completion and at the end; some flows are finished by then,
+// some are in their latency phase (issued in a completion callback)
+// and one carries no bytes.
+func runAccessorScenario(mk func(*des.Engine, *Topology) accessorRun) []uint64 {
+	e := des.NewEngine()
+	topo := NewTopology()
+	t0, wan, t1, t2 := topo.AddNode("T0"), topo.AddNode("WAN"), topo.AddNode("T1"), topo.AddNode("T2")
+	topo.Connect(t0, wan, 1000, 0.5)
+	topo.Connect(wan, t1, 1e6, 0)
+	topo.Connect(wan, t2, 100, 0)
+	run := mk(e, topo)
+	var probes []func() (float64, float64)
+	var got []uint64
+	record := func() {
+		for _, p := range probes {
+			r, rem := p()
+			got = append(got, math.Float64bits(r), math.Float64bits(rem))
+		}
+	}
+	var transfer func(dst *Node, bytes float64, chain bool)
+	transfer = func(dst *Node, bytes float64, chain bool) {
+		probes = append(probes, run.issue(t0, dst, bytes, func() {
+			if chain {
+				transfer(t1, 700, false)
+			}
+			record()
+			run.completed()
+		}))
+	}
+	e.At(0, func() {
+		transfer(t1, 100, true)
+		for i := 1; i <= 6; i++ {
+			transfer(t1, float64(1000*i), i%2 == 0)
+		}
+		transfer(t1, 0, false)
+	})
+	e.At(1, func() { transfer(t2, 1000, true) })
+	e.Run()
+	record()
+	return got
+}
+
+// TestRateAndRemainingAgainstPerFlowTimers: every flow's Rate and
+// Remaining equal, bit for bit, the rate and remaining bytes the
+// per-flow-timer reference keeps per flow, at every completion, as the
+// network leaves the one-rate regime and comes back to it.
+func TestRateAndRemainingAgainstPerFlowTimers(t *testing.T) {
+	var regimes []bool // Network.one at each completion
+	got := runAccessorScenario(func(e *des.Engine, topo *Topology) accessorRun {
+		n := NewNetwork(e, topo)
+		return accessorRun{
+			issue: func(src, dst *Node, bytes float64, done func()) func() (float64, float64) {
+				f := n.transfer(src, dst, bytes, done)
+				return func() (float64, float64) { return f.Rate(), f.Remaining() }
+			},
+			completed: func() { regimes = append(regimes, n.one) },
+		}
+	})
+	want := runAccessorScenario(func(e *des.Engine, topo *Topology) accessorRun {
+		n := &refNetwork{e: e, topo: topo, Efficiency: 1}
+		return accessorRun{
+			issue: func(src, dst *Node, bytes float64, done func()) func() (float64, float64) {
+				f := n.transfer(src, dst, bytes, done)
+				return func() (float64, float64) { return f.rate, f.remaining }
+			},
+			completed: func() {},
+		}
+	})
+	if len(got) != len(want) {
+		t.Fatalf("%d probes, reference %d", len(got)/2, len(want)/2)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			what := [2]string{"rate", "remaining"}[i%2]
+			t.Fatalf("probe %d: %s %v, reference %v", i/2, what,
+				math.Float64frombits(got[i]), math.Float64frombits(want[i]))
+		}
+	}
+	// The run must leave the one-rate regime and come back to it.
+	left, back := false, false
+	for i := 1; i < len(regimes); i++ {
+		left = left || regimes[i-1] && !regimes[i]
+		back = back || left && !regimes[i-1] && regimes[i]
+	}
+	if !regimes[0] || !left || !back {
+		t.Fatalf("one-rate regime at each completion %v: want it left and entered again", regimes)
+	}
+}

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/des"
@@ -23,6 +24,11 @@ import (
 // and the flows themselves, one cancel, one schedule and no allocation.
 // Flows due at the same instant complete in start order; that
 // tie-break lives in rebalance's scan, not in the event list.
+//
+// When one bottleneck carries every active flow (the T0/T1 study's
+// shared uplink), every flow has one rate: the network keeps it once,
+// drains the flows' remaining bytes in one pass over rem, and charges
+// each link its flows' identical moves in closed form (addN).
 type Network struct {
 	e    *des.Engine
 	topo *Topology
@@ -32,15 +38,21 @@ type Network struct {
 	// this factor. 1.0 means ideal fluid behavior.
 	Efficiency float64
 
-	flows      []*Flow // active flows, in start order (determinism)
+	flows      []*Flow   // active flows, in start order (determinism)
+	rem        []float64 // rem[i] is flows[i]'s remaining bytes, its only copy
 	lastUpdate float64
+
+	// one reports that the last fill gave every active flow the one
+	// rate in rate, which is then the only copy of their rates.
+	one  bool
+	rate float64
 
 	// fill[l.ID] is link l's share of the active flows, kept by admit
 	// and removeFlow; links lists the links with any, in no order.
 	fill  []linkFill
 	links []*Link
 
-	next     *Flow     // flow the pending completion timer is for
+	next     int       // index in flows of the flow the pending completion is for
 	timer    des.Timer // the one pending completion, if any
 	complete func()    // n.completeNext, bound once so arming allocates nothing
 
@@ -60,23 +72,38 @@ type linkFill struct {
 type Flow struct {
 	Src, Dst  *Node
 	Bytes     float64
-	remaining float64
-	rate      float64
+	rate      float64 // set by fillAll; in the one-rate regime, Network.rate
 	route     []*Link
 	startTime float64
 	doneTime  float64
 	done      func()
+	hop       bool // done runs in its own zero-delay event (SendThen)
 	net       *Network
 	finished  bool
 	fixed     bool // rebalance scratch: rate settled in this fill
 }
 
-// Rate returns the flow's current allocated rate in bytes/second.
-func (f *Flow) Rate() float64 { return f.rate }
+// Rate returns the flow's current allocated rate in bytes/second. For
+// an active flow it costs a search of the network's active flows.
+func (f *Flow) Rate() float64 {
+	if f.net.one && slices.Index(f.net.flows, f) >= 0 {
+		return f.net.rate
+	}
+	return f.rate
+}
 
 // Remaining returns the bytes not yet delivered (as of the last
-// recompute; exact at event boundaries).
-func (f *Flow) Remaining() float64 { return f.remaining }
+// recompute; exact at event boundaries). For an active flow it costs a
+// search of the network's active flows.
+func (f *Flow) Remaining() float64 {
+	if i := slices.Index(f.net.flows, f); i >= 0 {
+		return f.net.rem[i]
+	}
+	if f.finished {
+		return 0
+	}
+	return f.Bytes
+}
 
 // Finished reports completion.
 func (f *Flow) Finished() bool { return f.finished }
@@ -108,6 +135,11 @@ func (n *Network) Completed() uint64 { return n.completed }
 // propagation latency once, then drains at the max-min fair rate.
 // Zero-byte transfers complete after the latency alone.
 func (n *Network) Transfer(src, dst *Node, bytes float64, done func()) {
+	n.transfer(src, dst, bytes, done)
+}
+
+// transfer is Transfer, returning the flow.
+func (n *Network) transfer(src, dst *Node, bytes float64, done func()) *Flow {
 	if bytes < 0 || math.IsNaN(bytes) || math.IsInf(bytes, 0) {
 		panic(fmt.Sprintf("netsim: Transfer of %v bytes", bytes))
 	}
@@ -122,15 +154,16 @@ func (n *Network) Transfer(src, dst *Node, bytes float64, done func()) {
 	n.started++
 	f := &Flow{
 		Src: src, Dst: dst,
-		Bytes: bytes, remaining: bytes,
+		Bytes: bytes,
 		route: route, startTime: n.e.Now(),
 		done: done, net: n,
 	}
 	if bytes == 0 || len(route) == 0 {
 		n.e.ScheduleNamed("net:zero", latency, func() { n.finish(f) })
-		return
+		return f
 	}
 	n.e.ScheduleNamed("net:flowstart", latency, func() { n.admit(f) })
+	return f
 }
 
 // Send implements Fabric.
@@ -138,29 +171,136 @@ func (n *Network) Send(p *des.Process, src, dst *Node, bytes float64) {
 	send(p, n, src, dst, bytes)
 }
 
-// SendThen implements Fabric.
+// SendThen implements Fabric. It runs then as des.Engine.Hop would,
+// without allocating Hop's callback.
 func (n *Network) SendThen(src, dst *Node, bytes float64, then func()) {
-	n.Transfer(src, dst, bytes, n.e.Hop(then))
+	n.transfer(src, dst, bytes, then).hop = true
 }
 
 // advance charges every active flow for the bytes moved since the last
-// recompute point.
+// recompute point, and every link for the bytes its flows moved, in the
+// order and rounding of one add per flow and link crossed.
 func (n *Network) advance() {
 	now := n.e.Now()
 	dt := now - n.lastUpdate
-	if dt > 0 {
-		for _, f := range n.flows {
-			moved := f.rate * dt
-			f.remaining -= moved
-			if f.remaining < 0 {
-				f.remaining = 0
+	n.lastUpdate = now
+	if dt <= 0 {
+		return
+	}
+	rem := n.rem
+	if n.one {
+		moved := n.rate * dt
+		for i, x := range rem {
+			if x -= moved; x < 0 {
+				x = 0
 			}
-			for _, l := range f.route {
-				l.bytesCarried += moved
-			}
+			rem[i] = x
+		}
+		fill := n.fill
+		for _, l := range n.links {
+			l.bytesCarried = addN(l.bytesCarried, moved, fill[l.ID].active)
+		}
+		return
+	}
+	for i, f := range n.flows {
+		moved := f.rate * dt
+		if rem[i] -= moved; rem[i] < 0 {
+			rem[i] = 0
+		}
+		for _, l := range f.route {
+			l.bytesCarried += moved
 		}
 	}
-	n.lastUpdate = now
+}
+
+// addN returns b after k successive b += m, bit for bit, in steps
+// proportional to the binades the sum crosses rather than to k: while
+// the sum stays in one binade, every add rounds at that binade's ulp,
+// so each adds m rounded to a multiple of it, whatever the sum is. The
+// closed form is addBinades'; addN itself is small enough to inline,
+// so that the short counts, which take the plain loop, pay no call.
+func addN(b, m float64, k int) float64 {
+	if k >= shortAdds {
+		b, k = addBinades(b, m, k)
+	}
+	for range k {
+		b += m
+	}
+	return b
+}
+
+// shortAdds is the count of adds below which the plain loop is as
+// fast as the closed form.
+const shortAdds = 8
+
+// addBinades makes addN's adds until fewer than shortAdds are left: as
+// many as sameBinade vouches for in one multiply-add, else one hardware
+// add. It returns the sum and the adds left.
+func addBinades(b, m float64, k int) (float64, int) {
+	for k >= shortAdds {
+		s, d := sameBinade(b, m, k)
+		if s == 0 {
+			s, d = 1, m
+		}
+		b += float64(s) * d
+		k -= s
+	}
+	return b, k
+}
+
+// sameBinade returns how many, s ≤ k, of k successive b += m each add
+// exactly d, the multiple of b's ulp nearest m. It returns 0 when it
+// cannot vouch for the first add: m is an exact half-ulp tie (the
+// rounding then depends on b's parity), m ≥ b, an operand is not
+// positive and finite, or b is so small that its ulp is subnormal.
+func sameBinade(b, m float64, k int) (s int, d float64) {
+	if !(0 < m && m < b && b <= math.MaxFloat64) {
+		return 0, 0
+	}
+	const frac = 1<<52 - 1
+	bb, mb := math.Float64bits(b), math.Float64bits(m)
+	be, me := bb>>52, mb>>52 // biased exponents; m < b, so me ≤ be
+	if be <= 52 {
+		return 0, 0
+	}
+	// b is B·u with u = 2^(be-1075) and 2^52 ≤ B < 2^53; every double
+	// in [b, 2^53·u] is a multiple of u, so an add whose exact sum
+	// rounds in there rounds to a multiple of u.
+	B, M := bb&frac|1<<52, mb&frac
+	if me > 0 {
+		M |= 1 << 52
+	} else {
+		me = 1 // subnormal m: its unit is 2^-1074 too
+	}
+	// m/u = q ± a fraction below ½; q is m rounded to a multiple of u.
+	var q uint64
+	switch shift := be - me; {
+	case shift == 0:
+		q = M
+	case shift <= 53:
+		half := uint64(1) << (shift - 1)
+		r := M & (2*half - 1)
+		if r == half {
+			return 0, 0
+		}
+		q = M >> shift
+		if r > half {
+			q++
+		}
+	} // shift > 53: m < u/2, q = 0
+	if q == 0 {
+		return k, 0 // each add rounds back to b
+	}
+	// The (j+1)-th add lands on (B + (j+1)·q)·u when that is at most
+	// 2^53·u: its exact sum lies less than u/2 from it, and no other
+	// double is as close, as the spacing is u below 2^53·u and 2u above.
+	n := uint64(1)<<53 - B
+	if hi, lo := bits.Mul64(uint64(k), q); hi == 0 && lo <= n {
+		s = k
+	} else {
+		s = int(n / q)
+	}
+	return s, float64(q) * math.Float64frombits((be-52)<<52)
 }
 
 // admit is Transfer's start event: it charges the active flows up to
@@ -168,6 +308,7 @@ func (n *Network) advance() {
 func (n *Network) admit(f *Flow) {
 	n.advance()
 	n.flows = append(n.flows, f)
+	n.rem = append(n.rem, f.Bytes)
 	for _, l := range f.route {
 		if l.ID >= len(n.fill) { // first admission, or the topology has grown
 			k := len(n.topo.links)
@@ -196,12 +337,18 @@ func (n *Network) rebalance() {
 	}
 	n.timer.Cancel()
 	if b, share := n.bottleneck(); b != nil && n.fill[b.ID].unfixed == len(n.flows) {
-		n.next = n.shareOne(share)
+		n.one, n.rate = true, share
+		n.next = n.shareOne()
 	} else {
+		n.one = false
 		n.next = n.fillAll()
 	}
-	if f := n.next; f != nil {
-		n.timer = n.e.ScheduleNamed("net:flowend", f.remaining/f.rate, n.complete)
+	if i := n.next; i >= 0 {
+		r := n.rate
+		if !n.one {
+			r = n.flows[i].rate
+		}
+		n.timer = n.e.ScheduleNamed("net:flowend", n.rem[i]/r, n.complete)
 	}
 }
 
@@ -226,36 +373,38 @@ func (n *Network) bottleneck() (*Link, float64) {
 }
 
 // shareOne is the fill when one bottleneck carries every flow: each
-// gets rate r. It returns the flow that finishes first, nil when r is
-// not positive (every flow stalls). Completion instants now+remaining/r
-// never decrease as remaining grows, so the earliest is the least
-// remaining's, found by comparison alone; the first flow in start order
-// whose instant rounds to it is the one fillAll's scan would pick.
-func (n *Network) shareOne(r float64) *Flow {
-	least := math.Inf(1)
-	for _, f := range n.flows {
-		f.rate = r
-		if f.remaining < least {
-			least = f.remaining
-		}
-	}
+// gets rate n.rate. It returns the index of the flow that finishes
+// first, -1 when the rate is not positive (every flow stalls).
+// Completion instants now+remaining/r never decrease as remaining
+// grows, so the earliest is the least remaining's, found by comparison
+// alone; the first flow in start order whose instant rounds to it is
+// the one fillAll's scan would pick.
+func (n *Network) shareOne() int {
+	r := n.rate
 	if r <= 0 {
-		return nil
+		return -1
+	}
+	rem := n.rem
+	least := math.Inf(1)
+	for _, x := range rem {
+		if x < least {
+			least = x
+		}
 	}
 	now := n.e.Now()
 	at := now + least/r
 	i := 0
-	for now+n.flows[i].remaining/r != at {
+	for now+rem[i]/r != at {
 		i++
 	}
-	return n.flows[i]
+	return i
 }
 
 // fillAll is the general progressive fill: the flows crossing the link
 // with the least fair share are fixed at that share and taken off their
-// other links, until every flow is fixed. It returns the flow that
-// finishes first.
-func (n *Network) fillAll() *Flow {
+// other links, until every flow is fixed. It returns the index of the
+// flow that finishes first, -1 when every flow stalls.
+func (n *Network) fillAll() int {
 	for _, f := range n.flows {
 		f.fixed = false
 		f.rate = 0
@@ -298,14 +447,14 @@ func (n *Network) fillAll() *Flow {
 	// + remaining/rate) so that flows whose instants round together tie;
 	// strict < scanning in start order lets the earliest-started of them
 	// complete first.
-	var next *Flow
+	next := -1
 	now, bestAt := n.e.Now(), 0.0
-	for _, f := range n.flows {
+	for i, f := range n.flows {
 		if f.rate <= 0 {
 			continue // stalled: no capacity on some link
 		}
-		if at := now + f.remaining/f.rate; next == nil || at < bestAt {
-			next, bestAt = f, at
+		if at := now + n.rem[i]/f.rate; next < 0 || at < bestAt {
+			next, bestAt = i, at
 		}
 	}
 	return next
@@ -325,23 +474,22 @@ func (f *Flow) crosses(l *Link) bool {
 // user's done callback, so whatever done schedules at this same instant
 // runs after a completion that is also due now.
 func (n *Network) completeNext() {
-	f := n.next
+	f := n.flows[n.next]
 	n.advance()
-	f.remaining = 0
-	n.removeFlow(f)
+	if n.one {
+		f.rate = n.rate // what Rate reports once f has finished
+	}
+	n.removeFlow(n.next)
 	n.rebalance()
 	n.finish(f)
 }
 
-// removeFlow deletes f from the active list, keeping start order, and
+// removeFlow deletes the i-th active flow, keeping start order, and
 // uncounts it on its links.
-func (n *Network) removeFlow(f *Flow) {
-	for i, g := range n.flows {
-		if g == f {
-			n.flows = append(n.flows[:i], n.flows[i+1:]...)
-			break
-		}
-	}
+func (n *Network) removeFlow(i int) {
+	f := n.flows[i]
+	n.flows = append(n.flows[:i], n.flows[i+1:]...)
+	n.rem = append(n.rem[:i], n.rem[i+1:]...)
 	for _, l := range f.route {
 		n.fill[l.ID].active--
 		if n.fill[l.ID].active > 0 {
@@ -364,7 +512,10 @@ func (n *Network) finish(f *Flow) {
 	f.finished = true
 	f.doneTime = n.e.Now()
 	n.completed++
-	if f.done != nil {
+	switch {
+	case f.hop:
+		n.e.ScheduleNamed("hop", 0, f.done)
+	case f.done != nil:
 		f.done()
 	}
 }

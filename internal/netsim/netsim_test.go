@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/des"
@@ -86,24 +87,53 @@ func TestRouteCachedUntilRecompute(t *testing.T) {
 	}
 }
 
+// TestConnectValidation: Connect panics up front, naming the values,
+// unless capacity is finite and positive and latency finite and not
+// negative. A NaN capacity would stall every flow over the link, and a
+// NaN or infinite latency would reach the engine only at the first
+// transfer.
 func TestConnectValidation(t *testing.T) {
 	topo := NewTopology()
 	a := topo.AddNode("a")
 	b := topo.AddNode("b")
-	for name, fn := range map[string]func(){
-		"self":        func() { topo.Connect(a, a, 1, 0) },
-		"zero bps":    func() { topo.Connect(a, b, 0, 0) },
-		"neg latency": func() { topo.Connect(a, b, 1, -1) },
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		name         string
+		bps, latency float64
+		want         string // in the panic message
+	}{
+		{"zero bps", 0, 0, "bps=0 "},
+		{"negative bps", -1, 0, "bps=-1 "},
+		{"NaN bps", nan, 0, "bps=NaN "},
+		{"+Inf bps", inf, 0, "bps=+Inf "},
+		{"-Inf bps", -inf, 0, "bps=-Inf "},
+		{"negative latency", 1, -1, "latency=-1,"},
+		{"NaN latency", 1, nan, "latency=NaN,"},
+		{"+Inf latency", 1, inf, "latency=+Inf,"},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: no panic", name)
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.want) {
+					t.Errorf("%s: panic %q, want one naming %q", c.name, msg, c.want)
 				}
 			}()
-			fn()
+			topo.Connect(a, b, c.bps, c.latency)
 		}()
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("self: no panic")
+			}
+		}()
+		topo.Connect(a, a, 1, 0)
+	}()
+	if len(topo.Links()) != 0 {
+		t.Fatalf("refused Connects left %d links", len(topo.Links()))
+	}
+	topo.Connect(a, b, math.SmallestNonzeroFloat64, 0) // the extremes that are accepted
+	topo.Connect(a, b, math.MaxFloat64, math.MaxFloat64)
 }
 
 func TestFlowSingleTransferTiming(t *testing.T) {

@@ -49,11 +49,11 @@ func TestQuickMaxMinRespectsCapacity(t *testing.T) {
 			// Feasibility per directed link.
 			load := map[*Link]float64{}
 			for _, fl := range net.flows {
-				if fl.rate < 0 {
+				if fl.Rate() < 0 {
 					ok = false
 				}
 				for _, l := range fl.route {
-					load[l] += fl.rate
+					load[l] += fl.Rate()
 				}
 			}
 			for l, sum := range load {
@@ -83,9 +83,9 @@ func TestMaxMinWorkConserving(t *testing.T) {
 		e.Schedule(0.001, func() {
 			total := 0.0
 			for _, f := range net.flows {
-				total += f.rate
-				if math.Abs(f.rate-1000/float64(n)) > 1e-6 {
-					t.Errorf("n=%d: flow rate %v, want %v", n, f.rate, 1000/float64(n))
+				total += f.Rate()
+				if math.Abs(f.Rate()-1000/float64(n)) > 1e-6 {
+					t.Errorf("n=%d: flow rate %v, want %v", n, f.Rate(), 1000/float64(n))
 				}
 			}
 			if math.Abs(total-1000) > 1e-6 {

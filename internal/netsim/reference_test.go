@@ -30,6 +30,11 @@ type refFlow struct {
 }
 
 func (n *refNetwork) Transfer(src, dst *Node, bytes float64, done func()) {
+	n.transfer(src, dst, bytes, done)
+}
+
+// transfer is Transfer, returning the flow.
+func (n *refNetwork) transfer(src, dst *Node, bytes float64, done func()) *refFlow {
 	route := n.topo.Route(src, dst)
 	latency := 0.0
 	for _, l := range route {
@@ -38,13 +43,14 @@ func (n *refNetwork) Transfer(src, dst *Node, bytes float64, done func()) {
 	f := &refFlow{remaining: bytes, route: route, done: done}
 	if bytes == 0 || len(route) == 0 {
 		n.e.ScheduleNamed("net:zero", latency, func() { n.finish(f) })
-		return
+		return f
 	}
 	n.e.ScheduleNamed("net:flowstart", latency, func() {
 		n.advance()
 		n.flows = append(n.flows, f)
 		n.rebalance()
 	})
+	return f
 }
 
 func (n *refNetwork) advance() {

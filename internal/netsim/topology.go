@@ -20,6 +20,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/des"
 )
@@ -96,13 +97,15 @@ func (t *Topology) Links() []*Link { return t.links }
 
 // Connect joins a and b with a full-duplex link: bps bytes/second and
 // the given one-way latency in each direction. It returns the two
-// directed links (a→b, b→a).
+// directed links (a→b, b→a). It panics unless bps is finite and
+// positive and latency finite and not negative.
 func (t *Topology) Connect(a, b *Node, bps, latency float64) (*Link, *Link) {
 	if a == b {
 		panic("netsim: Connect node to itself")
 	}
-	if bps <= 0 || latency < 0 {
-		panic(fmt.Sprintf("netsim: Connect with bps=%v latency=%v", bps, latency))
+	if !(bps > 0 && bps <= math.MaxFloat64 && latency >= 0 && latency <= math.MaxFloat64) {
+		panic(fmt.Sprintf("netsim: Connect %s-%s with bps=%v latency=%v, want a finite bps > 0 and a finite latency >= 0",
+			a.Name, b.Name, bps, latency))
 	}
 	ab := &Link{ID: len(t.links), From: a, To: b, Bps: bps, Latency: latency}
 	t.links = append(t.links, ab)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/replication"
 	"repro/internal/rng"
@@ -66,8 +67,22 @@ func DefaultLHCSpec() LHCSpec {
 	}
 }
 
-// LHCFile names the i-th file of a product: "RAW-00042" etc.
-func LHCFile(p LHCProduct, i int) string { return fmt.Sprintf("%s-%05d", p, i) }
+// LHCFile names the i-th file of a product: "RAW-00042" etc., the
+// string fmt.Sprintf("%s-%05d", p, i) makes, for one allocation.
+func LHCFile(p LHCProduct, i int) string {
+	var num [20]byte
+	digits := strconv.AppendInt(num[:0], int64(i), 10)
+	var buf [32]byte
+	name := append(append(buf[:0], p.String()...), '-')
+	width := 5 // as %05d: a sign counts towards it, and the zeros follow the sign
+	if i < 0 {
+		name, digits, width = append(name, '-'), digits[1:], width-1
+	}
+	for w := len(digits); w < width; w++ {
+		name = append(name, '0')
+	}
+	return string(append(name, digits...))
+}
 
 // LHCRun emits RAW production events: every (exponentially distributed)
 // run period, produce is called with the next RAW file. Attach it to a

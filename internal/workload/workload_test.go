@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -195,5 +196,17 @@ func TestLHCSpecDerived(t *testing.T) {
 	}
 	if LHCFile(ESD, 7) != "ESD-00007" {
 		t.Fatalf("LHCFile = %s", LHCFile(ESD, 7))
+	}
+}
+
+// TestLHCFileMatchesSprintf pins LHCFile to the fmt form it replaced,
+// padding, negative indices and unknown products included.
+func TestLHCFileMatchesSprintf(t *testing.T) {
+	for _, p := range []LHCProduct{RAW, ESD, AOD, LHCProduct(9)} {
+		for _, i := range []int{0, 7, 99999, 100000, -42, -1, -9999, -10000, math.MaxInt, math.MinInt} {
+			if got, want := LHCFile(p, i), fmt.Sprintf("%s-%05d", p, i); got != want {
+				t.Errorf("LHCFile(%v, %d) = %q, want %q", p, i, got, want)
+			}
+		}
 	}
 }
