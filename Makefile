@@ -10,8 +10,10 @@ all: tier1
 build:
 	$(GO) build ./...
 
+# An explicit -timeout: a wedged cluster test fails in minutes, with its
+# stacks, instead of at the 10-minute default.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 5m ./...
 
 vet: nogob
 	$(GO) vet ./...
@@ -35,8 +37,8 @@ nogob:
 # dispatched Runs finds its goroutines parked or still on their way
 # there, and which of the two is a matter of timing.
 race:
-	$(GO) test -race ./internal/winsync/... ./internal/parsim/... ./internal/des/... ./internal/distsim/... ./internal/chaos/... ./internal/optsim/... ./internal/checkpoint/... ./internal/netsim/... ./internal/resources/... ./internal/obs/... ./internal/monitoring/...
-	$(GO) test -race -count=10 ./internal/pool/...
+	$(GO) test -race -timeout 5m ./internal/winsync/... ./internal/parsim/... ./internal/des/... ./internal/distsim/... ./internal/chaos/... ./internal/optsim/... ./internal/checkpoint/... ./internal/netsim/... ./internal/resources/... ./internal/obs/... ./internal/monitoring/...
+	$(GO) test -race -timeout 5m -count=10 ./internal/pool/...
 
 # tier1 is the acceptance gate: build + full tests, plus vet and the
 # race detector over the concurrent packages.
@@ -67,8 +69,9 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzAddN -fuzztime 10s ./internal/netsim/
 
 # Go line counts, non-test and test, per internal/* package, for the
-# commands and for the whole module, and the flag registration call
-# sites under cmd/: the numbers a simplifying PR reports going down.
+# commands and for the whole module, the flag registration call sites
+# under cmd/, and each internal package's exported top-level identifiers
+# (go doc -short): the numbers a simplifying PR reports going down.
 loc:
 	@count() { n=$$(cat /dev/null "$$@" | wc -l); echo $$n; }; \
 	printf '%-24s %9s %9s\n' package non-test test; \
@@ -81,7 +84,11 @@ loc:
 		$$(count $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*')) \
 		$$(count $$(find . -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*')); \
 	printf '%-24s %9s\n' 'flags (cmd/ call sites)' \
-		$$(grep -rhoE '\b(fs|flag)\.((Bool|Int|Int64|Uint|Uint64|String|Float64|Duration)(Var)?|Var|Func|BoolFunc)\(' --include='*.go' --exclude='*_test.go' cmd | wc -l)
+		$$(grep -rhoE '\b(fs|flag)\.((Bool|Int|Int64|Uint|Uint64|String|Float64|Duration)(Var)?|Var|Func|BoolFunc)\(' --include='*.go' --exclude='*_test.go' cmd | wc -l); \
+	printf '%-24s %9s\n' package exported; \
+	for d in internal/*/; do \
+		printf '%-24s %9s\n' $${d%/} $$($(GO) doc -short ./$$d 2>/dev/null | wc -l); \
+	done
 
 # `make <name>-smoke` runs one end-to-end smoke, `make smoke` all of
 # them: scripts/smoke.sh holds the table (trace, checkpoint, chaos,

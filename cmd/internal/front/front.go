@@ -57,17 +57,14 @@ type Run struct {
 }
 
 // Lssim binds lssim's flags to a Run with its defaults: the fixed 8-LP
-// unit-lookahead cluster in one process, budgets sized for a loopback
-// wire the injector may be attacking.
+// unit-lookahead cluster in one process, with a Timeout short enough
+// that a frame the injector eats is noticed within seconds (every other
+// wait of the run is derived from it).
 func Lssim(fs *flag.FlagSet) *Run {
 	r := &Run{
-		Coord: distsim.Coordinator{NLPs: 8, Lookahead: 1, Horizon: 40, Seed: 1,
-			Timeout: 2 * time.Second, ReconnectWait: 10 * time.Second, MaxReconnects: 1 << 20},
-		Model: winsync.PHOLD{TotalLPs: 8, RemoteProb: 0.2, Work: 100, DelayFactor: 4, SkewFactor: 1},
-		// Short handshake waits: a dropped hello or resume reply must be
-		// retried several times inside the coordinator's reconnect
-		// window, not once at the default 10s.
-		Worker: distsim.Worker{Threads: 1, ConnectRetries: 100, ConnectBackoff: 10 * time.Millisecond, HandshakeTimeout: time.Second},
+		Coord:  distsim.Coordinator{NLPs: 8, Lookahead: 1, Horizon: 40, Seed: 1, Timeout: 2 * time.Second},
+		Model:  winsync.PHOLD{TotalLPs: 8, RemoteProb: 0.2, Work: 100, DelayFactor: 4, SkewFactor: 1},
+		Worker: distsim.Worker{Threads: 1},
 		// Event-count weights keep planning deterministic for a given
 		// seed; the busy-ns signal is what lsnode uses.
 		Greedy:  partition.Greedy{UseEvents: true},
@@ -122,10 +119,8 @@ func Lsnode(fs *flag.FlagSet) *Run {
 	fs.IntVar(&c.MaxRecoveries, "max-recoveries", 0, "coordinator: worker crashes to survive by rollback-recovery")
 	fs.Float64Var(&m.RemoteProb, "remote", m.RemoteProb, "PHOLD remote-hop probability")
 	fs.IntVar(&m.Work, "work", m.Work, "PHOLD per-event synthetic work")
-	fs.IntVar(&m.HotHoldNs, "hot-hold-ns", 0, "worker: extra wall ns a hot LP holds its worker per event (load shaping only)")
+	fs.IntVar(&m.HotHoldNs, "hot-hold-ns", 0, "worker: extra ns of CPU a hot LP burns per event (load shaping only)")
 	fs.Func("own", "worker: comma-separated LP `IDs` this worker owns", list(&r.Own, strconv.Atoi))
-	fs.IntVar(&w.ConnectRetries, "connect-retries", 0, "worker: dial/handshake attempts per connect cycle (0 = 8 default, negative = single attempt)")
-	fs.DurationVar(&w.ConnectBackoff, "connect-backoff", 0, "worker: base delay of the capped exponential dial backoff (0 = 50ms default)")
 	fs.IntVar(&w.MaxPark, "max-park", 0, "worker: parked reconnect attempts to survive a coordinator restart (0 = 64 default, negative disables parking)")
 	return r
 }
@@ -216,8 +211,7 @@ func (r *Run) Validate() error {
 // installed.
 func (r *Run) NewWorker(lpIDs ...int) *distsim.Worker {
 	w, p := distsim.NewWorker(lpIDs...), &r.Worker
-	w.Threads, w.ConnectRetries, w.ConnectBackoff, w.HandshakeTimeout, w.MaxPark =
-		p.Threads, p.ConnectRetries, p.ConnectBackoff, p.HandshakeTimeout, p.MaxPark
+	w.Threads, w.MaxPark = p.Threads, p.MaxPark
 	distsim.InstallPHOLDModel(w, &r.Model)
 	return w
 }
@@ -386,7 +380,7 @@ func (r *Run) report(t *metrics.Table, co *distsim.ClusterObs) {
 // Every node's PHOLD flags must agree for the reference to be valid.
 func (r *Run) verify(t *metrics.Table) error {
 	m := r.Model
-	m.HotHoldNs = 0 // wall-clock shaping only
+	m.HotHoldNs = 0 // CPU-time shaping only
 	ref := parsim.NewPHOLDModel(m, 1, r.Coord.Lookahead, r.Coord.Seed)
 	ref.Run(r.Coord.Horizon)
 	want, got := ref.PerLPEvents(), r.Coord.PerLPCounts()

@@ -7,130 +7,104 @@ import (
 	"time"
 )
 
-// TestBackoffDefaults pins the documented defaults newBackoff fills
-// in for a zero base.
+// TestBackoffDefaults pins the waits an lsnode run without flags gets
+// (env.go's table): 8 connect attempts 50 ms of backoff apart at first,
+// at most 5 s; a 10 s wait for the config; a resume window of
+// min(Timeout, 2 s) with four hello tries in it; Timeout, 30 s, for
+// everything derived from it.
 func TestBackoffDefaults(t *testing.T) {
-	b := newBackoff(0, 1, "test")
-	if b.Base != 50*time.Millisecond || b.Max != 5*time.Second || b.Factor != 2 || b.Jitter != 0.25 {
-		t.Fatalf("defaults = {%v %v %v %v}", b.Base, b.Max, b.Factor, b.Jitter)
+	if connectAttempts != 8 || backoffBase != 50*time.Millisecond || backoffCap != 5*time.Second ||
+		connectWait != 10*time.Second || DefaultTimeout != 30*time.Second {
+		t.Fatalf("attempts %d, backoff %v..%v, config wait %v, Timeout %v", connectAttempts, backoffBase, backoffCap, connectWait, DefaultTimeout)
 	}
-}
-
-// TestBackoffCapSaturation verifies that large attempt numbers clamp
-// to Max — including the jitter, which must never push a delay past
-// the cap — and that saturation does not loop attempt-many times.
-func TestBackoffCapSaturation(t *testing.T) {
-	b := newBackoff(time.Millisecond, 7, "cap")
-	for attempt := 0; attempt < 64; attempt++ {
-		if d := b.Delay(attempt); d > b.Max {
-			t.Fatalf("Delay(%d) = %v exceeds cap %v", attempt, d, b.Max)
+	for _, tc := range []struct{ timeout, window time.Duration }{
+		{DefaultTimeout, 2 * time.Second}, {time.Second, time.Second}, {0, 2 * time.Second},
+	} {
+		if w := resumeWait(tc.timeout); w != tc.window || w/helloTries != tc.window/4 {
+			t.Errorf("Timeout %v: resume window %v, want %v", tc.timeout, w, tc.window)
 		}
 	}
-	// 1ms doubling crosses the 5s cap well before attempt 62; with an
-	// unbroken loop the multiply would overflow float precision into
-	// garbage rather than the cap.
-	if d := b.Delay(62); d != b.Max {
-		t.Fatalf("saturated Delay(62) = %v, want exactly %v", d, b.Max)
+}
+
+// TestBackoffCapSaturation verifies that large attempt numbers clamp to
+// backoffCap — including the jitter, which must never push a delay past
+// the cap — and that saturation does not loop attempt-many times.
+func TestBackoffCapSaturation(t *testing.T) {
+	b := newBackoff(7)
+	for attempt := 0; attempt < 64; attempt++ {
+		if d := b.delay(attempt); d > backoffCap {
+			t.Fatalf("delay(%d) = %v exceeds cap %v", attempt, d, backoffCap)
+		}
+	}
+	// 50ms doubling crosses the 5s cap by attempt 7; an unbroken loop
+	// would overflow float precision into garbage rather than the cap.
+	if d := b.delay(1 << 30); d != backoffCap {
+		t.Fatalf("saturated delay = %v, want exactly %v", d, backoffCap)
 	}
 }
 
-// TestBackoffGrowth verifies the exponential shape below the cap:
-// with jitter disabled each delay is Factor times the previous one.
+// TestBackoffGrowth verifies the exponential shape below the cap: the
+// delay before retry a is backoffBase·2^a plus under a quarter of it in
+// jitter.
 func TestBackoffGrowth(t *testing.T) {
-	b := newBackoff(10*time.Millisecond, 7, "growth")
-	b.Jitter = 0
-	for attempt := 0; attempt < 5; attempt++ {
-		want := 10 * time.Millisecond << attempt
-		if d := b.Delay(attempt); d != want {
-			t.Fatalf("Delay(%d) = %v, want %v", attempt, d, want)
+	b := newBackoff(7)
+	for attempt := 0; attempt < 6; attempt++ {
+		floor := backoffBase << attempt
+		if d := b.delay(attempt); d < floor || d >= floor+floor/4 {
+			t.Fatalf("delay(%d) = %v, want in [%v, %v)", attempt, d, floor, floor+floor/4)
 		}
 	}
 }
 
 // TestBackoffDeterministicJitter is the replayability property: two
-// Backoffs built from the same seed and name draw the same jitter
-// sequence, while a different stream name draws a different one.
+// backoffs built from the same seed draw the same schedule, while a
+// different seed — another worker's LP set — draws a different one.
 func TestBackoffDeterministicJitter(t *testing.T) {
-	a := newBackoff(10*time.Millisecond, 42, "worker:[0 1]")
-	b := newBackoff(10*time.Millisecond, 42, "worker:[0 1]")
-	other := newBackoff(10*time.Millisecond, 42, "worker:[2 3]")
-	same, differs := true, false
+	a, b, other := newBackoff(42), newBackoff(42), newBackoff(43)
+	differs := false
 	for attempt := 0; attempt < 16; attempt++ {
-		da, db, dc := a.Delay(attempt), b.Delay(attempt), other.Delay(attempt)
+		da, db, dc := a.delay(attempt), b.delay(attempt), other.delay(attempt)
 		if da != db {
-			same = false
+			t.Fatalf("equal seeds diverged at attempt %d: %v, %v", attempt, da, db)
 		}
-		if da != dc {
-			differs = true
-		}
-		if attempt < 8 { // past that the 5s cap clamps below the raw exponent
-			if da < 10*time.Millisecond<<attempt {
-				t.Fatalf("Delay(%d) = %v below the jitter-free floor", attempt, da)
-			}
-		}
-	}
-	if !same {
-		t.Fatal("equal seed+name produced different delay sequences")
+		differs = differs || da != dc
 	}
 	if !differs {
-		t.Fatal("different stream names never diverged in 16 draws")
+		t.Fatal("different seeds never diverged in 16 draws")
 	}
 }
 
-// TestBackoffNilSourceJitterFree covers the zero-value Backoff (no
-// rng stream): jitter is skipped rather than panicking.
-func TestBackoffNilSourceJitterFree(t *testing.T) {
-	b := &Backoff{Base: time.Millisecond, Max: time.Second, Factor: 2, Jitter: 0.25}
-	if d := b.Delay(3); d != 8*time.Millisecond {
-		t.Fatalf("Delay(3) = %v, want 8ms", d)
+// TestConnectOneLoop pins the connect cycle: a refused dial and a lost
+// handshake each cost one of connectAttempts attempts, with one backoff
+// pause between two attempts — there is no retry loop inside an
+// attempt.
+func TestConnectOneLoop(t *testing.T) {
+	sm := newSim(t)
+	ln := sm.listen()
+	w := NewWorker(0)
+	InstallPHOLD(w, 1, 1, 0, 1)
+	dials := 0
+	w.Dial = func() (net.Conn, error) {
+		dials++
+		if dials%2 == 1 {
+			return nil, errors.New("refused")
+		}
+		return ln.dial() // nobody accepts: the config never comes
 	}
-}
-
-// TestDialRetryZeroAttempts pins the attempts<=0 contract: exactly
-// one attempt, no sleeping, and the error wraps the dial failure.
-func TestDialRetryZeroAttempts(t *testing.T) {
-	for _, attempts := range []int{0, -3} {
-		calls := 0
-		boom := errors.New("boom")
-		start := time.Now()
-		_, err := dialRetry(func() (net.Conn, error) {
-			calls++
-			return nil, boom
-		}, attempts, newBackoff(time.Second, 1, "zero"), nil)
-		if calls != 1 {
-			t.Fatalf("attempts=%d dialed %d times, want 1", attempts, calls)
-		}
-		if !errors.Is(err, boom) {
-			t.Fatalf("error %v does not wrap the dial failure", err)
-		}
-		if time.Since(start) > 500*time.Millisecond {
-			t.Fatal("single-attempt dialRetry slept")
-		}
-	}
-}
-
-// TestDialRetryCountsBackoff verifies retries succeed mid-budget and
-// that every slept delay lands in WireStats.BackoffNs.
-func TestDialRetryCountsBackoff(t *testing.T) {
-	var stats WireStats
-	calls := 0
-	conn, err := dialRetry(func() (net.Conn, error) {
-		calls++
-		if calls < 3 {
-			return nil, errors.New("not yet")
-		}
-		c, s := net.Pipe()
-		s.Close()
-		return c, nil
-	}, 5, newBackoff(time.Microsecond, 1, "count"), &stats)
-	if err != nil {
+	sm.attach(nil, w)
+	var werr error
+	if err := sm.run(func() error { werr = w.Run(""); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	conn.Close()
-	if calls != 3 {
-		t.Fatalf("dialed %d times, want 3", calls)
+	if werr == nil || dials != connectAttempts {
+		t.Fatalf("Run = %v after %d dials, want an error after %d", werr, dials, connectAttempts)
 	}
-	if stats.BackoffNs.Load() == 0 {
-		t.Fatal("BackoffNs never counted the sleeps")
+	var slept time.Duration
+	bo := newBackoff(w.idSeed())
+	for a := 0; a+1 < connectAttempts; a++ {
+		slept += bo.delay(a)
+	}
+	if got := time.Duration(w.wire.BackoffNs.Load()); got != slept {
+		t.Fatalf("paused %v between attempts, want the schedule's %v", got, slept)
 	}
 }

@@ -11,12 +11,14 @@ import (
 )
 
 // The chaos end-to-end suite: a PHOLD federation distributed over two
-// TCP workers, with a deterministic fault injector attacking one or
-// both directions of the wire, must finish with per-LP event counts
+// workers, with a deterministic fault injector attacking one or both
+// directions of the wire, must finish with per-LP event counts
 // bit-identical to the fault-free single-process run. Every fault
 // class the injector knows is exercised; the failures are absorbed by
 // the protocol's integrity checking, duplicate suppression, and
-// session-resume reconnects — never by the model.
+// session-resume reconnects — never by the model. The runs are on the
+// scripted clock, except the injector's delays, which are wall-clock
+// sleeps and run over loopback TCP.
 
 // ceRun executes the distributed PHOLD run with optional injectors on
 // the coordinator side (wrapping the listener, so coordinator->worker
@@ -26,7 +28,7 @@ import (
 // extra assertions.
 func ceRun(t *testing.T, coordCfg, workerCfg *chaos.Config) *Coordinator {
 	t.Helper()
-	c := ceScn.coordinator(chaosBudgets)
+	c := ceScn.coordinator(nil)
 	chaosLaunch(t, c, ceScn.pair(), coordCfg, workerCfg)
 	wantCounts(t, "chaos run (against fault-free)", c, ceScn.reference())
 	return c
@@ -74,9 +76,14 @@ func TestChaosCorrupt(t *testing.T) {
 
 func TestChaosDelayJitter(t *testing.T) {
 	t.Parallel()
-	ceRun(t,
+	c, workers := ceScn.coordinator(nil), ceScn.pair()
+	err := Loopback(c, workers, chaosWrap(workers,
 		&chaos.Config{Seed: 51, Delay: 2 * time.Millisecond, Jitter: 3 * time.Millisecond},
-		&chaos.Config{Seed: 52, Delay: 2 * time.Millisecond, Jitter: 3 * time.Millisecond})
+		&chaos.Config{Seed: 52, Delay: 2 * time.Millisecond, Jitter: 3 * time.Millisecond}, tcpDial))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCounts(t, "chaos run (against fault-free)", c, ceScn.reference())
 }
 
 func TestChaosReset(t *testing.T) {
@@ -101,16 +108,26 @@ func TestChaosScriptedResets(t *testing.T) {
 
 func TestChaosPartitionWithReconnect(t *testing.T) {
 	t.Parallel()
-	// A 700ms two-way blackhole landing mid-run: both directions drop
-	// everything, timeouts fire, and the federation heals by session
-	// resume once the partition lifts. The per-message delay stretches
-	// the run well past the partition start so the blackhole is
-	// guaranteed to land while windows are in flight, and the duration
-	// exceeds the coordinator timeout so the loss is detected *during*
-	// the partition, not after it.
-	c := ceRun(t,
-		&chaos.Config{Seed: 81, Delay: time.Millisecond, PartitionStart: 30 * time.Millisecond, PartitionDur: 700 * time.Millisecond},
-		&chaos.Config{Seed: 82, Delay: time.Millisecond, PartitionStart: 30 * time.Millisecond, PartitionDur: 700 * time.Millisecond})
+	// A two-way blackhole landing mid-run, from the 20th frame on: both
+	// directions drop everything, timeouts fire, and the federation heals
+	// by session resume once the partition lifts. It outlasts the
+	// coordinator's timeout, so the loss is detected *during* the
+	// partition, not after it, and lifts inside the resume window that
+	// opens then (env.go's table): 3.5 s against a 3 s Timeout.
+	c := ceScn.coordinator(func(c *Coordinator) { c.Timeout = 3 * time.Second })
+	sm := newSim(t)
+	k := &cut{s: sm, from: 20, span: 3500 * time.Millisecond}
+	workers := ceScn.pair()
+	err := sm.loopback(c, workers, func(ln net.Listener) net.Listener {
+		for _, w := range workers {
+			w.Dial = k.dial(simDial(ln))
+		}
+		return cutListener{ln.(*simListener), k}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCounts(t, "partition run (against fault-free)", c, ceScn.reference())
 	if c.Reconnects == 0 {
 		t.Fatal("partition run never exercised session resume")
 	}
@@ -137,12 +154,10 @@ func TestChaosFourWorkerConcurrentHeal(t *testing.T) {
 	model := ceScn.model
 	model.TotalLPs = lps
 	c := NewCoordinator(lps, 1.0, horizon, ceScn.seed)
-	chaosBudgets(c)
 	workers := make([]*Worker, 4)
 	for i := range workers {
 		workers[i] = NewWorker(2*i, 2*i+1)
 		InstallPHOLDModel(workers[i], &model)
-		workers[i].HandshakeTimeout = time.Second
 	}
 	chaosLaunch(t, c, workers, &chaos.Config{Seed: 7, Drop: 0.03}, &chaos.Config{Seed: 7 + 1000003, Drop: 0.03})
 
@@ -170,12 +185,12 @@ func (c *dropConn) Write(p []byte) (int, error) {
 
 // dropListener scripts the coordinator's side of every connection.
 type dropListener struct {
-	*net.TCPListener
+	*simListener
 	drop func(frameKind) bool
 }
 
 func (l dropListener) Accept() (net.Conn, error) {
-	conn, err := l.TCPListener.Accept()
+	conn, err := l.simListener.Accept()
 	if err != nil {
 		return nil, err
 	}
@@ -196,22 +211,12 @@ func firstN(kind frameKind, n int32) func(frameKind) bool {
 // out into an Incomplete seat with zero counts.
 func TestStatsSurviveLostHandshakes(t *testing.T) {
 	t.Parallel()
-	c := ceScn.coordinator(chaosBudgets)
+	c := ceScn.coordinator(nil)
 	workers := ceScn.pair()
-	for _, w := range workers {
-		w.HandshakeTimeout = time.Second // past the coordinator's 500 ms: it is accepting when B dials
-		w.ConnectBackoff = 10 * time.Millisecond
-	}
-	err := Loopback(c, workers, func(ln net.Listener) net.Listener {
+	err := newSim(t).loopback(c, workers, func(ln net.Listener) net.Listener {
 		lostStats := firstN(frameStats, 1)
-		workers[1].Dial = func() (net.Conn, error) {
-			conn, err := net.Dial("tcp", ln.Addr().String())
-			if err != nil {
-				return nil, err
-			}
-			return &dropConn{conn, lostStats}, nil
-		}
-		return dropListener{ln.(*net.TCPListener), firstN(frameResume, 2)}
+		workers[1].Dial = faulty(func(conn net.Conn) net.Conn { return &dropConn{conn, lostStats} }, simDial(ln))
+		return dropListener{ln.(*simListener), firstN(frameResume, 2)}
 	})
 	if err != nil {
 		t.Fatal(err)

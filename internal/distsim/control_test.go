@@ -4,12 +4,14 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -51,6 +53,43 @@ func TestCoordinatorOneGoroutine(t *testing.T) {
 				t.Errorf("%s: go statement", fset.Position(n.Pos()))
 			case *ast.ChanType:
 				t.Errorf("%s: channel type", fset.Position(n.Pos()))
+			}
+			return true
+		})
+	}
+}
+
+// TestOneClock keeps every read of time in env.go: no other non-test
+// file may call the time package's clock, sleep or timers, nor arm a
+// deadline, so a test's scripted env sees every wait a run makes.
+func TestOneClock(t *testing.T) {
+	clock := map[string]bool{"Now": true, "Since": true, "Until": true, "Sleep": true, "After": true,
+		"AfterFunc": true, "NewTimer": true, "NewTicker": true, "Tick": true}
+	deadline := map[string]bool{"SetDeadline": true, "SetReadDeadline": true, "SetWriteDeadline": true}
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if file == "env.go" || strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" && clock[sel.Sel.Name] || deadline[sel.Sel.Name] {
+				t.Errorf("%s: %s.%s outside env.go", fset.Position(n.Pos()), types.ExprString(sel.X), sel.Sel.Name)
 			}
 			return true
 		})

@@ -1,6 +1,7 @@
 package distsim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -13,20 +14,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/rng"
 )
-
-// DefaultTimeout is the per-frame receive deadline the coordinator
-// applies when Coordinator.Timeout is zero. A worker that sends
-// neither a frame nor a heartbeat for this long is declared dead.
-const DefaultTimeout = 30 * time.Second
-
-// DefaultReconnectWait caps how long the coordinator holds a slot open
-// for the same worker process to reconnect (session resume) before
-// falling back to rollback recovery or failing the run.
-const DefaultReconnectWait = 2 * time.Second
-
-// DefaultMaxReconnects bounds session resumes per run when
-// Coordinator.MaxReconnects is zero.
-const DefaultMaxReconnects = 64
 
 // Coordinator drives a distributed run: it waits for the expected
 // number of workers, verifies that their LP sets partition [0, nLPs),
@@ -48,19 +35,12 @@ type Coordinator struct {
 	Horizon   float64
 	Seed      uint64
 
-	// Timeout bounds every frame receive (and, via the config frame,
-	// worker heartbeat spacing and write deadlines). Zero means
+	// Timeout bounds every frame receive and write, and every other
+	// wait of the run is derived from it (env.go has the table; the
+	// config frame carries it to the workers). Zero means
 	// DefaultTimeout; negative disables deadlines entirely (the
 	// pre-fault-tolerance blocking behavior).
 	Timeout time.Duration
-	// ReconnectWait bounds how long a broken slot waits for its worker
-	// to reconnect with session resume. Zero means the effective
-	// Timeout capped at DefaultReconnectWait; negative disables resume
-	// (every failure goes straight to rollback recovery).
-	ReconnectWait time.Duration
-	// MaxReconnects is the session-resume budget for the whole run.
-	// Zero means DefaultMaxReconnects; negative disables resume.
-	MaxReconnects int
 	// CheckpointEvery takes a cluster checkpoint after every k-th
 	// window (plus one before the first). Zero disables checkpointing
 	// unless MaxRecoveries or CheckpointPath ask for it, in which case
@@ -70,9 +50,6 @@ type Coordinator struct {
 	// rollback-recovery. Zero (the default) fails the run on the first
 	// dead worker.
 	MaxRecoveries int
-	// RecoveryWait bounds how long Serve waits for a replacement worker
-	// to connect after a crash. Zero means the effective Timeout.
-	RecoveryWait time.Duration
 	// CheckpointPath, when set, persists every cluster checkpoint to
 	// this file (atomically), so a crashed *coordinator* can be
 	// restarted with ResumePath.
@@ -125,6 +102,8 @@ type Coordinator struct {
 	// two interesting instants around a committed barrier. Test-only.
 	crashAfterBarrier  uint64
 	crashBeforeBarrier uint64
+
+	env env // nil: the wall clock
 }
 
 // Counters is what a run has done so far, under one set of names: the
@@ -205,32 +184,8 @@ func (c *Coordinator) PerLPCounts() []uint64 {
 	return counts
 }
 
-// timeout resolves the effective per-frame deadline.
-func (c *Coordinator) timeout() time.Duration {
-	switch {
-	case c.Timeout > 0:
-		return c.Timeout
-	case c.Timeout < 0:
-		return 0
-	default:
-		return DefaultTimeout
-	}
-}
-
-// reconnectWait resolves the session-resume window (0 = disabled).
-func (c *Coordinator) reconnectWait() time.Duration {
-	switch {
-	case c.ReconnectWait > 0:
-		return c.ReconnectWait
-	case c.ReconnectWait < 0:
-		return 0
-	default:
-		if t := c.timeout(); t > 0 && t < DefaultReconnectWait {
-			return t
-		}
-		return DefaultReconnectWait
-	}
-}
+// timeout resolves the effective per-frame deadline (0: none).
+func (c *Coordinator) timeout() time.Duration { return max(0, cmp.Or(c.Timeout, DefaultTimeout)) }
 
 // rebalanceEvery resolves the planning cadence (meaningful only when
 // Rebalance is set).
@@ -276,12 +231,16 @@ func (e *slotError) Unwrap() error { return e.err }
 // the run is synchronised on lives in ctl (control.go).
 type session struct {
 	ln      net.Listener
+	env     env
 	ctl     *control
 	links   []*link          // per seat; nil until a worker is seated
 	parked  *admission       // a registration that knocked during a resume wait, kept for rollback recovery
 	loads   []partition.Load // per LP: accumulated load since the last plan (nil = rebalance off)
 	ckpt    *clusterCheckpoint
 	journal *journal // nil unless JournalPath is set
+	// resumed is Reconnects at the last committed barrier: what
+	// resumesPerBarrier caps is the difference.
+	resumed int
 
 	// Reused window-loop scratch: outbound frame headers, collected
 	// replies, per-slot error slots, the merged produced list (sized by
@@ -365,6 +324,11 @@ func (c *Coordinator) exchange(s *session, phase obs.Kind, seq uint64, mk func(w
 // reconnects (session resume) and replacement workers (rollback
 // recovery). The caller owns the listener.
 //
+// The resume window and the wait for a replacement worker close only if
+// the listener has a SetDeadline method, as *net.TCPListener and
+// chaos's wrapper do. A wrapper that embeds net.Listener hides the
+// method: a broken seat then waits until some connection knocks.
+//
 // Every Serve has the same steps: obtain a control state (journal
 // replay, ResumePath file, or blank), seat a worker on every seat
 // through admission (fill), bring the cluster to that state, finish the
@@ -377,7 +341,7 @@ func (c *Coordinator) Serve(ln net.Listener, nWorkers int) error {
 	if nWorkers <= 0 {
 		return fmt.Errorf("distsim: Serve with %d workers", nWorkers)
 	}
-	s := &session{ln: ln, links: make([]*link, nWorkers),
+	s := &session{ln: ln, env: orWall(c.env), resumed: c.Reconnects, links: make([]*link, nWorkers),
 		wframes: make([]frame, nWorkers), done: make([]*frame, nWorkers), errs: make([]error, nWorkers)}
 	defer s.shutdown()
 	tip, ck, err := c.obtain(s)
@@ -603,14 +567,13 @@ type admission struct {
 // network the same worker simply dials again. A non-zero deadline
 // bounds the wait.
 func (c *Coordinator) admit(s *session, deadline time.Time) (*admission, error) {
-	if dl, ok := s.ln.(interface{ SetDeadline(time.Time) error }); ok && !deadline.IsZero() {
-		_ = dl.SetDeadline(deadline)
-		defer dl.SetDeadline(time.Time{})
+	if !deadline.IsZero() && armAccept(s.ln, deadline) {
+		defer armAccept(s.ln, time.Time{})
 	}
 	for {
 		wait := c.timeout()
 		if !deadline.IsZero() {
-			left := time.Until(deadline)
+			left := deadline.Sub(s.env.now())
 			if left <= 0 {
 				return nil, os.ErrDeadlineExceeded
 			}
@@ -622,7 +585,7 @@ func (c *Coordinator) admit(s *session, deadline time.Time) (*admission, error) 
 		if err != nil {
 			return nil, err
 		}
-		p := newPeer(conn)
+		p := newPeer(s.env, conn)
 		p.writeTimeout = c.timeout()
 		f, _, err := p.recvRaw(wait)
 		if err != nil || (f.Kind != frameRegister && f.Kind != frameHello) {
@@ -681,7 +644,7 @@ func (s *session) matchSeat(key string, claim bool) int {
 // alive is two workers claiming one LP set, a configuration error worth
 // failing loudly. Config frames go out only once the cluster is
 // complete and its LP sets partition the run: a worker that waits past
-// its handshake timeout registers again, as does one whose config died
+// connectWait registers again, as does one whose config died
 // on the wire, which resumeSlot redoes on the same session. atTip: every
 // seat was re-adopted holding the control state's barrier.
 func (c *Coordinator) fill(s *session) (atTip bool, err error) {
@@ -878,7 +841,6 @@ func (c *Coordinator) sendSlot(s *session, wi int, f *frame) error {
 // concurrently with the serve loop), so only a run of them triggers
 // the forced resume.
 func (c *Coordinator) recvFrame(l *link) (*frame, error) {
-	const staleLimit = 3
 	stale := 0
 	for {
 		f, err := l.recv(c.timeout())
@@ -888,7 +850,7 @@ func (c *Coordinator) recvFrame(l *link) (*frame, error) {
 		switch f.Kind {
 		case frameHeartbeat:
 			if len(l.retained) > 0 || f.SendSeq > l.recvSeq {
-				if stale++; stale >= staleLimit {
+				if stale++; stale >= staleBeats {
 					return nil, fmt.Errorf("distsim: worker alive but stalled (unacked %d, claims sent %d, got %d)",
 						len(l.retained), f.SendSeq, l.recvSeq)
 				}
@@ -934,16 +896,11 @@ func (c *Coordinator) recvSlot(s *session, wi int) (*frame, error) {
 // session: the connection is parked for rollback recovery and the
 // original failure is surfaced.
 func (c *Coordinator) resumeSlot(s *session, wi int, cause error) error {
-	budget := c.MaxReconnects
-	if budget == 0 {
-		budget = DefaultMaxReconnects
-	}
-	wait := c.reconnectWait()
-	if budget < 0 || wait <= 0 || c.Reconnects >= budget {
-		return cause
+	if c.Reconnects-s.resumed >= resumesPerBarrier {
+		return cause // a wire that never lets this barrier finish
 	}
 	s.links[wi].close()
-	deadline := time.Now().Add(wait)
+	deadline := after(s.env, resumeWait(c.timeout()))
 	for {
 		a, err := c.admit(s, deadline)
 		if err != nil {
@@ -1059,6 +1016,7 @@ func (c *Coordinator) runWindows(s *session) error {
 		if err := ctl.commit(produced); err != nil {
 			return fmt.Errorf("distsim: window %d: %v", seq, err)
 		}
+		s.resumed = c.Reconnects
 		// The barrier commits when its journal record is durable: the
 		// next window's frames only go out on the next iteration, so a
 		// restarted coordinator replaying to this record finds every
@@ -1220,14 +1178,7 @@ func (c *Coordinator) recoverSlot(s *session, dead int) error {
 	// open for a resume.
 	a := s.parked
 	s.parked = nil
-	wait := c.RecoveryWait
-	if wait == 0 {
-		wait = c.timeout()
-	}
-	var deadline time.Time
-	if wait > 0 {
-		deadline = time.Now().Add(wait)
-	}
+	deadline := after(s.env, c.timeout())
 	for a == nil {
 		next, err := c.admit(s, deadline)
 		switch {

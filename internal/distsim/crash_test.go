@@ -2,6 +2,7 @@ package distsim
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -20,64 +21,59 @@ import (
 // post-migration layouts. The fallback ladder (re-adopt -> rollback ->
 // fail) and the worker park budget get their own scenarios.
 
-// crashBudgets configures a worker for the crash suite: a single short
-// resume attempt per reconnect cycle, so the park loop engages almost
-// immediately after the coordinator dies, and a park budget generous
-// enough to ride out any restart delay the tests schedule.
-func crashBudgets(w *Worker) *Worker {
-	w.ConnectRetries = 1
-	w.ConnectBackoff = 5 * time.Millisecond
-	w.HandshakeTimeout = 200 * time.Millisecond
-	w.MaxPark = 2000
-	return w
-}
+// parkOutage is an outage longer than a worker's whole reconnect cycle
+// (env.go's table): the workers have parked before the restart.
+const parkOutage = 2 * time.Minute
 
 // crashRestart drives the two-phase harness. Two coordinators share the
-// scenario, tune, a 10 s deadline unless tune set one, and one journal;
-// arm sets the first one's crash hook. The workers launch against the
-// listener (wrap, as in Loopback, may put an injector on it), c1 serves
-// until its hook fires, and — after an optional outage — c2 restarts on
-// the same listener: the workers keep dialing the same address, exactly
-// as they would a restarted process. Worker errors fail the test, so a
-// scenario only passes when parking carried every worker across the
-// outage.
+// scenario, tune and one journal; arm sets the first one's crash hook.
+// The workers launch against the listener (wrap, as in Loopback, may put
+// an injector on it), c1 serves until its hook fires, and — after an
+// outage on the scripted clock — c2 restarts on the same listener: the
+// workers keep dialing the same address, exactly as they would a
+// restarted process. Worker errors fail the test, so a scenario only
+// passes when the workers rode out the outage.
 func (s scenario) crashRestart(t *testing.T, tune, arm func(*Coordinator), workers []*Worker, outage time.Duration, wrap func(net.Listener) net.Listener) (c1, c2 *Coordinator) {
 	t.Helper()
 	journal := filepath.Join(t.TempDir(), "coord.journal")
-	ln, addr := listen(t)
+	sm := newSim(t)
+	ln := net.Listener(sm.listen())
+	for _, w := range workers {
+		w.Dial = simDial(ln)
+	}
 	if wrap != nil {
 		ln = wrap(ln)
 	}
 	mk := func() *Coordinator {
 		c := s.coordinator(tune)
-		if c.Timeout == 0 {
-			c.Timeout = 10 * time.Second
-		}
 		c.JournalPath = journal
 		return c
 	}
 	c1, c2 = mk(), mk()
 	arm(c1)
-	errs := make(chan error, len(workers))
-	for _, w := range workers {
-		go func() { errs <- w.Run(addr) }()
-	}
-	if err := c1.Serve(ln, len(workers)); !errors.Is(err, errCrashHook) {
-		t.Fatalf("first Serve = %v, want crash hook", err)
-	}
-	time.Sleep(outage)
-	if err := c2.Serve(ln, len(workers)); err != nil {
-		t.Fatalf("restarted Serve: %v", err)
-	}
-	for range workers {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Fatalf("worker: %v", err)
-			}
-		case <-time.After(60 * time.Second):
-			t.Fatal("worker wedged after restart")
+	sm.attach(c1, workers...)
+	sm.attach(c2)
+	err := sm.run(func() error {
+		runs := make([]*result, len(workers))
+		for i, w := range workers {
+			runs[i] = sm.start(func() error { return w.Run("") })
 		}
+		if err := c1.Serve(ln, len(workers)); !errors.Is(err, errCrashHook) {
+			return fmt.Errorf("first Serve = %v, want crash hook", err)
+		}
+		sm.sleep(outage)
+		if err := c2.Serve(ln, len(workers)); err != nil {
+			return fmt.Errorf("restarted Serve: %w", err)
+		}
+		for _, r := range runs {
+			if err := r.wait(); err != nil {
+				return fmt.Errorf("worker: %w", err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return c1, c2
 }
@@ -104,11 +100,11 @@ func wantReadopted(t *testing.T, c *Coordinator) {
 // strongest form: the run has a journal but *no checkpoint file*, so
 // rollback is impossible by construction — only a clean re-adoption at
 // the journal tip can finish the run. The outage is long enough that
-// every worker exhausts its normal reconnect budget and parks, so this
-// also pins the park -> re-adopt path end to end.
+// every worker exhausts its reconnect cycle and parks, so this also pins
+// the park -> re-adopt path end to end.
 func TestCrashRestartDense(t *testing.T) {
 	want, wantWindows := referenceRun(t)
-	_, c2 := rtScn.crashRestart(t, nil, afterBarrier(3), rtScn.pair(crashBudgets), 500*time.Millisecond, nil)
+	_, c2 := rtScn.crashRestart(t, nil, afterBarrier(3), rtScn.pair(), parkOutage, nil)
 	wantCounts(t, "restarted run", c2, want)
 	// Zero rolled-back windows: the restart resumes at the crash barrier,
 	// so the total executed-window count matches the uninterrupted run.
@@ -125,7 +121,7 @@ func TestCrashRestartDense(t *testing.T) {
 // their stashed done frames without touching their engines.
 func TestCrashRestartBeforeBarrier(t *testing.T) {
 	want, wantWindows := referenceRun(t)
-	_, c2 := rtScn.crashRestart(t, nil, beforeBarrier(4), rtScn.pair(crashBudgets), 0, nil)
+	_, c2 := rtScn.crashRestart(t, nil, beforeBarrier(4), rtScn.pair(), 0, nil)
 	wantCounts(t, "done-replay run", c2, want)
 	if lattice(c2) != wantWindows {
 		t.Fatalf("windows = %d, want %d", lattice(c2), wantWindows)
@@ -140,7 +136,7 @@ func TestCrashRestartBeforeBarrier(t *testing.T) {
 // skipping them. Empty windows execute nothing, so the counts stay
 // bit-identical to the single-process reference.
 func TestCrashRestartSparseSkip(t *testing.T) {
-	_, c2 := skScn.crashRestart(t, nil, afterBarrier(2), skScn.pair(crashBudgets), 0, nil)
+	_, c2 := skScn.crashRestart(t, nil, afterBarrier(2), skScn.pair(), 0, nil)
 	wantCounts(t, "crash-restart skip run", c2, skScn.reference())
 	if lattice(c2) != skScn.windows() {
 		t.Fatalf("restarted run executed %d + skipped %d != lattice %d", c2.Windows, c2.WindowsSkipped, skScn.windows())
@@ -156,20 +152,19 @@ func TestCrashRestartSparseSkip(t *testing.T) {
 // counts.
 func TestCrashRestartUnderChaos(t *testing.T) {
 	want, _ := referenceRun(t)
-	workers := rtScn.pair(crashBudgets)
+	workers := rtScn.pair()
 	faults := chaos.Config{Seed: 911, Drop: 0.02, Dup: 0.05, Corrupt: 0.02}
 	// One injector wraps the listener across both Serve calls: the
 	// restarted coordinator inherits the same hostile network.
 	wrap := func(ln net.Listener) net.Listener {
 		for i, w := range workers {
-			w.ConnectRetries = 3 // chaos eats handshakes; one attempt per cycle is too tight
 			cfg := faults
 			cfg.Seed = 912 + uint64(i)*1000003
-			w.Dial = chaos.New(cfg).Dial(ln.Addr().String())
+			w.Dial = faulty(chaos.New(cfg).Conn, w.Dial)
 		}
 		return chaos.New(faults).Listener(ln)
 	}
-	_, c2 := rtScn.crashRestart(t, chaosBudgets, afterBarrier(3), workers, 0, wrap)
+	_, c2 := rtScn.crashRestart(t, nil, afterBarrier(3), workers, 0, wrap)
 	wantCounts(t, "chaos crash-restart run", c2, want)
 	wantReadopted(t, c2)
 }
@@ -181,7 +176,7 @@ func TestCrashRestartUnderChaos(t *testing.T) {
 // the re-adoption handshake, and the restart resumes the migrated
 // layout with zero rollback.
 func TestCrashRestartAfterMigration(t *testing.T) {
-	c1, c2 := mgScn.crashRestart(t, rebalancing, afterBarrier(6), mgScn.pair(crashBudgets), 0, nil)
+	c1, c2 := mgScn.crashRestart(t, rebalancing, afterBarrier(6), mgScn.pair(), 0, nil)
 	if c1.Migrations == 0 {
 		t.Fatal("no migration before the crash; the scenario no longer exercises the migrated layout")
 	}
@@ -203,65 +198,46 @@ func TestCrashRestartAfterMigration(t *testing.T) {
 func TestCrashRestartFallbackRollback(t *testing.T) {
 	want, _ := referenceRun(t)
 	dir := t.TempDir()
-	journal := filepath.Join(dir, "coord.journal")
-	ckpt := filepath.Join(dir, "cluster.ckpt")
-
-	ln, addr := listen(t)
-
-	c1 := rtScn.coordinator(nil)
-	c1.Timeout = 10 * time.Second
-	c1.CheckpointPath = ckpt
-	c1.CheckpointEvery = 1
-	c1.JournalPath = journal
+	sm := newSim(t)
+	ln := sm.listen()
+	coordinator := func() *Coordinator {
+		c := rtScn.coordinator(nil)
+		c.CheckpointPath = filepath.Join(dir, "cluster.ckpt")
+		c.CheckpointEvery = 1
+		c.JournalPath = filepath.Join(dir, "coord.journal")
+		return c
+	}
+	c1, c2 := coordinator(), coordinator()
 	c1.crashAfterBarrier = 3
 
 	// Worker A survives the outage parked; worker B gives up after one
-	// short resume attempt (parking disabled), like a process whose own
-	// host rebooted with the coordinator's.
-	wA := crashBudgets(rtScn.worker(false, false))
-	wB := rtScn.worker(true, false)
-	wB.ConnectRetries = -1
-	wB.ConnectBackoff = 5 * time.Millisecond
-	wB.HandshakeTimeout = 200 * time.Millisecond
+	// reconnect cycle (parking disabled), like a process whose own host
+	// rebooted with the coordinator's. Its replacement registers with B's
+	// static LP set; the restarted coordinator must fall back to rollback.
+	wA, wB, wB2 := rtScn.worker(false, false), rtScn.worker(true, false), rtScn.worker(true, false)
 	wB.MaxPark = -1
-
-	aErr := make(chan error, 1)
-	bErr := make(chan error, 1)
-	go func() { aErr <- wA.Run(addr) }()
-	go func() { bErr <- wB.Run(addr) }()
-	if err := c1.Serve(ln, 2); !errors.Is(err, errCrashHook) {
-		t.Fatalf("first Serve = %v, want crash hook", err)
+	for _, w := range []*Worker{wA, wB, wB2} {
+		w.Dial = ln.dial
 	}
-	select {
-	case err := <-bErr:
-		if err == nil {
-			t.Fatal("worker B exited cleanly during the outage")
+	sm.attach(c1, wA, wB, wB2)
+	sm.attach(c2)
+	err := sm.run(func() error {
+		ra := sm.start(func() error { return wA.Run("") })
+		rb := sm.start(func() error { return wB.Run("") })
+		if err := c1.Serve(ln, 2); !errors.Is(err, errCrashHook) {
+			return fmt.Errorf("first Serve = %v, want crash hook", err)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("worker B never gave up")
-	}
-
-	// The replacement registers with worker B's static LP set; the
-	// restarted coordinator must fall back to rollback.
-	wB2 := crashBudgets(rtScn.worker(true, false))
-	go func() { bErr <- wB2.Run(addr) }()
-	c2 := rtScn.coordinator(nil)
-	c2.Timeout = 10 * time.Second
-	c2.CheckpointPath = ckpt
-	c2.CheckpointEvery = 1
-	c2.JournalPath = journal
-	if err := c2.Serve(ln, 2); err != nil {
-		t.Fatalf("restarted Serve: %v", err)
-	}
-	for _, ch := range []chan error{aErr, bErr} {
-		select {
-		case err := <-ch:
-			if err != nil {
-				t.Fatalf("worker: %v", err)
-			}
-		case <-time.After(60 * time.Second):
-			t.Fatal("worker wedged after restart")
+		if rb.wait() == nil {
+			return errors.New("worker B exited cleanly during the outage")
 		}
+		rb2 := sm.start(func() error { return wB2.Run("") })
+		if err := c2.Serve(ln, 2); err != nil {
+			return fmt.Errorf("restarted Serve: %w", err)
+		}
+		return errors.Join(ra.wait(), rb2.wait())
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	wantCounts(t, "fallback-rollback run", c2, want)
@@ -279,72 +255,78 @@ func TestCrashRestartFallbackRollback(t *testing.T) {
 func TestCrashRestartRefusesForeignCheckpoint(t *testing.T) {
 	want, wantWindows := referenceRun(t)
 	dir := t.TempDir()
-	journal := filepath.Join(dir, "coord.journal")
 	ckpt := filepath.Join(dir, "cluster.ckpt")
-
-	ln, addr := listen(t)
+	sm := newSim(t)
+	ln := sm.listen()
 	coordinator := func() *Coordinator {
 		c := rtScn.coordinator(nil)
-		c.Timeout = 10 * time.Second
 		c.CheckpointPath = ckpt
 		c.CheckpointEvery = 1
-		c.JournalPath = journal
+		c.JournalPath = filepath.Join(dir, "coord.journal")
+		sm.attach(c)
 		return c
 	}
-
-	workers := []*Worker{crashBudgets(rtScn.worker(false, false)), crashBudgets(rtScn.worker(true, false))}
-	errs := make(chan error, len(workers))
+	workers := rtScn.pair()
 	for _, w := range workers {
-		go func() { errs <- w.Run(addr) }()
+		w.Dial = ln.dial
 	}
-	// The hook fires once barrier 4 is journaled, before its checkpoint:
-	// the file and the journal's ref are at barrier 3, the tip at 4.
-	c1 := coordinator()
-	c1.crashAfterBarrier = 4
-	if err := c1.Serve(ln, 2); !errors.Is(err, errCrashHook) {
-		t.Fatalf("first Serve = %v, want crash hook", err)
-	}
-	real, err := os.ReadFile(ckpt)
+	sm.attach(nil, workers...)
+
+	var c2 *Coordinator
+	err := sm.run(func() error {
+		runs := make([]*result, len(workers))
+		for i, w := range workers {
+			runs[i] = sm.start(func() error { return w.Run("") })
+		}
+		// The hook fires once barrier 4 is journaled, before its
+		// checkpoint: the file and the journal's ref are at barrier 3, the
+		// tip at 4.
+		c1 := coordinator()
+		c1.crashAfterBarrier = 4
+		if err := c1.Serve(ln, 2); !errors.Is(err, errCrashHook) {
+			return fmt.Errorf("first Serve = %v, want crash hook", err)
+		}
+		real, err := os.ReadFile(ckpt)
+		if err != nil {
+			return err
+		}
+		for _, windows := range []uint64{2, 5} {
+			at, ck, err := decodeClusterCheckpoint(real)
+			if err != nil {
+				return err
+			}
+			if at.windows != 3 {
+				return fmt.Errorf("checkpoint on disk is at barrier %d, want 3", at.windows)
+			}
+			at.windows = windows
+			ck.cut = at.cut()
+			if err := ck.save(ckpt, at); err != nil {
+				return err
+			}
+			c := coordinator()
+			if err := c.Serve(ln, 2); !errors.Is(err, errCheckpointMismatch) {
+				return fmt.Errorf("restart over a checkpoint at barrier %d = %v, want errCheckpointMismatch", windows, err)
+			}
+			if c.Readopted != 0 {
+				return fmt.Errorf("refused restart re-adopted %d workers first", c.Readopted)
+			}
+		}
+		if err := os.WriteFile(ckpt, real, 0o644); err != nil {
+			return err
+		}
+		c2 = coordinator()
+		if err := c2.Serve(ln, 2); err != nil {
+			return fmt.Errorf("restart over the real checkpoint: %w", err)
+		}
+		for _, r := range runs {
+			if err := r.wait(); err != nil {
+				return fmt.Errorf("worker: %w", err)
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, windows := range []uint64{2, 5} {
-		at, ck, err := decodeClusterCheckpoint(real)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if at.windows != 3 {
-			t.Fatalf("checkpoint on disk is at barrier %d, want 3", at.windows)
-		}
-		at.windows = windows
-		ck.cut = at.cut()
-		if err := ck.save(ckpt, at); err != nil {
-			t.Fatal(err)
-		}
-		c := coordinator()
-		if err := c.Serve(ln, 2); !errors.Is(err, errCheckpointMismatch) {
-			t.Fatalf("restart over a checkpoint at barrier %d = %v, want errCheckpointMismatch", windows, err)
-		}
-		if c.Readopted != 0 {
-			t.Fatalf("refused restart re-adopted %d workers first", c.Readopted)
-		}
-	}
-	if err := os.WriteFile(ckpt, real, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c2 := coordinator()
-	if err := c2.Serve(ln, 2); err != nil {
-		t.Fatalf("restart over the real checkpoint: %v", err)
-	}
-	for range workers {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Fatalf("worker: %v", err)
-			}
-		case <-time.After(60 * time.Second):
-			t.Fatal("worker wedged after restart")
-		}
 	}
 	wantCounts(t, "restarted run", c2, want)
 	if lattice(c2) != wantWindows || c2.Readopted != 2 || c2.Recoveries != 0 {
@@ -358,79 +340,73 @@ func TestCrashRestartRefusesForeignCheckpoint(t *testing.T) {
 // error instead of guessing at state.
 func TestCrashRestartJournalRequiresRollbackWithoutCheckpoint(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "coord.journal")
-
-	ln, addr := listen(t)
-
-	c1 := rtScn.coordinator(nil)
-	c1.Timeout = 10 * time.Second
-	c1.JournalPath = journal
+	sm := newSim(t)
+	ln := sm.listen()
+	c1, c2 := rtScn.coordinator(nil), rtScn.coordinator(nil)
+	c1.JournalPath, c2.JournalPath = journal, journal
 	c1.crashAfterBarrier = 2
 
-	wA := crashBudgets(rtScn.worker(false, false))
-	wB := rtScn.worker(true, false)
-	wB.ConnectRetries = -1
-	wB.HandshakeTimeout = 100 * time.Millisecond
+	wA, wB, wB2 := rtScn.worker(false, false), rtScn.worker(true, false), rtScn.worker(true, false)
 	wB.MaxPark = -1
-	go func() { _ = wA.Run(addr) }() // fails with the aborted restart; ignored
-	bErr := make(chan error, 1)
-	go func() { bErr <- wB.Run(addr) }()
-	if err := c1.Serve(ln, 2); !errors.Is(err, errCrashHook) {
-		t.Fatalf("first Serve = %v, want crash hook", err)
+	for _, w := range []*Worker{wA, wB, wB2} {
+		w.Dial = ln.dial
 	}
-	select {
-	case err := <-bErr:
-		if err == nil {
-			t.Fatal("worker B exited cleanly during the outage")
+	sm.attach(c1, wA, wB, wB2)
+	sm.attach(c2)
+	err := sm.run(func() error {
+		sm.start(func() error { return wA.Run("") }) // fails with the aborted restart; ignored
+		rb := sm.start(func() error { return wB.Run("") })
+		if err := c1.Serve(ln, 2); !errors.Is(err, errCrashHook) {
+			return fmt.Errorf("first Serve = %v, want crash hook", err)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("worker B never gave up")
-	}
-
-	go func() { _ = crashBudgets(rtScn.worker(true, false)).Run(addr) }() // replacement; run fails, ignored
-	c2 := rtScn.coordinator(nil)
-	c2.Timeout = 10 * time.Second
-	c2.JournalPath = journal
-	err := c2.Serve(ln, 2)
-	if err == nil {
-		t.Fatal("restart succeeded despite needing a rollback with no checkpoint")
-	}
-	if errors.Is(err, errCrashHook) {
-		t.Fatalf("restart failed with the crash hook: %v", err)
+		if rb.wait() == nil {
+			return errors.New("worker B exited cleanly during the outage")
+		}
+		sm.start(func() error { return wB2.Run("") }) // the replacement; its run fails, ignored
+		err := c2.Serve(ln, 2)
+		ln.Close()
+		switch {
+		case err == nil:
+			return errors.New("restart succeeded despite needing a rollback with no checkpoint")
+		case errors.Is(err, errCrashHook):
+			return fmt.Errorf("restart failed with the crash hook: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestWorkerParkGiveUp pins the bounded-park satellite: a worker whose
+// TestWorkerParkGiveUp pins the bounded park: a worker whose
 // coordinator dies and never comes back burns its park budget, returns
 // a typed ErrCoordinatorLost, and still flushes its final local stats.
 func TestWorkerParkGiveUp(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "coord.journal")
-
-	ln, addr := listen(t)
-
+	sm := newSim(t)
+	ln := sm.listen()
 	c := NewCoordinator(2, 1.0, 50, 7)
-	c.Timeout = 10 * time.Second
-	c.JournalPath = journal
+	c.JournalPath = filepath.Join(t.TempDir(), "coord.journal")
 	c.crashAfterBarrier = 2
 
 	w := NewWorker(0, 1)
 	InstallPHOLD(w, 2, 4, 0.5, 3)
-	w.ConnectRetries = 1
-	w.ConnectBackoff = 2 * time.Millisecond
-	w.HandshakeTimeout = 50 * time.Millisecond
 	w.MaxPark = 3
-
-	wErr := make(chan error, 1)
-	go func() { wErr <- w.Run(addr) }()
-	if err := c.Serve(ln, 1); !errors.Is(err, errCrashHook) {
-		t.Fatalf("Serve = %v, want crash hook", err)
-	}
-	select {
-	case err := <-wErr:
-		if !errors.Is(err, ErrCoordinatorLost) {
-			t.Fatalf("worker error = %v, want ErrCoordinatorLost", err)
+	w.Dial = ln.dial
+	sm.attach(c, w)
+	var werr error
+	err := sm.run(func() error {
+		r := sm.start(func() error { return w.Run("") })
+		if err := c.Serve(ln, 1); !errors.Is(err, errCrashHook) {
+			return fmt.Errorf("Serve = %v, want crash hook", err)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("worker never gave up parking")
+		werr = r.wait()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(werr, ErrCoordinatorLost) {
+		t.Fatalf("worker error = %v, want ErrCoordinatorLost", werr)
 	}
 	stats := w.Stats()
 	if !stats.Incomplete {
@@ -439,6 +415,72 @@ func TestWorkerParkGiveUp(t *testing.T) {
 	if stats.EventsExecuted == 0 {
 		t.Fatal("abandoned worker flushed no executed events")
 	}
+}
+
+// cut is a scripted partition: from the from-th write across the conns
+// it wraps (0-based, counted on every side it wraps), every write
+// vanishes for span of the scripted clock — for good when span is 0 —
+// and, with refuse set, every dial through it fails, as it does to a
+// host the network no longer reaches. The connections stay up.
+type cut struct {
+	s      *sim
+	from   int
+	span   time.Duration
+	refuse bool
+	n      int       // writes seen, under s.mu
+	start  time.Time // when the from-th write came, under s.mu
+}
+
+// on counts a write when write is set and reports whether the
+// partition is in force.
+func (k *cut) on(write bool) bool {
+	k.s.mu.Lock()
+	defer k.s.mu.Unlock()
+	if write {
+		if k.n == k.from {
+			k.start = k.s.clock
+		}
+		k.n++
+	}
+	return k.n > k.from && (k.span == 0 || k.s.clock.Before(k.start.Add(k.span)))
+}
+
+type cutConn struct {
+	net.Conn
+	k *cut
+}
+
+func (c cutConn) Write(p []byte) (int, error) {
+	if c.k.on(true) {
+		return len(p), nil
+	}
+	return c.Conn.Write(p)
+}
+
+func (k *cut) conn(c net.Conn) net.Conn { return cutConn{c, k} }
+
+// dial passes every conn dial opens through the partition.
+func (k *cut) dial(dial func() (net.Conn, error)) func() (net.Conn, error) {
+	return func() (net.Conn, error) {
+		if k.refuse && k.on(false) {
+			return nil, errors.New("cut: host unreachable")
+		}
+		return faulty(k.conn, dial)()
+	}
+}
+
+// cutListener partitions the coordinator's side of every conn.
+type cutListener struct {
+	*simListener
+	k *cut
+}
+
+func (l cutListener) Accept() (net.Conn, error) {
+	c, err := l.simListener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return l.k.conn(c), nil
 }
 
 // TestPartitionShorterThanTimeout pins the heartbeat-during-partition
@@ -450,17 +492,22 @@ func TestWorkerParkGiveUp(t *testing.T) {
 // would be visible in Recoveries.
 func TestPartitionShorterThanTimeout(t *testing.T) {
 	want, _ := referenceRun(t)
-	part := chaos.Config{Seed: 7001, Delay: 2 * time.Millisecond,
-		PartitionStart: 60 * time.Millisecond, PartitionDur: 150 * time.Millisecond}
-	dialers := part
-	dialers.Seed += 1000003
 	c := rtScn.coordinator(func(c *Coordinator) {
-		chaosBudgets(c)
-		c.Timeout = 2 * time.Second // partition << timeout: the deadline must never fire
 		c.CheckpointEvery = 1
 		c.MaxRecoveries = 2
 	})
-	chaosLaunch(t, c, rtScn.pair(), &part, &dialers)
+	sm := newSim(t)
+	k := &cut{s: sm, from: 20, span: DefaultTimeout / 2}
+	workers := rtScn.pair()
+	err := sm.loopback(c, workers, func(ln net.Listener) net.Listener {
+		for _, w := range workers {
+			w.Dial = k.dial(simDial(ln))
+		}
+		return cutListener{ln.(*simListener), k}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.Recoveries != 0 {
 		t.Fatalf("sub-timeout partition escalated to %d rollback recoveries", c.Recoveries)
 	}
@@ -468,86 +515,42 @@ func TestPartitionShorterThanTimeout(t *testing.T) {
 }
 
 // TestPartitionLongerThanTimeoutRecovers is the flip side: a partition
-// that outlives the deadline must trigger the failure machinery. The
-// partitioned worker's writes stay blackholed for good, its heartbeats
-// stop arriving, the deadline fires, resume fails (the hellos vanish
-// too), the worker gives up, and a fresh replacement carries the slot
-// through rollback recovery — Recoveries must advance, and the counts
-// must still match the uninterrupted run.
+// that outlives the deadline must trigger the failure machinery. Worker
+// B's host drops off the network mid-run for good — its writes vanish
+// and its dials fail — so its heartbeats stop arriving, the deadline
+// fires, resume fails, the worker gives up after one reconnect cycle
+// (parking disabled), and a fresh replacement on a healthy host carries
+// the seat through rollback recovery: Recoveries must advance, and the
+// counts must still match the uninterrupted run.
 func TestPartitionLongerThanTimeoutRecovers(t *testing.T) {
 	want, wantWindows := referenceRun(t)
-
-	ln, addr := listen(t)
-
-	c := rtScn.coordinator(nil)
-	c.Timeout = 300 * time.Millisecond
-	c.ReconnectWait = 500 * time.Millisecond
-	c.RecoveryWait = 15 * time.Second
-	c.CheckpointEvery = 1
-	c.MaxRecoveries = 2
-
-	wA := rtScn.worker(false, false)
-	wA.HandshakeTimeout = 2 * time.Second
-	wA.ConnectRetries = 100
-	wA.ConnectBackoff = 10 * time.Millisecond
-
-	// Worker B's outbound wire partitions mid-run and never heals: the
-	// deterministic "partition longer than the timeout" worker. The
-	// fixed per-message delay stretches its side of the run so the
-	// partition reliably lands after the handshake but before the
-	// horizon. Its resume attempts are blackholed with everything else,
-	// so it gives up quickly (parking disabled) and the test relaunches
-	// it fresh.
-	wB := rtScn.worker(true, false)
-	wB.ConnectRetries = 2
-	wB.ConnectBackoff = 10 * time.Millisecond
-	wB.HandshakeTimeout = 200 * time.Millisecond
+	c := rtScn.coordinator(func(c *Coordinator) {
+		c.CheckpointEvery = 1
+		c.MaxRecoveries = 2
+	})
+	sm := newSim(t)
+	ln := sm.listen()
+	wA, wB, wB2 := rtScn.worker(false, false), rtScn.worker(true, false), rtScn.worker(true, false)
 	wB.MaxPark = -1
-	inj := chaos.New(chaos.Config{Seed: 7002, Delay: 5 * time.Millisecond,
-		PartitionStart: 40 * time.Millisecond, PartitionDur: time.Hour})
-	wB.Dial = inj.Dial(addr)
-
-	errs := make(chan error, 2)
-	bDead := make(chan struct{})
-	go func() { errs <- wA.Run(addr) }()
-	go func() {
-		if err := wB.Run(addr); err == nil {
-			t.Error("partitioned worker exited cleanly")
-		}
-		close(bDead)
-	}()
-	go func() {
-		// The replacement dials clean (no injector), like a worker
-		// relaunched on a healthy host.
-		<-bDead
-		wB2 := rtScn.worker(true, false)
-		wB2.HandshakeTimeout = 2 * time.Second
-		wB2.ConnectRetries = 100
-		wB2.ConnectBackoff = 10 * time.Millisecond
-		errs <- wB2.Run(addr)
-	}()
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- c.Serve(ln, 2) }()
-
-	select {
-	case err := <-serveErr:
-		if err != nil {
-			t.Fatalf("Serve: %v", err)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("long-partition run wedged")
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Fatalf("worker: %v", err)
+	wA.Dial, wB2.Dial = ln.dial, ln.dial
+	wB.Dial = (&cut{s: sm, from: 8, refuse: true}).dial(ln.dial)
+	sm.attach(c, wA, wB, wB2)
+	err := sm.run(func() error {
+		ra := sm.start(func() error { return wA.Run("") })
+		rb := sm.start(func() error {
+			if wB.Run("") == nil {
+				return errors.New("partitioned worker exited cleanly")
 			}
-		case <-time.After(60 * time.Second):
-			t.Fatal("worker wedged")
+			return wB2.Run("")
+		})
+		if err := c.Serve(ln, 2); err != nil {
+			return fmt.Errorf("Serve: %w", err)
 		}
+		return errors.Join(ra.wait(), rb.wait())
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-
 	if c.Recoveries == 0 {
 		t.Fatal("over-timeout partition never triggered rollback recovery")
 	}

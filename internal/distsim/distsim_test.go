@@ -1,9 +1,9 @@
 package distsim
 
 import (
+	"fmt"
 	"io"
 	"math"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -94,10 +94,9 @@ func TestCoordinatorRejectsBadRegistration(t *testing.T) {
 	// Two workers both claiming LP 0.
 	workers := []*Worker{NewWorker(0), NewWorker(0)}
 	for _, w := range workers {
-		w.ConnectRetries = -1 // rejected for cause: retrying can't help
 		w.Setup = func(w *Worker) { w.LP(0).OnMessage = func(Event) {} }
 	}
-	if err := Loopback(c, workers, nil); err == nil {
+	if err := newSim(t).loopback(c, workers, nil); err == nil {
 		t.Fatal("duplicate LP registration not rejected")
 	}
 }
@@ -106,39 +105,41 @@ func TestCoordinatorRejectsBadRegistration(t *testing.T) {
 // hello for a session nobody holds, knocking while a fresh run is still
 // registering, is noise — its connection is closed and the run goes on.
 func TestStaleHelloDuringRegistration(t *testing.T) {
-	ln, addr := listen(t)
+	sm := newSim(t)
+	ln := sm.listen()
 	c := NewCoordinator(2, 1, 10, 1)
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- c.Serve(ln, 2) }()
-
-	stale, err := net.Dial("tcp", addr)
+	sm.attach(c)
+	err := sm.run(func() error {
+		serve := sm.start(func() error { return c.Serve(ln, 2) })
+		stale, err := ln.dial()
+		if err != nil {
+			return err
+		}
+		defer stale.Close()
+		if err := newPeer(sm, stale).sendRaw(&frame{Kind: frameHello, Session: 12345, LPs: []int{0}}, 0); err != nil {
+			return err
+		}
+		_ = stale.SetReadDeadline(sm.now().Add(10 * time.Second))
+		if n, err := stale.Read(make([]byte, 1)); err != io.EOF {
+			return fmt.Errorf("stale hello's connection not closed: read %d bytes, %v", n, err)
+		}
+		runs := []*result{serve}
+		for lp := 0; lp < 2; lp++ {
+			w := NewWorker(lp)
+			InstallPHOLD(w, 2, 2, 0.5, 2)
+			w.Dial = ln.dial
+			sm.attach(nil, w)
+			runs = append(runs, sm.start(func() error { return w.Run("") }))
+		}
+		for _, r := range runs {
+			if err := r.wait(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer stale.Close()
-	if err := newPeer(stale).sendRaw(&frame{Kind: frameHello, Session: 12345, LPs: []int{0}}, 0); err != nil {
-		t.Fatal(err)
-	}
-	_ = stale.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if n, err := stale.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("stale hello's connection not closed: read %d bytes, %v", n, err)
-	}
-
-	errs := make(chan error, 2)
-	for lp := 0; lp < 2; lp++ {
-		w := NewWorker(lp)
-		InstallPHOLD(w, 2, 2, 0.5, 2)
-		go func() { errs <- w.Run(addr) }()
-	}
-	for _, ch := range []chan error{serveErr, errs, errs} {
-		select {
-		case err := <-ch:
-			if err != nil {
-				t.Fatal(err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("run wedged after a stale hello")
-		}
 	}
 	if lattice(c) != 10 {
 		t.Fatalf("windows = %d, want 10", lattice(c))
@@ -166,9 +167,8 @@ func TestWorkerValidation(t *testing.T) {
 
 func TestWorkerRequiresSetup(t *testing.T) {
 	c := NewCoordinator(1, 1, 5, 1)
-	c.ReconnectWait = -1 // the broken worker never comes back
-	w := NewWorker(0)    // no Setup
-	if err := Loopback(c, []*Worker{w}, nil); err == nil {
+	w := NewWorker(0) // no Setup
+	if err := newSim(t).loopback(c, []*Worker{w}, nil); err == nil {
 		t.Fatal("missing Setup not reported")
 	}
 }

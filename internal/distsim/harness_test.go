@@ -1,12 +1,13 @@
 package distsim
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"net"
 	"path/filepath"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/parsim"
@@ -116,69 +117,64 @@ func wantCounts(t *testing.T, what string, c *Coordinator, want []uint64) {
 	}
 }
 
-// launch runs the cluster over loopback TCP to completion, failing the
-// test on any error.
+// launch runs the cluster on the scripted clock to completion, failing
+// the test on any error.
 func launch(t *testing.T, c *Coordinator, workers []*Worker) {
 	t.Helper()
-	if err := Loopback(c, workers, nil); err != nil {
+	if err := newSim(t).loopback(c, workers, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// chaosBudgets gives a coordinator the deadlines of a run on a hostile
-// wire: short enough to notice a lost frame soon, with resume budget to
-// spare.
-func chaosBudgets(c *Coordinator) {
-	c.Timeout = 500 * time.Millisecond
-	c.ReconnectWait = 3 * time.Second
-	c.MaxReconnects = 10000
 }
 
 // chaosLaunch is launch with an injector on either side of the wire:
 // coordCfg wraps the listener (coordinator->worker frames are attacked),
 // workerCfg each worker's dialed connections, worker i on its own fault
-// stream (Seed + i*1000003). Workers get retry budgets that outlast the
-// faults unless they already carry their own. A wedged run fails the
-// test instead of the whole binary's timeout.
+// stream (Seed + i*1000003).
 func chaosLaunch(t *testing.T, c *Coordinator, workers []*Worker, coordCfg, workerCfg *chaos.Config) {
 	t.Helper()
-	for _, w := range workers {
-		if w.HandshakeTimeout == 0 {
-			w.HandshakeTimeout = 2 * time.Second
-		}
-		if w.ConnectRetries == 0 {
-			w.ConnectRetries, w.ConnectBackoff = 100, 10*time.Millisecond
-		}
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- Loopback(c, workers, func(ln net.Listener) net.Listener {
-			if workerCfg != nil {
-				for i, w := range workers {
-					cfg := *workerCfg
-					cfg.Seed += uint64(i) * 1000003
-					w.Dial = chaos.New(cfg).Dial(ln.Addr().String())
-				}
-			}
-			if coordCfg == nil {
-				return ln
-			}
-			return chaos.New(*coordCfg).Listener(ln)
-		})
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("chaos run failed: %v", err)
-		}
-	case <-time.After(90 * time.Second):
-		t.Fatal("chaos run wedged")
+	if err := newSim(t).loopback(c, workers, chaosWrap(workers, coordCfg, workerCfg, simDial)); err != nil {
+		t.Fatalf("chaos run failed: %v", err)
 	}
 }
 
-// listen opens a loopback listener that closes with the test: for the
-// scenarios whose workers die, park or are replaced mid-run and so
-// cannot go through Loopback.
+// chaosWrap is the listener wrap of chaosLaunch; dial gives a worker
+// its way to the listener, which the injector then wraps.
+func chaosWrap(workers []*Worker, coordCfg, workerCfg *chaos.Config, dial func(net.Listener) func() (net.Conn, error)) func(net.Listener) net.Listener {
+	return func(ln net.Listener) net.Listener {
+		if workerCfg != nil {
+			for i, w := range workers {
+				cfg := *workerCfg
+				cfg.Seed += uint64(i) * 1000003
+				w.Dial = faulty(chaos.New(cfg).Conn, dial(ln))
+			}
+		}
+		if coordCfg == nil {
+			return ln
+		}
+		return chaos.New(*coordCfg).Listener(ln)
+	}
+}
+
+// simDial and tcpDial are chaosWrap's two ways to a listener.
+func simDial(ln net.Listener) func() (net.Conn, error) { return ln.(*simListener).dial }
+
+func tcpDial(ln net.Listener) func() (net.Conn, error) {
+	addr := ln.Addr().String()
+	return func() (net.Conn, error) { return net.Dial("tcp", addr) }
+}
+
+// faulty passes every conn dial opens through wrap.
+func faulty(wrap func(net.Conn) net.Conn, dial func() (net.Conn, error)) func() (net.Conn, error) {
+	return func() (net.Conn, error) {
+		c, err := dial()
+		if err != nil {
+			return nil, err
+		}
+		return wrap(c), nil
+	}
+}
+
+// listen opens a loopback TCP listener that closes with the test.
 func listen(t *testing.T) (net.Listener, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -189,36 +185,41 @@ func listen(t *testing.T) (net.Listener, string) {
 	return ln, ln.Addr().String()
 }
 
+// panics runs f and reports whether it panicked.
+func panics(f func()) (p bool) {
+	defer func() { p = recover() != nil }()
+	f()
+	return false
+}
+
 // killAndRecover runs c against worker A, a worker B that dies at the
 // scenario's killAt, and B's replacement, which dials only once the
 // original is dead, like a restarted process would: the in-run
 // rollback-recovery drill. c must carry the recovery budget.
 func (s scenario) killAndRecover(t *testing.T, c *Coordinator) {
 	t.Helper()
-	ln, addr := listen(t)
-	errs := make(chan error, 2)
-	killed := make(chan struct{})
-	go func() { errs <- s.worker(false, false).Run(addr) }()
-	go func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("kill op never panicked")
-			}
-			close(killed)
-		}()
-		_ = s.worker(true, true).Run(addr)
-	}()
-	go func() {
-		<-killed
-		errs <- s.worker(true, false).Run(addr)
-	}()
-	if err := c.Serve(ln, 2); err != nil {
-		t.Fatalf("Serve: %v", err)
+	sm := newSim(t)
+	ln := sm.listen()
+	a, victim, replacement := s.worker(false, false), s.worker(true, true), s.worker(true, false)
+	sm.attach(c, a, victim, replacement)
+	for _, w := range []*Worker{a, victim, replacement} {
+		w.Dial = ln.dial
 	}
-	for i := 0; i < 2; i++ {
-		if err := <-errs; err != nil {
-			t.Fatalf("worker: %v", err)
+	err := sm.run(func() error {
+		ra := sm.start(func() error { return a.Run("") })
+		rb := sm.start(func() error {
+			if !panics(func() { _ = victim.Run("") }) {
+				return errors.New("kill op never panicked")
+			}
+			return replacement.Run("")
+		})
+		if err := c.Serve(ln, 2); err != nil {
+			return fmt.Errorf("Serve: %w", err)
 		}
+		return errors.Join(ra.wait(), rb.wait())
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if c.Recoveries != 1 {
 		t.Fatalf("recoveries = %d, want 1", c.Recoveries)
@@ -235,10 +236,9 @@ func (s scenario) killAndRecover(t *testing.T, c *Coordinator) {
 func (s scenario) failThenResume(t *testing.T, tune func(*Coordinator), wtune ...func(*Worker) *Worker) (c1, c2 *Coordinator) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "cluster.ckpt")
-	ln1, addr1 := listen(t)
+	sm := newSim(t)
+	ln := sm.listen()
 	c1 = s.coordinator(tune)
-	c1.Timeout = 10 * time.Second
-	c1.ReconnectWait = 200 * time.Millisecond // the killed worker is gone for good
 	c1.CheckpointPath = path
 	c1.ResumePath = path
 	doomed := []*Worker{s.worker(false, false), s.worker(true, true)}
@@ -246,20 +246,24 @@ func (s scenario) failThenResume(t *testing.T, tune func(*Coordinator), wtune ..
 		for _, f := range wtune {
 			f(w)
 		}
+		w.Dial = ln.dial
 	}
-	doomed[0].ConnectRetries, doomed[0].ConnectBackoff = 2, 20*time.Millisecond
-	go func() { _ = doomed[0].Run(addr1) }() // dies with the failed run; ignored
-	go func() {
-		defer func() { recover() }()
-		_ = doomed[1].Run(addr1)
-	}()
-	if err := c1.Serve(ln1, 2); err == nil {
-		t.Fatal("Serve succeeded despite a dead worker and no recovery budget")
+	sm.attach(c1, doomed...)
+	err := sm.run(func() error {
+		sm.start(func() error { return doomed[0].Run("") }) // dies with the failed run; ignored
+		sm.start(func() error { panics(func() { _ = doomed[1].Run("") }); return nil })
+		err := c1.Serve(ln, 2)
+		ln.Close()
+		if err == nil {
+			return errors.New("Serve succeeded despite a dead worker and no recovery budget")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ln1.Close()
 
 	c2 = s.coordinator(tune)
-	c2.Timeout = 10 * time.Second
 	c2.ResumePath = path
 	launch(t, c2, s.pair(wtune...))
 	return c1, c2

@@ -30,9 +30,18 @@ func Loopback(c *Coordinator, workers []*Worker, wrap func(net.Listener) net.Lis
 	if err != nil {
 		return err
 	}
-	defer base.Close()
 	addr := base.Addr().String()
-	ln := net.Listener(base)
+	return cluster(c, workers, base, func() (net.Conn, error) { return net.Dial("tcp", addr) }, wrap,
+		func(f func()) { go f() })
+}
+
+// cluster is Loopback on any listener: dial connects a worker that has
+// no Dial of its own to base, and spawn starts the coordinator's
+// goroutine, which starts every worker's before it serves.
+func cluster(c *Coordinator, workers []*Worker, base net.Listener, dial func() (net.Conn, error),
+	wrap func(net.Listener) net.Listener, spawn func(func())) error {
+	defer base.Close()
+	ln := base
 	if wrap != nil {
 		ln = wrap(base)
 	}
@@ -40,28 +49,31 @@ func Loopback(c *Coordinator, workers []*Worker, wrap func(net.Listener) net.Lis
 	var down atomic.Bool
 	errs := make([]error, 1+len(workers))
 	var wg sync.WaitGroup
-	for i, w := range workers {
-		dial := w.Dial
-		if dial == nil {
-			dial = func() (net.Conn, error) { return net.Dial("tcp", addr) }
-		}
-		w.Dial = func() (net.Conn, error) {
-			if down.Load() {
-				return nil, &fatalError{errClusterDown}
+	wg.Add(1 + len(workers))
+	spawn(func() {
+		defer wg.Done()
+		for i, w := range workers {
+			own := w.Dial
+			if own == nil {
+				own = dial
 			}
-			return dial()
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := w.Run(addr); err != nil && !errors.Is(err, errClusterDown) {
-				errs[1+i] = fmt.Errorf("worker %d: %w", i, err)
+			w.Dial = func() (net.Conn, error) {
+				if down.Load() {
+					return nil, &fatalError{errClusterDown}
+				}
+				return own()
 			}
-		}()
-	}
-	errs[0] = c.Serve(ln, len(workers))
-	down.Store(errs[0] != nil)
-	base.Close()
+			spawn(func() {
+				defer wg.Done()
+				if err := w.Run(""); err != nil && !errors.Is(err, errClusterDown) {
+					errs[1+i] = fmt.Errorf("worker %d: %w", i, err)
+				}
+			})
+		}
+		errs[0] = c.Serve(ln, len(workers))
+		down.Store(errs[0] != nil)
+		base.Close()
+	})
 	wg.Wait()
 	return errors.Join(errs...)
 }

@@ -2,7 +2,6 @@ package distsim
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/partition"
@@ -53,7 +52,6 @@ func TestRebalanceBitIdentical(t *testing.T) {
 // replays them and the counts still match the reference.
 func TestRebalanceUnderChaos(t *testing.T) {
 	c := mgScn.coordinator(rebalancing)
-	chaosBudgets(c)
 	chaosLaunch(t, c, mgScn.pair(),
 		&chaos.Config{Seed: 81, Reset: 0.03, Dup: 0.05},
 		&chaos.Config{Seed: 82, Reset: 0.03, Dup: 0.05})
@@ -71,7 +69,6 @@ func TestRebalanceUnderChaos(t *testing.T) {
 func TestRebalanceRecoveryAcrossMigration(t *testing.T) {
 	c := mgScn.coordinator(func(c *Coordinator) {
 		rebalancing(c)
-		c.Timeout = 10 * time.Second
 		c.CheckpointEvery = 1
 		c.MaxRecoveries = 1
 	})

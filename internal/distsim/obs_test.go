@@ -2,8 +2,8 @@ package distsim
 
 import (
 	"bytes"
+	"errors"
 	"math"
-	"net"
 	"reflect"
 	"testing"
 	"time"
@@ -25,7 +25,7 @@ import (
 // observability enabled at the given cadence.
 func obsCeRun(t *testing.T, every int, coordCfg, workerCfg *chaos.Config) (*Coordinator, *ClusterObs) {
 	t.Helper()
-	c := ceScn.coordinator(chaosBudgets)
+	c := ceScn.coordinator(nil)
 	co := c.EnableObservability(every, 1<<10)
 	chaosLaunch(t, c, ceScn.pair(), coordCfg, workerCfg)
 	return c, co
@@ -182,12 +182,12 @@ func TestClusterObsAcrossMigration(t *testing.T) {
 // and at stop either return proper stats or vanish (the satellite-2
 // scenario — a worker dying between its last barrier and the stats
 // exchange).
-func fakeWorker(addr string, lps []int, sendStats bool) error {
-	conn, err := net.Dial("tcp", addr)
+func fakeWorker(sm *sim, ln *simListener, lps []int, sendStats bool) error {
+	conn, err := ln.dial()
 	if err != nil {
 		return err
 	}
-	p := newPeer(conn)
+	p := newPeer(sm, conn)
 	l := newLink(p)
 	defer l.close()
 	if err := l.send(&frame{Kind: frameRegister, LPs: lps}); err != nil {
@@ -226,24 +226,18 @@ func fakeWorker(addr string, lps []int, sendStats bool) error {
 // poisoning the whole result.
 func TestStatsIncomplete(t *testing.T) {
 	t.Parallel()
-	ln, addr := listen(t)
-
+	sm := newSim(t)
+	ln := sm.listen()
 	c := NewCoordinator(2, 1.0, 5, 99)
 	co := c.EnableObservability(1, 1<<8)
-
-	errs := make(chan error, 3)
-	go func() { errs <- fakeWorker(addr, []int{0}, true) }()
-	go func() { errs <- fakeWorker(addr, []int{1}, false) }()
-	go func() { errs <- c.Serve(ln, 2) }()
-	for i := 0; i < 3; i++ {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Fatalf("run failed: %v", err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("run wedged")
-		}
+	sm.attach(c)
+	err := sm.run(func() error {
+		a := sm.start(func() error { return fakeWorker(sm, ln, []int{0}, true) })
+		b := sm.start(func() error { return fakeWorker(sm, ln, []int{1}, false) })
+		return errors.Join(c.Serve(ln, 2), a.wait(), b.wait())
+	})
+	if err != nil {
+		t.Fatalf("run failed: %v", err)
 	}
 
 	if !c.StatsIncomplete {

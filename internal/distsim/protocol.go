@@ -65,7 +65,8 @@ const (
 // sticky error. Writes are serialized by a mutex because a worker's
 // heartbeat goroutine sends concurrently with its main loop;
 // writeTimeout, when set, bounds each frame write so a wedged socket
-// surfaces an error instead of blocking forever.
+// surfaces an error instead of blocking forever. Deadlines are read off
+// env's clock.
 //
 // The sticky error is the codec-desync guard: after any transport or
 // codec failure the peer refuses further traffic with the original
@@ -74,6 +75,7 @@ const (
 // a new connection (and a new peer), never a retry on the old one.
 type peer struct {
 	conn         net.Conn
+	env          env
 	br           *bufio.Reader
 	sendMu       sync.Mutex
 	writeTimeout time.Duration
@@ -95,8 +97,9 @@ type peer struct {
 	err   error
 }
 
-func newPeer(conn net.Conn) *peer {
-	return &peer{conn: conn, br: bufio.NewReaderSize(conn, 1<<16), stats: &WireStats{}}
+// newPeer wraps conn; a nil env is the wall clock.
+func newPeer(e env, conn net.Conn) *peer {
+	return &peer{conn: conn, env: orWall(e), br: bufio.NewReaderSize(conn, 1<<16), stats: &WireStats{}}
 }
 
 // fail records the first failure and returns it (or the earlier sticky
@@ -128,14 +131,19 @@ func (p *peer) writeFrame(seq, ack uint64, payload []byte) error {
 	}
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
+	return p.writeLocked(seq, ack, payload)
+}
+
+// writeLocked is writeFrame's body, run under sendMu.
+func (p *peer) writeLocked(seq, ack uint64, payload []byte) error {
 	if err := p.stickyErr(); err != nil {
 		return err
 	}
 	p.wbuf = appendWire(p.wbuf[:0], seq, ack, payload)
 	buf := p.wbuf
 	if p.writeTimeout > 0 {
-		_ = p.conn.SetWriteDeadline(time.Now().Add(p.writeTimeout))
-		defer p.conn.SetWriteDeadline(time.Time{})
+		armWrite(p.conn, after(p.env, p.writeTimeout))
+		defer armWrite(p.conn, time.Time{})
 	}
 	if _, err := p.conn.Write(buf); err != nil {
 		p.stats.ConnFailures.Add(1)
@@ -190,8 +198,8 @@ func (p *peer) readFrame(d time.Duration) (seq, ack uint64, payload []byte, err 
 		return 0, 0, nil, err
 	}
 	if d > 0 {
-		_ = p.conn.SetReadDeadline(time.Now().Add(d))
-		defer p.conn.SetReadDeadline(time.Time{})
+		armRead(p.conn, after(p.env, d))
+		defer armRead(p.conn, time.Time{})
 	}
 	var hdr [wireHeaderLen]byte
 	if _, err := io.ReadFull(p.br, hdr[:]); err != nil {
@@ -232,6 +240,17 @@ func (p *peer) sendRaw(f *frame, ack uint64) error {
 	return p.writeFrame(0, ack, marshalFrameInto(f, nil))
 }
 
+// beat sends the heartbeat f unless another frame is being written: that
+// frame is on its way, and a beat would only queue behind it. skipped
+// reports the beat that did not go out.
+func (p *peer) beat(f *frame, ack uint64) (skipped bool, err error) {
+	if !p.sendMu.TryLock() {
+		return true, nil
+	}
+	defer p.sendMu.Unlock()
+	return false, p.writeLocked(0, ack, marshalFrameInto(f, nil))
+}
+
 // recvRaw receives and parses one frame without sequence bookkeeping —
 // the handshake path, where both sides exchange unsequenced frames
 // before (re)binding a link. Sequenced frames arriving early are
@@ -256,8 +275,8 @@ func (p *peer) recvRaw(d time.Duration) (*frame, uint64, error) {
 // blocked waiting for its config frame): a short Peek that times out
 // means alive-and-quiet, an immediate EOF/reset means gone.
 func (p *peer) dead() bool {
-	_ = p.conn.SetReadDeadline(time.Now().Add(time.Millisecond))
-	defer p.conn.SetReadDeadline(time.Time{})
+	armRead(p.conn, after(p.env, deadProbe))
+	defer armRead(p.conn, time.Time{})
 	if _, err := p.br.Peek(1); err != nil {
 		var ne net.Error
 		if errors.As(err, &ne) && ne.Timeout() {

@@ -13,7 +13,7 @@ import (
 func peerPair(t *testing.T) (*peer, *peer) {
 	t.Helper()
 	a, b := net.Pipe()
-	pa, pb := newPeer(a), newPeer(b)
+	pa, pb := newPeer(nil, a), newPeer(nil, b)
 	t.Cleanup(func() { pa.close(); pb.close() })
 	return pa, pb
 }
@@ -75,7 +75,7 @@ func TestCorruptFrameIsTypedErrorNotPanic(t *testing.T) {
 	payload := marshalFrameInto(f, nil)
 	for flip := 0; flip < wireHeaderLen+len(payload); flip++ {
 		a, b := net.Pipe()
-		pa, pb := newPeer(a), newPeer(b)
+		pa, pb := newPeer(nil, a), newPeer(nil, b)
 
 		// Build the wire image by writing through a real peer into a
 		// pipe, capturing, flipping one byte, and replaying.
@@ -93,7 +93,7 @@ func TestCorruptFrameIsTypedErrorNotPanic(t *testing.T) {
 
 		wire[flip] ^= 0x01
 		c, d := net.Pipe()
-		pd := newPeer(d)
+		pd := newPeer(nil, d)
 		go func() { _, _ = c.Write(wire); c.Close() }()
 		_, _, _, err := pd.readFrame(time.Second)
 		if err == nil {
@@ -170,7 +170,7 @@ func TestReadFrameClearsDeadlineAfterFailure(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()
 	defer b.Close()
-	pb := newPeer(b)
+	pb := newPeer(nil, b)
 
 	if _, _, _, err := pb.readFrame(30 * time.Millisecond); err == nil {
 		t.Fatal("read with no data did not time out")
@@ -208,7 +208,7 @@ func TestReadFrameClearsDeadlineAfterFailure(t *testing.T) {
 func TestWriteFrameClearsDeadlineAfterFailure(t *testing.T) {
 	a, b := net.Pipe()
 	defer b.Close()
-	pa := newPeer(a)
+	pa := newPeer(nil, a)
 	pa.writeTimeout = 30 * time.Millisecond
 
 	// Nobody reads from b: the pipe write must hit the deadline.
@@ -281,7 +281,7 @@ func TestLinkRetainsUntilAcked(t *testing.T) {
 	}
 	defer sc.Close()
 
-	la := newLink(newPeer(cc))
+	la := newLink(newPeer(nil, cc))
 	for i := 0; i < 3; i++ {
 		if err := la.send(&frame{Kind: frameWindow, End: float64(i)}); err != nil {
 			t.Fatal(err)
@@ -291,7 +291,7 @@ func TestLinkRetainsUntilAcked(t *testing.T) {
 		t.Fatalf("retained %d frames, sendSeq %d; want 3, 3", len(la.retained), la.sendSeq)
 	}
 	// Peer acks seq 2 via a heartbeat: retention shrinks to the tail.
-	go func() { _ = newPeer(sc).writeFrame(0, 2, marshalFrameInto(&frame{Kind: frameHeartbeat}, nil)) }()
+	go func() { _ = newPeer(nil, sc).writeFrame(0, 2, marshalFrameInto(&frame{Kind: frameHeartbeat}, nil)) }()
 	if _, err := la.recv(time.Second); err != nil {
 		t.Fatal(err)
 	}

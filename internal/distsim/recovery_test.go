@@ -1,9 +1,8 @@
 package distsim
 
 import (
-	"net"
+	"errors"
 	"testing"
-	"time"
 )
 
 // referenceRun executes the unkilled distributed run and returns its
@@ -23,7 +22,6 @@ func referenceRun(t *testing.T) ([]uint64, uint64) {
 func TestKillWorkerMidWindowRecovers(t *testing.T) {
 	want, wantWindows := referenceRun(t)
 	c := rtScn.coordinator(func(c *Coordinator) {
-		c.Timeout = 10 * time.Second
 		c.CheckpointEvery = 1
 		c.MaxRecoveries = 1
 	})
@@ -38,35 +36,35 @@ func TestKillWorkerMidWindowRecovers(t *testing.T) {
 // registers and then goes silent used to block Coordinator.Serve
 // forever; now the per-frame deadline surfaces an error.
 func TestHungWorkerSurfacesTimeout(t *testing.T) {
-	ln, addr := listen(t)
+	sm := newSim(t)
+	ln := sm.listen()
 	c := NewCoordinator(2, 1.0, 10, 1)
-	c.Timeout = 300 * time.Millisecond
 
 	// A live worker for LP 0, and a raw connection that registers LP 1
 	// and then hangs without ever serving a window.
 	w := NewWorker(0)
-	w.ConnectRetries = -1 // fail fast once the run dies; keeps the test short
 	w.Setup = func(w *Worker) { w.LP(0).OnMessage = func(Event) {} }
-	go func() { _ = w.Run(addr) }() // will die on EOF; ignored
-
-	hung, err := net.Dial("tcp", addr)
+	w.Dial = ln.dial
+	sm.attach(c, w)
+	err := sm.run(func() error {
+		sm.start(func() error { return w.Run("") }) // dies with the run; ignored
+		hung, err := ln.dial()
+		if err != nil {
+			return err
+		}
+		defer hung.Close()
+		if err := newPeer(sm, hung).sendRaw(&frame{Kind: frameRegister, LPs: []int{1}}, 0); err != nil {
+			return err
+		}
+		err = c.Serve(ln, 2)
+		ln.Close()
+		if err == nil {
+			return errors.New("Serve succeeded with a hung worker")
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer hung.Close()
-	if err := newPeer(hung).sendRaw(&frame{Kind: frameRegister, LPs: []int{1}}, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan error, 1)
-	go func() { done <- c.Serve(ln, 2) }()
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("Serve succeeded with a hung worker")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Serve still blocked on a hung worker")
 	}
 }
 
@@ -75,15 +73,16 @@ func TestHungWorkerSurfacesTimeout(t *testing.T) {
 // timeout stays alive because its heartbeats keep arriving.
 func TestSlowWorkerHeartbeatsSurvive(t *testing.T) {
 	c := NewCoordinator(1, 1.0, 2, 1)
-	c.Timeout = 200 * time.Millisecond
-
+	sm := newSim(t)
 	w := NewWorker(0)
 	w.Setup = func(w *Worker) {
 		lp := w.LP(0)
 		lp.OnMessage = func(Event) {}
-		lp.E.Schedule(0.5, func() { time.Sleep(600 * time.Millisecond) })
+		lp.E.Schedule(0.5, func() { sm.sleep(3 * DefaultTimeout) })
 	}
-	launch(t, c, []*Worker{w})
+	if err := sm.loopback(c, []*Worker{w}, nil); err != nil {
+		t.Fatal(err)
+	}
 	if lattice(c) != 2 {
 		t.Fatalf("windows = %d, want 2", lattice(c))
 	}
@@ -99,20 +98,22 @@ func TestSlowWorkerHeartbeatsSurvive(t *testing.T) {
 // a reconnect and the frame's retransmission but no rollback. The
 // event is due past the horizon, so the model never sees it.
 func TestBigDoneFrameBehindSlowSeat(t *testing.T) {
-	const timeout = 200 * time.Millisecond
-	c := rtScn.coordinator(func(c *Coordinator) { c.Timeout = timeout })
+	c := rtScn.coordinator(nil)
+	sm := newSim(t)
 	ws := rtScn.pair()
 	setupA, setupB := ws[0].Setup, ws[1].Setup
 	ws[0].Setup = func(w *Worker) {
 		setupA(w)
-		w.LP(0).E.Schedule(2.5, func() { time.Sleep(5 * timeout) })
+		w.LP(0).E.Schedule(2.5, func() { sm.sleep(5 * DefaultTimeout) })
 	}
 	ws[1].Setup = func(w *Worker) {
 		setupB(w)
 		lp := w.LP(3)
 		lp.E.Schedule(2.5, func() { lp.Send(0, 2*rtScn.horizon, make([]byte, 8<<20)) })
 	}
-	launch(t, c, ws)
+	if err := sm.loopback(c, ws, nil); err != nil {
+		t.Fatal(err)
+	}
 	wantCounts(t, "run with a big frame behind a slow seat", c, rtScn.reference())
 	if c.Recoveries != 0 {
 		t.Fatalf("%d rollback recoveries", c.Recoveries)

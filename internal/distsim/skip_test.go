@@ -2,7 +2,6 @@ package distsim
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/chaos"
 )
@@ -45,7 +44,7 @@ func TestSparseSkipBitIdentical(t *testing.T) {
 // checking and session resume without costing bit-identity.
 func TestSparseSkipUnderChaos(t *testing.T) {
 	t.Parallel()
-	c := skScn.coordinator(chaosBudgets)
+	c := skScn.coordinator(nil)
 	chaosLaunch(t, c, skScn.pair(),
 		&chaos.Config{Seed: 101, Drop: 0.03, Dup: 0.1, Reset: 0.02},
 		&chaos.Config{Seed: 201, Drop: 0.03, Dup: 0.1, Reset: 0.02})
@@ -83,7 +82,6 @@ func TestSkipCheckpointResumeAcrossGap(t *testing.T) {
 // crash are not counted a second time when the run passes them again.
 func TestSkipRecoveryKeepsLattice(t *testing.T) {
 	c := skScn.coordinator(func(c *Coordinator) {
-		c.Timeout = 10 * time.Second
 		c.CheckpointEvery = 4 // several skipped stretches between a cut and the crash
 		c.MaxRecoveries = 1
 	})

@@ -75,7 +75,7 @@ func testThreadsSparseSkipBitIdentical(t *testing.T) {
 // frames, so the faulty network costs retries, never bit-identity.
 func TestThreadsUnderChaos(t *testing.T) {
 	t.Parallel()
-	c := skScn.coordinator(chaosBudgets)
+	c := skScn.coordinator(nil)
 	chaosLaunch(t, c, skScn.pair(threads(4)),
 		&chaos.Config{Seed: 131, Drop: 0.03, Dup: 0.1, Reset: 0.02},
 		&chaos.Config{Seed: 231, Drop: 0.03, Dup: 0.1, Reset: 0.02})
@@ -122,7 +122,7 @@ func TestThreadsCrashRestart(t *testing.T) { underPoolSwitches(t, testThreadsCra
 
 func testThreadsCrashRestart(t *testing.T) {
 	want, wantWindows := referenceRun(t)
-	_, c2 := rtScn.crashRestart(t, nil, afterBarrier(3), rtScn.pair(crashBudgets, threads(4)), 500*time.Millisecond, nil)
+	_, c2 := rtScn.crashRestart(t, nil, afterBarrier(3), rtScn.pair(threads(4)), parkOutage, nil)
 	wantCounts(t, "restarted threads run", c2, want)
 	if lattice(c2) != wantWindows {
 		t.Fatalf("windows = %d, want %d", lattice(c2), wantWindows)
@@ -145,8 +145,8 @@ func TestThreadsHeartbeatDuringBusyWindow(t *testing.T) {
 	t.Parallel()
 	const (
 		windows  = 3
-		holdTime = 150 * time.Millisecond // per-LP busy stretch per window
-		timeout  = 0.06                   // config TimeoutSec -> beats every 20ms
+		holdTime = 60 * time.Millisecond // per-LP busy stretch per window
+		timeout  = 0.03                  // config TimeoutSec -> beats every 10ms
 	)
 
 	w := NewWorker(0, 1, 2, 3)
@@ -169,7 +169,7 @@ func TestThreadsHeartbeatDuringBusyWindow(t *testing.T) {
 	w.Dial = func() (net.Conn, error) { return wc, nil }
 	go func() { werr <- w.Run("") }()
 
-	l := newLink(newPeer(cc))
+	l := newLink(newPeer(nil, cc))
 	defer l.close()
 
 	f, err := l.recv(10 * time.Second)

@@ -2,6 +2,7 @@ package distsim
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -16,21 +17,6 @@ import (
 	"repro/internal/pool"
 	"repro/internal/winsync"
 )
-
-// DefaultConnectRetries is how many dial/handshake attempts a worker
-// makes per connect cycle when Worker.ConnectRetries is zero.
-const DefaultConnectRetries = 8
-
-// DefaultHandshakeTimeout bounds each handshake reply wait (config
-// after register, resume after hello, bye after stats) when
-// Worker.HandshakeTimeout is zero.
-const DefaultHandshakeTimeout = 10 * time.Second
-
-// DefaultMaxPark is how many parked reconnect rounds a worker with
-// live simulation state makes after its normal reconnect budget is
-// exhausted, waiting for a crashed coordinator to restart
-// (Worker.MaxPark zero means this default).
-const DefaultMaxPark = 64
 
 // ErrCoordinatorLost is returned (wrapped) by Worker.Run when the
 // coordinator stays unreachable through the whole park budget. The
@@ -66,9 +52,13 @@ type Worker struct {
 	collectLoads bool
 	loadsBuf     []partition.Load
 
-	link         *link
-	statsSent    bool
-	writeTimeout time.Duration
+	link      *link
+	statsSent bool
+	// timeout is the run's Timeout, from the config frame: the write
+	// deadline, and what env.go's table derives the heartbeat spacing
+	// and the reply waits from.
+	timeout time.Duration
+	env     env // nil: the wall clock
 
 	// lastWinSeq is the barrier sequence of the newest window this
 	// worker executed; doneEvents/doneData/doneLoads/doneNext retain a
@@ -95,18 +85,8 @@ type Worker struct {
 	// from its address argument when nil; tests and chaos harnesses
 	// preset it to inject faulty transports.
 	Dial func() (net.Conn, error)
-	// ConnectRetries is the dial/handshake attempt budget per connect
-	// cycle (initial connect and each reconnect). Zero means
-	// DefaultConnectRetries; negative means a single attempt.
-	ConnectRetries int
-	// ConnectBackoff is the base delay of the capped exponential
-	// backoff between attempts (default 50ms).
-	ConnectBackoff time.Duration
-	// HandshakeTimeout bounds each handshake reply wait. Zero means
-	// DefaultHandshakeTimeout.
-	HandshakeTimeout time.Duration
-	// MaxPark bounds the parked reconnect rounds after the normal
-	// reconnect budget fails: a worker with live engine state holds
+	// MaxPark bounds the parked reconnect rounds after a reconnect
+	// cycle (env.go's table) failed: a worker with live engine state holds
 	// position at the last quiesced barrier and keeps redialing,
 	// expecting a crashed coordinator to restart and re-adopt it. Zero
 	// means DefaultMaxPark; negative disables parking (the first
@@ -167,7 +147,7 @@ func (w *Worker) WireSnapshot() LinkStats { return w.wire.Snapshot() }
 // newWorkerLink wraps a connection with the worker's shared transport
 // counters, so stats span reconnects instead of dying with each peer.
 func (w *Worker) newWorkerLink(conn net.Conn) *link {
-	p := newPeer(conn)
+	p := newPeer(w.env, conn)
 	p.stats = &w.wire
 	return newLink(p)
 }
@@ -190,34 +170,16 @@ func (w *Worker) lpIDs() []int {
 // Lookahead returns the configured lookahead (from Setup on).
 func (w *Worker) Lookahead() float64 { return w.g.Lookahead() }
 
-func (w *Worker) retries() int {
-	switch {
-	case w.ConnectRetries > 0:
-		return w.ConnectRetries
-	case w.ConnectRetries < 0:
-		return 1
-	default:
-		return DefaultConnectRetries
+// byeWait is how long the worker waits for the coordinator's bye after
+// its stats: one heartbeat spacing.
+func (w *Worker) byeWait() time.Duration {
+	if w.timeout > 0 {
+		return w.timeout / beatsPerTimeout
 	}
+	return connectWait
 }
 
-func (w *Worker) handshakeTimeout() time.Duration {
-	if w.HandshakeTimeout > 0 {
-		return w.HandshakeTimeout
-	}
-	return DefaultHandshakeTimeout
-}
-
-func (w *Worker) maxPark() int {
-	switch {
-	case w.MaxPark > 0:
-		return w.MaxPark
-	case w.MaxPark < 0:
-		return 0
-	default:
-		return DefaultMaxPark
-	}
-}
+func (w *Worker) maxPark() int { return max(0, cmp.Or(w.MaxPark, DefaultMaxPark)) }
 
 // idSeed derives the worker's backoff-jitter seed from its identity
 // (the LP set), so each worker of a federation jitters differently but
@@ -247,49 +209,20 @@ func isFatal(err error) bool {
 	return errors.As(err, &fe)
 }
 
-// Run connects to the coordinator (with dial retry, so a worker
-// started before its coordinator waits instead of exiting) and serves
-// windows until stopped, reconnecting with session resume across
-// transient transport failures.
+// Run connects to the coordinator (retrying, so a worker started
+// before its coordinator waits instead of exiting) and serves windows
+// until stopped, reconnecting with session resume across transient
+// transport failures.
 func (w *Worker) Run(addr string) error {
 	if w.Dial == nil {
 		w.Dial = func() (net.Conn, error) { return net.Dial("tcp", addr) }
 	}
-	bo := newBackoff(w.ConnectBackoff, w.idSeed(), "worker")
-	attempts := w.retries()
-
-	// Establish: dial, register, await config. A lost config frame is
-	// retried by re-registering on a fresh connection — the coordinator
-	// treats a duplicate registration for a virgin session as a redo.
-	var lastErr error
-	for a := 0; ; a++ {
-		if a > 0 {
-			w.sleep(bo.Delay(a - 1))
-		}
-		conn, err := dialRetry(w.Dial, attempts, bo, &w.wire)
-		if err != nil {
-			return err
-		}
-		l := w.newWorkerLink(conn)
-		cfg, err := w.register(l)
-		if err == nil {
-			if err := w.applyConfig(cfg); err != nil {
-				l.close()
-				return err
-			}
-			w.link = l
-			break
-		}
-		l.close()
-		lastErr = err
-		if isFatal(err) {
-			return err
-		}
-		if a+1 >= attempts {
-			return fmt.Errorf("distsim: handshake failed after %d attempts: %w", attempts, lastErr)
-		}
+	w.env = orWall(w.env)
+	bo := newBackoff(w.idSeed())
+	if err := w.connect(bo); err != nil {
+		return err
 	}
-	defer w.link.close()
+	defer func() { w.link.close() }() // a re-adoption replaces w.link
 	defer w.closePool()
 
 	// Serve, resuming the session across transport failures.
@@ -301,6 +234,9 @@ func (w *Worker) Run(addr string) error {
 		if isFatal(err) {
 			return err
 		}
+		// Close the failed connection: the coordinator hears of it now,
+		// not at its next deadline, and holds the seat open for the hello.
+		w.link.close()
 		if rerr := w.reconnect(bo); rerr != nil {
 			if w.statsSent {
 				// The stats frame went out at least once and the
@@ -327,12 +263,44 @@ func (w *Worker) Run(addr string) error {
 	}
 }
 
+// connect is the first connect cycle: dial, register, await the
+// config. A refused dial and a lost handshake each cost one of
+// connectAttempts attempts, with a backoff pause before the next. A
+// lost config frame is retried by registering again on a fresh
+// connection — the coordinator treats a duplicate registration for a
+// virgin session as a redo.
+func (w *Worker) connect(bo *backoff) error {
+	for a := 0; ; a++ {
+		if a > 0 {
+			w.sleep(bo.delay(a - 1))
+		}
+		conn, err := w.Dial()
+		if err == nil {
+			l := w.newWorkerLink(conn)
+			var cfg *frame
+			if cfg, err = w.register(l); err == nil {
+				if err = w.applyConfig(cfg); err == nil {
+					w.link = l
+					return nil
+				}
+			}
+			l.close()
+		}
+		if isFatal(err) {
+			return err
+		}
+		if a+1 >= connectAttempts {
+			return fmt.Errorf("distsim: no coordinator after %d attempts: %w", connectAttempts, err)
+		}
+	}
+}
+
 // register sends the registration frame and waits for the config.
 func (w *Worker) register(l *link) (*frame, error) {
 	if err := l.send(&frame{Kind: frameRegister, LPs: w.lpIDs()}); err != nil {
 		return nil, err
 	}
-	f, err := l.recv(w.handshakeTimeout())
+	f, err := l.recv(connectWait)
 	if err != nil {
 		return nil, err
 	}
@@ -358,7 +326,7 @@ func (w *Worker) applyConfig(cfg *frame) error {
 		return &fatalError{err}
 	}
 	w.session = cfg.Session
-	w.writeTimeout = time.Duration(cfg.TimeoutSec * float64(time.Second))
+	w.timeout = time.Duration(cfg.TimeoutSec * float64(time.Second))
 	w.collectLoads = cfg.RebalanceEvery > 0
 	if w.g != nil { // built at the first config; a redone handshake changes nothing
 		return nil
@@ -400,7 +368,7 @@ func (w *Worker) applyConfig(cfg *frame) error {
 // positive.
 func checkTimeoutSec(sec float64) error {
 	ns := sec * float64(time.Second)
-	if !(ns >= 0 && ns < math.MaxInt64) || ns > 0 && time.Duration(ns)/3 == 0 {
+	if !(ns >= 0 && ns < math.MaxInt64) || ns > 0 && time.Duration(ns)/beatsPerTimeout == 0 {
 		return fmt.Errorf("distsim: config frame TimeoutSec %v is not finite and >= 0 with a positive heartbeat interval", sec)
 	}
 	return nil
@@ -461,10 +429,10 @@ func (w *Worker) restore(data []byte) error {
 func (w *Worker) serveConn() error {
 	l := w.link
 	p := l.p
-	p.writeTimeout = w.writeTimeout
+	p.writeTimeout = w.timeout
 
 	// Heartbeats: while this worker computes (a window, a snapshot), the
-	// coordinator only sees silence. A background ticker at a third of
+	// coordinator only sees silence. A background tick at a third of
 	// the coordinator's timeout keeps the connection demonstrably alive,
 	// so a slow worker is distinguishable from a dead one. Each beat
 	// carries the worker's progress watermarks — its processed-inbound
@@ -472,27 +440,18 @@ func (w *Worker) serveConn() error {
 	// tell an alive worker that lost a frame (stale watermarks beat
 	// after beat) from one that is merely slow, and force a resume
 	// instead of waiting forever. The goroutine is bound to this
-	// connection's peer — it dies with the connection and a fresh one
-	// starts after a reconnect.
-	if w.writeTimeout > 0 {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func(hb *peer) {
-			tick := time.NewTicker(w.writeTimeout / 3)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-tick.C:
-					beat := &frame{Kind: frameHeartbeat, SendSeq: l.sentOut.Load()}
-					if hb.sendRaw(beat, l.ackedIn.Load()) != nil {
-						return // connection gone; main loop will notice
-					}
-					l.stats.Heartbeats.Add(1)
-				}
+	// connection's peer: it ends with the connection, and serveConn does
+	// not return before it has (a write it may be in is bounded by the
+	// write deadline). A fresh one starts after a reconnect.
+	if w.timeout > 0 {
+		stop := w.env.every(w.timeout/beatsPerTimeout, func() bool {
+			skipped, err := p.beat(&frame{Kind: frameHeartbeat, SendSeq: l.sentOut.Load()}, l.ackedIn.Load())
+			if err == nil && !skipped {
+				l.stats.Heartbeats.Add(1)
 			}
-		}(p)
+			return err == nil // connection gone; the serve loop will notice
+		})
+		defer stop()
 	}
 
 	for {
@@ -501,7 +460,7 @@ func (w *Worker) serveConn() error {
 		// is retried through the reconnect path instead of hanging.
 		var deadline time.Duration
 		if w.statsSent {
-			deadline = w.handshakeTimeout()
+			deadline = w.byeWait()
 		}
 		f, err := l.recv(deadline)
 		if err != nil {
@@ -669,11 +628,15 @@ func (w *Worker) serveConn() error {
 // presents the session id and its receive watermark, and on acceptance
 // the link replays every retained frame the coordinator has not
 // processed. Simulation state is untouched — a reconnect is invisible
-// to the model.
-func (w *Worker) reconnect(bo *Backoff) error {
+// to the model. Like connect, it dials at once — the broken connection
+// is closed, so the coordinator's resume window is already open — and
+// pauses between attempts.
+func (w *Worker) reconnect(bo *backoff) error {
 	var lastErr error
-	for a, refused := 0, 0; a < w.retries() && refused < 2; a++ {
-		w.sleep(bo.Delay(a))
+	for a, refused := 0, 0; a < connectAttempts && refused < 2; a++ {
+		if a > 0 {
+			w.sleep(bo.delay(a - 1))
+		}
 		if lastErr = w.resumeOnce(); lastErr == nil || isFatal(lastErr) {
 			break
 		}
@@ -701,15 +664,15 @@ func (w *Worker) resumeOnce() error {
 	if err != nil {
 		return fmt.Errorf("%w: %w", errDial, err)
 	}
-	p := newPeer(conn)
+	p := newPeer(w.env, conn)
 	p.stats = &w.wire
-	p.writeTimeout = w.writeTimeout
+	p.writeTimeout = w.timeout
 	hello := &frame{Kind: frameHello, Session: w.session, RecvSeq: w.link.recvSeq, LPs: w.lpIDs()}
 	if err := p.sendRaw(hello, w.link.recvSeq); err != nil {
 		p.close()
 		return err
 	}
-	f, seq, err := p.recvRaw(w.handshakeTimeout())
+	f, seq, err := p.recvRaw(resumeWait(w.timeout) / helloTries)
 	if err != nil {
 		p.close()
 		return err
@@ -760,13 +723,13 @@ func (w *Worker) readopt(p *peer) error {
 // engines keep the state of the last quiesced barrier while the
 // worker redials with capped backoff, up to maxPark rounds, waiting
 // for a restarted coordinator. Returns nil once a handshake lands.
-func (w *Worker) park(bo *Backoff) error {
+func (w *Worker) park(bo *backoff) error {
 	limit := w.maxPark()
 	for a := 0; a < limit; a++ {
 		// Cap the backoff exponent: parking is an open-ended wait for a
 		// process restart, not congestion control, so a bounded
 		// per-round delay keeps re-adoption latency predictable.
-		w.sleep(bo.Delay(min(a, 5)))
+		w.sleep(bo.delay(min(a, parkStep)))
 		if err := w.resumeOnce(); err == nil {
 			return nil
 		}
@@ -835,5 +798,5 @@ func (w *Worker) Stats() WorkerStats {
 // transport counter.
 func (w *Worker) sleep(d time.Duration) {
 	w.wire.BackoffNs.Add(uint64(d))
-	time.Sleep(d)
+	w.env.sleep(d)
 }

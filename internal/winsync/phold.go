@@ -3,6 +3,7 @@ package winsync
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -39,9 +40,10 @@ type PHOLD struct {
 	// draw their event spacing from a mean SkewFactor times shorter.
 	SkewHot    int
 	SkewFactor float64
-	// HotHoldNs adds a per-event wall-clock hold (a sleep) on hot LPs,
-	// modeling expensive entities without touching simulation state —
-	// the signal load-aware rebalancing exists to exploit.
+	// HotHoldNs adds about this many ns of CPU work per event on hot
+	// LPs, modeling expensive entities without touching simulation state
+	// — the signal load-aware rebalancing exists to exploit. A spin, not
+	// a sleep: holds on threads that share a CPU take turns.
 	HotHoldNs int
 }
 
@@ -112,9 +114,9 @@ func (m *PHOLD) hop(lp *LP, st *pholdLP) {
 	}
 	st.sink += acc
 	if lp.ID < m.SkewHot && m.HotHoldNs > 0 {
-		// Wall-clock cost only: the hold draws nothing and schedules
-		// nothing, so output is independent of where the LP runs.
-		time.Sleep(time.Duration(m.HotHoldNs))
+		// CPU cost only: the hold draws nothing and schedules nothing, so
+		// output is independent of where the LP runs.
+		spin(int(float64(m.HotHoldNs) * spinsPerNs()))
 	}
 	delay := st.drawDelay(lp)
 	if m.TotalLPs > 1 && lp.E.Rand().Bernoulli(m.RemoteProb) {
@@ -127,6 +129,31 @@ func (m *PHOLD) hop(lp *LP, st *pholdLP) {
 	}
 	lp.E.ScheduleOp(delay, st.hopOp, nil)
 }
+
+// spin is the hot hold: n dependent multiply-adds, seeded with n so
+// the compiler cannot fold them. Not inlined, so a discarded result
+// still costs the loop.
+//
+//go:noinline
+func spin(n int) float64 {
+	acc := float64(n)
+	for i := 0; i < n; i++ {
+		acc = acc*0.9999999 + 1e-7
+	}
+	return acc
+}
+
+// spinsPerNs is spin's rate on this host, timed on the first hot event:
+// the fastest of five runs of about a millisecond.
+var spinsPerNs = sync.OnceValue(func() float64 {
+	best := time.Duration(math.MaxInt64)
+	for range 5 {
+		t0 := time.Now()
+		spin(1 << 20)
+		best = min(best, time.Since(t0))
+	}
+	return 1 << 20 / float64(best+1)
+})
 
 // MarshalState serializes the LP's counters; its pending jobs are in
 // the engine snapshot.

@@ -72,13 +72,11 @@ crash_smoke() {
     # seconds and the kill below lands mid-flight.
     local model="-lps 8 -jobs 16 -work 30000 -lookahead 1 -horizon 400"
     # Workers park with a generous budget when the coordinator dies:
-    # short single-shot resume cycles, then bounded reconnect-with-backoff
-    # until the restarted coordinator re-adopts them.
-    lsnode -mode worker -addr 127.0.0.1:$PORT -own 0,1,2,3 $model \
-        -connect-retries 100 -connect-backoff 20ms -max-park 2000 &
+    # one reconnect cycle (distsim's budget table), then bounded parked
+    # rounds until the restarted coordinator re-adopts them.
+    lsnode -mode worker -addr 127.0.0.1:$PORT -own 0,1,2,3 $model -max-park 2000 &
     local w1=$!
-    lsnode -mode worker -addr 127.0.0.1:$PORT -own 4,5,6,7 $model \
-        -connect-retries 100 -connect-backoff 20ms -max-park 2000 &
+    lsnode -mode worker -addr 127.0.0.1:$PORT -own 4,5,6,7 $model -max-park 2000 &
     local w2=$!
     local coord="-mode coordinator -addr 127.0.0.1:$PORT -workers 2 $model
         -journal $TMP/coord.journal
