@@ -300,7 +300,9 @@ func (e *Engine) Restore(r io.Reader) error {
 	e.canceled = canceled
 	e.maxQueue = maxQueue
 	e.stopped = false
+	e.head = math.Inf(1)
 	for _, re := range events {
+		e.head = min(e.head, re.time)
 		ev := new(eventq.Event)
 		ev.Op = re.op
 		ev.Arg = re.arg

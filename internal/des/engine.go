@@ -40,6 +40,10 @@ type Engine struct {
 	seq   uint64
 	rng   *rng.Source
 
+	// head is a lower bound on the time of every queued record,
+	// tombstones included (see Head).
+	head float64
+
 	// construction parameters, resolved in NewEngine so option order
 	// does not matter (the queue seed must see the engine seed).
 	queueKind eventq.Kind
@@ -139,6 +143,7 @@ func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
 		queueKind: eventq.KindHeap,
 		seed:      1,
+		head:      math.Inf(1),
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -289,6 +294,9 @@ func (e *Engine) atEvent(t float64, label string, fn func(), op uint32, arg []by
 		}
 	}
 	e.queue.Push(eventq.Item{Time: t, Seq: e.seq, Event: ev})
+	if t < e.head {
+		e.head = t
+	}
 	if n := e.queue.Len(); n > e.maxQueue {
 		e.maxQueue = n
 	}
@@ -392,9 +400,11 @@ func (e *Engine) RunUntil(horizon float64) float64 {
 	for !e.stopped {
 		it, ok := e.queue.Peek()
 		if !ok {
+			e.head = math.Inf(1)
 			break
 		}
 		if it.Time > horizon {
+			e.head = it.Time
 			break
 		}
 		e.queue.Pop()
@@ -478,6 +488,14 @@ func (e *Engine) PeekTime() float64 {
 		return it.Time
 	}
 }
+
+// Head returns a lower bound on the time of the next pending event,
+// costing no queue access: +Inf only when nothing is queued. Scheduling
+// lowers it, and RunUntil makes it exact where it stops: the time of
+// the first record past the horizon, which may be a canceled one, or
+// +Inf. A caller that finds Head() beyond a horizon knows
+// RunUntil(horizon) would do nothing.
+func (e *Engine) Head() float64 { return e.head }
 
 // Stats reports engine counters: events executed, scheduled, canceled,
 // and the high-water mark of the pending-event queue. When an Observer

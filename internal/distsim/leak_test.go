@@ -63,9 +63,13 @@ func TestNoGoroutineLeftBehind(t *testing.T) {
 			before := runtime.NumGoroutine()
 			tc.run(t)
 			// A goroutine that has signalled its joiner may still be on its
-			// way out: yield to it, but never wait on the clock.
+			// way out — Loopback's worker wrapper is still inside wg.Done
+			// when the run returns — and under -race, with the other P
+			// busy, it can take thousands of yields to get a turn. Yield to
+			// it, but never wait on the clock: the bound only ends a real
+			// leak, after a fraction of a second of yields.
 			n := runtime.NumGoroutine()
-			for i := 0; i < 100 && n > before; i++ {
+			for i := 0; i < 1<<20 && n > before; i++ {
 				runtime.Gosched()
 				n = runtime.NumGoroutine()
 			}

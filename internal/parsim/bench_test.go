@@ -15,33 +15,39 @@ func reportInlineFrac(b *testing.B, f *Federation) {
 
 // BenchmarkFederationWindowOverhead isolates the per-window cost of
 // the synchronization machinery: a lookahead 1000x finer than the mean
-// event spacing forces one barrier per 0.01 time units while each LP
-// only has an event every ~10 units, so almost every (LP, window) pair
-// is idle. This is the regime where rebuilding the worker pool and
-// channel per window dominated; the persistent pool plus the
-// PeekTime skip makes a window a near-noop, which the pool then runs
-// inline at any worker count.
+// event spacing of 8 LPs forces one barrier per 0.01 time units while
+// the whole federation has about 8 events in 1000 windows, so almost
+// every (LP, window) pair is idle. This is the regime where rebuilding
+// the worker pool and channel per window dominated; the persistent pool
+// runs a near-empty window inline at any worker count, and the due list
+// enters only the LPs with an event in it. The lps axis spreads the
+// same total event rate over 128 times as many LPs: what a window costs
+// beyond one compare per LP must not grow with them.
 func BenchmarkFederationWindowOverhead(b *testing.B) {
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			b.ReportAllocs()
-			var f *Federation
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				f = NewFederation(8, 0.01, w, 7)
-				for j := 0; j < f.LPs(); j++ {
-					lp := f.LP(j)
-					src := lp.E.Stream("sparse")
-					lp.OnMessage = func(Event) {}
-					var tick func()
-					tick = func() { lp.E.Schedule(src.Exp(0.1), tick) }
-					lp.E.Schedule(src.Exp(0.1), tick)
+	for _, lps := range []int{8, 1024} {
+		rate := 0.1 * 8 / float64(lps)
+		for _, w := range []int{1, 2, 4} {
+			b.Run(fmt.Sprintf("lps=%d/workers=%d", lps, w), func(b *testing.B) {
+				b.ReportAllocs()
+				var f *Federation
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					f = NewFederation(lps, 0.01, w, 7)
+					for j := 0; j < f.LPs(); j++ {
+						lp := f.LP(j)
+						src := lp.E.Stream("sparse")
+						lp.OnMessage = func(Event) {}
+						var tick func()
+						tick = func() { lp.E.Schedule(src.Exp(rate), tick) }
+						lp.E.Schedule(src.Exp(rate), tick)
+					}
+					b.StartTimer()
+					f.Run(10) // 1000 windows, ~8 events in all
 				}
-				b.StartTimer()
-				f.Run(10) // 1000 windows, ~1 event per LP per 1000 windows
-			}
-			reportInlineFrac(b, f)
-		})
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*1000), "ns/window")
+				reportInlineFrac(b, f)
+			})
+		}
 	}
 }
 

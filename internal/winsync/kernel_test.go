@@ -84,6 +84,52 @@ func TestCorruptOpArgumentPanics(t *testing.T) {
 	g.RunWindow(1, 1)
 }
 
+// TestIdleSkips pins when an LP counts a window as an idle skip: exactly
+// when it executes nothing in it, whatever brought its next event.
+func TestIdleSkips(t *testing.T) {
+	t.Run("only due event canceled", func(t *testing.T) {
+		g := quietGroup(t, 1)
+		lp := g.LP(0)
+		tm := lp.E.At(0.5, func() { t.Error("a canceled event ran") })
+		lp.E.At(1.5, func() {})
+		tm.Cancel()
+		g.RunWindow(1, 1)
+		if st := lp.E.Stats(); g.IdleSkips() != 1 || st.Executed != 0 || st.Canceled != 1 {
+			t.Fatalf("after the window: %d idle skips, %+v; want 1 skip, 0 executed, 1 canceled", g.IdleSkips(), st)
+		}
+		g.RunWindow(2, 2)
+		if st := lp.E.Stats(); g.IdleSkips() != 1 || st.Executed != 1 {
+			t.Fatalf("after the next window: %d idle skips, %d executed; want 1, 1", g.IdleSkips(), st.Executed)
+		}
+	})
+	t.Run("op scheduled between windows", func(t *testing.T) {
+		g := quietGroup(t, 2)
+		lp := g.LP(0)
+		var ranAt []float64
+		op := lp.E.RegisterOp("test.tick", func([]byte) { ranAt = append(ranAt, lp.E.Now()) })
+		g.RunWindow(1, 1)
+		lp.E.AtOp(1.5, op, nil)
+		g.RunWindow(2, 2)
+		if len(ranAt) != 1 || ranAt[0] != 1.5 || g.IdleSkips() != 3 {
+			t.Fatalf("op ran at %v with %d idle skips; want [1.5] and 3", ranAt, g.IdleSkips())
+		}
+	})
+	t.Run("idle LP gets a delivery", func(t *testing.T) {
+		g := quietGroup(t, 2)
+		var got []float64
+		g.LP(1).OnMessage = func(Event) { got = append(got, g.LP(1).E.Now()) }
+		g.RunWindow(1, 1)
+		g.RunWindow(2, 2)
+		g.LP(0).Send(1, 2.5, nil)
+		g.Flush(nil)
+		g.Deliver(nil)
+		g.RunWindow(3, 3)
+		if len(got) != 1 || got[0] != 2.5 || g.IdleSkips() != 5 {
+			t.Fatalf("delivered at %v with %d idle skips; want [2.5] and 5", got, g.IdleSkips())
+		}
+	})
+}
+
 // TestStartRequiresHandlers pins that a group does not run with an LP
 // nobody gave a handler.
 func TestStartRequiresHandlers(t *testing.T) {

@@ -91,13 +91,13 @@ func (c *cluster) results() (r [invLPs][5]float64) {
 func TestObservedMigrationAndRollback(t *testing.T) {
 	const before, between, after = 7, 5, 9
 	const spanCap = 8 // small, so the rings overflow and drops are carried
-	ref := newCluster(t, 1, 1, 0)
+	ref := newCluster(t, denseInput, 1, 1, 0)
 	ref.run(before + between + after)
 	refResults := ref.results()
 
 	for _, threads := range []int{1, 3} {
 		t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
-			c := newCluster(t, 2, threads, spanCap)
+			c := newCluster(t, denseInput, 2, threads, spanCap)
 			var ran uint64 // events executed, the rolled-back ones included
 			run := func(windows int) {
 				was := c.executed()

@@ -26,13 +26,25 @@ const (
 	invSeed      = 2024
 )
 
-// newCluster deals the LPs round-robin to k groups of the given thread
-// count and seeds the model; spanCap > 0 makes the groups observed.
-func newCluster(t *testing.T, k, threads, spanCap int) *cluster {
-	c := &cluster{t: t, model: &PHOLD{
+// denseInput keeps every LP busy in almost every window; sparseInput,
+// one job per LP at a mean spacing of 16 lookaheads, leaves most LPs
+// idle in most windows, so the idle skips and their count in the LP
+// images carry the result.
+var (
+	denseInput = PHOLD{
 		TotalLPs: invLPs, JobsPerLP: 6, RemoteProb: 0.4, Work: 3,
 		DelayFactor: 2, SkewHot: 2, SkewFactor: 3,
-	}}
+	}
+	sparseInput = PHOLD{
+		TotalLPs: invLPs, JobsPerLP: 1, RemoteProb: 0.4, Work: 3,
+		DelayFactor: 16, SkewHot: 2, SkewFactor: 3,
+	}
+)
+
+// newCluster deals the LPs round-robin to k groups of the given thread
+// count and seeds the model; spanCap > 0 makes the groups observed.
+func newCluster(t *testing.T, model PHOLD, k, threads, spanCap int) *cluster {
+	c := &cluster{t: t, model: &model}
 	for gi := 0; gi < k; gi++ {
 		var ids []int
 		for id := gi; id < invLPs; id += k {
@@ -157,27 +169,39 @@ func (c *cluster) images() (imgs [invLPs][]byte, counts [invLPs]uint64) {
 
 // TestPartitionInvariance is the kernel's contract: the same seeded
 // PHOLD run gives the same bits — per-LP event counts and per-LP
-// images, which hold the engines' clocks, pending events and random
-// streams — however the LPs are dealt to groups and threads, and
-// whether or not the run is rolled back to a snapshot taken under
-// another assignment and has an LP migrated under it, twice.
+// images, which hold the engines' clocks, pending events, random
+// streams and idle skips — however the LPs are dealt to groups and
+// threads, and whether or not the run is rolled back to a snapshot
+// taken under another assignment and has an LP migrated under it,
+// twice. The groups' idle skips sum to the one-group run's. The dense
+// input rarely idles; the sparse one, run twenty times as many windows,
+// mostly does.
 func TestPartitionInvariance(t *testing.T) {
-	const before, between, after = 7, 5, 9
-	ref := newCluster(t, 1, 1, 0)
+	checkInvariance(t, denseInput, 1)
+	t.Run("sparse", func(t *testing.T) { checkInvariance(t, sparseInput, 20) })
+}
+
+// checkInvariance is TestPartitionInvariance on one input, its window
+// schedule stretched by scale.
+func checkInvariance(t *testing.T, model PHOLD, scale int) {
+	before, between, after := 7*scale, 5*scale, 9*scale
+	ref := newCluster(t, model, 1, 1, 0)
 	ref.run(before + between + after)
 	refImgs, refCounts := ref.images()
+	refIdle := ref.idleSkips()
 	var sent uint64
 	for _, lp := range ref.groups[0].LPs() {
 		sent += lp.Sent()
 	}
-	if sent < 50 {
-		t.Fatalf("reference run sent %d cross-LP events; test is vacuous", sent)
+	t.Logf("reference: %d cross-LP events, %d of %d (LP, window) pairs idle", sent, refIdle, (before+between+after)*invLPs)
+	if sent < 50 || refIdle == 0 {
+		t.Fatalf("reference run sent %d cross-LP events and skipped %d; test is vacuous", sent, refIdle)
 	}
 
 	for _, k := range []int{1, 2, 3, invLPs} {
 		for _, threads := range []int{1, 2} {
 			t.Run(fmt.Sprintf("groups=%d/threads=%d", k, threads), func(t *testing.T) {
-				c := newCluster(t, k, threads, 0)
+				c := newCluster(t, model, k, threads, 0)
 				c.run(before)
 				snaps := c.snapshot()
 				layout := fmt.Sprint(c.layout())
@@ -195,7 +219,7 @@ func TestPartitionInvariance(t *testing.T) {
 				if got := fmt.Sprint(c.layout()); got != layout {
 					t.Fatalf("layout after rollback %s, want %s", got, layout)
 				}
-				c.end = before * invLookahead
+				c.end = float64(before) * invLookahead
 				c.run(between)
 				c.migrate()
 				c.run(after)
@@ -203,6 +227,9 @@ func TestPartitionInvariance(t *testing.T) {
 				imgs, counts := c.images()
 				if counts != refCounts {
 					t.Fatalf("per-LP events %v, want %v", counts, refCounts)
+				}
+				if idle := c.idleSkips(); idle != refIdle {
+					t.Errorf("idle skips summed over the groups %d, want %d", idle, refIdle)
 				}
 				for id := range imgs {
 					if !bytes.Equal(imgs[id], refImgs[id]) {
@@ -212,6 +239,13 @@ func TestPartitionInvariance(t *testing.T) {
 			})
 		}
 	}
+}
+
+func (c *cluster) idleSkips() (n uint64) {
+	for _, g := range c.groups {
+		n += g.IdleSkips()
+	}
+	return n
 }
 
 func (c *cluster) layout() [][]int {

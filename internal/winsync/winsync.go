@@ -178,7 +178,7 @@ type Group struct {
 	// without it.
 	Install func(lp *LP)
 	// Timed makes RunWindow time every LP it executes, two clock reads
-	// per busy LP: the load signal behind LoadDeltas and LP.BusyNs.
+	// per due LP: the load signal behind LoadDeltas and LP.BusyNs.
 	Timed bool
 
 	// byID is indexed by LP ID, nil where the group does not own the LP:
@@ -193,10 +193,12 @@ type Group struct {
 	seed      uint64
 	kind      eventq.Kind
 
-	// end and seq, the running window's end and barrier sequence, are
-	// published to the pool threads by the barrier inside pl.Run.
+	// end and seq, the running window's end and barrier sequence, and
+	// due, its LPs with work in ascending ID, are published to the pool
+	// threads by the barrier inside pl.Run.
 	end       float64
 	seq       uint64
+	due       []*LP
 	pl        *pool.Pool
 	poolStats pool.Stats // summed over closed pools
 
@@ -350,33 +352,45 @@ func (g *Group) PoolStats() pool.Stats {
 
 // RunWindow executes every LP up to end, on the pool (inline on the
 // calling goroutine when the pool has one thread or finds that faster).
-// seq is the transport's barrier sequence for the window; it only labels
-// what an observed group records. The pool's barrier publishes both to
-// its threads and everything the LPs wrote back to the caller.
+// Only the LPs whose engine Head is within the window are handed to the
+// pool; the rest count their idle skip here and are not entered, so a
+// window costs one compare per LP plus the LPs with work. seq is the
+// transport's barrier sequence for the window; it only labels what an
+// observed group records. The pool's barrier publishes end, seq and the
+// due list to its threads and everything the LPs wrote back to the
+// caller.
 func (g *Group) RunWindow(end float64, seq uint64) {
 	g.end, g.seq = end, seq
-	g.pl.Run(len(g.order))
+	g.due = g.due[:0]
+	for _, lp := range g.order {
+		if lp.E.Head() <= end {
+			g.due = append(g.due, lp)
+		} else {
+			lp.idle++
+		}
+	}
+	g.pl.Run(len(g.due))
 }
 
-// runLP is the pool body: one LP through the current window. An LP with
-// nothing due never enters its engine loop and reads no clock. PeekTime
-// may pop tombstones, but this thread is the only one touching the LP
-// during the window.
+// runLP is the pool body: one due LP through the current window. Head
+// is a lower bound, so a due LP may still execute nothing — its due
+// events were canceled — and that is an idle skip as well: an LP skips
+// a window exactly when its first live event lies beyond the end.
 func (g *Group) runLP(_, i int) {
-	lp := g.order[i]
-	if lp.E.PeekTime() > g.end {
-		lp.idle++
-		return
-	}
-	if !g.Timed {
+	lp := g.due[i]
+	before := lp.E.Stats().Executed
+	if g.Timed {
+		t := obs.Now()
 		lp.E.RunUntil(g.end)
-		return
+		d := obs.Now() - t
+		lp.busyNs += d
+		lp.busyTotal += d
+	} else {
+		lp.E.RunUntil(g.end)
 	}
-	t := obs.Now()
-	lp.E.RunUntil(g.end)
-	d := obs.Now() - t
-	lp.busyNs += d
-	lp.busyTotal += d
+	if lp.E.Stats().Executed == before {
+		lp.idle++
+	}
 }
 
 // Flush drains every LP's send buffer, in LP order: events for LPs of
