@@ -70,7 +70,8 @@ func Lssim(fs *flag.FlagSet) *Run {
 		Greedy:  partition.Greedy{UseEvents: true},
 		Workers: 4,
 	}
-	r.shared(fs, &r.Checkpoint, &r.Resume)
+	r.shared(fs, &r.Checkpoint)
+	fs.StringVar(&r.Resume, "resume", "", "phold: restore this snapshot before running to -horizon")
 	fs.StringVar(&r.Sim, "sim", "monarc", "personality: bricks|optorsim|simgrid|gridsim|chicsim|monarc|phold|distphold")
 	fs.BoolVar(&r.Histo, "histo", false, "print event-latency histograms after the run")
 	fs.StringVar(&r.Pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
@@ -100,12 +101,12 @@ func Lsnode(fs *flag.FlagSet) *Run {
 		Workers: 2,
 	}
 	c, m, w := &r.Coord, &r.Model, &r.Worker
-	r.shared(fs, &c.CheckpointPath, &c.ResumePath)
+	r.shared(fs, &c.CheckpointPath)
 	fs.StringVar(&r.Mode, "mode", "", "coordinator | worker")
 	fs.StringVar(&r.Addr, "addr", "localhost:9191", "listen (coordinator) or dial (worker) address")
 	fs.IntVar(&c.NLPs, "lps", c.NLPs, "total logical processes (all nodes must agree)")
 	fs.Float64Var(&c.Lookahead, "lookahead", c.Lookahead, "synchronization lookahead")
-	fs.Func("timeout", "coordinator: per-frame receive deadline in `seconds` (0 = 30s default, negative disables)", func(s string) error {
+	fs.Func("timeout", "coordinator: per-frame receive deadline in `seconds`, >= 0 (0 = 30s default)", func(s string) error {
 		v, err := strconv.ParseFloat(s, 64)
 		if err == nil && !(math.Abs(v*float64(time.Second)) < math.MaxInt64) {
 			// NaN, ±Inf or too large: the conversion below would make some
@@ -121,15 +122,15 @@ func Lsnode(fs *flag.FlagSet) *Run {
 	fs.IntVar(&m.Work, "work", m.Work, "PHOLD per-event synthetic work")
 	fs.IntVar(&m.HotHoldNs, "hot-hold-ns", 0, "worker: extra ns of CPU a hot LP burns per event (load shaping only)")
 	fs.Func("own", "worker: comma-separated LP `IDs` this worker owns", list(&r.Own, strconv.Atoi))
-	fs.IntVar(&w.MaxPark, "max-park", 0, "worker: parked reconnect attempts to survive a coordinator restart (0 = 64 default, negative disables parking)")
+	fs.IntVar(&w.MaxPark, "max-park", 0, "worker: reconnect attempts past the first 8 to survive a coordinator restart (0 = 64 default, negative = none)")
 	return r
 }
 
 // shared binds the flags both commands have; a default that differs
-// between them is whatever the caller put in the struct. checkpoint and
-// resume name a parsim snapshot for lssim's phold personality and the
-// cluster checkpoint file for an lsnode coordinator.
-func (r *Run) shared(fs *flag.FlagSet, checkpoint, resume *string) {
+// between them is whatever the caller put in the struct. checkpoint
+// names a parsim snapshot for lssim's phold personality and the cluster
+// checkpoint file for an lsnode coordinator.
+func (r *Run) shared(fs *flag.FlagSet, checkpoint *string) {
 	c, m := &r.Coord, &r.Model
 	fs.Uint64Var(&c.Seed, "seed", c.Seed, "random seed")
 	fs.Float64Var(&c.Horizon, "horizon", c.Horizon, "phold, distributed runs: simulation end time")
@@ -150,8 +151,7 @@ func (r *Run) shared(fs *flag.FlagSet, checkpoint, resume *string) {
 	fs.Float64Var(&m.SkewFactor, "skew", m.SkewFactor, "PHOLD: hot LPs fire this many times as often (all nodes must agree)")
 	fs.IntVar(&r.Worker.Threads, "threads", r.Worker.Threads, "worker: intra-worker execution pool size, an upper bound (results are bit-identical for any value)")
 	fs.IntVar(&r.Workers, "workers", r.Workers, "workers the coordinator waits for (in-process: must divide the LPs); phold: parallel pool workers")
-	fs.StringVar(checkpoint, "checkpoint", "", "coordinator: persist cluster checkpoints to this file (atomic); phold: run to -checkpoint-at, write a snapshot here, and exit")
-	fs.StringVar(resume, "resume", "", "coordinator: resume from this cluster checkpoint when it exists; phold: restore this snapshot before running to -horizon")
+	fs.StringVar(checkpoint, "checkpoint", "", "coordinator: persist cluster checkpoints to this file (atomic), what a -journal restart rolls back to; phold: run to -checkpoint-at, write a snapshot here, and exit")
 	fs.BoolVar(&r.Verify, "verify", false, "replay the finished run in a single process and require identical per-LP results")
 	fs.StringVar(&r.Trace, "trace", "", "write a Chrome trace-event JSON (Perfetto) of the run to this file; a cluster's is merged across workers")
 	fs.IntVar(&r.ObsEvery, "obs-every", 0, "coordinator: piggyback cluster telemetry every N windows (0 = every window once -trace/-histo/-metrics-addr ask for telemetry, else off)")

@@ -131,7 +131,7 @@ func TestValidateRejectsBadValues(t *testing.T) {
 		"lsnode": {"-mode worker", "-mode worker -own 1,1", "-mode worker -own 8", "-mode worker -own -1",
 			"-mode worker -own 2 -lps 2", worker + "-delay-factor 0", worker + "-lps 0", worker + "-jobs -1",
 			worker + "-remote 1.5", "-mode coordinator -lps 0", "-mode coordinator -lookahead 0",
-			"-mode coordinator -lookahead Inf", "-mode coordinator -timeout 2e-9",
+			"-mode coordinator -lookahead Inf", "-mode coordinator -timeout 2e-9", "-mode coordinator -timeout -1",
 			"-mode coordinator -horizon 0", "-mode coordinator -workers 0", "-mode coordinator -workers 9"},
 	} {
 		for _, args := range cases {

@@ -78,11 +78,11 @@ func work(r *front.Run) error {
 	}
 	fmt.Printf("lsnode: worker owning LPs %v dialing %s (%d threads)\n", r.Own, r.Addr, max(w.Threads, 1))
 	// A worker started before its coordinator retries the dial with
-	// capped exponential backoff; one that loses its coordinator parks
-	// in a bounded reconnect loop so a restarted one can re-adopt it.
+	// capped exponential backoff; one that loses its coordinator keeps
+	// redialing in a bounded loop so a restarted one can re-adopt it.
 	if err := w.Run(r.Addr); err != nil {
 		if errors.Is(err, distsim.ErrCoordinatorLost) {
-			// The park budget ran out: report the local progress that
+			// The retry budget ran out: report the local progress that
 			// would otherwise die with the process, then fail.
 			fmt.Fprintf(os.Stderr, "lsnode: parked out with %d events executed locally (incomplete)\n", w.Stats().EventsExecuted)
 		}

@@ -63,8 +63,8 @@ type clusterCheckpoint struct {
 }
 
 // encode serializes the checkpoint for file persistence: the control
-// state around the cut — seat epochs and registration keys are what
-// lets a later resume seat relaunched workers — then the snapshots.
+// state around the cut — whose shape and barrier a journal restart
+// holds the file against — then the snapshots.
 func (ck *clusterCheckpoint) encode(c *control) ([]byte, error) {
 	var buf bytes.Buffer
 	cw := checkpoint.NewWriter(&buf)
@@ -85,7 +85,7 @@ func (ck *clusterCheckpoint) encode(c *control) ([]byte, error) {
 }
 
 // decodeClusterCheckpoint returns the control state at the file's cut
-// (run parameters left for the caller to fill in) and the checkpoint.
+// (run parameters unset: the journal holds them) and the checkpoint.
 func decodeClusterCheckpoint(data []byte) (*control, *clusterCheckpoint, error) {
 	snap, err := checkpoint.Read(bytes.NewReader(data))
 	if err != nil {

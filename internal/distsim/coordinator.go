@@ -24,11 +24,13 @@ import (
 // sequence gap) but the worker process survives, it reconnects,
 // presents its session id, and both sides replay the unacked tail of
 // sequenced frames — the simulation state never rolls back and the
-// blip costs one round trip. The expensive layer is the PR 3
-// rollback-recovery (opt-in via CheckpointEvery/MaxRecoveries): when
-// the worker process itself is gone, a replacement registers the dead
-// worker's LP set and the whole federation restores the last cluster
-// checkpoint. Both layers preserve bit-identical results.
+// blip costs one round trip. The expensive layer is rollback recovery
+// (opt-in via CheckpointEvery/MaxRecoveries): when the worker process
+// itself is gone, a replacement registers the dead worker's LP set and
+// the whole federation restores the last cluster checkpoint. A crashed
+// coordinator restarts from its journal (JournalPath), re-adopting the
+// workers that survived it. Every layer preserves bit-identical
+// results.
 type Coordinator struct {
 	NLPs      int
 	Lookahead float64
@@ -38,8 +40,7 @@ type Coordinator struct {
 	// Timeout bounds every frame receive and write, and every other
 	// wait of the run is derived from it (env.go has the table; the
 	// config frame carries it to the workers). Zero means
-	// DefaultTimeout; negative disables deadlines entirely (the
-	// pre-fault-tolerance blocking behavior).
+	// DefaultTimeout; Validate refuses a negative one.
 	Timeout time.Duration
 	// CheckpointEvery takes a cluster checkpoint after every k-th
 	// window (plus one before the first). Zero disables checkpointing
@@ -51,14 +52,9 @@ type Coordinator struct {
 	// dead worker.
 	MaxRecoveries int
 	// CheckpointPath, when set, persists every cluster checkpoint to
-	// this file (atomically), so a crashed *coordinator* can be
-	// restarted with ResumePath.
+	// this file (atomically): what a journal restart rolls back to when
+	// it cannot re-adopt every worker at the journal's tip.
 	CheckpointPath string
-	// ResumePath, when set and the file exists, resumes the run from a
-	// persisted cluster checkpoint instead of starting at time zero.
-	// A missing file starts a fresh run (first launch of a
-	// crash-restart loop).
-	ResumePath string
 	// JournalPath, when set, appends a durable control-plane journal
 	// record at every committed window barrier (plus migrations,
 	// recoveries, skips, and checkpoint writes), fsynced before the
@@ -184,8 +180,8 @@ func (c *Coordinator) PerLPCounts() []uint64 {
 	return counts
 }
 
-// timeout resolves the effective per-frame deadline (0: none).
-func (c *Coordinator) timeout() time.Duration { return max(0, cmp.Or(c.Timeout, DefaultTimeout)) }
+// timeout resolves the effective per-frame deadline.
+func (c *Coordinator) timeout() time.Duration { return cmp.Or(c.Timeout, DefaultTimeout) }
 
 // rebalanceEvery resolves the planning cadence (meaningful only when
 // Rebalance is set).
@@ -201,7 +197,7 @@ func (c *Coordinator) every() int {
 	if c.CheckpointEvery > 0 {
 		return c.CheckpointEvery
 	}
-	if c.MaxRecoveries > 0 || c.CheckpointPath != "" || c.ResumePath != "" {
+	if c.MaxRecoveries > 0 || c.CheckpointPath != "" {
 		return 1
 	}
 	return 0
@@ -330,10 +326,10 @@ func (c *Coordinator) exchange(s *session, phase obs.Kind, seq uint64, mk func(w
 // method: a broken seat then waits until some connection knocks.
 //
 // Every Serve has the same steps: obtain a control state (journal
-// replay, ResumePath file, or blank), seat a worker on every seat
-// through admission (fill), bring the cluster to that state, finish the
-// run. On a journal restart the ladder is re-adopt -> rollback -> fail:
-// with no usable checkpoint it fails rather than guess.
+// replay, or blank), seat a worker on every seat through admission
+// (fill), bring the cluster to that state, finish the run. On a journal
+// restart the ladder is re-adopt -> rollback -> fail: with no usable
+// checkpoint it fails rather than guess.
 func (c *Coordinator) Serve(ln net.Listener, nWorkers int) error {
 	if err := c.Validate(); err != nil {
 		return err
@@ -366,11 +362,11 @@ func (c *Coordinator) Serve(ln net.Listener, nWorkers int) error {
 	}
 	s.bindObs(c)
 
-	// A resume file is the state: everyone restores it. A journal tip is
-	// the state when every worker was re-adopted at it; the checkpoint
-	// file is then only the budget for later worker failures.
+	// A journal tip is the state when every worker was re-adopted at it;
+	// the checkpoint file is then only the budget for later worker
+	// failures. Otherwise everyone restores the checkpoint.
 	s.ckpt = ck
-	if tip == nil && ck != nil || tip != nil && !atTip {
+	if tip != nil && !atTip {
 		if ck == nil {
 			return errors.New("distsim: journal restart needs a rollback but CheckpointPath holds no checkpoint")
 		}
@@ -389,7 +385,7 @@ func (c *Coordinator) Serve(ln net.Listener, nWorkers int) error {
 			return err
 		}
 	}
-	if tip == nil && ck == nil && c.every() > 0 {
+	if tip == nil && c.every() > 0 {
 		// Initial checkpoint: a crash inside the very first window must be
 		// as recoverable as any other.
 		if err := c.checkpoint(s); err != nil {
@@ -400,15 +396,12 @@ func (c *Coordinator) Serve(ln net.Listener, nWorkers int) error {
 	return c.finish(s)
 }
 
-// obtain gives the session its control state, one of three ways. A
+// obtain gives the session its control state, one of two ways. A
 // journal holding a genesis record means this Serve is a crash restart:
 // the replayed state is returned as tip, the journal is reopened for
 // appending, and ck is the CheckpointPath file, nil when there is none
-// and refused when the journal does not vouch for it. Else an existing
-// ResumePath file supplies the state and ck, the checkpoint every
-// worker restores before the run goes on; a missing file is the first
-// launch of a crash-restart loop. Else the state is blank and
-// registration fills it in.
+// and refused when the journal does not vouch for it. Else the state is
+// blank and registration fills it in.
 func (c *Coordinator) obtain(s *session) (tip *journalState, ck *clusterCheckpoint, err error) {
 	if c.JournalPath != "" {
 		st, err := loadJournal(c.JournalPath)
@@ -422,43 +415,35 @@ func (c *Coordinator) obtain(s *session) (tip *journalState, ck *clusterCheckpoi
 			return nil, nil, err
 		}
 	}
-	path := c.ResumePath
-	if tip != nil {
-		path = c.CheckpointPath
+	if tip == nil {
+		s.ctl = newControl(c.NLPs, c.Lookahead, c.Horizon, c.Seed, len(s.links))
+		return nil, nil, nil
 	}
-	var at *control // the state at ck's cut
-	if path != "" {
+	s.ctl = tip.ctl
+	if len(s.ctl.slots) != len(s.links) || s.ctl.nLPs != c.NLPs || s.ctl.lookahead != c.Lookahead ||
+		s.ctl.horizon != c.Horizon || s.ctl.seed != c.Seed {
+		return nil, nil, fmt.Errorf("distsim: journal %s records a %d-worker run over %d LPs (lookahead %v, horizon %v, seed %d); this coordinator is configured differently",
+			c.JournalPath, len(s.ctl.slots), s.ctl.nLPs, s.ctl.lookahead, s.ctl.horizon, s.ctl.seed)
+	}
+	if path := c.CheckpointPath; path != "" {
+		var at *control // the state at ck's cut
 		if at, ck, err = loadClusterCheckpoint(path); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return nil, nil, err
 		}
+		// A cut of another shape, older than the last checkpoint the
+		// journal saw made durable, or past its tip, is some other run's
+		// or moment's file.
 		if ck != nil && (len(at.slots) != len(s.links) || at.nLPs != c.NLPs) {
 			return nil, nil, fmt.Errorf("%w: %s holds %d workers over %d LPs, this run %d over %d",
 				errCheckpointMismatch, path, len(at.slots), at.nLPs, len(s.links), c.NLPs)
 		}
-	}
-	switch {
-	case tip != nil:
-		s.ctl = tip.ctl
-		if len(s.ctl.slots) != len(s.links) || s.ctl.nLPs != c.NLPs || s.ctl.lookahead != c.Lookahead ||
-			s.ctl.horizon != c.Horizon || s.ctl.seed != c.Seed {
-			return nil, nil, fmt.Errorf("distsim: journal %s records a %d-worker run over %d LPs (lookahead %v, horizon %v, seed %d); this coordinator is configured differently",
-				c.JournalPath, len(s.ctl.slots), s.ctl.nLPs, s.ctl.lookahead, s.ctl.horizon, s.ctl.seed)
-		}
-		// A cut older than the last checkpoint the journal saw made
-		// durable, or past its tip, is some other run's or moment's file.
 		if ck != nil && (at.windows < tip.ckptWindows || at.windows > s.ctl.windows) {
 			return nil, nil, fmt.Errorf("%w: %s is at barrier %d; the journal saw barrier %d checkpointed and its tip is barrier %d",
 				errCheckpointMismatch, path, at.windows, tip.ckptWindows, s.ctl.windows)
 		}
-		s.journal, err = openJournal(c.JournalPath, tip)
-		return tip, ck, err
-	case ck != nil:
-		s.ctl = at
-		s.ctl.lookahead, s.ctl.horizon, s.ctl.seed = c.Lookahead, c.Horizon, c.Seed
-	default:
-		s.ctl = newControl(c.NLPs, c.Lookahead, c.Horizon, c.Seed, len(s.links))
 	}
-	return nil, ck, nil
+	s.journal, err = openJournal(c.JournalPath, tip)
+	return tip, ck, err
 }
 
 // shutdown is the deferred cleanup of one Serve call.
@@ -577,9 +562,7 @@ func (c *Coordinator) admit(s *session, deadline time.Time) (*admission, error) 
 			if left <= 0 {
 				return nil, os.ErrDeadlineExceeded
 			}
-			if wait <= 0 || left < wait {
-				wait = left
-			}
+			wait = min(wait, left)
 		}
 		conn, err := s.ln.Accept()
 		if err != nil {

@@ -1,6 +1,7 @@
 package distsim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -21,8 +22,9 @@ import (
 // post-migration layouts. The fallback ladder (re-adopt -> rollback ->
 // fail) and the worker park budget get their own scenarios.
 
-// parkOutage is an outage longer than a worker's whole reconnect cycle
-// (env.go's table): the workers have parked before the restart.
+// parkOutage is an outage longer than a worker's first connectAttempts
+// reconnect attempts (env.go's table): the workers are parked, redialing
+// about 2 s apart, when the restart comes.
 const parkOutage = 2 * time.Minute
 
 // crashRestart drives the two-phase harness. Two coordinators share the
@@ -117,16 +119,84 @@ func TestCrashRestartDense(t *testing.T) {
 // TestCrashRestartBeforeBarrier kills the coordinator after the
 // workers executed a window but before its journal record became
 // durable: the restarted coordinator's tip trails the cluster by one
-// window, so it re-sends that window and the workers must answer from
-// their stashed done frames without touching their engines.
+// window, so it re-sends that window, and each worker must answer with
+// the done frame its replaced link retained — byte for byte the one it
+// sent before the crash — without executing an event.
 func TestCrashRestartBeforeBarrier(t *testing.T) {
 	want, wantWindows := referenceRun(t)
-	_, c2 := rtScn.crashRestart(t, nil, beforeBarrier(4), rtScn.pair(), 0, nil)
+	workers := rtScn.pair()
+	taps := make([]*doneTap, len(workers))
+	wrap := func(ln net.Listener) net.Listener {
+		for i, w := range workers {
+			taps[i] = &doneTap{w: w}
+			w.Dial = faulty(taps[i].conn, w.Dial)
+		}
+		return ln
+	}
+	_, c2 := rtScn.crashRestart(t, nil, beforeBarrier(4), workers, 0, wrap)
 	wantCounts(t, "done-replay run", c2, want)
 	if lattice(c2) != wantWindows {
 		t.Fatalf("windows = %d, want %d", lattice(c2), wantWindows)
 	}
 	wantReadopted(t, c2)
+	for i, tp := range taps {
+		// The first connection died with the crash; the first done frame
+		// on a later one answers the re-sent window.
+		var before, replay *tappedDone
+		for j := range tp.dones {
+			if d := &tp.dones[j]; d.conn == 0 {
+				before = d
+			} else if replay == nil {
+				replay = d
+			}
+		}
+		if before == nil || replay == nil {
+			t.Fatalf("worker %d wrote no done frame before or after the crash", i)
+		}
+		if !bytes.Equal(replay.payload, before.payload) {
+			t.Errorf("worker %d answered the re-sent window with another done frame than the one sent before the crash", i)
+		}
+		if replay.executed != before.executed {
+			t.Errorf("worker %d executed %d events answering the re-sent window", i, replay.executed-before.executed)
+		}
+	}
+}
+
+// doneTap records every done frame a worker writes: its payload, the
+// connection it went out on (0-based, in dial order), and how many
+// events the worker had executed by then. Only the worker's serve
+// goroutine dials and writes done frames.
+type doneTap struct {
+	w     *Worker
+	conns int
+	dones []tappedDone
+}
+
+type tappedDone struct {
+	conn     int
+	payload  []byte
+	executed uint64
+}
+
+type tapConn struct {
+	net.Conn
+	tp *doneTap
+	id int
+}
+
+func (tp *doneTap) conn(c net.Conn) net.Conn {
+	tp.conns++
+	return tapConn{c, tp, tp.conns - 1}
+}
+
+// Write sees one whole wire frame per call (peer.writeFrame).
+func (c tapConn) Write(p []byte) (int, error) {
+	var f frame
+	var evs []Event
+	if len(p) > wireHeaderLen && unmarshalFrameInto(&f, &evs, p[wireHeaderLen:]) == nil && f.Kind == frameDone {
+		c.tp.dones = append(c.tp.dones, tappedDone{c.id, bytes.Clone(p[wireHeaderLen:]), c.tp.w.Stats().EventsExecuted})
+	}
+	return c.Conn.Write(p)
 }
 
 // TestCrashRestartSparseSkip crashes the coordinator of a sparse run
@@ -414,6 +484,37 @@ func TestWorkerParkGiveUp(t *testing.T) {
 	}
 	if stats.EventsExecuted == 0 {
 		t.Fatal("abandoned worker flushed no executed events")
+	}
+}
+
+// TestRetryStopsWhenClusterDown pins the retry loop's fatal exit: a
+// Loopback worker still redialing when Serve fails returns at its next
+// dial, which fails fatally with the cluster down, instead of spending
+// the rest of its budget on a cluster that is gone. Worker B's host
+// drops off the network for good, so B is past its first
+// connectAttempts long before the coordinator, which holds the seat for
+// a replacement that never comes, gives up.
+func TestRetryStopsWhenClusterDown(t *testing.T) {
+	c := rtScn.coordinator(func(c *Coordinator) {
+		c.CheckpointEvery = 1
+		c.MaxRecoveries = 1
+	})
+	sm := newSim(t)
+	workers := rtScn.pair()
+	err := sm.loopback(c, workers, func(ln net.Listener) net.Listener {
+		workers[1].Dial = (&cut{s: sm, from: 8, refuse: true}).dial(simDial(ln))
+		return ln
+	})
+	if err == nil {
+		t.Fatal("Serve succeeded without a replacement for the partitioned worker")
+	}
+	if errors.Is(err, ErrCoordinatorLost) {
+		t.Fatalf("a worker spent its retry budget after the cluster went down: %v", err)
+	}
+	// The whole budget pauses well over a minute; the coordinator gives
+	// up about half a minute after B's connection broke.
+	if slept := time.Duration(workers[1].WireSnapshot().BackoffNs); slept > time.Minute {
+		t.Fatalf("worker B paused %v between redials of a cluster that is down", slept)
 	}
 }
 

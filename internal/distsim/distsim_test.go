@@ -184,7 +184,7 @@ func TestWorkerRefusesBadConfig(t *testing.T) {
 		lookahead, timeoutSec float64
 		field                 string // "" = accepted
 	}{
-		{1, 0, ""},
+		{1, 0, "TimeoutSec"}, // no deadlines at all
 		{1, 3e-9, ""},
 		{1, 30, ""},
 		{0, 1, "lookahead"},
@@ -212,7 +212,8 @@ func TestWorkerRefusesBadConfig(t *testing.T) {
 				tc.lookahead, tc.timeoutSec, err, isFatal(err), w.g != nil, tc.field)
 		}
 		c := &Coordinator{NLPs: 1, Lookahead: tc.lookahead, Horizon: 10, Timeout: time.Duration(tc.timeoutSec * float64(time.Second))}
-		if tc.field == "lookahead" || c.Timeout > 0 && c.Timeout < 3 {
+		// A zero Timeout is the default, not zero deadlines.
+		if tc.field == "lookahead" || c.Timeout < 0 || c.Timeout > 0 && c.Timeout < 3 {
 			if c.Validate() == nil {
 				t.Errorf("lookahead %v, Timeout %v: the coordinator would send it", c.Lookahead, c.Timeout)
 			}

@@ -8,9 +8,8 @@ import (
 // Every wait distsim makes, in one table. From the config frame on, a
 // wait is the run's Timeout — Coordinator.Timeout, which the config
 // frame carries to the workers — times a constant; before it a worker
-// knows no Timeout and waits a fixed constant. A negative Timeout turns
-// the deadlines off: the resume window is then its cap, the bye wait
-// connectWait, and the replacement wait unbounded.
+// knows no Timeout and waits a fixed constant. Timeout is always
+// positive, so every one of these waits ends.
 //
 //	wait                               side         length                         default
 //	frame read, frame write            both         Timeout                        30 s
@@ -23,11 +22,13 @@ import (
 //	config after register              worker       connectWait                    10 s
 //	answer to a hello                  worker       resume window / helloTries     500 ms
 //	bye after the stats                worker       Timeout / beatsPerTimeout      10 s
-//	attempts per connect cycle         worker       connectAttempts, first at once 8
-//	pause before retry a (0-based)     worker       backoffBase·2^a + 0–25 %,      50 ms …
+//	attempts of the first connect      worker       connectAttempts, first at once 8
+//	pause before connect retry a ≥ 0   worker       backoffBase·2^a + 0–25 %,      50 ms …
 //	                                                at most backoffCap             5 s
-//	parked rounds after a cycle fails  worker       Worker.MaxPark                 DefaultMaxPark
-//	pause between parked rounds        worker       pause before retry parkStep    1.6–2 s
+//	attempts after a broken connection worker       connectAttempts +              8 + 64
+//	                                                Worker.MaxPark, first at once
+//	pause before reconnect retry a     worker       pause before connect retry     50 ms …
+//	                                                min(a, parkStep)               1.6–2 s
 const (
 	beatsPerTimeout   = 3
 	staleBeats        = 3
@@ -47,10 +48,9 @@ const (
 // a frame nor a heartbeat for this long is declared dead.
 const DefaultTimeout = 30 * time.Second
 
-// DefaultMaxPark is how many parked reconnect rounds a worker with live
-// simulation state makes after a failed reconnect cycle, waiting for a
-// crashed coordinator to restart (Worker.MaxPark zero means this
-// default).
+// DefaultMaxPark is how many reconnect attempts past connectAttempts a
+// worker makes after a broken connection, waiting for a crashed
+// coordinator to restart (Worker.MaxPark zero means this default).
 const DefaultMaxPark = 64
 
 // env is where distsim gets time from: the clock, a pause, the
@@ -94,17 +94,12 @@ func (wallClock) every(d time.Duration, f func() bool) func() {
 	return func() { close(quit); <-done }
 }
 
-// resumeWait is the resume window of a run whose Timeout is timeout (0:
-// no deadlines): how long the coordinator holds a broken seat open,
-// and — divided by helloTries — how long a worker waits for the answer
-// to a hello, so that a hello or answer lost on the wire costs one of
-// several tries rather than the seat.
-func resumeWait(timeout time.Duration) time.Duration {
-	if timeout > 0 && timeout < resumeWindow {
-		return timeout
-	}
-	return resumeWindow
-}
+// resumeWait is the resume window of a run whose Timeout is timeout:
+// how long the coordinator holds a broken seat open, and — divided by
+// helloTries — how long a worker waits for the answer to a hello, so
+// that a hello or answer lost on the wire costs one of several tries
+// rather than the seat.
+func resumeWait(timeout time.Duration) time.Duration { return min(timeout, resumeWindow) }
 
 // orWall is e, or the wall clock when e is nil.
 func orWall(e env) env {
@@ -114,14 +109,8 @@ func orWall(e env) env {
 	return e
 }
 
-// after is the instant d past e's now; the zero Time, no deadline, when
-// d <= 0.
-func after(e env, d time.Duration) time.Time {
-	if d <= 0 {
-		return time.Time{}
-	}
-	return e.now().Add(d)
-}
+// after is the instant d past e's now.
+func after(e env, d time.Duration) time.Time { return e.now().Add(d) }
 
 // armRead and armWrite set conn's read or write deadline; the zero Time
 // clears it.

@@ -226,21 +226,26 @@ func (s scenario) killAndRecover(t *testing.T, c *Coordinator) {
 	}
 }
 
-// failThenResume is the checkpoint-file drill. Attempt 1 persists
-// cluster checkpoints with no recovery budget, so worker B's death at
-// killAt fails the run and leaves the last checkpoint on disk (its
-// ResumePath names the same, still missing file: the fresh-start
-// branch). Attempt 2 is a fresh coordinator and fresh workers resuming
-// from that file to the horizon. tune configures both coordinators,
-// wtune every worker; both coordinators are returned.
+// failThenResume is the journal drill of a whole-cluster restart.
+// Attempt 1 journals the run and persists cluster checkpoints with no
+// recovery budget, so worker B's death at killAt fails the run and
+// leaves the journal and the last checkpoint on disk. Attempt 2 is a
+// fresh coordinator on the same two files and fresh workers: they
+// register rather than re-adopt, so the restart rolls every one of them
+// back to the checkpoint and runs to the horizon. tune configures both
+// coordinators, wtune every worker; both coordinators are returned.
 func (s scenario) failThenResume(t *testing.T, tune func(*Coordinator), wtune ...func(*Worker) *Worker) (c1, c2 *Coordinator) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "cluster.ckpt")
+	dir := t.TempDir()
+	coordinator := func() *Coordinator {
+		c := s.coordinator(tune)
+		c.CheckpointPath = filepath.Join(dir, "cluster.ckpt")
+		c.JournalPath = filepath.Join(dir, "coord.journal")
+		return c
+	}
 	sm := newSim(t)
 	ln := sm.listen()
-	c1 = s.coordinator(tune)
-	c1.CheckpointPath = path
-	c1.ResumePath = path
+	c1 = coordinator()
 	doomed := []*Worker{s.worker(false, false), s.worker(true, true)}
 	for _, w := range doomed {
 		for _, f := range wtune {
@@ -263,8 +268,7 @@ func (s scenario) failThenResume(t *testing.T, tune func(*Coordinator), wtune ..
 		t.Fatal(err)
 	}
 
-	c2 = s.coordinator(tune)
-	c2.ResumePath = path
+	c2 = coordinator()
 	launch(t, c2, s.pair(wtune...))
 	return c1, c2
 }

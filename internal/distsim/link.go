@@ -57,9 +57,7 @@ type link struct {
 
 func newLink(p *peer) *link { return &link{p: p, stats: p.stats} }
 
-// send marshals and transmits a frame. Sequenced kinds are numbered
-// and retained before the write, so a frame that dies on the wire is
-// still replayable after a reconnect. Payload buffers cycle through
+// send marshals and transmits a frame. Payload buffers cycle through
 // the free list: unsequenced payloads return immediately after the
 // write, sequenced ones when the peer's ack prunes them.
 func (l *link) send(f *frame) error {
@@ -69,9 +67,14 @@ func (l *link) send(f *frame) error {
 		l.free[n-1] = nil
 		l.free = l.free[:n-1]
 	}
-	payload := marshalFrameInto(f, buf)
+	return l.sendPayload(f.Kind.sequenced(), marshalFrameInto(f, buf))
+}
+
+// sendPayload transmits a marshalled frame. A sequenced one is numbered
+// and retained before the write, so a frame that dies on the wire is
+// still replayable after a reconnect.
+func (l *link) sendPayload(sequenced bool, payload []byte) error {
 	var seq uint64
-	sequenced := f.Kind.sequenced()
 	if sequenced {
 		l.sendSeq++
 		seq = l.sendSeq

@@ -179,8 +179,8 @@ func appendWire(dst []byte, seq, ack uint64, payload []byte) []byte {
 
 // MarshalWindowWire builds the exact bytes the hardened protocol puts
 // on the wire for a window frame carrying evs — marshalled payload,
-// length/sequence header, CRC trailer. Exported for the frame-overhead
-// benchmark in internal/experiments.
+// length/sequence header, CRC trailer. Exported for lsbench's marshal
+// probe; wire_bench_test.go prices the same bytes.
 func MarshalWindowWire(evs []Event, end float64, seq, ack uint64) []byte {
 	return appendWire(nil, seq, ack, marshalFrameInto(&frame{Kind: frameWindow, End: end, Events: evs}, nil))
 }

@@ -123,10 +123,9 @@ func TestBigDoneFrameBehindSlowSeat(t *testing.T) {
 
 // TestCoordinatorFileResume exercises checkpoint persistence: a run
 // whose coordinator fails (a worker dies with recovery disabled)
-// leaves its last cluster checkpoint on disk; a second Serve with
-// ResumePath picks the run up at that barrier and finishes with
-// counters identical to an uninterrupted run. The first Serve also
-// covers the missing-file branch (ResumePath set, nothing to resume).
+// leaves its journal and last cluster checkpoint on disk; a second
+// Serve on the same files with fresh workers rolls back to that barrier
+// and finishes with counters identical to an uninterrupted run.
 func TestCoordinatorFileResume(t *testing.T) {
 	want, wantWindows := referenceRun(t)
 	_, c2 := rtScn.failThenResume(t, nil)

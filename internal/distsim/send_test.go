@@ -21,7 +21,7 @@ func TestBadSendPanicsInTheSender(t *testing.T) {
 	fed := parsim.NewFederation(lps, 1, 1, 7)
 	w := NewWorker(0, 1)
 	InstallPHOLD(w, lps, 1, 0.5, 0)
-	if err := w.applyConfig(&frame{Kind: frameConfig, Lookahead: 1, Horizon: 10, Seed: 7}); err != nil {
+	if err := w.applyConfig(&frame{Kind: frameConfig, Lookahead: 1, Horizon: 10, Seed: 7, TimeoutSec: 30}); err != nil {
 		t.Fatal(err)
 	}
 	defer w.closePool()

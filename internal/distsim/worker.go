@@ -19,7 +19,7 @@ import (
 )
 
 // ErrCoordinatorLost is returned (wrapped) by Worker.Run when the
-// coordinator stays unreachable through the whole park budget. The
+// coordinator stays unreachable through the whole retry budget. The
 // worker's engines still hold the state of the last quiesced barrier;
 // Worker.Stats flushes the final local counters.
 var ErrCoordinatorLost = errors.New("distsim: coordinator lost")
@@ -61,18 +61,15 @@ type Worker struct {
 	env     env // nil: the wall clock
 
 	// lastWinSeq is the barrier sequence of the newest window this
-	// worker executed; doneEvents/doneData/doneLoads/doneNext retain a
-	// deep copy of that window's done frame. A restarted coordinator
-	// resumes from its journal tip, which may trail the worker by
-	// exactly one window (the barrier record becomes durable before the
-	// next fan-out): when a re-sent window's WinSeq matches lastWinSeq
-	// the worker replays the stash instead of re-executing — the
-	// engines already hold the post-window state.
+	// worker executed. A restarted coordinator resumes from its journal
+	// tip, which may trail the worker by exactly one window (the barrier
+	// record becomes durable before the next fan-out), and re-sends that
+	// window. Its done frame is then still retained, unacked, on the link
+	// the re-adoption replaced: readopt keeps that payload in replay, and
+	// the re-sent window is answered with it — the engines already hold
+	// the post-window state, so the window is never re-executed.
 	lastWinSeq uint64
-	doneEvents []Event
-	doneData   []byte // arena behind doneEvents' Data slices
-	doneLoads  []partition.Load
-	doneNext   float64
+	replay     []byte
 
 	// wire accumulates transport counters across every connection this
 	// worker ever dials (shared with each peer; see newWorkerLink).
@@ -85,12 +82,12 @@ type Worker struct {
 	// from its address argument when nil; tests and chaos harnesses
 	// preset it to inject faulty transports.
 	Dial func() (net.Conn, error)
-	// MaxPark bounds the parked reconnect rounds after a reconnect
-	// cycle (env.go's table) failed: a worker with live engine state holds
-	// position at the last quiesced barrier and keeps redialing,
-	// expecting a crashed coordinator to restart and re-adopt it. Zero
-	// means DefaultMaxPark; negative disables parking (the first
-	// exhausted reconnect is fatal, the pre-journal behavior).
+	// MaxPark is how many reconnect attempts past the first
+	// connectAttempts (env.go's table) a worker makes: it holds its
+	// engines at the last quiesced barrier and keeps redialing, expecting
+	// a crashed coordinator to restart and re-adopt it. Zero means
+	// DefaultMaxPark; negative means none, so the worker gives up after
+	// connectAttempts.
 	MaxPark int
 
 	// Threads is the intra-worker execution pool size: with Threads > 1
@@ -170,14 +167,9 @@ func (w *Worker) lpIDs() []int {
 // Lookahead returns the configured lookahead (from Setup on).
 func (w *Worker) Lookahead() float64 { return w.g.Lookahead() }
 
-// byeWait is how long the worker waits for the coordinator's bye after
-// its stats: one heartbeat spacing.
-func (w *Worker) byeWait() time.Duration {
-	if w.timeout > 0 {
-		return w.timeout / beatsPerTimeout
-	}
-	return connectWait
-}
+// beatSpacing is the heartbeat spacing, which is also how long the worker
+// waits for the coordinator's bye after its stats.
+func (w *Worker) beatSpacing() time.Duration { return w.timeout / beatsPerTimeout }
 
 func (w *Worker) maxPark() int { return max(0, cmp.Or(w.MaxPark, DefaultMaxPark)) }
 
@@ -228,37 +220,20 @@ func (w *Worker) Run(addr string) error {
 	// Serve, resuming the session across transport failures.
 	for {
 		err := w.serveConn()
-		if err == nil {
-			return nil
-		}
-		if isFatal(err) {
+		if err == nil || isFatal(err) {
 			return err
 		}
 		// Close the failed connection: the coordinator hears of it now,
 		// not at its next deadline, and holds the seat open for the hello.
 		w.link.close()
-		if rerr := w.reconnect(bo); rerr != nil {
+		if err := w.reconnect(bo); err != nil {
 			if w.statsSent {
 				// The stats frame went out at least once and the
 				// coordinator is gone: it finished (or died after the
 				// run was decided). Nothing left to retry.
 				return nil
 			}
-			if isFatal(rerr) {
-				return rerr
-			}
-			// The reconnect budget is spent, but the state this worker
-			// carries is irreplaceable mid-run: park and keep redialing
-			// on the chance the coordinator crashed and is restarting
-			// from its journal to re-adopt us.
-			if w.g != nil && w.maxPark() > 0 {
-				if perr := w.park(bo); perr == nil {
-					continue
-				}
-				return fmt.Errorf("%w: unreachable through %d parked reconnect attempts (last: %v)",
-					ErrCoordinatorLost, w.maxPark(), rerr)
-			}
-			return fmt.Errorf("distsim: reconnect failed: %w (after %v)", rerr, err)
+			return err
 		}
 	}
 }
@@ -363,13 +338,12 @@ func (w *Worker) applyConfig(cfg *frame) error {
 }
 
 // checkTimeoutSec reports a config frame TimeoutSec a worker cannot run
-// with: it must be finite, >= 0, a Duration and, when positive, give a
-// write deadline whose third — the heartbeat interval — is still
-// positive.
+// with: it must be a positive Duration whose third — the heartbeat
+// interval — is still positive.
 func checkTimeoutSec(sec float64) error {
 	ns := sec * float64(time.Second)
-	if !(ns >= 0 && ns < math.MaxInt64) || ns > 0 && time.Duration(ns)/beatsPerTimeout == 0 {
-		return fmt.Errorf("distsim: config frame TimeoutSec %v is not finite and >= 0 with a positive heartbeat interval", sec)
+	if !(ns > 0 && ns < math.MaxInt64) || time.Duration(ns)/beatsPerTimeout == 0 {
+		return fmt.Errorf("distsim: config frame TimeoutSec %v is not finite and > 0 with a positive heartbeat interval", sec)
 	}
 	return nil
 }
@@ -416,10 +390,9 @@ func (w *Worker) restore(data []byte) error {
 		return err
 	}
 	w.outbox = nil
-	// The stashed done frame described the pre-rollback timeline; after
-	// a restore the engines no longer match it, and the window anchor
-	// must not collide with a re-sent post-rollback window.
-	w.clearStash()
+	// The replayable done frame described the pre-rollback timeline; the
+	// window anchor must not collide with a re-sent post-rollback window.
+	w.lastWinSeq, w.replay = 0, nil
 	return nil
 }
 
@@ -443,16 +416,14 @@ func (w *Worker) serveConn() error {
 	// connection's peer: it ends with the connection, and serveConn does
 	// not return before it has (a write it may be in is bounded by the
 	// write deadline). A fresh one starts after a reconnect.
-	if w.timeout > 0 {
-		stop := w.env.every(w.timeout/beatsPerTimeout, func() bool {
-			skipped, err := p.beat(&frame{Kind: frameHeartbeat, SendSeq: l.sentOut.Load()}, l.ackedIn.Load())
-			if err == nil && !skipped {
-				l.stats.Heartbeats.Add(1)
-			}
-			return err == nil // connection gone; the serve loop will notice
-		})
-		defer stop()
-	}
+	stop := w.env.every(w.beatSpacing(), func() bool {
+		skipped, err := p.beat(&frame{Kind: frameHeartbeat, SendSeq: l.sentOut.Load()}, l.ackedIn.Load())
+		if err == nil && !skipped {
+			l.stats.Heartbeats.Add(1)
+		}
+		return err == nil // connection gone; the serve loop will notice
+	})
+	defer stop()
 
 	for {
 		// After stats are out, the only thing left is the coordinator's
@@ -460,7 +431,7 @@ func (w *Worker) serveConn() error {
 		// is retried through the reconnect path instead of hanging.
 		var deadline time.Duration
 		if w.statsSent {
-			deadline = w.byeWait()
+			deadline = w.beatSpacing()
 		}
 		f, err := l.recv(deadline)
 		if err != nil {
@@ -470,16 +441,15 @@ func (w *Worker) serveConn() error {
 		case frameWindow:
 			if f.WinSeq != 0 && f.WinSeq == w.lastWinSeq {
 				// A restarted coordinator re-sent the newest window this
-				// worker already executed: its journal commits each
-				// barrier before the next fan-out, so its tip can trail
-				// the cluster by exactly one window. The engines already
-				// hold the post-window state — replay the stashed done
-				// frame instead of delivering or executing anything.
-				done := frame{Kind: frameDone, Events: w.doneEvents, Next: w.doneNext}
-				if w.collectLoads {
-					done.Loads = w.doneLoads
+				// worker already executed (see lastWinSeq): answer with
+				// the done frame the replaced link retained instead of
+				// delivering or executing anything.
+				if w.replay == nil {
+					return fatalf("distsim: window %d re-sent, but no done frame of it is retained", f.WinSeq)
 				}
-				if err := l.send(&done); err != nil {
+				payload := w.replay
+				w.replay = nil // retained by l now, and recycled once acked
+				if err := l.sendPayload(true, payload); err != nil {
 					return err
 				}
 				continue
@@ -533,13 +503,7 @@ func (w *Worker) serveConn() error {
 					done.Obs = w.encodeObs(false)
 				}
 			}
-			// Stash the done frame (before the send, so a send that dies
-			// mid-flight still leaves it replayable) for a restarted
-			// coordinator whose journal trails this window by one. Obs
-			// piggyback bytes are telemetry, not simulation state — they
-			// are not worth retaining.
-			w.lastWinSeq = f.WinSeq
-			w.stashDone(done.Events, done.Next, done.Loads)
+			w.lastWinSeq, w.replay = f.WinSeq, nil
 			if err := l.send(&done); err != nil {
 				return err
 			}
@@ -624,32 +588,41 @@ func (w *Worker) serveConn() error {
 	}
 }
 
-// reconnect re-dials the coordinator and resumes the session: it
-// presents the session id and its receive watermark, and on acceptance
-// the link replays every retained frame the coordinator has not
-// processed. Simulation state is untouched — a reconnect is invisible
-// to the model. Like connect, it dials at once — the broken connection
-// is closed, so the coordinator's resume window is already open — and
-// pauses between attempts.
+// reconnect is the worker's one retry loop after a broken connection:
+// each attempt is a resumeOnce, which a live coordinator answers by
+// resuming the session and a restarted one by re-adopting the worker.
+// Simulation state is untouched — a reconnect is invisible to the
+// model. The budget is connectAttempts, to ride out a blip, plus
+// maxPark, during which the worker holds its engines at the last
+// quiesced barrier for a crashed coordinator to restart from its
+// journal. Like connect, it dials at once — the broken connection is
+// closed, so the coordinator's resume window is already open — and
+// pauses between attempts, the backoff exponent capped at parkStep: a
+// wait for a process restart is not congestion control, and a bounded
+// pause keeps re-adoption latency predictable. A fatal error ends the
+// loop at any attempt; a spent budget is ErrCoordinatorLost.
 func (w *Worker) reconnect(bo *backoff) error {
-	var lastErr error
-	for a, refused := 0, 0; a < connectAttempts && refused < 2; a++ {
+	budget := connectAttempts + w.maxPark()
+	var err error
+	for a, refused := 0, 0; a < budget; a++ {
 		if a > 0 {
-			w.sleep(bo.delay(a - 1))
+			w.sleep(bo.delay(min(a-1, parkStep)))
 		}
-		if lastErr = w.resumeOnce(); lastErr == nil || isFatal(lastErr) {
-			break
+		if err = w.resumeOnce(); err == nil || isFatal(err) {
+			return err
 		}
 		// After stats are out only the coordinator's bye is pending. A
 		// listener that is gone means the coordinator finished and exited:
 		// two refused dials settle that. A handshake lost on a connection
 		// the listener took is a live coordinator, which may still be
 		// waiting for the stats replay, and keeps the whole budget.
-		if w.statsSent && errors.Is(lastErr, errDial) {
-			refused++
+		if w.statsSent && errors.Is(err, errDial) {
+			if refused++; refused == 2 {
+				return err
+			}
 		}
 	}
-	return lastErr
+	return fmt.Errorf("%w: unreachable through %d reconnect attempts (last: %v)", ErrCoordinatorLost, budget, err)
 }
 
 // errDial marks a resume attempt that found nobody listening.
@@ -702,76 +675,27 @@ func (w *Worker) resumeOnce() error {
 }
 
 // readopt completes the re-adoption handshake with a restarted
-// coordinator. The old link's sequence space (and the frames it
-// retained for replay) died with the old process, so both sides start
-// over on a fresh link; everything the retained frames would have
-// replayed is re-derivable — the coordinator re-sends the current
-// window from its journaled pending set, and the worker answers a
-// window it already executed from its stashed done frame.
+// coordinator. The old link's sequence space died with the old
+// process, so both sides start over on a fresh link; the coordinator
+// re-sends the current window from its journaled pending set. When its
+// journal trails this worker by one window, the old link's newest
+// retained frame is that window's done frame: the journal makes a
+// barrier durable before any later frame goes out to a seat, so nothing
+// has acked it. That payload is kept in replay for the re-sent window.
+// A link that retained nothing (a restart that died before it sent a
+// window) leaves the replay of the link before it.
 func (w *Worker) readopt(p *peer) error {
 	reply := &frame{Kind: frameReadopt, LPs: w.lpIDs(), WinSeq: w.lastWinSeq, Next: w.g.Next()}
 	if err := p.sendRaw(reply, 0); err != nil {
 		p.close()
 		return err
 	}
+	if n := len(w.link.retained); n > 0 {
+		w.replay = w.link.retained[n-1].payload
+	}
 	w.link.close()
 	w.link = newLink(p)
 	return nil
-}
-
-// park holds the worker in place after the reconnect budget failed:
-// engines keep the state of the last quiesced barrier while the
-// worker redials with capped backoff, up to maxPark rounds, waiting
-// for a restarted coordinator. Returns nil once a handshake lands.
-func (w *Worker) park(bo *backoff) error {
-	limit := w.maxPark()
-	for a := 0; a < limit; a++ {
-		// Cap the backoff exponent: parking is an open-ended wait for a
-		// process restart, not congestion control, so a bounded
-		// per-round delay keeps re-adoption latency predictable.
-		w.sleep(bo.delay(min(a, parkStep)))
-		if err := w.resumeOnce(); err == nil {
-			return nil
-		}
-	}
-	return ErrCoordinatorLost
-}
-
-// stashDone deep-copies one window's done frame into the worker's
-// reused stash arena. The source slices (outbox backing array, load
-// report buffer, model-owned event payloads) are all reused or
-// mutated by the next window, so the stash must own every byte it
-// might later replay.
-func (w *Worker) stashDone(events []Event, next float64, loads []partition.Load) {
-	total := 0
-	for i := range events {
-		total += len(events[i].Data)
-	}
-	if cap(w.doneData) < total {
-		w.doneData = make([]byte, 0, total)
-	}
-	w.doneData = w.doneData[:0]
-	w.doneEvents = append(w.doneEvents[:0], events...)
-	for i := range w.doneEvents {
-		if d := w.doneEvents[i].Data; len(d) > 0 {
-			off := len(w.doneData)
-			w.doneData = append(w.doneData, d...)
-			w.doneEvents[i].Data = w.doneData[off:len(w.doneData):len(w.doneData)]
-		}
-	}
-	w.doneNext = next
-	w.doneLoads = append(w.doneLoads[:0], loads...)
-}
-
-// clearStash discards the replayable done frame and its window
-// anchor; rollback recovery calls it because a restored worker's
-// engine state no longer matches the stashed window.
-func (w *Worker) clearStash() {
-	w.lastWinSeq = 0
-	w.doneEvents = w.doneEvents[:0]
-	w.doneData = w.doneData[:0]
-	w.doneLoads = w.doneLoads[:0]
-	w.doneNext = 0
 }
 
 // Stats returns the worker's current model-level counters — the same

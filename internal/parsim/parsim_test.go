@@ -178,13 +178,20 @@ func TestParallelSpeedupWithHeavyWork(t *testing.T) {
 		ph.Run(150)
 		return time.Since(start)
 	}
-	seq := run(1)
-	par := run(runtime.NumCPU())
+	// Time the two runs interleaved and compare their minima: under
+	// `go test ./...` the other test binaries and the compiler hold a CPU
+	// for part of this test, which slows some rounds but not all of them.
+	seq, par := run(1), run(runtime.NumCPU())
+	speedup := float64(seq) / float64(par)
+	for round := 1; round < 8 && speedup < 1.1; round++ {
+		seq = min(seq, run(1))
+		par = min(par, run(runtime.NumCPU()))
+		speedup = float64(seq) / float64(par)
+	}
 	// Demand at least *some* speedup; CI noise keeps this loose.
 	if par >= seq {
 		t.Logf("warning: no speedup (seq %v, par %v) — loaded host?", seq, par)
 	}
-	speedup := float64(seq) / float64(par)
 	if speedup < 1.1 {
 		t.Skipf("speedup %.2f below threshold; host contention", speedup)
 	}

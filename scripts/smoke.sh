@@ -71,16 +71,15 @@ crash_smoke() {
     # The E5 workload shape: windows cost ~10ms each, so the run lasts
     # seconds and the kill below lands mid-flight.
     local model="-lps 8 -jobs 16 -work 30000 -lookahead 1 -horizon 400"
-    # Workers park with a generous budget when the coordinator dies:
-    # one reconnect cycle (distsim's budget table), then bounded parked
-    # rounds until the restarted coordinator re-adopts them.
+    # Workers get a generous retry budget when the coordinator dies (8
+    # attempts, then -max-park more; distsim's budget table) and keep
+    # redialing until the restarted coordinator re-adopts them.
     lsnode -mode worker -addr 127.0.0.1:$PORT -own 0,1,2,3 $model -max-park 2000 &
     local w1=$!
     lsnode -mode worker -addr 127.0.0.1:$PORT -own 4,5,6,7 $model -max-park 2000 &
     local w2=$!
     local coord="-mode coordinator -addr 127.0.0.1:$PORT -workers 2 $model
-        -journal $TMP/coord.journal
-        -checkpoint $TMP/cluster.ckpt -ckpt-every 1 -resume $TMP/cluster.ckpt"
+        -journal $TMP/coord.journal -checkpoint $TMP/cluster.ckpt -ckpt-every 1"
     lsnode $coord &
     local c1=$!
     sleep 1.5
