@@ -15,6 +15,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/eventq"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 	"repro/internal/parsim"
 	"repro/internal/rng"
 	"repro/internal/simulators/bricks"
@@ -216,7 +217,9 @@ func BenchmarkE6Validation(b *testing.B) {
 // T0/T1 link-capacity study per sub-benchmark, then the whole sweep at
 // lsbench's tier-study shape (seed 1, six links, 200 runs, 4 000 s),
 // the only one whose saturated links build a backlog. goroutines-left
-// counts goroutines a sweep leaves behind.
+// counts goroutines a sweep leaves behind, and mallocs/event the heap
+// allocations a sweep makes per event it executes (the events are
+// counted once, in an untimed sweep).
 func BenchmarkE7TierStudy(b *testing.B) {
 	for _, gbps := range []float64{2.5, 10, 30} {
 		b.Run(fmt.Sprintf("link=%gGbps", gbps), func(b *testing.B) {
@@ -230,14 +233,25 @@ func BenchmarkE7TierStudy(b *testing.B) {
 	}
 	b.Run("lsbench", func(b *testing.B) {
 		links := []float64{0.622, 1.25, 2.5, 10, 30, 40}
+		var events uint64
+		des.SetDefaultObserver(&des.Observer{Hook: func(obs.Event) { events++ }})
+		monarc.RunTierStudy(1, links, 200, 4000)
+		des.SetDefaultObserver(nil)
 		b.ReportAllocs()
 		before := runtime.NumGoroutine()
+		var mem runtime.MemStats
+		runtime.ReadMemStats(&mem)
+		mallocs := mem.Mallocs
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if pts := monarc.RunTierStudy(1, links, 200, 4000); len(pts) != len(links) {
 				b.Fatal("missing points")
 			}
 		}
+		b.StopTimer()
+		runtime.ReadMemStats(&mem)
 		b.ReportMetric(float64(runtime.NumGoroutine()-before)/float64(b.N), "goroutines-left/op")
+		b.ReportMetric(float64(mem.Mallocs-mallocs)/float64(b.N)/float64(events), "mallocs/event")
 	})
 }
 

@@ -9,7 +9,7 @@ func TestAwaitResumeBeforeStartReturnsDoesNotBlock(t *testing.T) {
 	e.Spawn("p", func(p *Process) {
 		p.Hold(1)
 		before = e.Stats()
-		p.Await(func(resume func()) { resume() })
+		p.Await(func(op Op, arg []byte) { e.Call(op, arg) })
 		after = e.Stats()
 		at = p.Now()
 	})
@@ -26,10 +26,10 @@ func TestAwaitResumeFromLaterEventAddsNoEvent(t *testing.T) {
 	e := NewEngine()
 	var order []string
 	e.Spawn("p", func(p *Process) {
-		p.Await(func(resume func()) {
+		p.Await(func(op Op, arg []byte) {
 			e.Schedule(5, func() {
 				order = append(order, "resume")
-				resume()
+				e.Call(op, arg)
 				order = append(order, "after resume")
 			})
 			e.Schedule(5, func() { order = append(order, "next event") })
@@ -58,7 +58,7 @@ func TestAwaitNotEndedByInterruptOrActivate(t *testing.T) {
 	var at float64 = -1
 	var interrupted bool
 	p := e.Spawn("p", func(p *Process) {
-		p.Await(func(resume func()) { e.Schedule(10, resume) })
+		p.Await(func(op Op, arg []byte) { e.ScheduleOp(10, op, arg) })
 		at, interrupted = p.Now(), p.Interrupted()
 	})
 	e.Schedule(3, func() { p.Interrupt() })
@@ -75,7 +75,7 @@ func TestAwaitKillThenResumeIsNoop(t *testing.T) {
 	cleaned := false
 	victim := e.Spawn("victim", func(p *Process) {
 		defer func() { cleaned = true }()
-		p.Await(func(r func()) { resume = r })
+		p.Await(func(op Op, arg []byte) { resume = func() { e.Call(op, arg) } })
 		t.Error("victim resumed after kill")
 	})
 	e.Schedule(1, func() { victim.Kill() })
@@ -90,9 +90,9 @@ func TestAwaitRepeatedResumeIsNoop(t *testing.T) {
 	e := NewEngine()
 	var wakes []float64
 	p := e.Spawn("p", func(p *Process) {
-		p.Await(func(resume func()) {
-			e.Schedule(1, resume)
-			e.Schedule(2, resume)
+		p.Await(func(op Op, arg []byte) {
+			e.ScheduleOp(1, op, arg)
+			e.ScheduleOp(2, op, arg)
 		})
 		wakes = append(wakes, p.Now())
 		p.Passivate() // a second resume of the finished Await must not end this
@@ -105,8 +105,8 @@ func TestAwaitRepeatedResumeIsNoop(t *testing.T) {
 	}
 }
 
-// Processes (Acquire) and continuations (AcquireThen) wait in one queue
-// and are granted in arrival order.
+// Processes (Acquire) and jobs written as ops (AcquireOp) wait in one
+// queue and are granted in arrival order.
 func TestResourceGrantsProcessesAndContinuationsInArrivalOrder(t *testing.T) {
 	e := NewEngine()
 	res := e.NewResource("r", 1)
@@ -115,7 +115,8 @@ func TestResourceGrantsProcessesAndContinuationsInArrivalOrder(t *testing.T) {
 		order = append(order, name)
 		e.Schedule(10, func() { res.Release(1) })
 	}
-	res.AcquireThen(1, func() { hold("first") })
+	holdOp := e.RegisterOp("hold", func(name []byte) { hold(string(name)) })
+	res.AcquireOp(1, holdOp, []byte("first"))
 	for i, name := range []string{"proc A", "cont B", "proc C", "cont D"} {
 		name := name
 		if name[0] == 'p' {
@@ -125,7 +126,7 @@ func TestResourceGrantsProcessesAndContinuationsInArrivalOrder(t *testing.T) {
 			})
 			continue
 		}
-		e.Schedule(float64(i+1), func() { res.AcquireThen(1, func() { hold(name) }) })
+		e.Schedule(float64(i+1), func() { res.AcquireOp(1, holdOp, []byte(name)) })
 	}
 	e.Run()
 	want := []string{"first", "proc A", "cont B", "proc C", "cont D"}

@@ -24,6 +24,7 @@ package des
 import (
 	"fmt"
 	"math"
+	"reflect"
 
 	"repro/internal/eventq"
 	"repro/internal/obs"
@@ -77,6 +78,9 @@ type Engine struct {
 	// live process accounting (see process.go)
 	liveProcs    int
 	pendingPanic *procPanic
+
+	// perEngine holds each package's ops and record tables (PerEngine).
+	perEngine map[reflect.Type]any
 }
 
 // Option configures an Engine at construction time.
@@ -241,15 +245,6 @@ func (e *Engine) ScheduleNamed(label string, delay float64, fn func()) Timer {
 		panic(fmt.Sprintf("des: Schedule with invalid delay %v at t=%v", delay, e.now))
 	}
 	return e.at(e.now+delay, label, fn)
-}
-
-// Hop returns a completion callback that runs k in its own zero-delay
-// event. A process blocked on a completion pays that hop (Activate)
-// before it resumes, so a continuation form wraps the completion
-// callback of an event-style API with Hop to run k in exactly the event
-// where the blocked process would have resumed.
-func (e *Engine) Hop(k func()) func() {
-	return func() { e.ScheduleNamed("hop", 0, k) }
 }
 
 // At runs fn at absolute simulation time t, which must not precede the

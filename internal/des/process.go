@@ -14,10 +14,11 @@ import "fmt"
 // written as straight-line code with Hold/Acquire/Recv blocking calls.
 //
 // That costs a goroutine, two channels and a handover per block.
-// Models with many short-lived jobs (the MONARC tier model) use the
-// continuation forms of the same primitives instead — AcquireThen,
-// Schedule for a hold — which run the rest of the job as a callback in
-// exactly the event where a blocked process would resume (see Await).
+// Models with many short-lived jobs (the MONARC tier model) keep each
+// job as a record in a Table instead and write its steps as registered
+// ops, over the op forms of the same primitives — AcquireOp, ScheduleOp
+// for a hold — which continue the job in exactly the event where a
+// blocked process would resume (see Await).
 //
 // All Process methods must be called from simulation context (from the
 // process's own body, another process body, or an event handler) —
@@ -194,40 +195,65 @@ func (p *Process) Activate() {
 	p.e.ScheduleNamed(p.activateLabel, 0, func() { p.wake(tok) })
 }
 
-// Await blocks the process on an event-driven operation: start begins
-// it and must arrange for resume to be called once, when it completes.
-// Every blocking primitive is written this way over its continuation
-// form (Resource.AcquireThen, the resources and netsim Then forms), so
+// Await blocks the process on an operation written in op form: start
+// begins it, handing it the op and argument that resume the process,
+// and the operation runs that op once, when it completes. Every
+// blocking primitive is written this way over its op form
+// (Resource.AcquireOp, the resources' and netsim's ...Op forms), so
 // each primitive's logic exists once.
 //
-// A resume called before start returns means the operation completed
-// synchronously and Await returns without blocking. A resume from a
+// The op Called before start returns means the operation completed
+// synchronously and Await returns without blocking. The op run by a
 // later event hands control to the process inside that event; it adds
 // no event of its own, so a process and a continuation waiting on the
-// same operation resume in the same event. Repeated resumes are no-ops,
-// as is a resume after Kill.
+// same operation resume in the same event. Running the op again is a
+// no-op until a later Await reuses its record, and so is running it
+// after Kill.
 //
 // Activate and Interrupt do not end an Await early: the process parks
-// again until resume. In particular an interrupted process no longer
-// cuts a disk, tape or database hold short, as it did when those were
-// written over Hold; nothing outside tests interrupts one.
-func (p *Process) Await(start func(resume func())) {
+// again until the op runs. In particular an interrupted process no
+// longer cuts a disk, tape or database hold short, as it did when those
+// were written over Hold; nothing outside tests interrupts one.
+func (p *Process) Await(start func(op Op, arg []byte)) {
+	k := PerEngine(p.e, newAwaits)
+	w, arg := k.waits.Get()
 	p.blockToken++
-	tok := p.blockToken
-	done := false
-	start(func() {
-		if done {
+	w.p, w.tok = p, p.blockToken
+	start(k.resume, arg)
+	for !w.done {
+		p.suspend()
+	}
+	k.waits.Put(arg)
+	p.interrupt = false
+}
+
+// awaits is the engine's resume op and the records of the Awaits in
+// progress. The record of a killed process's Await is never freed: the
+// operation may still complete.
+type awaits struct {
+	waits  Table[await]
+	resume Op
+}
+
+type await struct {
+	p    *Process
+	tok  uint64 // the process's block token when it began to wait
+	done bool
+}
+
+func newAwaits(e *Engine) *awaits {
+	k := &awaits{}
+	k.resume = e.RegisterOp("des:resume", func(arg []byte) {
+		w := k.waits.At(arg)
+		if w.p == nil || w.done {
 			return
 		}
-		done = true
-		if p.state == procBlocked && tok == p.blockToken {
+		w.done = true
+		if p := w.p; p.state == procBlocked && w.tok == p.blockToken {
 			p.resumeNow()
 		}
 	})
-	for !done {
-		p.suspend()
-	}
-	p.interrupt = false
+	return k
 }
 
 // Interrupt breaks the process out of its current Hold or Passivate at

@@ -4,8 +4,8 @@ import "fmt"
 
 // Resource is a counted, FIFO-fair simulated resource (CPU slots, disk
 // channels, tape drives, network tokens). Processes Acquire units and
-// block when none are free, continuations AcquireThen; Release hands
-// freed units to both kinds of waiter in one arrival order.
+// block when none are free; jobs written as ops use AcquireOp. Release
+// hands freed units to both kinds of waiter in one arrival order.
 type Resource struct {
 	e        *Engine
 	name     string
@@ -19,8 +19,9 @@ type Resource struct {
 }
 
 type resWaiter struct {
-	n    int
-	then func()
+	n   int
+	op  Op
+	arg []byte
 }
 
 // NewResource creates a resource with the given capacity (> 0).
@@ -60,27 +61,28 @@ func (r *Resource) Utilization() float64 {
 }
 
 // Acquire blocks the process until n units are available, then takes
-// them. It is the blocking form of AcquireThen.
+// them. It is the blocking form of AcquireOp.
 func (r *Resource) Acquire(p *Process, n int) {
-	p.Await(func(resume func()) { r.AcquireThen(n, resume) })
+	p.Await(func(op Op, arg []byte) { r.AcquireOp(n, op, arg) })
 }
 
-// AcquireThen takes n units and runs then: at once when they are free
-// and nobody waits, otherwise in a zero-delay event scheduled by the
-// Release that grants them. Requests are served strictly FIFO (no
-// overtaking, even when a smaller later request would fit). It panics
-// if n exceeds capacity — such a request could never succeed.
-func (r *Resource) AcquireThen(n int, then func()) {
+// AcquireOp takes n units and continues with op(arg): Called at once
+// when they are free and nobody waits, otherwise in a zero-delay event
+// scheduled by the Release that grants them. Requests are served
+// strictly FIFO (no overtaking, even when a smaller later request would
+// fit). It panics if n exceeds capacity — such a request could never
+// succeed.
+func (r *Resource) AcquireOp(n int, op Op, arg []byte) {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("des: Acquire(%d) on %q with capacity %d", n, r.name, r.capacity))
 	}
 	if len(r.waiters) == 0 && r.capacity-r.inUse >= n {
 		r.account()
 		r.inUse += n
-		then()
+		r.e.Call(op, arg)
 		return
 	}
-	r.waiters = append(r.waiters, resWaiter{n: n, then: then})
+	r.waiters = append(r.waiters, resWaiter{n: n, op: op, arg: arg})
 }
 
 // TryAcquire takes n units if immediately available, without blocking.
@@ -113,7 +115,7 @@ func (r *Resource) Release(n int) {
 		r.waiters = r.waiters[1:]
 		r.account()
 		r.inUse += w.n
-		r.e.ScheduleNamed(r.name, 0, w.then)
+		r.e.ScheduleOp(0, w.op, w.arg)
 	}
 }
 

@@ -32,8 +32,9 @@ func TestEventListCostIsLinearInFlows(t *testing.T) {
 }
 
 // backlog holds n flows active on net, each finish followed by the
-// same flow's admission, as Transfer's start event admits it, with
-// bytes more to carry. It returns the finish/start cycle.
+// admission of a flow on the same route, in the finished flow's
+// record, as Transfer's start event admits it, with bytes more to
+// carry. It returns the finish/start cycle.
 func backlog(tb testing.TB, e *des.Engine, net *Network, src *Node, dsts []*Node, n int, bytes float64) func() {
 	for i := 0; i < n; i++ {
 		net.Transfer(src, dsts[i%len(dsts)], bytes*float64(i+1)/float64(n), nil)
@@ -43,11 +44,14 @@ func backlog(tb testing.TB, e *des.Engine, net *Network, src *Node, dsts []*Node
 	}
 	cycle := func() {
 		f := net.flows[net.next]
-		if !e.Step() || !f.finished {
+		src, dst, route, completed := f.Src, f.Dst, f.route, net.Completed()
+		if !e.Step() || net.Completed() != completed+1 {
 			tb.Fatal("the earliest flow did not complete")
 		}
-		f.Bytes, f.finished = bytes, false
-		net.admit(f)
+		// The finished flow's record, taken back from the free list.
+		g, self := net.k.flows.Get()
+		*g = Flow{Src: src, Dst: dst, Bytes: bytes, route: route, self: self, net: net}
+		net.admit(g)
 	}
 	for i := 0; i < 2*n; i++ { // past the tombstones admission left
 		cycle()

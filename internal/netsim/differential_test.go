@@ -562,8 +562,20 @@ func TestRateAndRemainingAgainstPerFlowTimers(t *testing.T) {
 		n := NewNetwork(e, topo)
 		return accessorRun{
 			issue: func(src, dst *Node, bytes float64, done func()) func() (float64, float64) {
-				f := n.transfer(src, dst, bytes, done)
-				return func() (float64, float64) { return f.Rate(), f.Remaining() }
+				// A finished flow's record is reused: its probe reads what
+				// the flow reported as it finished.
+				var f *Flow
+				var final *[2]float64
+				f = n.transfer(src, dst, bytes, func() {
+					final = &[2]float64{f.Rate(), f.Remaining()}
+					done()
+				}, des.Op{}, nil)
+				return func() (float64, float64) {
+					if final != nil {
+						return final[0], final[1]
+					}
+					return f.Rate(), f.Remaining()
+				}
 			},
 			completed: func() { regimes = append(regimes, n.one) },
 		}

@@ -31,6 +31,7 @@ import (
 // each link its flows' identical moves in closed form (addN).
 type Network struct {
 	e    *des.Engine
+	k    *kind
 	topo *Topology
 
 	// Efficiency models TCP's inability to saturate a path (slow
@@ -52,9 +53,8 @@ type Network struct {
 	fill  []linkFill
 	links []*Link
 
-	next     int       // index in flows of the flow the pending completion is for
-	timer    des.Timer // the one pending completion, if any
-	complete func()    // n.completeNext, bound once so arming allocates nothing
+	next  int       // index in flows of the flow the pending completion is for
+	timer des.Timer // the one pending completion, if any
 
 	// accounting
 	started   uint64
@@ -68,19 +68,42 @@ type linkFill struct {
 	residual float64 // capacity this fill has not given to a settled flow
 }
 
-// Flow is one active fluid transfer.
+// Flow is one fluid transfer, a record in its engine's flow table from
+// Transfer or SendOp until it finishes.
 type Flow struct {
-	Src, Dst  *Node
-	Bytes     float64
-	rate      float64 // set by fillAll; in the one-rate regime, Network.rate
-	route     []*Link
-	startTime float64
-	doneTime  float64
-	done      func()
-	hop       bool // done runs in its own zero-delay event (SendThen)
-	net       *Network
-	finished  bool
-	fixed     bool // rebalance scratch: rate settled in this fill
+	Src, Dst *Node
+	Bytes    float64
+	rate     float64 // set by fillAll; in the one-rate regime, Network.rate
+	route    []*Link
+	done     func() // Transfer's callback, run in the completing event
+	then     des.Op // SendOp's continuation, run one event later
+	arg      []byte
+	self     []byte // the flow's op argument
+	net      *Network
+	finished bool
+	fixed    bool // rebalance scratch: rate settled in this fill
+}
+
+// kind is the package's state on one engine: the ops every network on
+// it schedules its flows' events with, and the flows' free list.
+type kind struct {
+	flows             des.Table[Flow]
+	start, zero, ends des.Op
+}
+
+func newKind(e *des.Engine) *kind {
+	k := &kind{}
+	k.start = e.RegisterOp("net:flowstart", func(self []byte) {
+		f := k.flows.At(self)
+		f.net.admit(f)
+	})
+	k.zero = e.RegisterOp("net:zero", func(self []byte) {
+		f := k.flows.At(self)
+		f.net.finish(f)
+	})
+	// The completion timer names the flow it is for.
+	k.ends = e.RegisterOp("net:flowend", func(self []byte) { k.flows.At(self).net.completeNext() })
+	return k
 }
 
 // Rate returns the flow's current allocated rate in bytes/second. For
@@ -105,21 +128,10 @@ func (f *Flow) Remaining() float64 {
 	return f.Bytes
 }
 
-// Finished reports completion.
-func (f *Flow) Finished() bool { return f.finished }
-
-// Start returns the simulation time the transfer was initiated.
-func (f *Flow) Start() float64 { return f.startTime }
-
-// End returns the completion time (0 until finished).
-func (f *Flow) End() float64 { return f.doneTime }
-
 // NewNetwork creates a flow-level fabric over the topology, driven by
 // engine e.
 func NewNetwork(e *des.Engine, topo *Topology) *Network {
-	n := &Network{e: e, topo: topo, Efficiency: 1.0}
-	n.complete = n.completeNext
-	return n
+	return &Network{e: e, k: des.PerEngine(e, newKind), topo: topo, Efficiency: 1.0}
 }
 
 // Topo implements Fabric.
@@ -135,11 +147,16 @@ func (n *Network) Completed() uint64 { return n.completed }
 // propagation latency once, then drains at the max-min fair rate.
 // Zero-byte transfers complete after the latency alone.
 func (n *Network) Transfer(src, dst *Node, bytes float64, done func()) {
-	n.transfer(src, dst, bytes, done)
+	n.transfer(src, dst, bytes, done, des.Op{}, nil)
 }
 
-// transfer is Transfer, returning the flow.
-func (n *Network) transfer(src, dst *Node, bytes float64, done func()) *Flow {
+// SendOp implements Fabric.
+func (n *Network) SendOp(src, dst *Node, bytes float64, op des.Op, arg []byte) {
+	n.transfer(src, dst, bytes, nil, op, arg)
+}
+
+// transfer is Transfer and SendOp, returning the flow.
+func (n *Network) transfer(src, dst *Node, bytes float64, done func(), then des.Op, arg []byte) *Flow {
 	if bytes < 0 || math.IsNaN(bytes) || math.IsInf(bytes, 0) {
 		panic(fmt.Sprintf("netsim: Transfer of %v bytes", bytes))
 	}
@@ -152,29 +169,24 @@ func (n *Network) transfer(src, dst *Node, bytes float64, done func()) *Flow {
 		latency += l.Latency
 	}
 	n.started++
-	f := &Flow{
+	f, self := n.k.flows.Get()
+	*f = Flow{
 		Src: src, Dst: dst,
 		Bytes: bytes,
-		route: route, startTime: n.e.Now(),
-		done: done, net: n,
+		route: route,
+		done:  done, then: then, arg: arg, self: self, net: n,
 	}
 	if bytes == 0 || len(route) == 0 {
-		n.e.ScheduleNamed("net:zero", latency, func() { n.finish(f) })
+		n.e.ScheduleOp(latency, n.k.zero, self)
 		return f
 	}
-	n.e.ScheduleNamed("net:flowstart", latency, func() { n.admit(f) })
+	n.e.ScheduleOp(latency, n.k.start, self)
 	return f
 }
 
 // Send implements Fabric.
 func (n *Network) Send(p *des.Process, src, dst *Node, bytes float64) {
 	send(p, n, src, dst, bytes)
-}
-
-// SendThen implements Fabric. It runs then as des.Engine.Hop would,
-// without allocating Hop's callback.
-func (n *Network) SendThen(src, dst *Node, bytes float64, then func()) {
-	n.transfer(src, dst, bytes, then).hop = true
 }
 
 // advance charges every active flow for the bytes moved since the last
@@ -348,7 +360,7 @@ func (n *Network) rebalance() {
 		if !n.one {
 			r = n.flows[i].rate
 		}
-		n.timer = n.e.ScheduleNamed("net:flowend", n.rem[i]/r, n.complete)
+		n.timer = n.e.ScheduleOp(n.rem[i]/r, n.k.ends, n.flows[i].self)
 	}
 }
 
@@ -506,18 +518,19 @@ func (n *Network) removeFlow(i int) {
 	}
 }
 
-// finish records completion and runs the user's callback, last, as it
-// may start further transfers.
+// finish records completion, continues the transfer's job — Transfer's
+// done at once, SendOp's op one event later — last, as it may start
+// further transfers, and then frees the flow.
 func (n *Network) finish(f *Flow) {
 	f.finished = true
-	f.doneTime = n.e.Now()
 	n.completed++
 	switch {
-	case f.hop:
-		n.e.ScheduleNamed("hop", 0, f.done)
+	case f.then != des.Op{}:
+		n.e.ScheduleOp(0, f.then, f.arg)
 	case f.done != nil:
 		f.done()
 	}
+	n.k.flows.Put(f.self)
 }
 
 var _ Fabric = (*Network)(nil)

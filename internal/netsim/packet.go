@@ -48,7 +48,9 @@ type packet struct {
 
 type message struct {
 	packetsLeft int
-	done        func()
+	done        func() // Transfer's callback, run in the completing event
+	then        des.Op // SendOp's continuation, run one event later
+	arg         []byte
 }
 
 // NewPacketNet creates a packet-level fabric with the given MTU.
@@ -71,6 +73,15 @@ func (pn *PacketNet) Completed() uint64 { return pn.completed }
 
 // Transfer implements Fabric.
 func (pn *PacketNet) Transfer(src, dst *Node, bytes float64, done func()) {
+	pn.transfer(src, dst, bytes, &message{done: done})
+}
+
+// SendOp implements Fabric.
+func (pn *PacketNet) SendOp(src, dst *Node, bytes float64, op des.Op, arg []byte) {
+	pn.transfer(src, dst, bytes, &message{then: op, arg: arg})
+}
+
+func (pn *PacketNet) transfer(src, dst *Node, bytes float64, msg *message) {
 	if bytes < 0 || math.IsNaN(bytes) || math.IsInf(bytes, 0) {
 		panic(fmt.Sprintf("netsim: Transfer of %v bytes", bytes))
 	}
@@ -83,16 +94,11 @@ func (pn *PacketNet) Transfer(src, dst *Node, bytes float64, done func()) {
 		for _, l := range route {
 			lat += l.Latency
 		}
-		pn.e.ScheduleNamed("pnet:local", lat, func() {
-			pn.completed++
-			if done != nil {
-				done()
-			}
-		})
+		pn.e.ScheduleNamed("pnet:local", lat, func() { pn.deliver(msg) })
 		return
 	}
 	npkts := int(math.Ceil(bytes / pn.MTU))
-	msg := &message{packetsLeft: npkts, done: done}
+	msg.packetsLeft = npkts
 	rest := bytes
 	for i := 0; i < npkts; i++ {
 		size := pn.MTU
@@ -110,9 +116,16 @@ func (pn *PacketNet) Send(p *des.Process, src, dst *Node, bytes float64) {
 	send(p, pn, src, dst, bytes)
 }
 
-// SendThen implements Fabric.
-func (pn *PacketNet) SendThen(src, dst *Node, bytes float64, then func()) {
-	pn.Transfer(src, dst, bytes, pn.e.Hop(then))
+// deliver completes a message and continues its job: Transfer's done
+// at once, SendOp's op one event later.
+func (pn *PacketNet) deliver(msg *message) {
+	pn.completed++
+	switch {
+	case msg.then != des.Op{}:
+		pn.e.ScheduleOp(0, msg.then, msg.arg)
+	case msg.done != nil:
+		msg.done()
+	}
 }
 
 func (pn *PacketNet) queueFor(l *Link) *linkQueue {
@@ -166,10 +179,7 @@ func (pn *PacketNet) transmit(link *Link, q *linkQueue, pkt *packet) {
 			}
 			pkt.msg.packetsLeft--
 			if pkt.msg.packetsLeft == 0 {
-				pn.completed++
-				if pkt.msg.done != nil {
-					pkt.msg.done()
-				}
+				pn.deliver(pkt.msg)
 			}
 		})
 	})

@@ -214,17 +214,17 @@ type Fabric interface {
 	// Transfer moves bytes from src to dst, invoking done with the
 	// completion time. It panics when dst is unreachable.
 	Transfer(src, dst *Node, bytes float64, done func())
-	// SendThen is the continuation form of Send: then runs in a
-	// zero-delay event after the transfer completes, where a process
-	// blocked in Send would resume.
-	SendThen(src, dst *Node, bytes float64, then func())
+	// SendOp is the op form of Send: op(arg) runs in a zero-delay
+	// event after the transfer completes, where a process blocked in
+	// Send would resume.
+	SendOp(src, dst *Node, bytes float64, op des.Op, arg []byte)
 	// Send blocks the calling process until the transfer completes.
 	Send(p *des.Process, src, dst *Node, bytes float64)
 	// Topo exposes the underlying topology.
 	Topo() *Topology
 }
 
-// send is Fabric.Send for both fabrics: the blocking form of SendThen.
+// send is Fabric.Send for both fabrics: the blocking form of SendOp.
 func send(p *des.Process, f Fabric, src, dst *Node, bytes float64) {
-	p.Await(func(resume func()) { f.SendThen(src, dst, bytes, resume) })
+	p.Await(func(op des.Op, arg []byte) { f.SendOp(src, dst, bytes, op, arg) })
 }

@@ -13,7 +13,7 @@ import (
 
 // The process bodies of the access protocol, the push replicator and the
 // agent as they were before each became an event chain over the
-// continuation forms. They are the reference both the chains and the
+// primitives' op forms. They are the reference both the chains and the
 // blocking Access adapter must reproduce event for event.
 
 func (sys *System) refAccess(p *des.Process, site *topology.Site, name string) error {
@@ -196,6 +196,7 @@ func replicaGrid(seed uint64, form int) []string {
 	for i := 0; i < 8; i++ {
 		names = append(names, fmt.Sprintf("f%d", i))
 	}
+	jobDone := e.RegisterOp("job:done", func(arg []byte) { note("job %d done", int(arg[0])) })
 	at := 0.0
 	for j := 0; j < 80; j++ {
 		j := j
@@ -203,7 +204,7 @@ func replicaGrid(seed uint64, form int) []string {
 		site, name := g.Sites[plan.Intn(6)], names[plan.Intn(len(names))]
 		if form == formChain {
 			e.Schedule(at, func() {
-				if err := sys.AccessThen(site, name, func() { note("job %d done", j) }); err != nil {
+				if err := sys.AccessOp(site, name, jobDone, []byte{byte(j)}); err != nil {
 					note("job %d: %v", j, err)
 				}
 			})

@@ -48,6 +48,7 @@ type Store struct {
 
 	entries []*entry // replica set in insertion order
 	byName  map[string]*entry
+	spare   []entry // entries not yet used, allocated a block at a time
 
 	// Stats.
 	Evictions uint64
@@ -156,7 +157,12 @@ func (s *Store) admit(f *File, now, newValue float64, pinned bool, evicted func(
 		s.Refused++
 		return false
 	}
-	en := &entry{file: f, pinned: pinned, lastAccess: now, valueTime: now, value: newValue}
+	if len(s.spare) == 0 {
+		s.spare = make([]entry, 32)
+	}
+	en := &s.spare[0]
+	s.spare = s.spare[1:]
+	*en = entry{file: f, pinned: pinned, lastAccess: now, valueTime: now, value: newValue}
 	s.entries = append(s.entries, en)
 	s.byName[f.Name] = en
 	s.Admitted++

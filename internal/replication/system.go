@@ -59,6 +59,7 @@ type PushConfig struct {
 // network fabric.
 type System struct {
 	e       *des.Engine
+	k       *kind
 	fabric  netsim.Fabric
 	catalog *Catalog
 	stores  []*Store // deterministic iteration order
@@ -66,8 +67,8 @@ type System struct {
 	mode    map[*topology.Site]Mode
 	push    PushConfig
 
-	// served[site][file] counts accesses served by that holder, for
-	// push popularity.
+	// served[site][file] counts accesses served by a push-mode holder,
+	// for popularity.
 	served map[*topology.Site]map[string]int
 
 	// Stats.
@@ -82,6 +83,7 @@ type System struct {
 func NewSystem(e *des.Engine, fabric netsim.Fabric) *System {
 	return &System{
 		e:       e,
+		k:       des.PerEngine(e, newKind),
 		fabric:  fabric,
 		catalog: NewCatalog(),
 		bySite:  make(map[*topology.Site]*Store),
@@ -158,19 +160,19 @@ func (sys *System) nearestHolder(name string, site *topology.Site) *topology.Sit
 // time. It returns ErrNoReplica when the file exists nowhere.
 func (sys *System) Access(p *des.Process, site *topology.Site, name string) error {
 	var err error
-	p.Await(func(resume func()) {
-		if err = sys.AccessThen(site, name, resume); err != nil {
-			resume()
+	p.Await(func(op des.Op, arg []byte) {
+		if err = sys.AccessOp(site, name, op, arg); err != nil {
+			sys.e.Call(op, arg)
 		}
 	})
 	return err
 }
 
-// AccessThen is the continuation form of Access: then runs in the event
-// where a process blocked in Access would resume. A missing file is
-// known before any simulated time passes, so it is returned at once and
-// then never runs.
-func (sys *System) AccessThen(site *topology.Site, name string, then func()) error {
+// AccessOp is the op form of Access: op(arg) runs in the event where a
+// process blocked in Access would resume. A missing file is known
+// before any simulated time passes, so it is returned at once and op
+// never runs.
+func (sys *System) AccessOp(site *topology.Site, name string, op des.Op, arg []byte) error {
 	f := sys.catalog.File(name)
 	if f == nil {
 		return fmt.Errorf("%w: %q undefined", ErrNoReplica, name)
@@ -178,11 +180,8 @@ func (sys *System) AccessThen(site *topology.Site, name string, then func()) err
 	st := sys.bySite[site]
 	if st != nil && st.Has(name) {
 		st.touch(name, sys.e.Now())
-		site.Disk.ReadThen(f.Bytes, func() {
-			sys.LocalHits++
-			sys.recordServed(site, f)
-			then()
-		})
+		self := sys.newJob(job{site: site, f: f, then: op, arg: arg})
+		site.Disk.ReadOp(f.Bytes, sys.k.localRead, self)
 		return nil
 	}
 	holder := sys.nearestHolder(name, site)
@@ -190,60 +189,144 @@ func (sys *System) AccessThen(site *topology.Site, name string, then func()) err
 		return fmt.Errorf("%w: %q", ErrNoReplica, name)
 	}
 	// Read at the holder, ship over the WAN.
-	holder.Disk.ReadThen(f.Bytes, func() {
-		sys.fabric.SendThen(holder.Net, site.Net, f.Bytes, func() {
-			sys.WANBytes += f.Bytes
-			sys.recordServed(holder, f)
-			done := func(pulled bool) {
-				if pulled {
-					sys.Pulls++
-				}
-				sys.RemoteReads++
-				then()
-			}
-			if sys.mode[site] == ModePull && st != nil {
-				sys.storeThen(st, f, done)
-				return
-			}
-			done(false)
-		})
-	})
+	self := sys.newJob(job{site: site, holder: holder, st: st, f: f, shipped: sys.k.fetched, then: op, arg: arg})
+	sys.k.fetch(self)
 	return nil
 }
 
-// storeThen admits f to st (evicting by its policy) and, when admitted,
-// writes it to the site's disk and adds the replica to the catalog.
-// then runs with the outcome: after the write, or at once on refusal.
-func (sys *System) storeThen(st *Store, f *File, then func(stored bool)) {
-	site := st.Site
-	if !st.admit(f, sys.e.Now(), 1.0, false, func(victim string) {
-		sys.catalog.RemoveReplica(victim, site)
-	}) {
-		then(false)
-		return
-	}
-	site.Disk.WriteThen(f.Bytes, func() {
-		sys.catalog.AddReplica(f.Name, site)
-		then(true)
-	})
+// kind is the package's state on one engine: the ops that step every
+// access, push and agent shipment on it, and their free list.
+type kind struct {
+	e    *des.Engine
+	jobs des.Table[job]
+
+	localRead, fetched, pulled des.Op // an access
+	fetchOp, sendOp            des.Op // any job that moves a file
+	pushArrived, pushStored    des.Op // a push
+	shipArrived, shipStored    des.Op // an agent shipment
 }
 
-// recordServed counts an access served by holder and, in push mode,
-// triggers proactive replication of popular files.
+// job is one access, push or agent shipment in progress.
+type job struct {
+	sys      *System
+	site     *topology.Site // where the file goes
+	holder   *topology.Site // where it is read, for an access or push
+	st       *Store         // where it may be stored: the site's store, or nil
+	f        *File
+	shipped  des.Op // what follows the WAN leg
+	agent    *Agent
+	produced float64 // when the agent's file was produced
+	then     des.Op  // an access's continuation
+	arg      []byte
+}
+
+func newKind(e *des.Engine) *kind {
+	k := &kind{e: e}
+	k.localRead = e.RegisterOp("replication:local", k.localHit)
+	k.fetched = e.RegisterOp("replication:fetched", k.fetchDone)
+	k.pulled = e.RegisterOp("replication:pulled", k.pullDone)
+	k.fetchOp = e.RegisterOp("replication:fetch", k.fetch)
+	k.sendOp = e.RegisterOp("replication:send", k.send)
+	k.pushArrived = e.RegisterOp("replication:push-arrived", k.pushDelivered)
+	k.pushStored = e.RegisterOp("replication:push-stored", k.pushDone)
+	k.shipArrived = e.RegisterOp("agent:arrived", k.shipDelivered)
+	k.shipStored = e.RegisterOp("agent:stored", k.shipDone)
+	return k
+}
+
+func (sys *System) newJob(j job) []byte {
+	p, self := sys.k.jobs.Get()
+	j.sys = sys
+	*p = j
+	return self
+}
+
+// endAccess frees an access's record and continues its job.
+func (k *kind) endAccess(self []byte) {
+	j := k.jobs.At(self)
+	then, arg := j.then, j.arg
+	k.jobs.Put(self)
+	k.e.Call(then, arg)
+}
+
+// localHit ends an access the site's own store served.
+func (k *kind) localHit(self []byte) {
+	j := k.jobs.At(self)
+	j.sys.LocalHits++
+	j.sys.recordServed(j.site, j.f)
+	k.endAccess(self)
+}
+
+// fetch reads the file at the holder, then ships it.
+func (k *kind) fetch(self []byte) {
+	j := k.jobs.At(self)
+	j.holder.Disk.ReadOp(j.f.Bytes, k.sendOp, self)
+}
+
+// send ships the file from the holder to the site over the fabric.
+func (k *kind) send(self []byte) {
+	j := k.jobs.At(self)
+	j.sys.fabric.SendOp(j.holder.Net, j.site.Net, j.f.Bytes, j.shipped, self)
+}
+
+// fetchDone ends a remote access's WAN leg: a pull site stores what it
+// fetched.
+func (k *kind) fetchDone(self []byte) {
+	j := k.jobs.At(self)
+	sys := j.sys
+	sys.WANBytes += j.f.Bytes
+	sys.recordServed(j.holder, j.f)
+	if sys.mode[j.site] == ModePull && j.st != nil && sys.store(j, k.pulled, self) {
+		return
+	}
+	sys.RemoteReads++
+	k.endAccess(self)
+}
+
+// pullDone ends a remote access whose file the site stored.
+func (k *kind) pullDone(self []byte) {
+	j := k.jobs.At(self)
+	j.stored()
+	j.sys.Pulls++
+	j.sys.RemoteReads++
+	k.endAccess(self)
+}
+
+// store admits j's file to j.st, evicting by its policy, and when
+// admitted writes it to the site's disk, then runs op(self), which
+// adds the replica to the catalog (job.stored). It reports whether the
+// store admitted the file.
+func (sys *System) store(j *job, op des.Op, self []byte) bool {
+	site := j.st.Site
+	if !j.st.admit(j.f, sys.e.Now(), 1.0, false, func(victim string) {
+		sys.catalog.RemoveReplica(victim, site)
+	}) {
+		return false
+	}
+	site.Disk.WriteOp(j.f.Bytes, op, self)
+	return true
+}
+
+// stored records the replica store wrote.
+func (j *job) stored() { j.sys.catalog.AddReplica(j.f.Name, j.st.Site) }
+
+// recordServed counts an access served by a push-mode holder and
+// triggers proactive replication of the files it finds popular. Only
+// push holders read the counts, and a site's mode is fixed when its
+// store is added, so no other holder counts.
 func (sys *System) recordServed(holder *topology.Site, f *File) {
+	if sys.mode[holder] != ModePush {
+		return
+	}
 	m := sys.served[holder]
 	if m == nil {
 		m = make(map[string]int)
 		sys.served[holder] = m
 	}
 	m[f.Name]++
-	if sys.mode[holder] != ModePush {
-		return
+	if m[f.Name]%sys.push.Threshold == 0 {
+		sys.pushReplicas(holder, f)
 	}
-	if m[f.Name]%sys.push.Threshold != 0 {
-		return
-	}
-	sys.pushReplicas(holder, f)
 }
 
 // pushReplicas ships the file from holder to the Fanout nearest stores
@@ -274,22 +357,27 @@ func (sys *System) pushReplicas(holder *topology.Site, f *File) {
 		}
 		cands[i], cands[best] = cands[best], cands[i]
 		target := cands[i].st
-		sys.e.ScheduleNamed("push", 0, func() {
-			holder.Disk.ReadThen(f.Bytes, func() {
-				sys.fabric.SendThen(holder.Net, target.Site.Net, f.Bytes, func() {
-					sys.WANBytes += f.Bytes
-					if target.Has(f.Name) {
-						return
-					}
-					sys.storeThen(target, f, func(stored bool) {
-						if stored {
-							sys.Pushes++
-						}
-					})
-				})
-			})
-		})
+		self := sys.newJob(job{site: target.Site, holder: holder, st: target, f: f, shipped: sys.k.pushArrived})
+		sys.e.ScheduleOp(0, sys.k.fetchOp, self)
 	}
+}
+
+// pushDelivered ends a push's WAN leg: the target stores the file
+// unless it got a copy meanwhile.
+func (k *kind) pushDelivered(self []byte) {
+	j := k.jobs.At(self)
+	j.sys.WANBytes += j.f.Bytes
+	if j.st.Has(j.f.Name) || !j.sys.store(j, k.pushStored, self) {
+		k.jobs.Put(self)
+	}
+}
+
+// pushDone ends a push whose file the target stored.
+func (k *kind) pushDone(self []byte) {
+	j := k.jobs.At(self)
+	j.stored()
+	j.sys.Pushes++
+	k.jobs.Put(self)
 }
 
 // Agent is MONARC's data replication agent: it watches a source site
@@ -321,19 +409,30 @@ func (a *Agent) Produce(f *File) {
 	a.sys.Place(f, a.source)
 	produced := a.sys.e.Now()
 	for _, sub := range a.subscribers {
-		sub := sub
 		a.Backlog++
-		a.sys.e.ScheduleNamed("agent", 0, func() {
-			a.sys.fabric.SendThen(a.source.Net, sub.Net, f.Bytes, func() {
-				a.sys.WANBytes += f.Bytes
-				if st := a.sys.bySite[sub]; st != nil {
-					a.sys.storeThen(st, f, func(bool) { a.delivered(produced) })
-					return
-				}
-				a.delivered(produced)
-			})
-		})
+		self := a.sys.newJob(job{site: sub, holder: a.source, f: f, shipped: a.sys.k.shipArrived, agent: a, produced: produced})
+		a.sys.e.ScheduleOp(0, a.sys.k.sendOp, self)
 	}
+}
+
+// shipDelivered ends a shipment's WAN leg: the subscriber's store, if
+// it has one, stores the file.
+func (k *kind) shipDelivered(self []byte) {
+	j := k.jobs.At(self)
+	j.sys.WANBytes += j.f.Bytes
+	if j.st = j.sys.bySite[j.site]; j.st != nil && j.sys.store(j, k.shipStored, self) {
+		return
+	}
+	j.agent.delivered(j.produced)
+	k.jobs.Put(self)
+}
+
+// shipDone ends a shipment whose file the subscriber stored.
+func (k *kind) shipDone(self []byte) {
+	j := k.jobs.At(self)
+	j.stored()
+	j.agent.delivered(j.produced)
+	k.jobs.Put(self)
 }
 
 // delivered books one finished shipment of a file produced at time

@@ -47,6 +47,8 @@ func (m SharingMode) String() string {
 // otherwise idle core of speed S finishes in W/S seconds.
 type CPU struct {
 	e     *des.Engine
+	k     *kind
+	self  []byte // the CPU's op argument: the time-shared timer's
 	name  string
 	cores int
 	speed float64 // ops per second per core
@@ -62,18 +64,51 @@ type CPU struct {
 	lastUpdate float64
 	next       *cpuTask  // task the pending timer is for
 	timer      des.Timer // its completion, if a task is running
-	complete   func()    // c.completeNext, bound once so arming allocates nothing
-	endLabel   string    // name + ":taskend"
 
 	// accounting
 	completed uint64
 	busyArea  float64 // core-seconds of work performed
 }
 
+// cpuTask is one task: a space-shared one is a record in the engine's
+// task table, a time-shared one sits in its CPU's tasks.
 type cpuTask struct {
-	remaining float64
-	rate      float64
-	done      func()
+	c         *CPU
+	ops       float64 // space-shared: the demand
+	remaining float64 // time-shared: the ops left
+	rate      float64 // time-shared: the rate they drain at
+	done      func()  // Execute's callback, run in the event that ends the task
+	then      des.Op  // RunOp's continuation, run one event later
+	arg       []byte
+}
+
+// kind is the package's state on one engine: the ops that step every
+// disk, database and CPU job on it, and the jobs' free lists.
+type kind struct {
+	e     *des.Engine
+	io    des.Table[ioJob]
+	query des.Table[queryJob]
+	tasks des.Table[cpuTask]
+	cpus  des.Table[*CPU]
+
+	ioGranted, ioEnded                   des.Op
+	queryGranted, queryServed, queryRead des.Op
+	taskStarted, taskGranted, taskEnded  des.Op
+	timerFired                           des.Op
+}
+
+func newKind(e *des.Engine) *kind {
+	k := &kind{e: e}
+	k.ioGranted = e.RegisterOp("disk:hold", k.grantIO)
+	k.ioEnded = e.RegisterOp("disk:done", k.endIO)
+	k.queryGranted = e.RegisterOp("db:hold", k.grantQuery)
+	k.queryServed = e.RegisterOp("db:read", k.serveQuery)
+	k.queryRead = e.RegisterOp("db:done", k.endQuery)
+	k.taskStarted = e.RegisterOp("cpu:start", k.startTask)
+	k.taskGranted = e.RegisterOp("cpu:hold", k.grantTask)
+	k.taskEnded = e.RegisterOp("cpu:taskend", k.endTask)
+	k.timerFired = e.RegisterOp("cpu:timer", func(self []byte) { (*k.cpus.At(self)).completeNext() })
+	return k
 }
 
 // NewCPU creates a processing element.
@@ -81,10 +116,14 @@ func NewCPU(e *des.Engine, name string, cores int, opsPerSec float64, mode Shari
 	if cores <= 0 || opsPerSec <= 0 {
 		panic(fmt.Sprintf("resources: NewCPU(%q, cores=%d, speed=%v)", name, cores, opsPerSec))
 	}
-	c := &CPU{e: e, name: name, cores: cores, speed: opsPerSec, mode: mode, endLabel: name + ":taskend"}
-	c.complete = c.completeNext
-	if mode == SpaceShared {
+	c := &CPU{e: e, k: des.PerEngine(e, newKind), name: name, cores: cores, speed: opsPerSec, mode: mode}
+	switch mode {
+	case SpaceShared:
 		c.slots = e.NewResource(name+":cores", cores)
+	case TimeShared:
+		var p **CPU
+		p, c.self = c.k.cpus.Get()
+		*p = c
 	}
 	return c
 }
@@ -133,9 +172,20 @@ func (c *CPU) Utilization() float64 {
 }
 
 // Execute runs a compute demand of ops operations, invoking done in
-// the event that completes it. RunThen and Run add the hop a process
+// the event that completes it. RunOp and Run add the hop a process
 // pays to resume.
-func (c *CPU) Execute(ops float64, done func()) {
+func (c *CPU) Execute(ops float64, done func()) { c.execute(ops, done, des.Op{}, nil) }
+
+// Run blocks the calling process for the task's duration.
+func (c *CPU) Run(p *des.Process, ops float64) {
+	p.Await(func(op des.Op, arg []byte) { c.RunOp(ops, op, arg) })
+}
+
+// RunOp is the op form of Run: op(arg) runs in a zero-delay event after
+// the task completes, where a process blocked in Run would resume.
+func (c *CPU) RunOp(ops float64, op des.Op, arg []byte) { c.execute(ops, nil, op, arg) }
+
+func (c *CPU) execute(ops float64, done func(), then des.Op, arg []byte) {
 	if ops < 0 {
 		panic(fmt.Sprintf("resources: Execute(%v ops)", ops))
 	}
@@ -143,35 +193,41 @@ func (c *CPU) Execute(ops float64, done func()) {
 	case SpaceShared:
 		// The task starts in its own event, then queues FCFS on the
 		// core slots and holds one for ops/speed.
-		c.e.ScheduleNamed(c.name, 0, func() {
-			c.slots.AcquireThen(1, func() {
-				c.e.ScheduleNamed(c.endLabel, ops/c.speed, func() {
-					c.slots.Release(1)
-					c.completed++
-					if done != nil {
-						done()
-					}
-				})
-			})
-		})
+		t, self := c.k.tasks.Get()
+		*t = cpuTask{c: c, ops: ops, done: done, then: then, arg: arg}
+		c.e.ScheduleOp(0, c.k.taskStarted, self)
 	case TimeShared:
 		c.advance()
-		t := &cpuTask{remaining: ops, done: done}
-		c.tasks = append(c.tasks, t)
+		c.tasks = append(c.tasks, &cpuTask{remaining: ops, done: done, then: then, arg: arg})
 		c.rebalance()
 	}
 }
 
-// Run blocks the calling process for the task's duration.
-func (c *CPU) Run(p *des.Process, ops float64) {
-	p.Await(func(resume func()) { c.RunThen(ops, resume) })
+func (k *kind) startTask(self []byte) { k.tasks.At(self).c.slots.AcquireOp(1, k.taskGranted, self) }
+
+func (k *kind) grantTask(self []byte) {
+	t := k.tasks.At(self)
+	k.e.ScheduleOp(t.ops/t.c.speed, k.taskEnded, self)
 }
 
-// RunThen is the continuation form of Run: then runs in a zero-delay
-// event after the task completes, where a process blocked in Run would
-// resume.
-func (c *CPU) RunThen(ops float64, then func()) {
-	c.Execute(ops, c.e.Hop(then))
+func (k *kind) endTask(self []byte) {
+	t := k.tasks.At(self)
+	c, done, then, arg := t.c, t.done, t.then, t.arg
+	c.slots.Release(1)
+	k.tasks.Put(self)
+	c.finish(done, then, arg)
+}
+
+// finish counts a completed task and continues its job: Execute's done
+// at once, RunOp's op one event later.
+func (c *CPU) finish(done func(), then des.Op, arg []byte) {
+	c.completed++
+	switch {
+	case done != nil:
+		done()
+	case then != des.Op{}:
+		c.e.ScheduleOp(0, then, arg)
+	}
 }
 
 // advance charges running time-shared tasks for elapsed progress.
@@ -212,7 +268,7 @@ func (c *CPU) rebalance() {
 			c.next, bestAt = t, at
 		}
 	}
-	c.timer = c.e.ScheduleNamed(c.endLabel, c.next.remaining/rate, c.complete)
+	c.timer = c.e.ScheduleOp(c.next.remaining/rate, c.k.timerFired, c.self)
 }
 
 // completeNext is the completion timer's callback. The timer for the
@@ -228,8 +284,5 @@ func (c *CPU) completeNext() {
 		}
 	}
 	c.rebalance()
-	c.completed++
-	if t.done != nil {
-		t.done()
-	}
+	c.finish(t.done, t.then, t.arg)
 }

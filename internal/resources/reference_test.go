@@ -100,7 +100,7 @@ func (db *Database) refQuery(p *des.Process, bytes float64) {
 
 // rig is one site's resources under a job mix, run in one of three
 // forms: the reference process bodies, the blocking adapters, or event
-// chains over the continuation forms.
+// chains over the op forms.
 type rig struct {
 	e     *des.Engine
 	farm  *CPU // space-shared
@@ -110,6 +110,12 @@ type rig struct {
 	db    *Database
 	log   []string
 	steps [][]rigStep
+
+	// The chain form: step notes a job's step and starts its next one;
+	// job j is at step at[j], and its op argument is jobs[j].
+	step des.Op
+	at   []int
+	jobs [][]byte
 }
 
 type rigStep struct {
@@ -182,44 +188,48 @@ func (r *rig) block(p *des.Process, s rigStep, ref bool) {
 	}
 }
 
-func (r *rig) then(s rigStep, k func()) {
+func (r *rig) opForm(s rigStep, op des.Op, arg []byte) {
 	switch s.kind {
 	case 0:
-		r.db.QueryThen(s.size, k)
+		r.db.QueryOp(s.size, op, arg)
 	case 1:
-		r.disk.ReadThen(s.size, k)
+		r.disk.ReadOp(s.size, op, arg)
 	case 2:
-		r.disk.WriteThen(s.size, k)
+		r.disk.WriteOp(s.size, op, arg)
 	case 3:
-		r.tape.ReadThen(s.size, k)
+		r.tape.ReadOp(s.size, op, arg)
 	case 4:
-		r.tape.WriteThen(s.size, k)
+		r.tape.WriteOp(s.size, op, arg)
 	case 5:
-		r.farm.RunThen(s.size, k)
+		r.farm.RunOp(s.size, op, arg)
 	default:
-		r.pc.RunThen(s.size, k)
+		r.pc.RunOp(s.size, op, arg)
 	}
 }
 
-// chain runs job j's steps from i on as an event chain.
-func (r *rig) chain(j, i int) {
-	if i == len(r.steps[j]) {
-		return
+// chain runs job j's steps from r.at[j] on as an event chain.
+func (r *rig) chain(j int) {
+	if i := r.at[j]; i < len(r.steps[j]) {
+		r.opForm(r.steps[j][i], r.step, r.jobs[j])
 	}
-	r.then(r.steps[j][i], func() {
-		r.note(j, i)
-		r.chain(j, i+1)
-	})
 }
 
 func (r *rig) run(form int) {
 	arrivals := r.e.Stream("arrivals")
+	r.step = r.e.RegisterOp("rig:step", func(arg []byte) {
+		j := int(arg[0])
+		r.note(j, r.at[j])
+		r.at[j]++
+		r.chain(j)
+	})
+	r.at = make([]int, len(r.steps))
 	at := 0.0
 	for j := range r.steps {
 		j := j
 		at += arrivals.Exp(0.2)
 		if form == formChain {
-			r.e.Schedule(at, func() { r.chain(j, 0) })
+			r.jobs = append(r.jobs, []byte{byte(j)})
+			r.e.Schedule(at, func() { r.chain(j) })
 			continue
 		}
 		r.e.SpawnAt("job", at, func(p *des.Process) {

@@ -13,6 +13,7 @@ import (
 // MONARC-style regional centre.
 type Disk struct {
 	e        *des.Engine
+	k        *kind
 	name     string
 	capacity float64 // bytes
 	used     float64
@@ -34,7 +35,7 @@ func NewDisk(e *des.Engine, name string, capacity, bps, seek float64, channels i
 			name, capacity, bps, seek, channels))
 	}
 	return &Disk{
-		e: e, name: name, capacity: capacity, bps: bps, seek: seek,
+		e: e, k: des.PerEngine(e, newKind), name: name, capacity: capacity, bps: bps, seek: seek,
 		channels: e.NewResource(name+":chan", channels),
 	}
 }
@@ -89,46 +90,62 @@ func (d *Disk) Release(bytes float64) {
 
 // Read blocks the process for seek + bytes/bps on one I/O channel.
 func (d *Disk) Read(p *des.Process, bytes float64) {
-	p.Await(func(resume func()) { d.ReadThen(bytes, resume) })
+	p.Await(func(op des.Op, arg []byte) { d.ReadOp(bytes, op, arg) })
 }
 
 // Write blocks the process for seek + bytes/bps on one I/O channel.
 // Write does not allocate space; pair it with Allocate when modeling
 // placement.
 func (d *Disk) Write(p *des.Process, bytes float64) {
-	p.Await(func(resume func()) { d.WriteThen(bytes, resume) })
+	p.Await(func(op des.Op, arg []byte) { d.WriteOp(bytes, op, arg) })
 }
 
-// ReadThen is the continuation form of Read: it takes a channel, holds
-// it for seek + bytes/bps and runs then in the event that ends the
-// hold, after the channel is released and the read counted.
-func (d *Disk) ReadThen(bytes float64, then func()) {
-	d.io(bytes, func() {
-		d.reads++
-		d.bytesRead += bytes
-		then()
-	})
+// ReadOp is the op form of Read: it takes a channel, holds it for
+// seek + bytes/bps and Calls op(arg) in the event that ends the hold,
+// after the channel is released and the read counted.
+func (d *Disk) ReadOp(bytes float64, op des.Op, arg []byte) { d.io(bytes, false, op, arg) }
+
+// WriteOp is the op form of Write.
+func (d *Disk) WriteOp(bytes float64, op des.Op, arg []byte) { d.io(bytes, true, op, arg) }
+
+// ioJob is one read or write in progress.
+type ioJob struct {
+	d     *Disk
+	bytes float64
+	write bool
+	then  des.Op // the caller's continuation
+	arg   []byte
 }
 
-// WriteThen is the continuation form of Write.
-func (d *Disk) WriteThen(bytes float64, then func()) {
-	d.io(bytes, func() {
-		d.writes++
-		d.bytesWritten += bytes
-		then()
-	})
-}
-
-func (d *Disk) io(bytes float64, then func()) {
+func (d *Disk) io(bytes float64, write bool, then des.Op, arg []byte) {
 	if bytes < 0 {
 		panic("resources: negative I/O size")
 	}
-	d.channels.AcquireThen(1, func() {
-		d.e.ScheduleNamed(d.name, d.seek+bytes/d.bps, func() {
-			d.channels.Release(1)
-			then()
-		})
-	})
+	j, self := d.k.io.Get()
+	*j = ioJob{d: d, bytes: bytes, write: write, then: then, arg: arg}
+	d.channels.AcquireOp(1, d.k.ioGranted, self)
+}
+
+// grantIO holds the granted channel for the transfer.
+func (k *kind) grantIO(self []byte) {
+	j := k.io.At(self)
+	k.e.ScheduleOp(j.d.seek+j.bytes/j.d.bps, k.ioEnded, self)
+}
+
+// endIO releases the channel, counts the I/O and continues the job.
+func (k *kind) endIO(self []byte) {
+	j := k.io.At(self)
+	d, then, arg := j.d, j.then, j.arg
+	d.channels.Release(1)
+	if j.write {
+		d.writes++
+		d.bytesWritten += j.bytes
+	} else {
+		d.reads++
+		d.bytesRead += j.bytes
+	}
+	k.io.Put(self)
+	k.e.Call(then, arg)
 }
 
 // MassStorage models a tape archive: very large capacity, a small
@@ -151,6 +168,7 @@ func NewMassStorage(e *des.Engine, name string, capacity, bps, mount float64, dr
 // costing a fixed overhead plus data-volume-proportional time.
 type Database struct {
 	e       *des.Engine
+	k       *kind
 	name    string
 	disk    *Disk
 	workers *des.Resource
@@ -165,7 +183,7 @@ func NewDatabase(e *des.Engine, name string, capacity, bps, queryOverhead float6
 		panic(fmt.Sprintf("resources: NewDatabase(%q, workers=%d, oh=%v)", name, workers, queryOverhead))
 	}
 	return &Database{
-		e: e, name: name,
+		e: e, k: des.PerEngine(e, newKind), name: name,
 		disk:    NewDisk(e, name+":disk", capacity, bps, 0, workers),
 		workers: e.NewResource(name+":worker", workers),
 		queryOH: queryOverhead,
@@ -187,23 +205,46 @@ func (db *Database) Utilization() float64 { return db.workers.Utilization() }
 // Query blocks the process while the database serves a request that
 // touches the given number of bytes.
 func (db *Database) Query(p *des.Process, bytes float64) {
-	p.Await(func(resume func()) { db.QueryThen(bytes, resume) })
+	p.Await(func(op des.Op, arg []byte) { db.QueryOp(bytes, op, arg) })
 }
 
-// QueryThen is the continuation form of Query: a worker for the fixed
-// overhead, then a read of bytes from the backing disk; then runs in
-// the event that ends the read.
-func (db *Database) QueryThen(bytes float64, then func()) {
+// QueryOp is the op form of Query: a worker for the fixed overhead,
+// then a read of bytes from the backing disk; op(arg) is Called in the
+// event that ends the read.
+func (db *Database) QueryOp(bytes float64, op des.Op, arg []byte) {
 	if bytes < 0 {
 		panic("resources: negative query size")
 	}
-	db.workers.AcquireThen(1, func() {
-		db.e.ScheduleNamed(db.name, db.queryOH, func() {
-			db.workers.Release(1)
-			db.disk.ReadThen(bytes, func() {
-				db.queries++
-				then()
-			})
-		})
-	})
+	j, self := db.k.query.Get()
+	*j = queryJob{db: db, bytes: bytes, then: op, arg: arg}
+	db.workers.AcquireOp(1, db.k.queryGranted, self)
+}
+
+// queryJob is one query in progress.
+type queryJob struct {
+	db    *Database
+	bytes float64
+	then  des.Op // the caller's continuation
+	arg   []byte
+}
+
+// grantQuery holds the granted worker for the fixed overhead.
+func (k *kind) grantQuery(self []byte) {
+	k.e.ScheduleOp(k.query.At(self).db.queryOH, k.queryServed, self)
+}
+
+// serveQuery releases the worker and reads the data.
+func (k *kind) serveQuery(self []byte) {
+	j := k.query.At(self)
+	j.db.workers.Release(1)
+	j.db.disk.ReadOp(j.bytes, k.queryRead, self)
+}
+
+// endQuery counts the query and continues the job.
+func (k *kind) endQuery(self []byte) {
+	j := k.query.At(self)
+	j.db.queries++
+	then, arg := j.then, j.arg
+	k.query.Put(self)
+	k.e.Call(then, arg)
 }

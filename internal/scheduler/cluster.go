@@ -46,6 +46,7 @@ func (d Discipline) String() string {
 // the site CPU's FCFS slots) so that disciplines can reorder freely.
 type Cluster struct {
 	e          *des.Engine
+	k          *kind
 	name       string
 	cores      int
 	speed      float64 // ops/second per core
@@ -63,11 +64,31 @@ type Cluster struct {
 	lastAcct  float64
 }
 
+// clusterEntry is a submitted job's record, in the engine's entry
+// table from Submit until the job ends.
 type clusterEntry struct {
+	c      *Cluster
 	job    *Job
 	eta    float64 // scheduled finish time once started
 	onDone func(*Job)
 	timer  des.Timer // completion event, cancellable on failure
+	self   []byte    // the entry's op argument
+}
+
+// kind holds the job-end op every cluster on one engine schedules, and
+// the free list of their entries.
+type kind struct {
+	entries des.Table[clusterEntry]
+	jobEnd  des.Op
+}
+
+func newKind(e *des.Engine) *kind {
+	k := &kind{}
+	k.jobEnd = e.RegisterOp("cluster:jobend", func(self []byte) {
+		en := k.entries.At(self)
+		en.c.end(en)
+	})
+	return k
 }
 
 // NewCluster creates a cluster with the given core count and per-core
@@ -76,7 +97,7 @@ func NewCluster(e *des.Engine, name string, cores int, speed float64, d Discipli
 	if cores <= 0 || speed <= 0 {
 		panic(fmt.Sprintf("scheduler: NewCluster(%q, cores=%d, speed=%v)", name, cores, speed))
 	}
-	return &Cluster{e: e, name: name, cores: cores, speed: speed, discipline: d, free: cores}
+	return &Cluster{e: e, k: des.PerEngine(e, newKind), name: name, cores: cores, speed: speed, discipline: d, free: cores}
 }
 
 // Name returns the cluster name.
@@ -138,7 +159,9 @@ func (c *Cluster) Submit(job *Job, onDone func(*Job)) {
 			job, job.Width(), c.name, c.cores))
 	}
 	job.Submitted = c.e.Now()
-	c.queue = append(c.queue, &clusterEntry{job: job, onDone: onDone})
+	en, self := c.k.entries.Get()
+	*en = clusterEntry{c: c, job: job, onDone: onDone, self: self}
+	c.queue = append(c.queue, en)
 	c.trySchedule()
 }
 
@@ -157,23 +180,27 @@ func (c *Cluster) start(en *clusterEntry) {
 	en.eta = c.e.Now() + runtime
 	c.running = append(c.running, en)
 	c.started++
-	en.timer = c.e.ScheduleNamed(c.name+":jobend", runtime, func() {
-		c.account()
-		c.free += en.job.Width()
-		for i, r := range c.running {
-			if r == en {
-				c.running = append(c.running[:i], c.running[i+1:]...)
-				break
-			}
+	en.timer = c.e.ScheduleOp(runtime, c.k.jobEnd, en.self)
+}
+
+// end is a running job's completion event.
+func (c *Cluster) end(en *clusterEntry) {
+	c.account()
+	c.free += en.job.Width()
+	for i, r := range c.running {
+		if r == en {
+			c.running = append(c.running[:i], c.running[i+1:]...)
+			break
 		}
-		en.job.Finished = c.e.Now()
-		en.job.Done = true
-		c.completed++
-		c.trySchedule()
-		if en.onDone != nil {
-			en.onDone(en.job)
-		}
-	})
+	}
+	en.job.Finished = c.e.Now()
+	en.job.Done = true
+	c.completed++
+	c.trySchedule()
+	if en.onDone != nil {
+		en.onDone(en.job)
+	}
+	c.k.entries.Put(en.self)
 }
 
 // Offline reports whether the cluster is failed (not accepting starts).
@@ -200,6 +227,7 @@ func (c *Cluster) Fail() {
 		if en.onDone != nil {
 			en.onDone(en.job)
 		}
+		c.k.entries.Put(en.self)
 	}
 }
 
@@ -220,6 +248,20 @@ func (c *Cluster) RunningJobs() []*Job {
 		out[i] = en.job
 	}
 	return out
+}
+
+// popHead removes and returns the queue's head. Emptying the queue
+// keeps its array, so a cluster that starts each job as it arrives
+// queues the next one without allocating.
+func (c *Cluster) popHead() *clusterEntry {
+	en := c.queue[0]
+	c.queue[0] = nil
+	if len(c.queue) == 1 {
+		c.queue = c.queue[:0]
+	} else {
+		c.queue = c.queue[1:]
+	}
+	return en
 }
 
 // trySchedule starts every job the discipline permits.
@@ -245,17 +287,13 @@ func (c *Cluster) trySchedule() {
 	// In-order start for FCFS/SJF/EDF.
 	if c.discipline != EASYBackfill {
 		for len(c.queue) > 0 && c.queue[0].job.Width() <= c.free {
-			en := c.queue[0]
-			c.queue = c.queue[1:]
-			c.start(en)
+			c.start(c.popHead())
 		}
 		return
 	}
 	// EASY backfilling.
 	for len(c.queue) > 0 && c.queue[0].job.Width() <= c.free {
-		en := c.queue[0]
-		c.queue = c.queue[1:]
-		c.start(en)
+		c.start(c.popHead())
 	}
 	if len(c.queue) == 0 {
 		return

@@ -13,10 +13,11 @@
 // data-processing jobs; a Job Scheduler dispatching them onto CPU
 // units; and the data replication agent of the Legrand et al. (2005)
 // T0/T1 study, reproduced by RunTierStudy. MONARC 2 multiplexes its
-// many short jobs onto a few threads; here each job is an event chain
-// over the continuation forms of the resources (QueryThen, AccessThen,
-// RunThen, WriteThen), run on the engine's goroutine alone, in the
-// same events a process per job would have used.
+// many short jobs onto a few threads; here each job is a record whose
+// steps are registered ops over the op forms of the resources (QueryOp,
+// AccessOp, RunOp, WriteOp), run on the engine's goroutine alone, in
+// the same events a process per job would have used, and with nothing
+// allocated per step.
 package monarc
 
 import (
@@ -113,33 +114,62 @@ type Result struct {
 // replication to T1s, reconstruction at T0, analysis activities at
 // the T1 centres reading replicated data from their local stores.
 func Run(cfg Config) Result {
-	e, grid, sys, agent, recoCluster := build(cfg)
-	src := e.Stream("monarc")
+	m := newModel(cfg)
+	if cfg.Horizon > 0 {
+		m.e.RunUntil(cfg.Horizon)
+	} else {
+		m.e.Run()
+	}
+	return m.result()
+}
 
-	var recoTime metrics.Summary
-	var recoJobs uint64
-	var ana analysisJobs
+// model is Run's scenario, built and started: its engine holds every
+// activity's first event.
+type model struct {
+	e          *des.Engine
+	grid       *topology.Grid
+	sys        *replication.System
+	agent      *replication.Agent
+	reco       *scheduler.Cluster
+	production *workload.Activity
+	ana        *analysisJobs
+	recoJobs   uint64
+	recoTime   metrics.Summary
+}
+
+func newModel(cfg Config) *model {
+	e, grid, sys, agent, reco := build(cfg)
+	m := &model{e: e, grid: grid, sys: sys, agent: agent, reco: reco, ana: newAnalysisJobs(e, sys)}
+	src := e.Stream("monarc")
 
 	// RAW production activity at T0: each run produces a RAW file,
 	// the agent ships it to every T1, and a reconstruction job is
 	// queued at T0 (writing its output to tape).
 	t0 := grid.Site("T0")
-	prodSrc := e.Stream("lhc-run")
-	production := workload.LHCRun(cfg.LHC, prodSrc, func(i int, f *replication.File) {
-		agent.Produce(f)
-		job := &scheduler.Job{ID: i, Name: "reco", Ops: cfg.LHC.RecoOps()}
-		recoCluster.Submit(job, func(j *scheduler.Job) {
-			recoJobs++
-			recoTime.Observe(j.ResponseTime())
-			// Archive the derived ESD to mass storage as a job of its
-			// own, starting in its own event — tape drives serialize.
-			e.ScheduleNamed("archive", 0, func() {
-				t0.Tape.WriteThen(cfg.LHC.ESDBytes, nop)
-			})
-		})
+	// The archive of a reconstruction's ESD to mass storage is a job of
+	// its own, starting in its own event — tape drives serialize.
+	archive := e.RegisterOp("monarc:archive", func([]byte) {
+		t0.Tape.WriteOp(cfg.LHC.ESDBytes, des.Op{}, nil)
 	})
-	production.MaxJobs = cfg.Runs
-	production.Start(e)
+	recoDone := func(j *scheduler.Job) {
+		m.recoJobs++
+		m.recoTime.Observe(j.ResponseTime())
+		e.ScheduleOp(0, archive, nil)
+	}
+	var jobs []scheduler.Job // reconstruction jobs, allocated a block at a time
+	prodSrc := e.Stream("lhc-run")
+	m.production = workload.LHCRun(cfg.LHC, prodSrc, func(i int, f *replication.File) {
+		agent.Produce(f)
+		if len(jobs) == 0 {
+			jobs = make([]scheduler.Job, 64)
+		}
+		job := &jobs[0]
+		jobs = jobs[1:]
+		*job = scheduler.Job{ID: i, Name: "reco", Ops: cfg.LHC.RecoOps()}
+		reco.Submit(job, recoDone)
+	})
+	m.production.MaxJobs = cfg.Runs
+	m.production.Start(e)
 
 	// Analysis activities at the T1 centres: pick a produced RAW (or
 	// rather its replicated copy), query the local DB for metadata,
@@ -151,72 +181,93 @@ func Run(cfg Config) Result {
 		MaxJobs:      cfg.AnalysisJobs,
 		Emit: func(i int) {
 			t1 := t1s[src.Intn(len(t1s))]
-			produced := production.Emitted()
+			produced := m.production.Emitted()
 			if produced == 0 {
 				return
 			}
-			ana.start(e, sys, t1, workload.LHCFile(workload.RAW, src.Intn(produced)), cfg.LHC.AnaOps())
+			m.ana.submit(t1, workload.LHCFile(workload.RAW, src.Intn(produced)), cfg.LHC.AnaOps())
 		},
 	}
 	analysis.Start(e)
+	return m
+}
 
-	if cfg.Horizon > 0 {
-		e.RunUntil(cfg.Horizon)
-	} else {
-		e.Run()
-	}
-
+// result reads the run's outcome off the model.
+func (m *model) result() Result {
 	var dbq uint64
-	for _, s := range grid.Sites {
+	for _, s := range m.grid.Sites {
 		if s.DB != nil {
 			dbq += s.DB.Queries()
 		}
 	}
 	return Result{
-		RawProduced:   production.Emitted(),
-		Shipped:       agent.Shipped,
-		AgentBacklog:  agent.Backlog,
-		AgentMaxDelay: agent.MaxDelay,
-		RecoJobs:      recoJobs,
-		AnalysisJobs:  ana.done,
-		MeanRecoTime:  recoTime.Mean(),
-		MeanAnaTime:   ana.time.Mean(),
-		T0Utilization: recoCluster.Utilization(),
-		WANBytes:      sys.WANBytes,
-		End:           e.Now(),
+		RawProduced:   m.production.Emitted(),
+		Shipped:       m.agent.Shipped,
+		AgentBacklog:  m.agent.Backlog,
+		AgentMaxDelay: m.agent.MaxDelay,
+		RecoJobs:      m.recoJobs,
+		AnalysisJobs:  m.ana.done,
+		MeanRecoTime:  m.recoTime.Mean(),
+		MeanAnaTime:   m.ana.time.Mean(),
+		T0Utilization: m.reco.Utilization(),
+		WANBytes:      m.sys.WANBytes,
+		End:           m.e.Now(),
 		DBQueries:     dbq,
 	}
 }
 
-// nop continues a job whose last step has nothing after it.
-func nop() {}
-
 // analysisJobs starts and tallies analysis jobs; Run's stochastic
-// activity and ReplayMonitoring's captured submissions share it.
+// activity and ReplayMonitoring's captured submissions share it. A job
+// is a record stepped by four ops: in its own event it queries the
+// local DB for metadata, then accesses the file, then burns its ops of
+// CPU. A file not yet replicated at the centre is read from the T0
+// master over the WAN, which is the modeled behavior; a true miss is a
+// bug.
 type analysisJobs struct {
+	e    *des.Engine
+	jobs des.Table[analysisJob]
+
+	start, queried, accessed, ran des.Op
+
 	done uint64
 	time metrics.Summary // response time, submission to CPU done
 }
 
-// start submits one analysis job at a T1 centre. In its own event it
-// queries the local DB for metadata, accesses the file and burns ops of
-// CPU. A file not yet replicated at the centre is read from the T0
-// master over the WAN, which is the modeled behavior; a true miss is a
-// bug.
-func (a *analysisJobs) start(e *des.Engine, sys *replication.System, t1 *topology.Site, file string, ops float64) {
-	submitted := e.Now()
-	e.ScheduleNamed("analysis", 0, func() {
-		t1.DB.QueryThen(1e6, func() {
-			if err := sys.AccessThen(t1, file, func() {
-				t1.CPU.RunThen(ops, func() {
-					a.done++
-					a.time.Observe(e.Now() - submitted)
-				})
-			}); err != nil {
-				panic(err)
-			}
-		})
+type analysisJob struct {
+	t1        *topology.Site
+	file      string
+	ops       float64
+	submitted float64
+}
+
+func newAnalysisJobs(e *des.Engine, sys *replication.System) *analysisJobs {
+	a := &analysisJobs{e: e}
+	a.start = e.RegisterOp("analysis:start", func(self []byte) {
+		a.jobs.At(self).t1.DB.QueryOp(1e6, a.queried, self)
 	})
+	a.queried = e.RegisterOp("analysis:queried", func(self []byte) {
+		j := a.jobs.At(self)
+		if err := sys.AccessOp(j.t1, j.file, a.accessed, self); err != nil {
+			panic(err)
+		}
+	})
+	a.accessed = e.RegisterOp("analysis:accessed", func(self []byte) {
+		j := a.jobs.At(self)
+		j.t1.CPU.RunOp(j.ops, a.ran, self)
+	})
+	a.ran = e.RegisterOp("analysis:done", func(self []byte) {
+		a.done++
+		a.time.Observe(e.Now() - a.jobs.At(self).submitted)
+		a.jobs.Put(self)
+	})
+	return a
+}
+
+// submit starts one analysis job at a T1 centre.
+func (a *analysisJobs) submit(t1 *topology.Site, file string, ops float64) {
+	j, self := a.jobs.Get()
+	*j = analysisJob{t1: t1, file: file, ops: ops, submitted: a.e.Now()}
+	a.e.ScheduleOp(0, a.start, self)
 }
 
 // build wires the tier grid, network, replication system and T0
@@ -287,23 +338,7 @@ type TierStudyPoint struct {
 func RunTierStudy(seed uint64, linkGbps []float64, runs int, horizon float64) []TierStudyPoint {
 	out := make([]TierStudyPoint, 0, len(linkGbps))
 	for _, gbps := range linkGbps {
-		cfg := DefaultConfig()
-		cfg.Seed = seed
-		cfg.SharedUplink = true
-		cfg.T0T1Bps = gbps * 1e9 / 8
-		cfg.Runs = runs
-		// MaxJobs 0 means no cap: every point also runs the analysis
-		// activity to the horizon, and below 10 Gbps its remote reads
-		// share the saturated uplink with the agent. Isolating the
-		// replication traffic would move every recorded digest.
-		cfg.AnalysisJobs = 0
-		cfg.T2PerT1 = 0
-		cfg.Horizon = horizon
-		// Production-era data taking: a 2 GB RAW file every ~10 s is a
-		// 200 MB/s stream; shipped to T1Count subscribers it needs
-		// ~6.4 Gbps of uplink — between the study's 2.5 and the
-		// upgraded 30.
-		cfg.LHC.RunPeriod = 10
+		cfg := tierConfig(seed, gbps, runs, horizon)
 		res := Run(cfg)
 		expected := uint64(res.RawProduced * cfg.T1Count)
 		pct := 0.0
@@ -322,6 +357,28 @@ func RunTierStudy(seed uint64, linkGbps []float64, runs int, horizon float64) []
 		})
 	}
 	return out
+}
+
+// tierConfig is the configuration of one RunTierStudy point.
+func tierConfig(seed uint64, gbps float64, runs int, horizon float64) Config {
+	cfg := DefaultConfig()
+	cfg.Seed = seed
+	cfg.SharedUplink = true
+	cfg.T0T1Bps = gbps * 1e9 / 8
+	cfg.Runs = runs
+	// MaxJobs 0 means no cap: every point also runs the analysis
+	// activity to the horizon, and below 10 Gbps its remote reads
+	// share the saturated uplink with the agent. Isolating the
+	// replication traffic would move every recorded digest.
+	cfg.AnalysisJobs = 0
+	cfg.T2PerT1 = 0
+	cfg.Horizon = horizon
+	// Production-era data taking: a 2 GB RAW file every ~10 s is a
+	// 200 MB/s stream; shipped to T1Count subscribers it needs
+	// ~6.4 Gbps of uplink — between the study's 2.5 and the
+	// upgraded 30.
+	cfg.LHC.RunPeriod = 10
+	return cfg
 }
 
 // Profile places MONARC 2 in the taxonomy.

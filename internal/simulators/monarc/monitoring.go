@@ -47,7 +47,7 @@ func ReplayMonitoring(cfg Config, records []monitoring.Record) (MonitoringResult
 		t1ByName[s.Name] = s
 	}
 
-	var ana analysisJobs
+	ana := newAnalysisJobs(e, sys)
 	applied := 0
 	src := e.Stream("replay")
 	err := monitoring.Replay(e, records, func(r monitoring.Record) {
@@ -65,7 +65,7 @@ func ReplayMonitoring(cfg Config, records []monitoring.Record) (MonitoringResult
 			if produced == 0 {
 				continue
 			}
-			ana.start(e, sys, t1, workload.LHCFile(workload.RAW, src.Intn(produced)), cfg.LHC.AnaOps())
+			ana.submit(t1, workload.LHCFile(workload.RAW, src.Intn(produced)), cfg.LHC.AnaOps())
 		}
 	})
 	if err != nil {

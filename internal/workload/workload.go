@@ -32,6 +32,22 @@ type Activity struct {
 
 	emitted int
 	e       *des.Engine
+	k       *kind
+	self    []byte // the activity's op argument
+}
+
+// kind holds the ops every activity on one engine steps with, and the
+// table that names the activities in their events.
+type kind struct {
+	acts          des.Table[*Activity]
+	next, arrival des.Op
+}
+
+func newKind(e *des.Engine) *kind {
+	k := &kind{}
+	k.next = e.RegisterOp("activity:next", func(self []byte) { (*k.acts.At(self)).next() })
+	k.arrival = e.RegisterOp("activity:arrival", func(self []byte) { (*k.acts.At(self)).arrival() })
+	return k
 }
 
 // Start launches the activity on the engine at the current time.
@@ -39,8 +55,11 @@ func (a *Activity) Start(e *des.Engine) {
 	if a.Interarrival == nil || a.Emit == nil {
 		panic(fmt.Sprintf("workload: activity %q missing Interarrival or Emit", a.Name))
 	}
-	a.e = e
-	e.ScheduleNamed(a.Name, 0, a.next)
+	a.e, a.k = e, des.PerEngine(e, newKind)
+	var p **Activity
+	p, a.self = a.k.acts.Get()
+	*p = a
+	e.ScheduleOp(0, a.k.next, a.self)
 }
 
 // next draws the gap to the next arrival and schedules it, unless the
@@ -53,7 +72,7 @@ func (a *Activity) next() {
 	if gap < 0 {
 		panic(fmt.Sprintf("workload: activity %q drew negative gap %v", a.Name, gap))
 	}
-	a.e.ScheduleNamed(a.Name, gap, a.arrival)
+	a.e.ScheduleOp(gap, a.k.arrival, a.self)
 }
 
 // arrival emits one job, unless past Until, and schedules the next.
