@@ -28,18 +28,20 @@ nogob:
 
 # Race-check the packages with real concurrency: the windowed-sync
 # kernel and its two transports (the parallel federation and the
-# TCP-distributed engine), the shared execution pool,
-# the fault injector, the engine they drive, the
-# optimistic/checkpoint layers they build on, and the fluid fabric and
-# host resources whose blocking Send/Run hand control between process
-# goroutines, as does replication's blocking Access, and the telemetry
+# TCP-distributed engine), the shared execution pool, the chaos
+# injector, the engine they drive, the optimistic/checkpoint layers
+# they build on, and the fluid fabric and host resources whose blocking
+# Send/Run hand control between process goroutines, as do
+# replication's blocking Access, the cluster's blocking Run, the models
+# that spawn processes (scheduler, simulators, dag, p2p) and the
+# injector that crashes their clusters (faults), and the telemetry
 # layers the cluster folds concurrently (obs, monitoring). The pool and the kernel run ten times over: a
 # switch from inline to dispatched Runs finds the pool's goroutines
 # parked or still on their way there, and which of the two is a matter
 # of timing; the kernel's due list is written by the caller and read by
 # the pool threads of each window.
 race:
-	$(GO) test -race -timeout 5m ./internal/parsim/... ./internal/des/... ./internal/distsim/... ./internal/chaos/... ./internal/optsim/... ./internal/checkpoint/... ./internal/netsim/... ./internal/resources/... ./internal/replication/... ./internal/obs/... ./internal/monitoring/...
+	$(GO) test -race -timeout 5m ./internal/parsim/... ./internal/des/... ./internal/distsim/... ./internal/chaos/... ./internal/optsim/... ./internal/checkpoint/... ./internal/netsim/... ./internal/resources/... ./internal/replication/... ./internal/obs/... ./internal/monitoring/... ./internal/scheduler/... ./internal/simulators/... ./internal/dag/... ./internal/p2p/... ./internal/faults/...
 	$(GO) test -race -timeout 5m -count=10 ./internal/pool/... ./internal/winsync/...
 
 # tier1 is the acceptance gate: build + full tests, plus vet and the

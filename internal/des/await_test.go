@@ -53,19 +53,18 @@ func TestAwaitResumeFromLaterEventAddsNoEvent(t *testing.T) {
 	}
 }
 
-func TestAwaitNotEndedByInterruptOrActivate(t *testing.T) {
+func TestAwaitNotEndedByActivate(t *testing.T) {
 	e := NewEngine()
 	var at float64 = -1
-	var interrupted bool
 	p := e.Spawn("p", func(p *Process) {
 		p.Await(func(op Op, arg []byte) { e.ScheduleOp(10, op, arg) })
-		at, interrupted = p.Now(), p.Interrupted()
+		at = p.Now()
 	})
-	e.Schedule(3, func() { p.Interrupt() })
+	e.Schedule(3, func() { p.Activate() })
 	e.Schedule(4, func() { p.Activate() })
 	e.Run()
-	if at != 10 || interrupted {
-		t.Fatalf("resumed at %v interrupted=%v, want 10 and false", at, interrupted)
+	if at != 10 {
+		t.Fatalf("resumed at %v, want 10", at)
 	}
 }
 

@@ -42,7 +42,8 @@ func BenchmarkScheduleExecuteTraced(b *testing.B) {
 		b.Run(string(k), func(b *testing.B) {
 			rec := obs.NewRecorder(1 << 14)
 			met := &obs.Metrics{}
-			e := NewEngine(WithQueue(k), WithObserver(Observer{Recorder: rec, Metrics: met}))
+			e := NewEngine(WithQueue(k))
+			e.SetObserver(Observer{Recorder: rec, Metrics: met})
 			src := e.Stream("bench")
 			const population = 1024
 			var pump func()

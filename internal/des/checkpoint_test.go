@@ -93,7 +93,7 @@ func TestResumeBitIdenticalAllKinds(t *testing.T) {
 			// Straight run: full trace, final stats.
 			var refTrace []traceEntry
 			refE := NewEngine(WithSeed(seed), WithQueue(kind))
-			refE.OnEvent(traceHook(&refTrace))
+			refE.SetObserver(Observer{Hook: traceHook(&refTrace)})
 			refM := newCkptModel(refE, 1<<40)
 			refM.start(jobs)
 			refEnd := refE.RunUntil(H)
@@ -112,7 +112,7 @@ func TestResumeBitIdenticalAllKinds(t *testing.T) {
 
 			var resTrace []traceEntry
 			resE := NewEngine(WithSeed(seed+1000), WithQueue(kind)) // deliberately different seed: Restore overrides
-			resE.OnEvent(traceHook(&resTrace))
+			resE.SetObserver(Observer{Hook: traceHook(&resTrace)})
 			resM := newCkptModel(resE, 1<<40)
 			resM.start(jobs) // initial events must be discarded by Restore
 			if err := resE.Restore(bytes.NewReader(snap.Bytes())); err != nil {

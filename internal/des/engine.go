@@ -123,23 +123,18 @@ func (o Observer) enabled() bool {
 	return o.Hook != nil || o.Recorder != nil || o.Metrics != nil
 }
 
-// WithObserver attaches an observability sink at construction time.
-func WithObserver(o Observer) Option {
-	return func(e *Engine) { e.setObserver(o) }
-}
-
 // defaultObserver, when non-nil, is attached by NewEngine to every
-// engine not given its own observer. See SetDefaultObserver.
+// engine. See SetDefaultObserver.
 var defaultObserver *Observer
 
 // SetDefaultObserver installs (or, with nil, removes) a process-wide
-// observer template applied to subsequently constructed engines that
-// have none of their own. It exists for front ends (cmd/lssim) that
-// drive personality packages which construct engines internally and
-// expose no engine handle. It is not synchronized and the attachments
-// are single-writer, so it is only safe for sequential front-end
-// wiring — never set it around a parallel federation run (the
-// federation attaches per-LP observers instead).
+// observer template attached to every subsequently constructed engine,
+// until its owner calls SetObserver. It exists for front ends
+// (cmd/lssim) that drive personality packages which construct engines
+// internally and expose no engine handle. It is not synchronized and
+// the attachments are single-writer, so it is only safe for sequential
+// front-end wiring — never set it around a parallel federation run
+// (the federation attaches per-LP observers instead).
 func SetDefaultObserver(o *Observer) { defaultObserver = o }
 
 // NewEngine returns an engine at simulation time 0.
@@ -152,8 +147,8 @@ func NewEngine(opts ...Option) *Engine {
 	for _, opt := range opts {
 		opt(e)
 	}
-	if e.obs == nil && defaultObserver != nil {
-		e.setObserver(*defaultObserver)
+	if defaultObserver != nil {
+		e.SetObserver(*defaultObserver)
 	}
 	e.rng = rng.New(e.seed)
 	e.queue = eventq.NewSeeded(e.queueKind, e.seed)
@@ -163,9 +158,7 @@ func NewEngine(opts ...Option) *Engine {
 // SetObserver replaces the engine's observability attachments. A zero
 // Observer detaches everything. It must not be called while Run is
 // executing events.
-func (e *Engine) SetObserver(o Observer) { e.setObserver(o) }
-
-func (e *Engine) setObserver(o Observer) {
+func (e *Engine) SetObserver(o Observer) {
 	if !o.enabled() {
 		e.obs = nil
 		return
@@ -309,15 +302,6 @@ func (e *Engine) recycle(ev *eventq.Event) {
 	ev.Label = ""
 	ev.Next = e.freeEv
 	e.freeEv = ev
-}
-
-// OnEvent installs a trace hook invoked before each event executes,
-// preserving any other observability attachments. Passing nil removes
-// the hook.
-func (e *Engine) OnEvent(hook obs.Hook) {
-	o := e.Observer()
-	o.Hook = hook
-	e.setObserver(o)
 }
 
 // discard retires a canceled event's tombstone: counts it, records the

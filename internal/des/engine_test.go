@@ -232,7 +232,7 @@ func TestStep(t *testing.T) {
 func TestOnEventHook(t *testing.T) {
 	e := NewEngine()
 	var got []obs.Event
-	e.OnEvent(func(ev obs.Event) { got = append(got, ev) })
+	e.SetObserver(Observer{Hook: func(ev obs.Event) { got = append(got, ev) }})
 	e.ScheduleNamed("alpha", 1, func() {})
 	e.ScheduleNamed("beta", 2, func() {})
 	e.Run()
@@ -250,8 +250,8 @@ func TestOnEventHook(t *testing.T) {
 	if got[0].Time != 1 || got[1].Time != 2 {
 		t.Fatalf("times = %v, %v", got[0].Time, got[1].Time)
 	}
-	// Removing the hook detaches observability entirely.
-	e.OnEvent(nil)
+	// A zero observer detaches observability entirely.
+	e.SetObserver(Observer{})
 	e.Schedule(1, func() {})
 	e.Run()
 	if len(got) != 2 {

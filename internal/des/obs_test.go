@@ -7,7 +7,7 @@ import (
 )
 
 // procModel is a process-heavy model exercising the active-object
-// layer: holds, resource contention, interrupts, and cancellation. It
+// layer: holds, resource contention, activation, and cancellation. It
 // returns a deterministic fingerprint of the run.
 func procModel(e *Engine) *[]float64 {
 	trace := &[]float64{}
@@ -25,13 +25,10 @@ func procModel(e *Engine) *[]float64 {
 			}
 		})
 	}
-	sleeper := e.Spawn("sleeper", func(p *Process) {
-		for !p.Hold(100) {
-		}
-	})
+	sleeper := e.Spawn("sleeper", func(p *Process) { p.Passivate() })
 	e.Spawn("poker", func(p *Process) {
 		p.Hold(3)
-		sleeper.Interrupt()
+		sleeper.Activate()
 		// Canceled before firing; its tombstone is discarded at t≈13,
 		// inside the run horizon, so the discard is observable.
 		tm := e.Schedule(10, func() { *trace = append(*trace, -1) })
@@ -135,7 +132,7 @@ func TestProcessTracingSpansNest(t *testing.T) {
 			t.Fatalf("sim time regressed across spans: %v after %v", cur.Time, prev.Time)
 		}
 	}
-	for _, want := range []string{"worker:start", "worker:wake", "sleeper:interrupt"} {
+	for _, want := range []string{"worker:start", "worker:wake", "sleeper:activate"} {
 		if !labels[want] {
 			t.Fatalf("no exec span labeled %q (have %v)", want, labels)
 		}

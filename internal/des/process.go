@@ -11,7 +11,7 @@ import "fmt"
 // strict synchronous handover: at most one goroutine (either the
 // engine loop or exactly one process) executes at any instant, so
 // sequential simulations remain fully deterministic while models are
-// written as straight-line code with Hold/Acquire/Recv blocking calls.
+// written as straight-line code with Hold/Acquire blocking calls.
 //
 // That costs a goroutine, two channels and a handover per block.
 // Models with many short-lived jobs (the MONARC tier model) keep each
@@ -27,12 +27,11 @@ type Process struct {
 	e    *Engine
 	name string
 
-	// Precomputed trace labels: Hold/Activate/Interrupt are hot in
+	// Precomputed trace labels: Hold and Activate are hot in
 	// process-heavy models, and rebuilding name+":wake" on every call
 	// would put a string concatenation on the steady-state path.
-	wakeLabel      string
-	activateLabel  string
-	interruptLabel string
+	wakeLabel     string
+	activateLabel string
 
 	resume chan struct{}
 	yield  chan struct{}
@@ -41,7 +40,6 @@ type Process struct {
 	blockToken uint64 // invalidates stale wake events
 	started    bool
 	killed     bool
-	interrupt  bool // set when the current block was broken by Interrupt
 
 	body func(*Process)
 }
@@ -73,14 +71,13 @@ func (e *Engine) Spawn(name string, body func(*Process)) *Process {
 // SpawnAt is Spawn with a start delay.
 func (e *Engine) SpawnAt(name string, delay float64, body func(*Process)) *Process {
 	p := &Process{
-		e:              e,
-		name:           name,
-		wakeLabel:      name + ":wake",
-		activateLabel:  name + ":activate",
-		interruptLabel: name + ":interrupt",
-		resume:         make(chan struct{}),
-		yield:          make(chan struct{}),
-		body:           body,
+		e:             e,
+		name:          name,
+		wakeLabel:     name + ":wake",
+		activateLabel: name + ":activate",
+		resume:        make(chan struct{}),
+		yield:         make(chan struct{}),
+		body:          body,
 	}
 	e.liveProcs++
 	e.ScheduleNamed(name+":start", delay, func() { p.resumeNow() })
@@ -158,22 +155,18 @@ func (p *Process) suspend() {
 }
 
 // Hold advances the process's local time by d: the process blocks and
-// resumes d simulation-time units later. It returns true if the sleep
-// was cut short by Interrupt.
-func (p *Process) Hold(d float64) (interrupted bool) {
+// resumes d simulation-time units later.
+func (p *Process) Hold(d float64) {
 	p.blockToken++
 	tok := p.blockToken
-	p.interrupt = false
 	p.e.ScheduleNamed(p.wakeLabel, d, func() { p.wake(tok) })
 	p.suspend()
-	return p.interrupt
 }
 
-// Passivate blocks the process indefinitely; only Activate, Interrupt,
-// or a synchronization primitive can resume it.
+// Passivate blocks the process indefinitely; only Activate or a
+// synchronization primitive can resume it.
 func (p *Process) Passivate() {
 	p.blockToken++
-	p.interrupt = false
 	p.suspend()
 }
 
@@ -210,10 +203,8 @@ func (p *Process) Activate() {
 // no-op until a later Await reuses its record, and so is running it
 // after Kill.
 //
-// Activate and Interrupt do not end an Await early: the process parks
-// again until the op runs. In particular an interrupted process no
-// longer cuts a disk, tape or database hold short, as it did when those
-// were written over Hold; nothing outside tests interrupts one.
+// Activate does not end an Await early: the process parks again until
+// the op runs.
 func (p *Process) Await(start func(op Op, arg []byte)) {
 	k := PerEngine(p.e, newAwaits)
 	w, arg := k.waits.Get()
@@ -224,7 +215,6 @@ func (p *Process) Await(start func(op Op, arg []byte)) {
 		p.suspend()
 	}
 	k.waits.Put(arg)
-	p.interrupt = false
 }
 
 // awaits is the engine's resume op and the records of the Awaits in
@@ -255,28 +245,6 @@ func newAwaits(e *Engine) *awaits {
 	})
 	return k
 }
-
-// Interrupt breaks the process out of its current Hold or Passivate at
-// the current simulation time; the interrupted call reports back via
-// its return value (Hold) or the Interrupted flag. Interrupting a
-// process that is not blocked is a no-op.
-func (p *Process) Interrupt() {
-	if p.state != procBlocked {
-		return
-	}
-	tok := p.blockToken
-	p.e.ScheduleNamed(p.interruptLabel, 0, func() {
-		if p.state != procBlocked || tok != p.blockToken {
-			return
-		}
-		p.interrupt = true
-		p.resumeNow()
-	})
-}
-
-// Interrupted reports whether the most recent block ended in an
-// interrupt.
-func (p *Process) Interrupted() bool { return p.interrupt }
 
 // Kill terminates a blocked process: its goroutine unwinds (running
 // deferred functions) and the process ends without resuming model

@@ -87,27 +87,6 @@ func TestPassivateActivate(t *testing.T) {
 	}
 }
 
-func TestHoldInterrupt(t *testing.T) {
-	e := NewEngine()
-	var interrupted bool
-	var at float64
-	sleeper := e.Spawn("sleeper", func(p *Process) {
-		interrupted = p.Hold(100)
-		at = p.Now()
-	})
-	e.Spawn("breaker", func(p *Process) {
-		p.Hold(3)
-		sleeper.Interrupt()
-	})
-	e.Run()
-	if !interrupted {
-		t.Fatal("Hold not reported interrupted")
-	}
-	if at != 3 {
-		t.Fatalf("interrupt at %v, want 3", at)
-	}
-}
-
 func TestStaleWakeIgnored(t *testing.T) {
 	e := NewEngine()
 	var wakeTimes []float64
@@ -130,10 +109,10 @@ func TestStaleWakeIgnored(t *testing.T) {
 	}
 }
 
-func TestInterruptNotBlockedIsNoop(t *testing.T) {
+func TestActivateEndedProcessIsNoop(t *testing.T) {
 	e := NewEngine()
 	p1 := e.Spawn("p1", func(p *Process) { p.Hold(1) })
-	e.Schedule(5, func() { p1.Interrupt() }) // p1 already ended
+	e.Schedule(5, func() { p1.Activate() }) // p1 already ended
 	e.Run()
 	if e.LiveProcesses() != 0 {
 		t.Fatal("processes leaked")

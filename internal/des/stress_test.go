@@ -8,63 +8,79 @@ import (
 )
 
 // TestStressMixedModelDeterminism runs a model that exercises every
-// kernel feature at once — processes, resources, mailboxes, triggers,
-// wait groups, cancellation, interrupts — and demands bit-identical
-// trajectories across all six FEL implementations.
+// kernel feature at once — processes, Passivate/Activate hand-offs,
+// resources, wait groups, Await on a registered op, cancellation — and
+// demands bit-identical trajectories across all six FEL
+// implementations.
 func TestStressMixedModelDeterminism(t *testing.T) {
 	run := func(kind eventq.Kind) (trace []float64, events uint64) {
 		e := NewEngine(WithQueue(kind), WithSeed(77))
 		src := e.Stream("stress")
 		res := e.NewResource("pool", 3)
-		mb := e.NewMailbox("work")
-		tr := e.NewTrigger("phase")
 		wg := e.NewWaitGroup()
 		record := func() { trace = append(trace, e.Now()) }
 
-		// Producers feed the mailbox at random times and fire the
-		// trigger occasionally.
+		// A work queue built on Passivate/Activate: producers append
+		// and wake the longest-idle consumer; a consumer that finds the
+		// queue empty parks on the idle list.
+		var work []int
+		var idle []*Process
+		phase := false
+		var waiter *Process
 		for i := 0; i < 4; i++ {
 			e.Spawn(fmt.Sprintf("prod%d", i), func(p *Process) {
 				for j := 0; j < 20; j++ {
 					p.Hold(src.Exp(0.5))
-					mb.Send(j)
+					work = append(work, j)
+					if len(idle) > 0 {
+						idle[0].Activate()
+						idle = idle[1:]
+					}
 					if j%7 == 0 {
-						tr.Fire()
+						phase = true
+						waiter.Activate()
 					}
 				}
 			})
 		}
-		// Consumers take work, contend for the pool, sometimes get
-		// interrupted by a watchdog.
+		// Consumers take work, contend for the pool, and wait on a
+		// registered op for every other item.
 		for i := 0; i < 6; i++ {
 			wg.Add(1)
 			e.Spawn(fmt.Sprintf("cons%d", i), func(p *Process) {
 				defer wg.Done()
 				for j := 0; j < 10; j++ {
-					mb.Recv(p)
+					for len(work) == 0 {
+						idle = append(idle, p)
+						p.Passivate()
+					}
+					work = work[1:]
 					res.Acquire(p, 1)
 					p.Hold(src.Exp(2))
 					res.Release(1)
+					if j%2 == 1 {
+						p.Await(func(op Op, arg []byte) { e.ScheduleOp(src.Exp(4), op, arg) })
+					}
 					record()
 				}
 			})
 		}
-		// A waiter blocks on the trigger, then on the wait group.
-		e.Spawn("waiter", func(p *Process) {
-			tr.Wait(p)
+		// A waiter blocks until the first phase, then on the wait group.
+		waiter = e.Spawn("waiter", func(p *Process) {
+			for !phase {
+				p.Passivate()
+			}
 			record()
 			wg.Wait(p)
 			record()
 		})
-		// A watchdog interrupts a sleeper; a canceled timer must not
+		// A watchdog wakes a passive sleeper; a canceled timer must not
 		// fire.
 		sleeper := e.Spawn("sleeper", func(p *Process) {
-			if !p.Hold(1e9) {
-				t.Error("sleeper not interrupted")
-			}
+			p.Passivate()
 			record()
 		})
-		e.Schedule(13, func() { sleeper.Interrupt() })
+		e.Schedule(13, func() { sleeper.Activate() })
 		dead := e.Schedule(5, func() { t.Error("canceled event fired") })
 		dead.Cancel()
 

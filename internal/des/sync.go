@@ -85,19 +85,6 @@ func (r *Resource) AcquireOp(n int, op Op, arg []byte) {
 	r.waiters = append(r.waiters, resWaiter{n: n, op: op, arg: arg})
 }
 
-// TryAcquire takes n units if immediately available, without blocking.
-func (r *Resource) TryAcquire(n int) bool {
-	if n <= 0 || n > r.capacity {
-		return false
-	}
-	if len(r.waiters) == 0 && r.capacity-r.inUse >= n {
-		r.account()
-		r.inUse += n
-		return true
-	}
-	return false
-}
-
 // Release returns n units and grants as many head-of-line waiters as
 // now fit. It may be called from event handlers or process bodies.
 func (r *Resource) Release(n int) {
@@ -116,94 +103,6 @@ func (r *Resource) Release(n int) {
 		r.account()
 		r.inUse += w.n
 		r.e.ScheduleOp(0, w.op, w.arg)
-	}
-}
-
-// Mailbox is an unbounded FIFO message channel between simulated
-// entities. Send never blocks; Recv blocks the receiving process until
-// a message is available. Multiple receivers are served FIFO.
-type Mailbox struct {
-	e        *Engine
-	name     string
-	messages []any
-	waiters  []*Process
-}
-
-// NewMailbox creates an empty mailbox.
-func (e *Engine) NewMailbox(name string) *Mailbox {
-	return &Mailbox{e: e, name: name}
-}
-
-// Name returns the mailbox name.
-func (m *Mailbox) Name() string { return m.name }
-
-// Len returns the number of queued (undelivered) messages.
-func (m *Mailbox) Len() int { return len(m.messages) }
-
-// Send enqueues a message and wakes the longest-waiting receiver, if
-// any. Callable from events or processes.
-func (m *Mailbox) Send(v any) {
-	m.messages = append(m.messages, v)
-	if len(m.waiters) > 0 {
-		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		w.Activate()
-	}
-}
-
-// Recv blocks until a message is available and returns it.
-func (m *Mailbox) Recv(p *Process) any {
-	for len(m.messages) == 0 {
-		m.waiters = append(m.waiters, p)
-		p.Passivate()
-		// On spurious wake (e.g. a message was consumed by an
-		// intervening TryRecv), drop back into the wait list.
-	}
-	v := m.messages[0]
-	m.messages = m.messages[1:]
-	return v
-}
-
-// TryRecv returns (message, true) if one is queued, without blocking.
-func (m *Mailbox) TryRecv() (any, bool) {
-	if len(m.messages) == 0 {
-		return nil, false
-	}
-	v := m.messages[0]
-	m.messages = m.messages[1:]
-	return v, true
-}
-
-// Trigger is a broadcast condition: processes Wait on it, Fire wakes
-// every current waiter. Later waiters wait for the next Fire.
-type Trigger struct {
-	e       *Engine
-	name    string
-	epoch   uint64
-	waiters []*Process
-}
-
-// NewTrigger creates a trigger.
-func (e *Engine) NewTrigger(name string) *Trigger {
-	return &Trigger{e: e, name: name}
-}
-
-// Wait blocks the process until the next Fire.
-func (t *Trigger) Wait(p *Process) {
-	epoch := t.epoch
-	t.waiters = append(t.waiters, p)
-	for t.epoch == epoch {
-		p.Passivate()
-	}
-}
-
-// Fire wakes every process currently waiting.
-func (t *Trigger) Fire() {
-	t.epoch++
-	ws := t.waiters
-	t.waiters = nil
-	for _, p := range ws {
-		p.Activate()
 	}
 }
 

@@ -83,24 +83,6 @@ func TestResourceFIFONoOvertaking(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	e := NewEngine()
-	res := e.NewResource("r", 1)
-	e.Spawn("p", func(p *Process) {
-		if !res.TryAcquire(1) {
-			t.Error("TryAcquire failed on free resource")
-		}
-		if res.TryAcquire(1) {
-			t.Error("TryAcquire succeeded on busy resource")
-		}
-		res.Release(1)
-		if res.TryAcquire(0) || res.TryAcquire(5) {
-			t.Error("TryAcquire accepted invalid n")
-		}
-	})
-	e.Run()
-}
-
 func TestResourceUtilization(t *testing.T) {
 	e := NewEngine()
 	res := e.NewResource("r", 2)
@@ -148,106 +130,21 @@ func TestResourcePanics(t *testing.T) {
 	})
 }
 
-func TestMailboxSendRecv(t *testing.T) {
+func TestWaitGroupWakesEveryWaiter(t *testing.T) {
 	e := NewEngine()
-	mb := e.NewMailbox("jobs")
-	var got []any
-	e.Spawn("consumer", func(p *Process) {
-		for i := 0; i < 3; i++ {
-			got = append(got, mb.Recv(p))
-		}
-	})
-	e.Spawn("producer", func(p *Process) {
-		for i := 0; i < 3; i++ {
-			p.Hold(5)
-			mb.Send(i)
-		}
-	})
-	e.Run()
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("got = %v", got)
-	}
-	if mb.Len() != 0 {
-		t.Fatalf("mailbox len = %d", mb.Len())
-	}
-}
-
-func TestMailboxBuffersWhenNoReceiver(t *testing.T) {
-	e := NewEngine()
-	mb := e.NewMailbox("m")
-	e.Schedule(1, func() { mb.Send("a"); mb.Send("b") })
-	var got []any
-	e.SpawnAt("late", 10, func(p *Process) {
-		got = append(got, mb.Recv(p), mb.Recv(p))
-	})
-	e.Run()
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("got = %v", got)
-	}
-}
-
-func TestMailboxTryRecv(t *testing.T) {
-	e := NewEngine()
-	mb := e.NewMailbox("m")
-	if _, ok := mb.TryRecv(); ok {
-		t.Fatal("TryRecv on empty")
-	}
-	mb.Send(42)
-	if v, ok := mb.TryRecv(); !ok || v != 42 {
-		t.Fatalf("TryRecv = %v, %v", v, ok)
-	}
-}
-
-func TestMailboxMultipleReceiversFIFO(t *testing.T) {
-	e := NewEngine()
-	mb := e.NewMailbox("m")
-	var order []string
-	mkConsumer := func(name string, startDelay float64) {
-		e.SpawnAt(name, startDelay, func(p *Process) {
-			mb.Recv(p)
-			order = append(order, name)
-		})
-	}
-	mkConsumer("first", 1)
-	mkConsumer("second", 2)
-	e.Schedule(10, func() { mb.Send("x") })
-	e.Schedule(20, func() { mb.Send("y") })
-	e.Run()
-	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
-		t.Fatalf("order = %v", order)
-	}
-}
-
-func TestTriggerBroadcast(t *testing.T) {
-	e := NewEngine()
-	tr := e.NewTrigger("go")
-	woken := 0
+	wg := e.NewWaitGroup()
+	wg.Add(1)
+	var woken []float64
 	for i := 0; i < 5; i++ {
 		e.Spawn("waiter", func(p *Process) {
-			tr.Wait(p)
-			woken++
+			wg.Wait(p)
+			woken = append(woken, p.Now())
 		})
 	}
-	e.Schedule(3, func() { tr.Fire() })
+	e.Schedule(3, wg.Done)
 	e.Run()
-	if woken != 5 {
-		t.Fatalf("woken = %d", woken)
-	}
-}
-
-func TestTriggerLateWaiterWaitsForNextFire(t *testing.T) {
-	e := NewEngine()
-	tr := e.NewTrigger("go")
-	var at float64 = -1
-	e.Schedule(1, func() { tr.Fire() })
-	e.SpawnAt("late", 5, func(p *Process) {
-		tr.Wait(p)
-		at = p.Now()
-	})
-	e.Schedule(9, func() { tr.Fire() })
-	e.Run()
-	if at != 9 {
-		t.Fatalf("late waiter woke at %v, want 9", at)
+	if len(woken) != 5 || woken[0] != 3 || woken[4] != 3 {
+		t.Fatalf("woken at %v, want five waiters at 3", woken)
 	}
 }
 

@@ -61,45 +61,20 @@ func NewInjector(e *des.Engine, cluster *scheduler.Cluster, ttfShape, ttfScale, 
 }
 
 // Start launches the crash/repair loop until the horizon (0 = forever,
-// which keeps the event queue busy — use only with RunUntil).
-func (inj *Injector) Start(horizon float64) {
-	inj.e.Spawn("faults:"+inj.cluster.Name(), func(p *des.Process) {
-		for !inj.stopped {
-			ttf := inj.src.Weibull(inj.TTFShape, inj.TTFScale)
-			if p.Hold(ttf); inj.stopped {
-				return
-			}
-			if horizon > 0 && p.Now() >= horizon {
-				return
-			}
-			killed := len(inj.cluster.RunningJobs())
-			inj.cluster.Fail()
-			inj.Failures++
-			inj.KilledJobs += uint64(killed)
-			down := inj.src.LogNormal(0, inj.RepairSigma) * inj.RepairMean
-			p.Hold(down)
-			inj.Downtime += down
-			inj.cluster.Recover()
-		}
-	})
-}
-
-// Stop ends the loop after the current sleep.
-func (inj *Injector) Stop() { inj.stopped = true }
-
-// StartOps launches the same crash/repair loop as Start, but as
-// registered ops instead of a goroutine process — so every pending
-// crash and repair serializes into an engine checkpoint and the loop
-// survives Engine.Restore. The draw order from the injector's stream
-// is identical to Start's (Weibull time-to-failure, then lognormal
-// repair, repeating), so both variants produce the same failure
-// schedule for the same seed.
+// which keeps the event queue busy — use only with RunUntil). Its
+// crash and repair steps are registered ops, so every pending crash and
+// repair serializes into an engine checkpoint and the loop survives
+// Engine.Restore. The injector's stream draws a Weibull time to failure,
+// then a lognormal repair time, repeating.
 //
-// A restored run calls StartOps again on a fresh engine before
+// The ops are registered under the cluster's name: a second injector
+// for a same-named cluster on one engine panics.
+//
+// A restored run calls Start again on a fresh engine before
 // Engine.Restore (registration order must match the checkpointed run);
 // the initial crash it schedules is discarded when Restore overwrites
 // the queue, and the checkpointed crash/repair events take over.
-func (inj *Injector) StartOps(horizon float64) {
+func (inj *Injector) Start(horizon float64) {
 	name := inj.cluster.Name()
 	inj.crashOp = inj.e.RegisterOp("faults.crash:"+name, func([]byte) {
 		if inj.stopped {
@@ -135,6 +110,10 @@ func (inj *Injector) StartOps(horizon float64) {
 	})
 	inj.e.ScheduleOp(inj.src.Weibull(inj.TTFShape, inj.TTFScale), inj.crashOp, nil)
 }
+
+// Stop ends the loop: a pending crash does nothing, and a pending
+// repair brings the cluster back without drawing another crash.
+func (inj *Injector) Stop() { inj.stopped = true }
 
 // MarshalState implements checkpoint.Checkpointable: the counters plus
 // the failure stream's exact rng state. The stream state matters —

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/des"
@@ -178,35 +179,25 @@ func TestInjectorValidation(t *testing.T) {
 	NewInjector(e, c, 0, 1, 1)
 }
 
-// TestStartOpsMatchesProcessLoop pins the contract that makes the
-// op-based loop a drop-in for the goroutine loop: same seed, same
-// failure schedule, same kills — including under a busy cluster with
-// the retry harness resubmitting the carnage.
-func TestStartOpsMatchesProcessLoop(t *testing.T) {
-	run := func(ops bool) (uint64, uint64, float64, uint64, float64) {
-		e := des.NewEngine(des.WithSeed(11))
-		c := scheduler.NewCluster(e, "c", 2, 100, scheduler.FCFS)
-		inj := NewInjector(e, c, 1.0, 40, 5)
-		if ops {
-			inj.StartOps(3000)
-		} else {
-			inj.Start(3000)
-		}
-		r := NewRetryHarness(c, 100, nil)
-		for i := 0; i < 50; i++ {
-			r.Submit(&scheduler.Job{ID: i, Name: "j", Ops: 800})
-		}
-		e.RunUntil(5000)
-		return inj.Failures, inj.KilledJobs, inj.Downtime, r.Retries, e.Now()
+// TestStartPinnedUnderRetries pins the injector's failure schedule
+// under a busy cluster with the retry harness resubmitting the carnage:
+// the constants were recorded from the goroutine process loop Start
+// replaced, so the op loop keeps its draws, its kills and its clock.
+func TestStartPinnedUnderRetries(t *testing.T) {
+	e := des.NewEngine(des.WithSeed(11))
+	c := scheduler.NewCluster(e, "c", 2, 100, scheduler.FCFS)
+	inj := NewInjector(e, c, 1.0, 40, 5)
+	inj.Start(3000)
+	r := NewRetryHarness(c, 100, nil)
+	for i := 0; i < 50; i++ {
+		r.Submit(&scheduler.Job{ID: i, Name: "j", Ops: 800})
 	}
-	f1, k1, d1, r1, n1 := run(false)
-	f2, k2, d2, r2, n2 := run(true)
-	if f1 != f2 || k1 != k2 || d1 != d2 || r1 != r2 || n1 != n2 {
-		t.Fatalf("process loop (%d, %d, %v, %d, %v) != op loop (%d, %d, %v, %d, %v)",
-			f1, k1, d1, r1, n1, f2, k2, d2, r2, n2)
-	}
-	if f1 == 0 || k1 == 0 {
-		t.Fatalf("loop never bit: failures %d, killed %d", f1, k1)
+	e.RunUntil(5000)
+	got := [...]uint64{inj.Failures, inj.KilledJobs, r.Retries,
+		math.Float64bits(inj.Downtime), math.Float64bits(e.Now())}
+	want := [...]uint64{71, 16, 16, 0x40762cf3ede34b09, 0x40a79880ba2d1de4}
+	if got != want {
+		t.Fatalf("failures, killed, retries, downtime, end = %#x, want %#x", got, want)
 	}
 }
 
@@ -230,7 +221,7 @@ func TestInjectorCheckpointRestoreMidWindow(t *testing.T) {
 		e := des.NewEngine(des.WithSeed(seed))
 		c := scheduler.NewCluster(e, "c", 2, 100, scheduler.FCFS)
 		inj := NewInjector(e, c, shape, scale, repair)
-		inj.StartOps(horizon)
+		inj.Start(horizon)
 		return e, inj
 	}
 

@@ -13,7 +13,8 @@ import (
 // replay it into a fresh engine as trace-driven input.
 func TestTelemetryRoundTrip(t *testing.T) {
 	rec := obs.NewRecorder(1 << 10)
-	e := des.NewEngine(des.WithSeed(5), des.WithObserver(des.Observer{Recorder: rec}))
+	e := des.NewEngine(des.WithSeed(5))
+	e.SetObserver(des.Observer{Recorder: rec})
 	src := e.Stream("load")
 	var step func()
 	n := 0

@@ -79,11 +79,7 @@ func (b *Broker) Submit(job *Job) {
 		}
 		// Execute; preserve the broker-side submission timestamp.
 		submitted := job.Submitted
-		done := false
-		cluster.Submit(job, func(*Job) { done = true; p.Activate() })
-		for !done {
-			p.Passivate()
-		}
+		cluster.Run(p, job)
 		job.Submitted = submitted
 		// Price the compute before output staging (transfers are free
 		// in the GridSim economy; only CPU time is billed).

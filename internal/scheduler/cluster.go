@@ -165,6 +165,19 @@ func (c *Cluster) Submit(job *Job, onDone func(*Job)) {
 	c.trySchedule()
 }
 
+// Run is Submit's blocking form: it submits the job and blocks the
+// process until the job completes, or until Fail kills it, in which
+// case the job comes back with Failed set. The process resumes in a
+// zero-delay Activate event after the job's end, not inside that event
+// as a Process.Await adapter would.
+func (c *Cluster) Run(p *des.Process, job *Job) {
+	done := false
+	c.Submit(job, func(*Job) { done = true; p.Activate() })
+	for !done {
+		p.Passivate()
+	}
+}
+
 func (c *Cluster) account() {
 	now := c.e.Now()
 	c.busyArea += float64(c.cores-c.free) * (now - c.lastAcct)

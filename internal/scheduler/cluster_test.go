@@ -277,3 +277,32 @@ func TestJobAccessors(t *testing.T) {
 		t.Fatal("late job met deadline")
 	}
 }
+
+// Run blocks a process until its job ends: a completed job resumes it
+// at the finish time, and a job killed by Fail resumes it at the crash
+// with Failed set.
+func TestClusterRunBlocksUntilJobEnds(t *testing.T) {
+	e := des.NewEngine()
+	c := NewCluster(e, "c", 2, 100, FCFS)
+	type outcome struct {
+		at     float64
+		failed bool
+	}
+	var got [2]outcome
+	for i, ops := range []float64{500, 5000} {
+		e.Spawn("p", func(p *des.Process) {
+			j := mkJob(i, ops)
+			c.Run(p, j)
+			got[i] = outcome{p.Now(), j.Failed}
+		})
+	}
+	e.Schedule(20, c.Fail)
+	e.Run()
+	want := [2]outcome{{5, false}, {20, true}}
+	if got != want {
+		t.Fatalf("outcomes = %+v, want %+v", got, want)
+	}
+	if e.LiveProcesses() != 0 {
+		t.Fatalf("%d processes still blocked", e.LiveProcesses())
+	}
+}

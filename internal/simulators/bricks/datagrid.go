@@ -118,11 +118,7 @@ func RunDataGrid(cfg DataConfig) DataResult {
 						}
 					}
 					job := &scheduler.Job{ID: jobs, Name: "bricks-data", Ops: ops}
-					done := false
-					cluster.Submit(job, func(*scheduler.Job) { done = true; p.Activate() })
-					for !done {
-						p.Passivate()
-					}
+					cluster.Run(p, job)
 					response.Observe(p.Now() - start)
 					jobs++
 				})

@@ -156,11 +156,7 @@ func Run(cfg Config) Result {
 				if err := sys.Access(p, site, fileName); err != nil {
 					panic(err)
 				}
-				done := false
-				clusters[site].Submit(job, func(*scheduler.Job) { done = true; p.Activate() })
-				for !done {
-					p.Passivate()
-				}
+				clusters[site].Run(p, job)
 				response.Observe(p.Now() - start)
 				if p.Now() > makespan {
 					makespan = p.Now()

@@ -21,7 +21,7 @@ func TestTierEventListIsSerializable(t *testing.T) {
 		t.Helper()
 		m := newModel(cfg)
 		flowEnded := false
-		m.e.OnEvent(func(ev obs.Event) { flowEnded = flowEnded || ev.Label == "net:flowend" })
+		m.e.SetObserver(des.Observer{Hook: func(ev obs.Event) { flowEnded = flowEnded || ev.Label == "net:flowend" }})
 		checkpoint := func(at string) {
 			t.Helper()
 			if err := m.e.Checkpoint(io.Discard); err != nil {
