@@ -59,9 +59,10 @@ bench:
 # value — never a panic or an absurd allocation. Last, arbitrary
 # push/pop/peek sequences must get from the default FEL exactly what
 # the binary heap it replaced returns, the flow network on a fuzzed
-# scenario exactly what the per-flow-timer reference simulates, and the
+# scenario exactly what the per-flow-timer reference simulates, the
 # flow network's closed-form link charge exactly what one add at a time
-# sums to.
+# sums to, and the slot-indexed replica catalog and stores exactly what
+# the name-keyed ones they replaced answer.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime 10s ./internal/distsim/
 	$(GO) test -run '^$$' -fuzz FuzzParseJournal -fuzztime 10s ./internal/distsim/
@@ -71,6 +72,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzHeapAgainstReference -fuzztime 10s ./internal/eventq/
 	$(GO) test -run '^$$' -fuzz FuzzNetworkAgainstReference -fuzztime 10s ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz FuzzAddN -fuzztime 10s ./internal/netsim/
+	$(GO) test -run '^$$' -fuzz FuzzCatalogAgainstReference -fuzztime 10s ./internal/replication/
 
 # Go line counts, non-test and test, per internal/* package, for the
 # commands and for the whole module, the flag registration call sites

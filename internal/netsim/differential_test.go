@@ -3,9 +3,11 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/des"
+	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -306,6 +308,54 @@ func TestStudyShapeAgainstPerFlowTimers(t *testing.T) {
 		if p, ties := want.peakInFlight(), want.ties(); p < 200 || ties == 0 {
 			t.Fatalf("seed %d: weak scenario: %d transfers in flight at most, %d back-to-back ties", seed, p, ties)
 		}
+	}
+}
+
+// TestLeastHoldsLeastRemaining pins what lets shareOne skip its scan:
+// before every event, a known least indexes a flow holding the least
+// remaining bytes of all. It runs the random-topology and study-shape
+// scenarios, which switch between the one-rate and the general regime,
+// mix sizes and admit flows at one instant, and one made for the case
+// they never reach: a flow started before the least one, with more
+// bytes, whose instant rounds to the least one's, so that it completes
+// first from below it.
+func TestLeastHoldsLeastRemaining(t *testing.T) {
+	var checked int
+	var bad string
+	watch := func(e *des.Engine, topo *Topology, eff float64) transferer {
+		n := NewNetwork(e, topo)
+		n.Efficiency = eff
+		e.SetObserver(des.Observer{Hook: func(obs.Event) {
+			if n.least < 0 || bad != "" {
+				return
+			}
+			checked++
+			if min := slices.Min(n.rem); n.rem[n.least] != min {
+				bad = fmt.Sprintf("at %v: rem[least] = %v of %d flows, least %v", e.Now(), n.rem[n.least], len(n.rem), min)
+			}
+		}})
+		return n
+	}
+	for seed := uint64(1); seed <= 400; seed++ {
+		runScenario(seed, watch)
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		runStudyScenario(seed, watch)
+	}
+	e := des.NewEngine()
+	topo, nodes := line(2, 3, 0)
+	net := watch(e, topo, 1)
+	e.At(1<<30, func() { // ulp 2^-22: 1 and 1+1e-9 bytes at 1 B/s end together
+		for _, bytes := range []float64{1 + 1e-9, 1, 5} {
+			net.Transfer(nodes[0], nodes[1], bytes, func() {})
+		}
+	})
+	e.Run()
+	if bad != "" {
+		t.Fatal(bad)
+	}
+	if checked < 10000 {
+		t.Fatalf("weak scenarios: %d checks", checked)
 	}
 }
 

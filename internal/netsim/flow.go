@@ -48,6 +48,14 @@ type Network struct {
 	one  bool
 	rate float64
 
+	// least indexes a flow with the least remaining bytes, -1 when
+	// unknown. A one-rate charge maps every x in rem to max(x−moved, 0)
+	// with one moved; rounded subtraction and the clamp are monotone,
+	// so no charge reverses two flows' order and the least stays least.
+	// admit takes a newcomer with strictly fewer bytes, removeFlow
+	// shifts or clears it, and a fill that is not one-rate clears it.
+	least int
+
 	// fill[l.ID] is link l's share of the active flows, kept by admit
 	// and removeFlow; links lists the links with any, in no order.
 	fill  []linkFill
@@ -131,7 +139,7 @@ func (f *Flow) Remaining() float64 {
 // NewNetwork creates a flow-level fabric over the topology, driven by
 // engine e.
 func NewNetwork(e *des.Engine, topo *Topology) *Network {
-	return &Network{e: e, k: des.PerEngine(e, newKind), topo: topo, Efficiency: 1.0}
+	return &Network{e: e, k: des.PerEngine(e, newKind), topo: topo, Efficiency: 1.0, least: -1}
 }
 
 // Topo implements Fabric.
@@ -319,6 +327,9 @@ func sameBinade(b, m float64, k int) (s int, d float64) {
 // now, adds f to them, counts it on its links and rebalances.
 func (n *Network) admit(f *Flow) {
 	n.advance()
+	if n.least >= 0 && f.Bytes < n.rem[n.least] {
+		n.least = len(n.flows)
+	}
 	n.flows = append(n.flows, f)
 	n.rem = append(n.rem, f.Bytes)
 	for _, l := range f.route {
@@ -352,7 +363,7 @@ func (n *Network) rebalance() {
 		n.one, n.rate = true, share
 		n.next = n.shareOne()
 	} else {
-		n.one = false
+		n.one, n.least = false, -1
 		n.next = n.fillAll()
 	}
 	if i := n.next; i >= 0 {
@@ -388,23 +399,25 @@ func (n *Network) bottleneck() (*Link, float64) {
 // gets rate n.rate. It returns the index of the flow that finishes
 // first, -1 when the rate is not positive (every flow stalls).
 // Completion instants now+remaining/r never decrease as remaining
-// grows, so the earliest is the least remaining's, found by comparison
-// alone; the first flow in start order whose instant rounds to it is
-// the one fillAll's scan would pick.
+// grows, so the earliest is the least remaining's: n.least's, scanned
+// for only when unknown. The first flow in start order whose instant
+// rounds to it is the one fillAll's scan would pick.
 func (n *Network) shareOne() int {
 	r := n.rate
 	if r <= 0 {
 		return -1
 	}
 	rem := n.rem
-	least := math.Inf(1)
-	for _, x := range rem {
-		if x < least {
-			least = x
+	if n.least < 0 {
+		n.least = 0
+		for i, x := range rem {
+			if x < rem[n.least] {
+				n.least = i
+			}
 		}
 	}
 	now := n.e.Now()
-	at := now + least/r
+	at := now + rem[n.least]/r
 	i := 0
 	for now+rem[i]/r != at {
 		i++
@@ -500,6 +513,11 @@ func (n *Network) completeNext() {
 // uncounts it on its links.
 func (n *Network) removeFlow(i int) {
 	f := n.flows[i]
+	if i == n.least {
+		n.least = -1
+	} else if i < n.least {
+		n.least--
+	}
 	n.flows = append(n.flows[:i], n.flows[i+1:]...)
 	n.rem = append(n.rem[:i], n.rem[i+1:]...)
 	for _, l := range f.route {

@@ -24,13 +24,13 @@ func (sys *System) refAccess(p *des.Process, site *topology.Site, name string) e
 	st := sys.bySite[site]
 	now := sys.e.Now()
 	if st != nil && st.Has(name) {
-		st.touch(name, now)
+		st.touch(f, now)
 		site.Disk.Read(p, f.Bytes)
 		sys.LocalHits++
 		sys.refRecordServed(site, f)
 		return nil
 	}
-	holder := sys.nearestHolder(name, site)
+	holder := sys.nearestHolder(f, site)
 	if holder == nil {
 		return fmt.Errorf("%w: %q", ErrNoReplica, name)
 	}
@@ -42,9 +42,7 @@ func (sys *System) refAccess(p *des.Process, site *topology.Site, name string) e
 	mode := sys.mode[site]
 	if mode == ModePull && st != nil {
 		newValue := 1.0
-		if st.admit(f, sys.e.Now(), newValue, false, func(victim string) {
-			sys.catalog.RemoveReplica(victim, site)
-		}) {
+		if st.admit(f, sys.e.Now(), newValue, false) {
 			site.Disk.Write(p, f.Bytes)
 			sys.catalog.AddReplica(name, site)
 			sys.Pulls++
@@ -55,16 +53,11 @@ func (sys *System) refAccess(p *des.Process, site *topology.Site, name string) e
 }
 
 func (sys *System) refRecordServed(holder *topology.Site, f *File) {
-	m := sys.served[holder]
-	if m == nil {
-		m = make(map[string]int)
-		sys.served[holder] = m
-	}
-	m[f.Name]++
+	n := sys.countServed(holder, f)
 	if sys.mode[holder] != ModePush {
 		return
 	}
-	if m[f.Name]%sys.push.Threshold != 0 {
+	if n%sys.push.Threshold != 0 {
 		return
 	}
 	sys.refPushReplicas(holder, f)
@@ -103,9 +96,7 @@ func (sys *System) refPushReplicas(holder *topology.Site, f *File) {
 			if target.Has(f.Name) {
 				return
 			}
-			if target.admit(f, p.Now(), 1.0, false, func(victim string) {
-				sys.catalog.RemoveReplica(victim, target.Site)
-			}) {
+			if target.admit(f, p.Now(), 1.0, false) {
 				target.Site.Disk.Write(p, f.Bytes)
 				sys.catalog.AddReplica(f.Name, target.Site)
 				sys.Pushes++
@@ -124,9 +115,7 @@ func (a *Agent) refProduce(f *File) {
 			a.sys.fabric.Send(p, a.source.Net, sub.Net, f.Bytes)
 			a.sys.WANBytes += f.Bytes
 			st := a.sys.bySite[sub]
-			if st != nil && st.admit(f, p.Now(), 1.0, false, func(victim string) {
-				a.sys.catalog.RemoveReplica(victim, sub)
-			}) {
+			if st != nil && st.admit(f, p.Now(), 1.0, false) {
 				sub.Disk.Write(p, f.Bytes)
 				a.sys.catalog.AddReplica(f.Name, sub)
 			}

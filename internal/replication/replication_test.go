@@ -3,6 +3,7 @@ package replication
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/des"
@@ -328,6 +329,22 @@ func TestAccessNoReplicaError(t *testing.T) {
 	}
 }
 
+// TestDefineRejectsNonFiniteSizes: NaN slips past a "< 0" check, and
+// a NaN-sized master would turn its disk's used bytes into NaN, after
+// which the disk admits whatever comes.
+func TestDefineRejectsNonFiniteSizes(t *testing.T) {
+	for _, bytes := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Define of a %v-byte file did not panic", bytes)
+				}
+			}()
+			NewCatalog().Define(&File{Name: "x", Bytes: bytes})
+		}()
+	}
+}
+
 func TestNearestHolderPreferred(t *testing.T) {
 	e := des.NewEngine()
 	g := topology.NewGrid(e)
@@ -345,7 +362,7 @@ func TestNearestHolderPreferred(t *testing.T) {
 	sys.Place(&File{Name: "f", Bytes: 100}, far)
 	sys.Place(&File{Name: "f2", Bytes: 100}, near)
 	sys.Catalog().AddReplica("f", near) // also at near (no data move; test shortcut)
-	sys.Store(near).admit(&File{Name: "f", Bytes: 100}, 0, 1, false, nil)
+	sys.Store(near).admit(sys.Catalog().File("f"), 0, 1, false)
 	var doneAt float64
 	e.Spawn("job", func(p *des.Process) {
 		if err := sys.Access(p, me, "f"); err != nil {

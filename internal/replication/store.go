@@ -45,10 +45,11 @@ const economicHalfLife = 1000.0
 type Store struct {
 	Site   *topology.Site
 	policy EvictPolicy
+	cat    *Catalog // the catalog the store's files are defined in
 
 	entries []*entry // replica set in insertion order
-	byName  map[string]*entry
-	spare   []entry // entries not yet used, allocated a block at a time
+	bySlot  []*entry // by file slot; nil where the store holds no replica
+	spare   []entry  // entries not yet used, allocated a block at a time
 
 	// Stats.
 	Evictions uint64
@@ -66,18 +67,26 @@ type entry struct {
 }
 
 // newStore wraps the site's disk. The site must have one.
-func newStore(site *topology.Site, policy EvictPolicy) *Store {
+func newStore(site *topology.Site, policy EvictPolicy, cat *Catalog) *Store {
 	if site.Disk == nil {
 		panic(fmt.Sprintf("replication: site %q has no disk", site.Name))
 	}
-	return &Store{Site: site, policy: policy, byName: make(map[string]*entry)}
+	return &Store{Site: site, policy: policy, cat: cat}
 }
 
 // Policy returns the eviction policy.
 func (s *Store) Policy() EvictPolicy { return s.policy }
 
 // Has reports whether the store holds the file.
-func (s *Store) Has(name string) bool { return s.byName[name] != nil }
+func (s *Store) Has(name string) bool { return s.entry(s.cat.File(name)) != nil }
+
+// entry returns the store's entry for f, nil if none or f is nil.
+func (s *Store) entry(f *File) *entry {
+	if f != nil && f.slot < len(s.bySlot) {
+		return s.bySlot[f.slot]
+	}
+	return nil
+}
 
 // Len returns the number of replicas held.
 func (s *Store) Len() int { return len(s.entries) }
@@ -85,9 +94,9 @@ func (s *Store) Len() int { return len(s.entries) }
 // UsedBytes returns the bytes occupied by replicas.
 func (s *Store) UsedBytes() float64 { return s.Site.Disk.Used() }
 
-// touch records an access at simulation time now.
-func (s *Store) touch(name string, now float64) {
-	en := s.byName[name]
+// touch records an access to f at simulation time now.
+func (s *Store) touch(f *File, now float64) {
+	en := s.entry(f)
 	if en == nil {
 		return
 	}
@@ -124,10 +133,10 @@ func (s *Store) score(en *entry, now float64) float64 {
 // admit tries to make room for and record a new replica at time now.
 // newValue is the estimated worth of the incoming file (used only by
 // the economic policy). It reports whether the replica was admitted;
-// on admission the disk space is allocated. evicted receives the name
-// of every dropped replica so the caller can update the catalog.
-func (s *Store) admit(f *File, now, newValue float64, pinned bool, evicted func(string)) bool {
-	if s.byName[f.Name] != nil {
+// on admission the disk space is allocated. Every replica it drops
+// leaves the catalog too.
+func (s *Store) admit(f *File, now, newValue float64, pinned bool) bool {
+	if s.entry(f) != nil {
 		return true // already present
 	}
 	disk := s.Site.Disk
@@ -149,9 +158,7 @@ func (s *Store) admit(f *File, now, newValue float64, pinned bool, evicted func(
 		}
 		s.drop(victim)
 		s.Evictions++
-		if evicted != nil {
-			evicted(victim.file.Name)
-		}
+		s.cat.RemoveReplica(victim.file.Name, s.Site)
 	}
 	if !disk.Allocate(f.Bytes) {
 		s.Refused++
@@ -164,9 +171,20 @@ func (s *Store) admit(f *File, now, newValue float64, pinned bool, evicted func(
 	s.spare = s.spare[1:]
 	*en = entry{file: f, pinned: pinned, lastAccess: now, valueTime: now, value: newValue}
 	s.entries = append(s.entries, en)
-	s.byName[f.Name] = en
+	s.bySlot = grown(s.bySlot, f.slot)
+	s.bySlot[f.slot] = en
 	s.Admitted++
 	return true
+}
+
+// grown returns s, lengthened with zeros to hold index i, one append at
+// a time: instrumented builds (-race) allocate append(s, make(...)...)'s make.
+func grown[T any](s []T, i int) []T {
+	var zero T
+	for len(s) <= i {
+		s = append(s, zero)
+	}
+	return s
 }
 
 // cheapestVictim returns the unpinned entry with the lowest score, or
@@ -195,13 +213,13 @@ func (s *Store) drop(en *entry) {
 			break
 		}
 	}
-	delete(s.byName, en.file.Name)
+	s.bySlot[en.file.slot] = nil
 	s.Site.Disk.Release(en.file.Bytes)
 }
 
 // Remove deletes a replica by name (no-op when absent), freeing space.
 func (s *Store) Remove(name string) {
-	if en := s.byName[name]; en != nil {
+	if en := s.entry(s.cat.File(name)); en != nil {
 		s.drop(en)
 	}
 }

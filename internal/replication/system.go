@@ -67,9 +67,9 @@ type System struct {
 	mode    map[*topology.Site]Mode
 	push    PushConfig
 
-	// served[site][file] counts accesses served by a push-mode holder,
-	// for popularity.
-	served map[*topology.Site]map[string]int
+	// served[site][file slot] counts accesses served by a push-mode
+	// holder, for popularity.
+	served map[*topology.Site][]int
 
 	// Stats.
 	LocalHits   uint64
@@ -81,17 +81,22 @@ type System struct {
 
 // NewSystem creates a replication system over the fabric.
 func NewSystem(e *des.Engine, fabric netsim.Fabric) *System {
-	return &System{
+	sys := &System{
 		e:       e,
 		k:       des.PerEngine(e, newKind),
 		fabric:  fabric,
 		catalog: NewCatalog(),
 		bySite:  make(map[*topology.Site]*Store),
 		mode:    make(map[*topology.Site]Mode),
-		served:  make(map[*topology.Site]map[string]int),
+		served:  make(map[*topology.Site][]int),
 		push:    PushConfig{Threshold: 3, Fanout: 1},
 	}
+	created(sys)
+	return sys
 }
+
+// created sees every System a model builds; tests set it.
+var created = func(*System) {}
 
 // Catalog exposes the replica catalog.
 func (sys *System) Catalog() *Catalog { return sys.catalog }
@@ -110,7 +115,7 @@ func (sys *System) AddStore(site *topology.Site, policy EvictPolicy, mode Mode) 
 	if sys.bySite[site] != nil {
 		panic(fmt.Sprintf("replication: store for %q already exists", site.Name))
 	}
-	st := newStore(site, policy)
+	st := newStore(site, policy, sys.catalog)
 	sys.stores = append(sys.stores, st)
 	sys.bySite[site] = st
 	sys.mode[site] = mode
@@ -129,20 +134,18 @@ func (sys *System) Place(f *File, site *topology.Site) {
 	if st == nil {
 		panic(fmt.Sprintf("replication: Place at site %q without store", site.Name))
 	}
-	if !st.admit(f, sys.e.Now(), math.Inf(1), true, func(name string) {
-		sys.catalog.RemoveReplica(name, site)
-	}) {
+	if !st.admit(f, sys.e.Now(), math.Inf(1), true) {
 		panic(fmt.Sprintf("replication: master copy of %q does not fit at %q", f.Name, site.Name))
 	}
-	sys.catalog.AddReplica(f.Name, site)
+	sys.catalog.addReplica(f, site)
 }
 
-// nearestHolder returns the holder with the lowest network latency
-// from site (ties by registration order), or nil.
-func (sys *System) nearestHolder(name string, site *topology.Site) *topology.Site {
+// nearestHolder returns the holder of f with the lowest network
+// latency from site (ties by registration order), or nil.
+func (sys *System) nearestHolder(f *File, site *topology.Site) *topology.Site {
 	var best *topology.Site
 	bestLat := math.Inf(1)
-	for _, h := range sys.catalog.Holders(name) {
+	for _, h := range sys.catalog.holders[f.slot] {
 		if h == site {
 			return h
 		}
@@ -178,13 +181,13 @@ func (sys *System) AccessOp(site *topology.Site, name string, op des.Op, arg []b
 		return fmt.Errorf("%w: %q undefined", ErrNoReplica, name)
 	}
 	st := sys.bySite[site]
-	if st != nil && st.Has(name) {
-		st.touch(name, sys.e.Now())
+	if st != nil && st.entry(f) != nil {
+		st.touch(f, sys.e.Now())
 		self := sys.newJob(job{site: site, f: f, then: op, arg: arg})
 		site.Disk.ReadOp(f.Bytes, sys.k.localRead, self)
 		return nil
 	}
-	holder := sys.nearestHolder(name, site)
+	holder := sys.nearestHolder(f, site)
 	if holder == nil {
 		return fmt.Errorf("%w: %q", ErrNoReplica, name)
 	}
@@ -297,36 +300,33 @@ func (k *kind) pullDone(self []byte) {
 // adds the replica to the catalog (job.stored). It reports whether the
 // store admitted the file.
 func (sys *System) store(j *job, op des.Op, self []byte) bool {
-	site := j.st.Site
-	if !j.st.admit(j.f, sys.e.Now(), 1.0, false, func(victim string) {
-		sys.catalog.RemoveReplica(victim, site)
-	}) {
+	if !j.st.admit(j.f, sys.e.Now(), 1.0, false) {
 		return false
 	}
-	site.Disk.WriteOp(j.f.Bytes, op, self)
+	j.st.Site.Disk.WriteOp(j.f.Bytes, op, self)
 	return true
 }
 
 // stored records the replica store wrote.
-func (j *job) stored() { j.sys.catalog.AddReplica(j.f.Name, j.st.Site) }
+func (j *job) stored() { j.sys.catalog.addReplica(j.f, j.st.Site) }
 
 // recordServed counts an access served by a push-mode holder and
 // triggers proactive replication of the files it finds popular. Only
 // push holders read the counts, and a site's mode is fixed when its
 // store is added, so no other holder counts.
 func (sys *System) recordServed(holder *topology.Site, f *File) {
-	if sys.mode[holder] != ModePush {
-		return
-	}
-	m := sys.served[holder]
-	if m == nil {
-		m = make(map[string]int)
-		sys.served[holder] = m
-	}
-	m[f.Name]++
-	if m[f.Name]%sys.push.Threshold == 0 {
+	if sys.mode[holder] == ModePush && sys.countServed(holder, f)%sys.push.Threshold == 0 {
 		sys.pushReplicas(holder, f)
 	}
+}
+
+// countServed counts one more access to f served at holder and returns
+// the count.
+func (sys *System) countServed(holder *topology.Site, f *File) int {
+	m := grown(sys.served[holder], f.slot)
+	sys.served[holder] = m
+	m[f.slot]++
+	return m[f.slot]
 }
 
 // pushReplicas ships the file from holder to the Fanout nearest stores
@@ -338,7 +338,7 @@ func (sys *System) pushReplicas(holder *topology.Site, f *File) {
 	}
 	var cands []cand
 	for _, st := range sys.stores {
-		if st.Site == holder || st.Has(f.Name) {
+		if st.Site == holder || st.entry(f) != nil {
 			continue
 		}
 		lat := sys.fabric.Topo().PathLatency(holder.Net, st.Site.Net)
@@ -367,7 +367,7 @@ func (sys *System) pushReplicas(holder *topology.Site, f *File) {
 func (k *kind) pushDelivered(self []byte) {
 	j := k.jobs.At(self)
 	j.sys.WANBytes += j.f.Bytes
-	if j.st.Has(j.f.Name) || !j.sys.store(j, k.pushStored, self) {
+	if j.st.entry(j.f) != nil || !j.sys.store(j, k.pushStored, self) {
 		k.jobs.Put(self)
 	}
 }

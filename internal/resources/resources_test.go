@@ -238,6 +238,29 @@ func TestDiskAllocation(t *testing.T) {
 	d.Release(1e9)
 }
 
+// TestDiskRejectsNaN: a NaN size fails every comparison, so a capacity
+// check alone would let Allocate and Release turn Used into NaN and
+// admit whatever comes next.
+func TestDiskRejectsNaN(t *testing.T) {
+	d := NewDisk(des.NewEngine(), "d", 100, 1, 0, 1)
+	for name, fn := range map[string]func(){
+		"Allocate": func() { d.Allocate(math.NaN()) },
+		"Release":  func() { d.Release(math.NaN()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s(NaN) did not panic; used %v", name, d.Used())
+				}
+			}()
+			fn()
+		}()
+	}
+	if d.Used() != 0 || !d.Allocate(60) || d.Allocate(60) {
+		t.Fatalf("after the NaN calls: used %v, two 60-byte allocations on 100 bytes", d.Used())
+	}
+}
+
 func TestMassStorageMountLatency(t *testing.T) {
 	e := des.NewEngine()
 	ms := NewMassStorage(e, "tape", 1e15, 1000, 30, 1)

@@ -68,10 +68,11 @@ func (d *Disk) BytesWritten() float64 { return d.bytesWritten }
 func (d *Disk) Utilization() float64 { return d.channels.Utilization() }
 
 // Allocate reserves space without timing cost (bookkeeping for replica
-// placement). It reports false when the disk is full.
+// placement). It reports false when the disk is full, and panics on a
+// negative or NaN size.
 func (d *Disk) Allocate(bytes float64) bool {
-	if bytes < 0 {
-		panic("resources: Allocate negative bytes")
+	if !(bytes >= 0) {
+		panic(fmt.Sprintf("resources: Allocate(%v)", bytes))
 	}
 	if d.used+bytes > d.capacity {
 		return false
@@ -80,9 +81,10 @@ func (d *Disk) Allocate(bytes float64) bool {
 	return true
 }
 
-// Release frees previously allocated space.
+// Release frees previously allocated space. It panics on a negative or
+// NaN size, or one above what is allocated.
 func (d *Disk) Release(bytes float64) {
-	if bytes < 0 || bytes > d.used {
+	if !(bytes >= 0) || bytes > d.used {
 		panic(fmt.Sprintf("resources: Release(%v) with %v used", bytes, d.used))
 	}
 	d.used -= bytes

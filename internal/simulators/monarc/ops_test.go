@@ -60,9 +60,10 @@ func TestTierEventListIsSerializable(t *testing.T) {
 }
 
 // TestTierStudyMallocsPerEvent guards the tier path's allocation
-// budget: lsbench's sweep makes fewer than 0.5 heap allocations per
-// executed event, set-up included (2.60 when every step of a job
-// allocated a closure).
+// budget: lsbench's sweep makes fewer than 0.35 heap allocations per
+// executed event, set-up included: 0.32 measured, plus a tenth (0.38
+// while the replica catalog and stores kept files by name, 2.60 when
+// every step of a job allocated a closure).
 func TestTierStudyMallocsPerEvent(t *testing.T) {
 	links := []float64{0.622, 1.25, 2.5, 10, 30, 40}
 	var events uint64
@@ -73,7 +74,7 @@ func TestTierStudyMallocsPerEvent(t *testing.T) {
 	RunTierStudy(1, links, 200, 4000)
 	runtime.ReadMemStats(&after)
 	perEvent := float64(after.Mallocs-before.Mallocs) / float64(events)
-	if perEvent >= 0.5 {
-		t.Fatalf("%d allocations over %d events: %.2f per event, want < 0.5", after.Mallocs-before.Mallocs, events, perEvent)
+	if perEvent >= 0.35 {
+		t.Fatalf("%d allocations over %d events: %.3f per event, want < 0.35", after.Mallocs-before.Mallocs, events, perEvent)
 	}
 }
