@@ -13,6 +13,7 @@ package resources
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/des"
 )
@@ -172,8 +173,8 @@ func (c *CPU) Utilization() float64 {
 }
 
 // Execute runs a compute demand of ops operations, invoking done in
-// the event that completes it. RunOp and Run add the hop a process
-// pays to resume.
+// the event that completes it; ops must be finite and non-negative.
+// RunOp and Run add the hop a process pays to resume.
 func (c *CPU) Execute(ops float64, done func()) { c.execute(ops, done, des.Op{}, nil) }
 
 // Run blocks the calling process for the task's duration.
@@ -186,7 +187,7 @@ func (c *CPU) Run(p *des.Process, ops float64) {
 func (c *CPU) RunOp(ops float64, op des.Op, arg []byte) { c.execute(ops, nil, op, arg) }
 
 func (c *CPU) execute(ops float64, done func(), then des.Op, arg []byte) {
-	if ops < 0 {
+	if !(ops >= 0) || math.IsInf(ops, 1) {
 		panic(fmt.Sprintf("resources: Execute(%v ops)", ops))
 	}
 	switch c.mode {

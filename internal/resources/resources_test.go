@@ -152,12 +152,25 @@ func TestCPULoad(t *testing.T) {
 	}
 }
 
+// busyCPU is a one-core CPU running a task.
+func busyCPU(e *des.Engine, mode SharingMode) *CPU {
+	c := NewCPU(e, "x", 1, 1, mode)
+	c.Execute(1, nil)
+	return c
+}
+
 func TestCPUValidation(t *testing.T) {
 	e := des.NewEngine()
 	for name, fn := range map[string]func(){
 		"zero cores": func() { NewCPU(e, "x", 0, 1, SpaceShared) },
 		"zero speed": func() { NewCPU(e, "x", 1, 0, SpaceShared) },
 		"neg ops":    func() { NewCPU(e, "x", 1, 1, TimeShared).Execute(-1, nil) },
+		// Beside a running task a non-finite one never holds the
+		// time-shared completion timer, and a space-shared task starts
+		// in a later event: only the call's own check refuses it.
+		"NaN ops":              func() { busyCPU(e, TimeShared).Execute(math.NaN(), nil) },
+		"+Inf ops":             func() { busyCPU(e, TimeShared).RunOp(math.Inf(1), des.Op{}, nil) },
+		"NaN ops space-shared": func() { busyCPU(e, SpaceShared).RunOp(math.NaN(), des.Op{}, nil) },
 	} {
 		func() {
 			defer func() {
@@ -180,12 +193,12 @@ func TestDiskReadWriteTiming(t *testing.T) {
 	e := des.NewEngine()
 	d := NewDisk(e, "d", 1e9, 1000, 0.5, 1)
 	var tr, tw float64
-	e.Spawn("io", func(p *des.Process) {
-		d.Read(p, 1000) // 0.5 + 1 = 1.5
-		tr = p.Now()
-		d.Write(p, 500) // 0.5 + 0.5 = 1.0
-		tw = p.Now()
+	wrote := e.RegisterOp("wrote", func([]byte) { tw = e.Now() })
+	read := e.RegisterOp("read", func([]byte) {
+		tr = e.Now()
+		d.WriteOp(500, wrote, nil) // 0.5 + 0.5 = 1.0
 	})
+	d.ReadOp(1000, read, nil) // 0.5 + 1 = 1.5
 	e.Run()
 	if math.Abs(tr-1.5) > 1e-9 || math.Abs(tw-2.5) > 1e-9 {
 		t.Fatalf("tr=%v tw=%v", tr, tw)
@@ -199,11 +212,9 @@ func TestDiskChannelContention(t *testing.T) {
 	e := des.NewEngine()
 	d := NewDisk(e, "d", 1e9, 1000, 0, 2)
 	var ends []float64
+	read := e.RegisterOp("read", func([]byte) { ends = append(ends, e.Now()) })
 	for i := 0; i < 4; i++ {
-		e.Spawn("r", func(p *des.Process) {
-			d.Read(p, 1000)
-			ends = append(ends, p.Now())
-		})
+		d.ReadOp(1000, read, nil)
 	}
 	e.Run()
 	want := []float64{1, 1, 2, 2}
@@ -265,10 +276,7 @@ func TestMassStorageMountLatency(t *testing.T) {
 	e := des.NewEngine()
 	ms := NewMassStorage(e, "tape", 1e15, 1000, 30, 1)
 	var tr float64
-	e.Spawn("io", func(p *des.Process) {
-		ms.Read(p, 1000)
-		tr = p.Now()
-	})
+	ms.ReadOp(1000, e.RegisterOp("read", func([]byte) { tr = e.Now() }), nil)
 	e.Run()
 	if math.Abs(tr-31) > 1e-9 {
 		t.Fatalf("tape read = %v, want 31", tr)
@@ -282,11 +290,9 @@ func TestMassStorageDrivesSerialize(t *testing.T) {
 	e := des.NewEngine()
 	ms := NewMassStorage(e, "tape", 1e15, 1000, 10, 1)
 	var ends []float64
+	wrote := e.RegisterOp("wrote", func([]byte) { ends = append(ends, e.Now()) })
 	for i := 0; i < 2; i++ {
-		e.Spawn("w", func(p *des.Process) {
-			ms.Write(p, 1000)
-			ends = append(ends, p.Now())
-		})
+		ms.WriteOp(1000, wrote, nil)
 	}
 	e.Run()
 	if math.Abs(ends[0]-11) > 1e-9 || math.Abs(ends[1]-22) > 1e-9 {
@@ -298,10 +304,7 @@ func TestDatabaseQuery(t *testing.T) {
 	e := des.NewEngine()
 	db := NewDatabase(e, "db", 1e12, 1e6, 0.1, 2)
 	var at float64
-	e.Spawn("client", func(p *des.Process) {
-		db.Query(p, 1e6) // 0.1 overhead + 1 s read
-		at = p.Now()
-	})
+	db.QueryOp(1e6, e.RegisterOp("answered", func([]byte) { at = e.Now() }), nil) // 0.1 overhead + 1 s read
 	e.Run()
 	if math.Abs(at-1.1) > 1e-9 {
 		t.Fatalf("query time = %v, want 1.1", at)
@@ -318,17 +321,22 @@ func TestDatabaseWorkerContention(t *testing.T) {
 	e := des.NewEngine()
 	db := NewDatabase(e, "db", 1e12, 1e6, 1.0, 1)
 	var ends []float64
+	answered := e.RegisterOp("answered", func([]byte) { ends = append(ends, e.Now()) })
 	for i := 0; i < 2; i++ {
-		e.Spawn("c", func(p *des.Process) {
-			db.Query(p, 0)
-			ends = append(ends, p.Now())
-		})
+		db.QueryOp(0, answered, nil)
 	}
 	e.Run()
 	// Single worker, 1 s overhead each: 1, 2.
 	if math.Abs(ends[0]-1) > 1e-9 || math.Abs(ends[1]-2) > 1e-9 {
 		t.Fatalf("ends = %v", ends)
 	}
+}
+
+// busyDisk is a one-channel disk with a read on its channel.
+func busyDisk(e *des.Engine) *Disk {
+	d := NewDisk(e, "x", 1, 1, 0, 1)
+	d.ReadOp(1, des.Op{}, nil)
+	return d
 }
 
 func TestStorageValidation(t *testing.T) {
@@ -338,6 +346,12 @@ func TestStorageValidation(t *testing.T) {
 		"disk bad chans": func() { NewDisk(e, "x", 1, 1, 0, 0) },
 		"db bad workers": func() { NewDatabase(e, "x", 1, 1, 0, 0) },
 		"alloc negative": func() { NewDisk(e, "x", 10, 1, 0, 1).Allocate(-1) },
+		// Behind a busy channel, or a worker's overhead, a non-finite
+		// size would reach a delay only at its grant, in a later event.
+		"read NaN":   func() { busyDisk(e).ReadOp(math.NaN(), des.Op{}, nil) },
+		"write +Inf": func() { busyDisk(e).WriteOp(math.Inf(1), des.Op{}, nil) },
+		"query NaN":  func() { NewDatabase(e, "x", 1, 1, 0.5, 1).QueryOp(math.NaN(), des.Op{}, nil) },
+		"query +Inf": func() { NewDatabase(e, "x", 1, 1, 0.5, 1).QueryOp(math.Inf(1), des.Op{}, nil) },
 	} {
 		func() {
 			defer func() {

@@ -2,6 +2,7 @@ package resources
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/des"
 )
@@ -90,24 +91,13 @@ func (d *Disk) Release(bytes float64) {
 	d.used -= bytes
 }
 
-// Read blocks the process for seek + bytes/bps on one I/O channel.
-func (d *Disk) Read(p *des.Process, bytes float64) {
-	p.Await(func(op des.Op, arg []byte) { d.ReadOp(bytes, op, arg) })
-}
-
-// Write blocks the process for seek + bytes/bps on one I/O channel.
-// Write does not allocate space; pair it with Allocate when modeling
-// placement.
-func (d *Disk) Write(p *des.Process, bytes float64) {
-	p.Await(func(op des.Op, arg []byte) { d.WriteOp(bytes, op, arg) })
-}
-
-// ReadOp is the op form of Read: it takes a channel, holds it for
-// seek + bytes/bps and Calls op(arg) in the event that ends the hold,
-// after the channel is released and the read counted.
+// ReadOp reads bytes, finite and non-negative: it takes a channel,
+// holds it for seek + bytes/bps and Calls op(arg) in the event that
+// ends the hold, after the channel is released and the read counted.
 func (d *Disk) ReadOp(bytes float64, op des.Op, arg []byte) { d.io(bytes, false, op, arg) }
 
-// WriteOp is the op form of Write.
+// WriteOp is ReadOp for a write. It does not allocate space; pair it
+// with Allocate when modeling placement.
 func (d *Disk) WriteOp(bytes float64, op des.Op, arg []byte) { d.io(bytes, true, op, arg) }
 
 // ioJob is one read or write in progress.
@@ -120,8 +110,8 @@ type ioJob struct {
 }
 
 func (d *Disk) io(bytes float64, write bool, then des.Op, arg []byte) {
-	if bytes < 0 {
-		panic("resources: negative I/O size")
+	if !(bytes >= 0) || math.IsInf(bytes, 1) {
+		panic(fmt.Sprintf("resources: I/O of %v bytes", bytes))
 	}
 	j, self := d.k.io.Get()
 	*j = ioJob{d: d, bytes: bytes, write: write, then: then, arg: arg}
@@ -159,7 +149,7 @@ type MassStorage struct {
 }
 
 // NewMassStorage creates a tape store; mount is the per-operation
-// mount+position latency (seconds). Reads and writes block for
+// mount+position latency (seconds). Reads and writes take
 // mount + bytes/bps on one drive.
 func NewMassStorage(e *des.Engine, name string, capacity, bps, mount float64, drives int) *MassStorage {
 	return &MassStorage{Disk: NewDisk(e, name, capacity, bps, mount, drives)}
@@ -204,18 +194,12 @@ func (db *Database) Queries() uint64 { return db.queries }
 // Utilization returns the time-averaged busy fraction of the workers.
 func (db *Database) Utilization() float64 { return db.workers.Utilization() }
 
-// Query blocks the process while the database serves a request that
-// touches the given number of bytes.
-func (db *Database) Query(p *des.Process, bytes float64) {
-	p.Await(func(op des.Op, arg []byte) { db.QueryOp(bytes, op, arg) })
-}
-
-// QueryOp is the op form of Query: a worker for the fixed overhead,
-// then a read of bytes from the backing disk; op(arg) is Called in the
-// event that ends the read.
+// QueryOp serves a request that touches bytes, finite and non-negative:
+// a worker for the fixed overhead, then a read of bytes from the
+// backing disk; op(arg) is Called in the event that ends the read.
 func (db *Database) QueryOp(bytes float64, op des.Op, arg []byte) {
-	if bytes < 0 {
-		panic("resources: negative query size")
+	if !(bytes >= 0) || math.IsInf(bytes, 1) {
+		panic(fmt.Sprintf("resources: query of %v bytes", bytes))
 	}
 	j, self := db.k.query.Get()
 	*j = queryJob{db: db, bytes: bytes, then: op, arg: arg}

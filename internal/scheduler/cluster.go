@@ -151,9 +151,12 @@ func (c *Cluster) EstimateCompletion(ops float64, width int) float64 {
 	return now + pending + ops/c.speed
 }
 
-// Submit enqueues a job; onDone fires at completion. The job's Width
-// must not exceed the cluster's cores.
+// Submit enqueues a job; onDone fires at completion. It panics unless
+// the job's Ops are finite and non-negative and its Width fits.
 func (c *Cluster) Submit(job *Job, onDone func(*Job)) {
+	if !(job.Ops >= 0) || math.IsInf(job.Ops, 1) {
+		panic(fmt.Sprintf("scheduler: %v has %v ops", job, job.Ops))
+	}
 	if job.Width() > c.cores {
 		panic(fmt.Sprintf("scheduler: %v needs %d cores, cluster %q has %d",
 			job, job.Width(), c.name, c.cores))

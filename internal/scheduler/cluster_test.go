@@ -249,6 +249,20 @@ func TestClusterValidation(t *testing.T) {
 		w.Cores = 3
 		c.Submit(w, nil)
 	})
+	// Each job queues behind one that holds every core, so nothing but
+	// Submit's own check can refuse it before a core frees.
+	for name, ops := range map[string]float64{"negative ops": -1, "NaN ops": math.NaN(), "+Inf ops": math.Inf(1), "-Inf ops": math.Inf(-1)} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("no panic")
+				}
+			}()
+			c := NewCluster(e, "x", 1, 1, FCFS)
+			c.Submit(mkJob(0, 1), nil)
+			c.Submit(mkJob(1, ops), nil)
+		})
+	}
 	if FCFS.String() != "fcfs" || EASYBackfill.String() != "easy-backfill" ||
 		SJF.String() != "sjf" || EDF.String() != "edf" || Discipline(42).String() == "" {
 		t.Fatal("discipline strings")

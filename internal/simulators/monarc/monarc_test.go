@@ -1,6 +1,7 @@
 package monarc
 
 import (
+	"runtime"
 	"testing"
 )
 
@@ -121,4 +122,16 @@ func TestBadConfigPanics(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.T1Count = 0
 	Run(cfg)
+}
+
+// TestTierStudyLeavesNoGoroutines: the sweep runs on the engine's
+// goroutine alone (the process bodies left ~2 850 parked per sweep).
+// Goroutines of earlier tests may still be exiting, so the count may
+// fall but must not rise.
+func TestTierStudyLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	RunTierStudy(1, []float64{0.622, 2.5, 30}, 200, 4000)
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines %d -> %d across RunTierStudy", before, after)
+	}
 }
