@@ -34,14 +34,16 @@ nogob:
 # Send/Run hand control between process goroutines, as do
 # replication's blocking Access, the cluster's blocking Run, the models
 # that spawn processes (scheduler, simulators, dag, p2p) and the
-# injector that crashes their clusters (faults), and the telemetry
-# layers the cluster folds concurrently (obs, monitoring). The pool and the kernel run ten times over: a
+# injector that crashes their clusters (faults), the telemetry
+# layers the cluster folds concurrently (obs, monitoring), and the
+# commands' front door, whose in-process phold federation is observed
+# with every window dispatched. The pool and the kernel run ten times over: a
 # switch from inline to dispatched Runs finds the pool's goroutines
 # parked or still on their way there, and which of the two is a matter
 # of timing; the kernel's due list is written by the caller and read by
 # the pool threads of each window.
 race:
-	$(GO) test -race -timeout 5m ./internal/parsim/... ./internal/des/... ./internal/distsim/... ./internal/chaos/... ./internal/optsim/... ./internal/checkpoint/... ./internal/netsim/... ./internal/resources/... ./internal/replication/... ./internal/obs/... ./internal/monitoring/... ./internal/scheduler/... ./internal/simulators/... ./internal/dag/... ./internal/p2p/... ./internal/faults/...
+	$(GO) test -race -timeout 5m ./internal/parsim/... ./internal/des/... ./internal/distsim/... ./internal/chaos/... ./internal/optsim/... ./internal/checkpoint/... ./internal/netsim/... ./internal/resources/... ./internal/replication/... ./internal/obs/... ./internal/monitoring/... ./internal/scheduler/... ./internal/simulators/... ./internal/dag/... ./internal/p2p/... ./internal/faults/... ./cmd/internal/front/...
 	$(GO) test -race -timeout 5m -count=10 ./internal/pool/... ./internal/winsync/...
 
 # tier1 is the acceptance gate: build + full tests, plus vet and the

@@ -25,9 +25,6 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced problem sizes")
 	list := flag.Bool("list", false, "list experiments and exit")
 	svgDir := flag.String("svg", "", "also write SVG charts for the sweep experiments into this directory")
-	trace := flag.String("trace", "", "run a traced E5 federation and write Chrome trace-event JSON (Perfetto) to this file, then exit")
-	histo := flag.Bool("histo", false, "run a traced E5 federation and print its latency histograms, then exit")
-	monOut := flag.String("monout", "", "with -trace/-histo: also export the run's telemetry in the monitoring wire format to this file")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the duration of the run")
 	flag.Parse()
 
@@ -37,22 +34,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, "experiments: pprof:", err)
 			}
 		}()
-	}
-
-	if *trace != "" || *histo {
-		tb, err := experiments.ObserveE5(*trace, *monOut, *quick)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		if err := tb.Write(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		if *trace != "" {
-			fmt.Println("wrote", *trace)
-		}
-		return
 	}
 
 	titles := experiments.Titles()

@@ -1,11 +1,12 @@
-// Package front is the one front door to a distributed PHOLD run: the
-// command line lssim and lsnode share. A run is described by the structs
-// that already are its configuration — distsim.Coordinator,
-// distsim.Worker, winsync.PHOLD, chaos.Config — and every flag writes a
-// field of one of them (or of Run, for what only a front end needs) at
-// one call site in this package. Validate runs before any socket opens;
-// the in-process cluster, the run summary, the merged trace and the
-// -verify replay are written here once and called by both commands.
+// Package front is the one front door to a PHOLD run, distributed or
+// in-process: the command line lssim and lsnode share. A run is
+// described by the structs that already are its configuration —
+// distsim.Coordinator, distsim.Worker, winsync.PHOLD, chaos.Config —
+// and every flag writes a field of one of them (or of Run, for what
+// only a front end needs) at one call site in this package. Validate
+// runs before anything else; the in-process cluster, lssim's parsim
+// federation, the run summary, the trace and the -verify replay are
+// written here once and called by both commands.
 package front
 
 import (
@@ -50,10 +51,10 @@ type Run struct {
 
 	Mode, Addr string // lsnode: which node this is, where it listens or dials
 	Sim, Pprof string // lssim: the personality, the pprof address
-	// lssim's phold personality: parsim snapshot files, and the barrier
-	// to write one at.
-	Checkpoint, Resume string
-	CheckpointAt       float64
+	// lssim's phold personality: parsim snapshot files, the barrier to
+	// write one at, and the monitoring capture of its telemetry.
+	Checkpoint, Resume, MonOut string
+	CheckpointAt               float64
 }
 
 // Lssim binds lssim's flags to a Run with its defaults: the fixed 8-LP
@@ -76,6 +77,7 @@ func Lssim(fs *flag.FlagSet) *Run {
 	fs.BoolVar(&r.Histo, "histo", false, "print event-latency histograms after the run")
 	fs.StringVar(&r.Pprof, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	fs.Float64Var(&r.CheckpointAt, "checkpoint-at", 0, "phold: window barrier to checkpoint at (0 = half the horizon; use a multiple of the lookahead)")
+	fs.StringVar(&r.MonOut, "monout", "", "phold: also write the run's telemetry in the monitoring wire format to this file, ready to replay")
 	ch := &r.Chaos
 	fs.Uint64Var(&ch.Seed, "chaos-seed", 1, "distphold: fault-injector seed")
 	fs.Float64Var(&ch.Drop, "chaos-drop", 0, "distphold: per-message drop probability")
@@ -119,7 +121,6 @@ func Lsnode(fs *flag.FlagSet) *Run {
 	fs.IntVar(&c.CheckpointEvery, "ckpt-every", 0, "coordinator: cluster checkpoint every N windows (0 = every window when fault tolerance is on)")
 	fs.IntVar(&c.MaxRecoveries, "max-recoveries", 0, "coordinator: worker crashes to survive by rollback-recovery")
 	fs.Float64Var(&m.RemoteProb, "remote", m.RemoteProb, "PHOLD remote-hop probability")
-	fs.IntVar(&m.Work, "work", m.Work, "PHOLD per-event synthetic work")
 	fs.IntVar(&m.HotHoldNs, "hot-hold-ns", 0, "worker: extra ns of CPU a hot LP burns per event (load shaping only)")
 	fs.Func("own", "worker: comma-separated LP `IDs` this worker owns", list(&r.Own, strconv.Atoi))
 	fs.IntVar(&w.MaxPark, "max-park", 0, "worker: reconnect attempts past the first 8 to survive a coordinator restart (0 = 64 default, negative = none)")
@@ -146,11 +147,12 @@ func (r *Run) shared(fs *flag.FlagSet, checkpoint *string) {
 	fs.IntVar(&c.RebalanceEvery, "rebalance-every", 0, "coordinator: rebalance planning cadence in executed windows (0 = 16 default)")
 	fs.Float64Var(&r.Greedy.Threshold, "imbalance-thresh", 0, "coordinator: migrate only when max worker load > thresh * mean (0 = 1.25 default)")
 	fs.IntVar(&m.JobsPerLP, "jobs", m.JobsPerLP, "PHOLD jobs per LP; lssim: job/task count override (0 = personality default)")
+	fs.IntVar(&m.Work, "work", m.Work, "PHOLD per-event synthetic work")
 	fs.Float64Var(&m.DelayFactor, "delay-factor", m.DelayFactor, "PHOLD mean event spacing in lookaheads; large values make traffic sparse (all nodes must agree)")
 	fs.IntVar(&m.SkewHot, "skew-hot", 0, "PHOLD: make the lowest N LPs hot (all nodes must agree)")
 	fs.Float64Var(&m.SkewFactor, "skew", m.SkewFactor, "PHOLD: hot LPs fire this many times as often (all nodes must agree)")
 	fs.IntVar(&r.Worker.Threads, "threads", r.Worker.Threads, "worker: intra-worker execution pool size, an upper bound (results are bit-identical for any value)")
-	fs.IntVar(&r.Workers, "workers", r.Workers, "workers the coordinator waits for (in-process: must divide the LPs); phold: parallel pool workers")
+	fs.IntVar(&r.Workers, "workers", r.Workers, "workers the coordinator waits for (in-process: must divide the LPs); phold: parallel pool workers, an upper bound")
 	fs.StringVar(checkpoint, "checkpoint", "", "coordinator: persist cluster checkpoints to this file (atomic), what a -journal restart rolls back to; phold: run to -checkpoint-at, write a snapshot here, and exit")
 	fs.BoolVar(&r.Verify, "verify", false, "replay the finished run in a single process and require identical per-LP results")
 	fs.StringVar(&r.Trace, "trace", "", "write a Chrome trace-event JSON (Perfetto) of the run to this file; a cluster's is merged across workers")
@@ -174,7 +176,7 @@ func list[T any](dst *[]T, parse func(string) (T, error)) func(string) error {
 }
 
 // Validate reports the first setting the run cannot start with, as one
-// line. Call it after parsing and before anything opens a socket.
+// line. Call it after parsing and before anything else.
 func (r *Run) Validate() error {
 	c, m := &r.Coord, &r.Model
 	m.TotalLPs = c.NLPs // one flag, -lps, for what both structs call the LP count
@@ -184,7 +186,8 @@ func (r *Run) Validate() error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	if r.Workers < 1 || r.Workers > c.NLPs {
+	// A phold pool thread may run no LP at all; a cluster worker may not.
+	if r.Workers < 1 || r.Workers > c.NLPs && r.Sim != "phold" {
 		return fmt.Errorf("-workers must be between 1 and the %d LPs, got %d", c.NLPs, r.Workers)
 	}
 	switch r.Mode {
@@ -199,8 +202,14 @@ func (r *Run) Validate() error {
 			}
 			seen[id] = true
 		}
-	case "": // the in-process cluster hands every worker the same number of LPs
-		if c.NLPs%r.Workers != 0 {
+	case "": // lssim
+		if r.Sim == "phold" {
+			// A pool thread takes any share of the LPs.
+			if at := r.CheckpointAt; !(at >= 0) || math.IsInf(at, 0) {
+				return fmt.Errorf("-checkpoint-at must be a finite time >= 0, got %v", at)
+			}
+		} else if c.NLPs%r.Workers != 0 {
+			// The in-process cluster hands every worker the same number of LPs.
 			return fmt.Errorf("-workers must divide the %d LPs, got %d", c.NLPs, r.Workers)
 		}
 	}
@@ -325,7 +334,134 @@ func (r *Run) Serve(t *metrics.Table, ln net.Listener) error {
 		t.AddRowf("merged trace", fmt.Sprintf("%s (%d events, %d tracks)", r.Trace, events, tracks))
 	}
 	if r.Verify {
-		return r.verify(t)
+		if _, err := r.verify(c.PerLPCounts()); err != nil {
+			return err
+		}
+		t.AddRowf("verify", "identical to fault-free single-process run")
+	}
+	return nil
+}
+
+// PHOLD is lssim's phold personality: the model and run parameters
+// distphold uses on a parsim federation in this process, with a pool of
+// Workers threads — optionally restoring a snapshot first, optionally
+// stopping at a window barrier to write one, observed by the kernel when
+// -trace, -histo or -monout ask, and optionally verified against an
+// uninterrupted single-thread replay.
+func (r *Run) PHOLD(t *metrics.Table) error {
+	horizon := r.Coord.Horizon
+	ph := parsim.NewPHOLDModel(r.Model, r.Workers, r.Coord.Lookahead, r.Coord.Seed)
+	if r.Resume != "" {
+		data, err := os.ReadFile(r.Resume)
+		if err != nil {
+			return err
+		}
+		if err := ph.Fed.Restore(bytes.NewReader(data)); err != nil {
+			return err
+		}
+		t.AddRowf("resumed from", fmt.Sprintf("%s (t=%v)", r.Resume, ph.Fed.Clock()))
+	}
+	observed := r.Trace != "" || r.Histo || r.MonOut != ""
+	if observed {
+		ph.Fed.EnableObservability(1 << 15) // spans kept per LP and per pool thread
+	}
+	if r.Checkpoint != "" {
+		at := r.CheckpointAt
+		if at == 0 {
+			at = horizon / 2
+		}
+		if at <= ph.Fed.Clock() {
+			return fmt.Errorf("checkpoint time %v is not past the clock %v", at, ph.Fed.Clock())
+		}
+		ph.Fed.Run(at)
+		var snap bytes.Buffer
+		if err := ph.Fed.Checkpoint(&snap); err != nil {
+			return err
+		}
+		if err := os.WriteFile(r.Checkpoint, snap.Bytes(), 0o644); err != nil {
+			return err
+		}
+		t.AddRowf("checkpoint", fmt.Sprintf("%s (t=%v)", r.Checkpoint, ph.Fed.Clock()))
+		t.AddRowf("events so far", ph.TotalEvents())
+	} else {
+		if horizon <= ph.Fed.Clock() {
+			return fmt.Errorf("horizon %v is not past the clock %v", horizon, ph.Fed.Clock())
+		}
+		ph.Run(horizon)
+		t.AddRowf("events", ph.TotalEvents())
+		t.AddRowf("windows", ph.Fed.Windows())
+		t.AddRowf("per-LP events", fmt.Sprint(ph.PerLPEvents()))
+	}
+	if observed {
+		if err := r.observe(t, ph.Fed); err != nil {
+			return err
+		}
+	}
+	if r.Verify && r.Checkpoint == "" {
+		ref, err := r.verify(ph.PerLPEvents())
+		if err != nil {
+			return err
+		}
+		if ph.Fed.Windows() != ref.Fed.Windows() {
+			return fmt.Errorf("verify: %d windows, uninterrupted run has %d", ph.Fed.Windows(), ref.Fed.Windows())
+		}
+		t.AddRowf("verify", "identical to uninterrupted run")
+	}
+	return nil
+}
+
+// observe reports what the kernel recorded of an observed federation:
+// with -histo where its wall time went, with -trace its Chrome trace —
+// one track per LP and per pool thread — and with -monout the same
+// telemetry as monitoring records.
+func (r *Run) observe(t *metrics.Table, fed *parsim.Federation) error {
+	snap, tracks := fed.Snapshot(), fed.TraceTracks()
+	if r.Histo {
+		// -workers is an upper bound: how many windows the pool ran on
+		// this goroutine and how many it handed to its threads.
+		t.AddRowf("pool", snap.Pool.String())
+		t.AddRowf("window wall", snap.WindowWall.String())
+		t.AddRowf("barrier wait", snap.BarrierWait.String())
+		for w, u := range snap.Utilization {
+			t.AddRowf(fmt.Sprintf("worker %d utilization", w), fmt.Sprintf("%.2f", u))
+		}
+		var exec, dwell obs.Histogram
+		for _, st := range snap.LPs {
+			exec.Merge(st.Exec)
+			dwell.Merge(st.Dwell)
+		}
+		t.AddRowf("event exec", exec.String())
+		t.AddRowf("queue dwell (sim ns)", dwell.String())
+	}
+	if r.Trace != "" {
+		events, n, err := WriteTrace(r.Trace, func(w io.Writer) error { return obs.WriteChromeTrace(w, tracks...) })
+		if err != nil {
+			return err
+		}
+		var dropped uint64
+		for _, tr := range tracks {
+			dropped += tr.Rec.Dropped()
+		}
+		t.AddRowf("trace", fmt.Sprintf("%s (%d events, %d tracks)", r.Trace, events, n))
+		t.AddRowf("spans dropped", dropped)
+	}
+	if r.MonOut != "" {
+		var recs []monitoring.Record
+		for i, st := range snap.LPs {
+			recs = append(recs, monitoring.HistogramRecords(fed.Clock(), fmt.Sprintf("lp-%d", i), "exec", st.Exec)...)
+		}
+		recs = append(recs, monitoring.HistogramRecords(fed.Clock(), "fed", "barrier_wait", snap.BarrierWait)...)
+		for _, tr := range tracks {
+			recs = append(recs, monitoring.TelemetryRecords(tr.Name, tr.Rec.Spans())...)
+		}
+		var buf bytes.Buffer
+		if err := monitoring.Write(&buf, recs); err != nil {
+			return err
+		}
+		if err := os.WriteFile(r.MonOut, buf.Bytes(), 0o644); err != nil {
+			return err
+		}
+		t.AddRowf("monitoring records", fmt.Sprintf("%s (%d records)", r.MonOut, len(recs)))
 	}
 	return nil
 }
@@ -374,21 +510,22 @@ func (r *Run) report(t *metrics.Table, co *distsim.ClusterObs) {
 	}
 }
 
-// verify replays the model in one process, fault-free, and requires the
-// distributed run's per-LP counts — whatever it rode out: a hostile
-// wire, a coordinator crash-restart, worker recoveries, live migrations.
-// Every node's PHOLD flags must agree for the reference to be valid.
-func (r *Run) verify(t *metrics.Table) error {
+// verify replays the model to the horizon in one process on one pool
+// thread — fault-free, uninterrupted — and requires got, the per-LP
+// counts of the run under test, whatever it rode out: a hostile wire, a
+// coordinator crash-restart, worker recoveries, live migrations, a
+// checkpoint and resume. Every node's PHOLD flags must agree for the
+// reference to be valid. It returns the replay.
+func (r *Run) verify(got []uint64) (*parsim.PHOLD, error) {
 	m := r.Model
 	m.HotHoldNs = 0 // CPU-time shaping only
 	ref := parsim.NewPHOLDModel(m, 1, r.Coord.Lookahead, r.Coord.Seed)
 	ref.Run(r.Coord.Horizon)
-	want, got := ref.PerLPEvents(), r.Coord.PerLPCounts()
+	want := ref.PerLPEvents()
 	for lp := range want {
 		if got[lp] != want[lp] {
-			return fmt.Errorf("verify: LP %d has %d events, fault-free run has %d (want %v, got %v)", lp, got[lp], want[lp], want, got)
+			return nil, fmt.Errorf("verify: LP %d has %d events, the single-process replay has %d (want %v, got %v)", lp, got[lp], want[lp], want, got)
 		}
 	}
-	t.AddRowf("verify", "identical to fault-free single-process run")
-	return nil
+	return ref, nil
 }

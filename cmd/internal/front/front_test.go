@@ -127,7 +127,8 @@ func TestValidateRejectsBadValues(t *testing.T) {
 	worker := "-mode worker -own 0,1 "
 	for cmd, cases := range map[string][]string{
 		"lssim": {"-workers 3", "-workers 0", "-workers 16", "-delay-factor 0", "-delay-factor NaN",
-			"-horizon 0", "-horizon -1"},
+			"-horizon 0", "-horizon -1", "-sim phold -workers 0", "-sim phold -delay-factor 0",
+			"-sim phold -horizon -1", "-sim phold -checkpoint-at -1", "-sim phold -checkpoint-at NaN"},
 		"lsnode": {"-mode worker", "-mode worker -own 1,1", "-mode worker -own 8", "-mode worker -own -1",
 			"-mode worker -own 2 -lps 2", worker + "-delay-factor 0", worker + "-lps 0", worker + "-jobs -1",
 			worker + "-remote 1.5", "-mode coordinator -lps 0", "-mode coordinator -lookahead 0",
@@ -155,8 +156,11 @@ func TestValidateRejectsBadValues(t *testing.T) {
 			t.Errorf("lsnode -timeout %s: parsed", v)
 		}
 	}
-	// What the bad lines differ from is accepted.
-	for cmd, args := range map[string]string{"lssim": "", "lsnode": worker} {
+	// What the bad lines differ from is accepted; phold's pool threads
+	// need not divide the LPs, nor be fewer.
+	for _, c := range [][2]string{{"lssim", ""}, {"lssim", "-sim phold -workers 3"},
+		{"lssim", "-sim phold -workers 16"}, {"lsnode", worker}} {
+		cmd, args := c[0], c[1]
 		fs, r := flags(cmd)
 		if err := fs.Parse(strings.Fields(args)); err != nil {
 			t.Fatal(err)

@@ -13,7 +13,9 @@
 // -checkpoint it runs to a window barrier and writes a snapshot; with
 // -resume it restores a snapshot and finishes the run; with -verify it
 // additionally replays the whole run uninterrupted in-process and
-// requires bit-identical results.
+// requires bit-identical results. -trace, -histo and -monout observe
+// it per LP and per pool thread. It shares the front door with
+// distphold.
 //
 // The distphold personality runs the same benchmark truly distributed:
 // an in-process coordinator plus -workers TCP workers talking over the
@@ -27,7 +29,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -39,7 +40,6 @@ import (
 	"repro/internal/des"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/parsim"
 	"repro/internal/simulators/bricks"
 	"repro/internal/simulators/chicsim"
 	"repro/internal/simulators/gridsim"
@@ -52,83 +52,10 @@ import (
 // personality: the E5 default traffic mix.
 const pholdJobs = 16
 
-// runPHOLD executes the checkpointable PHOLD personality — the model
-// and run parameters distphold uses, on a parsim federation with a
-// pool of -workers: optionally restoring a snapshot first, optionally
-// stopping at a window barrier to write one, and optionally verifying
-// the finished run against an uninterrupted in-process replay.
-func runPHOLD(t *metrics.Table, r *front.Run) error {
-	horizon := r.Coord.Horizon
-	build := func(w int) *parsim.PHOLD {
-		return parsim.NewPHOLDModel(r.Model, w, r.Coord.Lookahead, r.Coord.Seed)
-	}
-	ph := build(r.Workers)
-	if r.Resume != "" {
-		data, err := os.ReadFile(r.Resume)
-		if err != nil {
-			return err
-		}
-		if err := ph.Fed.Restore(bytes.NewReader(data)); err != nil {
-			return err
-		}
-		t.AddRowf("resumed from", fmt.Sprintf("%s (t=%v)", r.Resume, ph.Fed.Clock()))
-	}
-	if r.Checkpoint != "" {
-		at := r.CheckpointAt
-		if at == 0 {
-			at = horizon / 2
-		}
-		if at <= ph.Fed.Clock() {
-			return fmt.Errorf("checkpoint time %v is not past the clock %v", at, ph.Fed.Clock())
-		}
-		ph.Fed.Run(at)
-		var snap bytes.Buffer
-		if err := ph.Fed.Checkpoint(&snap); err != nil {
-			return err
-		}
-		if err := os.WriteFile(r.Checkpoint, snap.Bytes(), 0o644); err != nil {
-			return err
-		}
-		t.AddRowf("checkpoint", fmt.Sprintf("%s (t=%v)", r.Checkpoint, ph.Fed.Clock()))
-		t.AddRowf("events so far", ph.TotalEvents())
-		return nil
-	}
-	ph.Run(horizon)
-	t.AddRowf("events", ph.TotalEvents())
-	t.AddRowf("windows", ph.Fed.Windows())
-	t.AddRowf("per-LP events", fmt.Sprint(ph.PerLPEvents()))
-	if r.Histo {
-		// How many windows the pool ran on this goroutine and how many it
-		// handed to its workers: -workers is an upper bound.
-		t.AddRowf("pool", ph.Fed.Snapshot().Pool.String())
-	}
-	if r.Verify {
-		ref := build(1)
-		ref.Run(horizon)
-		want, got := ref.PerLPEvents(), ph.PerLPEvents()
-		for i := range want {
-			if got[i] != want[i] {
-				return fmt.Errorf("verify: LP %d has %d events, uninterrupted run has %d (want %v, got %v)",
-					i, got[i], want[i], want, got)
-			}
-		}
-		if ph.Fed.Windows() != ref.Fed.Windows() {
-			return fmt.Errorf("verify: %d windows, uninterrupted run has %d", ph.Fed.Windows(), ref.Fed.Windows())
-		}
-		t.AddRowf("verify", "identical to uninterrupted run")
-	}
-	return nil
-}
-
 // runDistPHOLD executes the distributed PHOLD personality: the
 // coordinator and its workers in one process, telemetry, summary and
-// -verify through the front door lsnode's coordinator uses. The
-// sequential default observer cannot serve here: the in-process workers
-// run concurrently.
+// -verify through the front door lsnode's coordinator uses.
 func runDistPHOLD(t *metrics.Table, r *front.Run) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
 	if err := r.Serve(t, nil); err != nil {
 		return err
 	}
@@ -156,10 +83,14 @@ func main() {
 	if jobs <= 0 {
 		run.Model.JobsPerLP = pholdJobs
 	}
-	// distphold writes its merged trace and prints cluster histograms
-	// through the front door; the sequential tail below is for the rest.
+	// The PHOLD personalities go through the front door: validated before
+	// anything else, observed by the kernel. The sequential tail below is
+	// for the rest.
 	trace, histo := run.Trace, run.Histo
-	if sim == "distphold" {
+	if sim == "phold" || sim == "distphold" {
+		if err := run.Validate(); err != nil {
+			fatal(err)
+		}
 		trace, histo = "", false
 	}
 	if run.Pprof != "" {
@@ -170,12 +101,10 @@ func main() {
 		}()
 	}
 
-	// Personalities construct their engines internally, so the trace
-	// recorder and histograms are injected through the engine's default
-	// observer (sequential front-end wiring; see des.SetDefaultObserver).
-	// distphold is the exception: its workers run concurrently in this
-	// process, so it routes telemetry through the coordinator's
-	// ClusterObs instead of a shared sequential recorder.
+	// Sequential personalities construct their engines internally, so the
+	// trace recorder and histograms are injected through the engine's
+	// default observer (see des.SetDefaultObserver). It cannot serve the
+	// PHOLD personalities, whose LPs run concurrently in this process.
 	var rec *obs.Recorder
 	var met *obs.Metrics
 	if trace != "" || histo {
@@ -273,7 +202,7 @@ func main() {
 		t.AddRowf("WAN GB", r.WANBytes/1e9)
 		t.AddRowf("DB queries", r.DBQueries)
 	case "phold":
-		if err := runPHOLD(t, run); err != nil {
+		if err := run.PHOLD(t); err != nil {
 			fatal(err)
 		}
 	case "distphold":

@@ -21,6 +21,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -52,8 +53,10 @@ func Write(w io.Writer, recs []Record) error {
 	return bw.Flush()
 }
 
-// Parse reads records from wire format. Malformed lines yield an error
-// naming the line number; comments and blank lines are skipped.
+// Parse reads records from wire format. Malformed lines — a NaN or
+// infinite time or value among them, which strconv would accept —
+// yield an error naming the line number; comments and blank lines are
+// skipped.
 func Parse(r io.Reader) ([]Record, error) {
 	var recs []Record
 	sc := bufio.NewScanner(r)
@@ -68,12 +71,12 @@ func Parse(r io.Reader) ([]Record, error) {
 		if len(fields) != 4 {
 			return nil, fmt.Errorf("monitoring: line %d: want 4 fields, got %d", lineNo, len(fields))
 		}
-		t, err := strconv.ParseFloat(fields[0], 64)
-		if err != nil {
+		t, ok := finite(fields[0])
+		if !ok {
 			return nil, fmt.Errorf("monitoring: line %d: bad time %q", lineNo, fields[0])
 		}
-		v, err := strconv.ParseFloat(fields[3], 64)
-		if err != nil {
+		v, ok := finite(fields[3])
+		if !ok {
 			return nil, fmt.Errorf("monitoring: line %d: bad value %q", lineNo, fields[3])
 		}
 		recs = append(recs, Record{Time: t, Site: fields[1], Param: fields[2], Value: v})
@@ -84,17 +87,25 @@ func Parse(r io.Reader) ([]Record, error) {
 	return recs, nil
 }
 
+// finite parses a numeric field that must be a finite number.
+func finite(s string) (float64, bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
+}
+
 // Replay schedules handle for every record at its timestamp. Records
-// are sorted by time first (captures may interleave sites), and
-// negative timestamps are rejected.
+// are sorted by time first (captures may interleave sites). A negative
+// or non-finite timestamp is rejected before anything is scheduled.
 func Replay(e *des.Engine, recs []Record, handle func(Record)) error {
+	for _, r := range recs {
+		if !(r.Time >= 0) || math.IsInf(r.Time, 1) {
+			return fmt.Errorf("monitoring: timestamp %v is not a finite time >= 0", r.Time)
+		}
+	}
 	sorted := make([]Record, len(recs))
 	copy(sorted, recs)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
 	for _, r := range sorted {
-		if r.Time < 0 {
-			return fmt.Errorf("monitoring: negative timestamp %v", r.Time)
-		}
 		r := r
 		e.At(r.Time, func() { handle(r) })
 	}

@@ -1,6 +1,7 @@
 package monitoring
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -52,6 +53,13 @@ func TestParseErrors(t *testing.T) {
 		"short line": "1.0 site cpu",
 		"bad time":   "abc site cpu 1",
 		"bad value":  "1.0 site cpu xyz",
+		"NaN time":   "NaN site cpu 1",
+		"+Inf time":  "+Inf site cpu 1",
+		"-Inf time":  "-Inf site cpu 1",
+		"NaN value":  "1.0 site cpu nan",
+		"Inf value":  "1.0 site cpu Inf",
+		"-Inf value": "1.0 site cpu -inf",
+		"huge value": "1.0 site cpu 1e400",
 	}
 	for name, in := range cases {
 		if _, err := Parse(strings.NewReader(in)); err == nil {
@@ -89,6 +97,23 @@ func TestReplayNegativeTime(t *testing.T) {
 	e := des.NewEngine()
 	if err := Replay(e, []Record{{Time: -1}}, func(Record) {}); err == nil {
 		t.Fatal("no error for negative time")
+	}
+}
+
+// TestReplayNonFiniteTime: records built in code bypass Parse, and a
+// NaN or infinite time must come back as an error, not as the engine's
+// panic — and before any record of the capture is scheduled.
+func TestReplayNonFiniteTime(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		e := des.NewEngine()
+		recs := []Record{{Time: 1}, {Time: bad}, {Time: 2}}
+		ran := 0
+		if err := Replay(e, recs, func(Record) { ran++ }); err == nil {
+			t.Errorf("time %v: no error", bad)
+		}
+		if e.Run(); ran != 0 {
+			t.Errorf("time %v: %d records ran after the error", bad, ran)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package monarc
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/monitoring"
 	"repro/internal/replication"
 	"repro/internal/topology"
@@ -16,7 +19,8 @@ import (
 //
 // Records with Param == "submit_jobs" inject Value analysis jobs at
 // the named T1 site at their timestamps; other parameters are ignored
-// (a real capture interleaves many).
+// (a real capture interleaves many). A submit_jobs value must be a
+// whole number in [0, 2^31).
 
 // MonitoringResult summarizes a replayed run.
 type MonitoringResult struct {
@@ -30,6 +34,11 @@ type MonitoringResult struct {
 // Production runs first (runs × RunPeriod), then the capture's job
 // submissions replay against the replicated data.
 func ReplayMonitoring(cfg Config, records []monitoring.Record) (MonitoringResult, error) {
+	for _, r := range records {
+		if r.Param == "submit_jobs" && !(r.Value >= 0 && r.Value < 1<<31 && r.Value == math.Trunc(r.Value)) {
+			return MonitoringResult{}, fmt.Errorf("monarc: %v: submit_jobs must be a whole number in [0, 2^31)", r)
+		}
+	}
 	cfg.AnalysisJobs = 0 // the capture replaces the stochastic activity
 	e, grid, sys, agent, recoCluster := build(cfg)
 	_ = recoCluster

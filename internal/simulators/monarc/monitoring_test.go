@@ -1,6 +1,7 @@
 package monarc
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -45,5 +46,16 @@ func TestReplayMonitoringRejectsBadRecords(t *testing.T) {
 	cfg.Runs = 1
 	if _, err := ReplayMonitoring(cfg, []monitoring.Record{{Time: -5, Site: "T1.0", Param: "submit_jobs", Value: 1}}); err == nil {
 		t.Fatal("negative-time record accepted")
+	}
+	// A job count that is no whole number used to be truncated (2.5) or
+	// converted to whatever int the platform makes of it (±Inf, NaN).
+	for _, v := range []float64{2.5, -1, math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+		if _, err := ReplayMonitoring(cfg, []monitoring.Record{{Time: 5, Site: "T1.0", Param: "submit_jobs", Value: v}}); err == nil {
+			t.Errorf("submit_jobs %v accepted", v)
+		}
+	}
+	// Other parameters carry any value: they are not job counts.
+	if _, err := ReplayMonitoring(cfg, []monitoring.Record{{Time: 5, Site: "T1.0", Param: "cpu_load", Value: 0.5}}); err != nil {
+		t.Errorf("cpu_load 0.5: %v", err)
 	}
 }

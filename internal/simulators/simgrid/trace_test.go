@@ -13,7 +13,7 @@ func TestRunTraceReplaysAllTasks(t *testing.T) {
 		Name: "t", Weight: 1,
 		Ops: func() float64 { return src.Exp(1 / 2e9) },
 	})
-	trace := workload.GenerateTrace(src, mix, workload.Fixed(0.5), 40)
+	trace := workload.GenerateTrace(mix, workload.Fixed(0.5), 40)
 	cfg := DefaultConfig()
 	res := RunTrace(cfg, trace)
 	if res.Tasks != 40 {
@@ -31,7 +31,7 @@ func TestRunTraceSameTraceDifferentPlatforms(t *testing.T) {
 		Name: "t", Weight: 1,
 		Ops: func() float64 { return src.Exp(1 / 8e9) },
 	})
-	trace := workload.GenerateTrace(src, mix, workload.Fixed(0.2), 60)
+	trace := workload.GenerateTrace(mix, workload.Fixed(0.2), 60)
 	slow := DefaultConfig()
 	slow.MachineSpeeds = []float64{5e8, 5e8}
 	fast := DefaultConfig()

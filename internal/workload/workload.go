@@ -173,8 +173,7 @@ type TraceRecord struct {
 
 // GenerateTrace materializes n arrivals from the mix and interarrival
 // process into a deterministic, replayable trace.
-func GenerateTrace(src *rng.Source, mix *Mix, interarrival func() float64, n int) []TraceRecord {
-	_ = src // reserved for future jitter fields; draws come from mix/interarrival
+func GenerateTrace(mix *Mix, interarrival func() float64, n int) []TraceRecord {
 	recs := make([]TraceRecord, 0, n)
 	now := 0.0
 	for i := 0; i < n; i++ {

@@ -130,7 +130,7 @@ func TestMixValidation(t *testing.T) {
 func TestTraceGenerateAndReplay(t *testing.T) {
 	src := rng.New(11)
 	mix := NewMix(src, JobClass{Name: "c", Weight: 1, Ops: func() float64 { return src.Exp(0.001) }})
-	recs := GenerateTrace(src, mix, Fixed(2), 25)
+	recs := GenerateTrace(mix, Fixed(2), 25)
 	if len(recs) != 25 {
 		t.Fatalf("records = %d", len(recs))
 	}

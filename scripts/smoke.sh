@@ -21,9 +21,11 @@ trap cleanup EXIT
 
 # One row per command: smoke name | command line, run from $TMP/bin.
 #
-# trace       a quick traced E5 federation; ObserveE5 re-reads the written
-#             Chrome trace through a strict JSON parser and fails on a
-#             parse error or a missing track.
+# trace       lssim's in-process PHOLD federation on 4 pool threads,
+#             observed by the kernel: the Chrome trace passes a strict
+#             JSON re-parse before it hits disk, -histo prints the
+#             federation snapshot, -monout writes the monitoring capture,
+#             and -verify requires the observed run's per-LP counts.
 # checkpoint  a PHOLD run checkpointed at a window barrier, resumed in a
 #             second process and verified against the uninterrupted run.
 # chaos       100 windows over real TCP with 5% of all messages dropped
@@ -44,7 +46,7 @@ trap cleanup EXIT
 #             restarted from its journal (crash_smoke below).
 table() {
     cat <<EOF
-trace|experiments -quick -trace $TMP/trace.json
+trace|lssim -sim phold -workers 4 -trace $TMP/trace.json -histo -monout $TMP/phold.mon -verify
 checkpoint|lssim -sim phold -checkpoint $TMP/phold.ckpt
 checkpoint|lssim -sim phold -resume $TMP/phold.ckpt -verify
 chaos|lssim -sim distphold -horizon 100 -chaos-seed 4 -chaos-drop 0.05 -chaos-reset-at 9,23 -verify
@@ -103,7 +105,7 @@ fi
 
 began=$SECONDS
 mkdir "$TMP/bin"
-$GO build -o "$TMP/bin/" ./cmd/lssim ./cmd/lsnode ./cmd/experiments
+$GO build -o "$TMP/bin/" ./cmd/lssim ./cmd/lsnode
 PATH=$TMP/bin:$PATH
 
 for name in $names; do
