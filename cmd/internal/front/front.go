@@ -186,6 +186,9 @@ func (r *Run) Validate() error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
+	if err := r.Chaos.Validate(); err != nil {
+		return err
+	}
 	// A phold pool thread may run no LP at all; a cluster worker may not.
 	if r.Workers < 1 || r.Workers > c.NLPs && r.Sim != "phold" {
 		return fmt.Errorf("-workers must be between 1 and the %d LPs, got %d", c.NLPs, r.Workers)
@@ -412,7 +415,8 @@ func (r *Run) PHOLD(t *metrics.Table) error {
 
 // observe reports what the kernel recorded of an observed federation:
 // with -histo where its wall time went, with -trace its Chrome trace —
-// one track per LP and per pool thread — and with -monout the same
+// the group's window track, one track per LP and one per pool thread —
+// and with -monout the same
 // telemetry as monitoring records.
 func (r *Run) observe(t *metrics.Table, fed *parsim.Federation) error {
 	snap, tracks := fed.Snapshot(), fed.TraceTracks()

@@ -121,14 +121,17 @@ func TestSharedFlagDefaults(t *testing.T) {
 
 // TestValidateRejectsBadValues walks the settings that used to reach a
 // panic in NewWorker, NewCoordinator or PHOLD.Install (or a run that
-// could never register): each must come back from Validate as a
-// one-line error, for whichever command can be given it.
+// could never register, or a fault plan that hung the run or was
+// silently ignored): each must come back from Validate as a one-line
+// error, for whichever command can be given it.
 func TestValidateRejectsBadValues(t *testing.T) {
 	worker := "-mode worker -own 0,1 "
 	for cmd, cases := range map[string][]string{
 		"lssim": {"-workers 3", "-workers 0", "-workers 16", "-delay-factor 0", "-delay-factor NaN",
 			"-horizon 0", "-horizon -1", "-sim phold -workers 0", "-sim phold -delay-factor 0",
-			"-sim phold -horizon -1", "-sim phold -checkpoint-at -1", "-sim phold -checkpoint-at NaN"},
+			"-sim phold -horizon -1", "-sim phold -checkpoint-at -1", "-sim phold -checkpoint-at NaN",
+			"-sim distphold -chaos-drop 5", "-chaos-drop NaN", "-chaos-dup 7", "-chaos-corrupt -3",
+			"-chaos-reorder 1.5", "-chaos-reset -1", "-chaos-delay -1s", "-chaos-jitter -1ms"},
 		"lsnode": {"-mode worker", "-mode worker -own 1,1", "-mode worker -own 8", "-mode worker -own -1",
 			"-mode worker -own 2 -lps 2", worker + "-delay-factor 0", worker + "-lps 0", worker + "-jobs -1",
 			worker + "-remote 1.5", "-mode coordinator -lps 0", "-mode coordinator -lookahead 0",
@@ -159,7 +162,7 @@ func TestValidateRejectsBadValues(t *testing.T) {
 	// What the bad lines differ from is accepted; phold's pool threads
 	// need not divide the LPs, nor be fewer.
 	for _, c := range [][2]string{{"lssim", ""}, {"lssim", "-sim phold -workers 3"},
-		{"lssim", "-sim phold -workers 16"}, {"lsnode", worker}} {
+		{"lssim", "-sim phold -workers 16"}, {"lssim", "-sim distphold -chaos-drop 1"}, {"lsnode", worker}} {
 		cmd, args := c[0], c[1]
 		fs, r := flags(cmd)
 		if err := fs.Parse(strings.Fields(args)); err != nil {

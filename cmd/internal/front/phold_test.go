@@ -48,7 +48,8 @@ func phold(t *testing.T, args ...string) map[string]string {
 // TestPHOLDObserved runs the observed phold path with every window
 // dispatched to 4 pool threads, so the LPs really execute concurrently
 // (a shared sequential observer would race here): the trace must pass
-// the strict re-parse with one track per LP and one per pool thread,
+// the strict re-parse with the group's window track, one track per LP
+// and one per pool thread,
 // the monitoring capture must parse, and the per-LP counts must equal
 // an unobserved run's.
 func TestPHOLDObserved(t *testing.T) {
@@ -80,8 +81,11 @@ func TestPHOLDObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tids) != 8+4 {
-		t.Errorf("trace has %d tracks, want 8 LPs + 4 pool threads", len(tids))
+	if len(tids) != 8+4+1 {
+		t.Errorf("trace has %d tracks, want 8 LPs + 4 pool threads + the window track", len(tids))
+	}
+	if !strings.Contains(string(data), `"window"`) {
+		t.Error("trace has no window track")
 	}
 	for i := 0; i < 4; i++ {
 		if name := fmt.Sprintf(`"pw-%d"`, i); !strings.Contains(string(data), name) {

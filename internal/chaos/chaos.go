@@ -79,6 +79,23 @@ type Config struct {
 	OnKill func()
 }
 
+// Validate reports, as one line, a plan no injector can follow: a
+// probability that is NaN or outside [0, 1] (a drop probability of 5
+// would drop every message, a NaN one disable its class silently), or
+// a negative Delay or Jitter.
+func (c Config) Validate() error {
+	names := [...]string{"drop", "dup", "reorder", "corrupt", "reset"}
+	for i, p := range [...]float64{c.Drop, c.Dup, c.Reorder, c.Corrupt, c.Reset} {
+		if !(p >= 0 && p <= 1) {
+			return fmt.Errorf("chaos: %s probability must be in [0, 1], got %v", names[i], p)
+		}
+	}
+	if c.Delay < 0 || c.Jitter < 0 {
+		return fmt.Errorf("chaos: delay %v and jitter %v must be >= 0", c.Delay, c.Jitter)
+	}
+	return nil
+}
+
 // Stats counts the faults an injector actually delivered.
 type Stats struct {
 	Messages   uint64

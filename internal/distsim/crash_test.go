@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -515,6 +516,29 @@ func TestRetryStopsWhenClusterDown(t *testing.T) {
 	// up about half a minute after B's connection broke.
 	if slept := time.Duration(workers[1].WireSnapshot().BackoffNs); slept > time.Minute {
 		t.Fatalf("worker B paused %v between redials of a cluster that is down", slept)
+	}
+}
+
+// TestLoopbackEndsWhenEveryWorkerGaveUp pins the other way out of an
+// in-process cluster: workers that never reach the coordinator give up
+// after connectAttempts, and Serve, still waiting to admit them, fails
+// once the last has returned instead of waiting on an Accept without a
+// deadline. Loopback returns every worker's error joined with Serve's.
+func TestLoopbackEndsWhenEveryWorkerGaveUp(t *testing.T) {
+	sm := newSim(t)
+	workers := rtScn.pair(func(w *Worker) *Worker {
+		w.MaxPark = -1
+		w.Dial = func() (net.Conn, error) { return nil, errors.New("test: no route to the coordinator") }
+		return w
+	})
+	err := sm.loopback(rtScn.coordinator(nil), workers, nil)
+	if err == nil {
+		t.Fatal("a cluster no worker reached succeeded")
+	}
+	for i := range workers {
+		if want := fmt.Sprintf("worker %d: distsim: no coordinator after %d attempts", i, connectAttempts); !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not say %q", err, want)
+		}
 	}
 }
 

@@ -200,10 +200,10 @@ func FuzzClusterObsFold(f *testing.F) {
 	f.Add(delta)
 	f.Add(final)
 	f.Add(final[:len(final)/2])
-	// The tracks are the tail of a final payload, the worker ring first:
-	// the byte before its name's length is the track count.
+	// The tracks are the tail of a final payload, the group's window
+	// track first: the byte before its name's length is the track count.
 	huge := bytes.Clone(final)
-	at := bytes.LastIndex(huge, []byte("worker")) - 2
+	at := bytes.LastIndex(huge, []byte("window")) - 2
 	huge = append(huge[:at:at], 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F)
 	f.Add(append(huge, final[at+1:]...))
 	f.Add([]byte{})

@@ -23,8 +23,9 @@ var errClusterDown = errors.New("distsim: the in-process coordinator is gone")
 // The listener goes when Serve returns, as it would with a coordinator
 // process: a worker still waiting for a lost bye finds nobody to dial
 // and gives up. When Serve failed, further dials fail fatally, so the
-// workers give up instead of parking. The result joins Serve's error
-// and every worker's.
+// workers give up instead of parking. It also goes when the last worker
+// has returned, so a Serve still waiting to admit one fails instead of
+// waiting forever. The result joins Serve's error and every worker's.
 func Loopback(c *Coordinator, workers []*Worker, wrap func(net.Listener) net.Listener) error {
 	base, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -47,6 +48,8 @@ func cluster(c *Coordinator, workers []*Worker, base net.Listener, dial func() (
 	}
 
 	var down atomic.Bool
+	var left atomic.Int64 // workers whose Run has not returned
+	left.Store(int64(len(workers)))
 	errs := make([]error, 1+len(workers))
 	var wg sync.WaitGroup
 	wg.Add(1 + len(workers))
@@ -67,6 +70,11 @@ func cluster(c *Coordinator, workers []*Worker, base net.Listener, dial func() (
 				defer wg.Done()
 				if err := w.Run(""); err != nil && !errors.Is(err, errClusterDown) {
 					errs[1+i] = fmt.Errorf("worker %d: %w", i, err)
+				}
+				if left.Add(-1) == 0 {
+					// Nobody is left to dial: an Accept Serve is still
+					// blocked in has no deadline to end it.
+					base.Close()
 				}
 			})
 		}

@@ -15,8 +15,8 @@ import (
 )
 
 // This file threads internal/obs through the distributed stack:
-// transport counters on every connection, worker-side recording with
-// periodic snapshots piggybacked on done frames, and coordinator-side
+// transport counters on every connection, snapshots of what a worker's
+// group recorded piggybacked on done frames, and coordinator-side
 // aggregation into cluster histograms plus a merged timeline.
 //
 // The obs contract of the single-process engine carries over intact:
@@ -126,39 +126,31 @@ const (
 	obsFinal = 2 // stats frame: delta plus the full trace rings
 )
 
-// workerObs is the worker-side observability state that is about the
-// wire: the serve-loop ring (deliver, barrier-wait, busy and resume
-// spans), the two histograms the serve loop times, and the
-// previous-ship histogram copies behind the delta encoding. What
-// happens inside a window — per-LP rings and metrics, per-thread phases
-// — the group records itself (winsync.Group.EnableObservability).
-// Enabled by the coordinator's config frame (ObsEvery, ObsSpans > 0).
+// workerObs is what a worker needs to ship its group's observations:
+// the cadence, the previous-ship histogram copies behind the delta
+// encoding and the reused buffer. The worker records nothing itself —
+// per-LP rings and metrics, per-thread phases and the window phases
+// (deliver, busy, barrier wait) are the group's
+// (winsync.Group.EnableObservability). Enabled by the coordinator's
+// config frame (ObsEvery, ObsSpans > 0).
 type workerObs struct {
 	every int
-	rec   *obs.Recorder
-
-	barrierWait obs.Histogram
-	deliver     obs.Histogram
 
 	prevExec    obs.Histogram
 	prevDwell   obs.Histogram
 	prevBarrier obs.Histogram
 	prevDeliver obs.Histogram
 
-	buf       []byte // reused snapshot encode buffer
-	waitStart int64  // barrier-wait start (0 = not waiting)
-	windows   uint64 // windows executed since enable
-}
-
-func newWorkerObs(every, spanCap int) *workerObs {
-	return &workerObs{every: every, rec: obs.NewRecorder(spanCap)}
+	buf     []byte // reused snapshot encode buffer
+	windows uint64 // windows executed since enable
 }
 
 // encodeObs builds one snapshot payload into the reused buffer:
 // transport counters (cumulative), ring-drop total, and the four
-// histogram deltas since the previous ship. The final form appends the
-// trace rings. The delta path allocates nothing once the buffer has
-// warmed up (TestObsPiggybackZeroAlloc).
+// histogram deltas since the previous ship — callback, dwell, and the
+// group's barrier wait and deliver. The final form appends the trace
+// rings. The delta path allocates nothing once the buffer has warmed up
+// (TestObsPiggybackZeroAlloc).
 func (w *Worker) encodeObs(final bool) []byte {
 	wo := w.obs
 	enc := checkpoint.NewEnc(wo.buf)
@@ -172,15 +164,16 @@ func (w *Worker) encodeObs(final bool) []byte {
 	// are monotone over time whatever migration and rollback do, and the
 	// delta encoding stays valid.
 	merged, dropped := w.g.Totals()
-	enc.U64(wo.rec.Dropped() + dropped)
+	deliver, _, wait, _ := w.g.Phases()
+	enc.U64(dropped)
 	merged.Exec.AppendDelta(&enc, &wo.prevExec)
 	merged.Dwell.AppendDelta(&enc, &wo.prevDwell)
-	wo.barrierWait.AppendDelta(&enc, &wo.prevBarrier)
-	wo.deliver.AppendDelta(&enc, &wo.prevDeliver)
+	wait.AppendDelta(&enc, &wo.prevBarrier)
+	deliver.AppendDelta(&enc, &wo.prevDeliver)
 	wo.prevExec = merged.Exec
 	wo.prevDwell = merged.Dwell
-	wo.prevBarrier = wo.barrierWait
-	wo.prevDeliver = wo.deliver
+	wo.prevBarrier = wait
+	wo.prevDeliver = deliver
 	// Per-LP cumulative counters (executed events, busy wall time) — the
 	// load signal the adaptive partitioner surfaces in live metrics (a
 	// done frame's Loads are the same counters as deltas).
@@ -191,17 +184,16 @@ func (w *Worker) encodeObs(final bool) []byte {
 		enc.U64(lp.BusyNs())
 	}
 	if final {
-		// The worker ring is track 0, then the group's LP tracks, then —
-		// for a real pool; a single thread's phases are the worker ring's
-		// already — one track per pool thread.
+		// The group's window track is track 0, then its LP tracks, then —
+		// for a real pool; a single thread's phases are inside the
+		// window track's already — one track per pool thread.
 		tracks, threads := w.g.Tracks()
 		if w.Threads > 1 {
 			tracks = append(tracks, threads...)
 		}
-		enc.Int(1 + len(tracks))
-		obs.AppendSpanTrack(&enc, obs.SpanTrack{Name: "worker", TID: 0, Spans: wo.rec.Spans()})
+		enc.Int(len(tracks))
 		for _, tr := range tracks {
-			obs.AppendSpanTrack(&enc, obs.SpanTrack{Name: tr.Name, TID: 1 + tr.TID, Spans: tr.Rec.Spans()})
+			obs.AppendSpanTrack(&enc, obs.SpanTrack{Name: tr.Name, TID: tr.TID, Spans: tr.Rec.Spans()})
 		}
 	}
 	wo.buf = enc.Bytes()
@@ -440,8 +432,8 @@ func (co *ClusterObs) Histograms() (exec, dwell, barrierWait, deliver obs.Histog
 }
 
 // WriteMergedTrace exports the whole cluster as one Chrome/Perfetto
-// trace: the coordinator's window-phase track plus every shipped
-// worker ring, aligned onto the coordinator's clock by window barrier
+// trace: the coordinator's window-phase track plus every worker's
+// shipped tracks, aligned onto the coordinator's clock by window barrier
 // sequence (see obs.MergeTracks). Worker tracks are namespaced
 // "w<slot>/..." with tid 1000*(slot+1)+local. Call after Serve
 // returns (the coordinator recorder is single-writer).
@@ -473,8 +465,9 @@ func (co *ClusterObs) WriteMergedTrace(w io.Writer) error {
 // lsbench's obs.piggyback_ns probe; BenchmarkObsPiggyback and the
 // zero-alloc test use it too. Not part of the simulation API.
 type ObsPiggybackBench struct {
-	w  *Worker
-	co *ClusterObs
+	w   *Worker
+	co  *ClusterObs
+	seq uint64 // windows cycled
 }
 
 func NewObsPiggybackBench() *ObsPiggybackBench {
@@ -482,18 +475,29 @@ func NewObsPiggybackBench() *ObsPiggybackBench {
 		w:  NewWorker(0, 1, 2),
 		co: &ClusterObs{every: 1, spanCap: 1 << 10, rec: obs.NewRecorder(1 << 10)},
 	}
-	pb.w.obs = newWorkerObs(1, 1<<10)
-	pb.w.g = winsync.NewGroup(pb.w.ids, 3, 1, 1, eventq.KindHeap)
-	pb.w.g.EnableObservability(1 << 10)
+	pb.w.obs = &workerObs{every: 1}
+	g := winsync.NewGroup(pb.w.ids, 3, 1, 1, eventq.KindHeap)
+	g.EnableObservability(1 << 10)
+	for _, lp := range g.LPs() {
+		lp.OnMessage = func(winsync.Event) {}
+	}
+	// One thread: the pool runs every window inline and starts no
+	// goroutine, so the bench needs no Stop.
+	if err := g.Start(1); err != nil {
+		panic(err)
+	}
+	pb.w.g = g
 	pb.co.bind([]*WireStats{&pb.w.wire})
 	return pb
 }
 
-// Cycle observes a plausible window's worth of samples, encodes the
-// delta, and folds it; it returns the payload size. The first call
-// warms the encode buffer; thereafter the cycle is allocation-free.
+// Cycle observes a plausible window's worth of samples — the group
+// times an empty window's deliver, busy stretch and barrier wait itself
+// — encodes the delta, and folds it; it returns the payload size. The
+// first call warms the encode buffer; thereafter the cycle is
+// allocation-free.
 func (pb *ObsPiggybackBench) Cycle() (int, error) {
-	wire, wo, lps := &pb.w.wire, pb.w.obs, pb.w.g.LPs()
+	wire, g, lps := &pb.w.wire, pb.w.g, pb.w.g.LPs()
 	wire.FramesSent.Add(2)
 	wire.BytesSent.Add(512)
 	wire.FramesRecv.Add(2)
@@ -501,8 +505,10 @@ func (pb *ObsPiggybackBench) Cycle() (int, error) {
 	lps[0].E.Observer().Metrics.Exec.Observe(1500)
 	lps[1].E.Observer().Metrics.Exec.Observe(8200)
 	lps[2].E.Observer().Metrics.Dwell.Observe(1 << 20)
-	wo.barrierWait.Observe(45000)
-	wo.deliver.Observe(3200)
+	pb.seq++
+	g.Deliver(nil)
+	g.RunWindow(float64(pb.seq), pb.seq)
+	g.Flush(nil)
 	payload := pb.w.encodeObs(false)
 	return len(payload), pb.co.fold(0, payload)
 }

@@ -84,12 +84,63 @@ func TestClusterObsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merged trace does not re-parse: %v", err)
 	}
-	// Coordinator track + per worker: worker track + 3 LP tracks.
+	// Coordinator track + per worker: window track + 3 LP tracks.
 	if wantTracks := 1 + 2*4; len(tids) != wantTracks {
 		t.Fatalf("merged trace has %d tracks, want %d", len(tids), wantTracks)
 	}
 	if events == 0 {
 		t.Fatal("merged trace is empty")
+	}
+	wantAligned(t, c, co)
+}
+
+// wantAligned checks what each worker shipped of its windows: track 0 is
+// its group's window track with one busy anchor per executed window, and
+// obs.MergeTracks aligns every worker on the coordinator — no anchor
+// lands before the coordinator sent its window, and the latest-possible
+// offset puts one exactly on its send (a worker merged unshifted would
+// have none there).
+func wantAligned(t *testing.T, c *Coordinator, co *ClusterObs) {
+	t.Helper()
+	ref := []obs.SpanTrack{{Name: "coordinator", Spans: co.rec.Spans()}}
+	sent := map[uint64]int64{}
+	for _, s := range ref[0].Spans {
+		if _, ok := sent[s.Seq]; s.Kind == obs.KindWindowSend && !ok {
+			sent[s.Seq] = s.Wall
+		}
+	}
+	for slot, trs := range co.tracks {
+		if len(trs) == 0 || trs[0].Name != "window" {
+			t.Fatalf("slot %d shipped no window track first", slot)
+		}
+		anchors := map[uint64]bool{}
+		for _, s := range trs[0].Spans {
+			if s.Kind == obs.KindWindowBusy {
+				if anchors[s.Seq] {
+					t.Fatalf("slot %d: two busy anchors for window %d", slot, s.Seq)
+				}
+				anchors[s.Seq] = true
+			}
+		}
+		if uint64(len(anchors)) != c.Windows {
+			t.Fatalf("slot %d: %d busy anchors, %d windows executed", slot, len(anchors), c.Windows)
+		}
+		merged := obs.MergeTracks(ref, trs[:1])
+		onSend := false
+		for _, s := range merged[1].Spans {
+			if s.Kind != obs.KindWindowBusy {
+				continue
+			}
+			switch w := sent[s.Seq]; {
+			case s.Wall < w:
+				t.Fatalf("slot %d: window %d busy at %d, before the coordinator sent it at %d", slot, s.Seq, s.Wall, w)
+			case s.Wall == w:
+				onSend = true
+			}
+		}
+		if !onSend {
+			t.Fatalf("slot %d was not aligned on the coordinator's sends", slot)
+		}
 	}
 }
 
@@ -171,7 +222,7 @@ func TestClusterObsAcrossMigration(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merged trace does not re-parse: %v", err)
 	}
-	// Coordinator + per worker: serve loop + 2 pool threads; + 6 LPs.
+	// Coordinator + per worker: window track + 2 pool threads; + 6 LPs.
 	if want := 1 + 2*(1+2) + mgScn.model.TotalLPs; len(tids) != want {
 		t.Fatalf("merged trace has %d tracks, want %d", len(tids), want)
 	}

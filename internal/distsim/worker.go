@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/eventq"
-	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/pool"
 	"repro/internal/winsync"
@@ -74,8 +73,8 @@ type Worker struct {
 	// wire accumulates transport counters across every connection this
 	// worker ever dials (shared with each peer; see newWorkerLink).
 	wire WireStats
-	// obs is the worker-side recording state, nil unless enabled by the
-	// coordinator's config (ObsEvery > 0).
+	// obs is what shipping the group's observations takes, nil unless
+	// the coordinator's config enables recording (ObsEvery > 0).
 	obs *workerObs
 
 	// Dial opens a connection to the coordinator. Worker.Run sets it
@@ -317,11 +316,11 @@ func (w *Worker) applyConfig(cfg *frame) error {
 	w.g = winsync.NewGroup(w.ids, math.MaxInt, cfg.Lookahead, cfg.Seed, eventq.KindHeap)
 	w.g.Install = w.InstallLP
 	// Observability: the coordinator's config switches on recording for
-	// the whole cluster. The group observes its LPs and pool threads —
-	// before Setup, so even initial scheduling is on the record — and
-	// the worker keeps what is about the wire.
+	// the whole cluster. The group observes its LPs, pool threads and
+	// windows — before Setup, so even initial scheduling is on the
+	// record — and the worker ships what it recorded.
 	if cfg.ObsEvery > 0 && cfg.ObsSpans > 0 {
-		w.obs = newWorkerObs(cfg.ObsEvery, cfg.ObsSpans)
+		w.obs = &workerObs{every: cfg.ObsEvery}
 		w.g.EnableObservability(cfg.ObsSpans)
 	}
 	// Per-LP wall timing feeds the rebalancer's load signal and the obs
@@ -454,31 +453,11 @@ func (w *Worker) serveConn() error {
 				}
 				continue
 			}
-			// Observability bookkeeping brackets the window: close the
-			// barrier-wait span opened when the previous done frame went
-			// out, time the deliver merge, and record the whole busy
-			// stretch with the frame's barrier sequence as the anchor
-			// MergeTracks aligns on. All nil-guarded: with obs off this
-			// case costs one pointer test.
-			var t0 int64
-			if wo := w.obs; wo != nil {
-				t0 = obs.Now()
-				if wo.waitStart != 0 {
-					wo.barrierWait.Observe(t0 - wo.waitStart)
-					wo.rec.Record(obs.Span{Wall: wo.waitStart, Dur: t0 - wo.waitStart,
-						Time: f.End, Seq: f.WinSeq, Kind: obs.KindBarrierWait})
-					wo.waitStart = 0
-				}
-			}
 			// Schedule the coordinator's inbound events together with the
 			// ones flushed locally at the previous barrier, in the one
-			// (From, Seq) order every partition of the LPs agrees on.
+			// (From, Seq) order every partition of the LPs agrees on. An
+			// observed group times this window's phases itself.
 			w.g.Deliver(f.Events)
-			if wo := w.obs; wo != nil {
-				d := obs.Now() - t0
-				wo.deliver.Observe(d)
-				wo.rec.Record(obs.Span{Wall: t0, Dur: d, Time: f.End, Seq: f.WinSeq, Kind: obs.KindDeliver})
-			}
 			// Execute the window — inline or across the persistent pool —
 			// then flush the per-LP send buffers: local events to the
 			// group's inbox, the rest to the outbox this done frame ships.
@@ -496,8 +475,6 @@ func (w *Worker) serveConn() error {
 				done.Loads = w.loadsBuf
 			}
 			if wo := w.obs; wo != nil {
-				now := obs.Now()
-				wo.rec.Record(obs.Span{Wall: t0, Dur: now - t0, Time: f.End, Seq: f.WinSeq, Kind: obs.KindWindowBusy})
 				wo.windows++
 				if wo.windows%uint64(wo.every) == 0 {
 					done.Obs = w.encodeObs(false)
@@ -506,9 +483,6 @@ func (w *Worker) serveConn() error {
 			w.lastWinSeq, w.replay = f.WinSeq, nil
 			if err := l.send(&done); err != nil {
 				return err
-			}
-			if wo := w.obs; wo != nil {
-				wo.waitStart = obs.Now()
 			}
 		case frameCheckpoint:
 			data, err := w.snapshot()
@@ -667,9 +641,6 @@ func (w *Worker) resumeOnce() error {
 	default:
 		p.close()
 		return fmt.Errorf("distsim: expected resume, got %s", f.Kind)
-	}
-	if wo := w.obs; wo != nil {
-		wo.rec.Record(obs.Span{Wall: obs.Now(), Kind: obs.KindResume})
 	}
 	return nil
 }

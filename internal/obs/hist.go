@@ -128,9 +128,6 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 }
 
-// Reset clears the histogram.
-func (h *Histogram) Reset() { *h = Histogram{} }
-
 // Buckets calls fn for every non-empty bucket with the bucket's lower
 // bound and count, in ascending order. Bucket 0 reports lower bound 0.
 func (h *Histogram) Buckets(fn func(lowerBound int64, count uint64)) {

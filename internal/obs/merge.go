@@ -7,8 +7,8 @@ package obs
 // other process contributes a group of tracks sharing one epoch (all
 // of a worker's rings). Alignment uses the window barrier sequence:
 // the coordinator records an anchor span per window (KindWindowSend,
-// Seq = window index) and each worker records its own anchor
-// (KindWindowBusy with the same Seq, stamped from the frame's WinSeq).
+// Seq = window index) and each worker's windowed-sync group records its
+// own anchor (KindWindowBusy with the same Seq, the frame's WinSeq).
 // For a worker, window k can only start after the coordinator sent
 // window k, so the true epoch offset satisfies
 //

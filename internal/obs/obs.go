@@ -64,15 +64,15 @@ const (
 	KindSchedule
 	// KindCancel marks a canceled event's tombstone being discarded.
 	KindCancel
-	// KindBarrierWait is a federation worker blocked between windows:
-	// from reporting its done-token to receiving the next start-token.
+	// KindBarrierWait is a pool thread (done-token to next start-token)
+	// or a windowed-sync group (flush to next delivery) between windows.
 	KindBarrierWait
-	// KindWindowBusy is a federation worker's busy portion of one
-	// synchronization window (claiming and running LPs).
+	// KindWindowBusy is a pool thread's busy portion of one window
+	// (claiming and running LPs), or a group's (delivery to flush).
 	KindWindowBusy
-	// KindDeliver is a distributed worker merging a window's remote
-	// events into its engines (sort + schedule), nested at the start of
-	// the window-busy span.
+	// KindDeliver is a windowed-sync group merging a window's events
+	// into its engines (sort + schedule), nested at the start of the
+	// group's window-busy span.
 	KindDeliver
 	// KindWindowSend is the coordinator fanning one window frame out to
 	// every worker. Its Seq is the window barrier sequence — the anchor
@@ -90,8 +90,8 @@ const (
 	// KindSkip marks the coordinator jumping idle lookahead windows;
 	// Seq carries how many windows were skipped.
 	KindSkip
-	// KindResume marks a successful session-resume handshake (worker or
-	// coordinator side).
+	// KindResume marks a successful session-resume handshake, one per
+	// seat, on the coordinator's side.
 	KindResume
 	// KindRecovery is a rollback-recovery round: restoring the cluster
 	// from the last checkpoint after a worker loss.

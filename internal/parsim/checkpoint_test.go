@@ -179,7 +179,10 @@ func TestRunPastClockPanics(t *testing.T) {
 // TestCheckpointOverheadBounded pins the headline cost claim: taking a
 // snapshot of an E5-shaped PHOLD federation costs less than 5% of one
 // synchronization window's wall time. Best-of-5 on both sides to shrug
-// off scheduler noise.
+// off scheduler noise. Under the race detector both are still taken and
+// timed, but the ratio is only logged: its instrumentation costs the
+// snapshot's encoding more than the window's event loop, so the ratio
+// is not the claim's.
 func TestCheckpointOverheadBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")
@@ -209,7 +212,10 @@ func TestCheckpointOverheadBounded(t *testing.T) {
 		next += 1.0 // exactly one lookahead window per measurement
 		ph.Fed.Run(next)
 	})
-	if ratio := float64(snapTime) / float64(windowTime); ratio >= 0.05 {
+	ratio := float64(snapTime) / float64(windowTime)
+	if raceDetector {
+		t.Logf("race detector on: snapshot %v is %.1f%% of a %v window, not bounded", snapTime, 100*ratio, windowTime)
+	} else if ratio >= 0.05 {
 		t.Fatalf("snapshot %v is %.1f%% of a %v window (budget 5%%)",
 			snapTime, 100*ratio, windowTime)
 	}

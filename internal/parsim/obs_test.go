@@ -90,9 +90,10 @@ func TestFederationSnapshot(t *testing.T) {
 	}
 }
 
-// TestFederationTraceTracks pins the exported track layout (one per LP
-// plus one per pool worker, distinct tids) and that the resulting
-// Chrome trace parses and contains barrier-wait spans.
+// TestFederationTraceTracks pins the exported track layout (the group's
+// window track, one per LP and one per pool worker, distinct tids) and
+// that the resulting Chrome trace parses and contains barrier-wait
+// spans, and one window-busy span of the window track per window.
 func TestFederationTraceTracks(t *testing.T) {
 	ph := NewPHOLD(4, 2, 0.5, 8, 0.3, 50, 42)
 	if ph.Fed.TraceTracks() != nil {
@@ -102,8 +103,17 @@ func TestFederationTraceTracks(t *testing.T) {
 	ph.Run(30)
 
 	tracks := ph.Fed.TraceTracks()
-	if len(tracks) != 4+2 {
-		t.Fatalf("tracks = %d, want 6", len(tracks))
+	if len(tracks) != 1+4+2 || tracks[0].Name != "window" {
+		t.Fatalf("tracks = %d, want 7, the window track first", len(tracks))
+	}
+	var busy uint64
+	for _, s := range tracks[0].Rec.Spans() {
+		if s.Kind == obs.KindWindowBusy {
+			busy++
+		}
+	}
+	if busy != ph.Fed.Windows() {
+		t.Fatalf("window track has %d busy spans, federation ran %d windows", busy, ph.Fed.Windows())
 	}
 	seen := map[int]bool{}
 	for _, tr := range tracks {
@@ -135,7 +145,7 @@ func TestFederationTraceTracks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if events == 0 || len(tids) != 6 {
+	if events == 0 || len(tids) != 7 {
 		t.Fatalf("chrome trace: events=%d tids=%v", events, tids)
 	}
 }

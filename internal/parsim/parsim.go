@@ -18,8 +18,8 @@
 // RunWindow → Flush → Deliver(nil) and nothing ever leaves the process.
 // Results are bit-identical for any worker count, including 1, which
 // is what lets experiment E5 attribute speedups to parallelism alone.
-// What this package adds is the window clock, Run, the wall time of a
-// window and the snapshot header.
+// What this package adds is the window clock, Run and the snapshot
+// header; the group times the windows itself.
 package parsim
 
 import (
@@ -65,11 +65,6 @@ type Federation struct {
 	// here, and Checkpoint records it so a restored federation resumes
 	// at the exact window boundary.
 	clock float64
-
-	// obsOn is EnableObservability: the group records the LPs and the
-	// pool workers, the coordinator's goroutine its own wall time.
-	obsOn      bool
-	windowWall obs.Histogram // wall ns per window incl. delivery
 }
 
 // NewFederation creates n LPs with the given lookahead (the minimum
@@ -115,18 +110,12 @@ func (f *Federation) Windows() uint64 { return f.windows }
 // pool avoids dispatching entirely.
 func (f *Federation) IdleSkips() uint64 { return f.g.IdleSkips() }
 
-// EnableObservability has the group attach a trace recorder (spanCap
-// spans, ring) and latency histograms to every LP engine, plus a
-// recorder and barrier-wait/busy histograms to every pool worker
-// (winsync.Group.EnableObservability), and times every window. It must
-// be called before Run; calling it with tracing already enabled resets
-// the attachments. Observability never perturbs simulation results —
-// the determinism tests run with it on — it only costs wall time.
-func (f *Federation) EnableObservability(spanCap int) {
-	f.obsOn = true
-	f.windowWall.Reset()
-	f.g.EnableObservability(spanCap)
-}
+// EnableObservability has the group record its LPs, pool workers and
+// windows in rings of spanCap spans, with histograms
+// (winsync.Group.EnableObservability). Call it before Run; calling it
+// again starts over. It never perturbs simulation results — the
+// determinism tests run with it on — it only costs wall time.
+func (f *Federation) EnableObservability(spanCap int) { f.g.EnableObservability(spanCap) }
 
 // Snapshot is a point-in-time view of federation-level runtime
 // metrics, taken between Run calls.
@@ -141,8 +130,8 @@ type Snapshot struct {
 	// worker spent blocked between finishing one window and starting
 	// the next — the synchronization cost of conservative lock-step.
 	BarrierWait *obs.Histogram
-	// WindowWall is the coordinator's wall nanoseconds per window,
-	// including message delivery.
+	// WindowWall is the wall nanoseconds of each window's busy stretch,
+	// from the delivery before it to its flush (winsync.Group.Phases).
 	WindowWall *obs.Histogram
 	// Utilization is, per worker, busy wall time divided by total
 	// window wall time — the load-balance profile of the run. A window
@@ -163,7 +152,8 @@ func (f *Federation) Snapshot() Snapshot {
 	for i, lp := range f.g.LPs() {
 		s.LPs[i] = lp.E.Stats()
 	}
-	if !f.obsOn {
+	_, ww, _, ok := f.g.Phases()
+	if !ok {
 		return s
 	}
 	wait, busy := f.g.ThreadHistograms()
@@ -171,7 +161,6 @@ func (f *Federation) Snapshot() Snapshot {
 	for w := range wait {
 		s.BarrierWait.Merge(&wait[w])
 	}
-	ww := f.windowWall
 	s.WindowWall = &ww
 	s.Utilization = make([]float64, f.workers)
 	if total := ww.Sum(); total > 0 {
@@ -182,13 +171,14 @@ func (f *Federation) Snapshot() Snapshot {
 	return s
 }
 
-// TraceTracks returns one obs.Track per LP and per pool worker, ready
-// for obs.WriteChromeTrace: LP tracks carry event spans and
-// schedule/cancel marks, worker tracks carry barrier-wait and
-// window-busy spans. Nil when observability is off.
+// TraceTracks returns the group's window track, one obs.Track per LP
+// and one per pool worker, ready for obs.WriteChromeTrace: the window
+// track carries the barrier-wait, deliver and busy span of each window,
+// LP tracks event spans and schedule/cancel marks, worker tracks
+// barrier-wait and window-busy spans. Nil when observability is off.
 func (f *Federation) TraceTracks() []obs.Track {
-	lps, workers := f.g.Tracks()
-	return append(lps, workers...)
+	group, workers := f.g.Tracks()
+	return append(group, workers...)
 }
 
 // Run advances every LP to the horizon in lookahead-sized windows.
@@ -212,18 +202,11 @@ func (f *Federation) Run(horizon float64) {
 			windowEnd = horizon
 		}
 		f.windows++
-		var wallStart int64
-		if f.obsOn {
-			wallStart = obs.Now()
-		}
 		f.g.RunWindow(windowEnd, f.windows)
 		// One group owns every LP: nothing is flushed out of it, and
 		// nothing comes in.
 		f.g.Flush(nil)
 		f.g.Deliver(nil)
-		if f.obsOn {
-			f.windowWall.Observe(obs.Now() - wallStart)
-		}
 		f.clock = windowEnd
 		if windowEnd >= horizon {
 			return

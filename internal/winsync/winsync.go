@@ -321,7 +321,9 @@ func (g *Group) Start(threads int) error {
 		for len(o.threads) < threads {
 			o.threads = append(o.threads, threadObs{rec: obs.NewRecorder(o.spanCap)})
 		}
-		g.pl.SetObserve(g.observePhases)
+		g.pl.SetObserve(func(thread int, waitStart, busyStart, busyEnd int64) {
+			o.threads[thread].phases(int32(thread), g.end, g.seq, waitStart, busyStart, busyEnd)
+		})
 	}
 	return nil
 }
@@ -329,6 +331,9 @@ func (g *Group) Start(threads int) error {
 // Stop joins the pool's goroutines. It is idempotent and safe before
 // Start.
 func (g *Group) Stop() {
+	if g.obs != nil {
+		g.obs.window.stopped()
+	}
 	if g.pl != nil {
 		g.pl.Close()
 		g.poolStats = g.PoolStats()
@@ -361,6 +366,9 @@ func (g *Group) PoolStats() pool.Stats {
 // caller.
 func (g *Group) RunWindow(end float64, seq uint64) {
 	g.end, g.seq = end, seq
+	if g.obs != nil {
+		g.obs.window.opened()
+	}
 	g.due = g.due[:0]
 	for _, lp := range g.order {
 		if lp.E.Head() <= end {
@@ -415,6 +423,9 @@ func (g *Group) Flush(out []Event) []Event {
 		clear(src.outbox) // drop the payload references
 		src.outbox = src.outbox[:0]
 	}
+	if g.obs != nil {
+		g.obs.window.flushed(g.end, g.seq)
+	}
 	return out
 }
 
@@ -423,6 +434,10 @@ func (g *Group) Flush(out []Event) []Event {
 // With nothing from outside the inbox is in that order already and is
 // not sorted. remote is consumed before Deliver returns.
 func (g *Group) Deliver(remote []Event) {
+	var t0 int64
+	if g.obs != nil {
+		t0 = obs.Now()
+	}
 	if len(remote) > 0 {
 		g.inbox = append(g.inbox, remote...)
 		g.unsorted = true
@@ -444,6 +459,9 @@ func (g *Group) Deliver(remote []Event) {
 	}
 	clear(g.inbox) // drop the payload references
 	g.inbox = g.inbox[:0]
+	if g.obs != nil {
+		g.obs.window.delivered(t0)
+	}
 }
 
 // sortInbox restores EventOrder after events from elsewhere joined the
