@@ -123,7 +123,7 @@ func Lsnode(fs *flag.FlagSet) *Run {
 	fs.Float64Var(&m.RemoteProb, "remote", m.RemoteProb, "PHOLD remote-hop probability")
 	fs.IntVar(&m.HotHoldNs, "hot-hold-ns", 0, "worker: extra ns of CPU a hot LP burns per event (load shaping only)")
 	fs.Func("own", "worker: comma-separated LP `IDs` this worker owns", list(&r.Own, strconv.Atoi))
-	fs.IntVar(&w.MaxPark, "max-park", 0, "worker: reconnect attempts past the first 8 to survive a coordinator restart (0 = 64 default, negative = none)")
+	fs.IntVar(&w.MaxPark, "max-park", 0, "worker: reconnect attempts past the first 8 to survive a coordinator restart (0 = 256 default, negative = none)")
 	return r
 }
 
@@ -188,6 +188,9 @@ func (r *Run) Validate() error {
 	}
 	if err := r.Chaos.Validate(); err != nil {
 		return err
+	}
+	if th := r.Greedy.Threshold; math.IsNaN(th) || math.IsInf(th, 0) {
+		return fmt.Errorf("-imbalance-thresh must be finite, got %v", th)
 	}
 	// A phold pool thread may run no LP at all; a cluster worker may not.
 	if r.Workers < 1 || r.Workers > c.NLPs && r.Sim != "phold" {

@@ -131,12 +131,15 @@ func TestValidateRejectsBadValues(t *testing.T) {
 			"-horizon 0", "-horizon -1", "-sim phold -workers 0", "-sim phold -delay-factor 0",
 			"-sim phold -horizon -1", "-sim phold -checkpoint-at -1", "-sim phold -checkpoint-at NaN",
 			"-sim distphold -chaos-drop 5", "-chaos-drop NaN", "-chaos-dup 7", "-chaos-corrupt -3",
-			"-chaos-reorder 1.5", "-chaos-reset -1", "-chaos-delay -1s", "-chaos-jitter -1ms"},
+			"-chaos-reorder 1.5", "-chaos-reset -1", "-chaos-delay -1s", "-chaos-jitter -1ms",
+			"-horizon Inf", "-sim phold -horizon Inf", "-rebalance -imbalance-thresh NaN",
+			"-rebalance -imbalance-thresh Inf", "-rebalance -imbalance-thresh -Inf"},
 		"lsnode": {"-mode worker", "-mode worker -own 1,1", "-mode worker -own 8", "-mode worker -own -1",
 			"-mode worker -own 2 -lps 2", worker + "-delay-factor 0", worker + "-lps 0", worker + "-jobs -1",
 			worker + "-remote 1.5", "-mode coordinator -lps 0", "-mode coordinator -lookahead 0",
 			"-mode coordinator -lookahead Inf", "-mode coordinator -timeout 2e-9", "-mode coordinator -timeout -1",
-			"-mode coordinator -horizon 0", "-mode coordinator -workers 0", "-mode coordinator -workers 9"},
+			"-mode coordinator -horizon 0", "-mode coordinator -horizon Inf", "-mode coordinator -workers 0",
+			"-mode coordinator -workers 9"},
 	} {
 		for _, args := range cases {
 			fs, r := flags(cmd)

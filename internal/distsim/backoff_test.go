@@ -10,12 +10,31 @@ import (
 // TestBackoffDefaults pins the waits an lsnode run without flags gets
 // (env.go's table): 8 connect attempts 50 ms of backoff apart at first,
 // at most 5 s; a 10 s wait for the config; a resume window of
-// min(Timeout, 2 s) with four hello tries in it; Timeout, 30 s, for
-// everything derived from it.
+// min(Timeout, 2 s) with four hello tries in it; 256 reconnect attempts
+// past the first 8, each taking at most half the window, so a window
+// the coordinator opens late still holds two, and together pausing two
+// minutes; Timeout, 30 s, for everything derived from it.
 func TestBackoffDefaults(t *testing.T) {
 	if connectAttempts != 8 || backoffBase != 50*time.Millisecond || backoffCap != 5*time.Second ||
-		connectWait != 10*time.Second || DefaultTimeout != 30*time.Second {
-		t.Fatalf("attempts %d, backoff %v..%v, config wait %v, Timeout %v", connectAttempts, backoffBase, backoffCap, connectWait, DefaultTimeout)
+		connectWait != 10*time.Second || DefaultTimeout != 30*time.Second || DefaultMaxPark != 256 {
+		t.Fatalf("attempts %d (+%d), backoff %v..%v, config wait %v, Timeout %v",
+			connectAttempts, DefaultMaxPark, backoffBase, backoffCap, connectWait, DefaultTimeout)
+	}
+	bo := newBackoff(7)
+	for _, timeout := range []time.Duration{DefaultTimeout, 3 * time.Second, time.Second} {
+		w := resumeWait(timeout)
+		var park time.Duration
+		for a := 1; a < connectAttempts+DefaultMaxPark; a++ {
+			p := retryPause(bo, a, timeout)
+			if try := p + w/helloTries; try > w/2 {
+				t.Fatalf("Timeout %v: reconnect try %d takes %v of a %v window", timeout, a, try, w)
+			}
+			park += p
+		}
+		// Dials a dead host refuses at once: the pauses alone are the park.
+		if timeout == DefaultTimeout && park < 2*time.Minute {
+			t.Fatalf("the default park pauses %v in all, want two minutes", park)
+		}
 	}
 	for _, tc := range []struct{ timeout, window time.Duration }{
 		{DefaultTimeout, 2 * time.Second}, {time.Second, time.Second},

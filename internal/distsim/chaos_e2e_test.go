@@ -34,6 +34,8 @@ func ceRun(t *testing.T, coordCfg, workerCfg *chaos.Config) *Coordinator {
 	return c
 }
 
+// TestChaosCleanBaseline is the suite's control: the same run with no
+// injector matches the reference and never reconnects.
 func TestChaosCleanBaseline(t *testing.T) {
 	t.Parallel()
 	c := ceRun(t, nil, nil)
@@ -122,7 +124,7 @@ func TestChaosPartitionWithReconnect(t *testing.T) {
 		for _, w := range workers {
 			w.Dial = k.dial(simDial(ln))
 		}
-		return cutListener{ln.(*simListener), k}
+		return wrapListener{ln.(*simListener), k.conn}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,41 +168,68 @@ func TestChaosFourWorkerConcurrentHeal(t *testing.T) {
 	wantCounts(t, "four-worker chaos run (against fault-free)", c, ref.PerLPEvents())
 }
 
-// dropConn discards the frames drop picks, silently, the way a lossy
-// network would: one Write is one frame. What internal/chaos draws,
-// this scripts by frame kind.
-type dropConn struct {
+// scriptConn writes each frame as many times as copies says for its
+// kind: 0 drops it silently, the way a lossy network would, 2 sends it
+// twice. One Write is one frame. What internal/chaos draws, this
+// scripts by frame kind.
+type scriptConn struct {
 	net.Conn
-	drop func(frameKind) bool
+	copies func(frameKind) int
 }
 
-func (c *dropConn) Write(p []byte) (int, error) {
+func (c *scriptConn) Write(p []byte) (int, error) {
 	var f frame
 	var evs []Event
-	if unmarshalFrameInto(&f, &evs, p[wireHeaderLen:]) == nil && c.drop(f.Kind) {
-		return len(p), nil
+	n := 1
+	if unmarshalFrameInto(&f, &evs, p[wireHeaderLen:]) == nil {
+		n = c.copies(f.Kind)
 	}
-	return c.Conn.Write(p)
+	for range n {
+		if _, err := c.Conn.Write(p); err != nil {
+			return 0, err
+		}
+	}
+	return len(p), nil
 }
 
-// dropListener scripts the coordinator's side of every connection.
-type dropListener struct {
+// scripted passes every conn through a scriptConn with copies.
+func scripted(copies func(frameKind) int) func(net.Conn) net.Conn {
+	return func(c net.Conn) net.Conn { return &scriptConn{c, copies} }
+}
+
+// firstN drops the first n frames of the given kind.
+func firstN(kind frameKind, n int32) func(frameKind) int {
+	var seen atomic.Int32
+	return func(k frameKind) int {
+		if k == kind && seen.Add(1) <= n {
+			return 0
+		}
+		return 1
+	}
+}
+
+// twice duplicates every frame of the given kind.
+func twice(kind frameKind) func(frameKind) int {
+	return func(k frameKind) int {
+		if k == kind {
+			return 2
+		}
+		return 1
+	}
+}
+
+// wrapListener passes the coordinator's side of every conn through wrap.
+type wrapListener struct {
 	*simListener
-	drop func(frameKind) bool
+	wrap func(net.Conn) net.Conn
 }
 
-func (l dropListener) Accept() (net.Conn, error) {
-	conn, err := l.simListener.Accept()
+func (l wrapListener) Accept() (net.Conn, error) {
+	c, err := l.simListener.Accept()
 	if err != nil {
 		return nil, err
 	}
-	return &dropConn{conn, l.drop}, nil
-}
-
-// firstN returns a drop rule: the first n frames of the given kind.
-func firstN(kind frameKind, n int32) func(frameKind) bool {
-	var seen atomic.Int32
-	return func(k frameKind) bool { return k == kind && seen.Add(1) <= n }
+	return l.wrap(c), nil
 }
 
 // TestStatsSurviveLostHandshakes loses worker B's stats frame and then
@@ -214,9 +243,8 @@ func TestStatsSurviveLostHandshakes(t *testing.T) {
 	c := ceScn.coordinator(nil)
 	workers := ceScn.pair()
 	err := newSim(t).loopback(c, workers, func(ln net.Listener) net.Listener {
-		lostStats := firstN(frameStats, 1)
-		workers[1].Dial = faulty(func(conn net.Conn) net.Conn { return &dropConn{conn, lostStats} }, simDial(ln))
-		return dropListener{ln.(*simListener), firstN(frameResume, 2)}
+		workers[1].Dial = faulty(scripted(firstN(frameStats, 1)), simDial(ln))
+		return wrapListener{ln.(*simListener), scripted(firstN(frameResume, 2))}
 	})
 	if err != nil {
 		t.Fatal(err)

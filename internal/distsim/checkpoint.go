@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/checkpoint"
-	"repro/internal/winsync"
 )
 
 // This file implements the coordinator's half of the fault-tolerant
@@ -44,16 +43,6 @@ const (
 // but is not a cut this run may restore: another format, another
 // cluster shape, or a barrier outside what the journal vouches for.
 var errCheckpointMismatch = errors.New("distsim: cluster checkpoint does not fit this run")
-
-// encEventInto and decEventFrom are the kernel's event codec under the
-// names the wire, journal and control codecs call it by.
-func encEventInto(enc *checkpoint.Enc, ev *Event) { winsync.AppendEvent(enc, ev) }
-
-// decEventFrom decodes one event. Data is a zero-copy view into the
-// decoder's payload (see checkpoint.Dec.RawView): snapshot buffers are
-// owned and never reused, and the frame receive path consumes or
-// copies events before its read buffer turns over.
-func decEventFrom(d *checkpoint.Dec) Event { return winsync.DecodeEvent(d) }
 
 // clusterCheckpoint is the coordinator's consistent cut of a run: the
 // control cut (control.cut) and one worker snapshot per seat.

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/checkpoint"
+	"repro/internal/winsync"
 )
 
 // This file is the coordinator's control core: the state a distributed
@@ -203,7 +204,7 @@ func decLPs(d *checkpoint.Dec) ([]int, error) {
 func encEvents(enc *checkpoint.Enc, evs []Event) {
 	enc.Int(len(evs))
 	for i := range evs {
-		encEventInto(enc, &evs[i])
+		winsync.AppendEvent(enc, &evs[i])
 	}
 }
 
@@ -216,7 +217,7 @@ func decEvents(d *checkpoint.Dec) ([]Event, error) {
 	}
 	evs := make([]Event, n)
 	for i := range evs {
-		evs[i] = decEventFrom(d)
+		evs[i] = winsync.DecodeEvent(d)
 	}
 	return evs, nil
 }

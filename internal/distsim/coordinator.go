@@ -13,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/rng"
+	"repro/internal/winsync"
 )
 
 // Coordinator drives a distributed run: it waits for the expected
@@ -153,8 +154,8 @@ func NewCoordinator(nLPs int, lookahead, horizon float64, seed uint64) *Coordina
 // it; a front end that fills the struct from outside input calls it
 // before it opens a socket.
 func (c *Coordinator) Validate() error {
-	if c.NLPs <= 0 || !(c.Lookahead > 0) || !(c.Horizon > 0) {
-		return fmt.Errorf("distsim: coordinator needs LPs, lookahead and horizon > 0, got %d, %v, %v", c.NLPs, c.Lookahead, c.Horizon)
+	if c.NLPs <= 0 || !(c.Lookahead > 0) || !(c.Horizon > 0) || math.IsInf(c.Horizon, 1) {
+		return fmt.Errorf("distsim: coordinator needs LPs, lookahead > 0 and a finite horizon > 0, got %d, %v, %v", c.NLPs, c.Lookahead, c.Horizon)
 	}
 	// What a worker would refuse in the config frame.
 	if math.IsInf(c.Lookahead, 1) {
@@ -841,10 +842,10 @@ func (c *Coordinator) recvFrame(l *link) (*frame, error) {
 				stale = 0
 			}
 			continue
-		case frameHello, frameRegister:
-			// Stray hello/register frames are duplicated handshake traffic
-			// left in the read buffer by a faulty network — noise, not
-			// protocol.
+		case frameHello, frameRegister, frameReadopt:
+			// Stray hello/register/readopt frames are duplicated handshake
+			// traffic left in the read buffer by a faulty network — noise,
+			// not protocol.
 			continue
 		}
 		return f, nil
@@ -969,7 +970,7 @@ func (c *Coordinator) runWindows(s *session) error {
 			}
 		}
 		// Deterministic global order: (sending LP, per-sender seq).
-		slices.SortFunc(produced, eventOrder)
+		slices.SortFunc(produced, winsync.EventOrder)
 		// Event payloads are views into per-link read buffers that the
 		// next frame on the link overwrites; copy them into the arena,
 		// which lives until these events are marshalled into the next

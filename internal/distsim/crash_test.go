@@ -10,23 +10,18 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/chaos"
 )
 
-// The coordinator crash-restart suite: Serve is killed at a scripted
+// The coordinator crash-restart drills: Serve is killed at a scripted
 // barrier (the crash hooks return errCrashHook right after or right
 // before the journal append), a second coordinator restarts from the
-// same journal on the same listener, re-adopts the parked workers, and
-// the finished run must be bit-identical to one that was never
-// interrupted — across the dense, sparse skip-idle, chaos-faulted, and
-// post-migration layouts. The fallback ladder (re-adopt -> rollback ->
-// fail) and the worker park budget get their own scenarios.
-
-// parkOutage is an outage longer than a worker's first connectAttempts
-// reconnect attempts (env.go's table): the workers are parked, redialing
-// about 2 s apart, when the restart comes.
-const parkOutage = 2 * time.Minute
+// same journal on the same listener and re-adopts the parked workers.
+// The plain restart, on every layout, thread count and observability
+// setting and under chaos, is a column of TestFaultMatrix; this file
+// holds the harness and the drills that need more than the harness:
+// the done-frame replay before a barrier, the fallback ladder
+// (re-adopt -> rollback -> fail), a foreign checkpoint, the worker
+// park budget and partitions.
 
 // crashRestart drives the two-phase harness. Two coordinators share the
 // scenario, tune and one journal; arm sets the first one's crash hook.
@@ -99,24 +94,6 @@ func wantReadopted(t *testing.T, c *Coordinator) {
 	}
 }
 
-// TestCrashRestartDense is the core tentpole property, proven in its
-// strongest form: the run has a journal but *no checkpoint file*, so
-// rollback is impossible by construction — only a clean re-adoption at
-// the journal tip can finish the run. The outage is long enough that
-// every worker exhausts its reconnect cycle and parks, so this also pins
-// the park -> re-adopt path end to end.
-func TestCrashRestartDense(t *testing.T) {
-	want, wantWindows := referenceRun(t)
-	_, c2 := rtScn.crashRestart(t, nil, afterBarrier(3), rtScn.pair(), parkOutage, nil)
-	wantCounts(t, "restarted run", c2, want)
-	// Zero rolled-back windows: the restart resumes at the crash barrier,
-	// so the total executed-window count matches the uninterrupted run.
-	if lattice(c2) != wantWindows {
-		t.Fatalf("windows = %d, want %d", lattice(c2), wantWindows)
-	}
-	wantReadopted(t, c2)
-}
-
 // TestCrashRestartBeforeBarrier kills the coordinator after the
 // workers executed a window but before its journal record became
 // durable: the restarted coordinator's tip trails the cluster by one
@@ -124,7 +101,7 @@ func TestCrashRestartDense(t *testing.T) {
 // the done frame its replaced link retained — byte for byte the one it
 // sent before the crash — without executing an event.
 func TestCrashRestartBeforeBarrier(t *testing.T) {
-	want, wantWindows := referenceRun(t)
+	want, wantWindows := rtScn.reference(), rtScn.windows()
 	workers := rtScn.pair()
 	taps := make([]*doneTap, len(workers))
 	wrap := func(ln net.Listener) net.Listener {
@@ -161,6 +138,24 @@ func TestCrashRestartBeforeBarrier(t *testing.T) {
 			t.Errorf("worker %d executed %d events answering the re-sent window", i, replay.executed-before.executed)
 		}
 	}
+}
+
+// TestCrashRestartDuplicatedHandshake re-adopts the workers over a
+// network that delivers every re-adoption frame twice: the
+// coordinator's coord-hello and each worker's readopt arrive again once
+// the handshake is over, and each side drops the copy as noise, as it
+// does a duplicated hello or register.
+func TestCrashRestartDuplicatedHandshake(t *testing.T) {
+	workers := rtScn.pair()
+	wrap := func(ln net.Listener) net.Listener {
+		for _, w := range workers {
+			w.Dial = faulty(scripted(twice(frameReadopt)), w.Dial)
+		}
+		return wrapListener{ln.(*simListener), scripted(twice(frameCoordHello))}
+	}
+	_, c2 := rtScn.crashRestart(t, nil, afterBarrier(3), workers, 0, wrap)
+	wantCounts(t, "restart over duplicated handshakes", c2, rtScn.reference())
+	wantReadopted(t, c2)
 }
 
 // doneTap records every done frame a worker writes: its payload, the
@@ -200,65 +195,6 @@ func (c tapConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestCrashRestartSparseSkip crashes the coordinator of a sparse run
-// between skipped gaps: the journal tip records the pre-gap barrier, and the
-// restart — which cannot know the piggybacked next-event times the
-// crash destroyed — re-executes the gap's empty windows instead of
-// skipping them. Empty windows execute nothing, so the counts stay
-// bit-identical to the single-process reference.
-func TestCrashRestartSparseSkip(t *testing.T) {
-	_, c2 := skScn.crashRestart(t, nil, afterBarrier(2), skScn.pair(), 0, nil)
-	wantCounts(t, "crash-restart skip run", c2, skScn.reference())
-	if lattice(c2) != skScn.windows() {
-		t.Fatalf("restarted run executed %d + skipped %d != lattice %d", c2.Windows, c2.WindowsSkipped, skScn.windows())
-	}
-	wantReadopted(t, c2)
-}
-
-// TestCrashRestartUnderChaos combines the coordinator crash with a
-// faulty network on every wire: drops, duplicates, and corruption keep
-// forcing session resumes before the crash and keep attacking the
-// re-adoption handshake after it. The layered ladder — integrity
-// checks, resume, journal restart — must still deliver bit-identical
-// counts.
-func TestCrashRestartUnderChaos(t *testing.T) {
-	want, _ := referenceRun(t)
-	workers := rtScn.pair()
-	faults := chaos.Config{Seed: 911, Drop: 0.02, Dup: 0.05, Corrupt: 0.02}
-	// One injector wraps the listener across both Serve calls: the
-	// restarted coordinator inherits the same hostile network.
-	wrap := func(ln net.Listener) net.Listener {
-		for i, w := range workers {
-			cfg := faults
-			cfg.Seed = 912 + uint64(i)*1000003
-			w.Dial = faulty(chaos.New(cfg).Conn, w.Dial)
-		}
-		return chaos.New(faults).Listener(ln)
-	}
-	_, c2 := rtScn.crashRestart(t, nil, afterBarrier(3), workers, 0, wrap)
-	wantCounts(t, "chaos crash-restart run", c2, want)
-	wantReadopted(t, c2)
-}
-
-// TestCrashRestartAfterMigration crashes the coordinator after the
-// rebalancer has migrated LPs away from the workers' static
-// registration: the journal's migration records reproduce the moved
-// assignment, the surviving workers present their migrated LP sets in
-// the re-adoption handshake, and the restart resumes the migrated
-// layout with zero rollback.
-func TestCrashRestartAfterMigration(t *testing.T) {
-	c1, c2 := mgScn.crashRestart(t, rebalancing, afterBarrier(6), mgScn.pair(), 0, nil)
-	if c1.Migrations == 0 {
-		t.Fatal("no migration before the crash; the scenario no longer exercises the migrated layout")
-	}
-	wantCounts(t, "post-migration crash-restart run", c2, mgScn.reference())
-	wantReadopted(t, c2)
-	if len(c2.WorkerStats[0].LPs)+len(c2.WorkerStats[1].LPs) != c2.NLPs {
-		t.Fatalf("final LP sets %v + %v do not partition %d LPs",
-			c2.WorkerStats[0].LPs, c2.WorkerStats[1].LPs, c2.NLPs)
-	}
-}
-
 // TestCrashRestartFallbackRollback exercises the middle rung of the
 // restart ladder: one worker dies during the coordinator outage, so a
 // fresh replacement registers during re-adoption, its state cannot be
@@ -267,7 +203,7 @@ func TestCrashRestartAfterMigration(t *testing.T) {
 // re-adopted (it carries the restore like any rollback), and the
 // finished counts match the uninterrupted run.
 func TestCrashRestartFallbackRollback(t *testing.T) {
-	want, _ := referenceRun(t)
+	want := rtScn.reference()
 	dir := t.TempDir()
 	sm := newSim(t)
 	ln := sm.listen()
@@ -324,7 +260,7 @@ func TestCrashRestartFallbackRollback(t *testing.T) {
 // the real file back the same parked workers are re-adopted and the run
 // finishes bit-identical.
 func TestCrashRestartRefusesForeignCheckpoint(t *testing.T) {
-	want, wantWindows := referenceRun(t)
+	want, wantWindows := rtScn.reference(), rtScn.windows()
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "cluster.ckpt")
 	sm := newSim(t)
@@ -594,20 +530,6 @@ func (k *cut) dial(dial func() (net.Conn, error)) func() (net.Conn, error) {
 	}
 }
 
-// cutListener partitions the coordinator's side of every conn.
-type cutListener struct {
-	*simListener
-	k *cut
-}
-
-func (l cutListener) Accept() (net.Conn, error) {
-	c, err := l.simListener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.k.conn(c), nil
-}
-
 // TestPartitionShorterThanTimeout pins the heartbeat-during-partition
 // interplay from the safe side: a two-way blackhole shorter than the
 // coordinator's per-frame deadline must never escalate to rollback
@@ -616,7 +538,7 @@ func (l cutListener) Accept() (net.Conn, error) {
 // cheap session resume. Rollback is armed, so a false escalation
 // would be visible in Recoveries.
 func TestPartitionShorterThanTimeout(t *testing.T) {
-	want, _ := referenceRun(t)
+	want := rtScn.reference()
 	c := rtScn.coordinator(func(c *Coordinator) {
 		c.CheckpointEvery = 1
 		c.MaxRecoveries = 2
@@ -628,7 +550,7 @@ func TestPartitionShorterThanTimeout(t *testing.T) {
 		for _, w := range workers {
 			w.Dial = k.dial(simDial(ln))
 		}
-		return cutListener{ln.(*simListener), k}
+		return wrapListener{ln.(*simListener), k.conn}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -648,7 +570,7 @@ func TestPartitionShorterThanTimeout(t *testing.T) {
 // the seat through rollback recovery: Recoveries must advance, and the
 // counts must still match the uninterrupted run.
 func TestPartitionLongerThanTimeoutRecovers(t *testing.T) {
-	want, wantWindows := referenceRun(t)
+	want, wantWindows := rtScn.reference(), rtScn.windows()
 	c := rtScn.coordinator(func(c *Coordinator) {
 		c.CheckpointEvery = 1
 		c.MaxRecoveries = 2

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/parsim"
 )
 
 func TestTwoWorkerMessageExchange(t *testing.T) {
@@ -40,33 +38,6 @@ func TestTwoWorkerMessageExchange(t *testing.T) {
 	if c.EventsRouted != 1 {
 		t.Fatalf("routed = %d", c.EventsRouted)
 	}
-}
-
-func TestDistributedPHOLDMatchesSingleProcess(t *testing.T) {
-	// The flagship property: a PHOLD run distributed over two TCP
-	// workers is bit-identical (per-LP event counts) to the same model
-	// in the single-process parsim federation.
-	const (
-		lps       = 6
-		lookahead = 0.5
-		horizon   = 200.0
-		jobs      = 8
-		remote    = 0.4
-		work      = 5
-		seed      = 1234
-	)
-	// Single-process reference.
-	ref := parsim.NewPHOLD(lps, 1, lookahead, jobs, remote, work, seed)
-	ref.Run(horizon)
-
-	// Distributed run: LPs 0-2 on worker A, 3-5 on worker B.
-	c := NewCoordinator(lps, lookahead, horizon, seed)
-	wA := NewWorker(0, 1, 2)
-	wB := NewWorker(3, 4, 5)
-	InstallPHOLD(wA, lps, jobs, remote, work)
-	InstallPHOLD(wB, lps, jobs, remote, work)
-	launch(t, c, []*Worker{wA, wB})
-	wantCounts(t, "distributed run (against single-process)", c, ref.PerLPEvents())
 }
 
 func TestThreeWorkersUnevenPartition(t *testing.T) {

@@ -25,10 +25,10 @@ import (
 //	attempts of the first connect      worker       connectAttempts, first at once 8
 //	pause before connect retry a ≥ 0   worker       backoffBase·2^a + 0–25 %,      50 ms …
 //	                                                at most backoffCap             5 s
-//	attempts after a broken connection worker       connectAttempts +              8 + 64
+//	attempts after a broken connection worker       connectAttempts +              8 + 256
 //	                                                Worker.MaxPark, first at once
 //	pause before reconnect retry a     worker       pause before connect retry     50 ms …
-//	                                                min(a, parkStep)               1.6–2 s
+//	                                                a-1, at most the hello wait    500 ms
 const (
 	beatsPerTimeout   = 3
 	staleBeats        = 3
@@ -40,7 +40,6 @@ const (
 	connectAttempts   = 8
 	backoffBase       = 50 * time.Millisecond
 	backoffCap        = 5 * time.Second
-	parkStep          = 5
 )
 
 // DefaultTimeout is the per-frame receive deadline the coordinator
@@ -50,8 +49,9 @@ const DefaultTimeout = 30 * time.Second
 
 // DefaultMaxPark is how many reconnect attempts past connectAttempts a
 // worker makes after a broken connection, waiting for a crashed
-// coordinator to restart (Worker.MaxPark zero means this default).
-const DefaultMaxPark = 64
+// coordinator to restart (Worker.MaxPark zero means this default):
+// about two minutes of retries half a second apart.
+const DefaultMaxPark = 256
 
 // env is where distsim gets time from: the clock, a pause, the
 // heartbeat tick, and — through the clock — the deadlines armed on a
@@ -100,6 +100,13 @@ func (wallClock) every(d time.Duration, f func() bool) func() {
 // that a hello or answer lost on the wire costs one of several tries
 // rather than the seat.
 func resumeWait(timeout time.Duration) time.Duration { return min(timeout, resumeWindow) }
+
+// retryPause is the pause before reconnect attempt a ≥ 1: the connect
+// backoff, at most a hello's wait, so a try — pause and hello — takes
+// at most half the resume window at every attempt of the budget.
+func retryPause(bo *backoff, a int, timeout time.Duration) time.Duration {
+	return min(bo.delay(a-1), resumeWait(timeout)/helloTries)
+}
 
 // orWall is e, or the wall clock when e is nil.
 func orWall(e env) env {

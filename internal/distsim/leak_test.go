@@ -22,9 +22,11 @@ func TestNoGoroutineLeftBehind(t *testing.T) {
 		run  func(t *testing.T)
 	}{
 		{"clean", func(t *testing.T) {
-			if err := Loopback(rtScn.coordinator(nil), rtScn.pair(threads(2)), nil); err != nil {
+			c := rtScn.coordinator(nil)
+			if err := Loopback(c, rtScn.pair(threads(2)), nil); err != nil {
 				t.Fatal(err)
 			}
+			wantCounts(t, "2-thread run over TCP", c, rtScn.reference())
 		}},
 		{"reconnected", func(t *testing.T) {
 			c := rtScn.coordinator(nil)
@@ -62,21 +64,27 @@ func TestNoGoroutineLeftBehind(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
 			tc.run(t)
-			// A goroutine that has signalled its joiner may still be on its
-			// way out — Loopback's worker wrapper is still inside wg.Done
-			// when the run returns — and under -race, with the other P
-			// busy, it can take thousands of yields to get a turn. Yield to
-			// it, but never wait on the clock: the bound only ends a real
-			// leak, after a fraction of a second of yields.
-			n := runtime.NumGoroutine()
-			for i := 0; i < 1<<20 && n > before; i++ {
-				runtime.Gosched()
-				n = runtime.NumGoroutine()
-			}
-			if n > before {
-				buf := make([]byte, 1<<16)
-				t.Fatalf("%d goroutines before the run, %d after it:\n%s", before, n, buf[:runtime.Stack(buf, true)])
-			}
+			wantGoroutines(t, before)
 		})
+	}
+}
+
+// wantGoroutines fails the test unless the goroutine count is back to
+// before. A goroutine that has signalled its joiner may still be on its
+// way out — Loopback's worker wrapper is still inside wg.Done when the
+// run returns — and under -race, with the other P busy, it can take
+// thousands of yields to get a turn. Yield to it, but never wait on the
+// clock: the bound only ends a real leak, after a fraction of a second
+// of yields.
+func wantGoroutines(t *testing.T, before int) {
+	t.Helper()
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1<<20 && n > before; i++ {
+		runtime.Gosched()
+		n = runtime.NumGoroutine()
+	}
+	if n > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines before the run, %d after it:\n%s", before, n, buf[:runtime.Stack(buf, true)])
 	}
 }

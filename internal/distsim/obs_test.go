@@ -8,28 +8,17 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/checkpoint"
 	"repro/internal/obs"
 )
 
-// The cluster-observability suite pins the PR-2 contract extended to
-// the distributed stack: enabling full telemetry — per-window
+// The cluster-observability suite: enabling full telemetry — per-window
 // histogram piggybacks, trace rings, transport counters, merged trace
-// export — changes no simulation output bit, in the dense regime, in
-// the sparse skip-idle regime, and under chaos faults. It also pins
-// the steady-state piggyback path at zero allocations and the
-// partial-stats semantics when a worker dies at shutdown.
-
-// obsCeRun mirrors ceRun (chaos_e2e_test.go) with cluster
-// observability enabled at the given cadence.
-func obsCeRun(t *testing.T, every int, coordCfg, workerCfg *chaos.Config) (*Coordinator, *ClusterObs) {
-	t.Helper()
-	c := ceScn.coordinator(nil)
-	co := c.EnableObservability(every, 1<<10)
-	chaosLaunch(t, c, ceScn.pair(), coordCfg, workerCfg)
-	return c, co
-}
+// export — changes no simulation output bit (TestFaultMatrix's obs=on
+// cells, on every layout and under every fault), and what it records
+// adds up (here, on a clean dense run). It also pins the steady-state
+// piggyback path at zero allocations and the partial-stats semantics
+// when a worker dies at shutdown.
 
 // executed sums the engine-level event counts over the workers.
 func executed(c *Coordinator) (n uint64) {
@@ -40,13 +29,17 @@ func executed(c *Coordinator) (n uint64) {
 }
 
 // TestClusterObsBitIdentical is the core contract: a dense run with
-// full observability on (cadence 1, so every window piggybacks) is
-// bit-identical to the fault-free single-process reference, the
-// aggregated exec histogram accounts for every engine event, and the
-// merged Perfetto trace survives the strict re-parser.
+// observability on is bit-identical to the fault-free single-process
+// reference, the aggregated exec histogram accounts for every engine
+// event, and the merged Perfetto trace survives the strict re-parser
+// and aligns every worker on the coordinator. Its cadence is 2, so the
+// stats frame must carry the tail no piggyback did; TestFaultMatrix's
+// observed cells run cadence 1.
 func TestClusterObsBitIdentical(t *testing.T) {
 	t.Parallel()
-	c, co := obsCeRun(t, 1, nil, nil)
+	c := ceScn.coordinator(nil)
+	co := c.EnableObservability(2, 1<<10)
+	launch(t, c, ceScn.pair())
 
 	wantCounts(t, "observed run", c, ceScn.reference())
 	if c.StatsIncomplete {
@@ -141,90 +134,6 @@ func wantAligned(t *testing.T, c *Coordinator, co *ClusterObs) {
 		if !onSend {
 			t.Fatalf("slot %d was not aligned on the coordinator's sends", slot)
 		}
-	}
-}
-
-// TestClusterObsBitIdenticalUnderChaos repeats the contract with the
-// fault injector attacking both directions of the wire: telemetry
-// piggybacks ride the same sequenced frames as simulation traffic, so
-// retransmissions and session resumes must not double-count or drop
-// histogram deltas.
-func TestClusterObsBitIdenticalUnderChaos(t *testing.T) {
-	t.Parallel()
-	c, co := obsCeRun(t, 2,
-		&chaos.Config{Seed: 71, Drop: 0.03, Dup: 0.05, Corrupt: 0.02},
-		&chaos.Config{Seed: 72, Drop: 0.03, Dup: 0.05, Corrupt: 0.02})
-
-	wantCounts(t, "chaos+obs run", c, ceScn.reference())
-	snap := co.Snapshot()
-	// Deltas ride sequenced frames: exactly-once folding even when the
-	// wire duplicated or dropped the carrier.
-	if n := executed(c); snap.Exec.Count != n {
-		t.Fatalf("cluster exec histogram has %d samples, workers executed %d events", snap.Exec.Count, n)
-	}
-	var buf bytes.Buffer
-	if err := co.WriteMergedTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := obs.ValidateChromeTrace(buf.Bytes()); err != nil {
-		t.Fatalf("merged chaos trace does not re-parse: %v", err)
-	}
-}
-
-// TestClusterObsSparseSkipBitIdentical runs the sparse skip-idle
-// regime with observability on: per-LP counts stay bit-identical to
-// the single-process reference and the coordinator records skip marks.
-func TestClusterObsSparseSkipBitIdentical(t *testing.T) {
-	t.Parallel()
-	c := skScn.coordinator(nil)
-	co := c.EnableObservability(1, 1<<10)
-	launch(t, c, skScn.pair())
-	wantCounts(t, "skip+obs run", c, skScn.reference())
-	if c.WindowsSkipped == 0 {
-		t.Fatal("sparse observed run skipped no windows")
-	}
-	snap := co.Snapshot()
-	if snap.WindowsSkipped != uint64(c.WindowsSkipped) {
-		t.Fatalf("snapshot skipped %d, coordinator %d", snap.WindowsSkipped, c.WindowsSkipped)
-	}
-	var buf bytes.Buffer
-	if err := co.WriteMergedTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := obs.ValidateChromeTrace(buf.Bytes()); err != nil {
-		t.Fatalf("merged sparse trace does not re-parse: %v", err)
-	}
-}
-
-// TestClusterObsAcrossMigration observes the skewed run while the
-// rebalancer moves LPs between 2-thread workers: a migrated LP's history
-// stays in its donor's carried totals and its new host starts a fresh
-// ring, so the cluster exec histogram still accounts for every engine
-// event exactly once, and the merged trace has one track per LP and
-// per pool thread.
-func TestClusterObsAcrossMigration(t *testing.T) {
-	t.Parallel()
-	c := mgScn.coordinator(rebalancing)
-	co := c.EnableObservability(1, 1<<10)
-	launch(t, c, mgScn.pair(threads(2)))
-	if c.Migrations == 0 {
-		t.Fatal("observed run rebalanced nothing")
-	}
-	wantCounts(t, "observed rebalanced run", c, mgScn.reference())
-	if snap, n := co.Snapshot(), executed(c); snap.Exec.Count != n || snap.Dwell.Count != n {
-		t.Fatalf("cluster exec/dwell histograms have %d/%d samples, workers executed %d events", snap.Exec.Count, snap.Dwell.Count, n)
-	}
-	var buf bytes.Buffer
-	if err := co.WriteMergedTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	_, tids, err := obs.ValidateChromeTrace(buf.Bytes())
-	if err != nil {
-		t.Fatalf("merged trace does not re-parse: %v", err)
-	}
-	// Coordinator + per worker: window track + 2 pool threads; + 6 LPs.
-	if want := 1 + 2*(1+2) + mgScn.model.TotalLPs; len(tids) != want {
-		t.Fatalf("merged trace has %d tracks, want %d", len(tids), want)
 	}
 }
 

@@ -5,33 +5,6 @@ import (
 	"testing"
 )
 
-// referenceRun executes the unkilled distributed run and returns its
-// per-LP counts and window lattice.
-func referenceRun(t *testing.T) ([]uint64, uint64) {
-	t.Helper()
-	c := rtScn.coordinator(nil)
-	launch(t, c, rtScn.pair())
-	return c.PerLPCounts(), lattice(c)
-}
-
-// TestKillWorkerMidWindowRecovers is the end-to-end fault-tolerance
-// property: a worker killed mid-window over loopback TCP is replaced,
-// the federation rolls back to the last window-barrier checkpoint, and
-// the finished run's counters are identical to a run that was never
-// killed. The crash costs one window of re-execution, not the run.
-func TestKillWorkerMidWindowRecovers(t *testing.T) {
-	want, wantWindows := referenceRun(t)
-	c := rtScn.coordinator(func(c *Coordinator) {
-		c.CheckpointEvery = 1
-		c.MaxRecoveries = 1
-	})
-	rtScn.killAndRecover(t, c)
-	wantCounts(t, "recovered run", c, want)
-	if lattice(c) != wantWindows {
-		t.Fatalf("windows = %d, want %d", lattice(c), wantWindows)
-	}
-}
-
 // TestHungWorkerSurfacesTimeout pins the robustness fix: a worker that
 // registers and then goes silent used to block Coordinator.Serve
 // forever; now the per-frame deadline surfaces an error.
@@ -119,18 +92,4 @@ func TestBigDoneFrameBehindSlowSeat(t *testing.T) {
 		t.Fatalf("%d rollback recoveries", c.Recoveries)
 	}
 	t.Logf("session resumes: %d", c.Reconnects)
-}
-
-// TestCoordinatorFileResume exercises checkpoint persistence: a run
-// whose coordinator fails (a worker dies with recovery disabled)
-// leaves its journal and last cluster checkpoint on disk; a second
-// Serve on the same files with fresh workers rolls back to that barrier
-// and finishes with counters identical to an uninterrupted run.
-func TestCoordinatorFileResume(t *testing.T) {
-	want, wantWindows := referenceRun(t)
-	_, c2 := rtScn.failThenResume(t, nil)
-	wantCounts(t, "resumed run", c2, want)
-	if lattice(c2) != wantWindows {
-		t.Fatalf("windows = %d, want %d", lattice(c2), wantWindows)
-	}
 }

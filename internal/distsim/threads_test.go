@@ -1,136 +1,10 @@
 package distsim
 
 import (
-	"fmt"
 	"net"
-	"slices"
 	"testing"
 	"time"
-
-	"repro/internal/chaos"
 )
-
-// The multicore-worker suite pins the Threads contract end to end:
-// running a worker's LPs across an intra-worker goroutine pool must be
-// bit-identical to the sequential worker and to the single-process
-// parsim reference — and the property must survive every distributed
-// mechanism the engine already has (idle-window skipping, chaos
-// faults, checkpoint file resume, live migration, and coordinator
-// crash-restart). Per-LP sends are buffered thread-locally during the
-// window and merged in canonical LP order at the barrier, so the wire
-// traffic (and therefore everything downstream of it) is byte-for-byte
-// the traffic a sequential pass produces. The pool may run any window
-// inline instead (internal/pool); the serial tests of the suite run a
-// second time with that switch forced between any two windows.
-
-// TestThreadsDenseBitIdentical is the core property: the dense PHOLD
-// federation run with 4-thread workers matches the sequential
-// distributed run and the single-process reference, at every pool
-// width.
-func TestThreadsDenseBitIdentical(t *testing.T) { underPoolSwitches(t, testThreadsDenseBitIdentical) }
-
-func testThreadsDenseBitIdentical(t *testing.T) {
-	want := rtScn.reference()
-	seqCounts, seqWindows := referenceRun(t) // Threads = 1 (inline path)
-	if !slices.Equal(seqCounts, want) {
-		t.Fatalf("sequential distributed run diverges from reference:\nwant %v\ngot  %v", want, seqCounts)
-	}
-	for _, n := range []int{2, 4} {
-		c := rtScn.coordinator(nil)
-		launch(t, c, rtScn.pair(threads(n)))
-		wantCounts(t, fmt.Sprintf("threads=%d run", n), c, want)
-		if lattice(c) != seqWindows {
-			t.Fatalf("threads=%d windows = %d, want %d", n, lattice(c), seqWindows)
-		}
-	}
-}
-
-// TestThreadsSparseSkipBitIdentical runs the sparse regime with
-// 4-thread workers: the per-LP idle check inside the
-// pool (an LP whose next event lies past the window end never touches
-// its engine) must not disturb the skip lattice or the counts.
-func TestThreadsSparseSkipBitIdentical(t *testing.T) {
-	underPoolSwitches(t, testThreadsSparseSkipBitIdentical)
-}
-
-func testThreadsSparseSkipBitIdentical(t *testing.T) {
-	seq := skRun(t) // Threads = 1
-	c := skScn.coordinator(nil)
-	launch(t, c, skScn.pair(threads(4)))
-	wantCounts(t, "threaded sparse run", c, skScn.reference())
-	if c.WindowsSkipped == 0 {
-		t.Fatal("threaded sparse run skipped no windows")
-	}
-	// The skip lattice is driven by the Next watermarks on done frames;
-	// identical traffic means an identical lattice, executed and skipped.
-	if c.Windows != seq.Windows || c.WindowsSkipped != seq.WindowsSkipped {
-		t.Fatalf("threaded lattice %d+%d windows, sequential %d+%d",
-			c.Windows, c.WindowsSkipped, seq.Windows, seq.WindowsSkipped)
-	}
-}
-
-// TestThreadsUnderChaos injects drops, duplicates and resets into both
-// directions of the wire while 4-thread workers execute the sparse
-// federation: session resume replays the barrier-merged
-// frames, so the faulty network costs retries, never bit-identity.
-func TestThreadsUnderChaos(t *testing.T) {
-	t.Parallel()
-	c := skScn.coordinator(nil)
-	chaosLaunch(t, c, skScn.pair(threads(4)),
-		&chaos.Config{Seed: 131, Drop: 0.03, Dup: 0.1, Reset: 0.02},
-		&chaos.Config{Seed: 231, Drop: 0.03, Dup: 0.1, Reset: 0.02})
-	wantCounts(t, "chaos threads run", c, skScn.reference())
-}
-
-// TestThreadsCheckpointResume kills a worker mid-run with recovery
-// disabled and resumes a second coordinator from the persisted cluster
-// checkpoint, with 4-thread workers on both attempts: snapshots are
-// taken at barriers — where the per-LP buffers are already drained —
-// so pooled execution is invisible to the checkpoint format.
-func TestThreadsCheckpointResume(t *testing.T) { underPoolSwitches(t, testThreadsCheckpointResume) }
-
-func testThreadsCheckpointResume(t *testing.T) {
-	want, _ := referenceRun(t)
-	_, c2 := rtScn.failThenResume(t, nil, threads(4))
-	wantCounts(t, "resumed threads run", c2, want)
-}
-
-// TestThreadsRebalanceBitIdentical runs the skewed federation with
-// live migration and 4-thread workers: LPs move between pooled workers
-// mid-run (the pool width stays fixed while the item set grows and
-// shrinks), at least one migration must actually happen, and the
-// counts still match the single-process reference.
-func TestThreadsRebalanceBitIdentical(t *testing.T) {
-	underPoolSwitches(t, testThreadsRebalanceBitIdentical)
-}
-
-func testThreadsRebalanceBitIdentical(t *testing.T) {
-	c := mgScn.coordinator(rebalancing)
-	launch(t, c, mgScn.pair(threads(4)))
-	if c.Migrations == 0 {
-		t.Fatal("skewed threads run rebalanced nothing; the scenario no longer exercises migration")
-	}
-	wantCounts(t, "rebalanced threads run", c, mgScn.reference())
-}
-
-// TestThreadsCrashRestart kills the coordinator at a scripted journal
-// barrier and restarts it against parked 4-thread workers: re-adoption
-// replays from the journal tip, the pool survives the reconnect (it is
-// bound to the worker's run, not the connection), and the finished run
-// matches the uninterrupted sequential one.
-func TestThreadsCrashRestart(t *testing.T) { underPoolSwitches(t, testThreadsCrashRestart) }
-
-func testThreadsCrashRestart(t *testing.T) {
-	want, wantWindows := referenceRun(t)
-	_, c2 := rtScn.crashRestart(t, nil, afterBarrier(3), rtScn.pair(threads(4)), parkOutage, nil)
-	wantCounts(t, "restarted threads run", c2, want)
-	if lattice(c2) != wantWindows {
-		t.Fatalf("windows = %d, want %d", lattice(c2), wantWindows)
-	}
-	if c2.Readopted != 2 {
-		t.Fatalf("readopted = %d, want 2", c2.Readopted)
-	}
-}
 
 // TestThreadsHeartbeatDuringBusyWindow pins worker liveness while the
 // pool computes: the heartbeat ticker lives on its own goroutine, so a

@@ -23,10 +23,6 @@ import (
 // Event is one cross-LP message, on the wire as everywhere else.
 type Event = winsync.Event
 
-// eventOrder is the deterministic global delivery order — (sending
-// LP, per-sender sequence) — the coordinator's window merge sorts by.
-func eventOrder(a, b Event) int { return winsync.EventOrder(a, b) }
-
 // frameKind discriminates protocol frames.
 type frameKind uint8
 
@@ -154,7 +150,7 @@ func marshalFrameInto(f *frame, buf []byte) []byte {
 	enc.F64(f.End)
 	enc.Int(len(f.Events))
 	for i := range f.Events {
-		encEventInto(&enc, &f.Events[i])
+		winsync.AppendEvent(&enc, &f.Events[i])
 	}
 	enc.Raw(f.Data)
 	enc.Int(len(f.Stats.LPs))
@@ -241,7 +237,7 @@ func unmarshalFrameInto(f *frame, evs *[]Event, payload []byte) error {
 			scratch = scratch[:n]
 		}
 		for i := range scratch {
-			scratch[i] = decEventFrom(d)
+			scratch[i] = winsync.DecodeEvent(d)
 		}
 		f.Events = scratch
 		*evs = scratch

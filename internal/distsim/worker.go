@@ -554,7 +554,7 @@ func (w *Worker) serveConn() error {
 			w.statsSent = true
 		case frameBye:
 			return nil
-		case frameConfig, frameResume:
+		case frameConfig, frameResume, frameCoordHello:
 			// Handshake retransmissions racing the serve loop: harmless.
 		default:
 			return fatalf("distsim: unexpected frame %s", f.Kind)
@@ -571,16 +571,16 @@ func (w *Worker) serveConn() error {
 // quiesced barrier for a crashed coordinator to restart from its
 // journal. Like connect, it dials at once — the broken connection is
 // closed, so the coordinator's resume window is already open — and
-// pauses between attempts, the backoff exponent capped at parkStep: a
-// wait for a process restart is not congestion control, and a bounded
-// pause keeps re-adoption latency predictable. A fatal error ends the
-// loop at any attempt; a spent budget is ErrCoordinatorLost.
+// pauses between attempts (retryPause), never longer than a hello
+// waits: a coordinator that opens the window only after serving another
+// seat for a while still gets two tries inside it. A fatal error ends
+// the loop at any attempt; a spent budget is ErrCoordinatorLost.
 func (w *Worker) reconnect(bo *backoff) error {
 	budget := connectAttempts + w.maxPark()
 	var err error
 	for a, refused := 0, 0; a < budget; a++ {
 		if a > 0 {
-			w.sleep(bo.delay(min(a-1, parkStep)))
+			w.sleep(retryPause(bo, a, w.timeout))
 		}
 		if err = w.resumeOnce(); err == nil || isFatal(err) {
 			return err
