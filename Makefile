@@ -3,7 +3,7 @@
 GO ?= go
 export GO
 
-.PHONY: all build test tier1 vet nogob race bench fuzz loc smoke clean
+.PHONY: all build test tier1 vet race bench fuzz loc smoke clean
 
 all: tier1
 
@@ -15,16 +15,8 @@ build:
 test:
 	$(GO) test -timeout 5m ./...
 
-vet: nogob
+vet:
 	$(GO) vet ./...
-
-# nogob keeps encoding/gob out of every package's dependency closure:
-# all codecs here are explicit (internal/checkpoint), and reflection-
-# based encoding must not creep back onto a hot path.
-nogob:
-	@deps=$$($(GO) list -deps ./...) || exit 1; \
-	if echo "$$deps" | grep -qx encoding/gob; then \
-		echo "nogob: encoding/gob is back in the dependency closure" >&2; exit 1; fi
 
 # Race-check the packages with real concurrency: the windowed-sync
 # kernel and its two transports (the parallel federation and the
@@ -92,7 +84,7 @@ loc:
 		$$(count $$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*')) \
 		$$(count $$(find . -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*')); \
 	printf '%-24s %9s\n' 'flags (cmd/ call sites)' \
-		$$(grep -rhoE '\b(fs|flag)\.((Bool|Int|Int64|Uint|Uint64|String|Float64|Duration)(Var)?|Var|Func|BoolFunc)\(' --include='*.go' --exclude='*_test.go' cmd | wc -l); \
+		$$(grep -rhoE '\b(fs|flag)\.((Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Text)(Var)?|Var|Func|BoolFunc)\(' --include='*.go' --exclude='*_test.go' cmd | wc -l); \
 	printf '%-24s %9s\n' package exported; \
 	for d in internal/*/; do \
 		printf '%-24s %9s\n' $${d%/} $$($(GO) doc -short ./$$d 2>/dev/null | wc -l); \

@@ -192,6 +192,9 @@ func (r *Run) Validate() error {
 	if th := r.Greedy.Threshold; math.IsNaN(th) || math.IsInf(th, 0) {
 		return fmt.Errorf("-imbalance-thresh must be finite, got %v", th)
 	}
+	if r.ObsEvery < 0 {
+		return fmt.Errorf("-obs-every must be >= 0, got %d", r.ObsEvery)
+	}
 	// A phold pool thread may run no LP at all; a cluster worker may not.
 	if r.Workers < 1 || r.Workers > c.NLPs && r.Sim != "phold" {
 		return fmt.Errorf("-workers must be between 1 and the %d LPs, got %d", c.NLPs, r.Workers)
@@ -211,8 +214,8 @@ func (r *Run) Validate() error {
 	case "": // lssim
 		if r.Sim == "phold" {
 			// A pool thread takes any share of the LPs.
-			if at := r.CheckpointAt; !(at >= 0) || math.IsInf(at, 0) {
-				return fmt.Errorf("-checkpoint-at must be a finite time >= 0, got %v", at)
+			if at := r.CheckpointAt; !(at >= 0 && at <= c.Horizon) {
+				return fmt.Errorf("-checkpoint-at must be a time in [0, -horizon %v], got %v", c.Horizon, at)
 			}
 		} else if c.NLPs%r.Workers != 0 {
 			// The in-process cluster hands every worker the same number of LPs.

@@ -133,13 +133,15 @@ func TestValidateRejectsBadValues(t *testing.T) {
 			"-sim distphold -chaos-drop 5", "-chaos-drop NaN", "-chaos-dup 7", "-chaos-corrupt -3",
 			"-chaos-reorder 1.5", "-chaos-reset -1", "-chaos-delay -1s", "-chaos-jitter -1ms",
 			"-horizon Inf", "-sim phold -horizon Inf", "-rebalance -imbalance-thresh NaN",
-			"-rebalance -imbalance-thresh Inf", "-rebalance -imbalance-thresh -Inf"},
+			"-rebalance -imbalance-thresh Inf", "-rebalance -imbalance-thresh -Inf", "-sim phold -checkpoint-at 45",
+			"-sim phold -checkpoint-at 1e300", "-sim distphold -obs-every -1", "-sim distphold -rebalance -rebalance-every -4"},
 		"lsnode": {"-mode worker", "-mode worker -own 1,1", "-mode worker -own 8", "-mode worker -own -1",
 			"-mode worker -own 2 -lps 2", worker + "-delay-factor 0", worker + "-lps 0", worker + "-jobs -1",
 			worker + "-remote 1.5", "-mode coordinator -lps 0", "-mode coordinator -lookahead 0",
 			"-mode coordinator -lookahead Inf", "-mode coordinator -timeout 2e-9", "-mode coordinator -timeout -1",
 			"-mode coordinator -horizon 0", "-mode coordinator -horizon Inf", "-mode coordinator -workers 0",
-			"-mode coordinator -workers 9"},
+			"-mode coordinator -workers 9", "-mode coordinator -ckpt-every -2", "-mode coordinator -rebalance-every -3",
+			"-mode coordinator -max-recoveries -1", "-mode coordinator -obs-every -1"},
 	} {
 		for _, args := range cases {
 			fs, r := flags(cmd)

@@ -1,17 +1,11 @@
 package distsim
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"go/types"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
-	"strings"
 	"testing"
 )
 
@@ -19,82 +13,6 @@ import (
 // is pinned on a small hand-built state, and the live ≡ replay property
 // drives random transition sequences through a control and its journal
 // together.
-
-// TestControlCorePure keeps control.go drivable by a deterministic
-// explorer (ROADMAP item 2): it may not reach for sockets, files, the
-// wall clock or the telemetry layer.
-func TestControlCorePure(t *testing.T) {
-	f, err := parser.ParseFile(token.NewFileSet(), "control.go", nil, parser.ImportsOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, imp := range f.Imports {
-		switch path, _ := strconv.Unquote(imp.Path.Value); path {
-		case "net", "os", "time", "repro/internal/obs":
-			t.Errorf("control.go imports %s", path)
-		}
-	}
-}
-
-// TestCoordinatorOneGoroutine keeps the coordinator on the goroutine
-// that calls Serve: its files start no goroutine and hold no channel,
-// so every barrier, heal and journal write happens in one order an
-// explorer can replay.
-func TestCoordinatorOneGoroutine(t *testing.T) {
-	fset := token.NewFileSet()
-	for _, file := range []string{"coordinator.go", "control.go", "journal.go", "checkpoint.go"} {
-		f, err := parser.ParseFile(fset, file, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n.(type) {
-			case *ast.GoStmt:
-				t.Errorf("%s: go statement", fset.Position(n.Pos()))
-			case *ast.ChanType:
-				t.Errorf("%s: channel type", fset.Position(n.Pos()))
-			}
-			return true
-		})
-	}
-}
-
-// TestOneClock keeps every read of time in env.go: no other non-test
-// file may call the time package's clock, sleep or timers, nor arm a
-// deadline, so a test's scripted env sees every wait a run makes.
-func TestOneClock(t *testing.T) {
-	clock := map[string]bool{"Now": true, "Since": true, "Until": true, "Sleep": true, "After": true,
-		"AfterFunc": true, "NewTimer": true, "NewTicker": true, "Tick": true}
-	deadline := map[string]bool{"SetDeadline": true, "SetReadDeadline": true, "SetWriteDeadline": true}
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	for _, file := range files {
-		if file == "env.go" || strings.HasSuffix(file, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, file, nil, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" && clock[sel.Sel.Name] || deadline[sel.Sel.Name] {
-				t.Errorf("%s: %s.%s outside env.go", fset.Position(n.Pos()), types.ExprString(sel.X), sel.Sel.Name)
-			}
-			return true
-		})
-	}
-}
 
 func pendingSeqs(c *control, wi int) []uint64 {
 	var seqs []uint64

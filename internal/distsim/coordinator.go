@@ -161,6 +161,10 @@ func (c *Coordinator) Validate() error {
 	if math.IsInf(c.Lookahead, 1) {
 		return fmt.Errorf("distsim: coordinator lookahead %v is not finite", c.Lookahead)
 	}
+	if c.CheckpointEvery < 0 || c.RebalanceEvery < 0 || c.MaxRecoveries < 0 {
+		return fmt.Errorf("distsim: coordinator CheckpointEvery %d, RebalanceEvery %d and MaxRecoveries %d must be >= 0",
+			c.CheckpointEvery, c.RebalanceEvery, c.MaxRecoveries)
+	}
 	if err := checkTimeoutSec(c.timeout().Seconds()); err != nil {
 		return fmt.Errorf("distsim: coordinator Timeout %v: %w", c.Timeout, err)
 	}
@@ -186,22 +190,14 @@ func (c *Coordinator) timeout() time.Duration { return cmp.Or(c.Timeout, Default
 
 // rebalanceEvery resolves the planning cadence (meaningful only when
 // Rebalance is set).
-func (c *Coordinator) rebalanceEvery() int {
-	if c.RebalanceEvery > 0 {
-		return c.RebalanceEvery
-	}
-	return 16
-}
+func (c *Coordinator) rebalanceEvery() int { return cmp.Or(c.RebalanceEvery, 16) }
 
 // every resolves the effective checkpoint cadence (0 = disabled).
 func (c *Coordinator) every() int {
-	if c.CheckpointEvery > 0 {
-		return c.CheckpointEvery
-	}
-	if c.MaxRecoveries > 0 || c.CheckpointPath != "" {
+	if c.CheckpointEvery == 0 && (c.MaxRecoveries > 0 || c.CheckpointPath != "") {
 		return 1
 	}
-	return 0
+	return c.CheckpointEvery
 }
 
 // sessionID derives the session identity for a slot incarnation. Ids

@@ -55,11 +55,11 @@ const DefaultMaxPark = 256
 
 // env is where distsim gets time from: the clock, a pause, the
 // heartbeat tick, and — through the clock — the deadlines armed on a
-// conn or on the listener. wallClock below is the real one and this
-// file the only one that touches the time package's clock or a
-// Set*Deadline method (TestOneClock); the tests run whole clusters on a
-// scripted env whose clock jumps when every goroutine of the run waits.
-// A Coordinator or Worker whose env is nil uses wallClock.
+// conn or on the listener. wallClock below is the real one, and this
+// file is distsim's one user of the time package's clock or of a
+// Set*Deadline method (TestDeterminismGuards' wall-clock rule). Tests
+// run whole clusters on a scripted env whose clock jumps when every
+// goroutine of the run waits. A nil env means wallClock.
 type env interface {
 	now() time.Time
 	sleep(d time.Duration)

@@ -90,23 +90,6 @@ func TestPHOLDConservation(t *testing.T) {
 	}
 }
 
-func TestDeterministicAcrossWorkerCounts(t *testing.T) {
-	// The load-bearing property: identical trajectories for 1 worker
-	// and N workers.
-	run := func(workers int) []uint64 {
-		ph := NewPHOLD(6, workers, 0.5, 10, 0.4, 5, 1234)
-		ph.Run(300)
-		return ph.PerLPEvents()
-	}
-	seq := run(1)
-	par := run(runtime.NumCPU())
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("LP %d diverged: %d vs %d", i, seq[i], par[i])
-		}
-	}
-}
-
 // TestDeterminismAcrossKindsAndWorkers demands bit-identical engine
 // statistics for every FEL implementation and worker count: neither
 // the queue structure, nor timer recycling, nor the persistent worker

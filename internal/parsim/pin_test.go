@@ -159,7 +159,7 @@ func requireCollisions(t *testing.T, log []delivery) {
 
 // TestPHOLDPinned pins the lsbench fed-smallwin shape to the per-LP
 // event counts and idle skips the gob-and-matrix implementation
-// produced (recorded at commit b7f58ba), for one and two workers.
+// produced (recorded at commit b7f58ba), for one worker and two traced.
 func TestPHOLDPinned(t *testing.T) {
 	underPoolSwitches(t, testPHOLDPinned)
 }
@@ -184,6 +184,9 @@ func testPHOLDPinned(t *testing.T) {
 	for _, pin := range pins {
 		for _, workers := range []int{1, 2} {
 			ph := NewPHOLD(64, workers, 1, 1, 0.2, 0, pin.seed)
+			if workers == 2 {
+				ph.Fed.EnableObservability(1 << 12)
+			}
 			ph.Run(15000)
 			if got := ph.PerLPEvents(); !equalU64(got, pin.perLP) {
 				t.Errorf("seed %d workers %d: per-LP events %v, want %v", pin.seed, workers, got, pin.perLP)

@@ -2,63 +2,10 @@ package winsync
 
 import (
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
 )
-
-// TestTransportsLeaveObservingToTheKernel keeps the observers of a
-// window in this package: parsim and distsim may not attach an engine
-// observer or hook the pool's phases themselves, the only rings they
-// create are the ones about their own side — none in parsim; the
-// coordinator's and the piggyback bench's in distsim — and neither
-// parsim nor the distsim worker reads the clock to time a window phase:
-// the group times deliver, busy and barrier wait itself.
-func TestTransportsLeaveObservingToTheKernel(t *testing.T) {
-	for dir, rings := range map[string]int{"../parsim": 0, "../distsim": 2} {
-		pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
-			return !strings.HasSuffix(fi.Name(), "_test.go")
-		}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pkg := range pkgs {
-			for name, file := range pkg.Files {
-				noClock := dir == "../parsim" || filepath.Base(name) == "worker.go"
-				called := map[ast.Expr]bool{}
-				ast.Inspect(file, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.CallExpr:
-						called[n.Fun] = true
-					case *ast.SelectorExpr:
-						switch {
-						case n.Sel.Name == "SetObserver":
-							t.Errorf("%s attaches an engine observer itself", name)
-						case n.Sel.Name == "Observe" && !called[n]: // a histogram's Observe is only ever called
-							t.Errorf("%s names a phase hook", name)
-						case n.Sel.Name == "NewRecorder":
-							rings--
-						case n.Sel.Name == "Now" && noClock:
-							if x, ok := n.X.(*ast.Ident); ok && x.Name == "obs" {
-								t.Errorf("%s times a window phase itself (obs.Now)", name)
-							}
-						}
-					}
-					return true
-				})
-			}
-		}
-		if rings < 0 {
-			t.Errorf("%s creates %d more trace rings than are its own", dir, -rings)
-		}
-	}
-}
 
 // TestGroupTimesItsWindows pins the group's window phases under both
 // orders a transport calls the group in: RunWindow → Flush → Deliver
