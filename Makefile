@@ -7,8 +7,11 @@ export GO
 
 all: tier1
 
+# lsbench is a module of its own, so ./... skips it; it reads internal
+# APIs, and a change that breaks it should fail here, not in the bench.
 build:
 	$(GO) build ./...
+	$(GO) build -C bench/lsbench -o /dev/null .
 
 # An explicit -timeout: a wedged cluster test fails in minutes, with its
 # stacks, instead of at the 10-minute default.
@@ -17,6 +20,7 @@ test:
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench/lsbench ./...
 
 # Race-check the packages with real concurrency: the windowed-sync
 # kernel and its two transports (the parallel federation and the

@@ -145,7 +145,6 @@ func (r *Run) shared(fs *flag.FlagSet, checkpoint *string) {
 		return err
 	})
 	fs.IntVar(&c.RebalanceEvery, "rebalance-every", 0, "coordinator: rebalance planning cadence in executed windows (0 = 16 default)")
-	fs.Float64Var(&r.Greedy.Threshold, "imbalance-thresh", 0, "coordinator: migrate only when max worker load > thresh * mean (0 = 1.25 default)")
 	fs.IntVar(&m.JobsPerLP, "jobs", m.JobsPerLP, "PHOLD jobs per LP; lssim: job/task count override (0 = personality default)")
 	fs.IntVar(&m.Work, "work", m.Work, "PHOLD per-event synthetic work")
 	fs.Float64Var(&m.DelayFactor, "delay-factor", m.DelayFactor, "PHOLD mean event spacing in lookaheads; large values make traffic sparse (all nodes must agree)")
@@ -188,9 +187,6 @@ func (r *Run) Validate() error {
 	}
 	if err := r.Chaos.Validate(); err != nil {
 		return err
-	}
-	if th := r.Greedy.Threshold; math.IsNaN(th) || math.IsInf(th, 0) {
-		return fmt.Errorf("-imbalance-thresh must be finite, got %v", th)
 	}
 	if r.ObsEvery < 0 {
 		return fmt.Errorf("-obs-every must be >= 0, got %d", r.ObsEvery)

@@ -108,7 +108,7 @@ func TestConnectOneLoop(t *testing.T) {
 		if dials%2 == 1 {
 			return nil, errors.New("refused")
 		}
-		return ln.dial() // nobody accepts: the config never comes
+		return ln.dial(0) // nobody accepts: the config never comes
 	}
 	sm.attach(nil, w)
 	var werr error

@@ -1,8 +1,6 @@
 package distsim
 
 import (
-	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -110,22 +108,16 @@ func TestChaosScriptedResets(t *testing.T) {
 
 func TestChaosPartitionWithReconnect(t *testing.T) {
 	t.Parallel()
-	// A two-way blackhole landing mid-run, from the 20th frame on: both
-	// directions drop everything, timeouts fire, and the federation heals
-	// by session resume once the partition lifts. It outlasts the
-	// coordinator's timeout, so the loss is detected *during* the
-	// partition, not after it, and lifts inside the resume window that
+	// A two-way blackhole landing mid-run: from its 10th frame on, the
+	// coordinator's host is off the network, timeouts fire, and the
+	// federation heals by session resume once the partition lifts. It
+	// outlasts the coordinator's timeout, so the loss is detected *during*
+	// the partition, not after it, and lifts inside the resume window that
 	// opens then (env.go's table): 3.5 s against a 3 s Timeout.
 	c := ceScn.coordinator(func(c *Coordinator) { c.Timeout = 3 * time.Second })
 	sm := newSim(t)
-	k := &cut{s: sm, from: 20, span: 3500 * time.Millisecond}
-	workers := ceScn.pair()
-	err := sm.loopback(c, workers, func(ln net.Listener) net.Listener {
-		for _, w := range workers {
-			w.Dial = k.dial(simDial(ln))
-		}
-		return wrapListener{ln.(*simListener), k.conn}
-	})
+	sm.fault = cutAt(coord, 10, 3500*time.Millisecond)
+	err := sm.loopback(c, ceScn.pair(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,70 +160,6 @@ func TestChaosFourWorkerConcurrentHeal(t *testing.T) {
 	wantCounts(t, "four-worker chaos run (against fault-free)", c, ref.PerLPEvents())
 }
 
-// scriptConn writes each frame as many times as copies says for its
-// kind: 0 drops it silently, the way a lossy network would, 2 sends it
-// twice. One Write is one frame. What internal/chaos draws, this
-// scripts by frame kind.
-type scriptConn struct {
-	net.Conn
-	copies func(frameKind) int
-}
-
-func (c *scriptConn) Write(p []byte) (int, error) {
-	var f frame
-	var evs []Event
-	n := 1
-	if unmarshalFrameInto(&f, &evs, p[wireHeaderLen:]) == nil {
-		n = c.copies(f.Kind)
-	}
-	for range n {
-		if _, err := c.Conn.Write(p); err != nil {
-			return 0, err
-		}
-	}
-	return len(p), nil
-}
-
-// scripted passes every conn through a scriptConn with copies.
-func scripted(copies func(frameKind) int) func(net.Conn) net.Conn {
-	return func(c net.Conn) net.Conn { return &scriptConn{c, copies} }
-}
-
-// firstN drops the first n frames of the given kind.
-func firstN(kind frameKind, n int32) func(frameKind) int {
-	var seen atomic.Int32
-	return func(k frameKind) int {
-		if k == kind && seen.Add(1) <= n {
-			return 0
-		}
-		return 1
-	}
-}
-
-// twice duplicates every frame of the given kind.
-func twice(kind frameKind) func(frameKind) int {
-	return func(k frameKind) int {
-		if k == kind {
-			return 2
-		}
-		return 1
-	}
-}
-
-// wrapListener passes the coordinator's side of every conn through wrap.
-type wrapListener struct {
-	*simListener
-	wrap func(net.Conn) net.Conn
-}
-
-func (l wrapListener) Accept() (net.Conn, error) {
-	c, err := l.simListener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.wrap(c), nil
-}
-
 // TestStatsSurviveLostHandshakes loses worker B's stats frame and then
 // the coordinator's answer to its next two resume attempts. The
 // coordinator is alive and still waiting for those stats, so the worker
@@ -241,11 +169,18 @@ func (l wrapListener) Accept() (net.Conn, error) {
 func TestStatsSurviveLostHandshakes(t *testing.T) {
 	t.Parallel()
 	c := ceScn.coordinator(nil)
-	workers := ceScn.pair()
-	err := newSim(t).loopback(c, workers, func(ln net.Listener) net.Listener {
-		workers[1].Dial = faulty(scripted(firstN(frameStats, 1)), simDial(ln))
-		return wrapListener{ln.(*simListener), scripted(firstN(frameResume, 2))}
-	})
+	sm := newSim(t)
+	// Worker B's first stats frame and the coordinator's first two
+	// resume frames (only the coordinator writes one) vanish.
+	lost := map[frameKind]int{frameStats: 1, frameResume: 2}
+	sm.fault = func(f wired) fate {
+		if (f.kind == frameResume || f.kind == frameStats && f.from == 1) && lost[f.kind] > 0 {
+			lost[f.kind]--
+			return fate{act: drop}
+		}
+		return fate{}
+	}
+	err := sm.loopback(c, ceScn.pair(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

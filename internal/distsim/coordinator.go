@@ -54,7 +54,8 @@ type Coordinator struct {
 	MaxRecoveries int
 	// CheckpointPath, when set, persists every cluster checkpoint to
 	// this file (atomically): what a journal restart rolls back to when
-	// it cannot re-adopt every worker at the journal's tip.
+	// it cannot re-adopt every worker at the journal's tip. Only such a
+	// restart reads the file, so Validate refuses it without JournalPath.
 	CheckpointPath string
 	// JournalPath, when set, appends a durable control-plane journal
 	// record at every committed window barrier (plus migrations,
@@ -93,13 +94,6 @@ type Coordinator struct {
 	// (and StatsIncomplete true) instead of failing the completed run.
 	WorkerStats []WorkerStats
 
-	// Crash-test hooks: when non-zero, Serve returns errCrashHook
-	// right after (respectively right before) appending the journal
-	// record for barrier N — simulating a coordinator killed at the
-	// two interesting instants around a committed barrier. Test-only.
-	crashAfterBarrier  uint64
-	crashBeforeBarrier uint64
-
 	env env // nil: the wall clock
 }
 
@@ -137,9 +131,6 @@ func (c *Coordinator) publish(s *session) {
 	}
 }
 
-// errCrashHook is the sentinel the crash-test hooks fail Serve with.
-var errCrashHook = errors.New("distsim: coordinator crash hook fired")
-
 // NewCoordinator configures a run over nLPs logical processes. It
 // panics on parameters Validate rejects.
 func NewCoordinator(nLPs int, lookahead, horizon float64, seed uint64) *Coordinator {
@@ -164,6 +155,9 @@ func (c *Coordinator) Validate() error {
 	if c.CheckpointEvery < 0 || c.RebalanceEvery < 0 || c.MaxRecoveries < 0 {
 		return fmt.Errorf("distsim: coordinator CheckpointEvery %d, RebalanceEvery %d and MaxRecoveries %d must be >= 0",
 			c.CheckpointEvery, c.RebalanceEvery, c.MaxRecoveries)
+	}
+	if c.CheckpointPath != "" && c.JournalPath == "" {
+		return errors.New("distsim: coordinator CheckpointPath needs a JournalPath: only a journal restart reads the checkpoint file")
 	}
 	if err := checkTimeoutSec(c.timeout().Seconds()); err != nil {
 		return fmt.Errorf("distsim: coordinator Timeout %v: %w", c.Timeout, err)
@@ -930,12 +924,6 @@ func (c *Coordinator) runWindows(s *session) error {
 		if err != nil {
 			return err
 		}
-		if c.crashBeforeBarrier > 0 && seq >= c.crashBeforeBarrier {
-			// Every worker has executed this window, but the journal has
-			// not recorded it: a restart must re-send it and the workers
-			// must replay their stored done frames.
-			return errCrashHook
-		}
 		// Merge. next starts at the workers' piggybacked minima and is
 		// tightened by the produced events below.
 		next := math.Inf(1)
@@ -1003,9 +991,6 @@ func (c *Coordinator) runWindows(s *session) error {
 		// worker at most one window ahead of it.
 		if err := s.journal.barrier(seq, produced); err != nil {
 			return err
-		}
-		if s.journal != nil && c.crashAfterBarrier > 0 && seq >= c.crashAfterBarrier {
-			return errCrashHook
 		}
 		// Rebalance before any checkpoint this window, so the checkpoint
 		// captures the post-migration assignment and snapshots.

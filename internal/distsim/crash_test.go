@@ -1,43 +1,108 @@
 package distsim
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
 
-// The coordinator crash-restart drills: Serve is killed at a scripted
-// barrier (the crash hooks return errCrashHook right after or right
-// before the journal append), a second coordinator restarts from the
-// same journal on the same listener and re-adopts the parked workers.
-// The plain restart, on every layout, thread count and observability
-// setting and under chaos, is a column of TestFaultMatrix; this file
-// holds the harness and the drills that need more than the harness:
-// the done-frame replay before a barrier, the fallback ladder
-// (re-adopt -> rollback -> fail), a foreign checkpoint, the worker
-// park budget and partitions.
+// The coordinator crash-restart drills: the scripted network's fault
+// hook kills the coordinator at a chosen frame (killPoint), a second
+// coordinator restarts from the same journal on the same listener and
+// re-adopts the parked workers. The plain restart and the restart ahead
+// of a barrier's record, on every layout, thread count and
+// observability setting and under chaos, are columns of TestFaultMatrix;
+// this file holds the harness, the sweep over every barrier's two
+// boundaries, and the drills that need more than the harness: the
+// fallback ladder (re-adopt -> rollback -> fail), a foreign checkpoint,
+// the worker park budget and partitions.
+
+// killPoint is where a drill's fault hook kills the coordinator, and
+// the barrier that leaves at the journal's tip.
+type killPoint struct {
+	hook func(wired) fate
+	tip  uint64
+}
+
+// afterRecord kills the coordinator at its first frame past barrier n's
+// journal record: the first sequenced frame it writes, once it has
+// delivered window n, that is not window n (a checkpoint, a migration,
+// the next window or the stop).
+func afterRecord(n uint64) killPoint {
+	fired := false
+	return killPoint{tip: n, hook: func(f wired) fate {
+		if fired || f.from != coord || !f.kind.sequenced() || f.seq < n || f.kind == frameWindow && f.seq == n {
+			return fate{}
+		}
+		fired = true
+		return fate{act: kill}
+	}}
+}
+
+// ahead kills the coordinator once every one of its seats has been
+// delivered window n and before any done frame of it is: at the first
+// done frame of window n written after the fan-out, dropping those
+// written before it. Every worker has executed window n, and the
+// journal's tip is barrier n-1.
+func ahead(n uint64, seats int) killPoint {
+	sent := map[int]bool{}
+	fired := false
+	return killPoint{tip: n - 1, hook: func(f wired) fate {
+		switch {
+		case fired || f.seq != n:
+		case f.from == coord && f.kind == frameWindow:
+			sent[f.to] = true
+		case f.kind == frameDone && len(sent) < seats:
+			return fate{act: drop}
+		case f.kind == frameDone:
+			fired = true
+			return fate{act: kill}
+		}
+		return fate{}
+	}}
+}
+
+// killed fails unless the coordinator was killed and the journal's tip
+// is at barrier tip.
+func (l *simListener) killed(journal string, tip uint64) error {
+	l.s.mu.Lock()
+	down := l.down
+	l.s.mu.Unlock()
+	if !down {
+		return errors.New("the coordinator was never killed")
+	}
+	st, err := loadJournal(journal)
+	if err != nil {
+		return err
+	}
+	if st.ctl.windows != tip {
+		return fmt.Errorf("the kill left the journal's tip at barrier %d, want %d", st.ctl.windows, tip)
+	}
+	return nil
+}
 
 // crashRestart drives the two-phase harness. Two coordinators share the
-// scenario, tune and one journal; arm sets the first one's crash hook.
-// The workers launch against the listener (wrap, as in Loopback, may put
-// an injector on it), c1 serves until its hook fires, and — after an
-// outage on the scripted clock — c2 restarts on the same listener: the
-// workers keep dialing the same address, exactly as they would a
-// restarted process. Worker errors fail the test, so a scenario only
-// passes when the workers rode out the outage.
-func (s scenario) crashRestart(t *testing.T, tune, arm func(*Coordinator), workers []*Worker, outage time.Duration, wrap func(net.Listener) net.Listener) (c1, c2 *Coordinator) {
+// scenario, tune and one journal; the network's fault hook is at's,
+// which kills the first. Worker i dials from host i (wrap, as in
+// Loopback, may put an injector on the listener), c1 serves until the
+// kill and — after an outage on the scripted clock — the script
+// restarts the listener and c2 serves on it: the workers keep dialing
+// the same address, exactly as they would a restarted process. The
+// journal's tip must be where at says, and worker errors fail the test,
+// so a scenario only passes when the workers rode out the outage.
+func (s scenario) crashRestart(t *testing.T, tune func(*Coordinator), at killPoint, workers []*Worker, outage time.Duration, wrap func(net.Listener) net.Listener) (c1, c2 *Coordinator) {
 	t.Helper()
 	journal := filepath.Join(t.TempDir(), "coord.journal")
 	sm := newSim(t)
-	ln := net.Listener(sm.listen())
-	for _, w := range workers {
-		w.Dial = simDial(ln)
+	sm.fault = at.hook
+	sl := sm.listen()
+	ln := net.Listener(sl)
+	for i, w := range workers {
+		w.Dial = sl.host(i)
 	}
 	if wrap != nil {
 		ln = wrap(ln)
@@ -48,7 +113,6 @@ func (s scenario) crashRestart(t *testing.T, tune, arm func(*Coordinator), worke
 		return c
 	}
 	c1, c2 = mk(), mk()
-	arm(c1)
 	sm.attach(c1, workers...)
 	sm.attach(c2)
 	err := sm.run(func() error {
@@ -56,10 +120,12 @@ func (s scenario) crashRestart(t *testing.T, tune, arm func(*Coordinator), worke
 		for i, w := range workers {
 			runs[i] = sm.start(func() error { return w.Run("") })
 		}
-		if err := c1.Serve(ln, len(workers)); !errors.Is(err, errCrashHook) {
-			return fmt.Errorf("first Serve = %v, want crash hook", err)
+		_ = c1.Serve(ln, len(workers)) // killed: the journal shows where
+		if err := sl.killed(journal, at.tip); err != nil {
+			return err
 		}
 		sm.sleep(outage)
+		sl.restart()
 		if err := c2.Serve(ln, len(workers)); err != nil {
 			return fmt.Errorf("restarted Serve: %w", err)
 		}
@@ -76,15 +142,6 @@ func (s scenario) crashRestart(t *testing.T, tune, arm func(*Coordinator), worke
 	return c1, c2
 }
 
-// afterBarrier and beforeBarrier arm the crash hooks.
-func afterBarrier(n uint64) func(*Coordinator) {
-	return func(c *Coordinator) { c.crashAfterBarrier = n }
-}
-
-func beforeBarrier(n uint64) func(*Coordinator) {
-	return func(c *Coordinator) { c.crashBeforeBarrier = n }
-}
-
 // wantReadopted fails the test unless the restart re-adopted both
 // workers in place, with no rollback.
 func wantReadopted(t *testing.T, c *Coordinator) {
@@ -94,48 +151,31 @@ func wantReadopted(t *testing.T, c *Coordinator) {
 	}
 }
 
-// TestCrashRestartBeforeBarrier kills the coordinator after the
-// workers executed a window but before its journal record became
-// durable: the restarted coordinator's tip trails the cluster by one
-// window, so it re-sends that window, and each worker must answer with
-// the done frame its replaced link retained — byte for byte the one it
-// sent before the crash — without executing an event.
-func TestCrashRestartBeforeBarrier(t *testing.T) {
-	want, wantWindows := rtScn.reference(), rtScn.windows()
-	workers := rtScn.pair()
-	taps := make([]*doneTap, len(workers))
-	wrap := func(ln net.Listener) net.Listener {
-		for i, w := range workers {
-			taps[i] = &doneTap{w: w}
-			w.Dial = faulty(taps[i].conn, w.Dial)
-		}
-		return ln
-	}
-	_, c2 := rtScn.crashRestart(t, nil, beforeBarrier(4), workers, 0, wrap)
-	wantCounts(t, "done-replay run", c2, want)
-	if lattice(c2) != wantWindows {
-		t.Fatalf("windows = %d, want %d", lattice(c2), wantWindows)
-	}
-	wantReadopted(t, c2)
-	for i, tp := range taps {
-		// The first connection died with the crash; the first done frame
-		// on a later one answers the re-sent window.
-		var before, replay *tappedDone
-		for j := range tp.dones {
-			if d := &tp.dones[j]; d.conn == 0 {
-				before = d
-			} else if replay == nil {
-				replay = d
-			}
-		}
-		if before == nil || replay == nil {
-			t.Fatalf("worker %d wrote no done frame before or after the crash", i)
-		}
-		if !bytes.Equal(replay.payload, before.payload) {
-			t.Errorf("worker %d answered the re-sent window with another done frame than the one sent before the crash", i)
-		}
-		if replay.executed != before.executed {
-			t.Errorf("worker %d executed %d events answering the re-sent window", i, replay.executed-before.executed)
+// TestCrashRestartSweep kills a checkpointed journal run at both
+// boundaries of every barrier: just after the barrier's journal record,
+// and just after its window fan-out, before the record. Each restart
+// re-adopts both workers — after a fan-out kill each answers the
+// re-sent window from its retained done frame — and finishes
+// bit-identical without executing an event twice.
+func TestCrashRestartSweep(t *testing.T) {
+	want, base := rtScn.reference(), rtScn.coordinator(nil)
+	launch(t, base, rtScn.pair())
+	for n := uint64(1); n <= rtScn.windows(); n++ {
+		for _, b := range []struct {
+			name string
+			at   killPoint
+		}{{"record", afterRecord(n)}, {"fan-out", ahead(n, 2)}} {
+			t.Run(fmt.Sprintf("barrier=%d/%s", n, b.name), func(t *testing.T) {
+				ckpt := filepath.Join(t.TempDir(), "cluster.ckpt")
+				_, c2 := rtScn.crashRestart(t, func(c *Coordinator) {
+					c.CheckpointPath, c.CheckpointEvery = ckpt, 1
+				}, b.at, rtScn.pair(), 0, nil)
+				wantCounts(t, "restarted run", c2, want)
+				wantReadopted(t, c2)
+				if executed(c2) != executed(base) {
+					t.Fatalf("executed %d events, the unfaulted run %d", executed(c2), executed(base))
+				}
+			})
 		}
 	}
 }
@@ -146,198 +186,88 @@ func TestCrashRestartBeforeBarrier(t *testing.T) {
 // the handshake is over, and each side drops the copy as noise, as it
 // does a duplicated hello or register.
 func TestCrashRestartDuplicatedHandshake(t *testing.T) {
-	workers := rtScn.pair()
-	wrap := func(ln net.Listener) net.Listener {
-		for _, w := range workers {
-			w.Dial = faulty(scripted(twice(frameReadopt)), w.Dial)
+	at := afterRecord(3)
+	killAt := at.hook
+	at.hook = func(f wired) fate {
+		if f.kind == frameReadopt || f.kind == frameCoordHello {
+			return fate{act: dup}
 		}
-		return wrapListener{ln.(*simListener), scripted(twice(frameCoordHello))}
+		return killAt(f)
 	}
-	_, c2 := rtScn.crashRestart(t, nil, afterBarrier(3), workers, 0, wrap)
+	_, c2 := rtScn.crashRestart(t, nil, at, rtScn.pair(), 0, nil)
 	wantCounts(t, "restart over duplicated handshakes", c2, rtScn.reference())
 	wantReadopted(t, c2)
 }
 
-// doneTap records every done frame a worker writes: its payload, the
-// connection it went out on (0-based, in dial order), and how many
-// events the worker had executed by then. Only the worker's serve
-// goroutine dials and writes done frames.
-type doneTap struct {
-	w     *Worker
-	conns int
-	dones []tappedDone
-}
-
-type tappedDone struct {
-	conn     int
-	payload  []byte
-	executed uint64
-}
-
-type tapConn struct {
-	net.Conn
-	tp *doneTap
-	id int
-}
-
-func (tp *doneTap) conn(c net.Conn) net.Conn {
-	tp.conns++
-	return tapConn{c, tp, tp.conns - 1}
-}
-
-// Write sees one whole wire frame per call (peer.writeFrame).
-func (c tapConn) Write(p []byte) (int, error) {
-	var f frame
-	var evs []Event
-	if len(p) > wireHeaderLen && unmarshalFrameInto(&f, &evs, p[wireHeaderLen:]) == nil && f.Kind == frameDone {
-		c.tp.dones = append(c.tp.dones, tappedDone{c.id, bytes.Clone(p[wireHeaderLen:]), c.tp.w.Stats().EventsExecuted})
-	}
-	return c.Conn.Write(p)
-}
-
-// TestCrashRestartFallbackRollback exercises the middle rung of the
-// restart ladder: one worker dies during the coordinator outage, so a
-// fresh replacement registers during re-adoption, its state cannot be
-// trusted at the journal tip, and the whole federation rolls back to
-// the journaled checkpoint ref instead. The survivor is still
-// re-adopted (it carries the restore like any rollback), and the
-// finished counts match the uninterrupted run.
-func TestCrashRestartFallbackRollback(t *testing.T) {
-	want := rtScn.reference()
+// fallback kills a journaled rtScn run (checkpointed every window when
+// ckpt is set) just after barrier 3's record. Worker A survives the
+// outage parked; worker B gives up after one reconnect cycle (parking
+// disabled), like a process whose own host rebooted with the
+// coordinator's, and its replacement registers with B's static LP set
+// as the coordinator restarts. It returns the restarted coordinator and
+// its Serve's error; the workers' errors count only when that is nil.
+func fallback(t *testing.T, ckpt bool) (*Coordinator, error) {
+	t.Helper()
 	dir := t.TempDir()
+	journal := filepath.Join(dir, "coord.journal")
 	sm := newSim(t)
+	sm.fault = afterRecord(3).hook
 	ln := sm.listen()
 	coordinator := func() *Coordinator {
 		c := rtScn.coordinator(nil)
-		c.CheckpointPath = filepath.Join(dir, "cluster.ckpt")
-		c.CheckpointEvery = 1
-		c.JournalPath = filepath.Join(dir, "coord.journal")
+		c.JournalPath = journal
+		if ckpt {
+			c.CheckpointPath, c.CheckpointEvery = filepath.Join(dir, "cluster.ckpt"), 1
+		}
 		return c
 	}
 	c1, c2 := coordinator(), coordinator()
-	c1.crashAfterBarrier = 3
-
-	// Worker A survives the outage parked; worker B gives up after one
-	// reconnect cycle (parking disabled), like a process whose own host
-	// rebooted with the coordinator's. Its replacement registers with B's
-	// static LP set; the restarted coordinator must fall back to rollback.
 	wA, wB, wB2 := rtScn.worker(false, false), rtScn.worker(true, false), rtScn.worker(true, false)
 	wB.MaxPark = -1
 	for _, w := range []*Worker{wA, wB, wB2} {
-		w.Dial = ln.dial
+		w.Dial = ln.host(0)
 	}
 	sm.attach(c1, wA, wB, wB2)
 	sm.attach(c2)
+	var serr error
 	err := sm.run(func() error {
 		ra := sm.start(func() error { return wA.Run("") })
 		rb := sm.start(func() error { return wB.Run("") })
-		if err := c1.Serve(ln, 2); !errors.Is(err, errCrashHook) {
-			return fmt.Errorf("first Serve = %v, want crash hook", err)
+		_ = c1.Serve(ln, 2) // killed: the journal shows where
+		if err := ln.killed(journal, 3); err != nil {
+			return err
 		}
 		if rb.wait() == nil {
 			return errors.New("worker B exited cleanly during the outage")
 		}
+		ln.restart()
 		rb2 := sm.start(func() error { return wB2.Run("") })
-		if err := c2.Serve(ln, 2); err != nil {
-			return fmt.Errorf("restarted Serve: %w", err)
+		if serr = c2.Serve(ln, 2); serr != nil {
+			ln.Close() // the workers give up
+			return nil
 		}
 		return errors.Join(ra.wait(), rb2.wait())
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	wantCounts(t, "fallback-rollback run", c2, want)
-	if c2.Readopted != 1 {
-		t.Fatalf("readopted = %d, want 1 (only the survivor)", c2.Readopted)
-	}
+	return c2, serr
 }
 
-// TestCrashRestartRefusesForeignCheckpoint swaps the checkpoint file
-// under a crashed coordinator: a restart must refuse, with a typed
-// error and before it touches a worker, a cut older than the last one
-// the journal saw made durable, and one past the journal's tip. With
-// the real file back the same parked workers are re-adopted and the run
-// finishes bit-identical.
-func TestCrashRestartRefusesForeignCheckpoint(t *testing.T) {
-	want, wantWindows := rtScn.reference(), rtScn.windows()
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "cluster.ckpt")
-	sm := newSim(t)
-	ln := sm.listen()
-	coordinator := func() *Coordinator {
-		c := rtScn.coordinator(nil)
-		c.CheckpointPath = ckpt
-		c.CheckpointEvery = 1
-		c.JournalPath = filepath.Join(dir, "coord.journal")
-		sm.attach(c)
-		return c
-	}
-	workers := rtScn.pair()
-	for _, w := range workers {
-		w.Dial = ln.dial
-	}
-	sm.attach(nil, workers...)
-
-	var c2 *Coordinator
-	err := sm.run(func() error {
-		runs := make([]*result, len(workers))
-		for i, w := range workers {
-			runs[i] = sm.start(func() error { return w.Run("") })
-		}
-		// The hook fires once barrier 4 is journaled, before its
-		// checkpoint: the file and the journal's ref are at barrier 3, the
-		// tip at 4.
-		c1 := coordinator()
-		c1.crashAfterBarrier = 4
-		if err := c1.Serve(ln, 2); !errors.Is(err, errCrashHook) {
-			return fmt.Errorf("first Serve = %v, want crash hook", err)
-		}
-		real, err := os.ReadFile(ckpt)
-		if err != nil {
-			return err
-		}
-		for _, windows := range []uint64{2, 5} {
-			at, ck, err := decodeClusterCheckpoint(real)
-			if err != nil {
-				return err
-			}
-			if at.windows != 3 {
-				return fmt.Errorf("checkpoint on disk is at barrier %d, want 3", at.windows)
-			}
-			at.windows = windows
-			ck.cut = at.cut()
-			if err := ck.save(ckpt, at); err != nil {
-				return err
-			}
-			c := coordinator()
-			if err := c.Serve(ln, 2); !errors.Is(err, errCheckpointMismatch) {
-				return fmt.Errorf("restart over a checkpoint at barrier %d = %v, want errCheckpointMismatch", windows, err)
-			}
-			if c.Readopted != 0 {
-				return fmt.Errorf("refused restart re-adopted %d workers first", c.Readopted)
-			}
-		}
-		if err := os.WriteFile(ckpt, real, 0o644); err != nil {
-			return err
-		}
-		c2 = coordinator()
-		if err := c2.Serve(ln, 2); err != nil {
-			return fmt.Errorf("restart over the real checkpoint: %w", err)
-		}
-		for _, r := range runs {
-			if err := r.wait(); err != nil {
-				return fmt.Errorf("worker: %w", err)
-			}
-		}
-		return nil
-	})
+// TestCrashRestartFallbackRollback exercises the middle rung of the
+// restart ladder: a fresh replacement's state cannot be trusted at the
+// journal tip, so the whole federation rolls back to the journaled
+// checkpoint ref instead. The survivor is still re-adopted (it carries
+// the restore like any rollback), and the finished counts match the
+// uninterrupted run.
+func TestCrashRestartFallbackRollback(t *testing.T) {
+	c2, err := fallback(t, true)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("restarted Serve: %v", err)
 	}
-	wantCounts(t, "restarted run", c2, want)
-	if lattice(c2) != wantWindows || c2.Readopted != 2 || c2.Recoveries != 0 {
-		t.Fatalf("windows %d (want %d), readopted %d, recoveries %d", lattice(c2), wantWindows, c2.Readopted, c2.Recoveries)
+	wantCounts(t, "fallback-rollback run", c2, rtScn.reference())
+	if c2.Readopted != 1 {
+		t.Fatalf("readopted = %d, want 1 (only the survivor)", c2.Readopted)
 	}
 }
 
@@ -346,42 +276,42 @@ func TestCrashRestartRefusesForeignCheckpoint(t *testing.T) {
 // worker registered) but has no checkpoint file fails with a typed
 // error instead of guessing at state.
 func TestCrashRestartJournalRequiresRollbackWithoutCheckpoint(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "coord.journal")
-	sm := newSim(t)
-	ln := sm.listen()
-	c1, c2 := rtScn.coordinator(nil), rtScn.coordinator(nil)
-	c1.JournalPath, c2.JournalPath = journal, journal
-	c1.crashAfterBarrier = 2
-
-	wA, wB, wB2 := rtScn.worker(false, false), rtScn.worker(true, false), rtScn.worker(true, false)
-	wB.MaxPark = -1
-	for _, w := range []*Worker{wA, wB, wB2} {
-		w.Dial = ln.dial
+	if _, err := fallback(t, false); err == nil || !strings.Contains(err.Error(), "holds no checkpoint") {
+		t.Fatalf("restart needing a rollback with no checkpoint = %v, want the missing checkpoint", err)
 	}
-	sm.attach(c1, wA, wB, wB2)
-	sm.attach(c2)
-	err := sm.run(func() error {
-		sm.start(func() error { return wA.Run("") }) // fails with the aborted restart; ignored
-		rb := sm.start(func() error { return wB.Run("") })
-		if err := c1.Serve(ln, 2); !errors.Is(err, errCrashHook) {
-			return fmt.Errorf("first Serve = %v, want crash hook", err)
-		}
-		if rb.wait() == nil {
-			return errors.New("worker B exited cleanly during the outage")
-		}
-		sm.start(func() error { return wB2.Run("") }) // the replacement; its run fails, ignored
-		err := c2.Serve(ln, 2)
-		ln.Close()
-		switch {
-		case err == nil:
-			return errors.New("restart succeeded despite needing a rollback with no checkpoint")
-		case errors.Is(err, errCrashHook):
-			return fmt.Errorf("restart failed with the crash hook: %w", err)
-		}
-		return nil
-	})
+}
+
+// TestCrashRestartRefusesForeignCheckpoint swaps the checkpoint file
+// under a killed and restarted run's journal: a restart must refuse,
+// with a typed error and before it accepts a worker, a cut older than
+// the last one the journal saw made durable, and one past the
+// journal's tip.
+func TestCrashRestartRefusesForeignCheckpoint(t *testing.T) {
+	ckpt := filepath.Join(t.TempDir(), "cluster.ckpt")
+	tune := func(c *Coordinator) { c.CheckpointPath, c.CheckpointEvery = ckpt, 1 }
+	_, c2 := rtScn.crashRestart(t, tune, afterRecord(4), rtScn.pair(), 0, nil)
+	at, ck, err := loadClusterCheckpoint(ckpt)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The journal's tip is the last barrier, 12; the file and the
+	// journal's ref are at 11, the last one before the horizon.
+	if at.windows != 11 {
+		t.Fatalf("checkpoint on disk is at barrier %d, want 11", at.windows)
+	}
+	ln := newSim(t).listen()
+	ln.Close() // a refusal comes before any accept
+	for _, windows := range []uint64{10, 13} {
+		at.windows = windows
+		ck.cut = at.cut()
+		if err := ck.save(ckpt, at); err != nil {
+			t.Fatal(err)
+		}
+		c := rtScn.coordinator(tune)
+		c.JournalPath = c2.JournalPath
+		if err := c.Serve(ln, 2); !errors.Is(err, errCheckpointMismatch) {
+			t.Fatalf("restart over a checkpoint at barrier %d = %v, want errCheckpointMismatch", windows, err)
+		}
 	}
 }
 
@@ -390,21 +320,22 @@ func TestCrashRestartJournalRequiresRollbackWithoutCheckpoint(t *testing.T) {
 // a typed ErrCoordinatorLost, and still flushes its final local stats.
 func TestWorkerParkGiveUp(t *testing.T) {
 	sm := newSim(t)
+	sm.fault = afterRecord(2).hook
 	ln := sm.listen()
 	c := NewCoordinator(2, 1.0, 50, 7)
 	c.JournalPath = filepath.Join(t.TempDir(), "coord.journal")
-	c.crashAfterBarrier = 2
 
 	w := NewWorker(0, 1)
 	InstallPHOLD(w, 2, 4, 0.5, 3)
 	w.MaxPark = 3
-	w.Dial = ln.dial
+	w.Dial = ln.host(0)
 	sm.attach(c, w)
 	var werr error
 	err := sm.run(func() error {
 		r := sm.start(func() error { return w.Run("") })
-		if err := c.Serve(ln, 1); !errors.Is(err, errCrashHook) {
-			return fmt.Errorf("Serve = %v, want crash hook", err)
+		_ = c.Serve(ln, 1) // killed: the journal shows where
+		if err := ln.killed(c.JournalPath, 2); err != nil {
+			return err
 		}
 		werr = r.wait()
 		return nil
@@ -437,11 +368,9 @@ func TestRetryStopsWhenClusterDown(t *testing.T) {
 		c.MaxRecoveries = 1
 	})
 	sm := newSim(t)
+	sm.fault = cutAt(1, 9, 0)
 	workers := rtScn.pair()
-	err := sm.loopback(c, workers, func(ln net.Listener) net.Listener {
-		workers[1].Dial = (&cut{s: sm, from: 8, refuse: true}).dial(simDial(ln))
-		return ln
-	})
+	err := sm.loopback(c, workers, nil)
 	if err == nil {
 		t.Fatal("Serve succeeded without a replacement for the partitioned worker")
 	}
@@ -478,60 +407,23 @@ func TestLoopbackEndsWhenEveryWorkerGaveUp(t *testing.T) {
 	}
 }
 
-// cut is a scripted partition: from the from-th write across the conns
-// it wraps (0-based, counted on every side it wraps), every write
-// vanishes for span of the scripted clock — for good when span is 0 —
-// and, with refuse set, every dial through it fails, as it does to a
-// host the network no longer reaches. The connections stay up.
-type cut struct {
-	s      *sim
-	from   int
-	span   time.Duration
-	refuse bool
-	n      int       // writes seen, under s.mu
-	start  time.Time // when the from-th write came, under s.mu
-}
-
-// on counts a write when write is set and reports whether the
-// partition is in force.
-func (k *cut) on(write bool) bool {
-	k.s.mu.Lock()
-	defer k.s.mu.Unlock()
-	if write {
-		if k.n == k.from {
-			k.start = k.s.clock
+// cutAt is a fault hook that takes host off the network for span (0:
+// for good) from its n-th frame on.
+func cutAt(host, n int, span time.Duration) func(wired) fate {
+	seen := 0
+	return func(f wired) fate {
+		if f.from == host {
+			if seen++; seen == n {
+				return fate{act: cut, span: span}
+			}
 		}
-		k.n++
-	}
-	return k.n > k.from && (k.span == 0 || k.s.clock.Before(k.start.Add(k.span)))
-}
-
-type cutConn struct {
-	net.Conn
-	k *cut
-}
-
-func (c cutConn) Write(p []byte) (int, error) {
-	if c.k.on(true) {
-		return len(p), nil
-	}
-	return c.Conn.Write(p)
-}
-
-func (k *cut) conn(c net.Conn) net.Conn { return cutConn{c, k} }
-
-// dial passes every conn dial opens through the partition.
-func (k *cut) dial(dial func() (net.Conn, error)) func() (net.Conn, error) {
-	return func() (net.Conn, error) {
-		if k.refuse && k.on(false) {
-			return nil, errors.New("cut: host unreachable")
-		}
-		return faulty(k.conn, dial)()
+		return fate{}
 	}
 }
 
 // TestPartitionShorterThanTimeout pins the heartbeat-during-partition
-// interplay from the safe side: a two-way blackhole shorter than the
+// interplay from the safe side: a two-way blackhole (the coordinator's
+// host off the network from its 10th frame on) shorter than the
 // coordinator's per-frame deadline must never escalate to rollback
 // recovery — the silence stays under the timeout, heartbeats resume
 // when the partition lifts, and any frame the blackhole ate heals by
@@ -544,14 +436,8 @@ func TestPartitionShorterThanTimeout(t *testing.T) {
 		c.MaxRecoveries = 2
 	})
 	sm := newSim(t)
-	k := &cut{s: sm, from: 20, span: DefaultTimeout / 2}
-	workers := rtScn.pair()
-	err := sm.loopback(c, workers, func(ln net.Listener) net.Listener {
-		for _, w := range workers {
-			w.Dial = k.dial(simDial(ln))
-		}
-		return wrapListener{ln.(*simListener), k.conn}
-	})
+	sm.fault = cutAt(coord, 10, DefaultTimeout/2)
+	err := sm.loopback(c, rtScn.pair(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,8 +465,8 @@ func TestPartitionLongerThanTimeoutRecovers(t *testing.T) {
 	ln := sm.listen()
 	wA, wB, wB2 := rtScn.worker(false, false), rtScn.worker(true, false), rtScn.worker(true, false)
 	wB.MaxPark = -1
-	wA.Dial, wB2.Dial = ln.dial, ln.dial
-	wB.Dial = (&cut{s: sm, from: 8, refuse: true}).dial(ln.dial)
+	sm.fault = cutAt(1, 9, 0)
+	wA.Dial, wB.Dial, wB2.Dial = ln.host(0), ln.host(1), ln.host(2)
 	sm.attach(c, wA, wB, wB2)
 	err := sm.run(func() error {
 		ra := sm.start(func() error { return wA.Run("") })

@@ -82,7 +82,7 @@ func TestStaleHelloDuringRegistration(t *testing.T) {
 	sm.attach(c)
 	err := sm.run(func() error {
 		serve := sm.start(func() error { return c.Serve(ln, 2) })
-		stale, err := ln.dial()
+		stale, err := ln.dial(0)
 		if err != nil {
 			return err
 		}
@@ -98,7 +98,7 @@ func TestStaleHelloDuringRegistration(t *testing.T) {
 		for lp := 0; lp < 2; lp++ {
 			w := NewWorker(lp)
 			InstallPHOLD(w, 2, 2, 0.5, 2)
-			w.Dial = ln.dial
+			w.Dial = ln.host(0)
 			sm.attach(nil, w)
 			runs = append(runs, sm.start(func() error { return w.Run("") }))
 		}

@@ -151,15 +151,22 @@ func chaosLaunch(t *testing.T, c *Coordinator, workers []*Worker, coordCfg, work
 	}
 }
 
-// chaosWrap is the listener wrap of chaosLaunch; dial gives a worker
+// chaosWrap is the listener wrap of chaosLaunch; dial gives worker i
 // its way to the listener, which the injector then wraps.
-func chaosWrap(workers []*Worker, coordCfg, workerCfg *chaos.Config, dial func(net.Listener) func() (net.Conn, error)) func(net.Listener) net.Listener {
+func chaosWrap(workers []*Worker, coordCfg, workerCfg *chaos.Config, dial func(ln net.Listener, i int) func() (net.Conn, error)) func(net.Listener) net.Listener {
 	return func(ln net.Listener) net.Listener {
 		if workerCfg != nil {
 			for i, w := range workers {
 				cfg := *workerCfg
 				cfg.Seed += uint64(i) * 1000003
-				w.Dial = faulty(chaos.New(cfg).Conn, dial(ln))
+				in, to := chaos.New(cfg), dial(ln, i)
+				w.Dial = func() (net.Conn, error) {
+					c, err := to()
+					if err != nil {
+						return nil, err
+					}
+					return in.Conn(c), nil
+				}
 			}
 		}
 		if coordCfg == nil {
@@ -170,22 +177,11 @@ func chaosWrap(workers []*Worker, coordCfg, workerCfg *chaos.Config, dial func(n
 }
 
 // simDial and tcpDial are chaosWrap's two ways to a listener.
-func simDial(ln net.Listener) func() (net.Conn, error) { return ln.(*simListener).dial }
+func simDial(ln net.Listener, i int) func() (net.Conn, error) { return ln.(*simListener).host(i) }
 
-func tcpDial(ln net.Listener) func() (net.Conn, error) {
+func tcpDial(ln net.Listener, _ int) func() (net.Conn, error) {
 	addr := ln.Addr().String()
 	return func() (net.Conn, error) { return net.Dial("tcp", addr) }
-}
-
-// faulty passes every conn dial opens through wrap.
-func faulty(wrap func(net.Conn) net.Conn, dial func() (net.Conn, error)) func() (net.Conn, error) {
-	return func() (net.Conn, error) {
-		c, err := dial()
-		if err != nil {
-			return nil, err
-		}
-		return wrap(c), nil
-	}
 }
 
 // listen opens a loopback TCP listener that closes with the test.
@@ -219,7 +215,7 @@ func (s scenario) killAndRecover(t *testing.T, c *Coordinator, wtune ...func(*Wo
 	a, victim, replacement := ws[0], ws[1], ws[2]
 	sm.attach(c, ws...)
 	for _, w := range ws {
-		w.Dial = ln.dial
+		w.Dial = ln.host(0)
 	}
 	err := sm.run(func() error {
 		ra := sm.start(func() error { return a.Run("") })
@@ -261,7 +257,7 @@ func (s scenario) failThenResume(t *testing.T, tune func(*Coordinator), wtune ..
 	c1 = coordinator()
 	doomed := tuned([]*Worker{s.worker(false, false), s.worker(true, true)}, wtune)
 	for _, w := range doomed {
-		w.Dial = ln.dial
+		w.Dial = ln.host(0)
 		w.MaxPark = -1 // no restart comes for the failed run's workers
 	}
 	sm.attach(c1, doomed...)

@@ -32,7 +32,7 @@ type layout struct {
 	tune    func(*Coordinator)
 	engaged func(*Coordinator) bool // true of every coordinator of a run
 	every   int                     // the kill and resume drills' checkpoint cadence
-	crash   uint64                  // the barrier the restart drills crash after
+	crash   uint64                  // the barrier the restart drills kill the coordinator at
 }
 
 var layouts = []layout{
@@ -100,14 +100,23 @@ var faults = []fault{
 		return []*Coordinator{c1, c2}
 	}},
 	// The journal only: with no checkpoint file to roll back to, only
-	// re-adoption at the journal's tip can finish the run.
+	// re-adoption at the journal's tip can finish the run. The kill comes
+	// just after barrier crash's journal record.
 	{"restart", false, 0, 2, func(t *testing.T, l layout, tune func(*Coordinator), wtune func(*Worker) *Worker) []*Coordinator {
-		c1, c2 := l.scn.crashRestart(t, tune, afterBarrier(l.crash), l.scn.pair(wtune), parkOutage, nil)
+		c1, c2 := l.scn.crashRestart(t, tune, afterRecord(l.crash), l.scn.pair(wtune), parkOutage, nil)
 		return []*Coordinator{c1, c2}
 	}},
 	{"restart-chaos", true, 0, 2, func(t *testing.T, l layout, tune func(*Coordinator), wtune func(*Worker) *Worker) []*Coordinator {
 		ws := l.scn.pair(wtune)
-		c1, c2 := l.scn.crashRestart(t, tune, afterBarrier(l.crash), ws, 0, chaosWrap(ws, &matrixChaos[0], &matrixChaos[1], simDial))
+		c1, c2 := l.scn.crashRestart(t, tune, afterRecord(l.crash), ws, 0, chaosWrap(ws, &matrixChaos[0], &matrixChaos[1], simDial))
+		return []*Coordinator{c1, c2}
+	}},
+	// The kill comes once every worker has executed window crash, before
+	// the coordinator hears of it: the journal trails the workers by one
+	// window, the restart re-sends it, and each worker answers with the
+	// done frame it retained.
+	{"restart-ahead", false, 0, 2, func(t *testing.T, l layout, tune func(*Coordinator), wtune func(*Worker) *Worker) []*Coordinator {
+		c1, c2 := l.scn.crashRestart(t, tune, ahead(l.crash, 2), l.scn.pair(wtune), 0, nil)
 		return []*Coordinator{c1, c2}
 	}},
 }
@@ -115,8 +124,9 @@ var faults = []fault{
 // TestFaultMatrix is the cluster's validation contract as one table:
 // every layout, at every thread count, observed or not, under every
 // fault, finishes bit-identical to the single-process reference, and
-// every cell checks the invariants the run keeps on the way (checkCell).
-// Cells are named layout/threads/obs/fault.
+// every cell checks the invariants the run keeps on the way (checkCell;
+// each restart cell's harness also checks the journal tip its kill
+// left). Cells are named layout/threads/obs/fault.
 func TestFaultMatrix(t *testing.T) {
 	// poolAlternate is a copy of pool.alternate: prove it still alternates.
 	poolForced = poolAlternate
@@ -184,11 +194,16 @@ func checkCell(t *testing.T, l layout, f fault, threads int, ref []uint64, base 
 	if f.recoveries == 0 && len(cs) == 1 && (c.Windows != base.Windows || c.WindowsSkipped != base.WindowsSkipped) {
 		t.Fatalf("executed %d + skipped %d windows, the unfaulted run %d + %d", c.Windows, c.WindowsSkipped, base.Windows, base.WindowsSkipped)
 	}
-	// 3. The recovery rung the fault calls for, and no other.
+	// 3. Conservation: the workers' engines executed what the unfaulted
+	// run's did, whatever was rolled back, resumed or answered again.
+	if executed(c) != executed(base) {
+		t.Fatalf("workers executed %d events, the unfaulted run %d", executed(c), executed(base))
+	}
+	// 4. The recovery rung the fault calls for, and no other.
 	reconnects := 0
 	for i, ci := range cs {
 		reconnects += ci.Reconnects
-		// 4. The layout engaged, in every attempt.
+		// 5. The layout engaged, in every attempt.
 		if !l.engaged(ci) {
 			t.Fatalf("coordinator %d of %d did not run the %s layout: %d windows, %d skipped, %d migrations",
 				i+1, len(cs), l.name, ci.Windows, ci.WindowsSkipped, ci.Migrations)
@@ -198,7 +213,7 @@ func checkCell(t *testing.T, l layout, f fault, threads int, ref []uint64, base 
 		t.Fatalf("%d recoveries, %d re-adopted, %d reconnects; want %d, %d and reconnects only under chaos",
 			c.Recoveries, c.Readopted, reconnects, f.recoveries, f.readopted)
 	}
-	// 5. The final LP sets partition the LPs.
+	// 6. The final LP sets partition the LPs.
 	owned := make([]bool, c.NLPs)
 	for _, ws := range c.WorkerStats {
 		for _, lp := range ws.LPs {
@@ -211,7 +226,7 @@ func checkCell(t *testing.T, l layout, f fault, threads int, ref []uint64, base 
 	if slices.Contains(owned, false) {
 		t.Fatalf("final LP sets %v do not partition %d LPs", c.WorkerStats, c.NLPs)
 	}
-	// 6. What the observers saw adds up: each coordinator's histograms
+	// 7. What the observers saw adds up: each coordinator's histograms
 	// hold its own incarnation's events, so the run's sum is what the
 	// workers executed, and every merged trace re-parses; the last one
 	// has a track per coordinator, worker window, pool thread and LP.

@@ -143,7 +143,7 @@ func wantAligned(t *testing.T, c *Coordinator, co *ClusterObs) {
 // scenario — a worker dying between its last barrier and the stats
 // exchange).
 func fakeWorker(sm *sim, ln *simListener, lps []int, sendStats bool) error {
-	conn, err := ln.dial()
+	conn, err := ln.dial(0)
 	if err != nil {
 		return err
 	}

@@ -17,11 +17,11 @@ func TestHungWorkerSurfacesTimeout(t *testing.T) {
 	// and then hangs without ever serving a window.
 	w := NewWorker(0)
 	w.Setup = func(w *Worker) { w.LP(0).OnMessage = func(Event) {} }
-	w.Dial = ln.dial
+	w.Dial = ln.host(0)
 	sm.attach(c, w)
 	err := sm.run(func() error {
 		sm.start(func() error { return w.Run("") }) // dies with the run; ignored
-		hung, err := ln.dial()
+		hung, err := ln.dial(0)
 		if err != nil {
 			return err
 		}

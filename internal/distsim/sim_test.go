@@ -1,8 +1,12 @@
 package distsim
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"os"
 	"runtime"
@@ -25,6 +29,12 @@ import (
 // Only goroutines the run owns may wait in sim: the test's own
 // goroutine drives a run through loopback or run, which wait for it
 // from outside.
+//
+// Every scripted fault comes from one place, the fault hook: the
+// network asks it about each frame a host writes (one conn Write is one
+// frame, peer.writeFrame) and does what it answers (fate). The hook
+// runs under sim.mu, so it keeps state without locks, and it decides on
+// the scripted clock: a kill or a cut lands on the same frame every run.
 type sim struct {
 	t     testing.TB
 	mu    sync.Mutex
@@ -33,7 +43,46 @@ type sim struct {
 	live  int              // goroutines the run owns that have not returned
 	waits map[*waiter]bool // those of them waiting in sim
 	dead  bool
+
+	fault func(wired) fate  // nil: every frame is delivered
+	ln    *simListener      // the coordinator's, which a kill takes down
+	cuts  map[int]time.Time // host -> when it is back on the network
+	win   map[int]uint64    // worker host -> the newest window delivered to it
 }
+
+// coord is the coordinator's host; worker hosts are numbered from 0.
+const coord = -1
+
+// wired is one frame a host writes, as the fault hook sees it.
+type wired struct {
+	from, to int // the writing host and the one the conn leads to
+	kind     frameKind
+	// seq is a window frame's barrier, else the newest window delivered
+	// to the conn's worker: a done frame's is the window it answers.
+	seq uint64
+	at  time.Time
+}
+
+// fate is what the network does with one frame. A cut takes the
+// writer's host off the network for span (0: for good): every frame
+// from or to it vanishes, this one included, and every dial from or to
+// it is refused. A kill is the coordinator's death: the frame is lost,
+// every conn its listener handed out is reset, and dials and accepts
+// are refused until the script restarts the listener.
+type fate struct {
+	act  act
+	span time.Duration
+}
+
+type act uint8
+
+const (
+	deliver act = iota
+	drop        // the frame vanishes; its writer believes it went out
+	dup         // the frame arrives twice
+	cut
+	kill
+)
 
 // waiter is one goroutine waiting in sim: for ready, or for the clock to
 // reach until (zero: never). Both are read under sim.mu.
@@ -43,7 +92,7 @@ type waiter struct {
 }
 
 func newSim(t testing.TB) *sim {
-	s := &sim{t: t, clock: time.Unix(1e9, 0), waits: map[*waiter]bool{}}
+	s := &sim{t: t, clock: time.Unix(1e9, 0), waits: map[*waiter]bool{}, cuts: map[int]time.Time{}, win: map[int]uint64{}}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -194,12 +243,18 @@ func (s *sim) run(script func() error) error {
 	})
 }
 
-// loopback is Loopback on the scripted clock.
+// loopback is Loopback on the scripted clock; worker i without a Dial
+// of its own dials from host i.
 func (s *sim) loopback(c *Coordinator, workers []*Worker, wrap func(net.Listener) net.Listener) error {
 	s.t.Helper()
 	ln := s.listen()
+	for i, w := range workers {
+		if w.Dial == nil {
+			w.Dial = ln.host(i)
+		}
+	}
 	s.attach(c, workers...)
-	return s.finish(func() error { return cluster(c, workers, ln, ln.dial, wrap, s.spawn) })
+	return s.finish(func() error { return cluster(c, workers, ln, nil, wrap, s.spawn) })
 }
 
 // attach puts c and the workers on the scripted clock.
@@ -268,11 +323,12 @@ type pipe struct {
 	gone   bool // the reader closed: writes fail
 }
 
-// simConn is one end of an in-memory connection. Everything in it is
-// guarded by its sim's mu.
+// simConn is one end of an in-memory connection, written by host from.
+// Everything in it is guarded by its sim's mu.
 type simConn struct {
 	s        *sim
 	in, out  *pipe
+	from, to int
 	closed   bool
 	rdl, wdl time.Time
 }
@@ -302,6 +358,74 @@ func (c *simConn) Write(b []byte) (int, error) {
 	s := c.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	copies := 1
+	if !c.closed && !c.out.gone {
+		copies = s.route(c, b)
+	}
+	if copies < 0 {
+		return 0, errPipe
+	}
+	for range copies {
+		if n, err := c.put(b); err != nil {
+			return n, err
+		}
+	}
+	return len(b), nil
+}
+
+// route decides, holding s.mu, how many copies of the frame b that c's
+// host writes arrive, -1 when the write killed the coordinator: the
+// fault hook's answer, then the cuts in force.
+func (s *sim) route(c *simConn, b []byte) int {
+	copies, f := 1, s.parse(c, b)
+	if f != nil {
+		switch v := s.fault(*f); v.act {
+		case drop:
+			copies = 0
+		case dup:
+			copies = 2
+		case cut:
+			s.cuts[c.from] = s.clock.Add(cmp.Or(v.span, time.Duration(math.MaxInt64)))
+		case kill:
+			s.ln.kill()
+			return -1
+		}
+	}
+	if s.off(c.from) || s.off(c.to) {
+		return 0
+	}
+	if f != nil && copies > 0 && f.kind == frameWindow {
+		s.win[c.to] = f.seq
+	}
+	return copies
+}
+
+// parse reads b as the fault hook sees it: nil when there is no hook,
+// or b is not one intact frame (an injector corrupted it).
+func (s *sim) parse(c *simConn, b []byte) *wired {
+	if s.fault == nil || len(b) < wireHeaderLen {
+		return nil
+	}
+	var fr frame
+	var evs []Event
+	p := b[wireHeaderLen:]
+	if !bytes.Equal(appendWire(nil, binary.BigEndian.Uint64(b[4:]), binary.BigEndian.Uint64(b[12:]), p), b) ||
+		unmarshalFrameInto(&fr, &evs, p) != nil {
+		return nil
+	}
+	f := &wired{from: c.from, to: c.to, kind: fr.Kind, seq: fr.WinSeq, at: s.clock}
+	if f.kind != frameWindow {
+		f.seq = s.win[max(c.from, c.to)]
+	}
+	return f
+}
+
+// off reports, holding s.mu, whether host h is cut off the network.
+func (s *sim) off(h int) bool { return s.clock.Before(s.cuts[h]) }
+
+// put writes b into c's outbound pipe, holding s.mu, waiting for room.
+func (c *simConn) put(b []byte) (int, error) {
+	s := c.s
 	n := 0
 	for {
 		switch {
@@ -328,9 +452,15 @@ func (c *simConn) Write(b []byte) (int, error) {
 func (c *simConn) Close() error {
 	c.s.mu.Lock()
 	defer c.s.mu.Unlock()
+	c.reset()
+	return nil
+}
+
+// reset closes c, holding s.mu: the other end reads what c wrote, then
+// EOF, and its writes fail.
+func (c *simConn) reset() {
 	c.closed, c.out.closed, c.in.gone = true, true, true
 	c.s.cond.Broadcast()
-	return nil
 }
 
 func (c *simConn) SetDeadline(t time.Time) error {
@@ -369,33 +499,50 @@ func (c *simConn) RemoteAddr() net.Addr { return simAddr{} }
 type simListener struct {
 	s      *sim
 	queue  []*simConn
+	ends   []*simConn // every server end it handed out: what a kill resets
 	closed bool
+	down   bool // killed and not yet restarted
 	dl     time.Time
 }
 
-func (s *sim) listen() *simListener { return &simListener{s: s} }
+// listen opens the coordinator's listener; a run has one.
+func (s *sim) listen() *simListener {
+	if s.ln != nil {
+		s.t.Fatal("sim: a second listener")
+	}
+	s.ln = &simListener{s: s}
+	return s.ln
+}
 
-// dial connects to l, or is refused once l is closed.
-func (l *simListener) dial() (net.Conn, error) {
+// host is host h's way to l, a Worker.Dial.
+func (l *simListener) host(h int) func() (net.Conn, error) {
+	return func() (net.Conn, error) { return l.dial(h) }
+}
+
+// dial connects host h to l. It is refused once l is closed, while it
+// is down, and while either end's host is cut off.
+func (l *simListener) dial(h int) (net.Conn, error) {
 	s := l.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if l.closed || s.dead {
+	if l.closed || l.down || s.dead || s.off(h) || s.off(coord) {
 		return nil, errors.New("sim: connection refused")
 	}
 	ab, ba := &pipe{}, &pipe{}
-	l.queue = append(l.queue, &simConn{s: s, in: ba, out: ab})
+	end := &simConn{s: s, in: ba, out: ab, from: coord, to: h}
+	l.queue = append(l.queue, end)
+	l.ends = append(l.ends, end)
 	s.cond.Broadcast()
-	return &simConn{s: s, in: ab, out: ba}, nil
+	return &simConn{s: s, in: ab, out: ba, from: h, to: coord}, nil
 }
 
 func (l *simListener) Accept() (net.Conn, error) {
 	s := l.s
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.block(func() bool { return l.closed || len(l.queue) > 0 }, func() time.Time { return l.dl })
+	s.block(func() bool { return l.closed || l.down || len(l.queue) > 0 }, func() time.Time { return l.dl })
 	switch {
-	case l.closed:
+	case l.closed || l.down:
 		return nil, net.ErrClosed
 	case len(l.queue) > 0:
 		c := l.queue[0]
@@ -413,11 +560,29 @@ func (l *simListener) Close() error {
 	defer s.mu.Unlock()
 	l.closed = true
 	for _, c := range l.queue {
-		c.closed, c.out.closed, c.in.gone = true, true, true
+		c.reset()
 	}
 	l.queue = nil
 	s.cond.Broadcast()
 	return nil
+}
+
+// kill takes the coordinator down, holding s.mu: every conn l handed
+// out is reset, and dials and accepts are refused until restart.
+func (l *simListener) kill() {
+	l.down = true
+	for _, c := range l.ends {
+		c.reset()
+	}
+	l.ends, l.queue = nil, nil
+}
+
+// restart brings the killed coordinator's host back up.
+func (l *simListener) restart() {
+	l.s.mu.Lock()
+	defer l.s.mu.Unlock()
+	l.down = false
+	l.s.cond.Broadcast()
 }
 
 func (l *simListener) Addr() net.Addr { return simAddr{} }
