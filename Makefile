@@ -14,9 +14,12 @@ build:
 	$(GO) build -C bench/lsbench -o /dev/null .
 
 # An explicit -timeout: a wedged cluster test fails in minutes, with its
-# stacks, instead of at the 10-minute default.
+# stacks, instead of at the 10-minute default. The cluster's fault
+# matrix and sweeps run twice more: a heal whose outcome hangs on
+# goroutine scheduling rather than on the scripted clock fails here.
 test:
 	$(GO) test -timeout 5m ./...
+	$(GO) test -timeout 5m -count=3 -run 'TestFaultMatrix|Sweep' ./internal/distsim/
 
 vet:
 	$(GO) vet ./...

@@ -503,7 +503,7 @@ func (r *Run) report(t *metrics.Table, co *distsim.ClusterObs) {
 	snap := co.Snapshot()
 	t.AddRowf("coord frames sent/recv", fmt.Sprintf("%d/%d", snap.CoordWire.FramesSent, snap.CoordWire.FramesRecv))
 	t.AddRowf("retransmits", snap.CoordWire.Retransmits)
-	t.AddRowf("session resumes", snap.CoordWire.Resumes)
+	t.AddRowf("re-adoptions", snap.CoordWire.Resumes)
 	t.AddRowf("corrupt frames seen", snap.CoordWire.CorruptFrames)
 	t.AddRowf("barrier wait p99", fmt.Sprintf("%.0fns", snap.BarrierWait.P99Ns))
 	t.AddRowf("spans dropped", snap.SpansDropped)

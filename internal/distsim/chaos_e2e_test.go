@@ -13,8 +13,8 @@ import (
 // directions of the wire, must finish with per-LP event counts
 // bit-identical to the fault-free single-process run. Every fault
 // class the injector knows is exercised; the failures are absorbed by
-// the protocol's integrity checking, duplicate suppression, and
-// session-resume reconnects — never by the model. The runs are on the
+// the protocol's integrity checking, request numbering and
+// re-adoption — never by the model. The runs are on the
 // scripted clock, except the injector's delays, which are wall-clock
 // sleeps and run over loopback TCP.
 
@@ -92,7 +92,7 @@ func TestChaosReset(t *testing.T) {
 		&chaos.Config{Seed: 61, Reset: 0.08},
 		&chaos.Config{Seed: 62, Reset: 0.08})
 	if c.Reconnects == 0 {
-		t.Fatal("reset run never exercised session resume")
+		t.Fatal("reset run never re-adopted a worker")
 	}
 }
 
@@ -110,7 +110,7 @@ func TestChaosPartitionWithReconnect(t *testing.T) {
 	t.Parallel()
 	// A two-way blackhole landing mid-run: from its 10th frame on, the
 	// coordinator's host is off the network, timeouts fire, and the
-	// federation heals by session resume once the partition lifts. It
+	// federation heals by re-adoption once the partition lifts. It
 	// outlasts the coordinator's timeout, so the loss is detected *during*
 	// the partition, not after it, and lifts inside the resume window that
 	// opens then (env.go's table): 3.5 s against a 3 s Timeout.
@@ -123,7 +123,7 @@ func TestChaosPartitionWithReconnect(t *testing.T) {
 	}
 	wantCounts(t, "partition run (against fault-free)", c, ceScn.reference())
 	if c.Reconnects == 0 {
-		t.Fatal("partition run never exercised session resume")
+		t.Fatal("partition run never re-adopted a worker")
 	}
 }
 
@@ -137,11 +137,10 @@ func TestChaosEverythingAtOnce(t *testing.T) {
 }
 
 // TestChaosFourWorkerConcurrentHeal pins the many-worker healing rule:
-// while one slot resumes, a register from another worker whose config
-// handshake died on the wire must redo that slot's handshake instead
-// of parking a redoable worker and aborting the heal. With four
-// workers under bidirectional drop, concurrent startup failures are
-// near-certain; the run must still finish bit-identical.
+// while one slot heals, a register from another worker whose config
+// died on the wire redoes that seat's config instead of being parked.
+// With four workers under bidirectional drop, concurrent startup
+// failures are near-certain; the run must still finish bit-identical.
 func TestChaosFourWorkerConcurrentHeal(t *testing.T) {
 	t.Parallel()
 	const lps, horizon = 8, 60.0
@@ -160,35 +159,71 @@ func TestChaosFourWorkerConcurrentHeal(t *testing.T) {
 	wantCounts(t, "four-worker chaos run (against fault-free)", c, ref.PerLPEvents())
 }
 
-// TestStatsSurviveLostHandshakes loses worker B's stats frame and then
-// the coordinator's answer to its next two resume attempts. The
-// coordinator is alive and still waiting for those stats, so the worker
-// has to keep trying on its whole budget: it used to give up after two
-// attempts once its stats were out, and leave the coordinator to time
-// out into an Incomplete seat with zero counts.
-func TestStatsSurviveLostHandshakes(t *testing.T) {
+// TestLostFrameSweep loses frames on the scripted network in the skewed
+// layout checkpointed every window: each sequenced kind's first frame at
+// or after barrier 3, restore and restored in the kill drill. Each heals
+// by re-adoption and a re-sent request, which a worker that answered it
+// answers from its kept reply (no LP is extracted or adopted twice), and
+// finishes bit-identical, executing what the unfaulted run did, with
+// only its drill's recoveries and full stats.
+func TestLostFrameSweep(t *testing.T) {
 	t.Parallel()
-	c := ceScn.coordinator(nil)
-	sm := newSim(t)
-	// Worker B's first stats frame and the coordinator's first two
-	// resume frames (only the coordinator writes one) vanish.
-	lost := map[frameKind]int{frameStats: 1, frameResume: 2}
-	sm.fault = func(f wired) fate {
-		if (f.kind == frameResume || f.kind == frameStats && f.from == 1) && lost[f.kind] > 0 {
-			lost[f.kind]--
-			return fate{act: drop}
-		}
-		return fate{}
+	tune := func(c *Coordinator) { rebalancing(c); c.CheckpointEvery = 1 }
+	base := mgScn.coordinator(tune)
+	launch(t, base, mgScn.pair())
+	type row struct {
+		lose       map[frameKind]int // how many to lose, per kind
+		pick       func(wired) bool  // of the frames it picks
+		kill       bool              // in the kill drill
+		reconnects int               // exactly, when set
 	}
-	err := sm.loopback(c, ceScn.pair(), nil)
-	if err != nil {
-		t.Fatal(err)
+	all := func(wired) bool { return true }
+	rows := map[string]row{
+		"restore":  {map[frameKind]int{frameRestore: 1}, all, true, 0},
+		"restored": {map[frameKind]int{frameRestored: 1}, all, true, 0},
+		// Worker B's stats, then the answers to its first two hellos: the
+		// coordinator waits for the stats, so B keeps its whole budget.
+		"stats-then-hellos": {map[frameKind]int{frameStats: 1, frameCoordHello: 2},
+			func(f wired) bool { return f.kind != frameStats || f.from == 1 }, false, 0},
+		// A seat healed while the other waits is not torn down again.
+		"both-dones": {map[frameKind]int{frameDone: 2}, func(f wired) bool { return f.seq == 3 }, false, 2},
 	}
-	if c.StatsIncomplete {
-		t.Fatalf("stats incomplete after two lost handshakes: %+v", c.WorkerStats)
+	for _, k := range []frameKind{frameWindow, frameDone, frameCheckpoint, frameSnapshot, frameMigrateOut,
+		frameLPState, frameMigrateIn, frameMigrated, frameStop, frameStats} {
+		rows[k.String()] = row{map[frameKind]int{k: 1}, func(f wired) bool { return f.seq >= 3 }, false, 0}
 	}
-	wantCounts(t, "run with a lost stats frame", c, ceScn.reference())
-	if c.Reconnects < 3 {
-		t.Fatalf("%d reconnects; the script lost two resume replies before the one that held", c.Reconnects)
+	for name, r := range rows {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			hook := func(f wired) fate {
+				if r.lose[f.kind] > 0 && r.pick(f) {
+					r.lose[f.kind]--
+					return fate{act: drop}
+				}
+				return fate{}
+			}
+			c, recoveries := mgScn.coordinator(tune), 0
+			if r.kill {
+				c.MaxRecoveries, recoveries = 1, 1
+				mgScn.killAndRecover(t, c, hook)
+			} else {
+				sm := newSim(t)
+				sm.fault = hook
+				if err := sm.loopback(c, mgScn.pair(), nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			wantCounts(t, "run", c, mgScn.reference())
+			for k, n := range r.lose {
+				if n > 0 {
+					t.Fatalf("%d %s frames left to lose", n, k)
+				}
+			}
+			if executed(c) != executed(base) || c.Recoveries != recoveries || c.StatsIncomplete ||
+				c.Reconnects < 1 || r.reconnects > 0 && c.Reconnects != r.reconnects {
+				t.Fatalf("executed %d events (unfaulted %d), %d recoveries (want %d), stats incomplete %v, %d reconnects (want %d, or any when 0)",
+					executed(c), executed(base), c.Recoveries, recoveries, c.StatsIncomplete, c.Reconnects, r.reconnects)
+			}
+		})
 	}
 }

@@ -45,10 +45,12 @@ const (
 var errCheckpointMismatch = errors.New("distsim: cluster checkpoint does not fit this run")
 
 // clusterCheckpoint is the coordinator's consistent cut of a run: the
-// control cut (control.cut) and one worker snapshot per seat.
+// control cut (control.cut), the barrier it was taken at and one worker
+// snapshot per seat.
 type clusterCheckpoint struct {
-	cut   []byte
-	snaps [][]byte
+	cut     []byte
+	windows uint64
+	snaps   [][]byte
 }
 
 // encode serializes the checkpoint for file persistence: the control
@@ -92,7 +94,7 @@ func decodeClusterCheckpoint(data []byte) (*control, *clusterCheckpoint, error) 
 	if err != nil {
 		return nil, nil, fmt.Errorf("distsim: checkpoint %s section: %v", secControl, err)
 	}
-	ck := &clusterCheckpoint{cut: c.cut(), snaps: snap.All(secSlot)}
+	ck := &clusterCheckpoint{cut: c.cut(), windows: c.windows, snaps: snap.All(secSlot)}
 	if len(ck.snaps) != len(c.slots) {
 		return nil, nil, fmt.Errorf("distsim: checkpoint has %d slot sections, want %d", len(ck.snaps), len(c.slots))
 	}

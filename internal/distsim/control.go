@@ -155,8 +155,8 @@ func (c *control) migrate(lp, from, to int) error {
 
 // reseat records a fresh worker process on seat wi: the key of the LP
 // set it registered and a new epoch, so a zombie of the seat's previous
-// incarnation can never resume into the run. A blank seat takes the
-// registered set as its assignment.
+// incarnation can never be re-adopted into the run. A blank seat takes
+// the registered set as its assignment.
 func (c *control) reseat(wi int, ids []int) {
 	s := &c.slots[wi]
 	if s.lps == nil {

@@ -20,18 +20,18 @@ import (
 // number of workers, verifies that their LP sets partition [0, nLPs),
 // then executes lookahead windows until the horizon.
 //
-// Failure handling is layered. The cheap layer is session resume: when
-// a worker's connection breaks (reset, corruption-poisoned stream,
-// sequence gap) but the worker process survives, it reconnects,
-// presents its session id, and both sides replay the unacked tail of
-// sequenced frames — the simulation state never rolls back and the
-// blip costs one round trip. The expensive layer is rollback recovery
-// (opt-in via CheckpointEvery/MaxRecoveries): when the worker process
-// itself is gone, a replacement registers the dead worker's LP set and
-// the whole federation restores the last cluster checkpoint. A crashed
-// coordinator restarts from its journal (JournalPath), re-adopting the
-// workers that survived it. Every layer preserves bit-identical
-// results.
+// Failure handling has two rungs. A worker process that survives gets
+// its seat back by re-adoption, whatever broke: its connection (a
+// reset, a corrupt frame, a frame lost while both ends stayed up) or
+// the coordinator, restarted from its journal (JournalPath). It
+// redials and presents its session; the coordinator answers with
+// coord-hello, the worker with its LP set, its barrier and the newest
+// request it answered, and the coordinator re-sends its request in
+// flight on the new connection. The simulation state never rolls back.
+// When the worker process itself is gone, rollback recovery (opt-in via
+// CheckpointEvery/MaxRecoveries) seats a replacement that registers the
+// dead worker's LP set, and the whole federation restores the last
+// cluster checkpoint. Both rungs preserve bit-identical results.
 type Coordinator struct {
 	NLPs      int
 	Lookahead float64
@@ -109,7 +109,7 @@ type Counters struct {
 	EventsRouted   uint64  `json:"events_routed"`
 	Migrations     uint64  `json:"migrations"` // live LP migrations executed by the rebalancer
 	Clock          float64 `json:"clock"`
-	Reconnects     int     `json:"reconnects"` // session resumes (same process, new connection)
+	Reconnects     int     `json:"reconnects"` // mid-run re-adoptions (same process, new connection)
 	Recoveries     int     `json:"recoveries"` // rollback recoveries (worker process replaced)
 	// Readopted counts surviving workers a journal restart re-adopted
 	// in place (each kept its engine state; no rollback).
@@ -196,7 +196,7 @@ func (c *Coordinator) every() int {
 
 // sessionID derives the session identity for a slot incarnation. Ids
 // are deterministic in (run seed, slot, epoch) yet unguessable enough
-// that a stale worker from a replaced incarnation cannot resume.
+// that a stale worker from a replaced incarnation cannot be re-adopted.
 func (c *Coordinator) sessionID(slot, epoch int) uint64 {
 	return rng.New(c.Seed).Derive(fmt.Sprintf("session:%d:%d", slot, epoch)).Uint64()
 }
@@ -221,7 +221,7 @@ type session struct {
 	env     env
 	ctl     *control
 	links   []*link          // per seat; nil until a worker is seated
-	parked  *admission       // a registration that knocked during a resume wait, kept for rollback recovery
+	parked  *admission       // a registration that knocked during a heal, kept for rollback recovery
 	loads   []partition.Load // per LP: accumulated load since the last plan (nil = rebalance off)
 	ckpt    *clusterCheckpoint
 	journal *journal // nil unless JournalPath is set
@@ -246,9 +246,10 @@ type session struct {
 // of every seat whose write went through into s.done[seat]. Every frame
 // is out before the first reply is read, so the workers compute at once
 // and the barrier costs the slowest of them plus the frames' serialised
-// transfer. Seats that fail are healed serially afterwards — session
-// resume replays the retained send, then the receive is retried on the
-// healed link.
+// transfer. A seat that fails has its connection closed at once, so its
+// worker redials while the other seats answer, and is healed after the
+// fan-in — re-adopted with its request re-sent, the receive retried on
+// the new connection.
 //
 // phase and seq label the barrier for the coordinator's recorder:
 // KindWindowSend splits into a send span (the fan-out, whose wall time
@@ -270,6 +271,9 @@ func (c *Coordinator) exchange(s *session, phase obs.Kind, seq uint64, mk func(w
 		if s.errs[wi] == nil {
 			s.done[wi], s.errs[wi] = c.recvFrame(l)
 		}
+		if s.errs[wi] != nil {
+			l.close()
+		}
 	}
 	if co != nil {
 		t2 := obs.Now()
@@ -290,7 +294,7 @@ func (c *Coordinator) exchange(s *session, phase obs.Kind, seq uint64, mk func(w
 		if co != nil {
 			h0 = obs.Now()
 		}
-		if rerr := c.resumeSlot(s, wi, err); rerr != nil {
+		if rerr := c.healSlot(s, wi, err); rerr != nil {
 			return &slotError{wi, rerr}
 		}
 		f, ferr := c.recvSlot(s, wi)
@@ -308,7 +312,7 @@ func (c *Coordinator) exchange(s *session, phase obs.Kind, seq uint64, mk func(w
 // Serve accepts nWorkers connections on the listener and runs the
 // simulation to completion. It returns after all workers acknowledged
 // the stop frame; the listener stays open throughout to accept worker
-// reconnects (session resume) and replacement workers (rollback
+// reconnects (re-adoption) and replacement workers (rollback
 // recovery). The caller owns the listener.
 //
 // The resume window and the wait for a replacement worker close only if
@@ -474,9 +478,8 @@ func (c *Coordinator) finish(s *session) error {
 	}
 
 	// Shutdown + stats + bye. The bye releases the worker: a worker
-	// that sent stats but never hears the bye keeps trying to resume
-	// until its retry budget runs out, in case the stats frame died on
-	// the wire.
+	// that sent stats but never hears the bye keeps redialing until its
+	// retry budget runs out, in case the stats frame died on the wire.
 	//
 	// The run itself is already decided here — every window executed
 	// and every result routed — so a worker that dies between the final
@@ -534,7 +537,6 @@ type admission struct {
 	slot     int    // hello: the seat, -1 for a stranger
 	ids      []int  // the LP set presented, sorted
 	key      string // lpKey(ids)
-	recvSeq  uint64 // hello: the worker's receive watermark
 }
 
 // admit is the one place connections are accepted. It returns the next
@@ -561,12 +563,12 @@ func (c *Coordinator) admit(s *session, deadline time.Time) (*admission, error) 
 		}
 		p := newPeer(s.env, conn)
 		p.writeTimeout = c.timeout()
-		f, _, err := p.recvRaw(wait)
+		f, err := p.recvRaw(wait)
 		if err != nil || (f.Kind != frameRegister && f.Kind != frameHello) {
 			p.close()
 			continue
 		}
-		a := &admission{p: p, register: f.Kind == frameRegister, slot: -1, ids: slices.Clone(f.LPs), recvSeq: f.RecvSeq}
+		a := &admission{p: p, register: f.Kind == frameRegister, slot: -1, ids: slices.Clone(f.LPs)}
 		slices.Sort(a.ids)
 		a.key = lpKey(a.ids)
 		for wi := range s.ctl.slots {
@@ -618,12 +620,20 @@ func (s *session) matchSeat(key string, claim bool) int {
 // alive is two workers claiming one LP set, a configuration error worth
 // failing loudly. Config frames go out only once the cluster is
 // complete and its LP sets partition the run: a worker that waits past
-// connectWait registers again, as does one whose config died
-// on the wire, which resumeSlot redoes on the same session. atTip: every
-// seat was re-adopted holding the control state's barrier.
+// connectWait registers again, as does one whose config died on the
+// wire, which healSlot redoes on the same session.
+//
+// atTip: every seat was re-adopted holding its LP set at the control
+// state's barrier, or at the one window past it the journal can trail
+// by. A worker that does not (say, a migration that committed on the
+// workers with its record still un-durable) is seated all the same, to
+// carry the restore of the rollback it forces. A re-adopted seat's
+// numbering continues from its worker's newest answer: the next request
+// takes the number after it, except that the window the journal re-sends
+// to a worker one window ahead is the request it answered last, and
+// takes that answer's number.
 func (c *Coordinator) fill(s *session) (atTip bool, err error) {
-	atTip = true
-	newcomer := make([]bool, len(s.links))
+	adopted := make([]*frame, len(s.links)) // per seat: its readopt frame, nil for a newcomer
 	for filled := 0; filled < len(s.links); {
 		a, err := c.admit(s, time.Time{})
 		if err != nil {
@@ -649,30 +659,41 @@ func (c *Coordinator) fill(s *session) (atTip bool, err error) {
 			s.links[wi] = nil
 			filled--
 		}
-		if newcomer[wi] = a.register; a.register {
-			atTip = false
+		adopted[wi] = nil
+		if a.register {
 			if err := c.seat(s, wi, a); err != nil {
 				return false, err
 			}
 		} else {
-			var ok bool
-			if s.links[wi], ok = c.readopt(s, wi, a); s.links[wi] == nil {
+			if adopted[wi] = c.readopt(s, wi, a); adopted[wi] == nil {
 				continue
 			}
-			atTip = atTip && ok
+			s.links[wi] = newLink(a.p)
 		}
 		filled++
 	}
 	if err := s.ctl.index(); err != nil {
 		return false, fmt.Errorf("distsim: registered LP sets do not partition the run: %v", err)
 	}
-	for wi := range s.links {
-		if !newcomer[wi] {
+	atTip = true
+	for wi, rf := range adopted {
+		atTip = atTip && rf != nil && slices.Equal(rf.LPs, s.ctl.slots[wi].lps) &&
+			(rf.WinSeq == s.ctl.windows || rf.WinSeq == s.ctl.windows+1)
+	}
+	for wi, rf := range adopted {
+		if rf == nil {
+			// A config lost on the wire is redone when its worker
+			// registers again.
+			_ = s.links[wi].send(c.configFrame(c.sessionOf(s, wi)))
 			continue
 		}
-		if err := c.sendSlot(s, wi, c.configFrame(c.sessionOf(s, wi))); err != nil {
-			return false, err
+		c.Readopted++
+		n := rf.SendSeq
+		if atTip && rf.WinSeq == s.ctl.windows+1 {
+			n--
 		}
+		s.links[wi].seq.Store(n)
+		s.links[wi].done.Store(n)
 	}
 	return atTip, nil
 }
@@ -687,79 +708,79 @@ func (c *Coordinator) seat(s *session, wi int, a *admission) error {
 	return s.journal.reseat(wi, a.ids)
 }
 
-// readopt runs the re-adoption handshake with the surviving worker
-// behind a: coord-hello out, readopt (LP set, last executed window)
-// back. Both sides restart the sequence space from zero on a fresh
-// link; anything the old link retained is re-derivable (the journal
-// re-sends windows, the worker replays its done). ok: the worker holds
-// the seat's LP set at the control state's barrier, or the one window
-// past it the journal can trail by. One that does not (say, a migration
-// that committed on the workers with its record still un-durable) is
-// seated all the same, to carry the restore of the rollback it forces.
-func (c *Coordinator) readopt(s *session, wi int, a *admission) (l *link, ok bool) {
+// readopt runs the re-adoption handshake with the live worker behind a,
+// after a restart and after a broken connection alike: coord-hello out,
+// readopt back, carrying the worker's LP set, the barrier its engines
+// hold (WinSeq) and the newest request it answered (SendSeq). It returns
+// the readopt frame, nil when the handshake died: the worker dials
+// again.
+func (c *Coordinator) readopt(s *session, wi int, a *admission) *frame {
 	var t0 int64
 	if c.Obs != nil {
 		t0 = obs.Now()
 	}
-	if err := a.p.sendRaw(&frame{Kind: frameCoordHello, Session: c.sessionOf(s, wi)}, 0); err != nil {
-		a.p.close()
-		return nil, false
+	var rf *frame
+	err := a.p.sendRaw(&frame{Kind: frameCoordHello, Session: c.sessionOf(s, wi)})
+	// The worker beats as soon as it has sent its readopt, which a faulty
+	// network can reorder behind the beat.
+	for err == nil && (rf == nil || rf.Kind == frameHeartbeat) {
+		rf, err = a.p.recvRaw(resumeWait(c.timeout()) / helloTries)
 	}
-	rf, _, err := a.p.recvRaw(c.timeout())
 	if err != nil || rf.Kind != frameReadopt {
 		a.p.close()
-		return nil, false
+		return nil
 	}
-	c.Readopted++
+	a.p.stats.Resumes.Add(1)
 	if c.Obs != nil {
 		c.Obs.span(obs.KindReadopt, t0, obs.Now()-t0, uint64(wi), s.ctl.clock)
 	}
-	return newLink(a.p), slices.Equal(a.ids, s.ctl.slots[wi].lps) &&
-		(rf.WinSeq == s.ctl.windows || rf.WinSeq == s.ctl.windows+1)
+	return rf
 }
 
-// rebind moves seat wi's session onto the connection behind a, after
-// greeting the worker with greet (whose RecvSeq is also the ack): both
-// sides replay the sequenced frames the other never processed and the
-// simulation state never rolls back.
-func (c *Coordinator) rebind(s *session, wi int, a *admission, greet *frame) bool {
-	if err := a.p.sendRaw(greet, greet.RecvSeq); err != nil {
-		a.p.close()
+// heal moves seat wi's live worker onto the connection behind a and
+// re-sends the request in flight there. A hello is re-adopted; a
+// register is a worker whose config died on the wire, and gets it
+// again.
+func (c *Coordinator) heal(s *session, wi int, a *admission) bool {
+	var err error
+	if a.register {
+		err = a.p.sendRaw(c.configFrame(c.sessionOf(s, wi)))
+	} else if c.readopt(s, wi, a) == nil {
 		return false
 	}
-	if err := s.links[wi].rebind(a.p, a.recvSeq); err != nil {
-		// Replay died on the fresh connection; the worker will notice
-		// and dial again.
-		return false
+	l := s.links[wi]
+	l.adopt(a.p)
+	if err == nil {
+		err = l.resend()
+	}
+	if err != nil {
+		return false // the worker notices and dials again
 	}
 	c.Reconnects++
-	if c.Obs != nil {
-		c.Obs.rec.Record(obs.Span{Wall: obs.Now(), Seq: uint64(wi), Kind: obs.KindResume})
-	}
 	return true
 }
 
-// resumeHello answers a hello for seat a.slot's live session.
-func (c *Coordinator) resumeHello(s *session, a *admission) bool {
-	return c.rebind(s, a.slot, a, &frame{Kind: frameResume, RecvSeq: s.links[a.slot].recvSeq})
-}
-
 // rollbackTo is the one way the cluster returns to a cut: every worker
-// — survivors included; awaitRestored drains what a crashed window left
-// in flight — restores its snapshot, which reconciles its LP set to the
-// checkpointed assignment, and the control state is reset to the cut:
-// clock, all three counters, LP sets, owner, pending. Re-executed
-// windows are then bit-identical to an uninterrupted run's. The reset
-// is journaled, so replay need not understand checkpoints.
+// — survivors included — restores its snapshot, which reconciles its LP
+// set to the checkpointed assignment, and the control state is reset to
+// the cut: clock, all three counters, LP sets, owner, pending. A reply
+// to a request the rollback abandoned carries an older number than the
+// restore and is dropped. Re-executed windows are then bit-identical to
+// an uninterrupted run's. The reset is journaled, so replay need not
+// understand checkpoints.
 func (c *Coordinator) rollbackTo(s *session, ck *clusterCheckpoint) error {
 	for wi := range s.links {
-		if err := c.sendSlot(s, wi, &frame{Kind: frameRestore, Data: ck.snaps[wi]}); err != nil {
+		if err := c.sendSlot(s, wi, &frame{Kind: frameRestore, Data: ck.snaps[wi], WinSeq: ck.windows}); err != nil {
 			return err
 		}
 	}
 	for wi := range s.links {
-		if err := c.awaitRestored(s, wi); err != nil {
+		f, err := c.recvSlot(s, wi)
+		if err != nil {
 			return err
+		}
+		if f.Kind != frameRestored {
+			return fmt.Errorf("distsim: expected restored, got %s", f.Kind)
 		}
 	}
 	if err := s.ctl.reset(ck.cut); err != nil {
@@ -779,19 +800,18 @@ func (s *session) bindObs(c *Coordinator) {
 	if c.Obs == nil {
 		return
 	}
-	ws := make([]*WireStats, len(s.links))
+	ws := make([]*wireStats, len(s.links))
 	for i, l := range s.links {
 		ws[i] = l.stats
 	}
 	c.Obs.bind(ws)
 }
 
-// sendSlot sends a sequenced frame to a slot, transparently riding out
-// a broken connection: the frame is retained before the write, so a
-// successful resume replays it and nothing needs re-sending.
+// sendSlot sends a request to a slot, riding out a broken connection:
+// the request is kept before the write, and the heal re-sends it.
 func (c *Coordinator) sendSlot(s *session, wi int, f *frame) error {
 	if err := s.links[wi].send(f); err != nil {
-		if rerr := c.resumeSlot(s, wi, err); rerr != nil {
+		if rerr := c.healSlot(s, wi, err); rerr != nil {
 			return &slotError{wi, rerr}
 		}
 	}
@@ -800,20 +820,18 @@ func (c *Coordinator) sendSlot(s *session, wi int, f *frame) error {
 
 // recvFrame receives the next non-heartbeat frame on a link under the
 // configured deadline (heartbeats re-arm it, so a slow-but-alive
-// worker is never declared dead). It is resume-free: it reports
+// worker is never declared dead). It does not heal: it reports
 // transport failures and stalls to the caller, who owns the healing.
 //
-// Heartbeats double as loss detectors: each carries the worker's
-// progress watermarks. A beat proving the worker still hasn't seen a
-// frame we sent (our retention is non-empty even after its ack pruned
-// it) or claims sequenced sends we never received (TCP ordering: a
-// frame written before the beat would have arrived before it) means a
-// frame died between the endpoints while both stayed healthy — the one
-// failure mode a per-frame deadline cannot see, because the beats
-// themselves keep re-arming it. A single stale beat can race the frame
-// it is reporting on (the heartbeat ticker snapshots watermarks
-// concurrently with the serve loop), so only a run of them triggers
-// the forced resume.
+// Heartbeats double as loss detectors: each carries the newest request
+// the worker received and the newest it answered. A beat from a worker
+// that has not received the request in flight, or has answered it,
+// shows a frame that died between the endpoints while both stayed
+// healthy — the one failure a per-frame deadline cannot see, because
+// the beats themselves keep re-arming it. A single such beat can race
+// the frame it reports on (the heartbeat ticker reads the numbers
+// concurrently with the serve loop), so only a run of them is a stall,
+// which fails the connection like any transport error.
 func (c *Coordinator) recvFrame(l *link) (*frame, error) {
 	stale := 0
 	for {
@@ -823,10 +841,10 @@ func (c *Coordinator) recvFrame(l *link) (*frame, error) {
 		}
 		switch f.Kind {
 		case frameHeartbeat:
-			if len(l.retained) > 0 || f.SendSeq > l.recvSeq {
+			if n := l.seq.Load(); f.RecvSeq < n || f.SendSeq >= n {
 				if stale++; stale >= staleBeats {
-					return nil, fmt.Errorf("distsim: worker alive but stalled (unacked %d, claims sent %d, got %d)",
-						len(l.retained), f.SendSeq, l.recvSeq)
+					return nil, l.p.fail(fmt.Errorf("distsim: worker alive but stalled on request %d (received %d, answered %d)",
+						n, f.RecvSeq, f.SendSeq))
 				}
 			} else {
 				stale = 0
@@ -843,33 +861,35 @@ func (c *Coordinator) recvFrame(l *link) (*frame, error) {
 }
 
 // recvSlot is recvFrame plus healing: transport failures and stalls
-// resume the slot's session and retry. It serves the serial phases
-// (registration redo, restore, shutdown) and exchange's repair path.
+// heal the slot and retry. It serves the serial phases (restore,
+// migration, shutdown) and exchange's repair path.
 func (c *Coordinator) recvSlot(s *session, wi int) (*frame, error) {
 	for {
 		f, err := c.recvFrame(s.links[wi])
 		if err == nil {
 			return f, nil
 		}
-		if rerr := c.resumeSlot(s, wi, err); rerr != nil {
+		if rerr := c.healSlot(s, wi, err); rerr != nil {
 			return nil, &slotError{wi, rerr}
 		}
 	}
 }
 
-// resumeSlot holds slot wi's seat open for a session resume after a
-// transport failure, admitting connections until the reconnect window
-// closes. A hello for a live session rebinds that seat's link (slot wi
-// or any other — concurrent failures heal in whatever order workers
-// redial). A register is a worker that never got (or never acted on)
-// its config: if its seat's conversation is still fully replayable the
-// handshake is redone on the same session — whichever seat that is,
-// because under concurrent failures another slot's config can die while
-// this one resumes, and parking that redoable worker would abort a heal
-// both sides could finish. Otherwise the worker process lost its
-// session: the connection is parked for rollback recovery and the
-// original failure is surfaced.
-func (c *Coordinator) resumeSlot(s *session, wi int, cause error) error {
+// healSlot heals slot wi after a failure on its connection, holding
+// the seat open for its worker's redial until the resume window closes. A
+// hello for a live session heals that seat — slot wi or any other: under
+// concurrent failures workers redial in whatever order, and a seat
+// healed while another waits has a healthy connection by the time its
+// own turn comes, which then has nothing to do. A register is a worker
+// holding no session: when its seat has never answered a request, its
+// config died on the wire and is redone on the same session — whichever
+// seat that is, because another slot's config can die while this one
+// heals. Otherwise the worker process lost its session: the connection
+// is parked for rollback recovery and the original failure is surfaced.
+func (c *Coordinator) healSlot(s *session, wi int, cause error) error {
+	if s.links[wi].p.stickyErr() == nil {
+		return nil // healed in passing
+	}
 	if c.Reconnects-s.resumed >= resumesPerBarrier {
 		return cause // a wire that never lets this barrier finish
 	}
@@ -880,21 +900,17 @@ func (c *Coordinator) resumeSlot(s *session, wi int, cause error) error {
 		if err != nil {
 			return cause // window closed (or listener gone)
 		}
-		healed := false
-		switch {
-		case a.register:
-			slot := s.matchSeat(a.key, false)
-			if slot < 0 || !s.links[slot].redoable() {
+		slot := a.slot
+		if a.register {
+			if slot = s.matchSeat(a.key, false); slot < 0 || s.links[slot].done.Load() > 0 {
 				s.parked = a
 				return cause
 			}
-			healed = c.rebind(s, slot, a, c.configFrame(c.sessionOf(s, slot))) && slot == wi
-		case a.slot >= 0:
-			healed = c.resumeHello(s, a) && a.slot == wi
-		default:
-			a.p.close() // stale incarnation
 		}
-		if healed {
+		switch {
+		case slot < 0:
+			a.p.close() // stale incarnation
+		case c.heal(s, slot, a) && slot == wi:
 			return nil
 		}
 	}
@@ -1044,11 +1060,12 @@ func (c *Coordinator) rebalance(s *session) error {
 // migrate executes one live LP migration: the donor serializes and
 // drops the LP (engine snapshot, model state, undelivered local
 // events), the receiver installs it, and the control state commits the
-// new assignment. All four frames are sequenced, so a connection blip
-// mid-migration heals by session resume and replay like any other
-// frame; a worker death rolls the whole federation back to the last
-// checkpoint, whose restore reconciles every worker to the checkpointed
-// assignment.
+// new assignment. Both round trips are requests, so a connection blip
+// mid-migration heals by re-adoption like any other frame, and a donor
+// or receiver that already answered answers again from its kept reply
+// instead of extracting or adopting twice; a worker death rolls the
+// whole federation back to the last checkpoint, whose restore
+// reconciles every worker to the checkpointed assignment.
 func (c *Coordinator) migrate(s *session, mv partition.Move) error {
 	if err := s.ctl.checkMove(mv.LP, mv.From, mv.To); err != nil {
 		return fmt.Errorf("distsim: policy %s planned an %v", c.Rebalance.Name(), err)
@@ -1114,7 +1131,7 @@ func (c *Coordinator) checkpoint(s *session) error {
 		}
 		snaps[wi] = f.Data
 	}
-	s.ckpt = &clusterCheckpoint{cut: s.ctl.cut(), snaps: snaps}
+	s.ckpt = &clusterCheckpoint{cut: s.ctl.cut(), windows: s.ctl.windows, snaps: snaps}
 	if c.CheckpointPath != "" {
 		if err := s.ckpt.save(c.CheckpointPath, s.ctl); err != nil {
 			return fmt.Errorf("distsim: persisting checkpoint: %w", err)
@@ -1132,7 +1149,7 @@ func (c *Coordinator) checkpoint(s *session) error {
 // relaunched worker only knows its static command line; whatever it
 // brings, the rollback's restore reconciles it to the checkpointed
 // assignment. Seating it bumps the seat's epoch, so a zombie of the old
-// incarnation can never resume into the run.
+// incarnation can never be re-adopted into the run.
 func (c *Coordinator) recoverSlot(s *session, dead int) error {
 	var t0 int64
 	if c.Obs != nil {
@@ -1140,7 +1157,7 @@ func (c *Coordinator) recoverSlot(s *session, dead int) error {
 	}
 	s.links[dead].close()
 	// The replacement may already have knocked while the seat was held
-	// open for a resume.
+	// open for a heal.
 	a := s.parked
 	s.parked = nil
 	deadline := after(s.env, c.timeout())
@@ -1152,7 +1169,7 @@ func (c *Coordinator) recoverSlot(s *session, dead int) error {
 		case next.register:
 			a = next
 		case next.slot >= 0 && next.slot != dead:
-			c.resumeHello(s, next) // a survivor healing its own link meanwhile
+			c.heal(s, next.slot, next) // a survivor healing its own link meanwhile
 		default:
 			next.p.close()
 		}
@@ -1164,9 +1181,7 @@ func (c *Coordinator) recoverSlot(s *session, dead int) error {
 	if err := c.seat(s, dead, a); err != nil {
 		return err
 	}
-	if err := s.links[dead].send(c.configFrame(c.sessionOf(s, dead))); err != nil {
-		return err
-	}
+	_ = s.links[dead].send(c.configFrame(c.sessionOf(s, dead))) // lost: redone when it registers again
 	if err := c.rollbackTo(s, s.ckpt); err != nil {
 		return err
 	}
@@ -1176,26 +1191,6 @@ func (c *Coordinator) recoverSlot(s *session, dead int) error {
 			Seq: uint64(dead), Kind: obs.KindRecovery})
 	}
 	return nil
-}
-
-// awaitRestored reads frames until the slot acknowledges its restore,
-// draining whatever the crashed window left in flight (done frames,
-// snapshot replies, heartbeats).
-func (c *Coordinator) awaitRestored(s *session, wi int) error {
-	for {
-		f, err := c.recvSlot(s, wi)
-		if err != nil {
-			return err
-		}
-		switch f.Kind {
-		case frameRestored:
-			return nil
-		case frameDone, frameSnapshot, frameLPState, frameMigrated:
-			// stale (a crash can interrupt a migration round trip); drop
-		default:
-			return fmt.Errorf("distsim: expected restored, got %s", f.Kind)
-		}
-	}
 }
 
 // configFrame builds the run-parameter frame for one slot. When

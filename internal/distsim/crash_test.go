@@ -155,8 +155,8 @@ func wantReadopted(t *testing.T, c *Coordinator) {
 // boundaries of every barrier: just after the barrier's journal record,
 // and just after its window fan-out, before the record. Each restart
 // re-adopts both workers — after a fan-out kill each answers the
-// re-sent window from its retained done frame — and finishes
-// bit-identical without executing an event twice.
+// re-sent window from its kept done frame — and finishes bit-identical
+// without executing an event twice.
 func TestCrashRestartSweep(t *testing.T) {
 	want, base := rtScn.reference(), rtScn.coordinator(nil)
 	launch(t, base, rtScn.pair())
@@ -427,8 +427,8 @@ func cutAt(host, n int, span time.Duration) func(wired) fate {
 // coordinator's per-frame deadline must never escalate to rollback
 // recovery — the silence stays under the timeout, heartbeats resume
 // when the partition lifts, and any frame the blackhole ate heals by
-// cheap session resume. Rollback is armed, so a false escalation
-// would be visible in Recoveries.
+// re-adoption. Rollback is armed, so a false escalation would be
+// visible in Recoveries.
 func TestPartitionShorterThanTimeout(t *testing.T) {
 	want := rtScn.reference()
 	c := rtScn.coordinator(func(c *Coordinator) {

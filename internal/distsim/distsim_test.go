@@ -87,7 +87,7 @@ func TestStaleHelloDuringRegistration(t *testing.T) {
 			return err
 		}
 		defer stale.Close()
-		if err := newPeer(sm, stale).sendRaw(&frame{Kind: frameHello, Session: 12345, LPs: []int{0}}, 0); err != nil {
+		if err := newPeer(sm, stale).sendRaw(&frame{Kind: frameHello, Session: 12345, LPs: []int{0}}); err != nil {
 			return err
 		}
 		_ = stale.SetReadDeadline(sm.now().Add(10 * time.Second))

@@ -17,10 +17,11 @@ import (
 //	stalled-worker verdict             coordinator  staleBeats stale beats         3 beats
 //	liveness probe of a seated conn    coordinator  deadProbe                      1 ms
 //	resume window of a broken seat     coordinator  min(Timeout, resumeWindow)     2 s
-//	resumes between two barriers       coordinator  resumesPerBarrier              64
+//	heals between two barriers         coordinator  resumesPerBarrier              64
+//	readopt after a coord-hello        coordinator  resume window / helloTries     500 ms
 //	replacement for a dead worker      coordinator  Timeout                        30 s
 //	config after register              worker       connectWait                    10 s
-//	answer to a hello                  worker       resume window / helloTries     500 ms
+//	coord-hello after a hello          worker       resume window / helloTries     500 ms
 //	bye after the stats                worker       Timeout / beatsPerTimeout      10 s
 //	attempts of the first connect      worker       connectAttempts, first at once 8
 //	pause before connect retry a ≥ 0   worker       backoffBase·2^a + 0–25 %,      50 ms …
@@ -63,8 +64,9 @@ const DefaultMaxPark = 256
 type env interface {
 	now() time.Time
 	sleep(d time.Duration)
-	// every calls f every d on a goroutine of its own until f returns
-	// false or stop is called; stop waits for that goroutine to return.
+	// every calls f at once and then every d, on a goroutine of its own,
+	// until f returns false or stop is called; stop waits for that
+	// goroutine to return.
 	every(d time.Duration, f func() bool) (stop func())
 }
 
@@ -78,6 +80,9 @@ func (wallClock) every(d time.Duration, f func() bool) func() {
 	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
+		if !f() {
+			return
+		}
 		tick := time.NewTicker(d)
 		defer tick.Stop()
 		for {
@@ -96,9 +101,9 @@ func (wallClock) every(d time.Duration, f func() bool) func() {
 
 // resumeWait is the resume window of a run whose Timeout is timeout:
 // how long the coordinator holds a broken seat open, and — divided by
-// helloTries — how long a worker waits for the answer to a hello, so
-// that a hello or answer lost on the wire costs one of several tries
-// rather than the seat.
+// helloTries — how long each side waits for the other's step of the
+// re-adoption handshake, so that a frame of it lost on the wire costs
+// one of several tries rather than the seat.
 func resumeWait(timeout time.Duration) time.Duration { return min(timeout, resumeWindow) }
 
 // retryPause is the pause before reconnect attempt a ≥ 1: the connect

@@ -30,12 +30,12 @@ func FuzzUnmarshalFrame(f *testing.F) {
 			Loads:  []partition.Load{{LP: 1, Events: 3, BusyNs: 4500}}},
 		{Kind: frameStats, Stats: WorkerStats{LPs: []int{3, 4}, EventsExecuted: 17,
 			Sent: 5, Received: 6, PerLPCounts: map[int]uint64{3: 9, 4: 8}, Incomplete: true}},
-		{Kind: frameHello, Session: 99, RecvSeq: 12, LPs: []int{5}},
-		{Kind: frameResume, RecvSeq: 12},
+		{Kind: frameHello, Session: 99, LPs: []int{5}},
 		{Kind: frameSnapshot, Data: []byte("snapshot-bytes")},
-		{Kind: frameHeartbeat, SendSeq: 3},
+		{Kind: frameRestore, Data: []byte("snapshot-bytes"), WinSeq: 4},
+		{Kind: frameHeartbeat, RecvSeq: 12, SendSeq: 11},
 		{Kind: frameCoordHello, Session: 99},
-		{Kind: frameReadopt, LPs: []int{0, 1}, WinSeq: 7, Next: 8.25},
+		{Kind: frameReadopt, LPs: []int{0, 1}, WinSeq: 7, SendSeq: 12},
 		{Kind: frameErrCase, Err: "boom"},
 	}
 	for _, fr := range seeds {
@@ -210,7 +210,7 @@ func FuzzClusterObsFold(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		co := &ClusterObs{}
-		co.bind([]*WireStats{{}})
+		co.bind([]*wireStats{{}})
 		var err error
 		if got := allocated(func() { err = co.fold(0, data) }); got > allocBound(len(data)) {
 			t.Fatalf("folding %d bytes allocated %d", len(data), got)

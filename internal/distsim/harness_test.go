@@ -205,11 +205,12 @@ func panics(f func()) (p bool) {
 // killAndRecover runs c against worker A, a worker B that dies at the
 // scenario's killAt, and B's replacement, which dials only once the
 // original is dead, like a restarted process would: the in-run
-// rollback-recovery drill. c must carry the recovery budget; wtune
-// configures every worker.
-func (s scenario) killAndRecover(t *testing.T, c *Coordinator, wtune ...func(*Worker) *Worker) {
+// rollback-recovery drill. c must carry the recovery budget; fault,
+// when set, is the network's fault hook; wtune configures every worker.
+func (s scenario) killAndRecover(t *testing.T, c *Coordinator, fault func(wired) fate, wtune ...func(*Worker) *Worker) {
 	t.Helper()
 	sm := newSim(t)
+	sm.fault = fault
 	ln := sm.listen()
 	ws := tuned([]*Worker{s.worker(false, false), s.worker(true, true), s.worker(true, false)}, wtune)
 	a, victim, replacement := ws[0], ws[1], ws[2]

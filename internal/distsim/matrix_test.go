@@ -66,7 +66,7 @@ const parkOutage = 20 * time.Second
 // run's coordinators in order, and the recovery rung it must take.
 type fault struct {
 	name       string
-	chaos      bool // sessions resume; without chaos none may
+	chaos      bool // workers are re-adopted mid-run; without chaos none may
 	recoveries int  // the last coordinator's rollback recoveries
 	readopted  int  // and the workers it re-adopted
 	run        func(t *testing.T, l layout, tune func(*Coordinator), wtune func(*Worker) *Worker) []*Coordinator
@@ -89,7 +89,7 @@ var faults = []fault{
 			c.CheckpointEvery = l.every
 			c.MaxRecoveries = 1
 		})
-		l.scn.killAndRecover(t, c, wtune)
+		l.scn.killAndRecover(t, c, nil, wtune)
 		return []*Coordinator{c}
 	}},
 	{"resume", false, 0, 0, func(t *testing.T, l layout, tune func(*Coordinator), wtune func(*Worker) *Worker) []*Coordinator {
@@ -114,7 +114,7 @@ var faults = []fault{
 	// The kill comes once every worker has executed window crash, before
 	// the coordinator hears of it: the journal trails the workers by one
 	// window, the restart re-sends it, and each worker answers with the
-	// done frame it retained.
+	// done frame it kept.
 	{"restart-ahead", false, 0, 2, func(t *testing.T, l layout, tune func(*Coordinator), wtune func(*Worker) *Worker) []*Coordinator {
 		c1, c2 := l.scn.crashRestart(t, tune, ahead(l.crash, 2), l.scn.pair(wtune), 0, nil)
 		return []*Coordinator{c1, c2}

@@ -28,27 +28,26 @@ import (
 // link that was never observed still has its story to tell after the
 // fact.
 
-// WireStats counts transport-level traffic and faults on one session.
+// wireStats counts transport-level traffic and faults on one session.
 // All fields are atomics: a worker's heartbeat goroutine sends
 // concurrently with its main loop, and a metrics endpoint reads
 // concurrently with both.
-type WireStats struct {
+type wireStats struct {
 	FramesSent    atomic.Uint64
 	BytesSent     atomic.Uint64
 	FramesRecv    atomic.Uint64
 	BytesRecv     atomic.Uint64
 	Heartbeats    atomic.Uint64 // heartbeat frames sent or received
-	Retransmits   atomic.Uint64 // retained frames replayed on session resume
-	Resumes       atomic.Uint64 // successful session-resume rebinds
-	DupFrames     atomic.Uint64 // sequenced duplicates suppressed
-	GapFrames     atomic.Uint64 // sequence gaps that poisoned a connection
+	Retransmits   atomic.Uint64 // requests re-sent after a re-adoption, replies sent again from the kept one
+	Resumes       atomic.Uint64 // re-adoption handshakes completed
+	DupFrames     atomic.Uint64 // sequenced frames dropped by number
 	CorruptFrames atomic.Uint64 // CRC/length/parse failures (chaos faults observed)
 	ConnFailures  atomic.Uint64 // transport read/write errors
 	BackoffNs     atomic.Uint64 // wall ns slept in dial/reconnect backoff
 }
 
 // Snapshot returns a plain-value copy of the counters.
-func (w *WireStats) Snapshot() LinkStats {
+func (w *wireStats) Snapshot() LinkStats {
 	var s LinkStats
 	f := s.fields()
 	for i, c := range w.counters() {
@@ -59,7 +58,7 @@ func (w *WireStats) Snapshot() LinkStats {
 
 // absorb folds another counter set into w (used when a session link
 // adopts a freshly handshaken connection).
-func (w *WireStats) absorb(o *WireStats) {
+func (w *wireStats) absorb(o *wireStats) {
 	oc := o.counters()
 	for i, c := range w.counters() {
 		c.Add(oc[i].Load())
@@ -69,21 +68,22 @@ func (w *WireStats) absorb(o *WireStats) {
 // nWireStats is how many transport counters a session keeps. counters
 // and fields are the one list of them, in wire order: the order both
 // structs declare them in (TestWireStatsOneList).
-const nWireStats = 12
+const nWireStats = 11
 
-func (w *WireStats) counters() [nWireStats]*atomic.Uint64 {
+func (w *wireStats) counters() [nWireStats]*atomic.Uint64 {
 	return [...]*atomic.Uint64{&w.FramesSent, &w.BytesSent, &w.FramesRecv, &w.BytesRecv,
 		&w.Heartbeats, &w.Retransmits, &w.Resumes, &w.DupFrames,
-		&w.GapFrames, &w.CorruptFrames, &w.ConnFailures, &w.BackoffNs}
+		&w.CorruptFrames, &w.ConnFailures, &w.BackoffNs}
 }
 
 func (s *LinkStats) fields() [nWireStats]*uint64 {
 	return [...]*uint64{&s.FramesSent, &s.BytesSent, &s.FramesRecv, &s.BytesRecv,
 		&s.Heartbeats, &s.Retransmits, &s.Resumes, &s.DupFrames,
-		&s.GapFrames, &s.CorruptFrames, &s.ConnFailures, &s.BackoffNs}
+		&s.CorruptFrames, &s.ConnFailures, &s.BackoffNs}
 }
 
-// LinkStats is the plain-value (wire/JSON) form of WireStats.
+// LinkStats is the plain-value (wire/JSON) form of a session's
+// transport counters.
 type LinkStats struct {
 	FramesSent    uint64 `json:"frames_sent"`
 	BytesSent     uint64 `json:"bytes_sent"`
@@ -93,7 +93,6 @@ type LinkStats struct {
 	Retransmits   uint64 `json:"retransmits"`
 	Resumes       uint64 `json:"resumes"`
 	DupFrames     uint64 `json:"dup_frames"`
-	GapFrames     uint64 `json:"gap_frames"`
 	CorruptFrames uint64 `json:"corrupt_frames"`
 	ConnFailures  uint64 `json:"conn_failures"`
 	BackoffNs     uint64 `json:"backoff_ns"`
@@ -217,7 +216,7 @@ type ClusterObs struct {
 	barrierWait obs.Histogram
 	deliver     obs.Histogram
 	slots       []slotObs
-	coordLinks  []*WireStats
+	coordLinks  []*wireStats
 	tracks      [][]obs.SpanTrack
 	run         Counters
 }
@@ -250,7 +249,7 @@ func (c *Coordinator) EnableObservability(every, spanCap int) *ClusterObs {
 
 // bind sizes the per-slot state and exposes the coordinator-side link
 // counters to the snapshot endpoint.
-func (co *ClusterObs) bind(links []*WireStats) {
+func (co *ClusterObs) bind(links []*wireStats) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if len(co.slots) < len(links) {
@@ -487,7 +486,7 @@ func NewObsPiggybackBench() *ObsPiggybackBench {
 		panic(err)
 	}
 	pb.w.g = g
-	pb.co.bind([]*WireStats{&pb.w.wire})
+	pb.co.bind([]*wireStats{&pb.w.wire})
 	return pb
 }
 

@@ -275,17 +275,17 @@ func BenchmarkObsPiggyback(b *testing.B) {
 // structs declare the same names, and a snapshot survives the wire codec
 // and the sum field by field.
 func TestWireStatsOneList(t *testing.T) {
-	var w WireStats
+	var w wireStats
 	var s LinkStats
 	wv, sv := reflect.ValueOf(&w).Elem(), reflect.ValueOf(&s).Elem()
 	if wv.NumField() != nWireStats || sv.NumField() != nWireStats {
-		t.Fatalf("WireStats has %d fields, LinkStats %d, the list %d", wv.NumField(), sv.NumField(), nWireStats)
+		t.Fatalf("wireStats has %d fields, LinkStats %d, the list %d", wv.NumField(), sv.NumField(), nWireStats)
 	}
 	wc, sf := w.counters(), s.fields()
 	for i := 0; i < nWireStats; i++ {
 		name := wv.Type().Field(i).Name
 		if sv.Type().Field(i).Name != name {
-			t.Errorf("field %d: WireStats.%s, LinkStats.%s", i, name, sv.Type().Field(i).Name)
+			t.Errorf("field %d: wireStats.%s, LinkStats.%s", i, name, sv.Type().Field(i).Name)
 		}
 		if wv.Field(i).Addr().Interface() != wc[i] || sv.Field(i).Addr().Interface() != sf[i] {
 			t.Errorf("the list's entry %d is not %s", i, name)

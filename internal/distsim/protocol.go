@@ -25,14 +25,17 @@
 // bit-identical.
 //
 // Wire hardening (this layer): every frame travels length-prefixed
-// with a CRC32 integrity trailer and a per-peer monotonic sequence
-// number. Corruption and truncation surface as typed errors on the
-// frame they hit; duplicates are suppressed by sequence number; a
-// sequence gap (a frame lost or reordered in transit) poisons the
-// connection and both sides reconnect with a session-resume handshake
-// that replays the unacked tail — so a misbehaving network costs a
-// retry, never a wrong answer. See package chaos for the deterministic
-// fault injector the protocol is validated against.
+// with a CRC32 integrity trailer and a sequence number. Corruption and
+// truncation surface as typed errors on the frame they hit. A seat has
+// one request in flight at a time: the coordinator numbers it, the
+// worker's reply carries the number, and each side keeps its newest
+// payload, so a duplicate is dropped by number, a lost frame or a
+// broken connection is healed by re-adopting the worker on a new
+// connection and re-sending the request, and a request the worker has
+// already answered is answered again without being executed twice — a
+// misbehaving network costs a retry, never a wrong answer. See package
+// chaos for the deterministic fault injector the protocol is validated
+// against.
 package distsim
 
 import (
@@ -50,8 +53,8 @@ import (
 // Wire frame layout (all big-endian):
 //
 //	length uint32 — payload byte count
-//	seq    uint64 — per-peer monotonic sequence (0 = unsequenced)
-//	ack    uint64 — sender's highest processed inbound sequence
+//	seq    uint64 — request number (0 = unsequenced; see link)
+//	ack    uint64 — unused, always zero
 //	crc    uint32 — CRC32-IEEE over seq | ack | payload
 //	payload []byte — marshalFrameInto output
 const (
@@ -89,9 +92,9 @@ type peer struct {
 
 	// stats counts frames, bytes, and faults crossing this connection.
 	// Always non-nil; a link adopts the pointer so counters survive
-	// reconnects, and a worker shares one WireStats across every
+	// reconnects, and a worker shares one wireStats across every
 	// connection it ever dials.
-	stats *WireStats
+	stats *wireStats
 
 	errMu sync.Mutex
 	err   error
@@ -99,7 +102,7 @@ type peer struct {
 
 // newPeer wraps conn; a nil env is the wall clock.
 func newPeer(e env, conn net.Conn) *peer {
-	return &peer{conn: conn, env: orWall(e), br: bufio.NewReaderSize(conn, 1<<16), stats: &WireStats{}}
+	return &peer{conn: conn, env: orWall(e), br: bufio.NewReaderSize(conn, 1<<16), stats: &wireStats{}}
 }
 
 // fail records the first failure and returns it (or the earlier sticky
@@ -125,21 +128,21 @@ func (p *peer) stickyErr() error {
 // "message" to the fault injector). The write deadline, when set, is
 // always cleared afterwards — even when the write fails — so a later
 // connection user never inherits a stale deadline.
-func (p *peer) writeFrame(seq, ack uint64, payload []byte) error {
+func (p *peer) writeFrame(seq uint64, payload []byte) error {
 	if len(payload) > maxFrameLen {
 		return p.fail(fmt.Errorf("%w: oversized send (%d bytes)", ErrCorruptFrame, len(payload)))
 	}
 	p.sendMu.Lock()
 	defer p.sendMu.Unlock()
-	return p.writeLocked(seq, ack, payload)
+	return p.writeLocked(seq, payload)
 }
 
 // writeLocked is writeFrame's body, run under sendMu.
-func (p *peer) writeLocked(seq, ack uint64, payload []byte) error {
+func (p *peer) writeLocked(seq uint64, payload []byte) error {
 	if err := p.stickyErr(); err != nil {
 		return err
 	}
-	p.wbuf = appendWire(p.wbuf[:0], seq, ack, payload)
+	p.wbuf = appendWire(p.wbuf[:0], seq, 0, payload)
 	buf := p.wbuf
 	if p.writeTimeout > 0 {
 		armWrite(p.conn, after(p.env, p.writeTimeout))
@@ -193,9 +196,9 @@ func MarshalWindowWire(evs []Event, end float64, seq, ack uint64) []byte {
 // The returned payload aliases the peer's pooled read buffer: it is
 // valid until the next readFrame on this peer. Callers that retain
 // bytes (frame Data, handshake payloads) copy what they keep.
-func (p *peer) readFrame(d time.Duration) (seq, ack uint64, payload []byte, err error) {
+func (p *peer) readFrame(d time.Duration) (seq uint64, payload []byte, err error) {
 	if err := p.stickyErr(); err != nil {
-		return 0, 0, nil, err
+		return 0, nil, err
 	}
 	if d > 0 {
 		armRead(p.conn, after(p.env, d))
@@ -204,15 +207,14 @@ func (p *peer) readFrame(d time.Duration) (seq, ack uint64, payload []byte, err 
 	var hdr [wireHeaderLen]byte
 	if _, err := io.ReadFull(p.br, hdr[:]); err != nil {
 		p.stats.ConnFailures.Add(1)
-		return 0, 0, nil, p.fail(fmt.Errorf("distsim: recv: %w", err))
+		return 0, nil, p.fail(fmt.Errorf("distsim: recv: %w", err))
 	}
 	n := binary.BigEndian.Uint32(hdr[0:])
 	seq = binary.BigEndian.Uint64(hdr[4:])
-	ack = binary.BigEndian.Uint64(hdr[12:])
 	want := binary.BigEndian.Uint32(hdr[20:])
 	if n > maxFrameLen {
 		p.stats.CorruptFrames.Add(1)
-		return 0, 0, nil, p.fail(fmt.Errorf("%w: length %d", ErrCorruptFrame, n))
+		return 0, nil, p.fail(fmt.Errorf("%w: length %d", ErrCorruptFrame, n))
 	}
 	if uint32(cap(p.rbuf)) < n {
 		p.rbuf = make([]byte, n)
@@ -220,53 +222,51 @@ func (p *peer) readFrame(d time.Duration) (seq, ack uint64, payload []byte, err 
 	payload = p.rbuf[:n]
 	if _, err := io.ReadFull(p.br, payload); err != nil {
 		p.stats.ConnFailures.Add(1)
-		return 0, 0, nil, p.fail(fmt.Errorf("distsim: recv: %w", err))
+		return 0, nil, p.fail(fmt.Errorf("distsim: recv: %w", err))
 	}
 	crc := crc32.ChecksumIEEE(hdr[4:20])
 	crc = crc32.Update(crc, crc32.IEEETable, payload)
 	if crc != want {
 		p.stats.CorruptFrames.Add(1)
-		return 0, 0, nil, p.fail(fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", ErrCorruptFrame, want, crc))
+		return 0, nil, p.fail(fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", ErrCorruptFrame, want, crc))
 	}
 	p.stats.FramesRecv.Add(1)
 	p.stats.BytesRecv.Add(uint64(wireHeaderLen) + uint64(n))
-	return seq, ack, payload, nil
+	return seq, payload, nil
 }
 
-// sendRaw marshals and sends an unsequenced (handshake) frame carrying
-// the given ack. The payload buffer is the call's own: the heartbeat
-// goroutine sends here concurrently with the serve loop.
-func (p *peer) sendRaw(f *frame, ack uint64) error {
-	return p.writeFrame(0, ack, marshalFrameInto(f, nil))
+// sendRaw marshals and sends an unsequenced frame (a handshake or the
+// bye) in a payload buffer of its own.
+func (p *peer) sendRaw(f *frame) error {
+	return p.writeFrame(0, marshalFrameInto(f, nil))
 }
 
 // beat sends the heartbeat f unless another frame is being written: that
 // frame is on its way, and a beat would only queue behind it. skipped
 // reports the beat that did not go out.
-func (p *peer) beat(f *frame, ack uint64) (skipped bool, err error) {
+func (p *peer) beat(f *frame) (skipped bool, err error) {
 	if !p.sendMu.TryLock() {
 		return true, nil
 	}
 	defer p.sendMu.Unlock()
-	return false, p.writeLocked(0, ack, marshalFrameInto(f, nil))
+	return false, p.writeLocked(0, marshalFrameInto(f, nil))
 }
 
-// recvRaw receives and parses one frame without sequence bookkeeping —
-// the handshake path, where both sides exchange unsequenced frames
-// before (re)binding a link. Sequenced frames arriving early are
-// returned too; the caller decides what to do with them.
-func (p *peer) recvRaw(d time.Duration) (*frame, uint64, error) {
-	seq, _, payload, err := p.readFrame(d)
+// recvRaw receives and parses one frame into a frame of its own,
+// without sequence bookkeeping: the handshake path, before a link
+// adopts the connection.
+func (p *peer) recvRaw(d time.Duration) (*frame, error) {
+	_, payload, err := p.readFrame(d)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	f := &frame{}
 	var evs []Event
 	if err := unmarshalFrameInto(f, &evs, payload); err != nil {
 		p.stats.CorruptFrames.Add(1)
-		return nil, 0, p.fail(err)
+		return nil, p.fail(err)
 	}
-	return f, seq, nil
+	return f, nil
 }
 
 // dead probes whether the connection is already closed by the other

@@ -1,6 +1,7 @@
 package distsim
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -80,7 +81,7 @@ func TestCorruptFrameIsTypedErrorNotPanic(t *testing.T) {
 		// Build the wire image by writing through a real peer into a
 		// pipe, capturing, flipping one byte, and replaying.
 		done := make(chan error, 1)
-		go func() { done <- pa.writeFrame(1, 0, payload) }()
+		go func() { done <- pa.writeFrame(1, payload) }()
 		wire := make([]byte, wireHeaderLen+len(payload))
 		if _, err := readFull(b, wire); err != nil {
 			t.Fatal(err)
@@ -95,7 +96,7 @@ func TestCorruptFrameIsTypedErrorNotPanic(t *testing.T) {
 		c, d := net.Pipe()
 		pd := newPeer(nil, d)
 		go func() { _, _ = c.Write(wire); c.Close() }()
-		_, _, _, err := pd.readFrame(time.Second)
+		_, _, err := pd.readFrame(time.Second)
 		if err == nil {
 			// The flipped bit landed somewhere harmless? Impossible: CRC
 			// covers seq, ack, and payload; length is validated by CRC
@@ -145,18 +146,18 @@ func TestPeerStickyErrorAfterCodecFailure(t *testing.T) {
 	copy(buf[wireHeaderLen:], payload)
 	go func() { _, _ = pa.conn.Write(buf) }()
 
-	_, _, _, err := pb.readFrame(time.Second)
+	_, _, err := pb.readFrame(time.Second)
 	if !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("err = %v, want ErrCorruptFrame", err)
 	}
 
 	// A perfectly valid frame follows; the poisoned peer must refuse it.
-	go func() { _ = pa.writeFrame(2, 0, marshalFrameInto(&frame{Kind: frameStop}, nil)) }()
-	if _, _, _, err2 := pb.readFrame(time.Second); !errors.Is(err2, ErrCorruptFrame) {
+	go func() { _ = pa.writeFrame(2, marshalFrameInto(&frame{Kind: frameStop}, nil)) }()
+	if _, _, err2 := pb.readFrame(time.Second); !errors.Is(err2, ErrCorruptFrame) {
 		t.Fatalf("sticky read err = %v, want the original ErrCorruptFrame", err2)
 	}
 	// Writes are refused too.
-	if err3 := pb.writeFrame(0, 0, nil); !errors.Is(err3, ErrCorruptFrame) {
+	if err3 := pb.writeFrame(0, nil); !errors.Is(err3, ErrCorruptFrame) {
 		t.Fatalf("sticky write err = %v, want the original ErrCorruptFrame", err3)
 	}
 }
@@ -172,7 +173,7 @@ func TestReadFrameClearsDeadlineAfterFailure(t *testing.T) {
 	defer b.Close()
 	pb := newPeer(nil, b)
 
-	if _, _, _, err := pb.readFrame(30 * time.Millisecond); err == nil {
+	if _, _, err := pb.readFrame(30 * time.Millisecond); err == nil {
 		t.Fatal("read with no data did not time out")
 	}
 	// The peer is sticky now; verify the *connection* deadline was
@@ -212,7 +213,7 @@ func TestWriteFrameClearsDeadlineAfterFailure(t *testing.T) {
 	pa.writeTimeout = 30 * time.Millisecond
 
 	// Nobody reads from b: the pipe write must hit the deadline.
-	if err := pa.writeFrame(0, 0, marshalFrameInto(&frame{Kind: frameStop}, nil)); err == nil {
+	if err := pa.writeFrame(0, marshalFrameInto(&frame{Kind: frameStop}, nil)); err == nil {
 		t.Fatal("write against a stuffed pipe did not time out")
 	}
 	// Deadline must be cleared on the raw conn: a reader appears late
@@ -228,79 +229,121 @@ func TestWriteFrameClearsDeadlineAfterFailure(t *testing.T) {
 	}
 }
 
-func TestLinkSuppressesDuplicatesAndDetectsGaps(t *testing.T) {
-	pa, pb := peerPair(t)
-	lb := newLink(pb)
-
-	send := func(seq uint64, kind frameKind) {
-		go func() { _ = pa.writeFrame(seq, 0, marshalFrameInto(&frame{Kind: kind}, nil)) }()
-	}
-
-	send(1, frameWindow)
-	f, err := lb.recv(time.Second)
-	if err != nil || f.Kind != frameWindow {
-		t.Fatalf("seq 1: %v %v", f, err)
-	}
-
-	// Duplicate of seq 1 followed by seq 2: the duplicate is silently
-	// skipped, recv returns the stop.
-	go func() {
-		_ = pa.writeFrame(1, 0, marshalFrameInto(&frame{Kind: frameWindow}, nil))
-		_ = pa.writeFrame(2, 0, marshalFrameInto(&frame{Kind: frameStop}, nil))
-	}()
-	f, err = lb.recv(time.Second)
-	if err != nil || f.Kind != frameStop {
-		t.Fatalf("after duplicate: %v %v", f, err)
-	}
-	if lb.recvSeq != 2 {
-		t.Fatalf("recvSeq = %d, want 2", lb.recvSeq)
-	}
-
-	// Seq 5 after 2 is a gap: typed error, peer poisoned.
-	send(5, frameWindow)
-	if _, err := lb.recv(time.Second); !errors.Is(err, ErrFrameGap) {
-		t.Fatalf("gap err = %v, want ErrFrameGap", err)
-	}
-	if err := pb.stickyErr(); !errors.Is(err, ErrFrameGap) {
-		t.Fatalf("gap did not poison the peer: %v", err)
-	}
-}
-
-func TestLinkRetainsUntilAcked(t *testing.T) {
-	// TCP pair rather than net.Pipe: pipes block writes without a
-	// reader, and this test sends several frames before reading.
+// linkPair returns the two ends of one seat's link over TCP (a
+// net.Pipe write waits for its reader): the coordinator's and the
+// worker's.
+func linkPair(t *testing.T) (co, wo *link) {
 	ln, addr := listen(t)
 	cc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cc.Close()
+	t.Cleanup(func() { cc.Close() })
 	sc, err := ln.Accept()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sc.Close()
+	t.Cleanup(func() { sc.Close() })
+	return newLink(newPeer(nil, cc)), newLink(newPeer(nil, sc))
+}
 
-	la := newLink(newPeer(nil, cc))
-	for i := 0; i < 3; i++ {
-		if err := la.send(&frame{Kind: frameWindow, End: float64(i)}); err != nil {
-			t.Fatal(err)
+// TestLinkAnswersEachRequestOnce pins link's numbering between a
+// coordinator's end (co) and a worker's (wo): a new request is delivered
+// once; one numbered equal to the worker's last answer is answered again
+// from the kept reply, byte for byte, and not delivered; an older one is
+// dropped; the coordinator delivers the reply to its request in flight
+// once and drops every other.
+func TestLinkAnswersEachRequestOnce(t *testing.T) {
+	co, wo := linkPair(t)
+	var errs []error
+	do := func(err error) { errs = append(errs, err) }
+	kind := func(l *link) frameKind {
+		f, err := l.recv(time.Second)
+		if do(err); err != nil {
+			return 0
 		}
+		return f.Kind
 	}
-	if len(la.retained) != 3 || la.sendSeq != 3 {
-		t.Fatalf("retained %d frames, sendSeq %d; want 3, 3", len(la.retained), la.sendSeq)
-	}
-	// Peer acks seq 2 via a heartbeat: retention shrinks to the tail.
-	go func() { _ = newPeer(nil, sc).writeFrame(0, 2, marshalFrameInto(&frame{Kind: frameHeartbeat}, nil)) }()
-	if _, err := la.recv(time.Second); err != nil {
+	do(co.send(&frame{Kind: frameWindow}))
+	k1 := kind(wo)
+	do(wo.send(&frame{Kind: frameDone, Next: 1.5}))
+	n1, reply, err := co.p.readFrame(time.Second)
+	reply = bytes.Clone(reply)
+	do(err)
+	do(co.resend()) // request 1 again, as after a heal, then request 2
+	do(co.send(&frame{Kind: frameStop}))
+	k2 := kind(wo)
+	n2, again, err := co.p.readFrame(time.Second)
+	do(err)
+	same := bytes.Equal(again, reply)
+	do(wo.send(&frame{Kind: frameStats}))
+	do(wo.p.writeFrame(1, reply))
+	do(wo.p.writeFrame(2, wo.last))
+	do(wo.p.writeFrame(0, marshalFrameInto(&frame{Kind: frameHeartbeat}, nil)))
+	k3, k4 := kind(co), kind(co)
+	do(co.p.writeFrame(1, marshalFrameInto(&frame{Kind: frameWindow}, nil)))
+	do(co.send(&frame{Kind: frameCheckpoint}))
+	k5 := kind(wo)
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
-	if len(la.retained) != 1 || la.retained[0].seq != 3 {
-		t.Fatalf("after ack 2: retained %v", la.retained)
+	w, c := wo.stats.Snapshot(), co.stats.Snapshot()
+	switch {
+	case k1 != frameWindow || k2 != frameStop || k3 != frameStats || k4 != frameHeartbeat || k5 != frameCheckpoint:
+		t.Fatalf("delivered %s %s to the worker, %s %s to the coordinator, then %s", k1, k2, k3, k4, k5)
+	case n1 != 1 || n2 != 1 || !same:
+		t.Fatalf("answered request 1 as %d, then as %d; same bytes %v", n1, n2, same)
+	case w.Retransmits != 1 || w.DupFrames != 1 || c.Retransmits != 1 || c.DupFrames != 2:
+		t.Fatalf("worker retransmits/dups %d/%d, coordinator %d/%d; want 1/1, 1/2", w.Retransmits, w.DupFrames, c.Retransmits, c.DupFrames)
 	}
-	// recvSeq is 0 but retention is partial: the conversation can no
-	// longer be fully replayed from scratch.
-	if la.redoable() {
-		t.Fatal("link with pruned retention reported redoable")
+}
+
+// TestLinkKeepsNewestPayload pins what each end keeps: the coordinator
+// its newest request, which resend writes again byte for byte while it
+// is in flight and not once it is answered; the worker its newest
+// reply, with which it answers a request it already answered.
+func TestLinkKeepsNewestPayload(t *testing.T) {
+	co, wo := linkPair(t)
+	var errs []error
+	do := func(err error) { errs = append(errs, err) }
+	raw := func(p *peer) (uint64, []byte) {
+		n, b, err := p.readFrame(time.Second)
+		do(err)
+		return n, bytes.Clone(b)
+	}
+	req := marshalFrameInto(&frame{Kind: frameWindow, End: 1}, nil)
+	reply := marshalFrameInto(&frame{Kind: frameDone, Next: 1.5}, nil)
+	stop := marshalFrameInto(&frame{Kind: frameStop}, nil)
+
+	do(co.send(&frame{Kind: frameWindow, End: 1}))
+	_, err := wo.recv(time.Second)
+	do(err)
+	do(co.resend()) // in flight: written again
+	n1, again := raw(wo.p)
+	do(wo.send(&frame{Kind: frameDone, Next: 1.5}))
+	_, err = co.recv(time.Second)
+	do(err)
+	do(co.resend()) // answered: nothing written, so stop comes next
+	do(co.send(&frame{Kind: frameStop}))
+	n2, next := raw(wo.p)
+	do(co.p.writeFrame(1, req)) // request 1 again, then a beat to end wo's recv
+	do(co.p.sendRaw(&frame{Kind: frameHeartbeat}))
+	_, err = wo.recv(time.Second)
+	do(err)
+	n3, answer := raw(co.p)
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	switch {
+	case n1 != 1 || !bytes.Equal(again, req):
+		t.Fatalf("resend in flight wrote request %d, same bytes %v", n1, bytes.Equal(again, req))
+	case n2 != 2 || !bytes.Equal(next, stop):
+		t.Fatalf("after the answer the worker read request %d next, stop %v", n2, bytes.Equal(next, stop))
+	case n3 != 1 || !bytes.Equal(answer, reply):
+		t.Fatalf("request 1 answered again as %d, same bytes %v", n3, bytes.Equal(answer, reply))
+	case !bytes.Equal(co.last, stop) || !bytes.Equal(wo.last, reply):
+		t.Fatal("a side keeps a payload other than its newest request or reply")
+	case co.stats.Snapshot().Retransmits != 1 || wo.stats.Snapshot().Retransmits != 1:
+		t.Fatalf("retransmits %d/%d, want 1/1", co.stats.Snapshot().Retransmits, wo.stats.Snapshot().Retransmits)
 	}
 }

@@ -26,7 +26,7 @@ func TestHungWorkerSurfacesTimeout(t *testing.T) {
 			return err
 		}
 		defer hung.Close()
-		if err := newPeer(sm, hung).sendRaw(&frame{Kind: frameRegister, LPs: []int{1}}, 0); err != nil {
+		if err := newPeer(sm, hung).sendRaw(&frame{Kind: frameRegister, LPs: []int{1}}); err != nil {
 			return err
 		}
 		err = c.Serve(ln, 2)
@@ -67,8 +67,8 @@ func TestSlowWorkerHeartbeatsSurvive(t *testing.T) {
 // until the coordinator reaches that seat. Here seat 0 sleeps inside
 // window 3 for five Timeouts (its heartbeats keep it alive) while seat
 // 1 ships 8 MiB of Event.Data in the same window: seat 1's write
-// passes its deadline and the seat heals by session resume, which costs
-// a reconnect and the frame's retransmission but no rollback. The
+// passes its deadline and the seat heals by re-adoption, which costs a
+// reconnect and the frame's retransmission but no rollback. The
 // event is due past the horizon, so the model never sees it.
 func TestBigDoneFrameBehindSlowSeat(t *testing.T) {
 	c := rtScn.coordinator(nil)
@@ -91,5 +91,5 @@ func TestBigDoneFrameBehindSlowSeat(t *testing.T) {
 	if c.Recoveries != 0 {
 		t.Fatalf("%d rollback recoveries", c.Recoveries)
 	}
-	t.Logf("session resumes: %d", c.Reconnects)
+	t.Logf("re-adoptions: %d", c.Reconnects)
 }

@@ -291,13 +291,13 @@ func (s *sim) every(d time.Duration, f func() bool) (stop func()) {
 			s.cond.Broadcast()
 			s.mu.Unlock()
 		}()
-		for {
+		for f() {
 			s.mu.Lock()
 			at := s.clock.Add(d)
 			s.block(func() bool { return quit }, func() time.Time { return at })
 			over := quit || s.dead
 			s.mu.Unlock()
-			if over || !f() {
+			if over {
 				return
 			}
 		}

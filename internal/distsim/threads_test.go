@@ -10,10 +10,9 @@ import (
 // pool computes: the heartbeat ticker lives on its own goroutine, so a
 // long busy window (every LP holds its thread well past the heartbeat
 // interval) must still produce a stream of frameHeartbeat frames — and
-// their watermarks (the sequenced-send count in the frame, the
-// processed-inbound ack on the wire header) must advance window over
-// window, proving the beats carry fresh progress, not a frozen
-// snapshot. The test plays coordinator directly over an in-memory
+// their numbers (the newest request received, the newest answered)
+// must advance window over window, proving the beats carry fresh
+// progress, not a frozen snapshot. The test plays coordinator directly over an in-memory
 // pipe so it can observe raw frames mid-window.
 func TestThreadsHeartbeatDuringBusyWindow(t *testing.T) {
 	t.Parallel()
@@ -55,64 +54,40 @@ func TestThreadsHeartbeatDuringBusyWindow(t *testing.T) {
 		t.Fatalf("config: %v", err)
 	}
 
-	// beats[w] records the watermark high points of the heartbeats seen
-	// while window w was executing.
+	// beats[w] records the high points of the heartbeats' numbers seen
+	// while window w was executing; the stop after the last window shuts
+	// the worker down cleanly, so Run's error reflects the protocol, not
+	// the teardown.
 	type marks struct {
 		n           int
 		sent, acked uint64
 	}
-	beats := make([]marks, windows+1)
-	for win := uint64(1); win <= windows; win++ {
-		if err := l.send(&frame{Kind: frameWindow, End: float64(win), WinSeq: win}); err != nil {
-			t.Fatalf("window %d: %v", win, err)
+	beats := make([]marks, windows+2)
+	for win := uint64(1); win <= windows+1; win++ {
+		req, want := &frame{Kind: frameWindow, End: float64(win), WinSeq: win}, frameDone
+		if win > windows {
+			req, want = &frame{Kind: frameStop}, frameStats
+		}
+		if err := l.send(req); err != nil {
+			t.Fatalf("%s %d: %v", req.Kind, win, err)
 		}
 		for {
-			// Read below the link layer: heartbeats are unsequenced, and
-			// the progress ack rides the wire header, not the frame.
-			seq, ack, payload, err := l.p.readFrame(10 * time.Second)
+			fr, err := l.recv(10 * time.Second)
 			if err != nil {
 				t.Fatalf("window %d read: %v", win, err)
-			}
-			var fr frame
-			var evs []Event
-			if err := unmarshalFrameInto(&fr, &evs, payload); err != nil {
-				t.Fatalf("window %d decode: %v", win, err)
 			}
 			if fr.Kind == frameHeartbeat {
 				b := &beats[win]
 				b.n++
 				b.sent = max(b.sent, fr.SendSeq)
-				b.acked = max(b.acked, ack)
+				b.acked = max(b.acked, fr.RecvSeq)
 				continue
 			}
-			if fr.Kind != frameDone {
+			if fr.Kind != want {
 				t.Fatalf("window %d: unexpected %s frame", win, fr.Kind)
 			}
-			// Keep the link's sequence discipline coherent with the raw
-			// reads, so the post-run l.recv sees no artificial gap.
-			l.recvSeq = seq
-			l.ackedIn.Store(seq)
 			break
 		}
-	}
-
-	// Shut the worker down cleanly so Run's error reflects the
-	// protocol, not the teardown.
-	if err := l.send(&frame{Kind: frameStop}); err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-	for {
-		f, err := l.recv(10 * time.Second)
-		if err != nil {
-			t.Fatalf("stats: %v", err)
-		}
-		if f.Kind == frameHeartbeat {
-			continue
-		}
-		if f.Kind != frameStats {
-			t.Fatalf("expected stats, got %s", f.Kind)
-		}
-		break
 	}
 	if err := l.send(&frame{Kind: frameBye}); err != nil {
 		t.Fatalf("bye: %v", err)
@@ -126,8 +101,8 @@ func TestThreadsHeartbeatDuringBusyWindow(t *testing.T) {
 		if b.n == 0 {
 			t.Fatalf("window %d: no heartbeats during a %v busy stretch", win, holdTime)
 		}
-		// The ack watermark proves the worker processed this window's
-		// frame; the send watermark counts the done frames already out.
+		// The received number proves the worker has this window's frame;
+		// the answered one counts the done frames already out.
 		if want := uint64(win); b.acked != want {
 			t.Fatalf("window %d: heartbeat ack watermark %d, want %d", win, b.acked, want)
 		}

@@ -38,35 +38,44 @@ const (
 	frameRestore                         // coordinator -> worker: overwrite state from snapshot
 	frameRestored                        // worker -> coordinator: restore acknowledged
 	frameHeartbeat                       // worker -> coordinator: liveness while computing (unsequenced)
-	frameHello                           // worker -> coordinator: reconnect with session resume (handshake)
-	frameResume                          // coordinator -> worker: resume accepted, replay past RecvSeq (handshake)
+	frameHello                           // worker -> coordinator: reconnect, presenting the session (handshake)
 	frameBye                             // coordinator -> worker: stats received, session over (handshake)
 	frameMigrateOut                      // coordinator -> donor: extract and hand over one LP (LPs[0])
 	frameLPState                         // donor -> coordinator: the extracted LP state (or Err)
 	frameMigrateIn                       // coordinator -> receiver: adopt one LP (LPs[0] + Data)
 	frameMigrated                        // receiver -> coordinator: adoption acknowledged
-	frameCoordHello                      // restarted coordinator -> worker: re-adoption offer (handshake)
-	frameReadopt                         // worker -> coordinator: re-adoption state (LPs + WinSeq + Next) (handshake)
+	frameCoordHello                      // coordinator -> worker: answers a hello, re-adoption offer (handshake)
+	frameReadopt                         // worker -> coordinator: re-adoption state (LPs + WinSeq + SendSeq) (handshake)
 	frameKindMax                         // sentinel for validation
 )
 
-// sequenced reports whether a frame kind participates in the per-peer
-// monotonic sequence numbering (duplicate suppression + replay on
-// reconnect). Handshake frames and heartbeats ride outside the
-// sequence space: they are either idempotent or answered explicitly.
+// sequenced reports whether a frame kind is numbered (see link): a
+// request or the reply to one. Handshake frames, heartbeats and the bye
+// ride outside the sequence space: they are either idempotent or
+// answered explicitly.
 func (k frameKind) sequenced() bool {
 	switch k {
-	case frameRegister, frameConfig, frameHeartbeat, frameHello, frameResume, frameBye,
-		frameCoordHello, frameReadopt:
+	case frameRegister, frameConfig, frameHeartbeat, frameHello, frameBye, frameCoordHello, frameReadopt:
 		return false
 	default:
 		return true
 	}
 }
 
+// request reports whether a frame kind is a coordinator request; every
+// other sequenced kind is the worker's reply to one.
+func (k frameKind) request() bool {
+	switch k {
+	case frameWindow, frameStop, frameCheckpoint, frameRestore, frameMigrateOut, frameMigrateIn:
+		return true
+	default:
+		return false
+	}
+}
+
 func (k frameKind) String() string {
 	names := [...]string{"", "register", "config", "window", "done", "stop", "stats",
-		"checkpoint", "snapshot", "restore", "restored", "heartbeat", "hello", "resume", "bye",
+		"checkpoint", "snapshot", "restore", "restored", "heartbeat", "hello", "bye",
 		"migrate-out", "lp-state", "migrate-in", "migrated", "coord-hello", "readopt"}
 	if int(k) < len(names) && k > 0 {
 		return names[k]
@@ -76,14 +85,12 @@ func (k frameKind) String() string {
 
 // Typed wire errors. ErrCorruptFrame covers integrity failures (CRC
 // mismatch, impossible length); ErrMalformedFrame covers payloads that
-// pass the checksum but do not parse; ErrFrameGap means a sequenced
-// frame skipped ahead (a preceding frame was lost or reordered in
-// transit). All three poison the peer (see peer.fail) and funnel into
-// the reconnect/session-resume path rather than panicking mid-stream.
+// pass the checksum but do not parse. Both poison the peer (see
+// peer.fail) and funnel into the reconnect and re-adoption path rather
+// than panicking mid-stream.
 var (
 	ErrCorruptFrame   = errors.New("distsim: corrupt frame")
 	ErrMalformedFrame = errors.New("distsim: malformed frame payload")
-	ErrFrameGap       = errors.New("distsim: sequence gap")
 )
 
 // frame is the single wire message type.
@@ -93,17 +100,17 @@ type frame struct {
 	Lookahead  float64 // config
 	Horizon    float64 // config
 	Seed       uint64  // config: base seed for LP engines
-	Session    uint64  // config/hello: session identity for resume
+	Session    uint64  // config/hello/coord-hello: session identity for re-adoption
 	TimeoutSec float64 // config: coordinator timeout; worker heartbeats at a third of it
 	End        float64 // window
 	Events     []Event // window (inbound) / done (outbound)
 	Data       []byte  // restore (coordinator -> worker) / snapshot (worker -> coordinator)
 	Stats      WorkerStats
 	Err        string
-	RecvSeq    uint64  // hello/resume: highest sequenced frame processed from the peer
-	SendSeq    uint64  // heartbeat: sender's sequenced-send watermark (progress proof)
+	RecvSeq    uint64  // heartbeat: the newest request the worker received
+	SendSeq    uint64  // heartbeat/readopt: the newest request the worker answered
 	Next       float64 // done: earliest pending event time on the worker (+Inf when drained)
-	WinSeq     uint64  // window: the coordinator's window barrier sequence (trace anchor)
+	WinSeq     uint64  // window: its barrier (trace anchor); restore: the cut's; readopt: the worker's
 	ObsEvery   int     // config: piggyback an obs snapshot every N windows (0 = obs off)
 	ObsSpans   int     // config: worker trace-ring capacity when obs is on
 	Obs        []byte  // done/stats: obs snapshot payload (see distsim obs codec)

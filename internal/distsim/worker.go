@@ -29,7 +29,7 @@ type LP = winsync.LP
 // Worker owns a subset of LPs and executes windows on command from the
 // coordinator. A worker survives connection loss: transport failures
 // trigger a reconnect with capped exponential backoff and a
-// session-resume handshake, so the simulation state it carries — which
+// re-adoption handshake, so the simulation state it carries — which
 // lives in this process, not in the connection — picks up exactly
 // where the wire broke.
 type Worker struct {
@@ -59,20 +59,15 @@ type Worker struct {
 	timeout time.Duration
 	env     env // nil: the wall clock
 
-	// lastWinSeq is the barrier sequence of the newest window this
-	// worker executed. A restarted coordinator resumes from its journal
-	// tip, which may trail the worker by exactly one window (the barrier
-	// record becomes durable before the next fan-out), and re-sends that
-	// window. Its done frame is then still retained, unacked, on the link
-	// the re-adoption replaced: readopt keeps that payload in replay, and
-	// the re-sent window is answered with it — the engines already hold
-	// the post-window state, so the window is never re-executed.
-	lastWinSeq uint64
-	replay     []byte
+	// winSeq is the barrier the engines hold: the newest window executed,
+	// or the cut a restore rolled back to. Re-adoption reports it, so a
+	// restarted coordinator can tell a worker at its journal's tip from
+	// one a window past it (see fill).
+	winSeq uint64
 
 	// wire accumulates transport counters across every connection this
 	// worker ever dials (shared with each peer; see newWorkerLink).
-	wire WireStats
+	wire wireStats
 	// obs is what shipping the group's observations takes, nil unless
 	// the coordinator's config enables recording (ObsEvery > 0).
 	obs *workerObs
@@ -202,7 +197,7 @@ func isFatal(err error) bool {
 
 // Run connects to the coordinator (retrying, so a worker started
 // before its coordinator waits instead of exiting) and serves windows
-// until stopped, reconnecting with session resume across transient
+// until stopped, reconnecting and being re-adopted across transient
 // transport failures.
 func (w *Worker) Run(addr string) error {
 	if w.Dial == nil {
@@ -213,10 +208,10 @@ func (w *Worker) Run(addr string) error {
 	if err := w.connect(bo); err != nil {
 		return err
 	}
-	defer func() { w.link.close() }() // a re-adoption replaces w.link
+	defer func() { w.link.close() }()
 	defer w.closePool()
 
-	// Serve, resuming the session across transport failures.
+	// Serve, re-adopted across transport failures.
 	for {
 		err := w.serveConn()
 		if err == nil || isFatal(err) {
@@ -271,7 +266,7 @@ func (w *Worker) connect(bo *backoff) error {
 
 // register sends the registration frame and waits for the config.
 func (w *Worker) register(l *link) (*frame, error) {
-	if err := l.send(&frame{Kind: frameRegister, LPs: w.lpIDs()}); err != nil {
+	if err := l.p.sendRaw(&frame{Kind: frameRegister, LPs: w.lpIDs()}); err != nil {
 		return nil, err
 	}
 	f, err := l.recv(connectWait)
@@ -279,10 +274,8 @@ func (w *Worker) register(l *link) (*frame, error) {
 		return nil, err
 	}
 	if f.Kind != frameConfig {
-		// Not fatal: under a faulty network this can be a window frame
-		// replayed for a previous incarnation of the handshake. Retrying
-		// re-registers on a fresh connection and the coordinator redoes
-		// the config exchange.
+		// Not fatal: retrying re-registers on a fresh connection and the
+		// coordinator redoes the config exchange.
 		return nil, fmt.Errorf("distsim: expected config, got %s", f.Kind)
 	}
 	return f, nil
@@ -389,9 +382,6 @@ func (w *Worker) restore(data []byte) error {
 		return err
 	}
 	w.outbox = nil
-	// The replayable done frame described the pre-rollback timeline; the
-	// window anchor must not collide with a re-sent post-rollback window.
-	w.lastWinSeq, w.replay = 0, nil
 	return nil
 }
 
@@ -407,16 +397,17 @@ func (w *Worker) serveConn() error {
 	// coordinator only sees silence. A background tick at a third of
 	// the coordinator's timeout keeps the connection demonstrably alive,
 	// so a slow worker is distinguishable from a dead one. Each beat
-	// carries the worker's progress watermarks — its processed-inbound
-	// ack and its sequenced-send count — so the coordinator can also
-	// tell an alive worker that lost a frame (stale watermarks beat
-	// after beat) from one that is merely slow, and force a resume
-	// instead of waiting forever. The goroutine is bound to this
+	// carries the newest request received and the newest answered, so
+	// the coordinator can also tell an alive worker that lost a frame
+	// (the same numbers beat after beat) from one that is merely slow,
+	// and heal instead of waiting forever. The first beat goes out at
+	// once, which also pushes out a readopt a faulty network held back
+	// until the worker's next write. The goroutine is bound to this
 	// connection's peer: it ends with the connection, and serveConn does
 	// not return before it has (a write it may be in is bounded by the
 	// write deadline). A fresh one starts after a reconnect.
 	stop := w.env.every(w.beatSpacing(), func() bool {
-		skipped, err := p.beat(&frame{Kind: frameHeartbeat, SendSeq: l.sentOut.Load()}, l.ackedIn.Load())
+		skipped, err := p.beat(&frame{Kind: frameHeartbeat, RecvSeq: l.seq.Load(), SendSeq: l.done.Load()})
 		if err == nil && !skipped {
 			l.stats.Heartbeats.Add(1)
 		}
@@ -438,21 +429,6 @@ func (w *Worker) serveConn() error {
 		}
 		switch f.Kind {
 		case frameWindow:
-			if f.WinSeq != 0 && f.WinSeq == w.lastWinSeq {
-				// A restarted coordinator re-sent the newest window this
-				// worker already executed (see lastWinSeq): answer with
-				// the done frame the replaced link retained instead of
-				// delivering or executing anything.
-				if w.replay == nil {
-					return fatalf("distsim: window %d re-sent, but no done frame of it is retained", f.WinSeq)
-				}
-				payload := w.replay
-				w.replay = nil // retained by l now, and recycled once acked
-				if err := l.sendPayload(true, payload); err != nil {
-					return err
-				}
-				continue
-			}
 			// Schedule the coordinator's inbound events together with the
 			// ones flushed locally at the previous barrier, in the one
 			// (From, Seq) order every partition of the LPs agrees on. An
@@ -466,7 +442,7 @@ func (w *Worker) serveConn() error {
 			// across this worker's engines and inbox, so the coordinator
 			// can jump windows nobody has work in. The outbox
 			// backing array is reusable once the frame is marshalled (the
-			// send retains the payload, not the events).
+			// link keeps the payload, not the events).
 			out := w.g.Flush(w.outbox)
 			w.outbox = out[:0]
 			done := frame{Kind: frameDone, Events: out, Next: w.g.Next()}
@@ -480,7 +456,7 @@ func (w *Worker) serveConn() error {
 					done.Obs = w.encodeObs(false)
 				}
 			}
-			w.lastWinSeq, w.replay = f.WinSeq, nil
+			w.winSeq = f.WinSeq
 			if err := l.send(&done); err != nil {
 				return err
 			}
@@ -501,6 +477,7 @@ func (w *Worker) serveConn() error {
 			if err := w.restore(f.Data); err != nil {
 				return fatalf("distsim: restore: %v", err)
 			}
+			w.winSeq = f.WinSeq
 			if err := l.send(&frame{Kind: frameRestored}); err != nil {
 				return err
 			}
@@ -547,14 +524,13 @@ func (w *Worker) serveConn() error {
 				// the merged cluster timeline.
 				final.Obs = w.encodeObs(true)
 			}
+			w.statsSent = true // kept by the link: a re-sent stop is answered with it
 			if err := l.send(&final); err != nil {
-				w.statsSent = true // retained; a reconnect replays it
 				return err
 			}
-			w.statsSent = true
 		case frameBye:
 			return nil
-		case frameConfig, frameResume, frameCoordHello:
+		case frameConfig, frameCoordHello:
 			// Handshake retransmissions racing the serve loop: harmless.
 		default:
 			return fatalf("distsim: unexpected frame %s", f.Kind)
@@ -563,13 +539,12 @@ func (w *Worker) serveConn() error {
 }
 
 // reconnect is the worker's one retry loop after a broken connection:
-// each attempt is a resumeOnce, which a live coordinator answers by
-// resuming the session and a restarted one by re-adopting the worker.
-// Simulation state is untouched — a reconnect is invisible to the
-// model. The budget is connectAttempts, to ride out a blip, plus
-// maxPark, during which the worker holds its engines at the last
-// quiesced barrier for a crashed coordinator to restart from its
-// journal. Like connect, it dials at once — the broken connection is
+// each attempt is a resumeOnce, which a live coordinator and a
+// restarted one answer alike, by re-adopting the worker. Simulation
+// state is untouched — a reconnect is invisible to the model. The
+// budget is connectAttempts, to ride out a blip, plus maxPark, during
+// which the worker holds its engines at the last quiesced barrier for a
+// crashed coordinator to restart from its journal. Like connect, it dials at once — the broken connection is
 // closed, so the coordinator's resume window is already open — and
 // pauses between attempts (retryPause), never longer than a hello
 // waits: a coordinator that opens the window only after serving another
@@ -589,7 +564,7 @@ func (w *Worker) reconnect(bo *backoff) error {
 		// listener that is gone means the coordinator finished and exited:
 		// two refused dials settle that. A handshake lost on a connection
 		// the listener took is a live coordinator, which may still be
-		// waiting for the stats replay, and keeps the whole budget.
+		// waiting for the stats, and keeps the whole budget.
 		if w.statsSent && errors.Is(err, errDial) {
 			if refused++; refused == 2 {
 				return err
@@ -599,13 +574,15 @@ func (w *Worker) reconnect(bo *backoff) error {
 	return fmt.Errorf("%w: unreachable through %d reconnect attempts (last: %v)", ErrCoordinatorLost, budget, err)
 }
 
-// errDial marks a resume attempt that found nobody listening.
+// errDial marks a reconnect attempt that found nobody listening.
 var errDial = errors.New("distsim: dial failed")
 
-// resumeOnce makes one dial + hello attempt against the coordinator.
-// A live coordinator answers with resume (rebind the existing link,
-// replaying its retained frames); a restarted one answers with
-// coord-hello, switching into the re-adoption handshake.
+// resumeOnce makes one dial + hello attempt against the coordinator,
+// which answers with coord-hello; the worker's readopt carries its LP
+// set, the barrier its engines hold and the newest request it answered,
+// and the link adopts the connection. The link's numbering and its kept
+// reply survive: the coordinator re-sends its request in flight, and one
+// already answered is answered again from the kept reply.
 func (w *Worker) resumeOnce() error {
 	conn, err := w.Dial()
 	if err != nil {
@@ -614,58 +591,23 @@ func (w *Worker) resumeOnce() error {
 	p := newPeer(w.env, conn)
 	p.stats = &w.wire
 	p.writeTimeout = w.timeout
-	hello := &frame{Kind: frameHello, Session: w.session, RecvSeq: w.link.recvSeq, LPs: w.lpIDs()}
-	if err := p.sendRaw(hello, w.link.recvSeq); err != nil {
-		p.close()
-		return err
+	var f *frame
+	err = p.sendRaw(&frame{Kind: frameHello, Session: w.session, LPs: w.lpIDs()})
+	if err == nil {
+		f, err = p.recvRaw(resumeWait(w.timeout) / helloTries)
 	}
-	f, seq, err := p.recvRaw(resumeWait(w.timeout) / helloTries)
+	if err == nil && (f.Kind != frameCoordHello || f.Session != w.session) {
+		err = fmt.Errorf("distsim: expected coord-hello for session %d, got %s for %d", w.session, f.Kind, f.Session)
+	}
+	if err == nil {
+		err = p.sendRaw(&frame{Kind: frameReadopt, LPs: w.lpIDs(), WinSeq: w.winSeq, SendSeq: w.link.done.Load()})
+	}
 	if err != nil {
 		p.close()
 		return err
 	}
-	switch {
-	case seq == 0 && f.Kind == frameResume:
-		if err := w.link.rebind(p, f.RecvSeq); err != nil {
-			p.close()
-			return err
-		}
-	case seq == 0 && f.Kind == frameCoordHello:
-		if f.Session != w.session {
-			p.close()
-			return fmt.Errorf("distsim: coord-hello for session %d, have %d", f.Session, w.session)
-		}
-		if err := w.readopt(p); err != nil {
-			return err
-		}
-	default:
-		p.close()
-		return fmt.Errorf("distsim: expected resume, got %s", f.Kind)
-	}
-	return nil
-}
-
-// readopt completes the re-adoption handshake with a restarted
-// coordinator. The old link's sequence space died with the old
-// process, so both sides start over on a fresh link; the coordinator
-// re-sends the current window from its journaled pending set. When its
-// journal trails this worker by one window, the old link's newest
-// retained frame is that window's done frame: the journal makes a
-// barrier durable before any later frame goes out to a seat, so nothing
-// has acked it. That payload is kept in replay for the re-sent window.
-// A link that retained nothing (a restart that died before it sent a
-// window) leaves the replay of the link before it.
-func (w *Worker) readopt(p *peer) error {
-	reply := &frame{Kind: frameReadopt, LPs: w.lpIDs(), WinSeq: w.lastWinSeq, Next: w.g.Next()}
-	if err := p.sendRaw(reply, 0); err != nil {
-		p.close()
-		return err
-	}
-	if n := len(w.link.retained); n > 0 {
-		w.replay = w.link.retained[n-1].payload
-	}
-	w.link.close()
-	w.link = newLink(p)
+	w.wire.Resumes.Add(1)
+	w.link.adopt(p)
 	return nil
 }
 

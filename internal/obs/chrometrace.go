@@ -97,7 +97,7 @@ func WriteChromeTraceSpans(w io.Writer, tracks ...SpanTrack) error {
 				KindMigrate, KindReadopt:
 				emit(fmt.Sprintf(`{"ph":"X","pid":0,"tid":%d,"ts":%.3f,"dur":%.3f,"name":%s,"cat":%q,"args":{"t":%g,"seq":%d}}`,
 					tr.TID, ts, float64(s.Dur)/1e3, strconv.Quote(name), s.Kind, s.Time, s.Seq))
-			case KindSchedule, KindCancel, KindSkip, KindResume:
+			case KindSchedule, KindCancel, KindSkip:
 				emit(fmt.Sprintf(`{"ph":"i","s":"t","pid":0,"tid":%d,"ts":%.3f,"name":%s,"cat":%q,"args":{"t":%g,"seq":%d}}`,
 					tr.TID, ts, strconv.Quote(name), s.Kind, s.Time, s.Seq))
 			}

@@ -82,7 +82,7 @@ const (
 	// frames for one window barrier.
 	KindAwaitBarrier
 	// KindHeal is the coordinator re-admitting a reconnecting worker
-	// (session resume + retained-frame replay) inside a barrier.
+	// inside a barrier: re-adoption, the request re-sent, its reply.
 	KindHeal
 	// KindCheckpoint is one cluster checkpoint round (snapshot barrier
 	// plus persistence).
@@ -90,9 +90,6 @@ const (
 	// KindSkip marks the coordinator jumping idle lookahead windows;
 	// Seq carries how many windows were skipped.
 	KindSkip
-	// KindResume marks a successful session-resume handshake, one per
-	// seat, on the coordinator's side.
-	KindResume
 	// KindRecovery is a rollback-recovery round: restoring the cluster
 	// from the last checkpoint after a worker loss.
 	KindRecovery
@@ -100,8 +97,9 @@ const (
 	// state extraction, transfer, and receiver adoption. Seq carries the
 	// migrated LP's id.
 	KindMigrate
-	// KindReadopt is a restarted coordinator re-adopting one surviving
-	// worker (coordHello/readopt handshake). Seq carries the slot.
+	// KindReadopt is the coordinator re-adopting one surviving worker
+	// (coord-hello/readopt handshake), after a restart or a broken
+	// connection. Seq carries the slot.
 	KindReadopt
 )
 
@@ -130,8 +128,6 @@ func (k Kind) String() string {
 		return "checkpoint"
 	case KindSkip:
 		return "skip"
-	case KindResume:
-		return "resume"
 	case KindRecovery:
 		return "recovery"
 	case KindMigrate:
