@@ -40,7 +40,9 @@ vet:
 # switch from inline to dispatched Runs finds the pool's goroutines
 # parked or still on their way there, and which of the two is a matter
 # of timing; the kernel's due list is written by the caller and read by
-# the pool threads of each window.
+# the pool threads of each window, and its array of engine head bounds
+# is written by the pool threads (one slot per LP) and scanned by the
+# caller between windows.
 race:
 	$(GO) test -race -timeout 5m ./internal/parsim/... ./internal/des/... ./internal/distsim/... ./internal/chaos/... ./internal/optsim/... ./internal/checkpoint/... ./internal/netsim/... ./internal/resources/... ./internal/replication/... ./internal/obs/... ./internal/monitoring/... ./internal/scheduler/... ./internal/simulators/... ./internal/dag/... ./internal/p2p/... ./internal/faults/... ./cmd/internal/front/...
 	$(GO) test -race -timeout 5m -count=10 ./internal/pool/... ./internal/winsync/...

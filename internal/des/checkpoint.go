@@ -291,7 +291,7 @@ func (e *Engine) Restore(r io.Reader) error {
 	// install the snapshot.
 	e.seed = seed
 	_ = kind // informational: restore keeps the engine's own FEL kind
-	e.queue = eventq.NewSeeded(e.queueKind, e.seed)
+	e.newQueue()
 	e.freeEv = nil
 	e.now = now
 	e.seq = seq
@@ -300,9 +300,9 @@ func (e *Engine) Restore(r io.Reader) error {
 	e.canceled = canceled
 	e.maxQueue = maxQueue
 	e.stopped = false
-	e.head = math.Inf(1)
+	*e.head = math.Inf(1)
 	for _, re := range events {
-		e.head = min(e.head, re.time)
+		*e.head = min(*e.head, re.time)
 		ev := new(eventq.Event)
 		ev.Op = re.op
 		ev.Arg = re.arg

@@ -37,13 +37,18 @@ import (
 // control back and forth with that goroutine synchronously.
 type Engine struct {
 	queue eventq.Queue
-	now   float64
-	seq   uint64
-	rng   *rng.Source
+	// heap is queue when its kind is the default, which the hot paths
+	// call directly; nil for the other kinds, which E3 compares.
+	heap *eventq.Heap
+	now  float64
+	seq  uint64
+	rng  *rng.Source
 
-	// head is a lower bound on the time of every queued record,
-	// tombstones included (see Head).
-	head float64
+	// head points at a lower bound on the time of every queued record,
+	// tombstones included (see Head): ownHead, or the slot HeadSlot
+	// moved it to.
+	head    *float64
+	ownHead float64
 
 	// construction parameters, resolved in NewEngine so option order
 	// does not matter (the queue seed must see the engine seed).
@@ -142,8 +147,9 @@ func NewEngine(opts ...Option) *Engine {
 	e := &Engine{
 		queueKind: eventq.KindHeap,
 		seed:      1,
-		head:      math.Inf(1),
+		ownHead:   math.Inf(1),
 	}
+	e.head = &e.ownHead
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -151,8 +157,14 @@ func NewEngine(opts ...Option) *Engine {
 		e.SetObserver(*defaultObserver)
 	}
 	e.rng = rng.New(e.seed)
-	e.queue = eventq.NewSeeded(e.queueKind, e.seed)
+	e.newQueue()
 	return e
+}
+
+// newQueue installs an empty FEL of the engine's kind.
+func (e *Engine) newQueue() {
+	e.queue = eventq.NewSeeded(e.queueKind, e.seed)
+	e.heap, _ = e.queue.(*eventq.Heap)
 }
 
 // SetObserver replaces the engine's observability attachments. A zero
@@ -281,12 +293,19 @@ func (e *Engine) atEvent(t float64, label string, fn func(), op uint32, arg []by
 			})
 		}
 	}
-	e.queue.Push(eventq.Item{Time: t, Seq: e.seq, Event: ev})
-	if t < e.head {
-		e.head = t
+	it, n := eventq.Item{Time: t, Seq: e.seq, Event: ev}, 0
+	if h := e.heap; h != nil {
+		h.Push(it)
+		n = h.Len()
+	} else {
+		e.queue.Push(it)
+		n = e.queue.Len()
 	}
-	if n := e.queue.Len(); n > e.maxQueue {
+	if n > e.maxQueue {
 		e.maxQueue = n
+	}
+	if t < *e.head {
+		*e.head = t
 	}
 	return Timer{ev: ev, gen: ev.Gen, time: t}
 }
@@ -370,23 +389,48 @@ func (e *Engine) Run() float64 { return e.RunUntil(math.Inf(1)) }
 // last executed event) — it never advances past work that was actually
 // performed, so a subsequent RunUntil continues seamlessly.
 func (e *Engine) RunUntil(horizon float64) float64 {
+	e.run(horizon, math.MaxUint64)
+	return e.now
+}
+
+// Step executes exactly one event if one is pending, returning false
+// when the queue is empty.
+func (e *Engine) Step() bool {
+	n := e.executed
+	e.run(math.Inf(1), n+1)
+	return e.executed != n
+}
+
+// run is the pop-execute loop of RunUntil and Step: it executes events
+// with timestamps <= horizon until the executed count reaches last,
+// Stop is called or none is left.
+func (e *Engine) run(horizon float64, last uint64) {
 	if e.running {
 		panic("des: RunUntil called reentrantly")
 	}
 	e.running = true
+	// Deferred: a caller that recovers a handler's panic may re-enter.
 	defer func() { e.running = false }()
 	e.stopped = false
-	for !e.stopped {
-		it, ok := e.queue.Peek()
+	for !e.stopped && e.executed != last {
+		// Peek, and pop when due: the default heap without dispatch.
+		var it eventq.Item
+		var ok bool
+		if h := e.heap; h != nil {
+			if it, ok = h.Peek(); ok && !(it.Time > horizon) {
+				h.Pop()
+			}
+		} else if it, ok = e.queue.Peek(); ok && !(it.Time > horizon) {
+			e.queue.Pop()
+		}
 		if !ok {
-			e.head = math.Inf(1)
+			*e.head = math.Inf(1)
 			break
 		}
 		if it.Time > horizon {
-			e.head = it.Time
+			*e.head = it.Time
 			break
 		}
-		e.queue.Pop()
 		ev := it.Event
 		if ev.Canceled {
 			e.discard(it)
@@ -414,41 +458,6 @@ func (e *Engine) RunUntil(horizon float64) float64 {
 			e.execObserved(it.Time, it.Seq, schedAt, label, fn, op, arg)
 		}
 	}
-	return e.now
-}
-
-// Step executes exactly one event if one is pending, returning false
-// when the queue is empty. Used by the parallel engine driver.
-func (e *Engine) Step() bool {
-	for {
-		it, ok := e.queue.Peek()
-		if !ok {
-			return false
-		}
-		e.queue.Pop()
-		ev := it.Event
-		if ev.Canceled {
-			e.discard(it)
-			continue
-		}
-		e.now = it.Time
-		fn, label, op, arg := ev.Fn, ev.Label, ev.Op, ev.Arg
-		if e.obs == nil {
-			e.recycle(ev)
-			e.executed++
-			if fn != nil {
-				fn()
-			} else {
-				e.ops[op].fn(arg)
-			}
-		} else {
-			schedAt := ev.SchedAt
-			e.recycle(ev)
-			e.executed++
-			e.execObserved(it.Time, it.Seq, schedAt, label, fn, op, arg)
-		}
-		return true
-	}
 }
 
 // PeekTime returns the timestamp of the next pending live event, or
@@ -473,8 +482,22 @@ func (e *Engine) PeekTime() float64 {
 // lowers it, and RunUntil makes it exact where it stops: the time of
 // the first record past the horizon, which may be a canceled one, or
 // +Inf. A caller that finds Head() beyond a horizon knows
-// RunUntil(horizon) would do nothing.
-func (e *Engine) Head() float64 { return e.head }
+// RunUntil(horizon) would do nothing. It reads the engine's own field
+// or the slot HeadSlot moved the bound to.
+func (e *Engine) Head() float64 { return *e.head }
+
+// HeadSlot moves the Head bound, value and all, into *slot, which the
+// engine then maintains wherever it runs, schedules or restores: a
+// caller that scans many engines' bounds (winsync's due list) reads
+// one array. A slot belongs to one engine; the one left behind is no
+// longer written.
+func (e *Engine) HeadSlot(slot *float64) {
+	*slot = *e.head
+	e.head = slot
+}
+
+// Executed is Stats().Executed without the copy of Stats.
+func (e *Engine) Executed() uint64 { return e.executed }
 
 // Stats reports engine counters: events executed, scheduled, canceled,
 // and the high-water mark of the pending-event queue. When an Observer

@@ -35,7 +35,9 @@ func first(e *Engine) (it eventq.Item, ok bool) {
 // Restore, Head never exceeds the earliest queued record, canceled or
 // not, nor PeekTime's answer. After a RunUntil that was not stopped it
 // is the first record's time when that record is live, and +Inf when
-// nothing is queued.
+// nothing is queued. Odd seeds keep the bound in a slot of their own,
+// moved every 25 steps as winsync.Group moves it: the move carries the
+// bound over, and the slot left behind is written no more.
 func TestHeadBoundsNextEvent(t *testing.T) {
 	var exact, restores int
 	for seed := uint64(1); seed <= 300; seed++ {
@@ -78,7 +80,16 @@ func TestHeadBoundsNextEvent(t *testing.T) {
 		}
 		op = e.RegisterOp("test.op", func([]byte) { body() })
 
+		var left *float64  // the slot last moved away from
+		var leftAt float64 // and the bound it held then
 		for step := 0; step < 200; step++ {
+			if seed%2 == 1 && step%25 == 0 {
+				left, leftAt = e.head, e.Head()
+				e.HeadSlot(new(float64))
+				if e.Head() != leftAt {
+					t.Fatalf("seed %d step %d: HeadSlot moved bound %v as %v", seed, step, leftAt, e.Head())
+				}
+			}
 			action := r.IntN(8)
 			switch action {
 			case 0, 1:
@@ -118,6 +129,9 @@ func TestHeadBoundsNextEvent(t *testing.T) {
 				}
 				timers = timers[:0] // Restore invalidates every handle
 				restores++
+			}
+			if left != nil && *left != leftAt {
+				t.Fatalf("seed %d step %d: a slot left behind changed from %v to %v", seed, step, leftAt, *left)
 			}
 			if it, ok := first(e); ok && !(e.Head() <= it.Time) {
 				t.Fatalf("seed %d step %d (action %d): Head %v above the first record at %v", seed, step, action, e.Head(), it.Time)

@@ -3,6 +3,8 @@ package parsim
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/des"
 )
 
 // reportInlineFrac adds the share of the federation's windows that the
@@ -87,4 +89,35 @@ func BenchmarkPHOLDSmallWindows(b *testing.B) {
 			reportInlineFrac(b, ph.Fed)
 		})
 	}
+}
+
+// BenchmarkPHOLDFloor is BenchmarkPHOLDSmallWindows with the kernel
+// taken away: the same 64 jobs make the same hops (an Exp delay clamped
+// to the lookahead, the Bernoulli remote draw and the target draw, then
+// ScheduleOp) on one des.Engine, a remote hop rescheduled locally. No
+// window, no message, no LP: BenchmarkPHOLDSmallWindows/workers=1 over
+// this is what the windowed kernel costs a small-window run.
+func BenchmarkPHOLDFloor(b *testing.B) {
+	const lps, lookahead, remote, horizon = 64, 1.0, 0.2, 15000
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		e := des.NewEngine()
+		r := e.Rand()
+		var hop des.Op
+		hop = e.RegisterOp("phold.hop", func([]byte) {
+			delay := max(r.Exp(1/(4*lookahead)), lookahead)
+			if r.Bernoulli(remote) {
+				_ = r.Intn(lps - 1)
+			}
+			e.ScheduleOp(delay, hop, nil)
+		})
+		for j := 0; j < lps; j++ {
+			e.ScheduleOp(max(r.Exp(1/(4*lookahead)), lookahead), hop, nil)
+		}
+		b.StartTimer()
+		e.RunUntil(horizon)
+		events = e.Executed()
+	}
+	b.ReportMetric(float64(events), "events/op")
 }

@@ -40,10 +40,11 @@ func windowAllocs(advance func(windows int)) float64 {
 	return (long - short) / 10
 }
 
-// TestMessageCostsOneAllocation pins the per-message cost of the whole
-// path (Send, outbox, deliver, op event, decode, OnMessage): one
-// allocation, the encoded op argument.
-func TestMessageCostsOneAllocation(t *testing.T) {
+// TestMessagesShareArenaChunks pins the per-message cost of the whole
+// path (Send, outbox, deliver, op event, decode, OnMessage): the
+// encoded op arguments are cut from shared arena chunks, so a window
+// delivering 128 messages allocates at most one chunk per 64 of them.
+func TestMessagesShareArenaChunks(t *testing.T) {
 	const lps, perTick = 8, 16
 	for _, workers := range []int{1, 2} {
 		f, advance := costFederation(lps, workers, perTick)
@@ -52,8 +53,8 @@ func TestMessageCostsOneAllocation(t *testing.T) {
 		if f.LP(0).Received() == before {
 			t.Fatal("no messages delivered; test is vacuous")
 		}
-		if messages := float64(lps * perTick); got > messages {
-			t.Errorf("workers=%d: %.1f allocations per window delivering %.0f messages", workers, got, messages)
+		if messages := float64(lps * perTick); got > messages/64 {
+			t.Errorf("workers=%d: %.2f allocations per window delivering %.0f messages, want at most one per 64", workers, got, messages)
 		}
 	}
 }

@@ -26,12 +26,15 @@
 // The first 2·trialRuns Runs of an epoch are trials, trialRuns inline
 // and then trialRuns dispatched; the first of each block is left out
 // (it pays the cold cache or the cold wake) and the others are timed
-// around the Run; the rest of the epoch runs the mode whose trials took
-// less time. An epoch is minEpoch Runs, doubles up to maxEpoch while the
-// winner stays the same and falls back to minEpoch when it changes, so
-// the losing mode's trials cost under 2 % of the Runs at first and
-// under 0.2 % in the long run, and a workload that changes is followed
-// within one epoch. Only trial Runs read the clock. A Run of at most
+// around the Run; the rest of the epoch runs the mode whose fastest
+// trial was faster. The fastest, not the sum: a Run that stalls once —
+// on a first-touch page fault, which a fresh process takes on every
+// page its heap grows into, or a preemption — costs more than a small
+// window holds, and in a sum it would decide the epoch. An epoch is
+// minEpoch Runs, doubles up to maxEpoch while the winner stays the same
+// and falls back to minEpoch when it changes, so the losing mode's
+// trials cost under 2 % of the Runs at first and under 0.2 % in the
+// long run, and a workload that changes is followed within one epoch. Only trial Runs read the clock. A Run of at most
 // one item is always inline. Results never depend on the mode, by the
 // argument that makes them independent of the worker count: the items
 // of one Run are independent.
@@ -50,6 +53,7 @@ package pool
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -105,8 +109,8 @@ type Pool struct {
 	winner     mode  // of the last trials; measured until the first ones end
 	epoch      int   // length of the current epoch in Runs
 	pos        int   // Runs into the current epoch
-	inlineNs   int64 // wall time of this epoch's inline trial Runs
-	dispatchNs int64 // and of its dispatched ones, the first of each left out
+	inlineNs   int64 // wall time of this epoch's fastest inline trial Run
+	dispatchNs int64 // and of its fastest dispatched one, the first of each left out
 	stats      Stats
 
 	// inlineEnd is when the last observed inline Run ended; published
@@ -139,7 +143,8 @@ func New(workers int, body func(worker, item int)) *Pool {
 	if workers < 1 || body == nil {
 		panic(fmt.Sprintf("pool: New(workers=%d, body=%p)", workers, body))
 	}
-	return &Pool{workers: workers, body: body, force: forced, epoch: minEpoch}
+	return &Pool{workers: workers, body: body, force: forced, epoch: minEpoch,
+		inlineNs: math.MaxInt64, dispatchNs: math.MaxInt64}
 }
 
 // Workers returns the pool size.
@@ -187,14 +192,14 @@ func (p *Pool) Run(items int) {
 		p.runInline(items)
 		return
 	}
-	m, sum := p.next()
-	if sum == nil {
+	m, best := p.next()
+	if best == nil {
 		p.run(m, items)
 		return
 	}
 	t := obs.Now()
 	p.run(m, items)
-	*sum += obs.Now() - t
+	*best = min(*best, obs.Now()-t)
 }
 
 // run executes the batch in the given mode, inline or dispatched.
@@ -207,7 +212,7 @@ func (p *Pool) run(m mode, items int) {
 }
 
 // next returns the mode of the next Run and, when that Run is a trial
-// whose time counts, the sum to add its wall time to.
+// whose time counts, its mode's fastest trial so far, to be lowered.
 func (p *Pool) next() (mode, *int64) {
 	switch p.force {
 	case inline, dispatched:
@@ -255,7 +260,7 @@ func (p *Pool) endTrials() {
 		p.epoch = minEpoch
 	}
 	p.winner = w
-	p.inlineNs, p.dispatchNs = 0, 0
+	p.inlineNs, p.dispatchNs = math.MaxInt64, math.MaxInt64
 }
 
 // runInline executes the batch on the caller's goroutine as worker 0.

@@ -298,3 +298,25 @@ func TestModeFollowsWorkload(t *testing.T) {
 		t.Fatalf("the epoch after the change ran %+v on top of %+v, want only its %d trials dispatched", after, before, trialRuns)
 	}
 }
+
+// TestOneStallDoesNotDecide: a trial Run that stalls once — a fresh
+// process takes a first-touch page fault on every page its heap grows
+// into — says nothing about its mode. The second inline trial of the
+// first epoch sleeps a millisecond and every other Run is cheap, so
+// the pool stays inline; a sum of the trial times would dispatch the
+// rest of the epoch.
+func TestOneStallDoesNotDecide(t *testing.T) {
+	run := 0
+	p := New(4, func(_, item int) {
+		if run == 2 && item == 0 {
+			time.Sleep(time.Millisecond)
+		}
+	})
+	defer p.Close()
+	for ; run < minEpoch; run++ {
+		p.Run(8)
+	}
+	if st := p.Stats(); st.Dispatched != trialRuns {
+		t.Fatalf("one stalled inline trial: %+v, want only the %d dispatched trials", st, trialRuns)
+	}
+}

@@ -31,7 +31,7 @@ func (lp *LP) image() ([]byte, error) {
 	enc.Int(lp.ID)
 	enc.U64(lp.sendSeq)
 	enc.U64(lp.recv)
-	enc.U64(lp.idle)
+	enc.U64(lp.idle())
 	enc.Raw(eng.Bytes())
 	enc.Bool(lp.State != nil)
 	if lp.State != nil {
@@ -109,12 +109,12 @@ func (lp *LP) restore(img []byte) error {
 			return fmt.Errorf("winsync: LP %d model state: %w", id, err)
 		}
 	}
-	lp.sendSeq, lp.recv, lp.idle = sendSeq, recv, idle
+	lp.sendSeq, lp.recv, lp.active = sendSeq, recv, lp.g.windows-idle
 	clear(lp.outbox) // drop the payload references
 	lp.outbox = lp.outbox[:0]
 	// The load watermarks restart from the restored counters, so the
 	// next delta cannot underflow.
-	lp.prevExec = lp.E.Stats().Executed
+	lp.prevExec = lp.E.Executed()
 	lp.busyNs = 0
 	lp.g.inbox = append(lp.g.inbox, inbox...)
 	lp.g.unsorted = true
@@ -138,6 +138,7 @@ func (g *Group) adopt(id int, img []byte) error {
 		return err
 	}
 	g.insert(lp)
+	g.slot()
 	return nil
 }
 

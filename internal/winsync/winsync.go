@@ -34,7 +34,6 @@
 package winsync
 
 import (
-	"bytes"
 	"cmp"
 	"fmt"
 	"math"
@@ -99,9 +98,6 @@ const SecLP = "winsync.lp"
 type LP struct {
 	ID int
 	E  *des.Engine
-	// idle counts the windows skipped with nothing due. It sits beside
-	// E because a skip touches nothing else of the LP.
-	idle uint64
 	// OnMessage handles events addressed to this LP; it runs in engine
 	// context at the event's timestamp. The model sets it before the
 	// first window.
@@ -120,6 +116,10 @@ type LP struct {
 
 	sendSeq uint64 // sends so far; the Seq of the last one
 	recv    uint64 // events delivered into the engine
+
+	// active is the group's window count less the LP's idle skips: a
+	// window the LP is not due in touches nothing of it (idle).
+	active uint64
 
 	// Load signal (Group.Timed): busyNs is the wall time spent executing
 	// since the last LoadDeltas, busyTotal since the start, prevExec the
@@ -146,6 +146,9 @@ func (lp *LP) Send(to int, delay float64, data []byte) {
 	}
 	if to < 0 || to >= g.total {
 		panic(fmt.Sprintf("winsync: LP %d: Send to unknown LP %d", lp.ID, to))
+	}
+	if !g.inWindow {
+		g.strays = true
 	}
 	lp.sendSeq++
 	lp.outbox = append(lp.outbox, Event{
@@ -187,6 +190,9 @@ type Group struct {
 	byID  []*LP
 	order []*LP // ascending ID: execution, flush and snapshot order
 	ids   []int
+	// heads[i] is where order[i]'s engine keeps its Head bound
+	// (des.Engine.HeadSlot): RunWindow's scan reads one array.
+	heads []float64
 
 	total     int
 	lookahead float64
@@ -195,10 +201,12 @@ type Group struct {
 
 	// end and seq, the running window's end and barrier sequence, and
 	// due, its LPs with work in ascending ID, are published to the pool
-	// threads by the barrier inside pl.Run.
+	// threads by the barrier inside pl.Run. windows counts the RunWindow
+	// calls: an LP's idle skips are derived from it (LP.active).
 	end       float64
 	seq       uint64
 	due       []*LP
+	windows   uint64
 	pl        *pool.Pool
 	poolStats pool.Stats // summed over closed pools
 
@@ -208,7 +216,14 @@ type Group struct {
 	inbox    []Event
 	unsorted bool
 
+	// inWindow is set while the pool runs a window; a Send outside one
+	// sets strays, and the next Flush walks every LP instead of due.
+	inWindow, strays bool
+
 	argBuf []byte // Deliver's op-argument scratch
+	// arena is the chunk Deliver cuts op arguments from (cut): one
+	// allocation per chunk, not per message.
+	arena []byte
 
 	obs *observation // nil unless EnableObservability was called
 }
@@ -231,14 +246,19 @@ func NewGroup(ids []int, total int, lookahead float64, seed uint64, kind eventq.
 		}
 		g.insert(g.newLP(id))
 	}
+	g.slot()
 	return g
 }
+
+const arenaChunk = 4096 // bytes of a Group.arena chunk: ~300 PHOLD messages
 
 func (g *Group) newLP(id int) *LP {
 	lp := &LP{
 		ID: id,
 		E:  des.NewEngine(des.WithSeed(g.seed+uint64(id)*0x9e3779b9), des.WithQueue(g.kind)),
 		g:  g,
+		// No idle skip yet. Not in insert: adopt restores the image first.
+		active: g.windows,
 	}
 	// Registered before any model op: op 1 in every engine.
 	lp.msgOp = lp.E.RegisterOp("winsync.msg", func(arg []byte) {
@@ -265,6 +285,18 @@ func (g *Group) insert(lp *LP) {
 	g.ids = slices.Insert(g.ids, pos, lp.ID)
 }
 
+// slot moves every engine's Head bound into a fresh heads array, in
+// order's order: once NewGroup built its LPs and whenever one arrives
+// or leaves, not on every insert, which would make NewGroup quadratic.
+func (g *Group) slot() {
+	heads := make([]float64, len(g.order))
+	for i, lp := range g.order {
+		lp.E.HeadSlot(&heads[i])
+	}
+	// The due list may hold an LP that left: the next Flush walks all.
+	g.heads, g.due, g.strays = heads, make([]*LP, 0, len(g.order)), true
+}
+
 // remove forgets LP id and its share of the inbox: the one place an LP
 // leaves the group.
 func (g *Group) remove(id int) {
@@ -278,6 +310,7 @@ func (g *Group) remove(id int) {
 	g.byID[id] = nil
 	g.order = slices.Delete(g.order, pos, pos+1)
 	g.ids = slices.Delete(g.ids, pos, pos+1)
+	g.slot()
 }
 
 // LP returns the LP with the given ID, nil when the group does not own
@@ -303,10 +336,13 @@ func (g *Group) Lookahead() float64 { return g.lookahead }
 func (g *Group) IdleSkips() uint64 {
 	var sum uint64
 	for _, lp := range g.order {
-		sum += lp.idle
+		sum += lp.idle()
 	}
 	return sum
 }
+
+// idle returns the windows the LP was not due in or executed nothing in.
+func (lp *LP) idle() uint64 { return lp.g.windows - lp.active }
 
 // Start checks that every LP has its handler and builds the pool, of at
 // most threads goroutines, that runs the windows until Stop.
@@ -358,25 +394,30 @@ func (g *Group) PoolStats() pool.Stats {
 // RunWindow executes every LP up to end, on the pool (inline on the
 // calling goroutine when the pool has one thread or finds that faster).
 // Only the LPs whose engine Head is within the window are handed to the
-// pool; the rest count their idle skip here and are not entered, so a
-// window costs one compare per LP plus the LPs with work. seq is the
-// transport's barrier sequence for the window; it only labels what an
-// observed group records. The pool's barrier publishes end, seq and the
-// due list to its threads and everything the LPs wrote back to the
-// caller.
+// pool; the rest are not entered, and their idle skip is the window
+// count going up, so a window costs one compare per LP, over the heads
+// array, plus the LPs with work. seq is the transport's barrier
+// sequence for the window; it only labels what an observed group
+// records. The pool's barrier publishes end, seq and the due list to
+// its threads and everything the LPs wrote back (head slots included)
+// to the caller. A window that panics leaves the group to be restored.
 func (g *Group) RunWindow(end float64, seq uint64) {
 	g.end, g.seq = end, seq
 	if g.obs != nil {
 		g.obs.window.opened()
 	}
-	g.due = g.due[:0]
-	for _, lp := range g.order {
-		if lp.E.Head() <= end {
-			g.due = append(g.due, lp)
-		} else {
-			lp.idle++
+	g.windows++
+	// Branch-free, as being due is a coin flip per LP; slot sized due.
+	due, order, n := g.due[:len(g.heads)], g.order[:len(g.heads)], 0
+	for i, h := range g.heads {
+		due[n] = order[i]
+		if h <= end {
+			n++
 		}
 	}
+	g.due = due[:n]
+	g.inWindow = true
+	defer func() { g.inWindow = false }()
 	g.pl.Run(len(g.due))
 }
 
@@ -386,7 +427,7 @@ func (g *Group) RunWindow(end float64, seq uint64) {
 // a window exactly when its first live event lies beyond the end.
 func (g *Group) runLP(_, i int) {
 	lp := g.due[i]
-	before := lp.E.Stats().Executed
+	before := lp.E.Executed()
 	if g.Timed {
 		t := obs.Now()
 		lp.E.RunUntil(g.end)
@@ -396,8 +437,8 @@ func (g *Group) runLP(_, i int) {
 	} else {
 		lp.E.RunUntil(g.end)
 	}
-	if lp.E.Stats().Executed == before {
-		lp.idle++
+	if lp.E.Executed() != before {
+		lp.active++
 	}
 }
 
@@ -406,9 +447,15 @@ func (g *Group) runLP(_, i int) {
 // transport's outbox, which is returned. Each buffer is in send order
 // and the LPs are walked in ID order, so both the inbox and what is
 // appended to out are in EventOrder without sorting, whatever threads
-// ran the window. Buffers are truncated, not released.
+// ran the window. Only the last window's due LPs can have sent, so
+// those are the LPs walked, unless one sent outside a window. Buffers
+// are truncated, not released.
 func (g *Group) Flush(out []Event) []Event {
-	for _, src := range g.order {
+	walk := g.due
+	if g.strays {
+		walk, g.strays = g.order, false
+	}
+	for _, src := range walk {
 		if len(src.outbox) == 0 {
 			continue
 		}
@@ -449,19 +496,28 @@ func (g *Group) Deliver(remote []Event) {
 		if lp == nil {
 			panic(fmt.Sprintf("winsync: received event for foreign LP %d", ev.To))
 		}
-		// The one allocation of a message: the engine keeps the op
-		// argument, so it is cut to size from the scratch encoding.
 		enc := checkpoint.NewEnc(g.argBuf)
 		AppendEvent(&enc, ev)
 		g.argBuf = enc.Bytes()
 		lp.recv++
-		lp.E.AtOp(ev.Time, lp.msgOp, bytes.Clone(g.argBuf))
+		lp.E.AtOp(ev.Time, lp.msgOp, g.cut(g.argBuf))
 	}
 	clear(g.inbox) // drop the payload references
 	g.inbox = g.inbox[:0]
 	if g.obs != nil {
 		g.obs.window.delivered(t0)
 	}
+}
+
+// cut copies an encoded op argument into the arena, as a full-capacity
+// slice, so that the engine keeping it cannot append into the next one.
+func (g *Group) cut(arg []byte) []byte {
+	if cap(g.arena)-len(g.arena) < len(arg) {
+		g.arena = make([]byte, 0, max(arenaChunk, len(arg)))
+	}
+	n := len(g.arena)
+	g.arena = append(g.arena, arg...)
+	return g.arena[n:len(g.arena):len(g.arena)]
 }
 
 // sortInbox restores EventOrder after events from elsewhere joined the
@@ -495,7 +551,7 @@ func (g *Group) Next() float64 {
 // wall time (Timed) since the previous call.
 func (g *Group) LoadDeltas(buf []partition.Load) []partition.Load {
 	for _, lp := range g.order {
-		exec := lp.E.Stats().Executed
+		exec := lp.E.Executed()
 		buf = append(buf, partition.Load{
 			LP:     lp.ID,
 			Events: exec - lp.prevExec,
