@@ -101,7 +101,7 @@ loc:
 
 # `make <name>-smoke` runs one end-to-end smoke, `make smoke` all of
 # them: scripts/smoke.sh holds the table (trace, checkpoint, chaos,
-# dist, obs, balance, threads, crash), what each proves and its command
+# dist, obs, balance, threads, crash, experiments), what each proves and its command
 # lines, and prints wall time per smoke.
 smoke:
 	bash scripts/smoke.sh all

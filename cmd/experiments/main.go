@@ -7,6 +7,7 @@
 //	experiments -run E7      # one experiment
 //	experiments -quick       # smoke-test sizes
 //	experiments -list        # list experiment IDs and titles
+//	experiments -svg DIR     # also chart E3, E7 and E9's tables, if they ran
 package main
 
 import (
@@ -18,13 +19,14 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/metrics"
 )
 
 func main() {
 	one := flag.String("run", "", "run a single experiment by ID (e.g. E7)")
 	quick := flag.Bool("quick", false, "reduced problem sizes")
 	list := flag.Bool("list", false, "list experiments and exit")
-	svgDir := flag.String("svg", "", "also write SVG charts for the sweep experiments into this directory")
+	svgDir := flag.String("svg", "", "also write SVG charts of the sweep experiments that ran (E3, E7, E9) into this directory")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060) for the duration of the run")
 	flag.Parse()
 
@@ -48,6 +50,7 @@ func main() {
 	if *one != "" {
 		ids = []string{*one}
 	}
+	var ran []*metrics.Table
 	for _, id := range ids {
 		fmt.Printf("=== %s: %s\n", id, titles[id])
 		start := time.Now()
@@ -56,6 +59,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}
+		ran = append(ran, tables...)
 		for _, tb := range tables {
 			if err := tb.Write(os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "experiments:", err)
@@ -66,7 +70,7 @@ func main() {
 		fmt.Printf("(%s took %v)\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
 	if *svgDir != "" {
-		files, err := experiments.WriteSVGReports(*svgDir, *quick)
+		files, err := experiments.WriteSVGReports(*svgDir, ran)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)

@@ -122,7 +122,6 @@ func TestDeterminismGuards(t *testing.T) {
 			"internal/distsim/coordinator.go:PerLPCounts": "each key writes its own slot",
 			"internal/distsim/wire.go:marshalFrameInto":   "sorts the keys before it encodes them",
 			"internal/p2p/chord.go:Leave":                 "copies a map into a map",
-			"internal/queueing/queueing.go:SolveJackson":  "one add per key into its own node's rate; which bad entry the error names can vary between runs, the numbers cannot",
 		},
 	}}
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -69,13 +70,6 @@ func E5dCheckpointOverhead(work int, horizon float64) *metrics.Table {
 		return t
 	}
 	res.Run(horizon)
-	identical := true
-	want, got := ph.PerLPEvents(), res.PerLPEvents()
-	for i := range want {
-		if want[i] != got[i] {
-			identical = false
-		}
-	}
-	t.AddRowf("resumed run identical", identical)
+	t.AddRowf("resumed run identical", slices.Equal(ph.PerLPEvents(), res.PerLPEvents()))
 	return t
 }

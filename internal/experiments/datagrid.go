@@ -85,32 +85,20 @@ func E9PullVsPush(zipfS []float64) *metrics.Table {
 		"E9. Pull (OptorSim) vs push (ChicagoSim) replication",
 		"zipf s", "strategy", "hit ratio", "WAN GB", "mean job s")
 	for _, s := range zipfS {
-		// No replication baseline.
+		row := func(strategy string, hit, wanBytes, jobTime float64) {
+			t.AddRow(fmt.Sprintf("%.2g", s), strategy, fmt.Sprintf("%.3f", hit),
+				fmt.Sprintf("%.2f", wanBytes/1e9), fmt.Sprintf("%.1f", jobTime))
+		}
+		// No replication, then pull with OptorSim's LRU and economic
+		// optimizers.
 		oc := optorsim.DefaultConfig()
 		oc.Sites, oc.Files, oc.Jobs = 5, 80, 200
 		oc.ZipfS = s
-		oc.Optimizer = optorsim.NoReplication
-		none := optorsim.Run(oc)
-		t.AddRow(fmt.Sprintf("%.2g", s), "none",
-			fmt.Sprintf("%.3f", none.LocalHitRatio),
-			fmt.Sprintf("%.2f", none.WANBytes/1e9),
-			fmt.Sprintf("%.1f", none.MeanJobTime))
-
-		// Pull (OptorSim LRU).
-		oc.Optimizer = optorsim.AlwaysLRU
-		pull := optorsim.Run(oc)
-		t.AddRow(fmt.Sprintf("%.2g", s), "pull-lru",
-			fmt.Sprintf("%.3f", pull.LocalHitRatio),
-			fmt.Sprintf("%.2f", pull.WANBytes/1e9),
-			fmt.Sprintf("%.1f", pull.MeanJobTime))
-
-		// Pull (OptorSim economic).
-		oc.Optimizer = optorsim.Economic
-		econ := optorsim.Run(oc)
-		t.AddRow(fmt.Sprintf("%.2g", s), "pull-economic",
-			fmt.Sprintf("%.3f", econ.LocalHitRatio),
-			fmt.Sprintf("%.2f", econ.WANBytes/1e9),
-			fmt.Sprintf("%.1f", econ.MeanJobTime))
+		for i, o := range []optorsim.Optimizer{optorsim.NoReplication, optorsim.AlwaysLRU, optorsim.Economic} {
+			oc.Optimizer = o
+			r := optorsim.Run(oc)
+			row([]string{"none", "pull-lru", "pull-economic"}[i], r.LocalHitRatio, r.WANBytes, r.MeanJobTime)
+		}
 
 		// Push (ChicagoSim) with compute-aware placement, so the gain
 		// is attributable to replication rather than placement.
@@ -122,10 +110,7 @@ func E9PullVsPush(zipfS []float64) *metrics.Table {
 		cc.PushThresh = 3
 		cc.PushFanout = 2
 		push := chicsim.Run(cc)
-		t.AddRow(fmt.Sprintf("%.2g", s), "push",
-			fmt.Sprintf("%.3f", push.LocalHitRatio),
-			fmt.Sprintf("%.2f", push.WANBytes/1e9),
-			fmt.Sprintf("%.1f", push.MeanResponse))
+		row("push", push.LocalHitRatio, push.WANBytes, push.MeanResponse)
 	}
 	return t
 }

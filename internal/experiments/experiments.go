@@ -70,17 +70,14 @@ func E1Diffs() *metrics.Table {
 	for i := 0; i+1 < len(profiles); i++ {
 		a, b := profiles[i], profiles[i+1]
 		diffs := taxonomy.Diff(a, b)
-		pair := fmt.Sprintf("%s vs %s", a.Name, b.Name)
 		if len(diffs) == 0 {
-			t.AddRow(pair, "(identical)")
-			continue
+			diffs = []string{"(identical)"}
 		}
-		for j, d := range diffs {
-			if j == 0 {
-				t.AddRow(pair, d)
-			} else {
-				t.AddRow("", d)
-			}
+		// The pair is named on its first row only.
+		pair := fmt.Sprintf("%s vs %s", a.Name, b.Name)
+		for _, d := range diffs {
+			t.AddRow(pair, d)
+			pair = ""
 		}
 	}
 	return t

@@ -54,7 +54,7 @@ func Run(id string, quick bool) ([]*metrics.Table, error) {
 		tables = append(tables, E5dCheckpointOverhead(work, horizon))
 		return tables, nil
 	case "E6":
-		return []*metrics.Table{E6Validation(400000 / scale)}, nil
+		return []*metrics.Table{E6Validation(1_000_000 / scale)}, nil
 	case "E7":
 		runs, horizon := 40, 900.0
 		if quick {

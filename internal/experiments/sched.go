@@ -26,38 +26,30 @@ func E8CentralVsTier(clientCounts []int) *metrics.Table {
 		"E8. Central model (Bricks) vs tier model (MONARC)",
 		"clients", "model", "mean response s", "makespan s", "WAN GB")
 	for _, clients := range clientCounts {
+		row := func(model string, response, makespan, wanBytes float64) {
+			t.AddRow(fmt.Sprintf("%d", clients), model, fmt.Sprintf("%.1f", response),
+				fmt.Sprintf("%.1f", makespan), fmt.Sprintf("%.3f", wanBytes/1e9))
+		}
 		// Central: all jobs ship their data to one 16-core site.
 		bc := bricks.DefaultConfig()
 		bc.Clients = clients
 		bc.JobsPerClient = 20
 		bc.ArrivalRate = 0.05
 		central := bricks.Run(bc)
-		t.AddRow(fmt.Sprintf("%d", clients), "central",
-			fmt.Sprintf("%.1f", central.MeanResponse),
-			fmt.Sprintf("%.1f", central.Makespan),
-			fmt.Sprintf("%.3f", central.WANBytesMoved/1e9))
+		row("central", central.MeanResponse, central.Makespan, central.WANBytesMoved)
 
 		// Tier: the same total demand processed at per-client sites of
 		// proportionally smaller capacity (same aggregate cores).
-		tier := runTierProcessing(clients, 20, 0.05, bc)
-		t.AddRow(fmt.Sprintf("%d", clients), "tier",
-			fmt.Sprintf("%.1f", tier.meanResponse),
-			fmt.Sprintf("%.1f", tier.makespan),
-			fmt.Sprintf("%.3f", tier.wanGB))
+		response, makespan, wanBytes := runTierProcessing(clients, 20, 0.05, bc)
+		row("tier", response, makespan, wanBytes)
 	}
 	return t
-}
-
-type tierOutcome struct {
-	meanResponse float64
-	makespan     float64
-	wanGB        float64
 }
 
 // runTierProcessing executes the Bricks workload shape with local
 // processing: each client site owns a slice of the central capacity
 // and runs its own jobs, exchanging only small control messages.
-func runTierProcessing(clients, jobsPerClient int, rate float64, bc bricks.Config) tierOutcome {
+func runTierProcessing(clients, jobsPerClient int, rate float64, bc bricks.Config) (meanResponse, makespan, wanBytes float64) {
 	e := des.NewEngine(des.WithSeed(bc.Seed))
 	perSite := bc.ServerCores / clients
 	if perSite < 1 {
@@ -68,7 +60,6 @@ func runTierProcessing(clients, jobsPerClient int, rate float64, bc bricks.Confi
 	net := netsim.NewNetwork(e, grid.Topo)
 
 	var response metrics.Summary
-	makespan := 0.0
 	for c := 0; c < clients; c++ {
 		site := grid.Site(fmt.Sprintf("client%02d", c))
 		cluster := scheduler.NewCluster(e, site.Name, perSite, bc.ServerSpeed, scheduler.FCFS)
@@ -94,11 +85,10 @@ func runTierProcessing(clients, jobsPerClient int, rate float64, bc bricks.Confi
 		act.Start(e)
 	}
 	e.Run()
-	var wan float64
 	for _, l := range grid.Topo.Links() {
-		wan += l.BytesCarried()
+		wanBytes += l.BytesCarried()
 	}
-	return tierOutcome{meanResponse: response.Mean(), makespan: makespan, wanGB: wan / 1e9}
+	return response.Mean(), makespan, wanBytes
 }
 
 // E10Brokering compares the scheduling-agent strategies of SimGrid

@@ -1,111 +1,97 @@
 package experiments
 
 import (
-	"fmt"
+	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 
-	"repro/internal/eventq"
 	"repro/internal/metrics"
-	"repro/internal/simulators/chicsim"
-	"repro/internal/simulators/monarc"
-	"repro/internal/simulators/optorsim"
 )
 
-// WriteSVGReports renders the three sweep-style experiments as SVG
-// charts into dir — the graphical-output-analyzer side of the
-// framework. It returns the written file paths.
-func WriteSVGReports(dir string, quick bool) ([]string, error) {
+// A chart plots the columns of one sweep-style table.
+type chart struct {
+	table, file string // the table's title prefix; the SVG's file name
+	x, y        string // column headers; y "" plots every column but x
+	by          string // if set, one series per value of this column
+	ylabel      string
+	logY        bool
+}
+
+var charts = []chart{
+	{table: "E3. ", file: "e3-queues.svg", x: "n", ylabel: "ns per hold", logY: true},
+	{table: "E7. ", file: "e7-tierstudy.svg", x: "link Gbps", y: "delivered %", ylabel: "delivered %"},
+	{table: "E9. ", file: "e9-replication.svg", x: "zipf s", y: "hit ratio", by: "strategy", ylabel: "local hit ratio"},
+}
+
+// chartFor returns t's chart, or nil if t has none.
+func chartFor(t *metrics.Table) *chart {
+	for i := range charts {
+		if strings.HasPrefix(t.Title, charts[i].table) {
+			return &charts[i]
+		}
+	}
+	return nil
+}
+
+// series reads ch's series from t's cells, in row order. A cell that is
+// not a number (E3's "-": a size too slow to measure) is left out.
+func (ch chart) series(t *metrics.Table) []*metrics.Series {
+	x, by := slices.Index(t.Headers, ch.x), slices.Index(t.Headers, ch.by)
+	var out []*metrics.Series
+	for _, r := range t.Rows {
+		xv, _ := strconv.ParseFloat(r[x], 64)
+		for i, h := range t.Headers {
+			if i == x || ch.y != "" && h != ch.y {
+				continue
+			}
+			yv, err := strconv.ParseFloat(r[i], 64)
+			if err != nil {
+				continue
+			}
+			if by >= 0 {
+				h = r[by]
+			}
+			j := slices.IndexFunc(out, func(s *metrics.Series) bool { return s.Name == h })
+			if j < 0 {
+				j, out = len(out), append(out, &metrics.Series{Name: h})
+			}
+			out[j].Append(xv, yv)
+		}
+	}
+	return out
+}
+
+// WriteSVGReports renders the sweep-style tables among tables — E3's
+// queue costs, E7's delivery and E9's hit ratios — as SVG charts into
+// dir, the graphical-output-analyzer side of the framework, and returns
+// the written paths. Other tables get no chart.
+func WriteSVGReports(dir string, tables []*metrics.Table) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	var written []string
-	write := func(name string, plot *metrics.SVGPlot) error {
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			return err
+	for _, t := range tables {
+		ch := chartFor(t)
+		if ch == nil {
+			continue
 		}
-		defer f.Close()
-		if err := plot.Render(f); err != nil {
-			return err
+		plot := metrics.NewSVGPlot(t.Title, ch.x, ch.ylabel)
+		plot.LogY = ch.logY
+		for _, s := range ch.series(t) {
+			plot.Add(s)
+		}
+		var svg bytes.Buffer
+		path := filepath.Join(dir, ch.file)
+		if err := plot.Render(&svg); err != nil {
+			return written, err
+		}
+		if err := os.WriteFile(path, svg.Bytes(), 0o644); err != nil {
+			return written, err
 		}
 		written = append(written, path)
-		return nil
-	}
-
-	// E3: queue cost vs population (log y).
-	ops := 20000
-	sizes := []int{100, 1000, 10000, 100000}
-	if quick {
-		ops = 2000
-		sizes = []int{100, 1000, 10000}
-	}
-	qplot := metrics.NewSVGPlot("E3: event-queue hold cost", "pending events", "ns per op")
-	qplot.LogY = true
-	for _, k := range eventq.Kinds() {
-		s := &metrics.Series{Name: string(k)}
-		for _, n := range sizes {
-			if cost, ok := e3Cost(k, n, ops); ok {
-				s.Append(float64(n), max(cost, 1))
-			}
-		}
-		qplot.Add(s)
-	}
-	if err := write("e3-queues.svg", qplot); err != nil {
-		return nil, err
-	}
-
-	// E7: delivery percentage vs uplink capacity.
-	runs, horizon := 40, 900.0
-	if quick {
-		runs, horizon = 12, 400
-	}
-	points := monarc.RunTierStudy(1, []float64{0.622, 1.25, 2.5, 10, 30, 40}, runs, horizon)
-	tplot := metrics.NewSVGPlot("E7: T0→T1 delivery vs uplink capacity", "link Gbps", "delivered %")
-	ds := &metrics.Series{Name: "delivered %"}
-	for _, p := range points {
-		ds.Append(p.LinkGbps, p.DeliveredPct)
-	}
-	tplot.Add(ds)
-	if err := write("e7-tierstudy.svg", tplot); err != nil {
-		return nil, err
-	}
-
-	// E9: hit ratio vs popularity skew for the three strategies.
-	skews := []float64{0, 0.4, 0.8, 1.2, 1.6}
-	if quick {
-		skews = []float64{0, 0.8, 1.6}
-	}
-	rplot := metrics.NewSVGPlot("E9: local hit ratio vs Zipf skew", "zipf s", "hit ratio")
-	pull := &metrics.Series{Name: "pull-lru"}
-	econ := &metrics.Series{Name: "pull-economic"}
-	push := &metrics.Series{Name: "push"}
-	for _, s := range skews {
-		oc := optorsim.DefaultConfig()
-		oc.Sites, oc.Files, oc.Jobs = 5, 80, 150
-		oc.ZipfS = s
-		oc.Optimizer = optorsim.AlwaysLRU
-		pull.Append(s, optorsim.Run(oc).LocalHitRatio)
-		oc.Optimizer = optorsim.Economic
-		econ.Append(s, optorsim.Run(oc).LocalHitRatio)
-		cc := chicsim.DefaultConfig()
-		cc.Sites, cc.Files, cc.Jobs = 5, 80, 150
-		cc.ZipfS = s
-		cc.Placement = chicsim.ComputeAware
-		cc.Push = true
-		cc.PushThresh = 3
-		cc.PushFanout = 2
-		push.Append(s, chicsim.Run(cc).LocalHitRatio)
-	}
-	rplot.Add(pull)
-	rplot.Add(econ)
-	rplot.Add(push)
-	if err := write("e9-replication.svg", rplot); err != nil {
-		return nil, err
-	}
-	if len(written) != 3 {
-		return written, fmt.Errorf("experiments: wrote %d of 3 reports", len(written))
 	}
 	return written, nil
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -64,17 +65,21 @@ func (t *Table) Write(w io.Writer) error {
 	if t.Title != "" {
 		fmt.Fprintf(&b, "%s\n", t.Title)
 	}
+	// line pads each cell to its column's width, but ends the line at
+	// its last non-blank character.
 	line := func(cells []string) {
+		var l strings.Builder
 		for i := 0; i < ncols; i++ {
 			c := ""
 			if i < len(cells) {
 				c = cells[i]
 			}
 			if i > 0 {
-				b.WriteString("  ")
+				l.WriteString("  ")
 			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
+			fmt.Fprintf(&l, "%-*s", widths[i], c)
 		}
+		b.WriteString(strings.TrimRight(l.String(), " "))
 		b.WriteString("\n")
 	}
 	if len(t.Headers) > 0 {
@@ -182,7 +187,7 @@ func AsciiPlot(title string, width, height int, series ...*Series) string {
 	}
 	fmt.Fprintf(&b, "%10.4g +%s\n", maxY, strings.Repeat("-", width))
 	for _, row := range grid {
-		fmt.Fprintf(&b, "%10s |%s\n", "", string(row))
+		fmt.Fprintf(&b, "%10s |%s\n", "", bytes.TrimRight(row, " "))
 	}
 	fmt.Fprintf(&b, "%10.4g +%s\n", minY, strings.Repeat("-", width))
 	fmt.Fprintf(&b, "%10s  %-10.4g%*s\n", "", minX, width-10, fmt.Sprintf("%.4g", maxX))

@@ -5,9 +5,9 @@
 // simulators: "the formalism provided by the queuing models is
 // important for the definition and validation of the simulation
 // stochastic models". This package supplies the analytic side of that
-// comparison — M/M/1, M/M/c, M/M/1/K, M/D/1, M/G/1
-// (Pollaczek–Khinchine), Erlang B/C, and open Jackson networks — and
-// the validation experiment (E6) checks the DES kernel against it.
+// comparison — M/M/1, M/M/c, M/D/1, M/G/1 (Pollaczek–Khinchine),
+// Erlang B/C, and open Jackson networks — and the validation
+// experiment (E6) checks the CPUs and links the studies run against it.
 //
 // Conventions: lambda is the arrival rate, mu the per-server service
 // rate, c the server count, rho the offered utilization. All waits W
@@ -53,14 +53,6 @@ func NewMM1(lambda, mu float64) (MM1, error) {
 		W:   w,
 		Wq:  rho / (mu - lambda),
 	}, nil
-}
-
-// PN returns the steady-state probability of n customers in an M/M/1.
-func (q MM1) PN(n int) float64 {
-	if n < 0 {
-		return 0
-	}
-	return (1 - q.Rho) * math.Pow(q.Rho, float64(n))
 }
 
 // MMC holds the steady-state measures of an M/M/c queue.
@@ -109,40 +101,6 @@ func NewMMC(lambda, mu float64, c int) (MMC, error) {
 		W:     w,
 		Wq:    wq,
 	}, nil
-}
-
-// MM1K holds the steady-state measures of an M/M/1/K queue
-// (finite buffer of K including the one in service).
-type MM1K struct {
-	K      int
-	Rho    float64 // offered λ/μ (may exceed 1)
-	PBlock float64 // probability an arrival is lost (P_K)
-	L      float64
-	W      float64 // for accepted customers (effective λ)
-}
-
-// NewMM1K computes M/M/1/K measures. Offered rho may be >= 1: the
-// finite buffer keeps the system stable by dropping arrivals.
-func NewMM1K(lambda, mu float64, k int) (MM1K, error) {
-	if lambda <= 0 || mu <= 0 || k <= 0 {
-		return MM1K{}, fmt.Errorf("queueing: MM1K requires positive parameters")
-	}
-	rho := lambda / mu
-	var pn func(n int) float64
-	if math.Abs(rho-1) < 1e-12 {
-		p := 1.0 / float64(k+1)
-		pn = func(int) float64 { return p }
-	} else {
-		norm := (1 - rho) / (1 - math.Pow(rho, float64(k+1)))
-		pn = func(n int) float64 { return norm * math.Pow(rho, float64(n)) }
-	}
-	l := 0.0
-	for n := 0; n <= k; n++ {
-		l += float64(n) * pn(n)
-	}
-	pb := pn(k)
-	lambdaEff := lambda * (1 - pb)
-	return MM1K{K: k, Rho: rho, PBlock: pb, L: l, W: l / lambdaEff}, nil
 }
 
 // MG1 holds the steady-state measures of an M/G/1 queue via the
@@ -208,9 +166,15 @@ type JacksonNode struct {
 	Servers int
 	// External arrival rate into this node.
 	Lambda0 float64
-	// Routing probabilities to other nodes by index; the remainder
-	// departs the network.
-	Routing map[int]float64
+	// Routing lists where a job leaving this node goes next; the
+	// remaining probability departs the network.
+	Routing []Route
+}
+
+// Route sends a job leaving its node to node To with probability P.
+type Route struct {
+	To int
+	P  float64
 }
 
 // JacksonResult holds per-node effective rates and measures.
@@ -239,11 +203,11 @@ func SolveJackson(nodes []JacksonNode) (JacksonResult, error) {
 			next[i] = nodes[i].Lambda0
 		}
 		for j, node := range nodes {
-			for dst, p := range node.Routing {
-				if dst < 0 || dst >= n || p < 0 {
-					return JacksonResult{}, fmt.Errorf("queueing: bad routing %d->%d p=%v", j, dst, p)
+			for _, r := range node.Routing {
+				if r.To < 0 || r.To >= n || r.P < 0 {
+					return JacksonResult{}, fmt.Errorf("queueing: bad routing %d->%d p=%v", j, r.To, r.P)
 				}
-				next[dst] += lambda[j] * p
+				next[r.To] += lambda[j] * r.P
 			}
 		}
 		delta := 0.0
@@ -271,6 +235,3 @@ func SolveJackson(nodes []JacksonNode) (JacksonResult, error) {
 	}
 	return res, nil
 }
-
-// LittlesLaw returns L = λ·W; exported for use in validation tests.
-func LittlesLaw(lambda, w float64) float64 { return lambda * w }

@@ -23,29 +23,11 @@ func TestMM1KnownValues(t *testing.T) {
 
 func TestMM1LittlesLaw(t *testing.T) {
 	q, _ := NewMM1(0.7, 1)
-	if !near(q.L, LittlesLaw(0.7, q.W), 1e-12) {
+	if !near(q.L, 0.7*q.W, 1e-12) {
 		t.Fatal("L != λW")
 	}
-	if !near(q.Lq, LittlesLaw(0.7, q.Wq), 1e-12) {
+	if !near(q.Lq, 0.7*q.Wq, 1e-12) {
 		t.Fatal("Lq != λWq")
-	}
-}
-
-func TestMM1PN(t *testing.T) {
-	q, _ := NewMM1(0.5, 1)
-	sum := 0.0
-	for n := 0; n < 200; n++ {
-		p := q.PN(n)
-		if p < 0 {
-			t.Fatalf("PN(%d) < 0", n)
-		}
-		sum += p
-	}
-	if !near(sum, 1, 1e-9) {
-		t.Fatalf("sum PN = %v", sum)
-	}
-	if q.PN(-1) != 0 {
-		t.Fatal("PN(-1) != 0")
 	}
 }
 
@@ -101,33 +83,6 @@ func TestMMCMoreServersLessWait(t *testing.T) {
 			t.Fatalf("Wq not decreasing in c: c=%d Wq=%v prev=%v", c, q.Wq, prev)
 		}
 		prev = q.Wq
-	}
-}
-
-func TestMM1K(t *testing.T) {
-	// K=1 is a pure loss system: P_block = ρ/(1+ρ).
-	q, err := NewMM1K(1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !near(q.PBlock, 0.5, 1e-12) {
-		t.Fatalf("PBlock = %v", q.PBlock)
-	}
-	// ρ=1 special case: uniform over K+1 states.
-	q2, _ := NewMM1K(2, 2, 4)
-	if !near(q2.PBlock, 0.2, 1e-12) {
-		t.Fatalf("rho=1 PBlock = %v", q2.PBlock)
-	}
-	if !near(q2.L, 2, 1e-12) { // mean of 0..4
-		t.Fatalf("rho=1 L = %v", q2.L)
-	}
-	// Overloaded systems stay finite.
-	q3, err := NewMM1K(10, 1, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q3.L <= 0 || q3.L > 5 || q3.PBlock <= 0.5 {
-		t.Fatalf("overloaded MM1K = %+v", q3)
 	}
 }
 
@@ -197,7 +152,7 @@ func TestErlangCMatchesMMC(t *testing.T) {
 func TestJacksonTandem(t *testing.T) {
 	// Two M/M/1 stations in tandem: λ=0.5 through both, μ=1 each.
 	nodes := []JacksonNode{
-		{Name: "a", Mu: 1, Servers: 1, Lambda0: 0.5, Routing: map[int]float64{1: 1.0}},
+		{Name: "a", Mu: 1, Servers: 1, Lambda0: 0.5, Routing: []Route{{To: 1, P: 1}}},
 		{Name: "b", Mu: 1, Servers: 1},
 	}
 	res, err := SolveJackson(nodes)
@@ -219,7 +174,7 @@ func TestJacksonTandem(t *testing.T) {
 func TestJacksonFeedback(t *testing.T) {
 	// Single node with feedback p=0.5: effective λ = λ0/(1-p) = 1.
 	nodes := []JacksonNode{
-		{Name: "n", Mu: 3, Servers: 1, Lambda0: 0.5, Routing: map[int]float64{0: 0.5}},
+		{Name: "n", Mu: 3, Servers: 1, Lambda0: 0.5, Routing: []Route{{To: 0, P: 0.5}}},
 	}
 	res, err := SolveJackson(nodes)
 	if err != nil {

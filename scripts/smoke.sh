@@ -44,6 +44,9 @@ trap cleanup EXIT
 #             rebalancing and a scripted reset stacked on top.
 # crash       three OS processes, the coordinator killed -9 mid-run and
 #             restarted from its journal (crash_smoke below).
+# experiments E9 at quick size with -svg: the chart is drawn from the
+#             table that ran, and no other experiment's chart is written
+#             (experiments_smoke below).
 table() {
     cat <<EOF
 trace|lssim -sim phold -workers 4 -trace $TMP/trace.json -histo -monout $TMP/phold.mon -verify
@@ -58,6 +61,7 @@ balance|lssim -sim distphold -horizon 24 -skew-hot 2 -skew 4 -rebalance -rebalan
 threads|lssim -sim distphold -horizon 100 -workers 2 -threads 4 -verify
 threads|lssim -sim distphold -horizon 24 -workers 2 -threads 4 -skew-hot 2 -skew 4 -rebalance -rebalance-every 2 -chaos-seed 4 -chaos-reset-at 9 -verify
 crash|crash_smoke
+experiments|experiments_smoke
 EOF
 }
 
@@ -96,6 +100,18 @@ crash_smoke() {
     wait "$w2"
 }
 
+# experiments_smoke: -svg writes one chart per sweep that ran, so
+# -run E9 writes E9's and nothing else.
+experiments_smoke() {
+    experiments -quick -run E9 -svg "$TMP/svg"
+    local got
+    got=$(ls "$TMP/svg")
+    if [ "$got" != e9-replication.svg ]; then
+        echo "experiments-smoke: -run E9 -svg wrote [$got], want e9-replication.svg alone" >&2
+        return 1
+    fi
+}
+
 names=$(table | cut -d'|' -f1 | uniq)
 want=${1:-}
 if [ "$want" != all ] && ! grep -qx -- "$want" <<<"$names"; then
@@ -105,7 +121,7 @@ fi
 
 began=$SECONDS
 mkdir "$TMP/bin"
-$GO build -o "$TMP/bin/" ./cmd/lssim ./cmd/lsnode
+$GO build -o "$TMP/bin/" ./cmd/lssim ./cmd/lsnode ./cmd/experiments
 PATH=$TMP/bin:$PATH
 
 for name in $names; do
