@@ -52,7 +52,7 @@ race:
 tier1: build test vet race
 
 bench:
-	$(GO) test -bench 'E3|PHOLD|Federation|ScheduleExecute|Hold$$|NetworkBacklog|DistWindow' -benchmem -run '^$$' ./...
+	$(GO) test -bench 'E3|PHOLD|Federation|ScheduleExecute|Hold$$|ProcessContextSwitch|ResourceAcquire|NetworkBacklog|DistWindow' -benchmem -run '^$$' ./...
 	$(GO) test -bench 'E7TierStudy/lsbench' -benchmem -run '^$$' .
 
 # Short fuzz pass over the wire codec, the coordinator's two durable

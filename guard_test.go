@@ -101,7 +101,7 @@ func TestDeterminismGuards(t *testing.T) {
 		allow: map[string]string{
 			"internal/distsim/env.go":              "wallClock, the one clock distsim reads; tests script it",
 			"internal/obs/obs.go":                  "span and histogram timestamps, never an event time",
-			"internal/chaos/chaos.go":              "the injector's delay, jitter and partition sleeps and its listener deadline",
+			"internal/chaos/chaos.go":              "the injector's delay and jitter sleeps and its listener deadline",
 			"internal/winsync/phold.go:spinsPerNs": "calibrates the hot-LP spin: load shaping, not a result",
 			"internal/experiments":                 "the wall times the experiments report beside their results",
 			"cmd/experiments/main.go:main":         "prints each experiment's wall time",

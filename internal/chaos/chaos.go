@@ -7,13 +7,12 @@
 // is part of the state machine. This package wraps net.Conn and
 // net.Listener with seed-driven fault injection — message drop, fixed
 // and jittered delay, duplication, reordering, byte corruption,
-// connection reset, timed partitions — where every fault decision is
-// drawn from an rng.Source stream rather than from wall-clock
-// randomness. Two runs with the same seed therefore inject the same
-// faults at the same message indices, so a chaos failure reproduces
-// under a debugger, and a chaos test can assert the strongest property
-// there is: the simulation's final state is bit-identical to the
-// fault-free run.
+// connection reset — where every fault decision is drawn from an
+// rng.Source stream rather than from wall-clock randomness. Two runs
+// with the same seed therefore inject the same faults at the same
+// message indices, so a chaos failure reproduces under a debugger, and
+// a chaos test can assert the strongest property there is: the
+// simulation's final state is bit-identical to the fault-free run.
 //
 // Fault model granularity is the message, not the byte: the transport
 // layer above frames each protocol message as a single Write call, and
@@ -59,24 +58,6 @@ type Config struct {
 	// exactly once each — the deterministic way to script "the network
 	// breaks during window 40".
 	ResetAt []uint64
-
-	// PartitionStart/PartitionDur blackhole every write (messages
-	// vanish, connections stay up) during the wall-clock window
-	// [start, start+dur) measured from the injector's creation. This
-	// models a transient partition the protocol must ride out with
-	// timeouts and reconnection.
-	PartitionStart time.Duration
-	PartitionDur   time.Duration
-
-	// KillAt fires OnKill exactly once, at the write of global message
-	// index KillAt — the deterministic way to script "the coordinator
-	// dies during window 40". The message itself is still delivered;
-	// the hook runs under the injector lock, so it must not write
-	// through the injector (crash-restart tests use it to make the
-	// coordinator exit). Zero disables (index 0 is unreachable; the
-	// handshake always precedes any scriptable crash site).
-	KillAt uint64
-	OnKill func()
 }
 
 // Validate reports, as one line, a plan no injector can follow: a
@@ -104,7 +85,6 @@ type Stats struct {
 	Reordered  uint64
 	Corrupted  uint64
 	Resets     uint64
-	Blackholed uint64
 	Delayed    uint64 // messages that slept (fixed delay or jitter)
 }
 
@@ -121,23 +101,20 @@ type Stats struct {
 // This order is part of the package contract; changing it changes
 // which faults a given seed produces.
 type Injector struct {
-	cfg   Config
-	start time.Time
+	cfg Config
 
-	mu     sync.Mutex
-	src    *rng.Source
-	msgs   uint64
-	fired  map[uint64]bool // ResetAt indices already consumed
-	killed bool            // KillAt already consumed
-	stats  Stats
+	mu    sync.Mutex
+	src   *rng.Source
+	msgs  uint64
+	fired map[uint64]bool // ResetAt indices already consumed
+	stats Stats
 }
 
 // New builds an injector for the given fault plan.
 func New(cfg Config) *Injector {
 	in := &Injector{
-		cfg:   cfg,
-		start: time.Now(),
-		src:   rng.New(cfg.Seed).Derive("chaos"),
+		cfg: cfg,
+		src: rng.New(cfg.Seed).Derive("chaos"),
 	}
 	if len(cfg.ResetAt) > 0 {
 		in.fired = make(map[uint64]bool, len(cfg.ResetAt))
@@ -156,7 +133,7 @@ func (in *Injector) Stats() Stats {
 // executed outside it.
 type verdict struct {
 	reset   bool
-	drop    bool // includes partition blackholing
+	drop    bool
 	dup     bool
 	reorder bool
 	corrupt int           // byte index to flip, -1 for none
@@ -172,10 +149,6 @@ func (in *Injector) decide(n int) verdict {
 	in.stats.Messages++
 
 	v := verdict{corrupt: -1}
-	if in.cfg.OnKill != nil && in.cfg.KillAt > 0 && idx == in.cfg.KillAt && !in.killed {
-		in.killed = true
-		in.cfg.OnKill()
-	}
 	for _, at := range in.cfg.ResetAt {
 		if at == idx && !in.fired[at] {
 			in.fired[at] = true
@@ -201,16 +174,6 @@ func (in *Injector) decide(n int) verdict {
 		v.sleep = time.Duration(in.src.Float64() * float64(in.cfg.Jitter))
 	}
 	v.sleep += in.cfg.Delay
-
-	// The partition is wall-clock scripted, not drawn, so it burns no
-	// randomness; it overrides everything except resets.
-	if in.cfg.PartitionDur > 0 {
-		since := time.Since(in.start)
-		if since >= in.cfg.PartitionStart && since < in.cfg.PartitionStart+in.cfg.PartitionDur {
-			v.drop = true
-			in.stats.Blackholed++
-		}
-	}
 
 	switch {
 	case v.reset:

@@ -207,24 +207,6 @@ func TestResetAtFiresExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestPartitionBlackholesWindow(t *testing.T) {
-	// Partition active from t=0 for 100ms: writes inside vanish,
-	// writes after pass.
-	in := New(Config{Seed: 6, PartitionDur: 100 * time.Millisecond})
-	cw, cr := pipeConn(t, in)
-	if n, err := cw.Write([]byte("lost")); n != 4 || err != nil {
-		t.Fatalf("partitioned write returned (%d, %v)", n, err)
-	}
-	time.Sleep(120 * time.Millisecond)
-	go func() { _, _ = cw.Write([]byte("back")) }()
-	if got := readN(t, cr, 4); string(got) != "back" {
-		t.Fatalf("post-partition write arrived as %q", got)
-	}
-	if s := in.Stats(); s.Blackholed != 1 {
-		t.Fatalf("blackholed = %d, want 1", s.Blackholed)
-	}
-}
-
 func TestListenerWrapsAcceptedConns(t *testing.T) {
 	base, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -53,21 +53,6 @@ func TestAwaitResumeFromLaterEventAddsNoEvent(t *testing.T) {
 	}
 }
 
-func TestAwaitNotEndedByActivate(t *testing.T) {
-	e := NewEngine()
-	var at float64 = -1
-	p := e.Spawn("p", func(p *Process) {
-		p.Await(func(op Op, arg []byte) { e.ScheduleOp(10, op, arg) })
-		at = p.Now()
-	})
-	e.Schedule(3, func() { p.Activate() })
-	e.Schedule(4, func() { p.Activate() })
-	e.Run()
-	if at != 10 {
-		t.Fatalf("resumed at %v, want 10", at)
-	}
-}
-
 func TestAwaitKillThenResumeIsNoop(t *testing.T) {
 	e := NewEngine()
 	var resume func()
@@ -88,19 +73,58 @@ func TestAwaitKillThenResumeIsNoop(t *testing.T) {
 func TestAwaitRepeatedResumeIsNoop(t *testing.T) {
 	e := NewEngine()
 	var wakes []float64
-	p := e.Spawn("p", func(p *Process) {
+	e.Spawn("p", func(p *Process) {
 		p.Await(func(op Op, arg []byte) {
 			e.ScheduleOp(1, op, arg)
-			e.ScheduleOp(2, op, arg)
+			e.ScheduleOp(2, op, arg) // runs on the finished Await's freed record
 		})
 		wakes = append(wakes, p.Now())
-		p.Passivate() // a second resume of the finished Await must not end this
+	})
+	e.Spawn("q", func(p *Process) {
+		p.Hold(3) // began before p's record was freed, so it holds another
 		wakes = append(wakes, p.Now())
 	})
-	e.Schedule(3, func() { p.Activate() })
 	e.Run()
 	if len(wakes) != 2 || wakes[0] != 1 || wakes[1] != 3 {
 		t.Fatalf("wakes = %v, want [1 3]", wakes)
+	}
+}
+
+// TestHoldAllocatesNothing pins the steady-state cost of a block: a
+// Hold, and an Acquire that waits behind another holder, each take a
+// pooled Await record and a recycled event, and allocate nothing.
+func TestHoldAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	res := e.NewResource("r", 1)
+	var procs []*Process
+	procs = append(procs, e.Spawn("holder", func(p *Process) {
+		for {
+			p.Hold(1)
+		}
+	}))
+	for i := 0; i < 2; i++ {
+		procs = append(procs, e.Spawn("user", func(p *Process) {
+			for {
+				res.Acquire(p, 1)
+				p.Hold(1)
+				res.Release(1)
+			}
+		}))
+	}
+	e.RunUntil(10) // warm the record tables, free lists and queue
+	blocked := res.QueueLen()
+	allocs := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 10) })
+	if blocked != 1 || res.QueueLen() != 1 {
+		t.Fatalf("%d then %d processes queued on the resource, want 1: Acquire never blocked", blocked, res.QueueLen())
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations per 10 units of holds and acquires, want 0", allocs)
+	}
+	for _, p := range procs {
+		p.Kill()
+	}
+	if e.LiveProcesses() != 0 {
+		t.Fatalf("%d processes left", e.LiveProcesses())
 	}
 }
 

@@ -7,7 +7,7 @@ import (
 )
 
 // procModel is a process-heavy model exercising the active-object
-// layer: holds, resource contention, activation, and cancellation. It
+// layer: holds, resource contention, a wait group, and cancellation. It
 // returns a deterministic fingerprint of the run.
 func procModel(e *Engine) *[]float64 {
 	trace := &[]float64{}
@@ -25,10 +25,12 @@ func procModel(e *Engine) *[]float64 {
 			}
 		})
 	}
-	sleeper := e.Spawn("sleeper", func(p *Process) { p.Passivate() })
+	gate := e.NewWaitGroup()
+	gate.Add(1)
+	e.Spawn("sleeper", func(p *Process) { gate.Wait(p) })
 	e.Spawn("poker", func(p *Process) {
 		p.Hold(3)
-		sleeper.Activate()
+		gate.Done()
 		// Canceled before firing; its tombstone is discarded at t≈13,
 		// inside the run horizon, so the discard is observable.
 		tm := e.Schedule(10, func() { *trace = append(*trace, -1) })
@@ -99,7 +101,8 @@ func TestProcessTracingBitIdentical(t *testing.T) {
 // process at a time, so execute spans must be strictly sequential on
 // the wall clock (each span ends before the next begins — properly
 // nested, never interleaved), with simulation time non-decreasing, and
-// the handover labels (start/wake/activate) must appear.
+// the handover labels must appear: a process's start, and des:resume
+// for every resume of a block.
 func TestProcessTracingSpansNest(t *testing.T) {
 	e := NewEngine(WithSeed(11))
 	rec := obs.NewRecorder(1 << 12)
@@ -132,7 +135,7 @@ func TestProcessTracingSpansNest(t *testing.T) {
 			t.Fatalf("sim time regressed across spans: %v after %v", cur.Time, prev.Time)
 		}
 	}
-	for _, want := range []string{"worker:start", "worker:wake", "sleeper:activate"} {
+	for _, want := range []string{"worker:start", "sleeper:start", "des:resume"} {
 		if !labels[want] {
 			t.Fatalf("no exec span labeled %q (have %v)", want, labels)
 		}

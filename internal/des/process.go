@@ -27,19 +27,17 @@ type Process struct {
 	e    *Engine
 	name string
 
-	// Precomputed trace labels: Hold and Activate are hot in
-	// process-heavy models, and rebuilding name+":wake" on every call
-	// would put a string concatenation on the steady-state path.
-	wakeLabel     string
-	activateLabel string
+	// k is the engine's Await records, looked up on the first Await:
+	// Hold is hot in process-heavy models, and PerEngine's map lookup
+	// on every block would be on its steady-state path.
+	k *awaits
 
 	resume chan struct{}
 	yield  chan struct{}
 
-	state      procState
-	blockToken uint64 // invalidates stale wake events
-	started    bool
-	killed     bool
+	state   procState
+	started bool
+	killed  bool
 
 	body func(*Process)
 }
@@ -63,7 +61,7 @@ type procPanic struct{ value any }
 
 // Spawn creates a process and schedules its first activation at the
 // current simulation time. The body runs as straight-line code using
-// the blocking primitives (Hold, Passivate, Resource.Acquire, ...).
+// the blocking primitives (Hold, Resource.Acquire, WaitGroup.Wait, ...).
 func (e *Engine) Spawn(name string, body func(*Process)) *Process {
 	return e.SpawnAt(name, 0, body)
 }
@@ -71,13 +69,11 @@ func (e *Engine) Spawn(name string, body func(*Process)) *Process {
 // SpawnAt is Spawn with a start delay.
 func (e *Engine) SpawnAt(name string, delay float64, body func(*Process)) *Process {
 	p := &Process{
-		e:             e,
-		name:          name,
-		wakeLabel:     name + ":wake",
-		activateLabel: name + ":activate",
-		resume:        make(chan struct{}),
-		yield:         make(chan struct{}),
-		body:          body,
+		e:      e,
+		name:   name,
+		resume: make(chan struct{}),
+		yield:  make(chan struct{}),
+		body:   body,
 	}
 	e.liveProcs++
 	e.ScheduleNamed(name+":start", delay, func() { p.resumeNow() })
@@ -86,7 +82,7 @@ func (e *Engine) SpawnAt(name string, delay float64, body func(*Process)) *Proce
 
 // LiveProcesses returns the number of processes that have been spawned
 // and have not yet ended. A drained queue with live processes means
-// the model deadlocked (every process passive with nothing to wake it).
+// the model deadlocked (every process blocked with nothing to resume it).
 func (e *Engine) LiveProcesses() int { return e.liveProcs }
 
 // Name returns the process name given at Spawn.
@@ -155,45 +151,19 @@ func (p *Process) suspend() {
 }
 
 // Hold advances the process's local time by d: the process blocks and
-// resumes d simulation-time units later.
+// resumes d simulation-time units later. It is the blocking form of
+// ScheduleOp.
 func (p *Process) Hold(d float64) {
-	p.blockToken++
-	tok := p.blockToken
-	p.e.ScheduleNamed(p.wakeLabel, d, func() { p.wake(tok) })
-	p.suspend()
-}
-
-// Passivate blocks the process indefinitely; only Activate or a
-// synchronization primitive can resume it.
-func (p *Process) Passivate() {
-	p.blockToken++
-	p.suspend()
-}
-
-// wake resumes the process if (and only if) it is still in the block
-// the token belongs to; stale wakes from canceled sleeps are ignored.
-func (p *Process) wake(tok uint64) {
-	if p.state != procBlocked || tok != p.blockToken {
-		return
-	}
-	p.resumeNow()
-}
-
-// Activate schedules the process to resume at the current simulation
-// time (after already-queued events). Activating a process that is not
-// blocked — or that blocks again before the activation fires — is a
-// harmless no-op, which makes signal/timeout races safe by default.
-func (p *Process) Activate() {
-	tok := p.blockToken
-	p.e.ScheduleNamed(p.activateLabel, 0, func() { p.wake(tok) })
+	p.Await(func(op Op, arg []byte) { p.e.ScheduleOp(d, op, arg) })
 }
 
 // Await blocks the process on an operation written in op form: start
 // begins it, handing it the op and argument that resume the process,
-// and the operation runs that op once, when it completes. Every
-// blocking primitive is written this way over its op form
-// (Resource.AcquireOp, the resources' and netsim's ...Op forms), so
-// each primitive's logic exists once.
+// and the operation runs that op once, when it completes. It is the
+// only place a process blocks: Hold, Resource.Acquire, WaitGroup.Wait
+// and the resources', netsim's, replication's and scheduler's blocking
+// calls are each written over their op form, so each primitive's logic
+// exists once.
 //
 // The op Called before start returns means the operation completed
 // synchronously and Await returns without blocking. The op run by a
@@ -202,19 +172,17 @@ func (p *Process) Activate() {
 // same operation resume in the same event. Running the op again is a
 // no-op until a later Await reuses its record, and so is running it
 // after Kill.
-//
-// Activate does not end an Await early: the process parks again until
-// the op runs.
 func (p *Process) Await(start func(op Op, arg []byte)) {
-	k := PerEngine(p.e, newAwaits)
-	w, arg := k.waits.Get()
-	p.blockToken++
-	w.p, w.tok = p, p.blockToken
-	start(k.resume, arg)
+	if p.k == nil {
+		p.k = PerEngine(p.e, newAwaits)
+	}
+	w, arg := p.k.waits.Get()
+	w.p = p
+	start(p.k.resume, arg)
 	for !w.done {
 		p.suspend()
 	}
-	k.waits.Put(arg)
+	p.k.waits.Put(arg)
 }
 
 // awaits is the engine's resume op and the records of the Awaits in
@@ -227,7 +195,6 @@ type awaits struct {
 
 type await struct {
 	p    *Process
-	tok  uint64 // the process's block token when it began to wait
 	done bool
 }
 
@@ -239,8 +206,8 @@ func newAwaits(e *Engine) *awaits {
 			return
 		}
 		w.done = true
-		if p := w.p; p.state == procBlocked && w.tok == p.blockToken {
-			p.resumeNow()
+		if w.p.state == procBlocked {
+			w.p.resumeNow()
 		}
 	})
 	return k
@@ -264,6 +231,5 @@ func (p *Process) Kill() {
 		return
 	}
 	p.killed = true
-	p.blockToken++ // invalidate pending wakes
 	p.resumeNow()
 }

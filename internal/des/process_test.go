@@ -70,52 +70,27 @@ func TestProcessesInterleaveDeterministically(t *testing.T) {
 	}
 }
 
-func TestPassivateActivate(t *testing.T) {
-	e := NewEngine()
-	var resumedAt float64 = -1
-	sleeper := e.Spawn("sleeper", func(p *Process) {
-		p.Passivate()
-		resumedAt = p.Now()
-	})
-	e.Spawn("waker", func(p *Process) {
-		p.Hold(4)
-		sleeper.Activate()
-	})
-	e.Run()
-	if resumedAt != 4 {
-		t.Fatalf("resumedAt = %v", resumedAt)
-	}
-}
-
+// A waiter resumed by a zero that an Add undoes before the resume runs
+// waits again, for the next zero.
 func TestStaleWakeIgnored(t *testing.T) {
 	e := NewEngine()
+	wg := e.NewWaitGroup()
+	wg.Add(1)
 	var wakeTimes []float64
-	sleeper := e.Spawn("sleeper", func(p *Process) {
-		p.Passivate()
-		wakeTimes = append(wakeTimes, p.Now())
-		p.Passivate() // should NOT be woken by a duplicate activation
+	e.Spawn("sleeper", func(p *Process) {
+		wg.Wait(p)
 		wakeTimes = append(wakeTimes, p.Now())
 	})
 	e.Spawn("waker", func(p *Process) {
 		p.Hold(1)
-		sleeper.Activate()
-		sleeper.Activate() // duplicate: must not wake the second Passivate
+		wg.Done()
+		wg.Add(1) // the sleeper's resume is queued; it must not end the wait
 		p.Hold(5)
-		sleeper.Activate()
+		wg.Done()
 	})
 	e.Run()
-	if len(wakeTimes) != 2 || wakeTimes[0] != 1 || wakeTimes[1] != 6 {
+	if len(wakeTimes) != 1 || wakeTimes[0] != 6 {
 		t.Fatalf("wakeTimes = %v", wakeTimes)
-	}
-}
-
-func TestActivateEndedProcessIsNoop(t *testing.T) {
-	e := NewEngine()
-	p1 := e.Spawn("p1", func(p *Process) { p.Hold(1) })
-	e.Schedule(5, func() { p1.Activate() }) // p1 already ended
-	e.Run()
-	if e.LiveProcesses() != 0 {
-		t.Fatal("processes leaked")
 	}
 }
 

@@ -8,10 +8,9 @@ import (
 )
 
 // TestStressMixedModelDeterminism runs a model that exercises every
-// kernel feature at once — processes, Passivate/Activate hand-offs,
-// resources, wait groups, Await on a registered op, cancellation — and
-// demands bit-identical trajectories across all six FEL
-// implementations.
+// kernel feature at once — processes, hand-offs through Await on a
+// registered op, resources, wait groups, cancellation — and demands
+// bit-identical trajectories across all six FEL implementations.
 func TestStressMixedModelDeterminism(t *testing.T) {
 	run := func(kind eventq.Kind) (trace []float64, events uint64) {
 		e := NewEngine(WithQueue(kind), WithSeed(77))
@@ -20,25 +19,24 @@ func TestStressMixedModelDeterminism(t *testing.T) {
 		wg := e.NewWaitGroup()
 		record := func() { trace = append(trace, e.Now()) }
 
-		// A work queue built on Passivate/Activate: producers append
-		// and wake the longest-idle consumer; a consumer that finds the
-		// queue empty parks on the idle list.
+		// A work queue built on Await: producers append and resume the
+		// longest-idle consumer at zero delay; a consumer that finds the
+		// queue empty parks its resume op on the idle list.
 		var work []int
-		var idle []*Process
-		phase := false
-		var waiter *Process
+		var idle []resWaiter
+		phase := e.NewWaitGroup()
+		phase.Add(1)
 		for i := 0; i < 4; i++ {
 			e.Spawn(fmt.Sprintf("prod%d", i), func(p *Process) {
 				for j := 0; j < 20; j++ {
 					p.Hold(src.Exp(0.5))
 					work = append(work, j)
 					if len(idle) > 0 {
-						idle[0].Activate()
+						e.ScheduleOp(0, idle[0].op, idle[0].arg)
 						idle = idle[1:]
 					}
-					if j%7 == 0 {
-						phase = true
-						waiter.Activate()
+					if j%7 == 0 && phase.Count() > 0 {
+						phase.Done()
 					}
 				}
 			})
@@ -51,8 +49,7 @@ func TestStressMixedModelDeterminism(t *testing.T) {
 				defer wg.Done()
 				for j := 0; j < 10; j++ {
 					for len(work) == 0 {
-						idle = append(idle, p)
-						p.Passivate()
+						p.Await(func(op Op, arg []byte) { idle = append(idle, resWaiter{op: op, arg: arg}) })
 					}
 					work = work[1:]
 					res.Acquire(p, 1)
@@ -66,21 +63,18 @@ func TestStressMixedModelDeterminism(t *testing.T) {
 			})
 		}
 		// A waiter blocks until the first phase, then on the wait group.
-		waiter = e.Spawn("waiter", func(p *Process) {
-			for !phase {
-				p.Passivate()
-			}
+		e.Spawn("waiter", func(p *Process) {
+			phase.Wait(p)
 			record()
 			wg.Wait(p)
 			record()
 		})
-		// A watchdog wakes a passive sleeper; a canceled timer must not
-		// fire.
-		sleeper := e.Spawn("sleeper", func(p *Process) {
-			p.Passivate()
+		// A watchdog resumes a sleeper from a closure event; a canceled
+		// timer must not fire.
+		e.Spawn("sleeper", func(p *Process) {
+			p.Await(func(op Op, arg []byte) { e.Schedule(13, func() { e.Call(op, arg) }) })
 			record()
 		})
-		e.Schedule(13, func() { sleeper.Activate() })
 		dead := e.Schedule(5, func() { t.Error("canceled event fired") })
 		dead.Cancel()
 

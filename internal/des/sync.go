@@ -99,7 +99,11 @@ func (r *Resource) Release(n int) {
 			break
 		}
 		r.waiters[0] = resWaiter{}
-		r.waiters = r.waiters[1:]
+		if len(r.waiters) == 1 {
+			r.waiters = r.waiters[:0] // keeps the array: a queue of one allocates nothing
+		} else {
+			r.waiters = r.waiters[1:]
+		}
 		r.account()
 		r.inUse += w.n
 		r.e.ScheduleOp(0, w.op, w.arg)
@@ -112,14 +116,15 @@ func (r *Resource) Release(n int) {
 type WaitGroup struct {
 	e       *Engine
 	count   int
-	waiters []*Process
+	waiters []resWaiter
 }
 
 // NewWaitGroup creates a wait group with count 0.
 func (e *Engine) NewWaitGroup() *WaitGroup { return &WaitGroup{e: e} }
 
 // Add increments (or with negative delta decrements) the counter.
-// It panics if the counter goes negative.
+// It panics if the counter goes negative. At zero it resumes every
+// waiter in a zero-delay event of its own.
 func (wg *WaitGroup) Add(delta int) {
 	wg.count += delta
 	if wg.count < 0 {
@@ -128,8 +133,8 @@ func (wg *WaitGroup) Add(delta int) {
 	if wg.count == 0 {
 		ws := wg.waiters
 		wg.waiters = nil
-		for _, p := range ws {
-			p.Activate()
+		for _, w := range ws {
+			wg.e.ScheduleOp(0, w.op, w.arg)
 		}
 	}
 }
@@ -140,10 +145,12 @@ func (wg *WaitGroup) Done() { wg.Add(-1) }
 // Count returns the current counter value.
 func (wg *WaitGroup) Count() int { return wg.count }
 
-// Wait blocks the process until the counter is zero.
+// Wait blocks the process until the counter is zero: a process resumed
+// by a zero that an Add has since undone waits again.
 func (wg *WaitGroup) Wait(p *Process) {
 	for wg.count > 0 {
-		wg.waiters = append(wg.waiters, p)
-		p.Passivate()
+		p.Await(func(op Op, arg []byte) {
+			wg.waiters = append(wg.waiters, resWaiter{op: op, arg: arg})
+		})
 	}
 }

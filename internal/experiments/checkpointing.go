@@ -16,7 +16,6 @@ const (
 	e5Lookahead  = 1.0
 	e5JobsPerLP  = 16
 	e5RemoteProb = 0.2
-	e5Work       = 30000
 	e5Seed       = 77
 )
 

@@ -45,9 +45,7 @@ func E7aGranularity(transfers int, bytes float64) *metrics.Table {
 	run := func(name string, mk func(e *des.Engine, topo *netsim.Topology) netsim.Fabric) {
 		e := des.NewEngine(des.WithSeed(5))
 		topo := netsim.NewTopology()
-		a := topo.AddNode("a")
-		b := topo.AddNode("b")
-		c := topo.AddNode("c")
+		a, b, c := topo.AddNode("a"), topo.AddNode("b"), topo.AddNode("c")
 		topo.Connect(a, b, 100e6, 0.01)
 		topo.Connect(b, c, 100e6, 0.01)
 		fabric := mk(e, topo)
@@ -56,11 +54,7 @@ func E7aGranularity(transfers int, bytes float64) *metrics.Table {
 		for i := 0; i < transfers; i++ {
 			at := src.Float64() * 10
 			e.At(at, func() {
-				fabric.Transfer(a, c, bytes, func() {
-					if e.Now() > last {
-						last = e.Now()
-					}
-				})
+				fabric.Transfer(a, c, bytes, func() { last = max(last, e.Now()) })
 			})
 		}
 		start := time.Now()

@@ -51,10 +51,7 @@ func E8CentralVsTier(clientCounts []int) *metrics.Table {
 // and runs its own jobs, exchanging only small control messages.
 func runTierProcessing(clients, jobsPerClient int, rate float64, bc bricks.Config) (meanResponse, makespan, wanBytes float64) {
 	e := des.NewEngine(des.WithSeed(bc.Seed))
-	perSite := bc.ServerCores / clients
-	if perSite < 1 {
-		perSite = 1
-	}
+	perSite := max(1, bc.ServerCores/clients)
 	spec := topology.SiteSpec{Cores: perSite, CoreSpeed: bc.ServerSpeed}
 	grid := topology.CentralModel(e, clients, topology.SiteSpec{}, spec, bc.LinkBps, bc.LinkLat)
 	net := netsim.NewNetwork(e, grid.Topo)
@@ -73,9 +70,7 @@ func runTierProcessing(clients, jobsPerClient int, rate float64, bc bricks.Confi
 				j := &scheduler.Job{ID: i, Name: "local", Ops: src.Exp(1 / bc.MeanOps)}
 				cluster.Submit(j, func(j *scheduler.Job) {
 					response.Observe(j.ResponseTime())
-					if j.Finished > makespan {
-						makespan = j.Finished
-					}
+					makespan = max(makespan, j.Finished)
 					// Tier model still reports summaries upstream:
 					// a small control message, not the data.
 					net.Transfer(site.Net, central.Net, 1e4, nil)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/queueing"
 	"repro/internal/resources"
 	"repro/internal/rng"
+	"repro/internal/scheduler"
 )
 
 // A row's 95 % half-width is e6T standard errors of e6Batches batch
@@ -120,7 +121,13 @@ func fixed(v float64) func(*rng.Source) float64 { return func(*rng.Source) float
 // e6Stations lists E6's systems in table order.
 func e6Stations() []station {
 	mm1, _ := queueing.NewMM1(0.7, 1)
+	// M/M/3 on a three-core FCFS scheduler cluster, through Submit.
 	mm3, _ := queueing.NewMMC(2.4, 1, 3)
+	cluster := fifo("M/M/3 cluster rho=0.8", 102, 2.4, 3, expMean(1), mm3.W, mm3.Wq)
+	cluster.build = func(e *des.Engine) func(float64, func()) {
+		c := scheduler.NewCluster(e, cluster.name, 3, 1, scheduler.FCFS)
+		return func(x float64, done func()) { c.Submit(&scheduler.Job{Ops: x}, func(*scheduler.Job) { done() }) }
+	}
 	md1, _ := queueing.NewMD1(0.6, 1)
 	mg1, _ := queueing.NewMG1(0.75, 1, 0.25) // Erlang-4: variance E[S]²/4
 
@@ -149,7 +156,7 @@ func e6Stations() []station {
 
 	return []station{
 		fifo("M/M/1 rho=0.7", 101, 0.7, 1, expMean(1), mm1.W, mm1.Wq),
-		fifo("M/M/3 rho=0.8", 102, 2.4, 3, expMean(1), mm3.W, mm3.Wq),
+		cluster,
 		fifo("M/D/1 rho=0.6", 103, 0.6, 1, fixed(1), md1.W, md1.Wq),
 		fifo("M/G/1 Erlang-4 rho=0.75", 104, 0.75, 1, func(s *rng.Source) float64 { return s.Erlang(4, 4) }, mg1.W, mg1.Wq),
 		ps("M/M/1-PS rho=0.7", 105, 0.7, 1, expMean(1)),
@@ -170,8 +177,8 @@ func e6Stations() []station {
 // measured mean and its 95 % half-width beside queueing theory's.
 func E6Validation(n int) *metrics.Table {
 	t := metrics.NewTable(
-		"E6. Simulation vs queueing theory: CPUs and links (95% batch-means CI)",
-		"system", "measure", "analytic", "simulated", "+/- 95%", "err %")
+		"E6. Simulation vs queueing theory: CPUs, a cluster and links (95% batch-means CI)",
+		"system", "measure", "analytic", "simulated", "± 95%", "err %")
 	for _, s := range e6Stations() {
 		jobs := s.run(n)
 		for _, m := range s.rows {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table renders aligned fixed-width text tables — the framework's
@@ -51,14 +52,14 @@ func (t *Table) Write(w io.Writer) error {
 		}
 	}
 	widths := make([]int, ncols)
+	// Widths count runes, as %-*s pads by them: a "µs" cell is two
+	// columns wide, not three.
 	for i, h := range t.Headers {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, r := range t.Rows {
 		for i, c := range r {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], utf8.RuneCountInString(c))
 		}
 	}
 	var b strings.Builder

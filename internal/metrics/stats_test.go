@@ -158,6 +158,22 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
+// A non-ASCII cell pads by runes, as a terminal shows it, so the
+// columns after "window wall µs" and "± 95%" line up.
+func TestTableAlignsNonASCII(t *testing.T) {
+	tb := NewTable("", "metric", "value", "ci")
+	tb.AddRow("window wall µs", "12.5", "a")
+	tb.AddRow("windows", "40", "± 95%")
+	want := "" +
+		"metric          value  ci\n" +
+		"--------------  -----  -----\n" +
+		"window wall µs  12.5   a\n" +
+		"windows         40     ± 95%\n"
+	if got := tb.String(); got != want {
+		t.Fatalf("table:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 func TestTableCSV(t *testing.T) {
 	tb := NewTable("", "a", "b")
 	tb.AddRow("x,y", `say "hi"`)

@@ -171,14 +171,11 @@ func (c *Cluster) Submit(job *Job, onDone func(*Job)) {
 // Run is Submit's blocking form: it submits the job and blocks the
 // process until the job completes, or until Fail kills it, in which
 // case the job comes back with Failed set. The process resumes in a
-// zero-delay Activate event after the job's end, not inside that event
-// as a Process.Await adapter would.
+// zero-delay event after the job's end, not inside that event.
 func (c *Cluster) Run(p *des.Process, job *Job) {
-	done := false
-	c.Submit(job, func(*Job) { done = true; p.Activate() })
-	for !done {
-		p.Passivate()
-	}
+	p.Await(func(op des.Op, arg []byte) {
+		c.Submit(job, func(*Job) { c.e.ScheduleOp(0, op, arg) })
+	})
 }
 
 func (c *Cluster) account() {
