@@ -21,7 +21,11 @@ test:
 	$(GO) test -timeout 5m ./...
 	$(GO) test -timeout 5m -count=3 -run 'TestFaultMatrix|Sweep' ./internal/distsim/
 
+# vet first fails on any tracked Go file gofmt would rewrite, naming it.
 vet:
+	@files=$$(git ls-files '*.go') || exit 1; \
+	unformatted=$$("$$($(GO) env GOROOT)/bin/gofmt" -l $$files) || exit 1; \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists (run gofmt -w on them):"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) vet -C bench/lsbench ./...
 

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 
-	lsds "repro"
 	"repro/internal/des"
 	"repro/internal/metrics"
 	"repro/internal/queueing"
@@ -21,8 +20,7 @@ func main() {
 		customers = 100000
 	)
 
-	sim := lsds.New(lsds.DefaultConfig())
-	e := sim.Engine
+	e := des.NewEngine(des.WithSeed(1))
 	arrivals := e.Stream("arrivals")
 	services := e.Stream("services")
 
@@ -49,7 +47,7 @@ func main() {
 			})
 		}
 	})
-	end := sim.Run()
+	end := e.Run()
 
 	theory, err := queueing.NewMM1(lambda, mu)
 	if err != nil {

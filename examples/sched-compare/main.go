@@ -1,15 +1,16 @@
 // Scheduling comparison: local queue disciplines on one cluster, then
 // grid-level brokering policies, then GridSim-style economy goals —
-// one tour through the middleware layer of the taxonomy using the
-// public facade API.
+// one tour through the middleware layer of the taxonomy, wiring the
+// engine, grid, clusters and broker by hand.
 package main
 
 import (
 	"fmt"
 	"os"
 
-	lsds "repro"
+	"repro/internal/des"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/scheduler"
 	"repro/internal/simulators/gridsim"
 	"repro/internal/topology"
@@ -30,10 +31,9 @@ func disciplines() {
 	for _, d := range []scheduler.Discipline{
 		scheduler.FCFS, scheduler.SJF, scheduler.EDF, scheduler.EASYBackfill,
 	} {
-		sim := lsds.New(lsds.Config{Seed: 42})
-		site := sim.Grid.AddSite("cluster", lsds.SiteSpec{Cores: 8, CoreSpeed: 1e9})
-		cluster := sim.AddCluster(site, d)
-		src := sim.Engine.Stream("jobs")
+		e := des.NewEngine(des.WithSeed(42))
+		cluster := scheduler.NewCluster(e, "cluster", 8, 1e9, d)
+		src := e.Stream("jobs")
 		mix := workload.NewMix(src,
 			workload.JobClass{Name: "short", Weight: 6, Ops: func() float64 { return src.Exp(1 / 2e9) }},
 			workload.JobClass{Name: "long", Weight: 1, Ops: func() float64 { return src.Exp(1 / 40e9) }},
@@ -47,7 +47,7 @@ func disciplines() {
 			MaxJobs:      300,
 			Emit: func(i int) {
 				j := mix.Draw()
-				j.Deadline = sim.Engine.Now() + 120
+				j.Deadline = e.Now() + 120
 				cluster.Submit(j, func(j *scheduler.Job) {
 					wait.Observe(j.WaitTime())
 					response.Observe(j.ResponseTime())
@@ -57,8 +57,8 @@ func disciplines() {
 				})
 			},
 		}
-		act.Start(sim.Engine)
-		sim.Run()
+		act.Start(e)
+		e.Run()
 		t.AddRowf(d.String(), wait.Mean(), response.Mean(), makespan, cluster.Utilization())
 	}
 	must(t.Write(os.Stdout))
@@ -76,17 +76,18 @@ func brokering() {
 		scheduler.MCTPolicy{},
 	}
 	for _, pol := range policies {
-		sim := lsds.New(lsds.Config{Seed: 7})
-		origin := sim.Grid.AddSite("users", lsds.SiteSpec{})
-		speeds := []float64{5e8, 1e9, 4e9}
-		for i, sp := range speeds {
-			site := sim.Grid.AddSite(fmt.Sprintf("site%d", i),
-				topology.SiteSpec{Cores: 4, CoreSpeed: sp})
-			sim.Grid.Link(origin, site, 100e6, 0.01)
-			sim.AddCluster(site, scheduler.FCFS)
+		e := des.NewEngine(des.WithSeed(7))
+		grid := topology.NewGrid(e)
+		origin := grid.AddSite("users", topology.SiteSpec{})
+		ctx := &scheduler.Context{Clusters: map[*topology.Site]*scheduler.Cluster{}}
+		for i, sp := range []float64{5e8, 1e9, 4e9} {
+			site := grid.AddSite(fmt.Sprintf("site%d", i), topology.SiteSpec{Cores: 4, CoreSpeed: sp})
+			grid.Link(origin, site, 100e6, 0.01)
+			ctx.Sites = append(ctx.Sites, site)
+			ctx.Clusters[site] = scheduler.NewCluster(e, site.Name, site.Spec.Cores, site.Spec.CoreSpeed, scheduler.FCFS)
 		}
-		sim.Grid.Topo.ComputeRoutes()
-		broker := sim.NewBroker(pol.Name(), pol)
+		grid.Topo.ComputeRoutes()
+		broker := scheduler.NewBroker(pol.Name(), e, netsim.NewNetwork(e, grid.Topo), ctx, pol)
 		var response metrics.Summary
 		makespan := 0.0
 		broker.OnDone(func(j *scheduler.Job) {
@@ -95,7 +96,7 @@ func brokering() {
 				makespan = j.Finished
 			}
 		})
-		src := sim.Engine.Stream("arrivals")
+		src := e.Stream("arrivals")
 		act := &workload.Activity{
 			Name:         "users",
 			Interarrival: workload.Poisson(src, 2),
@@ -107,8 +108,8 @@ func brokering() {
 				})
 			},
 		}
-		act.Start(sim.Engine)
-		sim.Run()
+		act.Start(e)
+		e.Run()
 		t.AddRowf(pol.Name(), response.Mean(), makespan)
 	}
 	must(t.Write(os.Stdout))

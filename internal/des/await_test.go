@@ -128,6 +128,56 @@ func TestHoldAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestWaiterQueuesAllocateNothing: a resource with three processes
+// queued behind its holder, and a wait group whose three waiters are
+// resumed by a zero and queue again every time unit, keep their waiter
+// arrays in steady state.
+func TestWaiterQueuesAllocateNothing(t *testing.T) {
+	e := NewEngine()
+	res := e.NewResource("r", 1)
+	wg := e.NewWaitGroup()
+	var procs []*Process
+	loop := func(name string, body func(p *Process)) {
+		procs = append(procs, e.Spawn(name, func(p *Process) {
+			for {
+				body(p)
+			}
+		}))
+	}
+	for i := 0; i < 4; i++ {
+		loop("user", func(p *Process) {
+			res.Acquire(p, 1)
+			p.Hold(1)
+			res.Release(1)
+		})
+	}
+	loop("counter", func(p *Process) {
+		wg.Add(1)
+		p.Hold(1)
+		wg.Done()
+	})
+	for i := 0; i < 3; i++ {
+		loop("waiter", func(p *Process) {
+			wg.Wait(p)
+			p.Hold(1)
+		})
+	}
+	e.RunUntil(10)
+	allocs := testing.AllocsPerRun(100, func() { e.RunUntil(e.Now() + 10) })
+	if res.QueueLen() != 3 || len(wg.waiters) != 3 {
+		t.Fatalf("%d processes queued on the resource and %d on the wait group, want 3 and 3", res.QueueLen(), len(wg.waiters))
+	}
+	if allocs != 0 {
+		t.Fatalf("%v allocations per 10 units of queued acquires and waits, want 0", allocs)
+	}
+	for _, p := range procs {
+		p.Kill()
+	}
+	if e.LiveProcesses() != 0 {
+		t.Fatalf("%d processes left", e.LiveProcesses())
+	}
+}
+
 // Processes (Acquire) and jobs written as ops (AcquireOp) wait in one
 // queue and are granted in arrival order.
 func TestResourceGrantsProcessesAndContinuationsInArrivalOrder(t *testing.T) {

@@ -11,7 +11,8 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	waiters  []resWaiter
+	waiters  []resWaiter // waiters[head:] wait, in arrival order
+	head     int
 
 	// utilization accounting (time-weighted)
 	lastChange float64
@@ -42,7 +43,7 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of requests waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return len(r.waiters) - r.head }
 
 func (r *Resource) account() {
 	now := r.e.now
@@ -76,11 +77,17 @@ func (r *Resource) AcquireOp(n int, op Op, arg []byte) {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("des: Acquire(%d) on %q with capacity %d", n, r.name, r.capacity))
 	}
-	if len(r.waiters) == 0 && r.capacity-r.inUse >= n {
+	if r.QueueLen() == 0 && r.capacity-r.inUse >= n {
 		r.account()
 		r.inUse += n
 		r.e.Call(op, arg)
 		return
+	}
+	if r.head > 0 && len(r.waiters) == cap(r.waiters) {
+		// Slide the queue to the front of its array rather than grow it.
+		k := copy(r.waiters, r.waiters[r.head:])
+		clear(r.waiters[k:])
+		r.waiters, r.head = r.waiters[:k], 0
 	}
 	r.waiters = append(r.waiters, resWaiter{n: n, op: op, arg: arg})
 }
@@ -93,16 +100,15 @@ func (r *Resource) Release(n int) {
 	}
 	r.account()
 	r.inUse -= n
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
+	for r.QueueLen() > 0 {
+		w := r.waiters[r.head]
 		if r.capacity-r.inUse < w.n {
 			break
 		}
-		r.waiters[0] = resWaiter{}
-		if len(r.waiters) == 1 {
-			r.waiters = r.waiters[:0] // keeps the array: a queue of one allocates nothing
-		} else {
-			r.waiters = r.waiters[1:]
+		r.waiters[r.head] = resWaiter{}
+		r.head++
+		if r.head == len(r.waiters) {
+			r.waiters, r.head = r.waiters[:0], 0
 		}
 		r.account()
 		r.inUse += w.n
@@ -131,11 +137,11 @@ func (wg *WaitGroup) Add(delta int) {
 		panic("des: WaitGroup counter went negative")
 	}
 	if wg.count == 0 {
-		ws := wg.waiters
-		wg.waiters = nil
-		for _, w := range ws {
+		for i, w := range wg.waiters {
 			wg.e.ScheduleOp(0, w.op, w.arg)
+			wg.waiters[i] = resWaiter{}
 		}
+		wg.waiters = wg.waiters[:0]
 	}
 }
 

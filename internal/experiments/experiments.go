@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/simulators/bricks"
 	"repro/internal/simulators/chicsim"
@@ -51,7 +50,7 @@ func Profiles() []*taxonomy.Profile {
 		gridsim.Profile(),
 		chicsim.Profile(),
 		monarc.Profile(),
-		core.SelfProfile(),
+		taxonomy.SelfProfile(),
 	}
 }
 

@@ -16,11 +16,11 @@ import (
 )
 
 // E8CentralVsTier contrasts the Bricks "central model" (all jobs
-// processed at a single site) with the MONARC "tier model" (jobs
-// processed at the regional centres that own them) under rising load.
-// The paper presents these as the two poles of resource organization;
-// the tier model's distributed capacity wins once the central server
-// saturates, and it moves far fewer WAN bytes.
+// processed at one site, bricks.Run) with the tier model's organization
+// (jobs processed at the sites they arise at) under rising load, the
+// paper's two poles of resource organization. The tier rows run
+// runTierProcessing: one scheduler.Cluster per client site on the
+// central model's star, and no monarc code. They move far fewer WAN bytes.
 func E8CentralVsTier(clientCounts []int) *metrics.Table {
 	t := metrics.NewTable(
 		"E8. Central model (Bricks) vs tier model (MONARC)",

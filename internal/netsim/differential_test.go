@@ -44,7 +44,7 @@ func pick(src *rng.Source, round []float64, lo, hi float64) float64 {
 // as they are issued, in event order, so two fabrics that order events
 // alike are posed the same problem, and two that do not diverge in ways
 // the comparison reports.
-func runScenario(seed uint64, mk func(*des.Engine, *Topology, float64) transferer) diffResult {
+func runScenario(seed uint64, mk func(*des.Engine, *Topology) transferer) diffResult {
 	src := rng.New(seed)
 	e := des.NewEngine()
 	topo := NewTopology()
@@ -76,11 +76,7 @@ func runScenario(seed uint64, mk func(*des.Engine, *Topology, float64) transfere
 			l.BackgroundLoad = src.Uniform(0, 0.9)
 		}
 	}
-	eff := 1.0
-	if src.Intn(2) == 0 {
-		eff = src.Uniform(0.2, 1)
-	}
-	net := mk(e, topo, eff)
+	net := mk(e, topo)
 
 	var res diffResult
 	var transfer func(chain int)
@@ -162,15 +158,9 @@ func (got diffResult) differs(want diffResult) string {
 
 // network and reference are the two fabrics a differential run
 // compares.
-func network(e *des.Engine, topo *Topology, eff float64) transferer {
-	n := NewNetwork(e, topo)
-	n.Efficiency = eff
-	return n
-}
+func network(e *des.Engine, topo *Topology) transferer { return NewNetwork(e, topo) }
 
-func reference(e *des.Engine, topo *Topology, eff float64) transferer {
-	return &refNetwork{e: e, topo: topo, Efficiency: eff}
-}
+func reference(e *des.Engine, topo *Topology) transferer { return &refNetwork{e: e, topo: topo} }
 
 // studyTopology is the T0/T1 study's shape: a T0 uplink of the given
 // capacity into a WAN hub that fans out to four T1s over far wider
@@ -219,17 +209,13 @@ func studyTransfers(src *rng.Source, e *des.Engine, net transferer, res *diffRes
 
 // runStudyScenario runs studyTransfers over studyTopology, with an
 // uplink of one of the study's capacities, on the fabric mk returns.
-func runStudyScenario(seed uint64, mk func(*des.Engine, *Topology, float64) transferer) diffResult {
+func runStudyScenario(seed uint64, mk func(*des.Engine, *Topology) transferer) diffResult {
 	src := rng.New(seed)
 	e := des.NewEngine()
 	gbps := []float64{0.622, 1.25, 2.5, 10}[src.Intn(4)]
 	topo, t0, t1s := studyTopology(gbps * 1e9 / 8)
-	eff := 1.0
-	if src.Intn(4) == 0 {
-		eff = 0.7
-	}
 	var res diffResult
-	studyTransfers(src, e, mk(e, topo, eff), &res, t0, t1s)
+	studyTransfers(src, e, mk(e, topo), &res, t0, t1s)
 	e.Run()
 	res.finish(e, topo)
 	return res
@@ -244,14 +230,7 @@ func runStudyScenario(seed uint64, mk func(*des.Engine, *Topology, float64) tran
 func TestDifferentialAgainstPerFlowTimers(t *testing.T) {
 	var finished, stalled, ties int
 	for seed := uint64(1); seed <= 400; seed++ {
-		got := runScenario(seed, func(e *des.Engine, topo *Topology, eff float64) transferer {
-			n := NewNetwork(e, topo)
-			n.Efficiency = eff
-			return n
-		})
-		want := runScenario(seed, func(e *des.Engine, topo *Topology, eff float64) transferer {
-			return &refNetwork{e: e, topo: topo, Efficiency: eff}
-		})
+		got, want := runScenario(seed, network), runScenario(seed, reference)
 		if len(got.start) != len(want.start) || len(got.order) != len(want.order) {
 			t.Fatalf("seed %d: %d transfers, %d completions; reference %d, %d",
 				seed, len(got.start), len(got.order), len(want.start), len(want.order))
@@ -322,9 +301,8 @@ func TestStudyShapeAgainstPerFlowTimers(t *testing.T) {
 func TestLeastHoldsLeastRemaining(t *testing.T) {
 	var checked int
 	var bad string
-	watch := func(e *des.Engine, topo *Topology, eff float64) transferer {
+	watch := func(e *des.Engine, topo *Topology) transferer {
 		n := NewNetwork(e, topo)
-		n.Efficiency = eff
 		e.SetObserver(des.Observer{Hook: func(obs.Event) {
 			if n.least < 0 || bad != "" {
 				return
@@ -344,7 +322,7 @@ func TestLeastHoldsLeastRemaining(t *testing.T) {
 	}
 	e := des.NewEngine()
 	topo, nodes := line(2, 3, 0)
-	net := watch(e, topo, 1)
+	net := watch(e, topo)
 	e.At(1<<30, func() { // ulp 2^-22: 1 and 1+1e-9 bytes at 1 B/s end together
 		for _, bytes := range []float64{1 + 1e-9, 1, 5} {
 			net.Transfer(nodes[0], nodes[1], bytes, func() {})
@@ -434,10 +412,10 @@ func TestNetworksSharingATopologyRunAsAlone(t *testing.T) {
 // Transfers issued after it cross links the network has not seen, and
 // the results still match the reference bit for bit.
 func TestLinkConnectedWhileFlowsAreActive(t *testing.T) {
-	run := func(mk func(*des.Engine, *Topology, float64) transferer) diffResult {
+	run := func(mk func(*des.Engine, *Topology) transferer) diffResult {
 		e := des.NewEngine()
 		topo, nodes := line(3, 1000, 0)
-		net := mk(e, topo, 1)
+		net := mk(e, topo)
 		var res diffResult
 		for i := 0; i < 4; i++ {
 			res.transfer(e, net, nodes[0], nodes[2], 3000, func() {})
@@ -514,7 +492,7 @@ func TestEqualFlowsFinishTogetherInStartOrder(t *testing.T) {
 func TestInstantsThatRoundTogetherTieInStartOrder(t *testing.T) {
 	const t0 = 1 << 30 // ulp(t0) is 2^-22, far above the 1e-9 the flows differ by
 	for _, shared := range []bool{false, true} {
-		run := func(mk func(*des.Engine, *Topology, float64) transferer) (order []int, ends []float64) {
+		run := func(mk func(*des.Engine, *Topology) transferer) (order []int, ends []float64) {
 			e := des.NewEngine()
 			topo := NewTopology()
 			a, b, c, d := topo.AddNode("a"), topo.AddNode("b"), topo.AddNode("c"), topo.AddNode("d")
@@ -525,7 +503,7 @@ func TestInstantsThatRoundTogetherTieInStartOrder(t *testing.T) {
 				topo.Connect(a, b, 1, 0)
 				topo.Connect(c, d, 1, 0)
 			}
-			net := mk(e, topo, 1)
+			net := mk(e, topo)
 			done := func(i int) func() {
 				return func() { order, ends = append(order, i), append(ends, e.Now()) }
 			}
@@ -631,7 +609,7 @@ func TestRateAndRemainingAgainstPerFlowTimers(t *testing.T) {
 		}
 	})
 	want := runAccessorScenario(func(e *des.Engine, topo *Topology) accessorRun {
-		n := &refNetwork{e: e, topo: topo, Efficiency: 1}
+		n := &refNetwork{e: e, topo: topo}
 		return accessorRun{
 			issue: func(src, dst *Node, bytes float64, done func()) func() (float64, float64) {
 				f := n.transfer(src, dst, bytes, done)

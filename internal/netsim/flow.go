@@ -34,11 +34,6 @@ type Network struct {
 	k    *kind
 	topo *Topology
 
-	// Efficiency models TCP's inability to saturate a path (slow
-	// start, ack clocking): achievable flow rate is capacity times
-	// this factor. 1.0 means ideal fluid behavior.
-	Efficiency float64
-
 	flows      []*Flow   // active flows, in start order (determinism)
 	rem        []float64 // rem[i] is flows[i]'s remaining bytes, its only copy
 	lastUpdate float64
@@ -139,7 +134,7 @@ func (f *Flow) Remaining() float64 {
 // NewNetwork creates a flow-level fabric over the topology, driven by
 // engine e.
 func NewNetwork(e *des.Engine, topo *Topology) *Network {
-	return &Network{e: e, k: des.PerEngine(e, newKind), topo: topo, Efficiency: 1.0, least: -1}
+	return &Network{e: e, k: des.PerEngine(e, newKind), topo: topo, least: -1}
 }
 
 // Topo implements Fabric.
@@ -355,7 +350,7 @@ func (n *Network) rebalance() {
 	// saturates.
 	for _, l := range n.links {
 		c := &n.fill[l.ID]
-		c.residual = l.usable() * n.Efficiency
+		c.residual = l.usable()
 		c.unfixed = c.active
 	}
 	n.timer.Cancel()

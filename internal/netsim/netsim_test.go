@@ -264,19 +264,6 @@ func TestFlowSelfTransfer(t *testing.T) {
 	}
 }
 
-func TestFlowEfficiencyFactor(t *testing.T) {
-	e := des.NewEngine()
-	topo, nodes := line(2, 1000, 0)
-	net := NewNetwork(e, topo)
-	net.Efficiency = 0.5
-	var doneAt float64
-	net.Transfer(nodes[0], nodes[1], 1000, func() { doneAt = e.Now() })
-	e.Run()
-	if math.Abs(doneAt-2) > 1e-9 {
-		t.Fatalf("doneAt = %v, want 2 with 50%% efficiency", doneAt)
-	}
-}
-
 func TestFlowBackgroundLoad(t *testing.T) {
 	e := des.NewEngine()
 	topo, nodes := line(2, 1000, 0)

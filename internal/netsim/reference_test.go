@@ -16,7 +16,6 @@ import (
 type refNetwork struct {
 	e          *des.Engine
 	topo       *Topology
-	Efficiency float64
 	flows      []*refFlow
 	lastUpdate float64
 }
@@ -77,7 +76,7 @@ func (n *refNetwork) rebalance() {
 	for _, f := range n.flows {
 		for _, l := range f.route {
 			if _, ok := residual[l]; !ok {
-				residual[l] = l.usable() * n.Efficiency
+				residual[l] = l.usable()
 			}
 			count[l]++
 		}

@@ -67,7 +67,7 @@ type Config struct {
 // T1 regional centres, a handful of T2s per T1.
 func DefaultConfig() Config {
 	t0 := topology.SiteSpec{
-		Cores: 64, CoreSpeed: 2e9, Sharing: 0,
+		Cores: 64, CoreSpeed: 2e9,
 		DiskBytes: 1e15, DiskBps: 1e9, DiskChans: 16,
 		DBBytes: 1e14, DBBps: 5e8, DBOH: 0.01, DBWorkers: 8,
 		TapeBytes: 1e16, TapeBps: 2e8, TapeMount: 30, TapeDrive: 4,

@@ -6,10 +6,10 @@
 // specification, input data, user interface, validation support).
 //
 // Every simulator personality in internal/simulators exports a Profile
-// built from this vocabulary, and the framework regenerates the
-// paper's Table 1 ("Design comparison of surveyed Grid simulation
-// projects") from those machine-readable profiles rather than from
-// prose — see Table1 and cmd/table1.
+// built from this vocabulary, SelfProfile is this framework's own, and
+// the framework regenerates the paper's Table 1 ("Design comparison of
+// surveyed Grid simulation projects") from those machine-readable
+// profiles rather than from prose — see Table1 and cmd/table1.
 package taxonomy
 
 import (
@@ -340,4 +340,34 @@ func Diff(a, b *Profile) []string {
 	add("validation", string(a.Validation), string(b.Validation))
 	sort.Strings(diffs)
 	return diffs
+}
+
+// SelfProfile positions this framework in its own taxonomy — the
+// "future trends" checklist of the paper: generic scope, all four
+// component layers, dynamic components, both input kinds, pluggable
+// O(1) queues, multi-threaded/distributed execution, and validation
+// against both mathematics (queueing theory, E6) and the published
+// testbed study (E7). Its models are specified as a library: the
+// internal/* substrates, which every personality, experiment and
+// example calls directly.
+func SelfProfile() *Profile {
+	return &Profile{
+		Name:              "lsds (this work)",
+		Motivation:        "generic LSDS simulation: reproduce the surveyed designs under one engine",
+		Scope:             []Scope{ScopeGeneric, ScopeScheduling, ScopeReplication, ScopeTransport, ScopeEconomy},
+		Components:        []Component{CompHosts, CompNetwork, CompMiddleware, CompApps},
+		DynamicComponents: true,
+		Behavior:          Probabilistic,
+		Mechanics:         MechDES,
+		DESKinds:          []DESKind{DESEventDriven, DESTimeDriven, DESTraceDriven},
+		Execution:         ExecDistributed,
+		MultiThreaded:     true,
+		DynamicBalancing:  true,
+		Queue:             QueueO1,
+		JobMapping:        "goroutine active objects; pooled LP workers",
+		Spec:              []SpecStyle{SpecLibrary},
+		Inputs:            []InputKind{InputGenerator, InputMonitored},
+		Outputs:           []OutputKind{OutTextual, OutGraphical},
+		Validation:        ValidationBothKind,
+	}
 }

@@ -98,3 +98,22 @@ func TestDiff(t *testing.T) {
 		t.Fatalf("diff = %v", d)
 	}
 }
+
+func TestSelfProfile(t *testing.T) {
+	p := SelfProfile()
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// The framework must tick the paper's "future trends" boxes:
+	// generic scope, all four components, O(1) queue availability,
+	// distributed execution, and both validation kinds.
+	if !p.HasScope("generic LSDS") {
+		t.Fatal("self profile not generic")
+	}
+	if len(p.Components) != 4 {
+		t.Fatal("self profile must cover all four component layers")
+	}
+	if p.Queue != "O(1)" || p.Execution != "distributed" || p.Validation != "math+testbed" {
+		t.Fatalf("self profile = %+v", p)
+	}
+}

@@ -27,10 +27,8 @@ import (
 type SiteSpec struct {
 	Cores     int
 	CoreSpeed float64 // ops/second per core
-	Sharing   resources.SharingMode
 	DiskBytes float64
 	DiskBps   float64
-	DiskSeek  float64
 	DiskChans int
 	// Optional elements; zero values omit them.
 	DBBytes   float64
@@ -41,15 +39,6 @@ type SiteSpec struct {
 	TapeBps   float64
 	TapeMount float64
 	TapeDrive int
-}
-
-// DefaultSiteSpec returns a mid-size cluster site: 16 cores at 1e9
-// ops/s, space-shared, 10 TB of disk at 100 MB/s with 4 channels.
-func DefaultSiteSpec() SiteSpec {
-	return SiteSpec{
-		Cores: 16, CoreSpeed: 1e9, Sharing: resources.SpaceShared,
-		DiskBytes: 10e12, DiskBps: 100e6, DiskSeek: 0.005, DiskChans: 4,
-	}
 }
 
 // Site is a provisioned location in the grid.
@@ -82,7 +71,9 @@ func NewGrid(e *des.Engine) *Grid {
 	}
 }
 
-// AddSite provisions a site per spec and attaches it to the network.
+// AddSite provisions a site per spec and attaches it to the network:
+// a space-shared CPU, a disk with no seek time, and the optional
+// database and tape elements.
 func (g *Grid) AddSite(name string, spec SiteSpec) *Site {
 	if _, dup := g.byName[name]; dup {
 		panic(fmt.Sprintf("topology: duplicate site %q", name))
@@ -94,14 +85,14 @@ func (g *Grid) AddSite(name string, spec SiteSpec) *Site {
 		Spec: spec,
 	}
 	if spec.Cores > 0 {
-		s.CPU = resources.NewCPU(g.Engine, name+":cpu", spec.Cores, spec.CoreSpeed, spec.Sharing)
+		s.CPU = resources.NewCPU(g.Engine, name+":cpu", spec.Cores, spec.CoreSpeed, resources.SpaceShared)
 	}
 	if spec.DiskBytes > 0 {
 		chans := spec.DiskChans
 		if chans == 0 {
 			chans = 1
 		}
-		s.Disk = resources.NewDisk(g.Engine, name+":disk", spec.DiskBytes, spec.DiskBps, spec.DiskSeek, chans)
+		s.Disk = resources.NewDisk(g.Engine, name+":disk", spec.DiskBytes, spec.DiskBps, 0, chans)
 	}
 	if spec.DBBytes > 0 {
 		workers := spec.DBWorkers

@@ -4,23 +4,19 @@ import (
 	"testing"
 
 	"repro/internal/des"
-	"repro/internal/resources"
 )
 
 func TestAddSiteProvisioning(t *testing.T) {
 	e := des.NewEngine()
 	g := NewGrid(e)
 	full := g.AddSite("full", SiteSpec{
-		Cores: 4, CoreSpeed: 1e9, Sharing: resources.TimeShared,
+		Cores: 4, CoreSpeed: 1e9,
 		DiskBytes: 1e12, DiskBps: 1e8,
 		DBBytes: 1e10, DBBps: 1e8,
 		TapeBytes: 1e14, TapeBps: 1e8, TapeMount: 10,
 	})
 	if full.CPU == nil || full.Disk == nil || full.DB == nil || full.Tape == nil {
 		t.Fatal("full site missing elements")
-	}
-	if full.CPU.Mode() != resources.TimeShared {
-		t.Fatal("sharing mode not honored")
 	}
 	empty := g.AddSite("empty", SiteSpec{})
 	if empty.CPU != nil || empty.Disk != nil || empty.DB != nil || empty.Tape != nil {
@@ -48,7 +44,7 @@ func TestDuplicateSitePanics(t *testing.T) {
 
 func TestCentralModelShape(t *testing.T) {
 	e := des.NewEngine()
-	g := CentralModel(e, 5, DefaultSiteSpec(), SiteSpec{}, 1e6, 0.01)
+	g := CentralModel(e, 5, SiteSpec{Cores: 16, CoreSpeed: 1e9}, SiteSpec{}, 1e6, 0.01)
 	if len(g.Sites) != 6 {
 		t.Fatalf("sites = %d", len(g.Sites))
 	}
@@ -72,8 +68,8 @@ func TestCentralModelShape(t *testing.T) {
 func TestTierModelShape(t *testing.T) {
 	e := des.NewEngine()
 	g := TierModel(e, []TierSpec{
-		{Count: 1, Spec: DefaultSiteSpec()},
-		{Count: 3, Spec: DefaultSiteSpec(), UplinkBps: 1e8, UplinkLat: 0.05},
+		{Count: 1, Spec: SiteSpec{Cores: 16, CoreSpeed: 1e9}},
+		{Count: 3, Spec: SiteSpec{Cores: 16, CoreSpeed: 1e9}, UplinkBps: 1e8, UplinkLat: 0.05},
 		{Count: 2, Spec: SiteSpec{}, UplinkBps: 1e7, UplinkLat: 0.01},
 	})
 	if len(g.TierSites(0)) != 1 || len(g.TierSites(1)) != 3 || len(g.TierSites(2)) != 6 {
