@@ -263,15 +263,6 @@ func (r *Run) loopback() ([]*distsim.Worker, error) {
 	return workers, distsim.Loopback(&r.Coord, workers, wrap)
 }
 
-// ServeMetrics brings up the live endpoint on addr and says where.
-func ServeMetrics(addr string, snapshot func() any) (*monitoring.MetricsServer, error) {
-	ms, err := monitoring.ServeMetrics(addr, snapshot)
-	if err == nil {
-		fmt.Printf("metrics on http://%s/metrics\n", ms.Addr())
-	}
-	return ms, err
-}
-
 // WriteTrace writes the Chrome trace-event JSON write produces to path
 // and reports its size. The bytes pass a strict re-parse before they
 // hit disk: a malformed trace fails the run, not the later Perfetto
@@ -298,7 +289,7 @@ func (r *Run) Serve(t *metrics.Table, ln net.Listener) error {
 	if r.ObsEvery > 0 || r.Trace != "" || r.MetricsAddr != "" || r.Histo {
 		co = c.EnableObservability(max(r.ObsEvery, 1), 0)
 	}
-	var ms *monitoring.MetricsServer
+	var ms *MetricsServer
 	if r.MetricsAddr != "" {
 		var err error
 		if ms, err = ServeMetrics(r.MetricsAddr, func() any { return co.Snapshot() }); err != nil {

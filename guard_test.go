@@ -68,6 +68,11 @@ func TestDeterminismGuards(t *testing.T) {
 		name: "gob", why: "brings encoding/gob into the build; every codec here is explicit",
 		check: func(s *site) bool { return !under(s.imp, "repro") && slices.Contains(closure[s.imp], "encoding/gob") },
 	}, {
+		name: "no http", why: "brings net/http into a package outside cmd/; the live endpoint belongs to the commands",
+		check: func(s *site) bool {
+			return !under(s.file, "cmd") && !under(s.imp, "repro") && slices.Contains(closure[s.imp], "net/http")
+		},
+	}, {
 		name: "pure control core", why: "imports net, os, time or obs; an explorer drives the control core with none of them",
 		scope: []string{"internal/distsim/control.go"},
 		check: func(s *site) bool { return slices.Contains([]string{"net", "os", "time", "repro/internal/obs"}, s.imp) },

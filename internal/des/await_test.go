@@ -90,6 +90,26 @@ func TestAwaitRepeatedResumeIsNoop(t *testing.T) {
 	}
 }
 
+// TestAwaitStaleResumeLeavesLaterHoldAlone: an operation that runs
+// its resume op twice resumes the Await at the first run, and the
+// second, at 2, must not end the Hold(10) that took the freed record.
+func TestAwaitStaleResumeLeavesLaterHoldAlone(t *testing.T) {
+	e := NewEngine()
+	var at float64
+	e.Spawn("p", func(p *Process) {
+		p.Await(func(op Op, arg []byte) {
+			e.ScheduleOp(1, op, arg)
+			e.ScheduleOp(2, op, arg)
+		})
+		p.Hold(10)
+		at = p.Now()
+	})
+	e.Run()
+	if at != 11 {
+		t.Fatalf("Hold(10) from t=1 ended at %v, want 11", at)
+	}
+}
+
 // TestHoldAllocatesNothing pins the steady-state cost of a block: a
 // Hold, and an Acquire that waits behind another holder, each take a
 // pooled Await record and a recycled event, and allocate nothing.

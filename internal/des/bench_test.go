@@ -2,6 +2,7 @@ package des
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/eventq"
@@ -138,4 +139,28 @@ func BenchmarkSeqHold(b *testing.B) {
 	}
 	b.ReportAllocs()
 	e.Run()
+}
+
+// BenchmarkSchedulePending builds a fresh engine with n pending events,
+// the hold model's start (seq-hold schedules 10⁴): one op is one build,
+// reported per event in wall time, bytes and allocations.
+func BenchmarkSchedulePending(b *testing.B) {
+	for _, n := range []int{10_000, 1_000_000} {
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < b.N; i++ {
+				e := NewEngine()
+				src := e.Stream("h")
+				for j := 0; j < n; j++ {
+					e.Schedule(src.Float64()*2, func() {})
+				}
+			}
+			runtime.ReadMemStats(&after)
+			events := float64(b.N) * float64(n)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/events, "B/event")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/events, "allocs/event")
+		})
+	}
 }

@@ -303,7 +303,7 @@ func (e *Engine) Restore(r io.Reader) error {
 	*e.head = math.Inf(1)
 	for _, re := range events {
 		*e.head = min(*e.head, re.time)
-		ev := new(eventq.Event)
+		ev := e.fresh()
 		ev.Op = re.op
 		ev.Arg = re.arg
 		ev.Label = re.label

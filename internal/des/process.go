@@ -1,6 +1,9 @@
 package des
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Process is a simulated sequential activity — MONARC 2 calls these
 // "active objects": threaded entities with their own program counter
@@ -170,19 +173,29 @@ func (p *Process) Hold(d float64) {
 // later event hands control to the process inside that event; it adds
 // no event of its own, so a process and a continuation waiting on the
 // same operation resume in the same event. Running the op again is a
-// no-op until a later Await reuses its record, and so is running it
-// after Kill.
+// no-op, and so is running it after Kill.
 func (p *Process) Await(start func(op Op, arg []byte)) {
 	if p.k == nil {
 		p.k = PerEngine(p.e, newAwaits)
 	}
-	w, arg := p.k.waits.Get()
-	w.p = p
-	start(p.k.resume, arg)
+	k := p.k
+	w, idx := k.waits.Get()
+	k.gen++
+	w.p, w.gen = p, k.gen
+	// The resume argument is the record's index and gen, in 8 bytes of
+	// the Await's own, never rewritten: a resume op run again after the
+	// Await returned names a gen no later user of the record has. One
+	// 4 KiB chunk serves 512 Awaits.
+	if len(k.args) < 8 {
+		k.args = make([]byte, 4096)
+	}
+	arg := binary.LittleEndian.AppendUint32(append(k.args[:0:8], idx...), w.gen)
+	k.args = k.args[8:]
+	start(k.resume, arg)
 	for !w.done {
 		p.suspend()
 	}
-	p.k.waits.Put(arg)
+	k.waits.Put(idx)
 }
 
 // awaits is the engine's resume op and the records of the Awaits in
@@ -191,10 +204,13 @@ func (p *Process) Await(start func(op Op, arg []byte)) {
 type awaits struct {
 	waits  Table[await]
 	resume Op
+	gen    uint32 // the number of the engine's latest Await
+	args   []byte // the chunk resume arguments are cut from
 }
 
 type await struct {
 	p    *Process
+	gen  uint32 // the Await's number
 	done bool
 }
 
@@ -202,7 +218,7 @@ func newAwaits(e *Engine) *awaits {
 	k := &awaits{}
 	k.resume = e.RegisterOp("des:resume", func(arg []byte) {
 		w := k.waits.At(arg)
-		if w.p == nil || w.done {
+		if w.p == nil || w.done || w.gen != binary.LittleEndian.Uint32(arg[4:]) {
 			return
 		}
 		w.done = true

@@ -25,6 +25,10 @@ type Event struct {
 	// Op indexes the engine's registered-op table when Fn is nil; 0
 	// means "no op" (a closure event, or an inert restored tombstone).
 	Op uint32
+	// Canceled tombstones the event: the engine discards it when it
+	// reaches the head of the queue instead of executing it. It sits in
+	// Op's padding, which keeps a record at 80 bytes, not 88.
+	Canceled bool
 	// Arg is the op argument, cleared on recycle alongside Fn.
 	Arg []byte
 	// Label is the trace label (empty when tracing metadata is off).
@@ -35,9 +39,6 @@ type Event struct {
 	// Gen is incremented each time the record is recycled; handles
 	// compare it against the generation they captured at schedule time.
 	Gen uint64
-	// Canceled tombstones the event: the engine discards it when it
-	// reaches the head of the queue instead of executing it.
-	Canceled bool
 	// Next links free-list entries between uses.
 	Next *Event
 }

@@ -34,6 +34,11 @@ type heapNode struct {
 // slower at 10⁵, where the halved height is fewer cache misses.
 const heapArity = 4
 
+// heapDoubleFrom is where a full heap starts doubling its array itself:
+// append doubles only below 256 and then steps by ~1.25×, which fills a
+// 10⁴-deep heap through arrays four times the last one in all, not two.
+const heapDoubleFrom = 256
+
 // timeKey maps a time to a uint64 that orders as the float does: sign
 // bit flipped for t ≥ 0, every bit for t < 0. The +0 folds −0 onto +0,
 // which IEEE orders as equal but whose bits differ.
@@ -72,6 +77,9 @@ func (h *Heap) Len() int { return len(h.nodes) }
 func (h *Heap) Push(it Item) {
 	nd := heapNode{key: timeKey(it.Time), seq: it.Seq, ev: it.Event}
 	i := len(h.nodes)
+	if i == cap(h.nodes) && i >= heapDoubleFrom {
+		h.nodes = append(make([]heapNode, 0, 2*i), h.nodes...)
+	}
 	h.nodes = append(h.nodes, nd)
 	h.up(i, nd)
 }

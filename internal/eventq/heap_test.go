@@ -99,3 +99,23 @@ func FuzzHeapAgainstReference(f *testing.F) {
 		}
 	})
 }
+
+// TestHeapGrowthTouchesTwiceTheFinalArray pins the FEL's growth: the
+// arrays 10⁴ pushes into a fresh heap allocate add up to at most twice
+// the last one, as doubling gives. append's ~1.25× step past 256
+// elements allocates about four times the last one.
+func TestHeapGrowthTouchesTwiceTheFinalArray(t *testing.T) {
+	h := NewHeap()
+	touched, arrays := 0, 0
+	for i := 0; i < 10_000; i++ {
+		c := cap(h.nodes)
+		h.Push(Item{Time: float64(i % 97), Seq: uint64(i)})
+		if cap(h.nodes) != c {
+			touched += cap(h.nodes)
+			arrays++
+		}
+	}
+	if last := cap(h.nodes); touched > 2*last {
+		t.Fatalf("%d arrays of %d nodes in all, the last %d: more than twice the last", arrays, touched, last)
+	}
+}

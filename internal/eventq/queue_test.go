@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/rng"
 )
@@ -299,5 +300,15 @@ func TestItemBefore(t *testing.T) {
 	}
 	if a.Before(a) {
 		t.Error("item before itself")
+	}
+}
+
+// TestEventRecordIs80Bytes pins the record's layout. Canceled sits in
+// the padding after Op: placed after Gen it costs a word of its own,
+// and a record takes 88 bytes, which a lone allocation rounds up to 96.
+// The engine allocates records in slabs, whose stride is this size.
+func TestEventRecordIs80Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 80 {
+		t.Fatalf("eventq.Event takes %d bytes, want 80", got)
 	}
 }

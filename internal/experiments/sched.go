@@ -23,7 +23,7 @@ import (
 // central model's star, and no monarc code. They move far fewer WAN bytes.
 func E8CentralVsTier(clientCounts []int) *metrics.Table {
 	t := metrics.NewTable(
-		"E8. Central model (Bricks) vs tier model (MONARC)",
+		"E8. Central model (Bricks) vs tier model (per-site clusters; no MONARC code)",
 		"clients", "model", "mean response s", "makespan s", "WAN GB")
 	for _, clients := range clientCounts {
 		row := func(model string, response, makespan, wanBytes float64) {
