@@ -61,21 +61,23 @@ bench:
 
 # Short fuzz pass over the wire codec, the coordinator's two durable
 # formats (journal replay, cluster checkpoint), its fold of a worker's
-# obs snapshot and the kernel's event codec (op arguments, LP images,
-# frame events): arbitrary bytes must decode to an error or a valid
-# value — never a panic or an absurd allocation. Last, arbitrary
-# push/pop/peek sequences must get from the default FEL exactly what
-# the binary heap it replaced returns, the flow network on a fuzzed
-# scenario exactly what the per-flow-timer reference simulates, the
-# flow network's closed-form link charge exactly what one add at a time
-# sums to, and the slot-indexed replica catalog and stores exactly what
-# the name-keyed ones they replaced answer.
+# obs snapshot, the kernel's event codec (op arguments, LP images,
+# frame events) and its LP images adopted whole: arbitrary bytes must
+# decode to an error or a valid value — never a panic or an absurd
+# allocation — and an adopted image must extract to the same bytes.
+# Last, arbitrary push/pop/peek sequences must get from the default FEL
+# exactly what the binary heap it replaced returns, the flow network on
+# a fuzzed scenario exactly what the per-flow-timer reference
+# simulates, the flow network's closed-form link charge exactly what
+# one add at a time sums to, and the slot-indexed replica catalog and
+# stores exactly what the name-keyed ones they replaced answer.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime 10s ./internal/distsim/
 	$(GO) test -run '^$$' -fuzz FuzzParseJournal -fuzztime 10s ./internal/distsim/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeClusterCheckpoint -fuzztime 10s ./internal/distsim/
 	$(GO) test -run '^$$' -fuzz FuzzClusterObsFold -fuzztime 10s ./internal/distsim/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 10s ./internal/winsync/
+	$(GO) test -run '^$$' -fuzz FuzzAdoptImage -fuzztime 10s ./internal/winsync/
 	$(GO) test -run '^$$' -fuzz FuzzHeapAgainstReference -fuzztime 10s ./internal/eventq/
 	$(GO) test -run '^$$' -fuzz FuzzNetworkAgainstReference -fuzztime 10s ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz FuzzAddN -fuzztime 10s ./internal/netsim/

@@ -1,17 +1,18 @@
 // Package checkpoint defines the durable snapshot format shared by
-// every engine layer of the framework, plus the interface a simulation
-// model implements to ride along in a snapshot.
+// every engine layer of the framework, plus the interface through
+// which an engine or a simulation model writes its state into one.
 //
 // The paper's taxonomy places execution mode and failure support on
 // the same axis sheet: the MONARC-class simulators it surveys are
 // distinguished by running long campaigns reliably at scale, yet none
 // of them can survive a crash of the simulator itself — a failure
 // loses the run. This package supplies the missing property. A
-// snapshot is a versioned, self-describing container of named
-// sections; producers (des.Engine, parsim.Federation, the distsim
-// worker and coordinator) each write their own sections, and readers
-// skip sections they do not understand, so the format can grow without
-// breaking old snapshots.
+// snapshot file is a versioned, self-describing container of named
+// sections; its owners (parsim.Federation, the distsim worker and
+// coordinator) each write their own sections, and readers skip
+// sections they do not understand, so the format can grow without
+// breaking old snapshots. An engine's or a model's state is appended
+// to the owner's Enc, inside a section, with no container of its own.
 //
 // Wire layout:
 //
@@ -24,7 +25,8 @@
 // Integers inside section payloads are uvarint-encoded via Enc/Dec;
 // floats are fixed 8-byte IEEE 754 bits. Everything is explicit — no
 // reflection, no gob — so a snapshot written on one host restores
-// bit-identically on any other.
+// bit-identically on any other. Dec accepts only what Enc writes
+// (shortest uvarints, flags 0 and 1): a payload has one encoding.
 package checkpoint
 
 import (
@@ -42,25 +44,31 @@ const Magic = "LSDSCKPT"
 // Version is the current format version. Readers accept exactly the
 // versions they know how to parse. Version 2 is the first whose
 // federation and worker snapshots are winsync's per-LP images; what
-// version 1 kept in their place cannot be read as one.
-const Version = 2
+// version 1 kept in their place cannot be read as one. Version 3 is
+// the first whose LP images hold the engine's state inline, where
+// version 2 nested a whole snapshot file of the engine's in each.
+const Version = 3
 
 // maxSectionLen bounds a single section payload (1 GiB): a length
 // beyond it means a corrupt or hostile stream, not a real snapshot.
 const maxSectionLen = 1 << 30
 
-// Checkpointable is implemented by simulation models whose state must
-// survive a checkpoint/restore cycle alongside the engine state (event
-// counters, accumulators, open jobs — anything not reconstructible
-// from the pending-event set alone).
+// Checkpointable is implemented by state that must survive a
+// checkpoint/restore cycle: the engine's (clock, random streams,
+// pending events) and a simulation model's beside it (event counters,
+// accumulators, open jobs — anything not reconstructible from the
+// pending-event set alone). Both write into the encoder of whoever owns
+// the file, so a snapshot nests no container.
 //
-// MarshalState must be deterministic: equal model states produce equal
-// bytes, so snapshot comparison is meaningful. UnmarshalState must
+// AppendState must be deterministic: equal states produce equal
+// bytes, so snapshot comparison is meaningful. It writes nothing when
+// it fails. RestoreState reads what AppendState wrote from d and must
 // fully overwrite the receiver; it is called on a freshly constructed
-// model whose configuration already matches the checkpointed run.
+// engine or model whose configuration already matches the
+// checkpointed run.
 type Checkpointable interface {
-	MarshalState() ([]byte, error)
-	UnmarshalState(data []byte) error
+	AppendState(enc *Enc) error
+	RestoreState(d *Dec) error
 }
 
 // Writer streams a snapshot to an io.Writer, section by section.
@@ -117,15 +125,15 @@ func (sw *Writer) Close() error {
 	return sw.err
 }
 
-// Section is one named chunk of a parsed snapshot.
-type Section struct {
-	Name string
-	Data []byte
+// section is one named chunk of a parsed snapshot.
+type section struct {
+	name string
+	data []byte
 }
 
 // Snapshot is a fully parsed, CRC-verified snapshot.
 type Snapshot struct {
-	sections []Section
+	sections []section
 }
 
 // Read parses and verifies a snapshot from r.
@@ -182,7 +190,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 			copy(next, payload)
 			payload = next
 		}
-		snap.sections = append(snap.sections, Section{Name: string(name), Data: payload})
+		snap.sections = append(snap.sections, section{name: string(name), data: payload})
 	}
 	want := br.crc
 	var tail [4]byte
@@ -198,8 +206,8 @@ func Read(r io.Reader) (*Snapshot, error) {
 // Section returns the first section with the given name.
 func (s *Snapshot) Section(name string) ([]byte, bool) {
 	for _, sec := range s.sections {
-		if sec.Name == name {
-			return sec.Data, true
+		if sec.name == name {
+			return sec.data, true
 		}
 	}
 	return nil, false
@@ -209,15 +217,12 @@ func (s *Snapshot) Section(name string) ([]byte, bool) {
 func (s *Snapshot) All(name string) [][]byte {
 	var out [][]byte
 	for _, sec := range s.sections {
-		if sec.Name == name {
-			out = append(out, sec.Data)
+		if sec.name == name {
+			out = append(out, sec.data)
 		}
 	}
 	return out
 }
-
-// Sections returns every section in write order.
-func (s *Snapshot) Sections() []Section { return s.sections }
 
 // crcReader updates a CRC over everything read through it, one byte at
 // a time when used as an io.ByteReader (for ReadUvarint).
@@ -310,7 +315,7 @@ func NewDec(b []byte) *Dec { return &Dec{b: b} }
 
 func (d *Dec) fail(what string) {
 	if d.err == nil {
-		d.err = fmt.Errorf("checkpoint: truncated %s at offset %d", what, d.off)
+		d.err = fmt.Errorf("checkpoint: %s at offset %d", what, d.off)
 	}
 }
 
@@ -320,8 +325,8 @@ func (d *Dec) U64() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.b[d.off:])
-	if n <= 0 {
-		d.fail("uvarint")
+	if n <= 0 || n > 1 && d.b[d.off+n-1] == 0 {
+		d.fail("truncated or overlong uvarint")
 		return 0
 	}
 	d.off += n
@@ -337,7 +342,7 @@ func (d *Dec) F64() float64 {
 		return 0
 	}
 	if d.off+8 > len(d.b) {
-		d.fail("float64")
+		d.fail("truncated float64")
 		return 0
 	}
 	v := math.Float64frombits(binary.BigEndian.Uint64(d.b[d.off:]))
@@ -350,13 +355,12 @@ func (d *Dec) Bool() bool {
 	if d.err != nil {
 		return false
 	}
-	if d.off >= len(d.b) {
-		d.fail("bool")
+	if d.off >= len(d.b) || d.b[d.off] > 1 {
+		d.fail("truncated bool or flag byte above 1")
 		return false
 	}
-	v := d.b[d.off]
 	d.off++
-	return v != 0
+	return d.b[d.off-1] == 1
 }
 
 // Str reads a length-prefixed string.
@@ -366,7 +370,7 @@ func (d *Dec) Str() string {
 		return ""
 	}
 	if uint64(len(d.b)-d.off) < n {
-		d.fail("string")
+		d.fail("truncated string")
 		return ""
 	}
 	s := string(d.b[d.off : d.off+int(n)])
@@ -382,7 +386,7 @@ func (d *Dec) Raw() []byte {
 		return nil
 	}
 	if uint64(len(d.b)-d.off) < n {
-		d.fail("bytes")
+		d.fail("truncated bytes")
 		return nil
 	}
 	if n == 0 {
@@ -405,7 +409,7 @@ func (d *Dec) RawView() []byte {
 		return nil
 	}
 	if uint64(len(d.b)-d.off) < n {
-		d.fail("bytes")
+		d.fail("truncated bytes")
 		return nil
 	}
 	if n == 0 {

@@ -41,8 +41,8 @@ func TestRoundTrip(t *testing.T) {
 	if _, ok := snap.Section("gamma"); ok {
 		t.Fatal("phantom section")
 	}
-	if len(snap.Sections()) != 3 {
-		t.Fatalf("sections = %d", len(snap.Sections()))
+	if len(snap.sections) != 3 {
+		t.Fatalf("sections = %d", len(snap.sections))
 	}
 }
 

@@ -2,23 +2,24 @@ package des
 
 import (
 	"fmt"
-	"io"
 	"math"
 
 	"repro/internal/checkpoint"
 	"repro/internal/eventq"
+	"repro/internal/rng"
 )
 
-// This file implements engine checkpoint/restore: a versioned binary
-// snapshot of the engine clock, sequence counter, statistics, random
-// stream state, and the full pending-event set, written in the
-// self-describing section format of package checkpoint.
+// This file implements engine checkpoint/restore: the engine clock,
+// sequence counter, statistics, random stream state and the full
+// pending-event set, appended to the encoder of whoever owns the
+// snapshot file (an LP image, and through it a federation or cluster
+// checkpoint). The engine writes no container of its own.
 //
 // Closures cannot be serialized, so a checkpointable model schedules
 // its events as *registered ops*: a named callback registered once per
 // engine (RegisterOp) plus an optional byte-slice argument per event
 // (ScheduleOp/AtOp). The snapshot stores the op name and argument;
-// Restore reconnects them to the callbacks the restoring model has
+// RestoreState reconnects them to the callbacks the restoring model has
 // registered under the same names. Op scheduling is also the cheaper
 // path — no per-event closure allocation — so models convert to it for
 // speed even before they care about checkpoints.
@@ -91,32 +92,25 @@ func (e *Engine) atOp(t float64, op Op, arg []byte) Timer {
 	return e.atEvent(t, e.ops[op.idx].name, nil, op.idx, arg)
 }
 
-// snapshot section names (engine level).
-const (
-	secEngine = "des.engine"
-	secRNG    = "des.rng"
-	secOps    = "des.ops"
-	secEvents = "des.events"
-)
-
-// Checkpoint writes a snapshot of the engine to w: clock, sequence
-// counter, statistics counters, random stream state, and every pending
-// event. It is non-destructive — the run can continue afterwards — and
-// must be called between events (not from inside a handler, and not
-// with live simulated processes, whose goroutine stacks cannot be
-// captured).
+// AppendState implements checkpoint.Checkpointable: it appends the
+// engine's clock, sequence counter, statistics counters, random stream
+// state and every pending event to enc. It is non-destructive — the
+// run can continue afterwards — and must be called between events (not
+// from inside a handler, and not with live simulated processes, whose
+// goroutine stacks cannot be captured).
 //
 // Every live pending event must have been scheduled as a registered op
 // (ScheduleOp/AtOp); a pending closure event makes the engine
-// unserializable and Checkpoint reports it by name. Canceled
-// tombstones are exempt — they never execute, so they round-trip as
-// inert records to keep the cancellation statistics exact.
-func (e *Engine) Checkpoint(w io.Writer) error {
+// unserializable, AppendState reports it by name and writes nothing.
+// Canceled tombstones are exempt — they never execute, so they
+// round-trip as inert records to keep the cancellation statistics
+// exact.
+func (e *Engine) AppendState(enc *checkpoint.Enc) error {
 	if e.running {
-		return fmt.Errorf("des: Checkpoint called while Run is executing")
+		return fmt.Errorf("des: AppendState called while Run is executing")
 	}
 	if e.liveProcs > 0 {
-		return fmt.Errorf("des: Checkpoint with %d live simulated processes", e.liveProcs)
+		return fmt.Errorf("des: AppendState with %d live simulated processes", e.liveProcs)
 	}
 
 	// Snapshot the pending set by draining and re-pushing: no queue
@@ -133,164 +127,123 @@ func (e *Engine) Checkpoint(w io.Writer) error {
 	for _, it := range items {
 		e.queue.Push(it)
 	}
-
-	var evEnc checkpoint.Enc
-	evEnc.Int(len(items))
 	for _, it := range items {
-		ev := it.Event
-		if ev.Fn != nil && !ev.Canceled {
+		if ev := it.Event; ev.Fn != nil && !ev.Canceled {
 			return fmt.Errorf("des: pending event %q at t=%v was scheduled as a closure; checkpointable models must use ScheduleOp", ev.Label, it.Time)
 		}
-		evEnc.F64(it.Time)
-		evEnc.U64(it.Seq)
-		evEnc.F64(ev.SchedAt)
-		evEnc.Bool(ev.Canceled)
-		if ev.Op != 0 {
-			evEnc.Str(e.ops[ev.Op].name)
-		} else {
-			evEnc.Str("") // canceled closure: restores as an inert tombstone
-		}
-		evEnc.Str(ev.Label)
-		evEnc.Raw(ev.Arg)
+	}
+	rngState, err := e.rng.MarshalBinary()
+	if err != nil {
+		return err
 	}
 
-	cw := checkpoint.NewWriter(w)
-	var enc checkpoint.Enc
 	enc.U64(e.seed)
-	enc.Str(string(e.queueKind))
 	enc.F64(e.now)
 	enc.U64(e.seq)
 	enc.U64(e.executed)
 	enc.U64(e.scheduled)
 	enc.U64(e.canceled)
 	enc.Int(e.maxQueue)
-	if err := cw.Section(secEngine, enc.Bytes()); err != nil {
-		return err
+	enc.Raw(rngState)
+	enc.Int(len(items))
+	for _, it := range items {
+		ev := it.Event
+		enc.F64(it.Time)
+		enc.U64(it.Seq)
+		enc.F64(ev.SchedAt)
+		enc.Bool(ev.Canceled)
+		if ev.Op != 0 {
+			enc.Str(e.ops[ev.Op].name)
+		} else {
+			enc.Str("") // canceled closure: restores as an inert tombstone
+		}
+		enc.Raw(ev.Arg)
 	}
-	rngState, err := e.rng.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	if err := cw.Section(secRNG, rngState); err != nil {
-		return err
-	}
-	// The op name table is informational (events reference ops by name,
-	// not index): it lets tooling inspect what a snapshot needs without
-	// decoding the event list.
-	var opsEnc checkpoint.Enc
-	registered := e.ops
-	if len(registered) > 0 {
-		registered = registered[1:] // skip the reserved sentinel
-	}
-	opsEnc.Int(len(registered))
-	for _, op := range registered {
-		opsEnc.Str(op.name)
-	}
-	if err := cw.Section(secOps, opsEnc.Bytes()); err != nil {
-		return err
-	}
-	if err := cw.Section(secEvents, evEnc.Bytes()); err != nil {
-		return err
-	}
-	return cw.Close()
+	return nil
 }
 
-// Restore overwrites the engine with a snapshot written by Checkpoint:
-// the pending events currently queued (for example the initial events
-// a model's constructor scheduled) are discarded and replaced by the
-// snapshot's, and the clock, counters, and random streams resume
-// exactly where the checkpointed engine stood. The restoring model
-// must have registered every op name the snapshot references.
+// RestoreState implements checkpoint.Checkpointable: it overwrites the
+// engine with state written by AppendState. The pending events
+// currently queued (for example the initial events a model's
+// constructor scheduled) are discarded and replaced by the snapshot's,
+// and the clock, counters, and random streams resume exactly where the
+// checkpointed engine stood. The restoring model must have registered
+// every op name the snapshot references. Everything is decoded and
+// checked before the engine changes, so a corrupt snapshot leaves it
+// as it was.
 //
-// Outstanding Timer handles are invalidated by Restore; a model that
-// cancels events across a checkpoint must carry the information it
-// needs to re-issue the cancellation in its own Checkpointable state.
+// An op event's trace label is its op's name, as when it was
+// scheduled; a canceled closure's tombstone comes back unlabelled.
+// Outstanding Timer handles are invalidated by RestoreState; a model
+// that cancels events across a checkpoint must carry the information
+// it needs to re-issue the cancellation in its own Checkpointable
+// state.
 //
 // A resumed run is bit-identical to an uninterrupted one: same event
 // order (time, sequence number, tie-breaks), same random draws, same
 // final statistics.
-func (e *Engine) Restore(r io.Reader) error {
+func (e *Engine) RestoreState(d *checkpoint.Dec) error {
 	if e.running {
-		return fmt.Errorf("des: Restore called while Run is executing")
+		return fmt.Errorf("des: RestoreState called while Run is executing")
 	}
 	if e.liveProcs > 0 {
-		return fmt.Errorf("des: Restore with %d live simulated processes", e.liveProcs)
+		return fmt.Errorf("des: RestoreState with %d live simulated processes", e.liveProcs)
 	}
-	snap, err := checkpoint.Read(r)
-	if err != nil {
-		return err
-	}
-	engSec, ok := snap.Section(secEngine)
-	if !ok {
-		return fmt.Errorf("des: snapshot has no %s section", secEngine)
-	}
-	d := checkpoint.NewDec(engSec)
 	seed := d.U64()
-	kind := d.Str()
 	now := d.F64()
 	seq := d.U64()
 	executed := d.U64()
 	scheduled := d.U64()
 	canceled := d.U64()
 	maxQueue := d.Int()
+	rngState := d.RawView()
+	n := d.Int()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	rngState, ok := snap.Section(secRNG)
-	if !ok {
-		return fmt.Errorf("des: snapshot has no %s section", secRNG)
+	var src rng.Source
+	if err := src.UnmarshalBinary(rngState); err != nil {
+		return err
 	}
-	evSec, ok := snap.Section(secEvents)
-	if !ok {
-		return fmt.Errorf("des: snapshot has no %s section", secEvents)
+	if maxQueue < 0 {
+		return fmt.Errorf("des: snapshot has queue high-water mark %d", maxQueue)
+	}
+	if n < 0 || n > d.Remaining() { // an event costs more than a byte
+		return fmt.Errorf("des: snapshot's event count %d exceeds its %d remaining bytes", n, d.Remaining())
 	}
 
-	// Decode the event list fully before touching engine state, so a
-	// corrupt snapshot leaves the engine unchanged.
-	ed := checkpoint.NewDec(evSec)
-	n := ed.Int()
-	type restoredEvent struct {
-		time     float64
-		seq      uint64
-		schedAt  float64
-		canceled bool
-		op       uint32
-		label    string
-		arg      []byte
-	}
-	events := make([]restoredEvent, 0, n)
-	for i := 0; i < n; i++ {
-		re := restoredEvent{
-			time:     ed.F64(),
-			seq:      ed.U64(),
-			schedAt:  ed.F64(),
-			canceled: ed.Bool(),
-		}
-		opName := ed.Str()
-		re.label = ed.Str()
-		re.arg = ed.Raw()
-		if err := ed.Err(); err != nil {
+	// The events must come in dequeue order, from the clock on: real
+	// sequence numbers start at 1.
+	evs, items := make([]eventq.Event, n), make([]eventq.Item, n)
+	last := eventq.Item{Time: now}
+	for i := range items {
+		it := eventq.Item{Time: d.F64(), Seq: d.U64(), Event: &evs[i]}
+		ev := it.Event
+		ev.SchedAt, ev.Canceled = d.F64(), d.Bool()
+		name := d.RawView() // a Str; looked up without a copy
+		ev.Arg = d.Raw()
+		if err := d.Err(); err != nil {
 			return err
 		}
-		if opName != "" {
-			idx, ok := e.opIdx[opName]
+		if !(it.Time > last.Time || it.Time == last.Time && it.Seq > last.Seq) {
+			return fmt.Errorf("des: snapshot's event %d at (t=%v, seq %d) does not follow (t=%v, seq %d)", i, it.Time, it.Seq, last.Time, last.Seq)
+		}
+		if len(name) != 0 {
+			idx, ok := e.opIdx[string(name)]
 			if !ok {
-				return fmt.Errorf("des: snapshot references op %q, which the restoring engine has not registered", opName)
+				return fmt.Errorf("des: snapshot references op %q, which the restoring engine has not registered", name)
 			}
-			re.op = idx
-		} else if !re.canceled {
+			ev.Op, ev.Label = idx, e.ops[idx].name // the label atOp gives an op event
+		} else if !ev.Canceled {
 			return fmt.Errorf("des: snapshot contains a live event with no op name")
 		}
-		events = append(events, re)
-	}
-	if err := e.rng.UnmarshalBinary(rngState); err != nil {
-		return err
+		items[i], last = it, it
 	}
 
 	// Commit: rebuild the queue (discarding whatever was pending) and
 	// install the snapshot.
 	e.seed = seed
-	_ = kind // informational: restore keeps the engine's own FEL kind
+	*e.rng = src
 	e.newQueue()
 	e.freeEv = nil
 	e.now = now
@@ -301,15 +254,11 @@ func (e *Engine) Restore(r io.Reader) error {
 	e.maxQueue = maxQueue
 	e.stopped = false
 	*e.head = math.Inf(1)
-	for _, re := range events {
-		*e.head = min(*e.head, re.time)
-		ev := e.fresh()
-		ev.Op = re.op
-		ev.Arg = re.arg
-		ev.Label = re.label
-		ev.SchedAt = re.schedAt
-		ev.Canceled = re.canceled
-		e.queue.Push(eventq.Item{Time: re.time, Seq: re.seq, Event: ev})
+	if n > 0 {
+		*e.head = items[0].Time
+	}
+	for _, it := range items {
+		e.queue.Push(it)
 	}
 	return nil
 }

@@ -3,6 +3,9 @@ package des
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -55,13 +58,26 @@ func (m *ckptModel) onStep(arg []byte) {
 	m.e.ScheduleOp(m.e.Rand().Exp(1), m.step, next[:])
 }
 
-// MarshalState/UnmarshalState make the model checkpointable alongside
-// its engine.
-func (m *ckptModel) MarshalState() ([]byte, error) {
-	var b [16]byte
-	binary.BigEndian.PutUint64(b[:8], m.count)
-	binary.BigEndian.PutUint64(b[8:], uint64(0))
-	return b[:], nil
+var _ checkpoint.Checkpointable = (*Engine)(nil)
+
+// snapshot returns e's state as AppendState writes it.
+func snapshot(e *Engine) ([]byte, error) {
+	var enc checkpoint.Enc
+	err := e.AppendState(&enc)
+	return enc.Bytes(), err
+}
+
+// restore restores e from a whole snapshot, refusing trailing bytes as
+// the owner of a snapshot file does.
+func restore(e *Engine, snap []byte) error {
+	d := checkpoint.NewDec(snap)
+	if err := e.RestoreState(d); err != nil {
+		return err
+	}
+	if d.Remaining() != 0 {
+		return fmt.Errorf("%d trailing bytes", d.Remaining())
+	}
+	return nil
 }
 
 type traceEntry struct {
@@ -105,17 +121,17 @@ func TestResumeBitIdenticalAllKinds(t *testing.T) {
 			firstM := newCkptModel(firstE, 1<<40)
 			firstM.start(jobs)
 			firstE.RunUntil(H / 2)
-			var snap bytes.Buffer
-			if err := firstE.Checkpoint(&snap); err != nil {
+			snap, err := snapshot(firstE)
+			if err != nil {
 				t.Fatal(err)
 			}
 
 			var resTrace []traceEntry
-			resE := NewEngine(WithSeed(seed+1000), WithQueue(kind)) // deliberately different seed: Restore overrides
+			resE := NewEngine(WithSeed(seed+1000), WithQueue(kind)) // deliberately different seed: RestoreState overrides
 			resE.SetObserver(Observer{Hook: traceHook(&resTrace)})
 			resM := newCkptModel(resE, 1<<40)
-			resM.start(jobs) // initial events must be discarded by Restore
-			if err := resE.Restore(bytes.NewReader(snap.Bytes())); err != nil {
+			resM.start(jobs) // initial events must be discarded by RestoreState
+			if err := restore(resE, snap); err != nil {
 				t.Fatal(err)
 			}
 			if got := resE.Now(); got != firstE.Now() {
@@ -178,14 +194,15 @@ func TestCheckpointSnapshotStable(t *testing.T) {
 	m.start(8)
 	e.RunUntil(10)
 
-	var a, b bytes.Buffer
-	if err := e.Checkpoint(&a); err != nil {
+	a, err := snapshot(e)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Checkpoint(&b); err != nil {
+	b, err := snapshot(e)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(a, b) {
 		t.Fatal("checkpoint is not deterministic")
 	}
 
@@ -203,21 +220,21 @@ func TestCheckpointSnapshotStable(t *testing.T) {
 
 func TestCheckpointRejectsClosures(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(1, func() {})
-	if err := e.Checkpoint(&bytes.Buffer{}); err == nil {
-		t.Fatal("closure event serialized")
+	e.ScheduleNamed("the closure", 1, func() {})
+	if snap, err := snapshot(e); err == nil || !strings.Contains(err.Error(), "the closure") || len(snap) != 0 {
+		t.Fatalf("closure event serialized: %v, %d bytes written", err, len(snap))
 	}
 
 	// A canceled closure is fine: it never executes.
 	e2 := NewEngine()
 	tm := e2.Schedule(1, func() {})
 	tm.Cancel()
-	var buf bytes.Buffer
-	if err := e2.Checkpoint(&buf); err != nil {
+	snap, err := snapshot(e2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	e3 := NewEngine()
-	if err := e3.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := restore(e3, snap); err != nil {
 		t.Fatal(err)
 	}
 	e3.Run()
@@ -230,13 +247,12 @@ func TestRestoreRejectsUnknownOp(t *testing.T) {
 	e := NewEngine()
 	op := e.RegisterOp("only.here", func([]byte) {})
 	e.ScheduleOp(1, op, nil)
-	var buf bytes.Buffer
-	if err := e.Checkpoint(&buf); err != nil {
+	snap, err := snapshot(e)
+	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := NewEngine()
-	err := fresh.Restore(bytes.NewReader(buf.Bytes()))
-	if err == nil {
+	if err := restore(fresh, snap); err == nil {
 		t.Fatal("unknown op accepted")
 	}
 }
@@ -247,7 +263,7 @@ func TestCheckpointRejectsLiveProcesses(t *testing.T) {
 		p.Hold(100)
 	})
 	e.RunUntil(1)
-	if err := e.Checkpoint(&bytes.Buffer{}); err == nil {
+	if _, err := snapshot(e); err == nil {
 		t.Fatal("live process engine serialized")
 	}
 }
@@ -309,14 +325,14 @@ func TestRestoreIntoDifferentQueueKind(t *testing.T) {
 	hm := newCkptModel(half, 1<<40)
 	hm.start(8)
 	half.RunUntil(15)
-	var buf bytes.Buffer
-	if err := half.Checkpoint(&buf); err != nil {
+	snap, err := snapshot(half)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range []eventq.Kind{eventq.KindCalendar, eventq.KindSplay} {
 		res := NewEngine(WithQueue(kind))
 		resM := newCkptModel(res, 1<<40)
-		if err := res.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+		if err := restore(res, snap); err != nil {
 			t.Fatal(err)
 		}
 		res.RunUntil(30)
@@ -327,34 +343,54 @@ func TestRestoreIntoDifferentQueueKind(t *testing.T) {
 	}
 }
 
-func TestSnapshotSelfDescribing(t *testing.T) {
-	// The snapshot must be readable as a generic section stream — the
-	// property tooling relies on to inspect snapshots without engine
-	// code.
-	e := NewEngine()
-	op := e.RegisterOp("peek.me", func([]byte) {})
-	e.ScheduleOp(2, op, []byte("payload"))
-	var buf bytes.Buffer
-	if err := e.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := checkpoint.Read(bytes.NewReader(buf.Bytes()))
+// TestRestoreStateRefusesCorruptState: an event count no payload could
+// hold (once a fatal out-of-memory: the count sized an allocation
+// unchecked), events out of dequeue order and a live event with no op
+// are refused, and the engine is left as it was.
+func TestRestoreStateRefusesCorruptState(t *testing.T) {
+	e := NewEngine(WithSeed(3))
+	newCkptModel(e, 1<<40).start(4)
+	e.RunUntil(5)
+	before, err := snapshot(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := map[string]bool{}
-	for _, sec := range snap.Sections() {
-		names[sec.Name] = true
+	// A state with no events ends in the event count 0.
+	empty, err := snapshot(newCkptModel(NewEngine(), 0).e)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{secEngine, secRNG, secOps, secEvents} {
-		if !names[want] {
-			t.Fatalf("section %q missing from %v", want, names)
+	header := empty[:len(empty)-1]
+	event := func(enc *checkpoint.Enc, t float64, seq uint64, op string) {
+		enc.F64(t)
+		enc.U64(seq)
+		enc.F64(0)
+		enc.Bool(false)
+		enc.Str(op)
+		enc.Raw(nil)
+	}
+	var bomb, disordered, noOp checkpoint.Enc
+	bomb.U64(1 << 40)
+	disordered.Int(2)
+	event(&disordered, 2, 1, "test.step")
+	event(&disordered, 1, 2, "test.step")
+	noOp.Int(1)
+	event(&noOp, 1, 1, "")
+	for _, c := range []struct {
+		name string
+		tail *checkpoint.Enc
+	}{{"event count 1<<40", &bomb}, {"events out of order", &disordered}, {"live event without an op", &noOp}} {
+		if err := restore(e, append(slices.Clone(header), c.tail.Bytes()...)); err == nil {
+			t.Fatalf("%s accepted", c.name)
+		}
+		if after, err := snapshot(e); err != nil || !bytes.Equal(after, before) {
+			t.Fatalf("refusing %s changed the engine (%v)", c.name, err)
 		}
 	}
 }
 
 // TestDerivedStreamResumesMidSequence pins the contract model-level
-// checkpointing (e.g. faults.Injector) depends on: Engine.Checkpoint
+// checkpointing (e.g. faults.Injector) depends on: Engine.AppendState
 // carries the engine's own stream but NOT streams handed out by
 // Engine.Stream — Derive reconstructs a stream at its origin, so a
 // model that draws from a derived stream must marshal that stream's

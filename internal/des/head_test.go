@@ -1,7 +1,6 @@
 package des
 
 import (
-	"bytes"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -10,7 +9,7 @@ import (
 )
 
 // first returns the earliest queued record without disturbing the
-// queue: it drains and re-pushes, as Checkpoint does.
+// queue: it drains and re-pushes, as AppendState does.
 func first(e *Engine) (it eventq.Item, ok bool) {
 	var items []eventq.Item
 	for {
@@ -116,18 +115,17 @@ func TestHeadBoundsNextEvent(t *testing.T) {
 					t.Fatalf("seed %d step %d: Head %v above PeekTime %v", seed, step, e.Head(), pt)
 				}
 			case 6:
-				var buf bytes.Buffer
-				if e.Checkpoint(&buf) == nil { // refused while a closure is live
-					snap = buf.Bytes()
+				if b, err := snapshot(e); err == nil { // refused while a closure is live
+					snap = b
 				}
 			case 7:
 				if snap == nil {
 					continue
 				}
-				if err := e.Restore(bytes.NewReader(snap)); err != nil {
+				if err := restore(e, snap); err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
-				timers = timers[:0] // Restore invalidates every handle
+				timers = timers[:0] // RestoreState invalidates every handle
 				restores++
 			}
 			if left != nil && *left != leftAt {

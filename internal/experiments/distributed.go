@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"repro/internal/distsim"
@@ -72,59 +71,6 @@ func E5bDistributedOverhead(lps, jobsPerLP, work int, horizon float64) (*metrics
 	return t, nil
 }
 
-// optCountModel is the pure PHOLD-like model E5c runs under the
-// optimistic engine (state-carried RNG so rollback re-executions
-// redraw identical values).
-type optCountModel struct {
-	n          int
-	remoteProb float64
-	meanDelay  float64
-}
-
-type optCountState struct {
-	count int64
-	rng   uint64
-}
-
-func optSplitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func (m *optCountModel) draw(s *optCountState) float64 {
-	s.rng = optSplitmix(s.rng)
-	u := float64(s.rng>>11) / (1 << 53)
-	if u <= 0 {
-		u = 0.5
-	}
-	return -math.Log(u) * m.meanDelay
-}
-
-func (m *optCountModel) Init(lp int) (optsim.State, []optsim.Send) {
-	s := &optCountState{rng: uint64(lp)*2654435761 + 99}
-	return s, []optsim.Send{{To: lp, Delay: m.draw(s)}}
-}
-
-func (m *optCountModel) Handle(lp int, raw optsim.State, ev optsim.Message) (optsim.State, []optsim.Send) {
-	s := raw.(*optCountState)
-	next := &optCountState{count: s.count + 1, rng: s.rng}
-	delay := m.draw(next)
-	to := lp
-	next.rng = optSplitmix(next.rng)
-	if m.n > 1 && float64(next.rng>>11)/(1<<53) < m.remoteProb {
-		next.rng = optSplitmix(next.rng)
-		to = int(next.rng % uint64(m.n))
-	}
-	return next, []optsim.Send{{To: to, Delay: delay}}
-}
-
-func (m *optCountModel) Clone(raw optsim.State) optsim.State {
-	cp := *raw.(*optCountState)
-	return &cp
-}
-
 // E5cOptimisticVsConservative completes the synchronization-design
 // comparison: Time Warp needs no lookahead but pays state saving and
 // rollback; the table reports its waste profile (rollbacks,
@@ -134,7 +80,7 @@ func E5cOptimisticVsConservative(lps int, horizon float64) *metrics.Table {
 	t := metrics.NewTable(
 		"E5c. Optimistic (Time Warp) execution cost profile",
 		"engine", "committed events", "total executions", "rollbacks", "anti-msgs", "efficiency")
-	model := &optCountModel{n: lps, remoteProb: 0.5, meanDelay: 1.0}
+	model := &optsim.CountModel{N: lps, RemoteProb: 0.5, MeanDelay: 1.0, Seed: 99}
 	_, seqCounts := optsim.RunSequential(model, lps, horizon)
 	var seqTotal uint64
 	for _, c := range seqCounts {

@@ -64,16 +64,16 @@ func NewInjector(e *des.Engine, cluster *scheduler.Cluster, ttfShape, ttfScale, 
 // which keeps the event queue busy — use only with RunUntil). Its
 // crash and repair steps are registered ops, so every pending crash and
 // repair serializes into an engine checkpoint and the loop survives
-// Engine.Restore. The injector's stream draws a Weibull time to failure,
-// then a lognormal repair time, repeating.
+// Engine.RestoreState. The injector's stream draws a Weibull time to
+// failure, then a lognormal repair time, repeating.
 //
 // The ops are registered under the cluster's name: a second injector
 // for a same-named cluster on one engine panics.
 //
 // A restored run calls Start again on a fresh engine before
-// Engine.Restore (registration order must match the checkpointed run);
-// the initial crash it schedules is discarded when Restore overwrites
-// the queue, and the checkpointed crash/repair events take over.
+// Engine.RestoreState (the ops are resolved by name); the initial crash
+// it schedules is discarded when RestoreState overwrites the queue, and
+// the checkpointed crash/repair events take over.
 func (inj *Injector) Start(horizon float64) {
 	name := inj.cluster.Name()
 	inj.crashOp = inj.e.RegisterOp("faults.crash:"+name, func([]byte) {
@@ -115,38 +115,33 @@ func (inj *Injector) Start(horizon float64) {
 // repair brings the cluster back without drawing another crash.
 func (inj *Injector) Stop() { inj.stopped = true }
 
-// MarshalState implements checkpoint.Checkpointable: the counters plus
+// AppendState implements checkpoint.Checkpointable: the counters plus
 // the failure stream's exact rng state. The stream state matters —
 // rng.Derive restarts a stream at its origin, so without it a restored
 // injector would replay the run's first failures instead of its next
 // ones.
-func (inj *Injector) MarshalState() ([]byte, error) {
+func (inj *Injector) AppendState(enc *checkpoint.Enc) error {
 	st, err := inj.src.MarshalBinary()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var enc checkpoint.Enc
 	enc.U64(inj.Failures)
 	enc.U64(inj.KilledJobs)
 	enc.F64(inj.Downtime)
 	enc.Bool(inj.stopped)
 	enc.Raw(st)
-	return enc.Bytes(), nil
+	return nil
 }
 
-// UnmarshalState implements checkpoint.Checkpointable.
-func (inj *Injector) UnmarshalState(data []byte) error {
-	d := checkpoint.NewDec(data)
+// RestoreState implements checkpoint.Checkpointable.
+func (inj *Injector) RestoreState(d *checkpoint.Dec) error {
 	failures := d.U64()
 	killed := d.U64()
 	downtime := d.F64()
 	stopped := d.Bool()
-	st := d.Raw()
+	st := d.RawView()
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("faults: corrupt injector state: %w", err)
-	}
-	if n := d.Remaining(); n != 0 {
-		return fmt.Errorf("faults: injector state has %d trailing bytes", n)
 	}
 	if err := inj.src.UnmarshalBinary(st); err != nil {
 		return fmt.Errorf("faults: restoring failure stream: %w", err)

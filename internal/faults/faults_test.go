@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/des"
 	"repro/internal/scheduler"
 )
@@ -206,7 +207,7 @@ func TestStartPinnedUnderRetries(t *testing.T) {
 // has fired and the cluster sits broken awaiting repair — and requires
 // the restored run to finish with counters and engine state
 // bit-identical to the uninterrupted run. The injector's rng state
-// rides in MarshalState; without it, Derive would restart the failure
+// rides in AppendState; without it, Derive would restart the failure
 // stream at its origin and the restored run would replay the first
 // crashes instead of continuing to the next ones.
 func TestInjectorCheckpointRestoreMidWindow(t *testing.T) {
@@ -231,11 +232,11 @@ func TestInjectorCheckpointRestoreMidWindow(t *testing.T) {
 	if refInj.Failures < 3 {
 		t.Fatalf("reference run only failed %d times; pick a harder seed", refInj.Failures)
 	}
-	var refCkpt bytes.Buffer
-	if err := refE.Checkpoint(&refCkpt); err != nil {
+	refCkpt, err := appendState(refE)
+	if err != nil {
 		t.Fatal(err)
 	}
-	refState, err := refInj.MarshalState()
+	refState, err := appendState(refInj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,21 +245,21 @@ func TestInjectorCheckpointRestoreMidWindow(t *testing.T) {
 		// Run to the cut, snapshot engine + injector.
 		e1, inj1 := build()
 		e1.RunUntil(cut)
-		var ckpt bytes.Buffer
-		if err := e1.Checkpoint(&ckpt); err != nil {
+		ckpt, err := appendState(e1)
+		if err != nil {
 			t.Fatalf("cut %v: %v", cut, err)
 		}
-		mid, err := inj1.MarshalState()
+		mid, err := appendState(inj1)
 		if err != nil {
 			t.Fatalf("cut %v: %v", cut, err)
 		}
 
 		// Fresh everything; restore; finish.
 		e2, inj2 := build()
-		if err := e2.Restore(&ckpt); err != nil {
+		if err := e2.RestoreState(checkpoint.NewDec(ckpt)); err != nil {
 			t.Fatalf("cut %v: restore: %v", cut, err)
 		}
-		if err := inj2.UnmarshalState(mid); err != nil {
+		if err := inj2.RestoreState(checkpoint.NewDec(mid)); err != nil {
 			t.Fatalf("cut %v: restore injector: %v", cut, err)
 		}
 		e2.RunUntil(horizon + 100)
@@ -268,32 +269,39 @@ func TestInjectorCheckpointRestoreMidWindow(t *testing.T) {
 				cut, inj2.Failures, inj2.KilledJobs, inj2.Downtime,
 				refInj.Failures, refInj.KilledJobs, refInj.Downtime)
 		}
-		got, err := inj2.MarshalState()
+		got, err := appendState(inj2)
 		if err != nil {
 			t.Fatalf("cut %v: %v", cut, err)
 		}
 		if !bytes.Equal(got, refState) {
 			t.Fatalf("cut %v: restored injector state diverges from uninterrupted run", cut)
 		}
-		var final bytes.Buffer
-		if err := e2.Checkpoint(&final); err != nil {
+		final, err := appendState(e2)
+		if err != nil {
 			t.Fatalf("cut %v: %v", cut, err)
 		}
-		if !bytes.Equal(final.Bytes(), refCkpt.Bytes()) {
+		if !bytes.Equal(final, refCkpt) {
 			t.Fatalf("cut %v: restored engine snapshot diverges from uninterrupted run", cut)
 		}
 	}
 }
 
+// appendState returns the state c writes.
+func appendState(c checkpoint.Checkpointable) ([]byte, error) {
+	var enc checkpoint.Enc
+	err := c.AppendState(&enc)
+	return enc.Bytes(), err
+}
+
 // TestInjectorStateRejectsGarbage pins the typed-error contract of
-// UnmarshalState.
+// RestoreState.
 func TestInjectorStateRejectsGarbage(t *testing.T) {
 	e := des.NewEngine()
 	c := scheduler.NewCluster(e, "c", 1, 100, scheduler.FCFS)
 	inj := NewInjector(e, c, 1, 1, 1)
 	for _, bad := range [][]byte{nil, {1}, {0, 0, 0}, make([]byte, 64)} {
-		if err := inj.UnmarshalState(bad); err == nil {
-			t.Fatalf("UnmarshalState(%v) accepted garbage", bad)
+		if err := inj.RestoreState(checkpoint.NewDec(bad)); err == nil {
+			t.Fatalf("RestoreState(%v) accepted garbage", bad)
 		}
 	}
 }

@@ -16,8 +16,8 @@
 // Models must be pure state machines: Handle receives a state and an
 // event and returns the successor state plus messages to send, with no
 // side effects — the property that makes rollback possible. Model
-// randomness must live inside the state (the test models carry their
-// RNG state), so a re-executed event redraws identical values.
+// randomness must live inside the state (CountModel carries its RNG
+// state), so a re-executed event redraws identical values.
 package optsim
 
 import (
@@ -324,4 +324,63 @@ func RunSequential(model Model, n int, horizon float64) ([]State, []uint64) {
 		}
 	}
 	return states, counts
+}
+
+// CountModel is a PHOLD-like pure model, the one Time Warp workload of
+// the tests and of experiment E5c: each LP's state is an event counter
+// plus its RNG state (randomness checkpoints with the state, so
+// re-executed events redraw identical values). Every event increments
+// the counter and emits one message — to a random LP with probability
+// RemoteProb, else to self — after an exponential delay of mean
+// MeanDelay. Seed offsets every LP's stream. Its methods implement
+// Model.
+type CountModel struct {
+	N          int
+	RemoteProb float64
+	MeanDelay  float64
+	Seed       uint64
+}
+
+type countState struct {
+	count int64
+	rng   uint64
+}
+
+func splitmix(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+func (m *CountModel) draw(s *countState) float64 {
+	s.rng = splitmix(s.rng)
+	u := float64(s.rng>>11) / (1 << 53)
+	if u <= 0 {
+		u = 0.5
+	}
+	return -math.Log(u) * m.MeanDelay
+}
+
+func (m *CountModel) Init(lp int) (State, []Send) {
+	s := &countState{rng: uint64(lp)*2654435761 + m.Seed}
+	return s, []Send{{To: lp, Delay: m.draw(s)}}
+}
+
+func (m *CountModel) Handle(lp int, raw State, ev Message) (State, []Send) {
+	s := raw.(*countState)
+	next := &countState{count: s.count + 1, rng: s.rng}
+	delay := m.draw(next)
+	to := lp
+	next.rng = splitmix(next.rng)
+	if m.N > 1 && float64(next.rng>>11)/(1<<53) < m.RemoteProb {
+		next.rng = splitmix(next.rng)
+		to = int(next.rng % uint64(m.N))
+	}
+	return next, []Send{{To: to, Delay: delay}}
+}
+
+func (m *CountModel) Clone(raw State) State {
+	cp := *raw.(*countState)
+	return &cp
 }

@@ -6,62 +6,8 @@ import (
 	"testing/quick"
 )
 
-// countModel is a PHOLD-like pure model: each LP's state is an event
-// counter plus its RNG state (randomness checkpoints with the state,
-// so re-executed events redraw identical values). Every event
-// increments the counter and emits one message — to a random LP with
-// probability remoteProb, else to self — after an exponential delay.
-type countModel struct {
-	n          int
-	remoteProb float64
-	meanDelay  float64
-}
-
-type countState struct {
-	count int64
-	rng   uint64
-}
-
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func (m *countModel) draw(s *countState) float64 {
-	s.rng = splitmix(s.rng)
-	u := float64(s.rng>>11) / (1 << 53)
-	if u <= 0 {
-		u = 0.5
-	}
-	return -math.Log(u) * m.meanDelay
-}
-
-func (m *countModel) Init(lp int) (State, []Send) {
-	s := &countState{rng: uint64(lp)*2654435761 + 12345}
-	d := m.draw(s)
-	return s, []Send{{To: lp, Delay: d}}
-}
-
-func (m *countModel) Handle(lp int, raw State, ev Message) (State, []Send) {
-	s := raw.(*countState)
-	next := &countState{count: s.count + 1, rng: s.rng}
-	delay := m.draw(next)
-	to := lp
-	next.rng = splitmix(next.rng)
-	if m.n > 1 && float64(next.rng>>11)/(1<<53) < m.remoteProb {
-		next.rng = splitmix(next.rng)
-		to = int(next.rng % uint64(m.n))
-	}
-	return next, []Send{{To: to, Delay: delay}}
-}
-
-func (m *countModel) Clone(raw State) State {
-	s := raw.(*countState)
-	cp := *s
-	return &cp
-}
+// testSeed offsets the LPs' streams in every test run.
+const testSeed = 12345
 
 func counts(states []State) []int64 {
 	out := make([]int64, len(states))
@@ -72,7 +18,7 @@ func counts(states []State) []int64 {
 }
 
 func TestOptimisticMatchesSequential(t *testing.T) {
-	m := &countModel{n: 6, remoteProb: 0.5, meanDelay: 1.0}
+	m := &CountModel{N: 6, RemoteProb: 0.5, MeanDelay: 1.0, Seed: testSeed}
 	f := NewFederation(m, 6, 300)
 	opt := counts(f.Run())
 	seqStates, seqCounts := RunSequential(m, 6, 300)
@@ -95,7 +41,7 @@ func TestOptimisticMatchesSequential(t *testing.T) {
 func TestSpeculationActuallyHappens(t *testing.T) {
 	// Heterogeneous tempos force stragglers: LP 0 is fast, LP 1 slow,
 	// cross-traffic lands in the fast LP's past.
-	m := &countModel{n: 4, remoteProb: 0.6, meanDelay: 1.0}
+	m := &CountModel{N: 4, RemoteProb: 0.6, MeanDelay: 1.0, Seed: testSeed}
 	f := NewFederation(m, 4, 500)
 	f.Run()
 	st := f.Stats()
@@ -121,10 +67,11 @@ func TestQuickEquivalenceRandomModels(t *testing.T) {
 	// Property: for random model parameters, optimistic == sequential.
 	fn := func(seed uint8, probRaw uint8, nRaw uint8) bool {
 		n := int(nRaw%5) + 2
-		m := &countModel{
-			n:          n,
-			remoteProb: float64(probRaw) / 255,
-			meanDelay:  0.5 + float64(seed)/64,
+		m := &CountModel{
+			N:          n,
+			RemoteProb: float64(probRaw) / 255,
+			MeanDelay:  0.5 + float64(seed)/64,
+			Seed:       testSeed,
 		}
 		f := NewFederation(m, n, 120)
 		opt := counts(f.Run())
@@ -143,7 +90,7 @@ func TestQuickEquivalenceRandomModels(t *testing.T) {
 }
 
 func TestGVTMonotoneAndCommits(t *testing.T) {
-	m := &countModel{n: 3, remoteProb: 0.4, meanDelay: 1.0}
+	m := &CountModel{N: 3, RemoteProb: 0.4, MeanDelay: 1.0, Seed: testSeed}
 	f := NewFederation(m, 3, 100)
 	prev := 0.0
 	for {
@@ -172,7 +119,7 @@ func TestGVTMonotoneAndCommits(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	m := &countModel{n: 2, remoteProb: 0, meanDelay: 1}
+	m := &CountModel{N: 2, RemoteProb: 0, MeanDelay: 1, Seed: testSeed}
 	for name, fn := range map[string]func(){
 		"bad n":       func() { NewFederation(m, 0, 1) },
 		"bad horizon": func() { NewFederation(m, 1, 0) },
@@ -189,14 +136,14 @@ func TestValidation(t *testing.T) {
 }
 
 // badSendModel emits a non-positive delay to test the guard.
-type badSendModel struct{ countModel }
+type badSendModel struct{ CountModel }
 
 func (m *badSendModel) Handle(lp int, raw State, ev Message) (State, []Send) {
 	return raw, []Send{{To: 0, Delay: 0}}
 }
 
 func TestZeroDelaySendPanics(t *testing.T) {
-	m := &badSendModel{countModel{n: 2, remoteProb: 0, meanDelay: 1}}
+	m := &badSendModel{CountModel{N: 2, RemoteProb: 0, MeanDelay: 1, Seed: testSeed}}
 	f := NewFederation(m, 2, 10)
 	defer func() {
 		if recover() == nil {

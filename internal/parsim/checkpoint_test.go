@@ -6,6 +6,8 @@ import (
 	"io"
 	"testing"
 	"time"
+
+	"repro/internal/checkpoint"
 )
 
 const (
@@ -123,6 +125,30 @@ func TestFederationCheckpointStable(t *testing.T) {
 	ph.Run(20)
 	if got, want := ph.PerLPEvents(), ref.PerLPEvents(); !equalU64(got, want) {
 		t.Fatalf("post-checkpoint run diverged: %v vs %v", got, want)
+	}
+}
+
+// TestFederationFileHasOneContainer: the federation file is the one
+// snapshot container; an LP image, which it holds one per LP and a
+// migration carries alone, holds the engine's and the model's state
+// inline, with no container of its own.
+func TestFederationFileHasOneContainer(t *testing.T) {
+	ph := ckPHOLD(2)
+	ph.Run(10)
+	var file bytes.Buffer
+	if err := ph.Fed.Checkpoint(&file); err != nil {
+		t.Fatal(err)
+	}
+	img, err := ph.Fed.g.Extract(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	magic := []byte(checkpoint.Magic)
+	if n := bytes.Count(file.Bytes(), magic); n != 1 {
+		t.Errorf("federation file holds the snapshot magic %d times, want once", n)
+	}
+	if n := bytes.Count(img, magic); n != 0 {
+		t.Errorf("LP image holds the snapshot magic %d times, want none", n)
 	}
 }
 

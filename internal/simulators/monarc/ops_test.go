@@ -1,16 +1,16 @@
 package monarc
 
 import (
-	"io"
 	"runtime"
 	"testing"
 
+	"repro/internal/checkpoint"
 	"repro/internal/des"
 	"repro/internal/obs"
 )
 
 // TestTierEventListIsSerializable: every event the tier model schedules
-// is a registered op, so Engine.Checkpoint accepts its engine mid-run —
+// is a registered op, so Engine.AppendState accepts its engine mid-run —
 // just after the first flow completes, halfway (mid-backlog on the
 // saturated links) and at the horizon — at every point of lsbench's
 // sweep and for Run with analysis and T2 centres. Checkpointing is
@@ -22,9 +22,9 @@ func TestTierEventListIsSerializable(t *testing.T) {
 		m := newModel(cfg)
 		flowEnded := false
 		m.e.SetObserver(des.Observer{Hook: func(ev obs.Event) { flowEnded = flowEnded || ev.Label == "net:flowend" }})
-		checkpoint := func(at string) {
+		snapshot := func(at string) {
 			t.Helper()
-			if err := m.e.Checkpoint(io.Discard); err != nil {
+			if err := m.e.AppendState(&checkpoint.Enc{}); err != nil {
 				t.Fatalf("%s, %s: %v", name, at, err)
 			}
 		}
@@ -33,12 +33,12 @@ func TestTierEventListIsSerializable(t *testing.T) {
 		}
 		if flowEnded {
 			completions++
-			checkpoint("after a flow completion")
+			snapshot("after a flow completion")
 		}
 		m.e.RunUntil(end / 2)
-		checkpoint("halfway")
+		snapshot("halfway")
 		m.e.RunUntil(end)
-		checkpoint("at the horizon")
+		snapshot("at the horizon")
 		if cfg.Horizon == 0 {
 			m.e.Run() // drains what is left at end's instant
 		}

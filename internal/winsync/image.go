@@ -8,13 +8,14 @@ import (
 )
 
 // This file is the one per-LP codec. An LP image is everything an LP
-// is at a window barrier: engine (clock, pending events, random
-// streams), message counters, the model's State and the inbox events
-// addressed to it. Because
-// it is cut at a barrier and an LP's seed, streams and pending events
-// move as a unit, an LP restored from its image — in this group or in
-// another — executes the exact event sequence it would have executed
-// undisturbed.
+// is at a window barrier: message counters, the inbox events addressed
+// to it, its engine (clock, pending events, random streams) and the
+// model's State, in that order, all in one Enc and without a container
+// of its own (the snapshot file that holds the image has the one).
+// Because it is cut at a barrier and an LP's seed, streams and pending
+// events move as a unit, an LP restored from its image — in this group
+// or in another — executes the exact event sequence it would have
+// executed undisturbed.
 
 // image serializes the LP. It requires every pending event in its
 // engine to be op-scheduled (deliveries always are; the model's must
@@ -23,24 +24,12 @@ func (lp *LP) image() ([]byte, error) {
 	if len(lp.outbox) != 0 {
 		return nil, fmt.Errorf("winsync: LP %d has %d unflushed sends (not at a window barrier)", lp.ID, len(lp.outbox))
 	}
-	var eng bytes.Buffer
-	if err := lp.E.Checkpoint(&eng); err != nil {
-		return nil, fmt.Errorf("winsync: LP %d: %w", lp.ID, err)
-	}
 	var enc checkpoint.Enc
 	enc.Int(lp.ID)
 	enc.U64(lp.sendSeq)
 	enc.U64(lp.recv)
 	enc.U64(lp.idle())
-	enc.Raw(eng.Bytes())
 	enc.Bool(lp.State != nil)
-	if lp.State != nil {
-		state, err := lp.State.MarshalState()
-		if err != nil {
-			return nil, fmt.Errorf("winsync: LP %d model state: %w", lp.ID, err)
-		}
-		enc.Raw(state)
-	}
 	var n int
 	for i := range lp.g.inbox {
 		if lp.g.inbox[i].To == lp.ID {
@@ -51,6 +40,14 @@ func (lp *LP) image() ([]byte, error) {
 	for i := range lp.g.inbox {
 		if ev := &lp.g.inbox[i]; ev.To == lp.ID {
 			AppendEvent(&enc, ev)
+		}
+	}
+	if err := lp.E.AppendState(&enc); err != nil {
+		return nil, fmt.Errorf("winsync: LP %d: %w", lp.ID, err)
+	}
+	if lp.State != nil {
+		if err := lp.State.AppendState(&enc); err != nil {
+			return nil, fmt.Errorf("winsync: LP %d model state: %w", lp.ID, err)
 		}
 	}
 	return enc.Bytes(), nil
@@ -66,19 +63,15 @@ func imageID(img []byte) (int, error) {
 // restore overwrites the LP from an image of the same LP; the image's
 // inbox events join the group's inbox, which must hold none for this LP.
 // The model's ops must be registered: the engine resolves pending ops
-// by name.
+// by name. The header and inbox are checked before the engine and the
+// model, which come last, are restored.
 func (lp *LP) restore(img []byte) error {
 	d := checkpoint.NewDec(img)
 	id := d.Int()
 	sendSeq := d.U64()
 	recv := d.U64()
 	idle := d.U64()
-	eng := d.Raw()
 	hasState := d.Bool()
-	var state []byte
-	if hasState {
-		state = d.Raw()
-	}
 	n := d.Int()
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("winsync: LP %d image: %w", lp.ID, err)
@@ -94,20 +87,28 @@ func (lp *LP) restore(img []byte) error {
 	}
 	inbox := make([]Event, n)
 	for i := range inbox {
-		inbox[i] = DecodeEvent(d)
+		ev := DecodeEvent(d)
+		// The inbox is written to this LP, in delivery order.
+		if d.Err() == nil && (ev.To != id || ev.From < 0 || ev.From >= lp.g.total || i > 0 && EventOrder(inbox[i-1], ev) >= 0) {
+			return fmt.Errorf("winsync: LP %d image: inbox event %d (from LP %d to %d, seq %d) is foreign or out of order", id, i, ev.From, ev.To, ev.Seq)
+		}
 		// The inbox outlives the image buffer, which may be a transport's.
-		inbox[i].Data = bytes.Clone(inbox[i].Data)
+		ev.Data = bytes.Clone(ev.Data)
+		inbox[i] = ev
 	}
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("winsync: LP %d image: %w", id, err)
 	}
-	if err := lp.E.Restore(bytes.NewReader(eng)); err != nil {
+	if err := lp.E.RestoreState(d); err != nil {
 		return fmt.Errorf("winsync: LP %d: %w", id, err)
 	}
 	if hasState {
-		if err := lp.State.UnmarshalState(state); err != nil {
+		if err := lp.State.RestoreState(d); err != nil {
 			return fmt.Errorf("winsync: LP %d model state: %w", id, err)
 		}
+	}
+	if r := d.Remaining(); r != 0 {
+		return fmt.Errorf("winsync: LP %d image has %d trailing bytes", id, r)
 	}
 	lp.sendSeq, lp.recv, lp.active = sendSeq, recv, lp.g.windows-idle
 	clear(lp.outbox) // drop the payload references

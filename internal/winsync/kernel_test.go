@@ -3,6 +3,8 @@ package winsync
 import (
 	"bytes"
 	"math"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -237,6 +239,80 @@ func FuzzDecodeEvent(f *testing.F) {
 			if _, err := decode(enc[:cut]); err == nil {
 				t.Fatalf("truncation of %x to %d bytes accepted", enc, cut)
 			}
+		}
+	})
+}
+
+// FuzzAdoptImage offers arbitrary bytes to a group with PHOLD installed
+// as an LP image. Each must be refused, or adopted as an LP whose
+// Extract gives back the same bytes — the codec is canonical, so
+// nothing it accepts is lost or rewritten — without a panic or an
+// allocation out of proportion to the input. Seeds: real images, cut
+// with a window's sends flushed but not delivered, of every LP the
+// group does not own, their truncations, and one whose engine claims
+// 2⁴⁰ pending events.
+func FuzzAdoptImage(f *testing.F) {
+	model := denseInput
+	src := newCluster(f, model, 1, 1, 0)
+	src.run(7)
+	src.groups[0].RunWindow(src.end+invLookahead, src.seq+1)
+	src.groups[0].Flush(nil)
+	imgs, _ := src.images()
+	owned := invLPs - 1
+	for _, img := range imgs[:owned] {
+		f.Add(img)
+		f.Add(img[:len(img)/2])
+		f.Add(img[:len(img)-1])
+	}
+	// The bomb: LP 0's image up to its engine's event count (past the
+	// LP header, the inbox and the engine's seed, clock, sequence, three
+	// counters, high-water mark and random stream), then 2⁴⁰.
+	d := checkpoint.NewDec(imgs[0])
+	d.Int()
+	d.U64()
+	d.U64()
+	d.U64()
+	d.Bool()
+	for n := d.Int(); n > 0; n-- {
+		DecodeEvent(d)
+	}
+	d.U64()
+	d.F64()
+	for range 5 {
+		d.U64()
+	}
+	d.RawView()
+	bomb := checkpoint.NewEnc(nil)
+	bomb.U64(1 << 40)
+	f.Add(append(slices.Clone(imgs[0][:len(imgs[0])-d.Remaining()]), bomb.Bytes()...))
+
+	f.Fuzz(func(t *testing.T, img []byte) {
+		g := NewGroup([]int{owned}, invLPs, invLookahead, invSeed, eventq.KindHeap)
+		g.Install = model.Install
+		model.Install(g.LP(owned))
+		id, err := imageID(img)
+		if err == nil && g.LP(id) != nil {
+			return // an owned LP's image is ignored
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = g.Adopt(img)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20+256*uint64(len(img)) {
+			t.Fatalf("adopting %d bytes allocated %d", len(img), got)
+		}
+		if err != nil {
+			if len(g.IDs()) != 1 {
+				t.Fatalf("a refused image left LPs %v", g.IDs())
+			}
+			return
+		}
+		back, err := g.Extract(id)
+		if err != nil {
+			t.Fatalf("adopted LP %d cannot be extracted: %v", id, err)
+		}
+		if !bytes.Equal(back, img) {
+			t.Fatalf("adopted image\n %x\ncame back as\n %x", img, back)
 		}
 	})
 }

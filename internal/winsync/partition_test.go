@@ -13,7 +13,7 @@ import (
 // transport there is: after every group has run and flushed a window,
 // each flushed event is handed to the group that owns its target.
 type cluster struct {
-	t      *testing.T
+	t      testing.TB
 	model  *PHOLD
 	groups []*Group
 	end    float64
@@ -43,7 +43,7 @@ var (
 
 // newCluster deals the LPs round-robin to k groups of the given thread
 // count and seeds the model; spanCap > 0 makes the groups observed.
-func newCluster(t *testing.T, model PHOLD, k, threads, spanCap int) *cluster {
+func newCluster(t testing.TB, model PHOLD, k, threads, spanCap int) *cluster {
 	c := &cluster{t: t, model: &model}
 	for gi := 0; gi < k; gi++ {
 		var ids []int

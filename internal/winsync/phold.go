@@ -155,19 +155,17 @@ var spinsPerNs = sync.OnceValue(func() float64 {
 	return 1 << 20 / float64(best+1)
 })
 
-// MarshalState serializes the LP's counters; its pending jobs are in
-// the engine snapshot.
-func (st *pholdLP) MarshalState() ([]byte, error) {
-	var enc checkpoint.Enc
+// AppendState writes the LP's counters; its pending jobs are in the
+// engine's state.
+func (st *pholdLP) AppendState(enc *checkpoint.Enc) error {
 	enc.U64(st.events)
 	enc.F64(st.sink)
-	return enc.Bytes(), nil
+	return nil
 }
 
-// UnmarshalState restores the counters in place: the hop closures hold
+// RestoreState restores the counters in place: the hop closures hold
 // the pointer.
-func (st *pholdLP) UnmarshalState(data []byte) error {
-	d := checkpoint.NewDec(data)
+func (st *pholdLP) RestoreState(d *checkpoint.Dec) error {
 	events, sink := d.U64(), d.F64()
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("winsync: PHOLD state: %w", err)
