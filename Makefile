@@ -66,7 +66,10 @@ bench:
 # decode to an error or a valid value — never a panic or an absurd
 # allocation — and an adopted image must extract to the same bytes.
 # Last, arbitrary push/pop/peek sequences must get from the default FEL
-# exactly what the binary heap it replaced returns, the flow network on
+# exactly what the binary heap it replaced returns, random programs of
+# schedules, cancels, re-arms, runs and checkpoints the engine's
+# executed order and counts that a sorted-slice reference engine gives
+# for every queue kind, the flow network on
 # a fuzzed scenario exactly what the per-flow-timer reference
 # simulates, the flow network's closed-form link charge exactly what
 # one add at a time sums to, and the slot-indexed replica catalog and
@@ -79,6 +82,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 10s ./internal/winsync/
 	$(GO) test -run '^$$' -fuzz FuzzAdoptImage -fuzztime 10s ./internal/winsync/
 	$(GO) test -run '^$$' -fuzz FuzzHeapAgainstReference -fuzztime 10s ./internal/eventq/
+	$(GO) test -run '^$$' -fuzz FuzzEngineOrderAgainstReference -fuzztime 10s ./internal/des/
 	$(GO) test -run '^$$' -fuzz FuzzNetworkAgainstReference -fuzztime 10s ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz FuzzAddN -fuzztime 10s ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz FuzzCatalogAgainstReference -fuzztime 10s ./internal/replication/

@@ -217,9 +217,10 @@ func BenchmarkE6Validation(b *testing.B) {
 // T0/T1 link-capacity study per sub-benchmark, then the whole sweep at
 // lsbench's tier-study shape (seed 1, six links, 200 runs, 4 000 s),
 // the only one whose saturated links build a backlog. goroutines-left
-// counts goroutines a sweep leaves behind, and mallocs/event the heap
-// allocations a sweep makes per event it executes (the events are
-// counted once, in an untimed sweep).
+// counts goroutines a sweep leaves behind, mallocs/event the heap
+// allocations a sweep makes per event it executes, and fel-max the
+// most records any point's event list held (events and depth are
+// read once, in an untimed sweep).
 func BenchmarkE7TierStudy(b *testing.B) {
 	for _, gbps := range []float64{2.5, 10, 30} {
 		b.Run(fmt.Sprintf("link=%gGbps", gbps), func(b *testing.B) {
@@ -234,7 +235,11 @@ func BenchmarkE7TierStudy(b *testing.B) {
 	b.Run("lsbench", func(b *testing.B) {
 		links := []float64{0.622, 1.25, 2.5, 10, 30, 40}
 		var events uint64
-		des.SetDefaultObserver(&des.Observer{Hook: func(obs.Event) { events++ }})
+		felMax := 0
+		des.SetDefaultObserver(&des.Observer{Hook: func(ev obs.Event) {
+			events++
+			felMax = max(felMax, ev.QueueLen)
+		}})
 		monarc.RunTierStudy(1, links, 200, 4000)
 		des.SetDefaultObserver(nil)
 		b.ReportAllocs()
@@ -252,7 +257,25 @@ func BenchmarkE7TierStudy(b *testing.B) {
 		runtime.ReadMemStats(&mem)
 		b.ReportMetric(float64(runtime.NumGoroutine()-before)/float64(b.N), "goroutines-left/op")
 		b.ReportMetric(float64(mem.Mallocs-mallocs)/float64(b.N)/float64(events), "mallocs/event")
+		b.ReportMetric(float64(felMax), "fel-max/op")
 	})
+}
+
+// TestTierStudyEventListStaysShallow holds the event list of the
+// tier study's most saturated point (lsbench's shape: seed 1, 200
+// runs, 4 000 s, 0.622 Gbps) to 64 records. Its one link's completion
+// timer moves later on every admission; re-armed by cancel and
+// schedule, each move left a dead record queued, and the list peaked
+// at 812 records, nearly all of them dead. The hook reads QueueLen,
+// tombstones included, before each event.
+func TestTierStudyEventListStaysShallow(t *testing.T) {
+	depth := 0
+	des.SetDefaultObserver(&des.Observer{Hook: func(ev obs.Event) { depth = max(depth, ev.QueueLen) }})
+	defer des.SetDefaultObserver(nil)
+	monarc.RunTierStudy(1, []float64{0.622}, 200, 4000)
+	if depth > 64 {
+		t.Fatalf("the 0.622 Gbps point's event list held %d records, want at most 64", depth)
+	}
 }
 
 // BenchmarkE7aGranularity is the network-fidelity ablation: identical

@@ -1,8 +1,10 @@
 package des
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/eventq"
@@ -68,10 +70,38 @@ func (e *Engine) RegisterOp(name string, fn func(arg []byte)) Op {
 // closure is created). The arg slice is retained by the engine until
 // the event fires; callers must not mutate it afterwards.
 func (e *Engine) ScheduleOp(delay float64, op Op, arg []byte) Timer {
-	if delay < 0 || math.IsNaN(delay) || math.IsInf(delay, 0) {
-		panic(fmt.Sprintf("des: ScheduleOp with invalid delay %v at t=%v", delay, e.now))
-	}
+	checkDelay("ScheduleOp", delay, e.now)
 	return e.atOp(e.now+delay, op, arg)
+}
+
+// RescheduleOp re-arms the event t names as op(arg) after delay and
+// returns its new handle: the same as t.Cancel() then
+// ScheduleOp(delay, op, arg), down to the sequence number it draws and
+// the counts in Stats, except that it leaves no tombstone when it can.
+// When the new time is later than both the event's time and now, the
+// record stays where it sits and takes the new key, op and arg; when
+// its old key comes up the engine pushes it into the queue (never the
+// lane) at the new key. Otherwise — a fired, canceled-and-discarded or
+// stale t, or a time not later — it cancels and schedules. A fluid
+// model's one completion timer, which every admission moves later,
+// re-arms this way without growing the queue.
+func (e *Engine) RescheduleOp(t Timer, delay float64, op Op, arg []byte) Timer {
+	checkDelay("RescheduleOp", delay, e.now)
+	at := e.now + delay
+	ev := t.ev
+	if ev == nil || ev.Seq != t.seq || !(at > ev.Time && at > e.now) {
+		t.Cancel()
+		return e.atOp(at, op, arg)
+	}
+	e.checkOp(op)
+	e.dropLabel(ev)
+	ev.Fn, ev.Canceled = nil, false
+	ev.Op, ev.Arg = op.idx, arg
+	e.keyed(ev, at)
+	if e.obs != nil {
+		e.scheduleObserved(ev)
+	}
+	return Timer{ev: ev, seq: ev.Seq, time: at}
 }
 
 // AtOp schedules a registered op at absolute time t, like At but
@@ -84,12 +114,16 @@ func (e *Engine) AtOp(t float64, op Op, arg []byte) Timer {
 }
 
 func (e *Engine) atOp(t float64, op Op, arg []byte) Timer {
+	e.checkOp(op)
+	// The op name doubles as the trace label (Engine.label): a record
+	// stores none.
+	return e.atEvent(t, 0, nil, op.idx, arg)
+}
+
+func (e *Engine) checkOp(op Op) {
 	if op.idx == 0 || op.idx >= uint32(len(e.ops)) {
 		panic("des: ScheduleOp with unregistered op (use RegisterOp)")
 	}
-	// The op name doubles as the trace label: it is a stable string, so
-	// labeling costs nothing.
-	return e.atEvent(t, e.ops[op.idx].name, nil, op.idx, arg)
 }
 
 // AppendState implements checkpoint.Checkpointable: it appends the
@@ -113,10 +147,13 @@ func (e *Engine) AppendState(enc *checkpoint.Enc) error {
 		return fmt.Errorf("des: AppendState with %d live simulated processes", e.liveProcs)
 	}
 
-	// Snapshot the pending set by draining and re-pushing: no queue
-	// structure supports iteration, but dequeue order is total, so a
-	// re-push restores identical behavior.
-	items := make([]eventq.Item, 0, e.queue.Len())
+	// Snapshot the pending set by draining the queue and re-pushing it
+	// (no queue structure supports iteration, but dequeue order is
+	// total, so a re-push restores identical behavior), then the lane.
+	// Each record is written at the key it is due at, a moved record's
+	// new one, in that key's order: a restored engine queues it there
+	// and runs the same events in the same order.
+	items := make([]eventq.Item, 0, e.QueueLen())
 	for {
 		it, ok := e.queue.Pop()
 		if !ok {
@@ -127,11 +164,22 @@ func (e *Engine) AppendState(enc *checkpoint.Enc) error {
 	for _, it := range items {
 		e.queue.Push(it)
 	}
-	for _, it := range items {
-		if ev := it.Event; ev.Fn != nil && !ev.Canceled {
-			return fmt.Errorf("des: pending event %q at t=%v was scheduled as a closure; checkpointable models must use ScheduleOp", ev.Label, it.Time)
+	for ev := e.lane; ev != nil; ev = ev.Next {
+		items = append(items, eventq.Item{Event: ev})
+	}
+	for i := range items {
+		ev := items[i].Event
+		items[i].Time, items[i].Seq = ev.Time, ev.Seq
+		if ev.Fn != nil && !ev.Canceled {
+			return fmt.Errorf("des: pending event %q at t=%v was scheduled as a closure; checkpointable models must use ScheduleOp", e.label(ev), ev.Time)
 		}
 	}
+	slices.SortFunc(items, func(a, b eventq.Item) int {
+		if c := cmp.Compare(a.Time, b.Time); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Seq, b.Seq)
+	})
 	rngState, err := e.rng.MarshalBinary()
 	if err != nil {
 		return err
@@ -219,6 +267,7 @@ func (e *Engine) RestoreState(d *checkpoint.Dec) error {
 	for i := range items {
 		it := eventq.Item{Time: d.F64(), Seq: d.U64(), Event: &evs[i]}
 		ev := it.Event
+		ev.Time, ev.Seq = it.Time, it.Seq
 		ev.SchedAt, ev.Canceled = d.F64(), d.Bool()
 		name := d.RawView() // a Str; looked up without a copy
 		ev.Arg = d.Raw()
@@ -233,15 +282,29 @@ func (e *Engine) RestoreState(d *checkpoint.Dec) error {
 			if !ok {
 				return fmt.Errorf("des: snapshot references op %q, which the restoring engine has not registered", name)
 			}
-			ev.Op, ev.Label = idx, e.ops[idx].name // the label atOp gives an op event
+			ev.Op = idx
 		} else if !ev.Canceled {
 			return fmt.Errorf("des: snapshot contains a live event with no op name")
 		}
 		items[i], last = it, it
 	}
 
-	// Commit: rebuild the queue (discarding whatever was pending) and
-	// install the snapshot.
+	// Commit: drop whatever was pending, zeroing its records' sequence
+	// numbers so no handle to one re-arms a record in no queue, rebuild
+	// the queue and install the snapshot.
+	for {
+		it, ok := e.queue.Pop()
+		if !ok {
+			break
+		}
+		it.Event.Seq = 0
+	}
+	for ev := e.lane; ev != nil; ev = ev.Next {
+		ev.Seq = 0
+	}
+	e.lane, e.laneTail, e.laneLen = nil, nil, 0
+	clear(e.labels)
+	e.labels, e.labelFree = e.labels[:0], e.labelFree[:0]
 	e.seed = seed
 	*e.rng = src
 	e.newQueue()

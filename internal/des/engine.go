@@ -44,9 +44,16 @@ type Engine struct {
 	seq  uint64
 	rng  *rng.Source
 
-	// head points at a lower bound on the time of every queued record,
-	// tombstones included (see Head): ownHead, or the slot HeadSlot
-	// moved it to.
+	// lane holds the records due at the instant the clock stands at,
+	// in schedule order, linked through Next (laneTail is its last,
+	// laneLen its length): they skip the queue. The clock never moves
+	// while the lane holds a record (see front).
+	lane, laneTail *eventq.Event
+	laneLen        int
+
+	// head points at a lower bound on the time of every pending record,
+	// queued or in the lane, tombstones included (see Head): ownHead,
+	// or the slot HeadSlot moved it to.
 	head    *float64
 	ownHead float64
 
@@ -62,6 +69,12 @@ type Engine struct {
 	// slab is the engine's newest block of event records: below len in
 	// use or free-listed, up to cap untouched (see fresh).
 	slab []eventq.Event
+	// labels holds the trace labels of pending closure events at the
+	// index their records' Label holds (0: none), and labelFree the
+	// indexes free for reuse: recycling a record frees its index, so
+	// the table grows only to the most labelled events ever pending.
+	labels    []string
+	labelFree []uint32
 
 	// ops is the registered-op table backing ScheduleOp/AtOp: named,
 	// restorable event callbacks (see checkpoint.go). Index 0 is a
@@ -199,19 +212,21 @@ func (e *Engine) Rand() *rng.Source { return e.rng }
 // seeds and equal names always produce identical streams.
 func (e *Engine) Stream(name string) *rng.Source { return e.rng.Derive(name) }
 
-// Timer is a handle to a scheduled event; it supports cancellation.
+// Timer is a handle to a scheduled event; it supports cancellation
+// and, through RescheduleOp, re-arming.
 //
 // Timer is a small value, not a pointer: the underlying event record
 // is engine-owned and recycled through a free list the moment it fires
 // or its tombstone is discarded, so the record a handle points at may
 // since have been reused for an unrelated event. The handle therefore
-// carries the generation it was issued under; Cancel and Canceled
-// compare it against the record's current generation, making stale
-// calls (cancel-after-fire, cancel-after-recycle) safe no-ops. The
-// zero Timer is a valid no-op handle.
+// carries the sequence number it was issued under, which no other
+// schedule draws; Cancel and Canceled compare it against the record's
+// current one, making stale calls (cancel-after-fire,
+// cancel-after-recycle, a handle RescheduleOp replaced) safe no-ops.
+// The zero Timer is a valid no-op handle.
 type Timer struct {
 	ev       *eventq.Event
-	gen      uint64
+	seq      uint64
 	time     float64
 	canceled bool
 }
@@ -221,11 +236,13 @@ func (t Timer) Time() float64 { return t.time }
 
 // Cancel prevents a pending event from firing. Canceling an event that
 // already fired (or was already canceled) is a no-op, as is canceling
-// the zero Timer. Cancellation is lazy: the tombstoned entry is
-// discarded when it reaches the head of the queue, which keeps every
-// queue structure free of random removal.
+// the zero Timer. Cancellation is lazy: the tombstoned record stays in
+// the queue or the lane, counted by QueueLen, until it reaches the
+// front, which keeps every queue structure free of random removal. A
+// timer that is only to move later is cheaper re-armed (RescheduleOp),
+// which leaves no tombstone.
 func (t *Timer) Cancel() {
-	if t.ev == nil || t.ev.Gen != t.gen {
+	if t.ev == nil || t.ev.Seq != t.seq {
 		return // already fired (and recycled), or zero handle
 	}
 	t.ev.Canceled = true
@@ -237,22 +254,58 @@ func (t Timer) Canceled() bool {
 	if t.canceled {
 		return true
 	}
-	return t.ev != nil && t.ev.Gen == t.gen && t.ev.Canceled
+	return t.ev != nil && t.ev.Seq == t.seq && t.ev.Canceled
 }
 
 // Schedule runs fn after delay units of simulation time.
 // It panics on negative delay or non-finite delay: scheduling into the
 // past is always a model bug.
 func (e *Engine) Schedule(delay float64, fn func()) Timer {
-	return e.ScheduleNamed("", delay, fn)
+	checkDelay("Schedule", delay, e.now)
+	return e.atEvent(e.now+delay, 0, fn, 0, nil)
 }
 
 // ScheduleNamed is Schedule with a trace label.
 func (e *Engine) ScheduleNamed(label string, delay float64, fn func()) Timer {
-	if delay < 0 || math.IsNaN(delay) || math.IsInf(delay, 0) {
-		panic(fmt.Sprintf("des: Schedule with invalid delay %v at t=%v", delay, e.now))
+	checkDelay("Schedule", delay, e.now)
+	var l uint32
+	if label != "" {
+		l = e.newLabel(label)
 	}
-	return e.at(e.now+delay, label, fn)
+	return e.atEvent(e.now+delay, l, fn, 0, nil)
+}
+
+// newLabel stores label in a free slot of the label table and returns
+// its index.
+func (e *Engine) newLabel(label string) uint32 {
+	if n := len(e.labelFree); n > 0 {
+		l := e.labelFree[n-1]
+		e.labelFree = e.labelFree[:n-1]
+		e.labels[l] = label
+		return l
+	}
+	if len(e.labels) == 0 {
+		e.labels = append(e.labels, "") // index 0: no label
+	}
+	e.labels = append(e.labels, label)
+	return uint32(len(e.labels) - 1)
+}
+
+// dropLabel frees ev's label slot, if it has one.
+func (e *Engine) dropLabel(ev *eventq.Event) {
+	if l := ev.Label; l != 0 {
+		e.labels[l] = ""
+		e.labelFree = append(e.labelFree, l)
+		ev.Label = 0
+	}
+}
+
+// checkDelay panics on a negative or non-finite delay: scheduling into
+// the past is always a model bug. NaN fails both compares.
+func checkDelay(what string, delay, now float64) {
+	if !(delay >= 0 && delay <= math.MaxFloat64) {
+		panic(fmt.Sprintf("des: %s with invalid delay %v at t=%v", what, delay, now))
+	}
 }
 
 // At runs fn at absolute simulation time t, which must not precede the
@@ -261,18 +314,13 @@ func (e *Engine) At(t float64, fn func()) Timer {
 	if t < e.now || math.IsNaN(t) || math.IsInf(t, 0) {
 		panic(fmt.Sprintf("des: At with invalid time %v (now %v)", t, e.now))
 	}
-	return e.at(t, "", fn)
-}
-
-func (e *Engine) at(t float64, label string, fn func()) Timer {
-	return e.atEvent(t, label, fn, 0, nil)
+	return e.atEvent(t, 0, fn, 0, nil)
 }
 
 // atEvent is the common schedule path for closure events (fn non-nil)
-// and registered-op events (fn nil, op > 0).
-func (e *Engine) atEvent(t float64, label string, fn func(), op uint32, arg []byte) Timer {
-	e.seq++
-	e.scheduled++
+// and registered-op events (fn nil, op > 0). An event due now joins
+// the lane; any other is pushed into the queue.
+func (e *Engine) atEvent(t float64, label uint32, fn func(), op uint32, arg []byte) Timer {
 	ev := e.freeEv
 	if ev != nil {
 		e.freeEv = ev.Next
@@ -283,26 +331,24 @@ func (e *Engine) atEvent(t float64, label string, fn func(), op uint32, arg []by
 	}
 	ev.Fn, ev.Label = fn, label
 	ev.Op, ev.Arg = op, arg
-	if o := e.obs; o != nil {
-		// SchedAt is only maintained while observing: the store (and
-		// the field's cache traffic) stays off the disabled-mode path.
-		// Events scheduled before the observer was attached carry a
-		// stale SchedAt; their dwell samples are clamped at zero.
-		ev.SchedAt = e.now
-		if o.Recorder != nil {
-			o.Recorder.Record(obs.Span{
-				Kind: obs.KindSchedule, Track: int32(o.Track), Seq: e.seq,
-				Time: t, Wall: obs.Now(), Queue: int32(e.queue.Len() + 1), Label: label,
-			})
+	e.keyed(ev, t)
+	n := e.laneLen
+	switch h := e.heap; {
+	case t == e.now:
+		if e.lane == nil {
+			e.lane = ev
+		} else {
+			e.laneTail.Next = ev
 		}
-	}
-	it, n := eventq.Item{Time: t, Seq: e.seq, Event: ev}, 0
-	if h := e.heap; h != nil {
-		h.Push(it)
-		n = h.Len()
-	} else {
-		e.queue.Push(it)
-		n = e.queue.Len()
+		e.laneTail = ev
+		e.laneLen++
+		n += e.queue.Len() + 1
+	case h != nil:
+		h.Push(eventq.Item{Time: t, Seq: ev.Seq, Event: ev})
+		n += h.Len()
+	default:
+		e.push(ev)
+		n += e.queue.Len()
 	}
 	if n > e.maxQueue {
 		e.maxQueue = n
@@ -310,7 +356,55 @@ func (e *Engine) atEvent(t float64, label string, fn func(), op uint32, arg []by
 	if t < *e.head {
 		*e.head = t
 	}
-	return Timer{ev: ev, gen: ev.Gen, time: t}
+	if e.obs != nil {
+		e.scheduleObserved(ev)
+	}
+	return Timer{ev: ev, seq: ev.Seq, time: t}
+}
+
+// keyed gives ev the key (t, next sequence number) and counts the
+// schedule.
+func (e *Engine) keyed(ev *eventq.Event, t float64) {
+	e.seq++
+	e.scheduled++
+	ev.Time, ev.Seq = t, e.seq
+}
+
+// scheduleObserved stamps SchedAt and records the schedule mark of ev,
+// queued. SchedAt is only maintained while observing: the store (and
+// the field's cache traffic) stays off the disabled-mode path. Events
+// scheduled before the observer was attached carry a stale SchedAt;
+// their dwell samples are clamped at zero.
+func (e *Engine) scheduleObserved(ev *eventq.Event) {
+	ev.SchedAt = e.now
+	if o := e.obs; o.Recorder != nil {
+		o.Recorder.Record(obs.Span{
+			Kind: obs.KindSchedule, Track: int32(o.Track), Seq: ev.Seq,
+			Time: ev.Time, Wall: obs.Now(), Queue: int32(e.QueueLen()), Label: e.label(ev),
+		})
+	}
+}
+
+// push puts ev into the queue at its key.
+func (e *Engine) push(ev *eventq.Event) {
+	it := eventq.Item{Time: ev.Time, Seq: ev.Seq, Event: ev}
+	if h := e.heap; h != nil {
+		h.Push(it)
+	} else {
+		e.queue.Push(it)
+	}
+}
+
+// label is ev's trace label: its op's name for an op event, else what
+// ScheduleNamed gave it.
+func (e *Engine) label(ev *eventq.Event) string {
+	if ev.Label != 0 {
+		return e.labels[ev.Label]
+	}
+	if ev.Op != 0 {
+		return e.ops[ev.Op].name
+	}
+	return ""
 }
 
 // slabMin and slabMax bound a slab's records: an engine with a few
@@ -329,14 +423,14 @@ func (e *Engine) fresh() *eventq.Event {
 }
 
 // recycle returns a fired or discarded event record to the free list.
-// Bumping the generation invalidates every outstanding handle to the
-// record; clearing Fn releases the closure.
+// Zeroing Seq, which no schedule draws, invalidates every outstanding
+// handle to the record; clearing Fn releases the closure.
 func (e *Engine) recycle(ev *eventq.Event) {
-	ev.Gen++
+	ev.Seq = 0
 	ev.Fn = nil
 	ev.Op = 0
 	ev.Arg = nil
-	ev.Label = ""
+	e.dropLabel(ev)
 	ev.Next = e.freeEv
 	e.freeEv = ev
 }
@@ -348,19 +442,23 @@ func (e *Engine) discard(it eventq.Item) {
 	if o := e.obs; o != nil && o.Recorder != nil {
 		o.Recorder.Record(obs.Span{
 			Kind: obs.KindCancel, Track: int32(o.Track), Seq: it.Seq,
-			Time: it.Time, Wall: obs.Now(), Queue: int32(e.queue.Len()), Label: it.Event.Label,
+			Time: it.Time, Wall: obs.Now(), Queue: int32(e.QueueLen()), Label: e.label(it.Event),
 		})
 	}
 	e.recycle(it.Event)
 }
 
-// execObserved runs one event callback under the attached observer:
-// hook first, then the timed execution, then the span/histograms.
-// Split out of the hot loops so the untraced path stays small enough
-// to keep its current shape (and inlining behavior).
-func (e *Engine) execObserved(t float64, seq uint64, schedAt float64, label string, fn func(), op uint32, arg []byte) {
+// execObserved is exec under the attached observer: hook first, then
+// the timed execution, then the span/histograms. Split out of exec so
+// the untraced path stays short.
+func (e *Engine) execObserved(it eventq.Item, t float64) {
+	ev, seq := it.Event, it.Seq
+	fn, op, arg := ev.Fn, ev.Op, ev.Arg
+	schedAt, label := ev.SchedAt, e.label(ev)
+	e.recycle(ev)
+	e.executed++
 	o := e.obs
-	qlen := e.queue.Len()
+	qlen := e.QueueLen()
 	if o.Hook != nil {
 		o.Hook(obs.Event{Time: t, Seq: seq, Label: label, QueueLen: qlen})
 	}
@@ -431,75 +529,127 @@ func (e *Engine) run(horizon float64, last uint64) {
 	defer func() { e.running = false }()
 	e.stopped = false
 	for !e.stopped && e.executed != last {
-		// Peek, and pop when due: the default heap without dispatch.
-		var it eventq.Item
-		var ok bool
-		if h := e.heap; h != nil {
-			if it, ok = h.Peek(); ok && !(it.Time > horizon) {
-				h.Pop()
-			}
-		} else if it, ok = e.queue.Peek(); ok && !(it.Time > horizon) {
-			e.queue.Pop()
-		}
+		it, ok := e.front(horizon, true)
 		if !ok {
-			*e.head = math.Inf(1)
 			break
-		}
-		if it.Time > horizon {
-			*e.head = it.Time
-			break
-		}
-		ev := it.Event
-		if ev.Canceled {
-			e.discard(it)
-			continue
 		}
 		if it.Time < e.now {
 			panic(fmt.Sprintf("des: event queue returned time %v before now %v", it.Time, e.now))
 		}
 		e.now = it.Time
-		fn, label, op, arg := ev.Fn, ev.Label, ev.Op, ev.Arg
-		if e.obs == nil {
-			// Recycle before running fn: the record is out of the queue,
-			// so events scheduled inside fn can reuse it immediately.
-			e.recycle(ev)
-			e.executed++
-			if fn != nil {
-				fn()
-			} else {
-				e.ops[op].fn(arg)
-			}
+		e.exec(it, it.Time)
+	}
+}
+
+// front applies the engine's one order rule and returns the first
+// pending record in (time, seq) order if it is due at or before
+// horizon, removed from the queue or the lane when pop is set and left
+// in place otherwise. The rule: queued records at or before now, then
+// the lane, then later queued records. Every lane record was scheduled
+// at now, after every queued record due at now was (a record moved
+// later is pushed again at its new key, drawn before the clock reached
+// it, and never into the lane), so the rule is the (time, seq) order
+// without comparing the two.
+//
+// On the way it discards tombstones and pushes each moved record again
+// at its new key. When nothing is due it leaves *e.head exact: the time
+// of the first record past the horizon, tombstone or not, or +Inf.
+func (e *Engine) front(horizon float64, pop bool) (eventq.Item, bool) {
+	for {
+		var it eventq.Item
+		var ok bool
+		if h := e.heap; h != nil {
+			it, ok = h.Peek()
 		} else {
-			schedAt := ev.SchedAt
-			e.recycle(ev)
-			e.executed++
-			e.execObserved(it.Time, it.Seq, schedAt, label, fn, op, arg)
+			it, ok = e.queue.Peek()
 		}
+		var live bool
+		if ev := e.lane; ev != nil && !(ok && it.Time <= e.now) {
+			if e.now > horizon {
+				*e.head = e.now
+				return it, false
+			}
+			it = eventq.Item{Time: e.now, Seq: ev.Seq, Event: ev}
+			if live = !ev.Canceled && ev.Time == e.now; live && !pop {
+				return it, true
+			}
+			e.popLane()
+		} else {
+			if !ok {
+				*e.head = math.Inf(1)
+				return it, false
+			}
+			if it.Time > horizon {
+				*e.head = it.Time
+				return it, false
+			}
+			if live = !it.Event.Canceled && it.Seq == it.Event.Seq; live && !pop {
+				return it, true
+			}
+			if h := e.heap; h != nil {
+				h.Pop()
+			} else {
+				e.queue.Pop()
+			}
+		}
+		switch {
+		case live:
+			return it, true
+		case it.Event.Canceled:
+			e.discard(it)
+		default: // moved later: its old key came up
+			e.push(it.Event)
+		}
+	}
+}
+
+// popLane removes the lane's first record.
+func (e *Engine) popLane() {
+	ev := e.lane
+	if e.lane = ev.Next; e.lane == nil {
+		e.laneTail = nil
+	}
+	ev.Next = nil
+	e.laneLen--
+}
+
+// exec recycles the record front popped and runs its callback, with
+// the clock already at the event's time; at is the time the trace
+// gives it.
+func (e *Engine) exec(it eventq.Item, at float64) {
+	if e.obs != nil {
+		e.execObserved(it, at)
+		return
+	}
+	// Recycle before running fn: the record is out of the queue, so
+	// events scheduled inside fn can reuse it immediately.
+	ev := it.Event
+	fn, op, arg := ev.Fn, ev.Op, ev.Arg
+	e.recycle(ev)
+	e.executed++
+	if fn != nil {
+		fn()
+	} else {
+		e.ops[op].fn(arg)
 	}
 }
 
 // PeekTime returns the timestamp of the next pending live event, or
-// +Inf when none is queued.
+// +Inf when none is queued. It discards the tombstones and settles the
+// moved records ahead of it, as RunUntil would.
 func (e *Engine) PeekTime() float64 {
-	for {
-		it, ok := e.queue.Peek()
-		if !ok {
-			return math.Inf(1)
-		}
-		if it.Event.Canceled {
-			e.queue.Pop()
-			e.discard(it)
-			continue
-		}
-		return it.Time
+	it, ok := e.front(math.Inf(1), false)
+	if !ok {
+		return math.Inf(1)
 	}
+	return it.Time
 }
 
 // Head returns a lower bound on the time of the next pending event,
-// costing no queue access: +Inf only when nothing is queued. Scheduling
+// costing no queue access: +Inf only when nothing is pending. Scheduling
 // lowers it, and RunUntil makes it exact where it stops: the time of
-// the first record past the horizon, which may be a canceled one, or
-// +Inf. A caller that finds Head() beyond a horizon knows
+// the first record past the horizon, which may be a canceled one (or
+// the old time of one moved later), or +Inf. A caller that finds Head() beyond a horizon knows
 // RunUntil(horizon) would do nothing. It reads the engine's own field
 // or the slot HeadSlot moved the bound to.
 func (e *Engine) Head() float64 { return *e.head }
@@ -517,9 +667,11 @@ func (e *Engine) HeadSlot(slot *float64) {
 // Executed is Stats().Executed without the copy of Stats.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Stats reports engine counters: events executed, scheduled, canceled,
-// and the high-water mark of the pending-event queue. When an Observer
-// with Metrics is attached, the latency histograms ride along.
+// Stats reports engine counters: events executed, scheduled (a
+// RescheduleOp counts as one schedule), canceled (tombstones
+// discarded), and the high-water mark of QueueLen, the queue and the
+// lane together. When an Observer with Metrics is attached, the
+// latency histograms ride along.
 type Stats struct {
 	Executed  uint64
 	Scheduled uint64
@@ -549,5 +701,12 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// QueueLen returns the number of pending (possibly tombstoned) events.
-func (e *Engine) QueueLen() int { return e.queue.Len() }
+// QueueLen returns the number of pending records, tombstones included:
+// the queue's and the lane's. A record moved later (RescheduleOp)
+// counts once.
+func (e *Engine) QueueLen() int {
+	if h := e.heap; h != nil {
+		return h.Len() + e.laneLen
+	}
+	return e.queue.Len() + e.laneLen
+}

@@ -21,7 +21,7 @@ func TestTimerRecordsAreRecycled(t *testing.T) {
 	if t2.ev != rec {
 		t.Fatal("Schedule did not reuse the recycled record")
 	}
-	if t2.gen == t1.gen {
+	if t2.seq == t1.seq {
 		t.Fatal("recycled record kept its generation")
 	}
 	if e.freeEv != nil {

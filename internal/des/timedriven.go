@@ -53,39 +53,23 @@ func (td *TimeDriven) RunUntil(horizon float64) float64 {
 			next = horizon
 		}
 		td.ticks++
+		// A Stop can leave records in the lane, which holds only the
+		// current instant's: they go to the queue before the clock moves.
+		for ev := e.lane; ev != nil; ev = e.lane {
+			e.popLane()
+			e.push(ev)
+		}
 		e.now = next
-		// Drain every event due at or before the new tick time.
-		for {
-			it, ok := e.queue.Peek()
-			if !ok || it.Time > e.now {
+		// Drain every event due at or before the new tick time. Head
+		// bounds them all, so an empty tick costs one compare.
+		for !e.stopped && !(*e.head > e.now) {
+			it, ok := e.front(e.now, true)
+			if !ok {
 				break
 			}
-			e.queue.Pop()
-			ev := it.Event
-			if ev.Canceled {
-				e.discard(it)
-				continue
-			}
-			fn, label, op, arg := ev.Fn, ev.Label, ev.Op, ev.Arg
-			if e.obs == nil {
-				e.recycle(ev)
-				e.executed++
-				if fn != nil {
-					fn()
-				} else {
-					e.ops[op].fn(arg)
-				}
-			} else {
-				schedAt := ev.SchedAt
-				e.recycle(ev)
-				e.executed++
-				// Handlers observe the quantized tick time, and so does
-				// the trace: spans carry e.now, not the original due time.
-				e.execObserved(e.now, it.Seq, schedAt, label, fn, op, arg)
-			}
-			if e.stopped {
-				break
-			}
+			// Handlers observe the quantized tick time, and so does
+			// the trace: spans carry e.now, not the original due time.
+			e.exec(it, e.now)
 		}
 	}
 	return e.now

@@ -102,3 +102,38 @@ func TestTimeDrivenHorizonClamp(t *testing.T) {
 		t.Fatalf("ticks = %d", td.Ticks())
 	}
 }
+
+// TestTimeDrivenStopKeepsLaneOrder stops inside a tick's handler after
+// it scheduled two events at zero delay. The next RunUntil moves the
+// clock a tick on and must run those two (due at the stopped instant)
+// before an event due inside the new tick that was scheduled earlier,
+// and in the order they were scheduled.
+func TestTimeDrivenStopKeepsLaneOrder(t *testing.T) {
+	td := NewTimeDriven(1.0)
+	var got []string
+	var at []float64
+	ran := func(name string) func() {
+		return func() { got, at = append(got, name), append(at, td.Now()) }
+	}
+	td.Schedule(1, func() {
+		td.Schedule(0, ran("a"))
+		td.Schedule(0, ran("b"))
+		td.Stop()
+	})
+	td.Schedule(1.5, ran("c"))
+	if end := td.RunUntil(10); end != 1 || len(got) != 0 {
+		t.Fatalf("first run ended at %v having run %v, want 1 and nothing", end, got)
+	}
+	td.RunUntil(10)
+	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
+		t.Fatalf("ran %v, want [a b c]", got)
+	}
+	for i, a := range at {
+		if a != 2 {
+			t.Fatalf("%s ran at %v, want the tick time 2", got[i], a)
+		}
+	}
+	if s := td.Stats(); s.Executed != 4 || s.Scheduled != 4 {
+		t.Fatalf("stats %+v, want 4 executed and 4 scheduled", s)
+	}
+}

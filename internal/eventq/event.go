@@ -12,10 +12,11 @@ package eventq
 // dominate once the model itself is cheap. Queues never inspect an
 // Event: they order Items purely by (Time, Seq).
 //
-// Gen is a generation counter: the engine bumps it every time the
-// record is recycled onto its free list, which lets outstanding timer
-// handles detect that their event is gone and turn stale Cancel calls
-// into safe no-ops.
+// Time and Seq are the key the event is due at. The Item a queue holds
+// carries the key the record was pushed under, which is the same one
+// unless the engine moved the event later in place (a re-armed timer):
+// then the record sits at its old key until that key comes up, and the
+// engine pushes it again at Time and Seq.
 type Event struct {
 	// Fn is the event callback, cleared on recycle so the free list
 	// does not retain closures. Nil when the event was scheduled as a
@@ -29,16 +30,24 @@ type Event struct {
 	// reaches the head of the queue instead of executing it. It sits in
 	// Op's padding, which keeps a record at 80 bytes, not 88.
 	Canceled bool
+	// Label indexes the engine's table of closure labels, 0 when the
+	// event has none. An op event's label is its op's name, which the
+	// engine looks up rather than stores: an index, not a string, keeps
+	// a record at 80 bytes with Time in it.
+	Label uint32
 	// Arg is the op argument, cleared on recycle alongside Fn.
 	Arg []byte
-	// Label is the trace label (empty when tracing metadata is off).
-	Label string
+	// Time is the simulation time the event is due at.
+	Time float64
+	// Seq is the sequence number the event was scheduled under, and
+	// the record's generation: the engine zeroes it on recycle and
+	// every schedule draws a new one, so a handle that captured it
+	// detects that its event is gone and a stale Cancel is a no-op.
+	Seq uint64
 	// SchedAt is the simulation time the event was scheduled at, kept
 	// for the engine's queue-dwell histogram (fire time − SchedAt).
 	SchedAt float64
-	// Gen is incremented each time the record is recycled; handles
-	// compare it against the generation they captured at schedule time.
-	Gen uint64
-	// Next links free-list entries between uses.
+	// Next links free-list entries between uses, and the engine's
+	// lane of events due at the current instant while queued there.
 	Next *Event
 }

@@ -21,7 +21,7 @@ type Ladder struct {
 	top      []Item
 	topMin   float64
 	topMax   float64
-	topStart float64 // events at/after this go to Top
+	topStart float64 // events after this go to Top
 
 	rungs []*ladderRung
 
@@ -63,7 +63,10 @@ func (l *Ladder) Len() int { return l.n }
 // Push implements Queue.
 func (l *Ladder) Push(it Item) {
 	l.n++
-	if it.Time >= l.topStart {
+	// Every boundary below sends all events of one time to one place,
+	// so an event's seq orders it among its equal-time peers wherever
+	// they are, even when it arrives after them with a lower one.
+	if it.Time > l.topStart {
 		l.top = append(l.top, it)
 		if it.Time < l.topMin {
 			l.topMin = it.Time
@@ -73,16 +76,16 @@ func (l *Ladder) Push(it Item) {
 		}
 		return
 	}
-	// Events earlier than Bottom's maximum must merge into Bottom, or
-	// they would be served after later-timed Bottom events.
-	if l.bottomLen > 0 && it.Time < l.bottomHigh {
+	// Events at or before Bottom's maximum must merge into Bottom, or
+	// they would be served after later Bottom events.
+	if l.bottomLen > 0 && it.Time <= l.bottomHigh {
 		l.pushBottom(it)
 		return
 	}
 	// Try rungs from coarsest to finest; an event can enter a rung only
-	// at or after the rung's current (unmaterialized) position.
+	// at or after the rung's current (unmaterialized) bucket.
 	for _, r := range l.rungs {
-		if it.Time >= r.curStart() {
+		if r.bucket(it.Time) >= r.cur {
 			l.rungPut(r, it)
 			return
 		}
@@ -261,14 +264,10 @@ func (l *Ladder) newRung(lo, hi float64, count int) *ladderRung {
 
 // rungPut files an item into its rung bucket, drawing a recycled
 // backing array for the bucket's first item when one is available.
+// The bucket is never behind r.cur: Push checks it, and a new rung
+// starts at its least item.
 func (l *Ladder) rungPut(r *ladderRung, it Item) {
-	idx := int((it.Time - r.start) / r.width)
-	if idx < r.cur {
-		idx = r.cur
-	}
-	if idx >= len(r.buckets) {
-		idx = len(r.buckets) - 1
-	}
+	idx := r.bucket(it.Time)
 	b := r.buckets[idx]
 	if b == nil {
 		if n := len(l.spare); n > 0 {
@@ -292,9 +291,14 @@ func (l *Ladder) recycleBucket(bucket []Item) {
 	l.spare = append(l.spare, bucket[:0])
 }
 
-// curStart is the earliest timestamp the rung can still accept.
-func (r *ladderRung) curStart() float64 {
-	return r.start + float64(r.cur)*r.width
+// bucket is the index of the rung's bucket for time t: monotone in t,
+// with times past the rung's end in its last bucket.
+func (r *ladderRung) bucket(t float64) int {
+	last := len(r.buckets) - 1
+	if f := (t - r.start) / r.width; f < float64(last) {
+		return int(f)
+	}
+	return last
 }
 
 // nextBucket returns the next non-empty bucket, or nil when the rung

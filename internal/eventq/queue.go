@@ -13,8 +13,12 @@
 // All queues order items by (Time, Seq): ties on simulation time are
 // broken by the monotonically increasing sequence number assigned at
 // schedule time, which gives every structure identical, FIFO-stable
-// dequeue order. None of the structures supports random removal;
-// engines implement event cancellation by tombstoning.
+// dequeue order. None of the structures supports random removal or
+// a change of key: the engine marks a canceled record and discards it
+// when its key comes up, and a record re-armed later keeps its key
+// until then and is pushed again at the new one (package des). Events
+// due at the instant the engine's clock stands at never reach a queue:
+// they wait in the engine's FIFO lane.
 package eventq
 
 import "fmt"
@@ -45,7 +49,9 @@ func (a Item) Before(b Item) bool {
 
 // Queue is a future event list: a priority queue over Items keyed by
 // (Time, Seq). Implementations need not be safe for concurrent use;
-// each engine owns exactly one queue.
+// each engine owns exactly one queue. It holds every pending record not
+// due at the engine's current instant, tombstones and records moved
+// later included, each at the key it was pushed under.
 type Queue interface {
 	// Push inserts an item. Items may arrive in any time order, but
 	// most structures are tuned for the common case of inserts at or

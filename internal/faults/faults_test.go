@@ -305,3 +305,29 @@ func TestInjectorStateRejectsGarbage(t *testing.T) {
 		}
 	}
 }
+
+// TestInjectorRefusedStateLeavesStream restores an injector from a
+// state whose 40 stream bytes are zero, which no xoshiro256++ stream
+// has: RestoreState must return the error and leave the failure stream
+// where it was, drawing what an untouched injector draws, not zeros.
+func TestInjectorRefusedStateLeavesStream(t *testing.T) {
+	build := func() *Injector {
+		e := des.NewEngine(des.WithSeed(3))
+		return NewInjector(e, scheduler.NewCluster(e, "c", 1, 100, scheduler.FCFS), 1, 1, 1)
+	}
+	untouched, restored := build(), build()
+	var enc checkpoint.Enc
+	enc.U64(1)
+	enc.U64(0)
+	enc.F64(0)
+	enc.Bool(false)
+	enc.Raw(make([]byte, 40))
+	if err := restored.RestoreState(checkpoint.NewDec(enc.Bytes())); err == nil {
+		t.Fatal("RestoreState accepted an all-zero stream state")
+	}
+	for i := 0; i < 4; i++ {
+		if got, want := restored.src.Uint64(), untouched.src.Uint64(); got != want {
+			t.Fatalf("draw %d after the refused state is %#x, an untouched injector draws %#x", i, got, want)
+		}
+	}
+}

@@ -31,6 +31,30 @@ func TestEventListCostIsLinearInFlows(t *testing.T) {
 	}
 }
 
+// TestStaggeredArrivalsLeaveNoTombstones admits flows one at a time
+// onto a busy one-link path while its first flow is still carrying:
+// each admission lowers the shared rate, so it only pushes the next
+// completion later, and the network moves its one timer's record in
+// place instead of canceling it. A cancel per admission would leave n
+// dead records for the engine to discard.
+func TestStaggeredArrivalsLeaveNoTombstones(t *testing.T) {
+	const n = 50
+	e := des.NewEngine()
+	topo, nodes := line(2, 1e6, 0)
+	net := NewNetwork(e, topo)
+	net.Transfer(nodes[0], nodes[1], 1e6, nil) // alone, done at t=1
+	for i := 1; i <= n; i++ {
+		e.Schedule(float64(i)/200, func() { net.Transfer(nodes[0], nodes[1], 1e8, nil) })
+	}
+	e.Run()
+	if net.Completed() != n+1 {
+		t.Fatalf("%d of %d flows completed", net.Completed(), n+1)
+	}
+	if s := e.Stats(); s.Canceled != 0 || s.MaxQueue > n+3 {
+		t.Fatalf("%d tombstones discarded, want 0; max queue %d, want at most %d", s.Canceled, s.MaxQueue, n+3)
+	}
+}
+
 // backlog holds n flows active on net, each finish followed by the
 // admission of a flow on the same route, in the finished flow's
 // record, as Transfer's start event admits it, with bytes more to

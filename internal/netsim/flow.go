@@ -21,7 +21,10 @@ import (
 // completion of whichever flow finishes first at the current rates.
 // Every start or finish recomputes the rates and re-arms that one timer
 // (rebalance), which costs arithmetic over the links under active flows
-// and the flows themselves, one cancel, one schedule and no allocation.
+// and the flows themselves, one des.Engine.RescheduleOp and no
+// allocation. An admission that only pushes the next completion later
+// leaves the timer's record where it sits, so a busy link's arrivals
+// put no dead records in the event list.
 // Flows due at the same instant complete in start order; that
 // tie-break lives in rebalance's scan, not in the event list.
 //
@@ -353,7 +356,6 @@ func (n *Network) rebalance() {
 		c.residual = l.usable()
 		c.unfixed = c.active
 	}
-	n.timer.Cancel()
 	if b, share := n.bottleneck(); b != nil && n.fill[b.ID].unfixed == len(n.flows) {
 		n.one, n.rate = true, share
 		n.next = n.shareOne()
@@ -366,7 +368,9 @@ func (n *Network) rebalance() {
 		if !n.one {
 			r = n.flows[i].rate
 		}
-		n.timer = n.e.ScheduleOp(n.rem[i]/r, n.k.ends, n.flows[i].self)
+		n.timer = n.e.RescheduleOp(n.timer, n.rem[i]/r, n.k.ends, n.flows[i].self)
+	} else {
+		n.timer.Cancel()
 	}
 }
 

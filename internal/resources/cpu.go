@@ -251,11 +251,14 @@ func (c *CPU) advance() {
 // cores*speed divided equally, capped at one core per task. It then
 // re-arms the one timer for the earliest completion instant, computed
 // as the engine will (now + remaining/rate); strict < scanning in
-// arrival order lets the earliest arrival of a tie finish first.
+// arrival order lets the earliest arrival of a tie finish first. The
+// re-arm is des.Engine.RescheduleOp: an arrival that only pushes the
+// next completion later moves the timer's record in place, leaving no
+// tombstone in the event list.
 func (c *CPU) rebalance() {
-	c.timer.Cancel()
 	n := len(c.tasks)
 	if n == 0 {
+		c.timer.Cancel()
 		return
 	}
 	rate := float64(c.cores) * c.speed / float64(n)
@@ -269,7 +272,7 @@ func (c *CPU) rebalance() {
 			c.next, bestAt = t, at
 		}
 	}
-	c.timer = c.e.ScheduleOp(c.next.remaining/rate, c.k.timerFired, c.self)
+	c.timer = c.e.RescheduleOp(c.timer, c.next.remaining/rate, c.k.timerFired, c.self)
 }
 
 // completeNext is the completion timer's callback. The timer for the

@@ -167,6 +167,28 @@ func TestTimeSharedEventListCostIsLinearInTasks(t *testing.T) {
 	}
 }
 
+// TestTimeSharedStaggeredArrivalsLeaveNoTombstones starts tasks one
+// at a time on a busy one-core time-shared CPU while its first task
+// still runs: each arrival lowers every task's rate, so it only pushes
+// the next completion later, and the CPU moves its one timer's record
+// in place instead of canceling it.
+func TestTimeSharedStaggeredArrivalsLeaveNoTombstones(t *testing.T) {
+	const n = 50
+	e := des.NewEngine()
+	cpu := NewCPU(e, "ts", 1, 100, TimeShared)
+	cpu.Execute(100, nil) // alone, done at t=1
+	for i := 1; i <= n; i++ {
+		e.Schedule(float64(i)/200, func() { cpu.Execute(1e4, nil) })
+	}
+	e.Run()
+	if cpu.Completed() != n+1 {
+		t.Fatalf("%d of %d tasks completed", cpu.Completed(), n+1)
+	}
+	if s := e.Stats(); s.Canceled != 0 || s.MaxQueue > n+3 {
+		t.Fatalf("%d tombstones discarded, want 0; max queue %d, want at most %d", s.Canceled, s.MaxQueue, n+3)
+	}
+}
+
 // TestTimeSharedRebalanceDoesNotAllocate runs a steady-state
 // finish/arrive cycle over N concurrent tasks: the earliest task
 // completes, then arrives again as Execute would admit it. Nothing else

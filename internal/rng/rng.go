@@ -72,18 +72,21 @@ func (s *Source) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler, overwriting
-// the receiver with a state produced by MarshalBinary.
+// the receiver with a state produced by MarshalBinary. A state it
+// refuses leaves the receiver as it was.
 func (s *Source) UnmarshalBinary(data []byte) error {
 	if len(data) != 40 {
 		return fmt.Errorf("rng: state is %d bytes, want 40", len(data))
 	}
-	s.id = binary.BigEndian.Uint64(data)
-	for i := range s.s {
-		s.s[i] = binary.BigEndian.Uint64(data[8*(i+1):])
+	var d Source
+	d.id = binary.BigEndian.Uint64(data)
+	for i := range d.s {
+		d.s[i] = binary.BigEndian.Uint64(data[8*(i+1):])
 	}
-	if s.s[0]|s.s[1]|s.s[2]|s.s[3] == 0 {
+	if d.s[0]|d.s[1]|d.s[2]|d.s[3] == 0 {
 		return fmt.Errorf("rng: all-zero state is not a valid xoshiro256++ state")
 	}
+	*s = d
 	return nil
 }
 
