@@ -65,15 +65,17 @@ bench:
 # frame events) and its LP images adopted whole: arbitrary bytes must
 # decode to an error or a valid value — never a panic or an absurd
 # allocation — and an adopted image must extract to the same bytes.
-# Last, arbitrary push/pop/peek sequences must get from the default FEL
-# exactly what the binary heap it replaced returns, random programs of
-# schedules, cancels, re-arms, runs and checkpoints the engine's
-# executed order and counts that a sorted-slice reference engine gives
-# for every queue kind, the flow network on
-# a fuzzed scenario exactly what the per-flow-timer reference
-# simulates, the flow network's closed-form link charge exactly what
-# one add at a time sums to, and the slot-indexed replica catalog and
-# stores exactly what the name-keyed ones they replaced answer.
+# Last, arbitrary push/pop/peek/replace-min sequences must get from the
+# default FEL exactly what the binary heap it replaced returns (a
+# replace as its Pop then Push), random programs of schedules, cancels,
+# re-arms, runs and checkpoints the engine's executed order and counts
+# that a sorted-slice reference engine gives for every queue kind (and
+# the same QueueLen after every step and the same Stats on the heap as
+# on the list), the flow network on a fuzzed scenario exactly what the
+# per-flow-timer reference simulates, the flow network's closed-form
+# link charge exactly what one add at a time sums to, and the
+# slot-indexed replica catalog and stores exactly what the name-keyed
+# ones they replaced answer.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalFrame -fuzztime 10s ./internal/distsim/
 	$(GO) test -run '^$$' -fuzz FuzzParseJournal -fuzztime 10s ./internal/distsim/

@@ -40,6 +40,11 @@ type Engine struct {
 	// heap is queue when its kind is the default, which the hot paths
 	// call directly; nil for the other kinds, which E3 compares.
 	heap *eventq.Heap
+	// pend is set while the heap's root is the record of the running
+	// event, which front returned without popping: the event's own
+	// reschedule replaces it (ReplaceMin) in one sift, and every other
+	// heap access pops it first (settle). Never set outside a run.
+	pend bool
 	now  float64
 	seq  uint64
 	rng  *rng.Source
@@ -343,8 +348,17 @@ func (e *Engine) atEvent(t float64, label uint32, fn func(), op uint32, arg []by
 		e.laneTail = ev
 		e.laneLen++
 		n += e.queue.Len() + 1
+		if e.pend {
+			n--
+		}
 	case h != nil:
-		h.Push(eventq.Item{Time: t, Seq: ev.Seq, Event: ev})
+		it := eventq.Item{Time: t, Seq: ev.Seq, Event: ev}
+		if e.pend {
+			e.pend = false
+			h.ReplaceMin(it)
+		} else {
+			h.Push(it)
+		}
 		n += h.Len()
 	default:
 		e.push(ev)
@@ -389,6 +403,7 @@ func (e *Engine) scheduleObserved(ev *eventq.Event) {
 func (e *Engine) push(ev *eventq.Event) {
 	it := eventq.Item{Time: ev.Time, Seq: ev.Seq, Event: ev}
 	if h := e.heap; h != nil {
+		e.settle()
 		h.Push(it)
 	} else {
 		e.queue.Push(it)
@@ -525,8 +540,9 @@ func (e *Engine) run(horizon float64, last uint64) {
 		panic("des: RunUntil called reentrantly")
 	}
 	e.running = true
-	// Deferred: a caller that recovers a handler's panic may re-enter.
-	defer func() { e.running = false }()
+	// Deferred: a caller that recovers a handler's panic may re-enter,
+	// or checkpoint, which reads the whole queue.
+	defer e.stopRunning()
 	e.stopped = false
 	for !e.stopped && e.executed != last {
 		it, ok := e.front(horizon, true)
@@ -541,11 +557,31 @@ func (e *Engine) run(horizon float64, last uint64) {
 	}
 }
 
+// stopRunning ends a run: it settles a root left pending and clears
+// running.
+func (e *Engine) stopRunning() {
+	e.settle()
+	e.running = false
+}
+
+// settle pops the heap root front left in place for the running event
+// (see pend). Its record is recycled, maybe already reused, so nothing
+// reads it.
+func (e *Engine) settle() {
+	if e.pend {
+		e.pend = false
+		e.heap.Pop()
+	}
+}
+
 // front applies the engine's one order rule and returns the first
 // pending record in (time, seq) order if it is due at or before
 // horizon, removed from the queue or the lane when pop is set and left
-// in place otherwise. The rule: queued records at or before now, then
-// the lane, then later queued records. Every lane record was scheduled
+// in place otherwise. A live record at the heap's root is the one
+// exception: pop leaves it there and sets pend, so that the event's
+// own reschedule replaces it in one pass, and the next front, push or
+// end of the run pops it (settle). The rule: queued records at or
+// before now, then the lane, then later queued records. Every lane record was scheduled
 // at now, after every queued record due at now was (a record moved
 // later is pushed again at its new key, drawn before the clock reached
 // it, and never into the lane), so the rule is the (time, seq) order
@@ -555,6 +591,7 @@ func (e *Engine) run(horizon float64, last uint64) {
 // at its new key. When nothing is due it leaves *e.head exact: the time
 // of the first record past the horizon, tombstone or not, or +Inf.
 func (e *Engine) front(horizon float64, pop bool) (eventq.Item, bool) {
+	e.settle()
 	for {
 		var it eventq.Item
 		var ok bool
@@ -587,6 +624,10 @@ func (e *Engine) front(horizon float64, pop bool) (eventq.Item, bool) {
 				return it, true
 			}
 			if h := e.heap; h != nil {
+				if live {
+					e.pend = true
+					return it, true
+				}
 				h.Pop()
 			} else {
 				e.queue.Pop()
@@ -703,9 +744,12 @@ func (e *Engine) Stats() Stats {
 
 // QueueLen returns the number of pending records, tombstones included:
 // the queue's and the lane's. A record moved later (RescheduleOp)
-// counts once.
+// counts once, and a heap root left pending (pend) not at all.
 func (e *Engine) QueueLen() int {
 	if h := e.heap; h != nil {
+		if e.pend {
+			return h.Len() - 1 + e.laneLen
+		}
 		return h.Len() + e.laneLen
 	}
 	return e.queue.Len() + e.laneLen

@@ -21,6 +21,12 @@ import (
 // earlier, to now, on fired and stale handles), stop, step, run to
 // horizons below now, peek, and checkpoint and restore mid-run; event
 // handlers run program steps too. See orderProgram for the encoding.
+//
+// It also runs the program on the heap and on the list, which keep
+// tombstones and moved records alike, and requires the same QueueLen
+// after every step, in handlers too, and the same Stats: the heap root
+// an engine leaves in place for the running event's reschedule must
+// not show.
 func FuzzEngineOrderAgainstReference(f *testing.F) {
 	for _, seed := range orderSeeds {
 		f.Add(seed)
@@ -101,6 +107,7 @@ type orderAPI interface {
 	peek() float64
 	checkpoint() string // "" or the AppendState/RestoreState error
 	counts() (executed, scheduled uint64)
+	queueLen() int // compared between engines only: the reference keeps no tombstones
 }
 
 // orderProgram interprets prog against api; fire is what api calls
@@ -111,6 +118,7 @@ type orderProgram struct {
 	api   orderAPI
 	ids   uint64 // schedules so far: the next schedule's seq
 	trace []string
+	lens  []int // queueLen after every step
 }
 
 func (p *orderProgram) byte() (byte, bool) {
@@ -139,6 +147,7 @@ func (p *orderProgram) stepOnce(inHandler bool) bool {
 		return false
 	}
 	operand := func() int { v, _ := p.byte(); return int(v) }
+	defer func() { p.lens = append(p.lens, p.api.queueLen()) }()
 	switch b % numOps {
 	case opSchedFn, opSchedOp:
 		d := orderDelays[operand()%len(orderDelays)]
@@ -186,7 +195,7 @@ func (p *orderProgram) stepOnce(inHandler bool) bool {
 }
 
 // runOrderProgram runs prog to its end, then drains the events left.
-func runOrderProgram(prog []byte, mk func(*orderProgram) orderAPI) []string {
+func runOrderProgram(prog []byte, mk func(*orderProgram) orderAPI) *orderProgram {
 	p := &orderProgram{prog: prog}
 	p.api = mk(p)
 	for p.pc < len(p.prog) {
@@ -194,7 +203,13 @@ func runOrderProgram(prog []byte, mk func(*orderProgram) orderAPI) []string {
 	}
 	p.api.runUntil(math.Inf(1))
 	ex, sc := p.api.counts()
-	return append(p.trace, fmt.Sprintf("end now=%v executed=%d scheduled=%d", p.api.now(), ex, sc))
+	p.trace = append(p.trace, fmt.Sprintf("end now=%v executed=%d scheduled=%d", p.api.now(), ex, sc))
+	return p
+}
+
+// runOnEngine runs prog on an engine over kind.
+func runOnEngine(prog []byte, kind eventq.Kind) *orderProgram {
+	return runOrderProgram(prog, func(p *orderProgram) orderAPI { return newEngineAPI(p, kind) })
 }
 
 func checkOrderProgram(t *testing.T, prog []byte) {
@@ -203,8 +218,8 @@ func checkOrderProgram(t *testing.T, prog []byte) {
 		return
 	}
 	kind := eventq.Kinds()[int(prog[0])%len(eventq.Kinds())]
-	got := runOrderProgram(prog[1:], func(p *orderProgram) orderAPI { return newEngineAPI(p, kind) })
-	want := runOrderProgram(prog[1:], func(p *orderProgram) orderAPI { return &refEngine{p: p} })
+	got := runOnEngine(prog[1:], kind).trace
+	want := runOrderProgram(prog[1:], func(p *orderProgram) orderAPI { return &refEngine{p: p} }).trace
 	n := min(len(got), len(want))
 	for i := 0; i < n; i++ {
 		if got[i] != want[i] {
@@ -215,6 +230,14 @@ func checkOrderProgram(t *testing.T, prog []byte) {
 	if len(got) != len(want) {
 		t.Fatalf("%s engine, program %v: %d trace lines, the reference %d\nengine:    %q\nreference: %q",
 			kind, prog, len(got), len(want), got, want)
+	}
+
+	heap, list := runOnEngine(prog[1:], eventq.KindHeap), runOnEngine(prog[1:], eventq.KindList)
+	if !slices.Equal(heap.lens, list.lens) {
+		t.Fatalf("program %v: QueueLen after each step\nheap: %v\nlist: %v", prog, heap.lens, list.lens)
+	}
+	if hs, ls := heap.api.(*engineAPI).e.Stats(), list.api.(*engineAPI).e.Stats(); hs != ls {
+		t.Fatalf("program %v: heap Stats %+v, list Stats %+v", prog, hs, ls)
 	}
 }
 
@@ -251,6 +274,7 @@ func (a *engineAPI) peek() float64 {
 	return a.e.PeekTime()
 }
 func (a *engineAPI) runUntil(h float64) { a.e.RunUntil(h) }
+func (a *engineAPI) queueLen() int      { return a.e.QueueLen() }
 func (a *engineAPI) counts() (uint64, uint64) {
 	s := a.e.Stats()
 	return s.Executed, s.Scheduled
@@ -307,9 +331,10 @@ type refEvent struct {
 	closure bool
 }
 
-func (r *refEngine) now() float64 { return r.t }
-func (r *refEngine) handles() int { return len(r.hs) }
-func (r *refEngine) stop()        { r.stopped = true }
+func (r *refEngine) now() float64  { return r.t }
+func (r *refEngine) handles() int  { return len(r.hs) }
+func (r *refEngine) stop()         { r.stopped = true }
+func (r *refEngine) queueLen() int { return len(r.pending) }
 func (r *refEngine) counts() (uint64, uint64) {
 	return r.executed, r.scheduled
 }

@@ -45,7 +45,7 @@ func (td *TimeDriven) RunUntil(horizon float64) float64 {
 		panic("des: RunUntil called reentrantly")
 	}
 	e.running = true
-	defer func() { e.running = false }()
+	defer e.stopRunning()
 	e.stopped = false
 	for !e.stopped && e.now < horizon {
 		next := e.now + td.dt

@@ -6,18 +6,23 @@ import (
 )
 
 // Heap is an array-backed 4-ary min-heap whose sift-down has no
-// data-dependent branch. Push and Pop are O(log n); Peek is O(1). It is
-// the engines' default: allocation-free in steady state, and at or
-// near the front of E3's table at every population (EXPERIMENTS.md).
+// data-dependent branch. Push, Pop and ReplaceMin are O(log n); Peek is
+// O(1). It is the engines' default: allocation-free in steady state,
+// and at or near the front of E3's table at every population
+// (EXPERIMENTS.md).
 //
 // A hold-model Pop in the textbook heap pays one coin-flip branch per
 // level ("is the left or the right child smaller?" on two random keys),
 // and the misprediction costs more than the level's work (DESIGN.md
 // §5.1). Here a node carries an order-preserving integer image of its
-// Time, "which child is smallest" is the borrow out of a two-word
-// subtraction over (key, seq) added to the child index, and Pop walks
-// the min-child path to a leaf before placing the displaced last
-// element, which in a hold pattern belongs at the bottom anyway.
+// Time, and "which child is smallest" is computed, not branched on:
+// the smaller of each sibling pair is selected by value under a mask
+// made from the borrow out of a two-word subtraction over (key, seq),
+// the two winners are compared the same way, and the borrow picks the
+// index. The hole walks the min-child path to a leaf before the node
+// to place is sifted up from there: after Pop the displaced last
+// element, after ReplaceMin the pushed one, which in a hold pattern
+// both belong near the bottom anyway.
 type Heap struct {
 	nodes []heapNode
 }
@@ -54,11 +59,11 @@ func keyTime(k uint64) float64 {
 
 func (n heapNode) item() Item { return Item{Time: keyTime(n.key), Seq: n.seq, Event: n.ev} }
 
-// before is 1 when a orders strictly before b by (key, seq) and 0
+// before is 1 when (ak, as) orders strictly before (bk, bs) and 0
 // otherwise: the borrow out of the 128-bit subtraction a − b.
-func (a *heapNode) before(b *heapNode) uint64 {
-	_, borrow := bits.Sub64(a.seq, b.seq, 0)
-	_, borrow = bits.Sub64(a.key, b.key, borrow)
+func before(ak, as, bk, bs uint64) uint64 {
+	_, borrow := bits.Sub64(as, bs, 0)
+	_, borrow = bits.Sub64(ak, bk, borrow)
 	return borrow
 }
 
@@ -98,35 +103,59 @@ func (h *Heap) Pop() (Item, bool) {
 	if n < 0 {
 		return Item{}, false
 	}
-	nodes := h.nodes
-	min, last := nodes[0], nodes[n]
-	nodes[n].ev = nil // release payload reference
-	nodes = nodes[:n]
-	h.nodes = nodes
-	if n == 0 {
-		return min.item(), true
+	min, last := h.nodes[0], h.nodes[n]
+	h.nodes[n].ev = nil // release payload reference
+	h.nodes = h.nodes[:n]
+	if n > 0 {
+		h.down(last)
 	}
-	// Move the smallest child into the hole, level by level, without
-	// asking where last belongs: min of four as two parallel selects
-	// and a third, each the borrow bit of before.
+	return min.item(), true
+}
+
+// ReplaceMin removes the minimum and pushes it in one pass, as Pop then
+// Push would, and leaves Len as it was; on an empty heap it is Push. A
+// hold (pop the minimum, push its successor) costs one sift this way,
+// not two. The old minimum is overwritten unread.
+func (h *Heap) ReplaceMin(it Item) {
+	if len(h.nodes) == 0 {
+		h.Push(it)
+		return
+	}
+	h.down(heapNode{key: timeKey(it.Time), seq: it.Seq, ev: it.Event})
+}
+
+// down moves the smallest child into the hole at the root, level by
+// level, without asking where nd belongs, then places nd from the leaf
+// it reached upward. A full sibling group is two selects by value and a
+// third compare on the winners, each on the borrow of before: the
+// winners are not reloaded through an index, and only the last pick's
+// index addresses a load.
+func (h *Heap) down(nd heapNode) {
+	nodes := h.nodes
+	n := len(nodes)
 	i, c := 0, 1
 	for ; c+heapArity <= n; c = heapArity*i + 1 {
-		lo := c + int(nodes[c+1].before(&nodes[c]))
-		hi := c + 2 + int(nodes[c+3].before(&nodes[c+2]))
-		m := lo + (hi-lo)*int(nodes[hi].before(&nodes[lo]))
-		nodes[i] = nodes[m]
-		i = m
+		g := nodes[c : c+heapArity : c+heapArity]
+		k0, s0, k1, s1 := g[0].key, g[0].seq, g[1].key, g[1].seq
+		b01 := before(k1, s1, k0, s0)
+		lk, ls := k0^(k0^k1)&-b01, s0^(s0^s1)&-b01
+		k2, s2, k3, s3 := g[2].key, g[2].seq, g[3].key, g[3].seq
+		b23 := before(k3, s3, k2, s2)
+		hk, hs := k2^(k2^k3)&-b23, s2^(s2^s3)&-b23
+		lo, hi := int(b01), 2+int(b23)
+		m := lo + (hi-lo)&-int(before(hk, hs, lk, ls))
+		nodes[i] = g[m&(heapArity-1)] // m < heapArity: the mask drops a bounds check
+		i = c + m
 	}
 	if c < n { // the partial last sibling group
 		m := c
 		for j := c + 1; j < n; j++ {
-			m += (j - m) * int(nodes[j].before(&nodes[m]))
+			m += (j - m) * int(before(nodes[j].key, nodes[j].seq, nodes[m].key, nodes[m].seq))
 		}
 		nodes[i] = nodes[m]
 		i = m
 	}
-	h.up(i, last)
-	return min.item(), true
+	h.up(i, nd)
 }
 
 // up places nd at or above the hole at i, moving parents down into it.

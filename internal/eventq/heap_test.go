@@ -51,22 +51,31 @@ var fuzzTimes = [16]float64{
 }
 
 // FuzzHeapAgainstReference drives Heap and the binary heap it replaced
-// (heap_ref_test.go) with one push/pop/peek sequence: every returned
-// Item and every Len must agree, through a final drain. A byte below
-// 0x80 pushes fuzzTimes[b&15], below 0xC0 pops, else peeks.
+// (heap_ref_test.go) with one push/pop/peek/replace sequence: every
+// returned Item and every Len must agree, through a final drain. A
+// byte below 0x80 pushes fuzzTimes[b&15], below 0xC0 pops, below 0xE0
+// peeks, else replaces the minimum with fuzzTimes[b&15]: ReplaceMin
+// against the reference's Pop then Push.
 func FuzzHeapAgainstReference(f *testing.F) {
-	const push, pop, peek = 0x00, 0x80, 0xC0
+	const push, pop, peek, replace = 0x00, 0x80, 0xC0, 0xE0
 	// Sizes 0–5 and 4k±1, where the last sibling group of the 4-ary
-	// layout is partial: filled, half drained, refilled.
+	// layout is partial: filled, half drained, refilled; then, at the
+	// same sizes, filled and turned over by replaces.
 	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65} {
 		seed := make([]byte, 0, 2*n+2)
 		for i := 0; i < n; i++ {
 			seed = append(seed, push|byte(i*7)&0x7F)
 		}
+		fill := seed
 		seed = append(seed, peek)
 		seed = append(seed, bytes.Repeat([]byte{pop}, n/2+1)...)
 		seed = append(seed, push|5, push|4, push|5, peek)
 		f.Add(seed)
+		turn := append(fill[:len(fill):len(fill)], peek)
+		for i := 0; i < n+1; i++ {
+			turn = append(turn, replace|byte(i*5)&0x1F)
+		}
+		f.Add(append(turn, peek, pop, replace|3))
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		h, ref := NewHeap(), &refHeap{}
@@ -86,9 +95,15 @@ func FuzzHeapAgainstReference(f *testing.F) {
 			case b < peek:
 				got, gotOK = h.Pop()
 				want, wantOK = ref.Pop()
-			default:
+			case b < replace:
 				got, gotOK = h.Peek()
 				want, wantOK = ref.Peek()
+			default:
+				seq++
+				it := Item{Time: fuzzTimes[b&15], Seq: seq, Event: &evs[seq%uint64(len(evs))]}
+				h.ReplaceMin(it)
+				ref.Pop()
+				ref.Push(it)
 			}
 			if got != want || gotOK != wantOK {
 				t.Fatalf("op %d (%#x) = %+v, %v; reference %+v, %v", i, b, got, gotOK, want, wantOK)

@@ -22,6 +22,7 @@ import (
 // it stalls in Network.
 type PacketNet struct {
 	e    *des.Engine
+	k    *packetKind
 	topo *Topology
 
 	// MTU is the maximum packet payload in bytes. Messages are split
@@ -39,11 +40,43 @@ type linkQueue struct {
 	waiting []*packet
 }
 
+// packet is a packet in flight, in its engine's packet table from
+// its message's segmentation (or a local delivery's schedule) until it
+// arrives.
 type packet struct {
+	pn    *PacketNet
 	size  float64
 	route []*Link
 	hop   int
+	q     *linkQueue // the queue of route[hop], set on enqueue
 	msg   *message
+	self  []byte // the packet's op argument
+}
+
+// packetKind holds the ops every packet fabric on one engine schedules
+// its packets' events with, and the packets' free list.
+type packetKind struct {
+	pkts            des.Table[packet]
+	tx, prop, local des.Op
+}
+
+func newPacketKind(e *des.Engine) *packetKind {
+	k := &packetKind{}
+	k.tx = e.RegisterOp("pnet:tx", func(self []byte) {
+		pkt := k.pkts.At(self)
+		pkt.pn.transmitted(pkt)
+	})
+	k.prop = e.RegisterOp("pnet:prop", func(self []byte) {
+		pkt := k.pkts.At(self)
+		pkt.pn.propagated(pkt)
+	})
+	k.local = e.RegisterOp("pnet:local", func(self []byte) {
+		pkt := k.pkts.At(self)
+		pn, msg := pkt.pn, pkt.msg
+		k.pkts.Put(self)
+		pn.deliver(msg)
+	})
+	return k
 }
 
 type message struct {
@@ -58,7 +91,7 @@ func NewPacketNet(e *des.Engine, topo *Topology, mtu float64) *PacketNet {
 	if mtu <= 0 {
 		panic(fmt.Sprintf("netsim: NewPacketNet with MTU %v", mtu))
 	}
-	return &PacketNet{e: e, topo: topo, MTU: mtu, queues: make(map[*Link]*linkQueue)}
+	return &PacketNet{e: e, k: des.PerEngine(e, newPacketKind), topo: topo, MTU: mtu, queues: make(map[*Link]*linkQueue)}
 }
 
 // Topo implements Fabric.
@@ -94,7 +127,9 @@ func (pn *PacketNet) transfer(src, dst *Node, bytes float64, msg *message) {
 		for _, l := range route {
 			lat += l.Latency
 		}
-		pn.e.ScheduleNamed("pnet:local", lat, func() { pn.deliver(msg) })
+		pkt, self := pn.k.pkts.Get()
+		*pkt = packet{pn: pn, msg: msg, self: self}
+		pn.e.ScheduleOp(lat, pn.k.local, self)
 		return
 	}
 	npkts := int(math.Ceil(bytes / pn.MTU))
@@ -106,7 +141,8 @@ func (pn *PacketNet) transfer(src, dst *Node, bytes float64, msg *message) {
 			size = rest
 		}
 		rest -= size
-		pkt := &packet{size: size, route: route, msg: msg}
+		pkt, self := pn.k.pkts.Get()
+		*pkt = packet{pn: pn, size: size, route: route, msg: msg, self: self}
 		pn.enqueue(pkt)
 	}
 }
@@ -139,20 +175,21 @@ func (pn *PacketNet) queueFor(l *Link) *linkQueue {
 
 // enqueue places the packet on its current hop's link queue.
 func (pn *PacketNet) enqueue(pkt *packet) {
-	link := pkt.route[pkt.hop]
-	q := pn.queueFor(link)
+	q := pn.queueFor(pkt.route[pkt.hop])
+	pkt.q = q
 	if q.busy {
 		q.waiting = append(q.waiting, pkt)
 		return
 	}
-	pn.transmit(link, q, pkt)
+	pn.transmit(pkt)
 }
 
-// transmit occupies the link for the serialization time, then after
-// the propagation delay either forwards the packet or completes it.
-func (pn *PacketNet) transmit(link *Link, q *linkQueue, pkt *packet) {
+// transmit occupies the packet's link for the serialization time (a
+// pnet:tx event); transmitted and propagated take it from there.
+func (pn *PacketNet) transmit(pkt *packet) {
+	q := pkt.q
 	q.busy = true
-	usable := link.usable()
+	usable := pkt.route[pkt.hop].usable()
 	if usable <= 0 {
 		// Nothing gets through: the link stays busy, and this packet
 		// and every later one wait on it for good.
@@ -160,29 +197,38 @@ func (pn *PacketNet) transmit(link *Link, q *linkQueue, pkt *packet) {
 		return
 	}
 	pn.packetsSent++
-	pn.e.ScheduleNamed("pnet:tx", pkt.size/usable, func() {
-		link.bytesCarried += pkt.size
-		// Link is free for the next queued packet.
-		if len(q.waiting) > 0 {
-			next := q.waiting[0]
-			q.waiting = q.waiting[1:]
-			pn.transmit(link, q, next)
-		} else {
-			q.busy = false
-		}
-		// Meanwhile this packet propagates.
-		pn.e.ScheduleNamed("pnet:prop", link.Latency, func() {
-			pkt.hop++
-			if pkt.hop < len(pkt.route) {
-				pn.enqueue(pkt)
-				return
-			}
-			pkt.msg.packetsLeft--
-			if pkt.msg.packetsLeft == 0 {
-				pn.deliver(pkt.msg)
-			}
-		})
-	})
+	pn.e.ScheduleOp(pkt.size/usable, pn.k.tx, pkt.self)
+}
+
+// transmitted frees the link for its next queued packet, while this
+// one propagates for the link latency (a pnet:prop event).
+func (pn *PacketNet) transmitted(pkt *packet) {
+	link, q := pkt.route[pkt.hop], pkt.q
+	link.bytesCarried += pkt.size
+	if len(q.waiting) > 0 {
+		next := q.waiting[0]
+		q.waiting = q.waiting[1:]
+		pn.transmit(next)
+	} else {
+		q.busy = false
+	}
+	pn.e.ScheduleOp(link.Latency, pn.k.prop, pkt.self)
+}
+
+// propagated forwards the packet to its next hop, or retires it and
+// completes its message with the last packet.
+func (pn *PacketNet) propagated(pkt *packet) {
+	pkt.hop++
+	if pkt.hop < len(pkt.route) {
+		pn.enqueue(pkt)
+		return
+	}
+	msg := pkt.msg
+	pn.k.pkts.Put(pkt.self)
+	msg.packetsLeft--
+	if msg.packetsLeft == 0 {
+		pn.deliver(msg)
+	}
 }
 
 var _ Fabric = (*PacketNet)(nil)
