@@ -17,9 +17,12 @@ build:
 # stacks, instead of at the 10-minute default. The cluster's fault
 # matrix and sweeps run twice more: a heal whose outcome hangs on
 # goroutine scheduling rather than on the scripted clock fails here.
+# lsbench's own tests run last: ./... skips its module, and a change to
+# the internal APIs it reads may break them without breaking its build.
 test:
 	$(GO) test -timeout 5m ./...
 	$(GO) test -timeout 5m -count=3 -run 'TestFaultMatrix|Sweep' ./internal/distsim/
+	$(GO) test -C bench/lsbench ./...
 
 # vet first fails on any tracked Go file gofmt would rewrite, naming it.
 vet:

@@ -94,7 +94,6 @@ func (e *Engine) RescheduleOp(t Timer, delay float64, op Op, arg []byte) Timer {
 		return e.atOp(at, op, arg)
 	}
 	e.checkOp(op)
-	e.dropLabel(ev)
 	ev.Fn, ev.Canceled = nil, false
 	ev.Op, ev.Arg = op.idx, arg
 	e.keyed(ev, at)
@@ -115,9 +114,7 @@ func (e *Engine) AtOp(t float64, op Op, arg []byte) Timer {
 
 func (e *Engine) atOp(t float64, op Op, arg []byte) Timer {
 	e.checkOp(op)
-	// The op name doubles as the trace label (Engine.label): a record
-	// stores none.
-	return e.atEvent(t, 0, nil, op.idx, arg)
+	return e.atEvent(t, nil, op.idx, arg)
 }
 
 func (e *Engine) checkOp(op Op) {
@@ -135,7 +132,7 @@ func (e *Engine) checkOp(op Op) {
 //
 // Every live pending event must have been scheduled as a registered op
 // (ScheduleOp/AtOp); a pending closure event makes the engine
-// unserializable, AppendState reports it by name and writes nothing.
+// unserializable, AppendState reports its time and writes nothing.
 // Canceled tombstones are exempt — they never execute, so they
 // round-trip as inert records to keep the cancellation statistics
 // exact.
@@ -171,7 +168,7 @@ func (e *Engine) AppendState(enc *checkpoint.Enc) error {
 		ev := items[i].Event
 		items[i].Time, items[i].Seq = ev.Time, ev.Seq
 		if ev.Fn != nil && !ev.Canceled {
-			return fmt.Errorf("des: pending event %q at t=%v was scheduled as a closure; checkpointable models must use ScheduleOp", e.label(ev), ev.Time)
+			return fmt.Errorf("des: pending event at t=%v was scheduled as a closure; checkpointable models must use ScheduleOp", ev.Time)
 		}
 	}
 	slices.SortFunc(items, func(a, b eventq.Item) int {
@@ -220,8 +217,6 @@ func (e *Engine) AppendState(enc *checkpoint.Enc) error {
 // checked before the engine changes, so a corrupt snapshot leaves it
 // as it was.
 //
-// An op event's trace label is its op's name, as when it was
-// scheduled; a canceled closure's tombstone comes back unlabelled.
 // Outstanding Timer handles are invalidated by RestoreState; a model
 // that cancels events across a checkpoint must carry the information
 // it needs to re-issue the cancellation in its own Checkpointable
@@ -303,8 +298,6 @@ func (e *Engine) RestoreState(d *checkpoint.Dec) error {
 		ev.Seq = 0
 	}
 	e.lane, e.laneTail, e.laneLen = nil, nil, 0
-	clear(e.labels)
-	e.labels, e.labelFree = e.labels[:0], e.labelFree[:0]
 	e.seed = seed
 	*e.rng = src
 	e.newQueue()

@@ -220,8 +220,8 @@ func TestCheckpointSnapshotStable(t *testing.T) {
 
 func TestCheckpointRejectsClosures(t *testing.T) {
 	e := NewEngine()
-	e.ScheduleNamed("the closure", 1, func() {})
-	if snap, err := snapshot(e); err == nil || !strings.Contains(err.Error(), "the closure") || len(snap) != 0 {
+	e.Schedule(1.5, func() {})
+	if snap, err := snapshot(e); err == nil || !strings.Contains(err.Error(), "t=1.5") || len(snap) != 0 {
 		t.Fatalf("closure event serialized: %v, %d bytes written", err, len(snap))
 	}
 
@@ -265,6 +265,12 @@ func TestCheckpointRejectsLiveProcesses(t *testing.T) {
 	e.RunUntil(1)
 	if _, err := snapshot(e); err == nil {
 		t.Fatal("live process engine serialized")
+	}
+	// A process whose des:start is pending is live too.
+	e2 := NewEngine()
+	e2.SpawnAt("late", 5, func(*Process) {})
+	if _, err := snapshot(e2); err == nil {
+		t.Fatal("engine with a pending process start serialized")
 	}
 }
 

@@ -74,13 +74,6 @@ type Engine struct {
 	// slab is the engine's newest block of event records: below len in
 	// use or free-listed, up to cap untouched (see fresh).
 	slab []eventq.Event
-	// labels holds the trace labels of pending closure events at the
-	// index their records' Label holds (0: none), and labelFree the
-	// indexes free for reuse: recycling a record frees its index, so
-	// the table grows only to the most labelled events ever pending.
-	labels    []string
-	labelFree []uint32
-
 	// ops is the registered-op table backing ScheduleOp/AtOp: named,
 	// restorable event callbacks (see checkpoint.go). Index 0 is a
 	// reserved sentinel meaning "closure event"; real ops start at 1.
@@ -267,42 +260,7 @@ func (t Timer) Canceled() bool {
 // past is always a model bug.
 func (e *Engine) Schedule(delay float64, fn func()) Timer {
 	checkDelay("Schedule", delay, e.now)
-	return e.atEvent(e.now+delay, 0, fn, 0, nil)
-}
-
-// ScheduleNamed is Schedule with a trace label.
-func (e *Engine) ScheduleNamed(label string, delay float64, fn func()) Timer {
-	checkDelay("Schedule", delay, e.now)
-	var l uint32
-	if label != "" {
-		l = e.newLabel(label)
-	}
-	return e.atEvent(e.now+delay, l, fn, 0, nil)
-}
-
-// newLabel stores label in a free slot of the label table and returns
-// its index.
-func (e *Engine) newLabel(label string) uint32 {
-	if n := len(e.labelFree); n > 0 {
-		l := e.labelFree[n-1]
-		e.labelFree = e.labelFree[:n-1]
-		e.labels[l] = label
-		return l
-	}
-	if len(e.labels) == 0 {
-		e.labels = append(e.labels, "") // index 0: no label
-	}
-	e.labels = append(e.labels, label)
-	return uint32(len(e.labels) - 1)
-}
-
-// dropLabel frees ev's label slot, if it has one.
-func (e *Engine) dropLabel(ev *eventq.Event) {
-	if l := ev.Label; l != 0 {
-		e.labels[l] = ""
-		e.labelFree = append(e.labelFree, l)
-		ev.Label = 0
-	}
+	return e.atEvent(e.now+delay, fn, 0, nil)
 }
 
 // checkDelay panics on a negative or non-finite delay: scheduling into
@@ -319,13 +277,13 @@ func (e *Engine) At(t float64, fn func()) Timer {
 	if t < e.now || math.IsNaN(t) || math.IsInf(t, 0) {
 		panic(fmt.Sprintf("des: At with invalid time %v (now %v)", t, e.now))
 	}
-	return e.atEvent(t, 0, fn, 0, nil)
+	return e.atEvent(t, fn, 0, nil)
 }
 
 // atEvent is the common schedule path for closure events (fn non-nil)
 // and registered-op events (fn nil, op > 0). An event due now joins
 // the lane; any other is pushed into the queue.
-func (e *Engine) atEvent(t float64, label uint32, fn func(), op uint32, arg []byte) Timer {
+func (e *Engine) atEvent(t float64, fn func(), op uint32, arg []byte) Timer {
 	ev := e.freeEv
 	if ev != nil {
 		e.freeEv = ev.Next
@@ -334,8 +292,7 @@ func (e *Engine) atEvent(t float64, label uint32, fn func(), op uint32, arg []by
 	} else {
 		ev = e.fresh()
 	}
-	ev.Fn, ev.Label = fn, label
-	ev.Op, ev.Arg = op, arg
+	ev.Fn, ev.Op, ev.Arg = fn, op, arg
 	e.keyed(ev, t)
 	n := e.laneLen
 	switch h := e.heap; {
@@ -410,12 +367,8 @@ func (e *Engine) push(ev *eventq.Event) {
 	}
 }
 
-// label is ev's trace label: its op's name for an op event, else what
-// ScheduleNamed gave it.
+// label is ev's trace label: its op's name, or empty for a closure.
 func (e *Engine) label(ev *eventq.Event) string {
-	if ev.Label != 0 {
-		return e.labels[ev.Label]
-	}
 	if ev.Op != 0 {
 		return e.ops[ev.Op].name
 	}
@@ -445,7 +398,6 @@ func (e *Engine) recycle(ev *eventq.Event) {
 	ev.Fn = nil
 	ev.Op = 0
 	ev.Arg = nil
-	e.dropLabel(ev)
 	ev.Next = e.freeEv
 	e.freeEv = ev
 }

@@ -229,43 +229,12 @@ func TestStep(t *testing.T) {
 	}
 }
 
-// TestScheduleNamedReusesLabelSlots runs two labelled closure chains:
-// each fired record frees its label slot for the next schedule, so
-// the label table stays at the events pending at once, the labels the
-// hook sees survive the reuse, and the steady state allocates nothing.
-func TestScheduleNamedReusesLabelSlots(t *testing.T) {
-	e := NewEngine()
-	var x, y func()
-	x = func() { e.ScheduleNamed("x", 1, x) }
-	y = func() { e.ScheduleNamed("y", 1.5, y) }
-	x()
-	y()
-	e.RunUntil(10)
-	if mallocs := testing.AllocsPerRun(1, func() { e.RunUntil(e.Now() + 1000) }); mallocs != 0 {
-		t.Fatalf("%v mallocs over 1 000 time units of labelled schedules, want 0", mallocs)
-	}
-	bad := 0
-	e.SetObserver(Observer{Hook: func(ev obs.Event) {
-		period := map[string]float64{"x": 1, "y": 1.5}[ev.Label]
-		if period == 0 || math.Mod(ev.Time, period) != 0 {
-			bad++
-		}
-	}})
-	e.RunUntil(e.Now() + 100)
-	if bad != 0 {
-		t.Fatalf("%d events carried another chain's label", bad)
-	}
-	if len(e.labels) > 3 {
-		t.Fatalf("label table holds %d slots for 2 pending labelled events", len(e.labels))
-	}
-}
-
 func TestOnEventHook(t *testing.T) {
 	e := NewEngine()
 	var got []obs.Event
 	e.SetObserver(Observer{Hook: func(ev obs.Event) { got = append(got, ev) }})
-	e.ScheduleNamed("alpha", 1, func() {})
-	e.ScheduleNamed("beta", 2, func() {})
+	e.ScheduleOp(1, e.RegisterOp("alpha", func([]byte) {}), nil)
+	e.ScheduleOp(2, e.RegisterOp("beta", func([]byte) {}), nil)
 	e.Run()
 	if len(got) != 2 || got[0].Label != "alpha" || got[1].Label != "beta" {
 		t.Fatalf("events = %v", got)

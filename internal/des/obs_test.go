@@ -135,7 +135,7 @@ func TestProcessTracingSpansNest(t *testing.T) {
 			t.Fatalf("sim time regressed across spans: %v after %v", cur.Time, prev.Time)
 		}
 	}
-	for _, want := range []string{"worker:start", "sleeper:start", "des:resume"} {
+	for _, want := range []string{"des:start", "des:resume"} {
 		if !labels[want] {
 			t.Fatalf("no exec span labeled %q (have %v)", want, labels)
 		}

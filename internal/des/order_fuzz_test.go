@@ -292,7 +292,7 @@ func (a *engineAPI) schedule(d float64, op bool, id uint64) {
 		a.issued(a.e.ScheduleOp(d, a.op, idArg(id)), id)
 		return
 	}
-	a.issued(a.e.ScheduleNamed("fuzz.fn", d, func() { a.p.fire(id) }), id)
+	a.issued(a.e.Schedule(d, func() { a.p.fire(id) }), id)
 }
 
 func (a *engineAPI) cancel(h int) { a.hs[h].Cancel() }

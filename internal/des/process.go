@@ -30,7 +30,7 @@ type Process struct {
 	e    *Engine
 	name string
 
-	// k is the engine's Await records, looked up on the first Await:
+	// k is the engine's process ops and records, looked up at Spawn:
 	// Hold is hot in process-heavy models, and PerEngine's map lookup
 	// on every block would be on its steady-state path.
 	k *awaits
@@ -62,24 +62,29 @@ type procKilledSentinel struct{}
 // engine goroutine, preserving crash semantics for model bugs.
 type procPanic struct{ value any }
 
-// Spawn creates a process and schedules its first activation at the
-// current simulation time. The body runs as straight-line code using
-// the blocking primitives (Hold, Resource.Acquire, WaitGroup.Wait, ...).
+// Spawn creates a process and schedules its first activation, the op
+// des:start, at the current simulation time. The body runs as
+// straight-line code using the blocking primitives (Hold,
+// Resource.Acquire, WaitGroup.Wait, ...).
 func (e *Engine) Spawn(name string, body func(*Process)) *Process {
 	return e.SpawnAt(name, 0, body)
 }
 
 // SpawnAt is Spawn with a start delay.
 func (e *Engine) SpawnAt(name string, delay float64, body func(*Process)) *Process {
+	k := PerEngine(e, newAwaits)
 	p := &Process{
 		e:      e,
 		name:   name,
+		k:      k,
 		resume: make(chan struct{}),
 		yield:  make(chan struct{}),
 		body:   body,
 	}
 	e.liveProcs++
-	e.ScheduleNamed(name+":start", delay, func() { p.resumeNow() })
+	slot, arg := k.starts.Get()
+	*slot = p
+	e.ScheduleOp(delay, k.start, arg)
 	return p
 }
 
@@ -175,9 +180,6 @@ func (p *Process) Hold(d float64) {
 // same operation resume in the same event. Running the op again is a
 // no-op, and so is running it after Kill.
 func (p *Process) Await(start func(op Op, arg []byte)) {
-	if p.k == nil {
-		p.k = PerEngine(p.e, newAwaits)
-	}
 	k := p.k
 	w, idx := k.waits.Get()
 	k.gen++
@@ -198,11 +200,14 @@ func (p *Process) Await(start func(op Op, arg []byte)) {
 	k.waits.Put(idx)
 }
 
-// awaits is the engine's resume op and the records of the Awaits in
-// progress. The record of a killed process's Await is never freed: the
-// operation may still complete.
+// awaits is the engine's start and resume ops, the processes whose
+// start is pending and the records of the Awaits in progress. The
+// record of a killed process's Await is never freed: the operation may
+// still complete.
 type awaits struct {
+	starts Table[*Process]
 	waits  Table[await]
+	start  Op
 	resume Op
 	gen    uint32 // the number of the engine's latest Await
 	args   []byte // the chunk resume arguments are cut from
@@ -225,6 +230,12 @@ func newAwaits(e *Engine) *awaits {
 		if w.p.state == procBlocked {
 			w.p.resumeNow()
 		}
+	})
+	// A process killed before its start is ended: resumeNow ignores it.
+	k.start = e.RegisterOp("des:start", func(arg []byte) {
+		p := *k.starts.At(arg)
+		k.starts.Put(arg)
+		p.resumeNow()
 	})
 	return k
 }

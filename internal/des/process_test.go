@@ -132,6 +132,31 @@ func TestKillUnstartedProcess(t *testing.T) {
 	}
 }
 
+// TestKilledUnstartedProcessFreesItsStartSlot: the des:start event of
+// a process killed before it started still runs, as a no-op, and frees
+// the process's slot in the start table, which the next Spawn reuses.
+func TestKilledUnstartedProcessFreesItsStartSlot(t *testing.T) {
+	e := NewEngine()
+	victim := e.SpawnAt("victim", 10, func(*Process) { t.Error("killed-before-start process ran") })
+	e.Schedule(1, func() { victim.Kill() })
+	e.Run()
+	k := victim.k
+	if got := e.Executed(); got != 2 {
+		t.Fatalf("executed %d events, want the kill and the start", got)
+	}
+	if len(k.starts.free) != len(k.starts.slots) || e.LiveProcesses() != 0 {
+		t.Fatalf("%d of %d start slots free, %d processes live after the start ran", len(k.starts.free), len(k.starts.slots), e.LiveProcesses())
+	}
+	next := e.Spawn("next", func(*Process) {})
+	if *k.starts.At(k.starts.slots[0].arg[:]) != next {
+		t.Fatal("the next Spawn did not reuse the freed start slot")
+	}
+	e.Run()
+	if !next.Ended() || e.LiveProcesses() != 0 {
+		t.Fatalf("next ended=%v, %d processes live", next.Ended(), e.LiveProcesses())
+	}
+}
+
 func TestProcessPanicPropagates(t *testing.T) {
 	e := NewEngine()
 	e.Spawn("bad", func(p *Process) {

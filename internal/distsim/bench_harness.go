@@ -1,7 +1,6 @@
 package distsim
 
 import (
-	"repro/internal/eventq"
 	"repro/internal/pool"
 	"repro/internal/winsync"
 )
@@ -46,7 +45,7 @@ func NewWorkerWindowBench(threads, lps, jobs int, remote float64, work, hot int,
 // pholdGroup builds an offline group (lookahead 1, seed 99) with the
 // model installed and seeded on every LP.
 func pholdGroup(m *winsync.PHOLD, ids ...int) *winsync.Group {
-	g := winsync.NewGroup(ids, m.TotalLPs, 1, 99, eventq.KindHeap)
+	g := winsync.NewGroup(ids, m.TotalLPs, 1, 99)
 	g.Install = m.Install
 	for _, lp := range g.LPs() {
 		m.Install(lp)

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/checkpoint"
-	"repro/internal/eventq"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/winsync"
@@ -475,7 +474,7 @@ func NewObsPiggybackBench() *ObsPiggybackBench {
 		co: &ClusterObs{every: 1, spanCap: 1 << 10, rec: obs.NewRecorder(1 << 10)},
 	}
 	pb.w.obs = &workerObs{every: 1}
-	g := winsync.NewGroup(pb.w.ids, 3, 1, 1, eventq.KindHeap)
+	g := winsync.NewGroup(pb.w.ids, 3, 1, 1)
 	g.EnableObservability(1 << 10)
 	for _, lp := range g.LPs() {
 		lp.OnMessage = func(winsync.Event) {}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/checkpoint"
-	"repro/internal/eventq"
 	"repro/internal/partition"
 	"repro/internal/pool"
 	"repro/internal/winsync"
@@ -306,7 +305,7 @@ func (w *Worker) applyConfig(cfg *frame) error {
 	// the worker's run ends. The config frame does not carry the
 	// cluster's LP count, so an LP ID that is too large is still the
 	// coordinator's to refuse; a negative one never leaves Send.
-	w.g = winsync.NewGroup(w.ids, math.MaxInt, cfg.Lookahead, cfg.Seed, eventq.KindHeap)
+	w.g = winsync.NewGroup(w.ids, math.MaxInt, cfg.Lookahead, cfg.Seed)
 	w.g.Install = w.InstallLP
 	// Observability: the coordinator's config switches on recording for
 	// the whole cluster. The group observes its LPs, pool threads and

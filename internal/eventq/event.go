@@ -1,8 +1,10 @@
 package eventq
 
-// Event is the engine-owned payload of a queued Item: the callback,
-// trace label, and the bookkeeping the engine needs to recycle event
-// records through a free list.
+// Event is the engine-owned payload of a queued Item: the callback
+// (a closure, or a registered op and its argument) and the bookkeeping
+// the engine needs to recycle event records through a free list. An
+// event's trace label is its op's name (a process's start is the op
+// des:start, its resumes des:resume); a closure has none.
 //
 // It is declared in this package — rather than in the engine that
 // manages it — only so Item can hold it as a concrete pointer. The
@@ -28,13 +30,8 @@ type Event struct {
 	Op uint32
 	// Canceled tombstones the event: the engine discards it when it
 	// reaches the head of the queue instead of executing it. It sits in
-	// Op's padding, which keeps a record at 80 bytes, not 88.
+	// Op's padding, which keeps a record at 72 bytes, not 80.
 	Canceled bool
-	// Label indexes the engine's table of closure labels, 0 when the
-	// event has none. An op event's label is its op's name, which the
-	// engine looks up rather than stores: an index, not a string, keeps
-	// a record at 80 bytes with Time in it.
-	Label uint32
 	// Arg is the op argument, cleared on recycle alongside Fn.
 	Arg []byte
 	// Time is the simulation time the event is due at.

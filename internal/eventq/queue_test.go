@@ -335,14 +335,14 @@ func TestItemBefore(t *testing.T) {
 	}
 }
 
-// TestEventRecordIs80Bytes bounds the record's layout. Seq is the
+// TestEventRecordIs72Bytes bounds the record's layout. Seq is the
 // record's generation as well as its key, so no field of its own
-// carries one, and Canceled sits in the padding after Op: given a word
-// of its own, it makes a record 88 bytes, which a lone allocation
-// rounds up to 96. The engine allocates records in slabs, whose stride
-// is this size. A record that shrinks passes.
-func TestEventRecordIs80Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(Event{}); got > 80 {
-		t.Fatalf("eventq.Event takes %d bytes, want at most 80", got)
+// carries one; Canceled sits in the padding after Op, and a record
+// stores no label (the engine names an event by its op). Either extra
+// word makes a record 80 bytes. The engine allocates records in slabs,
+// whose stride is this size. A record that shrinks passes.
+func TestEventRecordIs72Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got > 72 {
+		t.Fatalf("eventq.Event takes %d bytes, want at most 72", got)
 	}
 }

@@ -407,6 +407,30 @@ func TestPacketNetMultiHopPipelining(t *testing.T) {
 	}
 }
 
+// TestPacketQueueKeepsItsArray sends a 1 000-packet message over two
+// hops whose latency is long against a packet's serialization time:
+// each packet reaches the second link while it still sends the one
+// before, so that link's queue is pushed and popped once a packet. A
+// second message on the warmed fabric reuses the queue's array; a
+// queue that pops by reslicing its front loses capacity and allocates
+// a new array every packet or two.
+func TestPacketQueueKeepsItsArray(t *testing.T) {
+	e := des.NewEngine()
+	topo, nodes := line(3, 1e6, 0.01)
+	pn := NewPacketNet(e, topo, 100)
+	send := func() {
+		pn.Transfer(nodes[0], nodes[2], 1e5, func() {})
+		e.Run()
+	}
+	send()
+	if mallocs := testing.AllocsPerRun(1, send); mallocs > 4 {
+		t.Fatalf("%v mallocs for a 1 000-packet message on a warmed fabric, want at most 4", mallocs)
+	}
+	if pn.Completed() != 3 || pn.PacketsSent() != 6000 {
+		t.Fatalf("%d messages completed, %d packets sent", pn.Completed(), pn.PacketsSent())
+	}
+}
+
 func TestPacketNetPartialLastPacket(t *testing.T) {
 	e := des.NewEngine()
 	topo, nodes := line(2, 1000, 0)

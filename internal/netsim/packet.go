@@ -37,7 +37,33 @@ type PacketNet struct {
 
 type linkQueue struct {
 	busy    bool
-	waiting []*packet
+	waiting []*packet // waiting[head:] wait, in arrival order
+	head    int
+}
+
+// push queues pkt behind the link's waiting packets, sliding them to
+// the front of their array rather than growing it.
+func (q *linkQueue) push(pkt *packet) {
+	if q.head > 0 && len(q.waiting) == cap(q.waiting) {
+		k := copy(q.waiting, q.waiting[q.head:])
+		clear(q.waiting[k:])
+		q.waiting, q.head = q.waiting[:k], 0
+	}
+	q.waiting = append(q.waiting, pkt)
+}
+
+// pop removes and returns the first waiting packet, nil when none
+// waits.
+func (q *linkQueue) pop() *packet {
+	if q.head == len(q.waiting) {
+		return nil
+	}
+	pkt := q.waiting[q.head]
+	q.waiting[q.head] = nil
+	if q.head++; q.head == len(q.waiting) {
+		q.waiting, q.head = q.waiting[:0], 0
+	}
+	return pkt
 }
 
 // packet is a packet in flight, in its engine's packet table from
@@ -178,7 +204,7 @@ func (pn *PacketNet) enqueue(pkt *packet) {
 	q := pn.queueFor(pkt.route[pkt.hop])
 	pkt.q = q
 	if q.busy {
-		q.waiting = append(q.waiting, pkt)
+		q.push(pkt)
 		return
 	}
 	pn.transmit(pkt)
@@ -193,7 +219,7 @@ func (pn *PacketNet) transmit(pkt *packet) {
 	if usable <= 0 {
 		// Nothing gets through: the link stays busy, and this packet
 		// and every later one wait on it for good.
-		q.waiting = append(q.waiting, pkt)
+		q.push(pkt)
 		return
 	}
 	pn.packetsSent++
@@ -205,9 +231,7 @@ func (pn *PacketNet) transmit(pkt *packet) {
 func (pn *PacketNet) transmitted(pkt *packet) {
 	link, q := pkt.route[pkt.hop], pkt.q
 	link.bytesCarried += pkt.size
-	if len(q.waiting) > 0 {
-		next := q.waiting[0]
-		q.waiting = q.waiting[1:]
+	if next := q.pop(); next != nil {
 		pn.transmit(next)
 	} else {
 		q.busy = false

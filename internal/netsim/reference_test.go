@@ -41,10 +41,10 @@ func (n *refNetwork) transfer(src, dst *Node, bytes float64, done func()) *refFl
 	}
 	f := &refFlow{remaining: bytes, route: route, done: done}
 	if bytes == 0 || len(route) == 0 {
-		n.e.ScheduleNamed("net:zero", latency, func() { n.finish(f) })
+		n.e.Schedule(latency, func() { n.finish(f) })
 		return f
 	}
-	n.e.ScheduleNamed("net:flowstart", latency, func() {
+	n.e.Schedule(latency, func() {
 		n.advance()
 		n.flows = append(n.flows, f)
 		n.rebalance()
@@ -131,7 +131,7 @@ func (n *refNetwork) rebalance() {
 			continue
 		}
 		f := f
-		f.timer = n.e.ScheduleNamed("net:flowend", f.remaining/f.rate, func() {
+		f.timer = n.e.Schedule(f.remaining/f.rate, func() {
 			n.advance()
 			f.remaining = 0
 			for i, g := range n.flows {

@@ -27,7 +27,6 @@ import (
 	"math"
 
 	"repro/internal/des"
-	"repro/internal/eventq"
 	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/winsync"
@@ -73,14 +72,6 @@ type Federation struct {
 // seed and the LP index, so results are reproducible and independent
 // of the worker count.
 func NewFederation(n int, lookahead float64, workers int, seed uint64) *Federation {
-	return NewFederationWithQueue(n, lookahead, workers, seed, eventq.KindHeap)
-}
-
-// NewFederationWithQueue is NewFederation with an explicit
-// future-event-list kind for every LP engine. Results are independent
-// of the kind (dequeue order is total), so it is exercised by the
-// determinism tests and benchmark sweeps.
-func NewFederationWithQueue(n int, lookahead float64, workers int, seed uint64, kind eventq.Kind) *Federation {
 	if n <= 0 || lookahead <= 0 || workers <= 0 {
 		panic(fmt.Sprintf("parsim: NewFederation(n=%d, lookahead=%v, workers=%d)", n, lookahead, workers))
 	}
@@ -90,7 +81,7 @@ func NewFederationWithQueue(n int, lookahead float64, workers int, seed uint64, 
 	}
 	// Workers beyond the LP count would only contend on the pool's cursor.
 	workers = min(workers, n)
-	return &Federation{g: winsync.NewGroup(ids, n, lookahead, seed, kind), workers: workers}
+	return &Federation{g: winsync.NewGroup(ids, n, lookahead, seed), workers: workers}
 }
 
 // LPs returns the number of logical processes.

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/des"
-	"repro/internal/eventq"
 )
 
 func TestFederationBasics(t *testing.T) {
@@ -90,15 +89,14 @@ func TestPHOLDConservation(t *testing.T) {
 	}
 }
 
-// TestDeterminismAcrossKindsAndWorkers demands bit-identical engine
-// statistics for every FEL implementation and worker count: neither
-// the queue structure, nor timer recycling, nor the persistent worker
-// pool may leak into trajectories. The model mixes self-scheduling,
+// TestDeterminismAcrossWorkers demands bit-identical engine statistics
+// for every worker count: neither timer recycling nor the persistent
+// worker pool may leak into trajectories. The model mixes self-scheduling,
 // cross-LP sends, and cancel-heavy decoy timers so tombstone recycling
 // is exercised under parallel window execution.
-func TestDeterminismAcrossKindsAndWorkers(t *testing.T) {
-	run := func(kind eventq.Kind, workers int) []des.Stats {
-		f := NewFederationWithQueue(5, 1.0, workers, 2024, kind)
+func TestDeterminismAcrossWorkers(t *testing.T) {
+	run := func(workers int) []des.Stats {
+		f := NewFederation(5, 1.0, workers, 2024)
 		for i := 0; i < f.LPs(); i++ {
 			lp := f.LP(i)
 			src := lp.E.Stream("model")
@@ -127,7 +125,7 @@ func TestDeterminismAcrossKindsAndWorkers(t *testing.T) {
 		}
 		return out
 	}
-	ref := run(eventq.KindHeap, 1)
+	ref := run(1)
 	var canceled uint64
 	for _, st := range ref {
 		canceled += st.Canceled
@@ -135,14 +133,11 @@ func TestDeterminismAcrossKindsAndWorkers(t *testing.T) {
 	if canceled == 0 {
 		t.Fatal("model canceled nothing; test is vacuous")
 	}
-	for _, k := range eventq.Kinds() {
-		for _, w := range []int{1, 2, 8} {
-			got := run(k, w)
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("%s/workers=%d: LP %d stats %+v, want %+v",
-						k, w, i, got[i], ref[i])
-				}
+	for _, w := range []int{2, 8} {
+		got := run(w)
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("workers=%d: LP %d stats %+v, want %+v", w, i, got[i], ref[i])
 			}
 		}
 	}

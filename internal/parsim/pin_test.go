@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/des"
-	"repro/internal/eventq"
 )
 
 // delivery is one received message as the destination saw it.
@@ -77,7 +76,7 @@ func guardPin(log []delivery, s des.Stats, sent, recv uint64) string {
 }
 
 // TestFlatOutboxPinned is the bit-identity guard of the message path:
-// for every FEL kind, worker count and seed, each destination sees its
+// for every worker count and seed, each destination sees its
 // deliveries in the order the old outbox matrix gave them, and engine
 // counters and message counters are what the matrix's run counted. It
 // replaces TestFlatOutboxMatchesMatrixReference, which ran that matrix
@@ -117,18 +116,16 @@ func testFlatOutboxPinned(t *testing.T) {
 		},
 	}
 	for _, seed := range []uint64{1, 2, 77} {
-		for _, kind := range eventq.Kinds() {
-			for _, workers := range []int{1, 2, 4} {
-				f := NewFederationWithQueue(n, 1, workers, seed, kind)
-				log := make([][]delivery, n)
-				installGuardModel(f, log)
-				f.Run(horizon)
-				requireCollisions(t, log[0])
-				for i := 0; i < n; i++ {
-					lp := f.LP(i)
-					if got, want := guardPin(log[i], lp.E.Stats(), lp.Sent(), lp.Received()), pins[seed][i]; got != want {
-						t.Fatalf("seed=%d/%s/workers=%d: LP %d\n got  %s\n want %s", seed, kind, workers, i, got, want)
-					}
+		for _, workers := range []int{1, 2, 4} {
+			f := NewFederation(n, 1, workers, seed)
+			log := make([][]delivery, n)
+			installGuardModel(f, log)
+			f.Run(horizon)
+			requireCollisions(t, log[0])
+			for i := 0; i < n; i++ {
+				lp := f.LP(i)
+				if got, want := guardPin(log[i], lp.E.Stats(), lp.Sent(), lp.Received()), pins[seed][i]; got != want {
+					t.Fatalf("seed=%d/workers=%d: LP %d\n got  %s\n want %s", seed, workers, i, got, want)
 				}
 			}
 		}

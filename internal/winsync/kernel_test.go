@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
-	"repro/internal/eventq"
 )
 
 func quietGroup(t *testing.T, lps int) *Group {
@@ -17,7 +16,7 @@ func quietGroup(t *testing.T, lps int) *Group {
 	for i := range ids {
 		ids[i] = i
 	}
-	g := NewGroup(ids, lps, 1, 7, eventq.KindHeap)
+	g := NewGroup(ids, lps, 1, 7)
 	for _, lp := range g.LPs() {
 		lp.OnMessage = func(Event) {}
 	}
@@ -135,7 +134,7 @@ func TestIdleSkips(t *testing.T) {
 // TestStartRequiresHandlers pins that a group does not run with an LP
 // nobody gave a handler.
 func TestStartRequiresHandlers(t *testing.T) {
-	g := NewGroup([]int{0, 1}, 2, 1, 7, eventq.KindHeap)
+	g := NewGroup([]int{0, 1}, 2, 1, 7)
 	g.LP(0).OnMessage = func(Event) {}
 	if err := g.Start(1); err == nil || !strings.Contains(err.Error(), "LP 1") {
 		t.Fatalf("Start() = %v, want an error naming LP 1", err)
@@ -287,7 +286,7 @@ func FuzzAdoptImage(f *testing.F) {
 	f.Add(append(slices.Clone(imgs[0][:len(imgs[0])-d.Remaining()]), bomb.Bytes()...))
 
 	f.Fuzz(func(t *testing.T, img []byte) {
-		g := NewGroup([]int{owned}, invLPs, invLookahead, invSeed, eventq.KindHeap)
+		g := NewGroup([]int{owned}, invLPs, invLookahead, invSeed)
 		g.Install = model.Install
 		model.Install(g.LP(owned))
 		id, err := imageID(img)

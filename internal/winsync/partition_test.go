@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
-	"repro/internal/eventq"
 )
 
 // cluster is k groups over one set of LPs, joined by the simplest
@@ -50,7 +49,7 @@ func newCluster(t testing.TB, model PHOLD, k, threads, spanCap int) *cluster {
 		for id := gi; id < invLPs; id += k {
 			ids = append(ids, id)
 		}
-		g := NewGroup(ids, invLPs, invLookahead, invSeed, eventq.KindHeap)
+		g := NewGroup(ids, invLPs, invLookahead, invSeed)
 		g.Install = c.model.Install
 		if spanCap > 0 {
 			g.EnableObservability(spanCap)

@@ -41,7 +41,6 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/des"
-	"repro/internal/eventq"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/pool"
@@ -197,7 +196,6 @@ type Group struct {
 	total     int
 	lookahead float64
 	seed      uint64
-	kind      eventq.Kind
 
 	// end and seq, the running window's end and barrier sequence, and
 	// due, its LPs with work in ascending ID, are published to the pool
@@ -232,11 +230,11 @@ type Group struct {
 // total LPs numbered from 0. Each engine is seeded from the base seed
 // and the LP's ID alone, so an LP draws the same streams whichever
 // group hosts it.
-func NewGroup(ids []int, total int, lookahead float64, seed uint64, kind eventq.Kind) *Group {
+func NewGroup(ids []int, total int, lookahead float64, seed uint64) *Group {
 	if len(ids) == 0 || !(lookahead > 0) {
 		panic(fmt.Sprintf("winsync: NewGroup(%d LPs, lookahead=%v)", len(ids), lookahead))
 	}
-	g := &Group{total: total, lookahead: lookahead, seed: seed, kind: kind}
+	g := &Group{total: total, lookahead: lookahead, seed: seed}
 	for _, id := range ids {
 		if id < 0 || id >= total {
 			panic(fmt.Sprintf("winsync: LP %d outside [0, %d)", id, total))
@@ -255,7 +253,7 @@ const arenaChunk = 4096 // bytes of a Group.arena chunk: ~300 PHOLD messages
 func (g *Group) newLP(id int) *LP {
 	lp := &LP{
 		ID: id,
-		E:  des.NewEngine(des.WithSeed(g.seed+uint64(id)*0x9e3779b9), des.WithQueue(g.kind)),
+		E:  des.NewEngine(des.WithSeed(g.seed + uint64(id)*0x9e3779b9)),
 		g:  g,
 		// No idle skip yet. Not in insert: adopt restores the image first.
 		active: g.windows,
