@@ -59,15 +59,16 @@ race:
 tier1: build test vet race
 
 bench:
-	$(GO) test -bench 'E3|PHOLD|Federation|ScheduleExecute|Hold$$|ProcessContextSwitch|ResourceAcquire|NetworkBacklog|DistWindow' -benchmem -run '^$$' ./...
+	$(GO) test -bench 'E3|PHOLD|Federation|MessagePath|ScheduleExecute|Hold$$|ProcessContextSwitch|ResourceAcquire|NetworkBacklog|DistWindow' -benchmem -run '^$$' ./...
 	$(GO) test -bench 'E7TierStudy/lsbench' -benchmem -run '^$$' .
 
 # Short fuzz pass over the wire codec, the coordinator's two durable
 # formats (journal replay, cluster checkpoint), its fold of a worker's
-# obs snapshot, the kernel's event codec (op arguments, LP images,
-# frame events) and its LP images adopted whole: arbitrary bytes must
-# decode to an error or a valid value — never a panic or an absurd
-# allocation — and an adopted image must extract to the same bytes.
+# obs snapshot, the kernel's event codec (LP images, frame events), its
+# LP images adopted whole and the record tables' state: arbitrary bytes
+# must decode to an error or a valid value — never a panic or an absurd
+# allocation — an adopted image must extract to the same bytes, and a
+# restored table must append the bytes it read.
 # Last, arbitrary push/pop/peek/replace-min sequences must get from the
 # default FEL exactly what the binary heap it replaced returns (a
 # replace as its Pop then Push), random programs of schedules, cancels,
@@ -86,6 +87,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzClusterObsFold -fuzztime 10s ./internal/distsim/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 10s ./internal/winsync/
 	$(GO) test -run '^$$' -fuzz FuzzAdoptImage -fuzztime 10s ./internal/winsync/
+	$(GO) test -run '^$$' -fuzz FuzzTableState -fuzztime 10s ./internal/des/
 	$(GO) test -run '^$$' -fuzz FuzzHeapAgainstReference -fuzztime 10s ./internal/eventq/
 	$(GO) test -run '^$$' -fuzz FuzzEngineOrderAgainstReference -fuzztime 10s ./internal/des/
 	$(GO) test -run '^$$' -fuzz FuzzNetworkAgainstReference -fuzztime 10s ./internal/netsim/

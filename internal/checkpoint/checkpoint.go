@@ -47,7 +47,10 @@ const Magic = "LSDSCKPT"
 // version 1 kept in their place cannot be read as one. Version 3 is
 // the first whose LP images hold the engine's state inline, where
 // version 2 nested a whole snapshot file of the engine's in each.
-const Version = 3
+// Version 4 is the first whose LP images hold the table of pending
+// deliveries after the engine, where version 3's engine kept each
+// delivery's event encoded in its op argument.
+const Version = 4
 
 // maxSectionLen bounds a single section payload (1 GiB): a length
 // beyond it means a corrupt or hostile stream, not a real snapshot.

@@ -27,10 +27,12 @@ import (
 // speed even before they care about checkpoints.
 
 // opEntry is one registered op: the restorable identity (name) and the
-// callback.
+// callback. proc marks a process's start and resume ops, which no
+// snapshot can hold.
 type opEntry struct {
 	name string
 	fn   func(arg []byte)
+	proc bool
 }
 
 // Op is a handle to an op registered on a specific engine. The zero Op
@@ -132,7 +134,9 @@ func (e *Engine) checkOp(op Op) {
 //
 // Every live pending event must have been scheduled as a registered op
 // (ScheduleOp/AtOp); a pending closure event makes the engine
-// unserializable, AppendState reports its time and writes nothing.
+// unserializable, AppendState reports its time and writes nothing. So
+// does a pending start or resume left by a killed process: it names a
+// process record no snapshot holds.
 // Canceled tombstones are exempt — they never execute, so they
 // round-trip as inert records to keep the cancellation statistics
 // exact.
@@ -167,8 +171,14 @@ func (e *Engine) AppendState(enc *checkpoint.Enc) error {
 	for i := range items {
 		ev := items[i].Event
 		items[i].Time, items[i].Seq = ev.Time, ev.Seq
-		if ev.Fn != nil && !ev.Canceled {
+		if ev.Canceled {
+			continue
+		}
+		if ev.Fn != nil {
 			return fmt.Errorf("des: pending event at t=%v was scheduled as a closure; checkpointable models must use ScheduleOp", ev.Time)
+		}
+		if op := &e.ops[ev.Op]; op.proc {
+			return fmt.Errorf("des: pending event at t=%v is op %q, left by a process that was killed or has ended; processes cannot be checkpointed", ev.Time, op.name)
 		}
 	}
 	slices.SortFunc(items, func(a, b eventq.Item) int {

@@ -274,6 +274,39 @@ func TestCheckpointRejectsLiveProcesses(t *testing.T) {
 	}
 }
 
+// TestCheckpointRefusesKilledProcessLeftovers: a killed process leaves
+// its pending resume (or, killed before it started, its start) in the
+// queue with no live process counted. Writing it would give a snapshot
+// no fresh engine restores, so AppendState refuses it, naming the op
+// and its time.
+func TestCheckpointRefusesKilledProcessLeftovers(t *testing.T) {
+	held := NewEngine()
+	p := held.Spawn("sleeper", func(p *Process) { p.Hold(100) })
+	held.RunUntil(1)
+	p.Kill()
+	early := NewEngine()
+	early.SpawnAt("late", 5, func(*Process) {}).Kill()
+	for _, c := range []struct {
+		name, want string
+		e          *Engine
+	}{
+		{"killed while holding", `t=100 is op "des:resume"`, held},
+		{"killed before its start", `t=5 is op "des:start"`, early},
+	} {
+		if n := c.e.LiveProcesses(); n != 0 || c.e.QueueLen() != 1 {
+			t.Fatalf("%s: %d live processes, %d pending events; want 0 and 1", c.name, n, c.e.QueueLen())
+		}
+		var enc checkpoint.Enc
+		err := c.e.AppendState(&enc)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: AppendState error %v, want one naming %s", c.name, err, c.want)
+		}
+		if len(enc.Bytes()) != 0 {
+			t.Errorf("%s: a refused AppendState wrote %d bytes", c.name, len(enc.Bytes()))
+		}
+	}
+}
+
 func TestOpValidation(t *testing.T) {
 	e := NewEngine()
 	for name, fn := range map[string]func(){

@@ -237,6 +237,7 @@ func newAwaits(e *Engine) *awaits {
 		k.starts.Put(arg)
 		p.resumeNow()
 	})
+	e.ops[k.resume.idx].proc, e.ops[k.start.idx].proc = true, true
 	return k
 }
 

@@ -2,7 +2,10 @@ package des
 
 import (
 	"encoding/binary"
+	"fmt"
 	"reflect"
+
+	"repro/internal/checkpoint"
 )
 
 // Continuations. A model that multiplexes many short jobs onto the
@@ -38,16 +41,35 @@ const tableBlock = 32
 // when there is one.
 func (t *Table[T]) Get() (*T, []byte) {
 	if len(t.free) == 0 {
-		block, n := make([]slot[T], tableBlock), len(t.slots)
-		for i := range block {
-			binary.LittleEndian.PutUint32(block[i].arg[:], uint32(n+i))
-			t.slots = append(t.slots, &block[i])
-			t.free = append(t.free, uint32(n+len(block)-1-i)) // lowest index first out
-		}
+		t.grow()
 	}
 	s := t.slots[t.free[len(t.free)-1]]
 	t.free = t.free[:len(t.free)-1]
 	return &s.rec, s.arg[:]
+}
+
+// grow adds a block of free records. The first block comes with room
+// for its 32 indices in the same allocation, where appending them one
+// by one would double each array five times; a later block appends to
+// arrays that have room or double once.
+func (t *Table[T]) grow() {
+	n := len(t.slots)
+	var block []slot[T]
+	if n == 0 {
+		first := new(struct {
+			recs  [tableBlock]slot[T]
+			slots [tableBlock]*slot[T]
+			free  [tableBlock]uint32
+		})
+		block, t.slots, t.free = first.recs[:], first.slots[:0], first.free[:0]
+	} else {
+		block = make([]slot[T], tableBlock)
+	}
+	for i := range block {
+		binary.LittleEndian.PutUint32(block[i].arg[:], uint32(n+i))
+		t.slots = append(t.slots, &block[i])
+		t.free = append(t.free, uint32(n+len(block)-1-i)) // lowest index first out
+	}
 }
 
 // At returns the record an op argument names.
@@ -62,6 +84,65 @@ func (t *Table[T]) Put(arg []byte) {
 	var zero T
 	t.slots[i].rec = zero
 	t.free = append(t.free, i)
+}
+
+// AppendState writes the table to enc: its slot count, its free list
+// in order, then each live record, in index order, through rec. A
+// table restored from it names the same records by the same indices
+// and hands out the same indices, in the same order, as this one, so
+// the op arguments pending in a restored engine still name their
+// records. Each record must encode to at least one byte.
+func (t *Table[T]) AppendState(enc *checkpoint.Enc, rec func(*checkpoint.Enc, *T)) {
+	enc.Int(len(t.slots))
+	enc.Int(len(t.free))
+	free := make([]bool, len(t.slots))
+	for _, i := range t.free {
+		enc.U64(uint64(i))
+		free[i] = true
+	}
+	for i, s := range t.slots {
+		if !free[i] {
+			rec(enc, &s.rec)
+		}
+	}
+}
+
+// RestoreState overwrites the table with one AppendState wrote, reading
+// each live record through rec. A slot count that is not whole blocks
+// or exceeds the bytes left (every slot costs one at least: a free one
+// its entry, a live one its record), or a free list naming a slot twice
+// or past the count, is refused, and the table is left as it was.
+func (t *Table[T]) RestoreState(d *checkpoint.Dec, rec func(*checkpoint.Dec, *T) error) error {
+	n, nfree := d.Int(), d.Int()
+	if err := d.Err(); err != nil {
+		return err
+	}
+	if n < 0 || n%tableBlock != 0 || n > d.Remaining() || nfree < 0 || nfree > n {
+		return fmt.Errorf("des: table state of %d slots, %d free, in %d bytes", n, nfree, d.Remaining())
+	}
+	free, isFree := make([]uint32, nfree), make([]bool, n)
+	for k := range free {
+		i := d.U64()
+		if d.Err() == nil && (i >= uint64(n) || isFree[i]) {
+			return fmt.Errorf("des: table state frees slot %d twice or past its %d slots", i, n)
+		}
+		free[k], isFree[i] = uint32(i), true
+	}
+	block, slots := make([]slot[T], n), make([]*slot[T], n)
+	for i := range block {
+		binary.LittleEndian.PutUint32(block[i].arg[:], uint32(i))
+		slots[i] = &block[i]
+		if d.Err() == nil && !isFree[i] {
+			if err := rec(d, &block[i].rec); err != nil {
+				return err
+			}
+		}
+	}
+	if err := d.Err(); err != nil {
+		return err
+	}
+	t.slots, t.free = slots, free
+	return nil
 }
 
 // PerEngine returns the engine's one value of type T, made by mk on

@@ -29,7 +29,7 @@ func ckPHOLD(workers int) *PHOLD {
 // and requires the final per-LP event counts, engine statistics, and
 // message counters to equal a run that was never interrupted. The
 // snapshot itself equals, byte for byte, the one a single worker writes
-// at that barrier.
+// at that barrier, and it holds deliveries not yet run.
 func TestFederationResumeBitIdentical(t *testing.T) {
 	underPoolSwitches(t, testFederationResumeBitIdentical)
 }
@@ -37,7 +37,20 @@ func TestFederationResumeBitIdentical(t *testing.T) {
 func testFederationResumeBitIdentical(t *testing.T) {
 	const H = 40.0
 	ref := ckPHOLD(1)
+	var handled uint64
+	for i := 0; i < ckLPs; i++ {
+		lp := ref.Fed.LP(i)
+		onMessage := lp.OnMessage
+		lp.OnMessage = func(ev Event) { handled++; onMessage(ev) }
+	}
 	ref.Run(H / 2)
+	var delivered uint64
+	for i := 0; i < ckLPs; i++ {
+		delivered += ref.Fed.LP(i).Received()
+	}
+	if delivered == handled {
+		t.Fatalf("all %d deliveries ran before the checkpoint: the snapshot holds none pending", delivered)
+	}
 	var refSnap bytes.Buffer
 	if err := ref.Fed.Checkpoint(&refSnap); err != nil {
 		t.Fatal(err)

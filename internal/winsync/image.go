@@ -5,13 +5,15 @@ import (
 	"fmt"
 
 	"repro/internal/checkpoint"
+	"repro/internal/des"
 )
 
 // This file is the one per-LP codec. An LP image is everything an LP
 // is at a window barrier: message counters, the inbox events addressed
-// to it, its engine (clock, pending events, random streams) and the
-// model's State, in that order, all in one Enc and without a container
-// of its own (the snapshot file that holds the image has the one).
+// to it, its engine (clock, pending events, random streams), the table
+// of deliveries pending in that engine and the model's State, in that
+// order, all in one Enc and without a container of its own (the
+// snapshot file that holds the image has the one).
 // Because it is cut at a barrier and an LP's seed, streams and pending
 // events move as a unit, an LP restored from its image — in this group
 // or in another — executes the exact event sequence it would have
@@ -45,6 +47,7 @@ func (lp *LP) image() ([]byte, error) {
 	if err := lp.E.AppendState(&enc); err != nil {
 		return nil, fmt.Errorf("winsync: LP %d: %w", lp.ID, err)
 	}
+	lp.msgs.AppendState(&enc, AppendEvent)
 	if lp.State != nil {
 		if err := lp.State.AppendState(&enc); err != nil {
 			return nil, fmt.Errorf("winsync: LP %d model state: %w", lp.ID, err)
@@ -63,8 +66,8 @@ func imageID(img []byte) (int, error) {
 // restore overwrites the LP from an image of the same LP; the image's
 // inbox events join the group's inbox, which must hold none for this LP.
 // The model's ops must be registered: the engine resolves pending ops
-// by name. The header and inbox are checked before the engine and the
-// model, which come last, are restored.
+// by name. The header and inbox are checked before the engine, the
+// pending deliveries and the model, which come last, are restored.
 func (lp *LP) restore(img []byte) error {
 	d := checkpoint.NewDec(img)
 	id := d.Int()
@@ -102,6 +105,18 @@ func (lp *LP) restore(img []byte) error {
 	if err := lp.E.RestoreState(d); err != nil {
 		return fmt.Errorf("winsync: LP %d: %w", id, err)
 	}
+	var msgs des.Table[Event]
+	err := msgs.RestoreState(d, func(d *checkpoint.Dec, ev *Event) error {
+		*ev = DecodeEvent(d)
+		if d.Err() == nil && (ev.To != id || ev.From < 0 || ev.From >= lp.g.total || ev.Seq == 0) {
+			return fmt.Errorf("pending delivery from LP %d to %d, seq %d, is foreign", ev.From, ev.To, ev.Seq)
+		}
+		ev.Data = bytes.Clone(ev.Data)
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("winsync: LP %d image: %w", id, err)
+	}
 	if hasState {
 		if err := lp.State.RestoreState(d); err != nil {
 			return fmt.Errorf("winsync: LP %d model state: %w", id, err)
@@ -111,6 +126,7 @@ func (lp *LP) restore(img []byte) error {
 		return fmt.Errorf("winsync: LP %d image has %d trailing bytes", id, r)
 	}
 	lp.sendSeq, lp.recv, lp.active = sendSeq, recv, lp.g.windows-idle
+	lp.msgs = msgs
 	clear(lp.outbox) // drop the payload references
 	lp.outbox = lp.outbox[:0]
 	// The load watermarks restart from the restored counters, so the

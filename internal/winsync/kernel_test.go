@@ -70,19 +70,45 @@ func TestSendRefusedAtTheCallSite(t *testing.T) {
 }
 
 // TestCorruptOpArgumentPanics pins the failure mode of a damaged
-// pending delivery: the op refuses it loudly instead of handing the
-// model a half-decoded event.
+// pending delivery: an op argument naming a freed record — a delivery
+// run twice — is refused loudly instead of handing the model a zero
+// event.
 func TestCorruptOpArgumentPanics(t *testing.T) {
 	g := quietGroup(t, 1)
 	lp := g.LP(0)
-	lp.OnMessage = func(Event) { t.Error("handler ran on a corrupt event") }
-	lp.E.AtOp(0.5, lp.msgOp, []byte{0x80, 0x80}) // cut short
+	lp.OnMessage = func(Event) { t.Error("handler ran on a freed record") }
+	_, arg := lp.msgs.Get()
+	lp.msgs.Put(arg)
+	lp.E.AtOp(0.5, lp.msgOp, arg)
 	defer func() {
-		if msg, _ := recover().(string); !strings.Contains(msg, "corrupt delivery op argument") {
-			t.Fatalf("panic %q, want the corrupt-argument message", msg)
+		if msg, _ := recover().(string); !strings.Contains(msg, "corrupt delivery") {
+			t.Fatalf("panic %q, want the corrupt-delivery message", msg)
 		}
 	}()
 	g.RunWindow(1, 1)
+}
+
+// TestRemotePayloadSurvivesBufferReuse pins that Deliver copies what a
+// transport hands it: a remote event's payload aliases the transport's
+// read buffer, which the next frame overwrites before the window runs.
+func TestRemotePayloadSurvivesBufferReuse(t *testing.T) {
+	g := NewGroup([]int{0}, 2, 1, 7)
+	var got [][]byte
+	g.LP(0).OnMessage = func(ev Event) { got = append(got, ev.Data) }
+	if err := g.Start(1); err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop()
+	buf := []byte("payload-a|payload-b")
+	g.Deliver([]Event{
+		{Time: 0.5, From: 1, To: 0, Seq: 1, Data: buf[:9]},
+		{Time: 0.5, From: 1, To: 0, Seq: 2, Data: buf[10:]},
+	})
+	copy(buf, "XXXXXXXXXXXXXXXXXXX")
+	g.RunWindow(1, 1)
+	if len(got) != 2 || string(got[0]) != "payload-a" || string(got[1]) != "payload-b" {
+		t.Fatalf("handler saw %q, want [payload-a payload-b]", got)
+	}
 }
 
 // TestIdleSkips pins when an LP counts a window as an idle skip: exactly
@@ -191,11 +217,12 @@ func TestImageRefusals(t *testing.T) {
 	}
 }
 
-// FuzzDecodeEvent feeds arbitrary bytes to the one event decoder — op
-// arguments, LP images and distsim's frames all go through it: it must
-// return an event or an error, never panic. Whatever decodes must
-// survive encode → decode unchanged, and every strict prefix of an
-// encoding must be refused as truncated.
+// FuzzDecodeEvent feeds arbitrary bytes to the one event decoder — LP
+// images (inbox events and pending deliveries) and distsim's frames go
+// through it, op arguments no longer do (a delivery's is its record's
+// index): it must return an event or an error, never panic. Whatever
+// decodes must survive encode → decode unchanged, and every strict
+// prefix of an encoding must be refused as truncated.
 func FuzzDecodeEvent(f *testing.F) {
 	encode := func(ev Event) []byte {
 		var enc checkpoint.Enc
@@ -248,8 +275,9 @@ func FuzzDecodeEvent(f *testing.F) {
 // nothing it accepts is lost or rewritten — without a panic or an
 // allocation out of proportion to the input. Seeds: real images, cut
 // with a window's sends flushed but not delivered, of every LP the
-// group does not own, their truncations, and one whose engine claims
-// 2⁴⁰ pending events.
+// group does not own, their truncations, one whose engine claims 2⁴⁰
+// pending events, and the images once those sends are delivered, with
+// their truncations.
 func FuzzAdoptImage(f *testing.F) {
 	model := denseInput
 	src := newCluster(f, model, 1, 1, 0)
@@ -284,6 +312,18 @@ func FuzzAdoptImage(f *testing.F) {
 	bomb := checkpoint.NewEnc(nil)
 	bomb.U64(1 << 40)
 	f.Add(append(slices.Clone(imgs[0][:len(imgs[0])-d.Remaining()]), bomb.Bytes()...))
+	// The same window's sends delivered and not yet run: images whose
+	// LPs hold pending deliveries, and their truncations.
+	if len(src.groups[0].inbox) == 0 {
+		f.Fatal("the window flushed no local sends; the delivery seeds would hold none")
+	}
+	src.groups[0].Deliver(nil)
+	pending, _ := src.images()
+	for _, img := range pending[:owned] {
+		f.Add(img)
+		f.Add(img[:len(img)/2])
+		f.Add(img[:len(img)-1])
+	}
 
 	f.Fuzz(func(t *testing.T, img []byte) {
 		g := NewGroup([]int{owned}, invLPs, invLookahead, invSeed)

@@ -25,9 +25,10 @@
 // package distsim puts frames, a coordinator and fault tolerance
 // between groups.
 //
-// Because deliveries are pending ops, an LP at a window barrier is
-// always serializable. One per-LP image (engine, counters, model state,
-// its share of the inbox) is the unit of both checkpoint and migration:
+// Because deliveries are pending ops over records of the LP's delivery
+// table, an LP at a window barrier is always serializable. One per-LP
+// image (engine, delivery table, counters, model state, its share of
+// the inbox) is the unit of both checkpoint and migration:
 // a group snapshot is the image of each of its LPs, and restoring one
 // adopts the LPs the group lacks and drops those the snapshot does not
 // cover.
@@ -66,8 +67,8 @@ func EventOrder(a, b Event) int {
 	return cmp.Compare(a.Seq, b.Seq)
 }
 
-// AppendEvent serializes one event: the op argument of a pending
-// delivery, an inbox entry of an LP image, an event on distsim's wire.
+// AppendEvent serializes one event: an inbox entry or a pending
+// delivery of an LP image, an event on distsim's wire.
 func AppendEvent(enc *checkpoint.Enc, ev *Event) {
 	enc.F64(ev.Time)
 	enc.Int(ev.From)
@@ -108,6 +109,9 @@ type LP struct {
 
 	g     *Group
 	msgOp des.Op
+	// msgs holds the deliveries pending in the engine: each winsync.msg
+	// event's argument is its record's index.
+	msgs des.Table[Event]
 
 	// outbox buffers this window's sends in send order. Only the thread
 	// running the LP appends to it; Flush drains it at the barrier.
@@ -218,9 +222,8 @@ type Group struct {
 	// sets strays, and the next Flush walks every LP instead of due.
 	inWindow, strays bool
 
-	argBuf []byte // Deliver's op-argument scratch
-	// arena is the chunk Deliver cuts op arguments from (cut): one
-	// allocation per chunk, not per message.
+	// arena is the chunk Deliver copies remote payloads into (keep):
+	// one allocation per chunk, not per message.
 	arena []byte
 
 	obs *observation // nil unless EnableObservability was called
@@ -248,7 +251,7 @@ func NewGroup(ids []int, total int, lookahead float64, seed uint64) *Group {
 	return g
 }
 
-const arenaChunk = 4096 // bytes of a Group.arena chunk: ~300 PHOLD messages
+const arenaChunk = 4096 // bytes of a Group.arena chunk
 
 func (g *Group) newLP(id int) *LP {
 	lp := &LP{
@@ -258,13 +261,14 @@ func (g *Group) newLP(id int) *LP {
 		// No idle skip yet. Not in insert: adopt restores the image first.
 		active: g.windows,
 	}
-	// Registered before any model op: op 1 in every engine.
+	// Registered before any model op: op 1 in every engine. Every sent
+	// event has a Seq of 1 or more; a freed record has 0.
 	lp.msgOp = lp.E.RegisterOp("winsync.msg", func(arg []byte) {
-		d := checkpoint.NewDec(arg)
-		ev := DecodeEvent(d)
-		if err := d.Err(); err != nil {
-			panic(fmt.Sprintf("winsync: LP %d: corrupt delivery op argument: %v", lp.ID, err))
+		ev := *lp.msgs.At(arg)
+		if ev.Seq == 0 {
+			panic(fmt.Sprintf("winsync: LP %d: corrupt delivery: op argument %x names a free record", lp.ID, arg))
 		}
+		lp.msgs.Put(arg)
 		lp.OnMessage(ev)
 	})
 	if g.obs != nil {
@@ -475,16 +479,21 @@ func (g *Group) Flush(out []Event) []Event {
 }
 
 // Deliver schedules the inbox, merged with the events the transport
-// received from other groups, into the target engines in EventOrder.
-// With nothing from outside the inbox is in that order already and is
-// not sorted. remote is consumed before Deliver returns.
+// received from other groups, into the target engines in EventOrder:
+// each event becomes a record of its LP's table and one winsync.msg
+// event naming it. With nothing from outside the inbox is in that order
+// already and is not sorted. remote is consumed before Deliver returns:
+// its payloads are copied, so the transport may reuse their buffers.
 func (g *Group) Deliver(remote []Event) {
 	var t0 int64
 	if g.obs != nil {
 		t0 = obs.Now()
 	}
 	if len(remote) > 0 {
-		g.inbox = append(g.inbox, remote...)
+		for _, ev := range remote {
+			ev.Data = g.keep(ev.Data)
+			g.inbox = append(g.inbox, ev)
+		}
 		g.unsorted = true
 	}
 	g.sortInbox()
@@ -494,11 +503,10 @@ func (g *Group) Deliver(remote []Event) {
 		if lp == nil {
 			panic(fmt.Sprintf("winsync: received event for foreign LP %d", ev.To))
 		}
-		enc := checkpoint.NewEnc(g.argBuf)
-		AppendEvent(&enc, ev)
-		g.argBuf = enc.Bytes()
+		rec, arg := lp.msgs.Get()
+		*rec = *ev
 		lp.recv++
-		lp.E.AtOp(ev.Time, lp.msgOp, g.cut(g.argBuf))
+		lp.E.AtOp(ev.Time, lp.msgOp, arg)
 	}
 	clear(g.inbox) // drop the payload references
 	g.inbox = g.inbox[:0]
@@ -507,14 +515,18 @@ func (g *Group) Deliver(remote []Event) {
 	}
 }
 
-// cut copies an encoded op argument into the arena, as a full-capacity
-// slice, so that the engine keeping it cannot append into the next one.
-func (g *Group) cut(arg []byte) []byte {
-	if cap(g.arena)-len(g.arena) < len(arg) {
-		g.arena = make([]byte, 0, max(arenaChunk, len(arg)))
+// keep copies a remote payload into the arena, as a full-capacity
+// slice, so that a handler keeping it cannot append into the next one.
+// An empty payload stays as it is.
+func (g *Group) keep(data []byte) []byte {
+	if len(data) == 0 {
+		return data
+	}
+	if cap(g.arena)-len(g.arena) < len(data) {
+		g.arena = make([]byte, 0, max(arenaChunk, len(data)))
 	}
 	n := len(g.arena)
-	g.arena = append(g.arena, arg...)
+	g.arena = append(g.arena, data...)
 	return g.arena[n:len(g.arena):len(g.arena)]
 }
 
