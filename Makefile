@@ -69,13 +69,14 @@ bench:
 # must decode to an error or a valid value — never a panic or an absurd
 # allocation — an adopted image must extract to the same bytes, and a
 # restored table must append the bytes it read.
-# Last, arbitrary push/pop/peek/replace-min sequences must get from the
-# default FEL exactly what the binary heap it replaced returns (a
-# replace as its Pop then Push), random programs of schedules, cancels,
-# re-arms, runs and checkpoints the engine's executed order and counts
-# that a sorted-slice reference engine gives for every queue kind (and
-# the same QueueLen after every step and the same Stats on the heap as
-# on the list), the flow network on a fuzzed scenario exactly what the
+# Last, arbitrary push/pop/peek/replace-min sequences, some pushes
+# under an older seq, must get from every queue kind exactly what the
+# binary heap the engine's heap replaced returns (a replace as its Pop
+# then Push), random programs of schedules, cancels, re-arms, runs and
+# checkpoints the engine's executed order and counts that a
+# sorted-slice reference engine gives (and a QueueLen after every step
+# that is Scheduled − Executed − Canceled − the re-arms made in place),
+# the flow network on a fuzzed scenario exactly what the
 # per-flow-timer reference simulates, the flow network's closed-form
 # link charge exactly what one add at a time sums to, and the
 # slot-indexed replica catalog and stores exactly what the name-keyed
@@ -88,7 +89,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeEvent -fuzztime 10s ./internal/winsync/
 	$(GO) test -run '^$$' -fuzz FuzzAdoptImage -fuzztime 10s ./internal/winsync/
 	$(GO) test -run '^$$' -fuzz FuzzTableState -fuzztime 10s ./internal/des/
-	$(GO) test -run '^$$' -fuzz FuzzHeapAgainstReference -fuzztime 10s ./internal/eventq/
+	$(GO) test -run '^$$' -fuzz FuzzQueueAgainstReference -fuzztime 10s ./internal/eventq/
 	$(GO) test -run '^$$' -fuzz FuzzEngineOrderAgainstReference -fuzztime 10s ./internal/des/
 	$(GO) test -run '^$$' -fuzz FuzzNetworkAgainstReference -fuzztime 10s ./internal/netsim/
 	$(GO) test -run '^$$' -fuzz FuzzAddN -fuzztime 10s ./internal/netsim/

@@ -5,33 +5,28 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/eventq"
 	"repro/internal/obs"
 )
 
-// BenchmarkScheduleExecute measures raw event throughput per FEL kind:
-// the cost of one schedule+execute cycle at a steady queue population.
+// BenchmarkScheduleExecute measures raw event throughput: the cost of
+// one schedule+execute cycle at a steady queue population.
 func BenchmarkScheduleExecute(b *testing.B) {
-	for _, k := range eventq.Kinds() {
-		b.Run(string(k), func(b *testing.B) {
-			e := NewEngine(WithQueue(k))
-			src := e.Stream("bench")
-			const population = 1024
-			var pump func()
-			count := 0
-			pump = func() {
-				count++
-				if count < b.N {
-					e.Schedule(src.Exp(1), pump)
-				}
-			}
-			for i := 0; i < population && i < b.N; i++ {
-				e.Schedule(src.Exp(1), pump)
-			}
-			b.ResetTimer()
-			e.Run()
-		})
+	e := NewEngine()
+	src := e.Stream("bench")
+	const population = 1024
+	var pump func()
+	count := 0
+	pump = func() {
+		count++
+		if count < b.N {
+			e.Schedule(src.Exp(1), pump)
+		}
 	}
+	for i := 0; i < population && i < b.N; i++ {
+		e.Schedule(src.Exp(1), pump)
+	}
+	b.ResetTimer()
+	e.Run()
 }
 
 // BenchmarkScheduleExecuteTraced is BenchmarkScheduleExecute with the
@@ -39,30 +34,26 @@ func BenchmarkScheduleExecute(b *testing.B) {
 // steady-state recording path must be allocation-free, so the cost of
 // tracing is bounded by timestamping, not by GC pressure.
 func BenchmarkScheduleExecuteTraced(b *testing.B) {
-	for _, k := range []eventq.Kind{eventq.KindHeap} {
-		b.Run(string(k), func(b *testing.B) {
-			rec := obs.NewRecorder(1 << 14)
-			met := &obs.Metrics{}
-			e := NewEngine(WithQueue(k))
-			e.SetObserver(Observer{Recorder: rec, Metrics: met})
-			src := e.Stream("bench")
-			const population = 1024
-			var pump func()
-			count := 0
-			pump = func() {
-				count++
-				if count < b.N {
-					e.Schedule(src.Exp(1), pump)
-				}
-			}
-			for i := 0; i < population && i < b.N; i++ {
-				e.Schedule(src.Exp(1), pump)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			e.Run()
-		})
+	rec := obs.NewRecorder(1 << 14)
+	met := &obs.Metrics{}
+	e := NewEngine()
+	e.SetObserver(Observer{Recorder: rec, Metrics: met})
+	src := e.Stream("bench")
+	const population = 1024
+	var pump func()
+	count := 0
+	pump = func() {
+		count++
+		if count < b.N {
+			e.Schedule(src.Exp(1), pump)
+		}
 	}
+	for i := 0; i < population && i < b.N; i++ {
+		e.Schedule(src.Exp(1), pump)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
 }
 
 // BenchmarkProcessContextSwitch measures one Hold round trip — the

@@ -148,22 +148,22 @@ func (e *Engine) AppendState(enc *checkpoint.Enc) error {
 		return fmt.Errorf("des: AppendState with %d live simulated processes", e.liveProcs)
 	}
 
-	// Snapshot the pending set by draining the queue and re-pushing it
-	// (no queue structure supports iteration, but dequeue order is
-	// total, so a re-push restores identical behavior), then the lane.
+	// Snapshot the pending set by draining the heap and re-pushing it
+	// (the heap has no iteration, but dequeue order is total, so a
+	// re-push restores identical behavior), then the lane.
 	// Each record is written at the key it is due at, a moved record's
 	// new one, in that key's order: a restored engine queues it there
 	// and runs the same events in the same order.
 	items := make([]eventq.Item, 0, e.QueueLen())
 	for {
-		it, ok := e.queue.Pop()
+		it, ok := e.heap.Pop()
 		if !ok {
 			break
 		}
 		items = append(items, it)
 	}
 	for _, it := range items {
-		e.queue.Push(it)
+		e.heap.Push(it)
 	}
 	for ev := e.lane; ev != nil; ev = ev.Next {
 		items = append(items, eventq.Item{Event: ev})
@@ -295,10 +295,10 @@ func (e *Engine) RestoreState(d *checkpoint.Dec) error {
 	}
 
 	// Commit: drop whatever was pending, zeroing its records' sequence
-	// numbers so no handle to one re-arms a record in no queue, rebuild
-	// the queue and install the snapshot.
+	// numbers so no handle to one re-arms a record in no queue, empty
+	// the heap and install the snapshot.
 	for {
-		it, ok := e.queue.Pop()
+		it, ok := e.heap.Pop()
 		if !ok {
 			break
 		}
@@ -310,7 +310,7 @@ func (e *Engine) RestoreState(d *checkpoint.Dec) error {
 	e.lane, e.laneTail, e.laneLen = nil, nil, 0
 	e.seed = seed
 	*e.rng = src
-	e.newQueue()
+	e.heap = eventq.Heap{}
 	e.freeEv = nil
 	e.now = now
 	e.seq = seq
@@ -324,7 +324,7 @@ func (e *Engine) RestoreState(d *checkpoint.Dec) error {
 		*e.head = items[0].Time
 	}
 	for _, it := range items {
-		e.queue.Push(it)
+		e.heap.Push(it)
 	}
 	return nil
 }

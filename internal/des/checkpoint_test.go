@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
-	"repro/internal/eventq"
 	"repro/internal/obs"
 )
 
@@ -92,85 +91,79 @@ func traceHook(sink *[]traceEntry) obs.Hook {
 	}
 }
 
-// TestResumeBitIdenticalAllKinds is the flagship determinism property:
-// for every FEL kind, a run checkpointed at t=H/2 and restored into a
-// fresh engine produces — event for event (time, sequence number,
-// label) — the same execution trace and final statistics as a run that
-// was never interrupted.
-func TestResumeBitIdenticalAllKinds(t *testing.T) {
+// TestResumeBitIdentical is the flagship determinism property: a run
+// checkpointed at t=H/2 and restored into a fresh engine produces —
+// event for event (time, sequence number, label) — the same execution
+// trace and final statistics as a run that was never interrupted.
+func TestResumeBitIdentical(t *testing.T) {
 	const (
 		H    = 40.0
 		jobs = 16
 		seed = 97
 	)
-	for _, kind := range eventq.Kinds() {
-		kind := kind
-		t.Run(string(kind), func(t *testing.T) {
-			// Straight run: full trace, final stats.
-			var refTrace []traceEntry
-			refE := NewEngine(WithSeed(seed), WithQueue(kind))
-			refE.SetObserver(Observer{Hook: traceHook(&refTrace)})
-			refM := newCkptModel(refE, 1<<40)
-			refM.start(jobs)
-			refEnd := refE.RunUntil(H)
-			refStats := refE.Stats()
+	// Straight run: full trace, final stats.
+	var refTrace []traceEntry
+	refE := NewEngine(WithSeed(seed))
+	refE.SetObserver(Observer{Hook: traceHook(&refTrace)})
+	refM := newCkptModel(refE, 1<<40)
+	refM.start(jobs)
+	refEnd := refE.RunUntil(H)
+	refStats := refE.Stats()
 
-			// Interrupted run: advance to H/2, checkpoint, restore into a
-			// fresh engine, finish there.
-			firstE := NewEngine(WithSeed(seed), WithQueue(kind))
-			firstM := newCkptModel(firstE, 1<<40)
-			firstM.start(jobs)
-			firstE.RunUntil(H / 2)
-			snap, err := snapshot(firstE)
-			if err != nil {
-				t.Fatal(err)
-			}
+	// Interrupted run: advance to H/2, checkpoint, restore into a
+	// fresh engine, finish there.
+	firstE := NewEngine(WithSeed(seed))
+	firstM := newCkptModel(firstE, 1<<40)
+	firstM.start(jobs)
+	firstE.RunUntil(H / 2)
+	snap, err := snapshot(firstE)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-			var resTrace []traceEntry
-			resE := NewEngine(WithSeed(seed+1000), WithQueue(kind)) // deliberately different seed: RestoreState overrides
-			resE.SetObserver(Observer{Hook: traceHook(&resTrace)})
-			resM := newCkptModel(resE, 1<<40)
-			resM.start(jobs) // initial events must be discarded by RestoreState
-			if err := restore(resE, snap); err != nil {
-				t.Fatal(err)
-			}
-			if got := resE.Now(); got != firstE.Now() {
-				t.Fatalf("restored clock %v, want %v", got, firstE.Now())
-			}
-			resEnd := resE.RunUntil(H)
-			resStats := resE.Stats()
+	var resTrace []traceEntry
+	resE := NewEngine(WithSeed(seed + 1000)) // deliberately different seed: RestoreState overrides
+	resE.SetObserver(Observer{Hook: traceHook(&resTrace)})
+	resM := newCkptModel(resE, 1<<40)
+	resM.start(jobs) // initial events must be discarded by RestoreState
+	if err := restore(resE, snap); err != nil {
+		t.Fatal(err)
+	}
+	if got := resE.Now(); got != firstE.Now() {
+		t.Fatalf("restored clock %v, want %v", got, firstE.Now())
+	}
+	resEnd := resE.RunUntil(H)
+	resStats := resE.Stats()
 
-			if resEnd != refEnd {
-				t.Fatalf("end time %v, want %v", resEnd, refEnd)
-			}
-			if resStats != refStats {
-				t.Fatalf("stats %+v, want %+v", resStats, refStats)
-			}
-			// The resumed trace must equal the reference trace's second
-			// half, entry for entry.
-			var refTail []traceEntry
-			for _, te := range refTrace {
-				if te.Time > H/2 {
-					refTail = append(refTail, te)
-				}
-			}
-			if len(resTrace) != len(refTail) {
-				t.Fatalf("resumed trace has %d events, reference tail has %d", len(resTrace), len(refTail))
-			}
-			for i := range refTail {
-				if resTrace[i] != refTail[i] {
-					t.Fatalf("trace diverges at %d: %+v vs %+v", i, resTrace[i], refTail[i])
-				}
-			}
-			// Model accumulators must match as well (random draws aligned).
-			if resM.count+countAt(refTrace, H/2) != refM.count {
-				t.Fatalf("model counts: resumed %d + first-half %d != straight %d",
-					resM.count, countAt(refTrace, H/2), refM.count)
-			}
-			if resM.acc == 0 {
-				t.Fatal("resumed model did no work")
-			}
-		})
+	if resEnd != refEnd {
+		t.Fatalf("end time %v, want %v", resEnd, refEnd)
+	}
+	if resStats != refStats {
+		t.Fatalf("stats %+v, want %+v", resStats, refStats)
+	}
+	// The resumed trace must equal the reference trace's second
+	// half, entry for entry.
+	var refTail []traceEntry
+	for _, te := range refTrace {
+		if te.Time > H/2 {
+			refTail = append(refTail, te)
+		}
+	}
+	if len(resTrace) != len(refTail) {
+		t.Fatalf("resumed trace has %d events, reference tail has %d", len(resTrace), len(refTail))
+	}
+	for i := range refTail {
+		if resTrace[i] != refTail[i] {
+			t.Fatalf("trace diverges at %d: %+v vs %+v", i, resTrace[i], refTail[i])
+		}
+	}
+	// Model accumulators must match as well (random draws aligned).
+	if resM.count+countAt(refTrace, H/2) != refM.count {
+		t.Fatalf("model counts: resumed %d + first-half %d != straight %d",
+			resM.count, countAt(refTrace, H/2), refM.count)
+	}
+	if resM.acc == 0 {
+		t.Fatal("resumed model did no work")
 	}
 }
 
@@ -349,36 +342,6 @@ func TestScheduleOpZeroAlloc(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("op hot path allocates %.1f/run", allocs)
-	}
-}
-
-func TestRestoreIntoDifferentQueueKind(t *testing.T) {
-	// Dequeue order is total, so a snapshot taken under one FEL kind
-	// resumes bit-identically under another.
-	ref := NewEngine(WithSeed(11), WithQueue(eventq.KindHeap))
-	rm := newCkptModel(ref, 1<<40)
-	rm.start(8)
-	ref.RunUntil(30)
-
-	half := NewEngine(WithSeed(11), WithQueue(eventq.KindHeap))
-	hm := newCkptModel(half, 1<<40)
-	hm.start(8)
-	half.RunUntil(15)
-	snap, err := snapshot(half)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, kind := range []eventq.Kind{eventq.KindCalendar, eventq.KindSplay} {
-		res := NewEngine(WithQueue(kind))
-		resM := newCkptModel(res, 1<<40)
-		if err := restore(res, snap); err != nil {
-			t.Fatal(err)
-		}
-		res.RunUntil(30)
-		if res.Stats() != ref.Stats() {
-			t.Fatalf("%v: stats %+v, want %+v", kind, res.Stats(), ref.Stats())
-		}
-		_ = resM
 	}
 }
 

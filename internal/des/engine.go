@@ -7,10 +7,11 @@
 //     increments, directly to the timestamp of the next pending event.
 //     A time-driven stepper (TimeDriven) is provided alongside it for
 //     the efficiency comparison the paper makes between the two.
-//   - The future event list is pluggable (see package eventq), because
-//     the paper singles out the queue structure — O(1) calendar-style
-//     versus O(log n) tree/heap structures — as the dominant factor in
-//     engine performance.
+//   - The future event list is eventq's 4-ary heap. The paper singles
+//     out the queue structure — O(1) calendar-style versus O(log n)
+//     tree/heap structures — as the dominant factor in engine
+//     performance; experiment E3 measures every eventq structure
+//     directly, and the heap is at or near the front of it.
 //   - A process-oriented layer (Process, "active objects" in MONARC 2
 //     terminology) maps simulated concurrent programs onto goroutines
 //     with a strict handover protocol, so sequential runs remain fully
@@ -36,10 +37,9 @@ import (
 // one that called Run — executes events, and simulated processes hand
 // control back and forth with that goroutine synchronously.
 type Engine struct {
-	queue eventq.Queue
-	// heap is queue when its kind is the default, which the hot paths
-	// call directly; nil for the other kinds, which E3 compares.
-	heap *eventq.Heap
+	// heap is the future event list: every pending record not in the
+	// lane, at the key it was pushed under.
+	heap eventq.Heap
 	// pend is set while the heap's root is the record of the running
 	// event, which front returned without popping: the event's own
 	// reschedule replaces it (ReplaceMin) in one sift, and every other
@@ -51,7 +51,7 @@ type Engine struct {
 
 	// lane holds the records due at the instant the clock stands at,
 	// in schedule order, linked through Next (laneTail is its last,
-	// laneLen its length): they skip the queue. The clock never moves
+	// laneLen its length): they skip the heap. The clock never moves
 	// while the lane holds a record (see front).
 	lane, laneTail *eventq.Event
 	laneLen        int
@@ -62,10 +62,8 @@ type Engine struct {
 	head    *float64
 	ownHead float64
 
-	// construction parameters, resolved in NewEngine so option order
-	// does not matter (the queue seed must see the engine seed).
-	queueKind eventq.Kind
-	seed      uint64
+	// seed is the root seed of the engine's random streams.
+	seed uint64
 
 	// freeEv is the head of the event free list. Fired and discarded
 	// event records are recycled through it, so the steady-state
@@ -105,14 +103,8 @@ type Engine struct {
 // Option configures an Engine at construction time.
 type Option func(*Engine)
 
-// WithQueue selects the future-event-list implementation.
-// The default is the heap.
-func WithQueue(k eventq.Kind) Option {
-	return func(e *Engine) { e.queueKind = k }
-}
-
-// WithSeed sets the root seed for the engine's random streams (and for
-// any internal randomness of the event queue). The default seed is 1.
+// WithSeed sets the root seed for the engine's random streams. The
+// default seed is 1.
 func WithSeed(seed uint64) Option {
 	return func(e *Engine) { e.seed = seed }
 }
@@ -158,11 +150,7 @@ func SetDefaultObserver(o *Observer) { defaultObserver = o }
 
 // NewEngine returns an engine at simulation time 0.
 func NewEngine(opts ...Option) *Engine {
-	e := &Engine{
-		queueKind: eventq.KindHeap,
-		seed:      1,
-		ownHead:   math.Inf(1),
-	}
+	e := &Engine{seed: 1, ownHead: math.Inf(1)}
 	e.head = &e.ownHead
 	for _, opt := range opts {
 		opt(e)
@@ -171,14 +159,7 @@ func NewEngine(opts ...Option) *Engine {
 		e.SetObserver(*defaultObserver)
 	}
 	e.rng = rng.New(e.seed)
-	e.newQueue()
 	return e
-}
-
-// newQueue installs an empty FEL of the engine's kind.
-func (e *Engine) newQueue() {
-	e.queue = eventq.NewSeeded(e.queueKind, e.seed)
-	e.heap, _ = e.queue.(*eventq.Heap)
 }
 
 // SetObserver replaces the engine's observability attachments. A zero
@@ -235,10 +216,10 @@ func (t Timer) Time() float64 { return t.time }
 // Cancel prevents a pending event from firing. Canceling an event that
 // already fired (or was already canceled) is a no-op, as is canceling
 // the zero Timer. Cancellation is lazy: the tombstoned record stays in
-// the queue or the lane, counted by QueueLen, until it reaches the
-// front, which keeps every queue structure free of random removal. A
-// timer that is only to move later is cheaper re-armed (RescheduleOp),
-// which leaves no tombstone.
+// the heap or the lane, counted by QueueLen, until it reaches the
+// front, which keeps the heap free of random removal. A timer that is
+// only to move later is cheaper re-armed (RescheduleOp), which leaves
+// no tombstone.
 func (t *Timer) Cancel() {
 	if t.ev == nil || t.ev.Seq != t.seq {
 		return // already fired (and recycled), or zero handle
@@ -282,7 +263,8 @@ func (e *Engine) At(t float64, fn func()) Timer {
 
 // atEvent is the common schedule path for closure events (fn non-nil)
 // and registered-op events (fn nil, op > 0). An event due now joins
-// the lane; any other is pushed into the queue.
+// the lane; any other goes into the heap, replacing a root left pending
+// for the running event (see pend).
 func (e *Engine) atEvent(t float64, fn func(), op uint32, arg []byte) Timer {
 	ev := e.freeEv
 	if ev != nil {
@@ -294,8 +276,7 @@ func (e *Engine) atEvent(t float64, fn func(), op uint32, arg []byte) Timer {
 	}
 	ev.Fn, ev.Op, ev.Arg = fn, op, arg
 	e.keyed(ev, t)
-	n := e.laneLen
-	switch h := e.heap; {
+	switch {
 	case t == e.now:
 		if e.lane == nil {
 			e.lane = ev
@@ -304,24 +285,13 @@ func (e *Engine) atEvent(t float64, fn func(), op uint32, arg []byte) Timer {
 		}
 		e.laneTail = ev
 		e.laneLen++
-		n += e.queue.Len() + 1
-		if e.pend {
-			n--
-		}
-	case h != nil:
-		it := eventq.Item{Time: t, Seq: ev.Seq, Event: ev}
-		if e.pend {
-			e.pend = false
-			h.ReplaceMin(it)
-		} else {
-			h.Push(it)
-		}
-		n += h.Len()
+	case e.pend:
+		e.pend = false
+		e.heap.ReplaceMin(eventq.Item{Time: t, Seq: ev.Seq, Event: ev})
 	default:
-		e.push(ev)
-		n += e.queue.Len()
+		e.heap.Push(eventq.Item{Time: t, Seq: ev.Seq, Event: ev})
 	}
-	if n > e.maxQueue {
+	if n := e.QueueLen(); n > e.maxQueue {
 		e.maxQueue = n
 	}
 	if t < *e.head {
@@ -356,15 +326,10 @@ func (e *Engine) scheduleObserved(ev *eventq.Event) {
 	}
 }
 
-// push puts ev into the queue at its key.
+// push puts ev into the heap at its key.
 func (e *Engine) push(ev *eventq.Event) {
-	it := eventq.Item{Time: ev.Time, Seq: ev.Seq, Event: ev}
-	if h := e.heap; h != nil {
-		e.settle()
-		h.Push(it)
-	} else {
-		e.queue.Push(it)
-	}
+	e.settle()
+	e.heap.Push(eventq.Item{Time: ev.Time, Seq: ev.Seq, Event: ev})
 }
 
 // label is ev's trace label: its op's name, or empty for a closure.
@@ -528,7 +493,7 @@ func (e *Engine) settle() {
 
 // front applies the engine's one order rule and returns the first
 // pending record in (time, seq) order if it is due at or before
-// horizon, removed from the queue or the lane when pop is set and left
+// horizon, removed from the heap or the lane when pop is set and left
 // in place otherwise. A live record at the heap's root is the one
 // exception: pop leaves it there and sets pend, so that the event's
 // own reschedule replaces it in one pass, and the next front, push or
@@ -545,13 +510,7 @@ func (e *Engine) settle() {
 func (e *Engine) front(horizon float64, pop bool) (eventq.Item, bool) {
 	e.settle()
 	for {
-		var it eventq.Item
-		var ok bool
-		if h := e.heap; h != nil {
-			it, ok = h.Peek()
-		} else {
-			it, ok = e.queue.Peek()
-		}
+		it, ok := e.heap.Peek()
 		var live bool
 		if ev := e.lane; ev != nil && !(ok && it.Time <= e.now) {
 			if e.now > horizon {
@@ -572,18 +531,11 @@ func (e *Engine) front(horizon float64, pop bool) (eventq.Item, bool) {
 				*e.head = it.Time
 				return it, false
 			}
-			if live = !it.Event.Canceled && it.Seq == it.Event.Seq; live && !pop {
+			if live = !it.Event.Canceled && it.Seq == it.Event.Seq; live {
+				e.pend = pop
 				return it, true
 			}
-			if h := e.heap; h != nil {
-				if live {
-					e.pend = true
-					return it, true
-				}
-				h.Pop()
-			} else {
-				e.queue.Pop()
-			}
+			e.heap.Pop()
 		}
 		switch {
 		case live:
@@ -695,14 +647,11 @@ func (e *Engine) Stats() Stats {
 }
 
 // QueueLen returns the number of pending records, tombstones included:
-// the queue's and the lane's. A record moved later (RescheduleOp)
+// the heap's and the lane's. A record moved later (RescheduleOp)
 // counts once, and a heap root left pending (pend) not at all.
 func (e *Engine) QueueLen() int {
-	if h := e.heap; h != nil {
-		if e.pend {
-			return h.Len() - 1 + e.laneLen
-		}
-		return h.Len() + e.laneLen
+	if e.pend {
+		return e.heap.Len() - 1 + e.laneLen
 	}
-	return e.queue.Len() + e.laneLen
+	return e.heap.Len() + e.laneLen
 }

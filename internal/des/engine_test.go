@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/eventq"
 	"repro/internal/obs"
 )
 
@@ -161,41 +160,6 @@ func TestStatsCounters(t *testing.T) {
 	st := e.Stats()
 	if st.Scheduled != 10 || st.Executed != 10 || st.MaxQueue != 10 {
 		t.Fatalf("stats = %+v", st)
-	}
-}
-
-func TestDeterminismAcrossQueueKinds(t *testing.T) {
-	// The same stochastic model must produce the same trajectory on
-	// every FEL implementation — the queue is an engine detail, not a
-	// model parameter.
-	run := func(kind eventq.Kind) []float64 {
-		e := NewEngine(WithQueue(kind), WithSeed(99))
-		src := e.Stream("arrivals")
-		var times []float64
-		n := 0
-		var arrive func()
-		arrive = func() {
-			times = append(times, e.Now())
-			n++
-			if n < 500 {
-				e.Schedule(src.Exp(1.5), arrive)
-			}
-		}
-		e.Schedule(src.Exp(1.5), arrive)
-		e.Run()
-		return times
-	}
-	ref := run(eventq.KindHeap)
-	for _, k := range eventq.Kinds()[1:] {
-		got := run(k)
-		if len(got) != len(ref) {
-			t.Fatalf("%s: %d events vs %d", k, len(got), len(ref))
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("%s diverged at event %d: %v vs %v", k, i, got[i], ref[i])
-			}
-		}
 	}
 }
 

@@ -8,25 +8,8 @@ import (
 	"repro/internal/eventq"
 )
 
-// first returns the earliest queued record without disturbing the
-// queue: it drains and re-pushes, as AppendState does.
-func first(e *Engine) (it eventq.Item, ok bool) {
-	var items []eventq.Item
-	for {
-		x, more := e.queue.Pop()
-		if !more {
-			break
-		}
-		items = append(items, x)
-	}
-	for _, x := range items {
-		e.queue.Push(x)
-	}
-	if len(items) == 0 {
-		return it, false
-	}
-	return items[0], true
-}
+// first returns the earliest queued record.
+func first(e *Engine) (eventq.Item, bool) { return e.heap.Peek() }
 
 // TestHeadBoundsNextEvent is the property winsync's due list rests on.
 // Over random interleavings of every schedule path, Cancel, RunUntil

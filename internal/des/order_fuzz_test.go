@@ -8,25 +8,26 @@ import (
 	"testing"
 
 	"repro/internal/checkpoint"
-	"repro/internal/eventq"
 )
 
 // FuzzEngineOrderAgainstReference runs one random program on the
-// engine, over a fuzzed queue kind, and on refEngine, a sorted slice
-// with plain cancel-then-schedule semantics, and requires the same
-// executed (time, seq) order, the same PeekTime, Now and checkpoint
-// answers along the way and the same Executed and Scheduled counts.
-// The programs schedule closures and ops at zero and positive delays
-// with many equal-time ties, cancel, re-arm (later, to the same time,
-// earlier, to now, on fired and stale handles), stop, step, run to
-// horizons below now, peek, and checkpoint and restore mid-run; event
-// handlers run program steps too. See orderProgram for the encoding.
+// engine and on refEngine, a sorted slice with plain
+// cancel-then-schedule semantics, and requires the same executed
+// (time, seq) order, the same PeekTime, Now and checkpoint answers along
+// the way and the same Executed and Scheduled counts. The programs
+// schedule closures and ops at zero and positive delays with many
+// equal-time ties, cancel, re-arm (later, to the same time, earlier, to
+// now, on fired and stale handles), stop, step, run to horizons below
+// now, peek, and checkpoint and restore mid-run; event handlers run
+// program steps too. See orderProgram for the encoding.
 //
-// It also runs the program on the heap and on the list, which keep
-// tombstones and moved records alike, and requires the same QueueLen
-// after every step, in handlers too, and the same Stats: the heap root
-// an engine leaves in place for the running event's reschedule must
-// not show.
+// It also holds the engine's counts to what the program did, after
+// every step, in handlers too: QueueLen is Scheduled − Executed −
+// Canceled − the re-arms made in place, so the heap root an engine
+// leaves in place for the running event's reschedule must not show;
+// MaxQueue is the largest QueueLen seen; and at the end Canceled is the
+// number of cancels that found a pending record, less the tombstones a
+// re-arm in place revived. engineAPI keeps the tally.
 func FuzzEngineOrderAgainstReference(f *testing.F) {
 	for _, seed := range orderSeeds {
 		f.Add(seed)
@@ -44,8 +45,7 @@ var orderSeeds = [][]byte{
 	// A moved record pushed again into the lane: the op at 1 is
 	// re-armed to 1 from t=0.5 (same instant, new seq), then a closure
 	// is scheduled at 1. The re-armed op must run first.
-	{0, // heap
-		opSchedOp, 2, // op at 1
+	{opSchedOp, 2, // op at 1
 		opSchedOp, 1, // op at 0.5
 		opStep,                      // runs the op at 0.5: its handler steps follow
 		opRearm, 0, 1, opSchedFn, 1, // re-arm handle 0 to 1, closure at 1
@@ -54,23 +54,23 @@ var orderSeeds = [][]byte{
 	// A re-arm to the current instant: at t=1 a closure joins the lane,
 	// the op due at 1 is re-armed to now, and another closure joins the
 	// lane. The re-armed op runs between them.
-	{0,
-		opSchedOp, 2, // op at 1 (handle 0)
+	{opSchedOp, 2, // op at 1 (handle 0)
 		opSchedFn, 2, // closure at 1: its handler steps follow
 		opRun,
 		opSchedFn, 0, opRearm, 1, 0, opSchedFn, 0, opEnd}, // re-arm handle 1
-	// Every kind, and a checkpoint with only ops pending.
-	{1, opSchedOp, 3, opSchedOp, 3, opRearm, 0, 3, opCheckpoint, opRun},
-	{2, opSchedOp, 1, opSchedFn, 2, opCancel, 1, opCheckpoint, opPeek, opRunUntil, 0, opRun},
-	{3, opSchedOp, 2, opRearm, 0, 3, opRearm, 1, 2, opRearm, 0, 1, opRun},
-	{4, opSchedFn, 0, opSchedOp, 0, opStop, opStep, opRunUntil, 2, opPeek, opRun},
-	{5, opSchedOp, 2, opSchedOp, 2, opRearm, 0, 3, opCheckpoint, opRunUntil, 3, opRearm, 2, 0, opRun},
+	// A checkpoint with only ops pending, and re-arms in and out of
+	// place.
+	{opSchedOp, 3, opSchedOp, 3, opRearm, 0, 3, opCheckpoint, opRun},
+	{opSchedOp, 1, opSchedFn, 2, opCancel, 1, opCheckpoint, opPeek, opRunUntil, 0, opRun},
+	{opSchedOp, 2, opRearm, 0, 3, opRearm, 1, 2, opRearm, 0, 1, opRun},
+	{opSchedFn, 0, opSchedOp, 0, opStop, opStep, opRunUntil, 2, opPeek, opRun},
+	{opSchedOp, 2, opSchedOp, 2, opRearm, 0, 3, opCheckpoint, opRunUntil, 3, opRearm, 2, 0, opRun},
 }
 
-// The program's opcodes. A program is a queue-kind byte, then steps
-// read from one cursor by the program and by every handler it makes
-// run: a handler runs steps until opEnd, three steps or the end of the
-// program, and may not step, run or checkpoint (those are skipped).
+// The program's opcodes. A program is steps read from one cursor by
+// the program and by every handler it makes run: a handler runs steps
+// until opEnd, three steps or the end of the program, and may not
+// step, run or checkpoint (those are skipped).
 // The operand bytes of an opcode follow it: a delay index into
 // orderDelays, a handle index modulo the handles issued.
 const (
@@ -107,7 +107,7 @@ type orderAPI interface {
 	peek() float64
 	checkpoint() string // "" or the AppendState/RestoreState error
 	counts() (executed, scheduled uint64)
-	queueLen() int // compared between engines only: the reference keeps no tombstones
+	afterStep() // called after every step: the engine checks its counts
 }
 
 // orderProgram interprets prog against api; fire is what api calls
@@ -118,7 +118,6 @@ type orderProgram struct {
 	api   orderAPI
 	ids   uint64 // schedules so far: the next schedule's seq
 	trace []string
-	lens  []int // queueLen after every step
 }
 
 func (p *orderProgram) byte() (byte, bool) {
@@ -147,7 +146,7 @@ func (p *orderProgram) stepOnce(inHandler bool) bool {
 		return false
 	}
 	operand := func() int { v, _ := p.byte(); return int(v) }
-	defer func() { p.lens = append(p.lens, p.api.queueLen()) }()
+	defer p.api.afterStep()
 	switch b % numOps {
 	case opSchedFn, opSchedOp:
 		d := orderDelays[operand()%len(orderDelays)]
@@ -207,37 +206,30 @@ func runOrderProgram(prog []byte, mk func(*orderProgram) orderAPI) *orderProgram
 	return p
 }
 
-// runOnEngine runs prog on an engine over kind.
-func runOnEngine(prog []byte, kind eventq.Kind) *orderProgram {
-	return runOrderProgram(prog, func(p *orderProgram) orderAPI { return newEngineAPI(p, kind) })
-}
-
 func checkOrderProgram(t *testing.T, prog []byte) {
 	t.Helper()
-	if len(prog) == 0 {
-		return
-	}
-	kind := eventq.Kinds()[int(prog[0])%len(eventq.Kinds())]
-	got := runOnEngine(prog[1:], kind).trace
-	want := runOrderProgram(prog[1:], func(p *orderProgram) orderAPI { return &refEngine{p: p} }).trace
+	run := runOrderProgram(prog, func(p *orderProgram) orderAPI { return newEngineAPI(p) })
+	got := run.trace
+	want := runOrderProgram(prog, func(p *orderProgram) orderAPI { return &refEngine{p: p} }).trace
 	n := min(len(got), len(want))
 	for i := 0; i < n; i++ {
 		if got[i] != want[i] {
-			t.Fatalf("%s engine, program %v: line %d is %q, the reference's %q\nengine:    %q\nreference: %q",
-				kind, prog, i, got[i], want[i], got[:i+1], want[:i+1])
+			t.Fatalf("program %v: line %d is %q, the reference's %q\nengine:    %q\nreference: %q",
+				prog, i, got[i], want[i], got[:i+1], want[:i+1])
 		}
 	}
 	if len(got) != len(want) {
-		t.Fatalf("%s engine, program %v: %d trace lines, the reference %d\nengine:    %q\nreference: %q",
-			kind, prog, len(got), len(want), got, want)
+		t.Fatalf("program %v: %d trace lines, the reference %d\nengine:    %q\nreference: %q",
+			prog, len(got), len(want), got, want)
 	}
 
-	heap, list := runOnEngine(prog[1:], eventq.KindHeap), runOnEngine(prog[1:], eventq.KindList)
-	if !slices.Equal(heap.lens, list.lens) {
-		t.Fatalf("program %v: QueueLen after each step\nheap: %v\nlist: %v", prog, heap.lens, list.lens)
+	a := run.api.(*engineAPI)
+	if a.bad != "" {
+		t.Fatalf("program %v: %s", prog, a.bad)
 	}
-	if hs, ls := heap.api.(*engineAPI).e.Stats(), list.api.(*engineAPI).e.Stats(); hs != ls {
-		t.Fatalf("program %v: heap Stats %+v, list Stats %+v", prog, hs, ls)
+	if s := a.e.Stats(); s.MaxQueue != a.maxLen || s.Canceled != a.cancels {
+		t.Fatalf("program %v: MaxQueue %d, Canceled %d; the largest QueueLen seen was %d, and %d cancels left a tombstone",
+			prog, s.MaxQueue, s.Canceled, a.maxLen, a.cancels)
 	}
 }
 
@@ -249,17 +241,26 @@ func TestOrderSeeds(t *testing.T) {
 }
 
 // engineAPI drives an Engine. Op events carry their seq as the op
-// argument, closure events capture it and carry a label, whose slot a
-// re-arm in place or a recycle frees.
+// argument, closure events capture it. It tallies what the engine's
+// counts must agree with: the re-arms RescheduleOp makes in place by
+// its documented rule (a handle whose record is pending, and a new
+// time later than both the handle's and now), the cancels that
+// tombstone a pending record, less the tombstones a re-arm in place
+// revives, and the largest QueueLen seen; bad is the first step whose
+// QueueLen disagreed.
 type engineAPI struct {
 	e  *Engine
 	p  *orderProgram
 	op Op
 	hs []Timer
+
+	inPlace, cancels uint64
+	maxLen           int
+	bad              string
 }
 
-func newEngineAPI(p *orderProgram, kind eventq.Kind) *engineAPI {
-	a := &engineAPI{e: NewEngine(WithQueue(kind)), p: p}
+func newEngineAPI(p *orderProgram) *engineAPI {
+	a := &engineAPI{e: NewEngine(), p: p}
 	a.op = a.e.RegisterOp("fuzz.fire", func(arg []byte) { p.fire(binary.LittleEndian.Uint64(arg)) })
 	return a
 }
@@ -274,7 +275,6 @@ func (a *engineAPI) peek() float64 {
 	return a.e.PeekTime()
 }
 func (a *engineAPI) runUntil(h float64) { a.e.RunUntil(h) }
-func (a *engineAPI) queueLen() int      { return a.e.QueueLen() }
 func (a *engineAPI) counts() (uint64, uint64) {
 	s := a.e.Stats()
 	return s.Executed, s.Scheduled
@@ -295,10 +295,40 @@ func (a *engineAPI) schedule(d float64, op bool, id uint64) {
 	a.issued(a.e.Schedule(d, func() { a.p.fire(id) }), id)
 }
 
-func (a *engineAPI) cancel(h int) { a.hs[h].Cancel() }
+func (a *engineAPI) afterStep() {
+	n, s := a.e.QueueLen(), a.e.Stats()
+	want := int64(s.Scheduled) - int64(s.Executed) - int64(s.Canceled) - int64(a.inPlace)
+	if int64(n) != want && a.bad == "" {
+		a.bad = fmt.Sprintf("at t=%v, program byte %d: QueueLen is %d, and Scheduled %d − Executed %d − Canceled %d − %d re-arms in place is %d",
+			a.e.Now(), a.p.pc, n, s.Scheduled, s.Executed, s.Canceled, a.inPlace, want)
+	}
+	a.maxLen = max(a.maxLen, n)
+}
+
+// pending reports whether tm's record is still pending under it:
+// neither fired nor discarded, canceled or not.
+func pending(tm Timer) bool { return tm.ev != nil && tm.ev.Seq == tm.seq }
+
+func (a *engineAPI) cancel(h int) {
+	if tm := a.hs[h]; pending(tm) && !tm.Canceled() {
+		a.cancels++
+	}
+	a.hs[h].Cancel()
+}
 
 func (a *engineAPI) rearm(h int, d float64, id uint64) {
-	a.issued(a.e.RescheduleOp(a.hs[h], d, a.op, idArg(id)), id)
+	tm, at := a.hs[h], a.e.Now()+d
+	switch {
+	case !pending(tm):
+	case at > tm.Time() && at > a.e.Now():
+		a.inPlace++
+		if tm.Canceled() {
+			a.cancels-- // revived: its tombstone is never discarded
+		}
+	case !tm.Canceled():
+		a.cancels++ // the cancel a re-arm out of place makes
+	}
+	a.issued(a.e.RescheduleOp(tm, d, a.op, idArg(id)), id)
 }
 
 func (a *engineAPI) checkpoint() string {
@@ -331,10 +361,10 @@ type refEvent struct {
 	closure bool
 }
 
-func (r *refEngine) now() float64  { return r.t }
-func (r *refEngine) handles() int  { return len(r.hs) }
-func (r *refEngine) stop()         { r.stopped = true }
-func (r *refEngine) queueLen() int { return len(r.pending) }
+func (r *refEngine) now() float64 { return r.t }
+func (r *refEngine) handles() int { return len(r.hs) }
+func (r *refEngine) stop()        { r.stopped = true }
+func (r *refEngine) afterStep()   {}
 func (r *refEngine) counts() (uint64, uint64) {
 	return r.executed, r.scheduled
 }

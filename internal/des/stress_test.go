@@ -1,19 +1,21 @@
 package des
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"testing"
-
-	"repro/internal/eventq"
 )
 
 // TestStressMixedModelDeterminism runs a model that exercises every
 // kernel feature at once — processes, hand-offs through Await on a
 // registered op, resources, wait groups, cancellation — and demands
-// bit-identical trajectories across all six FEL implementations.
+// the trajectory, bit for bit, that all six queue kinds gave when the
+// engine could run on each.
 func TestStressMixedModelDeterminism(t *testing.T) {
-	run := func(kind eventq.Kind) (trace []float64, events uint64) {
-		e := NewEngine(WithQueue(kind), WithSeed(77))
+	run := func() (trace []float64, events uint64) {
+		e := NewEngine(WithSeed(77))
 		src := e.Stream("stress")
 		res := e.NewResource("pool", 3)
 		wg := e.NewWaitGroup()
@@ -80,27 +82,19 @@ func TestStressMixedModelDeterminism(t *testing.T) {
 
 		e.Run()
 		if e.LiveProcesses() != 0 {
-			t.Fatalf("%s: leaked %d processes", kind, e.LiveProcesses())
+			t.Fatalf("leaked %d processes", e.LiveProcesses())
 		}
 		return trace, e.Stats().Executed
 	}
-	refTrace, refEvents := run(eventq.KindHeap)
-	if len(refTrace) < 60 {
-		t.Fatalf("stress model too small: %d trace points", len(refTrace))
+	trace, events := run()
+	h := fnv.New64a()
+	for _, x := range trace {
+		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
 	}
-	for _, k := range eventq.Kinds()[1:] {
-		got, events := run(k)
-		if events != refEvents {
-			t.Fatalf("%s: %d events vs heap %d", k, events, refEvents)
-		}
-		if len(got) != len(refTrace) {
-			t.Fatalf("%s: %d trace points vs %d", k, len(got), len(refTrace))
-		}
-		for i := range got {
-			if got[i] != refTrace[i] {
-				t.Fatalf("%s diverged at %d: %v vs %v", k, i, got[i], refTrace[i])
-			}
-		}
+	const wantPoints, wantEvents, wantHash = 63, 253, 0xb87210889666ff1c
+	if len(trace) != wantPoints || events != wantEvents || h.Sum64() != wantHash {
+		t.Fatalf("%d trace points, %d events, trace hash %#x; want %d, %d, %#x",
+			len(trace), events, h.Sum64(), wantPoints, wantEvents, uint64(wantHash))
 	}
 }
 

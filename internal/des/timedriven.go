@@ -23,11 +23,11 @@ type TimeDriven struct {
 
 // NewTimeDriven returns a time-driven executor with tick size dt over
 // a fresh engine. It panics if dt <= 0.
-func NewTimeDriven(dt float64, opts ...Option) *TimeDriven {
+func NewTimeDriven(dt float64) *TimeDriven {
 	if dt <= 0 || math.IsNaN(dt) || math.IsInf(dt, 0) {
 		panic(fmt.Sprintf("des: NewTimeDriven with invalid dt %v", dt))
 	}
-	return &TimeDriven{Engine: NewEngine(opts...), dt: dt}
+	return &TimeDriven{Engine: NewEngine(), dt: dt}
 }
 
 // Ticks returns the number of clock increments performed so far,
@@ -54,7 +54,7 @@ func (td *TimeDriven) RunUntil(horizon float64) float64 {
 		}
 		td.ticks++
 		// A Stop can leave records in the lane, which holds only the
-		// current instant's: they go to the queue before the clock moves.
+		// current instant's: they go to the heap before the clock moves.
 		for ev := e.lane; ev != nil; ev = e.lane {
 			e.popLane()
 			e.push(ev)

@@ -45,9 +45,6 @@ func NewCalendar() *Calendar {
 	return c
 }
 
-// Name implements Queue.
-func (c *Calendar) Name() string { return string(KindCalendar) }
-
 // Len implements Queue.
 func (c *Calendar) Len() int { return c.n }
 

@@ -7,9 +7,9 @@ import (
 
 // Heap is an array-backed 4-ary min-heap whose sift-down has no
 // data-dependent branch. Push, Pop and ReplaceMin are O(log n); Peek is
-// O(1). It is the engines' default: allocation-free in steady state,
-// and at or near the front of E3's table at every population
-// (EXPERIMENTS.md).
+// O(1). It is the engine's event list (package des): allocation-free
+// in steady state, and at or near the front of E3's table at every
+// population (EXPERIMENTS.md). The zero Heap is empty and ready to use.
 //
 // A hold-model Pop in the textbook heap pays one coin-flip branch per
 // level ("is the left or the right child smaller?" on two random keys),
@@ -69,9 +69,6 @@ func before(ak, as, bk, bs uint64) uint64 {
 
 // NewHeap returns an empty heap.
 func NewHeap() *Heap { return &Heap{} }
-
-// Name implements Queue.
-func (h *Heap) Name() string { return string(KindHeap) }
 
 // Len implements Queue.
 func (h *Heap) Len() int { return len(h.nodes) }

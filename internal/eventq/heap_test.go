@@ -42,74 +42,119 @@ func TestHeapTimeRoundTrip(t *testing.T) {
 	}
 }
 
-// fuzzTimes is what FuzzHeapAgainstReference pushes: few values, so
-// that most pushes tie on Time, and the edges of the key mapping.
+// fuzzTimes is what FuzzQueueAgainstReference pushes into the heap, in
+// any order: few values, so that most pushes tie on Time, and the edges
+// of the heap's key mapping.
 var fuzzTimes = [16]float64{
 	math.Inf(-1), -math.MaxFloat64, -2.5, -math.SmallestNonzeroFloat64,
 	math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 0x1p-1022,
 	1, 1, 2.5, 2.5, 7, 7, math.MaxFloat64, math.Inf(1),
 }
 
-// FuzzHeapAgainstReference drives Heap and the binary heap it replaced
-// (heap_ref_test.go) with one push/pop/peek/replace sequence: every
-// returned Item and every Len must agree, through a final drain. A
-// byte below 0x80 pushes fuzzTimes[b&15], below 0xC0 pops, below 0xE0
-// peeks, else replaces the minimum with fuzzTimes[b&15]: ReplaceMin
-// against the reference's Pop then Push.
-func FuzzHeapAgainstReference(f *testing.F) {
-	const push, pop, peek, replace = 0x00, 0x80, 0xC0, 0xE0
-	// Sizes 0–5 and 4k±1, where the last sibling group of the 4-ary
-	// layout is partial: filled, half drained, refilled; then, at the
-	// same sizes, filled and turned over by replaces.
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65} {
-		seed := make([]byte, 0, 2*n+2)
-		for i := 0; i < n; i++ {
-			seed = append(seed, push|byte(i*7)&0x7F)
+// fuzzDelays is what it pushes into the other kinds, after the time
+// last popped: what an engine gives a queue, finite times at or after
+// its clock. Few values again, so that most pushes tie.
+var fuzzDelays = [16]float64{0, 0, 0, 0.25, 0.5, 0.5, 1, 1, 1, 2, 2, 3, 7, 7, 100, 1e6}
+
+// FuzzQueueAgainstReference drives one queue kind, named by the first
+// byte, and the binary heap Heap replaced (heap_ref_test.go) with one
+// push/pop/peek/replace sequence: every returned Item and every Len
+// must agree, through a final drain. A byte below 0x80 pushes at
+// time b&15 (fuzzTimes[b&15] on the heap, fuzzDelays[b&15] after the
+// last pop on the other kinds), below 0xC0 pops, below 0xE0 peeks,
+// else replaces the minimum with an item at time b&15: on the heap
+// ReplaceMin after a Peek, as the engine runs it, on the other kinds
+// and on the reference Pop then Push. A push byte with 0x70 set takes a
+// seq older than most queued ones, as an engine's record moved later
+// is pushed at its new time under the seq it drew when it was moved:
+// seqs are even, and those pushes take the odd ones in turn.
+func FuzzQueueAgainstReference(f *testing.F) {
+	const push, pop, peek, replace, old = 0x00, 0x80, 0xC0, 0xE0, 0x70
+	// For every kind, sizes 0–5 and 4k±1, where the last sibling group
+	// of the heap's 4-ary layout is partial: filled, half drained,
+	// refilled; then, at the same sizes, filled and turned over by
+	// replaces.
+	for k := range Kinds() {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65} {
+			seed := []byte{byte(k)}
+			for i := 0; i < n; i++ {
+				seed = append(seed, push|byte(i*7)&0x7F)
+			}
+			fill := seed
+			seed = append(seed, peek)
+			seed = append(seed, bytes.Repeat([]byte{pop}, n/2+1)...)
+			seed = append(seed, push|5, push|4, push|5, peek)
+			f.Add(seed)
+			turn := append(fill[:len(fill):len(fill)], peek)
+			for i := 0; i < n+1; i++ {
+				turn = append(turn, replace|byte(i*5)&0x1F)
+			}
+			f.Add(append(turn, peek, pop, replace|3))
 		}
-		fill := seed
-		seed = append(seed, peek)
-		seed = append(seed, bytes.Repeat([]byte{pop}, n/2+1)...)
-		seed = append(seed, push|5, push|4, push|5, peek)
-		f.Add(seed)
-		turn := append(fill[:len(fill):len(fill)], peek)
-		for i := 0; i < n+1; i++ {
-			turn = append(turn, replace|byte(i*5)&0x1F)
-		}
-		f.Add(append(turn, peek, pop, replace|3))
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		h, ref := NewHeap(), &refHeap{}
+		if len(ops) == 0 {
+			return
+		}
+		kind := Kinds()[int(ops[0])%len(Kinds())]
+		q, ref := New(kind), &refHeap{}
+		h, _ := q.(*Heap)
 		var evs [64]Event
-		var seq uint64
+		var seq, oldSeq uint64 = 0, 1
+		now := 0.0 // the time last popped
+		item := func(b byte) Item {
+			it := Item{Time: fuzzTimes[b&15]}
+			if h == nil {
+				it.Time = now + fuzzDelays[b&15]
+			}
+			if b < pop && b&old == old {
+				oldSeq += 2
+				it.Seq = oldSeq
+			} else {
+				seq += 2
+				it.Seq = seq
+			}
+			it.Event = &evs[it.Seq%uint64(len(evs))]
+			return it
+		}
 		// Then drain; the full slice expression keeps append off the fuzzer's array.
-		ops = append(ops[:len(ops):len(ops)], bytes.Repeat([]byte{pop}, len(ops))...)
+		ops = append(ops[1:len(ops):len(ops)], bytes.Repeat([]byte{pop}, len(ops))...)
 		for i, b := range ops {
 			var got, want Item
 			var gotOK, wantOK bool
 			switch {
 			case b < pop:
-				seq++
-				it := Item{Time: fuzzTimes[b&15], Seq: seq, Event: &evs[seq%uint64(len(evs))]}
-				h.Push(it)
+				it := item(b)
+				q.Push(it)
 				ref.Push(it)
 			case b < peek:
-				got, gotOK = h.Pop()
-				want, wantOK = ref.Pop()
+				got, gotOK = q.Pop()
+				if want, wantOK = ref.Pop(); wantOK {
+					now = want.Time
+				}
 			case b < replace:
-				got, gotOK = h.Peek()
+				got, gotOK = q.Peek()
 				want, wantOK = ref.Peek()
-			default:
-				seq++
-				it := Item{Time: fuzzTimes[b&15], Seq: seq, Event: &evs[seq%uint64(len(evs))]}
+			case h != nil:
+				got, gotOK = h.Peek()
+				want, wantOK = ref.Pop()
+				it := item(b)
 				h.ReplaceMin(it)
-				ref.Pop()
+				ref.Push(it)
+			default:
+				got, gotOK = q.Pop()
+				if want, wantOK = ref.Pop(); wantOK {
+					now = want.Time
+				}
+				it := item(b)
+				q.Push(it)
 				ref.Push(it)
 			}
 			if got != want || gotOK != wantOK {
-				t.Fatalf("op %d (%#x) = %+v, %v; reference %+v, %v", i, b, got, gotOK, want, wantOK)
+				t.Fatalf("%s: op %d (%#x) = %+v, %v; reference %+v, %v", kind, i, b, got, gotOK, want, wantOK)
 			}
-			if h.Len() != ref.Len() {
-				t.Fatalf("after op %d (%#x): Len = %d, reference %d", i, b, h.Len(), ref.Len())
+			if q.Len() != ref.Len() {
+				t.Fatalf("%s: after op %d (%#x): Len = %d, reference %d", kind, i, b, q.Len(), ref.Len())
 			}
 		}
 	})

@@ -54,9 +54,6 @@ func NewLadder() *Ladder {
 	return &Ladder{topStart: math.Inf(-1), topMin: math.Inf(1), topMax: math.Inf(-1)}
 }
 
-// Name implements Queue.
-func (l *Ladder) Name() string { return string(KindLadder) }
-
 // Len implements Queue.
 func (l *Ladder) Len() int { return l.n }
 

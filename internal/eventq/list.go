@@ -24,9 +24,6 @@ type listNode struct {
 // NewList returns an empty sorted linked list.
 func NewList() *List { return &List{} }
 
-// Name implements Queue.
-func (l *List) Name() string { return string(KindList) }
-
 // Len implements Queue.
 func (l *List) Len() int { return l.n }
 

@@ -7,8 +7,9 @@
 // heap and a splay tree (O(log n) per operation), a sorted linked list
 // (O(n) insert, O(1) pop), a skip list (expected O(log n)), and two
 // amortized-O(1) multi-list structures, the calendar queue and the
-// ladder queue — behind one Queue interface so engines and benchmarks
-// can swap them freely.
+// ladder queue — behind one Queue interface, so that experiment E3 and
+// the benchmarks measure them on equal terms. The engine (package des)
+// runs on the heap.
 //
 // All queues order items by (Time, Seq): ties on simulation time are
 // broken by the monotonically increasing sequence number assigned at
@@ -48,10 +49,10 @@ func (a Item) Before(b Item) bool {
 }
 
 // Queue is a future event list: a priority queue over Items keyed by
-// (Time, Seq). Implementations need not be safe for concurrent use;
-// each engine owns exactly one queue. It holds every pending record not
-// due at the engine's current instant, tombstones and records moved
-// later included, each at the key it was pushed under.
+// (Time, Seq). Implementations need not be safe for concurrent use.
+// An engine's event list holds every pending record not due at the
+// engine's current instant, tombstones and records moved later
+// included, each at the key it was pushed under.
 type Queue interface {
 	// Push inserts an item. Items may arrive in any time order, but
 	// most structures are tuned for the common case of inserts at or
@@ -65,8 +66,6 @@ type Queue interface {
 	Peek() (it Item, ok bool)
 	// Len returns the number of items currently queued.
 	Len() int
-	// Name identifies the structure (for reports and benchmarks).
-	Name() string
 }
 
 // Kind selects a Queue implementation by name.
@@ -88,24 +87,16 @@ func Kinds() []Kind {
 	return []Kind{KindHeap, KindList, KindSkipList, KindSplay, KindCalendar, KindLadder}
 }
 
-// New constructs an empty queue of the given kind with the default
-// seed. It panics on an unknown kind: kinds are programmer input, not
-// user input.
-func New(k Kind) Queue { return NewSeeded(k, 1) }
-
-// NewSeeded constructs an empty queue of the given kind. The seed
-// feeds the structure's internal randomness (today only the skip
-// list's tower-height stream); engines pass their own seed through so
-// two engines with different seeds do not share level sequences.
-// Deterministic structures ignore it. Panics on an unknown kind.
-func NewSeeded(k Kind, seed uint64) Queue {
+// New constructs an empty queue of the given kind. It panics on an
+// unknown kind: kinds are programmer input, not user input.
+func New(k Kind) Queue {
 	switch k {
 	case KindHeap:
 		return NewHeap()
 	case KindList:
 		return NewList()
 	case KindSkipList:
-		return NewSkipList(seed)
+		return NewSkipList()
 	case KindSplay:
 		return NewSplay()
 	case KindCalendar:

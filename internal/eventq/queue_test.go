@@ -2,6 +2,7 @@ package eventq
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -306,10 +307,13 @@ func TestKindsAndNew(t *testing.T) {
 	if len(Kinds()) != 6 {
 		t.Fatalf("Kinds() = %d entries, want 6", len(Kinds()))
 	}
+	want := map[Kind]Queue{
+		KindHeap: &Heap{}, KindList: &List{}, KindSkipList: &SkipList{},
+		KindSplay: &Splay{}, KindCalendar: &Calendar{}, KindLadder: &Ladder{},
+	}
 	for _, k := range Kinds() {
-		q := New(k)
-		if q.Name() != string(k) {
-			t.Errorf("New(%q).Name() = %q", k, q.Name())
+		if got := reflect.TypeOf(New(k)); got != reflect.TypeOf(want[k]) {
+			t.Errorf("New(%q) is a %v, want a %T", k, got, want[k])
 		}
 	}
 	defer func() {

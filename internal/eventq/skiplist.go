@@ -2,8 +2,8 @@ package eventq
 
 // SkipList is a probabilistic ordered list with expected O(log n)
 // insertion and O(1) pop-min. Its tower heights are drawn from a
-// deterministic internal xorshift generator seeded at construction,
-// so a given insertion sequence always produces the same structure —
+// deterministic internal xorshift generator with a fixed start, so a
+// given insertion sequence always produces the same structure —
 // simulation runs stay reproducible.
 //
 // Popped nodes are recycled through per-height free lists (a tower's
@@ -24,22 +24,16 @@ type skipNode struct {
 	next []*skipNode
 }
 
-// NewSkipList returns an empty skip list. Seed selects the internal
-// tower-height stream; any value is fine, equal seeds give identical
-// structures for identical insert sequences.
-func NewSkipList(seed uint64) *SkipList {
-	if seed == 0 {
-		seed = 0x9e3779b97f4a7c15
-	}
+// NewSkipList returns an empty skip list. Its tower-height stream
+// starts from the same state in every list, so identical insert
+// sequences give identical structures.
+func NewSkipList() *SkipList {
 	return &SkipList{
 		head:   &skipNode{next: make([]*skipNode, skipMaxLevels)},
 		levels: 1,
-		rng:    seed,
+		rng:    1,
 	}
 }
-
-// Name implements Queue.
-func (s *SkipList) Name() string { return string(KindSkipList) }
 
 // Len implements Queue.
 func (s *SkipList) Len() int { return s.n }

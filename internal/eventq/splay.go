@@ -25,9 +25,6 @@ type splayNode struct {
 // NewSplay returns an empty splay-tree queue.
 func NewSplay() *Splay { return &Splay{} }
 
-// Name implements Queue.
-func (s *Splay) Name() string { return string(KindSplay) }
-
 // Len implements Queue.
 func (s *Splay) Len() int { return s.n }
 
