@@ -91,11 +91,16 @@ func traceHook(sink *[]traceEntry) obs.Hook {
 	}
 }
 
-// TestResumeBitIdentical is the flagship determinism property: a run
-// checkpointed at t=H/2 and restored into a fresh engine produces —
-// event for event (time, sequence number, label) — the same execution
-// trace and final statistics as a run that was never interrupted.
-func TestResumeBitIdentical(t *testing.T) {
+// TestResumeBitIdenticalAllKinds is the flagship determinism property:
+// a run checkpointed at t=H/2 and restored into a fresh engine produces
+// — event for event (time, sequence number, label) — the same execution
+// trace and final statistics as a run that was never interrupted. The
+// engine's one event list is the heap, so that is the one subtest.
+func TestResumeBitIdenticalAllKinds(t *testing.T) {
+	t.Run("heap", testResumeBitIdentical)
+}
+
+func testResumeBitIdentical(t *testing.T) {
 	const (
 		H    = 40.0
 		jobs = 16
